@@ -20,6 +20,10 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct Preferences {
     n: usize,
+    /// Row `i` starts at `i * stride`: `n` for a dense matrix, 0 when
+    /// every row is the same one (uniform preference costs `n` floats,
+    /// not `n²` — a protocol node builds one per re-wiring job).
+    stride: usize,
     weights: Vec<f64>,
 }
 
@@ -29,7 +33,8 @@ impl Preferences {
         let w = if n > 1 { 1.0 / (n as f64 - 1.0) } else { 0.0 };
         Preferences {
             n,
-            weights: vec![w; n * n],
+            stride: 0,
+            weights: vec![w; n],
         }
     }
 
@@ -57,7 +62,11 @@ impl Preferences {
                 }
             }
         }
-        Preferences { n, weights }
+        Preferences {
+            n,
+            stride: n,
+            weights,
+        }
     }
 
     /// Build from an explicit dense weight matrix (row-major, length
@@ -65,19 +74,23 @@ impl Preferences {
     /// base preferences with an observed demand matrix.
     pub fn from_weights(n: usize, weights: Vec<f64>) -> Self {
         assert_eq!(weights.len(), n * n, "weights must be dense n×n");
-        Preferences { n, weights }
+        Preferences {
+            n,
+            stride: n,
+            weights,
+        }
     }
 
     /// `p_ij`.
     #[inline]
     pub fn get(&self, i: NodeId, j: NodeId) -> f64 {
-        self.weights[i.index() * self.n + j.index()]
+        self.weights[i.index() * self.stride + j.index()]
     }
 
     /// Row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.weights[i * self.n..(i + 1) * self.n]
+        &self.weights[i * self.stride..i * self.stride + self.n]
     }
 
     /// Number of nodes.

@@ -71,6 +71,92 @@ fn ctx<'a>(b: &'a Built, node: NodeId, k: usize) -> WiringContext<'a> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The on-demand residual backing is `apsp(residual_graph(i))` bit
+    /// for bit, whatever rows are read and in whatever order, and it
+    /// computes exactly the rows that were read. The graphs are random
+    /// k-out digraphs with dead nodes (isolated origins: no out-links,
+    /// nobody links to them), unusable (infinite-cost) links and links
+    /// struck out afterwards, as a quarantine pass would.
+    #[test]
+    fn on_demand_rows_equal_dense_residual_apsp(
+        seed in any::<u64>(),
+        n in 2usize..65,
+        k in 1usize..6,
+    ) {
+        use crate::residual::{OnDemandResidual, ResidualView};
+        use egoist_graph::CsrGraph;
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let alive: Vec<bool> = (0..n).map(|_| rng.random::<f64>() < 0.85).collect();
+        let d = DistanceMatrix::from_fn(n, |i, j| {
+            if i == j {
+                0.0
+            } else if rng.random::<f64>() < 0.1 {
+                f64::INFINITY
+            } else {
+                0.37 * rng.random_range(1..400) as f64
+            }
+        });
+        let mut w = Wiring::empty(n);
+        for i in 0..n {
+            let mut links: Vec<NodeId> = (0..k)
+                .map(|_| NodeId::from_index(rng.random_range(0..n)))
+                .filter(|x| x.index() != i)
+                .collect();
+            links.sort_unstable();
+            links.dedup();
+            w.rewire(NodeId::from_index(i), links);
+        }
+        let mut g = w.to_graph(&d, &alive);
+        let struck: Vec<(NodeId, NodeId)> = g
+            .edges()
+            .map(|(from, to, _)| (from, to))
+            .filter(|_| rng.random::<f64>() < 0.1)
+            .collect();
+        for (from, to) in struck {
+            g.remove_edge(from, to);
+        }
+        let turn = NodeId::from_index(rng.random_range(0..n));
+
+        let mut residual_graph = g.clone();
+        residual_graph.clear_out_edges(turn);
+        let truth = apsp(&residual_graph);
+
+        // Every row twice, in a shuffled order.
+        let mut reads: Vec<usize> = (0..n).chain(0..n).collect();
+        for x in (1..reads.len()).rev() {
+            reads.swap(x, rng.random_range(0..=x));
+        }
+        let csr = CsrGraph::from_digraph(&g);
+        let rows = OnDemandResidual::new(&csr, turn);
+        let view = ResidualView::on_demand(&rows);
+        prop_assert_eq!(view.len(), n);
+        let mut seen = vec![false; n];
+        for &s in &reads {
+            let row = view.row(s);
+            for (t, x) in row.iter().enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(),
+                    truth.at(s, t).to_bits(),
+                    "row read ({},{}) for turn {}", s, t, turn
+                );
+            }
+            let t = rng.random_range(0..n);
+            prop_assert_eq!(view.at(s, t).to_bits(), truth.at(s, t).to_bits());
+            seen[s] = true;
+            prop_assert_eq!(
+                rows.rows_materialised(),
+                seen.iter().filter(|&&x| x).count(),
+                "a row is computed when first read, and only then"
+            );
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Local-search BR is within 5% of the exhaustive optimum (the §4.1

@@ -6,11 +6,17 @@
 //! materializing a dense per-turn matrix: a [`ResidualView`] lets the
 //! policy layer read residual rows wherever they actually live.
 //!
-//! Two backings exist:
+//! Three backings exist:
 //!
 //! * **Dense** — a borrowed [`DistanceMatrix`], used by the `Recompute`
-//!   oracle, the protocol nodes, the sampling experiments and every test
-//!   that builds residual state from scratch.
+//!   oracle, the sampling experiments and every test that builds
+//!   residual state from scratch.
+//! * **On demand** — the protocol node's form ([`OnDemandResidual`]): a
+//!   node re-wires once per epoch from a graph it has no snapshot of,
+//!   and its policy reads only the rows of candidates it has measured,
+//!   so a row is one masked Dijkstra over the announced CSR graph, run
+//!   the first time it is read and kept for the rest of the job. A row
+//!   nobody reads is never computed.
 //! * **Copy-on-write** — the epoch engine's form: rows whose
 //!   shortest-path tree avoids the turn node borrow the epoch snapshot's
 //!   APSP rows directly (removal of `i`'s out-links cannot change them,
@@ -27,10 +33,12 @@
 //! repair the dense path used, on the same inputs. The view as a whole
 //! is therefore indistinguishable, bit for bit, from
 //! `apsp(residual_graph(i))` — pinned by the proptests in this crate and
-//! the golden equivalence suite.
+//! the golden equivalence suite. The on-demand form gets the same
+//! guarantee from [`DijkstraWorkspace::sssp_into`]'s mask: skipping the
+//! turn node's out-edges is the sweep over `G−i`, row by row.
 
-use egoist_graph::DistanceMatrix;
-use egoist_graph::NodeId;
+use egoist_graph::{CsrGraph, DijkstraWorkspace, DistanceMatrix, NodeId};
+use std::cell::{OnceCell, RefCell};
 
 /// Sentinel in the slot table: read the row from the snapshot.
 pub const NO_SLOT: u32 = u32::MAX;
@@ -53,21 +61,66 @@ pub struct CowResidual<'a> {
     pub self_row: &'a [f64],
 }
 
+/// The on-demand backing: rows of `apsp(G−node)` over a CSR graph,
+/// each computed by one masked single-source sweep on its first read.
+///
+/// One instance serves one re-wiring job: every row shares the job's
+/// Dijkstra workspace, a computed row stays put until the instance is
+/// dropped, and there is no `n × n` matrix behind it — memory is the
+/// rows that were read.
+pub struct OnDemandResidual<'g> {
+    g: &'g CsrGraph,
+    node: u32,
+    rows: Vec<OnceCell<Box<[f64]>>>,
+    scratch: RefCell<(DijkstraWorkspace, Vec<u32>)>,
+}
+
+impl<'g> OnDemandResidual<'g> {
+    /// Residual rows of `g` minus `node`'s out-edges; nothing is
+    /// computed until a row is read.
+    pub fn new(g: &'g CsrGraph, node: NodeId) -> Self {
+        let n = g.len();
+        OnDemandResidual {
+            g,
+            node: node.0,
+            rows: (0..n).map(|_| OnceCell::new()).collect(),
+            scratch: RefCell::new((DijkstraWorkspace::new(n), vec![0; n])),
+        }
+    }
+
+    fn row(&self, s: usize) -> &[f64] {
+        self.rows[s].get_or_init(|| {
+            let mut dist = vec![0.0; self.g.len()].into_boxed_slice();
+            let (ws, parent) = &mut *self.scratch.borrow_mut();
+            ws.sssp_into(self.g, s as u32, Some(self.node), &mut dist, parent);
+            dist
+        })
+    }
+
+    /// How many rows have been computed so far.
+    pub fn rows_materialised(&self) -> usize {
+        self.rows.iter().filter(|r| r.get().is_some()).count()
+    }
+}
+
 #[derive(Clone, Copy)]
 enum Inner<'a> {
     Dense(&'a DistanceMatrix),
     Cow(CowResidual<'a>),
+    OnDemand(&'a OnDemandResidual<'a>),
     /// Every row is the same borrowed slice — a placeholder for policies
     /// that never consult residual state (`PolicyKind::needs_residual()`
     /// is false), letting callers skip the O(n²·log n) APSP entirely.
     Broadcast(&'a [f64]),
 }
 
-/// A read-only view of pairwise residual state, dense or copy-on-write.
+/// A read-only view of pairwise residual state, dense, copy-on-write or
+/// on demand.
 ///
 /// Policies consume exactly two access patterns — whole candidate rows
 /// ([`ResidualView::row`]) and point probes ([`ResidualView::at`]) — and
-/// both cost O(1) dispatch over either backing.
+/// both cost O(1) dispatch over every backing (plus, on demand, the
+/// sweep that fills a row the first time it is read).
 #[derive(Clone, Copy)]
 pub struct ResidualView<'a> {
     inner: Inner<'a>,
@@ -99,12 +152,20 @@ impl<'a> ResidualView<'a> {
         }
     }
 
+    /// View whose rows are computed the first time they are read.
+    pub fn on_demand(rows: &'a OnDemandResidual<'a>) -> Self {
+        ResidualView {
+            inner: Inner::OnDemand(rows),
+        }
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {
         match self.inner {
             Inner::Dense(m) => m.len(),
             Inner::Cow(p) => p.n,
+            Inner::OnDemand(p) => p.g.len(),
             Inner::Broadcast(row) => row.len(),
         }
     }
@@ -121,6 +182,7 @@ impl<'a> ResidualView<'a> {
         match self.inner {
             Inner::Dense(m) => m.row(s),
             Inner::Broadcast(row) => row,
+            Inner::OnDemand(p) => p.row(s),
             Inner::Cow(p) => {
                 if s == p.node {
                     p.self_row
@@ -181,6 +243,27 @@ mod tests {
         assert_eq!(v.row(1), &[9.0, 9.0, 9.0], "repaired pool row");
         assert_eq!(v.row(2), &self_row[..], "turn node's own row");
         assert_eq!(v.at(1, 2), 9.0);
+    }
+
+    #[test]
+    fn on_demand_view_computes_only_the_rows_read() {
+        // 0 → 1 → 2 → 0 ring plus a 0 → 2 chord; node 0 is re-wiring.
+        let mut g = egoist_graph::DiGraph::new(3);
+        g.add_edge(NodeId(0), NodeId(1), 1.0);
+        g.add_edge(NodeId(1), NodeId(2), 2.0);
+        g.add_edge(NodeId(2), NodeId(0), 4.0);
+        g.add_edge(NodeId(0), NodeId(2), 0.5);
+        let csr = CsrGraph::from_digraph(&g);
+        let rows = OnDemandResidual::new(&csr, NodeId(0));
+        let v = ResidualView::on_demand(&rows);
+        assert_eq!(v.len(), 3);
+        assert_eq!(rows.rows_materialised(), 0);
+        assert_eq!(v.row(1), &[6.0, 0.0, 2.0]);
+        assert_eq!(v.at(1, 2), 2.0, "second read hits the kept row");
+        assert_eq!(rows.rows_materialised(), 1);
+        // The turn node's own row: its out-links are gone.
+        assert_eq!(v.row(0), &[0.0, f64::INFINITY, f64::INFINITY]);
+        assert_eq!(rows.rows_materialised(), 2);
     }
 
     #[test]

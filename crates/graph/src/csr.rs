@@ -88,6 +88,46 @@ impl CsrGraph {
         }
     }
 
+    /// Start a row-by-row build of an `n`-node graph with room for
+    /// `edges` edges: [`Self::set_edge`] fills node `len()`'s row,
+    /// [`Self::end_row`] closes it. For callers whose adjacency comes out
+    /// of a filter with state (the protocol node's quarantine audit)
+    /// and so fits neither a `DiGraph` nor [`Self::from_fn`]'s closure.
+    pub fn with_capacity(n: usize, edges: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        CsrGraph {
+            offsets,
+            targets: Vec::with_capacity(edges),
+            costs: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Add the edge `len() → to` to the open row, or replace its cost
+    /// when the row already has one — [`DiGraph::add_edge`]'s rule, so a
+    /// row built here equals the adjacency list `add_edge` would build.
+    /// Linear in the row's length: meant for degree-`k` rows.
+    pub fn set_edge(&mut self, to: u32, cost: f64) {
+        debug_assert_ne!(to as usize, self.len(), "self loop in CSR build");
+        let lo = *self
+            .offsets
+            .last()
+            .expect("row builds start from with_capacity") as usize;
+        match self.targets[lo..].iter().position(|&t| t == to) {
+            Some(at) => self.costs[lo + at] = cost,
+            None => {
+                self.targets.push(to);
+                self.costs.push(cost);
+            }
+        }
+    }
+
+    /// Close the open row; the next [`Self::set_edge`] starts node
+    /// `len()`'s.
+    pub fn end_row(&mut self) {
+        self.offsets.push(self.targets.len() as u32);
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {
@@ -112,6 +152,14 @@ impl CsrGraph {
         let lo = self.offsets[u] as usize;
         let hi = self.offsets[u + 1] as usize;
         (&self.targets[lo..hi], &self.costs[lo..hi])
+    }
+
+    /// Every directed edge as `(from, to, cost)`, rows in node order.
+    pub fn edges(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+        (0..self.len()).flat_map(move |u| {
+            let (ts, cs) = self.out(u);
+            ts.iter().zip(cs).map(move |(&t, &c)| (u as u32, t, c))
+        })
     }
 
     /// The graph with every edge reversed (for "distances to a target"
@@ -816,6 +864,15 @@ pub fn distances_to_csr(g: &CsrGraph, target: u32) -> Vec<f64> {
     let mut parent = vec![NO_PARENT; n];
     DijkstraWorkspace::new(n).sssp_into(&rev, target, None, &mut dist, &mut parent);
     dist
+}
+
+/// First hop from `source` toward every node, from a packed parent row
+/// (`None` for the source and unreachable nodes) — one O(n) sweep, the
+/// CSR counterpart of [`crate::dijkstra::ShortestPaths::first_hops`].
+pub fn first_hops(parent: &[u32], source: u32) -> Vec<Option<NodeId>> {
+    crate::dijkstra::first_hops_by(parent.len(), source as usize, |v| {
+        (parent[v] != NO_PARENT).then_some(parent[v] as usize)
+    })
 }
 
 /// Reconstruct the node path `source → target` from a packed parent row.

@@ -44,9 +44,66 @@ impl ShortestPaths {
     /// The next hop from the source toward `target` (routing-table entry),
     /// or `None` when unreachable or `target == source`.
     pub fn next_hop(&self, target: NodeId) -> Option<NodeId> {
-        let p = self.path_to(target)?;
-        p.get(1).copied()
+        let mut cur = target;
+        loop {
+            let p = self.parent[cur.index()]?;
+            if p == self.source {
+                return Some(cur);
+            }
+            cur = p;
+        }
     }
+
+    /// [`Self::next_hop`] toward every node at once — the whole routing
+    /// table in one O(n) sweep instead of n path walks.
+    pub fn first_hops(&self) -> Vec<Option<NodeId>> {
+        first_hops_by(self.parent.len(), self.source.index(), |v| {
+            self.parent[v].map(NodeId::index)
+        })
+    }
+}
+
+/// First hop from `source` toward every node of the shortest-path tree
+/// `parent` encodes (`None` for the source and for unreachable nodes).
+///
+/// Every node inherits its parent's first hop, so each node is stamped
+/// exactly once: climb from an unstamped node to the nearest ancestor
+/// whose hop is known (or the source's child, which is its own hop),
+/// then stamp the climbed chain.
+pub(crate) fn first_hops_by(
+    n: usize,
+    source: usize,
+    parent: impl Fn(usize) -> Option<usize>,
+) -> Vec<Option<NodeId>> {
+    const UNSET: u32 = u32::MAX;
+    const NO_HOP: u32 = u32::MAX - 1;
+    let mut hop = vec![UNSET; n];
+    hop[source] = NO_HOP;
+    for v in 0..n {
+        if hop[v] != UNSET {
+            continue;
+        }
+        let mut cur = v;
+        let found = loop {
+            match parent(cur) {
+                None => break NO_HOP,
+                Some(p) if p == source => break cur as u32,
+                Some(p) if hop[p] != UNSET => break hop[p],
+                Some(p) => cur = p,
+            }
+        };
+        let mut cur = v;
+        while hop[cur] == UNSET {
+            hop[cur] = found;
+            match parent(cur) {
+                Some(p) => cur = p,
+                None => break,
+            }
+        }
+    }
+    hop.into_iter()
+        .map(|h| (h < NO_HOP).then_some(NodeId(h)))
+        .collect()
 }
 
 #[derive(PartialEq)]

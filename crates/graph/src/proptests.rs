@@ -46,6 +46,41 @@ proptest! {
         }
     }
 
+    /// The one-sweep routing table is the per-target path walk, from
+    /// every source, over both parent encodings; and a CSR graph built
+    /// row by row is the `DiGraph` the same `add_edge` calls built.
+    #[test]
+    fn first_hops_equal_path_walks(g in arb_graph(14)) {
+        use crate::csr::{first_hops, CsrGraph, DijkstraWorkspace};
+        let n = g.len();
+        let mut rows = CsrGraph::with_capacity(n, g.edge_count());
+        for u in 0..n {
+            for e in g.out_edges(NodeId::from_index(u)) {
+                // Each edge twice: the second write must replace, not add.
+                rows.set_edge(e.to.0, e.cost + 1.0);
+                rows.set_edge(e.to.0, e.cost);
+            }
+            rows.end_row();
+        }
+        let flat = CsrGraph::from_digraph(&g);
+        prop_assert_eq!(rows.edges().collect::<Vec<_>>(), flat.edges().collect::<Vec<_>>());
+
+        let mut ws = DijkstraWorkspace::new(n);
+        let (mut dist, mut parent) = (vec![0.0; n], vec![0; n]);
+        for s in 0..n {
+            let sp = dijkstra(&g, NodeId::from_index(s));
+            let walked: Vec<Option<NodeId>> = (0..n)
+                .map(|t| sp.path_to(NodeId::from_index(t)).and_then(|p| p.get(1).copied()))
+                .collect();
+            let hops: Vec<Option<NodeId>> =
+                (0..n).map(|t| sp.next_hop(NodeId::from_index(t))).collect();
+            prop_assert_eq!(&hops, &walked, "next_hop from {}", s);
+            prop_assert_eq!(&sp.first_hops(), &walked, "first_hops from {}", s);
+            ws.sssp_into(&rows, s as u32, None, &mut dist, &mut parent);
+            prop_assert_eq!(&first_hops(&parent, s as u32), &walked, "CSR first_hops from {}", s);
+        }
+    }
+
     /// Repeated-Dijkstra APSP agrees with Floyd–Warshall everywhere.
     #[test]
     fn apsp_equals_floyd_warshall(g in arb_graph(10)) {

@@ -89,7 +89,18 @@ impl Lsdb {
         self.records.remove(&origin);
     }
 
-    /// Known origins (the announced membership).
+    /// Known origins in no particular order, without allocating — for
+    /// callers that scatter them into a set anyway.
+    pub fn origin_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.records.keys().copied()
+    }
+
+    /// The stored announcement of `origin`, borrowed.
+    pub fn get(&self, origin: NodeId) -> Option<&LinkStateAnnouncement> {
+        self.records.get(&origin).map(|r| &r.lsa)
+    }
+
+    /// Known origins (the announced membership), sorted.
     pub fn origins(&self) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self.records.keys().copied().collect();
         v.sort_unstable();
@@ -99,6 +110,11 @@ impl Lsdb {
     /// Number of stored announcements.
     pub fn len(&self) -> usize {
         self.records.len()
+    }
+
+    /// Total links over all stored announcements.
+    pub fn link_count(&self) -> usize {
+        self.records.values().map(|r| r.lsa.links.len()).sum()
     }
 
     /// True when the LSDB is empty.

@@ -36,7 +36,7 @@ use crate::overhead::OverheadCounters;
 use crate::transport::Transport;
 use egoist_core::cost::Preferences;
 use egoist_core::policies::{PolicyKind, WiringContext};
-use egoist_graph::apsp::apsp;
+use egoist_core::{OnDemandResidual, ResidualView};
 use egoist_graph::NodeId;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
@@ -74,6 +74,12 @@ struct ProtoObs {
     claims_corroborated: egoist_obs::Counter,
     claims_contradicted: egoist_obs::Counter,
     links_quarantined: egoist_obs::Counter,
+    rewire_job: egoist_obs::Timer,
+    route_publish: egoist_obs::Timer,
+    /// Residual rows the re-wiring jobs computed, against the rows a
+    /// dense all-pairs pass would have (`n` per job).
+    rows_materialised: egoist_obs::Counter,
+    rows_possible: egoist_obs::Counter,
 }
 
 fn proto_obs() -> &'static ProtoObs {
@@ -107,6 +113,10 @@ fn proto_obs() -> &'static ProtoObs {
             claims_corroborated: r.counter("proto.claims.corroborated"),
             claims_contradicted: r.counter("proto.claims.contradicted"),
             links_quarantined: r.counter("proto.claims.quarantined_links"),
+            rewire_job: r.timer("proto.rewire.job"),
+            route_publish: r.timer("proto.route.publish"),
+            rows_materialised: r.counter("proto.rewire.rows_materialised"),
+            rows_possible: r.counter("proto.rewire.rows_possible"),
         }
     })
 }
@@ -490,6 +500,8 @@ pub struct EgoistNode<T: Transport> {
     claims_corroborated: u64,
     claims_contradicted: u64,
     links_quarantined: u64,
+    /// Scratch membership marks for [`Self::known_peers`].
+    peer_mark: Vec<bool>,
 }
 
 impl<T: Transport> EgoistNode<T> {
@@ -547,6 +559,7 @@ impl<T: Transport> EgoistNode<T> {
             claims_corroborated: 0,
             claims_contradicted: 0,
             links_quarantined: 0,
+            peer_mark: Vec::new(),
             cfg,
             transport,
         }
@@ -583,12 +596,14 @@ impl<T: Transport> EgoistNode<T> {
     /// the liveness timeout — otherwise a departed node would linger as a
     /// candidate (and, through the disconnection penalty, keep attracting
     /// links) forever.
-    fn known_peers(&self) -> Vec<NodeId> {
+    fn known_peers(&mut self) -> Vec<NodeId> {
         // Mark-vector membership: the old Vec::contains scan was O(n²)
         // per call, which dominates everything at fleet scale.
         let n = self.cfg.n;
-        let mut mark = vec![false; n];
-        for o in self.lsdb.origins() {
+        let mark = &mut self.peer_mark;
+        mark.clear();
+        mark.resize(n, false);
+        for o in self.lsdb.origin_ids() {
             if o.index() < n {
                 mark[o.index()] = true;
             }
@@ -606,7 +621,7 @@ impl<T: Transport> EgoistNode<T> {
             mark[self.cfg.id.index()] = false;
         }
         (0..n)
-            .filter(|&j| mark[j] && !self.banned[j] && !self.condemned(j))
+            .filter(|&j| self.peer_mark[j] && !self.banned[j] && !self.condemned(j))
             .map(NodeId::from_index)
             .collect()
     }
@@ -954,74 +969,6 @@ impl<T: Transport> EgoistNode<T> {
         self.scores[j].total_points >= self.cfg.ban_threshold as u64
     }
 
-    /// The LSDB graph minus quarantined second-hand claims: links *to
-    /// us* are first-hand (audited on receipt, kept); third-party links
-    /// are re-ranked against current measurements — contradicted ones
-    /// are always excluded, unknown ones are excluded when their origin
-    /// is suspect. Corroboration counts, not trust-on-sight, decide what
-    /// routes may use.
-    fn routing_graph(&mut self) -> egoist_graph::DiGraph {
-        let n = self.cfg.n;
-        let mut g = egoist_graph::DiGraph::new(n);
-        let mut quarantined = 0u64;
-        for lsa in self.lsdb.all() {
-            let from = lsa.origin;
-            if from.index() >= n {
-                continue;
-            }
-            let est_o = self.est[from.index()].value;
-            let sus = self.suspect(from);
-            for l in &lsa.links {
-                if l.neighbor.index() >= n || l.neighbor == from {
-                    continue;
-                }
-                if l.neighbor == self.cfg.id && from != self.cfg.id {
-                    // First-hand link, but it may have been admitted
-                    // during the newcomer grace window (no estimate
-                    // yet): re-audit against the current measurement so
-                    // a stale grace-period forgery cannot squat in the
-                    // routing graph.
-                    if est_o.is_finite() && est_o > 0.0 {
-                        let c = l.cost as f64;
-                        if c < est_o / self.cfg.audit_ratio || c > est_o * self.cfg.audit_ratio {
-                            quarantined += 1;
-                            continue;
-                        }
-                    }
-                } else if from != self.cfg.id {
-                    let est_x = self.est[l.neighbor.index()].value;
-                    match self.cfg.claims.rank(est_o, est_x, l.cost as f64) {
-                        ClaimVerdict::Contradicted => {
-                            quarantined += 1;
-                            continue;
-                        }
-                        // An origin under live suspicion loses *all* its
-                        // third-party claims, even ones the triangle
-                        // bound cannot individually refute — a caught
-                        // forger's corroborations are worthless (the
-                        // bound only sees gaps, not absolute costs).
-                        _ if sus => {
-                            quarantined += 1;
-                            continue;
-                        }
-                        _ => {}
-                    }
-                }
-                g.add_edge(from, l.neighbor, l.cost as f64);
-            }
-        }
-        if quarantined > 0 {
-            let obs = proto_obs();
-            for _ in 0..quarantined {
-                obs.links_quarantined.inc();
-            }
-        }
-        // Cumulative over the node's lifetime (the report sums ledgers,
-        // not instantaneous snapshots).
-        self.links_quarantined = self.links_quarantined.saturating_add(quarantined);
-        g
-    }
-
     /// Send one ping to `peer` and arm the pending-pong timer.
     async fn ping_one(&mut self, peer: NodeId, hb: bool) {
         let nonce = self.next_nonce;
@@ -1160,16 +1107,10 @@ impl<T: Transport> EgoistNode<T> {
                 }
             })
             .collect();
-        // Oblivious policies never read residual state: skip both the
-        // quarantine-ranked graph build and the O(n²·log n) APSP — this
-        // is what makes a 1000-node fleet of k-Closest nodes tractable.
-        let announced = if policy.needs_residual() {
-            let mut g = self.routing_graph();
-            g.clear_out_edges(me);
-            Some(g)
-        } else {
-            None
-        };
+        // Oblivious policies never read residual state: skip the
+        // quarantine-ranked graph build and every residual row — this is
+        // what makes a 1000-node fleet of k-Closest nodes tractable.
+        let announced = policy.needs_residual().then(|| self.routing_graph());
         let current = self.wiring.clone();
         let mut alive = vec![false; n];
         alive[me.index()] = true;
@@ -1179,6 +1120,8 @@ impl<T: Transport> EgoistNode<T> {
         let seed = self.rng_next();
 
         let job = move || {
+            let obs = proto_obs();
+            let _span = obs.rewire_job.start();
             let prefs = Preferences::uniform(n);
             let finite_max = direct
                 .iter()
@@ -1186,16 +1129,15 @@ impl<T: Transport> EgoistNode<T> {
                 .filter(|d| d.is_finite())
                 .fold(1.0f64, f64::max);
             let penalty = finite_max * n as f64 * 4.0;
-            let dense;
+            // Residual rows of G−i are swept on first read: the policy
+            // reads one per candidate with a finite direct estimate, not n.
+            let rows = announced.as_ref().map(|g| OnDemandResidual::new(g, me));
             let zero_row;
-            let residual = match &announced {
-                Some(g) => {
-                    dense = apsp(g);
-                    egoist_core::ResidualView::dense(&dense)
-                }
+            let residual = match &rows {
+                Some(rows) => ResidualView::on_demand(rows),
                 None => {
                     zero_row = vec![0.0; n];
-                    egoist_core::ResidualView::broadcast(&zero_row)
+                    ResidualView::broadcast(&zero_row)
                 }
             };
             let ctx = WiringContext {
@@ -1210,21 +1152,22 @@ impl<T: Transport> EgoistNode<T> {
                 current: &current,
             };
             let mut rng = StdRng::seed_from_u64(seed);
-            policy.instantiate().wire(&ctx, &mut rng)
+            let wiring = policy.instantiate().wire(&ctx, &mut rng);
+            if let Some(rows) = &rows {
+                obs.rows_materialised.add(rows.rows_materialised() as u64);
+                obs.rows_possible.add(n as u64);
+            }
+            wiring
         };
         // The k-median local search is the expensive bit; run it off the
         // async thread — unless the run must be bit-reproducible, in
         // which case blocking-pool wakeup order is a race we avoid.
-        let new_wiring = if self.cfg.inline_rewire {
+        let mut new_wiring = if self.cfg.inline_rewire {
             job()
         } else {
             tokio::task::spawn_blocking(job).await.unwrap_or_default()
         };
-
-        let mut new_wiring = new_wiring;
-        if new_wiring.len() > self.cfg.active_view_size {
-            new_wiring.truncate(self.cfg.active_view_size);
-        }
+        new_wiring.truncate(self.cfg.active_view_size);
         let mut old = self.wiring.clone();
         let mut new = new_wiring.clone();
         old.sort_unstable();
@@ -1261,19 +1204,9 @@ impl<T: Transport> EgoistNode<T> {
 
     /// Refresh the shared view (routes, estimates, counters).
     fn publish(&mut self) {
-        let mut g = self.routing_graph();
-        // Own links with honest costs (routing uses the freshest local
-        // knowledge).
-        for &w in &self.wiring {
-            let c = self.est[w.index()].value;
-            if !c.is_nan() {
-                g.add_edge(self.cfg.id, w, c);
-            }
-        }
-        let sp = egoist_graph::dijkstra::dijkstra(&g, self.cfg.id);
-        let next_hops: Vec<Option<NodeId>> = (0..self.cfg.n)
-            .map(|j| sp.next_hop(NodeId::from_index(j)))
-            .collect();
+        let _span = proto_obs().route_publish.start();
+        let g = self.routing_graph();
+        let next_hops = self.next_hops(&g);
         let mut v = self.view.write();
         v.wiring = self.wiring.clone();
         v.direct_est = self.est.iter().map(|e| e.value).collect();
@@ -1303,7 +1236,7 @@ impl<T: Transport> EgoistNode<T> {
         v.links_quarantined = self.links_quarantined;
         v.misbehavior_total = self.scores.iter().map(|s| s.total_points).collect();
         if self.cfg.expose_route_edges {
-            v.route_edges = g.edges().map(|(f, t, _)| (f, t)).collect();
+            v.route_edges = g.edges().map(|(f, t, _)| (NodeId(f), NodeId(t))).collect();
         }
     }
 
@@ -1709,6 +1642,10 @@ impl<T: Transport> EgoistNode<T> {
         }
     }
 }
+
+mod route;
+#[cfg(test)]
+mod route_props;
 
 #[cfg(test)]
 mod tests {

@@ -120,3 +120,50 @@ fn chaos_reports_are_byte_identical_across_runs() {
     let b = run_fleet(&cfg).to_json();
     assert_eq!(a, b, "same-seed chaos reports must be byte-identical");
 }
+
+/// FNV-1a over a report's JSON bytes.
+fn fnv(json: &str) -> u64 {
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The node's route computation moved from dense `apsp` + `dijkstra` on
+/// a `DiGraph` to on-demand residual rows and one CSR sweep; the pins
+/// below are the report bytes the dense path produced (commit 5146b53).
+/// One best-response fleet in the bounded-measurement regime, where most
+/// residual rows are never read, and one oblivious-wiring fleet under a
+/// fault plan, where only `publish()` computes routes.
+#[test]
+fn fleet_reports_match_the_dense_route_computation() {
+    use egoist_core::policies::PolicyKind;
+    use egoist_graph::NodeId;
+    use egoist_netsim::{FaultConfig, FaultPlan};
+    use egoist_proto::fleet::FleetConfig;
+    use std::time::Duration;
+
+    let mut br = FleetConfig::new("golden_br", 24, 3, 2024);
+    br.horizon = Duration::from_secs(90);
+    br.ping_sample = 4;
+    assert_eq!(
+        fnv(&run_fleet(&br).to_json()),
+        0x7eb4_d846_fa38_b2bf,
+        "best-response fleet"
+    );
+
+    let mut random = FleetConfig::new("golden_random_faults", 24, 3, 2025);
+    random.horizon = Duration::from_secs(90);
+    random.policy = PolicyKind::Random;
+    random.fault = FaultConfig {
+        drop_chance: 0.1,
+        ..FaultConfig::default()
+    };
+    random.plan = FaultPlan::new()
+        .churn_storm(20.0, 45.0, (0..6).map(NodeId).collect(), 10.0, 0.4)
+        .partition(50.0, 65.0, vec![vec![], (20..24).map(NodeId).collect()]);
+    assert_eq!(
+        fnv(&run_fleet(&random).to_json()),
+        0x7582_898f_4d4b_7021,
+        "Random-wiring fleet under a fault plan"
+    );
+}

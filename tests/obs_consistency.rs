@@ -211,3 +211,53 @@ fn obs_exports_are_deterministic_across_runs() {
         "flow latency histogram should have observations"
     );
 }
+
+/// The route-computation instruments (`x-fleet-instruments` in the
+/// metrics schema): present after a best-response fleet, consistent
+/// with each other, and invisible to the report.
+#[test]
+fn fleet_route_instruments_are_exported_and_invisible() {
+    let _g = serial();
+    use egoist::proto::fleet::{run_fleet, FleetConfig};
+    let mut cfg = FleetConfig::new("obs_fleet", 12, 3, 5);
+    cfg.horizon = Duration::from_secs(60);
+    cfg.ping_sample = 3;
+
+    egoist::obs::disable();
+    let plain = run_fleet(&cfg).to_json();
+
+    let reg = egoist::obs::registry();
+    reg.reset();
+    egoist::obs::enable();
+    let instrumented = run_fleet(&cfg).to_json();
+    egoist::obs::disable();
+    assert_eq!(plain, instrumented, "obs must not change the report");
+
+    let schema = include_str!("../schemas/metrics.schema.json");
+    let at = schema.find("\"x-fleet-instruments\"").expect("section");
+    let fleet = &schema[at..];
+    let export = reg.to_json();
+    let names: Vec<&str> = fleet
+        .split('"')
+        .filter(|name| name.starts_with("proto."))
+        .collect();
+    assert_eq!(names.len(), 4, "{names:?}");
+    for name in names {
+        assert!(export.contains(&format!("\"{name}\":")), "{name} missing");
+    }
+
+    let (jobs, _) = reg.span_value("proto.rewire.job");
+    let (publishes, _) = reg.span_value("proto.route.publish");
+    let read = reg.counter_value("proto.rewire.rows_materialised");
+    let possible = reg.counter_value("proto.rewire.rows_possible");
+    assert!(jobs > 0 && publishes > 0);
+    assert_eq!(
+        possible,
+        jobs * cfg.n as u64,
+        "every BR job could read n rows"
+    );
+    assert!(
+        0 < read && read < possible,
+        "bounded measurement reads some rows, not all: {read}/{possible}"
+    );
+}
