@@ -71,7 +71,7 @@ fn br_on_sample(
         penalty,
         current: &[],
     };
-    let inst = BrInstance::build(&ctx);
+    let mut inst = BrInstance::build(&ctx);
     let init = inst.greedy(k, &[]);
     let (subset, _) = inst.local_search(k, init, &[], 64);
     inst.to_nodes(&subset)

@@ -73,10 +73,10 @@ fn span_ms(name: &str) -> f64 {
 /// reviewable in-diff rather than mutated by every regeneration.
 fn prev_wall_ms(name: &str) -> f64 {
     match name {
-        "br_delay_n50" => 34.176238,
-        "br_delay_n200" => 954.45421,
-        "br_delay_n800" => 41433.060611,
-        "br_traffic_n200" => 979.201908,
+        "br_delay_n50" => 27.358241,
+        "br_delay_n200" => 525.724614,
+        "br_delay_n800" => 17776.348013,
+        "br_traffic_n200" => 546.623248,
         _ => 0.0,
     }
 }

@@ -8,9 +8,8 @@
 //! incentive for nodes to choose disconnected nodes as direct neighbors"
 //! (§4.4).
 
-use egoist_graph::apsp::apsp;
-use egoist_graph::dijkstra::dijkstra;
-use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
+use egoist_graph::csr::{tree_path_costs, TreeScratch};
+use egoist_graph::{CsrGraph, DiGraph, DijkstraWorkspace, DistanceMatrix, NodeId};
 use rand::Rng;
 
 /// Preference weights `p_ij`. Row `i` holds node `i`'s preference for each
@@ -160,36 +159,54 @@ pub struct RoutingCosts {
     pub realized_dist: DistanceMatrix,
 }
 
+/// Route from each of `sources` over the announced-cost overlay and hand
+/// `visit` the source with its announced shortest-path distances and the
+/// realized cost of each of those routes — the true costs summed along
+/// the announced-shortest path (`INFINITY` when unreachable).
+///
+/// One shortest-path tree per source serves both rows: the realized row
+/// is the true cost accumulated down the tree's parent links, which adds
+/// exactly what walking each path would, in the same order.
+pub fn realized_rows(
+    announced: &DiGraph,
+    sources: impl IntoIterator<Item = NodeId>,
+    mut true_cost: impl FnMut(NodeId, NodeId) -> f64,
+    mut visit: impl FnMut(NodeId, &[f64], &[f64]),
+) {
+    let n = announced.len();
+    let g = CsrGraph::from_digraph(announced);
+    let mut ws = DijkstraWorkspace::new(n);
+    let mut tree = TreeScratch::default();
+    let (mut dist, mut parent, mut realized) = (vec![0.0; n], vec![0u32; n], vec![0.0; n]);
+    for i in sources {
+        ws.sssp_into(&g, i.0, None, &mut dist, &mut parent);
+        tree_path_costs(&parent, i.0, &mut true_cost, &mut realized, &mut tree);
+        visit(i, &dist, &realized);
+    }
+}
+
 impl RoutingCosts {
     /// Evaluate an overlay graph whose edges carry announced costs;
     /// `true_cost(u, v)` supplies the true cost of each used edge.
+    /// Callers that consume one source at a time and need no matrices
+    /// use [`realized_rows`] directly.
     pub fn evaluate(
         announced: &DiGraph,
-        mut true_cost: impl FnMut(NodeId, NodeId) -> f64,
+        true_cost: impl FnMut(NodeId, NodeId) -> f64,
     ) -> RoutingCosts {
         let n = announced.len();
-        let announced_dist = apsp(announced);
-        let mut realized = DistanceMatrix::filled(n, f64::INFINITY);
-        for i in 0..n {
-            let sp = dijkstra(announced, NodeId::from_index(i));
+        let mut rc = RoutingCosts {
+            announced_dist: DistanceMatrix::filled(n, f64::INFINITY),
+            realized_dist: DistanceMatrix::filled(n, f64::INFINITY),
+        };
+        let all = (0..n).map(NodeId::from_index);
+        realized_rows(announced, all, true_cost, |i, dist, realized| {
             for j in 0..n {
-                if i == j {
-                    realized.set_at(i, j, 0.0);
-                    continue;
-                }
-                if let Some(path) = sp.path_to(NodeId::from_index(j)) {
-                    let mut c = 0.0;
-                    for w in path.windows(2) {
-                        c += true_cost(w[0], w[1]);
-                    }
-                    realized.set_at(i, j, c);
-                }
+                rc.announced_dist.set_at(i.index(), j, dist[j]);
+                rc.realized_dist.set_at(i.index(), j, realized[j]);
             }
-        }
-        RoutingCosts {
-            announced_dist,
-            realized_dist: realized,
-        }
+        });
+        rc
     }
 
     /// Mean realized individual cost per node over alive destinations.
@@ -296,6 +313,47 @@ mod tests {
         assert_eq!(rc.announced_dist.at(0, 2), 3.0);
         assert_eq!(rc.realized_dist.at(0, 2), 3.0);
         // The honest network would have realized 2.0; the lie costs 0→ 1.0.
+    }
+
+    #[test]
+    fn one_tree_per_source_equals_walking_every_path() {
+        use egoist_graph::apsp::apsp;
+        use egoist_graph::dijkstra::dijkstra;
+        use rand::Rng;
+        // Small-integer announced costs: equal-cost routes everywhere,
+        // so the tree's parent choice matters; irrational-ish true costs,
+        // so the order of the additions matters.
+        for seed in 0..20u64 {
+            let mut rng = egoist_netsim::rng::derive(seed, "realized-rows");
+            let n = rng.random_range(2..40usize);
+            let mut g = DiGraph::new(n);
+            for i in 0..n {
+                for _ in 0..rng.random_range(0..4u32) {
+                    let j = rng.random_range(0..n);
+                    if j != i {
+                        let c = rng.random_range(0..4u32) as f64;
+                        g.add_edge(NodeId::from_index(i), NodeId::from_index(j), c);
+                    }
+                }
+            }
+            let truth = DistanceMatrix::from_fn(n, |i, j| ((i * 31 + j * 17) % 97) as f64 * 0.1);
+            let rc = RoutingCosts::evaluate(&g, |u, v| truth.get(u, v));
+            let announced = apsp(&g);
+            for i in 0..n {
+                let sp = dijkstra(&g, NodeId::from_index(i));
+                for j in 0..n {
+                    let walked = match sp.path_to(NodeId::from_index(j)) {
+                        Some(path) => path.windows(2).fold(0.0, |c, w| c + truth.get(w[0], w[1])),
+                        None => f64::INFINITY,
+                    };
+                    assert_eq!(rc.realized_dist.at(i, j).to_bits(), walked.to_bits());
+                    assert_eq!(
+                        rc.announced_dist.at(i, j).to_bits(),
+                        announced.at(i, j).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -158,7 +158,7 @@ pub fn bandwidth_overlay(bw: &BandwidthModel, k: usize, sweeps: usize) -> DiGrap
                 prefs: &prefs,
                 alive: &alive,
             };
-            let (wiring, _) = bandwidth_best_response(&ctx);
+            let (wiring, _) = bandwidth_best_response(&ctx, &mut Default::default());
             g.clear_out_edges(me);
             for w in wiring {
                 g.add_edge(me, w, truth.get(me, w));

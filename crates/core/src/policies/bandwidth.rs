@@ -13,6 +13,7 @@
 //! it lands within a few percent of the exhaustive optimum on small
 //! instances, mirroring the paper's "within 5% of optimal" claim.
 
+use super::solver::{Instance, Max, SolverArena};
 use crate::cost::Preferences;
 use crate::residual::ResidualView;
 use egoist_graph::widest::widest_paths;
@@ -46,201 +47,40 @@ pub fn all_pairs_widest(g: &DiGraph) -> DistanceMatrix {
     m
 }
 
-/// Assignment-utility instance (the max-min mirror of `BrInstance`).
-pub struct BwInstance {
-    pub cand: Vec<NodeId>,
-    pub dests: Vec<NodeId>,
-    pub weight: Vec<f64>,
-    /// `util[c * dests + t] = min(direct_bw(i,c), residual_bw(c, j_t))`.
-    util: Vec<f64>,
-}
+/// Assignment-utility instance: `assignment(c, t) = min(direct_bw(i, c),
+/// residual_bw(c, j_t))`, the bottleneck bandwidth to destination `t`
+/// through first hop `c`. The max-direction instantiation of the core
+/// `BrInstance` runs on.
+pub type BwInstance = Instance<Max>;
 
-impl BwInstance {
-    /// Build from a context.
-    pub fn build(ctx: &BwWiringContext<'_>) -> BwInstance {
-        let cand: Vec<NodeId> = ctx.candidates.to_vec();
-        let dests: Vec<NodeId> = ctx
-            .candidates
-            .iter()
-            .copied()
-            .filter(|j| ctx.alive[j.index()])
-            .collect();
-        let weight: Vec<f64> = dests.iter().map(|&j| ctx.prefs.get(ctx.node, j)).collect();
-        let nd = dests.len();
-        let mut util = vec![0.0; cand.len() * nd];
-        for (c, &w) in cand.iter().enumerate() {
-            let first_hop = ctx.direct_bw[w.index()];
-            let via_w = ctx.residual_bw.row(w.index());
-            for (t, &j) in dests.iter().enumerate() {
-                let tail = if w == j {
-                    f64::INFINITY
-                } else {
-                    via_w[j.index()]
-                };
-                util[c * nd + t] = first_hop.min(tail);
-            }
-        }
-        BwInstance {
-            cand,
-            dests,
-            weight,
-            util,
-        }
-    }
-
-    #[inline]
-    fn u(&self, c: usize, t: usize) -> f64 {
-        self.util[c * self.dests.len() + t]
-    }
-
-    /// Aggregate utility of a candidate subset (bigger is better).
-    pub fn eval(&self, subset: &[usize]) -> f64 {
-        let nd = self.dests.len();
-        let mut total = 0.0;
-        for t in 0..nd {
-            let mut best = 0.0f64;
-            for &c in subset {
-                best = best.max(self.u(c, t));
-            }
-            total += self.weight[t] * best;
-        }
-        total
-    }
-
-    /// Greedy max-marginal-gain seeding. Membership is a boolean mask,
-    /// not `Vec::contains` — same rationale as `BrInstance::greedy`.
-    pub fn greedy(&self, k: usize) -> Vec<usize> {
-        let nd = self.dests.len();
-        let mut chosen: Vec<usize> = Vec::new();
-        let mut in_chosen = vec![false; self.cand.len()];
-        let mut best_per_dest = vec![0.0f64; nd];
-        while chosen.len() < k.min(self.cand.len()) {
-            let mut pick = None;
-            let mut pick_util = -1.0;
-            for (c, _) in in_chosen.iter().enumerate().filter(|(_, &taken)| !taken) {
-                let mut utility = 0.0;
-                for (t, (&w, &best)) in self.weight.iter().zip(best_per_dest.iter()).enumerate() {
-                    utility += w * best.max(self.u(c, t));
-                }
-                if utility > pick_util {
-                    pick_util = utility;
-                    pick = Some(c);
-                }
-            }
-            let Some(c) = pick else { break };
-            chosen.push(c);
-            in_chosen[c] = true;
-            for (t, b) in best_per_dest.iter_mut().enumerate() {
-                *b = b.max(self.u(c, t));
-            }
-        }
-        chosen
-    }
-
-    /// Best-improvement single-swap local search.
-    pub fn local_search(&self, k: usize, init: Vec<usize>, max_rounds: usize) -> (Vec<usize>, f64) {
-        let nd = self.dests.len();
-        let mut subset = init;
-        subset.sort_unstable();
-        subset.dedup();
-        if subset.len() < k.min(self.cand.len()) {
-            subset = self.greedy(k);
-        }
-        let mut in_subset = vec![false; self.cand.len()];
-        for &c in &subset {
-            in_subset[c] = true;
-        }
-        let mut utility = self.eval(&subset);
-        for _ in 0..max_rounds {
-            // best1/best2 per destination (max version).
-            let mut b1 = vec![(0.0f64, usize::MAX); nd];
-            let mut b2 = vec![0.0f64; nd];
-            for &c in &subset {
-                for t in 0..nd {
-                    let v = self.u(c, t);
-                    if v > b1[t].0 {
-                        b2[t] = b1[t].0;
-                        b1[t] = (v, c);
-                    } else if v > b2[t] {
-                        b2[t] = v;
-                    }
-                }
-            }
-            let mut best_swap: Option<(usize, usize, f64)> = None;
-            for &out in &subset {
-                for (inn, _) in in_subset.iter().enumerate().filter(|(_, &taken)| !taken) {
-                    let mut new_u = 0.0;
-                    for t in 0..nd {
-                        let surviving = if b1[t].1 == out { b2[t] } else { b1[t].0 };
-                        new_u += self.weight[t] * surviving.max(self.u(inn, t));
-                    }
-                    if new_u > utility + 1e-12
-                        && best_swap.map(|(_, _, u)| new_u > u).unwrap_or(true)
-                    {
-                        best_swap = Some((out, inn, new_u));
-                    }
-                }
-            }
-            match best_swap {
-                Some((out, inn, new_u)) => {
-                    subset.retain(|&c| c != out);
-                    subset.push(inn);
-                    in_subset[out] = false;
-                    in_subset[inn] = true;
-                    utility = new_u;
-                }
-                None => break,
-            }
-        }
-        (subset, utility)
-    }
-
-    /// Exhaustive optimum (test oracle; small instances only).
-    pub fn exhaustive(&self, k: usize) -> (Vec<usize>, f64) {
-        let k = k.min(self.cand.len());
-        let mut best: Option<(Vec<usize>, f64)> = None;
-        let mut subset = Vec::new();
-        self.enumerate(k, 0, &mut subset, &mut best);
-        best.unwrap_or((Vec::new(), 0.0))
-    }
-
-    fn enumerate(
-        &self,
-        remaining: usize,
-        start: usize,
-        subset: &mut Vec<usize>,
-        best: &mut Option<(Vec<usize>, f64)>,
-    ) {
-        if remaining == 0 {
-            let u = self.eval(subset);
-            if best.as_ref().map(|(_, bu)| u > *bu).unwrap_or(true) {
-                *best = Some((subset.clone(), u));
-            }
-            return;
-        }
-        for idx in start..self.cand.len() {
-            if self.cand.len() - idx < remaining {
-                break;
-            }
-            subset.push(idx);
-            self.enumerate(remaining - 1, idx + 1, subset, best);
-            subset.pop();
-        }
-    }
-
-    /// Map candidate indices to node ids.
-    pub fn to_nodes(&self, subset: &[usize]) -> Vec<NodeId> {
-        subset.iter().map(|&c| self.cand[c]).collect()
+impl Instance<Max> {
+    /// Build from a context into `arena`'s recycled buffers. Direct
+    /// bandwidths are finite probe values, so utilities are too.
+    pub fn build_in(ctx: &BwWiringContext<'_>, arena: &mut SolverArena) -> BwInstance {
+        Instance::assemble(
+            ctx.candidates,
+            ctx.alive,
+            |j| ctx.prefs.get(ctx.node, j),
+            0.0,
+            arena,
+            |w| Some((ctx.direct_bw[w.index()], ctx.residual_bw.row(w.index()))),
+        )
     }
 }
 
-/// Bandwidth best response: greedy + local search.
-pub fn bandwidth_best_response(ctx: &BwWiringContext<'_>) -> (Vec<NodeId>, f64) {
-    let inst = BwInstance::build(ctx);
+/// Bandwidth best response: greedy + local search, in the caller's
+/// recycled `arena`.
+pub fn bandwidth_best_response(
+    ctx: &BwWiringContext<'_>,
+    arena: &mut SolverArena,
+) -> (Vec<NodeId>, f64) {
+    let mut inst = BwInstance::build_in(ctx, arena);
     let k = ctx.k.min(ctx.candidates.len());
-    let init = inst.greedy(k);
-    let (subset, utility) = inst.local_search(k, init, 64);
-    (inst.to_nodes(&subset), utility)
+    let init = inst.greedy(k, &[]);
+    let (subset, utility) = inst.local_search(k, init, &[], 64);
+    let nodes = inst.to_nodes(&subset);
+    inst.recycle(arena);
+    (nodes, utility)
 }
 
 /// k-Widest: the bandwidth analogue of k-Closest (maximum direct
@@ -260,6 +100,106 @@ pub fn k_widest(ctx: &BwWiringContext<'_>) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use egoist_netsim::BandwidthModel;
+
+    /// The eager solver `BwInstance` shipped before it moved onto the
+    /// shared pruned core, kept verbatim as the bandwidth oracle: every
+    /// candidate and every swap pair is summed in full, in index order.
+    mod oracle {
+        use super::BwInstance;
+
+        pub fn greedy(inst: &BwInstance, k: usize) -> Vec<usize> {
+            let nd = inst.dests.len();
+            let mut chosen: Vec<usize> = Vec::new();
+            let mut in_chosen = vec![false; inst.cand.len()];
+            let mut best_per_dest = vec![0.0f64; nd];
+            while chosen.len() < k.min(inst.cand.len()) {
+                let mut pick = None;
+                let mut pick_util = -1.0;
+                for (c, _) in in_chosen.iter().enumerate().filter(|(_, &taken)| !taken) {
+                    let mut utility = 0.0;
+                    for (t, (&w, &best)) in inst.weight.iter().zip(best_per_dest.iter()).enumerate()
+                    {
+                        utility += w * best.max(inst.assignment(c, t));
+                    }
+                    if utility > pick_util {
+                        pick_util = utility;
+                        pick = Some(c);
+                    }
+                }
+                let Some(c) = pick else { break };
+                chosen.push(c);
+                in_chosen[c] = true;
+                for (t, b) in best_per_dest.iter_mut().enumerate() {
+                    *b = b.max(inst.assignment(c, t));
+                }
+            }
+            chosen
+        }
+
+        /// (A short `init` is replaced by an unseeded greedy here; the
+        /// shared core seeds greedy with it. No caller passes one.)
+        pub fn local_search(
+            inst: &BwInstance,
+            k: usize,
+            init: Vec<usize>,
+            max_rounds: usize,
+        ) -> (Vec<usize>, f64) {
+            let nd = inst.dests.len();
+            let mut subset = init;
+            subset.sort_unstable();
+            subset.dedup();
+            if subset.len() < k.min(inst.cand.len()) {
+                subset = greedy(inst, k);
+            }
+            let mut in_subset = vec![false; inst.cand.len()];
+            for &c in &subset {
+                in_subset[c] = true;
+            }
+            let mut utility = inst.eval(&subset);
+            for _ in 0..max_rounds {
+                // best1/best2 per destination (max version).
+                let mut b1 = vec![(0.0f64, usize::MAX); nd];
+                let mut b2 = vec![0.0f64; nd];
+                for &c in &subset {
+                    for t in 0..nd {
+                        let v = inst.assignment(c, t);
+                        if v > b1[t].0 {
+                            b2[t] = b1[t].0;
+                            b1[t] = (v, c);
+                        } else if v > b2[t] {
+                            b2[t] = v;
+                        }
+                    }
+                }
+                let mut best_swap: Option<(usize, usize, f64)> = None;
+                for &out in &subset {
+                    for (inn, _) in in_subset.iter().enumerate().filter(|(_, &taken)| !taken) {
+                        let mut new_u = 0.0;
+                        for t in 0..nd {
+                            let surviving = if b1[t].1 == out { b2[t] } else { b1[t].0 };
+                            new_u += inst.weight[t] * surviving.max(inst.assignment(inn, t));
+                        }
+                        if new_u > utility + 1e-12
+                            && best_swap.map(|(_, _, u)| new_u > u).unwrap_or(true)
+                        {
+                            best_swap = Some((out, inn, new_u));
+                        }
+                    }
+                }
+                match best_swap {
+                    Some((out, inn, new_u)) => {
+                        subset.retain(|&c| c != out);
+                        subset.push(inn);
+                        in_subset[out] = false;
+                        in_subset[inn] = true;
+                        utility = new_u;
+                    }
+                    None => break,
+                }
+            }
+            (subset, utility)
+        }
+    }
 
     struct Parts {
         candidates: Vec<NodeId>,
@@ -315,15 +255,60 @@ mod tests {
         }
     }
 
+    fn solve(c: &BwWiringContext<'_>) -> (Vec<NodeId>, f64) {
+        bandwidth_best_response(c, &mut SolverArena::default())
+    }
+
+    #[test]
+    fn pruned_solver_matches_the_eager_oracle_bitwise() {
+        for (n, k) in [(9usize, 2usize), (24, 3), (40, 5), (64, 8)] {
+            for seed in 1..5 {
+                let parts = make_parts(n, seed);
+                let c = ctx(&parts, k);
+                let mut inst = BwInstance::build_in(&c, &mut SolverArena::default());
+                let g_ref = oracle::greedy(&inst, k);
+                assert_eq!(
+                    inst.greedy(k, &[]),
+                    g_ref,
+                    "greedy (n={n}, k={k}, seed={seed})"
+                );
+                // From greedy (what ships), from nothing, and from a
+                // deliberately poor start so several swap rounds run.
+                let poor: Vec<usize> = (0..k).map(|x| inst.cand.len() - 1 - x).collect();
+                for init in [g_ref.clone(), Vec::new(), poor] {
+                    let (s_ref, u_ref) = oracle::local_search(&inst, k, init.clone(), 64);
+                    let (s, u) = inst.local_search(k, init, &[], 64);
+                    assert_eq!(s, s_ref, "subset (n={n}, k={k}, seed={seed})");
+                    assert_eq!(
+                        u.to_bits(),
+                        u_ref.to_bits(),
+                        "utility bits (n={n}, k={k}, seed={seed}): {u} vs {u_ref}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_arena_does_not_change_a_decision() {
+        let mut arena = SolverArena::default();
+        for (n, seed) in [(30usize, 2u64), (12, 3), (30, 4)] {
+            let parts = make_parts(n, seed);
+            let c = ctx(&parts, 4);
+            let recycled = bandwidth_best_response(&c, &mut arena);
+            assert_eq!(recycled, solve(&c), "n={n}, seed={seed}");
+        }
+    }
+
     #[test]
     fn heuristic_close_to_exhaustive_optimum() {
         for seed in [1, 2, 3] {
             let parts = make_parts(12, seed);
             for k in 1..4 {
                 let c = ctx(&parts, k);
-                let inst = BwInstance::build(&c);
-                let (_, u_opt) = inst.exhaustive(k);
-                let (_, u_heur) = bandwidth_best_response(&c);
+                let inst = BwInstance::build_in(&c, &mut SolverArena::default());
+                let (_, u_opt) = inst.exhaustive(k, &[], u64::MAX).expect("unbounded budget");
+                let (_, u_heur) = solve(&c);
                 assert!(
                     u_heur >= 0.95 * u_opt - 1e-9,
                     "seed {seed}, k={k}: heuristic {u_heur} < 95% of optimum {u_opt}"
@@ -337,7 +322,7 @@ mod tests {
         let parts = make_parts(14, 4);
         let mut prev = 0.0;
         for k in 1..6 {
-            let (_, u) = bandwidth_best_response(&ctx(&parts, k));
+            let (_, u) = solve(&ctx(&parts, k));
             assert!(u >= prev - 1e-9, "utility dropped at k={k}");
             prev = u;
         }
@@ -349,13 +334,9 @@ mod tests {
         // k-Widest heuristic under its own objective.
         let parts = make_parts(16, 5);
         let c = ctx(&parts, 3);
-        let inst = BwInstance::build(&c);
-        let (_, u_br) = bandwidth_best_response(&c);
-        let widest = k_widest(&c);
-        let idx: Vec<usize> = widest
-            .iter()
-            .filter_map(|w| inst.cand.iter().position(|x| x == w))
-            .collect();
+        let inst = BwInstance::build_in(&c, &mut SolverArena::default());
+        let (_, u_br) = solve(&c);
+        let idx = crate::policies::solver::indices_of(&inst.cand, &k_widest(&c));
         assert!(u_br >= inst.eval(&idx) - 1e-9);
     }
 
@@ -379,7 +360,7 @@ mod tests {
             parts.direct[j] = 0.001;
         }
         let c = ctx(&parts, 2);
-        let (_, u) = bandwidth_best_response(&c);
+        let (_, u) = solve(&c);
         // Σ weights = 1, so utility ≤ 0.001.
         assert!(u <= 0.001 + 1e-12);
     }

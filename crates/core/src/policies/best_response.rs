@@ -12,298 +12,48 @@
 //!   search (\[5\] in the paper). §4.1 reports the deployed heuristic lands
 //!   "within 5% of optimal in the tested scenarios"; our test suite checks
 //!   the same bound against the exact solver.
+//!
+//! Both run on the facility-location core in [`super::solver`], which the
+//! bandwidth objective shares; this module adds the delay-cost instance
+//! builder, the pre-optimization reference loops the core is pinned
+//! against, and the policy object.
 
+use super::solver::{indices_of, Instance, Min, SolverArena};
 use super::{Policy, WiringContext};
 use egoist_graph::NodeId;
 use rand::rngs::StdRng;
-use std::sync::OnceLock;
 
-/// Obs counters for the optimized solve paths. All are pure functions
-/// of the instance (no wall clock, no RNG), so they are identical
-/// across runs of the same seed. Hot loops accumulate into locals and
-/// flush with one atomic add per `greedy`/`local_search` call.
-struct BrObs {
-    scanned: egoist_obs::Counter,
-    bound_rejects: egoist_obs::Counter,
-    prefilter_rejects: egoist_obs::Counter,
-    exact_evals: egoist_obs::Counter,
-    eval_aborts: egoist_obs::Counter,
-    rounds: egoist_obs::Counter,
-}
+/// Assignment-cost instance for one node's best response:
+/// `assignment(c, t)` is the cost node `i` pays for destination `t` when
+/// routing through candidate `c` as the first hop, clamped at the
+/// disconnection penalty. Solved by the shared [`Instance`] core.
+pub type BrInstance = Instance<Min>;
 
-fn br_obs() -> &'static BrObs {
-    static OBS: OnceLock<BrObs> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let r = egoist_obs::registry();
-        BrObs {
-            scanned: r.counter("core.solver.candidates_scanned"),
-            bound_rejects: r.counter("core.solver.gain_bound_rejects"),
-            prefilter_rejects: r.counter("core.solver.prefilter_rejects"),
-            exact_evals: r.counter("core.solver.exact_evals"),
-            eval_aborts: r.counter("core.solver.eval_aborts"),
-            rounds: r.counter("core.solver.rounds"),
-        }
-    })
-}
-
-/// Reusable backing storage for [`BrInstance`] — the assignment matrix
-/// is `|cand| × |dests|` (≈ n² on full candidate pools), so allocating
-/// it fresh every re-wiring turn put a dense-materialization floor under
-/// the epoch engine. Solver policies own one arena and recycle it
-/// across turns; contents never survive a build, so reuse cannot change
-/// a decision.
-#[derive(Default)]
-pub struct BrArena {
-    assign: Vec<f64>,
-}
-
-/// Assignment-cost instance for one node's best response.
-///
-/// `assign[c][t]` is the cost node `i` pays for destination `t` when
-/// routing through candidate `c` as the first hop; the instance is built
-/// once per re-wiring and shared by all solvers.
-pub struct BrInstance {
-    /// Candidate neighbor ids.
-    pub cand: Vec<NodeId>,
-    /// Destination ids (alive, ≠ i).
-    pub dests: Vec<NodeId>,
-    /// Preference weight per destination (aligned with `dests`).
-    pub weight: Vec<f64>,
-    /// `assign[c * dests.len() + t]`, clamped at `penalty`.
-    assign: Vec<f64>,
-    /// Disconnection penalty (upper bound of any assignment cost).
-    pub penalty: f64,
-}
-
-impl BrInstance {
+impl Instance<Min> {
     /// Build the instance from a wiring context, allocating fresh
     /// storage (tests and one-shot callers).
     pub fn build(ctx: &WiringContext<'_>) -> BrInstance {
-        Self::build_in(ctx, &mut BrArena::default())
+        Self::build_in(ctx, &mut SolverArena::default())
     }
 
     /// Build the instance into `arena`'s recycled buffers — candidate
-    /// rows are read straight through the residual view, and the
-    /// assignment matrix reuses the arena's capacity, so a warmed-up
-    /// engine allocates nothing per turn. Call [`Self::recycle`] when
-    /// done to hand the storage back.
-    pub fn build_in(ctx: &WiringContext<'_>, arena: &mut BrArena) -> BrInstance {
-        let cand: Vec<NodeId> = ctx.candidates.to_vec();
-        let dests: Vec<NodeId> = ctx
-            .candidates
-            .iter()
-            .copied()
-            .filter(|j| ctx.alive[j.index()])
-            .collect();
-        let weight: Vec<f64> = dests.iter().map(|&j| ctx.prefs.get(ctx.node, j)).collect();
-        let nd = dests.len();
-        let mut assign = std::mem::take(&mut arena.assign);
-        assign.clear();
-        assign.resize(cand.len() * nd, ctx.penalty);
-        for (c, &w) in cand.iter().enumerate() {
-            let d_iw = ctx.direct[w.index()];
-            if !d_iw.is_finite() {
-                continue;
-            }
-            let via_w = ctx.residual.row(w.index());
-            for (t, &j) in dests.iter().enumerate() {
-                let tail = if w == j { 0.0 } else { via_w[j.index()] };
-                if tail.is_finite() {
-                    assign[c * nd + t] = (d_iw + tail).min(ctx.penalty);
-                }
-            }
-        }
-        BrInstance {
-            cand,
-            dests,
-            weight,
-            assign,
-            penalty: ctx.penalty,
-        }
-    }
-
-    /// Return the instance's backing storage to `arena` for the next
-    /// turn.
-    pub fn recycle(self, arena: &mut BrArena) {
-        arena.assign = self.assign;
-    }
-
-    #[inline]
-    fn a(&self, c: usize, t: usize) -> f64 {
-        self.assign[c * self.dests.len() + t]
-    }
-
-    /// The assignment cost of candidate `c` serving destination `t`
-    /// (clamped at the penalty) — read-only probe for benches and tests.
-    #[inline]
-    pub fn assignment(&self, c: usize, t: usize) -> f64 {
-        self.a(c, t)
-    }
-
-    /// Candidate `c`'s assignment row.
-    #[inline]
-    fn arow(&self, c: usize) -> &[f64] {
-        let nd = self.dests.len();
-        &self.assign[c * nd..(c + 1) * nd]
-    }
-
-    /// `Σ_t w_t · max(0, b2_t − a(c,t))` — the insertion-gain bound of
-    /// candidate `c`, summed branchless over four accumulators so the
-    /// compiler vectorizes it. The value is used *only* as a pruning
-    /// bound behind a 1e-9 relative margin, so its summation order (and
-    /// therefore its exact bits) is free.
-    fn gain_row(&self, c: usize, b2: &[f64]) -> f64 {
-        let w = &self.weight;
-        let a = self.arow(c);
-        let mut acc = [0.0f64; 4];
-        for ((wc, bc), ac) in w
-            .chunks_exact(4)
-            .zip(b2.chunks_exact(4))
-            .zip(a.chunks_exact(4))
-        {
-            acc[0] += wc[0] * (bc[0] - ac[0]).max(0.0);
-            acc[1] += wc[1] * (bc[1] - ac[1]).max(0.0);
-            acc[2] += wc[2] * (bc[2] - ac[2]).max(0.0);
-            acc[3] += wc[3] * (bc[3] - ac[3]).max(0.0);
-        }
-        let mut rest = 0.0;
-        for ((wt, bt), at) in w
-            .chunks_exact(4)
-            .remainder()
-            .iter()
-            .zip(b2.chunks_exact(4).remainder())
-            .zip(a.chunks_exact(4).remainder())
-        {
-            rest += wt * (bt - at).max(0.0);
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + rest
-    }
-
-    /// Four-accumulator `Σ_t w_t · min(cap_t, a(c,t))` — the same sum
-    /// the exact evaluations compute, in a different (vectorizable)
-    /// order. Used only to prefilter: a candidate is skipped when even
-    /// `approx − margin` cannot beat the incumbent, and every potential
-    /// winner is re-evaluated in the exact reference order, so accepted
-    /// results carry reference bits.
-    fn approx_capped_cost(&self, c: usize, cap: &[f64]) -> f64 {
-        let w = &self.weight;
-        let a = self.arow(c);
-        let mut acc = [0.0f64; 4];
-        for ((wc, cc), ac) in w
-            .chunks_exact(4)
-            .zip(cap.chunks_exact(4))
-            .zip(a.chunks_exact(4))
-        {
-            acc[0] += wc[0] * cc[0].min(ac[0]);
-            acc[1] += wc[1] * cc[1].min(ac[1]);
-            acc[2] += wc[2] * cc[2].min(ac[2]);
-            acc[3] += wc[3] * cc[3].min(ac[3]);
-        }
-        let mut rest = 0.0;
-        for ((wt, ct), at) in w
-            .chunks_exact(4)
-            .remainder()
-            .iter()
-            .zip(cap.chunks_exact(4).remainder())
-            .zip(a.chunks_exact(4).remainder())
-        {
-            rest += wt * ct.min(*at);
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + rest
-    }
-
-    /// Cost of a candidate subset (indices into `cand`).
-    pub fn eval(&self, subset: &[usize]) -> f64 {
-        let nd = self.dests.len();
-        let mut total = 0.0;
-        for t in 0..nd {
-            let mut best = self.penalty;
-            for &c in subset {
-                let v = self.a(c, t);
-                if v < best {
-                    best = v;
-                }
-            }
-            total += self.weight[t] * best;
-        }
-        total
-    }
-
-    /// Greedy seeding: repeatedly add the candidate with the largest
-    /// marginal cost reduction. `forced` members are taken first.
-    ///
-    /// Decision-identical micro-opts over [`Self::greedy_reference`]
-    /// (asserted by tests):
-    /// * membership is a boolean mask instead of `Vec::contains` — the
-    ///   candidate loop runs `O(k · |cand|)` membership probes and a
-    ///   linear scan per probe dominates once `|cand|` reaches the
-    ///   hundreds (see the `membership_mask` criterion group);
-    /// * each candidate is prefiltered by a vectorized approximation of
-    ///   its cost ([`Self::approx_capped_cost`]): the exact sum differs
-    ///   from the approximation only by summation-order rounding
-    ///   (≤ ~1e-13 relative), so `approx − margin ≥ pick_cost` with a
-    ///   1e-9 relative margin proves the candidate cannot *strictly*
-    ///   beat the incumbent and is skipped;
-    /// * survivors are accumulated in the identical reference order
-    ///   (aborting once the partial sum reaches the incumbent — terms
-    ///   are non-negative), so picks and their costs are bit-identical.
-    pub fn greedy(&self, k: usize, forced: &[usize]) -> Vec<usize> {
-        let nd = self.dests.len();
-        let mut chosen: Vec<usize> = forced.to_vec();
-        let mut in_chosen = vec![false; self.cand.len()];
-        for &c in forced {
-            in_chosen[c] = true;
-        }
-        let mut best_per_dest = vec![self.penalty; nd];
-        for &c in forced {
-            for (t, b) in best_per_dest.iter_mut().enumerate() {
-                *b = b.min(self.a(c, t));
-            }
-        }
-        let (mut scanned, mut prefilter_rejects, mut exact_evals, mut eval_aborts) =
-            (0u64, 0u64, 0u64, 0u64);
-        while chosen.len() < k.min(self.cand.len()) {
-            let mut pick = None;
-            let mut pick_cost = f64::INFINITY;
-            for (c, _) in in_chosen.iter().enumerate().filter(|(_, &taken)| !taken) {
-                scanned += 1;
-                if pick_cost.is_finite() {
-                    let approx = self.approx_capped_cost(c, &best_per_dest);
-                    if approx - 1e-9 * (approx + 1.0) >= pick_cost {
-                        prefilter_rejects += 1;
-                        continue; // provably cannot strictly win
-                    }
-                }
-                exact_evals += 1;
-                let mut cost = 0.0;
-                let mut aborted = false;
-                for (t, (&w, &best)) in self.weight.iter().zip(best_per_dest.iter()).enumerate() {
-                    cost += w * best.min(self.a(c, t));
-                    if cost >= pick_cost {
-                        aborted = true;
-                        break;
-                    }
-                }
-                if aborted {
-                    eval_aborts += 1;
-                } else if cost < pick_cost {
-                    pick_cost = cost;
-                    pick = Some(c);
-                }
-            }
-            let Some(c) = pick else { break };
-            chosen.push(c);
-            in_chosen[c] = true;
-            for (t, b) in best_per_dest.iter_mut().enumerate() {
-                *b = b.min(self.a(c, t));
-            }
-        }
-        let obs = br_obs();
-        obs.scanned.add(scanned);
-        obs.prefilter_rejects.add(prefilter_rejects);
-        obs.exact_evals.add(exact_evals);
-        obs.eval_aborts.add(eval_aborts);
-        chosen
+    /// rows are read straight through the residual view, so a warmed-up
+    /// engine allocates nothing per turn; a candidate without a finite
+    /// direct cost serves nobody and its residual row is never read.
+    /// Call [`Instance::recycle`] when done to hand the storage back.
+    pub fn build_in(ctx: &WiringContext<'_>, arena: &mut SolverArena) -> BrInstance {
+        Instance::assemble(
+            ctx.candidates,
+            ctx.alive,
+            |j| ctx.prefs.get(ctx.node, j),
+            ctx.penalty,
+            arena,
+            |w| {
+                let d_iw = ctx.direct[w.index()];
+                d_iw.is_finite()
+                    .then(|| (d_iw, ctx.residual.row(w.index())))
+            },
+        )
     }
 
     /// The pre-optimization greedy, kept verbatim as the timing
@@ -311,10 +61,10 @@ impl BrInstance {
     pub fn greedy_reference(&self, k: usize, forced: &[usize]) -> Vec<usize> {
         let nd = self.dests.len();
         let mut chosen: Vec<usize> = forced.to_vec();
-        let mut best_per_dest = vec![self.penalty; nd];
+        let mut best_per_dest = vec![self.unserved; nd];
         for &c in forced {
             for (t, b) in best_per_dest.iter_mut().enumerate() {
-                *b = b.min(self.a(c, t));
+                *b = b.min(self.assignment(c, t));
             }
         }
         while chosen.len() < k.min(self.cand.len()) {
@@ -326,7 +76,7 @@ impl BrInstance {
                 }
                 let mut cost = 0.0;
                 for (t, (&w, &best)) in self.weight.iter().zip(best_per_dest.iter()).enumerate() {
-                    cost += w * best.min(self.a(c, t));
+                    cost += w * best.min(self.assignment(c, t));
                 }
                 if cost < pick_cost {
                     pick_cost = cost;
@@ -336,217 +86,10 @@ impl BrInstance {
             let Some(c) = pick else { break };
             chosen.push(c);
             for (t, b) in best_per_dest.iter_mut().enumerate() {
-                *b = b.min(self.a(c, t));
+                *b = b.min(self.assignment(c, t));
             }
         }
         chosen
-    }
-
-    /// Best-improvement single-swap local search starting from `init`.
-    /// `forced` members are never swapped out. Returns the subset and its
-    /// cost.
-    ///
-    /// The swap scan is the epoch-stepping hot spot (`O(k · |cand| ·
-    /// |dests|)` per round in [`Self::local_search_reference`]), so this
-    /// version prunes it in three sound layers:
-    ///
-    /// * **Insertion-gain bound.** A swap inserting `inn` can reduce the
-    ///   cost by at most `G(inn) = Σ_t w_t · max(0, b2_t − a(inn, t))`
-    ///   (the surviving assignment never exceeds the second-best
-    ///   `b2_t`), so any pair with `base(out) − G(inn) ⪆ threshold` is
-    ///   skipped without evaluation. The bound is maintained
-    ///   *incrementally*: a swap changes `b2` at only the destinations
-    ///   the swapped pair served, so later rounds patch `G` on that
-    ///   changed set (`O(|cand| · |changed|)`) instead of re-deriving
-    ///   all `|cand| · |dests|` terms; the candidate freed by the swap
-    ///   is re-derived in full. The patched bound equals the re-derived
-    ///   one up to summation-order rounding.
-    /// * **Vectorized eval prefilter.** Pairs surviving the bound get a
-    ///   branchless four-lane approximation of their exact cost
-    ///   ([`Self::approx_capped_cost`]); `approx − margin ≥ threshold`
-    ///   proves the exact evaluation would have aborted.
-    /// * **Exact evaluation.** Survivors are accumulated in exactly the
-    ///   reference order (aborting once the partial sum crosses the
-    ///   threshold — terms are non-negative), so accepted swaps, their
-    ///   costs, and the whole trajectory are bit-identical to the
-    ///   reference: both filters only discard pairs provably unable to
-    ///   *strictly* beat the incumbent, by 1e-9 relative margins that
-    ///   dwarf every accumulated rounding term (≤ ~1e-13 relative).
-    ///   Tests and the golden equivalence suite pin the equality.
-    pub fn local_search(
-        &self,
-        k: usize,
-        init: Vec<usize>,
-        forced: &[usize],
-        max_rounds: usize,
-    ) -> (Vec<usize>, f64) {
-        let nd = self.dests.len();
-        let nc = self.cand.len();
-        let mut subset = init;
-        subset.sort_unstable();
-        subset.dedup();
-        let mut cost = self.eval(&subset);
-        if subset.len() < k.min(nc) {
-            subset = self.greedy(k, &subset);
-            cost = self.eval(&subset);
-        }
-        // Reusable membership masks (see `greedy` for the rationale).
-        let mut in_subset = vec![false; nc];
-        for &c in &subset {
-            in_subset[c] = true;
-        }
-        let mut is_forced = vec![false; nc];
-        for &c in forced {
-            is_forced[c] = true;
-        }
-        let mut gain_bound = vec![0.0f64; nc];
-        let mut surviving = vec![0.0f64; nd];
-        let mut prev_b2: Vec<f64> = Vec::new();
-        let mut changed: Vec<usize> = Vec::new();
-        // Candidate freed by the previous round's swap (its bound is
-        // stale since it sat inside the subset).
-        let mut freed: Option<usize> = None;
-        let (mut rounds, mut scanned, mut bound_rejects) = (0u64, 0u64, 0u64);
-        let (mut prefilter_rejects, mut exact_evals, mut eval_aborts) = (0u64, 0u64, 0u64);
-
-        for _ in 0..max_rounds {
-            rounds += 1;
-            // best1/best2 assignment per destination.
-            let mut b1 = vec![(self.penalty, usize::MAX); nd]; // (cost, cand)
-            let mut b2 = vec![self.penalty; nd];
-            for &c in &subset {
-                for t in 0..nd {
-                    let v = self.a(c, t);
-                    if v < b1[t].0 {
-                        b2[t] = b1[t].0;
-                        b1[t] = (v, c);
-                    } else if v < b2[t] {
-                        b2[t] = v;
-                    }
-                }
-            }
-            // Upper bound on any insertion's gain, independent of `out`.
-            if prev_b2.is_empty() {
-                for (inn, g) in gain_bound.iter_mut().enumerate() {
-                    if !in_subset[inn] {
-                        *g = self.gain_row(inn, &b2);
-                    }
-                }
-                prev_b2 = b2.clone();
-            } else {
-                changed.clear();
-                for t in 0..nd {
-                    if prev_b2[t].to_bits() != b2[t].to_bits() {
-                        changed.push(t);
-                    }
-                }
-                if changed.len() * 4 >= nd {
-                    // Dense change: a full re-derive is cheaper.
-                    for (inn, g) in gain_bound.iter_mut().enumerate() {
-                        if !in_subset[inn] {
-                            *g = self.gain_row(inn, &b2);
-                        }
-                    }
-                } else {
-                    for (inn, g) in gain_bound.iter_mut().enumerate() {
-                        if in_subset[inn] || freed == Some(inn) {
-                            continue;
-                        }
-                        // Patch the bound on the changed destinations,
-                        // inflating by 1e-12 of the term magnitude: the
-                        // patch's rounding error is ≤ ~1e-14 of it, so
-                        // the bound can only drift *upward* (safe side)
-                        // across rounds.
-                        let (mut plus, mut minus) = (0.0f64, 0.0f64);
-                        for &t in &changed {
-                            let a = self.a(inn, t);
-                            plus += self.weight[t] * (b2[t] - a).max(0.0);
-                            minus += self.weight[t] * (prev_b2[t] - a).max(0.0);
-                        }
-                        *g += (plus - minus) + 1e-12 * (plus + minus);
-                    }
-                    if let Some(f) = freed {
-                        gain_bound[f] = self.gain_row(f, &b2);
-                    }
-                }
-                prev_b2.copy_from_slice(&b2);
-            }
-
-            let mut best_swap: Option<(usize, usize, f64)> = None; // (out, in, new_cost)
-            for &out in &subset {
-                if is_forced[out] {
-                    continue;
-                }
-                // The assignment that survives dropping `out`, plus its
-                // total — the swap's cost before `inn` helps anywhere.
-                let mut base = 0.0;
-                for t in 0..nd {
-                    surviving[t] = if b1[t].1 == out { b2[t] } else { b1[t].0 };
-                    base += self.weight[t] * surviving[t];
-                }
-                for inn in 0..nc {
-                    if in_subset[inn] {
-                        continue;
-                    }
-                    scanned += 1;
-                    let threshold = match best_swap {
-                        Some((_, _, c)) => c.min(cost - 1e-12),
-                        None => cost - 1e-12,
-                    };
-                    // Margin: ~1e-9 relative dwarfs f64 summation error
-                    // (≤ |dests| · ε ≈ 1e-13 relative) while pruning
-                    // everything that is not a near-tie.
-                    let margin = 1e-9 * (base + gain_bound[inn] + 1.0);
-                    if base - gain_bound[inn] >= threshold + margin {
-                        bound_rejects += 1;
-                        continue;
-                    }
-                    let approx = self.approx_capped_cost(inn, &surviving);
-                    if approx - 1e-9 * (approx + 1.0) >= threshold {
-                        prefilter_rejects += 1;
-                        continue; // the exact eval would have aborted
-                    }
-                    exact_evals += 1;
-                    let mut new_cost = 0.0;
-                    let mut aborted = false;
-                    for (t, (&w, &surv)) in self.weight.iter().zip(surviving.iter()).enumerate() {
-                        new_cost += w * surv.min(self.a(inn, t));
-                        if new_cost >= threshold {
-                            aborted = true;
-                            break;
-                        }
-                    }
-                    if aborted {
-                        eval_aborts += 1;
-                    }
-                    if !aborted
-                        && new_cost < cost - 1e-12
-                        && best_swap.map(|(_, _, c)| new_cost < c).unwrap_or(true)
-                    {
-                        best_swap = Some((out, inn, new_cost));
-                    }
-                }
-            }
-            match best_swap {
-                Some((out, inn, new_cost)) => {
-                    subset.retain(|&c| c != out);
-                    subset.push(inn);
-                    in_subset[out] = false;
-                    in_subset[inn] = true;
-                    freed = Some(out);
-                    cost = new_cost;
-                }
-                None => break,
-            }
-        }
-        let obs = br_obs();
-        obs.rounds.add(rounds);
-        obs.scanned.add(scanned);
-        obs.bound_rejects.add(bound_rejects);
-        obs.prefilter_rejects.add(prefilter_rejects);
-        obs.exact_evals.add(exact_evals);
-        obs.eval_aborts.add(eval_aborts);
-        (subset, cost)
     }
 
     /// The pre-optimization local search, kept verbatim: the timing
@@ -572,11 +115,11 @@ impl BrInstance {
         }
 
         for _ in 0..max_rounds {
-            let mut b1 = vec![(self.penalty, usize::MAX); nd];
-            let mut b2 = vec![self.penalty; nd];
+            let mut b1 = vec![(self.unserved, usize::MAX); nd];
+            let mut b2 = vec![self.unserved; nd];
             for &c in &subset {
                 for t in 0..nd {
-                    let v = self.a(c, t);
+                    let v = self.assignment(c, t);
                     if v < b1[t].0 {
                         b2[t] = b1[t].0;
                         b1[t] = (v, c);
@@ -598,7 +141,7 @@ impl BrInstance {
                     let mut new_cost = 0.0;
                     for t in 0..nd {
                         let surviving = if b1[t].1 == out { b2[t] } else { b1[t].0 };
-                        new_cost += self.weight[t] * surviving.min(self.a(inn, t));
+                        new_cost += self.weight[t] * surviving.min(self.assignment(inn, t));
                     }
                     if new_cost < cost - 1e-12
                         && best_swap.map(|(_, _, c)| new_cost < c).unwrap_or(true)
@@ -618,69 +161,6 @@ impl BrInstance {
         }
         (subset, cost)
     }
-
-    /// Exhaustive optimum over all `C(|cand|, k)` subsets containing
-    /// `forced`. Returns `None` when the enumeration would exceed
-    /// `budget` subsets.
-    pub fn exhaustive(&self, k: usize, forced: &[usize], budget: u64) -> Option<(Vec<usize>, f64)> {
-        let k = k.min(self.cand.len());
-        let free: Vec<usize> = (0..self.cand.len())
-            .filter(|c| !forced.contains(c))
-            .collect();
-        let pick = k.saturating_sub(forced.len());
-        if combinations(free.len() as u64, pick as u64) > budget {
-            return None;
-        }
-        let mut best: Option<(Vec<usize>, f64)> = None;
-        let mut subset: Vec<usize> = forced.to_vec();
-        self.enumerate(&free, pick, 0, &mut subset, &mut best);
-        best
-    }
-
-    fn enumerate(
-        &self,
-        free: &[usize],
-        remaining: usize,
-        start: usize,
-        subset: &mut Vec<usize>,
-        best: &mut Option<(Vec<usize>, f64)>,
-    ) {
-        if remaining == 0 {
-            let c = self.eval(subset);
-            if best.as_ref().map(|(_, bc)| c < *bc).unwrap_or(true) {
-                *best = Some((subset.clone(), c));
-            }
-            return;
-        }
-        for idx in start..free.len() {
-            if free.len() - idx < remaining {
-                break;
-            }
-            subset.push(free[idx]);
-            self.enumerate(free, remaining - 1, idx + 1, subset, best);
-            subset.pop();
-        }
-    }
-
-    /// Map candidate indices back to node ids.
-    pub fn to_nodes(&self, subset: &[usize]) -> Vec<NodeId> {
-        subset.iter().map(|&c| self.cand[c]).collect()
-    }
-}
-
-fn combinations(n: u64, k: u64) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u64 = 1;
-    for i in 0..k {
-        acc = acc.saturating_mul(n - i) / (i + 1);
-        if acc > 1 << 60 {
-            return u64::MAX;
-        }
-    }
-    acc
 }
 
 /// The Best-Response policy object.
@@ -702,7 +182,7 @@ pub struct BestResponse {
     /// without measurably changing cost.
     pub hysteresis: f64,
     /// Recycled assignment-matrix storage (no per-turn allocation).
-    arena: BrArena,
+    arena: SolverArena,
 }
 
 impl BestResponse {
@@ -718,7 +198,7 @@ impl BestResponse {
             max_rounds: 64,
             exact_budget: 0,
             hysteresis: 0.01,
-            arena: BrArena::default(),
+            arena: SolverArena::default(),
         }
     }
 
@@ -730,7 +210,7 @@ impl BestResponse {
             max_rounds: 64,
             exact_budget: 2_000_000,
             hysteresis: 0.0,
-            arena: BrArena::default(),
+            arena: SolverArena::default(),
         }
     }
 
@@ -740,7 +220,12 @@ impl BestResponse {
         self
     }
 
-    fn run_local_search(&self, inst: &BrInstance, k: usize, init: Vec<usize>) -> (Vec<usize>, f64) {
+    fn run_local_search(
+        &self,
+        inst: &mut BrInstance,
+        k: usize,
+        init: Vec<usize>,
+    ) -> (Vec<usize>, f64) {
         if self.reference {
             inst.local_search_reference(k, init, &[], self.max_rounds)
         } else {
@@ -750,19 +235,15 @@ impl BestResponse {
 
     /// Solve and return (neighbors, cost).
     pub fn solve(&mut self, ctx: &WiringContext<'_>) -> (Vec<NodeId>, f64) {
-        let inst = BrInstance::build_in(ctx, &mut self.arena);
+        let mut inst = BrInstance::build_in(ctx, &mut self.arena);
         let k = ctx.effective_k();
         // Current wiring (alive members only) as candidate indices.
-        let init: Vec<usize> = ctx
-            .current
-            .iter()
-            .filter_map(|w| inst.cand.iter().position(|&c| c == *w))
-            .collect();
+        let init = indices_of(&inst.cand, ctx.current);
 
         let (best_set, best_cost) = if self.exact {
             match inst.exhaustive(k, &[], self.exact_budget) {
                 Some(r) => r,
-                None => self.run_local_search(&inst, k, init.clone()),
+                None => self.run_local_search(&mut inst, k, init.clone()),
             }
         } else {
             // Seed local search from both the current wiring and greedy;
@@ -772,8 +253,8 @@ impl BestResponse {
             } else {
                 inst.greedy(k, &[])
             };
-            let (s1, c1) = self.run_local_search(&inst, k, init.clone());
-            let (s2, c2) = self.run_local_search(&inst, k, greedy);
+            let (s1, c1) = self.run_local_search(&mut inst, k, init.clone());
+            let (s2, c2) = self.run_local_search(&mut inst, k, greedy);
             if c1 <= c2 {
                 (s1, c1)
             } else {
@@ -955,21 +436,19 @@ mod tests {
     #[test]
     fn optimized_solvers_match_reference_bitwise() {
         for seed in 0..6 {
-            for (n, k) in [(15usize, 3usize), (30, 5), (48, 7)] {
+            // n = 120: long enough swap chains that stale bounds
+            // survive several rounds before they are refreshed.
+            for (n, k) in [(15usize, 3usize), (30, 5), (48, 7), (120, 8)] {
                 let (d, w) = scrambled_instance(n, seed);
                 let parts = CtxParts::build(&d, &w, NodeId::from_index(seed % n), k);
                 let ctx = parts.ctx();
-                let inst = BrInstance::build(&ctx);
+                let mut inst = BrInstance::build(&ctx);
 
                 let g_opt = inst.greedy(k, &[]);
                 let g_ref = inst.greedy_reference(k, &[]);
                 assert_eq!(g_opt, g_ref, "greedy diverged (n={n}, k={k}, seed={seed})");
 
-                let current_init: Vec<usize> = parts
-                    .current
-                    .iter()
-                    .filter_map(|w| inst.cand.iter().position(|&c| c == *w))
-                    .collect();
+                let current_init = indices_of(&inst.cand, &parts.current);
                 for init in [Vec::new(), g_opt.clone(), current_init] {
                     let (s_opt, c_opt) = inst.local_search(k, init.clone(), &[], 64);
                     let (s_ref, c_ref) = inst.local_search_reference(k, init, &[], 64);
@@ -992,7 +471,7 @@ mod tests {
     fn optimized_solvers_match_reference_with_forced_members() {
         let (d, w) = scrambled_instance(24, 3);
         let parts = CtxParts::build(&d, &w, NodeId(1), 5);
-        let inst = BrInstance::build(&parts.ctx());
+        let mut inst = BrInstance::build(&parts.ctx());
         let forced = [2usize, 9];
         let g_opt = inst.greedy(5, &forced);
         let g_ref = inst.greedy_reference(5, &forced);
@@ -1008,18 +487,11 @@ mod tests {
     }
 
     #[test]
-    fn combinations_helper() {
-        assert_eq!(super::combinations(5, 2), 10);
-        assert_eq!(super::combinations(49, 3), 18424);
-        assert_eq!(super::combinations(3, 5), 0);
-    }
-
-    #[test]
     fn greedy_respects_forced_members() {
         let d = DistanceMatrix::from_fn(6, |i, j| ((i + j) % 5 + 1) as f64);
         let w = ring_wiring(6);
         let parts = CtxParts::build(&d, &w, NodeId(0), 3);
-        let inst = BrInstance::build(&parts.ctx());
+        let mut inst = BrInstance::build(&parts.ctx());
         let g = inst.greedy(3, &[4]);
         assert!(g.contains(&4));
         assert_eq!(g.len(), 3);
@@ -1030,7 +502,7 @@ mod tests {
         let d = DistanceMatrix::from_fn(7, |i, j| ((2 * i + j) % 6 + 1) as f64);
         let w = ring_wiring(7);
         let parts = CtxParts::build(&d, &w, NodeId(0), 3);
-        let inst = BrInstance::build(&parts.ctx());
+        let mut inst = BrInstance::build(&parts.ctx());
         let (s, _) = inst.local_search(3, vec![2], &[2], 32);
         assert!(s.contains(&2));
     }

@@ -9,7 +9,8 @@
 //! the proposed wiring against the cost of *keeping the current wiring*;
 //! only a relative improvement beyond ε triggers the change.
 
-use super::best_response::{BestResponse, BrArena, BrInstance};
+use super::best_response::{BestResponse, BrInstance};
+use super::solver::{indices_of, SolverArena};
 use super::{Policy, WiringContext};
 use egoist_graph::NodeId;
 use rand::rngs::StdRng;
@@ -20,7 +21,7 @@ pub struct EpsilonBr {
     pub epsilon: f64,
     inner: BestResponse,
     /// Recycled storage for the keep-current evaluation.
-    arena: BrArena,
+    arena: SolverArena,
 }
 
 impl EpsilonBr {
@@ -29,7 +30,7 @@ impl EpsilonBr {
         EpsilonBr {
             epsilon,
             inner: BestResponse::local_search(),
-            arena: BrArena::default(),
+            arena: SolverArena::default(),
         }
     }
 
@@ -39,24 +40,19 @@ impl EpsilonBr {
         EpsilonBr {
             epsilon,
             inner: BestResponse::local_search().with_reference(true),
-            arena: BrArena::default(),
+            arena: SolverArena::default(),
         }
     }
 
     /// Cost of keeping the current wiring, under announced information.
     pub fn current_cost(ctx: &WiringContext<'_>) -> f64 {
-        Self::current_cost_in(ctx, &mut BrArena::default())
+        Self::current_cost_in(ctx, &mut SolverArena::default())
     }
 
     /// [`Self::current_cost`] into recycled storage.
-    fn current_cost_in(ctx: &WiringContext<'_>, arena: &mut BrArena) -> f64 {
+    fn current_cost_in(ctx: &WiringContext<'_>, arena: &mut SolverArena) -> f64 {
         let inst = BrInstance::build_in(ctx, arena);
-        let idx: Vec<usize> = ctx
-            .current
-            .iter()
-            .filter_map(|w| inst.cand.iter().position(|&c| c == *w))
-            .collect();
-        let cost = inst.eval(&idx);
+        let cost = inst.eval(&indices_of(&inst.cand, ctx.current));
         inst.recycle(arena);
         cost
     }

@@ -9,7 +9,8 @@
 //! of fixing `Y_i := 1` for backbone targets; in our local-search solver
 //! the donated candidates are simply *forced* members of the subset.
 
-use super::best_response::{BrArena, BrInstance};
+use super::best_response::BrInstance;
+use super::solver::{indices_of, SolverArena};
 use super::{Policy, WiringContext};
 use egoist_graph::cycles::backbone_edges;
 use egoist_graph::NodeId;
@@ -22,7 +23,7 @@ pub struct HybridBr {
     /// Local-search rounds for the selfish part.
     pub max_rounds: usize,
     /// Recycled solver storage.
-    arena: BrArena,
+    arena: SolverArena,
 }
 
 impl HybridBr {
@@ -31,7 +32,7 @@ impl HybridBr {
         HybridBr {
             k2,
             max_rounds: 64,
-            arena: BrArena::default(),
+            arena: SolverArena::default(),
         }
     }
 
@@ -58,11 +59,8 @@ impl Policy for HybridBr {
             return donated.into_iter().take(k).collect();
         }
 
-        let inst = BrInstance::build_in(ctx, &mut self.arena);
-        let forced: Vec<usize> = donated
-            .iter()
-            .filter_map(|d| inst.cand.iter().position(|&c| c == *d))
-            .collect();
+        let mut inst = BrInstance::build_in(ctx, &mut self.arena);
+        let forced = indices_of(&inst.cand, &donated);
         let init = inst.greedy(k, &forced);
         let (subset, _) = inst.local_search(k, init, &forced, self.max_rounds);
         let nodes = inst.to_nodes(&subset);
@@ -153,16 +151,9 @@ mod tests {
         let mut h = HybridBr::new(2);
         let wired = h.wire(&ctx, &mut StdRng::seed_from_u64(0));
         let inst = BrInstance::build(&ctx);
-        let full: Vec<usize> = wired
-            .iter()
-            .filter_map(|x| inst.cand.iter().position(|c| c == x))
-            .collect();
+        let full = indices_of(&inst.cand, &wired);
         let alive: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        let donated_only: Vec<usize> = h
-            .donated_links(NodeId(0), &alive)
-            .iter()
-            .filter_map(|x| inst.cand.iter().position(|c| c == x))
-            .collect();
+        let donated_only = indices_of(&inst.cand, &h.donated_links(NodeId(0), &alive));
         assert!(inst.eval(&full) < inst.eval(&donated_only));
     }
 

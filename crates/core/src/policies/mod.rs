@@ -14,6 +14,9 @@
 //! | HybridBR (donated links) | §3.3 | [`hybrid`] |
 //! | Bandwidth BR (max bottleneck sum) | §4.1, App. A | [`bandwidth`] |
 //! | Traffic-aware BR (demand-blended prefs) | §5 (traffic) | [`traffic_aware`] |
+//!
+//! Both best-response objectives are solved by the one pruned
+//! facility-location core in [`solver`].
 
 pub mod bandwidth;
 pub mod best_response;
@@ -22,6 +25,7 @@ pub mod epsilon;
 pub mod hybrid;
 pub mod random;
 pub mod regular;
+pub mod solver;
 pub mod traffic_aware;
 
 use crate::cost::Preferences;
@@ -70,9 +74,9 @@ pub trait Policy {
     /// distinct, alive candidates and never `ctx.node` itself.
     ///
     /// `&mut self`: solver policies keep reusable scratch arenas (the
-    /// BR assignment matrix) across turns so the hot path allocates
-    /// nothing per re-wiring. Implementations must stay deterministic —
-    /// scratch reuse may never change a decision.
+    /// BR assignment matrix and solver vectors) across turns so the hot
+    /// path allocates nothing per re-wiring. Implementations must stay
+    /// deterministic — scratch reuse may never change a decision.
     fn wire(&mut self, ctx: &WiringContext<'_>, rng: &mut StdRng) -> Vec<NodeId>;
 
     /// Human-readable name for reports.

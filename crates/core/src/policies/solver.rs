@@ -1,0 +1,790 @@
+//! The facility-location core behind both best-response solvers.
+//!
+//! Definition 1's best response and Appendix A's bandwidth best response
+//! are the same combinatorial problem on two semirings: choose `k`
+//! candidate rows of a `|cand| × |dests|` assignment matrix so that
+//! `Σ_t w_t · best_{c ∈ S} a(c, t)` is as good as possible, where "best"
+//! is `min` and lower is better for additive costs ([`Min`]), `max` and
+//! higher is better for bottleneck bandwidth ([`Max`]). One generic
+//! [`Instance`] solves both with greedy seeding plus best-improvement
+//! single swaps (\[5\] in the paper); the direction is a monomorphised
+//! type parameter, so each semiring compiles to its own loops.
+//!
+//! The matrix is ≈ n² floats (2 MB at n = 500) and every full pass over
+//! it runs at memory speed, so the solver is built to *not look at rows*:
+//!
+//! * **Lazy greedy.** Marginal gains are submodular — a candidate's gain
+//!   over the chosen set only shrinks as the set grows,
+//!   `gain_{r+1}(c) ≤ gain_r(c)` — so each candidate's last evaluated
+//!   gain is an upper bound for every later round. A round evaluates the
+//!   candidate with the largest stale gain first and then reads only the
+//!   rows whose bound could still beat, or tie, that incumbent.
+//! * **Lazy swap bounds.** A swap inserting `inn` improves the objective
+//!   by at most `G(inn) = Σ_t w_t · gain(b2_t → a(inn, t))`, where `b2` is
+//!   the second-best assignment of the current subset. When `b2` moves,
+//!   `G_new(inn) ≤ G_old(inn) + Σ_t w_t · gain(b2_new,t → b2_old,t)`: one
+//!   scalar per round (the *drift*) keeps every candidate's last exact
+//!   `G` valid — across rounds and across consecutive local searches on
+//!   one instance — and a row is re-read only when its drifted bound
+//!   fails to reject the candidate.
+//! * **Fused build.** [`Instance::assemble`] writes each row as slice
+//!   copies out of the residual row and sums the row's singleton
+//!   objective in the same pass, so the first greedy round starts with
+//!   every candidate's bound in hand and the matrix is written once.
+//!
+//! None of this changes a decision. Every bound discards a candidate only
+//! when it provably cannot *strictly* beat the incumbent (nor, in greedy,
+//! tie it at a lower index), behind 1e-9 relative margins that dwarf the
+//! ≤ ~1e-13 relative rounding of the reordered sums; every possible
+//! winner is re-evaluated in the reference summation order, so accepted
+//! values carry reference bits and winners are resolved by
+//! `(exact value, index)`. Tests pin picks, subsets and objective bits
+//! against the naive loops on both semirings.
+//!
+//! `Min` evaluations also stop once a partial sum reaches the incumbent
+//! (terms are non-negative). `Max` cannot: its terms grow *toward* the
+//! incumbent, so a partial sum proves nothing — it prunes by bound and
+//! evaluates survivors in full.
+
+use egoist_graph::NodeId;
+use std::marker::PhantomData;
+use std::sync::OnceLock;
+
+/// The path semiring an objective lives on, and which way it (and each
+/// assignment value) is optimised.
+pub trait Direction {
+    /// Tail of a candidate's path to itself (the semiring's unit).
+    const SELF_TAIL: f64;
+    /// A first hop extended by the residual path behind it.
+    fn extend(first: f64, tail: f64) -> f64;
+    /// A partial sum reaching the incumbent proves a loss (non-negative
+    /// terms, lower is better).
+    const ABORTS: bool;
+    /// Is `a` strictly better than `b`?
+    fn better(a: f64, b: f64) -> bool;
+    /// The better of two assignment values.
+    fn pick(a: f64, b: f64) -> f64;
+    /// `x` moved by `by ≥ 0` toward better.
+    fn improve(x: f64, by: f64) -> f64;
+    /// How much better `to` is than `from`, zero when it is not.
+    fn gain(from: f64, to: f64) -> f64;
+}
+
+/// Additive costs: smaller is better.
+pub struct Min;
+/// Bottleneck bandwidth: larger is better.
+pub struct Max;
+
+impl Direction for Min {
+    const SELF_TAIL: f64 = 0.0;
+    fn extend(first: f64, tail: f64) -> f64 {
+        first + tail
+    }
+    const ABORTS: bool = true;
+    fn better(a: f64, b: f64) -> bool {
+        a < b
+    }
+    fn pick(a: f64, b: f64) -> f64 {
+        a.min(b)
+    }
+    fn improve(x: f64, by: f64) -> f64 {
+        x - by
+    }
+    fn gain(from: f64, to: f64) -> f64 {
+        (from - to).max(0.0)
+    }
+}
+
+impl Direction for Max {
+    const SELF_TAIL: f64 = f64::INFINITY;
+    fn extend(first: f64, tail: f64) -> f64 {
+        first.min(tail)
+    }
+    const ABORTS: bool = false;
+    fn better(a: f64, b: f64) -> bool {
+        a > b
+    }
+    fn pick(a: f64, b: f64) -> f64 {
+        a.max(b)
+    }
+    fn improve(x: f64, by: f64) -> f64 {
+        x + by
+    }
+    fn gain(from: f64, to: f64) -> f64 {
+        (to - from).max(0.0)
+    }
+}
+
+/// Obs counters of the solve paths, in [`Tally`]'s field order. All are
+/// pure functions of the instance (no wall clock, no RNG), so they
+/// repeat exactly for a seed.
+const COUNTERS: [&str; 6] = [
+    "core.solver.rounds",
+    "core.solver.candidates_scanned",
+    "core.solver.gain_bound_rejects",
+    "core.solver.prefilter_rejects",
+    "core.solver.exact_evals",
+    "core.solver.eval_aborts",
+];
+
+/// What one `greedy` / `local_search` call counted; hot loops count
+/// here and [`Tally::flush`] adds to the registry once per call.
+#[derive(Default)]
+struct Tally {
+    rounds: u64,
+    scanned: u64,
+    bound_rejects: u64,
+    prefilter_rejects: u64,
+    exact_evals: u64,
+    eval_aborts: u64,
+}
+
+impl Tally {
+    fn flush(self) {
+        static OBS: OnceLock<[egoist_obs::Counter; 6]> = OnceLock::new();
+        let obs = OBS.get_or_init(|| COUNTERS.map(|name| egoist_obs::registry().counter(name)));
+        let counted = [
+            self.rounds,
+            self.scanned,
+            self.bound_rejects,
+            self.prefilter_rejects,
+            self.exact_evals,
+            self.eval_aborts,
+        ];
+        for (counter, n) in obs.iter().zip(counted) {
+            counter.add(n);
+        }
+    }
+}
+
+/// `ver` of a candidate whose swap bound was never evaluated.
+const UNKNOWN: u32 = u32::MAX;
+
+/// Reusable backing storage for an [`Instance`]: the assignment matrix
+/// (≈ n² on full candidate pools) plus the O(n) solver vectors. Solver
+/// owners keep one arena and recycle it across turns, so a warmed-up
+/// turn allocates nothing; contents never survive a build, so reuse
+/// cannot change a decision.
+#[derive(Default)]
+pub struct SolverArena {
+    /// `|cand| × |dests|`, row-major.
+    m: Vec<f64>,
+    /// Maximal runs of consecutive node ids in `dests`, as
+    /// `(first slot, first id, length)`: a run is copied out of a
+    /// residual row as one slice.
+    runs: Vec<(usize, usize, usize)>,
+    // Per destination.
+    b1: Vec<f64>,
+    b1_by: Vec<u32>,
+    b2: Vec<f64>,
+    /// The `b2` the swap bounds have drifted up to.
+    b2_ref: Vec<f64>,
+    /// Greedy's best-so-far, then each swap scan's surviving assignment.
+    cap: Vec<f64>,
+    // Per candidate.
+    /// The candidate's own destination slot (`usize::MAX` when dead).
+    slot: Vec<usize>,
+    /// Objective of the singleton `{c}`, up to summation order.
+    solo: Vec<f64>,
+    /// Greedy's stale upper bound on the marginal gain.
+    stale: Vec<f64>,
+    /// Last evaluated swap bound `G(c)` …
+    g: Vec<f64>,
+    /// … and the `b2` version it was evaluated against.
+    ver: Vec<u32>,
+    /// This round's `G(c)` bound: drifted or fresh, margin included.
+    ub: Vec<f64>,
+    member: Vec<bool>,
+    pinned: Vec<bool>,
+    /// Cumulative drift at each `b2` version.
+    drift_at: Vec<f64>,
+}
+
+fn reset<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// `Σ_t w_t · f(x_t, y_t)` over four independent accumulators, so the
+/// compiler vectorizes it. The summation order differs from the
+/// reference's, so results are only ever used behind a margin.
+#[inline]
+fn sum4(w: &[f64], x: &[f64], y: &[f64], f: impl Fn(f64, f64) -> f64) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let (wc, xc, yc) = (w.chunks_exact(4), x.chunks_exact(4), y.chunks_exact(4));
+    let mut rest = 0.0;
+    for ((w, x), y) in wc
+        .remainder()
+        .iter()
+        .zip(xc.remainder())
+        .zip(yc.remainder())
+    {
+        rest += w * f(*x, *y);
+    }
+    for ((w, x), y) in wc.zip(xc).zip(yc) {
+        acc[0] += w[0] * f(x[0], y[0]);
+        acc[1] += w[1] * f(x[1], y[1]);
+        acc[2] += w[2] * f(x[2], y[2]);
+        acc[3] += w[3] * f(x[3], y[3]);
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + rest
+}
+
+/// `Σ_t w_t · pick(cap_t, row_t)` accumulated left to right — the
+/// reference summation order, so a returned value carries reference
+/// bits. `None` once a partial sum proves the candidate loses against
+/// `limit` (only [`Direction::ABORTS`] directions can tell);
+/// `ties_win` keeps a partial sum equal to the limit alive.
+#[inline]
+fn exact<D: Direction>(
+    w: &[f64],
+    cap: &[f64],
+    row: &[f64],
+    limit: f64,
+    ties_win: bool,
+) -> Option<f64> {
+    let mut acc = 0.0;
+    for ((&w, &cap), &a) in w.iter().zip(cap).zip(row) {
+        acc += w * D::pick(cap, a);
+        if D::ABORTS && (acc > limit || (acc == limit && !ties_win)) {
+            return None;
+        }
+    }
+    Some(acc)
+}
+
+/// Write `row[t] = pick(extend(first, tail[t]), unserved)` and return
+/// `Σ w·row` from the same pass, over four lanes.
+fn write_span<D: Direction>(
+    first: f64,
+    unserved: f64,
+    tail: &[f64],
+    w: &[f64],
+    row: &mut [f64],
+) -> f64 {
+    let mut solo = [0.0f64; 4];
+    let mut lane = |l: usize, tail: f64, w: f64, slot: &mut f64| {
+        *slot = D::pick(D::extend(first, tail), unserved);
+        solo[l] += w * *slot;
+    };
+    let (tc, wc) = (tail.chunks_exact(4), w.chunks_exact(4));
+    let mut rc = row.chunks_exact_mut(4);
+    for ((t, w), r) in tc.clone().zip(wc.clone()).zip(&mut rc) {
+        lane(0, t[0], w[0], &mut r[0]);
+        lane(1, t[1], w[1], &mut r[1]);
+        lane(2, t[2], w[2], &mut r[2]);
+        lane(3, t[3], w[3], &mut r[3]);
+    }
+    for ((t, w), r) in tc
+        .remainder()
+        .iter()
+        .zip(wc.remainder())
+        .zip(rc.into_remainder())
+    {
+        lane(0, *t, *w, r);
+    }
+    (solo[0] + solo[1]) + (solo[2] + solo[3])
+}
+
+/// Write candidate row `row` from its first hop and residual row
+/// (`None`: the first hop is unusable, nothing is served), one slice per
+/// run of consecutive destination ids, the candidate's `own` slot from
+/// the semiring unit. Returns the row's weighted sum, up to summation
+/// order.
+fn write_row<D: Direction>(
+    hop: Option<(f64, &[f64])>,
+    own: usize,
+    runs: &[(usize, usize, usize)],
+    unserved: f64,
+    w: &[f64],
+    row: &mut [f64],
+) -> f64 {
+    let Some((first, tail)) = hop else {
+        row.fill(unserved);
+        return w.iter().map(|w| w * unserved).sum();
+    };
+    let mut solo = 0.0;
+    let mut span = |t: usize, tail: &[f64]| {
+        let to = t + tail.len();
+        solo += write_span::<D>(first, unserved, tail, &w[t..to], &mut row[t..to]);
+    };
+    for &(t, id, len) in runs {
+        if (t..t + len).contains(&own) {
+            let before = own - t;
+            span(t, &tail[id..id + before]);
+            span(own, &[D::SELF_TAIL]);
+            span(own + 1, &tail[id + before + 1..id + len]);
+        } else {
+            span(t, &tail[id..id + len]);
+        }
+    }
+    solo
+}
+
+/// Best and second-best assignment per destination over `subset`'s rows
+/// (in subset order: the first of equal values keeps `b1`).
+fn two_best<D: Direction>(
+    m: &[f64],
+    subset: &[usize],
+    unserved: f64,
+    b1: &mut [f64],
+    b1_by: &mut [u32],
+    b2: &mut [f64],
+) {
+    let nd = b1.len();
+    b1.fill(unserved);
+    b1_by.fill(u32::MAX);
+    b2.fill(unserved);
+    for &c in subset {
+        let row = &m[c * nd..(c + 1) * nd];
+        for t in 0..nd {
+            let v = row[t];
+            if D::better(v, b1[t]) {
+                b2[t] = b1[t];
+                b1[t] = v;
+                b1_by[t] = c as u32;
+            } else if D::better(v, b2[t]) {
+                b2[t] = v;
+            }
+        }
+    }
+}
+
+/// Positions of `nodes` in `cand` (absent nodes are dropped).
+pub fn indices_of(cand: &[NodeId], nodes: &[NodeId]) -> Vec<usize> {
+    nodes
+        .iter()
+        .filter_map(|w| cand.iter().position(|c| c == w))
+        .collect()
+}
+
+/// One node's best-response instance: `a(c, t)` is what the node gets
+/// for destination `t` when candidate `c` is its first hop. Built once
+/// per re-wiring and shared by all solvers.
+pub struct Instance<D> {
+    /// Candidate neighbor ids.
+    pub cand: Vec<NodeId>,
+    /// Destination ids (alive, ≠ i).
+    pub dests: Vec<NodeId>,
+    /// Preference weight per destination (aligned with `dests`).
+    pub weight: Vec<f64>,
+    /// What a destination no chosen candidate serves is worth: the
+    /// disconnection penalty (`Min`, an upper bound of any assignment)
+    /// or zero bandwidth (`Max`).
+    pub unserved: f64,
+    s: SolverArena,
+    /// The last subset a local search proved swap-optimal, sorted, with
+    /// the `forced` set it was proved under.
+    settled: Option<(Vec<usize>, Vec<usize>)>,
+    _direction: PhantomData<D>,
+}
+
+impl<D: Direction> Instance<D> {
+    /// Build an instance in `arena`'s recycled buffers: destinations
+    /// are the alive candidates, `a(c, t) = pick(extend(first hop of c,
+    /// residual tail c ⇝ t), unserved)`, with `first_hop(c)` supplying
+    /// the first-hop value and the residual row (`None`: unusable, the
+    /// residual row is not even read). Call [`Self::recycle`] when done
+    /// to hand the storage back.
+    pub(crate) fn assemble<'r>(
+        candidates: &[NodeId],
+        alive: &[bool],
+        weight_of: impl Fn(NodeId) -> f64,
+        unserved: f64,
+        arena: &mut SolverArena,
+        first_hop: impl Fn(NodeId) -> Option<(f64, &'r [f64])>,
+    ) -> Self {
+        let cand: Vec<NodeId> = candidates.to_vec();
+        let mut s = std::mem::take(arena);
+        let mut dests: Vec<NodeId> = Vec::with_capacity(cand.len());
+        s.slot.clear();
+        s.runs.clear();
+        for &j in &cand {
+            if !alive[j.index()] {
+                s.slot.push(usize::MAX);
+                continue;
+            }
+            s.slot.push(dests.len());
+            match s.runs.last_mut() {
+                Some((_, id, len)) if *id + *len == j.index() => *len += 1,
+                _ => s.runs.push((dests.len(), j.index(), 1)),
+            }
+            dests.push(j);
+        }
+        let weight: Vec<f64> = dests.iter().map(|&j| weight_of(j)).collect();
+        let (nc, nd) = (cand.len(), dests.len());
+        // No clear: every row is overwritten below, and a re-used
+        // matrix of the same size is then not written twice.
+        s.m.resize(nc * nd, unserved);
+        s.solo.clear();
+        for (c, &w) in cand.iter().enumerate() {
+            let row = &mut s.m[c * nd..(c + 1) * nd];
+            let solo = write_row::<D>(first_hop(w), s.slot[c], &s.runs, unserved, &weight, row);
+            s.solo.push(solo);
+        }
+        // No swap bound is known yet; the first search's first `b2` is
+        // version 0.
+        reset(&mut s.b1, nd, unserved);
+        reset(&mut s.b1_by, nd, u32::MAX);
+        reset(&mut s.b2, nd, unserved);
+        reset(&mut s.b2_ref, nd, unserved);
+        reset(&mut s.cap, nd, unserved);
+        reset(&mut s.g, nc, 0.0);
+        reset(&mut s.ver, nc, UNKNOWN);
+        reset(&mut s.drift_at, 1, 0.0);
+        Instance {
+            cand,
+            dests,
+            weight,
+            unserved,
+            s,
+            settled: None,
+            _direction: PhantomData,
+        }
+    }
+
+    /// Return the instance's backing storage to `arena` for the next
+    /// turn.
+    pub fn recycle(self, arena: &mut SolverArena) {
+        *arena = self.s;
+    }
+
+    /// What candidate `c` gives destination `t` — read-only probe for
+    /// the reference loops, benches and tests.
+    #[inline]
+    pub fn assignment(&self, c: usize, t: usize) -> f64 {
+        self.s.m[c * self.dests.len() + t]
+    }
+
+    /// Objective of a candidate subset (indices into `cand`).
+    pub fn eval(&self, subset: &[usize]) -> f64 {
+        let mut total = 0.0;
+        for (t, &w) in self.weight.iter().enumerate() {
+            let mut best = self.unserved;
+            for &c in subset {
+                best = D::pick(best, self.assignment(c, t));
+            }
+            total += w * best;
+        }
+        total
+    }
+
+    /// Greedy seeding: repeatedly add the candidate with the best
+    /// marginal objective, the lowest index among exact ties. `forced`
+    /// members are taken first.
+    ///
+    /// Lazy (see the module docs): per round one exact evaluation of the
+    /// candidate with the largest stale gain, then a pass that reads a
+    /// row only when `base ∓ stale_gain` could still beat or tie the
+    /// incumbent. Picks are identical to the eager loop's.
+    pub fn greedy(&mut self, k: usize, forced: &[usize]) -> Vec<usize> {
+        let (nc, nd) = (self.cand.len(), self.dests.len());
+        let w = &self.weight;
+        let SolverArena {
+            m,
+            cap: best,
+            solo,
+            stale,
+            member,
+            ..
+        } = &mut self.s;
+        let row = |c: usize| &m[c * nd..(c + 1) * nd];
+        let mut chosen: Vec<usize> = forced.to_vec();
+        reset(member, nc, false);
+        reset(best, nd, self.unserved);
+        for &c in forced {
+            member[c] = true;
+            for (b, &a) in best.iter_mut().zip(row(c)) {
+                *b = D::pick(*b, a);
+            }
+        }
+        // A candidate's gain when it took the objective from `base` to
+        // `value`, inflated to cover the rounding of the two sums.
+        let gain_at =
+            |base: f64, value: f64| D::gain(base, value) + 1e-11 * (base.abs() + value.abs());
+        // A gain over the empty set bounds the gain over any set.
+        let empty: f64 = w.iter().map(|w| w * self.unserved).sum();
+        stale.clear();
+        stale.extend(solo.iter().map(|&v| gain_at(empty, v)));
+        let mut tally = Tally::default();
+        while chosen.len() < k.min(nc) {
+            let base = sum4(w, best, best, |b, _| b);
+            let Some(first) = (0..nc)
+                .filter(|&c| !member[c])
+                .max_by(|&a, &b| stale[a].total_cmp(&stale[b]))
+            else {
+                break;
+            };
+            tally.scanned += 1;
+            tally.exact_evals += 1;
+            let mut pick = first;
+            let mut pick_val = exact::<D>(w, best, row(first), f64::INFINITY, true)
+                .expect("nothing aborts against an infinite limit");
+            stale[first] = gain_at(base, pick_val);
+            for c in (0..nc).filter(|&c| !member[c] && c != first) {
+                tally.scanned += 1;
+                let slack = 1e-9 * (base.abs() + stale[c] + 1.0);
+                if D::better(pick_val, D::improve(base, stale[c] + slack)) {
+                    tally.bound_rejects += 1;
+                    continue;
+                }
+                let approx = sum4(w, best, row(c), D::pick);
+                stale[c] = gain_at(base, approx);
+                if D::better(pick_val, D::improve(approx, 1e-9 * (approx.abs() + 1.0))) {
+                    tally.prefilter_rejects += 1;
+                    continue;
+                }
+                tally.exact_evals += 1;
+                match exact::<D>(w, best, row(c), pick_val, c < pick) {
+                    None => tally.eval_aborts += 1,
+                    Some(v) => {
+                        if D::better(v, pick_val) || (v == pick_val && c < pick) {
+                            pick = c;
+                            pick_val = v;
+                        }
+                    }
+                }
+            }
+            chosen.push(pick);
+            member[pick] = true;
+            for (b, &a) in best.iter_mut().zip(row(pick)) {
+                *b = D::pick(*b, a);
+            }
+        }
+        tally.flush();
+        chosen
+    }
+
+    /// Best-improvement single-swap local search starting from `init`
+    /// (filled up by [`Self::greedy`] when shorter than `k`). `forced`
+    /// members are never swapped out. Returns the subset and its
+    /// objective.
+    ///
+    /// Each `(out, inn)` pair passes three sound filters before it costs
+    /// an exact evaluation — the drifted swap bound, that bound
+    /// re-evaluated against the current `b2` (once per candidate and
+    /// round, only for candidates the drifted one lets through), and a
+    /// vectorized approximation of the pair's objective — so accepted
+    /// swaps, their values and the whole trajectory are those of the
+    /// naive scan. A start that an earlier search on this instance
+    /// already proved swap-optimal is returned as it is: whether a
+    /// strictly improving swap exists depends on the subset as a set,
+    /// not on its order.
+    pub fn local_search(
+        &mut self,
+        k: usize,
+        init: Vec<usize>,
+        forced: &[usize],
+        max_rounds: usize,
+    ) -> (Vec<usize>, f64) {
+        let (nc, nd) = (self.cand.len(), self.dests.len());
+        let mut subset = init;
+        subset.sort_unstable();
+        subset.dedup();
+        if subset.len() < k.min(nc) {
+            subset = self.greedy(k, &subset);
+        }
+        let mut value = self.eval(&subset);
+        let sorted = |v: &[usize]| {
+            let mut v = v.to_vec();
+            v.sort_unstable();
+            v
+        };
+        let forced_key = sorted(forced);
+        if (self.settled.as_ref()).is_some_and(|(s, f)| *s == sorted(&subset) && *f == forced_key) {
+            return (subset, value);
+        }
+        let w = &self.weight;
+        let SolverArena {
+            m,
+            b1,
+            b1_by,
+            b2,
+            b2_ref,
+            cap: surviving,
+            g,
+            ver,
+            ub,
+            member,
+            pinned,
+            drift_at,
+            ..
+        } = &mut self.s;
+        let m: &[f64] = m;
+        let row = |c: usize| &m[c * nd..(c + 1) * nd];
+        reset(member, nc, false);
+        for &c in &subset {
+            member[c] = true;
+        }
+        reset(pinned, nc, false);
+        for &c in forced {
+            pinned[c] = true;
+        }
+        let mut tally = Tally::default();
+        for _ in 0..max_rounds {
+            tally.rounds += 1;
+            two_best::<D>(m, &subset, self.unserved, b1, b1_by, b2);
+            // Every stored swap bound stays valid if it is widened by
+            // how much better the old `b2` was than the new one.
+            let (mut moved, mut drift) = (false, 0.0);
+            for ((&w, &new), old) in w.iter().zip(b2.iter()).zip(b2_ref.iter_mut()) {
+                if new.to_bits() != old.to_bits() {
+                    moved = true;
+                    drift += w * D::gain(new, *old);
+                    *old = new;
+                }
+            }
+            if moved {
+                drift_at.push(drift_at[drift_at.len() - 1] + drift);
+            }
+            let now = drift_at.len() - 1;
+            // 1e-9 relative: dwarfs the ≤ ~1e-13 rounding of the sums
+            // behind a bound, prunes everything that is not a near-tie.
+            ub.clear();
+            ub.extend(g.iter().zip(ver.iter()).map(|(&g, &v)| match v {
+                UNKNOWN => f64::INFINITY,
+                v => (g + (drift_at[now] - drift_at[v as usize])) * (1.0 + 1e-9),
+            }));
+
+            let mut best_swap: Option<(usize, usize)> = None; // (out, in)
+            let mut threshold = D::improve(value, 1e-12);
+            for &out in subset.iter().filter(|&&c| !pinned[c]) {
+                // The assignment that survives dropping `out`, and its
+                // total: the swap's objective before `inn` helps anywhere.
+                for t in 0..nd {
+                    surviving[t] = if b1_by[t] == out as u32 { b2[t] } else { b1[t] };
+                }
+                let base = sum4(w, surviving, surviving, |s, _| s);
+                // The surviving assignment is never better than `b2`, so
+                // `inn` improves on `base` by at most G(inn): a pair
+                // whose bound leaves `base` short of the threshold
+                // cannot win.
+                let room_under =
+                    |threshold: f64| D::gain(base, threshold) - 1e-9 * (base.abs() + 1.0);
+                let mut room = room_under(threshold);
+                for inn in (0..nc).filter(|&c| !member[c]) {
+                    tally.scanned += 1;
+                    if ub[inn] <= room {
+                        tally.bound_rejects += 1;
+                        continue;
+                    }
+                    if ver[inn] != now as u32 {
+                        g[inn] = sum4(w, b2, row(inn), D::gain);
+                        ver[inn] = now as u32;
+                        ub[inn] = g[inn] * (1.0 + 1e-9);
+                        if ub[inn] <= room {
+                            tally.bound_rejects += 1;
+                            continue;
+                        }
+                    }
+                    let approx = sum4(w, surviving, row(inn), D::pick);
+                    if !D::better(D::improve(approx, 1e-9 * (approx.abs() + 1.0)), threshold) {
+                        tally.prefilter_rejects += 1;
+                        continue; // the exact evaluation could not win
+                    }
+                    tally.exact_evals += 1;
+                    match exact::<D>(w, surviving, row(inn), threshold, false) {
+                        None => tally.eval_aborts += 1,
+                        Some(v) => {
+                            if D::better(v, threshold) {
+                                best_swap = Some((out, inn));
+                                threshold = v;
+                                room = room_under(threshold);
+                            }
+                        }
+                    }
+                }
+            }
+            match best_swap {
+                Some((out, inn)) => {
+                    subset.retain(|&c| c != out);
+                    subset.push(inn);
+                    member[out] = false;
+                    member[inn] = true;
+                    value = threshold;
+                }
+                None => {
+                    self.settled = Some((sorted(&subset), forced_key));
+                    break;
+                }
+            }
+        }
+        tally.flush();
+        (subset, value)
+    }
+
+    /// Exhaustive optimum over all `C(|cand|, k)` subsets containing
+    /// `forced`. Returns `None` when the enumeration would exceed
+    /// `budget` subsets.
+    pub fn exhaustive(&self, k: usize, forced: &[usize], budget: u64) -> Option<(Vec<usize>, f64)> {
+        let k = k.min(self.cand.len());
+        let free: Vec<usize> = (0..self.cand.len())
+            .filter(|c| !forced.contains(c))
+            .collect();
+        let pick = k.saturating_sub(forced.len());
+        if combinations(free.len() as u64, pick as u64) > budget {
+            return None;
+        }
+        let mut best: Option<(Vec<usize>, f64)> = None;
+        let mut subset: Vec<usize> = forced.to_vec();
+        self.enumerate(&free, pick, 0, &mut subset, &mut best);
+        best
+    }
+
+    fn enumerate(
+        &self,
+        free: &[usize],
+        remaining: usize,
+        start: usize,
+        subset: &mut Vec<usize>,
+        best: &mut Option<(Vec<usize>, f64)>,
+    ) {
+        if remaining == 0 {
+            let v = self.eval(subset);
+            if best.as_ref().map(|(_, b)| D::better(v, *b)).unwrap_or(true) {
+                *best = Some((subset.clone(), v));
+            }
+            return;
+        }
+        for idx in start..free.len() {
+            if free.len() - idx < remaining {
+                break;
+            }
+            subset.push(free[idx]);
+            self.enumerate(free, remaining - 1, idx + 1, subset, best);
+            subset.pop();
+        }
+    }
+
+    /// Map candidate indices back to node ids.
+    pub fn to_nodes(&self, subset: &[usize]) -> Vec<NodeId> {
+        subset.iter().map(|&c| self.cand[c]).collect()
+    }
+}
+
+fn combinations(n: u64, k: u64) -> u64 {
+    if k > n {
+        return 0;
+    }
+    let k = k.min(n - k);
+    let mut acc: u64 = 1;
+    for i in 0..k {
+        acc = acc.saturating_mul(n - i) / (i + 1);
+        if acc > 1 << 60 {
+            return u64::MAX;
+        }
+    }
+    acc
+}
+
+#[cfg(test)]
+mod tests {
+    // The solver itself is pinned against the eager loops where those
+    // live: `best_response.rs`, `bandwidth.rs` and `crate::proptests`.
+    #[test]
+    fn combinations_helper() {
+        assert_eq!(super::combinations(5, 2), 10);
+        assert_eq!(super::combinations(49, 3), 18424);
+        assert_eq!(super::combinations(3, 5), 0);
+    }
+}

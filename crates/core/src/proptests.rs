@@ -157,6 +157,99 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The lazy solver core makes the reference loops' decisions bit for
+    /// bit on instances built to break laziness: small-integer costs
+    /// (exact ties everywhere), candidates with duplicated rows (the
+    /// lower index must win), zero-weight destinations, rows saturated
+    /// at the penalty (no direct link, unreachable tails), forced
+    /// members, `k` beyond the pool, and short starts that make the
+    /// local search call greedy itself. Several searches run on one
+    /// instance, so stale bounds and the proven-optimal memo cross from
+    /// one search into the next — including a restart from where an
+    /// earlier search started and from where it ended.
+    #[test]
+    fn lazy_solver_equals_reference_on_adversarial_instances(
+        seed in any::<u64>(),
+        n in 5usize..40,
+        k in 1usize..12,
+    ) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Candidates 1..n; the last few are dead twins of earlier ones:
+        // they are candidates but not destinations, so a twin's whole
+        // row equals its original's.
+        let twins = rng.random_range(0..3usize).min(n - 3);
+        let mut alive = vec![true; n];
+        let mut direct: Vec<f64> = (0..n)
+            .map(|_| match rng.random_range(0..10u32) {
+                0 => f64::INFINITY,
+                x => x as f64,
+            })
+            .collect();
+        let mut residual = DistanceMatrix::from_fn(n, |i, j| {
+            if i == j {
+                0.0
+            } else {
+                match rng.random_range(0..12u32) {
+                    0 => f64::INFINITY,
+                    1 => 1e9, // clamps at the penalty
+                    x => (x / 2) as f64,
+                }
+            }
+        });
+        for t in 0..twins {
+            let (twin, original) = (n - 1 - t, 1 + t);
+            alive[twin] = false;
+            alive[original] = false;
+            direct[twin] = direct[original];
+            for j in 0..n {
+                residual.set_at(twin, j, residual.at(original, j));
+            }
+        }
+        let weights: Vec<f64> = (0..n * n).map(|_| rng.random_range(0..3u32) as f64).collect();
+        let candidates: Vec<NodeId> = (1..n).map(NodeId::from_index).collect();
+        let c = WiringContext {
+            node: NodeId(0),
+            k,
+            candidates: &candidates,
+            direct: &direct,
+            residual: crate::residual::ResidualView::dense(&residual),
+            prefs: &Preferences::from_weights(n, weights),
+            alive: &alive,
+            penalty: 500.0,
+            current: &[],
+        };
+        let mut inst = BrInstance::build(&c);
+        let nc = inst.cand.len();
+        let forced: Vec<usize> = (0..nc).filter(|_| rng.random_range(0..8u32) == 0).take(k).collect();
+        let mut pick_some = |upto: usize| -> Vec<usize> {
+            (0..nc).filter(|_| rng.random_range(0..nc) < upto).collect()
+        };
+
+        for f in [&[][..], &forced[..]] {
+            prop_assert_eq!(inst.greedy(k, f), inst.greedy_reference(k, f), "greedy, forced {:?}", f);
+        }
+        let from_greedy = inst.greedy_reference(k, &forced);
+        let mut starts = vec![Vec::new(), pick_some(2), pick_some(k), from_greedy];
+        for round in 0..2 {
+            for init in starts.clone() {
+                // A start must contain the members it may not drop.
+                let init: Vec<usize> = init.into_iter().chain(forced.iter().copied()).collect();
+                let (s_ref, c_ref) = inst.local_search_reference(k, init.clone(), &forced, 64);
+                let (s, v) = inst.local_search(k, init.clone(), &forced, 64);
+                prop_assert_eq!(&s, &s_ref, "subset from {:?} (pass {})", init, round);
+                prop_assert_eq!(v.to_bits(), c_ref.to_bits(), "cost bits from {:?}", init);
+                if round == 0 {
+                    starts.push(s);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Local-search BR is within 5% of the exhaustive optimum (the §4.1

@@ -20,11 +20,12 @@
 //! free-rider and pyxida experiments mean something.
 
 use crate::cheat::CheatConfig;
-use crate::cost::{disconnection_penalty, node_cost_from_dists, Preferences, RoutingCosts};
+use crate::cost::{disconnection_penalty, node_cost_from_dists, realized_rows, Preferences};
 use crate::policies::bandwidth::{
     all_pairs_widest, bandwidth_best_response, k_widest, BwWiringContext,
 };
 use crate::policies::hybrid::HybridBr;
+use crate::policies::solver::SolverArena;
 use crate::policies::{Policy, PolicyKind, WiringContext};
 use crate::residual::ResidualView;
 use crate::snapshot::{RouteState, RouteStats, SnapshotKind};
@@ -32,7 +33,6 @@ use crate::wiring::Wiring;
 use egoist_graph::apsp::apsp;
 use egoist_graph::connectivity::strongly_connected;
 use egoist_graph::cycles::ring_edges;
-use egoist_graph::dijkstra::dijkstra;
 use egoist_graph::{DistanceMatrix, NodeId};
 use egoist_netsim::churn::ChurnTrace;
 use egoist_netsim::rng::derive;
@@ -213,6 +213,9 @@ pub struct Simulator {
     /// `prefs` so reported costs stay comparable across policies.
     demand_prefs: Option<Preferences>,
     policy: Box<dyn Policy + Send + Sync>,
+    /// Recycled storage of the bandwidth best response (the additive
+    /// solvers keep theirs inside `policy`).
+    bw_arena: SolverArena,
     policy_rng: StdRng,
     underlay_rng: StdRng,
     now: f64,
@@ -286,6 +289,7 @@ impl Simulator {
                 EngineMode::Epoch => cfg.policy.instantiate(),
                 EngineMode::Recompute => cfg.policy.instantiate_reference(),
             },
+            bw_arena: SolverArena::default(),
             policy_rng: derive(cfg.seed, "sim-policy"),
             underlay_rng: derive(cfg.seed, "sim-underlay"),
             now: 0.0,
@@ -566,7 +570,7 @@ impl Simulator {
                         prefs: self.demand_prefs.as_ref().unwrap_or(&self.prefs),
                         alive: &self.alive,
                     };
-                    bandwidth_best_response(&ctx).0
+                    bandwidth_best_response(&ctx, &mut self.bw_arena).0
                 } else {
                     self.ensure_snapshot(SnapshotKind::Widest);
                     let residual_bw = self.route_state.residual(i.index());
@@ -580,7 +584,7 @@ impl Simulator {
                         alive: &self.alive,
                     };
                     let span = self.obs.solver.start();
-                    let picked = bandwidth_best_response(&ctx).0;
+                    let picked = bandwidth_best_response(&ctx, &mut self.bw_arena).0;
                     drop(span);
                     picked
                 }
@@ -714,32 +718,30 @@ impl Simulator {
             _ => {
                 // Routing on announced costs; realized cost true.
                 let g_announced = self.wiring.to_graph(&announced, &self.alive);
-                let rc = RoutingCosts::evaluate(&g_announced, |u, v| truth.get(u, v));
                 let penalty = disconnection_penalty(&truth);
-                for &i in &alive_ids {
-                    let row: Vec<f64> = (0..n).map(|j| rc.realized_dist.at(i.index(), j)).collect();
-                    individual_cost[i.index()] =
-                        node_cost_from_dists(i, &row, &self.prefs, &self.alive, penalty);
-                    // Efficiency over realized distances.
-                    let g_for_eff = &g_announced;
-                    efficiency[i.index()] = {
-                        let sp = dijkstra(g_for_eff, i);
-                        let others: Vec<NodeId> =
-                            alive_ids.iter().copied().filter(|&t| t != i).collect();
-                        if others.is_empty() {
+                let others = alive_ids.len().saturating_sub(1);
+                realized_rows(
+                    &g_announced,
+                    alive_ids.iter().copied(),
+                    |u, v| truth.get(u, v),
+                    |i, announced_dist, realized| {
+                        individual_cost[i.index()] =
+                            node_cost_from_dists(i, realized, &self.prefs, &self.alive, penalty);
+                        // Efficiency over the announced distances.
+                        efficiency[i.index()] = if others == 0 {
                             0.0
                         } else {
                             let mut s = 0.0;
-                            for &j in &others {
-                                let d = sp.dist[j.index()];
+                            for &j in alive_ids.iter().filter(|&&j| j != i) {
+                                let d = announced_dist[j.index()];
                                 if d.is_finite() && d > 0.0 {
                                     s += 1.0 / d;
                                 }
                             }
-                            s / others.len() as f64
-                        }
-                    };
-                }
+                            s / others as f64
+                        };
+                    },
+                );
             }
         }
 

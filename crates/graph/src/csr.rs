@@ -875,6 +875,39 @@ pub fn first_hops(parent: &[u32], source: u32) -> Vec<Option<NodeId>> {
     })
 }
 
+/// Reusable scratch for [`tree_path_costs`].
+#[derive(Default)]
+pub struct TreeScratch {
+    done: Vec<bool>,
+    stack: Vec<usize>,
+}
+
+/// Cost of the tree path `source → v` for every `v`, under an edge cost
+/// other than the one the tree was built on (routes follow announced
+/// costs, what they deliver is the true ones): `out[v] = out[parent[v]]
+/// + cost(parent[v], v)`, root to leaves in one O(n) sweep. These are
+/// the additions of walking each path from the source, in the same
+/// left-to-right order, so every sum is bit-identical to the walk's.
+/// Unreachable nodes get `INFINITY`, the source `0`.
+pub fn tree_path_costs(
+    parent: &[u32],
+    source: u32,
+    mut cost: impl FnMut(NodeId, NodeId) -> f64,
+    out: &mut [f64],
+    scratch: &mut TreeScratch,
+) {
+    out.fill(f64::INFINITY);
+    out[source as usize] = 0.0;
+    scratch.done.resize(parent.len(), false);
+    crate::dijkstra::for_each_tree_edge(
+        source as usize,
+        |v| (parent[v] != NO_PARENT).then_some(parent[v] as usize),
+        &mut scratch.done,
+        &mut scratch.stack,
+        |p, v| out[v] = out[p] + cost(NodeId(p as u32), NodeId(v as u32)),
+    );
+}
+
 /// Reconstruct the node path `source → target` from a packed parent row.
 /// Returns `None` when unreachable.
 pub fn path_from_parents(

@@ -64,46 +64,65 @@ impl ShortestPaths {
 }
 
 /// First hop from `source` toward every node of the shortest-path tree
-/// `parent` encodes (`None` for the source and for unreachable nodes).
-///
-/// Every node inherits its parent's first hop, so each node is stamped
-/// exactly once: climb from an unstamped node to the nearest ancestor
-/// whose hop is known (or the source's child, which is its own hop),
-/// then stamp the climbed chain.
+/// `parent` encodes (`None` for the source and for unreachable nodes):
+/// every node inherits its parent's first hop, the source's children
+/// are their own.
 pub(crate) fn first_hops_by(
     n: usize,
     source: usize,
     parent: impl Fn(usize) -> Option<usize>,
 ) -> Vec<Option<NodeId>> {
-    const UNSET: u32 = u32::MAX;
-    const NO_HOP: u32 = u32::MAX - 1;
-    let mut hop = vec![UNSET; n];
-    hop[source] = NO_HOP;
-    for v in 0..n {
-        if hop[v] != UNSET {
-            continue;
+    let mut hop = vec![None; n];
+    for_each_tree_edge(
+        source,
+        parent,
+        &mut vec![false; n],
+        &mut Vec::new(),
+        |p, v| {
+            hop[v] = if p == source {
+                Some(NodeId(v as u32))
+            } else {
+                hop[p]
+            }
+        },
+    );
+    hop
+}
+
+/// One O(n) sweep down the tree `parent` encodes: `visit(p, v)` is
+/// called once for every node `v` with a parent `p`, after `p`'s own
+/// visit (the source has none) — so a value that is a function of the
+/// parent's value can be filled in place, root to leaves. `done` and
+/// `stack` are scratch the caller may reuse across sweeps.
+///
+/// Each unvisited node climbs to its nearest visited ancestor, then the
+/// climbed chain is visited top down, so every node is touched once.
+pub(crate) fn for_each_tree_edge(
+    source: usize,
+    parent: impl Fn(usize) -> Option<usize>,
+    done: &mut [bool],
+    stack: &mut Vec<usize>,
+    mut visit: impl FnMut(usize, usize),
+) {
+    done.fill(false);
+    done[source] = true;
+    for v in 0..done.len() {
+        stack.clear();
+        let mut cur = v;
+        while !done[cur] {
+            done[cur] = true;
+            match parent(cur) {
+                Some(p) => {
+                    stack.push(cur);
+                    cur = p;
+                }
+                None => break, // unreachable: nothing above to inherit from
+            }
         }
-        let mut cur = v;
-        let found = loop {
-            match parent(cur) {
-                None => break NO_HOP,
-                Some(p) if p == source => break cur as u32,
-                Some(p) if hop[p] != UNSET => break hop[p],
-                Some(p) => cur = p,
-            }
-        };
-        let mut cur = v;
-        while hop[cur] == UNSET {
-            hop[cur] = found;
-            match parent(cur) {
-                Some(p) => cur = p,
-                None => break,
-            }
+        while let Some(x) = stack.pop() {
+            visit(parent(x).expect("stacked nodes have parents"), x);
         }
     }
-    hop.into_iter()
-        .map(|h| (h < NO_HOP).then_some(NodeId(h)))
-        .collect()
 }
 
 #[derive(PartialEq)]

@@ -56,7 +56,7 @@ fn sampled_br_stays_close_to_full_br() {
             penalty,
             current: &[],
         };
-        let inst = BrInstance::build(&ctx);
+        let mut inst = BrInstance::build(&ctx);
         let init = inst.greedy(k, &[]);
         let (s, _) = inst.local_search(k, init, &[], 64);
         inst.to_nodes(&s)
