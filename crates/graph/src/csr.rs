@@ -17,8 +17,8 @@
 //! * decrease-only repair ([`DijkstraWorkspace::repair_decrease`] /
 //!   [`DijkstraWorkspace::repair_increase_widest`]) — the edge-insertion
 //!   half of the incremental route-state maintenance;
-//! * [`path_from_parents`] / [`successive_disjoint_paths`] — CSR ports
-//!   of the path-extraction helpers the data plane uses.
+//! * [`path_from_parents`] / [`DisjointSearch`] — the path-extraction
+//!   helpers the data plane uses.
 //!
 //! Every algorithm here produces bit-identical distances to its
 //! `DiGraph` counterpart: distances are minima of per-path rounded sums,
@@ -277,6 +277,24 @@ impl PartialOrd for MaxHeapEntry {
     }
 }
 
+/// What one SSSP sweep leaves out. The default sweeps everything.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Sweep<'a> {
+    /// Node whose out-edges are skipped — the residual-graph (`G−i`)
+    /// sweep without materializing a second graph.
+    pub(crate) mask: Option<u32>,
+    /// Parallel to the CSR cost array: edges to skip.
+    pub(crate) disabled: Option<&'a [bool]>,
+    /// End the sweep once this node is settled. Its distance and the
+    /// parent chain back to the source are then exactly the full sweep's:
+    /// every node on the chain was settled before it, and a settled
+    /// node's entries are final, because every later pop has `key ≥ dist`
+    /// and costs are non-negative, so `key + c < dist` cannot hold again
+    /// (zero-cost edges and ties included — the comparison is strict).
+    /// Entries of nodes off the chain are unspecified.
+    pub(crate) stop_at: Option<u32>,
+}
+
 /// Reusable arenas for repeated SSSP sweeps: distance and parent arrays
 /// live in external row slices, the heap and settled bitmap are reused
 /// between calls, so a warmed-up workspace allocates nothing.
@@ -320,20 +338,26 @@ impl DijkstraWorkspace {
         dist: &mut [f64],
         parent: &mut [u32],
     ) {
-        self.sssp_impl(g, source, mask, None, dist, parent)
+        let sweep = Sweep {
+            mask,
+            ..Sweep::default()
+        };
+        self.sssp_impl(g, source, sweep, dist, parent)
     }
 
     /// The one Dijkstra loop behind [`Self::sssp_into`] and the
     /// disabled-edge variant — a single implementation so relaxation and
     /// tie-break behavior (which the engine's bit-exactness rests on)
-    /// cannot diverge between them. `disabled`, when present, is
-    /// parallel to the CSR cost array and flags edges to skip.
-    fn sssp_impl(
+    /// cannot diverge between them.
+    pub(crate) fn sssp_impl(
         &mut self,
         g: &CsrGraph,
         source: u32,
-        mask: Option<u32>,
-        disabled: Option<&[bool]>,
+        Sweep {
+            mask,
+            disabled,
+            stop_at,
+        }: Sweep<'_>,
         dist: &mut [f64],
         parent: &mut [u32],
     ) {
@@ -354,6 +378,9 @@ impl DijkstraWorkspace {
                 continue;
             }
             self.settled[u] = true;
+            if stop_at == Some(node) {
+                break;
+            }
             if mask == Some(node) {
                 continue;
             }
@@ -933,62 +960,106 @@ pub fn path_from_parents(
     Some(path)
 }
 
-/// Up to `want` edge-disjoint paths `source → target`, cheapest first:
-/// successive shortest paths with used edges disabled in place (no graph
-/// clones). `disabled` must be an all-false scratch of `edge_count()`
-/// length; it is restored before returning.
+/// Scratch of the successive edge-disjoint shortest-path search: the
+/// disabled-edge mask (parallel to the CSR cost array, all-false between
+/// calls), a workspace and one dist/parent row, reused across pairs.
+pub struct DisjointSearch {
+    ws: DijkstraWorkspace,
+    dist: Vec<f64>,
+    parent: Vec<u32>,
+    disabled: Vec<bool>,
+    used_slots: Vec<usize>,
+}
+
+impl DisjointSearch {
+    /// Scratch sized for `g`.
+    pub fn new(g: &CsrGraph) -> Self {
+        DisjointSearch {
+            ws: DijkstraWorkspace::new(g.len()),
+            dist: vec![f64::INFINITY; g.len()],
+            parent: vec![NO_PARENT; g.len()],
+            disabled: vec![false; g.edge_count()],
+            used_slots: Vec::new(),
+        }
+    }
+
+    /// Up to `want` (at least one) edge-disjoint paths `source → target`,
+    /// cheapest first: successive shortest paths with the used edges
+    /// disabled in place (no graph clones), each search stopping once
+    /// `target` is settled. Every path is handed to `emit` as a parent
+    /// row whose chain from `target` leads back to `source`.
+    ///
+    /// `tree` is the parent row of a plain SSSP from `source` when the
+    /// caller already has one: nothing is disabled before the first
+    /// search, so path 0 is read off it instead of searched again.
+    /// `source == target` yields the one empty path — it disables no
+    /// edge, so every further search would return it again.
+    pub fn for_each_path(
+        &mut self,
+        g: &CsrGraph,
+        source: u32,
+        target: u32,
+        want: usize,
+        tree: Option<&[u32]>,
+        mut emit: impl FnMut(&[u32]),
+    ) {
+        let want = want.max(1);
+        for found in 0..want {
+            let row = match tree {
+                Some(row) if found == 0 => row,
+                _ => {
+                    let sweep = Sweep {
+                        mask: None,
+                        disabled: Some(&self.disabled),
+                        stop_at: Some(target),
+                    };
+                    self.ws
+                        .sssp_impl(g, source, sweep, &mut self.dist, &mut self.parent);
+                    &self.parent
+                }
+            };
+            if source != target && row[target as usize] == NO_PARENT {
+                break;
+            }
+            emit(row);
+            if source == target || found + 1 == want {
+                break;
+            }
+            // Disable the first still-enabled copy of every path edge.
+            let mut cur = target;
+            while cur != source {
+                let p = row[cur as usize];
+                let lo = g.offsets[p as usize] as usize;
+                let (ts, _) = g.out(p as usize);
+                for (off, &t) in ts.iter().enumerate() {
+                    if t == cur && !self.disabled[lo + off] {
+                        self.disabled[lo + off] = true;
+                        self.used_slots.push(lo + off);
+                        break;
+                    }
+                }
+                cur = p;
+            }
+        }
+        for slot in self.used_slots.drain(..) {
+            self.disabled[slot] = false;
+        }
+    }
+}
+
+/// [`DisjointSearch::for_each_path`] collected into node paths.
 pub fn successive_disjoint_paths(
     g: &CsrGraph,
     source: u32,
     target: u32,
     want: usize,
-    ws: &mut DijkstraWorkspace,
-    disabled: &mut [bool],
+    search: &mut DisjointSearch,
 ) -> Vec<Vec<NodeId>> {
-    debug_assert_eq!(disabled.len(), g.edge_count());
-    let n = g.len();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![NO_PARENT; n];
-    let mut used_slots: Vec<usize> = Vec::new();
     let mut paths = Vec::new();
-    for _ in 0..want.max(1) {
-        sssp_with_disabled(g, source, ws, disabled, &mut dist, &mut parent);
-        let Some(path) =
-            path_from_parents(&parent, source, target, dist[target as usize].is_finite())
-        else {
-            break;
-        };
-        for w in path.windows(2) {
-            let (ts, _) = g.out(w[0].index());
-            let lo = g.offsets[w[0].index()] as usize;
-            // Disable the first still-enabled copy of the edge.
-            for (off, &t) in ts.iter().enumerate() {
-                if t == w[1].0 && !disabled[lo + off] {
-                    disabled[lo + off] = true;
-                    used_slots.push(lo + off);
-                    break;
-                }
-            }
-        }
-        paths.push(path);
-    }
-    for slot in used_slots {
-        disabled[slot] = false;
-    }
+    search.for_each_path(g, source, target, want, None, |row| {
+        paths.extend(path_from_parents(row, source, target, true));
+    });
     paths
-}
-
-/// Dijkstra that skips edges flagged in `disabled` (parallel to the CSR
-/// cost array) — the inner loop of [`successive_disjoint_paths`].
-fn sssp_with_disabled(
-    g: &CsrGraph,
-    source: u32,
-    ws: &mut DijkstraWorkspace,
-    disabled: &[bool],
-    dist: &mut [f64],
-    parent: &mut [u32],
-) {
-    ws.sssp_impl(g, source, None, Some(disabled), dist, parent)
 }
 
 #[cfg(test)]
@@ -1323,15 +1394,17 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(2), 2.0);
         g.add_edge(NodeId(2), NodeId(3), 2.0);
         let csr = CsrGraph::from_digraph(&g);
-        let mut ws = DijkstraWorkspace::new(4);
-        let mut disabled = vec![false; csr.edge_count()];
-        let paths = successive_disjoint_paths(&csr, 0, 3, 2, &mut ws, &mut disabled);
+        let mut search = DisjointSearch::new(&csr);
+        let paths = successive_disjoint_paths(&csr, 0, 3, 2, &mut search);
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0], vec![NodeId(0), NodeId(1), NodeId(3)]);
         assert_eq!(paths[1], vec![NodeId(0), NodeId(2), NodeId(3)]);
-        assert!(disabled.iter().all(|&d| !d), "scratch must be restored");
+        assert!(
+            search.disabled.iter().all(|&d| !d),
+            "scratch must be restored"
+        );
         // And a second call still works (scratch reuse).
-        let again = successive_disjoint_paths(&csr, 0, 3, 5, &mut ws, &mut disabled);
+        let again = successive_disjoint_paths(&csr, 0, 3, 5, &mut search);
         assert_eq!(again.len(), 2);
     }
 

@@ -28,8 +28,141 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = DiGraph> {
     })
 }
 
+/// Edge list over `2..max_n` nodes with costs in `0..3` (zero-cost edges
+/// and ties everywhere) and repeated `(from, to)` draws.
+fn arb_tie_edges(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize, u32)>)> {
+    (2usize..max_n).prop_flat_map(|n| {
+        (
+            Just(n),
+            proptest::collection::vec((0..n, 0..n, 0u32..3), 0..n * 3),
+        )
+    })
+}
+
+/// The pre-path-plane multipath search, kept as the oracle: a full
+/// disabled-edge sweep per path and `want` capped by the max-flow count.
+fn disjoint_paths_with_precount(
+    g: &DiGraph,
+    csr: &crate::csr::CsrGraph,
+    (s, t): (u32, u32),
+    max_paths: usize,
+) -> Vec<Vec<NodeId>> {
+    use crate::csr::{path_from_parents, DijkstraWorkspace, Sweep, NO_PARENT};
+    let n = csr.len();
+    let want = max_paths.min(edge_disjoint_paths(g, NodeId(s), NodeId(t)));
+    let mut ws = DijkstraWorkspace::new(n);
+    let mut disabled = vec![false; csr.edge_count()];
+    let (mut dist, mut parent) = (vec![f64::INFINITY; n], vec![NO_PARENT; n]);
+    let mut paths = Vec::new();
+    for _ in 0..want.max(1) {
+        let full = Sweep {
+            disabled: Some(&disabled),
+            ..Sweep::default()
+        };
+        ws.sssp_impl(csr, s, full, &mut dist, &mut parent);
+        let Some(path) = path_from_parents(&parent, s, t, dist[t as usize].is_finite()) else {
+            break;
+        };
+        for w in path.windows(2) {
+            let lo: usize = (0..w[0].index()).map(|u| csr.out(u).0.len()).sum();
+            let (ts, _) = csr.out(w[0].index());
+            let off = (0..ts.len()).find(|&o| ts[o] == w[1].0 && !disabled[lo + o]);
+            disabled[lo + off.expect("path edges are enabled")] = true;
+        }
+        paths.push(path);
+    }
+    paths
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `want = max_paths` finds exactly what `want = min(max_paths,
+    /// max-flow)` found — with every search stopping at the target, and
+    /// with path 0 read off a plain SSSP tree — unreachable targets,
+    /// repeated edges and `s == t` included.
+    #[test]
+    fn disjoint_search_needs_no_maxflow_precount(
+        (n, edges) in arb_tie_edges(12),
+        picks in (0usize..12, 0usize..12),
+        max_paths in 1usize..4,
+    ) {
+        use crate::csr::{
+            path_from_parents, successive_disjoint_paths, CsrGraph, DijkstraWorkspace,
+            DisjointSearch, NO_PARENT,
+        };
+        let mut g = DiGraph::new(n);
+        for (a, b, c) in edges {
+            if a != b {
+                g.add_edge(NodeId::from_index(a), NodeId::from_index(b), c as f64);
+            }
+        }
+        let csr = CsrGraph::from_digraph(&g);
+        let (s, t) = ((picks.0 % n) as u32, (picks.1 % n) as u32);
+        let oracle = disjoint_paths_with_precount(&g, &csr, (s, t), max_paths);
+        let mut search = DisjointSearch::new(&csr);
+        prop_assert_eq!(&successive_disjoint_paths(&csr, s, t, max_paths, &mut search), &oracle);
+
+        let (mut dist, mut tree) = (vec![0.0; n], vec![NO_PARENT; n]);
+        DijkstraWorkspace::new(n).sssp_into(&csr, s, None, &mut dist, &mut tree);
+        let mut off_tree = Vec::new();
+        search.for_each_path(&csr, s, t, max_paths, Some(&tree), |row| {
+            off_tree.extend(path_from_parents(row, s, t, true));
+        });
+        prop_assert_eq!(&off_tree, &oracle);
+    }
+
+    /// Stopping at the target leaves its distance and parent chain bit
+    /// for bit the full sweep's, under any disabled-edge mask, on graphs
+    /// with parallel edges, zero costs and ties; and an all-false mask is
+    /// the plain SSSP tree.
+    #[test]
+    fn early_exit_is_the_full_sweep(
+        (n, edges) in arb_tie_edges(12),
+        mask_seed in any::<u64>(),
+    ) {
+        use crate::csr::{path_from_parents, CsrGraph, DijkstraWorkspace, Sweep, NO_PARENT};
+        let csr = CsrGraph::from_fn(n, |u| {
+            edges
+                .iter()
+                .filter(move |&&(a, b, _)| a == u && b != u)
+                .map(|&(_, b, c)| (b as u32, c as f64))
+                .collect::<Vec<_>>()
+        });
+        let mut ws = DijkstraWorkspace::new(n);
+        let row = || (vec![0.0; n], vec![NO_PARENT; n]);
+        let masks = [
+            vec![false; csr.edge_count()],
+            (0..csr.edge_count()).map(|e| (mask_seed >> (e % 64)) & 1 == 1).collect(),
+        ];
+        for (s, mask) in (0..n as u32).flat_map(|s| masks.iter().map(move |m| (s, m))) {
+            let (mut dist, mut parent) = row();
+            let full = Sweep {
+                disabled: Some(mask),
+                ..Sweep::default()
+            };
+            ws.sssp_impl(&csr, s, full, &mut dist, &mut parent);
+            if mask.iter().all(|&d| !d) {
+                let (mut plain_dist, mut plain_parent) = row();
+                ws.sssp_into(&csr, s, None, &mut plain_dist, &mut plain_parent);
+                prop_assert_eq!(&plain_parent, &parent);
+            }
+            for t in 0..n as u32 {
+                let (mut d, mut p) = row();
+                let early = Sweep {
+                    stop_at: Some(t),
+                    ..full
+                };
+                ws.sssp_impl(&csr, s, early, &mut d, &mut p);
+                prop_assert_eq!(d[t as usize].to_bits(), dist[t as usize].to_bits());
+                let reachable = dist[t as usize].is_finite();
+                prop_assert_eq!(
+                    path_from_parents(&p, s, t, reachable),
+                    path_from_parents(&parent, s, t, reachable)
+                );
+            }
+        }
+    }
 
     /// Dijkstra distances satisfy the triangle inequality over relaxed
     /// edges: d(s,v) ≤ d(s,u) + w(u,v) for every edge (u,v).

@@ -30,7 +30,7 @@
 
 use crate::demand::Flow;
 use crate::queue::QueueBank;
-use crate::router::{RouteInputs, RouteOutcome, RoutedFlow};
+use crate::router::{FlowTally, RouteInputs, RouteOutcome};
 use egoist_graph::NodeId;
 use std::collections::HashMap;
 
@@ -193,9 +193,7 @@ impl BackpressureEngine {
         // proportionally to each flow's share of the commodity injected
         // this epoch (backlog drain beyond that stays unattributed but
         // still counts toward delivered throughput).
-        let obs = crate::router::traffic_obs();
-        let mut routed = Vec::with_capacity(flows.len());
-        let (mut admitted, mut dropped) = (0u64, 0u64);
+        let mut tally = FlowTally::new(flows.len(), inp);
         for &flow in flows {
             let d = flow.dst.index();
             let frac = if injected[d] > 0.0 {
@@ -203,38 +201,12 @@ impl BackpressureEngine {
             } else {
                 0.0
             };
-            let got = flow.rate_mbps * frac;
-            let (latency_ms, stretch) = if got > 0.0 && delivered[d] > 0.0 {
-                let lat = del_lat[d] / delivered[d];
-                let direct = inp.true_delays.get(flow.src, flow.dst);
-                let prop = del_prop[d] / delivered[d];
-                let stretch = if direct > 0.0 {
-                    prop / direct
-                } else {
-                    f64::NAN
-                };
-                admitted += 1;
-                obs.latency_ms.observe(lat);
-                if stretch.is_finite() {
-                    obs.stretch.observe(stretch);
-                }
-                (lat, stretch)
-            } else {
-                dropped += 1;
-                (f64::NAN, f64::NAN)
-            };
-            routed.push(RoutedFlow {
-                flow,
-                delivered_mbps: got,
-                latency_ms,
-                stretch,
-                paths_used: 0,
-            });
+            // `got > 0` implies `delivered[d] > 0`, so the means exist.
+            let means = (del_lat[d] / delivered[d], del_prop[d] / delivered[d]);
+            tally.settle(flow, flow.rate_mbps * frac, means, 0);
         }
 
-        obs.flows_offered.add(flows.len() as u64);
-        obs.flows_admitted.add(admitted);
-        obs.flows_dropped.add(dropped);
+        let obs = crate::router::traffic_obs();
         if egoist_obs::is_enabled() {
             for i in 0..n {
                 let node = NodeId(i as u32);
@@ -249,12 +221,8 @@ impl BackpressureEngine {
         }
 
         RouteOutcome {
-            flows: routed,
-            offered_mbps: flows.iter().map(|f| f.rate_mbps).sum(),
             delivered_mbps: delivered.iter().sum(),
-            consumed,
-            forwarded,
-            route_changes: 0,
+            ..tally.finish(&consumed, &forwarded)
         }
     }
 }

@@ -63,6 +63,7 @@ pub mod demand;
 pub mod engine;
 pub mod feedback;
 pub mod json;
+mod paths;
 pub mod policy;
 pub mod queue;
 pub mod report;

@@ -23,10 +23,9 @@
 use crate::backpressure::{BackpressureConfig, BackpressureEngine};
 use crate::capacity::CapacityLedger;
 use crate::demand::Flow;
-use crate::router::{FlowRouter, RouteInputs, RouteOutcome, RoutedFlow, RouterConfig};
-use egoist_graph::csr::{path_from_parents, NO_PARENT};
-use egoist_graph::{CsrGraph, DiGraph, DijkstraWorkspace, NodeId};
-use std::collections::HashMap;
+use crate::paths::{append_tree_path, HopCosts, PathPlane, SourceTrees};
+use crate::router::{FlowRouter, FlowTally, RouteInputs, RouteOutcome, RouterConfig};
+use egoist_graph::{CsrGraph, NodeId};
 
 /// One epoch of routing under some policy. Implementations may keep
 /// cross-epoch state (queues, smoothed delay estimates, remembered
@@ -97,8 +96,8 @@ impl RoutingPolicy for ShortestPathPolicy {
         "spf"
     }
 
-    fn route_epoch(&mut self, epoch: u64, flows: &[Flow], inp: &RouteInputs<'_>) -> RouteOutcome {
-        self.router.route(epoch, flows, inp)
+    fn route_epoch(&mut self, _epoch: u64, flows: &[Flow], inp: &RouteInputs<'_>) -> RouteOutcome {
+        self.router.route(flows, inp)
     }
 }
 
@@ -154,8 +153,9 @@ pub struct DelayAwarePolicy {
     router_cfg: RouterConfig,
     /// Smoothed queuing-delay estimate per directed pair (ms), dense.
     ewma_ms: Vec<f64>,
-    /// The path each (src, dst) pair is currently committed to.
-    current_paths: HashMap<(u32, u32), Vec<NodeId>>,
+    /// The path each (src, dst) pair is currently committed to: the
+    /// last epoch's plane plus the commitments it inherited.
+    current_paths: PathPlane,
     /// Lifetime route-change count (steady-state flapping observable).
     pub route_changes_total: u64,
 }
@@ -167,7 +167,7 @@ impl DelayAwarePolicy {
             cfg,
             router_cfg,
             ewma_ms: vec![0.0; n * n],
-            current_paths: HashMap::new(),
+            current_paths: PathPlane::new(n),
             route_changes_total: 0,
         }
     }
@@ -205,19 +205,6 @@ impl DelayAwarePolicy {
         }
         Some(cost)
     }
-
-    /// Realized latency: true propagation + load-proportional processing
-    /// (as the other policies charge) + the smoothed queuing estimate on
-    /// every hop — the delay the metric itself predicts.
-    fn realized_latency_ms(&self, path: &[NodeId], inp: &RouteInputs<'_>) -> f64 {
-        let mut ms = 0.0;
-        for w in path.windows(2) {
-            ms += inp.true_delays.get(w[0], w[1]);
-            ms += self.router_cfg.proc_ms_per_load * inp.node_load[w[1].index()];
-            ms += self.q_est(w[0], w[1]);
-        }
-        ms
-    }
 }
 
 impl RoutingPolicy for DelayAwarePolicy {
@@ -229,128 +216,74 @@ impl RoutingPolicy for DelayAwarePolicy {
         let n = self.n;
         debug_assert_eq!(inp.overlay.len(), n);
 
-        // Overlay with queuing-adjusted edge weights.
-        let mut adjusted = DiGraph::new(n);
-        for (u, v, w) in inp.overlay.edges() {
-            adjusted.add_edge(u, v, w + self.cfg.delay_weight * self.q_est(u, v));
-        }
-        let csr = CsrGraph::from_digraph(&adjusted);
-        let mut ws = DijkstraWorkspace::new(n);
+        // Overlay with queuing-adjusted edge weights, straight into CSR
+        // (the overlay's rows have no duplicate targets to merge).
+        let this = &*self;
+        let csr = CsrGraph::from_fn(n, |u| {
+            let u = NodeId::from_index(u);
+            let edges = inp.overlay.out_edges(u).iter();
+            edges.map(move |e| (e.to.0, e.cost + this.cfg.delay_weight * this.q_est(u, e.to)))
+        });
+        // Realized latency charges the smoothed queuing estimate on every
+        // hop on top — the delay the metric itself predicts.
+        let costs = HopCosts {
+            inp,
+            proc_ms_per_load: self.router_cfg.proc_ms_per_load,
+            queue_ms: Some(&self.ewma_ms),
+        };
 
-        // One SSSP per distinct source (computed lazily, like FlowRouter).
-        let mut per_source: Vec<Option<(Vec<f64>, Vec<u32>)>> = vec![None; n];
-        let mut route_changes = 0u64;
-        // Path decision per distinct pair, in first-seen flow order.
-        let mut chosen: HashMap<(u32, u32), Option<Vec<NodeId>>> = HashMap::new();
-        for flow in flows {
-            let key = (flow.src.0, flow.dst.0);
-            if chosen.contains_key(&key) {
-                continue;
-            }
-            if per_source[flow.src.index()].is_none() {
-                let mut dist = vec![f64::INFINITY; n];
-                let mut parent = vec![NO_PARENT; n];
-                ws.sssp_into(&csr, flow.src.0, None, &mut dist, &mut parent);
-                per_source[flow.src.index()] = Some((dist, parent));
-            }
-            let (dist, parent) = per_source[flow.src.index()].as_ref().unwrap();
-            let candidate = path_from_parents(
-                parent,
-                flow.src.0,
-                flow.dst.0,
-                dist[flow.dst.index()].is_finite(),
-            );
-            let decision = match (self.current_paths.get(&key), candidate) {
-                (None, cand) => cand, // first sighting: adopt, not a change
-                (Some(old), None) => {
-                    // No route at all this epoch; drop the commitment.
-                    let _ = old;
-                    self.current_paths.remove(&key);
-                    None
-                }
-                (Some(old), Some(cand)) => {
-                    match self.switch_cost(old, inp, flow.rate_mbps) {
-                        // Old path broken by rewire/churn: forced switch
-                        // (not flapping — the route was taken away).
-                        None => Some(cand),
-                        Some(old_cost) => {
+        // Flows are admitted in their original order against the
+        // capacity ledger, each on its pair's path. That path is decided
+        // when the pair's first flow shows up (by that flow's rate), off
+        // one SSSP tree per distinct source.
+        let mut trees = SourceTrees::new(&csr);
+        let (mut plane, mut candidate) = (PathPlane::new(n), Vec::new());
+        let mut ledger = CapacityLedger::new(inp.capacity);
+        let mut tally = FlowTally::new(flows.len(), inp);
+        let mut route_changes = 0;
+        for &flow in flows {
+            let (src, dst) = (flow.src, flow.dst);
+            if plane.get(src, dst).is_none() {
+                plane.open(src, dst);
+                candidate.clear();
+                // No route at all this epoch drops any commitment.
+                if append_tree_path(&mut candidate, trees.parent_row(src), src, dst) {
+                    let committed = self.current_paths.get(src, dst);
+                    let old = committed.and_then(|paths| paths.first());
+                    let old = old.map(|path| self.current_paths.nodes(path));
+                    // First sighting: adopt, not a change. Old path
+                    // broken by rewire/churn: forced switch (not flapping
+                    // — the route was taken away).
+                    let old_cost = old.and_then(|old| self.switch_cost(old, inp, flow.rate_mbps));
+                    let decision = match old.zip(old_cost) {
+                        None => &candidate[..],
+                        Some((old, old_cost)) => {
                             let cand_cost = self
-                                .switch_cost(&cand, inp, flow.rate_mbps)
+                                .switch_cost(&candidate, inp, flow.rate_mbps)
                                 .unwrap_or(f64::INFINITY);
-                            if cand != *old && cand_cost < old_cost * (1.0 - self.cfg.hysteresis) {
-                                route_changes += 1;
-                                Some(cand)
+                            let switch = candidate != old
+                                && cand_cost < old_cost * (1.0 - self.cfg.hysteresis);
+                            route_changes += usize::from(switch);
+                            if switch {
+                                &candidate[..]
                             } else {
-                                Some(old.clone())
+                                old
                             }
                         }
-                    }
+                    };
+                    plane.push(decision, &costs);
                 }
-            };
-            if let Some(p) = &decision {
-                self.current_paths.insert(key, p.clone());
             }
-            chosen.insert(key, decision);
-        }
-        self.route_changes_total += route_changes;
-
-        // Admission in original flow order, against the capacity ledger.
-        let obs = crate::router::traffic_obs();
-        let mut ledger = CapacityLedger::new(inp.capacity);
-        let offered: f64 = flows.iter().map(|f| f.rate_mbps).sum();
-        let mut routed = Vec::with_capacity(flows.len());
-        let mut delivered_total = 0.0;
-        let (mut admitted, mut dropped) = (0u64, 0u64);
-        for &flow in flows {
-            let path = chosen
-                .get(&(flow.src.0, flow.dst.0))
-                .and_then(|p| p.as_ref());
-            let Some(path) = path else {
-                dropped += 1;
-                routed.push(RoutedFlow {
-                    flow,
-                    delivered_mbps: 0.0,
-                    latency_ms: f64::NAN,
-                    stretch: f64::NAN,
-                    paths_used: 0,
-                });
-                continue;
-            };
-            let got = ledger.admit(path, flow.rate_mbps);
-            let (latency_ms, stretch) = if got > 0.0 {
-                let lat = self.realized_latency_ms(path, inp);
-                let direct = inp.true_delays.get(flow.src, flow.dst);
-                let prop: f64 = path
-                    .windows(2)
-                    .map(|w| inp.true_delays.get(w[0], w[1]))
-                    .sum();
-                let stretch = if direct > 0.0 {
-                    prop / direct
-                } else {
-                    f64::NAN
-                };
-                admitted += 1;
-                obs.latency_ms.observe(lat);
-                if stretch.is_finite() {
-                    obs.stretch.observe(stretch);
+            match plane.get(src, dst).expect("decided above").first() {
+                Some(path) => {
+                    let got = ledger.admit(plane.nodes(path), flow.rate_mbps);
+                    let constants = (path.latency_ms, path.propagation_ms);
+                    tally.settle(flow, got, constants, usize::from(got > 0.0));
                 }
-                (lat, stretch)
-            } else {
-                dropped += 1;
-                (f64::NAN, f64::NAN)
-            };
-            delivered_total += got;
-            routed.push(RoutedFlow {
-                flow,
-                delivered_mbps: got,
-                latency_ms,
-                stretch,
-                paths_used: usize::from(got > 0.0),
-            });
+                None => tally.settle(flow, 0.0, (f64::NAN, f64::NAN), 0),
+            }
         }
-        obs.flows_offered.add(flows.len() as u64);
-        obs.flows_admitted.add(admitted);
-        obs.flows_dropped.add(dropped);
+        self.route_changes_total += route_changes as u64;
 
         // Update the per-link queuing estimate from this epoch's
         // realized utilization: M/M/1-style ρ/(1−ρ), capped, smoothed.
@@ -359,22 +292,16 @@ impl RoutingPolicy for DelayAwarePolicy {
         for (u, v, _) in inp.overlay.edges() {
             let cap = inp.capacity.get(u, v);
             let idx = u.index() * n + v.index();
-            let raw = if cap > 0.0 {
-                let rho = (consumed[idx] / cap).min(0.95);
-                (rho / (1.0 - rho)).min(self.cfg.max_queue_ms)
-            } else {
-                self.cfg.max_queue_ms
-            };
+            let raw = self.q_self(consumed[idx], cap);
             self.ewma_ms[idx] = alpha * raw + (1.0 - alpha) * self.ewma_ms[idx];
         }
+        // Pairs without a flow this epoch stay committed.
+        plane.inherit(&self.current_paths);
+        self.current_paths = plane;
 
         RouteOutcome {
-            flows: routed,
-            offered_mbps: offered,
-            delivered_mbps: delivered_total,
-            consumed: consumed.to_vec(),
-            forwarded: ledger.forwarded_per_node().to_vec(),
-            route_changes: route_changes as usize,
+            route_changes,
+            ..tally.finish(ledger.consumed_matrix(), ledger.forwarded_per_node())
         }
     }
 }
@@ -382,7 +309,7 @@ impl RoutingPolicy for DelayAwarePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egoist_graph::DistanceMatrix;
+    use egoist_graph::{DiGraph, DistanceMatrix};
 
     fn diamond() -> DiGraph {
         // Two parallel 2-hop routes 0→1→3 (cheap) and 0→2→3 (pricier).

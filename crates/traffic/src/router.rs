@@ -10,10 +10,9 @@
 
 use crate::capacity::CapacityLedger;
 use crate::demand::Flow;
-use egoist_graph::csr::{path_from_parents, successive_disjoint_paths, NO_PARENT};
-use egoist_graph::disjoint::edge_disjoint_paths;
-use egoist_graph::{CsrGraph, DiGraph, DijkstraWorkspace, DistanceMatrix, NodeId};
-use std::collections::HashMap;
+use crate::paths::{append_tree_path, HopCosts, PathPlane, SourceTrees};
+use egoist_graph::csr::DisjointSearch;
+use egoist_graph::{CsrGraph, DiGraph, DistanceMatrix};
 use std::sync::OnceLock;
 
 /// Obs handles for the data plane, resolved lazily once and shared by
@@ -119,24 +118,6 @@ impl RouteOutcome {
             self.delivered_mbps / self.offered_mbps
         }
     }
-
-    /// Latencies of flows that delivered anything (ms).
-    pub fn latencies_ms(&self) -> Vec<f64> {
-        self.flows
-            .iter()
-            .filter(|f| f.delivered_mbps > 0.0)
-            .map(|f| f.latency_ms)
-            .collect()
-    }
-
-    /// Stretches of delivered flows.
-    pub fn stretches(&self) -> Vec<f64> {
-        self.flows
-            .iter()
-            .filter(|f| f.delivered_mbps > 0.0 && f.stretch.is_finite())
-            .map(|f| f.stretch)
-            .collect()
-    }
 }
 
 /// Everything the router reads for one epoch.
@@ -152,252 +133,171 @@ pub struct RouteInputs<'a> {
     pub capacity: &'a DistanceMatrix,
 }
 
-/// FNV-1a fingerprint of the overlay's structure and weights. Cheap
-/// (one pass over the edge list) and order-sensitive, which is fine:
-/// `DiGraph` iteration order is itself deterministic.
-fn overlay_fingerprint(g: &DiGraph) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    eat(&(g.len() as u64).to_le_bytes());
-    for (u, v, w) in g.edges() {
-        eat(&u.0.to_le_bytes());
-        eat(&v.0.to_le_bytes());
-        eat(&w.to_bits().to_le_bytes());
-    }
-    h
+/// The per-flow half of an epoch's outcome, which every routing policy
+/// reports the same way: the routed flows in offer order and the obs
+/// tallies (admitted/dropped counters, latency and stretch histograms).
+pub(crate) struct FlowTally<'a> {
+    inp: &'a RouteInputs<'a>,
+    routed: Vec<RoutedFlow>,
+    delivered_mbps: f64,
+    admitted: u64,
 }
 
-/// Multipath disjoint path sets per (src, dst) pair.
-type PairPaths = HashMap<(u32, u32), Vec<Vec<NodeId>>>;
+impl<'a> FlowTally<'a> {
+    pub(crate) fn new(flows: usize, inp: &'a RouteInputs<'a>) -> Self {
+        FlowTally {
+            inp,
+            routed: Vec::with_capacity(flows),
+            delivered_mbps: 0.0,
+            admitted: 0,
+        }
+    }
 
-/// The router. Holds the cross-epoch multipath cache, so it is stateful
-/// (one instance per engine run).
+    /// Close `flow`'s account: `delivered` Mbps over `paths_used` paths,
+    /// at the given delivered-weighted latency and propagation delay
+    /// (both ignored when nothing was delivered).
+    pub(crate) fn settle(
+        &mut self,
+        flow: Flow,
+        delivered: f64,
+        (latency_ms, propagation_ms): (f64, f64),
+        paths_used: usize,
+    ) {
+        let (latency_ms, stretch) = if delivered > 0.0 {
+            let direct = self.inp.true_delays.get(flow.src, flow.dst);
+            let stretch = if direct > 0.0 {
+                propagation_ms / direct
+            } else {
+                f64::NAN
+            };
+            self.admitted += 1;
+            let obs = traffic_obs();
+            obs.latency_ms.observe(latency_ms);
+            if stretch.is_finite() {
+                obs.stretch.observe(stretch);
+            }
+            (latency_ms, stretch)
+        } else {
+            (f64::NAN, f64::NAN)
+        };
+        self.delivered_mbps += delivered;
+        self.routed.push(RoutedFlow {
+            flow,
+            delivered_mbps: delivered,
+            latency_ms,
+            stretch,
+            paths_used,
+        });
+    }
+
+    /// Close the epoch: counters out, outcome assembled.
+    pub(crate) fn finish(self, consumed: &[f64], forwarded: &[f64]) -> RouteOutcome {
+        let obs = traffic_obs();
+        obs.flows_offered.add(self.routed.len() as u64);
+        obs.flows_admitted.add(self.admitted);
+        obs.flows_dropped
+            .add(self.routed.len() as u64 - self.admitted);
+        RouteOutcome {
+            offered_mbps: self.routed.iter().map(|f| f.flow.rate_mbps).sum(),
+            delivered_mbps: self.delivered_mbps,
+            flows: self.routed,
+            consumed: consumed.to_vec(),
+            forwarded: forwarded.to_vec(),
+            route_changes: 0,
+        }
+    }
+}
+
+/// The router: stateless — everything it computes is per epoch.
 #[derive(Clone, Debug, Default)]
 pub struct FlowRouter {
     pub cfg: RouterConfig,
-    /// Multipath disjoint path sets, keyed by `(epoch, overlay
-    /// fingerprint)`: a rewire or churn event changes the fingerprint
-    /// and a new epoch changes the key, so a stale path set can never
-    /// be served — the cache only survives *within* one epoch's calls
-    /// over one overlay.
-    mp_cache: Option<(u64, u64, PairPaths)>,
 }
 
 impl FlowRouter {
     pub fn new(cfg: RouterConfig) -> Self {
-        FlowRouter {
-            cfg,
-            mp_cache: None,
-        }
-    }
-
-    /// Realized latency of `path`: true propagation per hop plus load-
-    /// proportional processing at every relay and the destination's
-    /// receive path (the source's own stack is free — it paces itself).
-    fn path_latency_ms(&self, path: &[NodeId], inp: &RouteInputs<'_>) -> f64 {
-        let mut ms = 0.0;
-        for w in path.windows(2) {
-            ms += inp.true_delays.get(w[0], w[1]);
-            ms += self.cfg.proc_ms_per_load * inp.node_load[w[1].index()];
-        }
-        ms
-    }
-
-    /// Propagation-only delay of `path`.
-    fn path_propagation_ms(path: &[NodeId], inp: &RouteInputs<'_>) -> f64 {
-        path.windows(2)
-            .map(|w| inp.true_delays.get(w[0], w[1]))
-            .sum()
+        FlowRouter { cfg }
     }
 
     /// Route one epoch's flows in order, metering them into capacity.
     ///
-    /// Path computation is shared across flows: flows are grouped by
-    /// source and single-path mode runs exactly one workspace Dijkstra
-    /// per *distinct* source on a CSR copy of the overlay; multipath
-    /// mode caches the edge-disjoint path set per `(src, dst)` pair
-    /// (paths depend only on the overlay, not on ledger state, so the
-    /// cache cannot change admission results). The multipath cache is
-    /// keyed by `(epoch, overlay fingerprint)` and lives on the router,
-    /// so repeat calls within an epoch reuse it while any rewire or
-    /// churn event (new fingerprint) or epoch boundary discards it.
-    /// Flows are still metered into capacity strictly in their
-    /// original order.
-    pub fn route(&mut self, epoch: u64, flows: &[Flow], inp: &RouteInputs<'_>) -> RouteOutcome {
+    /// Paths are shared across flows through the epoch's path plane
+    /// (`paths.rs`): per distinct `(src, dst)` pair, up to
+    /// `max_paths` edge-disjoint paths, cheapest first (they depend only
+    /// on the overlay, not on ledger state, so sharing them cannot change
+    /// admission results). Path 0 is read off the source's SSSP tree;
+    /// paths 1.. come from [`DisjointSearch`], asked for `max_paths`
+    /// outright. An earlier version first counted the pair's disjoint
+    /// paths with a unit-capacity max-flow and asked for the smaller of
+    /// the two, which cannot change the result: the search stops at the
+    /// first path it fails to find, and greedily chosen edge-disjoint
+    /// paths never outnumber the max-flow, so the count only ever capped
+    /// a loop that had already ended.
+    pub fn route(&self, flows: &[Flow], inp: &RouteInputs<'_>) -> RouteOutcome {
         let obs = traffic_obs();
         let _span = obs.route.start();
         let n = inp.overlay.len();
-        let mut ledger = CapacityLedger::new(inp.capacity);
-        let offered: f64 = flows.iter().map(|f| f.rate_mbps).sum();
-
         let csr = CsrGraph::from_digraph(inp.overlay);
-        let mut ws = DijkstraWorkspace::new(n);
-
-        // Group by source: one SSSP per distinct source, up front.
-        let mut per_source: Vec<Option<(Vec<f64>, Vec<u32>)>> = vec![None; n];
-        if self.cfg.max_paths <= 1 {
-            for flow in flows {
-                let s = flow.src.index();
-                if per_source[s].is_none() {
-                    let mut dist = vec![f64::INFINITY; n];
-                    let mut parent = vec![NO_PARENT; n];
-                    ws.sssp_into(&csr, flow.src.0, None, &mut dist, &mut parent);
-                    per_source[s] = Some((dist, parent));
-                }
-            }
-        }
-        // Multipath: disjoint path sets per distinct pair, taken from
-        // the epoch-keyed cache when epoch and overlay both match.
-        let overlay_fp = if self.cfg.max_paths > 1 {
-            overlay_fingerprint(inp.overlay)
-        } else {
-            0
+        let costs = HopCosts {
+            inp,
+            proc_ms_per_load: self.cfg.proc_ms_per_load,
+            queue_ms: None,
         };
-        let mut pair_paths: PairPaths = match self.mp_cache.take() {
-            Some((e, fp, map)) if self.cfg.max_paths > 1 && e == epoch && fp == overlay_fp => map,
-            _ => HashMap::new(),
-        };
-        let mut disabled = vec![false; csr.edge_count()];
-
-        let mut routed = Vec::with_capacity(flows.len());
-        let mut delivered_total = 0.0;
-        let (mut admitted, mut dropped) = (0u64, 0u64);
+        let (mut trees, mut search) = (SourceTrees::new(&csr), DisjointSearch::new(&csr));
+        let (mut plane, mut nodes) = (PathPlane::new(n), Vec::new());
+        let mut ledger = CapacityLedger::new(inp.capacity);
+        let mut tally = FlowTally::new(flows.len(), inp);
         for &flow in flows {
-            let paths: Vec<Vec<NodeId>> = if self.cfg.max_paths <= 1 {
-                let (dist, parent) = per_source[flow.src.index()]
-                    .as_ref()
-                    .expect("per-source SSSP precomputed above");
-                path_from_parents(
-                    parent,
-                    flow.src.0,
-                    flow.dst.0,
-                    dist[flow.dst.index()].is_finite(),
-                )
-                .into_iter()
-                .collect()
-            } else {
-                pair_paths
-                    .entry((flow.src.0, flow.dst.0))
-                    .or_insert_with(|| {
-                        let want = self.cfg.max_paths.min(edge_disjoint_paths(
-                            inp.overlay,
-                            flow.src,
-                            flow.dst,
-                        ));
-                        successive_disjoint_paths(
-                            &csr,
-                            flow.src.0,
-                            flow.dst.0,
-                            want,
-                            &mut ws,
-                            &mut disabled,
-                        )
-                    })
-                    .clone()
-            };
-
-            if paths.is_empty() {
-                dropped += 1;
-                routed.push(RoutedFlow {
-                    flow,
-                    delivered_mbps: 0.0,
-                    latency_ms: f64::NAN,
-                    stretch: f64::NAN,
-                    paths_used: 0,
+            let (src, dst) = (flow.src, flow.dst);
+            if plane.get(src, dst).is_none() {
+                plane.open(src, dst);
+                let (want, tree) = (self.cfg.max_paths, Some(trees.parent_row(src)));
+                search.for_each_path(&csr, src.0, dst.0, want, tree, |row| {
+                    nodes.clear();
+                    append_tree_path(&mut nodes, row, src, dst);
+                    plane.push(&nodes, &costs);
                 });
-                continue;
             }
-
             // Fill paths cheapest-first; each takes what its bottleneck
             // allows until the flow's rate is placed.
             let mut remaining = flow.rate_mbps;
             let mut delivered = 0.0;
-            let mut weighted_latency = 0.0;
-            let mut weighted_prop = 0.0;
+            let (mut weighted_latency, mut weighted_prop) = (0.0, 0.0);
             let mut used = 0;
-            for path in &paths {
+            for path in plane.get(src, dst).expect("filled above") {
                 if remaining <= 0.0 {
                     break;
                 }
-                let got = ledger.admit(path, remaining);
+                let got = ledger.admit(plane.nodes(path), remaining);
                 if got > 0.0 {
                     delivered += got;
                     remaining -= got;
-                    weighted_latency += got * self.path_latency_ms(path, inp);
-                    weighted_prop += got * Self::path_propagation_ms(path, inp);
+                    weighted_latency += got * path.latency_ms;
+                    weighted_prop += got * path.propagation_ms;
                     used += 1;
                 }
             }
-
-            let (latency_ms, stretch) = if delivered > 0.0 {
-                let lat = weighted_latency / delivered;
-                let direct = inp.true_delays.get(flow.src, flow.dst);
-                let prop = weighted_prop / delivered;
-                let stretch = if direct > 0.0 {
-                    prop / direct
-                } else {
-                    f64::NAN
-                };
-                admitted += 1;
-                obs.latency_ms.observe(lat);
-                if stretch.is_finite() {
-                    obs.stretch.observe(stretch);
-                }
-                (lat, stretch)
-            } else {
-                dropped += 1;
-                (f64::NAN, f64::NAN)
-            };
-            delivered_total += delivered;
-            routed.push(RoutedFlow {
-                flow,
-                delivered_mbps: delivered,
-                latency_ms,
-                stretch,
-                paths_used: used,
-            });
+            let means = (weighted_latency / delivered, weighted_prop / delivered);
+            tally.settle(flow, delivered, means, used);
         }
 
-        obs.flows_offered.add(flows.len() as u64);
-        obs.flows_admitted.add(admitted);
-        obs.flows_dropped.add(dropped);
         if egoist_obs::is_enabled() {
             // Utilization of every link that carried traffic this epoch.
-            let consumed = ledger.consumed_matrix();
-            for i in 0..n {
-                for j in 0..n {
-                    let used = consumed[i * n + j];
-                    let cap = inp.capacity.at(i, j);
-                    if used > 0.0 && cap > 0.0 {
-                        obs.link_utilization.observe(used / cap);
-                    }
+            for (at, &used) in ledger.consumed_matrix().iter().enumerate() {
+                let cap = inp.capacity.at(at / n, at % n);
+                if used > 0.0 && cap > 0.0 {
+                    obs.link_utilization.observe(used / cap);
                 }
             }
         }
-
-        if self.cfg.max_paths > 1 {
-            self.mp_cache = Some((epoch, overlay_fp, pair_paths));
-        }
-
-        RouteOutcome {
-            flows: routed,
-            offered_mbps: offered,
-            delivered_mbps: delivered_total,
-            consumed: ledger.consumed_matrix().to_vec(),
-            forwarded: ledger.forwarded_per_node().to_vec(),
-            route_changes: 0,
-        }
+        tally.finish(ledger.consumed_matrix(), ledger.forwarded_per_node())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egoist_graph::NodeId;
 
     /// A 4-node line 0→1→2→3 with a costly shortcut 0→3.
     fn line_overlay() -> DiGraph {
@@ -429,9 +329,8 @@ mod tests {
         let delays = DistanceMatrix::off_diagonal(4, 5.0);
         let loads = [0.0; 4];
         let cap = DistanceMatrix::off_diagonal(4, 1000.0);
-        let mut r = FlowRouter::default();
+        let r = FlowRouter::default();
         let out = r.route(
-            0,
             &[Flow {
                 src: NodeId(0),
                 dst: NodeId(3),
@@ -452,17 +351,14 @@ mod tests {
         let cap = DistanceMatrix::off_diagonal(4, 1000.0);
         let cool = [0.0, 0.0, 0.0, 0.0];
         let hot = [0.0, 20.0, 0.0, 0.0]; // relay v1 is slammed
-        let mut r = FlowRouter::default();
+        let r = FlowRouter::default();
         let f = [Flow {
             src: NodeId(0),
             dst: NodeId(3),
             rate_mbps: 1.0,
         }];
-        let lat_cool = r
-            .route(0, &f, &inputs(&overlay, &delays, &cool, &cap))
-            .flows[0]
-            .latency_ms;
-        let lat_hot = r.route(0, &f, &inputs(&overlay, &delays, &hot, &cap)).flows[0].latency_ms;
+        let lat_cool = r.route(&f, &inputs(&overlay, &delays, &cool, &cap)).flows[0].latency_ms;
+        let lat_hot = r.route(&f, &inputs(&overlay, &delays, &hot, &cap)).flows[0].latency_ms;
         assert!(
             lat_hot > lat_cool + 30.0,
             "20 load × 2 ms = 40 ms extra: {lat_cool} vs {lat_hot}"
@@ -475,9 +371,8 @@ mod tests {
         let delays = DistanceMatrix::off_diagonal(4, 5.0);
         let loads = [0.0; 4];
         let cap = DistanceMatrix::off_diagonal(4, 8.0);
-        let mut r = FlowRouter::default();
+        let r = FlowRouter::default();
         let out = r.route(
-            0,
             &[
                 Flow {
                     src: NodeId(0),
@@ -506,7 +401,6 @@ mod tests {
         let loads = [0.0; 3];
         let cap = DistanceMatrix::off_diagonal(3, 100.0);
         let out = FlowRouter::default().route(
-            0,
             &[Flow {
                 src: NodeId(0),
                 dst: NodeId(2),
@@ -535,18 +429,18 @@ mod tests {
             dst: NodeId(3),
             rate_mbps: 18.0,
         }];
-        let mut single = FlowRouter::new(RouterConfig {
+        let single = FlowRouter::new(RouterConfig {
             max_paths: 1,
             ..Default::default()
         });
-        let mut multi = FlowRouter::new(RouterConfig {
+        let multi = FlowRouter::new(RouterConfig {
             max_paths: 2,
             ..Default::default()
         });
         let inp = inputs(&overlay, &delays, &loads, &cap);
-        assert_eq!(single.route(0, &f, &inp).delivered_mbps, 10.0);
-        assert_eq!(multi.route(0, &f, &inp).delivered_mbps, 18.0);
-        let out = multi.route(0, &f, &inp);
+        assert_eq!(single.route(&f, &inp).delivered_mbps, 10.0);
+        assert_eq!(multi.route(&f, &inp).delivered_mbps, 18.0);
+        let out = multi.route(&f, &inp);
         assert_eq!(out.flows[0].paths_used, 2);
     }
 
@@ -557,7 +451,6 @@ mod tests {
         let loads = [0.0; 4];
         let cap = DistanceMatrix::off_diagonal(4, 100.0);
         let out = FlowRouter::default().route(
-            0,
             &[Flow {
                 src: NodeId(0),
                 dst: NodeId(3),

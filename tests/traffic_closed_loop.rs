@@ -131,3 +131,59 @@ fn delivery_survives_churn() {
         r.summary.delivery_ratio
     );
 }
+
+/// FNV-1a over a report's JSON bytes.
+fn fnv(json: &str) -> u64 {
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The four arms of the `traffic_mix_n150` benchmark workload at its
+/// n=40 self-check shape. The pins are the report bytes of commit
+/// b6ea82c, before the data plane moved onto the per-epoch path plane
+/// (per-pair max-flow pre-count, per-flow path walks, sort-based report).
+#[test]
+fn benchmark_arm_reports_are_pinned() {
+    use egoist::traffic::DataPolicyKind::{Backpressure, DelayAware, ShortestPath};
+    let uniform = WorkloadKind::Uniform;
+    let gravity = WorkloadKind::Gravity { exponent: 1.2 };
+    for (name, policy, max_paths, workload, flows, pin) in [
+        (
+            "spf",
+            ShortestPath,
+            1,
+            uniform,
+            4000,
+            0x5f4e79f9f48b12ea_u64,
+        ),
+        ("mp2", ShortestPath, 2, gravity, 200, 0x1975b578f21418dd),
+        (
+            "backpressure",
+            Backpressure,
+            1,
+            uniform,
+            4000,
+            0x04ae6274a601de43,
+        ),
+        (
+            "delay_aware",
+            DelayAware,
+            1,
+            uniform,
+            4000,
+            0x14974a8694e16a97,
+        ),
+    ] {
+        let mut cfg = TrafficConfig::new(40, 4, PolicyKind::BestResponse, Metric::DelayPing, 11);
+        cfg.sim.epochs = 4;
+        cfg.sim.warmup_epochs = 2;
+        cfg.workload = workload;
+        cfg.offered_mbps = 800.0;
+        cfg.flows_per_epoch = flows;
+        cfg.router.max_paths = max_paths;
+        cfg.data_policy = policy;
+        let got = fnv(&TrafficEngine::run(&cfg).to_json());
+        assert_eq!(got, pin, "{name}: report bytes changed ({got:#018x})");
+    }
+}
