@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egoist_core::cost::{disconnection_penalty, Preferences};
-use egoist_core::policies::bandwidth::{all_pairs_widest, BwInstance, BwWiringContext};
+use egoist_core::policies::bandwidth::{all_pairs_widest, BwInstance};
 use egoist_core::policies::best_response::{BestResponse, BrInstance};
 use egoist_core::policies::solver::SolverArena;
 use egoist_core::policies::{PolicyKind, WiringContext};
@@ -246,14 +246,16 @@ fn bench_bw_local_search(c: &mut Criterion) {
     let residual = all_pairs_widest(&g);
     let direct: Vec<f64> = (0..n).map(|j| bw.available(0, j)).collect();
     let candidates: Vec<NodeId> = (1..n).map(NodeId::from_index).collect();
-    let ctx = BwWiringContext {
+    let ctx = WiringContext {
         node: NodeId(0),
         k,
         candidates: &candidates,
-        direct_bw: &direct,
-        residual_bw: egoist_core::ResidualView::dense(&residual),
+        direct: &direct,
+        residual: egoist_core::ResidualView::dense(&residual),
         prefs: &Preferences::uniform(n),
         alive: &vec![true; n],
+        penalty: 0.0,
+        current: &[],
     };
     let mut inst = BwInstance::build_in(&ctx, &mut SolverArena::default());
     let start: Vec<usize> = (inst.cand.len() - k..inst.cand.len()).collect();

@@ -8,7 +8,7 @@
 //! incentive for nodes to choose disconnected nodes as direct neighbors"
 //! (§4.4).
 
-use egoist_graph::csr::{tree_path_costs, TreeScratch};
+use egoist_graph::csr::{tree_path_costs, MaxMin, Sweep, TreeScratch};
 use egoist_graph::{CsrGraph, DiGraph, DijkstraWorkspace, DistanceMatrix, NodeId};
 use rand::Rng;
 
@@ -185,6 +185,25 @@ pub fn realized_rows(
     }
 }
 
+/// Widest-path widths from each of `sources` over an overlay whose edge
+/// costs are bandwidths (`0` when unreachable, `INFINITY` for the source
+/// itself) — the max-min form of the sweep [`realized_rows`] runs, one
+/// workspace reused across sources.
+pub fn widest_rows(
+    overlay: &DiGraph,
+    sources: impl IntoIterator<Item = NodeId>,
+    mut visit: impl FnMut(NodeId, &[f64]),
+) {
+    let n = overlay.len();
+    let g = CsrGraph::from_digraph(overlay);
+    let mut ws = DijkstraWorkspace::new(n);
+    let (mut width, mut parent) = (vec![0.0; n], vec![0u32; n]);
+    for i in sources {
+        ws.sweep::<MaxMin>(&g, i.0, Sweep::default(), &mut width, &mut parent);
+        visit(i, &width);
+    }
+}
+
 impl RoutingCosts {
     /// Evaluate an overlay graph whose edges carry announced costs;
     /// `true_cost(u, v)` supplies the true cost of each used edge.
@@ -224,6 +243,32 @@ impl RoutingCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn widest_rows_bitwise_match_widest_paths() {
+        // What `Simulator::measure` reads under the bandwidth metric,
+        // against the dense reference it used to call: dead nodes (no
+        // edges), a reused workspace and unreachable targets included.
+        let n = 23;
+        let bw = egoist_netsim::BandwidthModel::with_defaults(n, 5).available_matrix();
+        let mut g = DiGraph::new(n);
+        for i in (0..n).filter(|i| i % 7 != 3) {
+            for o in [1, 4, 9] {
+                let j = (i * 5 + o) % n;
+                if j != i && j % 7 != 3 {
+                    g.add_edge(NodeId::from_index(i), NodeId::from_index(j), bw.at(i, j));
+                }
+            }
+        }
+        let mut seen = 0;
+        widest_rows(&g, (0..n).rev().map(NodeId::from_index), |i, width| {
+            let oracle = egoist_graph::widest::widest_paths(&g, i).width;
+            let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&oracle), bits(width), "source {i:?}");
+            seen += 1;
+        });
+        assert_eq!(seen, n);
+    }
 
     #[test]
     fn uniform_rows_sum_to_one() {

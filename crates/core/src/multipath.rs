@@ -132,7 +132,8 @@ pub fn average_gains(
 /// bandwidths.
 pub fn bandwidth_overlay(bw: &BandwidthModel, k: usize, sweeps: usize) -> DiGraph {
     use crate::cost::Preferences;
-    use crate::policies::bandwidth::{all_pairs_widest, bandwidth_best_response, BwWiringContext};
+    use crate::policies::bandwidth::{all_pairs_widest, bandwidth_best_response};
+    use crate::policies::WiringContext;
     use crate::residual::ResidualView;
 
     let n = bw.len();
@@ -149,14 +150,16 @@ pub fn bandwidth_overlay(bw: &BandwidthModel, k: usize, sweeps: usize) -> DiGrap
             let candidates: Vec<NodeId> =
                 (0..n).filter(|&j| j != i).map(NodeId::from_index).collect();
             let direct: Vec<f64> = (0..n).map(|j| bw.available(i, j)).collect();
-            let ctx = BwWiringContext {
+            let ctx = WiringContext {
                 node: me,
                 k,
                 candidates: &candidates,
-                direct_bw: &direct,
-                residual_bw: ResidualView::dense(&residual_bw),
+                direct: &direct,
+                residual: ResidualView::dense(&residual_bw),
                 prefs: &prefs,
                 alive: &alive,
+                penalty: 0.0,
+                current: &[],
             };
             let (wiring, _) = bandwidth_best_response(&ctx, &mut Default::default());
             g.clear_out_edges(me);

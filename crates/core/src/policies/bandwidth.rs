@@ -12,27 +12,21 @@
 //! system we use a greedy + local-search heuristic; the test suite checks
 //! it lands within a few percent of the exhaustive optimum on small
 //! instances, mirroring the paper's "within 5% of optimal" claim.
+//!
+//! A bandwidth turn is an ordinary [`WiringContext`]: `direct` holds the
+//! probed available bandwidth `i → j`, `residual` the widest-path widths
+//! over `G−i`, `penalty` is 0 (an unserved destination carries nothing)
+//! and `current` is not read. [`PolicyKind::instantiate_bandwidth`] picks
+//! the policy objects defined here.
+//!
+//! [`PolicyKind::instantiate_bandwidth`]: super::PolicyKind::instantiate_bandwidth
 
-use super::solver::{Instance, Max, SolverArena};
-use crate::cost::Preferences;
-use crate::residual::ResidualView;
+use super::solver::{Instance, SolverArena};
+use super::{Policy, WiringContext};
+use egoist_graph::csr::MaxMin;
 use egoist_graph::widest::widest_paths;
 use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
-
-/// Context for a bandwidth-objective wiring decision.
-pub struct BwWiringContext<'a> {
-    pub node: NodeId,
-    pub k: usize,
-    /// Alive candidates (≠ node).
-    pub candidates: &'a [NodeId],
-    /// Direct available bandwidth `i → j` (dense row, length n).
-    pub direct_bw: &'a [f64],
-    /// Widest-path bandwidth over the residual overlay — a zero-copy
-    /// [`ResidualView`], dense or copy-on-write.
-    pub residual_bw: ResidualView<'a>,
-    pub prefs: &'a Preferences,
-    pub alive: &'a [bool],
-}
+use rand::rngs::StdRng;
 
 /// Dense all-pairs widest-path matrix for a bandwidth-weighted overlay.
 pub fn all_pairs_widest(g: &DiGraph) -> DistanceMatrix {
@@ -49,33 +43,18 @@ pub fn all_pairs_widest(g: &DiGraph) -> DistanceMatrix {
 
 /// Assignment-utility instance: `assignment(c, t) = min(direct_bw(i, c),
 /// residual_bw(c, j_t))`, the bottleneck bandwidth to destination `t`
-/// through first hop `c`. The max-direction instantiation of the core
+/// through first hop `c`. The max-min instantiation of the core
 /// `BrInstance` runs on.
-pub type BwInstance = Instance<Max>;
-
-impl Instance<Max> {
-    /// Build from a context into `arena`'s recycled buffers. Direct
-    /// bandwidths are finite probe values, so utilities are too.
-    pub fn build_in(ctx: &BwWiringContext<'_>, arena: &mut SolverArena) -> BwInstance {
-        Instance::assemble(
-            ctx.candidates,
-            ctx.alive,
-            |j| ctx.prefs.get(ctx.node, j),
-            0.0,
-            arena,
-            |w| Some((ctx.direct_bw[w.index()], ctx.residual_bw.row(w.index()))),
-        )
-    }
-}
+pub type BwInstance = Instance<MaxMin>;
 
 /// Bandwidth best response: greedy + local search, in the caller's
 /// recycled `arena`.
 pub fn bandwidth_best_response(
-    ctx: &BwWiringContext<'_>,
+    ctx: &WiringContext<'_>,
     arena: &mut SolverArena,
 ) -> (Vec<NodeId>, f64) {
     let mut inst = BwInstance::build_in(ctx, arena);
-    let k = ctx.k.min(ctx.candidates.len());
+    let k = ctx.effective_k();
     let init = inst.greedy(k, &[]);
     let (subset, utility) = inst.local_search(k, init, &[], 64);
     let nodes = inst.to_nodes(&subset);
@@ -83,23 +62,50 @@ pub fn bandwidth_best_response(
     (nodes, utility)
 }
 
+/// The bandwidth best-response policy object; owns its recycled arena.
+#[derive(Default)]
+pub struct BandwidthBr {
+    arena: SolverArena,
+}
+
+impl Policy for BandwidthBr {
+    fn wire(&mut self, ctx: &WiringContext<'_>, _rng: &mut StdRng) -> Vec<NodeId> {
+        bandwidth_best_response(ctx, &mut self.arena).0
+    }
+
+    fn name(&self) -> &'static str {
+        "BR-bandwidth"
+    }
+}
+
 /// k-Widest: the bandwidth analogue of k-Closest (maximum direct
 /// available bandwidth first).
-pub fn k_widest(ctx: &BwWiringContext<'_>) -> Vec<NodeId> {
-    let mut pool: Vec<NodeId> = ctx.candidates.to_vec();
-    pool.sort_by(|a, b| {
-        ctx.direct_bw[b.index()]
-            .total_cmp(&ctx.direct_bw[a.index()])
-            .then(a.cmp(b))
-    });
-    pool.truncate(ctx.k.min(pool.len()));
-    pool
+pub struct KWidest;
+
+impl Policy for KWidest {
+    fn wire(&mut self, ctx: &WiringContext<'_>, _rng: &mut StdRng) -> Vec<NodeId> {
+        let mut pool: Vec<NodeId> = ctx.candidates.to_vec();
+        pool.sort_by(|a, b| {
+            ctx.direct[b.index()]
+                .total_cmp(&ctx.direct[a.index()])
+                .then(a.cmp(b))
+        });
+        pool.truncate(ctx.effective_k());
+        pool
+    }
+
+    fn name(&self) -> &'static str {
+        "k-Widest"
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::Preferences;
+    use crate::residual::ResidualView;
     use egoist_netsim::BandwidthModel;
+    use rand::SeedableRng;
 
     /// The eager solver `BwInstance` shipped before it moved onto the
     /// shared pruned core, kept verbatim as the bandwidth oracle: every
@@ -243,20 +249,26 @@ mod tests {
         }
     }
 
-    fn ctx(parts: &Parts, k: usize) -> BwWiringContext<'_> {
-        BwWiringContext {
+    fn ctx(parts: &Parts, k: usize) -> WiringContext<'_> {
+        WiringContext {
             node: NodeId(0),
             k,
             candidates: &parts.candidates,
-            direct_bw: &parts.direct,
-            residual_bw: ResidualView::dense(&parts.residual),
+            direct: &parts.direct,
+            residual: ResidualView::dense(&parts.residual),
             prefs: &parts.prefs,
             alive: &parts.alive,
+            penalty: 0.0,
+            current: &[],
         }
     }
 
-    fn solve(c: &BwWiringContext<'_>) -> (Vec<NodeId>, f64) {
+    fn solve(c: &WiringContext<'_>) -> (Vec<NodeId>, f64) {
         bandwidth_best_response(c, &mut SolverArena::default())
+    }
+
+    fn k_widest(c: &WiringContext<'_>) -> Vec<NodeId> {
+        KWidest.wire(c, &mut StdRng::seed_from_u64(0))
     }
 
     #[test]
@@ -347,7 +359,7 @@ mod tests {
         let w = k_widest(&c);
         assert_eq!(w.len(), 3);
         for pair in w.windows(2) {
-            assert!(c.direct_bw[pair[0].index()] >= c.direct_bw[pair[1].index()]);
+            assert!(c.direct[pair[0].index()] >= c.direct[pair[1].index()]);
         }
     }
 

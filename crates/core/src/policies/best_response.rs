@@ -14,12 +14,12 @@
 //!   the same bound against the exact solver.
 //!
 //! Both run on the facility-location core in [`super::solver`], which the
-//! bandwidth objective shares; this module adds the delay-cost instance
-//! builder, the pre-optimization reference loops the core is pinned
-//! against, and the policy object.
+//! bandwidth objective shares; this module adds the pre-optimization
+//! reference loops the core is pinned against and the policy object.
 
-use super::solver::{indices_of, Instance, Min, SolverArena};
+use super::solver::{indices_of, Instance, SolverArena};
 use super::{Policy, WiringContext};
+use egoist_graph::csr::MinPlus;
 use egoist_graph::NodeId;
 use rand::rngs::StdRng;
 
@@ -27,35 +27,9 @@ use rand::rngs::StdRng;
 /// `assignment(c, t)` is the cost node `i` pays for destination `t` when
 /// routing through candidate `c` as the first hop, clamped at the
 /// disconnection penalty. Solved by the shared [`Instance`] core.
-pub type BrInstance = Instance<Min>;
+pub type BrInstance = Instance<MinPlus>;
 
-impl Instance<Min> {
-    /// Build the instance from a wiring context, allocating fresh
-    /// storage (tests and one-shot callers).
-    pub fn build(ctx: &WiringContext<'_>) -> BrInstance {
-        Self::build_in(ctx, &mut SolverArena::default())
-    }
-
-    /// Build the instance into `arena`'s recycled buffers — candidate
-    /// rows are read straight through the residual view, so a warmed-up
-    /// engine allocates nothing per turn; a candidate without a finite
-    /// direct cost serves nobody and its residual row is never read.
-    /// Call [`Instance::recycle`] when done to hand the storage back.
-    pub fn build_in(ctx: &WiringContext<'_>, arena: &mut SolverArena) -> BrInstance {
-        Instance::assemble(
-            ctx.candidates,
-            ctx.alive,
-            |j| ctx.prefs.get(ctx.node, j),
-            ctx.penalty,
-            arena,
-            |w| {
-                let d_iw = ctx.direct[w.index()];
-                d_iw.is_finite()
-                    .then(|| (d_iw, ctx.residual.row(w.index())))
-            },
-        )
-    }
-
+impl Instance<MinPlus> {
     /// The pre-optimization greedy, kept verbatim as the timing
     /// reference for the `Recompute` oracle and the criterion benches.
     pub fn greedy_reference(&self, k: usize, forced: &[usize]) -> Vec<usize> {

@@ -12,7 +12,7 @@
 //! | k-Closest | §3.2 | [`closest`] |
 //! | k-Regular | §3.2 | [`regular`] |
 //! | HybridBR (donated links) | §3.3 | [`hybrid`] |
-//! | Bandwidth BR (max bottleneck sum) | §4.1, App. A | [`bandwidth`] |
+//! | Bandwidth BR (max bottleneck sum), k-Widest | §4.1, App. A | [`bandwidth`] |
 //! | Traffic-aware BR (demand-blended prefs) | §5 (traffic) | [`traffic_aware`] |
 //!
 //! Both best-response objectives are solved by the one pruned
@@ -50,12 +50,15 @@ pub struct WiringContext<'a> {
     pub direct: &'a [f64],
     /// Pairwise distances over the residual graph `G_{−i}` (announced
     /// costs) — a zero-copy [`ResidualView`], dense or copy-on-write.
+    /// Policies whose [`PolicyKind::needs_residual`] is false get a
+    /// [`ResidualView::broadcast`] placeholder and must not read it.
     pub residual: ResidualView<'a>,
     /// Preference weights.
     pub prefs: &'a Preferences,
     /// Aliveness per node.
     pub alive: &'a [bool],
-    /// Disconnection penalty `M`.
+    /// What a destination nobody serves is worth: the disconnection
+    /// penalty `M` on additive costs, 0 on bandwidth.
     pub penalty: f64,
     /// The node's current wiring (empty on first join).
     pub current: &'a [NodeId],
@@ -149,6 +152,18 @@ impl PolicyKind {
                 Box::new(best_response::BestResponse::local_search().with_reference(true))
             }
             other => other.instantiate(),
+        }
+    }
+
+    /// The policy object under the bandwidth metric (§4.1): every
+    /// best-response flavour solves the max-bottleneck objective,
+    /// k-Closest becomes k-Widest, and the metric-oblivious wirings stay
+    /// what they are.
+    pub fn instantiate_bandwidth(self) -> Box<dyn Policy + Send + Sync> {
+        match self {
+            PolicyKind::Closest => Box::new(bandwidth::KWidest),
+            PolicyKind::Random | PolicyKind::Regular => self.instantiate(),
+            _ => Box::new(bandwidth::BandwidthBr::default()),
         }
     }
 

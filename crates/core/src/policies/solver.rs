@@ -4,8 +4,8 @@
 //! are the same combinatorial problem on two semirings: choose `k`
 //! candidate rows of a `|cand| × |dests|` assignment matrix so that
 //! `Σ_t w_t · best_{c ∈ S} a(c, t)` is as good as possible, where "best"
-//! is `min` and lower is better for additive costs ([`Min`]), `max` and
-//! higher is better for bottleneck bandwidth ([`Max`]). One generic
+//! is `min` and lower is better for additive costs ([`MinPlus`]), `max` and
+//! higher is better for bottleneck bandwidth ([`MaxMin`]). One generic
 //! [`Instance`] solves both with greedy seeding plus best-improvement
 //! single swaps (\[5\] in the paper); the direction is a monomorphised
 //! type parameter, so each semiring compiles to its own loops.
@@ -27,7 +27,7 @@
 //!   `G` valid — across rounds and across consecutive local searches on
 //!   one instance — and a row is re-read only when its drifted bound
 //!   fails to reject the candidate.
-//! * **Fused build.** [`Instance::assemble`] writes each row as slice
+//! * **Fused build.** [`Instance::build_in`] writes each row as slice
 //!   copies out of the residual row and sums the row's singleton
 //!   objective in the same pass, so the first greedy round starts with
 //!   every candidate's bound in hand and the matrix is written once.
@@ -41,27 +41,26 @@
 //! `(exact value, index)`. Tests pin picks, subsets and objective bits
 //! against the naive loops on both semirings.
 //!
-//! `Min` evaluations also stop once a partial sum reaches the incumbent
-//! (terms are non-negative). `Max` cannot: its terms grow *toward* the
+//! Min-plus evaluations also stop once a partial sum reaches the incumbent
+//! (terms are non-negative). Max-min cannot: its terms grow *toward* the
 //! incumbent, so a partial sum proves nothing — it prunes by bound and
 //! evaluates survivors in full.
 
+use super::WiringContext;
+use egoist_graph::csr::{MaxMin, MinPlus, PathAlgebra};
 use egoist_graph::NodeId;
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
-/// The path semiring an objective lives on, and which way it (and each
-/// assignment value) is optimised.
-pub trait Direction {
-    /// Tail of a candidate's path to itself (the semiring's unit).
-    const SELF_TAIL: f64;
-    /// A first hop extended by the residual path behind it.
-    fn extend(first: f64, tail: f64) -> f64;
+/// Which way an objective (and each assignment value) is optimised, on
+/// top of the path semiring it lives on: a candidate's assignment is its
+/// first hop [`PathAlgebra::extend`]ed by the residual path behind it
+/// (from [`PathAlgebra::SOURCE`] for the candidate itself), and
+/// [`PathAlgebra::better`] ranks assignments as it ranks paths.
+pub trait Direction: PathAlgebra {
     /// A partial sum reaching the incumbent proves a loss (non-negative
     /// terms, lower is better).
     const ABORTS: bool;
-    /// Is `a` strictly better than `b`?
-    fn better(a: f64, b: f64) -> bool;
     /// The better of two assignment values.
     fn pick(a: f64, b: f64) -> f64;
     /// `x` moved by `by ≥ 0` toward better.
@@ -71,45 +70,34 @@ pub trait Direction {
 }
 
 /// Additive costs: smaller is better.
-pub struct Min;
-/// Bottleneck bandwidth: larger is better.
-pub struct Max;
-
-impl Direction for Min {
-    const SELF_TAIL: f64 = 0.0;
-    fn extend(first: f64, tail: f64) -> f64 {
-        first + tail
-    }
+impl Direction for MinPlus {
     const ABORTS: bool = true;
-    fn better(a: f64, b: f64) -> bool {
-        a < b
-    }
+    #[inline]
     fn pick(a: f64, b: f64) -> f64 {
         a.min(b)
     }
+    #[inline]
     fn improve(x: f64, by: f64) -> f64 {
         x - by
     }
+    #[inline]
     fn gain(from: f64, to: f64) -> f64 {
         (from - to).max(0.0)
     }
 }
 
-impl Direction for Max {
-    const SELF_TAIL: f64 = f64::INFINITY;
-    fn extend(first: f64, tail: f64) -> f64 {
-        first.min(tail)
-    }
+/// Bottleneck bandwidth: larger is better.
+impl Direction for MaxMin {
     const ABORTS: bool = false;
-    fn better(a: f64, b: f64) -> bool {
-        a > b
-    }
+    #[inline]
     fn pick(a: f64, b: f64) -> f64 {
         a.max(b)
     }
+    #[inline]
     fn improve(x: f64, by: f64) -> f64 {
         x + by
     }
+    #[inline]
     fn gain(from: f64, to: f64) -> f64 {
         (to - from).max(0.0)
     }
@@ -312,7 +300,7 @@ fn write_row<D: Direction>(
         if (t..t + len).contains(&own) {
             let before = own - t;
             span(t, &tail[id..id + before]);
-            span(own, &[D::SELF_TAIL]);
+            span(own, &[D::SOURCE]);
             span(own + 1, &tail[id + before + 1..id + len]);
         } else {
             span(t, &tail[id..id + len]);
@@ -369,8 +357,8 @@ pub struct Instance<D> {
     /// Preference weight per destination (aligned with `dests`).
     pub weight: Vec<f64>,
     /// What a destination no chosen candidate serves is worth: the
-    /// disconnection penalty (`Min`, an upper bound of any assignment)
-    /// or zero bandwidth (`Max`).
+    /// disconnection penalty (min-plus, an upper bound of any
+    /// assignment) or zero bandwidth (max-min).
     pub unserved: f64,
     s: SolverArena,
     /// The last subset a local search proved swap-optimal, sorted, with
@@ -380,27 +368,29 @@ pub struct Instance<D> {
 }
 
 impl<D: Direction> Instance<D> {
-    /// Build an instance in `arena`'s recycled buffers: destinations
-    /// are the alive candidates, `a(c, t) = pick(extend(first hop of c,
-    /// residual tail c ⇝ t), unserved)`, with `first_hop(c)` supplying
-    /// the first-hop value and the residual row (`None`: unusable, the
-    /// residual row is not even read). Call [`Self::recycle`] when done
-    /// to hand the storage back.
-    pub(crate) fn assemble<'r>(
-        candidates: &[NodeId],
-        alive: &[bool],
-        weight_of: impl Fn(NodeId) -> f64,
-        unserved: f64,
-        arena: &mut SolverArena,
-        first_hop: impl Fn(NodeId) -> Option<(f64, &'r [f64])>,
-    ) -> Self {
-        let cand: Vec<NodeId> = candidates.to_vec();
+    /// Build the instance from a wiring context, allocating fresh
+    /// storage (tests and one-shot callers).
+    pub fn build(ctx: &WiringContext<'_>) -> Self {
+        Self::build_in(ctx, &mut SolverArena::default())
+    }
+
+    /// Build the instance into `arena`'s recycled buffers: destinations
+    /// are the alive candidates, `a(c, t) = pick(extend(direct cost of
+    /// c, residual tail c ⇝ t), unserved)`, and what nobody serves is
+    /// worth `ctx.penalty`. Candidate rows are read straight through the
+    /// residual view, so a warmed-up engine allocates nothing per turn; a
+    /// candidate whose direct cost is no better than no link at all
+    /// serves nobody and its residual row is never read. Call
+    /// [`Self::recycle`] when done to hand the storage back.
+    pub fn build_in(ctx: &WiringContext<'_>, arena: &mut SolverArena) -> Self {
+        let unserved = ctx.penalty;
+        let cand: Vec<NodeId> = ctx.candidates.to_vec();
         let mut s = std::mem::take(arena);
         let mut dests: Vec<NodeId> = Vec::with_capacity(cand.len());
         s.slot.clear();
         s.runs.clear();
         for &j in &cand {
-            if !alive[j.index()] {
+            if !ctx.alive[j.index()] {
                 s.slot.push(usize::MAX);
                 continue;
             }
@@ -411,7 +401,7 @@ impl<D: Direction> Instance<D> {
             }
             dests.push(j);
         }
-        let weight: Vec<f64> = dests.iter().map(|&j| weight_of(j)).collect();
+        let weight: Vec<f64> = dests.iter().map(|&j| ctx.prefs.get(ctx.node, j)).collect();
         let (nc, nd) = (cand.len(), dests.len());
         // No clear: every row is overwritten below, and a re-used
         // matrix of the same size is then not written twice.
@@ -419,7 +409,9 @@ impl<D: Direction> Instance<D> {
         s.solo.clear();
         for (c, &w) in cand.iter().enumerate() {
             let row = &mut s.m[c * nd..(c + 1) * nd];
-            let solo = write_row::<D>(first_hop(w), s.slot[c], &s.runs, unserved, &weight, row);
+            let first = ctx.direct[w.index()];
+            let hop = D::better(first, D::UNREACHED).then(|| (first, ctx.residual.row(w.index())));
+            let solo = write_row::<D>(hop, s.slot[c], &s.runs, unserved, &weight, row);
             s.solo.push(solo);
         }
         // No swap bound is known yet; the first search's first `b2` is

@@ -20,12 +20,11 @@
 //! free-rider and pyxida experiments mean something.
 
 use crate::cheat::CheatConfig;
-use crate::cost::{disconnection_penalty, node_cost_from_dists, realized_rows, Preferences};
-use crate::policies::bandwidth::{
-    all_pairs_widest, bandwidth_best_response, k_widest, BwWiringContext,
+use crate::cost::{
+    disconnection_penalty, node_cost_from_dists, realized_rows, widest_rows, Preferences,
 };
+use crate::policies::bandwidth::all_pairs_widest;
 use crate::policies::hybrid::HybridBr;
-use crate::policies::solver::SolverArena;
 use crate::policies::{Policy, PolicyKind, WiringContext};
 use crate::residual::ResidualView;
 use crate::snapshot::{RouteState, RouteStats, SnapshotKind};
@@ -212,10 +211,9 @@ pub struct Simulator {
     /// paths fall back to `prefs`, and `measure()` always uses the base
     /// `prefs` so reported costs stay comparable across policies.
     demand_prefs: Option<Preferences>,
+    /// The policy object for `cfg.policy` under `cfg.metric`; solver
+    /// policies keep their recycled arenas inside it.
     policy: Box<dyn Policy + Send + Sync>,
-    /// Recycled storage of the bandwidth best response (the additive
-    /// solvers keep theirs inside `policy`).
-    bw_arena: SolverArena,
     policy_rng: StdRng,
     underlay_rng: StdRng,
     now: f64,
@@ -285,11 +283,11 @@ impl Simulator {
             alive: vec![true; n],
             prefs: Preferences::uniform(n),
             demand_prefs: None,
-            policy: match cfg.engine {
-                EngineMode::Epoch => cfg.policy.instantiate(),
-                EngineMode::Recompute => cfg.policy.instantiate_reference(),
+            policy: match (cfg.metric, cfg.engine) {
+                (Metric::Bandwidth, _) => cfg.policy.instantiate_bandwidth(),
+                (_, EngineMode::Epoch) => cfg.policy.instantiate(),
+                (_, EngineMode::Recompute) => cfg.policy.instantiate_reference(),
             },
-            bw_arena: SolverArena::default(),
             policy_rng: derive(cfg.seed, "sim-policy"),
             underlay_rng: derive(cfg.seed, "sim-underlay"),
             now: 0.0,
@@ -459,23 +457,22 @@ impl Simulator {
         self.route_state.invalidate();
     }
 
-    /// Make sure a route-state snapshot of `kind` is live for the
-    /// current announced costs, wiring and membership.
-    fn ensure_snapshot(&mut self, kind: SnapshotKind) {
-        if self.route_state.valid(kind) {
-            return;
+    /// The path semiring of the configured metric, and what a
+    /// destination nobody serves is worth on it: the disconnection
+    /// penalty for additive costs, zero bandwidth.
+    fn snapshot_kind(&self, announced: &DistanceMatrix) -> (SnapshotKind, f64) {
+        match self.cfg.metric {
+            Metric::Bandwidth => (SnapshotKind::Widest, 0.0),
+            _ => (SnapshotKind::Additive, disconnection_penalty(announced)),
         }
-        let announced = self.announced_cost_matrix();
-        let penalty = match kind {
-            SnapshotKind::Additive => disconnection_penalty(&announced),
-            SnapshotKind::Widest => 0.0,
-        };
-        let overlay = self.wiring.to_graph(&announced, &self.alive);
-        self.route_state
-            .rebuild(kind, announced, penalty, self.alive.clone(), &overlay);
     }
 
     /// Give node `i` its wiring turn. Returns whether the wiring changed.
+    ///
+    /// One turn for every metric and policy: the metric chose the policy
+    /// object (at construction) and chooses the path semiring of the
+    /// residual state here; whether residual state is built at all is
+    /// the policy's [`PolicyKind::needs_residual`].
     fn rewire(&mut self, i: NodeId) -> bool {
         if !self.alive[i.index()] {
             return false;
@@ -488,43 +485,44 @@ impl Simulator {
         if candidates.is_empty() {
             return false;
         }
-
-        if self.cfg.metric == Metric::Bandwidth {
-            return self.rewire_bandwidth(i, &candidates);
-        }
-
         let direct = self.candidate_costs(i);
         let current = self.wiring.of(i).to_vec();
 
-        if self.cfg.engine == EngineMode::Recompute {
+        let (placeholder, recomputed);
+        let (residual, penalty) = if !self.cfg.policy.needs_residual() {
+            // Oblivious wirings rank by direct cost or id alone.
+            placeholder = vec![0.0; self.cfg.n];
+            (ResidualView::broadcast(&placeholder), 0.0)
+        } else if self.cfg.engine == EngineMode::Recompute {
             // Reference oracle: rebuild everything from scratch.
             let announced = self.announced_cost_matrix();
+            let (kind, penalty) = self.snapshot_kind(&announced);
             let residual_graph = self.wiring.residual_graph(i, &announced, &self.alive);
-            let residual = apsp(&residual_graph);
-            let penalty = disconnection_penalty(&announced);
-            let ctx = WiringContext {
-                node: i,
-                k: self.cfg.k,
-                candidates: &candidates,
-                direct: &direct,
-                residual: ResidualView::dense(&residual),
-                prefs: self.demand_prefs.as_ref().unwrap_or(&self.prefs),
-                alive: &self.alive,
-                penalty,
-                current: &current,
+            recomputed = match kind {
+                SnapshotKind::Additive => apsp(&residual_graph),
+                SnapshotKind::Widest => all_pairs_widest(&residual_graph),
             };
-            let new = self.policy.wire(&ctx, &mut self.policy_rng);
-            return self.wiring.rewire(i, new);
-        }
-
-        // Epoch engine: shared snapshot + zero-copy residual view.
-        self.ensure_snapshot(SnapshotKind::Additive);
-        let penalty = self
-            .route_state
-            .snapshot()
-            .expect("snapshot just ensured")
-            .penalty;
-        let residual = self.route_state.residual(i.index());
+            (ResidualView::dense(&recomputed), penalty)
+        } else {
+            // Epoch engine: shared snapshot + zero-copy residual view.
+            let penalty = match self.route_state.snapshot() {
+                Some(snap) => snap.penalty,
+                None => {
+                    let announced = self.announced_cost_matrix();
+                    let (kind, penalty) = self.snapshot_kind(&announced);
+                    let overlay = self.wiring.to_graph(&announced, &self.alive);
+                    self.route_state.rebuild(
+                        kind,
+                        announced,
+                        penalty,
+                        self.alive.clone(),
+                        &overlay,
+                    );
+                    penalty
+                }
+            };
+            (self.route_state.residual(i.index()), penalty)
+        };
         let ctx = WiringContext {
             node: i,
             k: self.cfg.k,
@@ -539,92 +537,6 @@ impl Simulator {
         let span = self.obs.solver.start();
         let new = self.policy.wire(&ctx, &mut self.policy_rng);
         drop(span);
-        let changed = self.wiring.rewire(i, new);
-        if changed {
-            self.route_state
-                .note_rewire(i, &current, &self.wiring, &self.alive);
-        }
-        changed
-    }
-
-    /// Bandwidth-metric turn: BR uses the widest-path objective; the
-    /// heuristics use their natural bandwidth analogues.
-    fn rewire_bandwidth(&mut self, i: NodeId, candidates: &[NodeId]) -> bool {
-        let direct = self.candidate_costs(i);
-        let new = match self.cfg.policy {
-            PolicyKind::BestResponse
-            | PolicyKind::ExactBestResponse
-            | PolicyKind::EpsilonBestResponse { .. }
-            | PolicyKind::HybridBestResponse { .. }
-            | PolicyKind::TrafficAware { .. } => {
-                if self.cfg.engine == EngineMode::Recompute {
-                    let announced = self.announced_cost_matrix(); // probe estimates
-                    let residual_graph = self.wiring.residual_graph(i, &announced, &self.alive);
-                    let residual_bw = all_pairs_widest(&residual_graph);
-                    let ctx = BwWiringContext {
-                        node: i,
-                        k: self.cfg.k,
-                        candidates,
-                        direct_bw: &direct,
-                        residual_bw: ResidualView::dense(&residual_bw),
-                        prefs: self.demand_prefs.as_ref().unwrap_or(&self.prefs),
-                        alive: &self.alive,
-                    };
-                    bandwidth_best_response(&ctx, &mut self.bw_arena).0
-                } else {
-                    self.ensure_snapshot(SnapshotKind::Widest);
-                    let residual_bw = self.route_state.residual(i.index());
-                    let ctx = BwWiringContext {
-                        node: i,
-                        k: self.cfg.k,
-                        candidates,
-                        direct_bw: &direct,
-                        residual_bw,
-                        prefs: self.demand_prefs.as_ref().unwrap_or(&self.prefs),
-                        alive: &self.alive,
-                    };
-                    let span = self.obs.solver.start();
-                    let picked = bandwidth_best_response(&ctx, &mut self.bw_arena).0;
-                    drop(span);
-                    picked
-                }
-            }
-            PolicyKind::Closest => {
-                // k-Closest under bandwidth = maximum direct bandwidth.
-                let residual_bw = DistanceMatrix::filled(self.cfg.n, 0.0);
-                let ctx = BwWiringContext {
-                    node: i,
-                    k: self.cfg.k,
-                    candidates,
-                    direct_bw: &direct,
-                    residual_bw: ResidualView::dense(&residual_bw),
-                    prefs: self.demand_prefs.as_ref().unwrap_or(&self.prefs),
-                    alive: &self.alive,
-                };
-                k_widest(&ctx)
-            }
-            PolicyKind::Random | PolicyKind::Regular => {
-                // Metric-oblivious policies reuse the additive-path code.
-                let residual = DistanceMatrix::filled(self.cfg.n, 0.0);
-                let current = self.wiring.of(i).to_vec();
-                let ctx = WiringContext {
-                    node: i,
-                    k: self.cfg.k,
-                    candidates,
-                    direct: &direct,
-                    residual: ResidualView::dense(&residual),
-                    prefs: self.demand_prefs.as_ref().unwrap_or(&self.prefs),
-                    alive: &self.alive,
-                    penalty: 1.0,
-                    current: &current,
-                };
-                self.cfg
-                    .policy
-                    .instantiate()
-                    .wire(&ctx, &mut self.policy_rng)
-            }
-        };
-        let current = self.wiring.of(i).to_vec();
         let changed = self.wiring.rewire(i, new);
         if changed {
             self.route_state
@@ -704,16 +616,15 @@ impl Simulator {
                 // Realized aggregate bottleneck bandwidth over true
                 // bandwidths on the chosen topology.
                 let g_true = self.wiring.to_graph(&truth, &self.alive);
-                for &i in &alive_ids {
-                    let wp = egoist_graph::widest::widest_paths(&g_true, i);
+                widest_rows(&g_true, alive_ids.iter().copied(), |i, width| {
                     let mut total = 0.0;
                     for &j in &alive_ids {
                         if j != i {
-                            total += self.prefs.get(i, j) * wp.width[j.index()];
+                            total += self.prefs.get(i, j) * width[j.index()];
                         }
                     }
                     bandwidth_utility[i.index()] = total;
-                }
+                });
             }
             _ => {
                 // Routing on announced costs; realized cost true.

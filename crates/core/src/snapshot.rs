@@ -29,12 +29,17 @@
 //!   repaired (the post-removal state of every affected source) are
 //!   written back over their snapshot rows, unaffected rows already
 //!   *are* post-removal (that is the borrow argument above), and then
-//!   the *added* edges propagate through a decrease-only (additive) or
-//!   increase-only (widest) repair seeded at the new edge heads.
-//!   `d(s, i)` itself never changes across `i`'s re-wiring (a simple
-//!   path to `i` uses none of `i`'s out-edges), which is what makes the
-//!   seeds valid. The snapshot's CSR is patched on node `i`'s out-edge
-//!   slice only ([`CsrGraph::rewrite_out_edges`]).
+//!   the *added* edges propagate through an insertion repair seeded at
+//!   the new edge heads. `d(s, i)` itself never changes across `i`'s
+//!   re-wiring (a simple path to `i` uses none of `i`'s out-edges),
+//!   which is what makes the seeds valid. The snapshot's CSR is patched
+//!   on node `i`'s out-edge slice only ([`CsrGraph::rewrite_out_edges`]).
+//!
+//! Delay / load and bandwidth snapshots differ only in their
+//! [`PathAlgebra`]: each public [`RouteState`] method resolves the
+//! snapshot's [`SnapshotKind`] to [`MinPlus`] or [`MaxMin`] once and runs
+//! one generic body — the sweep, both repairs and the fill values of the
+//! "no out-links" rows all come from the algebra.
 //!
 //! The all-pairs rebuild fans sources out over `std::thread::scope`
 //! threads in `egoist_graph::csr`, each writing disjoint row slices, so
@@ -43,7 +48,9 @@
 
 use crate::residual::{CowResidual, ResidualView, NO_SLOT};
 use crate::wiring::Wiring;
-use egoist_graph::csr::{tree_descendants, NO_PARENT};
+use egoist_graph::csr::{
+    all_pairs, tree_descendants, MaxMin, MinPlus, PathAlgebra, Sweep, NO_PARENT,
+};
 use egoist_graph::{CsrApsp, CsrGraph, DiGraph, DijkstraWorkspace, DistanceMatrix, NodeId};
 
 /// Which path semiring the snapshot's all-pairs state uses.
@@ -86,7 +93,7 @@ pub struct RouteStats {
     pub residual_borrowed: usize,
     /// Post-rewiring rows re-swept in full (a tree edge was removed).
     pub rewire_swept: usize,
-    /// Post-rewiring rows absorbed by decrease/increase repair.
+    /// Post-rewiring rows absorbed by insertion repair.
     pub rewire_repaired: usize,
 }
 
@@ -171,11 +178,6 @@ impl RouteState {
         self.residual_for = None;
     }
 
-    /// Is a snapshot of this kind live?
-    pub fn valid(&self, kind: SnapshotKind) -> bool {
-        self.snap.as_ref().is_some_and(|s| s.kind == kind)
-    }
-
     /// The live snapshot, if any.
     pub fn snapshot(&self) -> Option<&EpochSnapshot> {
         self.snap.as_ref()
@@ -194,8 +196,8 @@ impl RouteState {
         let csr = CsrGraph::from_digraph(overlay);
         let rev = csr.reversed();
         let apsp = match kind {
-            SnapshotKind::Additive => egoist_graph::csr::apsp_csr(&csr),
-            SnapshotKind::Widest => egoist_graph::csr::widest_csr(&csr),
+            SnapshotKind::Additive => all_pairs::<MinPlus>(&csr),
+            SnapshotKind::Widest => all_pairs::<MaxMin>(&csr),
         };
         self.stats.rebuilds += 1;
         self.obs.rebuilds.inc();
@@ -225,7 +227,26 @@ impl RouteState {
     /// # Panics
     /// Panics when no snapshot is live; callers must `rebuild` first.
     pub fn residual(&mut self, i: usize) -> ResidualView<'_> {
-        let span = self.obs.residual.start();
+        let live = self.snap.as_ref().expect("route snapshot must be live");
+        match live.kind {
+            SnapshotKind::Additive => self.repair_residual::<MinPlus>(i),
+            SnapshotKind::Widest => self.repair_residual::<MaxMin>(i),
+        }
+        let snap = self.snap.as_ref().expect("still live");
+        ResidualView::cow(CowResidual {
+            n: snap.apsp.n,
+            node: i,
+            snap: &snap.apsp.dist,
+            slot: &self.row_slot,
+            pool: &self.pool_dist,
+            self_row: &self.self_row,
+        })
+    }
+
+    /// Fill the side pool, slot table and self row [`Self::residual`]'s
+    /// view reads, on the snapshot's algebra.
+    fn repair_residual<A: PathAlgebra>(&mut self, i: usize) {
+        let _span = self.obs.residual.start();
         let (borrowed0, swept0) = (self.stats.residual_borrowed, self.stats.residual_swept);
         let snap = self.snap.as_ref().expect("route snapshot must be live");
         let n = snap.apsp.n;
@@ -234,16 +255,8 @@ impl RouteState {
         self.pool_rows.clear();
         // Source `i` keeps no out-links in `G−i`.
         self.self_row.clear();
-        match snap.kind {
-            SnapshotKind::Additive => {
-                self.self_row.resize(n, f64::INFINITY);
-                self.self_row[i] = 0.0;
-            }
-            SnapshotKind::Widest => {
-                self.self_row.resize(n, 0.0);
-                self.self_row[i] = f64::INFINITY;
-            }
-        }
+        self.self_row.resize(n, A::UNREACHED);
+        self.self_row[i] = A::SOURCE;
         let iu = i as u32;
         for s in 0..n {
             if s == i {
@@ -270,20 +283,8 @@ impl RouteState {
                 &mut self.child_next,
                 &mut self.affected,
             );
-            match snap.kind {
-                SnapshotKind::Additive => {
-                    self.ws
-                        .repair_removal(&snap.csr, &snap.rev, iu, &self.affected, row, prow)
-                }
-                SnapshotKind::Widest => self.ws.repair_removal_widest(
-                    &snap.csr,
-                    &snap.rev,
-                    iu,
-                    &self.affected,
-                    row,
-                    prow,
-                ),
-            }
+            self.ws
+                .repair_removal::<A>(&snap.csr, &snap.rev, iu, &self.affected, row, prow);
             self.row_slot[s] = slot as u32;
             self.pool_rows.push(s as u32);
             self.stats.residual_swept += 1;
@@ -295,15 +296,6 @@ impl RouteState {
         self.obs
             .residual_swept
             .add((self.stats.residual_swept - swept0) as u64);
-        drop(span);
-        ResidualView::cow(CowResidual {
-            n,
-            node: i,
-            snap: &self.snap.as_ref().expect("still live").apsp.dist,
-            slot: &self.row_slot,
-            pool: &self.pool_dist,
-            self_row: &self.self_row,
-        })
     }
 
     /// Absorb node `i`'s committed re-wiring into the live snapshot, if
@@ -315,13 +307,26 @@ impl RouteState {
     /// unaffected row already equals its post-removal state (its tree
     /// avoids `i`'s out-links), so the absorb writes the pool rows back
     /// over their snapshot rows in place and then propagates only the
-    /// inserted out-links of `i` (decrease-only / increase-only repair
-    /// per source). The snapshot CSR is patched on `i`'s out-edge slice
-    /// only; no buffer is reallocated or swapped.
+    /// inserted out-links of `i` (one insertion repair per source). The
+    /// snapshot CSR is patched on `i`'s out-edge slice only; no buffer is
+    /// reallocated or swapped.
     pub fn note_rewire(&mut self, i: NodeId, old: &[NodeId], wiring: &Wiring, alive: &[bool]) {
-        let Some(snap) = self.snap.as_mut() else {
-            return;
-        };
+        match self.snap.as_ref().map(|snap| snap.kind) {
+            None => {}
+            Some(SnapshotKind::Additive) => self.absorb::<MinPlus>(i, old, wiring, alive),
+            Some(SnapshotKind::Widest) => self.absorb::<MaxMin>(i, old, wiring, alive),
+        }
+    }
+
+    /// [`Self::note_rewire`] on the live snapshot's algebra.
+    fn absorb<A: PathAlgebra>(
+        &mut self,
+        i: NodeId,
+        old: &[NodeId],
+        wiring: &Wiring,
+        alive: &[bool],
+    ) {
+        let snap = self.snap.as_mut().expect("dispatched on a live snapshot");
         let new = wiring.of(i);
         let changed = {
             let mut o: Vec<NodeId> = old.iter().copied().filter(|w| alive[w.index()]).collect();
@@ -333,7 +338,7 @@ impl RouteState {
         if !changed {
             return;
         }
-        let span = self.obs.absorb.start();
+        let _span = self.obs.absorb.start();
         let (swept0, repaired0) = (self.stats.rewire_swept, self.stats.rewire_repaired);
         // Patch the CSR topology on node `i`'s slice only — every other
         // node's adjacency is unchanged since the snapshot was built (or
@@ -349,11 +354,10 @@ impl RouteState {
         snap.csr.rewrite_out_edges(i.index(), &new_edges);
         snap.csr.reverse_into(&mut snap.rev);
         let n = snap.apsp.n;
-        let iu = i.0;
-
-        if self.residual_for == Some(i.index()) {
+        let adopt_pool = self.residual_for == Some(i.index());
+        if adopt_pool {
             // Adopt the retained `G−i` pool: write the post-removal rows
-            // back in place, then insert `i`'s new out-links everywhere.
+            // back in place; `i`'s new out-links go in everywhere below.
             for (slot, &s) in self.pool_rows.iter().enumerate() {
                 let src = slot * n;
                 let dst = s as usize * n;
@@ -362,117 +366,45 @@ impl RouteState {
             }
             // Row `i` post-removal: nothing but itself is reachable.
             let lo = i.index() * n;
-            match snap.kind {
-                SnapshotKind::Additive => {
-                    snap.apsp.dist[lo..lo + n].fill(f64::INFINITY);
-                    snap.apsp.dist[lo + i.index()] = 0.0;
-                }
-                SnapshotKind::Widest => {
-                    snap.apsp.dist[lo..lo + n].fill(0.0);
-                    snap.apsp.dist[lo + i.index()] = f64::INFINITY;
-                }
-            }
+            snap.apsp.dist[lo..lo + n].fill(A::UNREACHED);
+            snap.apsp.dist[lo + i.index()] = A::SOURCE;
             snap.apsp.parent[lo..lo + n].fill(NO_PARENT);
             self.residual_for = None;
-            for s in 0..n {
-                let lo = s * n;
-                let dist = &mut snap.apsp.dist[lo..lo + n];
-                let parent = &mut snap.apsp.parent[lo..lo + n];
-                insert_edges(
-                    &mut self.ws,
-                    snap.kind,
-                    &snap.csr,
-                    &new_edges,
-                    i.index(),
-                    dist,
-                    parent,
-                );
-                self.stats.rewire_repaired += 1;
-            }
-            self.flush_rewire_obs(swept0, repaired0);
-            drop(span);
-            return;
         }
-
-        // Fallback (no retained residual for `i`): re-sweep sources that
-        // routed through `i`, insert the new links everywhere else.
-        let old_alive: Vec<NodeId> = old.iter().copied().filter(|w| alive[w.index()]).collect();
         for s in 0..n {
             let lo = s * n;
             let dist = &mut snap.apsp.dist[lo..lo + n];
             let parent = &mut snap.apsp.parent[lo..lo + n];
-            let tree_lost = old_alive.iter().any(|w| parent[w.index()] == iu);
-            if tree_lost || s == i.index() {
-                match snap.kind {
-                    SnapshotKind::Additive => {
-                        self.ws.sssp_into(&snap.csr, s as u32, None, dist, parent)
-                    }
-                    SnapshotKind::Widest => {
-                        self.ws.widest_into(&snap.csr, s as u32, None, dist, parent)
-                    }
-                }
+            // Without a retained residual for `i`, a source that routed
+            // through one of its old out-links is re-swept instead.
+            let tree_lost = |w: &NodeId| alive[w.index()] && parent[w.index()] == i.0;
+            if !adopt_pool && (s == i.index() || old.iter().any(tree_lost)) {
+                self.ws
+                    .sweep::<A>(&snap.csr, s as u32, Sweep::default(), dist, parent);
                 self.stats.rewire_swept += 1;
                 continue;
             }
-            insert_edges(
-                &mut self.ws,
-                snap.kind,
-                &snap.csr,
-                &new_edges,
-                i.index(),
-                dist,
-                parent,
-            );
+            // Insert `i`'s new out-links into the row. `d(s, i)` is
+            // invariant under changes to `i`'s out-links (a simple path
+            // to `i` uses none of them), so the row's current value seeds
+            // the insertion exactly; for `i` itself it is `A::SOURCE`.
+            let via = dist[i.index()];
+            if A::better(via, A::UNREACHED) {
+                let seeds: Vec<(u32, f64, u32)> = new_edges
+                    .iter()
+                    .map(|&(w, c)| (w, A::extend(via, c), i.0))
+                    .collect();
+                self.ws
+                    .repair_insertion::<A>(&snap.csr, &seeds, dist, parent);
+            }
             self.stats.rewire_repaired += 1;
         }
-        self.flush_rewire_obs(swept0, repaired0);
-        drop(span);
-    }
-
-    fn flush_rewire_obs(&self, swept0: usize, repaired0: usize) {
         self.obs
             .rewire_swept
             .add((self.stats.rewire_swept - swept0) as u64);
         self.obs
             .rewire_repaired
             .add((self.stats.rewire_repaired - repaired0) as u64);
-    }
-}
-
-/// Propagate node `i`'s inserted out-edges into one source row by
-/// decrease-only (additive) / increase-only (widest) repair.
-///
-/// `d(s, i)` is invariant under changes to `i`'s out-links (a simple
-/// path to `i` uses none of them), so the row's current value seeds the
-/// insertion exactly; `d(i, i)` is 0 / ∞-width for `i` itself.
-fn insert_edges(
-    ws: &mut DijkstraWorkspace,
-    kind: SnapshotKind,
-    csr: &CsrGraph,
-    new_edges: &[(u32, f64)],
-    i: usize,
-    dist: &mut [f64],
-    parent: &mut [u32],
-) {
-    let iu = i as u32;
-    let via = dist[i];
-    match kind {
-        SnapshotKind::Additive => {
-            if via.is_finite() {
-                let seeds: Vec<(u32, f64, u32)> =
-                    new_edges.iter().map(|&(w, c)| (w, via + c, iu)).collect();
-                ws.repair_decrease(csr, &seeds, dist, parent);
-            }
-        }
-        SnapshotKind::Widest => {
-            if via > 0.0 {
-                let seeds: Vec<(u32, f64, u32)> = new_edges
-                    .iter()
-                    .map(|&(w, c)| (w, via.min(c), iu))
-                    .collect();
-                ws.repair_increase_widest(csr, &seeds, dist, parent);
-            }
-        }
     }
 }
 
@@ -609,8 +541,7 @@ mod tests {
             let old = w.of(i).to_vec();
             w.rewire(i, links.into_iter().map(NodeId::from_index).collect());
             rs.note_rewire(i, &old, &w, &alive);
-            let truth =
-                egoist_graph::csr::widest_csr(&CsrGraph::from_digraph(&w.to_graph(&d, &alive)));
+            let truth = all_pairs::<MaxMin>(&CsrGraph::from_digraph(&w.to_graph(&d, &alive)));
             let snap = rs.snapshot().unwrap();
             for p in 0..22 * 22 {
                 assert_eq!(
@@ -645,10 +576,8 @@ mod tests {
     fn invalidate_drops_snapshot() {
         let (d, w, alive) = setup(10, 2, 6);
         let mut rs = fresh_state(SnapshotKind::Additive, &d, &w, &alive);
-        assert!(rs.valid(SnapshotKind::Additive));
-        assert!(!rs.valid(SnapshotKind::Widest));
+        assert_eq!(rs.snapshot().map(|s| s.kind), Some(SnapshotKind::Additive));
         rs.invalidate();
-        assert!(!rs.valid(SnapshotKind::Additive));
         assert!(rs.snapshot().is_none());
     }
 

@@ -1,6 +1,6 @@
-//! Compressed-sparse-row graph form and allocation-free shortest paths.
+//! Compressed-sparse-row graph form and allocation-free best paths.
 //!
-//! The epoch simulator runs tens of thousands of SSSP sweeps per
+//! The epoch simulator runs tens of thousands of single-source sweeps per
 //! simulation: one all-pairs pass per route-state snapshot plus targeted
 //! repairs every re-wiring turn. [`DiGraph`]'s nested `Vec<Vec<Edge>>`
 //! costs a pointer chase per adjacency list and the textbook
@@ -9,25 +9,33 @@
 //!
 //! * [`CsrGraph`] — the same directed weighted graph flattened into
 //!   `offsets / targets / costs` arrays, built once per snapshot;
-//! * [`DijkstraWorkspace`] — reusable dist/parent/heap arenas so SSSP and
-//!   widest-path sweeps are allocation-free after warmup;
-//! * [`apsp_csr`] / [`widest_csr`] — all-pairs passes that fan sources out
-//!   over `std::thread::scope` threads, each writing into pre-partitioned
-//!   row slices (byte-deterministic regardless of scheduling);
-//! * decrease-only repair ([`DijkstraWorkspace::repair_decrease`] /
-//!   [`DijkstraWorkspace::repair_increase_widest`]) — the edge-insertion
-//!   half of the incremental route-state maintenance;
+//! * [`PathAlgebra`] — what §4.1's "simple modification of Dijkstra's
+//!   algorithm" modifies, written once per semiring: [`MinPlus`]
+//!   (shortest paths over delay / load) and [`MaxMin`] (widest paths over
+//!   available bandwidth). Everything below is generic over it and
+//!   monomorphised, so each semiring compiles to its own loops;
+//! * [`DijkstraWorkspace`] — reusable heap and bitmap arenas behind the
+//!   one sweep ([`DijkstraWorkspace::sweep`]; [`DijkstraWorkspace::sssp_into`]
+//!   names its min-plus form) and the two exact row repairs of the
+//!   incremental route state, [`DijkstraWorkspace::repair_insertion`] and
+//!   [`DijkstraWorkspace::repair_removal`] — allocation-free after warmup;
+//! * [`all_pairs`] ([`apsp_csr`] on min-plus) — the all-pairs pass, fanning
+//!   sources out over `std::thread::scope` threads, each writing into
+//!   pre-partitioned row slices (byte-deterministic regardless of
+//!   scheduling);
 //! * [`path_from_parents`] / [`DisjointSearch`] — the path-extraction
 //!   helpers the data plane uses.
 //!
-//! Every algorithm here produces bit-identical distances to its
-//! `DiGraph` counterpart: distances are minima of per-path rounded sums,
-//! which do not depend on visit order, and ties are settled by node id.
+//! Every algorithm here produces bit-identical values to its `DiGraph`
+//! counterpart ([`crate::dijkstra`], [`crate::widest`]): a value is the
+//! best of per-path folds that do not depend on visit order, and ties are
+//! settled by node id.
 
 use crate::graph::DiGraph;
 use crate::types::{Cost, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::sync::OnceLock;
 
 /// Sentinel for "no parent" in packed parent arrays.
@@ -229,83 +237,165 @@ impl CsrGraph {
     }
 }
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    key: Cost,
-    node: u32,
+/// A path semiring: how a path's value grows along an edge and which of
+/// two values wins. §4.1 gets the bandwidth metric from "a simple
+/// modification of Dijkstra's algorithm (max-min instead of min-plus)";
+/// this trait is that modification and nothing else.
+///
+/// | | [`MinPlus`] | [`MaxMin`] |
+/// |---|---|---|
+/// | `SOURCE` (empty path) | `0` | `∞` |
+/// | `UNREACHED` (no path) | `∞` | `0` |
+/// | `extend(path, edge)` | `path + edge` | `min(path, edge)` |
+/// | `better(a, b)` | `a < b` | `a > b` |
+/// | popped first | smallest key | largest key |
+/// | `BUILD_SPAN` | `graph.apsp.build` | `graph.widest.build` |
+///
+/// Both are monotone — extending a path never makes it better — which
+/// is all the sweep's and the repairs' exactness arguments use. Edge
+/// values must be non-negative and not NaN.
+pub trait PathAlgebra: Sized {
+    /// Value of the empty path: a source's own entry.
+    const SOURCE: f64;
+    /// Value of "no path".
+    const UNREACHED: f64;
+    /// Obs span timing an all-pairs build on this algebra.
+    const BUILD_SPAN: &'static str;
+    /// A path of value `path` extended by an edge of value `edge`.
+    fn extend(path: f64, edge: f64) -> f64;
+    /// Is `a` strictly better than `b`?
+    fn better(a: f64, b: f64) -> bool;
+    /// Heap order on keys (never NaN): `Greater` is popped first.
+    fn heap_order(a: f64, b: f64) -> Ordering;
+    /// This algebra's heap inside a workspace (entries of different
+    /// algebras order differently, so they cannot share one).
+    #[doc(hidden)]
+    fn heap(ws: &mut DijkstraWorkspace) -> &mut BinaryHeap<HeapEntry<Self>>;
 }
 
-impl Eq for HeapEntry {}
+/// Shortest paths: additive costs, smaller is better.
+pub struct MinPlus;
+/// Widest paths: bottleneck bandwidth, larger is better.
+pub struct MaxMin;
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on key, ties by node id — identical settle order to
-        // `crate::dijkstra` (keys are never NaN).
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.node.cmp(&self.node))
+impl PathAlgebra for MinPlus {
+    const SOURCE: f64 = 0.0;
+    const UNREACHED: f64 = f64::INFINITY;
+    const BUILD_SPAN: &'static str = "graph.apsp.build";
+    #[inline]
+    fn extend(path: f64, edge: f64) -> f64 {
+        path + edge
+    }
+    #[inline]
+    fn better(a: f64, b: f64) -> bool {
+        a < b
+    }
+    #[inline(always)]
+    fn heap_order(a: f64, b: f64) -> Ordering {
+        b.total_cmp(&a)
+    }
+    #[inline]
+    fn heap(ws: &mut DijkstraWorkspace) -> &mut BinaryHeap<HeapEntry<Self>> {
+        &mut ws.min_heap
     }
 }
 
-impl PartialOrd for HeapEntry {
+impl PathAlgebra for MaxMin {
+    const SOURCE: f64 = f64::INFINITY;
+    const UNREACHED: f64 = 0.0;
+    const BUILD_SPAN: &'static str = "graph.widest.build";
+    #[inline]
+    fn extend(path: f64, edge: f64) -> f64 {
+        path.min(edge)
+    }
+    #[inline]
+    fn better(a: f64, b: f64) -> bool {
+        a > b
+    }
+    #[inline(always)]
+    fn heap_order(a: f64, b: f64) -> Ordering {
+        a.total_cmp(&b)
+    }
+    #[inline]
+    fn heap(ws: &mut DijkstraWorkspace) -> &mut BinaryHeap<HeapEntry<Self>> {
+        &mut ws.max_heap
+    }
+}
+
+/// A tentative `(value, node)` in a sweep's heap: best key first, ties
+/// by smaller node id — the settle order of [`crate::dijkstra`] and
+/// [`crate::widest`]. Equality is `cmp`'s, so `Eq` and `Ord` agree.
+#[doc(hidden)]
+pub struct HeapEntry<A> {
+    key: Cost,
+    node: u32,
+    algebra: PhantomData<A>,
+}
+
+impl<A> HeapEntry<A> {
+    fn new(key: Cost, node: u32) -> Self {
+        HeapEntry {
+            key,
+            node,
+            algebra: PhantomData,
+        }
+    }
+}
+
+// The comparator sits inside `BinaryHeap`'s sift loops, the hottest code
+// of a sweep; without the hints it is left as a call per comparison in
+// some instantiations (measured: +20% on `fleet_br_n300`'s re-wire job).
+impl<A: PathAlgebra> Ord for HeapEntry<A> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        A::heap_order(self.key, other.key).then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+impl<A: PathAlgebra> PartialOrd for HeapEntry<A> {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Max-heap twin for widest-path sweeps.
-#[derive(PartialEq)]
-struct MaxHeapEntry {
-    key: Cost,
-    node: u32,
-}
-
-impl Eq for MaxHeapEntry {}
-
-impl Ord for MaxHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key
-            .total_cmp(&other.key)
-            .then_with(|| other.node.cmp(&self.node))
+impl<A: PathAlgebra> PartialEq for HeapEntry<A> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-impl PartialOrd for MaxHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+impl<A: PathAlgebra> Eq for HeapEntry<A> {}
 
-/// What one SSSP sweep leaves out. The default sweeps everything.
+/// What one sweep leaves out. The default sweeps everything.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct Sweep<'a> {
+pub struct Sweep<'a> {
     /// Node whose out-edges are skipped — the residual-graph (`G−i`)
     /// sweep without materializing a second graph.
-    pub(crate) mask: Option<u32>,
+    pub mask: Option<u32>,
     /// Parallel to the CSR cost array: edges to skip.
-    pub(crate) disabled: Option<&'a [bool]>,
-    /// End the sweep once this node is settled. Its distance and the
-    /// parent chain back to the source are then exactly the full sweep's:
-    /// every node on the chain was settled before it, and a settled
-    /// node's entries are final, because every later pop has `key ≥ dist`
-    /// and costs are non-negative, so `key + c < dist` cannot hold again
-    /// (zero-cost edges and ties included — the comparison is strict).
+    pub disabled: Option<&'a [bool]>,
+    /// End the sweep once this node is settled. Its value and the parent
+    /// chain back to the source are then exactly the full sweep's: every
+    /// node on the chain was settled before it, and a settled node's
+    /// entries are final, because no later pop has a better key and
+    /// extending a path never improves it, so a strictly better
+    /// candidate cannot appear again (zero-cost edges and ties included).
     /// Entries of nodes off the chain are unspecified.
-    pub(crate) stop_at: Option<u32>,
+    pub stop_at: Option<u32>,
 }
 
-/// Reusable arenas for repeated SSSP sweeps: distance and parent arrays
-/// live in external row slices, the heap and settled bitmap are reused
-/// between calls, so a warmed-up workspace allocates nothing.
+/// Reusable arenas for repeated sweeps: value and parent arrays live in
+/// external row slices, the heaps and settled bitmap are reused between
+/// calls, so a warmed-up workspace allocates nothing.
 #[derive(Default)]
 pub struct DijkstraWorkspace {
     settled: Vec<bool>,
     /// Marker for the affected set during removal repairs; cleared
     /// before returning.
     flag: Vec<bool>,
-    heap: BinaryHeap<HeapEntry>,
-    max_heap: BinaryHeap<MaxHeapEntry>,
+    min_heap: BinaryHeap<HeapEntry<MinPlus>>,
+    max_heap: BinaryHeap<HeapEntry<MaxMin>>,
 }
 
 impl DijkstraWorkspace {
@@ -314,19 +404,13 @@ impl DijkstraWorkspace {
         DijkstraWorkspace {
             settled: vec![false; n],
             flag: vec![false; n],
-            heap: BinaryHeap::with_capacity(n),
+            min_heap: BinaryHeap::with_capacity(n),
             max_heap: BinaryHeap::with_capacity(n),
         }
     }
 
-    fn reset(&mut self, n: usize) {
-        self.settled.clear();
-        self.settled.resize(n, false);
-        self.heap.clear();
-        self.max_heap.clear();
-    }
-
-    /// Dijkstra from `source` into caller-provided row slices.
+    /// Shortest paths ([`MinPlus`]) from `source` into caller-provided
+    /// row slices.
     ///
     /// `mask`: when `Some(v)`, node `v`'s out-edges are skipped — the
     /// residual-graph (`G−i`) sweep without materializing a second graph.
@@ -342,14 +426,18 @@ impl DijkstraWorkspace {
             mask,
             ..Sweep::default()
         };
-        self.sssp_impl(g, source, sweep, dist, parent)
+        self.sweep::<MinPlus>(g, source, sweep, dist, parent)
     }
 
-    /// The one Dijkstra loop behind [`Self::sssp_into`] and the
-    /// disabled-edge variant — a single implementation so relaxation and
-    /// tie-break behavior (which the engine's bit-exactness rests on)
-    /// cannot diverge between them.
-    pub(crate) fn sssp_impl(
+    /// Best paths from `source` on algebra `A` into caller-provided row
+    /// slices: `dist[source] = A::SOURCE`, unreached nodes keep
+    /// `A::UNREACHED` and [`NO_PARENT`].
+    ///
+    /// The one Dijkstra loop of the crate's CSR side — a single
+    /// implementation so relaxation and tie-break behavior (which the
+    /// engine's bit-exactness rests on) cannot diverge between the
+    /// semirings or between the plain, masked and disabled-edge forms.
+    pub fn sweep<A: PathAlgebra>(
         &mut self,
         g: &CsrGraph,
         source: u32,
@@ -364,15 +452,14 @@ impl DijkstraWorkspace {
         let n = g.len();
         debug_assert_eq!(dist.len(), n);
         debug_assert_eq!(parent.len(), n);
-        self.reset(n);
-        dist.fill(f64::INFINITY);
+        self.settled.clear();
+        self.settled.resize(n, false);
+        dist.fill(A::UNREACHED);
         parent.fill(NO_PARENT);
-        dist[source as usize] = 0.0;
-        self.heap.push(HeapEntry {
-            key: 0.0,
-            node: source,
-        });
-        while let Some(HeapEntry { key, node }) = self.heap.pop() {
+        dist[source as usize] = A::SOURCE;
+        A::heap(self).clear();
+        A::heap(self).push(HeapEntry::new(A::SOURCE, source));
+        while let Some(HeapEntry { key, node, .. }) = A::heap(self).pop() {
             let u = node as usize;
             if self.settled[u] {
                 continue;
@@ -388,72 +475,58 @@ impl DijkstraWorkspace {
             let lo = g.offsets[u] as usize;
             for (off, (&t, &c)) in ts.iter().zip(cs).enumerate() {
                 debug_assert!(c >= 0.0 && !c.is_nan());
-                if !c.is_finite() || disabled.is_some_and(|d| d[lo + off]) {
+                if disabled.is_some_and(|d| d[lo + off]) {
                     continue;
                 }
-                let v = t as usize;
-                let nd = key + c;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    parent[v] = node;
-                    self.heap.push(HeapEntry { key: nd, node: t });
-                }
+                self.relax::<A>(key, node, t, c, dist, parent);
             }
         }
     }
 
-    /// Widest (max-bottleneck) paths from `source` into row slices.
-    /// Unreachable width is 0; the source itself gets `INFINITY`.
-    pub fn widest_into(
+    /// Offer `v` the path that reaches `u` with value `key` and continues
+    /// over the edge `u → v` of value `c`; a strictly better offer is
+    /// recorded and queued.
+    #[inline]
+    fn relax<A: PathAlgebra>(
         &mut self,
-        g: &CsrGraph,
-        source: u32,
-        mask: Option<u32>,
-        width: &mut [f64],
+        key: f64,
+        u: u32,
+        v: u32,
+        c: f64,
+        dist: &mut [f64],
         parent: &mut [u32],
     ) {
-        let n = g.len();
-        debug_assert_eq!(width.len(), n);
-        debug_assert_eq!(parent.len(), n);
-        self.reset(n);
-        width.fill(0.0);
-        parent.fill(NO_PARENT);
-        width[source as usize] = f64::INFINITY;
-        self.max_heap.push(MaxHeapEntry {
-            key: f64::INFINITY,
-            node: source,
-        });
-        while let Some(MaxHeapEntry { key, node }) = self.max_heap.pop() {
-            let u = node as usize;
-            if self.settled[u] {
-                continue;
+        let cand = A::extend(key, c);
+        if A::better(cand, dist[v as usize]) {
+            dist[v as usize] = cand;
+            parent[v as usize] = u;
+            A::heap(self).push(HeapEntry::new(cand, v));
+        }
+    }
+
+    /// Drain the heap, relaxing out-edges of every entry that is still
+    /// its node's value — the propagation both repairs end with.
+    fn propagate<A: PathAlgebra>(&mut self, g: &CsrGraph, dist: &mut [f64], parent: &mut [u32]) {
+        while let Some(HeapEntry { key, node, .. }) = A::heap(self).pop() {
+            if A::better(dist[node as usize], key) {
+                continue; // stale entry
             }
-            self.settled[u] = true;
-            if mask == Some(node) {
-                continue;
-            }
-            let (ts, cs) = g.out(u);
+            let (ts, cs) = g.out(node as usize);
             for (&t, &c) in ts.iter().zip(cs) {
-                debug_assert!(c >= 0.0 && !c.is_nan());
-                let v = t as usize;
-                let nw = key.min(c);
-                if nw > width[v] {
-                    width[v] = nw;
-                    parent[v] = node;
-                    self.max_heap.push(MaxHeapEntry { key: nw, node: t });
-                }
+                self.relax::<A>(key, node, t, c, dist, parent);
             }
         }
     }
 
-    /// Decrease-only SSSP repair after edge insertions.
+    /// Exact row repair after edge insertions.
     ///
-    /// `dist`/`parent` must hold exact shortest paths of the graph
-    /// *before* the inserted edges; `seeds` carries one `(node,
-    /// candidate_dist, parent)` triple per inserted edge head. Only the
-    /// region whose distance actually shrinks is re-explored, and the
-    /// repaired rows are bit-identical to a from-scratch sweep.
-    pub fn repair_decrease(
+    /// `dist`/`parent` must hold exact best paths of the graph *before*
+    /// the inserted edges; `seeds` carries one `(node, candidate value,
+    /// parent)` triple per inserted edge head. Insertion can only improve
+    /// values (distances shrink, widths grow), so only the region that
+    /// actually improves is re-explored, and the repaired rows are
+    /// bit-identical to a from-scratch sweep.
+    pub fn repair_insertion<A: PathAlgebra>(
         &mut self,
         g: &CsrGraph,
         seeds: &[(u32, f64, u32)],
@@ -461,52 +534,32 @@ impl DijkstraWorkspace {
         parent: &mut [u32],
     ) {
         csr_obs().insertion_repairs.inc();
-        self.heap.clear();
+        A::heap(self).clear();
         for &(node, cand, par) in seeds {
             let v = node as usize;
-            if cand < dist[v] {
+            if A::better(cand, dist[v]) {
                 dist[v] = cand;
                 parent[v] = par;
-                self.heap.push(HeapEntry { key: cand, node });
+                A::heap(self).push(HeapEntry::new(cand, node));
             }
         }
-        while let Some(HeapEntry { key, node }) = self.heap.pop() {
-            let u = node as usize;
-            if key > dist[u] {
-                continue; // stale entry
-            }
-            let (ts, cs) = g.out(u);
-            for (&t, &c) in ts.iter().zip(cs) {
-                if !c.is_finite() {
-                    continue;
-                }
-                let v = t as usize;
-                let nd = key + c;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    parent[v] = node;
-                    self.heap.push(HeapEntry { key: nd, node: t });
-                }
-            }
-        }
+        self.propagate::<A>(g, dist, parent);
     }
 
-    /// Exact SSSP repair after removing node `mask`'s out-edges, given
+    /// Exact row repair after removing node `mask`'s out-edges, given
     /// the affected set.
     ///
-    /// `dist`/`parent` must hold exact shortest paths of the graph
-    /// *with* `mask`'s out-edges, and `affected` must contain every
-    /// vertex whose shortest-path-tree path routes through `mask` (its
-    /// tree descendants). Every other vertex keeps its distance —
-    /// removal only lengthens paths and its tree path survives — so the
-    /// repair resets only the affected region and re-seeds it from
-    /// frontier in-edges (`rev` is `g` reversed). Any path into the
-    /// affected set enters it through such an edge, and path sums
-    /// accumulate left-to-right exactly as a full masked sweep would, so
-    /// repaired rows are bit-identical to [`Self::sssp_into`] with the
-    /// same mask.
-    #[allow(clippy::too_many_arguments)]
-    pub fn repair_removal(
+    /// `dist`/`parent` must hold exact best paths of the graph *with*
+    /// `mask`'s out-edges, and `affected` must contain every vertex
+    /// whose tree path routes through `mask` (its tree descendants).
+    /// Every other vertex keeps its value — removal only worsens paths
+    /// and its tree path survives — so the repair resets only the
+    /// affected region and re-seeds it from frontier in-edges (`rev` is
+    /// `g` reversed). Any path into the affected set enters it through
+    /// such an edge, and path values fold left-to-right exactly as a
+    /// full masked sweep would, so repaired rows are bit-identical to
+    /// [`Self::sweep`] with the same mask.
+    pub fn repair_removal<A: PathAlgebra>(
         &mut self,
         g: &CsrGraph,
         rev: &CsrGraph,
@@ -516,161 +569,38 @@ impl DijkstraWorkspace {
         parent: &mut [u32],
     ) {
         csr_obs().removal_repairs.inc();
-        let n = g.len();
-        self.flag.resize(n, false);
-        self.heap.clear();
+        self.flag.resize(g.len(), false);
+        A::heap(self).clear();
         for &v in affected {
             self.flag[v as usize] = true;
-            dist[v as usize] = f64::INFINITY;
+            dist[v as usize] = A::UNREACHED;
             parent[v as usize] = NO_PARENT;
         }
         // Seed each affected vertex with its best frontier in-edge.
         for &v in affected {
             let (us, cs) = rev.out(v as usize);
-            let mut best = f64::INFINITY;
-            let mut best_par = NO_PARENT;
-            for (&u, &c) in us.iter().zip(cs) {
-                if u == mask || self.flag[u as usize] || !c.is_finite() {
-                    continue;
-                }
-                let du = dist[u as usize];
-                if !du.is_finite() {
-                    continue;
-                }
-                let nd = du + c;
-                if nd < best {
-                    best = nd;
-                    best_par = u;
-                }
-            }
-            if best < dist[v as usize] {
-                dist[v as usize] = best;
-                parent[v as usize] = best_par;
-                self.heap.push(HeapEntry { key: best, node: v });
-            }
-        }
-        // Propagate inside the affected region (only it can improve).
-        while let Some(HeapEntry { key, node }) = self.heap.pop() {
-            let u = node as usize;
-            if key > dist[u] {
-                continue;
-            }
-            let (ts, cs) = g.out(u);
-            for (&t, &c) in ts.iter().zip(cs) {
-                if !c.is_finite() {
-                    continue;
-                }
-                let v = t as usize;
-                let nd = key + c;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    parent[v] = node;
-                    self.heap.push(HeapEntry { key: nd, node: t });
-                }
-            }
-        }
-        for &v in affected {
-            self.flag[v as usize] = false;
-        }
-    }
-
-    /// Widest-path mirror of [`Self::repair_removal`]: affected widths
-    /// reset to 0 and regrow from frontier in-edges (`min(width(u), c)`)
-    /// with max-min propagation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn repair_removal_widest(
-        &mut self,
-        g: &CsrGraph,
-        rev: &CsrGraph,
-        mask: u32,
-        affected: &[u32],
-        width: &mut [f64],
-        parent: &mut [u32],
-    ) {
-        csr_obs().removal_repairs.inc();
-        let n = g.len();
-        self.flag.resize(n, false);
-        self.max_heap.clear();
-        for &v in affected {
-            self.flag[v as usize] = true;
-            width[v as usize] = 0.0;
-            parent[v as usize] = NO_PARENT;
-        }
-        for &v in affected {
-            let (us, cs) = rev.out(v as usize);
-            let mut best = 0.0f64;
+            let mut best = A::UNREACHED;
             let mut best_par = NO_PARENT;
             for (&u, &c) in us.iter().zip(cs) {
                 if u == mask || self.flag[u as usize] {
                     continue;
                 }
-                let nw = width[u as usize].min(c);
-                if nw > best {
-                    best = nw;
+                let cand = A::extend(dist[u as usize], c);
+                if A::better(cand, best) {
+                    best = cand;
                     best_par = u;
                 }
             }
-            if best > width[v as usize] {
-                width[v as usize] = best;
+            if best_par != NO_PARENT {
+                dist[v as usize] = best;
                 parent[v as usize] = best_par;
-                self.max_heap.push(MaxHeapEntry { key: best, node: v });
+                A::heap(self).push(HeapEntry::new(best, v));
             }
         }
-        while let Some(MaxHeapEntry { key, node }) = self.max_heap.pop() {
-            let u = node as usize;
-            if key < width[u] {
-                continue;
-            }
-            let (ts, cs) = g.out(u);
-            for (&t, &c) in ts.iter().zip(cs) {
-                let v = t as usize;
-                let nw = key.min(c);
-                if nw > width[v] {
-                    width[v] = nw;
-                    parent[v] = node;
-                    self.max_heap.push(MaxHeapEntry { key: nw, node: t });
-                }
-            }
-        }
+        // Propagate inside the affected region (only it can improve).
+        self.propagate::<A>(g, dist, parent);
         for &v in affected {
             self.flag[v as usize] = false;
-        }
-    }
-
-    /// Increase-only widest-path repair after edge insertions (widths
-    /// only grow when edges appear). Mirror of [`Self::repair_decrease`].
-    pub fn repair_increase_widest(
-        &mut self,
-        g: &CsrGraph,
-        seeds: &[(u32, f64, u32)],
-        width: &mut [f64],
-        parent: &mut [u32],
-    ) {
-        csr_obs().insertion_repairs.inc();
-        self.max_heap.clear();
-        for &(node, cand, par) in seeds {
-            let v = node as usize;
-            if cand > width[v] {
-                width[v] = cand;
-                parent[v] = par;
-                self.max_heap.push(MaxHeapEntry { key: cand, node });
-            }
-        }
-        while let Some(MaxHeapEntry { key, node }) = self.max_heap.pop() {
-            let u = node as usize;
-            if key < width[u] {
-                continue;
-            }
-            let (ts, cs) = g.out(u);
-            for (&t, &c) in ts.iter().zip(cs) {
-                let v = t as usize;
-                let nw = key.min(c);
-                if nw > width[v] {
-                    width[v] = nw;
-                    parent[v] = node;
-                    self.max_heap.push(MaxHeapEntry { key: nw, node: t });
-                }
-            }
         }
     }
 }
@@ -768,28 +698,21 @@ fn fanout_threads(n: usize) -> usize {
     cores.min(n)
 }
 
-/// Run `sweep(source, dist_row, parent_row)` for every source, fanning
-/// rows out over scoped threads. Each thread owns a disjoint chunk of the
-/// output, so the result is byte-identical to the sequential order.
-fn all_pairs_fanout(
-    n: usize,
-    dist: &mut [f64],
-    parent: &mut [u32],
-    sweep: impl Fn(&mut DijkstraWorkspace, u32, &mut [f64], &mut [u32]) + Sync,
-) {
+/// Sweep every source on algebra `A`, fanning rows out over scoped
+/// threads. Each thread owns a disjoint chunk of the output, so the
+/// result is byte-identical to the sequential order.
+fn all_pairs_fanout<A: PathAlgebra>(g: &CsrGraph, dist: &mut [f64], parent: &mut [u32]) {
+    let n = g.len();
+    let sweep_rows = |first: usize, dist: &mut [f64], parent: &mut [u32]| {
+        let mut ws = DijkstraWorkspace::new(n);
+        let rows = dist.chunks_mut(n).zip(parent.chunks_mut(n));
+        for (r, (d_row, p_row)) in rows.enumerate() {
+            ws.sweep::<A>(g, (first + r) as u32, Sweep::default(), d_row, p_row);
+        }
+    };
     let threads = fanout_threads(n);
     if threads <= 1 {
-        let mut ws = DijkstraWorkspace::new(n);
-        for s in 0..n {
-            let lo = s * n;
-            sweep(
-                &mut ws,
-                s as u32,
-                &mut dist[lo..lo + n],
-                &mut parent[lo..lo + n],
-            );
-        }
-        return;
+        return sweep_rows(0, dist, parent);
     }
     let rows_per = n.div_ceil(threads);
     std::thread::scope(|scope| {
@@ -805,40 +728,26 @@ fn all_pairs_fanout(
             let (parent_chunk, p_rest) = parent_rest.split_at_mut(rows * n);
             dist_rest = d_rest;
             parent_rest = p_rest;
-            let sweep = &sweep;
-            scope.spawn(move || {
-                let mut ws = DijkstraWorkspace::new(n);
-                for (r, (d_row, p_row)) in dist_chunk
-                    .chunks_mut(n)
-                    .zip(parent_chunk.chunks_mut(n))
-                    .enumerate()
-                {
-                    sweep(&mut ws, (start + r) as u32, d_row, p_row);
-                }
-            });
+            scope.spawn(move || sweep_rows(start, dist_chunk, parent_chunk));
         }
     });
 }
 
-/// Obs handles for the CSR all-pairs machinery, resolved lazily once.
-/// Builds get spans (they are the expensive, once-per-epoch-state
-/// operation); the per-row repairs are far too hot for timestamps and
-/// get plain counters instead.
+/// Obs counters of the CSR all-pairs machinery, resolved lazily once.
+/// Builds get a span per algebra ([`PathAlgebra::BUILD_SPAN`]; they are
+/// the expensive, once-per-epoch-state operation); the per-row repairs
+/// are far too hot for timestamps and get plain counters instead.
 struct CsrObs {
-    apsp_build: egoist_obs::Timer,
-    widest_build: egoist_obs::Timer,
     sources: egoist_obs::Counter,
     removal_repairs: egoist_obs::Counter,
     insertion_repairs: egoist_obs::Counter,
 }
 
 fn csr_obs() -> &'static CsrObs {
-    static OBS: std::sync::OnceLock<CsrObs> = std::sync::OnceLock::new();
+    static OBS: OnceLock<CsrObs> = OnceLock::new();
     OBS.get_or_init(|| {
         let r = egoist_obs::registry();
         CsrObs {
-            apsp_build: r.timer("graph.apsp.build"),
-            widest_build: r.timer("graph.widest.build"),
             sources: r.counter("graph.apsp.sources"),
             removal_repairs: r.counter("graph.repair.removal"),
             insertion_repairs: r.counter("graph.repair.insertion"),
@@ -846,39 +755,26 @@ fn csr_obs() -> &'static CsrObs {
     })
 }
 
-/// All-pairs shortest paths over a CSR graph with parent tracking.
-/// Distances equal [`crate::apsp::apsp`] bit-for-bit.
-pub fn apsp_csr(g: &CsrGraph) -> CsrApsp {
-    let obs = csr_obs();
-    let _span = obs.apsp_build.start();
+/// All-pairs best paths on algebra `A` with parent tracking: row `s`
+/// is [`DijkstraWorkspace::sweep`] from `s`, so the diagonal holds
+/// `A::SOURCE` and unreachable pairs `A::UNREACHED`. On [`MaxMin`] that
+/// is the policy layer's dense widest-matrix convention (diagonal
+/// `INFINITY`, unreachable 0).
+pub fn all_pairs<A: PathAlgebra>(g: &CsrGraph) -> CsrApsp {
+    let timer = egoist_obs::registry().timer(A::BUILD_SPAN);
+    let _span = timer.start();
     let n = g.len();
-    obs.sources.add(n as u64);
-    let mut dist = vec![f64::INFINITY; n * n];
+    csr_obs().sources.add(n as u64);
+    let mut dist = vec![A::UNREACHED; n * n];
     let mut parent = vec![NO_PARENT; n * n];
-    all_pairs_fanout(n, &mut dist, &mut parent, |ws, s, d, p| {
-        ws.sssp_into(g, s, None, d, p)
-    });
+    all_pairs_fanout::<A>(g, &mut dist, &mut parent);
     CsrApsp { n, dist, parent }
 }
 
-/// All-pairs widest paths with parent tracking. Matches the policy
-/// layer's dense widest matrix convention: diagonal `INFINITY`,
-/// unreachable 0.
-pub fn widest_csr(g: &CsrGraph) -> CsrApsp {
-    let obs = csr_obs();
-    let _span = obs.widest_build.start();
-    let n = g.len();
-    obs.sources.add(n as u64);
-    let mut width = vec![0.0; n * n];
-    let mut parent = vec![NO_PARENT; n * n];
-    all_pairs_fanout(n, &mut width, &mut parent, |ws, s, w, p| {
-        ws.widest_into(g, s, None, w, p)
-    });
-    CsrApsp {
-        n,
-        dist: width,
-        parent,
-    }
+/// All-pairs shortest paths ([`all_pairs`] on [`MinPlus`]). Distances
+/// equal [`crate::apsp::apsp`] bit-for-bit.
+pub fn apsp_csr(g: &CsrGraph) -> CsrApsp {
+    all_pairs::<MinPlus>(g)
 }
 
 /// Shortest-path distances from every node *to* `target`: one workspace
@@ -911,8 +807,8 @@ pub struct TreeScratch {
 
 /// Cost of the tree path `source → v` for every `v`, under an edge cost
 /// other than the one the tree was built on (routes follow announced
-/// costs, what they deliver is the true ones): `out[v] = out[parent[v]]
-/// + cost(parent[v], v)`, root to leaves in one O(n) sweep. These are
+/// costs, what they deliver is the true ones): with `p = parent[v]`,
+/// `out[v] = out[p] + cost(p, v)`, root to leaves in one O(n) sweep. These are
 /// the additions of walking each path from the source, in the same
 /// left-to-right order, so every sum is bit-identical to the walk's.
 /// Unreachable nodes get `INFINITY`, the source `0`.
@@ -1014,7 +910,7 @@ impl DisjointSearch {
                         stop_at: Some(target),
                     };
                     self.ws
-                        .sssp_impl(g, source, sweep, &mut self.dist, &mut self.parent);
+                        .sweep::<MinPlus>(g, source, sweep, &mut self.dist, &mut self.parent);
                     &self.parent
                 }
             };
@@ -1065,7 +961,7 @@ pub fn successive_disjoint_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apsp::{apsp, distances_to};
+    use crate::apsp::distances_to;
     use crate::dijkstra::dijkstra;
     use crate::widest::widest_paths;
 
@@ -1101,27 +997,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apsp_csr_bitwise_matches_apsp() {
+    /// The `DiGraph` reference sweep of each algebra.
+    trait Reference: PathAlgebra {
+        fn sweep(g: &DiGraph, source: NodeId) -> Vec<f64>;
+    }
+
+    impl Reference for MinPlus {
+        fn sweep(g: &DiGraph, source: NodeId) -> Vec<f64> {
+            dijkstra(g, source).dist
+        }
+    }
+
+    impl Reference for MaxMin {
+        fn sweep(g: &DiGraph, source: NodeId) -> Vec<f64> {
+            widest_paths(g, source).width
+        }
+    }
+
+    fn assert_rows_bit_equal(truth: &[f64], got: &[f64], what: &str) {
+        assert_eq!(truth.len(), got.len(), "{what}: length");
+        for (j, (t, g)) in truth.iter().zip(got).enumerate() {
+            assert_eq!(t.to_bits(), g.to_bits(), "{what}: target {j}: {t} vs {g}");
+        }
+    }
+
+    fn all_pairs_matches_reference<A: Reference>() {
         for n in [5usize, 17, 40, 80] {
             let g = scrambled(n, 3);
-            let dense = apsp(&g);
-            let packed = apsp_csr(&CsrGraph::from_digraph(&g));
-            for i in 0..n {
-                for j in 0..n {
-                    assert_eq!(
-                        dense.at(i, j).to_bits(),
-                        packed.dist_row(i)[j].to_bits(),
-                        "({i},{j}) mismatch at n={n}"
-                    );
-                }
+            let packed = all_pairs::<A>(&CsrGraph::from_digraph(&g));
+            for s in 0..n {
+                let oracle = A::sweep(&g, NodeId::from_index(s));
+                assert_rows_bit_equal(&oracle, packed.dist_row(s), &format!("n={n} source {s}"));
             }
         }
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn masked_sweep_equals_clearing_out_edges() {
+    fn all_pairs_matches_reference_min_plus() {
+        all_pairs_matches_reference::<MinPlus>();
+    }
+
+    #[test]
+    fn all_pairs_matches_reference_max_min() {
+        all_pairs_matches_reference::<MaxMin>();
+    }
+
+    fn masked_sweep_equals_clearing_out_edges<A: Reference>() {
         let g = scrambled(24, 4);
         let csr = CsrGraph::from_digraph(&g);
         let mut ws = DijkstraWorkspace::new(24);
@@ -1129,27 +1050,27 @@ mod tests {
             let mut cleared = g.clone();
             cleared.clear_out_edges(NodeId(masked));
             for s in 0..24u32 {
-                let oracle = dijkstra(&cleared, NodeId(s));
+                let oracle = A::sweep(&cleared, NodeId(s));
                 let mut dist = vec![0.0; 24];
                 let mut parent = vec![0u32; 24];
-                ws.sssp_into(&csr, s, Some(masked), &mut dist, &mut parent);
-                for j in 0..24 {
-                    assert_eq!(oracle.dist[j].to_bits(), dist[j].to_bits());
-                }
+                let sweep = Sweep {
+                    mask: Some(masked),
+                    ..Sweep::default()
+                };
+                ws.sweep::<A>(&csr, s, sweep, &mut dist, &mut parent);
+                assert_rows_bit_equal(&oracle, &dist, &format!("mask {masked} source {s}"));
             }
         }
     }
 
     #[test]
-    fn widest_csr_matches_widest_paths() {
-        let g = scrambled(30, 4);
-        let packed = widest_csr(&CsrGraph::from_digraph(&g));
-        for s in 0..30 {
-            let oracle = widest_paths(&g, NodeId::from_index(s));
-            for j in 0..30 {
-                assert_eq!(oracle.width[j].to_bits(), packed.dist_row(s)[j].to_bits());
-            }
-        }
+    fn masked_sweep_equals_clearing_out_edges_min_plus() {
+        masked_sweep_equals_clearing_out_edges::<MinPlus>();
+    }
+
+    #[test]
+    fn masked_sweep_equals_clearing_out_edges_max_min() {
+        masked_sweep_equals_clearing_out_edges::<MaxMin>();
     }
 
     #[test]
@@ -1165,197 +1086,139 @@ mod tests {
         }
     }
 
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn repair_decrease_equals_from_scratch() {
-        // Remove node 3's out-edges, compute APSP, then re-add them via
-        // decrease-repair; every unaffected row must equal the full APSP.
-        let g = scrambled(30, 3);
+    /// All-pairs state of `g` without `node`'s out-edges, re-inserted
+    /// row by row through `repair_insertion`: `(repaired, csr of g)`.
+    fn reinsert_out_edges<A: PathAlgebra>(g: &DiGraph, node: u32) -> (CsrApsp, CsrGraph) {
+        let n = g.len();
         let mut without = g.clone();
-        without.clear_out_edges(NodeId(3));
-        let before = apsp_csr(&CsrGraph::from_digraph(&without));
-        let full = CsrGraph::from_digraph(&g);
-        let truth = apsp_csr(&full);
-        let added: Vec<(u32, f64)> = g
-            .out_edges(NodeId(3))
-            .iter()
-            .map(|e| (e.to.0, e.cost))
-            .collect();
+        without.clear_out_edges(NodeId(node));
+        let mut state = all_pairs::<A>(&CsrGraph::from_digraph(&without));
+        let full = CsrGraph::from_digraph(g);
+        let mut ws = DijkstraWorkspace::new(n);
+        for s in 0..n {
+            let row = &mut state.dist[s * n..(s + 1) * n];
+            let prow = &mut state.parent[s * n..(s + 1) * n];
+            let via = row[node as usize];
+            let seeds: Vec<(u32, f64, u32)> = g
+                .out_edges(NodeId(node))
+                .iter()
+                .filter(|_| A::better(via, A::UNREACHED))
+                .map(|e| (e.to.0, A::extend(via, e.cost), node))
+                .collect();
+            ws.repair_insertion::<A>(&full, &seeds, row, prow);
+        }
+        (state, full)
+    }
 
-        let mut ws = DijkstraWorkspace::new(30);
-        let mut dist = before.dist.clone();
-        let mut parent = before.parent.clone();
-        for s in 0..30 {
-            let d_i = dist[s * 30 + 3];
-            let seeds: Vec<(u32, f64, u32)> = if d_i.is_finite() {
-                added.iter().map(|&(w, c)| (w, d_i + c, 3)).collect()
-            } else {
-                Vec::new()
-            };
-            let row = &mut dist[s * 30..(s + 1) * 30];
-            let prow = &mut parent[s * 30..(s + 1) * 30];
-            ws.repair_decrease(&full, &seeds, row, prow);
-            for j in 0..30 {
-                assert_eq!(
-                    truth.dist_row(s)[j].to_bits(),
-                    row[j].to_bits(),
-                    "repair mismatch source {s} target {j}"
-                );
+    fn repair_insertion_equals_from_scratch<A: PathAlgebra>() {
+        // Remove a node's out-edges, compute all pairs, then re-add
+        // them via insertion repair; every row must equal the full
+        // all-pairs result.
+        for (n, node) in [(30usize, 3u32), (28, 2)] {
+            let g = scrambled(n, 3);
+            let (repaired, full) = reinsert_out_edges::<A>(&g, node);
+            let truth = all_pairs::<A>(&full);
+            for s in 0..n {
+                let what = format!("n={n} source {s}");
+                assert_rows_bit_equal(truth.dist_row(s), repaired.dist_row(s), &what);
             }
         }
     }
 
     #[test]
-    fn repaired_parents_form_a_valid_tree() {
-        let g = scrambled(26, 3);
-        let mut without = g.clone();
-        without.clear_out_edges(NodeId(5));
-        let before = apsp_csr(&CsrGraph::from_digraph(&without));
-        let full = CsrGraph::from_digraph(&g);
-        let added: Vec<(u32, f64)> = g
-            .out_edges(NodeId(5))
-            .iter()
-            .map(|e| (e.to.0, e.cost))
-            .collect();
-        let mut ws = DijkstraWorkspace::new(26);
-        let mut dist = before.dist.clone();
-        let mut parent = before.parent.clone();
-        for s in 0..26 {
-            let d_i = dist[s * 26 + 5];
-            let seeds: Vec<(u32, f64, u32)> = if d_i.is_finite() {
-                added.iter().map(|&(w, c)| (w, d_i + c, 5)).collect()
-            } else {
-                Vec::new()
-            };
-            ws.repair_decrease(
-                &full,
-                &seeds,
-                &mut dist[s * 26..(s + 1) * 26],
-                &mut parent[s * 26..(s + 1) * 26],
-            );
-        }
-        // Every parent edge must exist and be tight: d[p] + c(p,v) = d[v].
-        for s in 0..26 {
-            for v in 0..26 {
-                let p = parent[s * 26 + v];
+    fn repair_insertion_equals_from_scratch_min_plus() {
+        repair_insertion_equals_from_scratch::<MinPlus>();
+    }
+
+    #[test]
+    fn repair_insertion_equals_from_scratch_max_min() {
+        repair_insertion_equals_from_scratch::<MaxMin>();
+    }
+
+    fn repaired_parents_form_a_valid_tree<A: PathAlgebra>() {
+        let n = 26;
+        let (repaired, full) = reinsert_out_edges::<A>(&scrambled(n, 3), 5);
+        // Every parent edge must exist and be tight: some copy of the
+        // edge p → v extends p's value to exactly v's.
+        for s in 0..n {
+            let (dist, parent) = (repaired.dist_row(s), repaired.parent_row(s));
+            for v in 0..n {
+                let p = parent[v];
                 if p == NO_PARENT {
                     continue;
                 }
                 let (ts, cs) = full.out(p as usize);
-                let c = ts
-                    .iter()
-                    .zip(cs)
-                    .filter(|(&t, _)| t as usize == v)
-                    .map(|(_, &c)| c)
-                    .fold(f64::INFINITY, f64::min);
-                assert!(c.is_finite(), "parent edge {p}→{v} missing");
-                assert_eq!(
-                    (dist[s * 26 + p as usize] + c).to_bits(),
-                    dist[s * 26 + v].to_bits(),
-                    "loose parent edge {p}→{v} for source {s}"
-                );
+                let tight = ts.iter().zip(cs).any(|(&t, &c)| {
+                    t as usize == v && A::extend(dist[p as usize], c).to_bits() == dist[v].to_bits()
+                });
+                assert!(tight, "no tight parent edge {p}→{v} for source {s}");
             }
         }
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn repair_increase_widest_equals_from_scratch() {
-        let g = scrambled(28, 3);
-        let mut without = g.clone();
-        without.clear_out_edges(NodeId(2));
-        let before = widest_csr(&CsrGraph::from_digraph(&without));
-        let full = CsrGraph::from_digraph(&g);
-        let truth = widest_csr(&full);
-        let added: Vec<(u32, f64)> = g
-            .out_edges(NodeId(2))
-            .iter()
-            .map(|e| (e.to.0, e.cost))
-            .collect();
-        let mut ws = DijkstraWorkspace::new(28);
-        let mut width = before.dist.clone();
-        let mut parent = before.parent.clone();
-        for s in 0..28 {
-            let w_i = width[s * 28 + 2];
-            let seeds: Vec<(u32, f64, u32)> = added
-                .iter()
-                .filter(|_| w_i > 0.0)
-                .map(|&(w, c)| (w, w_i.min(c), 2))
-                .collect();
-            let row = &mut width[s * 28..(s + 1) * 28];
-            let prow = &mut parent[s * 28..(s + 1) * 28];
-            ws.repair_increase_widest(&full, &seeds, row, prow);
-            for j in 0..28 {
-                assert_eq!(
-                    truth.dist_row(s)[j].to_bits(),
-                    row[j].to_bits(),
-                    "widest repair mismatch source {s} target {j}"
-                );
-            }
-        }
+    fn repaired_parents_form_a_valid_tree_min_plus() {
+        repaired_parents_form_a_valid_tree::<MinPlus>();
     }
 
     #[test]
-    fn repair_removal_matches_masked_sweep() {
+    fn repaired_parents_form_a_valid_tree_max_min() {
+        repaired_parents_form_a_valid_tree::<MaxMin>();
+    }
+
+    fn repair_removal_matches_masked_sweep<A: PathAlgebra>() {
         let g = scrambled(32, 4);
         let csr = CsrGraph::from_digraph(&g);
         let rev = csr.reversed();
-        let full = apsp_csr(&csr);
+        let full = all_pairs::<A>(&csr);
         let mut ws = DijkstraWorkspace::new(32);
         let (mut head, mut next, mut affected) = (Vec::new(), Vec::new(), Vec::new());
         for masked in [0u32, 9, 31] {
-            for s in 0..32usize {
+            // Row `masked` itself is special-cased by callers.
+            for s in (0..32usize).filter(|&s| s != masked as usize) {
                 let mut dist = full.dist_row(s).to_vec();
                 let mut parent = full.parent_row(s).to_vec();
                 tree_descendants(&parent, masked, &mut head, &mut next, &mut affected);
-                ws.repair_removal(&csr, &rev, masked, &affected, &mut dist, &mut parent);
+                ws.repair_removal::<A>(&csr, &rev, masked, &affected, &mut dist, &mut parent);
                 let mut oracle_d = vec![0.0; 32];
                 let mut oracle_p = vec![0u32; 32];
-                ws.sssp_into(&csr, s as u32, Some(masked), &mut oracle_d, &mut oracle_p);
-                for j in 0..32 {
-                    // Row `masked` itself is special-cased by callers.
-                    if s == masked as usize {
-                        continue;
-                    }
-                    assert_eq!(
-                        oracle_d[j].to_bits(),
-                        dist[j].to_bits(),
-                        "removal repair mismatch mask={masked} source={s} target={j}"
-                    );
-                }
+                let sweep = Sweep {
+                    mask: Some(masked),
+                    ..Sweep::default()
+                };
+                ws.sweep::<A>(&csr, s as u32, sweep, &mut oracle_d, &mut oracle_p);
+                assert_rows_bit_equal(&oracle_d, &dist, &format!("mask {masked} source {s}"));
             }
         }
     }
 
     #[test]
-    fn repair_removal_widest_matches_masked_sweep() {
-        let g = scrambled(28, 4);
-        let csr = CsrGraph::from_digraph(&g);
-        let rev = csr.reversed();
-        let full = widest_csr(&csr);
-        let mut ws = DijkstraWorkspace::new(28);
-        let (mut head, mut next, mut affected) = (Vec::new(), Vec::new(), Vec::new());
-        for masked in [2u32, 15] {
-            for s in 0..28usize {
-                if s == masked as usize {
-                    continue;
-                }
-                let mut width = full.dist_row(s).to_vec();
-                let mut parent = full.parent_row(s).to_vec();
-                tree_descendants(&parent, masked, &mut head, &mut next, &mut affected);
-                ws.repair_removal_widest(&csr, &rev, masked, &affected, &mut width, &mut parent);
-                let mut oracle_w = vec![0.0; 28];
-                let mut oracle_p = vec![0u32; 28];
-                ws.widest_into(&csr, s as u32, Some(masked), &mut oracle_w, &mut oracle_p);
-                for j in 0..28 {
-                    assert_eq!(
-                        oracle_w[j].to_bits(),
-                        width[j].to_bits(),
-                        "widest removal repair mismatch mask={masked} source={s} target={j}"
-                    );
-                }
-            }
-        }
+    fn repair_removal_matches_masked_sweep_min_plus() {
+        repair_removal_matches_masked_sweep::<MinPlus>();
+    }
+
+    #[test]
+    fn repair_removal_matches_masked_sweep_max_min() {
+        repair_removal_matches_masked_sweep::<MaxMin>();
+    }
+
+    #[test]
+    fn heap_entry_equality_is_its_ordering() {
+        // 0.0 and -0.0 are `==` as floats but distinct under `total_cmp`,
+        // the order the heap uses: `Eq` must side with `Ord`.
+        let (pos, neg) = (HeapEntry::<MinPlus>::new(0.0, 1), HeapEntry::new(-0.0, 1));
+        assert!(pos != neg && pos.cmp(&neg) != Ordering::Equal);
+        assert!(pos == HeapEntry::new(0.0, 1));
+        let mut heap = BinaryHeap::from(
+            [(2.0, 7), (1.0, 9), (1.0, 4), (3.0, 0)].map(|(k, v)| HeapEntry::<MinPlus>::new(k, v)),
+        );
+        let order: Vec<u32> = std::iter::from_fn(|| heap.pop().map(|e| e.node)).collect();
+        assert_eq!(order, [4, 9, 7, 0]);
+        let mut heap = BinaryHeap::from(
+            [(2.0, 7), (1.0, 9), (3.0, 4), (3.0, 0)].map(|(k, v)| HeapEntry::<MaxMin>::new(k, v)),
+        );
+        let order: Vec<u32> = std::iter::from_fn(|| heap.pop().map(|e| e.node)).collect();
+        assert_eq!(order, [0, 4, 7, 9]);
     }
 
     #[test]

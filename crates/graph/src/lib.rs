@@ -11,6 +11,11 @@
 //!   the routing layer of Definition 1 (`d_S(v_i, v_j)`).
 //! * [`widest`] — maximum-bottleneck-bandwidth paths (the modified Dijkstra
 //!   of §4.1 used for the available-bandwidth cost metric).
+//! * [`csr`] — the hot-path stack: [`CsrGraph`], and one sweep, one
+//!   insertion repair, one removal repair and one all-pairs pass, each
+//!   generic over a [`csr::PathAlgebra`] ([`csr::MinPlus`] shortest
+//!   paths, [`csr::MaxMin`] widest paths). The dense `dijkstra` / `apsp`
+//!   / `widest` modules above are the references it is pinned against.
 //! * [`maxflow`] — Dinic's max-flow, the "all peers allow multipath
 //!   redirection" upper bound of Fig. 10.
 //! * [`disjoint`] — edge-disjoint path counting (Fig. 11) via unit-capacity

@@ -47,7 +47,7 @@ fn disjoint_paths_with_precount(
     (s, t): (u32, u32),
     max_paths: usize,
 ) -> Vec<Vec<NodeId>> {
-    use crate::csr::{path_from_parents, DijkstraWorkspace, Sweep, NO_PARENT};
+    use crate::csr::{path_from_parents, DijkstraWorkspace, MinPlus, Sweep, NO_PARENT};
     let n = csr.len();
     let want = max_paths.min(edge_disjoint_paths(g, NodeId(s), NodeId(t)));
     let mut ws = DijkstraWorkspace::new(n);
@@ -59,7 +59,7 @@ fn disjoint_paths_with_precount(
             disabled: Some(&disabled),
             ..Sweep::default()
         };
-        ws.sssp_impl(csr, s, full, &mut dist, &mut parent);
+        ws.sweep::<MinPlus>(csr, s, full, &mut dist, &mut parent);
         let Some(path) = path_from_parents(&parent, s, t, dist[t as usize].is_finite()) else {
             break;
         };
@@ -72,6 +72,51 @@ fn disjoint_paths_with_precount(
         paths.push(path);
     }
     paths
+}
+
+/// One case of `early_exit_is_the_full_sweep` on algebra `A`.
+fn early_exit_case<A: crate::csr::PathAlgebra>(
+    csr: &crate::csr::CsrGraph,
+    mask_seed: u64,
+) -> Result<(), TestCaseError> {
+    use crate::csr::{path_from_parents, DijkstraWorkspace, Sweep, NO_PARENT};
+    let n = csr.len();
+    let mut ws = DijkstraWorkspace::new(n);
+    let row = || (vec![0.0; n], vec![NO_PARENT; n]);
+    let masks = [
+        vec![false; csr.edge_count()],
+        (0..csr.edge_count())
+            .map(|e| (mask_seed >> (e % 64)) & 1 == 1)
+            .collect(),
+    ];
+    for (s, mask) in (0..n as u32).flat_map(|s| masks.iter().map(move |m| (s, m))) {
+        let (mut dist, mut parent) = row();
+        let full = Sweep {
+            disabled: Some(mask),
+            ..Sweep::default()
+        };
+        ws.sweep::<A>(csr, s, full, &mut dist, &mut parent);
+        if mask.iter().all(|&d| !d) {
+            let (mut plain_dist, mut plain_parent) = row();
+            ws.sweep::<A>(csr, s, Sweep::default(), &mut plain_dist, &mut plain_parent);
+            prop_assert_eq!(&plain_parent, &parent);
+        }
+        for t in 0..n as u32 {
+            let (mut d, mut p) = row();
+            let early = Sweep {
+                stop_at: Some(t),
+                ..full
+            };
+            ws.sweep::<A>(csr, s, early, &mut d, &mut p);
+            prop_assert_eq!(d[t as usize].to_bits(), dist[t as usize].to_bits());
+            let reachable = A::better(dist[t as usize], A::UNREACHED);
+            prop_assert_eq!(
+                path_from_parents(&p, s, t, reachable),
+                path_from_parents(&parent, s, t, reachable)
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -112,56 +157,24 @@ proptest! {
         prop_assert_eq!(&off_tree, &oracle);
     }
 
-    /// Stopping at the target leaves its distance and parent chain bit
-    /// for bit the full sweep's, under any disabled-edge mask, on graphs
-    /// with parallel edges, zero costs and ties; and an all-false mask is
-    /// the plain SSSP tree.
+    /// Stopping at the target leaves its value and parent chain bit for
+    /// bit the full sweep's, on either algebra, under any disabled-edge
+    /// mask, on graphs with parallel edges, zero costs and ties; and an
+    /// all-false mask is the plain tree.
     #[test]
     fn early_exit_is_the_full_sweep(
         (n, edges) in arb_tie_edges(12),
         mask_seed in any::<u64>(),
     ) {
-        use crate::csr::{path_from_parents, CsrGraph, DijkstraWorkspace, Sweep, NO_PARENT};
-        let csr = CsrGraph::from_fn(n, |u| {
+        let csr = crate::csr::CsrGraph::from_fn(n, |u| {
             edges
                 .iter()
                 .filter(move |&&(a, b, _)| a == u && b != u)
                 .map(|&(_, b, c)| (b as u32, c as f64))
                 .collect::<Vec<_>>()
         });
-        let mut ws = DijkstraWorkspace::new(n);
-        let row = || (vec![0.0; n], vec![NO_PARENT; n]);
-        let masks = [
-            vec![false; csr.edge_count()],
-            (0..csr.edge_count()).map(|e| (mask_seed >> (e % 64)) & 1 == 1).collect(),
-        ];
-        for (s, mask) in (0..n as u32).flat_map(|s| masks.iter().map(move |m| (s, m))) {
-            let (mut dist, mut parent) = row();
-            let full = Sweep {
-                disabled: Some(mask),
-                ..Sweep::default()
-            };
-            ws.sssp_impl(&csr, s, full, &mut dist, &mut parent);
-            if mask.iter().all(|&d| !d) {
-                let (mut plain_dist, mut plain_parent) = row();
-                ws.sssp_into(&csr, s, None, &mut plain_dist, &mut plain_parent);
-                prop_assert_eq!(&plain_parent, &parent);
-            }
-            for t in 0..n as u32 {
-                let (mut d, mut p) = row();
-                let early = Sweep {
-                    stop_at: Some(t),
-                    ..full
-                };
-                ws.sssp_impl(&csr, s, early, &mut d, &mut p);
-                prop_assert_eq!(d[t as usize].to_bits(), dist[t as usize].to_bits());
-                let reachable = dist[t as usize].is_finite();
-                prop_assert_eq!(
-                    path_from_parents(&p, s, t, reachable),
-                    path_from_parents(&parent, s, t, reachable)
-                );
-            }
-        }
+        early_exit_case::<crate::csr::MinPlus>(&csr, mask_seed)?;
+        early_exit_case::<crate::csr::MaxMin>(&csr, mask_seed)?;
     }
 
     /// Dijkstra distances satisfy the triangle inequality over relaxed

@@ -33,8 +33,9 @@ fn with_churn(mut c: SimConfig) -> SimConfig {
     c
 }
 
-/// Run both engines and demand bitwise-equal sample series.
-fn assert_equivalent(base: SimConfig) {
+/// Run both engines and demand bitwise-equal sample series; returns
+/// the epoch engine's result.
+fn assert_equivalent(base: SimConfig) -> SimResult {
     let mut epoch_cfg = base.clone();
     epoch_cfg.engine = EngineMode::Epoch;
     let mut oracle_cfg = base;
@@ -42,6 +43,29 @@ fn assert_equivalent(base: SimConfig) {
     let fast = run(epoch_cfg.clone());
     let oracle = run(oracle_cfg);
     assert_series_identical(&fast, &oracle, &epoch_cfg);
+    fast
+}
+
+/// FNV-1a over everything a `SimResult` carries, floats by bit pattern.
+fn fingerprint(r: &SimResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(r.config_label.as_bytes());
+    for s in &r.samples {
+        for count in [s.epoch, s.rewirings, s.alive] {
+            eat(&(count as u64).to_le_bytes());
+        }
+        for series in [&s.individual_cost, &s.efficiency, &s.bandwidth_utility] {
+            for x in series {
+                eat(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
+    h
 }
 
 fn assert_series_identical(fast: &SimResult, oracle: &SimResult, cfg: &SimConfig) {
@@ -144,13 +168,54 @@ fn fault_plan_churn_runs_identical() {
 
 #[test]
 fn other_policies_identical() {
-    for policy in [
-        PolicyKind::EpsilonBestResponse { epsilon: 0.1 },
-        PolicyKind::HybridBestResponse { k2: 2 },
-        PolicyKind::Closest,
-        PolicyKind::Random,
+    // Epoch ≡ Recompute says the engines agree with each other; the
+    // fingerprints (produced at 4896637, before the bandwidth turn was
+    // folded into the one `rewire`) say they still wire as they did.
+    let eps = PolicyKind::EpsilonBestResponse { epsilon: 0.1 };
+    let hybrid = PolicyKind::HybridBestResponse { k2: 2 };
+    for (policy, metric, golden) in [
+        (eps, Metric::DelayPing, 0x3cf4_8423_4ce5_76d5u64),
+        (hybrid, Metric::DelayPing, 0x7056_6025_1cca_c4eb),
+        (
+            PolicyKind::Closest,
+            Metric::DelayPing,
+            0x3bdb_4415_9b83_fc50,
+        ),
+        (PolicyKind::Random, Metric::DelayPing, 0xa7e7_cb2f_0e83_631a),
+        (
+            PolicyKind::Regular,
+            Metric::DelayPing,
+            0xb663_60e9_5507_8e64,
+        ),
+        (
+            PolicyKind::Closest,
+            Metric::Bandwidth,
+            0x6e5f_eb99_9eb8_3892,
+        ),
+        (PolicyKind::Random, Metric::Bandwidth, 0x28ff_3f33_f08f_0472),
+        (
+            PolicyKind::Regular,
+            Metric::Bandwidth,
+            0x75a6_8258_e20f_3c7b,
+        ),
+        (eps, Metric::Bandwidth, 0x0716_8fe6_4fcc_a288),
+        (hybrid, Metric::Bandwidth, 0x46f9_9d33_e4aa_d65d),
+        (
+            PolicyKind::ExactBestResponse,
+            Metric::Bandwidth,
+            0xafc3_c925_6049_0f20,
+        ),
     ] {
-        assert_equivalent(cfg(32, 4, policy, Metric::DelayPing, 17));
+        let got = fingerprint(&assert_equivalent(cfg(32, 4, policy, metric, 17)));
+        assert_eq!(got, golden, "{policy:?}/{metric:?}: {got:#018x}");
+    }
+    for (policy, golden) in [
+        (PolicyKind::BestResponse, 0xe9e2_32d7_7744_1ddcu64),
+        (hybrid, 0x0060_94d6_f7a6_ade7),
+    ] {
+        let churned = with_churn(cfg(32, 4, policy, Metric::Bandwidth, 21));
+        let got = fingerprint(&assert_equivalent(churned));
+        assert_eq!(got, golden, "churned {policy:?}/Bandwidth: {got:#018x}");
     }
 }
 
