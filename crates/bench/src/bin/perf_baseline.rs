@@ -1,8 +1,9 @@
 //! `perf_baseline` — the tracked performance trajectory of the epoch
 //! route-state engine.
 //!
-//! Times best-response epoch stepping (delay metric, n ∈ {50, 200, 800})
-//! and the closed-loop traffic engine under both route-state engines:
+//! Times best-response epoch stepping (delay metric, n ∈ {50, 200, 800};
+//! bandwidth metric under PlanetLab-like churn, n ∈ {60, 300}) and the
+//! closed-loop traffic engine under both route-state engines:
 //!
 //! * `baseline_wall_ms` — [`EngineMode::Recompute`]: announced matrix +
 //!   from-scratch residual APSP every turn, pre-optimization BR
@@ -24,8 +25,11 @@
 //! Schema v2 keeps every v1 field (the trajectory stays comparable) and
 //! adds, per epoch-stepping scenario: `prev_wall_ms` (the prior PR's
 //! committed `wall_ms`), per-phase wall time (`residual_ms` /
-//! `solver_ms` / `absorb_ms`), and the engine's copy-vs-sweep ratios
-//! from `RouteStats`.
+//! `solver_ms` / `absorb_ms`), the engine's copy-vs-sweep ratios and
+//! its `rebuilds` / `leaves` / `joins` counts from `RouteStats`.
+//! `--check` holds every such entry to `rebuilds ≤ epochs + 1` — one
+//! snapshot build per underlay advance, whatever churns — a count that
+//! is the same on every runner, unlike the milliseconds.
 //!
 //! Per-phase timings are no longer private plumbing: the engine reports
 //! into the `egoist-obs` registry (spans `core.epoch.turn.{residual,
@@ -49,6 +53,7 @@
 use egoist_core::policies::PolicyKind;
 use egoist_core::sim::{EngineMode, Metric, SimConfig, SimResult, Simulator};
 use egoist_core::snapshot::RouteStats;
+use egoist_netsim::churn::ChurnModel;
 use egoist_traffic::engine::{TrafficConfig, TrafficEngine};
 use egoist_traffic::json::{array, num, JsonObject};
 use std::time::Instant;
@@ -73,10 +78,15 @@ fn span_ms(name: &str) -> f64 {
 /// reviewable in-diff rather than mutated by every regeneration.
 fn prev_wall_ms(name: &str) -> f64 {
     match name {
-        "br_delay_n50" => 27.358241,
-        "br_delay_n200" => 525.724614,
-        "br_delay_n800" => 17776.348013,
-        "br_traffic_n200" => 546.623248,
+        "br_delay_n50" => 24.355948,
+        "br_delay_n200" => 279.162536,
+        "br_delay_n800" => 7518.687374,
+        // The churned scenarios are new: their anchors are this bench
+        // built against the parent commit (78d3412), Epoch engine,
+        // median of three runs — 120 and 399 snapshot rebuilds.
+        "bw_churn_n60" => 61.164445,
+        "bw_churn_n300" => 3771.0,
+        "br_traffic_n200" => 302.186758,
         _ => 0.0,
     }
 }
@@ -168,19 +178,68 @@ impl ScenarioResult {
                 .f64(
                     "rewire_repair_ratio",
                     ratio(ph.stats.rewire_repaired, ph.stats.rewire_swept),
-                );
+                )
+                .u64("rebuilds", ph.stats.rebuilds as u64)
+                .u64("leaves", ph.stats.leaves as u64)
+                .u64("joins", ph.stats.joins as u64);
         }
         obj.finish()
     }
 }
 
-fn sim_cfg(n: usize, k: usize, epochs: usize, engine: EngineMode) -> SimConfig {
-    let mut c = SimConfig::baseline(k, PolicyKind::BestResponse, Metric::DelayPing, 42);
-    c.n = n;
-    c.epochs = epochs;
-    c.warmup_epochs = epochs / 3;
-    c.engine = engine;
-    c
+/// Input shape of an epoch-stepping scenario: best response on delay,
+/// or on bandwidth (the widest-path semiring) under PlanetLab-like
+/// churn at `churn_divisor` — the shape of the whole-stack benchmark's
+/// `wiring_bw_churn_n300`.
+#[derive(Clone, Copy)]
+struct Stepping {
+    label: &'static str,
+    metric: Metric,
+    n: usize,
+    k: usize,
+    epochs: usize,
+    /// `ChurnModel::planetlab_like` with this timescale divisor.
+    churn_divisor: Option<f64>,
+}
+
+impl Stepping {
+    fn br_delay(n: usize, k: usize, epochs: usize) -> Self {
+        Stepping {
+            label: "br_delay",
+            metric: Metric::DelayPing,
+            n,
+            k,
+            epochs,
+            churn_divisor: None,
+        }
+    }
+
+    fn bw_churn(n: usize, k: usize, epochs: usize) -> Self {
+        Stepping {
+            label: "bw_churn",
+            metric: Metric::Bandwidth,
+            churn_divisor: Some(20.0),
+            ..Self::br_delay(n, k, epochs)
+        }
+    }
+
+    fn name(&self) -> String {
+        format!("{}_n{}", self.label, self.n)
+    }
+
+    fn sim_cfg(&self, engine: EngineMode) -> SimConfig {
+        let mut c = SimConfig::baseline(self.k, PolicyKind::BestResponse, self.metric, 42);
+        c.n = self.n;
+        c.epochs = self.epochs;
+        c.warmup_epochs = self.epochs / 3;
+        c.engine = engine;
+        if let Some(divisor) = self.churn_divisor {
+            let mut model = ChurnModel::planetlab_like(self.n, 42);
+            model.timescale_divisor = divisor;
+            c.churn = Some(model.generate(c.epochs as f64 * c.epoch_secs));
+        }
+        c
+    }
 }
 
 /// Time one full BR epoch-stepping run under `engine`, collecting the
@@ -188,13 +247,8 @@ fn sim_cfg(n: usize, k: usize, epochs: usize, engine: EngineMode) -> SimConfig {
 /// only fire under `Epoch`, so they read zero for `Recompute`). The
 /// outer wall clock stays an `Instant`: it must keep ticking when the
 /// `--overhead-gate` runs with instrumentation disabled.
-fn time_sim(
-    n: usize,
-    k: usize,
-    epochs: usize,
-    engine: EngineMode,
-) -> (f64, SimResult, PhaseBreakdown) {
-    let cfg = sim_cfg(n, k, epochs, engine);
+fn time_sim(shape: Stepping, engine: EngineMode) -> (f64, SimResult, PhaseBreakdown) {
+    let cfg = shape.sim_cfg(engine);
     egoist_obs::registry().reset();
     let t = Instant::now();
     let mut sim = Simulator::new(cfg.clone());
@@ -217,19 +271,20 @@ fn time_sim(
     (wall_ms, result, phases)
 }
 
-fn epoch_stepping_scenario(n: usize, k: usize, epochs: usize) -> ScenarioResult {
-    eprintln!("# br_delay_n{n}: oracle (Recompute) ...");
-    let (baseline_ms, oracle, _) = time_sim(n, k, epochs, EngineMode::Recompute);
+fn epoch_stepping_scenario(shape: Stepping) -> ScenarioResult {
+    let name = shape.name();
+    eprintln!("# {name}: oracle (Recompute) ...");
+    let (baseline_ms, oracle, _) = time_sim(shape, EngineMode::Recompute);
     eprintln!("#   {baseline_ms:.0} ms; epoch engine ...");
-    let (wall_ms, fast, phases) = time_sim(n, k, epochs, EngineMode::Epoch);
+    let (wall_ms, fast, phases) = time_sim(shape, EngineMode::Epoch);
     eprintln!("#   {wall_ms:.0} ms ({:.1}x)", baseline_ms / wall_ms);
     let rewirings: usize = fast.samples.iter().map(|s| s.rewirings).sum();
     let (fa, fo) = (fingerprint_sim(&fast), fingerprint_sim(&oracle));
     ScenarioResult {
-        name: format!("br_delay_n{n}"),
-        n,
-        k,
-        epochs,
+        name,
+        n: shape.n,
+        k: shape.k,
+        epochs: shape.epochs,
         baseline_wall_ms: baseline_ms,
         wall_ms,
         rewirings,
@@ -276,19 +331,23 @@ fn traffic_scenario(n: usize, k: usize, epochs: usize) -> ScenarioResult {
 
 fn measure(quick: bool) -> String {
     let scenarios: Vec<ScenarioResult> = if quick {
-        // The n=50 scenario runs the *full-mode* parameters so its
-        // fingerprint is comparable against the committed
-        // BENCH_perf.json (the CI regression gate); it is cheap enough.
+        // The n=50 and the churned n=60 scenarios run their *full-mode*
+        // parameters so their fingerprints are comparable against the
+        // committed BENCH_perf.json (the CI regression gate); they are
+        // cheap enough.
         vec![
-            epoch_stepping_scenario(50, 5, 8),
-            epoch_stepping_scenario(200, 8, 2),
+            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8)),
+            epoch_stepping_scenario(Stepping::br_delay(200, 8, 2)),
+            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8)),
             traffic_scenario(50, 5, 4),
         ]
     } else {
         vec![
-            epoch_stepping_scenario(50, 5, 8),
-            epoch_stepping_scenario(200, 8, 4),
-            epoch_stepping_scenario(800, 10, 2),
+            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8)),
+            epoch_stepping_scenario(Stepping::br_delay(200, 8, 4)),
+            epoch_stepping_scenario(Stepping::br_delay(800, 10, 2)),
+            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8)),
+            epoch_stepping_scenario(Stepping::bw_churn(300, 8, 6)),
             traffic_scenario(200, 8, 4),
         ]
     };
@@ -331,6 +390,8 @@ struct ParsedScenario {
     k: u64,
     epochs: u64,
     fingerprint: String,
+    /// Snapshot builds of the Epoch arm (epoch-stepping entries only).
+    rebuilds: Option<u64>,
 }
 
 fn field_u64(body: &str, key: &str) -> Option<u64> {
@@ -376,6 +437,7 @@ fn parse_scenarios(doc: &str) -> Result<Vec<ParsedScenario>, String> {
             epochs: field_u64(body, "epochs").ok_or(format!("scenario {name}: no epochs"))?,
             fingerprint: field_str(body, "fingerprint")
                 .ok_or(format!("scenario {name}: no fingerprint"))?,
+            rebuilds: field_u64(body, "rebuilds"),
             name,
         });
         rest = &rest[body_end + 1..];
@@ -416,6 +478,17 @@ fn check(path: &str) -> Result<(), String> {
     }
     if doc.contains("\"outputs_identical\":false") {
         return Err("an engine comparison diverged (outputs_identical=false)".into());
+    }
+    // One snapshot build per underlay advance: re-wirings and churn are
+    // deltas. A count, so it holds on any runner.
+    for s in parse_scenarios(&doc)? {
+        if let Some(rebuilds) = s.rebuilds.filter(|&r| r > s.epochs + 1) {
+            return Err(format!(
+                "{}: {rebuilds} snapshot rebuilds in {} epochs — \
+                 something invalidates where it should patch",
+                s.name, s.epochs
+            ));
+        }
     }
     Ok(())
 }
@@ -461,7 +534,7 @@ fn check_against(path: &str, golden: &str) -> Result<usize, String> {
 fn overhead_gate() -> Result<String, String> {
     let reps = 3;
     let run = || {
-        let cfg = sim_cfg(200, 8, 2, EngineMode::Epoch);
+        let cfg = Stepping::br_delay(200, 8, 2).sim_cfg(EngineMode::Epoch);
         let t = Instant::now();
         let mut sim = Simulator::new(cfg.clone());
         for epoch in 0..cfg.epochs {

@@ -343,7 +343,12 @@ proptest! {
     /// The copy-on-write [`crate::residual::ResidualView`] is
     /// bit-identical to a from-scratch all-pairs run on the residual
     /// graph — random point probes, full candidate-row reads, and reads
-    /// after a committed re-wiring, for both snapshot kinds.
+    /// after a committed re-wiring, for both snapshot kinds. Then a
+    /// random interleaving of leaves, joins and re-wirings (the
+    /// simulator's sequences: a leave clears the wiring, a turn may or
+    /// may not commit, stale links to dead nodes stay listed): after
+    /// every step the patched snapshot is the one a rebuild would
+    /// produce and the next turn's residual is still the `G−j` oracle's.
     #[test]
     fn residual_view_matches_from_scratch_oracle(
         d in arb_matrix(14),
@@ -434,6 +439,65 @@ proptest! {
                         truth2.at(s, t).to_bits(),
                         "{kind:?} post-rewire read ({s},{t}) for turn {j}"
                     );
+                }
+            }
+
+            // Churn. `w` and `alive` are per-kind copies from here on.
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(twist);
+            let (mut w, mut alive) = (w.clone(), alive.clone());
+            for step in 0..16 {
+                let x = rng.random_range(0..n);
+                let node = NodeId::from_index(x);
+                let what = match rng.random_range(0..4u32) {
+                    _ if !alive[x] => {
+                        alive[x] = true;
+                        rs.note_join(node, &w, &alive);
+                        "join"
+                    }
+                    0 => {
+                        alive[x] = false;
+                        w.clear(node);
+                        rs.note_leave(node);
+                        "leave"
+                    }
+                    draw => {
+                        // A turn: with its residual (the commit adopts
+                        // the pool) or, like a backbone repair, without.
+                        if draw == 1 {
+                            rs.residual(x);
+                        }
+                        let old = w.of(node).to_vec();
+                        let mut links: Vec<NodeId> = (0..rng.random_range(0..4usize))
+                            .map(|_| NodeId::from_index(rng.random_range(0..n)))
+                            .filter(|t| *t != node)
+                            .collect();
+                        links.sort_unstable();
+                        links.dedup();
+                        if w.rewire(node, links) {
+                            rs.note_rewire(node, &old, &w, &alive);
+                        }
+                        "rewire"
+                    }
+                };
+                if let Err(why) = rs.check_against_rebuild(&w, &alive) {
+                    prop_assert!(false, "{kind:?} step {step}, {what} of {x}: {why}");
+                }
+                let j = rng.random_range(0..n);
+                let g = w.residual_graph(NodeId::from_index(j), &d, &alive);
+                let truth = match kind {
+                    SnapshotKind::Additive => apsp(&g),
+                    SnapshotKind::Widest => all_pairs_widest(&g),
+                };
+                let view = rs.residual(j);
+                for s in 0..n {
+                    for (t, x) in view.row(s).iter().enumerate() {
+                        prop_assert_eq!(
+                            x.to_bits(),
+                            truth.at(s, t).to_bits(),
+                            "{kind:?} step {step} after {what}: residual({j}) at ({s},{t})"
+                        );
+                    }
                 }
             }
         }

@@ -27,7 +27,7 @@ use crate::policies::bandwidth::all_pairs_widest;
 use crate::policies::hybrid::HybridBr;
 use crate::policies::{Policy, PolicyKind, WiringContext};
 use crate::residual::ResidualView;
-use crate::snapshot::{RouteState, RouteStats, SnapshotKind};
+use crate::snapshot::{RebuildCause, RouteState, RouteStats, SnapshotKind};
 use crate::wiring::Wiring;
 use egoist_graph::apsp::apsp;
 use egoist_graph::connectivity::strongly_connected;
@@ -228,11 +228,13 @@ pub struct Simulator {
 
 /// Simulator-level obs handles. Span hierarchy (by dotted name):
 /// `core.epoch` → `core.epoch.turn` → `core.epoch.turn.solver` (plus
-/// the `residual`/`absorb` siblings recorded by [`RouteState`]), with
-/// `core.measure` beside the epoch loop.
+/// the `residual`/`absorb` siblings recorded by [`RouteState`]) and
+/// `core.epoch.churn` (membership events and the deltas that absorb
+/// them), with `core.measure` beside the epoch loop.
 struct SimObs {
     epoch: egoist_obs::Timer,
     turn: egoist_obs::Timer,
+    churn: egoist_obs::Timer,
     solver: egoist_obs::Timer,
     measure: egoist_obs::Timer,
     rewirings: egoist_obs::Counter,
@@ -245,6 +247,7 @@ impl SimObs {
         SimObs {
             epoch: r.timer("core.epoch"),
             turn: r.timer("core.epoch.turn"),
+            churn: r.timer("core.epoch.churn"),
             solver: r.timer("core.epoch.turn.solver"),
             measure: r.timer("core.measure"),
             rewirings: r.counter("core.rewirings"),
@@ -343,9 +346,11 @@ impl Simulator {
     /// Announced matrix, borrowed from the live route snapshot when one
     /// exists instead of being rebuilt dense. The borrow is bit-exact:
     /// the snapshot is invalidated whenever anything that feeds the
-    /// announcement (underlay state, membership, external feedback)
-    /// changes, so a live snapshot's copy equals what
-    /// [`Self::announced_cost_matrix`] would recompute.
+    /// announcement (underlay state, external feedback) changes, so a
+    /// live snapshot's copy equals what [`Self::announced_cost_matrix`]
+    /// would recompute. Membership does not feed it — the matrix covers
+    /// every pair, dead or alive — which is why churn can be absorbed
+    /// into the snapshot instead of dropping it.
     fn announced_cow(&self) -> Cow<'_, DistanceMatrix> {
         match self.route_state.snapshot() {
             Some(s) => Cow::Borrowed(&s.announced),
@@ -381,12 +386,15 @@ impl Simulator {
 
     /// Apply churn events up to time `t`, indexing into the trace in
     /// place (the trace can be tens of thousands of events; cloning it
-    /// on every staggered turn dominated churn-heavy runs).
+    /// on every staggered turn dominated churn-heavy runs). Each leave
+    /// or join is handed to the route state as a delta: a departure
+    /// costs what a re-wiring costs, not a snapshot rebuild.
     fn apply_churn(&mut self, t: f64) {
         if self.cfg.churn.is_none() {
             return;
         }
-        let mut membership_changed = false;
+        let timer = self.obs.churn.clone();
+        let _span = timer.start();
         loop {
             let e = {
                 let trace = self.cfg.churn.as_ref().expect("churn checked above");
@@ -403,16 +411,14 @@ impl Simulator {
             if e.up && !self.alive[idx] {
                 self.alive[idx] = true;
                 self.pending_join[idx] = true;
-                membership_changed = true;
+                self.route_state
+                    .note_join(e.node, &self.wiring, &self.alive);
             } else if !e.up && self.alive[idx] {
                 self.alive[idx] = false;
                 self.wiring.clear(e.node);
                 self.pending_join[idx] = false;
-                membership_changed = true;
+                self.route_state.note_leave(e.node);
             }
-        }
-        if membership_changed {
-            self.route_state.invalidate();
         }
         // HybridBR repairs its donated backbone aggressively on any
         // membership change (§3.3: "donated links are monitored
@@ -425,10 +431,8 @@ impl Simulator {
     fn repair_backbone(&mut self, k2: usize) {
         let alive_ids = self.alive_ids();
         let hybrid = HybridBr::new(k2);
-        let mut changed = false;
         for &i in &alive_ids {
-            let donated = hybrid.donated_links(i, &alive_ids);
-            let mut links: Vec<NodeId> = donated.clone();
+            let mut links = hybrid.donated_links(i, &alive_ids);
             for &w in self.wiring.of(i) {
                 if links.len() >= self.cfg.k {
                     break;
@@ -437,10 +441,11 @@ impl Simulator {
                     links.push(w);
                 }
             }
-            changed |= self.wiring.rewire(i, links);
-        }
-        if changed {
-            self.route_state.invalidate();
+            let old = self.wiring.of(i).to_vec();
+            if self.wiring.rewire(i, links) {
+                self.route_state
+                    .note_rewire(i, &old, &self.wiring, &self.alive);
+            }
         }
     }
 
@@ -454,7 +459,7 @@ impl Simulator {
         self.loads.advance(dt, &mut self.underlay_rng);
         self.bandwidths.advance(dt, &mut self.underlay_rng);
         self.now = t;
-        self.route_state.invalidate();
+        self.route_state.invalidate(RebuildCause::Underlay);
     }
 
     /// The path semiring of the configured metric, and what a
@@ -548,11 +553,14 @@ impl Simulator {
     /// Enforce the §3.2 connectivity cycle for k-Random / k-Closest: when
     /// the alive overlay is not strongly connected, each node swaps its
     /// last link for its ring successor (the ring stays within the degree
-    /// cap, as a selfish node would insist).
+    /// cap, as a selfish node would insist). These policies never read
+    /// residual state ([`PolicyKind::needs_residual`]), so no route
+    /// snapshot exists for the ring edges to be absorbed into.
     fn enforce_cycle_if_needed(&mut self) {
         if !matches!(self.cfg.policy, PolicyKind::Random | PolicyKind::Closest) {
             return;
         }
+        debug_assert!(self.route_state.snapshot().is_none());
         let announced = self.announced_cow();
         let alive_ids = self.alive_ids();
         if alive_ids.len() < 2 {
@@ -562,7 +570,6 @@ impl Simulator {
         if strongly_connected(&g, &alive_ids) {
             return;
         }
-        let mut changed = false;
         for (a, b) in ring_edges(&alive_ids) {
             let mut links = self.wiring.of(a).to_vec();
             if links.contains(&b) {
@@ -572,10 +579,7 @@ impl Simulator {
                 links.pop();
             }
             links.push(b);
-            changed |= self.wiring.rewire(a, links);
-        }
-        if changed {
-            self.route_state.invalidate();
+            self.wiring.rewire(a, links);
         }
     }
 
@@ -785,7 +789,7 @@ impl Simulator {
     /// load here. External mutation changes announced costs, so the
     /// route-state snapshot is dropped.
     pub fn loads_mut(&mut self) -> &mut LoadModel {
-        self.route_state.invalidate();
+        self.route_state.invalidate(RebuildCause::Feedback);
         &mut self.loads
     }
 
@@ -798,7 +802,7 @@ impl Simulator {
     /// traffic here. External mutation changes announced costs, so the
     /// route-state snapshot is dropped.
     pub fn bandwidths_mut(&mut self) -> &mut BandwidthModel {
-        self.route_state.invalidate();
+        self.route_state.invalidate(RebuildCause::Feedback);
         &mut self.bandwidths
     }
 

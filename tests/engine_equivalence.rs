@@ -119,13 +119,15 @@ fn bandwidth_metric_identical() {
 
 #[test]
 fn churned_runs_identical() {
-    assert_equivalent(with_churn(cfg(
-        32,
-        4,
-        PolicyKind::BestResponse,
-        Metric::DelayPing,
-        11,
-    )));
+    // The delay run is pinned too (fingerprint produced at 78d3412, when
+    // every leave and join still rebuilt the snapshot): absorbing churn
+    // as deltas must wire exactly as rebuilding did.
+    let delay = with_churn(cfg(32, 4, PolicyKind::BestResponse, Metric::DelayPing, 11));
+    let got = fingerprint(&assert_equivalent(delay));
+    assert_eq!(
+        got, 0x99f1_5ddb_4e68_7050,
+        "churned BR/DelayPing: {got:#018x}"
+    );
     assert_equivalent(with_churn(cfg(
         64,
         5,
@@ -336,4 +338,27 @@ fn epoch_engine_actually_takes_the_incremental_paths() {
         stats.rewire_repaired + stats.rewire_swept > 0,
         "re-wirings must flow through the incremental repair"
     );
+}
+
+#[test]
+fn epoch_engine_absorbs_churn_without_rebuilding() {
+    // The churned twin of the test above: leaves and joins are deltas on
+    // the live snapshot, so rebuilds stay at one per underlay advance
+    // however many membership events an epoch holds.
+    for metric in [Metric::DelayPing, Metric::Bandwidth] {
+        let c = with_churn(cfg(64, 5, PolicyKind::BestResponse, metric, 31));
+        let mut sim = Simulator::new(c.clone());
+        for epoch in 0..c.epochs {
+            sim.run_epoch(epoch);
+        }
+        let stats = sim.route_stats();
+        assert!(
+            stats.leaves > c.epochs && stats.joins > c.epochs,
+            "{metric:?}: the trace must churn for this to mean anything: {stats:?}"
+        );
+        assert!(
+            stats.rebuilds <= c.epochs,
+            "{metric:?}: churn must not rebuild the snapshot: {stats:?}"
+        );
+    }
 }
