@@ -80,10 +80,12 @@ fn bench_bandwidth_algos(c: &mut Criterion) {
 }
 
 /// One re-wiring job's residual state at n=300, k=4: the dense
-/// `apsp(G−i)` every job used to run, against on-demand rows when the
-/// policy reads 20% of them (`ping_sample = 8`, what `fleet_br_n300`
-/// measures), 50%, and all of them (unbounded `ping_sample`, the
-/// `live_overlay` default — the case that must not lose to dense).
+/// `apsp(G−i)` every job used to run, against on-demand rows — swept
+/// one by one on first read (`on_demand`) or announced and swept in one
+/// batch (`batched`, what the node does) — when the policy reads 20% of
+/// them (`ping_sample = 8`, what `fleet_br_n300` measures), 50%, and
+/// all of them (unbounded `ping_sample`, the `live_overlay` default —
+/// the case that must not lose to dense).
 fn bench_node_rewire(c: &mut Criterion) {
     let mut group = c.benchmark_group("node_rewire");
     let (n, k, me) = (300usize, 4, NodeId(0));
@@ -106,11 +108,9 @@ fn bench_node_rewire(c: &mut Criterion) {
     residual_graph.clear_out_edges(me);
     // Rows read, spread evenly: every 5th at 20%, every 2nd at 50%, all
     // at 100%.
+    let sources = |percent: usize| (1..n).filter(move |s| s * percent % 100 < percent);
     let read = |view: ResidualView<'_>, percent: usize| -> f64 {
-        (1..n)
-            .filter(|s| s * percent % 100 < percent)
-            .map(|s| view.row(s)[(s + 1) % n])
-            .sum()
+        sources(percent).map(|s| view.row(s)[(s + 1) % n]).sum()
     };
     for percent in [20usize, 50, 100] {
         group.bench_with_input(
@@ -126,6 +126,13 @@ fn bench_node_rewire(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("on_demand", percent), &percent, |b, &p| {
             b.iter(|| {
                 let rows = OnDemandResidual::new(black_box(&csr), me);
+                black_box(read(ResidualView::on_demand(&rows), p))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("batched", percent), &percent, |b, &p| {
+            b.iter(|| {
+                let announced = sources(p).map(NodeId::from_index);
+                let rows = OnDemandResidual::with_rows(black_box(&csr), me, announced);
                 black_box(read(ResidualView::on_demand(&rows), p))
             })
         });

@@ -74,15 +74,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The on-demand residual backing is `apsp(residual_graph(i))` bit
-    /// for bit, whatever rows are read and in whatever order, and it
-    /// computes exactly the rows that were read. The graphs are random
+    /// for bit, whatever rows are announced up front (none, some twice,
+    /// the turn node's own, more than a lane block) or read and in
+    /// whatever order, and it computes exactly the rows that were
+    /// announced or read. The graphs are random
     /// k-out digraphs with dead nodes (isolated origins: no out-links,
     /// nobody links to them), unusable (infinite-cost) links and links
     /// struck out afterwards, as a quarantine pass would.
     #[test]
     fn on_demand_rows_equal_dense_residual_apsp(
         seed in any::<u64>(),
-        n in 2usize..65,
+        n in 2usize..100,
         k in 1usize..6,
     ) {
         use crate::residual::{OnDemandResidual, ResidualView};
@@ -131,10 +133,20 @@ proptest! {
             reads.swap(x, rng.random_range(0..=x));
         }
         let csr = CsrGraph::from_digraph(&g);
-        let rows = OnDemandResidual::new(&csr, turn);
+        let share = [0.0, 0.3, 1.0][rng.random_range(0..3usize)];
+        let announced: Vec<NodeId> = reads
+            .iter()
+            .map(|&s| NodeId::from_index(s))
+            .filter(|_| rng.random::<f64>() < share)
+            .collect();
+        let rows = OnDemandResidual::with_rows(&csr, turn, announced.iter().copied());
         let view = ResidualView::on_demand(&rows);
         prop_assert_eq!(view.len(), n);
         let mut seen = vec![false; n];
+        for s in &announced {
+            seen[s.index()] = true;
+        }
+        prop_assert_eq!(rows.rows_materialised(), seen.iter().filter(|&&x| x).count());
         for &s in &reads {
             let row = view.row(s);
             for (t, x) in row.iter().enumerate() {
@@ -150,7 +162,7 @@ proptest! {
             prop_assert_eq!(
                 rows.rows_materialised(),
                 seen.iter().filter(|&&x| x).count(),
-                "a row is computed when first read, and only then"
+                "an unannounced row is computed when first read, and only then"
             );
         }
     }

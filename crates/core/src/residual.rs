@@ -13,10 +13,12 @@
 //!   residual state from scratch.
 //! * **On demand** — the protocol node's form ([`OnDemandResidual`]): a
 //!   node re-wires once per epoch from a graph it has no snapshot of,
-//!   and its policy reads only the rows of candidates it has measured,
-//!   so a row is one masked Dijkstra over the announced CSR graph, run
-//!   the first time it is read and kept for the rest of the job. A row
-//!   nobody reads is never computed.
+//!   and its policy reads only the rows of candidates it has measured.
+//!   The job names those rows and one batched, masked multi-source pass
+//!   over the announced CSR graph ([`sweep_many`]) fills them; a row it
+//!   did not name is one masked Dijkstra the first time it is read, kept
+//!   for the rest of the job. A row nobody names or reads is never
+//!   computed.
 //! * **Copy-on-write** — the epoch engine's form: rows whose
 //!   shortest-path tree avoids the turn node borrow the epoch snapshot's
 //!   APSP rows directly (removal of `i`'s out-links cannot change them,
@@ -34,13 +36,17 @@
 //! is therefore indistinguishable, bit for bit, from
 //! `apsp(residual_graph(i))` — pinned by the proptests in this crate and
 //! the golden equivalence suite. The on-demand form gets the same
-//! guarantee from [`DijkstraWorkspace::sssp_into`]'s mask: skipping the
-//! turn node's out-edges is the sweep over `G−i`, row by row.
+//! guarantee from the mask of [`sweep_many`] and
+//! [`DijkstraWorkspace::sssp_into`]: skipping the turn node's out-edges
+//! is the sweep over `G−i`, row by row, and the batched pass ends at the
+//! same least fixed point as the heap sweep.
 
+use egoist_graph::csr::{sweep_many, MinPlus};
 use egoist_graph::{CsrGraph, DijkstraWorkspace, DistanceMatrix, NodeId};
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 
-/// Sentinel in the slot table: read the row from the snapshot.
+/// Sentinel in a slot table: the row has no packed copy — copy-on-write
+/// reads it from the snapshot, on demand sweeps it on first read.
 pub const NO_SLOT: u32 = u32::MAX;
 
 /// The copy-on-write backing, borrowed from the route-state engine.
@@ -61,45 +67,84 @@ pub struct CowResidual<'a> {
     pub self_row: &'a [f64],
 }
 
-/// The on-demand backing: rows of `apsp(G−node)` over a CSR graph,
-/// each computed by one masked single-source sweep on its first read.
+/// The on-demand backing: rows of `apsp(G−node)` over a CSR graph.
 ///
-/// One instance serves one re-wiring job: every row shares the job's
-/// Dijkstra workspace, a computed row stays put until the instance is
-/// dropped, and there is no `n × n` matrix behind it — memory is the
-/// rows that were read.
+/// One instance serves one re-wiring job. The rows the job is known to
+/// read ([`Self::with_rows`]) are filled up front by one batched
+/// [`sweep_many`] pass into one packed block; any other row is one
+/// masked single-source sweep on its first read, kept until the instance
+/// is dropped. There is no `n × n` matrix behind it — memory is the rows
+/// that were computed.
 pub struct OnDemandResidual<'g> {
     g: &'g CsrGraph,
     node: u32,
-    rows: Vec<OnceCell<Box<[f64]>>>,
-    scratch: RefCell<(DijkstraWorkspace, Vec<u32>)>,
+    /// Per source: its row in `batch`, or [`NO_SLOT`].
+    slot: Vec<u32>,
+    /// The announced rows, packed by slot (`slots × n`, row-major).
+    batch: Vec<f64>,
+    /// Rows nobody announced, swept on first read.
+    lazy: Vec<OnceCell<Box<[f64]>>>,
+    scratch: RefCell<Option<(DijkstraWorkspace, Vec<u32>)>>,
+    computed: Cell<usize>,
 }
 
 impl<'g> OnDemandResidual<'g> {
     /// Residual rows of `g` minus `node`'s out-edges; nothing is
     /// computed until a row is read.
     pub fn new(g: &'g CsrGraph, node: NodeId) -> Self {
+        Self::with_rows(g, node, [])
+    }
+
+    /// [`Self::new`] with the rows of `sources` computed now, all in one
+    /// batched pass — for a caller that knows which rows its reader will
+    /// ask for. Bit for bit the rows a first read would have swept;
+    /// reading a row not named here still works, one sweep each.
+    pub fn with_rows(
+        g: &'g CsrGraph,
+        node: NodeId,
+        sources: impl IntoIterator<Item = NodeId>,
+    ) -> Self {
         let n = g.len();
+        let mut slot = vec![NO_SLOT; n];
+        let mut distinct = Vec::new();
+        for s in sources {
+            if slot[s.index()] == NO_SLOT {
+                slot[s.index()] = distinct.len() as u32;
+                distinct.push(s.0);
+            }
+        }
+        let mut batch = vec![0.0; distinct.len() * n];
+        sweep_many::<MinPlus>(g, &distinct, Some(node.0), &mut batch);
         OnDemandResidual {
             g,
             node: node.0,
-            rows: (0..n).map(|_| OnceCell::new()).collect(),
-            scratch: RefCell::new((DijkstraWorkspace::new(n), vec![0; n])),
+            slot,
+            batch,
+            lazy: (0..n).map(|_| OnceCell::new()).collect(),
+            scratch: RefCell::new(None),
+            computed: Cell::new(distinct.len()),
         }
     }
 
     fn row(&self, s: usize) -> &[f64] {
-        self.rows[s].get_or_init(|| {
-            let mut dist = vec![0.0; self.g.len()].into_boxed_slice();
-            let (ws, parent) = &mut *self.scratch.borrow_mut();
-            ws.sssp_into(self.g, s as u32, Some(self.node), &mut dist, parent);
-            dist
-        })
+        let n = self.g.len();
+        match self.slot[s] {
+            NO_SLOT => self.lazy[s].get_or_init(|| {
+                let mut dist = vec![0.0; n].into_boxed_slice();
+                let mut scratch = self.scratch.borrow_mut();
+                let (ws, parent) =
+                    scratch.get_or_insert_with(|| (DijkstraWorkspace::new(n), vec![0; n]));
+                ws.sssp_into(self.g, s as u32, Some(self.node), &mut dist, parent);
+                self.computed.set(self.computed.get() + 1);
+                dist
+            }),
+            slot => &self.batch[slot as usize * n..][..n],
+        }
     }
 
-    /// How many rows have been computed so far.
+    /// How many rows have been computed so far, batched or on a read.
     pub fn rows_materialised(&self) -> usize {
-        self.rows.iter().filter(|r| r.get().is_some()).count()
+        self.computed.get()
     }
 }
 
@@ -264,6 +309,17 @@ mod tests {
         // The turn node's own row: its out-links are gone.
         assert_eq!(v.row(0), &[0.0, f64::INFINITY, f64::INFINITY]);
         assert_eq!(rows.rows_materialised(), 2);
+
+        // Announced rows are computed up front, once however often they
+        // are named; reading them computes nothing more.
+        let rows = OnDemandResidual::with_rows(&csr, NodeId(0), [NodeId(1), NodeId(0), NodeId(1)]);
+        let v = ResidualView::on_demand(&rows);
+        assert_eq!(rows.rows_materialised(), 2);
+        assert_eq!(v.row(1), &[6.0, 0.0, 2.0]);
+        assert_eq!(v.row(0), &[0.0, f64::INFINITY, f64::INFINITY]);
+        assert_eq!(rows.rows_materialised(), 2);
+        assert_eq!(v.row(2), &[4.0, f64::INFINITY, 0.0], "not announced");
+        assert_eq!(rows.rows_materialised(), 3);
     }
 
     #[test]

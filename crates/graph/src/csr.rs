@@ -34,7 +34,7 @@
 use crate::graph::DiGraph;
 use crate::types::{Cost, NodeId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
@@ -94,6 +94,22 @@ impl CsrGraph {
             targets,
             costs,
         }
+    }
+
+    /// Any edge list as it comes, self-loops and parallel edges
+    /// included — what the checked builders refuse and a sweep must
+    /// nevertheless survive.
+    #[cfg(test)]
+    pub(crate) fn from_raw_edges(n: usize, edges: &[(usize, usize, f64)]) -> Self {
+        let mut g = CsrGraph::with_capacity(n, edges.len());
+        for u in 0..n {
+            for &(_, to, cost) in edges.iter().filter(|e| e.0 == u) {
+                g.targets.push(to as u32);
+                g.costs.push(cost);
+            }
+            g.end_row();
+        }
+        g
     }
 
     /// Start a row-by-row build of an `n`-node graph with room for
@@ -741,6 +757,8 @@ struct CsrObs {
     sources: egoist_obs::Counter,
     removal_repairs: egoist_obs::Counter,
     insertion_repairs: egoist_obs::Counter,
+    many_sources: egoist_obs::Counter,
+    many_pops: egoist_obs::Counter,
 }
 
 fn csr_obs() -> &'static CsrObs {
@@ -751,6 +769,8 @@ fn csr_obs() -> &'static CsrObs {
             sources: r.counter("graph.apsp.sources"),
             removal_repairs: r.counter("graph.repair.removal"),
             insertion_repairs: r.counter("graph.repair.insertion"),
+            many_sources: r.counter("graph.sweep_many.sources"),
+            many_pops: r.counter("graph.sweep_many.pops"),
         }
     })
 }
@@ -775,6 +795,126 @@ pub fn all_pairs<A: PathAlgebra>(g: &CsrGraph) -> CsrApsp {
 /// equal [`crate::apsp::apsp`] bit-for-bit.
 pub fn apsp_csr(g: &CsrGraph) -> CsrApsp {
     all_pairs::<MinPlus>(g)
+}
+
+/// How many sources [`sweep_many`] sweeps together: one lane per source,
+/// `n × LANE_BLOCK × 8 B` of node-major values per block — 150 KB at the
+/// fleet's n=300, inside L2. Every pop is shared by the whole block, so
+/// wider blocks pop less per source; measured (EXPERIMENTS.md "Batched
+/// residual rows") the time per row falls steeply up to 64 lanes and by
+/// under 10% beyond.
+pub const LANE_BLOCK: usize = 64;
+
+/// A block's lanes are padded to a multiple of this with never-improving
+/// `UNREACHED` lanes, so the relaxation loop runs over whole vectors.
+const LANE_PAD: usize = 8;
+
+/// Offer every lane of `dv` the path that reaches `u` with that lane's
+/// `du` and continues over an edge of value `c`: branch-free
+/// `dv[l] = better(extend(du[l], c), dv[l])`, the relaxation of
+/// [`DijkstraWorkspace::sweep`] on `du.len()` sources at once. Returns
+/// whether any lane improved.
+#[inline]
+fn relax_lanes<A: PathAlgebra>(du: &[f64], dv: &mut [f64], c: f64) -> bool {
+    let mut improved = false;
+    for (v, &u) in dv.iter_mut().zip(du) {
+        let cand = A::extend(u, c);
+        let better = A::better(cand, *v);
+        *v = if better { cand } else { *v };
+        improved |= better;
+    }
+    improved
+}
+
+/// Best-path values on algebra `A` from many sources in one pass:
+/// `out[r * n..][..n]` becomes the value row of `sources[r]`, bit for
+/// bit the `dist` of [`DijkstraWorkspace::sweep`] from it with the same
+/// `mask` (that node's out-edges skipped: rows of `G−mask`). Values
+/// only — no parents. Returns the number of work-list pops.
+///
+/// Up to [`LANE_BLOCK`] sources share one label-correcting pass: values
+/// are held node-major, `lane[v][l]` for source `l`, a FIFO work-list of
+/// nodes starts from the sources, and a popped node relaxes each
+/// out-edge over all lanes in one branch-free, vectorised loop; a head
+/// that improved in any lane re-enters the list. No heap, and nothing
+/// per source but its lane.
+///
+/// *Exact*, not approximate. Every lane value is at all times the
+/// left-to-right fold of a real path, and the pass stops at a fixed
+/// point `d[v] = best_u extend(d[u], c_uv)`; Dijkstra's row is such a
+/// fold and such a fixed point too. `extend` is monotone in both
+/// algebras (rounding included), so induction along either one's paths
+/// bounds it by the other: the rows are equal, and equal non-NaN
+/// `f64`s from non-negative edges are bit-equal.
+///
+/// *Worst case*: a node re-enters the list in round `r` only if some
+/// lane's best path to it has at least `r` edges, so a block pops at
+/// most `sources + n·(n−1)` nodes (one lane: `1 + n·(n−1)/2`) —
+/// `O(n·m)` edge relaxations where a heap sweep is `O(m log n)` per
+/// source. Edge values an adversary picks (LSA costs are) can force
+/// that: the test `sweep_many_adversarial_costs_stay_exact_and_bounded`
+/// builds the graph. The overlays nodes announce measure ≈ 5 pops per
+/// node and block (DESIGN.md §6).
+pub fn sweep_many<A: PathAlgebra>(
+    g: &CsrGraph,
+    sources: &[u32],
+    mask: Option<u32>,
+    out: &mut [f64],
+) -> u64 {
+    let n = g.len();
+    assert_eq!(out.len(), sources.len() * n, "one packed row per source");
+    if sources.is_empty() {
+        return 0;
+    }
+    let mut lane = Vec::new();
+    let mut queued = vec![false; n];
+    let mut work = VecDeque::with_capacity(n);
+    let mut pops = 0u64;
+    for (block, rows) in sources
+        .chunks(LANE_BLOCK)
+        .zip(out.chunks_mut(LANE_BLOCK * n))
+    {
+        let lanes = block.len().next_multiple_of(LANE_PAD);
+        lane.clear();
+        lane.resize(n * lanes, A::UNREACHED);
+        for (l, &s) in block.iter().enumerate() {
+            lane[s as usize * lanes + l] = A::SOURCE;
+            if !std::mem::replace(&mut queued[s as usize], true) {
+                work.push_back(s);
+            }
+        }
+        let mut snapshot = [A::UNREACHED; LANE_BLOCK];
+        while let Some(u) = work.pop_front() {
+            pops += 1;
+            queued[u as usize] = false;
+            if mask == Some(u) {
+                continue;
+            }
+            // A snapshot of u's lanes: a self-loop then offers u nothing
+            // better than it has, and no two lane slices alias.
+            let du = &mut snapshot[..lanes];
+            du.copy_from_slice(&lane[u as usize * lanes..][..lanes]);
+            let (ts, cs) = g.out(u as usize);
+            for (&t, &c) in ts.iter().zip(cs) {
+                debug_assert!(c >= 0.0 && !c.is_nan());
+                let dv = &mut lane[t as usize * lanes..][..lanes];
+                if relax_lanes::<A>(du, dv, c) && !std::mem::replace(&mut queued[t as usize], true)
+                {
+                    work.push_back(t);
+                }
+            }
+        }
+        // Lane-major back to the packed per-source rows readers take.
+        for (v, lanes_of_v) in lane.chunks_exact(lanes).enumerate() {
+            for (l, &d) in lanes_of_v[..block.len()].iter().enumerate() {
+                rows[l * n + v] = d;
+            }
+        }
+    }
+    let obs = csr_obs();
+    obs.many_sources.add(sources.len() as u64);
+    obs.many_pops.add(pops);
+    pops
 }
 
 /// Shortest-path distances from every node *to* `target`: one workspace
@@ -959,7 +1099,7 @@ pub fn successive_disjoint_paths(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::apsp::distances_to;
     use crate::dijkstra::dijkstra;
@@ -1071,6 +1211,87 @@ mod tests {
     #[test]
     fn masked_sweep_equals_clearing_out_edges_max_min() {
         masked_sweep_equals_clearing_out_edges::<MaxMin>();
+    }
+
+    /// `sweep_many` rows against one heap sweep per source (shared with
+    /// the crate's proptests); returns the pops.
+    pub(crate) fn assert_batch_is_per_source_sweeps<A: PathAlgebra>(
+        g: &CsrGraph,
+        sources: &[u32],
+        mask: Option<u32>,
+    ) -> u64 {
+        let n = g.len();
+        let mut rows = vec![f64::NAN; sources.len() * n];
+        let pops = sweep_many::<A>(g, sources, mask, &mut rows);
+        let mut ws = DijkstraWorkspace::new(n);
+        let (mut dist, mut parent) = (vec![0.0; n], vec![0u32; n]);
+        let sweep = Sweep {
+            mask,
+            ..Sweep::default()
+        };
+        for (&s, row) in sources.iter().zip(rows.chunks(n)) {
+            ws.sweep::<A>(g, s, sweep, &mut dist, &mut parent);
+            assert_rows_bit_equal(&dist, row, &format!("mask {mask:?} source {s}"));
+        }
+        pops
+    }
+
+    fn sweep_many_matches_per_source_sweeps<A: PathAlgebra>() {
+        for (n, degree) in [(24usize, 4usize), (90, 3)] {
+            let g = CsrGraph::from_digraph(&scrambled(n, degree));
+            // One lane, a padded block, exactly one block, two blocks.
+            for count in [1, 5, LANE_BLOCK, LANE_BLOCK + 7] {
+                let sources: Vec<u32> = (0..count).map(|r| (r * 11 % n) as u32).collect();
+                for mask in [None, Some(0), Some(sources[count / 2])] {
+                    assert_batch_is_per_source_sweeps::<A>(&g, &sources, mask);
+                }
+            }
+        }
+        let g = CsrGraph::from_digraph(&scrambled(8, 2));
+        assert_eq!(sweep_many::<A>(&g, &[], Some(3), &mut []), 0);
+    }
+
+    #[test]
+    fn sweep_many_matches_per_source_sweeps_min_plus() {
+        sweep_many_matches_per_source_sweeps::<MinPlus>();
+    }
+
+    #[test]
+    fn sweep_many_matches_per_source_sweeps_max_min() {
+        sweep_many_matches_per_source_sweeps::<MaxMin>();
+    }
+
+    /// The worst case, stated: a chain `0 → 1 → … → n−1` of unit edges
+    /// plus shortcuts from the source straight to every node, dearer the
+    /// farther they reach and listed farthest first. The FIFO pass first
+    /// believes every shortcut, then corrects one more node per round:
+    /// Θ(n²) pops from one source where a heap sweep settles n. A node
+    /// re-enters the list in round r only if a best path to it has at
+    /// least r edges, so a lane never costs more than the `n·(n−1)/2 + 1`
+    /// this graph reaches, and a block never more than `sources + n·(n−1)`.
+    #[test]
+    fn sweep_many_adversarial_costs_stay_exact_and_bounded() {
+        let n = 40usize;
+        let mut edges: Vec<(usize, usize, f64)> = (1..n)
+            .rev()
+            .map(|v| (0, v, (v * n) as f64))
+            .chain((1..n - 1).map(|v| (v, v + 1, 1.0)))
+            .collect();
+        edges[n - 2].2 = 1.0; // 0 → 1 starts the chain
+        let g = CsrGraph::from_raw_edges(n, &edges);
+        let pops = assert_batch_is_per_source_sweeps::<MinPlus>(&g, &[0], None);
+        let bound = (n * (n - 1)) as u64;
+        assert!(pops <= bound, "{pops} pops > n·(n−1) = {bound}");
+        assert!(
+            pops > bound / 4,
+            "{pops} pops: the graph is no longer adversarial"
+        );
+        // The same costs as bandwidths are benign (every shortcut is the
+        // widest path), and the bound holds with every node a source.
+        assert_batch_is_per_source_sweeps::<MaxMin>(&g, &[0], None);
+        let all: Vec<u32> = (0..n as u32).collect();
+        let pops = assert_batch_is_per_source_sweeps::<MinPlus>(&g, &all, Some(7));
+        assert!(pops <= n as u64 + bound);
     }
 
     #[test]

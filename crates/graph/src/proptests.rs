@@ -122,6 +122,36 @@ fn early_exit_case<A: crate::csr::PathAlgebra>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// One batched label-correcting pass is one heap sweep per source,
+    /// bit for bit on either algebra: unreachable nodes, zero-cost edges
+    /// and ties, self-loops and parallel edges, repeated sources, the
+    /// masked node among the sources, no sources at all, and source
+    /// counts on both sides of a lane block and off its padding.
+    #[test]
+    fn batched_sweep_is_the_per_source_sweeps(
+        (n, edges) in arb_tie_edges(20),
+        picks in proptest::collection::vec(0usize..20, 0..150),
+        mask_seed in any::<u64>(),
+    ) {
+        let edges: Vec<(usize, usize, f64)> =
+            edges.into_iter().map(|(a, b, c)| (a, b, c as f64)).collect();
+        let csr = crate::csr::CsrGraph::from_raw_edges(n, &edges);
+        let mut sources: Vec<u32> = picks.into_iter().map(|p| (p % n) as u32).collect();
+        let masked = (mask_seed >> 8) as u32 % n as u32;
+        let mask = match mask_seed % 4 {
+            0 => None,
+            1 => {
+                sources.push(masked);
+                Some(masked)
+            }
+            _ => Some(masked),
+        };
+        use crate::csr::tests::assert_batch_is_per_source_sweeps as check;
+        let pops = check::<crate::csr::MinPlus>(&csr, &sources, mask);
+        prop_assert!(pops >= sources.len().min(1) as u64);
+        check::<crate::csr::MaxMin>(&csr, &sources, mask);
+    }
+
     /// `want = max_paths` finds exactly what `want = min(max_paths,
     /// max-flow)` found — with every search stopping at the target, and
     /// with path 0 read off a plain SSSP tree — unreachable targets,

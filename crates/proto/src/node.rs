@@ -37,6 +37,7 @@ use crate::transport::Transport;
 use egoist_core::cost::Preferences;
 use egoist_core::policies::{PolicyKind, WiringContext};
 use egoist_core::{OnDemandResidual, ResidualView};
+use egoist_graph::csr::{MinPlus, PathAlgebra};
 use egoist_graph::NodeId;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
@@ -1129,9 +1130,13 @@ impl<T: Transport> EgoistNode<T> {
                 .filter(|d| d.is_finite())
                 .fold(1.0f64, f64::max);
             let penalty = finite_max * n as f64 * 4.0;
-            // Residual rows of G−i are swept on first read: the policy
-            // reads one per candidate with a finite direct estimate, not n.
-            let rows = announced.as_ref().map(|g| OnDemandResidual::new(g, me));
+            // The policy reads one residual row of G−i per candidate it
+            // can reach directly (`Instance::build_in`'s predicate), not
+            // n: those are swept together, anything else on first read.
+            let rows = announced.as_ref().map(|g| {
+                let served = |c: &NodeId| MinPlus::better(direct[c.index()], MinPlus::UNREACHED);
+                OnDemandResidual::with_rows(g, me, candidates.iter().copied().filter(served))
+            });
             let zero_row;
             let residual = match &rows {
                 Some(rows) => ResidualView::on_demand(rows),

@@ -16,9 +16,19 @@
 use egoist_proto::fleet::{
     run_fleet, storm_partition_profile, sybil_eclipse_profile, third_party_lure_profile,
 };
+use std::sync::RwLock;
+
+/// The obs registry is process-global: the one test that reads counters
+/// holds this exclusively, every other fleet in this binary shares it.
+static OBS: RwLock<()> = RwLock::new(());
+
+fn shared_obs() -> std::sync::RwLockReadGuard<'static, ()> {
+    OBS.read().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn storm_partition_fleet_reconverges() {
+    let _obs = shared_obs();
     let cfg = storm_partition_profile(true);
     let r = run_fleet(&cfg);
     // The scheduled faults actually disturbed routing…
@@ -51,6 +61,7 @@ fn storm_partition_fleet_reconverges() {
 
 #[test]
 fn sybil_eclipse_is_defeated() {
+    let _obs = shared_obs();
     let cfg = sybil_eclipse_profile(true);
     let r = run_fleet(&cfg);
     assert_eq!(
@@ -78,6 +89,7 @@ fn sybil_eclipse_is_defeated() {
 
 #[test]
 fn third_party_forgery_is_quarantined_and_banned() {
+    let _obs = shared_obs();
     let cfg = third_party_lure_profile(true);
     let r = run_fleet(&cfg);
     // The ranking engine actually fired on the forged claims…
@@ -115,6 +127,7 @@ fn third_party_forgery_is_quarantined_and_banned() {
 
 #[test]
 fn chaos_reports_are_byte_identical_across_runs() {
+    let _obs = shared_obs();
     let cfg = storm_partition_profile(true);
     let a = run_fleet(&cfg).to_json();
     let b = run_fleet(&cfg).to_json();
@@ -142,13 +155,29 @@ fn fleet_reports_match_the_dense_route_computation() {
     use egoist_proto::fleet::FleetConfig;
     use std::time::Duration;
 
+    let _obs = OBS.write().unwrap_or_else(|e| e.into_inner());
     let mut br = FleetConfig::new("golden_br", 24, 3, 2024);
     br.horizon = Duration::from_secs(90);
     br.ping_sample = 4;
-    assert_eq!(
-        fnv(&run_fleet(&br).to_json()),
-        0x7eb4_d846_fa38_b2bf,
-        "best-response fleet"
+    let reg = egoist::obs::registry();
+    reg.reset();
+    egoist::obs::enable();
+    let report = run_fleet(&br).to_json();
+    egoist::obs::disable();
+    assert_eq!(fnv(&report), 0x7eb4_d846_fa38_b2bf, "best-response fleet");
+    // The work behind those bytes, as counts every runner reproduces:
+    // the rows per-row sweeps computed before they were batched (commit
+    // fa8f973), all of them now announced to one batch per job, and a
+    // label-correcting pass that stays near-linear on announced graphs.
+    let (batches, _) = reg.span_value("proto.rewire.job");
+    let rows = reg.counter_value("proto.rewire.rows_materialised");
+    let pops = reg.counter_value("graph.sweep_many.pops");
+    assert_eq!((batches, rows), (231, 4140), "jobs, residual rows computed");
+    assert_eq!(reg.counter_value("graph.sweep_many.sources"), rows);
+    assert!(
+        0 < pops && pops <= 8 * br.n as u64 * batches,
+        "{pops} pops over {batches} batches of n={}",
+        br.n
     );
 
     let mut random = FleetConfig::new("golden_random_faults", 24, 3, 2025);

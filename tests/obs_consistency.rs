@@ -239,9 +239,9 @@ fn fleet_route_instruments_are_exported_and_invisible() {
     let export = reg.to_json();
     let names: Vec<&str> = fleet
         .split('"')
-        .filter(|name| name.starts_with("proto."))
+        .filter(|name| name.starts_with("proto.") || name.starts_with("graph."))
         .collect();
-    assert_eq!(names.len(), 4, "{names:?}");
+    assert_eq!(names.len(), 6, "{names:?}");
     for name in names {
         assert!(export.contains(&format!("\"{name}\":")), "{name} missing");
     }
@@ -260,4 +260,8 @@ fn fleet_route_instruments_are_exported_and_invisible() {
         0 < read && read < possible,
         "bounded measurement reads some rows, not all: {read}/{possible}"
     );
+    let batched = reg.counter_value("graph.sweep_many.sources");
+    let pops = reg.counter_value("graph.sweep_many.pops");
+    assert_eq!(batched, read, "every row read was announced to the batch");
+    assert!(pops >= batched, "every source is popped: {pops}/{batched}");
 }
