@@ -90,10 +90,7 @@ impl Auditor {
     ) -> AuditVerdict {
         let mut checked = 0usize;
         let mut suspicious = 0usize;
-        for lsa in lsdb.all() {
-            if lsa.origin != origin {
-                continue;
-            }
+        if let Some(lsa) = lsdb.get(origin) {
             for link in lsa.links.iter().take(self.cfg.links_per_node) {
                 let est = estimate(origin, link.neighbor);
                 if !est.is_finite() || est <= 0.0 {
@@ -122,8 +119,7 @@ impl Auditor {
         lsdb: &Lsdb,
         coords: &CoordinateSystem,
     ) -> Vec<AuditVerdict> {
-        lsdb.origins()
-            .into_iter()
+        lsdb.origin_ids()
             .map(|origin| {
                 self.audit_origin(lsdb, origin, &mut |a: NodeId, b: NodeId| {
                     if a.index() < coords.len() && b.index() < coords.len() {

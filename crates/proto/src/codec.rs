@@ -1,6 +1,6 @@
 //! Binary framing for EGOIST messages.
 //!
-//! Frame layout (all integers big-endian):
+//! Frame layout, version 2 (all integers big-endian):
 //!
 //! ```text
 //! +--------+---------+------+----------+------------------+----------+
@@ -9,21 +9,57 @@
 //! +--------+---------+------+----------+------------------+----------+
 //! ```
 //!
-//! The checksum is FNV-1a over header+payload. Decoding is *total*: any
-//! malformed, truncated, or corrupted input yields a [`DecodeError`],
-//! never a panic — the property the fault-injection tests rely on.
+//! `magic` is `0x4547` ("EG"), `version` is 2, `type` is one of the
+//! `tag` constants, `len` counts the payload bytes only, and the
+//! checksum covers everything before it (header + payload). Every
+//! payload field is fixed-width, so a frame's length is known before its
+//! first byte is written: [`encode`] fills one exactly-sized buffer, and
+//! [`decode`] reads the borrowed frame through a bounds-checked cursor
+//! without copying it.
+//!
+//! **Checksum.** Four interleaved FNV-1a lanes. With `P = 0x0100_0193`
+//! (the 32-bit FNV prime) and all arithmetic wrapping in `u32`:
+//!
+//! 1. lane `i ∈ 0..4` starts at `SEEDS[i]` — the FNV offset basis
+//!    `0x811C_9DC5` xor `i · 0x9E37_79B9`;
+//! 2. byte `j` of the covered bytes belongs to lane `j mod 4`, and is
+//!    absorbed in order by the FNV-1a step `h ← (h xor byte) · P` — so
+//!    whole 4-byte blocks advance all four lanes once, and a tail of
+//!    1–3 bytes advances lanes `0..tail` once more;
+//! 3. the lanes are folded left to right by the same step,
+//!    `c ← h0`, then `c ← (c xor h_i) · P` for `i = 1, 2, 3`; `c` is the
+//!    checksum.
+//!
+//! A lane step is a bijection of the lane state and injective in the
+//! byte, and the fold is a bijection in each lane with the others fixed,
+//! so changing any single byte always changes the checksum. A version 1
+//! frame (one byte-serial FNV-1a lane) fails this checksum; one that
+//! does carry a v2 checksum is `BadVersion`. Nothing verifies the old
+//! function.
+//!
+//! Decoding is *total*: any malformed, truncated, or corrupted input
+//! yields a [`DecodeError`], never a panic — the property the
+//! fault-injection tests rely on. The checksum is verified before any
+//! field is read, and a frame is validated whole before a [`Message`]
+//! is returned.
 
 use crate::message::{LinkEntry, LinkStateAnnouncement, Message};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use egoist_graph::NodeId;
 
 /// Frame magic ("EG").
 pub const MAGIC: u16 = 0x4547;
-/// Protocol version.
-pub const VERSION: u8 = 1;
+/// Protocol version. 2 = the four-lane checksum (see the module docs).
+pub const VERSION: u8 = 2;
 /// Upper bound on accepted payload length (defends against corrupt
 /// length fields).
 pub const MAX_PAYLOAD: usize = 1 << 20;
+/// Header (8 bytes) + checksum (4 bytes) around every payload.
+const ENVELOPE: usize = 12;
+/// Ping / pong payloads are the paper's 320-bit (40-byte) ICMP echo
+/// size: 13 bytes of fields, then zero padding.
+const ECHO_LEN: usize = 40;
+const ECHO_PAD: usize = ECHO_LEN - 13;
 
 /// Why a frame failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,13 +82,30 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn fnv1a(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for b in data {
-        h ^= *b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+const FNV_PRIME: u32 = 0x0100_0193;
+/// Lane seeds: the FNV offset basis xor `i · 0x9E37_79B9`.
+const SEEDS: [u32; 4] = [0x811C_9DC5, 0x1F2B_E47C, 0xBD72_6EB7, 0x5BBA_F0EE];
+
+/// The frame checksum: four interleaved FNV-1a lanes, folded (module
+/// docs). The lanes are independent multiply chains, so the CPU runs
+/// them in parallel instead of waiting out one multiply per byte.
+pub fn fnv1a(data: &[u8]) -> u32 {
+    let step = |h: u32, b: u8| (h ^ b as u32).wrapping_mul(FNV_PRIME);
+    let [mut h0, mut h1, mut h2, mut h3] = SEEDS;
+    let mut blocks = data.chunks_exact(4);
+    for b in &mut blocks {
+        h0 = step(h0, b[0]);
+        h1 = step(h1, b[1]);
+        h2 = step(h2, b[2]);
+        h3 = step(h3, b[3]);
     }
-    h
+    let mut lanes = [h0, h1, h2, h3];
+    for (h, &b) in lanes.iter_mut().zip(blocks.remainder()) {
+        *h = step(*h, b);
+    }
+    let [h0, rest @ ..] = lanes;
+    rest.iter()
+        .fold(h0, |c, &h| (c ^ h).wrapping_mul(FNV_PRIME))
 }
 
 mod tag {
@@ -69,252 +122,284 @@ mod tag {
     pub const LSDB_PULL: u8 = 11;
 }
 
-fn put_lsa(buf: &mut BytesMut, lsa: &LinkStateAnnouncement) {
-    buf.put_u32(lsa.origin.0);
-    buf.put_u64(lsa.seq);
-    buf.put_u16(lsa.links.len() as u16);
-    for l in &lsa.links {
-        buf.put_u32(l.neighbor.0);
-        buf.put_f32(l.cost);
+/// Encoded size of one LSA: origin, seq, link count, 8 bytes per link.
+fn lsa_len(lsa: &LinkStateAnnouncement) -> usize {
+    14 + 8 * lsa.links.len()
+}
+
+/// Big-endian writer over the unfilled part of a frame buffer — the
+/// mirror of [`Cursor`]. The buffer is sized before it is filled, so
+/// running out of room is a bug in a length computation, not an input.
+struct Writer<'a>(&'a mut [u8]);
+
+impl Writer<'_> {
+    fn put<const N: usize>(&mut self, bytes: [u8; N]) {
+        let (head, rest) = std::mem::take(&mut self.0)
+            .split_first_chunk_mut::<N>()
+            .expect("frame sized before it is filled");
+        *head = bytes;
+        self.0 = rest;
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.put([v]);
+    }
+
+    fn u16(&mut self, v: u16) {
+        self.put(v.to_be_bytes());
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.put(v.to_be_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.put(v.to_be_bytes());
+    }
+
+    fn lsa(&mut self, lsa: &LinkStateAnnouncement) {
+        self.u32(lsa.origin.0);
+        self.u64(lsa.seq);
+        self.u16(lsa.links.len() as u16);
+        for l in &lsa.links {
+            self.u32(l.neighbor.0);
+            self.u32(l.cost.to_bits());
+        }
     }
 }
 
-fn get_lsa(buf: &mut Bytes) -> Result<LinkStateAnnouncement, DecodeError> {
-    if buf.remaining() < 14 {
-        return Err(DecodeError::Truncated);
-    }
-    let origin = NodeId(buf.get_u32());
-    let seq = buf.get_u64();
-    let n = buf.get_u16() as usize;
-    if buf.remaining() < n * 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut links = Vec::with_capacity(n);
-    for _ in 0..n {
-        let neighbor = NodeId(buf.get_u32());
-        let cost = buf.get_f32();
-        links.push(LinkEntry { neighbor, cost });
-    }
-    Ok(LinkStateAnnouncement { origin, seq, links })
+/// Build one frame in one buffer: header, exactly `payload_len` bytes
+/// written by `fill`, checksum.
+fn frame(ty: u8, payload_len: usize, fill: impl FnOnce(&mut Writer)) -> Bytes {
+    let mut buf = vec![0; payload_len + ENVELOPE];
+    let (body, ck) = buf.split_at_mut(payload_len + ENVELOPE - 4);
+    let mut w = Writer(body);
+    w.u16(MAGIC);
+    w.u8(VERSION);
+    w.u8(ty);
+    w.u32(payload_len as u32);
+    fill(&mut w);
+    debug_assert!(w.0.is_empty(), "payload shorter than its length field");
+    ck.copy_from_slice(&fnv1a(body).to_be_bytes());
+    Bytes::from(buf)
+}
+
+/// An `id` payload: the four single-field messages.
+fn id_frame(ty: u8, id: NodeId) -> Bytes {
+    frame(ty, 4, |w| w.u32(id.0))
+}
+
+/// A `from` + counted list of `width`-byte items payload.
+fn list_frame<T>(
+    ty: u8,
+    from: Option<NodeId>,
+    items: &[T],
+    width: usize,
+    put: impl Fn(&mut Writer, &T),
+) -> Bytes {
+    let head = if from.is_some() { 6 } else { 2 };
+    frame(ty, head + width * items.len(), |w| {
+        if let Some(from) = from {
+            w.u32(from.0);
+        }
+        w.u16(items.len() as u16);
+        for item in items {
+            put(w, item);
+        }
+    })
+}
+
+fn sync_frame<'a>(lsas: impl ExactSizeIterator<Item = &'a LinkStateAnnouncement> + Clone) -> Bytes {
+    let len = 2 + lsas.clone().map(lsa_len).sum::<usize>();
+    frame(tag::LSDB_SYNC, len, |w| {
+        w.u16(lsas.len() as u16);
+        for lsa in lsas {
+            w.lsa(lsa);
+        }
+    })
+}
+
+/// The `LsdbSync` frame of borrowed announcements: byte for byte what
+/// [`encode`] makes of a `Message::LsdbSync` holding their clones, so
+/// anti-entropy pushes are encoded straight out of the LSDB records.
+pub fn encode_sync(lsas: &[&LinkStateAnnouncement]) -> Bytes {
+    sync_frame(lsas.iter().copied())
 }
 
 /// Encode a message into a complete frame.
 pub fn encode(msg: &Message) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64);
-    let ty = match msg {
-        Message::BootstrapRequest { from } => {
-            payload.put_u32(from.0);
-            tag::BOOTSTRAP_REQUEST
-        }
-        Message::BootstrapResponse { peers } => {
-            payload.put_u16(peers.len() as u16);
-            for p in peers {
-                payload.put_u32(p.0);
-            }
-            tag::BOOTSTRAP_RESPONSE
-        }
-        Message::Hello { from } => {
-            payload.put_u32(from.0);
-            tag::HELLO
-        }
-        Message::LsdbSync { lsas } => {
-            payload.put_u16(lsas.len() as u16);
-            for lsa in lsas {
-                put_lsa(&mut payload, lsa);
-            }
-            tag::LSDB_SYNC
-        }
-        Message::LsdbDigest { from, entries } => {
-            payload.put_u32(from.0);
-            payload.put_u16(entries.len() as u16);
-            for (origin, seq) in entries {
-                payload.put_u32(origin.0);
-                payload.put_u64(*seq);
-            }
-            tag::LSDB_DIGEST
-        }
-        Message::LsdbPull { from, origins } => {
-            payload.put_u32(from.0);
-            payload.put_u16(origins.len() as u16);
-            for o in origins {
-                payload.put_u32(o.0);
-            }
-            tag::LSDB_PULL
-        }
-        Message::LinkState { lsa, ttl } => {
-            payload.put_u8(*ttl);
-            put_lsa(&mut payload, lsa);
-            tag::LINK_STATE
-        }
-        Message::Ping { from, nonce, hb } => {
-            payload.put_u32(from.0);
-            payload.put_u64(*nonce);
-            payload.put_u8(*hb as u8);
-            // Pad to the paper's 320-bit (40-byte) ICMP echo size.
-            payload.put_bytes(0, 40usize.saturating_sub(13));
-            tag::PING
-        }
-        Message::Pong { from, nonce, hb } => {
-            payload.put_u32(from.0);
-            payload.put_u64(*nonce);
-            payload.put_u8(*hb as u8);
-            payload.put_bytes(0, 40usize.saturating_sub(13));
-            tag::PONG
-        }
-        Message::Heartbeat { from } => {
-            payload.put_u32(from.0);
-            tag::HEARTBEAT
-        }
-        Message::Leave { from } => {
-            payload.put_u32(from.0);
-            tag::LEAVE
-        }
+    let echo = |ty: u8, from: NodeId, nonce: u64, hb: bool| {
+        frame(ty, ECHO_LEN, |w| {
+            w.u32(from.0);
+            w.u64(nonce);
+            w.u8(hb as u8);
+            w.put([0; ECHO_PAD]);
+        })
     };
+    match msg {
+        Message::BootstrapRequest { from } => id_frame(tag::BOOTSTRAP_REQUEST, *from),
+        Message::BootstrapResponse { peers } => {
+            list_frame(tag::BOOTSTRAP_RESPONSE, None, peers, 4, |w, p| w.u32(p.0))
+        }
+        Message::Hello { from } => id_frame(tag::HELLO, *from),
+        Message::LsdbSync { lsas } => sync_frame(lsas.iter()),
+        Message::LsdbDigest { from, entries } => list_frame(
+            tag::LSDB_DIGEST,
+            Some(*from),
+            entries,
+            12,
+            |w, (origin, seq)| {
+                w.u32(origin.0);
+                w.u64(*seq);
+            },
+        ),
+        Message::LsdbPull { from, origins } => {
+            list_frame(tag::LSDB_PULL, Some(*from), origins, 4, |w, o| w.u32(o.0))
+        }
+        Message::LinkState { lsa, ttl } => frame(tag::LINK_STATE, 1 + lsa_len(lsa), |w| {
+            w.u8(*ttl);
+            w.lsa(lsa);
+        }),
+        Message::Ping { from, nonce, hb } => echo(tag::PING, *from, *nonce, *hb),
+        Message::Pong { from, nonce, hb } => echo(tag::PONG, *from, *nonce, *hb),
+        Message::Heartbeat { from } => id_frame(tag::HEARTBEAT, *from),
+        Message::Leave { from } => id_frame(tag::LEAVE, *from),
+    }
+}
 
-    let mut frame = BytesMut::with_capacity(payload.len() + 12);
-    frame.put_u16(MAGIC);
-    frame.put_u8(VERSION);
-    frame.put_u8(ty);
-    frame.put_u32(payload.len() as u32);
-    frame.extend_from_slice(&payload);
-    let ck = fnv1a(&frame);
-    frame.put_u32(ck);
-    frame.freeze()
+/// Bounds-checked big-endian reader over a borrowed frame: every read
+/// past the end is `Truncated`, never a panic.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.take().map(|[b]| b)
+    }
+
+    fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.take().map(u16::from_be_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.take().map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.take().map(u64::from_be_bytes)
+    }
+
+    fn id(&mut self) -> Result<NodeId, DecodeError> {
+        self.u32().map(NodeId)
+    }
+
+    /// A `u16`-counted list of items at least `width` bytes each. The
+    /// count is checked against the bytes left *before* anything is
+    /// allocated, so a lying count field costs nothing.
+    fn list<T>(
+        &mut self,
+        width: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.u16()? as usize;
+        if self.0.len() < n * width {
+            return Err(DecodeError::Truncated);
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    fn lsa(&mut self) -> Result<LinkStateAnnouncement, DecodeError> {
+        let origin = self.id()?;
+        let seq = self.u64()?;
+        let links = self.list(8, |c| {
+            Ok(LinkEntry {
+                neighbor: c.id()?,
+                cost: f32::from_bits(c.u32()?),
+            })
+        })?;
+        Ok(LinkStateAnnouncement { origin, seq, links })
+    }
 }
 
 /// Decode one complete frame.
 pub fn decode(frame: &[u8]) -> Result<Message, DecodeError> {
-    if frame.len() < 12 {
+    if frame.len() < ENVELOPE {
         return Err(DecodeError::TooShort);
     }
-    let body_len = frame.len() - 4;
-    let claimed_ck = u32::from_be_bytes(frame[body_len..].try_into().expect("4 bytes"));
-    if fnv1a(&frame[..body_len]) != claimed_ck {
+    let (body, ck) = frame.split_at(frame.len() - 4);
+    if fnv1a(body).to_be_bytes() != ck {
         return Err(DecodeError::BadChecksum);
     }
-    let mut buf = Bytes::copy_from_slice(&frame[..body_len]);
-    let magic = buf.get_u16();
-    if magic != MAGIC {
+    let mut buf = Cursor(body);
+    if buf.u16()? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let version = buf.get_u8();
+    let version = buf.u8()?;
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let ty = buf.get_u8();
-    let len = buf.get_u32() as usize;
-    if len > MAX_PAYLOAD || len != buf.remaining() {
+    let ty = buf.u8()?;
+    let len = buf.u32()? as usize;
+    if len > MAX_PAYLOAD || len != buf.0.len() {
         return Err(DecodeError::BadLength);
     }
 
     let msg = match ty {
-        tag::BOOTSTRAP_REQUEST => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::BootstrapRequest {
-                from: NodeId(buf.get_u32()),
-            }
-        }
+        tag::BOOTSTRAP_REQUEST => Message::BootstrapRequest { from: buf.id()? },
         tag::BOOTSTRAP_RESPONSE => {
-            if buf.remaining() < 2 {
-                return Err(DecodeError::Truncated);
-            }
-            let n = buf.get_u16() as usize;
-            if buf.remaining() < n * 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let peers = (0..n).map(|_| NodeId(buf.get_u32())).collect();
+            let peers = buf.list(4, Cursor::id)?;
             Message::BootstrapResponse { peers }
         }
-        tag::HELLO => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::Hello {
-                from: NodeId(buf.get_u32()),
-            }
-        }
+        tag::HELLO => Message::Hello { from: buf.id()? },
         tag::LSDB_SYNC => {
-            if buf.remaining() < 2 {
-                return Err(DecodeError::Truncated);
-            }
-            let n = buf.get_u16() as usize;
-            let mut lsas = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                lsas.push(get_lsa(&mut buf)?);
-            }
+            let lsas = buf.list(14, Cursor::lsa)?;
             Message::LsdbSync { lsas }
         }
         tag::LINK_STATE => {
-            if buf.remaining() < 1 {
-                return Err(DecodeError::Truncated);
-            }
-            let ttl = buf.get_u8();
+            let ttl = buf.u8()?;
             Message::LinkState {
-                lsa: get_lsa(&mut buf)?,
+                lsa: buf.lsa()?,
                 ttl,
             }
         }
         tag::PING | tag::PONG => {
-            if buf.remaining() < 13 {
-                return Err(DecodeError::Truncated);
-            }
-            let from = NodeId(buf.get_u32());
-            let nonce = buf.get_u64();
-            let hb = buf.get_u8() != 0;
-            buf.advance(buf.remaining()); // padding
+            let from = buf.id()?;
+            let nonce = buf.u64()?;
+            let hb = buf.u8()? != 0;
+            buf.0 = &[]; // padding
             if ty == tag::PING {
                 Message::Ping { from, nonce, hb }
             } else {
                 Message::Pong { from, nonce, hb }
             }
         }
-        tag::HEARTBEAT => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::Heartbeat {
-                from: NodeId(buf.get_u32()),
-            }
-        }
-        tag::LEAVE => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::Leave {
-                from: NodeId(buf.get_u32()),
-            }
-        }
+        tag::HEARTBEAT => Message::Heartbeat { from: buf.id()? },
+        tag::LEAVE => Message::Leave { from: buf.id()? },
         tag::LSDB_DIGEST => {
-            if buf.remaining() < 6 {
-                return Err(DecodeError::Truncated);
-            }
-            let from = NodeId(buf.get_u32());
-            let n = buf.get_u16() as usize;
-            if buf.remaining() < n * 12 {
-                return Err(DecodeError::Truncated);
-            }
-            let entries = (0..n)
-                .map(|_| (NodeId(buf.get_u32()), buf.get_u64()))
-                .collect();
+            let from = buf.id()?;
+            let entries = buf.list(12, |c| Ok((c.id()?, c.u64()?)))?;
             Message::LsdbDigest { from, entries }
         }
         tag::LSDB_PULL => {
-            if buf.remaining() < 6 {
-                return Err(DecodeError::Truncated);
-            }
-            let from = NodeId(buf.get_u32());
-            let n = buf.get_u16() as usize;
-            if buf.remaining() < n * 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let origins = (0..n).map(|_| NodeId(buf.get_u32())).collect();
+            let from = buf.id()?;
+            let origins = buf.list(4, Cursor::id)?;
             Message::LsdbPull { from, origins }
         }
         other => return Err(DecodeError::BadType(other)),
     };
-    if buf.has_remaining() {
+    if !buf.0.is_empty() {
         return Err(DecodeError::TrailingBytes);
     }
     Ok(msg)
@@ -457,13 +542,164 @@ mod tests {
         }
     }
 
+    /// `origin`-th LSA of a synthetic database, `links` links long.
+    fn lsa(origin: u32, links: usize) -> LinkStateAnnouncement {
+        LinkStateAnnouncement {
+            origin: NodeId(origin),
+            seq: 3 + origin as u64 * 7,
+            links: (0..links as u32)
+                .map(|i| LinkEntry {
+                    neighbor: NodeId(origin + i + 1),
+                    cost: 1.5 * (i + 1) as f32,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn encode_sync_matches_encode_of_the_clones() {
+        for count in [0usize, 1, 400] {
+            let lsas: Vec<LinkStateAnnouncement> =
+                (0..count).map(|i| lsa(i as u32, i % 9)).collect();
+            let refs: Vec<&LinkStateAnnouncement> = lsas.iter().collect();
+            let from_records = encode_sync(&refs);
+            let from_clones = encode(&Message::LsdbSync { lsas: lsas.clone() });
+            assert_eq!(from_records, from_clones, "{count} LSAs");
+            assert_eq!(decode(&from_records), Ok(Message::LsdbSync { lsas }));
+        }
+    }
+
+    #[test]
+    fn frames_are_exactly_sized() {
+        // One buffer, sized before the first byte: the length field and
+        // the allocation both equal what was written.
+        for m in sample_messages() {
+            let f = encode(&m);
+            let len = u32::from_be_bytes(f[4..8].try_into().unwrap()) as usize;
+            assert_eq!(f.len(), len + ENVELOPE, "{m:?}");
+        }
+    }
+
+    #[test]
+    fn version_one_frames_are_refused() {
+        let mut v = encode(&Message::Hello { from: NodeId(1) }).to_vec();
+        v[2] = 1;
+        // As sent by a v1 peer the checksum cannot match…
+        assert_eq!(decode(&v), Err(DecodeError::BadChecksum));
+        // …and a frame that does carry a v2 checksum names its version.
+        reseal(&mut v);
+        assert_eq!(decode(&v), Err(DecodeError::BadVersion(1)));
+    }
+
+    /// Recompute the checksum of a tampered frame, so the parser behind
+    /// it gets exercised.
+    fn reseal(frame: &mut [u8]) {
+        let body = frame.len() - 4;
+        let ck = fnv1a(&frame[..body]);
+        frame[body..].copy_from_slice(&ck.to_be_bytes());
+    }
+
+    #[test]
+    fn every_single_byte_substitution_is_rejected() {
+        // Every frame length 12..=75 — all residues mod 4, so every
+        // lane and every tail length — every position (header, payload
+        // and the checksum itself), every other byte value.
+        let mut noise = 0x9E37_79B9u32;
+        for len in 12..=75usize {
+            let mut frame: Vec<u8> = (0..len)
+                .map(|_| {
+                    noise = noise.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    (noise >> 24) as u8
+                })
+                .collect();
+            reseal(&mut frame);
+            assert_ne!(decode(&frame), Err(DecodeError::BadChecksum), "len {len}");
+            for pos in 0..len {
+                let original = frame[pos];
+                for substitute in (0..=255u8).filter(|&b| b != original) {
+                    frame[pos] = substitute;
+                    assert_eq!(
+                        decode(&frame),
+                        Err(DecodeError::BadChecksum),
+                        "len {len}: byte {pos} {original:#04x} -> {substitute:#04x} undetected"
+                    );
+                }
+                frame[pos] = original;
+            }
+        }
+    }
+
+    /// Where a frame's `u16` item count sits (after the 8-byte header),
+    /// for the kinds that carry one.
+    fn count_offset(m: &Message) -> Option<usize> {
+        match m {
+            Message::BootstrapResponse { .. } | Message::LsdbSync { .. } => Some(8),
+            Message::LsdbDigest { .. } | Message::LsdbPull { .. } => Some(12),
+            Message::LinkState { .. } => Some(8 + 1 + 12),
+            _ => None,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Arbitrary bytes never panic the decoder.
         #[test]
-        fn decode_is_total(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+        fn decode_is_total(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
             let _ = decode(&data);
+            // The same bytes behind a valid checksum reach the parser.
+            if data.len() >= ENVELOPE {
+                let mut sealed = data;
+                sealed[..3].copy_from_slice(&[0x45, 0x47, VERSION]);
+                sealed[3] %= 13; // mostly real tags
+                let len = (sealed.len() - ENVELOPE) as u32;
+                sealed[4..8].copy_from_slice(&len.to_be_bytes());
+                reseal(&mut sealed);
+                prop_assert!(decode(&sealed) != Err(DecodeError::BadChecksum));
+            }
+        }
+
+        /// Valid frames with a random splice, truncation or count-field
+        /// bump, checksum recomputed so the damage reaches the cursor:
+        /// an error or a message, never a panic.
+        #[test]
+        fn damaged_valid_frames_never_panic(
+            which in 0usize..12,
+            big in 0usize..40,
+            at in any::<u16>(),
+            junk in proptest::collection::vec(any::<u8>(), 0..24),
+            bump in 1u16..400,
+        ) {
+            let mut messages = sample_messages();
+            messages.push(Message::LsdbSync {
+                lsas: (0..big).map(|i| lsa(i as u32, i % 9)).collect(),
+            });
+            let m = &messages[which % messages.len()];
+            let frame = encode(m).to_vec();
+            let at = at as usize % frame.len();
+
+            let mut spliced = frame.clone();
+            spliced.splice(at..(at + junk.len() / 2).min(frame.len()), junk.iter().copied());
+            let _ = decode(&spliced);
+            if spliced.len() >= ENVELOPE {
+                reseal(&mut spliced);
+                let _ = decode(&spliced);
+            }
+
+            let mut truncated = frame[..at].to_vec();
+            let _ = decode(&truncated);
+            if truncated.len() >= ENVELOPE {
+                reseal(&mut truncated);
+                prop_assert!(decode(&truncated).is_err(), "a shorter frame decoded");
+            }
+
+            if let Some(off) = count_offset(m) {
+                let mut bumped = frame.clone();
+                let count = u16::from_be_bytes([bumped[off], bumped[off + 1]]);
+                bumped[off..off + 2].copy_from_slice(&count.wrapping_add(bump).to_be_bytes());
+                reseal(&mut bumped);
+                prop_assert!(decode(&bumped).is_err(), "a wrong count decoded");
+            }
         }
 
         /// Roundtrip for arbitrary LSAs.

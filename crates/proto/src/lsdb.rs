@@ -2,14 +2,22 @@
 //!
 //! Every node floods a sequence-numbered announcement of its established
 //! links every `T_announce` (§4.3). The LSDB keeps the freshest
-//! announcement per origin, deduplicates floods, ages out origins that go
-//! silent (churned-off nodes), and can snapshot the announced overlay as a
-//! [`DiGraph`] for route computation — the "full residual graph `G_{−i}`"
+//! announcement per origin, deduplicates floods, and ages out origins
+//! that go silent (churned-off nodes). Route computation reads the
+//! records in place ([`Lsdb::get`]) — the "full residual graph `G_{−i}`"
 //! a newcomer obtains (§3.1).
+//!
+//! Records live in one `Vec` in strictly ascending origin order, so
+//! every whole-table read is an ordered walk and every comparison with a
+//! peer's digest is one merge join; nothing is hashed. Ids are dense in
+//! practice, so a lookup first asks "is position `origin` this origin?"
+//! and only binary-searches when it is not. Memory is O(records)
+//! whatever the ids are: an origin never seen before costs one
+//! `Vec::insert`.
 
 use crate::message::LinkStateAnnouncement;
-use egoist_graph::{DiGraph, NodeId};
-use std::collections::HashMap;
+use egoist_graph::NodeId;
+use std::borrow::Cow;
 
 /// Stored record for one origin.
 #[derive(Clone, Debug)]
@@ -22,9 +30,48 @@ struct Record {
 /// The link-state database.
 #[derive(Clone, Debug, Default)]
 pub struct Lsdb {
-    records: HashMap<NodeId, Record>,
+    /// Strictly ascending by `lsa.origin`.
+    records: Vec<Record>,
     /// Announcements older than this many seconds are considered dead.
     pub max_age: f64,
+}
+
+/// `digest` as a strictly origin-ascending slice: itself when it already
+/// is one (what [`Lsdb::digest`] produces), else a sorted copy in which
+/// the last entry of a repeated origin wins. A digest off the wire
+/// proves nothing about its order, so the merge joins below go through
+/// this; a caller joining one digest several times can normalise it once
+/// and pass the result, which is then only re-verified.
+pub(crate) fn ascending(digest: &[(NodeId, u64)]) -> Cow<'_, [(NodeId, u64)]> {
+    if digest.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Cow::Borrowed(digest);
+    }
+    let mut sorted = digest.to_vec();
+    sorted.sort_by_key(|&(origin, _)| origin); // stable: wire order within an origin
+    sorted.dedup_by(|later, kept| {
+        let repeat = later.0 == kept.0;
+        if repeat {
+            *kept = *later;
+        }
+        repeat
+    });
+    Cow::Owned(sorted)
+}
+
+/// Merge-join cursor: the item of `sorted` (ascending by `key`) whose
+/// key is `origin`, looking only at or after `*cursor`, which moves past
+/// smaller keys and never back — so a whole ascending run of lookups
+/// costs one pass over `sorted`.
+fn seek<'a, T>(
+    sorted: &'a [T],
+    cursor: &mut usize,
+    origin: NodeId,
+    key: impl Fn(&T) -> NodeId,
+) -> Option<&'a T> {
+    while sorted.get(*cursor).is_some_and(|t| key(t) < origin) {
+        *cursor += 1;
+    }
+    sorted.get(*cursor).filter(|t| key(t) == origin)
 }
 
 impl Lsdb {
@@ -32,27 +79,53 @@ impl Lsdb {
     /// 20 s announcements and 60 s epochs suggest ~3 missed announcements).
     pub fn new(max_age: f64) -> Self {
         Lsdb {
-            records: HashMap::new(),
+            records: Vec::new(),
             max_age,
+        }
+    }
+
+    /// Where `origin`'s record is (`Ok`) or would be inserted (`Err`).
+    fn find(&self, origin: NodeId) -> Result<usize, usize> {
+        // Strictly ascending u32 keys: the record at position p has
+        // origin ≥ p, so `origin` sits at or before position `origin`.
+        let end = self.records.len().min(origin.index().saturating_add(1));
+        match self.records[..end].last() {
+            Some(r) if r.lsa.origin == origin => Ok(end - 1),
+            Some(r) if r.lsa.origin < origin => Err(end), // past the last record
+            _ => self.records[..end].binary_search_by_key(&origin, |r| r.lsa.origin),
         }
     }
 
     /// Apply an announcement received at local time `now`.
     /// Returns `true` when it was fresh (and should be flooded onward).
     pub fn apply(&mut self, lsa: LinkStateAnnouncement, now: f64) -> bool {
-        match self.records.get(&lsa.origin) {
-            Some(rec) if rec.lsa.seq >= lsa.seq => false,
-            _ => {
-                self.records.insert(
-                    lsa.origin,
-                    Record {
-                        lsa,
-                        refreshed_at: now,
-                    },
-                );
-                true
+        self.apply_ref(&lsa, now)
+    }
+
+    /// [`Self::apply`] by reference: a fresh announcement of a known
+    /// origin overwrites `seq` and re-fills the record's own `links`
+    /// allocation; only a never-seen origin allocates.
+    pub fn apply_ref(&mut self, lsa: &LinkStateAnnouncement, now: f64) -> bool {
+        match self.find(lsa.origin) {
+            Ok(i) => {
+                let rec = &mut self.records[i];
+                if rec.lsa.seq >= lsa.seq {
+                    return false;
+                }
+                rec.lsa.seq = lsa.seq;
+                rec.lsa.links.clear();
+                rec.lsa.links.extend_from_slice(&lsa.links);
+                rec.refreshed_at = now;
             }
+            Err(i) => self.records.insert(
+                i,
+                Record {
+                    lsa: lsa.clone(),
+                    refreshed_at: now,
+                },
+            ),
         }
+        true
     }
 
     /// Refresh the age of every record whose `(origin, seq)` matches an
@@ -60,51 +133,56 @@ impl Lsdb {
     /// the origin is still being re-announced somewhere, so anti-entropy
     /// keeps agreed-on records alive between suppressed announces.
     pub fn touch_matching(&mut self, digest: &[(NodeId, u64)], now: f64) {
-        for &(origin, seq) in digest {
-            if let Some(rec) = self.records.get_mut(&origin) {
-                if rec.lsa.seq == seq {
-                    rec.refreshed_at = now;
-                }
+        let (digest, mut at) = (ascending(digest), 0);
+        for rec in &mut self.records {
+            let theirs = seek(&digest, &mut at, rec.lsa.origin, |d| d.0);
+            if theirs.is_some_and(|d| d.1 == rec.lsa.seq) {
+                rec.refreshed_at = now;
             }
         }
     }
 
-    /// Drop records that have aged out; returns the expired origins.
+    /// Drop records that have aged out; returns the expired origins,
+    /// ascending.
     pub fn expire(&mut self, now: f64) -> Vec<NodeId> {
         let max_age = self.max_age;
-        let dead: Vec<NodeId> = self
-            .records
-            .iter()
-            .filter(|(_, r)| now - r.refreshed_at > max_age)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &dead {
-            self.records.remove(id);
-        }
+        let mut dead = Vec::new();
+        self.records.retain(|r| {
+            let expired = now - r.refreshed_at > max_age;
+            if expired {
+                dead.push(r.lsa.origin);
+            }
+            !expired
+        });
         dead
     }
 
     /// Remove one origin immediately (Leave message).
     pub fn remove(&mut self, origin: NodeId) {
-        self.records.remove(&origin);
-    }
-
-    /// Known origins in no particular order, without allocating — for
-    /// callers that scatter them into a set anyway.
-    pub fn origin_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.records.keys().copied()
+        if let Ok(i) = self.find(origin) {
+            self.records.remove(i);
+        }
     }
 
     /// The stored announcement of `origin`, borrowed.
     pub fn get(&self, origin: NodeId) -> Option<&LinkStateAnnouncement> {
-        self.records.get(&origin).map(|r| &r.lsa)
+        self.find(origin).ok().map(|i| &self.records[i].lsa)
     }
 
-    /// Known origins (the announced membership), sorted.
+    /// All stored announcements, borrowed, ascending by origin (what a
+    /// newcomer's full `LsdbSync` carries).
+    pub fn all(&self) -> impl ExactSizeIterator<Item = &LinkStateAnnouncement> + Clone {
+        self.records.iter().map(|r| &r.lsa)
+    }
+
+    /// Known origins, ascending, without allocating.
+    pub fn origin_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.all().map(|l| l.origin)
+    }
+
+    /// Known origins (the announced membership), ascending.
     pub fn origins(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.records.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.origin_ids().collect()
     }
 
     /// Number of stored announcements.
@@ -114,7 +192,7 @@ impl Lsdb {
 
     /// Total links over all stored announcements.
     pub fn link_count(&self) -> usize {
-        self.records.values().map(|r| r.lsa.links.len()).sum()
+        self.all().map(|l| l.links.len()).sum()
     }
 
     /// True when the LSDB is empty.
@@ -124,82 +202,43 @@ impl Lsdb {
 
     /// Current sequence number of `origin` (0 when unknown).
     pub fn seq_of(&self, origin: NodeId) -> u64 {
-        self.records.get(&origin).map(|r| r.lsa.seq).unwrap_or(0)
+        self.get(origin).map_or(0, |l| l.seq)
     }
 
-    /// All stored LSAs (for `LsdbSync` to a newcomer).
-    pub fn all(&self) -> Vec<LinkStateAnnouncement> {
-        let mut v: Vec<LinkStateAnnouncement> =
-            self.records.values().map(|r| r.lsa.clone()).collect();
-        v.sort_by_key(|l| l.origin);
-        v
-    }
-
-    /// Compact anti-entropy summary: sorted `(origin, seq)` pairs.
+    /// Compact anti-entropy summary: `(origin, seq)` pairs, ascending.
     pub fn digest(&self) -> Vec<(NodeId, u64)> {
-        let mut v: Vec<(NodeId, u64)> = self
-            .records
-            .iter()
-            .map(|(id, r)| (*id, r.lsa.seq))
-            .collect();
-        v.sort_unstable();
-        v
+        self.all().map(|l| (l.origin, l.seq)).collect()
     }
 
     /// LSAs we hold that are fresher than (or absent from) a peer's
-    /// digest — the push half of a digest exchange. Sorted by origin.
-    pub fn fresher_than(&self, digest: &[(NodeId, u64)]) -> Vec<LinkStateAnnouncement> {
-        let theirs: HashMap<NodeId, u64> = digest.iter().copied().collect();
-        let mut v: Vec<LinkStateAnnouncement> = self
-            .records
-            .values()
-            .filter(|r| theirs.get(&r.lsa.origin).is_none_or(|&s| r.lsa.seq > s))
-            .map(|r| r.lsa.clone())
-            .collect();
-        v.sort_by_key(|l| l.origin);
-        v
+    /// digest — the push half of a digest exchange. Ascending by origin.
+    pub fn fresher_than(&self, digest: &[(NodeId, u64)]) -> Vec<&LinkStateAnnouncement> {
+        let (digest, mut at) = (ascending(digest), 0);
+        self.all()
+            .filter(|l| seek(&digest, &mut at, l.origin, |d| d.0).is_none_or(|d| l.seq > d.1))
+            .collect()
     }
 
     /// Origins where a peer's digest is fresher than what we hold — the
-    /// pull half of a digest exchange. Sorted.
+    /// pull half of a digest exchange. Ascending.
     pub fn stale_origins(&self, digest: &[(NodeId, u64)]) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = digest
+        let mut at = 0;
+        ascending(digest)
             .iter()
-            .filter(|(origin, seq)| self.seq_of(*origin) < *seq)
-            .map(|(origin, _)| *origin)
-            .collect();
-        v.sort_unstable();
-        v
+            .filter(|&&(origin, seq)| {
+                let ours = seek(&self.records, &mut at, origin, |r| r.lsa.origin);
+                ours.map_or(0, |r| r.lsa.seq) < seq
+            })
+            .map(|&(origin, _)| origin)
+            .collect()
     }
 
-    /// The stored LSAs for `origins` we actually hold (pull answer).
-    pub fn select(&self, origins: &[NodeId]) -> Vec<LinkStateAnnouncement> {
-        let mut v: Vec<LinkStateAnnouncement> = origins
-            .iter()
-            .filter_map(|o| self.records.get(o).map(|r| r.lsa.clone()))
-            .collect();
+    /// The stored LSAs for `origins` we actually hold (pull answer), one
+    /// per request entry, ascending by origin.
+    pub fn select(&self, origins: &[NodeId]) -> Vec<&LinkStateAnnouncement> {
+        let mut v: Vec<_> = origins.iter().filter_map(|&o| self.get(o)).collect();
         v.sort_by_key(|l| l.origin);
         v
-    }
-
-    /// Snapshot the announced overlay as a graph over ids `0..n`.
-    /// Links toward origins missing from the LSDB are kept (the target
-    /// may simply not have announced yet); links from missing origins
-    /// don't exist.
-    pub fn graph(&self, n: usize) -> DiGraph {
-        let mut g = DiGraph::new(n);
-        for rec in self.records.values() {
-            let from = rec.lsa.origin;
-            if from.index() >= n {
-                continue;
-            }
-            for l in &rec.lsa.links {
-                if l.neighbor.index() < n && l.neighbor != from {
-                    g.add_edge(from, l.neighbor, l.cost as f64);
-                }
-            }
-        }
-        g
     }
 }
 
@@ -233,18 +272,19 @@ mod tests {
     }
 
     #[test]
-    fn graph_reflects_latest_announcements() {
+    fn records_reflect_latest_announcements() {
         let mut db = Lsdb::new(60.0);
         db.apply(lsa(0, 1, &[(1, 2.0), (2, 3.0)]), 0.0);
         db.apply(lsa(1, 1, &[(2, 1.5)]), 0.0);
-        let g = db.graph(3);
-        assert_eq!(g.edge_cost(NodeId(0), NodeId(1)), Some(2.0));
-        assert_eq!(g.edge_cost(NodeId(1), NodeId(2)), Some(1.5));
-        // Replacement drops old links.
+        assert_eq!(db.get(NodeId(0)), Some(&lsa(0, 1, &[(1, 2.0), (2, 3.0)])));
+        assert_eq!(db.get(NodeId(1)), Some(&lsa(1, 1, &[(2, 1.5)])));
+        assert_eq!(db.get(NodeId(2)), None);
+        // Replacement drops old links, by value and by reference.
         db.apply(lsa(0, 2, &[(2, 9.0)]), 1.0);
-        let g = db.graph(3);
-        assert_eq!(g.edge_cost(NodeId(0), NodeId(1)), None);
-        assert_eq!(g.edge_cost(NodeId(0), NodeId(2)), Some(9.0));
+        assert_eq!(db.get(NodeId(0)), Some(&lsa(0, 2, &[(2, 9.0)])));
+        assert!(db.apply_ref(&lsa(0, 3, &[]), 2.0));
+        assert_eq!(db.get(NodeId(0)), Some(&lsa(0, 3, &[])));
+        assert_eq!(db.link_count(), 1);
     }
 
     #[test]
@@ -270,12 +310,11 @@ mod tests {
         let mut db = Lsdb::new(60.0);
         db.apply(lsa(0, 3, &[(1, 1.0)]), 0.0);
         db.apply(lsa(1, 9, &[(0, 2.0)]), 0.0);
-        let all = db.all();
-        assert_eq!(all.len(), 2);
+        assert_eq!(db.all().len(), 2);
         // A newcomer applying the sync sees identical state.
         let mut db2 = Lsdb::new(60.0);
-        for l in all {
-            db2.apply(l, 0.0);
+        for l in db.all() {
+            db2.apply_ref(l, 0.0);
         }
         assert_eq!(db2.seq_of(NodeId(1)), 9);
         db2.remove(NodeId(0));
@@ -299,13 +338,256 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_ids_ignored_in_graph() {
+    fn arbitrary_ids_are_stored_in_origin_order() {
+        // Ids off the wire are any u32: each costs one record, never a
+        // table sized by the id, and iteration stays ascending.
         let mut db = Lsdb::new(60.0);
-        db.apply(lsa(7, 1, &[(1, 1.0)]), 0.0);
-        db.apply(lsa(0, 1, &[(9, 1.0), (1, 2.0)]), 0.0);
-        let g = db.graph(3);
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.edge_cost(NodeId(0), NodeId(1)), Some(2.0));
+        for origin in [u32::MAX, 7, 0, u32::MAX - 1, 3] {
+            assert!(db.apply(lsa(origin, 1, &[(9, 1.0)]), 0.0));
+        }
+        let want = [0, 3, 7, u32::MAX - 1, u32::MAX].map(NodeId);
+        assert_eq!(db.origins(), want);
+        assert!(db.all().map(|l| l.origin).eq(want));
+        assert_eq!(db.len(), 5);
+        assert_eq!(db.seq_of(NodeId(u32::MAX)), 1);
+        db.remove(NodeId(7));
+        db.remove(NodeId(8)); // unknown: no-op
+        assert_eq!(db.origins(), [0, 3, u32::MAX - 1, u32::MAX].map(NodeId));
+    }
+
+    /// The table against a `HashMap` model (what the LSDB was before it
+    /// became an ordered `Vec`): same answers, ordered outputs ascending.
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        type Digest = Vec<(NodeId, u64)>;
+
+        #[derive(Debug, Default)]
+        struct Model {
+            records: HashMap<NodeId, (LinkStateAnnouncement, f64)>,
+            max_age: f64,
+        }
+
+        impl Model {
+            fn apply(&mut self, lsa: &LinkStateAnnouncement, now: f64) -> bool {
+                let fresh = self
+                    .records
+                    .get(&lsa.origin)
+                    .is_none_or(|(old, _)| old.seq < lsa.seq);
+                if fresh {
+                    self.records.insert(lsa.origin, (lsa.clone(), now));
+                }
+                fresh
+            }
+
+            fn sorted(&self) -> Vec<(&LinkStateAnnouncement, f64)> {
+                let mut v: Vec<_> = self.records.values().map(|(l, at)| (l, *at)).collect();
+                v.sort_by_key(|(l, _)| l.origin);
+                v
+            }
+
+            fn expire(&mut self, now: f64) -> Vec<NodeId> {
+                let max_age = self.max_age;
+                let mut dead: Vec<NodeId> = self
+                    .records
+                    .iter()
+                    .filter(|(_, (_, at))| now - at > max_age)
+                    .map(|(o, _)| *o)
+                    .collect();
+                dead.sort_unstable();
+                for o in &dead {
+                    self.records.remove(o);
+                }
+                dead
+            }
+
+            /// A digest is a map: the last entry of an origin wins.
+            fn theirs(digest: &Digest) -> HashMap<NodeId, u64> {
+                digest.iter().copied().collect()
+            }
+
+            fn touch_matching(&mut self, digest: &Digest, now: f64) {
+                let theirs = Self::theirs(digest);
+                for (origin, (lsa, at)) in &mut self.records {
+                    if theirs.get(origin) == Some(&lsa.seq) {
+                        *at = now;
+                    }
+                }
+            }
+
+            fn fresher_than(&self, digest: &Digest) -> Vec<&LinkStateAnnouncement> {
+                let theirs = Self::theirs(digest);
+                let fresher =
+                    |l: &LinkStateAnnouncement| theirs.get(&l.origin).is_none_or(|&s| l.seq > s);
+                let all = self.sorted().into_iter().map(|(l, _)| l);
+                all.filter(|l| fresher(l)).collect()
+            }
+
+            fn stale_origins(&self, digest: &Digest) -> Vec<NodeId> {
+                let seq_of = |o: &NodeId| self.records.get(o).map_or(0, |(l, _)| l.seq);
+                let mut v: Vec<NodeId> = Self::theirs(digest)
+                    .into_iter()
+                    .filter(|(o, seq)| seq_of(o) < *seq)
+                    .map(|(o, _)| o)
+                    .collect();
+                v.sort_unstable();
+                v
+            }
+
+            fn select(&self, origins: &[NodeId]) -> Vec<&LinkStateAnnouncement> {
+                let mut v: Vec<_> = origins
+                    .iter()
+                    .filter_map(|o| self.records.get(o).map(|(l, _)| l))
+                    .collect();
+                v.sort_by_key(|l| l.origin);
+                v
+            }
+        }
+
+        /// Small dense ids, ids past any fleet's `n`, and the top of the
+        /// `u32` range.
+        fn origin(code: u32) -> NodeId {
+            NodeId(match code {
+                0..=11 => code,
+                12 => 1000,
+                13 => 70_000,
+                14 => u32::MAX - 1,
+                _ => u32::MAX,
+            })
+        }
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Apply(LinkStateAnnouncement),
+            ApplyRef(LinkStateAnnouncement),
+            Remove(NodeId),
+            Expire,
+            Touch(Digest),
+            FresherThan(Digest),
+            StaleOrigins(Digest),
+            Select(Vec<NodeId>),
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            (
+                0u32..11,
+                (0u32..16, 0u64..6, 0usize..4),
+                proptest::collection::vec((0u32..16, 0u64..6), 0..14),
+                any::<bool>(),
+            )
+                .prop_map(|(kind, (o, seq, links), raw, tidy)| {
+                    let announcement = lsa(origin(o).0, seq, &vec![(o + 1, seq as f32); links]);
+                    // Half the digests are what an honest peer sends
+                    // (ascending, one entry per origin); the rest arrive
+                    // unsorted, with repeats, as generated.
+                    let mut digest: Digest = raw.iter().map(|&(o, s)| (origin(o), s)).collect();
+                    if tidy {
+                        digest.sort_unstable();
+                        digest.dedup_by_key(|d| d.0);
+                    }
+                    match kind {
+                        0..=2 => Op::Apply(announcement),
+                        3 | 4 => Op::ApplyRef(announcement),
+                        5 => Op::Remove(origin(o)),
+                        6 => Op::Expire,
+                        7 => Op::Touch(digest),
+                        8 => Op::FresherThan(digest),
+                        9 => Op::StaleOrigins(digest),
+                        _ => Op::Select(digest.into_iter().map(|d| d.0).collect()),
+                    }
+                })
+        }
+
+        fn is_ascending(ids: impl Iterator<Item = NodeId>) -> bool {
+            let ids: Vec<NodeId> = ids.collect();
+            ids.windows(2).all(|w| w[0] <= w[1])
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn ordered_table_matches_the_hash_map(
+                ops in proptest::collection::vec(arb_op(), 0..60),
+            ) {
+                let max_age = 7.0;
+                let mut db = Lsdb::new(max_age);
+                let mut model = Model { max_age, ..Model::default() };
+                for (step, op) in ops.into_iter().enumerate() {
+                    let now = step as f64;
+                    match op {
+                        Op::Apply(l) => {
+                            prop_assert_eq!(model.apply(&l, now), db.apply(l, now));
+                        }
+                        Op::ApplyRef(l) => {
+                            prop_assert_eq!(db.apply_ref(&l, now), model.apply(&l, now));
+                        }
+                        Op::Remove(o) => {
+                            db.remove(o);
+                            model.records.remove(&o);
+                        }
+                        Op::Expire => prop_assert_eq!(db.expire(now), model.expire(now)),
+                        Op::Touch(d) => {
+                            db.touch_matching(&d, now);
+                            model.touch_matching(&d, now);
+                        }
+                        Op::FresherThan(d) => {
+                            let got = db.fresher_than(&d);
+                            prop_assert!(is_ascending(got.iter().map(|l| l.origin)));
+                            prop_assert_eq!(got, model.fresher_than(&d));
+                        }
+                        Op::StaleOrigins(d) => {
+                            let got = db.stale_origins(&d);
+                            prop_assert!(is_ascending(got.iter().copied()));
+                            prop_assert_eq!(got, model.stale_origins(&d));
+                        }
+                        Op::Select(origins) => {
+                            let got = db.select(&origins);
+                            prop_assert!(is_ascending(got.iter().map(|l| l.origin)));
+                            prop_assert_eq!(got, model.select(&origins));
+                        }
+                    }
+                    // Whole state after every step: records, ages, order.
+                    let want = model.sorted();
+                    let got: Vec<_> = db.records.iter().map(|r| (&r.lsa, r.refreshed_at)).collect();
+                    prop_assert_eq!(&got, &want);
+                    prop_assert!(db.records.windows(2).all(|w| w[0].lsa.origin < w[1].lsa.origin));
+                    prop_assert_eq!(db.len(), want.len());
+                    prop_assert_eq!(db.is_empty(), want.is_empty());
+                    prop_assert_eq!(
+                        db.digest(),
+                        want.iter().map(|(l, _)| (l.origin, l.seq)).collect::<Digest>()
+                    );
+                    prop_assert_eq!(db.origins(), want.iter().map(|(l, _)| l.origin).collect::<Vec<_>>());
+                    prop_assert_eq!(
+                        db.link_count(),
+                        want.iter().map(|(l, _)| l.links.len()).sum::<usize>()
+                    );
+                    for code in 0..16 {
+                        let o = origin(code);
+                        prop_assert_eq!(db.get(o), model.records.get(&o).map(|(l, _)| l));
+                        prop_assert_eq!(db.seq_of(o), db.get(o).map_or(0, |l| l.seq));
+                    }
+                }
+            }
+
+            /// `ascending` borrows an honest digest and otherwise sorts a
+            /// copy in which the last entry of an origin wins.
+            #[test]
+            fn ascending_is_the_last_wins_map(
+                raw in proptest::collection::vec((0u32..16, 0u64..6), 0..20),
+            ) {
+                let digest: Digest = raw.iter().map(|&(o, s)| (origin(o), s)).collect();
+                let got = ascending(&digest);
+                let mut want: Digest = Model::theirs(&digest).into_iter().collect();
+                want.sort_unstable();
+                prop_assert_eq!(&got[..], &want[..]);
+                let honest = digest.windows(2).all(|w| w[0].0 < w[1].0);
+                prop_assert_eq!(matches!(got, Cow::Borrowed(_)), honest);
+            }
+        }
     }
 
     mod anti_entropy {
@@ -336,7 +618,7 @@ mod tests {
                 return;
             };
             let push = Message::LsdbSync {
-                lsas: b.fresher_than(&entries),
+                lsas: b.fresher_than(&entries).into_iter().cloned().collect(),
             };
             if let Some(Message::LsdbSync { lsas }) = send(inj, now, push) {
                 for lsa in lsas {
@@ -349,7 +631,7 @@ mod tests {
             };
             if let Some(Message::LsdbPull { origins, .. }) = send(inj, now, pull) {
                 let answer = Message::LsdbSync {
-                    lsas: a.select(&origins),
+                    lsas: a.select(&origins).into_iter().cloned().collect(),
                 };
                 if let Some(Message::LsdbSync { lsas }) = send(inj, now, answer) {
                     for lsa in lsas {
@@ -390,7 +672,7 @@ mod tests {
                     rounds += 1;
                 }
                 // Same digests means same databases (seq identifies the LSA).
-                prop_assert_eq!(a.all(), b.all());
+                prop_assert!(a.all().eq(b.all()));
             }
         }
     }

@@ -29,8 +29,8 @@
 //! its honest measurements.
 
 use crate::audit::{ClaimRanker, ClaimVerdict};
-use crate::codec::{decode, encode};
-use crate::lsdb::Lsdb;
+use crate::codec::{decode, encode, encode_sync};
+use crate::lsdb::{self, Lsdb};
 use crate::message::{LinkEntry, LinkStateAnnouncement, Message, MessageClass};
 use crate::overhead::OverheadCounters;
 use crate::transport::Transport;
@@ -449,6 +449,13 @@ fn gossip_hash(origin: NodeId, seq: u64, me: NodeId, target: NodeId) -> u64 {
     z ^ (z >> 31)
 }
 
+/// An anti-entropy push — LSA count and `LsdbSync` frame — encoded
+/// straight from borrowed LSDB records; `None` when there is nothing to
+/// push.
+fn sync_push(lsas: &[&LinkStateAnnouncement]) -> Option<(u64, bytes::Bytes)> {
+    (!lsas.is_empty()).then(|| (lsas.len() as u64, encode_sync(lsas)))
+}
+
 /// The node agent.
 pub struct EgoistNode<T: Transport> {
     cfg: NodeConfig,
@@ -583,8 +590,11 @@ impl<T: Transport> EgoistNode<T> {
     }
 
     async fn send_msg(&mut self, to: NodeId, msg: &Message) {
-        let frame = encode(msg);
-        let class = msg.class();
+        self.send_frame(to, msg.class(), encode(msg)).await;
+    }
+
+    /// Account for and send one already-encoded frame of `class`.
+    async fn send_frame(&mut self, to: NodeId, class: MessageClass, frame: bytes::Bytes) {
         self.overhead.record(class, frame.len());
         let obs = proto_obs();
         obs.send_frames[class.slot()].inc();
@@ -627,22 +637,57 @@ impl<T: Transport> EgoistNode<T> {
             .collect()
     }
 
+    /// Whether the passive view may hold `peer`: a real, unwired other
+    /// node that is neither banned nor condemned.
+    fn passive_eligible(&self, peer: NodeId) -> bool {
+        peer != self.cfg.id
+            && peer.index() < self.cfg.n
+            && !self.banned[peer.index()]
+            && !self.condemned(peer.index())
+            && !self.wiring.contains(&peer)
+    }
+
     /// Remember a peer in the passive view (LRU move-to-back, bounded).
     fn remember_passive(&mut self, peer: NodeId) {
-        if peer == self.cfg.id
-            || peer.index() >= self.cfg.n
-            || self.banned[peer.index()]
-            || self.condemned(peer.index())
-            || self.wiring.contains(&peer)
-        {
+        if !self.passive_eligible(peer) {
             return;
         }
         self.passive.retain(|&p| p != peer);
         self.passive.push(peer);
-        if self.passive.len() > self.cfg.passive_view_size {
-            let excess = self.passive.len() - self.cfg.passive_view_size;
-            self.passive.drain(..excess);
+        self.trim_passive();
+    }
+
+    /// Evict the oldest passive entries beyond `passive_view_size`.
+    fn trim_passive(&mut self) {
+        let excess = self
+            .passive
+            .len()
+            .saturating_sub(self.cfg.passive_view_size);
+        self.passive.drain(..excess);
+    }
+
+    /// [`Self::remember_passive`] for each of the distinct `peers` in
+    /// turn, as one pass: entries not re-remembered keep their order,
+    /// the eligible `peers` follow in the order given, and the last
+    /// `passive_view_size` survive.
+    fn remember_passive_all(&mut self, peers: &[NodeId]) {
+        let fresh: Vec<NodeId> = peers
+            .iter()
+            .copied()
+            .filter(|&p| self.passive_eligible(p))
+            .collect();
+        if fresh.is_empty() {
+            return;
         }
+        let mark = &mut self.peer_mark;
+        mark.clear();
+        mark.resize(self.cfg.n, false);
+        for p in &fresh {
+            mark[p.index()] = true;
+        }
+        self.passive.retain(|p| !mark[p.index()]);
+        self.passive.extend(fresh);
+        self.trim_passive();
     }
 
     /// Add misbehavior points; at the threshold the peer is banned and
@@ -762,32 +807,23 @@ impl<T: Transport> EgoistNode<T> {
         except: Option<NodeId>,
         fanout: usize,
     ) -> Vec<NodeId> {
-        let n = self.cfg.n;
-        let mut mark = vec![false; n];
-        for &w in &self.wiring {
-            if w.index() < n {
-                mark[w.index()] = true;
-            }
-        }
-        for (j, m) in mark.iter_mut().enumerate() {
-            if self.in_nbrs[j] {
-                *m = true;
-            }
-        }
-        if self.cfg.id.index() < n {
-            mark[self.cfg.id.index()] = false;
-        }
-        if let Some(e) = except {
-            if e.index() < n {
-                mark[e.index()] = false;
-            }
-        }
+        let (n, me) = (self.cfg.n, self.cfg.id);
+        let wanted = |t: NodeId| t != me && Some(t) != except && !self.banned[t.index()];
+        // In-neighbors in id order, then the wired peers not among them.
         let mut targets: Vec<NodeId> = (0..n)
-            .filter(|&j| mark[j] && !self.banned[j])
+            .filter(|&j| self.in_nbrs[j])
             .map(NodeId::from_index)
+            .chain(
+                self.wiring
+                    .iter()
+                    .copied()
+                    .filter(|w| w.index() < n && !self.in_nbrs[w.index()]),
+            )
+            .filter(|&t| wanted(t))
             .collect();
+        targets.sort_unstable();
+        targets.dedup();
         if targets.len() > fanout {
-            let me = self.cfg.id;
             targets.sort_by_key(|&t| (gossip_hash(origin, seq, me, t), t));
             targets.truncate(fanout);
             // Sorted send order: fan-out must not depend on hash order,
@@ -800,19 +836,34 @@ impl<T: Transport> EgoistNode<T> {
     /// Push a fresh LSA to the gossip subset.
     async fn gossip_lsa(&mut self, lsa: LinkStateAnnouncement, ttl: u8, except: Option<NodeId>) {
         let targets = self.gossip_targets(lsa.origin, lsa.seq, except, self.cfg.gossip_fanout);
-        let msg = Message::LinkState { lsa, ttl };
-        for t in targets {
-            self.send_msg(t, &msg).await;
+        self.send_to_all(&targets, &Message::LinkState { lsa, ttl })
+            .await;
+    }
+
+    /// One message to several peers: encoded once, the frame shared.
+    async fn send_to_all(&mut self, targets: &[NodeId], msg: &Message) {
+        if targets.is_empty() {
+            return;
         }
+        let (class, frame) = (msg.class(), encode(msg));
+        for &t in targets {
+            self.send_frame(t, class, frame.clone()).await;
+        }
+    }
+
+    /// Send an anti-entropy push, tallying the LSAs it carries.
+    async fn push_sync(&mut self, peer: NodeId, push: Option<(u64, bytes::Bytes)>) {
+        let Some((lsas, frame)) = push else { return };
+        self.ae_pushed += lsas;
+        proto_obs().ae_pushed.add(lsas);
+        self.send_frame(peer, MessageClass::Sync, frame).await;
     }
 
     /// Flood a message to every overlay neighbor (Leave notifications —
     /// never fanout-limited; a missed Leave costs a liveness timeout).
     async fn flood(&mut self, msg: &Message, except: Option<NodeId>) {
         let targets = self.gossip_targets(self.cfg.id, self.seq, except, usize::MAX);
-        for t in targets {
-            self.send_msg(t, msg).await;
-        }
+        self.send_to_all(&targets, msg).await;
     }
 
     /// Whether `links` differ materially from the last announced set:
@@ -869,7 +920,7 @@ impl<T: Transport> EgoistNode<T> {
         };
         self.last_announced = links;
         let now = self.now_secs();
-        self.lsdb.apply(lsa.clone(), now);
+        self.lsdb.apply_ref(&lsa, now);
         self.gossip_lsa(lsa, self.cfg.gossip_ttl, None).await;
     }
 
@@ -908,10 +959,7 @@ impl<T: Transport> EgoistNode<T> {
         }
         if contradicted > 0 {
             self.claims_contradicted += contradicted as u64;
-            let obs = proto_obs();
-            for _ in 0..contradicted {
-                obs.claims_contradicted.inc();
-            }
+            proto_obs().claims_contradicted.add(contradicted as u64);
             self.scores[o.index()].contradicted_epoch = self.scores[o.index()]
                 .contradicted_epoch
                 .saturating_add(contradicted);
@@ -931,17 +979,15 @@ impl<T: Transport> EgoistNode<T> {
     /// set, and stop being measured — resetting the very estimates the
     /// ranking needs, so the next forgery would arrive unrankable. It is
     /// never gossiped onward though: forwarding only launders forgeries.
-    fn admit_lsa(&mut self, lsa: LinkStateAnnouncement) -> bool {
-        if !self.audit_lsa(&lsa) {
+    fn admit_lsa(&mut self, lsa: &LinkStateAnnouncement) -> bool {
+        if !self.audit_lsa(lsa) {
             return false;
         }
-        let clean = self.rank_claims(&lsa);
+        let clean = self.rank_claims(lsa);
         let now = self.now_secs();
-        let origin = lsa.origin;
-        let links_me = lsa.links.iter().any(|l| l.neighbor == self.cfg.id);
-        let fresh = self.lsdb.apply(lsa, now);
-        if fresh && origin.index() < self.cfg.n {
-            self.in_nbrs[origin.index()] = links_me;
+        let fresh = self.lsdb.apply_ref(lsa, now);
+        if fresh && lsa.origin.index() < self.cfg.n {
+            self.in_nbrs[lsa.origin.index()] = lsa.links.iter().any(|l| l.neighbor == self.cfg.id);
         }
         fresh && clean
     }
@@ -1289,11 +1335,12 @@ impl<T: Transport> EgoistNode<T> {
                 }
             }
             Message::Hello { from: peer } => {
-                let lsas = self.lsdb.all();
-                self.send_msg(peer, &Message::LsdbSync { lsas }).await;
+                let all: Vec<_> = self.lsdb.all().collect();
+                let frame = encode_sync(&all);
+                self.send_frame(peer, MessageClass::Sync, frame).await;
             }
             Message::LsdbSync { lsas } => {
-                for lsa in lsas {
+                for lsa in &lsas {
                     // Admission-controlled but not re-forwarded: sync
                     // deltas propagate by anti-entropy, not push.
                     self.admit_lsa(lsa);
@@ -1303,7 +1350,7 @@ impl<T: Transport> EgoistNode<T> {
                 // Audited before apply *and* before forward: a rejected
                 // LSA is neither believed nor propagated. Fresh with TTL
                 // budget left → push on to a fanout-bounded subset.
-                if self.admit_lsa(lsa.clone()) && ttl > 0 {
+                if self.admit_lsa(&lsa) && ttl > 0 {
                     self.gossip_forwards += 1;
                     proto_obs().gossip_forwards.inc();
                     self.gossip_lsa(lsa, ttl - 1, Some(from)).await;
@@ -1319,17 +1366,11 @@ impl<T: Transport> EgoistNode<T> {
                 // seq) proves the origin is alive somewhere, so agreed
                 // records don't age out between suppressed announces.
                 let now = self.now_secs();
+                // Off the wire: sorted once here if it is not already.
+                let entries = lsdb::ascending(&entries);
                 self.lsdb.touch_matching(&entries, now);
-                let fresher = self.lsdb.fresher_than(&entries);
-                if !fresher.is_empty() {
-                    self.ae_pushed += fresher.len() as u64;
-                    let obs = proto_obs();
-                    for _ in 0..fresher.len() {
-                        obs.ae_pushed.inc();
-                    }
-                    self.send_msg(peer, &Message::LsdbSync { lsas: fresher })
-                        .await;
-                }
+                self.push_sync(peer, sync_push(&self.lsdb.fresher_than(&entries)))
+                    .await;
                 let stale = self.lsdb.stale_origins(&entries);
                 if !stale.is_empty() {
                     self.ae_pulls += 1;
@@ -1348,15 +1389,8 @@ impl<T: Transport> EgoistNode<T> {
                 from: peer,
                 origins,
             } => {
-                let lsas = self.lsdb.select(&origins);
-                if !lsas.is_empty() {
-                    self.ae_pushed += lsas.len() as u64;
-                    let obs = proto_obs();
-                    for _ in 0..lsas.len() {
-                        obs.ae_pushed.inc();
-                    }
-                    self.send_msg(peer, &Message::LsdbSync { lsas }).await;
-                }
+                self.push_sync(peer, sync_push(&self.lsdb.select(&origins)))
+                    .await;
             }
             Message::Ping {
                 from: peer,
@@ -1568,9 +1602,8 @@ impl<T: Transport> EgoistNode<T> {
                 self.scores[j].misbehavior = m - 1;
             }
         }
-        for p in self.known_peers() {
-            self.remember_passive(p);
-        }
+        let known = self.known_peers();
+        self.remember_passive_all(&known);
         self.publish();
     }
 
@@ -2043,6 +2076,44 @@ mod tests {
                 h.stop().await;
             }
         });
+    }
+
+    #[test]
+    fn one_pass_passive_upkeep_equals_remembering_each_peer() {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0xFA55);
+        for case in 0..400 {
+            // Random estimates, wirings, suspect / condemned origins…
+            let n = rng.random_range(2..40);
+            let mut node = route_props::arbitrary_node(n, &mut rng);
+            // …bans, view sizes from 0 to past n, and a view holding
+            // stale entries (since wired, banned or condemned).
+            node.cfg.passive_view_size = rng.random_range(0..n + 3);
+            for b in node.banned.iter_mut() {
+                *b = rng.random::<f64>() < 0.1;
+            }
+            let mut ids: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+            ids.shuffle(&mut rng);
+            let view = ids[..rng.random_range(0..=n)].to_vec();
+            // What the epoch tick passes, and any distinct peers at all
+            // (out of range and self included) in any order.
+            ids.extend([NodeId::from_index(n), NodeId(u32::MAX)]);
+            ids.shuffle(&mut rng);
+            ids.truncate(rng.random_range(0..=ids.len()));
+            for peers in [node.known_peers(), ids] {
+                node.passive = view.clone();
+                for &p in &peers {
+                    node.remember_passive(p);
+                }
+                let one_by_one = std::mem::replace(&mut node.passive, view.clone());
+                node.remember_passive_all(&peers);
+                assert_eq!(
+                    node.passive, one_by_one,
+                    "case {case}: {peers:?} into {view:?}"
+                );
+            }
+        }
     }
 
     mod peer_health_props {

@@ -68,7 +68,10 @@ impl<T: Transport> EgoistNode<T> {
 /// neighbor listed twice at two costs, first-hand links priced off the
 /// node's own measurement, third-party claims the triangle bound
 /// refutes, suspect and condemned origins, unmeasured peers.
-fn arbitrary_node(n: usize, rng: &mut StdRng) -> EgoistNode<crate::transport::SimTransport> {
+pub(super) fn arbitrary_node(
+    n: usize,
+    rng: &mut StdRng,
+) -> EgoistNode<crate::transport::SimTransport> {
     let me = NodeId::from_index(rng.random_range(0..n));
     let net = SimNet::clean(DistanceMatrix::off_diagonal(n, 1.0));
     let mut node = EgoistNode::new(NodeConfig::new(me, n, 3), net.endpoint(me));

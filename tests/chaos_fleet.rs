@@ -141,6 +141,25 @@ fn fnv(json: &str) -> u64 {
     })
 }
 
+/// What a fleet put on the wire, as counts every runner reproduces:
+/// `(class, frames, bytes)` per message class, then the `[ae_pushed,
+/// ae_pulls, gossip_forwards]` sums. The report fingerprints cover these
+/// too; pinned by name, a codec or LSDB change that alters what is sent
+/// says *which* class moved instead of "the hash changed".
+type WireTotals = (Vec<(String, u64, u64)>, [u64; 3]);
+
+fn wire_totals(r: &egoist_proto::fleet::RobustnessReport) -> WireTotals {
+    (
+        r.overhead.clone(),
+        [r.ae_pushed, r.ae_pulls, r.gossip_forwards],
+    )
+}
+
+fn wire_golden(classes: [(&str, u64, u64); 6], sums: [u64; 3]) -> WireTotals {
+    let classes = classes.map(|(class, frames, bytes)| (class.to_string(), frames, bytes));
+    (classes.to_vec(), sums)
+}
+
 /// The node's route computation moved from dense `apsp` + `dijkstra` on
 /// a `DiGraph` to on-demand residual rows and one CSR sweep; the pins
 /// below are the report bytes the dense path produced (commit 5146b53).
@@ -162,9 +181,28 @@ fn fleet_reports_match_the_dense_route_computation() {
     let reg = egoist::obs::registry();
     reg.reset();
     egoist::obs::enable();
-    let report = run_fleet(&br).to_json();
+    let report = run_fleet(&br);
     egoist::obs::disable();
-    assert_eq!(fnv(&report), 0x7eb4_d846_fa38_b2bf, "best-response fleet");
+    assert_eq!(
+        fnv(&report.to_json()),
+        0x7eb4_d846_fa38_b2bf,
+        "best-response fleet"
+    );
+    assert_eq!(
+        wire_totals(&report),
+        wire_golden(
+            [
+                ("bootstrap", 35, 560),
+                ("sync", 354, 60_884),
+                ("link_state", 91_813, 4_672_383),
+                ("measurement", 3_977, 206_804),
+                ("heartbeat", 2_234, 116_168),
+                ("control", 0, 0),
+            ],
+            [19, 0, 19_098],
+        ),
+        "best-response fleet: frames and bytes on the wire"
+    );
     // The work behind those bytes, as counts every runner reproduces:
     // the rows per-row sweeps computed before they were batched (commit
     // fa8f973), all of them now announced to one batch per job, and a
@@ -190,9 +228,25 @@ fn fleet_reports_match_the_dense_route_computation() {
     random.plan = FaultPlan::new()
         .churn_storm(20.0, 45.0, (0..6).map(NodeId).collect(), 10.0, 0.4)
         .partition(50.0, 65.0, vec![vec![], (20..24).map(NodeId).collect()]);
+    let report = run_fleet(&random);
     assert_eq!(
-        fnv(&run_fleet(&random).to_json()),
+        fnv(&report.to_json()),
         0x7582_898f_4d4b_7021,
         "Random-wiring fleet under a fault plan"
+    );
+    assert_eq!(
+        wire_totals(&report),
+        wire_golden(
+            [
+                ("bootstrap", 48, 768),
+                ("sync", 446, 63_314),
+                ("link_state", 76_602, 3_883_166),
+                ("measurement", 12_975, 674_700),
+                ("heartbeat", 1_971, 102_492),
+                ("control", 0, 0),
+            ],
+            [165, 45, 16_300],
+        ),
+        "Random-wiring fleet: frames and bytes on the wire"
     );
 }
