@@ -12,9 +12,10 @@ use egoist_core::policies::bandwidth::{all_pairs_widest, BwInstance};
 use egoist_core::policies::best_response::{BestResponse, BrInstance};
 use egoist_core::policies::solver::SolverArena;
 use egoist_core::policies::{PolicyKind, WiringContext};
-use egoist_core::sampling::random_sample;
+use egoist_core::sampling::shortlist;
 use egoist_core::wiring::Wiring;
 use egoist_graph::apsp::apsp;
+use egoist_graph::csr::MinPlus;
 use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
 use egoist_netsim::delay::{DelayConfig, DelayModel};
 use egoist_netsim::rng::derive;
@@ -92,7 +93,7 @@ fn bench_best_response(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sampled_m16", n), &n, |b, _| {
             let mut solver = BestResponse::local_search();
             let mut rng = derive(2, "bench-sample");
-            let sample = random_sample(&f.candidates, 16, &mut rng);
+            let sample = shortlist::<MinPlus>(&f.candidates, &[], 16, None, &mut rng);
             b.iter(|| {
                 let ctx = f.ctx(k, &sample);
                 black_box(solver.solve(&ctx))

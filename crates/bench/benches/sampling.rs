@@ -1,10 +1,11 @@
-//! Criterion bench: sampling mechanisms (§5) — random vs topology-biased
-//! sample construction, and the `b_ij` ranking ingredients (radius-r
+//! Criterion bench: sampling mechanisms (§5) — uniform vs `b_ij`-scored
+//! shortlist construction, and the `b_ij` ranking ingredients (radius-r
 //! neighborhoods). Ablation over the radius r, the design knob the paper
 //! fixes at 2.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use egoist_core::sampling::{neighborhood, random_sample, rank, topology_biased_sample};
+use egoist_core::sampling::{neighborhood, rank, shortlist};
+use egoist_graph::csr::MaxMin;
 use egoist_graph::{DiGraph, NodeId};
 use egoist_netsim::rng::derive;
 use std::hint::black_box;
@@ -36,19 +37,18 @@ fn bench_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampling");
     group.bench_function("random_m16", |b| {
         let mut rng = derive(1, "s");
-        b.iter(|| black_box(random_sample(&candidates, 16, &mut rng)))
+        b.iter(|| black_box(shortlist::<MaxMin>(&candidates, &[], 16, None, &mut rng)))
     });
     for r in [1usize, 2, 3] {
         group.bench_with_input(BenchmarkId::new("topology_biased_m16_r", r), &r, |b, &r| {
             let mut rng = derive(1, "t");
+            let b_ij = |j: NodeId| rank(&g, j, r, &direct);
             b.iter(|| {
-                black_box(topology_biased_sample(
+                black_box(shortlist::<MaxMin>(
                     &candidates,
+                    &[],
                     16,
-                    48,
-                    r,
-                    &g,
-                    &direct,
+                    Some(&b_ij),
                     &mut rng,
                 ))
             })

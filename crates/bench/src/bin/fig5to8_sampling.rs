@@ -4,17 +4,19 @@
 //! strategies — BR (incrementally, Fig. 5), k-Random (Fig. 6), k-Regular
 //! (Fig. 7), k-Closest (Fig. 8). A newcomer then joins using each
 //! strategy restricted to a random sample of size m, or BR over a
-//! topology-biased sample (radius r = 2). Reported: newcomer's realized
-//! cost normalized by BR-without-sampling.
+//! topology-biased sample (radius r = 2). Both samples are
+//! `sampling::shortlist` — the stage every simulator turn goes through —
+//! without a score and with `b_ij` as the score. Reported: newcomer's
+//! realized cost normalized by BR-without-sampling.
 
 use egoist_bench::{fast, print_expectation, print_figure, seeds, Series};
 use egoist_core::cost::{disconnection_penalty, Preferences};
 use egoist_core::game::Game;
-use egoist_core::policies::best_response::BrInstance;
+use egoist_core::policies::best_response::BestResponse;
 use egoist_core::policies::{PolicyKind, WiringContext};
-use egoist_core::sampling::{random_sample, topology_biased_sample};
-use egoist_core::stats;
+use egoist_core::sampling::{rank, shortlist};
 use egoist_graph::apsp::apsp;
+use egoist_graph::csr::MaxMin;
 use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
 use egoist_netsim::delay::{DelayConfig, DelayModel};
 use egoist_netsim::rng::derive;
@@ -44,37 +46,6 @@ fn realized_cost(
         total += best;
     }
     total / existing.len() as f64
-}
-
-/// BR restricted to `sample` as both candidate and (sampled) destination
-/// set — the §5 "scaled-down input".
-fn br_on_sample(
-    newcomer: NodeId,
-    sample: &[NodeId],
-    d: &DistanceMatrix,
-    dist: &DistanceMatrix,
-    alive: &[bool],
-    k: usize,
-    penalty: f64,
-) -> Vec<NodeId> {
-    let n = d.len();
-    let prefs = Preferences::uniform(n);
-    let direct: Vec<f64> = d.row(newcomer.index()).to_vec();
-    let ctx = WiringContext {
-        node: newcomer,
-        k,
-        candidates: sample,
-        direct: &direct,
-        residual: egoist_core::ResidualView::dense(dist),
-        prefs: &prefs,
-        alive,
-        penalty,
-        current: &[],
-    };
-    let mut inst = BrInstance::build(&ctx);
-    let init = inst.greedy(k, &[]);
-    let (subset, _) = inst.local_search(k, init, &[], 64);
-    inst.to_nodes(&subset)
 }
 
 /// k-Regular over the sorted sample ring.
@@ -142,10 +113,31 @@ fn main() {
         }
         let g: DiGraph = game.graph();
         let dist = apsp(&g);
-        let alive = game.alive.clone();
+        let prefs = Preferences::uniform(n);
+        let direct: Vec<f64> = d.row(newcomer.index()).to_vec();
+        // BR over `sample` as candidate and destination set — the §5
+        // "scaled-down input", which is what a context's candidates are.
+        let br = |sample: &[NodeId]| {
+            let ctx = WiringContext {
+                node: newcomer,
+                k,
+                candidates: sample,
+                direct: &direct,
+                residual: egoist_core::ResidualView::dense(&dist),
+                prefs: &prefs,
+                alive: &game.alive,
+                penalty,
+                current: &[],
+            };
+            BestResponse::local_search().solve(&ctx).0
+        };
+        let b: Vec<f64> = (0..n)
+            .map(|j| rank(&g, NodeId::from_index(j), r, &direct))
+            .collect();
+        let b_ij = |j: NodeId| b[j.index()];
 
         // Reference: BR with full knowledge.
-        let w_full = br_on_sample(newcomer, &existing, &d, &dist, &alive, k, penalty);
+        let w_full = br(&existing);
         let c_full = realized_cost(newcomer, &w_full, &d, &dist, &existing, penalty);
 
         let mut series = vec![
@@ -159,7 +151,7 @@ fn main() {
             let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); 5];
             for rep in 0..reps {
                 let mut rng: StdRng = derive(seed ^ (rep as u64) << 17, title);
-                let sample = random_sample(&existing, m, &mut rng);
+                let sample = shortlist::<MaxMin>(&existing, &[], m, None, &mut rng);
 
                 // k-Random on the sample.
                 let mut pool = sample.clone();
@@ -185,14 +177,14 @@ fn main() {
                     .push(realized_cost(newcomer, &close, &d, &dist, &existing, penalty) / c_full);
 
                 // BR on the random sample.
-                let wbr = br_on_sample(newcomer, &sample, &d, &dist, &alive, k, penalty);
+                let wbr = br(&sample);
                 ratios[3]
                     .push(realized_cost(newcomer, &wbr, &d, &dist, &existing, penalty) / c_full);
 
-                // BR on the topology-biased sample (m' = 3m).
-                let direct: Vec<f64> = d.row(newcomer.index()).to_vec();
-                let biased = topology_biased_sample(&existing, m, 3 * m, r, &g, &direct, &mut rng);
-                let wtp = br_on_sample(newcomer, &biased, &d, &dist, &alive, k, penalty);
+                // BR on the topology-biased sample: half of it the
+                // highest b_ij, half uniform.
+                let biased = shortlist::<MaxMin>(&existing, &[], m, Some(&b_ij), &mut rng);
+                let wtp = br(&biased);
                 ratios[4]
                     .push(realized_cost(newcomer, &wtp, &d, &dist, &existing, penalty) / c_full);
             }
@@ -200,7 +192,6 @@ fn main() {
                 series[idx].push_samples(m as f64, rs);
             }
         }
-        let _ = stats::mean(&[0.0]);
         print_figure(
             &format!(
                 "{title}: newcomer cost under sampling, n={}, k={k}, r={r}",

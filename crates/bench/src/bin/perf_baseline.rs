@@ -1,9 +1,12 @@
 //! `perf_baseline` — the tracked performance trajectory of the epoch
 //! route-state engine.
 //!
-//! Times best-response epoch stepping (delay metric, n ∈ {50, 200, 800};
-//! bandwidth metric under PlanetLab-like churn, n ∈ {60, 300}) and the
-//! closed-loop traffic engine under both route-state engines:
+//! Times best-response epoch stepping (delay metric, n ∈ {50, 200, 800,
+//! 2000}; bandwidth metric under PlanetLab-like churn, n ∈ {60, 300}) and
+//! the closed-loop traffic engine under both route-state engines
+//! (`br_delay_n2000` under the epoch engine only: the oracle's per-turn
+//! APSP is unaffordable there, so its entry carries no
+//! `baseline_wall_ms` / `speedup` / `outputs_identical`):
 //!
 //! * `baseline_wall_ms` — [`EngineMode::Recompute`]: announced matrix +
 //!   from-scratch residual APSP every turn, pre-optimization BR
@@ -26,10 +29,13 @@
 //! adds, per epoch-stepping scenario: `prev_wall_ms` (the prior PR's
 //! committed `wall_ms`), per-phase wall time (`residual_ms` /
 //! `solver_ms` / `absorb_ms`), the engine's copy-vs-sweep ratios and
-//! its `rebuilds` / `leaves` / `joins` counts from `RouteStats`.
-//! `--check` holds every such entry to `rebuilds ≤ epochs + 1` — one
-//! snapshot build per underlay advance, whatever churns — a count that
-//! is the same on every runner, unlike the milliseconds.
+//! its `rebuilds` / `leaves` / `joins` counts from `RouteStats`, and the
+//! §5 shortlist's `shortlist_offered` / `shortlist_kept` candidate
+//! counts. `--check` holds every such entry to `rebuilds ≤ epochs + 1` —
+//! one snapshot build per underlay advance, whatever churns — and to a
+//! shortlist that cuts exactly when n − 1 exceeds the default `m`
+//! (`br_delay_n200`) and is the identity otherwise (`br_delay_n50`):
+//! counts that are the same on every runner, unlike the milliseconds.
 //!
 //! Per-phase timings are no longer private plumbing: the engine reports
 //! into the `egoist-obs` registry (spans `core.epoch.turn.{residual,
@@ -78,15 +84,16 @@ fn span_ms(name: &str) -> f64 {
 /// reviewable in-diff rather than mutated by every regeneration.
 fn prev_wall_ms(name: &str) -> f64 {
     match name {
-        "br_delay_n50" => 24.355948,
-        "br_delay_n200" => 279.162536,
-        "br_delay_n800" => 7518.687374,
-        // The churned scenarios are new: their anchors are this bench
-        // built against the parent commit (78d3412), Epoch engine,
-        // median of three runs — 120 and 399 snapshot rebuilds.
-        "bw_churn_n60" => 61.164445,
-        "bw_churn_n300" => 3771.0,
-        "br_traffic_n200" => 302.186758,
+        "br_delay_n50" => 22.386819,
+        "br_delay_n200" => 333.403651,
+        "br_delay_n800" => 6681.574804,
+        // New scenario: its anchor is this bench built against the
+        // parent commit (e112be1, every turn over all 1999 candidates),
+        // Epoch engine, one run.
+        "br_delay_n2000" => 127911.127449,
+        "bw_churn_n60" => 26.963897,
+        "bw_churn_n300" => 1307.221947,
+        "br_traffic_n200" => 347.17288,
         _ => 0.0,
     }
 }
@@ -130,6 +137,15 @@ struct PhaseBreakdown {
     solver_ms: f64,
     absorb_ms: f64,
     stats: RouteStats,
+    /// Candidates the turns were offered / solved over (§5 shortlist).
+    shortlist_offered: u64,
+    shortlist_kept: u64,
+}
+
+/// The `Recompute` oracle's side of a scenario.
+struct Oracle {
+    wall_ms: f64,
+    outputs_identical: bool,
 }
 
 struct ScenarioResult {
@@ -137,10 +153,10 @@ struct ScenarioResult {
     n: usize,
     k: usize,
     epochs: usize,
-    baseline_wall_ms: f64,
+    /// `None`: the scenario ran under the epoch engine only.
+    oracle: Option<Oracle>,
     wall_ms: f64,
     rewirings: usize,
-    outputs_identical: bool,
     fingerprint: u64,
     phases: Option<PhaseBreakdown>,
 }
@@ -158,12 +174,16 @@ impl ScenarioResult {
         let mut obj = JsonObject::new()
             .u64("n", self.n as u64)
             .u64("k", self.k as u64)
-            .u64("epochs", self.epochs as u64)
-            .f64("baseline_wall_ms", self.baseline_wall_ms)
+            .u64("epochs", self.epochs as u64);
+        if let Some(oracle) = &self.oracle {
+            obj = obj
+                .f64("baseline_wall_ms", oracle.wall_ms)
+                .f64("speedup", oracle.wall_ms / self.wall_ms)
+                .bool("outputs_identical", oracle.outputs_identical);
+        }
+        obj = obj
             .f64("wall_ms", self.wall_ms)
-            .f64("speedup", self.baseline_wall_ms / self.wall_ms)
             .u64("rewirings", self.rewirings as u64)
-            .bool("outputs_identical", self.outputs_identical)
             .str("fingerprint", &format!("{:016x}", self.fingerprint))
             .f64("prev_wall_ms", prev_wall_ms(&self.name));
         if let Some(ph) = &self.phases {
@@ -181,7 +201,9 @@ impl ScenarioResult {
                 )
                 .u64("rebuilds", ph.stats.rebuilds as u64)
                 .u64("leaves", ph.stats.leaves as u64)
-                .u64("joins", ph.stats.joins as u64);
+                .u64("joins", ph.stats.joins as u64)
+                .u64("shortlist_offered", ph.shortlist_offered)
+                .u64("shortlist_kept", ph.shortlist_kept);
         }
         obj.finish()
     }
@@ -263,6 +285,8 @@ fn time_sim(shape: Stepping, engine: EngineMode) -> (f64, SimResult, PhaseBreakd
         solver_ms: span_ms(SOLVER_SPAN),
         absorb_ms: span_ms(ABSORB_SPAN),
         stats: sim.route_stats(),
+        shortlist_offered: egoist_obs::registry().counter_value("core.shortlist.offered"),
+        shortlist_kept: egoist_obs::registry().counter_value("core.shortlist.kept"),
     };
     let result = SimResult {
         config_label: sim.config_label(),
@@ -271,25 +295,32 @@ fn time_sim(shape: Stepping, engine: EngineMode) -> (f64, SimResult, PhaseBreakd
     (wall_ms, result, phases)
 }
 
-fn epoch_stepping_scenario(shape: Stepping) -> ScenarioResult {
+/// One epoch-stepping scenario: the epoch engine, and with `oracle` the
+/// `Recompute` engine on the same seed first.
+fn epoch_stepping_scenario(shape: Stepping, oracle: bool) -> ScenarioResult {
     let name = shape.name();
-    eprintln!("# {name}: oracle (Recompute) ...");
-    let (baseline_ms, oracle, _) = time_sim(shape, EngineMode::Recompute);
-    eprintln!("#   {baseline_ms:.0} ms; epoch engine ...");
+    let oracle = oracle.then(|| {
+        eprintln!("# {name}: oracle (Recompute) ...");
+        let (wall_ms, result, _) = time_sim(shape, EngineMode::Recompute);
+        eprintln!("#   {wall_ms:.0} ms");
+        (wall_ms, fingerprint_sim(&result))
+    });
+    eprintln!("# {name}: epoch engine ...");
     let (wall_ms, fast, phases) = time_sim(shape, EngineMode::Epoch);
-    eprintln!("#   {wall_ms:.0} ms ({:.1}x)", baseline_ms / wall_ms);
-    let rewirings: usize = fast.samples.iter().map(|s| s.rewirings).sum();
-    let (fa, fo) = (fingerprint_sim(&fast), fingerprint_sim(&oracle));
+    eprintln!("#   {wall_ms:.0} ms");
+    let fingerprint = fingerprint_sim(&fast);
     ScenarioResult {
         name,
         n: shape.n,
         k: shape.k,
         epochs: shape.epochs,
-        baseline_wall_ms: baseline_ms,
+        oracle: oracle.map(|(wall_ms, fo)| Oracle {
+            wall_ms,
+            outputs_identical: fo == fingerprint,
+        }),
         wall_ms,
-        rewirings,
-        outputs_identical: fa == fo,
-        fingerprint: fa,
+        rewirings: fast.samples.iter().map(|s| s.rewirings).sum(),
+        fingerprint,
         phases: Some(phases),
     }
 }
@@ -320,10 +351,12 @@ fn traffic_scenario(n: usize, k: usize, epochs: usize) -> ScenarioResult {
         n,
         k,
         epochs,
-        baseline_wall_ms: baseline_ms,
+        oracle: Some(Oracle {
+            wall_ms: baseline_ms,
+            outputs_identical: fast == oracle,
+        }),
         wall_ms,
         rewirings: 0,
-        outputs_identical: fast == oracle,
         fingerprint: fingerprint_str(&fast),
         phases: None,
     }
@@ -336,18 +369,19 @@ fn measure(quick: bool) -> String {
         // committed BENCH_perf.json (the CI regression gate); they are
         // cheap enough.
         vec![
-            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8)),
-            epoch_stepping_scenario(Stepping::br_delay(200, 8, 2)),
-            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8)),
+            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8), true),
+            epoch_stepping_scenario(Stepping::br_delay(200, 8, 2), true),
+            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8), true),
             traffic_scenario(50, 5, 4),
         ]
     } else {
         vec![
-            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8)),
-            epoch_stepping_scenario(Stepping::br_delay(200, 8, 4)),
-            epoch_stepping_scenario(Stepping::br_delay(800, 10, 2)),
-            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8)),
-            epoch_stepping_scenario(Stepping::bw_churn(300, 8, 6)),
+            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8), true),
+            epoch_stepping_scenario(Stepping::br_delay(200, 8, 4), true),
+            epoch_stepping_scenario(Stepping::br_delay(800, 10, 2), true),
+            epoch_stepping_scenario(Stepping::br_delay(2000, 10, 2), false),
+            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8), true),
+            epoch_stepping_scenario(Stepping::bw_churn(300, 8, 6), true),
             traffic_scenario(200, 8, 4),
         ]
     };
@@ -361,7 +395,7 @@ fn measure(quick: bool) -> String {
     body = body.raw("scenarios", obj.finish());
     let speedups: Vec<String> = scenarios
         .iter()
-        .map(|s| num(s.baseline_wall_ms / s.wall_ms))
+        .filter_map(|s| Some(num(s.oracle.as_ref()?.wall_ms / s.wall_ms)))
         .collect();
     body = body.raw("speedups", array(speedups));
     body.finish()
@@ -369,19 +403,23 @@ fn measure(quick: bool) -> String {
 
 /// Fields every scenario entry must carry; `--check` fails when any
 /// disappears (schema drift) or the schema tag changes. The per-phase
-/// fields are epoch-stepping-only and therefore not counted here.
+/// fields are epoch-stepping-only and therefore not listed here.
 const REQUIRED_FIELDS: &[&str] = &[
-    "\"n\":",
-    "\"k\":",
-    "\"epochs\":",
-    "\"baseline_wall_ms\":",
-    "\"wall_ms\":",
-    "\"speedup\":",
-    "\"rewirings\":",
-    "\"outputs_identical\":",
-    "\"fingerprint\":",
-    "\"prev_wall_ms\":",
+    "n",
+    "k",
+    "epochs",
+    "wall_ms",
+    "rewirings",
+    "fingerprint",
+    "prev_wall_ms",
 ];
+
+/// What a comparison against the `Recompute` oracle adds to an entry.
+const ORACLE_FIELDS: &[&str] = &["baseline_wall_ms", "speedup", "outputs_identical"];
+
+/// The one scenario that runs without the oracle (unaffordable at its
+/// size) and may therefore omit [`ORACLE_FIELDS`].
+const EPOCH_ONLY: &str = "br_delay_n2000";
 
 /// One scenario entry pulled back out of a written document.
 struct ParsedScenario {
@@ -392,6 +430,10 @@ struct ParsedScenario {
     fingerprint: String,
     /// Snapshot builds of the Epoch arm (epoch-stepping entries only).
     rebuilds: Option<u64>,
+    /// Candidates offered to / kept by the §5 shortlist, when reported.
+    shortlist: Option<(u64, u64)>,
+    /// Names among [`REQUIRED_FIELDS`] / [`ORACLE_FIELDS`] the entry lacks.
+    missing: Vec<&'static str>,
 }
 
 fn field_u64(body: &str, key: &str) -> Option<u64> {
@@ -438,6 +480,13 @@ fn parse_scenarios(doc: &str) -> Result<Vec<ParsedScenario>, String> {
             fingerprint: field_str(body, "fingerprint")
                 .ok_or(format!("scenario {name}: no fingerprint"))?,
             rebuilds: field_u64(body, "rebuilds"),
+            shortlist: field_u64(body, "shortlist_offered").zip(field_u64(body, "shortlist_kept")),
+            missing: REQUIRED_FIELDS
+                .iter()
+                .chain(ORACLE_FIELDS.iter().filter(|_| name != EPOCH_ONLY))
+                .copied()
+                .filter(|field| !body.contains(&format!("\"{field}\":")))
+                .collect(),
             name,
         });
         rest = &rest[body_end + 1..];
@@ -460,34 +509,40 @@ fn check(path: &str) -> Result<(), String> {
     if !doc.contains("\"scenarios\":{") {
         return Err("no scenarios object".into());
     }
-    // Every scenario entry must carry every required field — a
-    // document-wide substring test would let one drifted scenario hide
-    // behind another, so fields are counted against the scenario count
-    // (one `fingerprint` per scenario entry, by construction).
-    let scenario_count = doc.matches("\"fingerprint\":").count();
-    if scenario_count == 0 {
-        return Err("no scenario entries".into());
-    }
-    for field in REQUIRED_FIELDS {
-        let found = doc.matches(field).count();
-        if found != scenario_count {
-            return Err(format!(
-                "field {field} appears {found}x for {scenario_count} scenarios"
-            ));
-        }
-    }
     if doc.contains("\"outputs_identical\":false") {
         return Err("an engine comparison diverged (outputs_identical=false)".into());
     }
-    // One snapshot build per underlay advance: re-wirings and churn are
-    // deltas. A count, so it holds on any runner.
+    let default_m =
+        SimConfig::baseline(1, PolicyKind::BestResponse, Metric::DelayPing, 0).sample_size as u64;
     for s in parse_scenarios(&doc)? {
+        if !s.missing.is_empty() {
+            return Err(format!("{}: no {}", s.name, s.missing.join(", ")));
+        }
+        // One snapshot build per underlay advance: re-wirings and churn are
+        // deltas. A count, so it holds on any runner.
         if let Some(rebuilds) = s.rebuilds.filter(|&r| r > s.epochs + 1) {
             return Err(format!(
                 "{}: {rebuilds} snapshot rebuilds in {} epochs — \
                  something invalidates where it should patch",
                 s.name, s.epochs
             ));
+        }
+        // The §5 shortlist cuts exactly where a turn is offered more than
+        // the default m candidates (br_delay_n200: 199) and is the
+        // identity below (br_delay_n50: 49), or the sampled turn was
+        // silently disabled — or leaked into the paper-scale runs.
+        if s.rebuilds.is_some() {
+            let (offered, kept) = s
+                .shortlist
+                .ok_or(format!("{}: no shortlist_offered / shortlist_kept", s.name))?;
+            let cuts = s.n - 1 > default_m;
+            if kept > offered || (kept < offered) != cuts {
+                return Err(format!(
+                    "{}: shortlist kept {kept} of {offered} candidates, expected {}",
+                    s.name,
+                    if cuts { "fewer" } else { "all" }
+                ));
+            }
         }
     }
     Ok(())

@@ -48,9 +48,12 @@ impl HybridBr {
 
 impl Policy for HybridBr {
     fn wire(&mut self, ctx: &WiringContext<'_>, _rng: &mut StdRng) -> Vec<NodeId> {
-        let mut alive_nodes: Vec<NodeId> = ctx.candidates.to_vec();
-        alive_nodes.push(ctx.node);
-        alive_nodes.sort_unstable();
+        // The ring spans the membership, not the candidate list: a
+        // sampled turn's candidates are a subset of it.
+        let alive_nodes: Vec<NodeId> = (0..ctx.alive.len())
+            .filter(|&j| ctx.alive[j])
+            .map(NodeId::from_index)
+            .collect();
 
         let donated = self.donated_links(ctx.node, &alive_nodes);
         let k = ctx.effective_k();
@@ -61,6 +64,11 @@ impl Policy for HybridBr {
 
         let mut inst = BrInstance::build_in(ctx, &mut self.arena);
         let forced = indices_of(&inst.cand, &donated);
+        debug_assert_eq!(
+            forced.len(),
+            donated.len(),
+            "a donated link is no candidate"
+        );
         let init = inst.greedy(k, &forced);
         let (subset, _) = inst.local_search(k, init, &forced, self.max_rounds);
         let nodes = inst.to_nodes(&subset);

@@ -262,6 +262,66 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The §5 shortlist over a simulator-shaped turn (candidates = the
+    /// alive nodes but `me`, a current wiring that may name dead nodes):
+    /// a subsequence of the candidates — so no self, no dead node, no
+    /// duplicate — holding every alive current link and exactly `m`
+    /// more, the same for the same seed; the candidates themselves, with
+    /// the RNG untouched, when there are at most `m` of them.
+    #[test]
+    fn shortlist_is_a_wellformed_sample(
+        seed in any::<u64>(),
+        n in 2usize..160,
+        m in 0usize..100,
+        widest in any::<bool>(),
+    ) {
+        use crate::sampling::shortlist;
+        use egoist_graph::csr::{MaxMin, MinPlus};
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let me = rng.random_range(0..n);
+        let alive: Vec<bool> = (0..n).map(|j| j == me || rng.random::<f64>() < 0.8).collect();
+        let candidates: Vec<NodeId> = (0..n)
+            .filter(|&j| j != me && alive[j])
+            .map(NodeId::from_index)
+            .collect();
+        let mut current: Vec<NodeId> = (0..rng.random_range(0..8usize))
+            .map(|_| NodeId::from_index(rng.random_range(0..n)))
+            .filter(|c| c.index() != me)
+            .collect();
+        current.sort_unstable();
+        current.dedup();
+        // Coarse scores, so ties are common.
+        let direct: Vec<f64> = (0..n).map(|_| rng.random_range(1..12) as f64).collect();
+        let score = |j: NodeId| direct[j.index()];
+        let draw = |rng: &mut StdRng| if widest {
+            shortlist::<MaxMin>(&candidates, &current, m, Some(&score), rng)
+        } else {
+            shortlist::<MinPlus>(&candidates, &current, m, Some(&score), rng)
+        };
+
+        let before = rng.clone();
+        let got = draw(&mut rng);
+        prop_assert_eq!(&got, &draw(&mut before.clone()), "not deterministic");
+        if candidates.len() <= m {
+            prop_assert_eq!(&got, &candidates);
+            prop_assert!(rng == before, "an identity shortlist drew from the RNG");
+        }
+        let mut rest = candidates.iter();
+        prop_assert!(
+            got.iter().all(|g| rest.any(|c| c == g)),
+            "{got:?} is not a subsequence of {candidates:?}"
+        );
+        let kept = current.iter().filter(|c| alive[c.index()]).count();
+        prop_assert!(current.iter().all(|c| !alive[c.index()] || got.contains(c)));
+        prop_assert_eq!(got.len(), candidates.len().min(kept + m));
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Local-search BR is within 5% of the exhaustive optimum (the §4.1

@@ -1,26 +1,70 @@
 //! Scalability via sampling (§5).
 //!
 //! Computing a best response over all `n` candidates is expensive at
-//! scale, so EGOIST computes BR over a *sample* of `m` candidates:
+//! scale, so EGOIST computes BR over a *sample* of `m` candidates —
+//! [`shortlist`], the one stage every sampled turn goes through:
 //!
-//! * **Unbiased random sampling** — `m` uniform picks.
-//! * **Topology-based biased sampling** — draw `m′ > m` random samples,
-//!   rank them by
-//!   `b_ij = |F(v_j)| / Σ_{u ∈ F(v_j)} d(v_i, u)`
-//!   where `F(v_j)` is `v_j`'s out-neighborhood of radius `r` hops, and
-//!   keep the top `m`. "An ideal candidate for `v_i` has a large
-//!   neighborhood of nodes, many of which are relatively close to `v_i`."
+//! * **Unbiased random sampling** — `m` uniform picks (no score).
+//! * **Biased sampling** — half of the sample is the best candidates by
+//!   a score, the other half uniform from the rest. The simulator scores
+//!   by measured direct cost; §5's topology-based bias scores by
+//!   `b_ij = |F(v_j)| / Σ_{u ∈ F(v_j)} d(v_i, u)` ([`rank`])
+//!   where `F(v_j)` is `v_j`'s out-neighborhood of radius `r` hops: "An
+//!   ideal candidate for `v_i` has a large neighborhood of nodes, many of
+//!   which are relatively close to `v_i`."
 
+use egoist_graph::csr::PathAlgebra;
 use egoist_graph::{DiGraph, NodeId};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
+use rand::Rng;
 
-/// Draw `m` distinct uniform samples from `candidates`.
-pub fn random_sample(candidates: &[NodeId], m: usize, rng: &mut StdRng) -> Vec<NodeId> {
-    let mut pool: Vec<NodeId> = candidates.to_vec();
-    pool.shuffle(rng);
-    pool.truncate(m.min(candidates.len()));
-    pool
+/// The §5 sample a best response is computed over: every member of
+/// `keep` that is a candidate (the node's current and forced links — a
+/// turn must be able to keep what it has), then the `m / 2` best of the
+/// rest by `score` (ranked by `A::better`, ties to the earlier
+/// candidate), then uniform draws from what is left until `m` were
+/// added. Without a score all `m` are uniform. The result is a
+/// subsequence of `candidates`; when `candidates.len() <= m` it is
+/// `candidates` itself and `rng` is not touched, so runs that small
+/// never see the stage.
+pub fn shortlist<A: PathAlgebra>(
+    candidates: &[NodeId],
+    keep: &[NodeId],
+    m: usize,
+    score: Option<&dyn Fn(NodeId) -> f64>,
+    rng: &mut StdRng,
+) -> Vec<NodeId> {
+    if candidates.len() <= m {
+        return candidates.to_vec();
+    }
+    let mut picked: Vec<bool> = candidates.iter().map(|c| keep.contains(c)).collect();
+    let mut rest: Vec<usize> = (0..candidates.len()).filter(|&p| !picked[p]).collect();
+    let mut best = 0;
+    if let Some(score) = score {
+        best = (m / 2).min(rest.len());
+        let key: Vec<f64> = candidates.iter().map(|&c| score(c)).collect();
+        if best < rest.len() {
+            rest.select_nth_unstable_by(best, |&a, &b| {
+                A::better(key[b], key[a])
+                    .cmp(&A::better(key[a], key[b]))
+                    .then(a.cmp(&b))
+            });
+        }
+    }
+    let pool = &mut rest[best..];
+    let uniform = (m - best).min(pool.len());
+    for t in 0..uniform {
+        let j = rng.random_range(t..pool.len());
+        pool.swap(t, j);
+    }
+    for &p in &rest[..best + uniform] {
+        picked[p] = true;
+    }
+    candidates
+        .iter()
+        .zip(picked)
+        .filter_map(|(&c, picked)| picked.then_some(c))
+        .collect()
 }
 
 /// Size and members of the radius-`r` out-neighborhood `F(v)` in `g`
@@ -65,30 +109,10 @@ pub fn rank(g: &DiGraph, j: NodeId, r: usize, direct: &[f64]) -> f64 {
     f.len() as f64 / denom
 }
 
-/// Topology-based biased sampling: draw `m_prime` random candidates, keep
-/// the `m` with the highest `b_ij`.
-pub fn topology_biased_sample(
-    candidates: &[NodeId],
-    m: usize,
-    m_prime: usize,
-    r: usize,
-    residual: &DiGraph,
-    direct: &[f64],
-    rng: &mut StdRng,
-) -> Vec<NodeId> {
-    let pre = random_sample(candidates, m_prime.max(m), rng);
-    let mut ranked: Vec<(f64, NodeId)> = pre
-        .into_iter()
-        .map(|j| (rank(residual, j, r, direct), j))
-        .collect();
-    ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    ranked.truncate(m.min(candidates.len()));
-    ranked.into_iter().map(|(_, j)| j).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egoist_graph::csr::{MaxMin, MinPlus};
     use rand::SeedableRng;
 
     fn ids(n: u32) -> Vec<NodeId> {
@@ -105,16 +129,33 @@ mod tests {
     }
 
     #[test]
-    fn random_sample_is_distinct_and_bounded() {
+    fn uniform_shortlist_is_distinct_and_bounded() {
         let c = ids(20);
         let mut rng = StdRng::seed_from_u64(1);
-        let s = random_sample(&c, 8, &mut rng);
+        let s = shortlist::<MinPlus>(&c, &[], 8, None, &mut rng);
         assert_eq!(s.len(), 8);
-        let mut t = s.clone();
-        t.sort_unstable();
-        t.dedup();
-        assert_eq!(t.len(), 8);
-        assert_eq!(random_sample(&c, 50, &mut rng).len(), 20);
+        assert!(s.windows(2).all(|w| w[0] < w[1]), "a subsequence: {s:?}");
+        assert_eq!(shortlist::<MinPlus>(&c, &[], 50, None, &mut rng), c);
+    }
+
+    #[test]
+    fn shortlist_keeps_links_then_best_then_uniform() {
+        let c = ids(40);
+        let direct: Vec<f64> = (0..40).map(|j| ((j * 7) % 40) as f64).collect();
+        let score = |j: NodeId| direct[j.index()];
+        let keep = [NodeId(39), NodeId(3), NodeId(77)];
+        let mut rng = StdRng::seed_from_u64(5);
+        let low = shortlist::<MinPlus>(&c, &keep, 8, Some(&score), &mut rng);
+        // 39 and 3 are candidates, 77 is not; the four cheapest of the
+        // rest have direct cost 0..=3; four more are drawn.
+        assert_eq!(low.len(), 2 + 8);
+        for j in [39u32, 3, 0, 23, 6, 29] {
+            assert!(low.contains(&NodeId(j)), "{j} missing from {low:?}");
+        }
+        let high = shortlist::<MaxMin>(&c, &keep, 8, Some(&score), &mut rng);
+        for j in [39u32, 3, 17, 34, 11, 28] {
+            assert!(high.contains(&NodeId(j)), "{j} missing from {high:?}");
+        }
     }
 
     #[test]
@@ -154,9 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn biased_sampling_finds_the_hub() {
-        // Two hubs (0 and 1) among 30 nodes; biased sampling with m=2 over
-        // m'=20 must pick hubs with overwhelming probability.
+    fn rank_scored_shortlist_finds_the_hubs() {
+        // Two hubs (0 and 1) among 30 nodes: with b_ij as the score the
+        // best half of a 4-sample is exactly the hubs.
         let n = 30;
         let mut g = DiGraph::new(n);
         for j in 2..n {
@@ -165,21 +206,12 @@ mod tests {
         }
         let direct = vec![1.0; n];
         let c = ids(n as u32);
+        let b_ij = |j: NodeId| rank(&g, j, 2, &direct);
         let mut rng = StdRng::seed_from_u64(7);
-        let s = topology_biased_sample(&c, 2, 20, 2, &g, &direct, &mut rng);
+        let s = shortlist::<MaxMin>(&c, &[], 4, Some(&b_ij), &mut rng);
         assert!(
-            s.contains(&NodeId(0)) || s.contains(&NodeId(1)),
-            "expected a hub in {s:?}"
+            s.contains(&NodeId(0)) && s.contains(&NodeId(1)),
+            "expected both hubs in {s:?}"
         );
-    }
-
-    #[test]
-    fn biased_sampling_is_deterministic() {
-        let g = star(12);
-        let direct = vec![2.0; 12];
-        let c = ids(12);
-        let a = topology_biased_sample(&c, 4, 8, 2, &g, &direct, &mut StdRng::seed_from_u64(3));
-        let b = topology_biased_sample(&c, 4, 8, 2, &g, &direct, &mut StdRng::seed_from_u64(3));
-        assert_eq!(a, b);
     }
 }

@@ -27,10 +27,12 @@ use crate::policies::bandwidth::all_pairs_widest;
 use crate::policies::hybrid::HybridBr;
 use crate::policies::{Policy, PolicyKind, WiringContext};
 use crate::residual::ResidualView;
+use crate::sampling::shortlist;
 use crate::snapshot::{RebuildCause, RouteState, RouteStats, SnapshotKind};
 use crate::wiring::Wiring;
 use egoist_graph::apsp::apsp;
 use egoist_graph::connectivity::strongly_connected;
+use egoist_graph::csr::{MaxMin, MinPlus};
 use egoist_graph::cycles::ring_edges;
 use egoist_graph::{DistanceMatrix, NodeId};
 use egoist_netsim::churn::ChurnTrace;
@@ -91,6 +93,12 @@ pub struct SimConfig {
     pub cheat: CheatConfig,
     /// Route-state engine (see [`EngineMode`]).
     pub engine: EngineMode,
+    /// §5's `m`: a best-response turn solves over a [`shortlist`] of its
+    /// links plus `m` candidates instead of all `n − 1` (`usize::MAX`:
+    /// always all).
+    /// Absolute, not a fraction of `n`: the sample that finds a good
+    /// wiring does not grow with the overlay (§5, figs 5–8).
+    pub sample_size: usize,
 }
 
 impl SimConfig {
@@ -109,6 +117,7 @@ impl SimConfig {
             churn: None,
             cheat: CheatConfig::honest(),
             engine: EngineMode::default(),
+            sample_size: 64,
         }
     }
 }
@@ -239,6 +248,9 @@ struct SimObs {
     measure: egoist_obs::Timer,
     rewirings: egoist_obs::Counter,
     turns: egoist_obs::Counter,
+    /// Candidates a best-response turn was offered / solved over.
+    shortlist_offered: egoist_obs::Counter,
+    shortlist_kept: egoist_obs::Counter,
 }
 
 impl SimObs {
@@ -252,6 +264,8 @@ impl SimObs {
             measure: r.timer("core.measure"),
             rewirings: r.counter("core.rewirings"),
             turns: r.counter("core.turns"),
+            shortlist_offered: r.counter("core.shortlist.offered"),
+            shortlist_kept: r.counter("core.shortlist.kept"),
         }
     }
 }
@@ -483,7 +497,7 @@ impl Simulator {
             return false;
         }
         self.pending_join[i.index()] = false;
-        let candidates: Vec<NodeId> = (0..self.cfg.n)
+        let mut candidates: Vec<NodeId> = (0..self.cfg.n)
             .filter(|&j| j != i.index() && self.alive[j])
             .map(NodeId::from_index)
             .collect();
@@ -492,6 +506,23 @@ impl Simulator {
         }
         let direct = self.candidate_costs(i);
         let current = self.wiring.of(i).to_vec();
+        if self.cfg.policy.needs_residual() {
+            // §5: solve over a sample. It is cut before the engines
+            // part ways, so both see the same candidates.
+            let mut keep = current.clone();
+            if let PolicyKind::HybridBestResponse { k2 } = self.cfg.policy {
+                keep.extend(HybridBr::new(k2).donated_links(i, &self.alive_ids()));
+            }
+            let (m, score) = (self.cfg.sample_size, |j: NodeId| direct[j.index()]);
+            let rng = &mut self.policy_rng;
+            let offered = candidates.len() as u64;
+            candidates = match self.cfg.metric {
+                Metric::Bandwidth => shortlist::<MaxMin>(&candidates, &keep, m, Some(&score), rng),
+                _ => shortlist::<MinPlus>(&candidates, &keep, m, Some(&score), rng),
+            };
+            self.obs.shortlist_offered.add(offered);
+            self.obs.shortlist_kept.add(candidates.len() as u64);
+        }
 
         let (placeholder, recomputed);
         let (residual, penalty) = if !self.cfg.policy.needs_residual() {
@@ -886,6 +917,7 @@ mod tests {
             churn: None,
             cheat: CheatConfig::honest(),
             engine: EngineMode::default(),
+            sample_size: 64,
         }
     }
 
@@ -1037,6 +1069,39 @@ mod tests {
         // Efficiency should stay meaningfully positive under heavy churn.
         let eff = res.mean_efficiency(3);
         assert!(eff > 0.0, "HybridBR efficiency collapsed: {eff}");
+    }
+
+    #[test]
+    fn sampled_hybrid_backbone_spans_the_membership_under_churn() {
+        // The n-large twin of the test above: 119 candidates > m, so
+        // every turn solves over a shortlist. The donated ring must
+        // still span the alive membership, not the sample.
+        use egoist_netsim::ChurnModel;
+        let mut cfg = quick(
+            5,
+            PolicyKind::HybridBestResponse { k2: 2 },
+            Metric::DelayPing,
+        );
+        cfg.n = 120;
+        cfg.epochs = 5;
+        let mut model = ChurnModel::planetlab_like(cfg.n, 3);
+        model.timescale_divisor = 400.0;
+        cfg.churn = Some(model.generate(cfg.epochs as f64 * cfg.epoch_secs));
+        assert!(cfg.n - 1 > cfg.sample_size);
+        let mut sim = Simulator::new(cfg.clone());
+        let mut churned = false;
+        for epoch in 0..cfg.epochs {
+            sim.run_epoch(epoch);
+            let members = sim.alive_ids();
+            churned |= members.len() < cfg.n;
+            let overlay = sim.wiring.to_graph(&sim.announced_cow(), &sim.alive);
+            assert!(
+                strongly_connected(&overlay, &members),
+                "epoch {epoch}: {} alive nodes fell apart",
+                members.len()
+            );
+        }
+        assert!(churned, "the trace must churn for this to mean anything");
     }
 
     #[test]

@@ -118,6 +118,27 @@ fn bandwidth_metric_identical() {
 }
 
 #[test]
+fn sampled_turn_identical_and_full_sample_is_the_unsampled_turn() {
+    // n − 1 = 119 candidates > m = 64: the §5 shortlist is live. It is
+    // cut before the engines part ways, so they still agree bit for bit.
+    for metric in [Metric::DelayPing, Metric::Bandwidth] {
+        let mut sampled = cfg(120, 6, PolicyKind::BestResponse, metric, 53);
+        sampled.epochs = 3;
+        assert!(sampled.n - 1 > sampled.sample_size);
+        assert_equivalent(sampled);
+    }
+    // m = n reproduces the bits of the turn before the stage existed
+    // (fingerprint produced at e112be1, which had no shortlist).
+    let mut full = cfg(120, 6, PolicyKind::BestResponse, Metric::DelayPing, 53);
+    full.sample_size = usize::MAX;
+    let got = fingerprint(&run(full));
+    assert_eq!(
+        got, 0x1430_94fa_6f83_0d4c,
+        "unsampled at n=120: {got:#018x}"
+    );
+}
+
+#[test]
 fn churned_runs_identical() {
     // The delay run is pinned too (fingerprint produced at 78d3412, when
     // every leave and join still rebuilt the snapshot): absorbing churn
@@ -211,13 +232,20 @@ fn other_policies_identical() {
         let got = fingerprint(&assert_equivalent(cfg(32, 4, policy, metric, 17)));
         assert_eq!(got, golden, "{policy:?}/{metric:?}: {got:#018x}");
     }
-    for (policy, golden) in [
-        (PolicyKind::BestResponse, 0xe9e2_32d7_7744_1ddcu64),
-        (hybrid, 0x0060_94d6_f7a6_ade7),
+    // The churned HybridBR delay run was produced at e112be1, when the
+    // policy still read its ring off the candidate list.
+    for (policy, metric, golden) in [
+        (
+            PolicyKind::BestResponse,
+            Metric::Bandwidth,
+            0xe9e2_32d7_7744_1ddcu64,
+        ),
+        (hybrid, Metric::Bandwidth, 0x0060_94d6_f7a6_ade7),
+        (hybrid, Metric::DelayPing, 0x85a1_b34e_c6fa_55c5),
     ] {
-        let churned = with_churn(cfg(32, 4, policy, Metric::Bandwidth, 21));
+        let churned = with_churn(cfg(32, 4, policy, metric, 21));
         let got = fingerprint(&assert_equivalent(churned));
-        assert_eq!(got, golden, "churned {policy:?}/Bandwidth: {got:#018x}");
+        assert_eq!(got, golden, "churned {policy:?}/{metric:?}: {got:#018x}");
     }
 }
 

@@ -9,9 +9,10 @@ use egoist::core::multipath::{
 };
 use egoist::core::policies::best_response::BrInstance;
 use egoist::core::policies::{PolicyKind, WiringContext};
-use egoist::core::sampling::{random_sample, topology_biased_sample};
+use egoist::core::sampling::{rank, shortlist};
 use egoist::core::stats;
 use egoist::graph::apsp::apsp;
+use egoist::graph::csr::MaxMin;
 use egoist::graph::NodeId;
 use egoist::netsim::rng::derive;
 use egoist::netsim::{BandwidthModel, DelayModel};
@@ -81,9 +82,10 @@ fn sampled_br_stays_close_to_full_br() {
     let mut sampled_costs = Vec::new();
     let mut biased_costs = Vec::new();
     for _ in 0..8 {
-        let sample = random_sample(&existing, 12, &mut rng);
+        let sample = shortlist::<MaxMin>(&existing, &[], 12, None, &mut rng);
         sampled_costs.push(realized(&solve(&sample)));
-        let biased = topology_biased_sample(&existing, 12, 36, 2, &g, &direct, &mut rng);
+        let b_ij = |j: NodeId| rank(&g, j, 2, &direct);
+        let biased = shortlist::<MaxMin>(&existing, &[], 12, Some(&b_ij), &mut rng);
         biased_costs.push(realized(&solve(&biased)));
     }
     let mean_sampled = stats::mean(&sampled_costs);
