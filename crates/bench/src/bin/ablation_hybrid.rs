@@ -6,13 +6,15 @@
 //! point, and also compares the id-cycle backbone against the k-MST
 //! alternative it rejected (Young et al. \[43\]) on backbone path quality.
 
-use egoist_bench::{epochs, print_expectation, print_figure, seeds, warmup, Series};
+use egoist_bench::{
+    planetlab_churn, print_expectation, print_figure, seeds, sim_config, sweep, warmup, Series,
+};
 use egoist_core::policies::PolicyKind;
-use egoist_core::sim::{run, Metric, SimConfig};
+use egoist_core::sim::{run, Metric};
 use egoist_graph::cycles::backbone_edges;
 use egoist_graph::mst::{k_mst_backbone, tree_weight};
 use egoist_graph::NodeId;
-use egoist_netsim::{ChurnModel, DelayModel};
+use egoist_netsim::DelayModel;
 
 fn main() {
     print_expectation(
@@ -25,31 +27,21 @@ fn main() {
     // ---- k2 sweep under two churn regimes. ----
     let k = 6usize;
     for (label, divisor) in [("mild churn", 5.0f64), ("heavy churn", 400.0)] {
-        let mut series = Series::new("mean efficiency");
-        for k2 in [0usize, 2, 4] {
-            let mut effs = Vec::new();
-            for &seed in &seeds() {
-                let mut model = ChurnModel::planetlab_like(50, seed);
-                model.timescale_divisor = divisor;
-                let trace = model.generate(epochs() as f64 * 60.0);
-                let policy = if k2 == 0 {
-                    PolicyKind::BestResponse
-                } else {
-                    PolicyKind::HybridBestResponse { k2 }
-                };
-                let mut cfg = SimConfig::baseline(k, policy, Metric::DelayPing, seed);
-                cfg.epochs = epochs();
-                cfg.warmup_epochs = warmup();
-                cfg.churn = Some(trace);
-                effs.push(run(cfg).mean_efficiency(warmup()));
-            }
-            series.push_samples(k2 as f64, &effs);
-        }
+        let series = sweep(&["mean efficiency"], &[0usize, 2, 4], |k2, seed| {
+            let policy = if k2 == 0 {
+                PolicyKind::BestResponse
+            } else {
+                PolicyKind::HybridBestResponse { k2 }
+            };
+            let mut cfg = sim_config(k, policy, Metric::DelayPing, seed);
+            cfg.churn = Some(planetlab_churn(divisor, seed));
+            (k2 as f64, vec![run(cfg).mean_efficiency(warmup())])
+        });
         print_figure(
             &format!("Ablation: HybridBR donated-link budget, {label} (n=50, k={k})"),
             "k2",
             "mean node efficiency (absolute)",
-            &[series],
+            &series,
         );
     }
 

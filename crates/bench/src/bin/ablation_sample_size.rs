@@ -12,7 +12,7 @@
 //!
 //! `EGOIST_SEEDS=11,21,37` reproduces the EXPERIMENTS.md table.
 
-use egoist_bench::{fast, print_expectation, print_figure, seeds, Series};
+use egoist_bench::{fast, print_expectation, print_figure, sweep};
 use egoist_core::policies::PolicyKind;
 use egoist_core::sim::{full_mesh_reference, Metric, SimConfig, Simulator};
 use egoist_netsim::ChurnModel;
@@ -41,55 +41,53 @@ fn main() {
             Metric::Bandwidth => "bw_utility (Mbps)",
             _ => "cost / full mesh",
         };
-        let mut series = [
-            Series::new(quality_label),
-            Series::new("rewirings / epoch"),
-            Series::new("scanned / turn"),
-            Series::new("wall_s"),
+        let labels = [
+            quality_label,
+            "rewirings / epoch",
+            "scanned / turn",
+            "wall_s",
         ];
-        for m in [16, 32, 64, 128, 256, n - 1] {
-            let mut rows: [Vec<f64>; 4] = Default::default();
-            for &seed in &seeds() {
-                let mut cfg = SimConfig::baseline(8, PolicyKind::BestResponse, metric, seed);
-                cfg.n = n;
-                cfg.epochs = 1 + timed;
-                cfg.warmup_epochs = 1 + timed / 2;
-                cfg.sample_size = m;
-                if let Some(divisor) = churn_divisor {
-                    let mut model = ChurnModel::planetlab_like(n, seed);
-                    model.timescale_divisor = divisor;
-                    cfg.churn = Some(model.generate(cfg.epochs as f64 * cfg.epoch_secs));
-                }
-                let mut sim = Simulator::new(cfg.clone());
-                let mut samples = Vec::with_capacity(cfg.epochs);
-                let mut t = Instant::now();
-                for epoch in 0..cfg.epochs {
-                    if epoch == 1 {
-                        // Epoch 0 is cold: count and time from here.
-                        egoist_obs::registry().reset();
-                        t = Instant::now();
-                    }
-                    let rewirings = sim.run_epoch(epoch);
-                    samples.push(sim.measure(epoch, rewirings));
-                }
-                let wall_s = t.elapsed().as_secs_f64();
-                let count = |name: &str| egoist_obs::registry().counter_value(name) as f64;
-                let result = egoist_core::sim::SimResult {
-                    config_label: sim.config_label(),
-                    samples,
-                };
-                rows[0].push(match metric {
-                    Metric::Bandwidth => result.mean_bandwidth_utility(cfg.warmup_epochs),
-                    _ => result.mean_individual_cost(cfg.warmup_epochs) / full_mesh_reference(&cfg),
-                });
-                rows[1].push(count("core.rewirings") / timed as f64);
-                rows[2].push(count("core.solver.candidates_scanned") / count("core.turns"));
-                rows[3].push(wall_s);
+        let series = sweep(&labels, &[16, 32, 64, 128, 256, n - 1], |m, seed| {
+            let mut cfg = SimConfig::baseline(8, PolicyKind::BestResponse, metric, seed);
+            cfg.n = n;
+            cfg.epochs = 1 + timed;
+            cfg.warmup_epochs = 1 + timed / 2;
+            cfg.sample_size = m;
+            if let Some(divisor) = churn_divisor {
+                let mut model = ChurnModel::planetlab_like(n, seed);
+                model.timescale_divisor = divisor;
+                cfg.churn = Some(model.generate(cfg.epochs as f64 * cfg.epoch_secs));
             }
-            for (s, row) in series.iter_mut().zip(&rows) {
-                s.push_samples(m as f64, row);
+            let mut sim = Simulator::new(cfg.clone());
+            let mut samples = Vec::with_capacity(cfg.epochs);
+            let mut t = Instant::now();
+            for epoch in 0..cfg.epochs {
+                if epoch == 1 {
+                    // Epoch 0 is cold: count and time from here.
+                    egoist_obs::registry().reset();
+                    t = Instant::now();
+                }
+                let rewirings = sim.run_epoch(epoch);
+                samples.push(sim.measure(epoch, rewirings));
             }
-        }
+            let wall_s = t.elapsed().as_secs_f64();
+            let count = |name: &str| egoist_obs::registry().counter_value(name) as f64;
+            let result = egoist_core::sim::SimResult {
+                config_label: sim.config_label(),
+                samples,
+            };
+            let quality = match metric {
+                Metric::Bandwidth => result.mean_bandwidth_utility(cfg.warmup_epochs),
+                _ => result.mean_individual_cost(cfg.warmup_epochs) / full_mesh_reference(&cfg),
+            };
+            let row = vec![
+                quality,
+                count("core.rewirings") / timed as f64,
+                count("core.solver.candidates_scanned") / count("core.turns"),
+                wall_s,
+            ];
+            (m as f64, row)
+        });
         print_figure(
             &format!("Ablation: best-response sample size, {label} (n={n}, k=8)"),
             "m",

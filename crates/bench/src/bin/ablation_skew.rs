@@ -7,31 +7,11 @@
 //! gap should widen as preferences concentrate, because BR shortens
 //! routes to exactly the destinations each node cares about.
 
-use egoist_bench::{print_expectation, print_figure, seeds, Series};
-use egoist_core::cost::{disconnection_penalty, node_cost_from_dists, Preferences};
-use egoist_core::game::Game;
+use egoist_bench::{print_expectation, print_figure, static_cost_ratio, sweep};
+use egoist_core::cost::Preferences;
 use egoist_core::policies::PolicyKind;
-use egoist_core::stats;
-use egoist_graph::apsp::apsp;
-use egoist_graph::connectivity::strongly_connected;
-use egoist_graph::cycles::enforce_cycle;
-use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
 use egoist_netsim::rng::derive;
 use egoist_netsim::DelayModel;
-
-fn mean_cost(g: &DiGraph, d: &DistanceMatrix, prefs: &Preferences) -> f64 {
-    let n = d.len();
-    let alive = vec![true; n];
-    let penalty = disconnection_penalty(d);
-    let dist = apsp(g);
-    let costs: Vec<f64> = (0..n)
-        .map(|i| {
-            let row: Vec<f64> = (0..n).map(|j| dist.at(i, j)).collect();
-            node_cost_from_dists(NodeId::from_index(i), &row, prefs, &alive, penalty)
-        })
-        .collect();
-    stats::mean(&costs)
-}
 
 fn main() {
     print_expectation(
@@ -39,41 +19,24 @@ fn main() {
          preferences are the conservative case reported in the paper",
     );
 
-    let k = 3usize;
-    let exponents = [0.0f64, 0.5, 1.0, 1.5, 2.0];
-    let mut series = Series::new("k-Random cost / BR cost");
-
-    for &expo in &exponents {
-        let mut ratios = Vec::new();
-        for &seed in &seeds() {
+    let series = sweep(
+        &["k-Random cost / BR cost"],
+        &[0.0f64, 0.5, 1.0, 1.5, 2.0],
+        |expo, seed| {
             let d = DelayModel::planetlab_50(seed).base().clone();
-            let members: Vec<NodeId> = (0..50).map(NodeId).collect();
             let prefs = if expo == 0.0 {
                 Preferences::uniform(50)
             } else {
-                let mut rng = derive(seed, "skew");
-                Preferences::zipf(50, expo, &mut rng)
+                Preferences::zipf(50, expo, &mut derive(seed, "skew"))
             };
-
-            let mut br = Game::new(d.clone(), k, PolicyKind::BestResponse, seed);
-            br.prefs = prefs.clone();
-            br.run_to_convergence(12);
-
-            let mut rnd = Game::new(d.clone(), k, PolicyKind::Random, seed);
-            rnd.sweep();
-            let mut g = rnd.graph();
-            if !strongly_connected(&g, &members) {
-                enforce_cycle(&mut g, &d, &members);
-            }
-
-            ratios.push(mean_cost(&g, &d, &prefs) / mean_cost(&br.graph(), &d, &prefs));
-        }
-        series.push_samples(expo, &ratios);
-    }
+            let ratio = static_cost_ratio(&d, 3, PolicyKind::Random, &prefs, 12, seed);
+            (expo, vec![ratio])
+        },
+    );
     print_figure(
         "Ablation: preference skew amplifies BR's edge (n=50, k=3)",
         "zipf-exp",
         "k-Random cost / BR cost",
-        &[series],
+        &series,
     );
 }

@@ -7,49 +7,11 @@
 //! (BRITE router-level), and Barabási–Albert (AS-like). The *ordering*
 //! should be underlay-invariant.
 
-use egoist_bench::{print_expectation, print_figure, seeds, Series};
-use egoist_core::cost::{disconnection_penalty, node_cost_from_dists, Preferences};
-use egoist_core::game::Game;
-use egoist_core::policies::PolicyKind;
-use egoist_core::stats;
-use egoist_graph::apsp::apsp;
-use egoist_graph::connectivity::strongly_connected;
-use egoist_graph::cycles::enforce_cycle;
-use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
+use egoist_bench::{labels, print_expectation, print_figure, static_cost_ratio, sweep, HEURISTICS};
+use egoist_core::cost::Preferences;
+use egoist_graph::DistanceMatrix;
 use egoist_netsim::topo::{barabasi_albert_delays, waxman_delays, BaConfig, WaxmanConfig};
 use egoist_netsim::DelayModel;
-
-/// Mean individual cost over a (possibly cycle-fixed) overlay graph.
-fn mean_cost(g: &DiGraph, d: &DistanceMatrix) -> f64 {
-    let n = d.len();
-    let prefs = Preferences::uniform(n);
-    let alive = vec![true; n];
-    let penalty = disconnection_penalty(d);
-    let dist = apsp(g);
-    let costs: Vec<f64> = (0..n)
-        .map(|i| {
-            let row: Vec<f64> = (0..n).map(|j| dist.at(i, j)).collect();
-            node_cost_from_dists(NodeId::from_index(i), &row, &prefs, &alive, penalty)
-        })
-        .collect();
-    stats::mean(&costs)
-}
-
-fn normalized(d: &DistanceMatrix, policy: PolicyKind, seed: u64) -> f64 {
-    let k = 3;
-    let members: Vec<NodeId> = (0..d.len()).map(NodeId::from_index).collect();
-    let mut br = Game::new(d.clone(), k, PolicyKind::BestResponse, seed);
-    br.run_to_convergence(10);
-    let mut other = Game::new(d.clone(), k, policy, seed);
-    other.sweep();
-    // The §3.2 fix-up the deployed system applies to heuristic overlays:
-    // enforce a cycle when not strongly connected.
-    let mut g = other.graph();
-    if !strongly_connected(&g, &members) {
-        enforce_cycle(&mut g, d, &members);
-    }
-    mean_cost(&g, d) / mean_cost(&br.graph(), d)
-}
 
 fn main() {
     print_expectation(
@@ -59,12 +21,6 @@ fn main() {
     );
 
     let n = 50usize;
-    let policies = [
-        ("k-Random", PolicyKind::Random),
-        ("k-Regular", PolicyKind::Regular),
-        ("k-Closest", PolicyKind::Closest),
-    ];
-
     type UnderlayFactory = Box<dyn Fn(u64) -> DistanceMatrix>;
     let underlays: Vec<(&str, UnderlayFactory)> = vec![
         (
@@ -81,19 +37,13 @@ fn main() {
         ),
     ];
 
-    let mut series: Vec<Series> = policies.iter().map(|(l, _)| Series::new(*l)).collect();
-    for (u_idx, (_, gen)) in underlays.iter().enumerate() {
-        for (p_idx, (_, policy)) in policies.iter().enumerate() {
-            let ratios: Vec<f64> = seeds()
-                .iter()
-                .map(|&seed| {
-                    let d = gen(seed);
-                    normalized(&d, *policy, seed)
-                })
-                .collect();
-            series[p_idx].push_samples(u_idx as f64, &ratios);
-        }
-    }
+    let indices: Vec<usize> = (0..underlays.len()).collect();
+    let series = sweep(&labels(&HEURISTICS), &indices, |u_idx, seed| {
+        let d = underlays[u_idx].1(seed);
+        let prefs = Preferences::uniform(n);
+        let ratio = |&(_, policy)| static_cost_ratio(&d, 3, policy, &prefs, 10, seed);
+        (u_idx as f64, HEURISTICS.iter().map(ratio).collect())
+    });
     for (u_idx, (name, _)) in underlays.iter().enumerate() {
         println!("# x = {u_idx} → {name}");
     }

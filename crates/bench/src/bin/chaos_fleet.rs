@@ -20,8 +20,8 @@
 //! byte-identical — the determinism gate runs on every invocation, not
 //! just in the test suite. The combined document nests one
 //! `RobustnessReport` per scenario under `"scenarios"` and is validated
-//! against `schemas/robustness.schema.json` (the load-bearing subset,
-//! no serde — same approach as `metrics_check`).
+//! against `schemas/robustness.schema.json` (the load-bearing subset:
+//! `egoist_bench::report::ROBUSTNESS`).
 //!
 //! Usage: chaos_fleet [--quick] [--out PATH] [--schema PATH] [--check PATH]
 //!   --quick        small fleet profiles (CI scale)
@@ -29,225 +29,52 @@
 //!   --schema PATH  schema to validate against (default: schemas/robustness.schema.json)
 //!   --check PATH   validate an existing report file and exit (no run)
 
+use egoist_bench::report::{same_twice, ROBUSTNESS};
+use egoist_obs::json::{array, JsonObject, Layout::Spaced};
 use egoist_proto::fleet::{
     chaos_n1000_profile, run_fleet, storm_partition_profile, sybil_eclipse_profile,
     third_party_lure_profile, FleetConfig,
 };
 
-const SCHEMA_TAG: &str = "\"schema\": \"egoist-robustness/v1\"";
-
-/// Pull the JSON string array keyed `key` out of `doc` at or after
-/// `from` — only used on our own checked-in schema file.
-fn extract_list(doc: &str, key: &str, from: usize) -> Result<Vec<String>, String> {
-    let tag = format!("\"{key}\"");
-    let at = doc[from..]
-        .find(&tag)
-        .ok_or_else(|| format!("schema: no {key} list"))?
-        + from
-        + tag.len();
-    let open = doc[at..]
-        .find('[')
-        .ok_or_else(|| format!("schema: {key} is not a list"))?
-        + at
-        + 1;
-    let end = doc[open..]
-        .find(']')
-        .ok_or_else(|| format!("schema: unterminated {key} list"))?
-        + open;
-    Ok(doc[open..end]
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .map(str::to_string)
-        .collect())
-}
-
-/// Parse the f64 immediately following every occurrence of `"<key>": `.
-fn values_of(doc: &str, key: &str) -> Vec<f64> {
-    let tag = format!("\"{key}\": ");
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(at) = doc[from..].find(&tag) {
-        let start = from + at + tag.len();
-        let end = doc[start..]
-            .find([',', '\n', '}'])
-            .map(|e| start + e)
-            .unwrap_or(doc.len());
-        if let Ok(v) = doc[start..end].trim().parse::<f64>() {
-            out.push(v);
-        }
-        from = start;
-    }
-    out
-}
-
-/// Validate the load-bearing subset of `schemas/robustness.schema.json`.
-fn check(report: &str, schema: &str) -> Result<usize, String> {
-    if !report.contains(SCHEMA_TAG) {
-        return Err(format!("report lacks the {SCHEMA_TAG} tag"));
-    }
-    if !report.contains("\"scenarios\": [") {
-        return Err("report lacks the \"scenarios\" array".to_string());
-    }
-    let scenarios = report.matches("\"scenario\": \"").count();
-    if scenarios == 0 {
-        return Err("report has an empty scenarios array".to_string());
-    }
-
-    // Every x-required-keys field appears exactly once per scenario.
-    let marker = schema
-        .find("\"x-required-keys\"")
-        .ok_or("schema: no x-required-keys section")?;
-    let required = extract_list(schema, "x-required-keys", marker)?;
-    for key in &required {
-        let n = report.matches(&format!("\"{key}\":")).count();
-        if n != scenarios {
-            return Err(format!(
-                "expected one \"{key}\" per scenario ({scenarios} scenarios, found {n})"
-            ));
-        }
-    }
-
-    // Reachability fractions are actual fractions.
-    for key in ["final_reachability", "min_reachability"] {
-        for v in values_of(report, key) {
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{key} {v} outside [0, 1]"));
-            }
-        }
-    }
-    Ok(required.len())
-}
-
-/// Run one scenario twice and insist the reports are byte-identical —
-/// the whole point of the harness is reproducible robustness evidence.
-fn run_deterministic(cfg: &FleetConfig) -> String {
-    eprintln!(
-        "chaos_fleet: scenario {} (n={}, sybils={}, seed={}) ...",
-        cfg.scenario, cfg.n, cfg.sybils, cfg.seed
-    );
-    let a = run_fleet(cfg).to_json();
-    let b = run_fleet(cfg).to_json();
-    assert_eq!(
-        a, b,
-        "scenario {} produced two different same-seed reports",
-        cfg.scenario
-    );
-    a
-}
-
-/// Nest per-scenario reports under a top-level document.
-fn combine(reports: &[String]) -> String {
-    let mut s = String::with_capacity(reports.iter().map(String::len).sum::<usize>() + 128);
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"egoist-robustness/v1\",\n");
-    s.push_str("  \"scenarios\": [\n");
-    let indented: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            r.trim_end()
-                .lines()
-                .map(|l| format!("    {l}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        })
-        .collect();
-    s.push_str(&indented.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
+/// Run every profile (twice: reproducible robustness evidence is the
+/// whole point of the harness) and nest the per-scenario reports under
+/// one top-level document.
+fn build_report(profiles: &[FleetConfig]) -> String {
+    let reports = profiles.iter().map(|cfg| {
+        let label = format!(
+            "{} (n={}, sybils={}, seed={})",
+            cfg.scenario, cfg.n, cfg.sybils, cfg.seed
+        );
+        let report = same_twice("chaos_fleet", &label, || run_fleet(cfg).to_json());
+        report.trim_end().to_string()
+    });
+    JsonObject::new(Spaced)
+        .str("schema", ROBUSTNESS.tag)
+        .raw("scenarios", array(Spaced, reports))
+        .document()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut schema_path = "schemas/robustness.schema.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = Some(it.next().expect("--out needs a path")),
-            "--schema" => schema_path = it.next().expect("--schema needs a path"),
-            "--check" => check_path = Some(it.next().expect("--check needs a path")),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-
-    let schema =
-        std::fs::read_to_string(&schema_path).unwrap_or_else(|e| panic!("read {schema_path}: {e}"));
-
-    if let Some(path) = check_path {
-        let report = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        match check(&report, &schema) {
-            Ok(required) => {
-                println!(
-                    "{path}: valid egoist-robustness/v1 report, {required} required keys per scenario"
-                );
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let reports = vec![
-        run_deterministic(&storm_partition_profile(quick)),
-        run_deterministic(&sybil_eclipse_profile(quick)),
-        run_deterministic(&third_party_lure_profile(quick)),
-        run_deterministic(&chaos_n1000_profile(quick)),
-    ];
-    let doc = combine(&reports);
-    // Never ship a document the checker would reject.
-    if let Err(e) = check(&doc, &schema) {
-        eprintln!("chaos_fleet: generated report fails its own schema: {e}");
-        std::process::exit(1);
-    }
-    match out {
-        Some(path) => {
-            std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("chaos_fleet: wrote {path} ({} bytes)", doc.len());
-        }
-        None => print!("{doc}"),
-    }
+    ROBUSTNESS.main("chaos_fleet", |quick| {
+        build_report(&[
+            storm_partition_profile(quick),
+            sybil_eclipse_profile(quick),
+            third_party_lure_profile(quick),
+            chaos_n1000_profile(quick),
+        ])
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn schema() -> String {
-        std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../schemas/robustness.schema.json"
-        ))
-        .unwrap()
-    }
-
-    fn demo_doc() -> String {
+    #[test]
+    fn generated_report_passes_its_own_check() {
+        let schema = include_str!("../../../../schemas/robustness.schema.json");
         let mut cfg = FleetConfig::new("demo", 6, 2, 7);
         cfg.horizon = std::time::Duration::from_secs(120);
-        combine(&[run_fleet(&cfg).to_json()])
-    }
-
-    #[test]
-    fn generated_report_validates_and_mutations_fail() {
-        let schema = schema();
-        let doc = demo_doc();
-        assert!(check(&doc, &schema).is_ok(), "{:?}", check(&doc, &schema));
-        // Dropping a required key must fail.
-        let broken = doc.replace("\"min_reachability\":", "\"renamed\":");
-        assert!(check(&broken, &schema).is_err());
-        // A wrong schema tag must fail.
-        let wrong = doc.replace("egoist-robustness/v1", "egoist-robustness/v0");
-        assert!(check(&wrong, &schema).is_err());
-        // An out-of-range reachability must fail.
-        let tag = "\"min_reachability\": ";
-        let at = doc.find(tag).unwrap() + tag.len();
-        let end = at + doc[at..].find(',').unwrap();
-        let inflated = format!("{}2.0{}", &doc[..at], &doc[end..]);
-        assert!(check(&inflated, &schema).is_err());
+        let verdict = ROBUSTNESS.check(&build_report(&[cfg]), Some(schema));
+        assert!(verdict.is_ok(), "{verdict:?}");
     }
 }

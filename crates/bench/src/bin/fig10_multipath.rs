@@ -6,7 +6,7 @@
 //! the per-session peering-point rate cap). The upper series is the
 //! max-flow bound where every peer allows redirection.
 
-use egoist_bench::{fast, print_expectation, print_figure, seeds, Series};
+use egoist_bench::{fast, print_expectation, print_figure, sweep};
 use egoist_core::multipath::{average_gains, bandwidth_overlay};
 use egoist_core::stats;
 use egoist_graph::NodeId;
@@ -20,29 +20,24 @@ fn main() {
     );
 
     let n = if fast() { 16 } else { 50 };
-    let ks = [2usize, 3, 4, 5, 6, 7, 8];
     let members: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-
-    let mut parallel_series = Series::new("source establ. parallel connections");
-    let mut bound_series = Series::new("peers allow multipath redirections");
-
-    for &k in &ks {
-        let mut parallel = Vec::new();
-        let mut bound = Vec::new();
-        for &seed in &seeds() {
+    let series = sweep(
+        &[
+            "peers allow multipath redirections",
+            "source establ. parallel connections",
+        ],
+        &[2usize, 3, 4, 5, 6, 7, 8],
+        |k, seed| {
             let bw = BandwidthModel::with_defaults(n, seed);
             let overlay = bandwidth_overlay(&bw, k, 2);
-            let (p, b) = average_gains(&overlay, &bw, &members);
-            parallel.push(stats::mean(&p));
-            bound.push(stats::mean(&b));
-        }
-        parallel_series.push_samples(k as f64, &parallel);
-        bound_series.push_samples(k as f64, &bound);
-    }
+            let (parallel, bound) = average_gains(&overlay, &bw, &members);
+            (k as f64, vec![stats::mean(&bound), stats::mean(&parallel)])
+        },
+    );
     print_figure(
         "Figure 10: available bandwidth gain from multipath redirection, n=50",
         "k",
         "available bandwidth gain vs direct IP session",
-        &[bound_series, parallel_series],
+        &series,
     );
 }

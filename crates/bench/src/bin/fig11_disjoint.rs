@@ -1,7 +1,7 @@
 //! Figure 11: number of edge-disjoint overlay paths between source and
 //! target vs k, on the delay-wired EGOIST overlay (n = 50).
 
-use egoist_bench::{fast, print_expectation, print_figure, seeds, Series};
+use egoist_bench::{fast, print_expectation, print_figure, sweep};
 use egoist_core::game::Game;
 use egoist_core::multipath::disjoint_path_counts;
 use egoist_core::policies::PolicyKind;
@@ -16,13 +16,11 @@ fn main() {
     );
 
     let n = if fast() { 16 } else { 50 };
-    let ks = [2usize, 3, 4, 5, 6, 7, 8];
     let members: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-
-    let mut series = Series::new("disjoint paths");
-    for &k in &ks {
-        let mut counts = Vec::new();
-        for &seed in &seeds() {
+    let series = sweep(
+        &["disjoint paths"],
+        &[2usize, 3, 4, 5, 6, 7, 8],
+        |k, seed| {
             let d = if n == 50 {
                 DelayModel::planetlab_50(seed).base().clone()
             } else {
@@ -36,15 +34,14 @@ fn main() {
             };
             let mut game = Game::new(d, k, PolicyKind::BestResponse, seed);
             game.run_to_convergence(8);
-            let overlay = game.graph();
-            counts.push(stats::mean(&disjoint_path_counts(&overlay, &members)));
-        }
-        series.push_samples(k as f64, &counts);
-    }
+            let paths = disjoint_path_counts(&game.graph(), &members);
+            (k as f64, vec![stats::mean(&paths)])
+        },
+    );
     print_figure(
         "Figure 11: edge-disjoint overlay paths, delay metric, n=50",
         "k",
         "number of disjoint paths",
-        &[series],
+        &series,
     );
 }

@@ -1,9 +1,11 @@
 //! Figure 1 (bottom-right): total available bandwidth / BR available
 //! bandwidth vs k (higher is better; BR normalizes to 1).
 
-use egoist_bench::{epochs, print_expectation, print_figure, seeds, warmup, Series};
+use egoist_bench::{
+    print_expectation, print_figure, sim_config, vs_best_response, warmup, HEURISTICS,
+};
 use egoist_core::policies::PolicyKind;
-use egoist_core::sim::{run, Metric, SimConfig};
+use egoist_core::sim::Metric;
 
 fn main() {
     print_expectation(
@@ -12,31 +14,15 @@ fn main() {
          below 1.0",
     );
 
-    let ks = [2usize, 3, 4, 5, 6, 7, 8];
-    let policies = [
-        ("k-Random", PolicyKind::Random),
-        ("k-Regular", PolicyKind::Regular),
-        ("k-Closest", PolicyKind::Closest),
-    ];
-    let mut series: Vec<Series> = policies.iter().map(|(l, _)| Series::new(*l)).collect();
-
-    for &k in &ks {
-        let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-        for &seed in &seeds() {
-            let mut cfg = SimConfig::baseline(k, PolicyKind::BestResponse, Metric::Bandwidth, seed);
-            cfg.epochs = epochs();
-            cfg.warmup_epochs = warmup();
-            let br_bw = run(cfg.clone()).mean_bandwidth_utility(warmup());
-            for (idx, (_, p)) in policies.iter().enumerate() {
-                let mut pcfg = cfg.clone();
-                pcfg.policy = *p;
-                ratios[idx].push(run(pcfg).mean_bandwidth_utility(warmup()) / br_bw);
-            }
-        }
-        for (idx, r) in ratios.iter().enumerate() {
-            series[idx].push_samples(k as f64, r);
-        }
-    }
+    let series = vs_best_response(
+        &[2usize, 3, 4, 5, 6, 7, 8],
+        &HEURISTICS,
+        |k, seed| {
+            let cfg = sim_config(k, PolicyKind::BestResponse, Metric::Bandwidth, seed);
+            (k as f64, cfg)
+        },
+        |result| result.mean_bandwidth_utility(warmup()),
+    );
     print_figure(
         "Figure 1 (bottom-right): PlanetLab baseline, available bandwidth",
         "k",

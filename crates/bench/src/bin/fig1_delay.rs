@@ -1,9 +1,11 @@
 //! Figure 1 (top-left): individual cost / BR cost vs k, delay via ping,
 //! with the full-mesh (RON) reference.
 
-use egoist_bench::{epochs, print_expectation, print_figure, seeds, warmup, Series};
+use egoist_bench::{
+    labels, print_expectation, print_figure, ratios_vs_br, sim_config, sweep, warmup, HEURISTICS,
+};
 use egoist_core::policies::PolicyKind;
-use egoist_core::sim::{full_mesh_reference, run, Metric, SimConfig};
+use egoist_core::sim::{full_mesh_reference, Metric};
 
 fn main() {
     print_expectation(
@@ -12,38 +14,19 @@ fn main() {
          k-Closest beats k-Random at small k, loses at larger k; k-Regular is worst",
     );
 
-    let ks = [2usize, 3, 4, 5, 6, 7, 8];
-    let policies = [
-        ("k-Random", PolicyKind::Random),
-        ("k-Regular", PolicyKind::Regular),
-        ("k-Closest", PolicyKind::Closest),
-    ];
-    let mut series: Vec<Series> = policies.iter().map(|(l, _)| Series::new(*l)).collect();
-    let mut mesh_series = Series::new("Full mesh");
-
-    for &k in &ks {
-        let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-        let mut mesh_ratios = Vec::new();
-        for &seed in &seeds() {
-            let mut cfg = SimConfig::baseline(k, PolicyKind::BestResponse, Metric::DelayPing, seed);
-            cfg.epochs = epochs();
-            cfg.warmup_epochs = warmup();
-            let br_cost = run(cfg.clone()).mean_individual_cost(warmup());
-            let mesh_cost = full_mesh_reference(&cfg);
-            mesh_ratios.push(mesh_cost / br_cost);
-            for (idx, (_, p)) in policies.iter().enumerate() {
-                let mut pcfg = cfg.clone();
-                pcfg.policy = *p;
-                let cost = run(pcfg).mean_individual_cost(warmup());
-                ratios[idx].push(cost / br_cost);
-            }
-        }
-        for (idx, r) in ratios.iter().enumerate() {
-            series[idx].push_samples(k as f64, r);
-        }
-        mesh_series.push_samples(k as f64, &mesh_ratios);
-    }
-    series.push(mesh_series);
+    // The RON reference is not a policy run: it replays the underlay
+    // under a full mesh.
+    let series = sweep(
+        &[labels(&HEURISTICS), vec!["Full mesh"]].concat(),
+        &[2usize, 3, 4, 5, 6, 7, 8],
+        |k, seed| {
+            let cfg = sim_config(k, PolicyKind::BestResponse, Metric::DelayPing, seed);
+            let (br_cost, mut row) =
+                ratios_vs_br(&cfg, &HEURISTICS, |r| r.mean_individual_cost(warmup()));
+            row.push(full_mesh_reference(&cfg) / br_cost);
+            (k as f64, row)
+        },
+    );
     print_figure(
         "Figure 1 (top-left): PlanetLab baseline, delay via ping",
         "k",

@@ -1,9 +1,11 @@
 //! Figure 1 (top-right): individual cost / BR cost vs k, delay estimated
 //! passively via the Vivaldi coordinate system (the paper's pyxida mode).
 
-use egoist_bench::{epochs, print_expectation, print_figure, seeds, warmup, Series};
+use egoist_bench::{
+    print_expectation, print_figure, sim_config, vs_best_response, warmup, HEURISTICS,
+};
 use egoist_core::policies::PolicyKind;
-use egoist_core::sim::{run, Metric, SimConfig};
+use egoist_core::sim::Metric;
 
 fn main() {
     print_expectation(
@@ -12,32 +14,15 @@ fn main() {
          are less accurate than pings",
     );
 
-    let ks = [2usize, 3, 4, 5, 6, 7, 8];
-    let policies = [
-        ("k-Random", PolicyKind::Random),
-        ("k-Regular", PolicyKind::Regular),
-        ("k-Closest", PolicyKind::Closest),
-    ];
-    let mut series: Vec<Series> = policies.iter().map(|(l, _)| Series::new(*l)).collect();
-
-    for &k in &ks {
-        let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-        for &seed in &seeds() {
-            let mut cfg =
-                SimConfig::baseline(k, PolicyKind::BestResponse, Metric::DelayVivaldi, seed);
-            cfg.epochs = epochs();
-            cfg.warmup_epochs = warmup();
-            let br_cost = run(cfg.clone()).mean_individual_cost(warmup());
-            for (idx, (_, p)) in policies.iter().enumerate() {
-                let mut pcfg = cfg.clone();
-                pcfg.policy = *p;
-                ratios[idx].push(run(pcfg).mean_individual_cost(warmup()) / br_cost);
-            }
-        }
-        for (idx, r) in ratios.iter().enumerate() {
-            series[idx].push_samples(k as f64, r);
-        }
-    }
+    let series = vs_best_response(
+        &[2usize, 3, 4, 5, 6, 7, 8],
+        &HEURISTICS,
+        |k, seed| {
+            let cfg = sim_config(k, PolicyKind::BestResponse, Metric::DelayVivaldi, seed);
+            (k as f64, cfg)
+        },
+        |result| result.mean_individual_cost(warmup()),
+    );
     print_figure(
         "Figure 1 (top-right): PlanetLab baseline, delay via pyxida/Vivaldi",
         "k",

@@ -1,10 +1,12 @@
 //! Figure 2 (left): node efficiency / BR efficiency vs k under
 //! trace-driven churn (n = 50).
 
-use egoist_bench::{epochs, print_expectation, print_figure, seeds, warmup, Series};
+use egoist_bench::{
+    planetlab_churn, print_expectation, print_figure, sim_config, vs_best_response, warmup,
+    HEURISTICS,
+};
 use egoist_core::policies::PolicyKind;
-use egoist_core::sim::{run, Metric, SimConfig};
-use egoist_netsim::ChurnModel;
+use egoist_core::sim::Metric;
 
 fn main() {
     print_expectation(
@@ -13,41 +15,21 @@ fn main() {
          than k-Random and k-Regular",
     );
 
-    let ks = [3usize, 4, 5, 6, 7, 8];
-    let policies = [
-        ("k-Random", PolicyKind::Random),
-        ("k-Regular", PolicyKind::Regular),
-        ("k-Closest", PolicyKind::Closest),
-        ("HybridBR", PolicyKind::HybridBestResponse { k2: 2 }),
-    ];
-    let mut series: Vec<Series> = policies.iter().map(|(l, _)| Series::new(*l)).collect();
-
-    for &k in &ks {
-        let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-        for &seed in &seeds() {
+    let mut policies = HEURISTICS.to_vec();
+    policies.push(("HybridBR", PolicyKind::HybridBestResponse { k2: 2 }));
+    let series = vs_best_response(
+        &[3usize, 4, 5, 6, 7, 8],
+        &policies,
+        |k, seed| {
+            let mut cfg = sim_config(k, PolicyKind::BestResponse, Metric::DelayPing, seed);
             // Trace-driven churn, rescaled so a 50-node overlay sees
             // steady join/leave activity within the horizon (the paper's
             // "typical PlanetLab churn" regime).
-            let mut model = ChurnModel::planetlab_like(50, seed);
-            model.timescale_divisor = 5.0;
-            let horizon = epochs() as f64 * 60.0;
-            let trace = model.generate(horizon);
-
-            let mut cfg = SimConfig::baseline(k, PolicyKind::BestResponse, Metric::DelayPing, seed);
-            cfg.epochs = epochs();
-            cfg.warmup_epochs = warmup();
-            cfg.churn = Some(trace);
-            let br_eff = run(cfg.clone()).mean_efficiency(warmup());
-            for (idx, (_, p)) in policies.iter().enumerate() {
-                let mut pcfg = cfg.clone();
-                pcfg.policy = *p;
-                ratios[idx].push(run(pcfg).mean_efficiency(warmup()) / br_eff);
-            }
-        }
-        for (idx, r) in ratios.iter().enumerate() {
-            series[idx].push_samples(k as f64, r);
-        }
-    }
+            cfg.churn = Some(planetlab_churn(5.0, seed));
+            (k as f64, cfg)
+        },
+        |result| result.mean_efficiency(warmup()),
+    );
     print_figure(
         "Figure 2 (left): trace-driven churn, n=50",
         "k",

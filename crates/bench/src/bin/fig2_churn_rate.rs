@@ -3,10 +3,12 @@
 //! with the paper's statistic (fraction of the population changing state
 //! per second).
 
-use egoist_bench::{epochs, print_expectation, print_figure, seeds, warmup, Series};
+use egoist_bench::{
+    planetlab_churn, print_expectation, print_figure, sim_config, vs_best_response, warmup,
+    HEURISTICS,
+};
 use egoist_core::policies::PolicyKind;
-use egoist_core::sim::{run, Metric, SimConfig};
-use egoist_netsim::ChurnModel;
+use egoist_core::sim::Metric;
 
 fn main() {
     print_expectation(
@@ -15,44 +17,21 @@ fn main() {
          with BR, and k-Random / k-Regular collapse",
     );
 
-    let k = 5usize;
-    // Timescale divisors spanning the paper's churn sweep.
-    let divisors = [1.0f64, 5.0, 20.0, 80.0, 350.0];
-    let policies = [
-        ("k-Random", PolicyKind::Random),
-        ("k-Regular", PolicyKind::Regular),
-        ("k-Closest", PolicyKind::Closest),
-        ("HybridBR", PolicyKind::HybridBestResponse { k2: 2 }),
-    ];
-    let mut series: Vec<Series> = policies.iter().map(|(l, _)| Series::new(*l)).collect();
-
-    for &div in &divisors {
-        let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-        let mut rates = Vec::new();
-        for &seed in &seeds() {
-            let mut model = ChurnModel::planetlab_like(50, seed);
-            model.timescale_divisor = div;
-            let horizon = epochs() as f64 * 60.0;
-            let trace = model.generate(horizon);
-            rates.push(trace.churn_rate());
-
-            let mut cfg = SimConfig::baseline(k, PolicyKind::BestResponse, Metric::DelayPing, seed);
-            cfg.epochs = epochs();
-            cfg.warmup_epochs = warmup();
+    let mut policies = HEURISTICS.to_vec();
+    policies.push(("HybridBR", PolicyKind::HybridBestResponse { k2: 2 }));
+    let series = vs_best_response(
+        // Timescale divisors spanning the paper's churn sweep.
+        &[1.0f64, 5.0, 20.0, 80.0, 350.0],
+        &policies,
+        |divisor, seed| {
+            let mut cfg = sim_config(5, PolicyKind::BestResponse, Metric::DelayPing, seed);
+            let trace = planetlab_churn(divisor, seed);
+            let rate = trace.churn_rate();
             cfg.churn = Some(trace);
-            let br_eff = run(cfg.clone()).mean_efficiency(warmup());
-            for (idx, (_, p)) in policies.iter().enumerate() {
-                let mut pcfg = cfg.clone();
-                pcfg.policy = *p;
-                let eff = run(pcfg).mean_efficiency(warmup());
-                ratios[idx].push(if br_eff > 0.0 { eff / br_eff } else { f64::NAN });
-            }
-        }
-        let rate = egoist_core::stats::mean(&rates).max(1e-7);
-        for (idx, r) in ratios.iter().enumerate() {
-            series[idx].push_samples(rate, r);
-        }
-    }
+            (rate, cfg)
+        },
+        |result| result.mean_efficiency(warmup()),
+    );
     print_figure(
         "Figure 2 (right): parametrized churn, n=50, k=5",
         "churn",

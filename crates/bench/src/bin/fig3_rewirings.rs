@@ -4,10 +4,9 @@
 //! * center — BR cost / full-mesh cost and mean re-wirings per epoch vs k;
 //! * right  — the same for BR(ε = 0.1).
 
-use egoist_bench::{epochs, print_expectation, print_figure, seeds, warmup, Series};
+use egoist_bench::{print_expectation, print_figure, seeds, sim_config, sweep, warmup, Series};
 use egoist_core::policies::PolicyKind;
-use egoist_core::sim::{full_mesh_reference, run, Metric, SimConfig};
-use egoist_core::stats;
+use egoist_core::sim::{full_mesh_reference, run, Metric};
 
 fn main() {
     print_expectation(
@@ -22,8 +21,7 @@ fn main() {
     let seed = seeds()[0];
     let mut ts_series: Vec<Series> = Vec::new();
     for &k in &ks {
-        let mut cfg = SimConfig::baseline(k, PolicyKind::BestResponse, Metric::DelayPing, seed);
-        cfg.epochs = epochs();
+        let mut cfg = sim_config(k, PolicyKind::BestResponse, Metric::DelayPing, seed);
         cfg.warmup_epochs = 0;
         let res = run(cfg);
         let mut s = Series::new(format!("k={k}"));
@@ -50,30 +48,16 @@ fn main() {
             PolicyKind::EpsilonBestResponse { epsilon: 0.10 },
         ),
     ] {
-        let ks = [2usize, 3, 4, 5, 6, 7, 8];
-        let mut cost_series = Series::new("cost / full-mesh cost");
-        let mut rw_series = Series::new("re-wirings per epoch");
-        for &k in &ks {
-            let mut cost_ratios = Vec::new();
-            let mut rewires = Vec::new();
-            for &seed in &seeds() {
-                let mut cfg = SimConfig::baseline(k, policy, Metric::DelayPing, seed);
-                cfg.epochs = epochs();
-                cfg.warmup_epochs = warmup();
+        let series = sweep(
+            &["cost / full-mesh cost", "re-wirings per epoch"],
+            &[2usize, 3, 4, 5, 6, 7, 8],
+            |k, seed| {
+                let cfg = sim_config(k, policy, Metric::DelayPing, seed);
                 let res = run(cfg.clone());
-                let mesh = full_mesh_reference(&cfg);
-                cost_ratios.push(res.mean_individual_cost(warmup()) / mesh);
-                rewires.push(res.mean_rewirings(warmup()));
-            }
-            cost_series.push_samples(k as f64, &cost_ratios);
-            rw_series.push_samples(k as f64, &rewires);
-        }
-        let _ = stats::mean(&[0.0]); // keep stats linked for doc parity
-        print_figure(
-            title,
-            "k",
-            "cost ratio | re-wirings/epoch",
-            &[cost_series, rw_series],
+                let cost_ratio = res.mean_individual_cost(warmup()) / full_mesh_reference(&cfg);
+                (k as f64, vec![cost_ratio, res.mean_rewirings(warmup())])
+            },
         );
+        print_figure(title, "k", "cost ratio | re-wirings/epoch", &series);
     }
 }

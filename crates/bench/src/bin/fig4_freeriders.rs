@@ -5,10 +5,10 @@
 //!   honest) for the free rider itself and for the honest majority;
 //! * right — k = 2, 0..16 free riders: the same two ratios.
 
-use egoist_bench::{epochs, print_expectation, print_figure, seeds, warmup, Series};
+use egoist_bench::{print_expectation, print_figure, sim_config, sweep, warmup};
 use egoist_core::cheat::CheatConfig;
 use egoist_core::policies::PolicyKind;
-use egoist_core::sim::{run, Metric, SimConfig};
+use egoist_core::sim::{run, Metric};
 use egoist_core::stats;
 
 /// Mean cost ratio (cheating run / honest run) for a set of nodes.
@@ -22,6 +22,21 @@ fn class_ratio(cheat: &[f64], honest: &[f64], members: impl Iterator<Item = usiz
     stats::mean(&ratios)
 }
 
+/// Run BR honestly and with `cheat` (its first `riders` nodes inflate
+/// their announcements): the riders' and the honest nodes' mean cost
+/// ratios. With nobody cheating the riders' ratio is 1 by definition.
+fn class_ratios(k: usize, seed: u64, cheat: CheatConfig, riders: usize) -> Vec<f64> {
+    let mut cfg = sim_config(k, PolicyKind::BestResponse, Metric::DelayPing, seed);
+    let honest = run(cfg.clone()).per_node_mean_cost(warmup());
+    cfg.cheat = cheat;
+    let cheating = run(cfg).per_node_mean_cost(warmup());
+    let riders_ratio = match riders {
+        0 => 1.0,
+        _ => class_ratio(&cheating, &honest, 0..riders),
+    };
+    vec![riders_ratio, class_ratio(&cheating, &honest, riders..50)]
+}
+
 fn main() {
     print_expectation(
         "both panels hug 1.0 (within ±10-20%): inflating announced costs \
@@ -30,60 +45,34 @@ fn main() {
     );
 
     // ---- Left: one free rider, k sweep. ----
-    let ks = [2usize, 3, 4, 5, 6, 7, 8];
-    let mut fr_series = Series::new("Free rider");
-    let mut honest_series = Series::new("Non free riders");
-    for &k in &ks {
-        let mut fr = Vec::new();
-        let mut hn = Vec::new();
-        for &seed in &seeds() {
-            let mut cfg = SimConfig::baseline(k, PolicyKind::BestResponse, Metric::DelayPing, seed);
-            cfg.epochs = epochs();
-            cfg.warmup_epochs = warmup();
-            let honest = run(cfg.clone()).per_node_mean_cost(warmup());
-            cfg.cheat = CheatConfig::single(egoist_graph::NodeId(0));
-            let cheat = run(cfg).per_node_mean_cost(warmup());
-            fr.push(class_ratio(&cheat, &honest, std::iter::once(0)));
-            hn.push(class_ratio(&cheat, &honest, 1..50));
-        }
-        fr_series.push_samples(k as f64, &fr);
-        honest_series.push_samples(k as f64, &hn);
-    }
+    let series = sweep(
+        &["Free rider", "Non free riders"],
+        &[2usize, 3, 4, 5, 6, 7, 8],
+        |k, seed| {
+            let cheat = CheatConfig::single(egoist_graph::NodeId(0));
+            (k as f64, class_ratios(k, seed, cheat, 1))
+        },
+    );
     print_figure(
         "Figure 4 (left): one free rider (2x inflation), n=50",
         "k",
         "individual cost / cost without free rider",
-        &[fr_series, honest_series],
+        &series,
     );
 
     // ---- Right: k=2, population sweep. ----
-    let counts = [0usize, 2, 4, 6, 8, 10, 12, 14, 16];
-    let mut fr_series = Series::new("Free riders");
-    let mut honest_series = Series::new("Non free riders");
-    for &count in &counts {
-        let mut fr = Vec::new();
-        let mut hn = Vec::new();
-        for &seed in &seeds() {
-            let mut cfg = SimConfig::baseline(2, PolicyKind::BestResponse, Metric::DelayPing, seed);
-            cfg.epochs = epochs();
-            cfg.warmup_epochs = warmup();
-            let honest = run(cfg.clone()).per_node_mean_cost(warmup());
-            cfg.cheat = CheatConfig::first_n(count, 2.0);
-            let cheat = run(cfg).per_node_mean_cost(warmup());
-            if count > 0 {
-                fr.push(class_ratio(&cheat, &honest, 0..count));
-            } else {
-                fr.push(1.0);
-            }
-            hn.push(class_ratio(&cheat, &honest, count..50));
-        }
-        fr_series.push_samples(count as f64, &fr);
-        honest_series.push_samples(count as f64, &hn);
-    }
+    let series = sweep(
+        &["Free riders", "Non free riders"],
+        &[0usize, 2, 4, 6, 8, 10, 12, 14, 16],
+        |count, seed| {
+            let cheat = CheatConfig::first_n(count, 2.0);
+            (count as f64, class_ratios(2, seed, cheat, count))
+        },
+    );
     print_figure(
         "Figure 4 (right): many free riders, n=50, k=2",
         "free riders",
         "individual cost / cost without free riders",
-        &[fr_series, honest_series],
+        &series,
     );
 }

@@ -4,7 +4,7 @@
 //!
 //! The schema file (`schemas/metrics.schema.json`) is a standard JSON
 //! Schema for external tooling; this binary enforces its load-bearing
-//! subset without a serde dependency: the schema tag, the three
+//! subset (`egoist_bench::report::METRICS`): the schema tag, the three
 //! top-level instrument maps, per-entry structural invariants, and the
 //! `x-required-instruments` lists — the names every full epoch-engine
 //! run must have registered. A missing name means a layer lost its
@@ -14,154 +14,10 @@
 //! Usage: metrics_check [METRICS.json] [SCHEMA.json]
 //! (defaults: metrics_ci.json, schemas/metrics.schema.json)
 
-const SCHEMA_TAG: &str = "\"schema\":\"egoist-obs/v1\"";
-
-/// Pull the JSON string array keyed `key` out of `doc` at or after
-/// `from` (whitespace-tolerant) — only used on our own checked-in
-/// schema file, where the layout is controlled.
-fn extract_list(doc: &str, key: &str, from: usize) -> Result<Vec<String>, String> {
-    let tag = format!("\"{key}\"");
-    let at = doc[from..]
-        .find(&tag)
-        .ok_or_else(|| format!("schema: no {key} list"))?
-        + from
-        + tag.len();
-    let open = doc[at..]
-        .find('[')
-        .ok_or_else(|| format!("schema: {key} is not a list"))?
-        + at
-        + 1;
-    let end = doc[open..]
-        .find(']')
-        .ok_or_else(|| format!("schema: unterminated {key} list"))?
-        + open;
-    Ok(doc[open..end]
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .map(str::to_string)
-        .collect())
-}
-
-fn check(metrics: &str, schema: &str) -> Result<usize, String> {
-    if !metrics.contains(SCHEMA_TAG) {
-        return Err(format!("metrics document lacks the {SCHEMA_TAG} tag"));
-    }
-    for section in ["\"counters\":{", "\"spans\":{", "\"histograms\":{"] {
-        if !metrics.contains(section) {
-            return Err(format!("metrics document lacks the {section}... object"));
-        }
-    }
-
-    // Structural sanity of the histogram entries: each carries exactly
-    // one of every required field, so the field counts must agree.
-    let counts: Vec<usize> = ["\"p50\":", "\"p90\":", "\"p99\":", "\"buckets\":"]
-        .iter()
-        .map(|f| metrics.matches(f).count())
-        .collect();
-    if counts.windows(2).any(|w| w[0] != w[1]) {
-        return Err(format!(
-            "histogram entries are structurally uneven (p50/p90/p99/buckets counts {counts:?})"
-        ));
-    }
-    // Same for spans.
-    let span_counts = metrics.matches("\"total_ns\":").count();
-    let count_fields = metrics.matches("\"count\":").count();
-    if count_fields != span_counts + counts[0] {
-        return Err(format!(
-            "expected one count field per span+histogram entry \
-             ({span_counts} spans + {} histograms, found {count_fields})",
-            counts[0]
-        ));
-    }
-
-    // The x-required-instruments lists: every name must appear as a key.
-    let marker = schema
-        .find("\"x-required-instruments\"")
-        .ok_or("schema: no x-required-instruments section")?;
-    let mut required = 0usize;
-    for section in ["counters", "spans", "histograms"] {
-        for name in extract_list(schema, section, marker)? {
-            if !metrics.contains(&format!("\"{name}\":")) {
-                return Err(format!(
-                    "required instrument {name} is missing from the export \
-                     (a layer lost its instrumentation?)"
-                ));
-            }
-            required += 1;
-        }
-    }
-    Ok(required)
-}
+use egoist_bench::report::METRICS;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_path = args
-        .first()
-        .map(String::as_str)
-        .unwrap_or("metrics_ci.json");
-    let schema_path = args
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("schemas/metrics.schema.json");
-    let metrics = std::fs::read_to_string(metrics_path)
-        .unwrap_or_else(|e| panic!("read {metrics_path}: {e}"));
-    let schema =
-        std::fs::read_to_string(schema_path).unwrap_or_else(|e| panic!("read {schema_path}: {e}"));
-    match check(&metrics, &schema) {
-        Ok(required) => {
-            println!("{metrics_path}: valid egoist-obs/v1 export, {required} required instruments present");
-        }
-        Err(e) => {
-            eprintln!("{metrics_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn demo_export() -> String {
-        egoist_obs::enable();
-        let r = egoist_obs::registry();
-        r.reset();
-        // Register every instrument the schema requires, touch a few.
-        let schema = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../schemas/metrics.schema.json"
-        ))
-        .unwrap();
-        let marker = schema.find("\"x-required-instruments\"").unwrap();
-        for name in extract_list(&schema, "counters", marker).unwrap() {
-            r.counter(&name).inc();
-        }
-        for name in extract_list(&schema, "spans", marker).unwrap() {
-            r.timer(&name).add_ns(10);
-        }
-        for name in extract_list(&schema, "histograms", marker).unwrap() {
-            r.histogram(&name).observe(1.5);
-        }
-        let doc = r.to_json();
-        egoist_obs::disable();
-        doc
-    }
-
-    #[test]
-    fn full_export_validates_and_mutations_fail() {
-        let schema = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../schemas/metrics.schema.json"
-        ))
-        .unwrap();
-        let doc = demo_export();
-        assert!(check(&doc, &schema).is_ok(), "{:?}", check(&doc, &schema));
-        // Dropping a required instrument must fail.
-        let broken = doc.replace("\"traffic.flow_latency_ms\":", "\"traffic.renamed\":");
-        assert!(check(&broken, &schema).is_err());
-        // A wrong schema tag must fail.
-        let wrong = doc.replace("egoist-obs/v1", "egoist-obs/v0");
-        assert!(check(&wrong, &schema).is_err());
-    }
+    let metrics_path = args.first().map_or("metrics_ci.json", String::as_str);
+    METRICS.check_file(metrics_path, args.get(1).map(String::as_str));
 }

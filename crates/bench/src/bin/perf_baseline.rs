@@ -56,15 +56,14 @@
 //!     GOLD must carry an identical fingerprint — the CI regression gate
 //!     against the committed BENCH_perf.json.
 
+use egoist_bench::report::{dump_obs, read, scenarios, Flags, PERF};
 use egoist_core::policies::PolicyKind;
 use egoist_core::sim::{EngineMode, Metric, SimConfig, SimResult, Simulator};
 use egoist_core::snapshot::RouteStats;
 use egoist_netsim::churn::ChurnModel;
+use egoist_obs::json::{array, num, parse, JsonObject, Layout::Compact, Value};
 use egoist_traffic::engine::{TrafficConfig, TrafficEngine};
-use egoist_traffic::json::{array, num, JsonObject};
 use std::time::Instant;
-
-const SCHEMA: &str = "egoist-perf-baseline/v2";
 
 /// Registry spans the per-phase breakdown is sourced from.
 const RESIDUAL_SPAN: &str = "core.epoch.turn.residual";
@@ -171,7 +170,7 @@ fn ratio(a: usize, b: usize) -> f64 {
 
 impl ScenarioResult {
     fn to_json(&self) -> String {
-        let mut obj = JsonObject::new()
+        let mut obj = JsonObject::new(Compact)
             .u64("n", self.n as u64)
             .u64("k", self.k as u64)
             .u64("epochs", self.epochs as u64);
@@ -385,167 +384,18 @@ fn measure(quick: bool) -> String {
             traffic_scenario(200, 8, 4),
         ]
     };
-    let mut body = JsonObject::new()
-        .str("schema", SCHEMA)
-        .str("mode", if quick { "quick" } else { "full" });
-    let mut obj = JsonObject::new();
-    for s in &scenarios {
-        obj = obj.raw(&s.name, s.to_json());
-    }
-    body = body.raw("scenarios", obj.finish());
-    let speedups: Vec<String> = scenarios
+    let entries = scenarios
         .iter()
-        .filter_map(|s| Some(num(s.oracle.as_ref()?.wall_ms / s.wall_ms)))
-        .collect();
-    body = body.raw("speedups", array(speedups));
-    body.finish()
-}
-
-/// Fields every scenario entry must carry; `--check` fails when any
-/// disappears (schema drift) or the schema tag changes. The per-phase
-/// fields are epoch-stepping-only and therefore not listed here.
-const REQUIRED_FIELDS: &[&str] = &[
-    "n",
-    "k",
-    "epochs",
-    "wall_ms",
-    "rewirings",
-    "fingerprint",
-    "prev_wall_ms",
-];
-
-/// What a comparison against the `Recompute` oracle adds to an entry.
-const ORACLE_FIELDS: &[&str] = &["baseline_wall_ms", "speedup", "outputs_identical"];
-
-/// The one scenario that runs without the oracle (unaffordable at its
-/// size) and may therefore omit [`ORACLE_FIELDS`].
-const EPOCH_ONLY: &str = "br_delay_n2000";
-
-/// One scenario entry pulled back out of a written document.
-struct ParsedScenario {
-    name: String,
-    n: u64,
-    k: u64,
-    epochs: u64,
-    fingerprint: String,
-    /// Snapshot builds of the Epoch arm (epoch-stepping entries only).
-    rebuilds: Option<u64>,
-    /// Candidates offered to / kept by the §5 shortlist, when reported.
-    shortlist: Option<(u64, u64)>,
-    /// Names among [`REQUIRED_FIELDS`] / [`ORACLE_FIELDS`] the entry lacks.
-    missing: Vec<&'static str>,
-}
-
-fn field_u64(body: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let at = body.find(&tag)? + tag.len();
-    let digits: String = body[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-fn field_str(body: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let at = body.find(&tag)? + tag.len();
-    let end = body[at..].find('"')?;
-    Some(body[at..at + end].to_string())
-}
-
-/// Pull the scenario entries out of a perf document. The document is
-/// our own writer's output: the `scenarios` object nests exactly one
-/// level of flat objects, so a brace scan is enough.
-fn parse_scenarios(doc: &str) -> Result<Vec<ParsedScenario>, String> {
-    let tag = "\"scenarios\":{";
-    let start = doc.find(tag).ok_or("no scenarios object")? + tag.len();
-    let mut rest = &doc[start..];
-    let mut out = Vec::new();
-    while rest.starts_with('"') {
-        let name_end = rest[1..].find('"').ok_or("unterminated scenario name")? + 1;
-        let name = rest[1..name_end].to_string();
-        let body_start = name_end + 2; // skip `":`
-        if !rest[body_start..].starts_with('{') {
-            return Err(format!("scenario {name}: expected object"));
-        }
-        let body_end = rest[body_start..]
-            .find('}')
-            .ok_or("unterminated scenario object")?
-            + body_start;
-        let body = &rest[body_start..=body_end];
-        out.push(ParsedScenario {
-            n: field_u64(body, "n").ok_or(format!("scenario {name}: no n"))?,
-            k: field_u64(body, "k").ok_or(format!("scenario {name}: no k"))?,
-            epochs: field_u64(body, "epochs").ok_or(format!("scenario {name}: no epochs"))?,
-            fingerprint: field_str(body, "fingerprint")
-                .ok_or(format!("scenario {name}: no fingerprint"))?,
-            rebuilds: field_u64(body, "rebuilds"),
-            shortlist: field_u64(body, "shortlist_offered").zip(field_u64(body, "shortlist_kept")),
-            missing: REQUIRED_FIELDS
-                .iter()
-                .chain(ORACLE_FIELDS.iter().filter(|_| name != EPOCH_ONLY))
-                .copied()
-                .filter(|field| !body.contains(&format!("\"{field}\":")))
-                .collect(),
-            name,
-        });
-        rest = &rest[body_end + 1..];
-        match rest.chars().next() {
-            Some(',') => rest = &rest[1..],
-            _ => break,
-        }
-    }
-    if out.is_empty() {
-        return Err("no scenario entries".into());
-    }
-    Ok(out)
-}
-
-fn check(path: &str) -> Result<(), String> {
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    if !doc.contains(&format!("\"schema\":{:?}", SCHEMA)) {
-        return Err(format!("schema tag is not {SCHEMA}"));
-    }
-    if !doc.contains("\"scenarios\":{") {
-        return Err("no scenarios object".into());
-    }
-    if doc.contains("\"outputs_identical\":false") {
-        return Err("an engine comparison diverged (outputs_identical=false)".into());
-    }
-    let default_m =
-        SimConfig::baseline(1, PolicyKind::BestResponse, Metric::DelayPing, 0).sample_size as u64;
-    for s in parse_scenarios(&doc)? {
-        if !s.missing.is_empty() {
-            return Err(format!("{}: no {}", s.name, s.missing.join(", ")));
-        }
-        // One snapshot build per underlay advance: re-wirings and churn are
-        // deltas. A count, so it holds on any runner.
-        if let Some(rebuilds) = s.rebuilds.filter(|&r| r > s.epochs + 1) {
-            return Err(format!(
-                "{}: {rebuilds} snapshot rebuilds in {} epochs — \
-                 something invalidates where it should patch",
-                s.name, s.epochs
-            ));
-        }
-        // The §5 shortlist cuts exactly where a turn is offered more than
-        // the default m candidates (br_delay_n200: 199) and is the
-        // identity below (br_delay_n50: 49), or the sampled turn was
-        // silently disabled — or leaked into the paper-scale runs.
-        if s.rebuilds.is_some() {
-            let (offered, kept) = s
-                .shortlist
-                .ok_or(format!("{}: no shortlist_offered / shortlist_kept", s.name))?;
-            let cuts = s.n - 1 > default_m;
-            if kept > offered || (kept < offered) != cuts {
-                return Err(format!(
-                    "{}: shortlist kept {kept} of {offered} candidates, expected {}",
-                    s.name,
-                    if cuts { "fewer" } else { "all" }
-                ));
-            }
-        }
-    }
-    Ok(())
+        .fold(JsonObject::new(Compact), |o, s| o.raw(&s.name, s.to_json()));
+    let speedups = scenarios
+        .iter()
+        .filter_map(|s| Some(num(s.oracle.as_ref()?.wall_ms / s.wall_ms)));
+    JsonObject::new(Compact)
+        .str("schema", PERF.tag)
+        .str("mode", if quick { "quick" } else { "full" })
+        .raw("scenarios", entries.finish())
+        .raw("speedups", array(Compact, speedups))
+        .document()
 }
 
 /// The regression gate: every scenario of `path` whose
@@ -553,22 +403,20 @@ fn check(path: &str) -> Result<(), String> {
 /// identical fingerprint — a drift means the engines' *outputs* changed,
 /// not just their timing.
 fn check_against(path: &str, golden: &str) -> Result<usize, String> {
-    let new_doc = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let gold_doc = std::fs::read_to_string(golden).map_err(|e| format!("read {golden}: {e}"))?;
-    let new = parse_scenarios(&new_doc)?;
-    let gold = parse_scenarios(&gold_doc)?;
+    let load = |p: &str| parse(&read(p)?).map_err(|e| format!("{p}: not JSON: {e}"));
+    let (new, gold) = (load(path)?, load(golden)?);
+    let gold = scenarios(&gold)?;
+    let shape = |s: &Value| ["n", "k", "epochs"].map(|key| s.get(key).cloned());
     let mut compared = 0;
-    for s in &new {
-        let Some(g) = gold
-            .iter()
-            .find(|g| g.name == s.name && g.n == s.n && g.k == s.k && g.epochs == s.epochs)
-        else {
+    for (name, s) in scenarios(&new)? {
+        let same = |(gold_name, g): &(&str, &Value)| *gold_name == name && shape(g) == shape(s);
+        let Some((_, g)) = gold.iter().find(|entry| same(entry)) else {
             continue;
         };
-        if g.fingerprint != s.fingerprint {
+        let (ours, theirs) = (s.get("fingerprint"), g.get("fingerprint"));
+        if ours != theirs {
             return Err(format!(
-                "{}: fingerprint drifted from {} ({} vs {})",
-                s.name, golden, s.fingerprint, g.fingerprint
+                "{name}: fingerprint drifted from {golden} ({ours:?} vs {theirs:?})"
             ));
         }
         compared += 1;
@@ -624,8 +472,11 @@ fn overhead_gate() -> Result<String, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--overhead-gate") {
+    let flags = Flags::parse(
+        &["--quick", "--trace", "--overhead-gate"],
+        &["--out", "--metrics-out", "--check", "--against"],
+    );
+    if flags.on("--overhead-gate") {
         match overhead_gate() {
             Ok(line) => println!("{line}"),
             Err(e) => {
@@ -635,29 +486,11 @@ fn main() {
         }
         return;
     }
-    if let Some(pos) = args.iter().position(|a| a == "--check") {
-        let path = args
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_perf.json");
-        match check(path) {
-            Ok(()) => {
-                println!("{path}: schema ok");
-            }
-            Err(e) => {
-                eprintln!("{path}: schema drift: {e}");
-                std::process::exit(1);
-            }
-        }
-        if let Some(gpos) = args.iter().position(|a| a == "--against") {
-            let golden = args
-                .get(gpos + 1)
-                .map(String::as_str)
-                .unwrap_or("BENCH_perf.json");
+    if let Some(path) = flags.value("--check") {
+        PERF.check_file(path, None);
+        if let Some(golden) = flags.value("--against") {
             match check_against(path, golden) {
-                Ok(compared) => {
-                    println!("{path}: {compared} fingerprint(s) match {golden}");
-                }
+                Ok(compared) => println!("{path}: {compared} fingerprint(s) match {golden}"),
                 Err(e) => {
                     eprintln!("{path}: regression gate failed: {e}");
                     std::process::exit(1);
@@ -666,37 +499,18 @@ fn main() {
         }
         return;
     }
-    if args.iter().any(|a| a == "--against") {
+    if flags.value("--against").is_some() {
         eprintln!("--against only applies with --check NEW --against GOLD; refusing to measure");
         std::process::exit(2);
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let trace = args.iter().any(|a| a == "--trace");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|p| args.get(p + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_perf.json".to_string());
-    let metrics_out = args
-        .iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|p| args.get(p + 1))
-        .cloned();
+    let trace = flags.on("--trace");
     egoist_obs::enable();
     if trace {
         egoist_obs::enable_trace();
     }
-    let doc = measure(quick);
-    std::fs::write(&out, format!("{doc}\n")).expect("write BENCH_perf.json");
-    println!("{doc}");
-    if let Some(mpath) = metrics_out {
-        let snapshot = egoist_obs::registry().to_json();
-        std::fs::write(&mpath, format!("{snapshot}\n")).expect("write metrics");
-        eprintln!("# metrics -> {mpath}");
-    }
-    if trace {
-        eprintln!("{}", egoist_obs::registry().events_to_json());
-    }
-    check(&out).expect("self-written document must validate");
+    let doc = measure(flags.on("--quick"));
+    let out = flags.value("--out").unwrap_or("BENCH_perf.json");
+    PERF.ship("perf_baseline", &doc, None, Some(out));
+    print!("{doc}");
+    dump_obs(flags.value("--metrics-out"), trace);
 }

@@ -32,79 +32,18 @@
 //!   --schema PATH  schema to validate against (default: schemas/traffic.schema.json)
 //!   --check PATH   validate an existing report file and exit (no run)
 
+use egoist_bench::report::{same_twice, TRAFFIC};
 use egoist_core::policies::PolicyKind;
 use egoist_core::sim::Metric;
 use egoist_traffic::demand::WorkloadKind;
 use egoist_traffic::engine::{sweep_offered, SweepPoint, TrafficConfig};
-use egoist_traffic::json::{array, JsonObject};
+use egoist_traffic::json::{array, JsonObject, Layout::Compact};
 use egoist_traffic::policy::DataPolicyKind;
-
-const SCHEMA_TAG: &str = "\"schema\":\"egoist-traffic/v1\"";
-
-/// Pull the JSON string array keyed `key` out of `doc` at or after
-/// `from` — only used on our own checked-in schema file.
-fn extract_list(doc: &str, key: &str, from: usize) -> Result<Vec<String>, String> {
-    let tag = format!("\"{key}\"");
-    let at = doc[from..]
-        .find(&tag)
-        .ok_or_else(|| format!("schema: no {key} list"))?
-        + from
-        + tag.len();
-    let open = doc[at..]
-        .find('[')
-        .ok_or_else(|| format!("schema: {key} is not a list"))?
-        + at
-        + 1;
-    let end = doc[open..]
-        .find(']')
-        .ok_or_else(|| format!("schema: unterminated {key} list"))?
-        + open;
-    Ok(doc[open..end]
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .map(str::to_string)
-        .collect())
-}
-
-/// Validate the load-bearing subset of `schemas/traffic.schema.json`:
-/// the schema tag, the scenarios array, one occurrence of every
-/// x-required-keys field per scenario, and all-passing verdicts.
-fn check(report: &str, schema: &str) -> Result<usize, String> {
-    if !report.contains(SCHEMA_TAG) {
-        return Err(format!("report lacks the {SCHEMA_TAG} tag"));
-    }
-    if !report.contains("\"scenarios\":[") {
-        return Err("report lacks the \"scenarios\" array".to_string());
-    }
-    let scenarios = report.matches("\"scenario\":\"").count();
-    if scenarios == 0 {
-        return Err("report has an empty scenarios array".to_string());
-    }
-    let marker = schema
-        .find("\"x-required-keys\"")
-        .ok_or("schema: no x-required-keys section")?;
-    let required = extract_list(schema, "x-required-keys", marker)?;
-    for key in &required {
-        let n = report.matches(&format!("\"{key}\":")).count();
-        if n != scenarios {
-            return Err(format!(
-                "expected one \"{key}\" per scenario ({scenarios} scenarios, found {n})"
-            ));
-        }
-    }
-    // The verdicts are the acceptance claims — a shipped report must
-    // not contain a failed one.
-    if report.contains("\"pass\":false") {
-        return Err("report contains a failed verdict".to_string());
-    }
-    Ok(required.len())
-}
 
 /// One measured point of a sweep.
 fn point_json(policy_label: &str, p: &SweepPoint) -> String {
     let s = &p.report.summary;
-    JsonObject::new()
+    JsonObject::new(Compact)
         .str("config", &p.report.config_label)
         .str("data_policy", policy_label)
         .f64("offered_mbps", p.offered_mbps)
@@ -118,7 +57,7 @@ fn point_json(policy_label: &str, p: &SweepPoint) -> String {
 }
 
 fn verdict_json(name: &str, lhs: f64, op: &str, rhs: f64, pass: bool) -> String {
-    JsonObject::new()
+    JsonObject::new(Compact)
         .str("name", name)
         .f64("lhs", lhs)
         .str("op", op)
@@ -128,13 +67,13 @@ fn verdict_json(name: &str, lhs: f64, op: &str, rhs: f64, pass: bool) -> String 
 }
 
 fn scenario_json(name: &str, cfg: &TrafficConfig, points: Vec<String>, verdict: String) -> String {
-    JsonObject::new()
+    JsonObject::new(Compact)
         .str("scenario", name)
         .u64("n", cfg.sim.n as u64)
         .u64("k", cfg.sim.k as u64)
         .u64("seed", cfg.sim.seed)
         .str("workload", cfg.workload.label())
-        .raw("points", array(points))
+        .raw("points", array(Compact, points))
         .raw("verdict", verdict)
         .finish()
 }
@@ -232,113 +171,33 @@ fn wiring_race(quick: bool) -> String {
     scenario_json("wiring_race", &ta, points, verdict)
 }
 
-/// Build one scenario twice and insist the serializations agree.
-fn run_deterministic(name: &str, f: impl Fn() -> String) -> String {
-    eprintln!("policy_race: scenario {name} ...");
-    let a = f();
-    let b = f();
-    assert_eq!(
-        a, b,
-        "scenario {name} produced two different same-seed reports"
-    );
-    a
-}
-
 fn build_report(quick: bool) -> String {
-    let scenarios = vec![
-        run_deterministic("uniform_knee", || uniform_knee(quick)),
-        run_deterministic("saturated_link", || saturated_link(quick)),
-        run_deterministic("wiring_race", || wiring_race(quick)),
+    let scenarios = [
+        same_twice("policy_race", "uniform_knee", || uniform_knee(quick)),
+        same_twice("policy_race", "saturated_link", || saturated_link(quick)),
+        same_twice("policy_race", "wiring_race", || wiring_race(quick)),
     ];
-    let doc = JsonObject::new()
-        .str("schema", "egoist-traffic/v1")
+    JsonObject::new(Compact)
+        .str("schema", TRAFFIC.tag)
         .bool("quick", quick)
-        .raw("scenarios", array(scenarios))
-        .finish();
-    format!("{doc}\n")
+        .raw("scenarios", array(Compact, scenarios))
+        .document()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut schema_path = "schemas/traffic.schema.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = Some(it.next().expect("--out needs a path")),
-            "--schema" => schema_path = it.next().expect("--schema needs a path"),
-            "--check" => check_path = Some(it.next().expect("--check needs a path")),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-
-    let schema =
-        std::fs::read_to_string(&schema_path).unwrap_or_else(|e| panic!("read {schema_path}: {e}"));
-
-    if let Some(path) = check_path {
-        let report = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        match check(&report, &schema) {
-            Ok(required) => {
-                println!(
-                    "{path}: valid egoist-traffic/v1 report, {required} required keys per scenario, all verdicts pass"
-                );
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let doc = build_report(quick);
-    // Never ship a document the checker would reject.
-    if let Err(e) = check(&doc, &schema) {
-        eprintln!("policy_race: generated report fails its own schema: {e}");
-        std::process::exit(1);
-    }
-    match out {
-        Some(path) => {
-            std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("policy_race: wrote {path} ({} bytes)", doc.len());
-        }
-        None => print!("{doc}"),
-    }
+    TRAFFIC.main("policy_race", build_report);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn schema() -> String {
-        std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../schemas/traffic.schema.json"
-        ))
-        .unwrap()
-    }
-
     #[test]
-    fn quick_report_validates_and_mutations_fail() {
-        let schema = schema();
+    fn quick_report_is_deterministic_and_passes_its_own_check() {
+        let schema = include_str!("../../../../schemas/traffic.schema.json");
         let doc = build_report(true);
-        assert!(check(&doc, &schema).is_ok(), "{:?}", check(&doc, &schema));
-        // Dropping a required key must fail.
-        let broken = doc.replacen("\"workload\":", "\"renamed\":", 1);
-        assert!(check(&broken, &schema).is_err());
-        // A wrong schema tag must fail.
-        let wrong = doc.replace("egoist-traffic/v1", "egoist-traffic/v0");
-        assert!(check(&wrong, &schema).is_err());
-        // A failed verdict must fail.
-        let failed = doc.replacen("\"pass\":true", "\"pass\":false", 1);
-        assert!(check(&failed, &schema).is_err());
-    }
-
-    #[test]
-    fn whole_report_is_deterministic() {
-        assert_eq!(build_report(true), build_report(true));
+        assert_eq!(doc, build_report(true));
+        let verdict = TRAFFIC.check(&doc, Some(schema));
+        assert!(verdict.is_ok(), "{verdict:?}");
     }
 }

@@ -21,12 +21,13 @@
 //! delay-aware) through `egoist_traffic::sweep_offered` — the same code
 //! path the `policy_race` scenarios run on.
 
+use egoist_bench::report::{dump_obs, Flags};
 use egoist_bench::{epochs, seeds, warmup};
 use egoist_core::policies::PolicyKind;
 use egoist_core::sim::Metric;
 use egoist_traffic::demand::WorkloadKind;
 use egoist_traffic::engine::{sweep_offered, TrafficConfig, TrafficEngine};
-use egoist_traffic::json::{array, JsonObject};
+use egoist_traffic::json::{array, JsonObject, Layout::Compact};
 use egoist_traffic::policy::DataPolicyKind;
 
 /// The `--sweep` mode: one wiring policy (BR), all three data policies,
@@ -43,7 +44,7 @@ fn run_sweep() {
         .iter()
         .map(|p| {
             let s = &p.report.summary;
-            JsonObject::new()
+            JsonObject::new(Compact)
                 .str("data_policy", p.data_policy.label())
                 .f64("offered_mbps", p.offered_mbps)
                 .f64("delivered_mbps", s.delivered_mbps)
@@ -55,7 +56,7 @@ fn run_sweep() {
                 .finish()
         })
         .collect();
-    let doc = JsonObject::new()
+    let doc = JsonObject::new(Compact)
         .str("experiment", "traffic_workloads_sweep")
         .str(
             "expectation",
@@ -67,8 +68,8 @@ fn run_sweep() {
         .u64("k", 4)
         .str("metric", "Load")
         .u64("seed", seed)
-        .raw("loads", array(loads.iter().map(|l| l.to_string())))
-        .raw("points", array(points))
+        .raw("loads", array(Compact, loads.iter().map(|l| l.to_string())))
+        .raw("points", array(Compact, points))
         .finish();
     println!("{doc}");
     eprintln!(
@@ -79,20 +80,16 @@ fn run_sweep() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_out = args
-        .iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|p| args.get(p + 1))
-        .cloned();
-    let trace = args.iter().any(|a| a == "--trace");
+    let flags = Flags::parse(&["--trace", "--sweep"], &["--metrics-out"]);
+    let metrics_out = flags.value("--metrics-out");
+    let trace = flags.on("--trace");
     if metrics_out.is_some() || trace {
         egoist_obs::enable();
     }
     if trace {
         egoist_obs::enable_trace();
     }
-    if args.iter().any(|a| a == "--sweep") {
+    if flags.on("--sweep") {
         run_sweep();
         return;
     }
@@ -121,11 +118,11 @@ fn main() {
                 cfg.flows_per_epoch = 48;
                 let report = TrafficEngine::run(&cfg);
                 per_seed.push(
-                    JsonObject::new()
+                    JsonObject::new(Compact)
                         .u64("seed", seed)
                         .raw(
                             "summary",
-                            JsonObject::new()
+                            JsonObject::new(Compact)
                                 .f64("delivered_mbps", report.summary.delivered_mbps)
                                 .f64("delivery_ratio", report.summary.delivery_ratio)
                                 .f64("p50_latency_ms", report.summary.p50_latency_ms)
@@ -139,16 +136,16 @@ fn main() {
                 );
             }
             runs.push(
-                JsonObject::new()
+                JsonObject::new(Compact)
                     .str("policy", &policy.label())
                     .str("workload", workload.label())
-                    .raw("seeds", array(per_seed))
+                    .raw("seeds", array(Compact, per_seed))
                     .finish(),
             );
         }
     }
 
-    let doc = JsonObject::new()
+    let doc = JsonObject::new(Compact)
         .str("experiment", "traffic_workloads")
         .str(
             "expectation",
@@ -161,8 +158,11 @@ fn main() {
         .str("metric", "Load")
         .bool("closed_loop", true)
         .f64("offered_mbps", 200.0)
-        .raw("seeds", array(seeds().iter().map(|s| s.to_string())))
-        .raw("runs", array(runs))
+        .raw(
+            "seeds",
+            array(Compact, seeds().iter().map(|s| s.to_string())),
+        )
+        .raw("runs", array(Compact, runs))
         .finish();
     println!("{doc}");
 
@@ -174,12 +174,5 @@ fn main() {
         seeds().len()
     );
 
-    if let Some(mpath) = metrics_out {
-        let snapshot = egoist_obs::registry().to_json();
-        std::fs::write(&mpath, format!("{snapshot}\n")).expect("write metrics");
-        eprintln!("# metrics -> {mpath}");
-    }
-    if trace {
-        eprintln!("{}", egoist_obs::registry().events_to_json());
-    }
+    dump_obs(metrics_out, trace);
 }

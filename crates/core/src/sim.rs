@@ -857,11 +857,6 @@ impl Simulator {
         self.announced_cow()
     }
 
-    /// Snapshot of the true edge-cost matrix for the active metric.
-    pub fn true_matrix(&self) -> DistanceMatrix {
-        self.true_cost_matrix()
-    }
-
     /// Work counters of the epoch route-state engine (all zero in
     /// [`EngineMode::Recompute`]).
     pub fn route_stats(&self) -> RouteStats {

@@ -16,13 +16,6 @@ impl Wiring {
         }
     }
 
-    /// Build from explicit per-node neighbor lists.
-    pub fn from_lists(neighbors: Vec<Vec<NodeId>>) -> Self {
-        let w = Wiring { neighbors };
-        w.debug_validate();
-        w
-    }
-
     fn debug_validate(&self) {
         #[cfg(debug_assertions)]
         for (i, list) in self.neighbors.iter().enumerate() {

@@ -86,29 +86,11 @@ impl DistanceMatrix {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Row `i` as a mutable slice (bulk writes in hot loops).
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [Cost] {
-        &mut self.data[i * self.n..(i + 1) * self.n]
-    }
-
     /// Swap the backing row-major storage with `other` (lengths must
     /// match) — zero-copy buffer rotation for hot loops.
     pub fn swap_raw(&mut self, other: &mut Vec<Cost>) {
         assert_eq!(other.len(), self.data.len(), "swap_raw length mismatch");
         std::mem::swap(&mut self.data, other);
-    }
-
-    /// Apply `f` to every off-diagonal entry in place.
-    pub fn map_in_place(&mut self, mut f: impl FnMut(usize, usize, Cost) -> Cost) {
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j {
-                    let c = self.data[i * self.n + j];
-                    self.data[i * self.n + j] = f(i, j, c);
-                }
-            }
-        }
     }
 
     /// Mean of all finite off-diagonal entries; `None` if there are none.

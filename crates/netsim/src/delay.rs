@@ -90,11 +90,6 @@ impl DelayModel {
         Self::from_spec(&PlanetLabSpec::paper_50(), &DelayConfig::default(), seed)
     }
 
-    /// Build the 295-site space for the sampling study (§5).
-    pub fn planetlab_295(seed: u64) -> Self {
-        Self::from_spec(&PlanetLabSpec::paper_295(), &DelayConfig::default(), seed)
-    }
-
     /// Build from an arbitrary roster and config.
     pub fn from_spec(spec: &PlanetLabSpec, cfg: &DelayConfig, seed: u64) -> Self {
         let n = spec.n();
@@ -147,24 +142,6 @@ impl DelayModel {
             base,
             jitter,
             cfg: cfg.clone(),
-            n,
-            now: 0.0,
-        }
-    }
-
-    /// Build directly from an explicit base matrix (e.g. imported trace).
-    pub fn from_matrix(base: DistanceMatrix, cfg: DelayConfig) -> Self {
-        let n = base.len();
-        let jitter = (0..n * n)
-            .map(|p| OuJitter {
-                x: 0.0,
-                sigma: base.at(p / n, p % n) * cfg.jitter_rel_sigma,
-            })
-            .collect();
-        DelayModel {
-            base,
-            jitter,
-            cfg,
             n,
             now: 0.0,
         }

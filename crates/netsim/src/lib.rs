@@ -21,8 +21,6 @@
 //!   EWMA sensor (the paper's 1-minute `loadavg` average).
 //! * [`churn`] — ON/OFF renewal processes, trace generation/replay and the
 //!   paper's churn-rate statistic (§4.4).
-//! * [`events`] — a tiny deterministic discrete-event queue used to stagger
-//!   re-wiring epochs (`T/n` average spacing, §4.2).
 //! * [`fault`] — message-level fault injection (drop, corrupt, rate-limit,
 //!   duplicate, reorder, delay jitter) plus the time-windowed
 //!   [`fault::FaultPlan`] schedule of partitions, churn storms and
@@ -35,7 +33,6 @@
 pub mod bandwidth;
 pub mod churn;
 pub mod delay;
-pub mod events;
 pub mod fault;
 pub mod load;
 pub mod planetlab;

@@ -7,123 +7,84 @@
 //! is what lets CI schema-check the document and tests diff the
 //! deterministic subset.
 //!
-//! The crate is zero-dependency, so this module carries its own tiny
-//! JSON string/number formatters (same conventions as the traffic
-//! report writer: shortest-roundtrip floats, non-finite → `null`).
+//! Both JSON documents are written through [`crate::json`], compact.
 
 use crate::histogram::{upper_edge, HistogramSnapshot};
+use crate::json::{array, num, JsonObject, Layout::Compact};
 use crate::recorder::FieldValue;
 use crate::registry::Registry;
 
 /// Schema tag stamped into every JSON export.
 pub const JSON_SCHEMA: &str = "egoist-obs/v1";
 
-/// Escape and quote a JSON string.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float as a JSON number; non-finite values become `null`.
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn hist_json(s: &HistogramSnapshot) -> String {
-    let buckets: Vec<String> = s
+    let buckets = s
         .buckets
         .iter()
-        .map(|&(idx, c)| format!("[{},{}]", jnum(upper_edge(idx)), c))
-        .collect();
-    format!(
-        "{{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
-        s.count,
-        jnum(s.sum()),
-        jnum(s.quantile(0.5)),
-        jnum(s.quantile(0.9)),
-        jnum(s.quantile(0.99)),
-        buckets.join(",")
-    )
+        .map(|&(idx, c)| array(Compact, [num(upper_edge(idx)), c.to_string()]));
+    JsonObject::new(Compact)
+        .u64("count", s.count)
+        .f64("sum", s.sum())
+        .f64("p50", s.quantile(0.5))
+        .f64("p90", s.quantile(0.9))
+        .f64("p99", s.quantile(0.99))
+        .raw("buckets", array(Compact, buckets))
+        .finish()
 }
 
 impl Registry {
     /// The full registry as one deterministic JSON document.
     pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
+        let section = || JsonObject::new(Compact);
+        let counters = self
             .counters_sorted()
-            .into_iter()
-            .map(|(k, v)| format!("{}:{}", jstr(&k), v))
-            .collect();
-        let spans: Vec<String> = self
+            .iter()
+            .fold(section(), |o, (k, v)| o.u64(k, *v));
+        let spans = self
             .spans_sorted()
-            .into_iter()
-            .map(|(k, c, ns)| format!("{}:{{\"count\":{c},\"total_ns\":{ns}}}", jstr(&k)))
-            .collect();
-        let hists: Vec<String> = self
+            .iter()
+            .fold(section(), |o, (k, count, ns)| {
+                let span = section().u64("count", *count).u64("total_ns", *ns);
+                o.raw(k, span.finish())
+            });
+        let hists = self
             .histograms_sorted()
-            .into_iter()
-            .map(|(k, s)| format!("{}:{}", jstr(&k), hist_json(&s)))
-            .collect();
-        format!(
-            "{{\"schema\":{},\"counters\":{{{}}},\"spans\":{{{}}},\"histograms\":{{{}}}}}",
-            jstr(JSON_SCHEMA),
-            counters.join(","),
-            spans.join(","),
-            hists.join(",")
-        )
+            .iter()
+            .fold(section(), |o, (k, s)| o.raw(k, hist_json(s)));
+        JsonObject::new(Compact)
+            .str("schema", JSON_SCHEMA)
+            .raw("counters", counters.finish())
+            .raw("spans", spans.finish())
+            .raw("histograms", hists.finish())
+            .finish()
     }
 
     /// The flight-recorder ring as a JSON document (oldest first).
     pub fn events_to_json(&self) -> String {
         let events = self.events();
         let dropped = self.events_recorded() - events.len() as u64;
-        let items: Vec<String> = events
-            .iter()
-            .map(|e| {
-                let fields: Vec<String> = e
-                    .fields
-                    .iter()
-                    .map(|(k, v)| {
-                        let val = match v {
-                            FieldValue::U64(x) => x.to_string(),
-                            FieldValue::I64(x) => x.to_string(),
-                            FieldValue::F64(x) => jnum(*x),
-                            FieldValue::Str(s) => jstr(s),
-                        };
-                        format!("{}:{}", jstr(k), val)
-                    })
-                    .collect();
-                format!(
-                    "{{\"seq\":{},\"t_ns\":{},\"name\":{},\"fields\":{{{}}}}}",
-                    e.seq,
-                    e.t_ns,
-                    jstr(e.name),
-                    fields.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\":\"egoist-obs-events/v1\",\"dropped\":{},\"events\":[{}]}}",
-            dropped,
-            items.join(",")
-        )
+        let items = events.iter().map(|e| {
+            let fields = e
+                .fields
+                .iter()
+                .fold(JsonObject::new(Compact), |o, (k, v)| match v {
+                    FieldValue::U64(x) => o.u64(k, *x),
+                    FieldValue::I64(x) => o.raw(k, x.to_string()),
+                    FieldValue::F64(x) => o.f64(k, *x),
+                    FieldValue::Str(s) => o.str(k, s),
+                });
+            JsonObject::new(Compact)
+                .u64("seq", e.seq)
+                .u64("t_ns", e.t_ns)
+                .str("name", e.name)
+                .raw("fields", fields.finish())
+                .finish()
+        });
+        JsonObject::new(Compact)
+            .str("schema", "egoist-obs-events/v1")
+            .u64("dropped", dropped)
+            .raw("events", array(Compact, items))
+            .finish()
     }
 
     /// Prometheus text exposition format (metric names are the dotted

@@ -36,6 +36,7 @@
 pub mod counter;
 pub mod export;
 pub mod histogram;
+pub mod json;
 pub mod recorder;
 pub mod registry;
 pub mod span;

@@ -34,6 +34,7 @@ use crate::transport::{FaultStats, SimNet, SimTransport};
 use egoist_core::policies::PolicyKind;
 use egoist_graph::{DistanceMatrix, NodeId};
 use egoist_netsim::{FaultConfig, FaultPlan};
+use egoist_obs::json::{array, num, JsonObject, Layout::Spaced};
 use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -387,128 +388,101 @@ pub struct RobustnessReport {
 
 impl RobustnessReport {
     /// Deterministic JSON: fixed field order, `{:?}` float formatting
-    /// (shortest round-trip), no map iteration anywhere.
+    /// (shortest round-trip), no map iteration anywhere. One top-level
+    /// field per line, nested values inline ([`Spaced`]).
     pub fn to_json(&self) -> String {
-        let num = |v: f64| {
-            if v.is_finite() {
-                format!("{v:?}")
-            } else {
-                "null".to_string()
-            }
-        };
-        let opt = |v: Option<f64>| v.map(&num).unwrap_or_else(|| "null".to_string());
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"egoist-robustness/v1\",\n");
-        s.push_str(&format!("  \"scenario\": \"{}\",\n", self.scenario));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"n\": {},\n", self.n));
-        s.push_str(&format!("  \"sybils\": {},\n", self.sybils));
-        s.push_str(&format!("  \"k\": {},\n", self.k));
-        s.push_str(&format!(
-            "  \"horizon_secs\": {},\n",
-            num(self.horizon_secs)
-        ));
-        s.push_str(&format!(
-            "  \"final_reachability\": {},\n",
-            num(self.final_reachability)
-        ));
-        s.push_str(&format!(
-            "  \"min_reachability\": {},\n",
-            num(self.min_reachability)
-        ));
-        let tl: Vec<String> = self
+        let obj = || JsonObject::new(Spaced);
+        let ints = |v: &[u64]| array(Spaced, v.iter().map(u64::to_string));
+        // The writer spells a non-finite float `null`, which is how an
+        // absent measurement is reported.
+        let opt = |v: Option<f64>| v.unwrap_or(f64::NAN);
+        let timeline = self
             .timeline
             .iter()
-            .map(|&(t, r)| format!("[{}, {}]", num(t), num(r)))
-            .collect();
-        s.push_str(&format!("  \"timeline\": [{}],\n", tl.join(", ")));
-        let ws: Vec<String> = self
-            .windows
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"kind\": \"{}\", \"from\": {}, \"to\": {}, \"reconverged_at\": {}, \"recovery_secs\": {}}}",
-                    w.kind,
-                    num(w.from),
-                    num(w.to),
-                    opt(w.reconverged_at),
-                    opt(w.recovery_secs)
-                )
-            })
-            .collect();
-        s.push_str(&format!("  \"windows\": [{}],\n", ws.join(", ")));
-        s.push_str(&format!(
-            "  \"fault\": {{\"passed\": {}, \"dropped\": {}, \"corrupted\": {}, \"rate_limited\": {}, \"cut\": {}, \"duplicated\": {}, \"reordered\": {}, \"jittered\": {}}},\n",
-            self.fault.passed,
-            self.fault.dropped,
-            self.fault.corrupted,
-            self.fault.rate_limited,
-            self.fault.cut,
-            self.fault.duplicated,
-            self.fault.reordered,
-            self.fault.jittered
-        ));
-        s.push_str(&format!(
-            "  \"peers\": {{\"join_retries\": {}, \"demotions\": {}, \"evictions\": {}, \"promotions\": {}, \"score_hist\": [{}, {}, {}, {}, {}], \"score_hist_edges\": [{}, {}, {}, {}]}},\n",
-            self.join_retries,
-            self.demotions,
-            self.evictions,
-            self.promotions,
-            self.score_hist[0],
-            self.score_hist[1],
-            self.score_hist[2],
-            self.score_hist[3],
-            self.score_hist[4],
-            self.score_hist_edges[0],
-            self.score_hist_edges[1],
-            self.score_hist_edges[2],
-            self.score_hist_edges[3]
-        ));
-        let fanout = self
-            .gossip_fanout
-            .map(|f| f.to_string())
-            .unwrap_or_else(|| "null".to_string());
-        s.push_str(&format!(
-            "  \"gossip\": {{\"fanout\": {}, \"ttl\": {}, \"announces\": {}, \"forwards\": {}, \"link_state_frames\": {}, \"full_flood_frames\": {}, \"flood_ratio\": {}}},\n",
-            fanout,
-            self.gossip_ttl,
-            self.announces,
-            self.gossip_forwards,
-            self.link_state_frames,
-            self.full_flood_frames,
-            opt(self.flood_ratio)
-        ));
-        s.push_str(&format!(
-            "  \"anti_entropy\": {{\"digests\": {}, \"pulls\": {}, \"pushed\": {}}},\n",
-            self.ae_digests, self.ae_pulls, self.ae_pushed
-        ));
-        s.push_str(&format!(
-            "  \"quarantine\": {{\"claims_corroborated\": {}, \"claims_contradicted\": {}, \"links_quarantined\": {}, \"lure_ban_frac\": {}, \"forged_links_in_routes\": {}}},\n",
-            self.claims_corroborated,
-            self.claims_contradicted,
-            self.links_quarantined,
-            opt(self.lure_ban_frac),
-            self.forged_links_in_routes
-        ));
-        match &self.adversary {
-            Some(a) => s.push_str(&format!(
-                "  \"adversary\": {{\"in_active_views\": {}, \"ban_pairs\": {}, \"sent\": {}, \"throttled\": {}, \"pongs\": {}}},\n",
-                self.attacker_in_active_views, self.attacker_ban_pairs, a.sent, a.throttled, a.pongs
-            )),
-            None => s.push_str("  \"adversary\": null,\n"),
-        }
-        let oh: Vec<String> = self
+            .map(|&(t, r)| array(Spaced, [num(t), num(r)]));
+        let windows = self.windows.iter().map(|w| {
+            obj()
+                .str("kind", &w.kind)
+                .f64("from", w.from)
+                .f64("to", w.to)
+                .f64("reconverged_at", opt(w.reconverged_at))
+                .f64("recovery_secs", opt(w.recovery_secs))
+                .finish()
+        });
+        let fault = obj()
+            .u64("passed", self.fault.passed)
+            .u64("dropped", self.fault.dropped)
+            .u64("corrupted", self.fault.corrupted)
+            .u64("rate_limited", self.fault.rate_limited)
+            .u64("cut", self.fault.cut)
+            .u64("duplicated", self.fault.duplicated)
+            .u64("reordered", self.fault.reordered)
+            .u64("jittered", self.fault.jittered);
+        let peers = obj()
+            .u64("join_retries", self.join_retries)
+            .u64("demotions", self.demotions)
+            .u64("evictions", self.evictions)
+            .u64("promotions", self.promotions)
+            .raw("score_hist", ints(&self.score_hist))
+            .raw("score_hist_edges", ints(&self.score_hist_edges));
+        let fanout = self.gossip_fanout.map(|f| f.to_string());
+        let gossip = obj()
+            .raw("fanout", fanout.as_deref().unwrap_or("null"))
+            .u64("ttl", self.gossip_ttl as u64)
+            .u64("announces", self.announces)
+            .u64("forwards", self.gossip_forwards)
+            .u64("link_state_frames", self.link_state_frames)
+            .u64("full_flood_frames", self.full_flood_frames)
+            .f64("flood_ratio", opt(self.flood_ratio));
+        let anti_entropy = obj()
+            .u64("digests", self.ae_digests)
+            .u64("pulls", self.ae_pulls)
+            .u64("pushed", self.ae_pushed);
+        let quarantine = obj()
+            .u64("claims_corroborated", self.claims_corroborated)
+            .u64("claims_contradicted", self.claims_contradicted)
+            .u64("links_quarantined", self.links_quarantined)
+            .f64("lure_ban_frac", opt(self.lure_ban_frac))
+            .u64("forged_links_in_routes", self.forged_links_in_routes);
+        let adversary = self.adversary.as_ref().map(|a| {
+            obj()
+                .u64("in_active_views", self.attacker_in_active_views)
+                .u64("ban_pairs", self.attacker_ban_pairs)
+                .u64("sent", a.sent)
+                .u64("throttled", a.throttled)
+                .u64("pongs", a.pongs)
+                .finish()
+        });
+        let overhead = self
             .overhead
             .iter()
-            .map(|(class, frames, bytes)| {
-                format!("\"{class}\": {{\"frames\": {frames}, \"bytes\": {bytes}}}")
-            })
-            .collect();
-        s.push_str(&format!("  \"overhead\": {{{}}},\n", oh.join(", ")));
-        s.push_str(&format!("  \"decode_errors\": {}\n", self.decode_errors));
-        s.push_str("}\n");
-        s
+            .fold(obj(), |o, (class, frames, bytes)| {
+                o.raw(
+                    class,
+                    obj().u64("frames", *frames).u64("bytes", *bytes).finish(),
+                )
+            });
+        obj()
+            .str("schema", "egoist-robustness/v1")
+            .str("scenario", &self.scenario)
+            .u64("seed", self.seed)
+            .u64("n", self.n as u64)
+            .u64("sybils", self.sybils as u64)
+            .u64("k", self.k as u64)
+            .f64("horizon_secs", self.horizon_secs)
+            .f64("final_reachability", self.final_reachability)
+            .f64("min_reachability", self.min_reachability)
+            .raw("timeline", array(Spaced, timeline))
+            .raw("windows", array(Spaced, windows))
+            .raw("fault", fault.finish())
+            .raw("peers", peers.finish())
+            .raw("gossip", gossip.finish())
+            .raw("anti_entropy", anti_entropy.finish())
+            .raw("quarantine", quarantine.finish())
+            .raw("adversary", adversary.as_deref().unwrap_or("null"))
+            .raw("overhead", overhead.finish())
+            .u64("decode_errors", self.decode_errors)
+            .document()
     }
 }
 
@@ -895,7 +869,9 @@ mod tests {
 
     #[test]
     fn clean_fleet_converges_and_reports() {
-        let mut cfg = FleetConfig::new("smoke", 6, 2, 7);
+        // The caller-supplied name must survive serialization verbatim.
+        let name = "a\"b\\c";
+        let mut cfg = FleetConfig::new(name, 6, 2, 7);
         cfg.horizon = Duration::from_secs(120);
         let report = run_fleet(&cfg);
         assert_eq!(report.schema, "egoist-robustness/v1");
@@ -912,6 +888,8 @@ mod tests {
         assert!(json.contains("\"anti_entropy\": {"));
         assert!(json.contains("\"quarantine\": {"));
         assert!(json.ends_with("}\n"));
+        let doc = egoist_obs::json::parse(&json).expect("report is valid JSON");
+        assert_eq!(doc.get("scenario").and_then(|v| v.as_str()), Some(name));
     }
 
     #[test]

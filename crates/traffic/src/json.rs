@@ -1,137 +1,5 @@
-//! A minimal JSON writer.
-//!
-//! The build environment has no crates.io access, so instead of serde
-//! this crate serializes its reports with a tiny hand-rolled writer.
-//! Output is deterministic: field order is insertion order and floats
-//! use Rust's shortest-roundtrip formatting, so the same report always
-//! produces the byte-identical document (the property the determinism
-//! test pins).
+//! The workspace's JSON writer, re-exported from `egoist_obs::json`
+//! (the whole-stack benchmark and older callers name it through this
+//! crate).
 
-/// Escape and quote a JSON string.
-pub fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float as a JSON number; non-finite values become `null`.
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON array from already-serialized items.
-pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&item);
-    }
-    out.push(']');
-    out
-}
-
-/// Insertion-ordered JSON object builder.
-#[derive(Default)]
-pub struct JsonObject {
-    parts: Vec<String>,
-}
-
-impl JsonObject {
-    pub fn new() -> Self {
-        JsonObject::default()
-    }
-
-    /// Add a field whose value is already serialized JSON.
-    pub fn raw(mut self, key: &str, value: impl Into<String>) -> Self {
-        self.parts.push(format!("{}:{}", string(key), value.into()));
-        self
-    }
-
-    pub fn str(self, key: &str, value: &str) -> Self {
-        let v = string(value);
-        self.raw(key, v)
-    }
-
-    pub fn f64(self, key: &str, value: f64) -> Self {
-        let v = num(value);
-        self.raw(key, v)
-    }
-
-    pub fn u64(self, key: &str, value: u64) -> Self {
-        self.raw(key, value.to_string())
-    }
-
-    pub fn bool(self, key: &str, value: bool) -> Self {
-        self.raw(key, if value { "true" } else { "false" })
-    }
-
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.parts.join(","))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn object_preserves_insertion_order() {
-        let j = JsonObject::new()
-            .str("name", "uniform")
-            .u64("epochs", 8)
-            .f64("ratio", 0.5)
-            .bool("closed_loop", true)
-            .finish();
-        assert_eq!(
-            j,
-            r#"{"name":"uniform","epochs":8,"ratio":0.5,"closed_loop":true}"#
-        );
-    }
-
-    #[test]
-    fn strings_escape_control_and_quotes() {
-        assert_eq!(string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
-        assert_eq!(num(2.5), "2.5");
-        assert_eq!(num(1.0), "1.0");
-    }
-
-    #[test]
-    fn arrays_join_items() {
-        assert_eq!(array([num(1.0), num(2.5)]), "[1.0,2.5]");
-        assert_eq!(array(Vec::<String>::new()), "[]");
-    }
-
-    #[test]
-    fn output_parses_as_json_ish() {
-        // Sanity: balanced braces and no trailing commas.
-        let j = JsonObject::new()
-            .raw("arr", array([JsonObject::new().u64("x", 1).finish()]))
-            .finish();
-        assert_eq!(j, r#"{"arr":[{"x":1}]}"#);
-    }
-}
+pub use egoist_obs::json::*;

@@ -5,7 +5,7 @@
 //! ratio, p50/p99 flow latency, mean path stretch. Exported as JSON so
 //! experiment binaries can emit machine-readable comparisons.
 
-use crate::json::{array, JsonObject};
+use crate::json::{array, JsonObject, Layout::Compact};
 use crate::router::RouteOutcome;
 use egoist_core::sim::EpochSample;
 use egoist_core::stats;
@@ -169,23 +169,26 @@ impl TrafficReport {
         // A non-default data policy adds its fields; the default emits
         // the exact legacy byte layout (perf fingerprints pin it).
         let extended = self.data_policy.is_some();
-        let epochs = array(self.epochs.iter().map(|e| {
-            let mut o = JsonObject::new()
-                .u64("epoch", e.epoch as u64)
-                .f64("offered_mbps", e.offered_mbps)
-                .f64("delivered_mbps", e.delivered_mbps)
-                .f64("delivery_ratio", e.delivery_ratio)
-                .f64("p50_latency_ms", e.p50_latency_ms)
-                .f64("p99_latency_ms", e.p99_latency_ms)
-                .f64("mean_stretch", e.mean_stretch)
-                .u64("rewirings", e.rewirings as u64)
-                .u64("alive", e.alive as u64);
-            if extended {
-                o = o.u64("route_changes", e.route_changes as u64);
-            }
-            o.finish()
-        }));
-        let mut summary = JsonObject::new()
+        let epochs = array(
+            Compact,
+            self.epochs.iter().map(|e| {
+                let mut o = JsonObject::new(Compact)
+                    .u64("epoch", e.epoch as u64)
+                    .f64("offered_mbps", e.offered_mbps)
+                    .f64("delivered_mbps", e.delivered_mbps)
+                    .f64("delivery_ratio", e.delivery_ratio)
+                    .f64("p50_latency_ms", e.p50_latency_ms)
+                    .f64("p99_latency_ms", e.p99_latency_ms)
+                    .f64("mean_stretch", e.mean_stretch)
+                    .u64("rewirings", e.rewirings as u64)
+                    .u64("alive", e.alive as u64);
+                if extended {
+                    o = o.u64("route_changes", e.route_changes as u64);
+                }
+                o.finish()
+            }),
+        );
+        let mut summary = JsonObject::new(Compact)
             .f64("offered_mbps", self.summary.offered_mbps)
             .f64("delivered_mbps", self.summary.delivered_mbps)
             .f64("delivery_ratio", self.summary.delivery_ratio)
@@ -197,7 +200,7 @@ impl TrafficReport {
         if extended {
             summary = summary.u64("route_changes", self.summary.route_changes as u64);
         }
-        let mut top = JsonObject::new()
+        let mut top = JsonObject::new(Compact)
             .str("config", &self.config_label)
             .str("workload", &self.workload);
         if let Some(dp) = &self.data_policy {
