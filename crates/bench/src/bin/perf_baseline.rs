@@ -16,8 +16,8 @@
 //!   understates what the previous commit actually cost — the true
 //!   pre-change binary measured ~28% slower than the oracle on the
 //!   n=200 scenario on the same host (see EXPERIMENTS.md);
-//! * `wall_ms` — [`EngineMode::Epoch`], shared snapshots + zero-copy
-//!   residual views.
+//! * `wall_ms` — [`EngineMode::Epoch`], one shared snapshot, named
+//!   residual rows, link deltas repaired in place.
 //!
 //! Both engines are run on identical seeds in the same process and their
 //! simulation outputs are fingerprinted; `outputs_identical` asserts the
@@ -29,13 +29,16 @@
 //! adds, per epoch-stepping scenario: `prev_wall_ms` (the prior PR's
 //! committed `wall_ms`), per-phase wall time (`residual_ms` /
 //! `solver_ms` / `absorb_ms`), the engine's copy-vs-sweep ratios and
-//! its `rebuilds` / `leaves` / `joins` counts from `RouteStats`, and the
+//! its `rebuilds` / `leaves` / `joins` counts from `RouteStats`, the
 //! §5 shortlist's `shortlist_offered` / `shortlist_kept` candidate
-//! counts. `--check` holds every such entry to `rebuilds ≤ epochs + 1` —
-//! one snapshot build per underlay advance, whatever churns — and to a
+//! counts, and `residual_named`, the residual rows the turns asked the
+//! engine for. `--check` holds every such entry to `rebuilds ≤ epochs +
+//! 1` — one snapshot build per underlay advance, whatever churns — to a
 //! shortlist that cuts exactly when n − 1 exceeds the default `m`
-//! (`br_delay_n200`) and is the identity otherwise (`br_delay_n50`):
-//! counts that are the same on every runner, unlike the milliseconds.
+//! (`br_delay_n200`) and is the identity otherwise (`br_delay_n50`), and
+//! to `residual_named == shortlist_kept` — a turn repairs the rows its
+//! solver reads, not every row: counts that are the same on every
+//! runner, unlike the milliseconds.
 //!
 //! Per-phase timings are no longer private plumbing: the engine reports
 //! into the `egoist-obs` registry (spans `core.epoch.turn.{residual,
@@ -83,16 +86,13 @@ fn span_ms(name: &str) -> f64 {
 /// reviewable in-diff rather than mutated by every regeneration.
 fn prev_wall_ms(name: &str) -> f64 {
     match name {
-        "br_delay_n50" => 22.386819,
-        "br_delay_n200" => 333.403651,
-        "br_delay_n800" => 6681.574804,
-        // New scenario: its anchor is this bench built against the
-        // parent commit (e112be1, every turn over all 1999 candidates),
-        // Epoch engine, one run.
-        "br_delay_n2000" => 127911.127449,
-        "bw_churn_n60" => 26.963897,
-        "bw_churn_n300" => 1307.221947,
-        "br_traffic_n200" => 347.17288,
+        "br_delay_n50" => 35.125467,
+        "br_delay_n200" => 238.382753,
+        "br_delay_n800" => 2612.633425,
+        "br_delay_n2000" => 29739.01338,
+        "bw_churn_n60" => 45.802532,
+        "bw_churn_n300" => 1291.359882,
+        "br_traffic_n200" => 295.871005,
         _ => 0.0,
     }
 }
@@ -139,6 +139,8 @@ struct PhaseBreakdown {
     /// Candidates the turns were offered / solved over (§5 shortlist).
     shortlist_offered: u64,
     shortlist_kept: u64,
+    /// Residual rows the turns named to the engine.
+    residual_named: u64,
 }
 
 /// The `Recompute` oracle's side of a scenario.
@@ -202,7 +204,8 @@ impl ScenarioResult {
                 .u64("leaves", ph.stats.leaves as u64)
                 .u64("joins", ph.stats.joins as u64)
                 .u64("shortlist_offered", ph.shortlist_offered)
-                .u64("shortlist_kept", ph.shortlist_kept);
+                .u64("shortlist_kept", ph.shortlist_kept)
+                .u64("residual_named", ph.residual_named);
         }
         obj.finish()
     }
@@ -279,13 +282,15 @@ fn time_sim(shape: Stepping, engine: EngineMode) -> (f64, SimResult, PhaseBreakd
         samples.push(sim.measure(epoch, rewirings));
     }
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+    let count = |name| egoist_obs::registry().counter_value(name);
     let phases = PhaseBreakdown {
         residual_ms: span_ms(RESIDUAL_SPAN),
         solver_ms: span_ms(SOLVER_SPAN),
         absorb_ms: span_ms(ABSORB_SPAN),
         stats: sim.route_stats(),
-        shortlist_offered: egoist_obs::registry().counter_value("core.shortlist.offered"),
-        shortlist_kept: egoist_obs::registry().counter_value("core.shortlist.kept"),
+        shortlist_offered: count("core.shortlist.offered"),
+        shortlist_kept: count("core.shortlist.kept"),
+        residual_named: count("core.route.residual_named"),
     };
     let result = SimResult {
         config_label: sim.config_label(),

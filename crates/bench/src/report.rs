@@ -326,8 +326,9 @@ const PERF_EPOCH_ONLY: &str = "br_delay_n2000";
 
 /// `perf_baseline`: counts that are the same on every runner, unlike
 /// the milliseconds — engines agree, one snapshot build per underlay
-/// advance, and a §5 shortlist that cuts exactly when it is offered
-/// more than the default `m` candidates.
+/// advance, a §5 shortlist that cuts exactly when it is offered more
+/// than the default `m` candidates, and turns that name to the route
+/// state exactly the rows the shortlist kept.
 pub const PERF: Report = Report {
     tag: "egoist-perf-baseline/v2",
     schema: None,
@@ -384,6 +385,14 @@ fn perf_rule(doc: &Value) -> Result<(), String> {
             return Err(format!(
                 "{name}: shortlist kept {kept} of {offered} candidates, expected {}",
                 if cuts { "fewer" } else { "all" }
+            ));
+        }
+        // A turn repairs the rows its solver reads; one that goes back
+        // to repairing every row fails here, on every runner.
+        if count("residual_named") != Some(kept) {
+            return Err(format!(
+                "{name}: residual_named is {:?} but the shortlists kept {kept}",
+                count("residual_named")
             ));
         }
     }
@@ -546,6 +555,17 @@ mod tests {
                 3,
                 swap(0, "\"shortlist_kept\":", "\"renamed\":"),
                 "no shortlist_offered",
+            ),
+            // The turns named every row again (n − 1 = 199 per turn).
+            (
+                3,
+                swap(0, "\"residual_named\":56000", "\"residual_named\":159200"),
+                "br_delay_n200: residual_named is Some(159200)",
+            ),
+            (
+                3,
+                swap(0, "\"residual_named\":", "\"renamed\":"),
+                "residual_named is None",
             ),
         ];
         for (i, (which, mutate, names)) in table.iter().enumerate() {

@@ -421,6 +421,8 @@ proptest! {
     /// may not commit, stale links to dead nodes stay listed): after
     /// every step the patched snapshot is the one a rebuild would
     /// produce and the next turn's residual is still the `G−j` oracle's.
+    /// Every turn here names every row; [`link_deltas_stay_exact_under_ties`]
+    /// names subsets.
     #[test]
     fn residual_view_matches_from_scratch_oracle(
         d in arb_matrix(14),
@@ -461,10 +463,11 @@ proptest! {
                 &w.to_graph(&d, &alive),
             );
 
+            let everyone: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
             let i = turn % n;
             let truth = oracle(NodeId::from_index(i), &w);
             {
-                let view = rs.residual(i);
+                let view = rs.residual(i, &everyone);
                 // Full candidate-row reads (every row, every entry).
                 for s in 0..n {
                     let row = view.row(s);
@@ -490,7 +493,6 @@ proptest! {
             // Commit a re-wiring of the turn node and read again through
             // a fresh view for a different node.
             let node = NodeId::from_index(i);
-            let old = w.of(node).to_vec();
             let mut links: Vec<NodeId> = (1..=2)
                 .map(|o| NodeId::from_index((i + o + twist as usize) % n))
                 .filter(|x| x.index() != i)
@@ -498,11 +500,11 @@ proptest! {
             links.sort_unstable();
             links.dedup();
             w.rewire(node, links);
-            rs.note_rewire(node, &old, &w, &alive);
+            rs.note_rewire(node, &w, &alive);
 
             let j = (i + 1 + twist as usize) % n;
             let truth2 = oracle(NodeId::from_index(j), &w);
-            let view2 = rs.residual(j);
+            let view2 = rs.residual(j, &everyone);
             for s in 0..n {
                 let row = view2.row(s);
                 for (t, x) in row.iter().enumerate() {
@@ -534,12 +536,11 @@ proptest! {
                         "leave"
                     }
                     draw => {
-                        // A turn: with its residual (the commit adopts
-                        // the pool) or, like a backbone repair, without.
+                        // A turn: with its residual or, like a backbone
+                        // repair, without.
                         if draw == 1 {
-                            rs.residual(x);
+                            rs.residual(x, &everyone);
                         }
-                        let old = w.of(node).to_vec();
                         let mut links: Vec<NodeId> = (0..rng.random_range(0..4usize))
                             .map(|_| NodeId::from_index(rng.random_range(0..n)))
                             .filter(|t| *t != node)
@@ -547,7 +548,7 @@ proptest! {
                         links.sort_unstable();
                         links.dedup();
                         if w.rewire(node, links) {
-                            rs.note_rewire(node, &old, &w, &alive);
+                            rs.note_rewire(node, &w, &alive);
                         }
                         "rewire"
                     }
@@ -561,7 +562,7 @@ proptest! {
                     SnapshotKind::Additive => apsp(&g),
                     SnapshotKind::Widest => all_pairs_widest(&g),
                 };
-                let view = rs.residual(j);
+                let view = rs.residual(j, &everyone);
                 for s in 0..n {
                     for (t, x) in view.row(s).iter().enumerate() {
                         prop_assert_eq!(
@@ -572,6 +573,123 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The in-place link delta on tie-heavy costs (integers 1..=4, so
+    /// both semirings keep meeting equal-valued parents): random
+    /// sequences of turns that name a subset of rows and may commit,
+    /// leaves, joins and re-wirings no residual preceded, with commits of
+    /// every shape — kept + dropped + added, dropped only, added only,
+    /// all replaced. After every delta the snapshot is the one a rebuild
+    /// would produce, and every named row of every view is the `G−i`
+    /// oracle's.
+    #[test]
+    fn link_deltas_stay_exact_under_ties(
+        n in 6usize..14,
+        costs in proptest::collection::vec(1u32..5, 13 * 13),
+        seed in 0u64..1_000_000,
+    ) {
+        use crate::cost::disconnection_penalty;
+        use crate::policies::bandwidth::all_pairs_widest;
+        use crate::snapshot::{RouteState, SnapshotKind};
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+
+        let d = DistanceMatrix::from_fn(n, |i, j| costs[i * 13 + j] as f64);
+        let ids: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+        for kind in [SnapshotKind::Additive, SnapshotKind::Widest] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Up to `upto` distinct members of `from`, in random order.
+            let draw = |from: &[NodeId], upto: usize, rng: &mut StdRng| -> Vec<NodeId> {
+                let mut picked = from.to_vec();
+                picked.shuffle(rng);
+                picked.truncate(rng.random_range(0..=upto));
+                picked
+            };
+            let mut w = Wiring::empty(n);
+            for &i in &ids {
+                let others: Vec<NodeId> = ids.iter().copied().filter(|&t| t != i).collect();
+                let mut links = draw(&others, 3, &mut rng);
+                links.push(others[0]);
+                w.rewire(i, links);
+            }
+            let mut alive = vec![true; n];
+            let mut rs = RouteState::new();
+            rs.rebuild(
+                kind,
+                d.clone(),
+                disconnection_penalty(&d),
+                alive.clone(),
+                &w.to_graph(&d, &alive),
+            );
+            for step in 0..24 {
+                let x = rng.random_range(0..n);
+                let node = ids[x];
+                let op = rng.random_range(0..6u32);
+                let what = if !alive[x] {
+                    alive[x] = true;
+                    rs.note_join(node, &w, &alive);
+                    "join"
+                } else if op == 0 {
+                    alive[x] = false;
+                    w.clear(node);
+                    rs.note_leave(node);
+                    "leave"
+                } else {
+                    let old = w.of(node).to_vec();
+                    let spare: Vec<NodeId> = ids
+                        .iter()
+                        .copied()
+                        .filter(|t| *t != node && !old.contains(t))
+                        .collect();
+                    if op >= 3 {
+                        // A turn: the node's links and a random subset of
+                        // the others are named, read and checked.
+                        let mut named = old.clone();
+                        named.extend(draw(&spare, n, &mut rng));
+                        let g = w.residual_graph(node, &d, &alive);
+                        let truth = match kind {
+                            SnapshotKind::Additive => apsp(&g),
+                            SnapshotKind::Widest => all_pairs_widest(&g),
+                        };
+                        let view = rs.residual(x, &named);
+                        for s in named.iter().map(|s| s.index()).chain([x]) {
+                            for (t, got) in view.row(s).iter().enumerate() {
+                                prop_assert_eq!(
+                                    got.to_bits(),
+                                    truth.at(s, t).to_bits(),
+                                    "{:?} step {}: residual({}) at ({},{})", kind, step, x, s, t
+                                );
+                            }
+                        }
+                    }
+                    if op == 5 {
+                        "turn kept its wiring"
+                    } else {
+                        let (some_old, some_new) = (draw(&old, 2, &mut rng), draw(&spare, 2, &mut rng));
+                        let (links, shape) = match rng.random_range(0..4u32) {
+                            0 => ([some_old, some_new].concat(), "kept + dropped + added"),
+                            1 => (some_old, "dropped only"),
+                            2 => ([old, some_new].concat(), "added only"),
+                            _ => (some_new, "all replaced"),
+                        };
+                        if w.rewire(node, links) {
+                            rs.note_rewire(node, &w, &alive);
+                        }
+                        shape
+                    }
+                };
+                if let Err(why) = rs.check_against_rebuild(&w, &alive) {
+                    prop_assert!(false, "{kind:?} step {step}, {what} of {x}: {why}");
+                }
+            }
+            prop_assert_eq!(rs.stats.rewire_swept, 0);
+            prop_assert_eq!(rs.stats.rebuilds, 1);
         }
     }
 }

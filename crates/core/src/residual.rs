@@ -19,27 +19,25 @@
 //!   did not name is one masked Dijkstra the first time it is read, kept
 //!   for the rest of the job. A row nobody names or reads is never
 //!   computed.
-//! * **Copy-on-write** — the epoch engine's form: rows whose
-//!   shortest-path tree avoids the turn node borrow the epoch snapshot's
-//!   APSP rows directly (removal of `i`'s out-links cannot change them,
-//!   so the borrow is bit-exact); only *affected* rows are repaired into
-//!   a small side pool of arena buffers, and the turn node's own row is
-//!   the fixed "no out-links" pattern. A per-source slot table dispatches
-//!   each row read to the right backing in O(1).
+//! * **Copy-on-write** — the epoch engine's form, over the rows the turn
+//!   *named* (the sources its policy will read): a named row whose
+//!   best-path tree avoids the turn node's out-links borrows the epoch
+//!   snapshot's all-pairs row directly; a named row that uses them is a
+//!   repaired copy in a small side pool; the turn node's own row is the
+//!   fixed "no out-links" pattern. A per-source slot table dispatches
+//!   each row read to the right backing in O(1) — and traps a read of a
+//!   row nobody named, which would otherwise hand out a snapshot row
+//!   that still routes through the turn node.
 //!
-//! Exactness of the copy-on-write form: a source's tree that routes
-//! around `i` survives the removal of `i`'s out-edges, and removal can
-//! only lengthen paths, so every such row's minima are unchanged — and
-//! equal path minima are equal `f64`s, hence borrowing is bit-identical
-//! to recomputation. The affected rows are produced by the same removal
-//! repair the dense path used, on the same inputs. The view as a whole
-//! is therefore indistinguishable, bit for bit, from
-//! `apsp(residual_graph(i))` — pinned by the proptests in this crate and
-//! the golden equivalence suite. The on-demand form gets the same
-//! guarantee from the mask of [`sweep_many`] and
-//! [`DijkstraWorkspace::sssp_into`]: skipping the turn node's out-edges
-//! is the sweep over `G−i`, row by row, and the batched pass ends at the
-//! same least fixed point as the heap sweep.
+//! Exactness of the copy-on-write form is argued once, in
+//! [`crate::snapshot`]'s module docs (borrowing and the removal
+//! repair). The named rows of the view are therefore indistinguishable,
+//! bit for bit, from the same rows of `apsp(residual_graph(i))` — pinned
+//! by the proptests in this crate and the golden equivalence suite. The
+//! on-demand form gets the same guarantee from the mask of
+//! [`sweep_many`] and [`DijkstraWorkspace::sssp_into`]: skipping the
+//! turn node's out-edges is the sweep over `G−i`, row by row, and the
+//! batched pass ends at the same least fixed point as the heap sweep.
 
 use egoist_graph::csr::{sweep_many, MinPlus};
 use egoist_graph::{CsrGraph, DijkstraWorkspace, DistanceMatrix, NodeId};
@@ -48,6 +46,11 @@ use std::cell::{Cell, OnceCell, RefCell};
 /// Sentinel in a slot table: the row has no packed copy — copy-on-write
 /// reads it from the snapshot, on demand sweeps it on first read.
 pub const NO_SLOT: u32 = u32::MAX;
+
+/// Sentinel in a copy-on-write slot table: the row was not named for
+/// this turn, so nobody checked it against the turn node's out-links.
+/// Reading it panics.
+pub const UNNAMED: u32 = u32::MAX - 1;
 
 /// The copy-on-write backing, borrowed from the route-state engine.
 #[derive(Clone, Copy)]
@@ -59,7 +62,7 @@ pub struct CowResidual<'a> {
     /// The snapshot's packed all-pairs rows (`n × n`, row-major).
     pub snap: &'a [f64],
     /// Per-source dispatch: [`NO_SLOT`] borrows the snapshot row,
-    /// anything else indexes a pool row.
+    /// [`UNNAMED`] traps, anything else indexes a pool row.
     pub slot: &'a [u32],
     /// Repaired rows, packed by slot (`slots × n`, row-major).
     pub pool: &'a [f64],
@@ -234,6 +237,7 @@ impl<'a> ResidualView<'a> {
                 } else {
                     match p.slot[s] {
                         NO_SLOT => &p.snap[s * p.n..(s + 1) * p.n],
+                        UNNAMED => panic!("residual row {s} was not named for node {}", p.node),
                         slot => &p.pool[slot as usize * p.n..(slot as usize + 1) * p.n],
                     }
                 }

@@ -455,10 +455,8 @@ impl Simulator {
                     links.push(w);
                 }
             }
-            let old = self.wiring.of(i).to_vec();
             if self.wiring.rewire(i, links) {
-                self.route_state
-                    .note_rewire(i, &old, &self.wiring, &self.alive);
+                self.route_state.note_rewire(i, &self.wiring, &self.alive);
             }
         }
     }
@@ -540,7 +538,8 @@ impl Simulator {
             };
             (ResidualView::dense(&recomputed), penalty)
         } else {
-            // Epoch engine: shared snapshot + zero-copy residual view.
+            // Epoch engine: shared snapshot + a view of the candidates'
+            // residual rows, the only ones a policy reads.
             let penalty = match self.route_state.snapshot() {
                 Some(snap) => snap.penalty,
                 None => {
@@ -557,7 +556,7 @@ impl Simulator {
                     penalty
                 }
             };
-            (self.route_state.residual(i.index()), penalty)
+            (self.route_state.residual(i.index(), &candidates), penalty)
         };
         let ctx = WiringContext {
             node: i,
@@ -575,8 +574,7 @@ impl Simulator {
         drop(span);
         let changed = self.wiring.rewire(i, new);
         if changed {
-            self.route_state
-                .note_rewire(i, &current, &self.wiring, &self.alive);
+            self.route_state.note_rewire(i, &self.wiring, &self.alive);
         }
         changed
     }

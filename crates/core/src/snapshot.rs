@@ -1,5 +1,5 @@
-//! The epoch route-state engine: shared snapshots and incremental
-//! residual repair.
+//! The epoch route-state engine: one shared snapshot, named residual
+//! rows in a side pool, edge deltas repaired in place.
 //!
 //! §3.1's newcomer procedure — "run an all-pairs shortest path algorithm
 //! on `G−i`" — is what made best-response dynamics quadratic-in-`n` per
@@ -11,45 +11,58 @@
 //!
 //! * [`EpochSnapshot`] — announced matrix, disconnection penalty, alive
 //!   set, the full-wiring CSR graph and its all-pairs result (with
-//!   shortest-path-tree parents), built once and invalidated only when
+//!   best-path-tree parents), built once and invalidated only when
 //!   announced costs change on `O(n²)` pairs: the underlay advances, or
 //!   an external actor (traffic feedback) mutates the underlay models.
 //!   Everything that changes *edges* — a re-wiring, a leave, a join — is
 //!   a delta the snapshot absorbs in place.
-//! * **Residual views, not residual matrices** — the turn node `i`'s
-//!   `G−i` distances are served through a zero-copy
-//!   [`crate::residual::ResidualView`]: a source `s` is repaired into a
-//!   small side pool only when its shortest-path tree actually routes
-//!   through one of `i`'s out-edges; every other row is *borrowed* from
-//!   the snapshot in place. Borrowing is exact: a tree that avoids `i`'s
-//!   out-links survives their removal, and removal can only lengthen
-//!   paths, so the minimum is unchanged — bit-for-bit, since equal path
-//!   minima are equal `f64`s. Per-turn cost is `O(affected · sweep)`
-//!   instead of the former dense `O(n²)` materialization.
-//! * **Rewiring repair** — when node `i` commits a new wiring, the
-//!   snapshot absorbs it *in place*: the pool rows this very turn
-//!   repaired (the post-removal state of every affected source) are
-//!   written back over their snapshot rows, unaffected rows already
-//!   *are* post-removal (that is the borrow argument above), and then
-//!   the *added* edges propagate through an insertion repair seeded at
-//!   the new edge heads. `d(s, i)` itself never changes across `i`'s
-//!   re-wiring (a simple path to `i` uses none of `i`'s out-edges),
-//!   which is what makes the seeds valid. The snapshot's CSR is patched
-//!   on node `i`'s out-edge slice only ([`CsrGraph::rewrite_out_edges`]).
+//! * **A turn repairs the rows it reads** ([`RouteState::residual`]) —
+//!   the caller names the sources whose `G−i` rows its policy will read
+//!   (the simulator names the §5 shortlist). A named source whose tree
+//!   uses none of `i`'s out-links is *borrowed* from the snapshot in
+//!   place; one that does is copied into a small side pool and repaired
+//!   on the subtrees under those links only. Nothing else is touched,
+//!   nothing is written back, and reading a row nobody named panics.
+//!   "Does `s` route through `i`" is `parent_s[w] == i` for the ≤ `k`
+//!   heads `w` of `i`'s out-links, and the subtree under them is walked
+//!   over CSR out-edges ([`subtree_under`]): a tree child of `v` is an
+//!   out-neighbour of `v`.
+//! * **A commit repairs the links it changed** ([`RouteState::note_rewire`])
+//!   — on the snapshot's own rows, in two exact steps. *Dropped* links
+//!   first: every source whose tree uses one gets a removal repair on
+//!   the subtrees under those heads only, regrown as if the dropped
+//!   links were gone and the kept ones still there — a subtree hanging
+//!   under a kept link is never torn down. Then the *added* links: `i`'s
+//!   CSR slice becomes the new wiring and every row takes one insertion
+//!   repair seeded at the added heads with `d(s, i) ⊗ c(i, w)`. There is
+//!   one path whether or not a residual preceded the commit; the pool is
+//!   never adopted.
 //! * **Membership deltas** — announced costs and the penalty do not
 //!   depend on who is alive, so churn is two more edge deltas built from
 //!   the same primitives. A *leave* of `x` ([`RouteState::note_leave`])
-//!   is the turn residual `G−x` made permanent; once `x` has no
-//!   out-edges it is a leaf of every shortest-path tree, so dropping its
-//!   in-edges changes nothing but column `x`. A *join*
+//!   is the same removal with every out-link of `x` dropped; with no
+//!   out-edges `x` is a leaf of every tree, so dropping its in-edges
+//!   changes nothing but column `x`. A *join*
 //!   ([`RouteState::note_join`]) re-inserts the stale in-links `w → x`
 //!   that survived the down period in the other nodes' wirings: one
 //!   insertion repair per row, seeded at `x`. The joiner's own out-links
 //!   arrive through the ordinary re-wiring repair at its first turn.
-//!   Distances stay bit-identical to a rebuild (path minima do not
-//!   depend on the order edges were offered in); parents may differ from
-//!   a rebuild's among equal-valued paths, which the borrow argument
-//!   above allows — any valid tree will do.
+//!
+//! Why this is exact, once. *Borrowing:* a tree that avoids the removed
+//! edges survives their removal, and removal can only worsen paths, so
+//! the row's optima are unchanged — bit for bit, since equal path optima
+//! are equal `f64`s. *Removal:* the vertices whose tree path uses a
+//! removed edge are exactly the subtrees under the removed tree edges'
+//! heads; everything else keeps its value by the borrow argument, and
+//! the repair re-derives the subtrees from their frontier in-edges on
+//! the reduced graph, which is what a sweep of that graph computes.
+//! *Insertion:* a simple path to `i` uses none of `i`'s out-edges, so
+//! `d(s, i)` is invariant under every delta to them and seeds the added
+//! links exactly on top of the kept-only state. Distances therefore
+//! stay bit-identical to a rebuild (path optima do not depend on the
+//! order edges were offered in); parents may differ from a rebuild's
+//! among equal-valued paths, which every argument above allows — any
+//! valid tree will do.
 //!
 //! Delay / load and bandwidth snapshots differ only in their
 //! [`PathAlgebra`]: each public [`RouteState`] method resolves the
@@ -62,11 +75,9 @@
 //! results are byte-deterministic under any scheduling (and run inline
 //! when one core is all there is).
 
-use crate::residual::{CowResidual, ResidualView, NO_SLOT};
+use crate::residual::{CowResidual, ResidualView, NO_SLOT, UNNAMED};
 use crate::wiring::Wiring;
-use egoist_graph::csr::{
-    all_pairs, tree_descendants, MaxMin, MinPlus, PathAlgebra, Sweep, NO_PARENT,
-};
+use egoist_graph::csr::{all_pairs, subtree_under, MaxMin, MinPlus, PathAlgebra, NO_PARENT};
 use egoist_graph::{CsrApsp, CsrGraph, DiGraph, DijkstraWorkspace, DistanceMatrix, NodeId};
 
 /// Which path semiring the snapshot's all-pairs state uses.
@@ -91,8 +102,8 @@ pub struct EpochSnapshot {
     pub csr: CsrGraph,
     /// `csr` reversed — in-edge access for the removal repairs.
     pub rev: CsrGraph,
-    /// All-pairs distances/widths and shortest-path-tree parents over
-    /// `csr`, kept exact across incremental re-wiring repairs.
+    /// All-pairs distances/widths and best-path-tree parents over
+    /// `csr`, kept exact across the in-place deltas.
     pub apsp: CsrApsp,
 }
 
@@ -114,14 +125,15 @@ pub struct RouteStats {
     /// Full snapshot rebuilds (see [`RebuildCause`]). Re-wirings and
     /// membership churn are absorbed as deltas and do not count.
     pub rebuilds: usize,
-    /// Residual rows repaired into the pool because the source routed
-    /// through the turn node.
+    /// Named residual rows repaired into the pool because the source's
+    /// tree used one of the turn node's out-links.
     pub residual_swept: usize,
-    /// Residual rows borrowed zero-copy from the snapshot.
+    /// Named residual rows served zero-copy from the snapshot: named
+    /// minus swept. Rows nobody named are neither.
     pub residual_borrowed: usize,
-    /// Post-rewiring rows re-swept in full (a tree edge was removed).
+    /// Always 0: a commit repairs rows in place and never re-sweeps one.
     pub rewire_swept: usize,
-    /// Post-rewiring rows absorbed by insertion repair.
+    /// Rows a committed re-wiring inserted its added links into.
     pub rewire_repaired: usize,
     /// Departures absorbed by [`RouteState::note_leave`].
     pub leaves: usize,
@@ -131,21 +143,24 @@ pub struct RouteStats {
 
 /// Obs handles for the engine, resolved once per [`RouteState`].
 /// Wall time goes to the `core.epoch.turn.{residual,absorb}` spans;
-/// the work counters mirror [`RouteStats`] into the global registry
-/// (batched — one atomic add per `residual`/`note_rewire` call).
-/// Membership deltas are timed by the simulator's `core.epoch.churn`
-/// span and counted in `leaves`/`joins` only: the residual counters
-/// keep meaning "turn residuals".
+/// the work counters mirror [`RouteStats`] into the global registry and
+/// size the deltas (batched — one atomic add per `residual` /
+/// `note_rewire` call). Membership deltas are timed by the simulator's
+/// `core.epoch.churn` span and counted in `leaves`/`joins` only: the
+/// residual and absorb counters keep meaning "turns" and "commits".
 struct RouteObs {
     residual: egoist_obs::Timer,
     absorb: egoist_obs::Timer,
     rebuilds: egoist_obs::Counter,
     rebuilds_underlay: egoist_obs::Counter,
     rebuilds_feedback: egoist_obs::Counter,
+    residual_named: egoist_obs::Counter,
     residual_borrowed: egoist_obs::Counter,
     residual_swept: egoist_obs::Counter,
-    rewire_swept: egoist_obs::Counter,
     rewire_repaired: egoist_obs::Counter,
+    links_dropped: egoist_obs::Counter,
+    links_added: egoist_obs::Counter,
+    rows_removed: egoist_obs::Counter,
     leaves: egoist_obs::Counter,
     joins: egoist_obs::Counter,
 }
@@ -159,10 +174,13 @@ impl RouteObs {
             rebuilds: r.counter("core.route.rebuilds"),
             rebuilds_underlay: r.counter("core.route.rebuilds_by_cause.underlay"),
             rebuilds_feedback: r.counter("core.route.rebuilds_by_cause.feedback"),
+            residual_named: r.counter("core.route.residual_named"),
             residual_borrowed: r.counter("core.route.residual_borrowed"),
             residual_swept: r.counter("core.route.residual_swept"),
-            rewire_swept: r.counter("core.route.rewire_swept"),
             rewire_repaired: r.counter("core.route.rewire_repaired"),
+            links_dropped: r.counter("core.absorb.links_dropped"),
+            links_added: r.counter("core.absorb.links_added"),
+            rows_removed: r.counter("core.absorb.rows_removed"),
             leaves: r.counter("core.route.leaves"),
             joins: r.counter("core.route.joins"),
         }
@@ -175,28 +193,24 @@ pub struct RouteState {
     /// Why the snapshot was last dropped (see [`Self::invalidate`]).
     cause: RebuildCause,
     ws: DijkstraWorkspace,
-    /// Copy-on-write side pool: per-source dispatch table (`NO_SLOT` =
-    /// borrow the snapshot row) plus packed repaired rows. Retained
-    /// between [`Self::residual`] and [`Self::note_rewire`] so a
-    /// committed re-wiring can write the post-removal rows back instead
-    /// of re-sweeping them.
+    /// The turn's side pool: per-source dispatch table ([`UNNAMED`] =
+    /// not a row of this turn, [`NO_SLOT`] = borrow the snapshot row)
+    /// plus the packed repaired rows. Read by the turn's view only.
     row_slot: Vec<u32>,
     pool_dist: Vec<f64>,
-    pool_parent: Vec<u32>,
-    /// Source of each pool slot, in slot order.
-    pool_rows: Vec<u32>,
+    /// Where a pool row's repair writes its parents; nobody reads them.
+    pool_tree: Vec<u32>,
     /// The turn node's own residual row (no out-links survive `G−i`).
     self_row: Vec<f64>,
-    /// Which node the retained pool was computed for; any change to the
-    /// snapshot drops it.
-    residual_for: Option<usize>,
-    /// Child-bucket scratch for subtree collection.
-    child_head: Vec<u32>,
-    child_next: Vec<u32>,
+    /// Scratch of the removal repairs: the subtrees under one row's
+    /// removed tree edges.
     affected: Vec<u32>,
-    /// Scratch of the deltas: one node's out-edge slice, the in-neighbours
-    /// of a churned node, and one row's insertion seeds.
+    /// Scratch of the deltas: one node's out-edge slice, the links a
+    /// commit adds and drops, the in-neighbours of a churned node, and
+    /// one row's insertion seeds.
     edges: Vec<(u32, f64)>,
+    added: Vec<(u32, f64)>,
+    dropped: Vec<u32>,
     in_links: Vec<u32>,
     seeds: Vec<(u32, f64, u32)>,
     pub stats: RouteStats,
@@ -219,32 +233,6 @@ fn alive_edges(
     }
 }
 
-impl EpochSnapshot {
-    /// Make `G−i` the snapshot's all-pairs state: write the repaired
-    /// pool rows (every source that routed through `i`) back over their
-    /// snapshot rows — every other row already *is* its post-removal
-    /// state — and leave row `i` reaching nothing but itself.
-    fn adopt_residual<A: PathAlgebra>(
-        &mut self,
-        i: usize,
-        pool_rows: &[u32],
-        pool_dist: &[f64],
-        pool_parent: &[u32],
-    ) {
-        let n = self.apsp.n;
-        for (slot, &s) in pool_rows.iter().enumerate() {
-            let src = slot * n;
-            let dst = s as usize * n;
-            self.apsp.dist[dst..dst + n].copy_from_slice(&pool_dist[src..src + n]);
-            self.apsp.parent[dst..dst + n].copy_from_slice(&pool_parent[src..src + n]);
-        }
-        let lo = i * n;
-        self.apsp.dist[lo..lo + n].fill(A::UNREACHED);
-        self.apsp.dist[lo + i] = A::SOURCE;
-        self.apsp.parent[lo..lo + n].fill(NO_PARENT);
-    }
-}
-
 impl RouteState {
     /// An empty engine (no snapshot yet).
     pub fn new() -> Self {
@@ -254,14 +242,12 @@ impl RouteState {
             ws: DijkstraWorkspace::new(0),
             row_slot: Vec::new(),
             pool_dist: Vec::new(),
-            pool_parent: Vec::new(),
-            pool_rows: Vec::new(),
+            pool_tree: Vec::new(),
             self_row: Vec::new(),
-            residual_for: None,
-            child_head: Vec::new(),
-            child_next: Vec::new(),
             affected: Vec::new(),
             edges: Vec::new(),
+            added: Vec::new(),
+            dropped: Vec::new(),
             in_links: Vec::new(),
             seeds: Vec::new(),
             stats: RouteStats::default(),
@@ -281,7 +267,6 @@ impl RouteState {
             self.cause = cause;
         }
         self.snap = None;
-        self.residual_for = None;
     }
 
     /// The live snapshot, if any.
@@ -311,7 +296,6 @@ impl RouteState {
             RebuildCause::Underlay => self.obs.rebuilds_underlay.inc(),
             RebuildCause::Feedback => self.obs.rebuilds_feedback.inc(),
         }
-        self.residual_for = None;
         self.snap = Some(EpochSnapshot {
             kind,
             announced,
@@ -323,34 +307,35 @@ impl RouteState {
         });
     }
 
-    /// The residual view for the turn node `i` — pairwise distances (or
-    /// widths) over `G−i`, bit-identical to a from-scratch all-pairs run
-    /// on the residual graph, without materializing it.
+    /// The residual view for the turn node `i` — the rows of `rows` (and
+    /// `i`'s own) of the pairwise distances (or widths) over `G−i`,
+    /// bit-identical to a from-scratch all-pairs run on the residual
+    /// graph, without materializing it.
     ///
-    /// Affected rows (sources whose shortest-path tree routes through
-    /// `i`) are copied into the side pool and repaired on `i`'s tree
-    /// descendants only; every other row is borrowed from the snapshot
-    /// zero-copy. The pool is retained together with its parents so
-    /// [`Self::note_rewire`] can write the post-removal rows back in
-    /// place on a commit.
+    /// A named source whose tree uses one of `i`'s out-links is copied
+    /// into the side pool and repaired on the subtrees under those
+    /// links; every other named row is borrowed from the snapshot
+    /// zero-copy. The snapshot itself is not touched, and nothing here
+    /// outlives the view: a commit repairs the snapshot's own rows.
+    /// Reading a row that was not named panics.
     ///
     /// # Panics
     /// Panics when no snapshot is live; callers must `rebuild` first.
-    pub fn residual(&mut self, i: usize) -> ResidualView<'_> {
+    pub fn residual(&mut self, i: usize, rows: &[NodeId]) -> ResidualView<'_> {
         let timer = self.obs.residual.clone();
         let span = timer.start();
         let live = self.snap.as_ref().expect("route snapshot must be live");
-        let swept = match live.kind {
-            SnapshotKind::Additive => self.repair_residual::<MinPlus>(i),
-            SnapshotKind::Widest => self.repair_residual::<MaxMin>(i),
+        let (named, swept) = match live.kind {
+            SnapshotKind::Additive => self.repair_residual::<MinPlus>(i, rows),
+            SnapshotKind::Widest => self.repair_residual::<MaxMin>(i, rows),
         };
         drop(span);
-        let snap = self.snap.as_ref().expect("still live");
-        let borrowed = snap.apsp.n - 1 - swept;
         self.stats.residual_swept += swept;
-        self.stats.residual_borrowed += borrowed;
+        self.stats.residual_borrowed += named - swept;
+        self.obs.residual_named.add(named as u64);
         self.obs.residual_swept.add(swept as u64);
-        self.obs.residual_borrowed.add(borrowed as u64);
+        self.obs.residual_borrowed.add((named - swept) as u64);
+        let snap = self.snap.as_ref().expect("still live");
         ResidualView::cow(CowResidual {
             n: snap.apsp.n,
             node: i,
@@ -362,153 +347,118 @@ impl RouteState {
     }
 
     /// Fill the side pool, slot table and self row of `G−i` on the
-    /// snapshot's algebra; returns how many rows had to be repaired
-    /// (every other source's row is exact as it stands).
-    fn repair_residual<A: PathAlgebra>(&mut self, i: usize) -> usize {
+    /// snapshot's algebra; returns how many distinct rows other than
+    /// `i`'s were named and how many of them had to be repaired (every
+    /// other one is exact as it stands).
+    fn repair_residual<A: PathAlgebra>(&mut self, i: usize, rows: &[NodeId]) -> (usize, usize) {
         let snap = self.snap.as_ref().expect("route snapshot must be live");
         let n = snap.apsp.n;
         self.row_slot.clear();
-        self.row_slot.resize(n, NO_SLOT);
-        self.pool_rows.clear();
+        self.row_slot.resize(n, UNNAMED);
+        self.pool_tree.resize(n, NO_PARENT);
         // Source `i` keeps no out-links in `G−i`.
         self.self_row.clear();
         self.self_row.resize(n, A::UNREACHED);
         self.self_row[i] = A::SOURCE;
-        let iu = i as u32;
-        for s in 0..n {
-            if s == i || !snap.apsp.routes_through(s, iu) {
+        let (iu, links) = (i as u32, snap.csr.out(i).0);
+        let (mut named, mut swept) = (0, 0);
+        for s in rows.iter().map(|s| s.index()) {
+            if s == i || self.row_slot[s] != UNNAMED {
                 continue;
             }
-            let slot = self.pool_rows.len();
-            let lo = slot * n;
+            named += 1;
+            self.row_slot[s] = NO_SLOT;
+            let affected = &mut self.affected;
+            subtree_under(&snap.csr, snap.apsp.parent_row(s), iu, links, affected);
+            if affected.is_empty() {
+                continue;
+            }
+            let lo = swept * n;
             if self.pool_dist.len() < lo + n {
                 self.pool_dist.resize(lo + n, f64::INFINITY);
-                self.pool_parent.resize(lo + n, NO_PARENT);
             }
             let row = &mut self.pool_dist[lo..lo + n];
-            let prow = &mut self.pool_parent[lo..lo + n];
             row.copy_from_slice(snap.apsp.dist_row(s));
-            prow.copy_from_slice(snap.apsp.parent_row(s));
-            tree_descendants(
-                prow,
-                iu,
-                &mut self.child_head,
-                &mut self.child_next,
-                &mut self.affected,
-            );
+            let (csr, rev, tree) = (&snap.csr, &snap.rev, &mut self.pool_tree);
             self.ws
-                .repair_removal::<A>(&snap.csr, &snap.rev, iu, &self.affected, row, prow);
-            self.row_slot[s] = slot as u32;
-            self.pool_rows.push(s as u32);
+                .repair_removal::<A>(csr, rev, |u, _| u == iu, affected, row, tree);
+            self.row_slot[s] = swept as u32;
+            swept += 1;
         }
-        self.residual_for = Some(i);
-        self.pool_rows.len()
+        (named, swept)
     }
 
     /// Absorb node `i`'s committed re-wiring into the live snapshot, if
-    /// any.
-    ///
-    /// The fast path reuses the residual pool [`Self::residual`] just
-    /// computed for this very turn: the repaired pool rows *are* the
-    /// post-removal distances of every affected source, and every
-    /// unaffected row already equals its post-removal state (its tree
-    /// avoids `i`'s out-links), so the absorb writes the pool rows back
-    /// over their snapshot rows in place and then propagates only the
-    /// inserted out-links of `i` (one insertion repair per source). The
-    /// snapshot CSR is patched on `i`'s out-edge slice only; no buffer is
-    /// reallocated or swapped.
-    pub fn note_rewire(&mut self, i: NodeId, old: &[NodeId], wiring: &Wiring, alive: &[bool]) {
+    /// any, as a link delta against what the snapshot holds for `i`: the
+    /// dropped links are removed from the rows whose trees used them,
+    /// the added links are inserted into every row, subtrees under kept
+    /// links are left alone, and the CSR is patched on `i`'s out-edge
+    /// slice only. Whether a [`Self::residual`] preceded the commit makes
+    /// no difference.
+    pub fn note_rewire(&mut self, i: NodeId, wiring: &Wiring, alive: &[bool]) {
         match self.snap.as_ref().map(|snap| snap.kind) {
             None => {}
-            Some(SnapshotKind::Additive) => self.absorb::<MinPlus>(i, old, wiring, alive),
-            Some(SnapshotKind::Widest) => self.absorb::<MaxMin>(i, old, wiring, alive),
+            Some(SnapshotKind::Additive) => self.absorb::<MinPlus>(i, wiring, alive),
+            Some(SnapshotKind::Widest) => self.absorb::<MaxMin>(i, wiring, alive),
         }
     }
 
     /// [`Self::note_rewire`] on the live snapshot's algebra.
-    fn absorb<A: PathAlgebra>(
-        &mut self,
-        i: NodeId,
-        old: &[NodeId],
-        wiring: &Wiring,
-        alive: &[bool],
-    ) {
+    fn absorb<A: PathAlgebra>(&mut self, i: NodeId, wiring: &Wiring, alive: &[bool]) {
         let snap = self.snap.as_mut().expect("dispatched on a live snapshot");
-        let new = wiring.of(i);
-        // Wirings hold no duplicates, so set equality of the alive links
-        // is containment both ways.
-        let live = |w: &&NodeId| alive[w.index()];
-        let unchanged = old.iter().filter(live).all(|w| new.contains(w))
-            && new.iter().filter(live).all(|w| old.contains(w));
-        if unchanged {
+        alive_edges(&mut self.edges, &snap.announced, wiring, i, alive);
+        // Wirings hold no duplicates: the delta is two set differences.
+        let old = snap.csr.out(i.index()).0;
+        let stays = |w: &&u32| self.edges.iter().any(|&(t, _)| t == **w);
+        self.dropped.clear();
+        self.dropped.extend(old.iter().filter(|w| !stays(w)));
+        let fresh = self.edges.iter().filter(|(w, _)| !old.contains(w));
+        self.added.clear();
+        self.added.extend(fresh);
+        if self.dropped.is_empty() && self.added.is_empty() {
             return;
         }
-        let _span = self.obs.absorb.start();
-        let (swept0, repaired0) = (self.stats.rewire_swept, self.stats.rewire_repaired);
-        // Patch the CSR topology on node `i`'s slice only — every other
-        // node's adjacency is unchanged since the snapshot was built or
-        // last patched (by a re-wiring or a membership delta).
-        alive_edges(&mut self.edges, &snap.announced, wiring, i, alive);
+        let timer = self.obs.absorb.clone();
+        let span = timer.start();
+        // The dropped links go first, while the CSR still holds them.
+        let removed = snap.remove_links::<A>(i.0, &self.dropped, &mut self.ws, &mut self.affected);
         snap.csr.rewrite_out_edges(i.index(), &self.edges);
         snap.csr.reverse_into(&mut snap.rev);
+        // `d(s, i)` is invariant under changes to `i`'s out-links, so each
+        // row's current value seeds the insertion exactly; for `i` itself
+        // it is `A::SOURCE`.
         let n = snap.apsp.n;
-        let adopt_pool = self.residual_for.take() == Some(i.index());
-        if adopt_pool {
-            // Adopt the retained `G−i` pool: write the post-removal rows
-            // back in place; `i`'s new out-links go in everywhere below.
-            snap.adopt_residual::<A>(
-                i.index(),
-                &self.pool_rows,
-                &self.pool_dist,
-                &self.pool_parent,
-            );
-        }
-        for s in 0..n {
-            let lo = s * n;
-            let dist = &mut snap.apsp.dist[lo..lo + n];
-            let parent = &mut snap.apsp.parent[lo..lo + n];
-            // Without a retained residual for `i`, a source that routed
-            // through one of its old out-links is re-swept instead.
-            let tree_lost = |w: &NodeId| alive[w.index()] && parent[w.index()] == i.0;
-            if !adopt_pool && (s == i.index() || old.iter().any(tree_lost)) {
-                self.ws
-                    .sweep::<A>(&snap.csr, s as u32, Sweep::default(), dist, parent);
-                self.stats.rewire_swept += 1;
-                continue;
-            }
-            // Insert `i`'s new out-links into the row. `d(s, i)` is
-            // invariant under changes to `i`'s out-links (a simple path
-            // to `i` uses none of them), so the row's current value seeds
-            // the insertion exactly; for `i` itself it is `A::SOURCE`.
+        let rows = if self.added.is_empty() { 0 } else { n };
+        for s in 0..rows {
+            let dist = &mut snap.apsp.dist[s * n..(s + 1) * n];
+            let parent = &mut snap.apsp.parent[s * n..(s + 1) * n];
             let via = dist[i.index()];
             if A::better(via, A::UNREACHED) {
                 self.seeds.clear();
-                let heads = self.edges.iter();
+                let heads = self.added.iter();
                 self.seeds
                     .extend(heads.map(|&(w, c)| (w, A::extend(via, c), i.0)));
                 self.ws
                     .repair_insertion::<A>(&snap.csr, &self.seeds, dist, parent);
             }
-            self.stats.rewire_repaired += 1;
         }
-        self.obs
-            .rewire_swept
-            .add((self.stats.rewire_swept - swept0) as u64);
-        self.obs
-            .rewire_repaired
-            .add((self.stats.rewire_repaired - repaired0) as u64);
+        self.stats.rewire_repaired += rows;
+        self.obs.rewire_repaired.add(rows as u64);
+        self.obs.links_dropped.add(self.dropped.len() as u64);
+        self.obs.links_added.add(self.added.len() as u64);
+        self.obs.rows_removed.add(removed as u64);
+        drop(span);
+        self.audit_sampled_row::<A>();
     }
 
     /// Node `x` left the overlay: drop its out- and in-edges from the
     /// live snapshot, if any, keeping the all-pairs state exact.
     ///
-    /// Removing `x`'s out-edges is the turn residual `G−x` made
-    /// permanent — the rows routed through `x` are repaired into the
-    /// pool and adopted, exactly as a committed re-wiring to no links
-    /// would. After that `x` is a leaf of every shortest-path tree, so
-    /// removing its in-edges can change no entry but column `x` itself,
-    /// which becomes unreachable. The CSR is patched on `x`'s slice and
-    /// on its in-neighbours' slices.
+    /// This is a commit that drops every out-link of `x` and adds none.
+    /// Without out-edges `x` is a leaf of every best-path tree, so
+    /// removing its in-edges as well can change no entry but column `x`
+    /// itself, which becomes unreachable. The CSR is patched on `x`'s
+    /// slice and on its in-neighbours' slices.
     pub fn note_leave(&mut self, x: NodeId) {
         match self.snap.as_ref().map(|snap| snap.kind) {
             None => return,
@@ -521,11 +471,13 @@ impl RouteState {
 
     /// [`Self::note_leave`] on the live snapshot's algebra.
     fn absorb_leave<A: PathAlgebra>(&mut self, x: NodeId) {
-        let xi = x.index();
-        self.repair_residual::<A>(xi);
-        self.residual_for = None;
         let snap = self.snap.as_mut().expect("dispatched on a live snapshot");
-        snap.adopt_residual::<A>(xi, &self.pool_rows, &self.pool_dist, &self.pool_parent);
+        let xi = x.index();
+        self.dropped.clear();
+        self.dropped.extend_from_slice(snap.csr.out(xi).0);
+        // No tree hangs `x` under one of its own out-links, so no repair
+        // reads or writes column `x`.
+        snap.remove_links::<A>(x.0, &self.dropped, &mut self.ws, &mut self.affected);
         let n = snap.apsp.n;
         for s in (0..n).filter(|&s| s != xi) {
             snap.apsp.dist[s * n + xi] = A::UNREACHED;
@@ -573,7 +525,6 @@ impl RouteState {
     fn absorb_join<A: PathAlgebra>(&mut self, x: NodeId, wiring: &Wiring, alive: &[bool]) {
         let snap = self.snap.as_mut().expect("dispatched on a live snapshot");
         let (n, xi) = (snap.apsp.n, x.index());
-        self.residual_for = None;
         self.in_links.clear();
         for w in (0..n).filter(|&w| alive[w] && w != xi) {
             let w = NodeId::from_index(w);
@@ -600,32 +551,61 @@ impl RouteState {
         self.audit_sampled_row::<A>();
     }
 
-    /// ROADMAP 5.2 at run time: a patched snapshot equals a rebuilt one
-    /// on a sampled row. Debug builds re-sweep one source per membership
-    /// delta (rotating with the delta count) and demand the snapshot's
-    /// row bit for bit; release builds compile this to nothing.
+    /// A patched snapshot equals a rebuilt one, checked at run time on a
+    /// sampled row: debug builds re-sweep one source after every delta —
+    /// commit, leave or join, the row rotating with their count — and
+    /// demand the snapshot's row bit for bit. With no pool to fall back
+    /// on, this is the net under the in-place repairs; release builds
+    /// compile it to nothing.
     fn audit_sampled_row<A: PathAlgebra>(&mut self) {
         #[cfg(debug_assertions)]
         {
             let snap = self.snap.as_ref().expect("audited after a delta");
             let n = snap.apsp.n;
-            let s = (self.stats.leaves + self.stats.joins) % n;
+            let stats = &self.stats;
+            let s = (stats.leaves + stats.joins + stats.rewire_repaired / n) % n;
             let (mut dist, mut parent) = (vec![A::UNREACHED; n], vec![NO_PARENT; n]);
-            self.ws.sweep::<A>(
-                &snap.csr,
-                s as u32,
-                Sweep::default(),
-                &mut dist,
-                &mut parent,
-            );
+            let everything = egoist_graph::csr::Sweep::default();
+            self.ws
+                .sweep::<A>(&snap.csr, s as u32, everything, &mut dist, &mut parent);
             for (t, (patched, swept)) in snap.apsp.dist_row(s).iter().zip(&dist).enumerate() {
                 assert_eq!(
                     patched.to_bits(),
                     swept.to_bits(),
-                    "membership delta left row {s} stale at column {t}: {patched} vs {swept}"
+                    "a delta left row {s} stale at column {t}: {patched} vs {swept}"
                 );
             }
         }
+    }
+}
+
+impl EpochSnapshot {
+    /// The removal half of a delta, run while `csr` and `rev` still hold
+    /// the edges `i → w`, `w ∈ dropped`: repair in place every row whose
+    /// tree uses one of them (`dropped.len()` compares per source), on
+    /// the subtrees under those heads only, as if they were gone.
+    /// Returns the rows repaired.
+    fn remove_links<A: PathAlgebra>(
+        &mut self,
+        i: u32,
+        dropped: &[u32],
+        ws: &mut DijkstraWorkspace,
+        affected: &mut Vec<u32>,
+    ) -> usize {
+        let n = self.apsp.n;
+        let cut = |u, v| u == i && dropped.contains(&v);
+        let mut removed = 0;
+        for s in 0..n {
+            let parent = &mut self.apsp.parent[s * n..(s + 1) * n];
+            subtree_under(&self.csr, parent, i, dropped, affected);
+            if affected.is_empty() {
+                continue;
+            }
+            let dist = &mut self.apsp.dist[s * n..(s + 1) * n];
+            ws.repair_removal::<A>(&self.csr, &self.rev, cut, affected, dist, parent);
+            removed += 1;
+        }
+        removed
     }
 }
 
@@ -761,13 +741,18 @@ mod tests {
         rs
     }
 
+    /// Name every row: the tests read the whole view.
+    fn everyone(n: usize) -> Vec<NodeId> {
+        (0..n).map(NodeId::from_index).collect()
+    }
+
     #[test]
     fn residual_matches_from_scratch_apsp() {
         let (d, w, alive) = setup(24, 3, 1);
         let mut rs = fresh_state(SnapshotKind::Additive, &d, &w, &alive);
         for i in [0usize, 7, 23] {
             let oracle = apsp(&w.residual_graph(NodeId::from_index(i), &d, &alive));
-            let got = rs.residual(i);
+            let got = rs.residual(i, &everyone(24));
             for s in 0..24 {
                 for t in 0..24 {
                     assert_eq!(
@@ -791,7 +776,7 @@ mod tests {
                 &d,
                 &alive,
             ));
-            let got = rs.residual(i);
+            let got = rs.residual(i, &everyone(20));
             for s in 0..20 {
                 for t in 0..20 {
                     assert_eq!(
@@ -817,9 +802,8 @@ mod tests {
         ];
         for (node, links) in moves {
             let i = NodeId::from_index(node);
-            let old = w.of(i).to_vec();
             w.rewire(i, links.into_iter().map(NodeId::from_index).collect());
-            rs.note_rewire(i, &old, &w, &alive);
+            rs.note_rewire(i, &w, &alive);
             let truth = apsp_csr(&CsrGraph::from_digraph(&w.to_graph(&d, &alive)));
             let snap = rs.snapshot().unwrap();
             for p in 0..26 * 26 {
@@ -839,9 +823,8 @@ mod tests {
         let mut rs = fresh_state(SnapshotKind::Widest, &d, &w, &alive);
         for (node, links) in [(2usize, vec![8usize, 14]), (8, vec![2, 3, 4]), (2, vec![9])] {
             let i = NodeId::from_index(node);
-            let old = w.of(i).to_vec();
             w.rewire(i, links.into_iter().map(NodeId::from_index).collect());
-            rs.note_rewire(i, &old, &w, &alive);
+            rs.note_rewire(i, &w, &alive);
             let truth = all_pairs::<MaxMin>(&CsrGraph::from_digraph(&w.to_graph(&d, &alive)));
             let snap = rs.snapshot().unwrap();
             for p in 0..22 * 22 {
@@ -859,12 +842,11 @@ mod tests {
         let (d, mut w, alive) = setup(18, 3, 5);
         let mut rs = fresh_state(SnapshotKind::Additive, &d, &w, &alive);
         let i = NodeId(6);
-        let old = w.of(i).to_vec();
         w.rewire(i, vec![NodeId(1), NodeId(2)]);
-        rs.note_rewire(i, &old, &w, &alive);
+        rs.note_rewire(i, &w, &alive);
         for probe in [0usize, 6, 17] {
             let oracle = apsp(&w.residual_graph(NodeId::from_index(probe), &d, &alive));
-            let got = rs.residual(probe);
+            let got = rs.residual(probe, &everyone(18));
             for s in 0..18 {
                 for t in 0..18 {
                     assert_eq!(oracle.at(s, t).to_bits(), got.at(s, t).to_bits());
@@ -889,11 +871,10 @@ mod tests {
         // Rebuild over the reduced membership.
         let mut rs = fresh_state(SnapshotKind::Additive, &d, &w, &alive);
         let i = NodeId(3);
-        let old = w.of(i).to_vec();
         // New wiring includes the dead node 5 — the alive filter must
         // keep it out of the delta and the graph alike.
         w.rewire(i, vec![NodeId(5), NodeId(7)]);
-        rs.note_rewire(i, &old, &w, &alive);
+        rs.note_rewire(i, &w, &alive);
         let truth = apsp_csr(&CsrGraph::from_digraph(&w.to_graph(&d, &alive)));
         let snap = rs.snapshot().unwrap();
         for p in 0..12 * 12 {
@@ -932,7 +913,7 @@ mod tests {
             SnapshotKind::Additive => apsp(&oracle),
             SnapshotKind::Widest => crate::policies::bandwidth::all_pairs_widest(&oracle),
         };
-        let got = rs.residual(9);
+        let got = rs.residual(9, &everyone(28));
         for s in 0..28 {
             for t in 0..28 {
                 assert_eq!(oracle.at(s, t).to_bits(), got.at(s, t).to_bits());
@@ -980,23 +961,21 @@ mod tests {
             let x = NodeId(6);
             leave(&mut rs, &mut w, &mut alive, 6);
             join(&mut rs, &w, &mut alive, 6);
-            // First turn back: the residual is taken, then the commit
-            // adopts its (empty) pool.
-            rs.residual(6);
+            // First turn back: the residual is taken, then the commit.
+            rs.residual(6, &everyone(22));
             w.rewire(x, vec![NodeId(1), NodeId(15), NodeId(20)]);
-            rs.note_rewire(x, &[], &w, &alive);
+            rs.note_rewire(x, &w, &alive);
             rs.check_against_rebuild(&w, &alive).unwrap();
             // And a later re-wiring of a neighbour, without a residual.
-            let old = w.of(NodeId(3)).to_vec();
             w.rewire(NodeId(3), vec![x, NodeId(12)]);
-            rs.note_rewire(NodeId(3), &old, &w, &alive);
+            rs.note_rewire(NodeId(3), &w, &alive);
             rs.check_against_rebuild(&w, &alive).unwrap();
             assert_eq!(rs.stats.rebuilds, 1, "{kind:?}");
         }
     }
 
     #[test]
-    fn leave_of_a_node_nobody_routes_through() {
+    fn leave_of_a_node_nobody_relays_through() {
         let (d, mut w, mut alive) = setup(16, 2, 11);
         // Node 5 keeps in-links but no out-links: a leaf of every tree.
         w.rewire(NodeId(5), vec![]);
@@ -1021,10 +1000,10 @@ mod tests {
         for u in 0..14 {
             let i = NodeId::from_index(u);
             if w.of(i).contains(&NodeId(3)) {
-                let old = w.of(i).to_vec();
-                let links = old.iter().copied().filter(|&t| t != NodeId(3)).collect();
+                let links = w.of(i).iter().copied().filter(|&t| t != NodeId(3));
+                let links = links.collect();
                 w.rewire(i, links);
-                rs.note_rewire(i, &old, &w, &alive);
+                rs.note_rewire(i, &w, &alive);
             }
         }
         join(&mut rs, &w, &mut alive, 3);
@@ -1033,22 +1012,82 @@ mod tests {
     }
 
     #[test]
-    fn any_delta_drops_the_retained_pool() {
-        // A turn that does not commit leaves its pool behind; a later
-        // re-wiring of the same node must not adopt it once another delta
-        // has changed the snapshot underneath.
-        let (d, mut w, mut alive) = setup(20, 3, 14);
+    fn a_commit_needs_no_residual_and_ignores_a_stale_one() {
+        for kind in [SnapshotKind::Additive, SnapshotKind::Widest] {
+            let (d, mut w, mut alive) = setup(20, 3, 14);
+            let mut rs = fresh_state(kind, &d, &w, &alive);
+            // A re-wiring nobody took a residual for: one kept link, two
+            // dropped, one added.
+            let kept = w.of(NodeId(7))[0];
+            w.rewire(NodeId(7), vec![kept, NodeId(3)]);
+            rs.note_rewire(NodeId(7), &w, &alive);
+            rs.check_against_rebuild(&w, &alive).unwrap();
+            // A turn that does not commit leaves its pool behind; another
+            // delta changes the snapshot underneath; the later re-wiring
+            // of the same node repairs the snapshot's own rows.
+            rs.residual(2, &everyone(20));
+            leave(&mut rs, &mut w, &mut alive, 11);
+            rs.check_against_rebuild(&w, &alive).unwrap();
+            w.rewire(NodeId(2), vec![NodeId(0), NodeId(19)]);
+            rs.note_rewire(NodeId(2), &w, &alive);
+            rs.check_against_rebuild(&w, &alive).unwrap();
+            assert_eq!(rs.stats.rewire_swept, 0, "{kind:?}: no row is re-swept");
+            assert_eq!(rs.stats.rewire_repaired, 2 * 20, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn every_delta_shape_stays_exact() {
+        for kind in [SnapshotKind::Additive, SnapshotKind::Widest] {
+            let (d, mut w, alive) = setup(24, 4, 16);
+            let mut rs = fresh_state(kind, &d, &w, &alive);
+            let i = NodeId(5);
+            let old = w.of(i).to_vec();
+            let spare: Vec<NodeId> = everyone(24)
+                .into_iter()
+                .filter(|t| *t != i && !old.contains(t))
+                .collect();
+            let shapes = [
+                vec![old[0], old[1]],                     // dropped only
+                vec![old[0], old[1], spare[0], spare[1]], // added only
+                vec![old[1], old[0], spare[1], spare[0]], // nothing
+                vec![old[0], spare[2], spare[3]],         // kept + dropped + added
+                vec![old[2], old[3], spare[4]],           // all replaced
+                vec![],                                   // everything dropped
+            ];
+            for links in shapes {
+                w.rewire(i, links.clone());
+                rs.note_rewire(i, &w, &alive);
+                rs.check_against_rebuild(&w, &alive)
+                    .unwrap_or_else(|e| panic!("{kind:?} {links:?}: {e}"));
+            }
+            assert_eq!(rs.stats.rewire_swept, 0);
+        }
+    }
+
+    #[test]
+    fn only_named_rows_are_counted_and_served() {
+        let (d, w, alive) = setup(24, 3, 1);
         let mut rs = fresh_state(SnapshotKind::Additive, &d, &w, &alive);
-        rs.residual(2);
-        leave(&mut rs, &mut w, &mut alive, 11);
-        let old = w.of(NodeId(2)).to_vec();
-        w.rewire(NodeId(2), vec![NodeId(0), NodeId(19)]);
-        rs.note_rewire(NodeId(2), &old, &w, &alive);
-        rs.check_against_rebuild(&w, &alive).unwrap();
-        assert!(
-            rs.stats.rewire_swept > 0,
-            "no pool: lost tree edges re-sweep"
-        );
+        // Duplicates and the turn node itself name nothing new.
+        let named = [NodeId(3), NodeId(9), NodeId(3), NodeId(7), NodeId(20)];
+        let oracle = apsp(&w.residual_graph(NodeId(7), &d, &alive));
+        let got = rs.residual(7, &named);
+        for s in [3usize, 9, 20, 7] {
+            for t in 0..24 {
+                assert_eq!(oracle.at(s, t).to_bits(), got.at(s, t).to_bits());
+            }
+        }
+        let stats = rs.stats;
+        assert_eq!(stats.residual_borrowed + stats.residual_swept, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 4 was not named for node 7")]
+    fn reading_an_unnamed_row_panics() {
+        let (d, w, alive) = setup(24, 3, 1);
+        let mut rs = fresh_state(SnapshotKind::Additive, &d, &w, &alive);
+        rs.residual(7, &[NodeId(3), NodeId(9)]).row(4);
     }
 
     #[test]

@@ -562,24 +562,27 @@ impl DijkstraWorkspace {
         self.propagate::<A>(g, dist, parent);
     }
 
-    /// Exact row repair after removing node `mask`'s out-edges, given
-    /// the affected set.
+    /// Exact row repair after edge removals, given the affected set.
     ///
-    /// `dist`/`parent` must hold exact best paths of the graph *with*
-    /// `mask`'s out-edges, and `affected` must contain every vertex
-    /// whose tree path routes through `mask` (its tree descendants).
-    /// Every other vertex keeps its value — removal only worsens paths
-    /// and its tree path survives — so the repair resets only the
-    /// affected region and re-seeds it from frontier in-edges (`rev` is
-    /// `g` reversed). Any path into the affected set enters it through
-    /// such an edge, and path values fold left-to-right exactly as a
-    /// full masked sweep would, so repaired rows are bit-identical to
-    /// [`Self::sweep`] with the same mask.
+    /// `dist`/`parent` must hold exact best paths of `g`, which still
+    /// holds the removed edges (`rev` is `g` reversed); `cut(u, v)` says
+    /// whether `u → v` is one of them, and `affected` must contain every
+    /// vertex whose tree path uses one ([`subtree_under`]). Every other
+    /// vertex keeps its value — removal only worsens paths and its tree
+    /// path survives — so the repair resets only the affected region and
+    /// re-seeds it from the frontier in-edges that are not cut. No tail
+    /// of a cut edge may be affected (its out-edges would be relaxed
+    /// again, cut ones included) — which holds whenever the cut edges
+    /// all leave one node, since a simple path to it uses none of them.
+    /// Any path into the affected set enters it through a frontier edge,
+    /// and path values fold left-to-right exactly as a full sweep of the
+    /// reduced graph would, so repaired rows are bit-identical to
+    /// [`Self::sweep`] on it. `parent` is only written, never read.
     pub fn repair_removal<A: PathAlgebra>(
         &mut self,
         g: &CsrGraph,
         rev: &CsrGraph,
-        mask: u32,
+        cut: impl Fn(u32, u32) -> bool,
         affected: &[u32],
         dist: &mut [f64],
         parent: &mut [u32],
@@ -598,7 +601,7 @@ impl DijkstraWorkspace {
             let mut best = A::UNREACHED;
             let mut best_par = NO_PARENT;
             for (&u, &c) in us.iter().zip(cs) {
-                if u == mask || self.flag[u as usize] {
+                if self.flag[u as usize] || cut(u, v) {
                     continue;
                 }
                 let cand = A::extend(dist[u as usize], c);
@@ -621,45 +624,28 @@ impl DijkstraWorkspace {
     }
 }
 
-/// Collect the descendants of `root` in the shortest-path tree encoded
-/// by `parent` (excluding `root` itself), using caller-provided scratch
-/// (`head`/`next` are per-node child buckets, resized as needed). The
-/// result lands in `out`. These are exactly the vertices whose tree
-/// path routes through `root` — the affected set of
-/// [`DijkstraWorkspace::repair_removal`].
-pub fn tree_descendants(
-    parent: &[u32],
-    root: u32,
-    head: &mut Vec<u32>,
-    next: &mut Vec<u32>,
-    out: &mut Vec<u32>,
-) {
-    let n = parent.len();
-    head.clear();
-    head.resize(n, NO_PARENT);
-    next.clear();
-    next.resize(n, NO_PARENT);
-    for (v, &p) in parent.iter().enumerate() {
-        if p != NO_PARENT {
-            next[v] = head[p as usize];
-            head[p as usize] = v as u32;
-        }
-    }
+/// Collect into `out` the vertices whose path in the best-path tree
+/// `parent` over `g` uses one of the edges `via → w`, `w ∈ heads`: the
+/// heads that are tree children of `via`, then every descendant of
+/// theirs, breadth first. Empty exactly when the tree uses none of the
+/// edges — `heads.len()` compares, no scan of the parent row.
+///
+/// A tree child of `v` is by construction an out-neighbour of `v`, so
+/// the walk reads `g.out(v)` and keeps the `t` with `parent[t] == v` —
+/// work proportional to the out-degrees of the subtrees, nothing
+/// proportional to `n`. With the edges about to be removed this is the
+/// affected set of [`DijkstraWorkspace::repair_removal`]. Every tree
+/// edge below a head must be an edge of `g`, and `g` must hold no
+/// parallel edges (each would list its head twice).
+pub fn subtree_under(g: &CsrGraph, parent: &[u32], via: u32, heads: &[u32], out: &mut Vec<u32>) {
     out.clear();
-    let mut stack_top = out.len(); // DFS frontier lives inside `out`
-    let mut child = head[root as usize];
-    while child != NO_PARENT {
-        out.push(child);
-        child = next[child as usize];
-    }
-    while stack_top < out.len() {
-        let v = out[stack_top];
-        stack_top += 1;
-        let mut c = head[v as usize];
-        while c != NO_PARENT {
-            out.push(c);
-            c = next[c as usize];
-        }
+    out.extend(heads.iter().filter(|&&w| parent[w as usize] == via));
+    let mut next = 0; // the BFS frontier lives inside `out`
+    while next < out.len() {
+        let v = out[next];
+        next += 1;
+        let children = g.out(v as usize).0.iter();
+        out.extend(children.filter(|&&t| parent[t as usize] == v));
     }
 }
 
@@ -684,12 +670,6 @@ impl CsrApsp {
     #[inline]
     pub fn parent_row(&self, s: usize) -> &[u32] {
         &self.parent[s * self.n..(s + 1) * self.n]
-    }
-
-    /// True when source `s`'s shortest-path tree uses any out-edge of
-    /// `relay` — i.e. removing `relay`'s out-links could change row `s`.
-    pub fn routes_through(&self, s: usize, relay: u32) -> bool {
-        self.parent_row(s).contains(&relay)
     }
 }
 
@@ -1393,22 +1373,35 @@ pub(crate) mod tests {
         let rev = csr.reversed();
         let full = all_pairs::<A>(&csr);
         let mut ws = DijkstraWorkspace::new(32);
-        let (mut head, mut next, mut affected) = (Vec::new(), Vec::new(), Vec::new());
+        let mut affected = Vec::new();
         for masked in [0u32, 9, 31] {
-            // Row `masked` itself is special-cased by callers.
-            for s in (0..32usize).filter(|&s| s != masked as usize) {
-                let mut dist = full.dist_row(s).to_vec();
-                let mut parent = full.parent_row(s).to_vec();
-                tree_descendants(&parent, masked, &mut head, &mut next, &mut affected);
-                ws.repair_removal::<A>(&csr, &rev, masked, &affected, &mut dist, &mut parent);
-                let mut oracle_d = vec![0.0; 32];
-                let mut oracle_p = vec![0u32; 32];
-                let sweep = Sweep {
-                    mask: Some(masked),
-                    ..Sweep::default()
-                };
-                ws.sweep::<A>(&csr, s as u32, sweep, &mut oracle_d, &mut oracle_p);
-                assert_rows_bit_equal(&oracle_d, &dist, &format!("mask {masked} source {s}"));
+            let (links, costs) = csr.out(masked as usize);
+            // Every out-edge of `masked` cut, then all but the first.
+            for kept in [0, 1] {
+                let cut_heads = &links[kept..];
+                let stay = links.iter().zip(costs).take(kept);
+                let stay: Vec<(u32, f64)> = stay.map(|(&t, &c)| (t, c)).collect();
+                let mut reduced = csr.clone();
+                reduced.rewrite_out_edges(masked as usize, &stay);
+                for s in 0..32usize {
+                    let mut oracle_d = vec![0.0; 32];
+                    let mut oracle_p = vec![0u32; 32];
+                    ws.sweep::<A>(
+                        &reduced,
+                        s as u32,
+                        Sweep::default(),
+                        &mut oracle_d,
+                        &mut oracle_p,
+                    );
+                    subtree_under(&csr, full.parent_row(s), masked, cut_heads, &mut affected);
+                    // The parent row is scratch: written, never read.
+                    let mut dist = full.dist_row(s).to_vec();
+                    let mut parent = vec![7u32; 32];
+                    let cut = |u, v| u == masked && cut_heads.contains(&v);
+                    ws.repair_removal::<A>(&csr, &rev, cut, &affected, &mut dist, &mut parent);
+                    let what = format!("node {masked} keeps {kept}, source {s}");
+                    assert_rows_bit_equal(&oracle_d, &dist, &what);
+                }
             }
         }
     }
@@ -1443,30 +1436,50 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn tree_descendants_collects_subtrees() {
-        // parent array for tree rooted at 0: 0→{1,2}, 1→{3,4}, 3→{5}.
+    fn subtree_under_walks_out_edges() {
+        // Tree rooted at 0: 0→{1,2}, 1→{3,4}, 3→{5}; the graph also holds
+        // non-tree edges (2→4, 4→5, 5→0, 1→5) the walk must not follow.
         let parent = [NO_PARENT, 0, 0, 1, 1, 3];
-        let (mut head, mut next, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        tree_descendants(&parent, 1, &mut head, &mut next, &mut out);
-        let mut got = out.clone();
-        got.sort_unstable();
-        assert_eq!(got, vec![3, 4, 5]);
-        tree_descendants(&parent, 5, &mut head, &mut next, &mut out);
+        let tree = [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5)];
+        let extra = [(2, 4), (4, 5), (5, 0), (1, 5)];
+        let edges: Vec<_> = tree
+            .iter()
+            .chain(&extra)
+            .map(|&(u, v)| (u, v, 1.0))
+            .collect();
+        let g = CsrGraph::from_raw_edges(6, &edges);
+        let mut out = vec![9, 9];
+        subtree_under(&g, &parent, 0, &[1], &mut out);
+        assert_eq!(out, [1, 3, 4, 5], "head first, then breadth first");
+        subtree_under(&g, &parent, 3, &[5], &mut out);
+        assert_eq!(out, [5], "a head with no tree children");
+        subtree_under(&g, &parent, 1, &[4, 3], &mut out);
+        assert_eq!(out, [4, 3, 5], "several heads");
+        subtree_under(&g, &parent, 0, &[1, 2], &mut out);
+        assert_eq!(out, [1, 2, 3, 4, 5], "the source's own children");
+        subtree_under(&g, &parent, 1, &[5, 0], &mut out);
+        assert!(out.is_empty(), "edges the tree does not use");
+        subtree_under(&g, &parent, 1, &[], &mut out);
         assert!(out.is_empty());
-        tree_descendants(&parent, 0, &mut head, &mut next, &mut out);
-        assert_eq!(out.len(), 5);
     }
 
     #[test]
-    fn routes_through_detects_relays() {
+    fn subtree_under_detects_relays() {
         // Line 0→1→2: source 0's tree routes through 1 but not through 2.
         let mut g = DiGraph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         g.add_edge(NodeId(1), NodeId(2), 1.0);
-        let a = apsp_csr(&CsrGraph::from_digraph(&g));
-        assert!(a.routes_through(0, 1));
-        assert!(!a.routes_through(0, 2));
-        assert!(!a.routes_through(2, 1));
+        let csr = CsrGraph::from_digraph(&g);
+        let a = apsp_csr(&csr);
+        let mut out = Vec::new();
+        let mut relays = |s: usize, relay: u32| {
+            let heads = csr.out(relay as usize).0;
+            subtree_under(&csr, a.parent_row(s), relay, heads, &mut out);
+            !out.is_empty()
+        };
+        assert!(relays(0, 1));
+        assert!(!relays(0, 2));
+        assert!(!relays(2, 1));
     }
 
     #[test]

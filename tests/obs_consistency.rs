@@ -204,6 +204,24 @@ fn obs_exports_are_deterministic_across_runs() {
             .any(|(name, v)| name == "core.solver.candidates_scanned" && *v > 0),
         "solver counters should have fired: {counters:?}"
     );
+    // The delta counters are pure functions of the seed (they are in the
+    // view compared above) and they fired: turns named the rows their
+    // shortlists kept, commits dropped and added links, and dropped links
+    // cost removal repairs.
+    let count = |name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    assert!(count("core.route.residual_named") > 0);
+    assert_eq!(
+        count("core.route.residual_named"),
+        count("core.shortlist.kept")
+    );
+    for name in ["links_dropped", "links_added", "rows_removed"] {
+        assert!(count(&format!("core.absorb.{name}")) > 0, "{name}");
+    }
     assert!(
         hists
             .iter()
