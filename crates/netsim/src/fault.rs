@@ -32,8 +32,8 @@ pub enum Verdict {
     Pass,
     /// Drop silently.
     Drop,
-    /// Deliver, but one octet was flipped.
-    Corrupted,
+    /// Deliver with bit `bit` of octet `byte` flipped.
+    Corrupted { byte: usize, bit: u8 },
     /// Drop because an active fault window cuts the sender/receiver pair
     /// (partition, or one endpoint is churned OFF).
     Cut,
@@ -44,6 +44,16 @@ pub enum Verdict {
     /// Deliver held back `extra_us` — long enough to arrive behind
     /// frames sent after it (reordering).
     Reordered { extra_us: u32 },
+}
+
+impl Verdict {
+    /// Apply the verdict's payload damage to `frame`: a `Corrupted`
+    /// verdict flips its bit, every other verdict leaves the bytes alone.
+    pub fn damage(self, frame: &mut [u8]) {
+        if let Verdict::Corrupted { byte, bit } = self {
+            frame[byte] ^= 1 << bit;
+        }
+    }
 }
 
 /// Configuration for a [`FaultInjector`].
@@ -487,6 +497,17 @@ impl FaultInjector {
         to: NodeId,
         frame: &mut [u8],
     ) -> Verdict {
+        let verdict = self.verdict(now, from, to, frame.len());
+        verdict.damage(frame);
+        verdict
+    }
+
+    /// The verdict on one addressed frame of `len` octets at simulation
+    /// time `now`, without touching its bytes: a caller that shares one
+    /// frame among several sends copies it only when the verdict is
+    /// `Corrupted`, and applies the flip with [`Verdict::damage`]. Draws
+    /// exactly the RNG sequence [`Self::process_addressed`] does.
+    pub fn verdict(&mut self, now: f64, from: NodeId, to: NodeId, len: usize) -> Verdict {
         self.note_window_edges(now);
         if let Some(plan) = &self.plan {
             if plan.cuts(now, from, to) {
@@ -516,14 +537,13 @@ impl FaultInjector {
             return Verdict::Drop;
         }
         if eff.corrupt_chance > 0.0
-            && !frame.is_empty()
+            && len > 0
             && self.rng.random_range(0.0..1.0) < eff.corrupt_chance
         {
-            let idx = self.rng.random_range(0..frame.len());
-            let bit = self.rng.random_range(0..8u32);
-            frame[idx] ^= 1 << bit;
+            let byte = self.rng.random_range(0..len);
+            let bit = self.rng.random_range(0..8u32) as u8;
             self.corrupted += 1;
-            return Verdict::Corrupted;
+            return Verdict::Corrupted { byte, bit };
         }
         if eff.duplicate_chance > 0.0 && self.rng.random_range(0.0..1.0) < eff.duplicate_chance {
             let extra_us = (self.rng.random_range(0.0..eff.jitter_ms.max(1.0)) * 1000.0) as u32;
@@ -586,7 +606,10 @@ mod tests {
         let mut f = FaultInjector::new(cfg, 3);
         let orig = vec![0xAAu8; 16];
         let mut frame = orig.clone();
-        assert_eq!(f.process(0.0, &mut frame), Verdict::Corrupted);
+        assert!(matches!(
+            f.process(0.0, &mut frame),
+            Verdict::Corrupted { .. }
+        ));
         let flipped: u32 = orig
             .iter()
             .zip(&frame)

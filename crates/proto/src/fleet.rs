@@ -542,23 +542,26 @@ fn delay_matrix(total: usize, seed: u64) -> DistanceMatrix {
 }
 
 /// Reachable fraction of ordered honest pairs whose both ends are not
-/// churned off by the plan at `now`.
-fn reachability(views: &[NodeView], plan: &FaultPlan, now: f64, n: usize) -> f64 {
-    let on: Vec<bool> = (0..n)
+/// churned off by the plan at `now`, read from each spawned node's
+/// published next hops under its view's read lock.
+fn reachability(views: &[Option<Arc<RwLock<NodeView>>>], plan: &FaultPlan, now: f64) -> f64 {
+    let on: Vec<bool> = (0..views.len())
         .map(|i| !plan.node_off(now, NodeId::from_index(i)))
         .collect();
     let mut reachable = 0u64;
     let mut pairs = 0u64;
-    for (i, v) in views.iter().enumerate() {
+    for (i, view) in views.iter().enumerate() {
         if !on[i] {
             continue;
         }
+        let view = view.as_ref().map(|v| v.read());
+        let next_hops = view.as_ref().map_or(&[][..], |v| &v.next_hops[..]);
         for (j, &on_j) in on.iter().enumerate() {
             if j == i || !on_j {
                 continue;
             }
             pairs += 1;
-            if v.next_hops.get(j).is_some_and(Option::is_some) {
+            if next_hops.get(j).is_some_and(Option::is_some) {
                 reachable += 1;
             }
         }
@@ -615,13 +618,6 @@ async fn run_fleet_inner(cfg: FleetConfig) -> RobustnessReport {
             K_SPAWN,
         )));
     }
-
-    let snapshot = |handles: &[Option<Arc<RwLock<NodeView>>>]| -> Vec<NodeView> {
-        handles
-            .iter()
-            .map(|h| h.as_ref().map(|v| v.read().clone()).unwrap_or_default())
-            .collect()
-    };
 
     let mut timeline = Vec::with_capacity(samples);
     let mut next_sample_us = sample_us;
@@ -705,8 +701,7 @@ async fn run_fleet_inner(cfg: FleetConfig) -> RobustnessReport {
         }
         if timeline.len() < samples && now_us >= next_sample_us {
             let nominal = (timeline.len() + 1) as f64 * cfg.sample_every.as_secs_f64();
-            let views = snapshot(&view_handles);
-            let r = reachability(&views, &cfg.plan, nominal, cfg.n);
+            let r = reachability(&view_handles, &cfg.plan, nominal);
             fleet_obs().reachability.observe(r);
             timeline.push((nominal, r));
             next_sample_us += sample_us;
@@ -714,7 +709,10 @@ async fn run_fleet_inner(cfg: FleetConfig) -> RobustnessReport {
     }
 
     // Final state, before any Leave floods from shutdown.
-    let views = snapshot(&view_handles);
+    let views: Vec<NodeView> = view_handles
+        .iter()
+        .map(|h| h.as_ref().map(|v| v.read().clone()).unwrap_or_default())
+        .collect();
     let fault = net.fault_stats();
     for node in nodes.iter_mut().flatten() {
         node.shutdown_now().await;

@@ -72,6 +72,12 @@ struct ProtoObs {
     ae_digests: egoist_obs::Counter,
     ae_pulls: egoist_obs::Counter,
     ae_pushed: egoist_obs::Counter,
+    /// LSAs arriving in `LsdbSync` frames that were not fresher than the
+    /// stored copy, and fresher ones whose links were byte-equal to it
+    /// (ROADMAP item 4's refresh-vs-change measurement; tallied only
+    /// while obs is enabled).
+    ae_recv_not_fresher: egoist_obs::Counter,
+    ae_recv_equal: egoist_obs::Counter,
     claims_corroborated: egoist_obs::Counter,
     claims_contradicted: egoist_obs::Counter,
     links_quarantined: egoist_obs::Counter,
@@ -111,6 +117,8 @@ fn proto_obs() -> &'static ProtoObs {
             ae_digests: r.counter("proto.ae.digests"),
             ae_pulls: r.counter("proto.ae.pulls"),
             ae_pushed: r.counter("proto.ae.pushed_lsas"),
+            ae_recv_not_fresher: r.counter("proto.ae.recv_not_fresher"),
+            ae_recv_equal: r.counter("proto.ae.recv_equal"),
             claims_corroborated: r.counter("proto.claims.corroborated"),
             claims_contradicted: r.counter("proto.claims.contradicted"),
             links_quarantined: r.counter("proto.claims.quarantined_links"),
@@ -449,6 +457,15 @@ fn gossip_hash(origin: NodeId, seq: u64, me: NodeId, target: NodeId) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Whether two link lists are byte-equal: same neighbors, same cost bits,
+/// same order.
+fn same_links(a: &[LinkEntry], b: &[LinkEntry]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.neighbor == y.neighbor && x.cost.to_bits() == y.cost.to_bits())
+}
+
 /// An anti-entropy push — LSA count and `LsdbSync` frame — encoded
 /// straight from borrowed LSDB records; `None` when there is nothing to
 /// push.
@@ -486,10 +503,11 @@ pub struct EgoistNode<T: Transport> {
     demotions: u64,
     evictions: u64,
     promotions: u64,
-    /// In-neighbor cache: `in_nbrs[j]` iff `j`'s latest applied LSA
-    /// claims a link to us. Kept in sync on apply/expire/remove so
-    /// gossip target selection never rebuilds the LSDB graph.
-    in_nbrs: Vec<bool>,
+    /// In-neighbor cache, ascending: the origins `j < n` whose latest
+    /// applied LSA claims a link to us. Kept in sync on apply / expire /
+    /// ban / forget ([`Self::set_in_nbr`]) so gossip target selection
+    /// walks it instead of the LSDB graph or n flags.
+    in_nbrs: Vec<NodeId>,
     /// Links announced in the last seq bump (announce suppression).
     last_announced: Vec<LinkEntry>,
     /// Announce ticks since the last seq bump.
@@ -508,7 +526,7 @@ pub struct EgoistNode<T: Transport> {
     claims_corroborated: u64,
     claims_contradicted: u64,
     links_quarantined: u64,
-    /// Scratch membership marks for [`Self::known_peers`].
+    /// Scratch membership marks for [`Self::remember_passive_all`].
     peer_mark: Vec<bool>,
 }
 
@@ -549,7 +567,7 @@ impl<T: Transport> EgoistNode<T> {
             demotions: 0,
             evictions: 0,
             promotions: 0,
-            in_nbrs: vec![false; n],
+            in_nbrs: Vec::new(),
             last_announced: Vec::new(),
             announce_ticks: 0,
             sync_cursor: 0,
@@ -607,34 +625,32 @@ impl<T: Transport> EgoistNode<T> {
     /// the liveness timeout — otherwise a departed node would linger as a
     /// candidate (and, through the disconnection penalty, keep attracting
     /// links) forever.
-    fn known_peers(&mut self) -> Vec<NodeId> {
-        // Mark-vector membership: the old Vec::contains scan was O(n²)
-        // per call, which dominates everything at fleet scale.
-        let n = self.cfg.n;
-        let mark = &mut self.peer_mark;
-        mark.clear();
-        mark.resize(n, false);
-        for o in self.lsdb.origin_ids() {
-            if o.index() < n {
-                mark[o.index()] = true;
-            }
-        }
-        for (j, m) in mark.iter_mut().enumerate() {
-            if !*m {
-                let fresh = matches!(
-                    self.last_heard[j],
-                    Some(at) if at.elapsed() < self.cfg.liveness_timeout
-                );
-                *m = fresh && !self.est[j].value.is_nan();
-            }
-        }
-        if self.cfg.id.index() < n {
-            mark[self.cfg.id.index()] = false;
-        }
-        (0..n)
-            .filter(|&j| self.peer_mark[j] && !self.banned[j] && !self.condemned(j))
-            .map(NodeId::from_index)
-            .collect()
+    fn known_peers(&self) -> Vec<NodeId> {
+        self.known_peer_ids().collect()
+    }
+
+    /// [`Self::known_peers`], ascending and lazily: one pass over the ids
+    /// merged with the origin-ordered LSDB, reading the clock once.
+    fn known_peer_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let now = Instant::now();
+        let mut origins = self.lsdb.origin_ids().peekable();
+        (0..self.cfg.n).map(NodeId::from_index).filter(move |&id| {
+            // Every origin below n is consumed at its own id, in order.
+            let announced = origins.next_if_eq(&id).is_some();
+            let j = id.index();
+            let heard = || {
+                let timeout = self.cfg.liveness_timeout;
+                self.last_heard[j].is_some_and(|at| now.duration_since(at) < timeout)
+                    && !self.est[j].value.is_nan()
+            };
+            (announced || heard()) && id != self.cfg.id && !self.banned[j] && !self.condemned(j)
+        })
+    }
+
+    /// `known_peers().len() > m`, counting no further than the
+    /// (m+1)-th known peer.
+    fn knows_more_peers_than(&self, m: usize) -> bool {
+        self.known_peer_ids().nth(m).is_some()
     }
 
     /// Whether the passive view may hold `peer`: a real, unwired other
@@ -721,7 +737,7 @@ impl<T: Transport> EgoistNode<T> {
         self.lsdb.remove(peer);
         self.est[peer.index()] = Ewma::new();
         self.last_heard[peer.index()] = None;
-        self.in_nbrs[peer.index()] = false;
+        self.set_in_nbr(peer, false);
         self.wiring.retain(|&w| w != peer);
         self.passive.retain(|&p| p != peer);
         self.pending_pings.retain(|_, (to, _)| *to != peer);
@@ -754,7 +770,18 @@ impl<T: Transport> EgoistNode<T> {
         if peer.index() < self.cfg.n {
             self.est[peer.index()] = Ewma::new();
             self.last_heard[peer.index()] = None;
-            self.in_nbrs[peer.index()] = false;
+            self.set_in_nbr(peer, false);
+        }
+    }
+
+    /// Record whether `origin`'s latest applied LSA links to us.
+    fn set_in_nbr(&mut self, origin: NodeId, links_to_us: bool) {
+        match (self.in_nbrs.binary_search(&origin), links_to_us) {
+            (Err(at), true) => self.in_nbrs.insert(at, origin),
+            (Ok(at), false) => {
+                self.in_nbrs.remove(at);
+            }
+            _ => {}
         }
     }
 
@@ -765,7 +792,7 @@ impl<T: Transport> EgoistNode<T> {
     /// Newly-heard origins get a grace period — their first
     /// announcements carry a placeholder cost until their own pings
     /// resolve. Returns whether the LSA may be applied and forwarded.
-    fn audit_lsa(&mut self, lsa: &LinkStateAnnouncement) -> bool {
+    fn audit_lsa(&mut self, lsa: &LinkStateAnnouncement, now: Instant) -> bool {
         let o = lsa.origin;
         if o.index() >= self.cfg.n {
             return true;
@@ -779,7 +806,7 @@ impl<T: Transport> EgoistNode<T> {
         }
         let grace = self.cfg.announce_interval.mul_f64(3.0);
         match self.first_heard[o.index()] {
-            Some(at) if at.elapsed() > grace => {}
+            Some(at) if now.duration_since(at) > grace => {}
             _ => return true,
         }
         let offending = lsa.links.iter().any(|l| {
@@ -810,14 +837,16 @@ impl<T: Transport> EgoistNode<T> {
         let (n, me) = (self.cfg.n, self.cfg.id);
         let wanted = |t: NodeId| t != me && Some(t) != except && !self.banned[t.index()];
         // In-neighbors in id order, then the wired peers not among them.
-        let mut targets: Vec<NodeId> = (0..n)
-            .filter(|&j| self.in_nbrs[j])
-            .map(NodeId::from_index)
+        let in_nbr = |w: &NodeId| self.in_nbrs.binary_search(w).is_ok();
+        let mut targets: Vec<NodeId> = self
+            .in_nbrs
+            .iter()
+            .copied()
             .chain(
                 self.wiring
                     .iter()
                     .copied()
-                    .filter(|w| w.index() < n && !self.in_nbrs[w.index()]),
+                    .filter(|w| w.index() < n && !in_nbr(w)),
             )
             .filter(|&t| wanted(t))
             .collect();
@@ -928,7 +957,7 @@ impl<T: Transport> EgoistNode<T> {
     /// lower bound from this node's own measurements. Any contradicted
     /// claim rejects the LSA (it is neither believed nor forwarded) and
     /// is tallied toward the origin's per-epoch misbehavior conversion.
-    fn rank_claims(&mut self, lsa: &LinkStateAnnouncement) -> bool {
+    fn rank_claims(&mut self, lsa: &LinkStateAnnouncement, now: Instant) -> bool {
         let o = lsa.origin;
         if o.index() >= self.cfg.n {
             return true;
@@ -938,7 +967,7 @@ impl<T: Transport> EgoistNode<T> {
         // have not measured yet, and those carry no rankable signal.
         let grace = self.cfg.announce_interval.mul_f64(3.0);
         match self.first_heard[o.index()] {
-            Some(at) if at.elapsed() > grace => {}
+            Some(at) if now.duration_since(at) > grace => {}
             _ => return true,
         }
         let est_o = self.est[o.index()].value;
@@ -979,15 +1008,20 @@ impl<T: Transport> EgoistNode<T> {
     /// set, and stop being measured — resetting the very estimates the
     /// ranking needs, so the next forgery would arrive unrankable. It is
     /// never gossiped onward though: forwarding only launders forgeries.
-    fn admit_lsa(&mut self, lsa: &LinkStateAnnouncement) -> bool {
-        if !self.audit_lsa(lsa) {
+    ///
+    /// `now` is the arrival time of the frame that carried it: one clock
+    /// read per frame, however many LSAs it holds.
+    fn admit_lsa(&mut self, lsa: &LinkStateAnnouncement, now: Instant) -> bool {
+        if !self.audit_lsa(lsa, now) {
             return false;
         }
-        let clean = self.rank_claims(lsa);
-        let now = self.now_secs();
-        let fresh = self.lsdb.apply_ref(lsa, now);
+        let clean = self.rank_claims(lsa, now);
+        let fresh = self
+            .lsdb
+            .apply_ref(lsa, now.duration_since(self.t0).as_secs_f64());
         if fresh && lsa.origin.index() < self.cfg.n {
-            self.in_nbrs[lsa.origin.index()] = lsa.links.iter().any(|l| l.neighbor == self.cfg.id);
+            let links_to_us = lsa.links.iter().any(|l| l.neighbor == self.cfg.id);
+            self.set_in_nbr(lsa.origin, links_to_us);
         }
         fresh && clean
     }
@@ -1122,20 +1156,23 @@ impl<T: Transport> EgoistNode<T> {
             .collect()
     }
 
-    /// Compute a new wiring with the configured policy (CPU-bound part on
-    /// the blocking pool) and install it. Returns whether it changed.
-    async fn rewire(&mut self) -> bool {
-        let now = self.now_secs();
-        // Expired origins are gone for good: drop their links and forget
-        // their measurements so they stop being candidates.
-        for e in self.lsdb.expire(now) {
+    /// Expired origins are gone for good: drop their links and forget
+    /// their measurements so they stop being candidates.
+    fn expire_origins(&mut self) {
+        for e in self.lsdb.expire(self.now_secs()) {
             if e.index() < self.cfg.n {
                 self.est[e.index()] = Ewma::new();
                 self.last_heard[e.index()] = None;
-                self.in_nbrs[e.index()] = false;
+                self.set_in_nbr(e, false);
             }
             self.wiring.retain(|&w| w != e);
         }
+    }
+
+    /// Compute a new wiring with the configured policy (CPU-bound part on
+    /// the blocking pool) and install it. Returns whether it changed.
+    async fn rewire(&mut self) -> bool {
+        self.expire_origins();
         let candidates = self.known_peers();
         if candidates.is_empty() {
             return false;
@@ -1315,11 +1352,10 @@ impl<T: Transport> EgoistNode<T> {
             obs.recv_frames[class.slot()].inc();
             obs.recv_bytes[class.slot()].add(frame.len() as u64);
         }
+        let now = Instant::now();
         if from.index() < self.cfg.n {
-            self.last_heard[from.index()] = Some(Instant::now());
-            if self.first_heard[from.index()].is_none() {
-                self.first_heard[from.index()] = Some(Instant::now());
-            }
+            self.last_heard[from.index()] = Some(now);
+            self.first_heard[from.index()].get_or_insert(now);
         }
         match msg {
             Message::BootstrapResponse { peers } => {
@@ -1340,17 +1376,30 @@ impl<T: Transport> EgoistNode<T> {
                 self.send_frame(peer, MessageClass::Sync, frame).await;
             }
             Message::LsdbSync { lsas } => {
+                let tally = egoist_obs::is_enabled();
+                let (mut not_fresher, mut equal) = (0, 0);
                 for lsa in &lsas {
+                    if tally {
+                        match self.lsdb.get(lsa.origin) {
+                            Some(ours) if ours.seq >= lsa.seq => not_fresher += 1,
+                            Some(ours) if same_links(&ours.links, &lsa.links) => equal += 1,
+                            _ => {}
+                        }
+                    }
                     // Admission-controlled but not re-forwarded: sync
                     // deltas propagate by anti-entropy, not push.
-                    self.admit_lsa(lsa);
+                    self.admit_lsa(lsa, now);
+                }
+                if tally {
+                    proto_obs().ae_recv_not_fresher.add(not_fresher);
+                    proto_obs().ae_recv_equal.add(equal);
                 }
             }
             Message::LinkState { lsa, ttl } => {
                 // Audited before apply *and* before forward: a rejected
                 // LSA is neither believed nor propagated. Fresh with TTL
                 // budget left → push on to a fanout-bounded subset.
-                if self.admit_lsa(&lsa) && ttl > 0 {
+                if self.admit_lsa(&lsa, now) && ttl > 0 {
                     self.gossip_forwards += 1;
                     proto_obs().gossip_forwards.inc();
                     self.gossip_lsa(lsa, ttl - 1, Some(from)).await;
@@ -1550,7 +1599,7 @@ impl<T: Transport> EgoistNode<T> {
     /// passive view on a capped exponential backoff. Healthy nodes just
     /// re-arm. Returns the delay until the next watchdog check.
     pub async fn tick_join(&mut self) -> Duration {
-        if self.known_peers().len() <= self.cfg.k {
+        if !self.knows_more_peers_than(self.cfg.k) {
             self.join_retries += 1;
             proto_obs().join_retries.inc();
             if let Some(b) = self.cfg.bootstrap {
@@ -2113,6 +2162,183 @@ mod tests {
                     "case {case}: {peers:?} into {view:?}"
                 );
             }
+        }
+    }
+
+    impl<T: Transport> EgoistNode<T> {
+        /// `known_peers` as it was: mark the LSDB origins, then a second
+        /// O(n) pass reading the clock per id.
+        fn known_peers_reference(&mut self) -> Vec<NodeId> {
+            let n = self.cfg.n;
+            let mark = &mut self.peer_mark;
+            mark.clear();
+            mark.resize(n, false);
+            for o in self.lsdb.origin_ids() {
+                if o.index() < n {
+                    mark[o.index()] = true;
+                }
+            }
+            for (j, m) in mark.iter_mut().enumerate() {
+                if !*m {
+                    let fresh = matches!(
+                        self.last_heard[j],
+                        Some(at) if at.elapsed() < self.cfg.liveness_timeout
+                    );
+                    *m = fresh && !self.est[j].value.is_nan();
+                }
+            }
+            if self.cfg.id.index() < n {
+                mark[self.cfg.id.index()] = false;
+            }
+            (0..n)
+                .filter(|&j| self.peer_mark[j] && !self.banned[j] && !self.condemned(j))
+                .map(NodeId::from_index)
+                .collect()
+        }
+
+        /// `gossip_targets` as it was — an O(n) scan of in-neighbor
+        /// flags — with the flags taken from their definition: `j`'s
+        /// stored LSA links to us.
+        fn gossip_targets_reference(
+            &self,
+            origin: NodeId,
+            seq: u64,
+            except: Option<NodeId>,
+            fanout: usize,
+        ) -> Vec<NodeId> {
+            let (n, me) = (self.cfg.n, self.cfg.id);
+            let in_nbrs: Vec<bool> = (0..n)
+                .map(|j| {
+                    let lsa = self.lsdb.get(NodeId::from_index(j));
+                    lsa.is_some_and(|l| l.links.iter().any(|l| l.neighbor == me))
+                })
+                .collect();
+            let wanted = |t: NodeId| t != me && Some(t) != except && !self.banned[t.index()];
+            let mut targets: Vec<NodeId> = (0..n)
+                .filter(|&j| in_nbrs[j])
+                .map(NodeId::from_index)
+                .chain(
+                    self.wiring
+                        .iter()
+                        .copied()
+                        .filter(|w| w.index() < n && !in_nbrs[w.index()]),
+                )
+                .filter(|&t| wanted(t))
+                .collect();
+            targets.sort_unstable();
+            targets.dedup();
+            if targets.len() > fanout {
+                targets.sort_by_key(|&t| (gossip_hash(origin, seq, me, t), t));
+                targets.truncate(fanout);
+                targets.sort_unstable();
+            }
+            targets
+        }
+    }
+
+    /// The one-pass `known_peers`, its early-exit count and the
+    /// in-neighbor-list gossip targets against the O(n) scans they
+    /// replaced, over random LSDB origins (out of range and self
+    /// included), `last_heard` ages either side of the liveness timeout,
+    /// NaN estimates, banned and condemned peers — after every apply,
+    /// expiry, ban and `forget`.
+    #[test]
+    fn one_pass_peer_scans_match_the_reference_scans() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x5CA4);
+        for case in 0..150 {
+            tokio::runtime::block_on_paused(async {
+                let n = rng.random_range(2..36);
+                let me = NodeId::from_index(rng.random_range(0..n));
+                let net = SimNet::clean(DistanceMatrix::off_diagonal(n, 1.0));
+                let mut cfg = NodeConfig::new(me, n, rng.random_range(1..5));
+                cfg.liveness_timeout = Duration::from_secs(12);
+                cfg.lsdb_max_age = Some(Duration::from_secs(8));
+                // A 3 s grace window, so audits and claim ranking engage.
+                cfg.announce_interval = Duration::from_secs(1);
+                let mut node = EgoistNode::new(cfg, net.endpoint(me));
+                let t0 = Instant::now();
+                tokio::time::sleep(Duration::from_secs(20)).await;
+                // Heard up to 20 s ago, sometimes exactly one timeout ago.
+                let heard = |rng: &mut StdRng| {
+                    let ago = match rng.random_range(0..5) {
+                        0 => Duration::from_secs(12),
+                        _ => Duration::from_millis(rng.random_range(0..20_000)),
+                    };
+                    Some(t0 + t0.elapsed().saturating_sub(ago))
+                };
+                for j in 0..n {
+                    if rng.random::<f64>() < 0.7 {
+                        node.est[j].update(rng.random_range(1..40) as f64);
+                    }
+                    if rng.random::<f64>() < 0.6 {
+                        node.last_heard[j] = heard(&mut rng);
+                        node.first_heard[j] = node.last_heard[j];
+                    }
+                    node.banned[j] = rng.random::<f64>() < 0.08;
+                    if rng.random::<f64>() < 0.08 {
+                        node.scores[j].total_points = node.cfg.ban_threshold as u64;
+                    }
+                }
+                let any_id = |rng: &mut StdRng| NodeId::from_index(rng.random_range(0..n + 2));
+                for step in 0..50 {
+                    tokio::time::sleep(Duration::from_millis(rng.random_range(0..2500))).await;
+                    match rng.random_range(0..10) {
+                        0..=4 => {
+                            let links = (0..rng.random_range(0..5))
+                                .map(|_| LinkEntry {
+                                    neighbor: if rng.random::<f64>() < 0.4 {
+                                        me
+                                    } else {
+                                        any_id(&mut rng)
+                                    },
+                                    cost: rng.random_range(1..60) as f32,
+                                })
+                                .collect();
+                            let lsa = LinkStateAnnouncement {
+                                origin: any_id(&mut rng),
+                                seq: rng.random_range(1..8),
+                                links,
+                            };
+                            node.admit_lsa(&lsa, Instant::now());
+                        }
+                        5 => node.expire_origins(),
+                        6 => {
+                            let threshold = node.cfg.ban_threshold;
+                            node.punish(any_id(&mut rng), threshold);
+                        }
+                        7 => node.forget(any_id(&mut rng)),
+                        8 => {
+                            let j = rng.random_range(0..n);
+                            node.last_heard[j] =
+                                heard(&mut rng).filter(|_| rng.random::<f64>() < 0.8);
+                        }
+                        _ => {
+                            node.wiring = (0..n)
+                                .map(NodeId::from_index)
+                                .filter(|&w| w != me && rng.random::<f64>() < 0.25)
+                                .collect();
+                        }
+                    }
+                    let at = format!("case {case} step {step}");
+                    let want = node.known_peers_reference();
+                    assert_eq!(node.known_peers(), want, "{at}");
+                    for m in 0..=n {
+                        assert_eq!(node.knows_more_peers_than(m), want.len() > m, "{at} m={m}");
+                    }
+                    assert!(node.in_nbrs.windows(2).all(|w| w[0] < w[1]), "{at}");
+                    for _ in 0..4 {
+                        let (origin, seq) = (any_id(&mut rng), rng.random_range(0..100));
+                        let except = Some(any_id(&mut rng)).filter(|_| rng.random());
+                        let fanout = [0, 1, 3, usize::MAX][rng.random_range(0..4usize)];
+                        assert_eq!(
+                            node.gossip_targets(origin, seq, except, fanout),
+                            node.gossip_targets_reference(origin, seq, except, fanout),
+                            "{at}"
+                        );
+                    }
+                }
+            });
         }
     }
 

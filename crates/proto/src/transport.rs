@@ -5,17 +5,55 @@
 //! and over [`SimTransport`] (frames delivered through `egoist-netsim`
 //! link delays and fault injection, with tokio's paused clock making
 //! tests instant and deterministic).
+//!
+//! # How [`SimNet`] delivers
+//!
+//! Every frame in flight on a net sits in one *calendar*, a min-heap
+//! keyed by (delivery instant, send sequence). A send asks the fault
+//! injector for a verdict on the frame's *length*, takes the
+//! destination's sender, and pushes one entry — two for a `Duplicate`
+//! verdict, a later one for `Delayed` / `Reordered`. The frame stays the
+//! caller's shared `Bytes`; only a `Corrupted` verdict copies it. One
+//! *pump* task per net, spawned by the first send, sleeps until the
+//! calendar's earliest instant and then lands every due entry in its
+//! inbox in calendar order; a send due before the pump's timer wakes it
+//! to re-arm. Nothing is spawned or copied per frame, and the runtime
+//! sees one timer per distinct delivery instant, not one per frame.
+//!
+//! Each inbox keeps a *pending count* beside its locked queue, so
+//! `try_recv` on an empty inbox — what the fleet's drain sweep finds at
+//! most nodes on most steps — is one atomic load.
+//!
+//! This is exact against the one-task-per-frame delivery it replaced.
+//! The instant is the same expression, `Instant::now() +
+//! Duration::from_secs_f64(ms / 1000.0)`, so each frame lands at the
+//! same virtual nanosecond. Frames due at the same instant land in send
+//! order, which is the order their tasks registered their timers. A
+//! frame in flight holds its destination's sender, so it still lands
+//! after a `disconnect`, and the stream ends after the last such frame.
+//! One order is not kept: a frame due at the *same nanosecond* as some
+//! other task's timer was ordered against it by timer registration, and
+//! is now ordered by when the pump armed. Delays are real-valued
+//! milliseconds, so such ties are rare, and none moved a report —
+//! `chaos_fleet`'s full report stays byte-equal to
+//! `BENCH_robustness.json`, which CI checks.
 
 use bytes::Bytes;
 use egoist_graph::{DistanceMatrix, NodeId};
 use egoist_netsim::fault::{FaultConfig, FaultInjector, FaultPlan, Verdict};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::future::Future;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::task::{Context, Poll, Waker};
+use std::time::Duration;
 use tokio::net::UdpSocket;
-use tokio::sync::mpsc;
+use tokio::time::{Instant, Sleep};
 
 /// Obs handles for transport-level drops that used to vanish silently.
 struct TransportObs {
@@ -66,14 +104,213 @@ pub trait Transport: Send + 'static {
 // Simulated network
 // ---------------------------------------------------------------------
 
+/// One endpoint's inbox: frames that have landed and not been read.
+///
+/// Both counts publish no data of their own — frames are only read
+/// under `state`'s lock — so they are `Relaxed`. A stream end cannot be
+/// missed: the `Sender` drop that reaches zero wakes under the lock, and
+/// `recv` tests for zero under it.
+struct Inbox {
+    /// `state.frames.len()`, readable without the lock: an empty inbox
+    /// answers `try_recv` with one load.
+    pending: AtomicUsize,
+    /// Live [`Sender`]s: the hub's registration until `disconnect`, plus
+    /// one per frame in flight to this inbox. At zero, with nothing
+    /// queued, the stream has ended.
+    senders: AtomicUsize,
+    state: Mutex<InboxState>,
+}
+
+struct InboxState {
+    frames: VecDeque<(NodeId, Bytes)>,
+    /// The receiver parked in `recv`.
+    waker: Option<Waker>,
+    /// Cleared when the endpoint is dropped: later frames are discarded.
+    open: bool,
+}
+
+impl Inbox {
+    fn land(&self, from: NodeId, frame: Bytes) {
+        let mut st = self.state.lock();
+        if st.open {
+            st.frames.push_back((from, frame));
+            self.pending.store(st.frames.len(), Ordering::Relaxed);
+            if let Some(w) = st.waker.take() {
+                w.wake();
+            }
+        }
+    }
+
+    fn pop(&self, st: &mut InboxState) -> Option<(NodeId, Bytes)> {
+        let frame = st.frames.pop_front();
+        self.pending.store(st.frames.len(), Ordering::Relaxed);
+        frame
+    }
+
+    fn poll_recv(&self, cx: &mut Context<'_>) -> Poll<Option<(NodeId, Bytes)>> {
+        let mut st = self.state.lock();
+        if let Some(frame) = self.pop(&mut st) {
+            return Poll::Ready(Some(frame));
+        }
+        if self.senders.load(Ordering::Relaxed) == 0 {
+            return Poll::Ready(None);
+        }
+        st.waker = Some(cx.waker().clone());
+        Poll::Pending
+    }
+}
+
+/// A counted handle that can still deliver into one [`Inbox`].
+struct Sender(Arc<Inbox>);
+
+impl Clone for Sender {
+    fn clone(&self) -> Self {
+        // Cloned only from a live handle, so the count never leaves zero.
+        self.0.senders.fetch_add(1, Ordering::Relaxed);
+        Sender(Arc::clone(&self.0))
+    }
+}
+
+impl Drop for Sender {
+    fn drop(&mut self) {
+        if self.0.senders.fetch_sub(1, Ordering::Relaxed) == 1 {
+            // Stream end: wake a parked receiver so `recv` yields `None`.
+            if let Some(w) = self.0.state.lock().waker.take() {
+                w.wake();
+            }
+        }
+    }
+}
+
+/// A frame in flight: lands in `to` at `at`; `seq` (send order on the
+/// net) orders frames due at the same instant.
+struct InFlight {
+    at: Instant,
+    seq: u64,
+    from: NodeId,
+    frame: Bytes,
+    to: Sender,
+}
+
+impl InFlight {
+    fn key(&self) -> (Instant, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl PartialEq for InFlight {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for InFlight {}
+
+impl PartialOrd for InFlight {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for InFlight {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// Every frame in flight on one net, and the pump that delivers them.
+#[derive(Default)]
+struct Calendar {
+    frames: BinaryHeap<Reverse<InFlight>>,
+    sent: u64,
+    /// The instant the pump's timer is set for; `None` while it idles.
+    armed: Option<Instant>,
+    /// The pump's waker while it is parked.
+    pump: Option<Waker>,
+    /// Whether a pump task is alive on the current runtime.
+    running: bool,
+}
+
 struct SimNetInner {
     /// One-way frame latency in milliseconds per directed pair.
     delays: DistanceMatrix,
-    txs: Mutex<HashMap<NodeId, mpsc::UnboundedSender<(NodeId, Bytes)>>>,
+    txs: Mutex<HashMap<NodeId, Sender>>,
     fault: Mutex<FaultInjector>,
-    epoch: tokio::time::Instant,
+    calendar: Mutex<Calendar>,
+    epoch: Instant,
     pub frames_sent: AtomicU64,
     pub bytes_sent: AtomicU64,
+}
+
+impl SimNetInner {
+    /// Put one frame in flight, landing `ms` from now.
+    fn schedule(self: &Arc<Self>, ms: f64, from: NodeId, to: Sender, frame: Bytes) {
+        let at = Instant::now() + Duration::from_secs_f64(ms / 1000.0);
+        let mut cal = self.calendar.lock();
+        let seq = cal.sent;
+        cal.sent += 1;
+        cal.frames.push(Reverse(InFlight {
+            at,
+            seq,
+            from,
+            frame,
+            to,
+        }));
+        if !cal.running {
+            cal.running = true;
+            drop(cal);
+            tokio::spawn(pump(Arc::clone(self)));
+        } else if cal.armed.is_none_or(|armed| at < armed) {
+            // Due before the pump's timer: wake it to re-arm.
+            if let Some(w) = cal.pump.take() {
+                w.wake();
+            }
+        }
+    }
+
+    /// One poll of the pump: land every frame due by now, in calendar
+    /// order, then sleep until the next one is due.
+    fn pump_poll(&self, cx: &mut Context<'_>, timer: &mut Option<Pin<Box<Sleep>>>) -> Poll<()> {
+        loop {
+            let now = Instant::now();
+            let mut cal = self.calendar.lock();
+            while let Some(due) = cal.frames.peek_mut().filter(|f| f.0.at <= now) {
+                let Reverse(f) = PeekMut::pop(due);
+                f.to.0.land(f.from, f.frame);
+            }
+            cal.pump = Some(cx.waker().clone());
+            let Some(next) = cal.frames.peek().map(|f| f.0.at) else {
+                cal.armed = None;
+                return Poll::Pending;
+            };
+            if cal.armed != Some(next) {
+                cal.armed = Some(next);
+                *timer = Some(Box::pin(tokio::time::sleep_until(next)));
+            }
+            drop(cal);
+            let sleep = timer.as_mut().expect("armed above");
+            if sleep.as_mut().poll(cx).is_pending() {
+                return Poll::Pending;
+            }
+        }
+    }
+}
+
+/// The net's one delivery task.
+async fn pump(net: Arc<SimNetInner>) {
+    let _stop = PumpStop(&net);
+    let mut timer = None;
+    std::future::poll_fn(|cx| net.pump_poll(cx, &mut timer)).await
+}
+
+/// Frames in flight die with the runtime, as per-frame tasks would; a
+/// later runtime's first send starts a new pump.
+struct PumpStop<'a>(&'a SimNetInner);
+
+impl Drop for PumpStop<'_> {
+    fn drop(&mut self) {
+        *self.0.calendar.lock() = Calendar::default();
+    }
 }
 
 /// An in-process network shared by many [`SimTransport`] endpoints.
@@ -102,7 +339,8 @@ impl SimNet {
                 delays,
                 txs: Mutex::new(HashMap::new()),
                 fault: Mutex::new(FaultInjector::with_plan(fault, plan, seed)),
-                epoch: tokio::time::Instant::now(),
+                calendar: Mutex::new(Calendar::default()),
+                epoch: Instant::now(),
                 frames_sent: AtomicU64::new(0),
                 bytes_sent: AtomicU64::new(0),
             }),
@@ -116,20 +354,30 @@ impl SimNet {
 
     /// Create the endpoint for node `id`. Panics if `id` already exists.
     pub fn endpoint(&self, id: NodeId) -> SimTransport {
-        let (tx, rx) = mpsc::unbounded_channel();
-        let prev = self.inner.txs.lock().insert(id, tx);
+        let inbox = Arc::new(Inbox {
+            pending: AtomicUsize::new(0),
+            senders: AtomicUsize::new(1),
+            state: Mutex::new(InboxState {
+                frames: VecDeque::new(),
+                waker: None,
+                open: true,
+            }),
+        });
+        let prev = self.inner.txs.lock().insert(id, Sender(Arc::clone(&inbox)));
         assert!(prev.is_none(), "duplicate endpoint for {id}");
         SimTransport {
             id,
             net: Arc::clone(&self.inner),
-            rx,
+            inbox,
         }
     }
 
-    /// Disconnect an endpoint (its queued frames are dropped) — used to
-    /// simulate abrupt node failure.
+    /// Disconnect an endpoint — abrupt node failure. New sends to it are
+    /// lost; frames already in flight still land, and its stream ends
+    /// after the last of them.
     pub fn disconnect(&self, id: NodeId) {
-        self.inner.txs.lock().remove(&id);
+        let registration = self.inner.txs.lock().remove(&id);
+        drop(registration);
     }
 
     /// Total frames accepted for transmission.
@@ -175,7 +423,16 @@ pub struct FaultStats {
 pub struct SimTransport {
     id: NodeId,
     net: Arc<SimNetInner>,
-    rx: mpsc::UnboundedReceiver<(NodeId, Bytes)>,
+    inbox: Arc<Inbox>,
+}
+
+impl Drop for SimTransport {
+    fn drop(&mut self) {
+        let mut st = self.inbox.state.lock();
+        st.open = false;
+        st.frames.clear();
+        self.inbox.pending.store(0, Ordering::Relaxed);
+    }
 }
 
 impl Transport for SimTransport {
@@ -184,57 +441,57 @@ impl Transport for SimTransport {
     }
 
     async fn send(&self, to: NodeId, frame: Bytes) -> std::io::Result<()> {
-        self.net.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.net
-            .bytes_sent
+        let net = &self.net;
+        net.frames_sent.fetch_add(1, Ordering::Relaxed);
+        net.bytes_sent
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
 
-        let mut data = frame.to_vec();
-        let now = self.net.epoch.elapsed().as_secs_f64();
+        let now = net.epoch.elapsed().as_secs_f64();
         let from = self.id;
-        let verdict = self
-            .net
-            .fault
-            .lock()
-            .process_addressed(now, from, to, &mut data);
+        let verdict = net.fault.lock().verdict(now, from, to, frame.len());
         if matches!(verdict, Verdict::Drop | Verdict::Cut) {
             return Ok(()); // datagram lost (loss or partition/storm cut)
         }
-        let Some(tx) = self.net.txs.lock().get(&to).cloned() else {
+        let Some(tx) = net.txs.lock().get(&to).cloned() else {
             transport_obs().no_endpoint.inc();
             return Ok(()); // peer gone: datagram lost
         };
-        let delay_ms = if to.index() < self.net.delays.len() && from.index() < self.net.delays.len()
-        {
-            self.net.delays.get(from, to).max(0.0)
+        let delay_ms = if to.index() < net.delays.len() && from.index() < net.delays.len() {
+            net.delays.get(from, to).max(0.0)
         } else {
             1.0
         };
-        let deliver = |tx: mpsc::UnboundedSender<(NodeId, Bytes)>, data: Vec<u8>, ms: f64| {
-            tokio::spawn(async move {
-                tokio::time::sleep(std::time::Duration::from_secs_f64(ms / 1000.0)).await;
-                let _ = tx.send((from, Bytes::from(data)));
-            });
+        // The frame stays the caller's shared buffer unless it is damaged.
+        let frame = match verdict {
+            Verdict::Corrupted { .. } => {
+                let mut data = frame.to_vec();
+                verdict.damage(&mut data);
+                Bytes::from(data)
+            }
+            _ => frame,
         };
         match verdict {
             Verdict::Duplicate { extra_us } => {
-                deliver(tx.clone(), data.clone(), delay_ms);
-                deliver(tx, data, delay_ms + extra_us as f64 / 1000.0);
+                net.schedule(delay_ms, from, tx.clone(), frame.clone());
+                net.schedule(delay_ms + extra_us as f64 / 1000.0, from, tx, frame);
             }
             Verdict::Delayed { extra_us } | Verdict::Reordered { extra_us } => {
-                deliver(tx, data, delay_ms + extra_us as f64 / 1000.0);
+                net.schedule(delay_ms + extra_us as f64 / 1000.0, from, tx, frame);
             }
-            _ => deliver(tx, data, delay_ms),
+            _ => net.schedule(delay_ms, from, tx, frame),
         }
         Ok(())
     }
 
     async fn recv(&mut self) -> Option<(NodeId, Bytes)> {
-        self.rx.recv().await
+        std::future::poll_fn(|cx| self.inbox.poll_recv(cx)).await
     }
 
     fn try_recv(&mut self) -> Option<(NodeId, Bytes)> {
-        self.rx.try_recv()
+        if self.inbox.pending.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        self.inbox.pop(&mut self.inbox.state.lock())
     }
 }
 
@@ -427,6 +684,164 @@ mod tests {
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
             assert_eq!(net.fault_stats().duplicated, 1);
+        });
+    }
+
+    #[test]
+    fn same_instant_frames_arrive_in_send_order() {
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::clean(two_node_delays(7.0));
+            let a = net.endpoint(NodeId(0));
+            let mut b = net.endpoint(NodeId(1));
+            for i in 0..16u8 {
+                a.send(NodeId(1), Bytes::from(vec![i])).await.unwrap();
+            }
+            let t0 = Instant::now();
+            for i in 0..16u8 {
+                assert_eq!(b.recv().await.unwrap().1[..], [i]);
+            }
+            assert_eq!(t0.elapsed(), Duration::from_secs_f64(0.007));
+            assert_eq!(b.try_recv(), None);
+        });
+    }
+
+    #[test]
+    fn duplicate_lands_twice_the_echo_extra_us_later() {
+        let cfg = FaultConfig {
+            duplicate_chance: 1.0,
+            jitter_ms: 20.0,
+            ..Default::default()
+        };
+        // The net's injector, replayed: what it will decide for the frame.
+        let mut twin = FaultInjector::new(cfg, 4);
+        let Verdict::Duplicate { extra_us } = twin.verdict(0.0, NodeId(0), NodeId(1), 3) else {
+            panic!("duplicate_chance 1.0 must duplicate");
+        };
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::new(two_node_delays(5.0), cfg, 4);
+            let a = net.endpoint(NodeId(0));
+            let mut b = net.endpoint(NodeId(1));
+            let t0 = Instant::now();
+            a.send(NodeId(1), Bytes::from_static(b"dup")).await.unwrap();
+            assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
+            assert_eq!(t0.elapsed(), Duration::from_secs_f64(5.0 / 1000.0));
+            assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
+            let echo_ms = 5.0 + extra_us as f64 / 1000.0;
+            assert_eq!(t0.elapsed(), Duration::from_secs_f64(echo_ms / 1000.0));
+        });
+    }
+
+    #[test]
+    fn corruption_damages_one_copy_of_a_shared_frame() {
+        let cfg = FaultConfig {
+            corrupt_chance: 0.5,
+            ..Default::default()
+        };
+        let sent = Bytes::from(vec![0x5Au8; 24]);
+        let targets = [NodeId(1), NodeId(2), NodeId(3)];
+        // A seed whose verdicts on the three sends corrupt some, not all.
+        let verdicts = |seed| {
+            let mut twin = FaultInjector::new(cfg, seed);
+            targets.map(|t| twin.verdict(0.0, NodeId(0), t, sent.len()))
+        };
+        let seed = (0..)
+            .find(|&s| {
+                let hit = verdicts(s).map(|v| matches!(v, Verdict::Corrupted { .. }));
+                hit.contains(&true) && hit.contains(&false)
+            })
+            .unwrap();
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::new(DistanceMatrix::off_diagonal(4, 2.0), cfg, seed);
+            let a = net.endpoint(NodeId(0));
+            let mut inboxes: Vec<SimTransport> = targets.iter().map(|&t| net.endpoint(t)).collect();
+            for &t in &targets {
+                a.send(t, sent.clone()).await.unwrap();
+            }
+            for (rx, verdict) in inboxes.iter_mut().zip(verdicts(seed)) {
+                let got = rx.recv().await.unwrap().1;
+                let mut want = sent.to_vec();
+                verdict.damage(&mut want);
+                assert_eq!(got[..], want[..]);
+                let flipped: u32 = got
+                    .iter()
+                    .zip(&sent[..])
+                    .map(|(x, y)| (x ^ y).count_ones())
+                    .sum();
+                let corrupted = matches!(verdict, Verdict::Corrupted { .. });
+                assert_eq!(flipped, u32::from(corrupted), "{verdict:?}");
+            }
+            assert_eq!(
+                sent[..],
+                [0x5Au8; 24],
+                "the sender's buffer is never written"
+            );
+        });
+    }
+
+    #[test]
+    fn frame_in_flight_outlives_disconnect_then_the_stream_ends() {
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::clean(two_node_delays(10.0));
+            let a = net.endpoint(NodeId(0));
+            let mut b = net.endpoint(NodeId(1));
+            a.send(NodeId(1), Bytes::from_static(b"last"))
+                .await
+                .unwrap();
+            net.disconnect(NodeId(1));
+            a.send(NodeId(1), Bytes::from_static(b"lost"))
+                .await
+                .unwrap();
+            assert_eq!(&b.recv().await.unwrap().1[..], b"last");
+            assert_eq!(b.recv().await, None);
+            assert_eq!(b.try_recv(), None);
+        });
+    }
+
+    #[test]
+    fn interleaved_recv_and_try_recv_see_every_frame_once() {
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::clean(two_node_delays(1.0));
+            let a = net.endpoint(NodeId(0));
+            let mut b = net.endpoint(NodeId(1));
+            for i in 0..40u8 {
+                a.send(NodeId(1), Bytes::from(vec![i])).await.unwrap();
+                if i % 5 == 4 {
+                    tokio::time::sleep(Duration::from_micros(700)).await;
+                }
+            }
+            // Frames are queued and in flight when the registration goes.
+            net.disconnect(NodeId(1));
+            let mut got = Vec::new();
+            for step in 0.. {
+                if step % 3 == 0 {
+                    got.extend(b.try_recv().map(|(_, f)| f[0]));
+                    continue;
+                }
+                match b.recv().await {
+                    Some((_, f)) => got.push(f[0]),
+                    None => break,
+                }
+            }
+            assert_eq!(got, (0..40).collect::<Vec<u8>>());
+        });
+    }
+
+    #[test]
+    fn a_net_outlives_its_runtime() {
+        let net = SimNet::clean(two_node_delays(3.0));
+        let a = net.endpoint(NodeId(0));
+        let mut b = net.endpoint(NodeId(1));
+        tokio::runtime::block_on_paused(async {
+            a.send(NodeId(1), Bytes::from_static(b"one")).await.unwrap();
+            assert_eq!(&b.recv().await.unwrap().1[..], b"one");
+            // In flight when this runtime ends: lost with it.
+            a.send(NodeId(1), Bytes::from_static(b"gone"))
+                .await
+                .unwrap();
+        });
+        tokio::runtime::block_on_paused(async {
+            a.send(NodeId(1), Bytes::from_static(b"two")).await.unwrap();
+            assert_eq!(&b.recv().await.unwrap().1[..], b"two");
         });
     }
 

@@ -230,9 +230,10 @@ fn obs_exports_are_deterministic_across_runs() {
     );
 }
 
-/// The route-computation instruments (`x-fleet-instruments` in the
-/// metrics schema): present after a best-response fleet, consistent
-/// with each other, and invisible to the report.
+/// The fleet instruments (`x-fleet-instruments` in the metrics schema:
+/// route computation plus the anti-entropy overlap counters): present
+/// after a best-response fleet, consistent with each other, and
+/// invisible to the report.
 #[test]
 fn fleet_route_instruments_are_exported_and_invisible() {
     let _g = serial();
@@ -259,7 +260,7 @@ fn fleet_route_instruments_are_exported_and_invisible() {
         .split('"')
         .filter(|name| name.starts_with("proto.") || name.starts_with("graph."))
         .collect();
-    assert_eq!(names.len(), 6, "{names:?}");
+    assert_eq!(names.len(), 8, "{names:?}");
     for name in names {
         assert!(export.contains(&format!("\"{name}\":")), "{name} missing");
     }
