@@ -20,9 +20,10 @@
 //! to re-arm. Nothing is spawned or copied per frame, and the runtime
 //! sees one timer per distinct delivery instant, not one per frame.
 //!
-//! Each inbox keeps a *pending count* beside its locked queue, so
-//! `try_recv` on an empty inbox — what the fleet's drain sweep finds at
-//! most nodes on most steps — is one atomic load.
+//! Each inbox is a `tokio::sync::mpsc` unbounded channel, which keeps a
+//! *pending count* beside its locked queue, so `try_recv` on an empty
+//! inbox — what the fleet's drain sweep finds at most nodes on most
+//! steps — is one atomic load.
 //!
 //! This is exact against the one-task-per-frame delivery it replaced.
 //! The instant is the same expression, `Instant::now() +
@@ -44,15 +45,16 @@ use egoist_netsim::fault::{FaultConfig, FaultInjector, FaultPlan, Verdict};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::future::Future;
 use std::net::SocketAddr;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 use tokio::net::UdpSocket;
+use tokio::sync::mpsc;
 use tokio::time::{Instant, Sleep};
 
 /// Obs handles for transport-level drops that used to vanish silently.
@@ -104,83 +106,8 @@ pub trait Transport: Send + 'static {
 // Simulated network
 // ---------------------------------------------------------------------
 
-/// One endpoint's inbox: frames that have landed and not been read.
-///
-/// Both counts publish no data of their own — frames are only read
-/// under `state`'s lock — so they are `Relaxed`. A stream end cannot be
-/// missed: the `Sender` drop that reaches zero wakes under the lock, and
-/// `recv` tests for zero under it.
-struct Inbox {
-    /// `state.frames.len()`, readable without the lock: an empty inbox
-    /// answers `try_recv` with one load.
-    pending: AtomicUsize,
-    /// Live [`Sender`]s: the hub's registration until `disconnect`, plus
-    /// one per frame in flight to this inbox. At zero, with nothing
-    /// queued, the stream has ended.
-    senders: AtomicUsize,
-    state: Mutex<InboxState>,
-}
-
-struct InboxState {
-    frames: VecDeque<(NodeId, Bytes)>,
-    /// The receiver parked in `recv`.
-    waker: Option<Waker>,
-    /// Cleared when the endpoint is dropped: later frames are discarded.
-    open: bool,
-}
-
-impl Inbox {
-    fn land(&self, from: NodeId, frame: Bytes) {
-        let mut st = self.state.lock();
-        if st.open {
-            st.frames.push_back((from, frame));
-            self.pending.store(st.frames.len(), Ordering::Relaxed);
-            if let Some(w) = st.waker.take() {
-                w.wake();
-            }
-        }
-    }
-
-    fn pop(&self, st: &mut InboxState) -> Option<(NodeId, Bytes)> {
-        let frame = st.frames.pop_front();
-        self.pending.store(st.frames.len(), Ordering::Relaxed);
-        frame
-    }
-
-    fn poll_recv(&self, cx: &mut Context<'_>) -> Poll<Option<(NodeId, Bytes)>> {
-        let mut st = self.state.lock();
-        if let Some(frame) = self.pop(&mut st) {
-            return Poll::Ready(Some(frame));
-        }
-        if self.senders.load(Ordering::Relaxed) == 0 {
-            return Poll::Ready(None);
-        }
-        st.waker = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-/// A counted handle that can still deliver into one [`Inbox`].
-struct Sender(Arc<Inbox>);
-
-impl Clone for Sender {
-    fn clone(&self) -> Self {
-        // Cloned only from a live handle, so the count never leaves zero.
-        self.0.senders.fetch_add(1, Ordering::Relaxed);
-        Sender(Arc::clone(&self.0))
-    }
-}
-
-impl Drop for Sender {
-    fn drop(&mut self) {
-        if self.0.senders.fetch_sub(1, Ordering::Relaxed) == 1 {
-            // Stream end: wake a parked receiver so `recv` yields `None`.
-            if let Some(w) = self.0.state.lock().waker.take() {
-                w.wake();
-            }
-        }
-    }
-}
+/// A handle that can still deliver into one endpoint's inbox.
+type Sender = mpsc::UnboundedSender<(NodeId, Bytes)>;
 
 /// A frame in flight: lands in `to` at `at`; `seq` (send order on the
 /// net) orders frames due at the same instant.
@@ -259,7 +186,7 @@ impl SimNetInner {
         if !cal.running {
             cal.running = true;
             drop(cal);
-            tokio::spawn(pump(Arc::clone(self)));
+            tokio::spawn(pump(PumpStop(Arc::clone(self))));
         } else if cal.armed.is_none_or(|armed| at < armed) {
             // Due before the pump's timer: wake it to re-arm.
             if let Some(w) = cal.pump.take() {
@@ -276,7 +203,7 @@ impl SimNetInner {
             let mut cal = self.calendar.lock();
             while let Some(due) = cal.frames.peek_mut().filter(|f| f.0.at <= now) {
                 let Reverse(f) = PeekMut::pop(due);
-                f.to.0.land(f.from, f.frame);
+                let _ = f.to.send((f.from, f.frame)); // endpoint dropped: lost
             }
             cal.pump = Some(cx.waker().clone());
             let Some(next) = cal.frames.peek().map(|f| f.0.at) else {
@@ -296,18 +223,20 @@ impl SimNetInner {
     }
 }
 
-/// The net's one delivery task.
-async fn pump(net: Arc<SimNetInner>) {
-    let _stop = PumpStop(&net);
+/// The net's one delivery task. The guard is an argument, not a local,
+/// so it drops with the task even when the runtime ends before the task
+/// is first polled.
+async fn pump(stop: PumpStop) {
+    let net = &stop.0;
     let mut timer = None;
     std::future::poll_fn(|cx| net.pump_poll(cx, &mut timer)).await
 }
 
 /// Frames in flight die with the runtime, as per-frame tasks would; a
 /// later runtime's first send starts a new pump.
-struct PumpStop<'a>(&'a SimNetInner);
+struct PumpStop(Arc<SimNetInner>);
 
-impl Drop for PumpStop<'_> {
+impl Drop for PumpStop {
     fn drop(&mut self) {
         *self.0.calendar.lock() = Calendar::default();
     }
@@ -354,21 +283,13 @@ impl SimNet {
 
     /// Create the endpoint for node `id`. Panics if `id` already exists.
     pub fn endpoint(&self, id: NodeId) -> SimTransport {
-        let inbox = Arc::new(Inbox {
-            pending: AtomicUsize::new(0),
-            senders: AtomicUsize::new(1),
-            state: Mutex::new(InboxState {
-                frames: VecDeque::new(),
-                waker: None,
-                open: true,
-            }),
-        });
-        let prev = self.inner.txs.lock().insert(id, Sender(Arc::clone(&inbox)));
+        let (tx, rx) = mpsc::unbounded_channel();
+        let prev = self.inner.txs.lock().insert(id, tx);
         assert!(prev.is_none(), "duplicate endpoint for {id}");
         SimTransport {
             id,
             net: Arc::clone(&self.inner),
-            inbox,
+            rx,
         }
     }
 
@@ -376,8 +297,7 @@ impl SimNet {
     /// lost; frames already in flight still land, and its stream ends
     /// after the last of them.
     pub fn disconnect(&self, id: NodeId) {
-        let registration = self.inner.txs.lock().remove(&id);
-        drop(registration);
+        self.inner.txs.lock().remove(&id);
     }
 
     /// Total frames accepted for transmission.
@@ -423,16 +343,7 @@ pub struct FaultStats {
 pub struct SimTransport {
     id: NodeId,
     net: Arc<SimNetInner>,
-    inbox: Arc<Inbox>,
-}
-
-impl Drop for SimTransport {
-    fn drop(&mut self) {
-        let mut st = self.inbox.state.lock();
-        st.open = false;
-        st.frames.clear();
-        self.inbox.pending.store(0, Ordering::Relaxed);
-    }
+    rx: mpsc::UnboundedReceiver<(NodeId, Bytes)>,
 }
 
 impl Transport for SimTransport {
@@ -484,14 +395,11 @@ impl Transport for SimTransport {
     }
 
     async fn recv(&mut self) -> Option<(NodeId, Bytes)> {
-        std::future::poll_fn(|cx| self.inbox.poll_recv(cx)).await
+        self.rx.recv().await
     }
 
     fn try_recv(&mut self) -> Option<(NodeId, Bytes)> {
-        if self.inbox.pending.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        self.inbox.pop(&mut self.inbox.state.lock())
+        self.rx.try_recv()
     }
 }
 
@@ -831,6 +739,12 @@ mod tests {
         let net = SimNet::clean(two_node_delays(3.0));
         let a = net.endpoint(NodeId(0));
         let mut b = net.endpoint(NodeId(1));
+        tokio::runtime::block_on_paused(async {
+            // This runtime ends before its pump is ever polled.
+            a.send(NodeId(1), Bytes::from_static(b"never"))
+                .await
+                .unwrap();
+        });
         tokio::runtime::block_on_paused(async {
             a.send(NodeId(1), Bytes::from_static(b"one")).await.unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"one");
