@@ -55,15 +55,16 @@ fn bench_codec(c: &mut Criterion) {
     // wrapped in a `Message`.
     let db = lsdb(400, 4);
     let refs: Vec<&LinkStateAnnouncement> = db.all().collect();
-    let sync_frame = encode_sync(&refs);
+    let sync_frame = encode_sync(&refs, &[]);
     group.throughput(Throughput::Bytes(sync_frame.len() as u64));
     group.bench_function("lsdb_sync_400/encode_from_records", |b| {
-        b.iter(|| black_box(encode_sync(black_box(&refs))))
+        b.iter(|| black_box(encode_sync(black_box(&refs), &[])))
     });
     group.bench_function("lsdb_sync_400/encode_from_clones", |b| {
         b.iter(|| {
             let lsas = refs.iter().map(|&l| l.clone()).collect();
-            black_box(encode(&Message::LsdbSync { lsas }))
+            let refreshes = Vec::new();
+            black_box(encode(&Message::LsdbSync { lsas, refreshes }))
         })
     });
     group.bench_function("lsdb_sync_400/decode", |b| {

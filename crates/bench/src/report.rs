@@ -261,7 +261,8 @@ pub const TRAFFIC: Report = Report {
     },
 };
 
-/// `chaos_fleet`: reachability fractions are actual fractions.
+/// `chaos_fleet`: reachability fractions are actual fractions, and the
+/// anti-entropy refresh entries are a part of what was pushed.
 pub const ROBUSTNESS: Report = Report {
     tag: "egoist-robustness/v1",
     schema: Some("schemas/robustness.schema.json"),
@@ -273,6 +274,19 @@ pub const ROBUSTNESS: Report = Report {
                     other => {
                         return Err(format!("scenario {name}: {key} {other:?} outside [0, 1]"))
                     }
+                }
+            }
+            let ae = |key| {
+                let v = scenario.get("anti_entropy").and_then(|a| a.get(key));
+                v.and_then(Value::as_u64)
+            };
+            match (ae("refreshed"), ae("pushed")) {
+                (Some(refreshed), Some(pushed)) if refreshed <= pushed => {}
+                (refreshed, pushed) => {
+                    return Err(format!(
+                        "scenario {name}: anti_entropy refreshed {refreshed:?} \
+                         is not a part of pushed {pushed:?}"
+                    ))
                 }
             }
         }
@@ -498,6 +512,13 @@ mod tests {
                 }),
                 "storm_partition: expected one \"min_reachability\", found 0",
             ),
+            // More refresh entries than LSAs pushed.
+            (
+                1,
+                swap(0, "\"refreshed\": ", "\"refreshed\": 99999999"),
+                "storm_partition: anti_entropy refreshed",
+            ),
+            (1, swap(3, "\"refreshed\":", "\"renamed\":"), "chaos_n1000"),
             (
                 2,
                 all("\"traffic.flow_latency_ms\":", "\"traffic.renamed\":"),

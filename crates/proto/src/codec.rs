@@ -1,6 +1,6 @@
 //! Binary framing for EGOIST messages.
 //!
-//! Frame layout, version 2 (all integers big-endian):
+//! Frame layout, version 3 (all integers big-endian):
 //!
 //! ```text
 //! +--------+---------+------+----------+------------------+----------+
@@ -9,7 +9,7 @@
 //! +--------+---------+------+----------+------------------+----------+
 //! ```
 //!
-//! `magic` is `0x4547` ("EG"), `version` is 2, `type` is one of the
+//! `magic` is `0x4547` ("EG"), `version` is 3, `type` is one of the
 //! `tag` constants, `len` counts the payload bytes only, and the
 //! checksum covers everything before it (header + payload). Every
 //! payload field is fixed-width, so a frame's length is known before its
@@ -34,8 +34,17 @@
 //! byte, and the fold is a bijection in each lane with the others fixed,
 //! so changing any single byte always changes the checksum. A version 1
 //! frame (one byte-serial FNV-1a lane) fails this checksum; one that
-//! does carry a v2 checksum is `BadVersion`. Nothing verifies the old
-//! function.
+//! does carry the four-lane checksum is `BadVersion`. Nothing verifies
+//! the old function.
+//!
+//! **Version 3** adds one frame type, the anti-entropy push with refresh
+//! entries (`tag::LSDB_SYNC_REFRESH`): the `LsdbSync` payload — a `u16`
+//! count of LSAs, then the LSAs — followed by a `u16` count of 16-byte
+//! entries `(origin u32, seq u64, links_hash u32)`, where `links_hash` is
+//! [`links_hash`], the checksum function over the links as an LSA
+//! encodes them. A push with no entries is sent as a plain `LsdbSync`,
+//! so every other frame is laid out as in version 2; version 2 frames
+//! are `BadVersion`, because a v2 peer cannot read the new type.
 //!
 //! Decoding is *total*: any malformed, truncated, or corrupted input
 //! yields a [`DecodeError`], never a panic — the property the
@@ -43,14 +52,15 @@
 //! field is read, and a frame is validated whole before a [`Message`]
 //! is returned.
 
-use crate::message::{LinkEntry, LinkStateAnnouncement, Message};
+use crate::message::{LinkEntry, LinkStateAnnouncement, Message, Refresh};
 use bytes::Bytes;
 use egoist_graph::NodeId;
 
 /// Frame magic ("EG").
 pub const MAGIC: u16 = 0x4547;
-/// Protocol version. 2 = the four-lane checksum (see the module docs).
-pub const VERSION: u8 = 2;
+/// Protocol version. 2 = the four-lane checksum, 3 = refresh entries in
+/// anti-entropy pushes (see the module docs).
+pub const VERSION: u8 = 3;
 /// Upper bound on accepted payload length (defends against corrupt
 /// length fields).
 pub const MAX_PAYLOAD: usize = 1 << 20;
@@ -86,11 +96,22 @@ const FNV_PRIME: u32 = 0x0100_0193;
 /// Lane seeds: the FNV offset basis xor `i · 0x9E37_79B9`.
 const SEEDS: [u32; 4] = [0x811C_9DC5, 0x1F2B_E47C, 0xBD72_6EB7, 0x5BBA_F0EE];
 
+/// One FNV-1a step.
+#[inline]
+fn step(h: u32, b: u8) -> u32 {
+    (h ^ b as u32).wrapping_mul(FNV_PRIME)
+}
+
+/// Fold the four lanes into the checksum.
+fn fold([h0, rest @ ..]: [u32; 4]) -> u32 {
+    rest.iter()
+        .fold(h0, |c, &h| (c ^ h).wrapping_mul(FNV_PRIME))
+}
+
 /// The frame checksum: four interleaved FNV-1a lanes, folded (module
 /// docs). The lanes are independent multiply chains, so the CPU runs
 /// them in parallel instead of waiting out one multiply per byte.
 pub fn fnv1a(data: &[u8]) -> u32 {
-    let step = |h: u32, b: u8| (h ^ b as u32).wrapping_mul(FNV_PRIME);
     let [mut h0, mut h1, mut h2, mut h3] = SEEDS;
     let mut blocks = data.chunks_exact(4);
     for b in &mut blocks {
@@ -103,9 +124,21 @@ pub fn fnv1a(data: &[u8]) -> u32 {
     for (h, &b) in lanes.iter_mut().zip(blocks.remainder()) {
         *h = step(*h, b);
     }
-    let [h0, rest @ ..] = lanes;
-    rest.iter()
-        .fold(h0, |c, &h| (c ^ h).wrapping_mul(FNV_PRIME))
+    fold(lanes)
+}
+
+/// [`fnv1a`] of `links` as an LSA encodes them — per link the `u32`
+/// neighbor id, then the `u32` cost bits — without encoding them: each
+/// field is one whole 4-byte block, one byte per lane. The hash a
+/// [`Refresh`] entry carries.
+pub fn links_hash(links: &[LinkEntry]) -> u32 {
+    let mut lanes = SEEDS;
+    for word in links.iter().flat_map(|l| [l.neighbor.0, l.cost.to_bits()]) {
+        for (h, b) in lanes.iter_mut().zip(word.to_be_bytes()) {
+            *h = step(*h, b);
+        }
+    }
+    fold(lanes)
 }
 
 mod tag {
@@ -120,12 +153,16 @@ mod tag {
     pub const LEAVE: u8 = 9;
     pub const LSDB_DIGEST: u8 = 10;
     pub const LSDB_PULL: u8 = 11;
+    pub const LSDB_SYNC_REFRESH: u8 = 12;
 }
 
 /// Encoded size of one LSA: origin, seq, link count, 8 bytes per link.
 fn lsa_len(lsa: &LinkStateAnnouncement) -> usize {
     14 + 8 * lsa.links.len()
 }
+
+/// Encoded size of one refresh entry: origin, seq, links hash.
+const REFRESH_LEN: usize = 16;
 
 /// Big-endian writer over the unfilled part of a frame buffer — the
 /// mirror of [`Cursor`]. The buffer is sized before it is filled, so
@@ -157,14 +194,26 @@ impl Writer<'_> {
         self.put(v.to_be_bytes());
     }
 
+    /// A `u16` item count; more items than that is a caller's bug.
+    fn count(&mut self, len: usize) {
+        debug_assert!(len <= u16::MAX as usize, "{len} items overflow a u16 count");
+        self.u16(len as u16);
+    }
+
     fn lsa(&mut self, lsa: &LinkStateAnnouncement) {
         self.u32(lsa.origin.0);
         self.u64(lsa.seq);
-        self.u16(lsa.links.len() as u16);
+        self.count(lsa.links.len());
         for l in &lsa.links {
             self.u32(l.neighbor.0);
             self.u32(l.cost.to_bits());
         }
+    }
+
+    fn refresh(&mut self, r: &Refresh) {
+        self.u32(r.origin.0);
+        self.u64(r.seq);
+        self.u32(r.links_hash);
     }
 }
 
@@ -202,28 +251,44 @@ fn list_frame<T>(
         if let Some(from) = from {
             w.u32(from.0);
         }
-        w.u16(items.len() as u16);
+        w.count(items.len());
         for item in items {
             put(w, item);
         }
     })
 }
 
-fn sync_frame<'a>(lsas: impl ExactSizeIterator<Item = &'a LinkStateAnnouncement> + Clone) -> Bytes {
-    let len = 2 + lsas.clone().map(lsa_len).sum::<usize>();
-    frame(tag::LSDB_SYNC, len, |w| {
-        w.u16(lsas.len() as u16);
+/// An `LsdbSync` frame; with refresh entries, the version 3 frame type
+/// that appends them.
+fn sync_frame<'a>(
+    lsas: impl ExactSizeIterator<Item = &'a LinkStateAnnouncement> + Clone,
+    refreshes: &[Refresh],
+) -> Bytes {
+    let (ty, entries) = match refreshes.len() {
+        0 => (tag::LSDB_SYNC, 0),
+        n => (tag::LSDB_SYNC_REFRESH, 2 + REFRESH_LEN * n),
+    };
+    let len = 2 + lsas.clone().map(lsa_len).sum::<usize>() + entries;
+    frame(ty, len, |w| {
+        w.count(lsas.len());
         for lsa in lsas {
             w.lsa(lsa);
+        }
+        if !refreshes.is_empty() {
+            w.count(refreshes.len());
+            for r in refreshes {
+                w.refresh(r);
+            }
         }
     })
 }
 
-/// The `LsdbSync` frame of borrowed announcements: byte for byte what
-/// [`encode`] makes of a `Message::LsdbSync` holding their clones, so
-/// anti-entropy pushes are encoded straight out of the LSDB records.
-pub fn encode_sync(lsas: &[&LinkStateAnnouncement]) -> Bytes {
-    sync_frame(lsas.iter().copied())
+/// The `LsdbSync` frame of borrowed announcements and refresh entries:
+/// byte for byte what [`encode`] makes of a `Message::LsdbSync` holding
+/// their clones, so anti-entropy pushes are encoded straight out of the
+/// LSDB records.
+pub fn encode_sync(lsas: &[&LinkStateAnnouncement], refreshes: &[Refresh]) -> Bytes {
+    sync_frame(lsas.iter().copied(), refreshes)
 }
 
 /// Encode a message into a complete frame.
@@ -242,7 +307,7 @@ pub fn encode(msg: &Message) -> Bytes {
             list_frame(tag::BOOTSTRAP_RESPONSE, None, peers, 4, |w, p| w.u32(p.0))
         }
         Message::Hello { from } => id_frame(tag::HELLO, *from),
-        Message::LsdbSync { lsas } => sync_frame(lsas.iter()),
+        Message::LsdbSync { lsas, refreshes } => sync_frame(lsas.iter(), refreshes),
         Message::LsdbDigest { from, entries } => list_frame(
             tag::LSDB_DIGEST,
             Some(*from),
@@ -331,6 +396,14 @@ impl Cursor<'_> {
         })?;
         Ok(LinkStateAnnouncement { origin, seq, links })
     }
+
+    fn refresh(&mut self) -> Result<Refresh, DecodeError> {
+        Ok(Refresh {
+            origin: self.id()?,
+            seq: self.u64()?,
+            links_hash: self.u32()?,
+        })
+    }
 }
 
 /// Decode one complete frame.
@@ -363,9 +436,13 @@ pub fn decode(frame: &[u8]) -> Result<Message, DecodeError> {
             Message::BootstrapResponse { peers }
         }
         tag::HELLO => Message::Hello { from: buf.id()? },
-        tag::LSDB_SYNC => {
+        tag::LSDB_SYNC | tag::LSDB_SYNC_REFRESH => {
             let lsas = buf.list(14, Cursor::lsa)?;
-            Message::LsdbSync { lsas }
+            let refreshes = match ty {
+                tag::LSDB_SYNC => Vec::new(),
+                _ => buf.list(REFRESH_LEN, Cursor::refresh)?,
+            };
+            Message::LsdbSync { lsas, refreshes }
         }
         tag::LINK_STATE => {
             let ttl = buf.u8()?;
@@ -432,6 +509,26 @@ mod tests {
                         },
                     ],
                 }],
+                refreshes: vec![],
+            },
+            Message::LsdbSync {
+                lsas: vec![LinkStateAnnouncement {
+                    origin: NodeId(1),
+                    seq: 8,
+                    links: vec![],
+                }],
+                refreshes: vec![
+                    Refresh {
+                        origin: NodeId(3),
+                        seq: 17,
+                        links_hash: 0xC0FF_EE00,
+                    },
+                    Refresh {
+                        origin: NodeId(u32::MAX),
+                        seq: u64::MAX,
+                        links_hash: 1,
+                    },
+                ],
             },
             Message::LsdbDigest {
                 from: NodeId(2),
@@ -556,17 +653,79 @@ mod tests {
         }
     }
 
+    /// `count` refresh entries of a synthetic database.
+    fn refreshes(count: usize) -> Vec<Refresh> {
+        (0..count as u32)
+            .map(|i| Refresh {
+                origin: NodeId(i * 3),
+                seq: 5 + i as u64,
+                links_hash: i.wrapping_mul(0x9E37_79B9),
+            })
+            .collect()
+    }
+
     #[test]
     fn encode_sync_matches_encode_of_the_clones() {
-        for count in [0usize, 1, 400] {
+        for (count, entries) in [(0usize, 0), (1, 0), (400, 0), (0, 1), (3, 2), (400, 300)] {
             let lsas: Vec<LinkStateAnnouncement> =
                 (0..count).map(|i| lsa(i as u32, i % 9)).collect();
             let refs: Vec<&LinkStateAnnouncement> = lsas.iter().collect();
-            let from_records = encode_sync(&refs);
-            let from_clones = encode(&Message::LsdbSync { lsas: lsas.clone() });
-            assert_eq!(from_records, from_clones, "{count} LSAs");
-            assert_eq!(decode(&from_records), Ok(Message::LsdbSync { lsas }));
+            let refreshes = refreshes(entries);
+            let from_records = encode_sync(&refs, &refreshes);
+            let msg = Message::LsdbSync { lsas, refreshes };
+            assert_eq!(
+                from_records,
+                encode(&msg),
+                "{count} LSAs, {entries} refreshes"
+            );
+            assert_eq!(decode(&from_records), Ok(msg));
         }
+    }
+
+    #[test]
+    fn a_push_without_refreshes_is_a_plain_sync_frame() {
+        let lsas = [lsa(4, 2), lsa(9, 0)];
+        let refs: Vec<&LinkStateAnnouncement> = lsas.iter().collect();
+        let plain = encode_sync(&refs, &[]);
+        assert_eq!(plain[3], tag::LSDB_SYNC);
+        // Appending entries changes only the type and the tail: the LSAs
+        // are laid out as in the plain frame.
+        let with = encode_sync(&refs, &refreshes(2));
+        assert_eq!(with[3], tag::LSDB_SYNC_REFRESH);
+        assert_eq!(with.len(), plain.len() + 2 + 2 * REFRESH_LEN);
+        assert_eq!(with[8..plain.len() - 4], plain[8..plain.len() - 4]);
+    }
+
+    #[test]
+    fn links_hash_is_the_checksum_of_the_encoded_links() {
+        for l in [lsa(0, 0), lsa(7, 1), lsa(3, 4), lsa(u32::MAX - 9, 9)] {
+            let frame = encode(&Message::LinkState {
+                lsa: l.clone(),
+                ttl: 0,
+            });
+            // Header, ttl, origin, seq and link count precede the links.
+            let links = &frame[8 + 1 + 14..frame.len() - 4];
+            assert_eq!(links.len(), 8 * l.links.len());
+            assert_eq!(links_hash(&l.links), fnv1a(links), "{l:?}");
+        }
+        // Order and cost bits count.
+        let mut l = lsa(1, 3);
+        let h = links_hash(&l.links);
+        l.links.swap(0, 2);
+        assert_ne!(links_hash(&l.links), h);
+        l.links.swap(0, 2);
+        l.links[1].cost = -l.links[1].cost;
+        assert_ne!(links_hash(&l.links), h);
+    }
+
+    /// A count that would wrap its `u16` field is a caller's bug, caught
+    /// in debug builds instead of sent as a frame that lies.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "65536 items overflow a u16 count")]
+    fn counts_past_u16_are_caught() {
+        let peers = vec![NodeId(1); 1 << 16];
+        encode(&Message::BootstrapResponse { peers });
     }
 
     #[test]
@@ -581,14 +740,19 @@ mod tests {
     }
 
     #[test]
-    fn version_one_frames_are_refused() {
-        let mut v = encode(&Message::Hello { from: NodeId(1) }).to_vec();
-        v[2] = 1;
-        // As sent by a v1 peer the checksum cannot match…
-        assert_eq!(decode(&v), Err(DecodeError::BadChecksum));
-        // …and a frame that does carry a v2 checksum names its version.
-        reseal(&mut v);
-        assert_eq!(decode(&v), Err(DecodeError::BadVersion(1)));
+    fn older_versions_are_refused() {
+        for m in sample_messages() {
+            for old in [1, 2] {
+                let mut v = encode(&m).to_vec();
+                v[2] = old;
+                // As sent by an old peer the checksum cannot match…
+                assert_eq!(decode(&v), Err(DecodeError::BadChecksum));
+                // …and a frame that does carry this checksum names its
+                // version.
+                reseal(&mut v);
+                assert_eq!(decode(&v), Err(DecodeError::BadVersion(old)), "{m:?}");
+            }
+        }
     }
 
     /// Recompute the checksum of a tampered frame, so the parser behind
@@ -627,16 +791,35 @@ mod tests {
                 frame[pos] = original;
             }
         }
+        // And every real frame kind, the refresh push included.
+        for m in sample_messages() {
+            let mut frame = encode(&m).to_vec();
+            for pos in 0..frame.len() {
+                let original = frame[pos];
+                for substitute in (0..=255u8).filter(|&b| b != original) {
+                    frame[pos] = substitute;
+                    assert_eq!(
+                        decode(&frame),
+                        Err(DecodeError::BadChecksum),
+                        "{m:?} byte {pos}"
+                    );
+                }
+                frame[pos] = original;
+            }
+        }
     }
 
-    /// Where a frame's `u16` item count sits (after the 8-byte header),
-    /// for the kinds that carry one.
-    fn count_offset(m: &Message) -> Option<usize> {
+    /// Where a frame's `u16` item counts sit (after the 8-byte header),
+    /// for the kinds that carry them.
+    fn count_offsets(m: &Message) -> Vec<usize> {
         match m {
-            Message::BootstrapResponse { .. } | Message::LsdbSync { .. } => Some(8),
-            Message::LsdbDigest { .. } | Message::LsdbPull { .. } => Some(12),
-            Message::LinkState { .. } => Some(8 + 1 + 12),
-            _ => None,
+            Message::LsdbSync { lsas, refreshes } if !refreshes.is_empty() => {
+                vec![8, 8 + 2 + lsas.iter().map(lsa_len).sum::<usize>()]
+            }
+            Message::BootstrapResponse { .. } | Message::LsdbSync { .. } => vec![8],
+            Message::LsdbDigest { .. } | Message::LsdbPull { .. } => vec![12],
+            Message::LinkState { .. } => vec![8 + 1 + 12],
+            _ => vec![],
         }
     }
 
@@ -651,7 +834,7 @@ mod tests {
             if data.len() >= ENVELOPE {
                 let mut sealed = data;
                 sealed[..3].copy_from_slice(&[0x45, 0x47, VERSION]);
-                sealed[3] %= 13; // mostly real tags
+                sealed[3] %= 14; // mostly real tags
                 let len = (sealed.len() - ENVELOPE) as u32;
                 sealed[4..8].copy_from_slice(&len.to_be_bytes());
                 reseal(&mut sealed);
@@ -664,7 +847,7 @@ mod tests {
         /// an error or a message, never a panic.
         #[test]
         fn damaged_valid_frames_never_panic(
-            which in 0usize..12,
+            which in 0usize..14,
             big in 0usize..40,
             at in any::<u16>(),
             junk in proptest::collection::vec(any::<u8>(), 0..24),
@@ -673,6 +856,7 @@ mod tests {
             let mut messages = sample_messages();
             messages.push(Message::LsdbSync {
                 lsas: (0..big).map(|i| lsa(i as u32, i % 9)).collect(),
+                refreshes: refreshes(big % 5),
             });
             let m = &messages[which % messages.len()];
             let frame = encode(m).to_vec();
@@ -693,7 +877,7 @@ mod tests {
                 prop_assert!(decode(&truncated).is_err(), "a shorter frame decoded");
             }
 
-            if let Some(off) = count_offset(m) {
+            for off in count_offsets(m) {
                 let mut bumped = frame.clone();
                 let count = u16::from_be_bytes([bumped[off], bumped[off + 1]]);
                 bumped[off..off + 2].copy_from_slice(&count.wrapping_add(bump).to_be_bytes());

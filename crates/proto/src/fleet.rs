@@ -374,6 +374,11 @@ pub struct RobustnessReport {
     pub ae_digests: u64,
     pub ae_pulls: u64,
     pub ae_pushed: u64,
+    /// Pushed LSAs that went out as refresh entries (a subset of
+    /// `ae_pushed`), and the pulls their receivers sent back for links
+    /// they did not hold (not in `ae_pulls`).
+    pub ae_refreshed: u64,
+    pub ae_refresh_pulls: u64,
     /// Second-hand claim ranking: tallies plus route-quarantine counts.
     pub claims_corroborated: u64,
     pub claims_contradicted: u64,
@@ -437,7 +442,9 @@ impl RobustnessReport {
         let anti_entropy = obj()
             .u64("digests", self.ae_digests)
             .u64("pulls", self.ae_pulls)
-            .u64("pushed", self.ae_pushed);
+            .u64("pushed", self.ae_pushed)
+            .u64("refreshed", self.ae_refreshed)
+            .u64("refresh_pulls", self.ae_refresh_pulls);
         let quarantine = obj()
             .u64("claims_corroborated", self.claims_corroborated)
             .u64("claims_contradicted", self.claims_contradicted)
@@ -750,6 +757,7 @@ async fn run_fleet_inner(cfg: FleetConfig) -> RobustnessReport {
     let mut decode_errors = 0u64;
     let (mut announces, mut gossip_forwards) = (0u64, 0u64);
     let (mut ae_digests, mut ae_pulls, mut ae_pushed) = (0u64, 0u64, 0u64);
+    let (mut ae_refreshed, mut ae_refresh_pulls) = (0u64, 0u64);
     let (mut claims_corroborated, mut claims_contradicted) = (0u64, 0u64);
     let mut links_quarantined = 0u64;
     let mut forged_links_in_routes = 0u64;
@@ -765,6 +773,8 @@ async fn run_fleet_inner(cfg: FleetConfig) -> RobustnessReport {
         ae_digests += v.ae_digests;
         ae_pulls += v.ae_pulls;
         ae_pushed += v.ae_pushed;
+        ae_refreshed += v.ae_refreshed;
+        ae_refresh_pulls += v.ae_refresh_pulls;
         claims_corroborated += v.claims_corroborated;
         claims_contradicted += v.claims_contradicted;
         links_quarantined += v.links_quarantined;
@@ -853,6 +863,8 @@ async fn run_fleet_inner(cfg: FleetConfig) -> RobustnessReport {
         ae_digests,
         ae_pulls,
         ae_pushed,
+        ae_refreshed,
+        ae_refresh_pulls,
         claims_corroborated,
         claims_contradicted,
         links_quarantined,

@@ -9,13 +9,23 @@
 //!
 //! Records live in one `Vec` in strictly ascending origin order, so
 //! every whole-table read is an ordered walk and every comparison with a
-//! peer's digest is one merge join; nothing is hashed. Ids are dense in
+//! peer's digest is one merge join; no hash table. Ids are dense in
 //! practice, so a lookup first asks "is position `origin` this origin?"
 //! and only binary-searches when it is not. Memory is O(records)
 //! whatever the ids are: an origin never seen before costs one
 //! `Vec::insert`.
+//!
+//! Each record also knows `since`: the lowest seq under which this node
+//! has held the origin's current link bytes, unchanged through every
+//! fresher apply after it. A peer whose digest names a seq at or past
+//! `since` has, unless the origin's links went away and came back
+//! between two announcements this node never saw, the same links —
+//! so the digest answer ([`Lsdb::fresher_than`]) sends it a 16-byte
+//! [`Refresh`] instead of the LSA, and the peer checks the links hash
+//! ([`Lsdb::resolve`]) before it believes one.
 
-use crate::message::LinkStateAnnouncement;
+use crate::codec::links_hash;
+use crate::message::{LinkEntry, LinkStateAnnouncement, Refresh};
 use egoist_graph::NodeId;
 use std::borrow::Cow;
 
@@ -25,6 +35,51 @@ struct Record {
     lsa: LinkStateAnnouncement,
     /// Local (monotonic, seconds) time of last refresh.
     refreshed_at: f64,
+    /// Lowest seq since which `lsa.links` have been held unchanged.
+    since: u64,
+}
+
+/// Whether two link lists are byte-equal: same neighbors, same cost bits,
+/// same order.
+pub(crate) fn same_links(a: &[LinkEntry], b: &[LinkEntry]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.neighbor == y.neighbor && x.cost.to_bits() == y.cost.to_bits())
+}
+
+/// The push half of a digest exchange, each list ascending by origin:
+/// the records fresher than (or absent from) the peer's digest, `full`
+/// where the peer may not hold their links and as `refreshes` where its
+/// digest seq is at or past the record's `since`.
+#[derive(Debug, Default, PartialEq)]
+pub struct Push<'a> {
+    pub full: Vec<&'a LinkStateAnnouncement>,
+    pub refreshes: Vec<Refresh>,
+}
+
+impl Push<'_> {
+    /// Records pushed, either way.
+    pub fn len(&self) -> usize {
+        self.full.len() + self.refreshes.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// What a receiver makes of a [`Refresh`] entry.
+#[derive(Debug, PartialEq)]
+pub enum Resolve {
+    /// The stored links hash to the entry's: the announcement the entry
+    /// stands for, `(origin, seq)` with those links — byte for byte the
+    /// LSA the pusher held.
+    Lsa(LinkStateAnnouncement),
+    /// Other links, but the stored copy is not older: nothing to learn.
+    Stale,
+    /// Other links under an older seq, or no record: pull the origin.
+    Pull,
 }
 
 /// The link-state database.
@@ -103,8 +158,9 @@ impl Lsdb {
     }
 
     /// [`Self::apply`] by reference: a fresh announcement of a known
-    /// origin overwrites `seq` and re-fills the record's own `links`
-    /// allocation; only a never-seen origin allocates.
+    /// origin overwrites `seq` and, unless they are byte-equal (which
+    /// keeps `since`), re-fills the record's own `links` allocation and
+    /// moves `since` to the new seq; only a never-seen origin allocates.
     pub fn apply_ref(&mut self, lsa: &LinkStateAnnouncement, now: f64) -> bool {
         match self.find(lsa.origin) {
             Ok(i) => {
@@ -112,9 +168,12 @@ impl Lsdb {
                 if rec.lsa.seq >= lsa.seq {
                     return false;
                 }
+                if !same_links(&rec.lsa.links, &lsa.links) {
+                    rec.lsa.links.clear();
+                    rec.lsa.links.extend_from_slice(&lsa.links);
+                    rec.since = lsa.seq;
+                }
                 rec.lsa.seq = lsa.seq;
-                rec.lsa.links.clear();
-                rec.lsa.links.extend_from_slice(&lsa.links);
                 rec.refreshed_at = now;
             }
             Err(i) => self.records.insert(
@@ -122,6 +181,7 @@ impl Lsdb {
                 Record {
                     lsa: lsa.clone(),
                     refreshed_at: now,
+                    since: lsa.seq,
                 },
             ),
         }
@@ -210,13 +270,42 @@ impl Lsdb {
         self.all().map(|l| (l.origin, l.seq)).collect()
     }
 
-    /// LSAs we hold that are fresher than (or absent from) a peer's
-    /// digest — the push half of a digest exchange. Ascending by origin.
-    pub fn fresher_than(&self, digest: &[(NodeId, u64)]) -> Vec<&LinkStateAnnouncement> {
+    /// The records we hold that are fresher than (or absent from) a
+    /// peer's digest — the push half of a digest exchange — split into
+    /// full LSAs and refresh entries by `since` (see [`Push`]).
+    pub fn fresher_than(&self, digest: &[(NodeId, u64)]) -> Push<'_> {
         let (digest, mut at) = (ascending(digest), 0);
-        self.all()
-            .filter(|l| seek(&digest, &mut at, l.origin, |d| d.0).is_none_or(|d| l.seq > d.1))
-            .collect()
+        let mut push = Push::default();
+        for r in &self.records {
+            match seek(&digest, &mut at, r.lsa.origin, |d| d.0) {
+                Some(&(_, theirs)) if r.lsa.seq <= theirs => {}
+                Some(&(_, theirs)) if r.since <= theirs => push.refreshes.push(Refresh {
+                    origin: r.lsa.origin,
+                    seq: r.lsa.seq,
+                    links_hash: links_hash(&r.lsa.links),
+                }),
+                _ => push.full.push(&r.lsa),
+            }
+        }
+        push
+    }
+
+    /// Resolve a received refresh entry against the stored copy. A
+    /// matching hash yields the entry's announcement whatever the stored
+    /// seq, so admitting it does exactly what admitting the full LSA
+    /// would have done, fresh or not.
+    pub fn resolve(&self, r: &Refresh) -> Resolve {
+        match self.get(r.origin) {
+            Some(ours) if links_hash(&ours.links) == r.links_hash => {
+                Resolve::Lsa(LinkStateAnnouncement {
+                    origin: r.origin,
+                    seq: r.seq,
+                    links: ours.links.clone(),
+                })
+            }
+            Some(ours) if ours.seq >= r.seq => Resolve::Stale,
+            _ => Resolve::Pull,
+        }
     }
 
     /// Origins where a peer's digest is fresher than what we hold — the
@@ -233,11 +322,12 @@ impl Lsdb {
             .collect()
     }
 
-    /// The stored LSAs for `origins` we actually hold (pull answer), one
-    /// per request entry, ascending by origin.
+    /// The stored LSAs for `origins` we actually hold (pull answer), once
+    /// each however often a request names them, ascending by origin.
     pub fn select(&self, origins: &[NodeId]) -> Vec<&LinkStateAnnouncement> {
         let mut v: Vec<_> = origins.iter().filter_map(|&o| self.get(o)).collect();
         v.sort_by_key(|l| l.origin);
+        v.dedup_by_key(|l| l.origin);
         v
     }
 }
@@ -331,10 +421,90 @@ mod tests {
         b.apply(lsa(2, 1, &[]), 0.0); // only b
         let d = b.digest();
         assert_eq!(d, vec![(NodeId(1), 7), (NodeId(2), 1)]);
-        let push: Vec<NodeId> = a.fresher_than(&d).iter().map(|l| l.origin).collect();
-        assert_eq!(push, vec![NodeId(0)]);
+        let push = a.fresher_than(&d);
+        assert_eq!(
+            push.full.iter().map(|l| l.origin).collect::<Vec<_>>(),
+            [NodeId(0)]
+        );
+        assert!(push.refreshes.is_empty());
         assert_eq!(a.stale_origins(&d), vec![NodeId(1), NodeId(2)]);
         assert_eq!(b.select(&[NodeId(2), NodeId(9)]).len(), 1);
+    }
+
+    #[test]
+    fn a_pull_naming_one_origin_a_thousand_times_gets_one_lsa() {
+        let mut db = Lsdb::new(60.0);
+        db.apply(lsa(3, 4, &[(1, 2.0)]), 0.0);
+        db.apply(lsa(5, 1, &[]), 0.0);
+        let answer = db.select(&[NodeId(3); 1000]);
+        assert_eq!(answer, [&lsa(3, 4, &[(1, 2.0)])]);
+        let mixed: Vec<NodeId> = (0..1000).map(|i| NodeId([5, 3, 9][i % 3])).collect();
+        let origins: Vec<NodeId> = db.select(&mixed).iter().map(|l| l.origin).collect();
+        assert_eq!(origins, [NodeId(3), NodeId(5)]);
+    }
+
+    #[test]
+    fn since_survives_byte_equal_refreshes_only() {
+        let mut db = Lsdb::new(60.0);
+        let since = |db: &Lsdb| db.records[0].since;
+        db.apply(lsa(0, 2, &[(1, 1.5)]), 0.0);
+        assert_eq!(since(&db), 2);
+        db.apply(lsa(0, 5, &[(1, 1.5)]), 1.0); // same bytes: kept
+        assert_eq!(since(&db), 2);
+        db.apply(lsa(0, 4, &[(7, 1.0)]), 2.0); // stale: ignored
+        assert_eq!((since(&db), db.seq_of(NodeId(0))), (2, 5));
+        db.apply(lsa(0, 6, &[(1, 1.75)]), 3.0); // new cost
+        assert_eq!(since(&db), 6);
+        db.apply(lsa(0, 9, &[(1, 1.5)]), 4.0); // back to the old bytes: new run
+        assert_eq!(since(&db), 9);
+        db.remove(NodeId(0));
+        db.apply(lsa(0, 10, &[(1, 1.5)]), 5.0); // re-inserted
+        assert_eq!(since(&db), 10);
+
+        // A digest at or past `since` gets a refresh, an older one the LSA.
+        let pushed = |db: &Lsdb, theirs: u64| {
+            let p = db.fresher_than(&[(NodeId(0), theirs)]);
+            (p.full.len(), p.refreshes)
+        };
+        db.apply(lsa(0, 12, &[(1, 1.5)]), 6.0);
+        let refresh = Refresh {
+            origin: NodeId(0),
+            seq: 12,
+            links_hash: links_hash(&[LinkEntry {
+                neighbor: NodeId(1),
+                cost: 1.5,
+            }]),
+        };
+        assert_eq!(pushed(&db, 9), (1, vec![]));
+        assert_eq!(pushed(&db, 10), (0, vec![refresh]));
+        assert_eq!(pushed(&db, 11), (0, vec![refresh]));
+        assert_eq!(pushed(&db, 12), (0, vec![]));
+    }
+
+    #[test]
+    fn resolve_admits_matches_and_pulls_what_it_lacks() {
+        let mut db = Lsdb::new(60.0);
+        let links = [(2, 3.0), (4, 1.0)];
+        db.apply(lsa(1, 5, &links), 0.0);
+        let hash = links_hash(&lsa(1, 5, &links).links);
+        let entry = |origin: u32, seq: u64, links_hash: u32| Refresh {
+            origin: NodeId(origin),
+            seq,
+            links_hash,
+        };
+        // Matching hash: the full LSA, at the entry's seq, fresher or not.
+        for seq in [4, 5, 9] {
+            assert_eq!(
+                db.resolve(&entry(1, seq, hash)),
+                Resolve::Lsa(lsa(1, seq, &links))
+            );
+        }
+        // Other links: pulled when fresher, dropped otherwise.
+        assert_eq!(db.resolve(&entry(1, 9, hash ^ 1)), Resolve::Pull);
+        assert_eq!(db.resolve(&entry(1, 5, hash ^ 1)), Resolve::Stale);
+        assert_eq!(db.resolve(&entry(1, 2, hash ^ 1)), Resolve::Stale);
+        // Unknown origin: pulled whatever the hash.
+        assert_eq!(db.resolve(&entry(7, 1, hash)), Resolve::Pull);
     }
 
     #[test]
@@ -356,7 +526,8 @@ mod tests {
     }
 
     /// The table against a `HashMap` model (what the LSDB was before it
-    /// became an ordered `Vec`): same answers, ordered outputs ascending.
+    /// became an ordered `Vec`): same answers, ordered outputs ascending,
+    /// and the same `since` over histories that repeat and change links.
     mod model {
         use super::*;
         use proptest::prelude::*;
@@ -364,27 +535,45 @@ mod tests {
 
         type Digest = Vec<(NodeId, u64)>;
 
+        /// A stored announcement, its age and its `since`.
+        type Stored = (LinkStateAnnouncement, f64, u64);
+
         #[derive(Debug, Default)]
         struct Model {
-            records: HashMap<NodeId, (LinkStateAnnouncement, f64)>,
+            records: HashMap<NodeId, Stored>,
             max_age: f64,
+        }
+
+        /// The links as an LSA frame carries them.
+        fn wire(links: &[LinkEntry]) -> Vec<u8> {
+            let words = links.iter().flat_map(|l| [l.neighbor.0, l.cost.to_bits()]);
+            words.flat_map(u32::to_be_bytes).collect()
+        }
+
+        /// The refresh hash, from its definition: the frame checksum
+        /// over the encoded links.
+        fn hash(links: &[LinkEntry]) -> u32 {
+            crate::codec::fnv1a(&wire(links))
         }
 
         impl Model {
             fn apply(&mut self, lsa: &LinkStateAnnouncement, now: f64) -> bool {
-                let fresh = self
-                    .records
-                    .get(&lsa.origin)
-                    .is_none_or(|(old, _)| old.seq < lsa.seq);
-                if fresh {
-                    self.records.insert(lsa.origin, (lsa.clone(), now));
-                }
-                fresh
+                let since = match self.records.get(&lsa.origin) {
+                    Some((old, _, _)) if old.seq >= lsa.seq => return false,
+                    Some((old, _, since)) if wire(&old.links) == wire(&lsa.links) => *since,
+                    _ => lsa.seq,
+                };
+                self.records.insert(lsa.origin, (lsa.clone(), now, since));
+                true
             }
 
-            fn sorted(&self) -> Vec<(&LinkStateAnnouncement, f64)> {
-                let mut v: Vec<_> = self.records.values().map(|(l, at)| (l, *at)).collect();
-                v.sort_by_key(|(l, _)| l.origin);
+            fn sorted(&self) -> Vec<(&LinkStateAnnouncement, f64, u64)> {
+                let mut v: Vec<_> = self
+                    .records
+                    .values()
+                    .map(|(l, at, s)| (l, *at, *s))
+                    .collect();
+                v.sort_by_key(|(l, _, _)| l.origin);
                 v
             }
 
@@ -393,7 +582,7 @@ mod tests {
                 let mut dead: Vec<NodeId> = self
                     .records
                     .iter()
-                    .filter(|(_, (_, at))| now - at > max_age)
+                    .filter(|(_, (_, at, _))| now - at > max_age)
                     .map(|(o, _)| *o)
                     .collect();
                 dead.sort_unstable();
@@ -410,23 +599,45 @@ mod tests {
 
             fn touch_matching(&mut self, digest: &Digest, now: f64) {
                 let theirs = Self::theirs(digest);
-                for (origin, (lsa, at)) in &mut self.records {
+                for (origin, (lsa, at, _)) in &mut self.records {
                     if theirs.get(origin) == Some(&lsa.seq) {
                         *at = now;
                     }
                 }
             }
 
-            fn fresher_than(&self, digest: &Digest) -> Vec<&LinkStateAnnouncement> {
+            fn fresher_than(&self, digest: &Digest) -> Push<'_> {
                 let theirs = Self::theirs(digest);
-                let fresher =
-                    |l: &LinkStateAnnouncement| theirs.get(&l.origin).is_none_or(|&s| l.seq > s);
-                let all = self.sorted().into_iter().map(|(l, _)| l);
-                all.filter(|l| fresher(l)).collect()
+                let mut push = Push::default();
+                for (l, _, since) in self.sorted() {
+                    match theirs.get(&l.origin) {
+                        Some(&s) if l.seq <= s => {}
+                        Some(&s) if since <= s => push.refreshes.push(Refresh {
+                            origin: l.origin,
+                            seq: l.seq,
+                            links_hash: hash(&l.links),
+                        }),
+                        _ => push.full.push(l),
+                    }
+                }
+                push
+            }
+
+            fn resolve(&self, r: &Refresh) -> Resolve {
+                match self.records.get(&r.origin) {
+                    Some((l, _, _)) if hash(&l.links) == r.links_hash => {
+                        Resolve::Lsa(LinkStateAnnouncement {
+                            seq: r.seq,
+                            ..l.clone()
+                        })
+                    }
+                    Some((l, _, _)) if l.seq >= r.seq => Resolve::Stale,
+                    _ => Resolve::Pull,
+                }
             }
 
             fn stale_origins(&self, digest: &Digest) -> Vec<NodeId> {
-                let seq_of = |o: &NodeId| self.records.get(o).map_or(0, |(l, _)| l.seq);
+                let seq_of = |o: &NodeId| self.records.get(o).map_or(0, |(l, _, _)| l.seq);
                 let mut v: Vec<NodeId> = Self::theirs(digest)
                     .into_iter()
                     .filter(|(o, seq)| seq_of(o) < *seq)
@@ -437,12 +648,22 @@ mod tests {
             }
 
             fn select(&self, origins: &[NodeId]) -> Vec<&LinkStateAnnouncement> {
-                let mut v: Vec<_> = origins
+                let wanted: std::collections::BTreeSet<NodeId> = origins.iter().copied().collect();
+                wanted
                     .iter()
-                    .filter_map(|o| self.records.get(o).map(|(l, _)| l))
-                    .collect();
-                v.sort_by_key(|l| l.origin);
-                v
+                    .filter_map(|o| self.records.get(o).map(|(l, _, _)| l))
+                    .collect()
+            }
+        }
+
+        /// One of four link sets per origin, so histories repeat links
+        /// under new seqs, change them, and return to an earlier set.
+        fn links(o: u32, variant: u32) -> Vec<(u32, f32)> {
+            match variant {
+                0 => vec![],
+                1 => vec![(o + 1, 2.0)],
+                2 => vec![(o + 1, 2.0), (o + 2, 3.5)],
+                _ => vec![(o + 1, 2.5)],
             }
         }
 
@@ -468,17 +689,19 @@ mod tests {
             FresherThan(Digest),
             StaleOrigins(Digest),
             Select(Vec<NodeId>),
+            Resolve(Refresh),
         }
 
         fn arb_op() -> impl Strategy<Value = Op> {
             (
-                0u32..11,
-                (0u32..16, 0u64..6, 0usize..4),
+                0u32..12,
+                (0u32..16, 0u64..6, 0u32..5),
                 proptest::collection::vec((0u32..16, 0u64..6), 0..14),
                 any::<bool>(),
             )
-                .prop_map(|(kind, (o, seq, links), raw, tidy)| {
-                    let announcement = lsa(origin(o).0, seq, &vec![(o + 1, seq as f32); links]);
+                .prop_map(|(kind, (o, seq, variant), raw, tidy)| {
+                    let id = origin(o);
+                    let announcement = lsa(id.0, seq, &links(o, variant));
                     // Half the digests are what an honest peer sends
                     // (ascending, one entry per origin); the rest arrive
                     // unsorted, with repeats, as generated.
@@ -490,12 +713,22 @@ mod tests {
                     match kind {
                         0..=2 => Op::Apply(announcement),
                         3 | 4 => Op::ApplyRef(announcement),
-                        5 => Op::Remove(origin(o)),
+                        5 => Op::Remove(id),
                         6 => Op::Expire,
                         7 => Op::Touch(digest),
                         8 => Op::FresherThan(digest),
                         9 => Op::StaleOrigins(digest),
-                        _ => Op::Select(digest.into_iter().map(|d| d.0).collect()),
+                        10 => Op::Select(digest.into_iter().map(|d| d.0).collect()),
+                        // Variant 4 is a hash no link set has.
+                        _ => Op::Resolve(Refresh {
+                            origin: id,
+                            seq,
+                            links_hash: if variant == 4 {
+                                0x5EED
+                            } else {
+                                hash(&announcement.links)
+                            },
+                        }),
                     }
                 })
         }
@@ -535,9 +768,11 @@ mod tests {
                         }
                         Op::FresherThan(d) => {
                             let got = db.fresher_than(&d);
-                            prop_assert!(is_ascending(got.iter().map(|l| l.origin)));
+                            prop_assert!(is_ascending(got.full.iter().map(|l| l.origin)));
+                            prop_assert!(is_ascending(got.refreshes.iter().map(|r| r.origin)));
                             prop_assert_eq!(got, model.fresher_than(&d));
                         }
+                        Op::Resolve(r) => prop_assert_eq!(db.resolve(&r), model.resolve(&r)),
                         Op::StaleOrigins(d) => {
                             let got = db.stale_origins(&d);
                             prop_assert!(is_ascending(got.iter().copied()));
@@ -549,25 +784,28 @@ mod tests {
                             prop_assert_eq!(got, model.select(&origins));
                         }
                     }
-                    // Whole state after every step: records, ages, order.
+                    // Whole state after every step: records, ages, `since`,
+                    // order.
                     let want = model.sorted();
-                    let got: Vec<_> = db.records.iter().map(|r| (&r.lsa, r.refreshed_at)).collect();
+                    let got: Vec<_> =
+                        db.records.iter().map(|r| (&r.lsa, r.refreshed_at, r.since)).collect();
                     prop_assert_eq!(&got, &want);
                     prop_assert!(db.records.windows(2).all(|w| w[0].lsa.origin < w[1].lsa.origin));
+                    prop_assert!(db.records.iter().all(|r| r.since <= r.lsa.seq));
                     prop_assert_eq!(db.len(), want.len());
                     prop_assert_eq!(db.is_empty(), want.is_empty());
                     prop_assert_eq!(
                         db.digest(),
-                        want.iter().map(|(l, _)| (l.origin, l.seq)).collect::<Digest>()
+                        want.iter().map(|(l, _, _)| (l.origin, l.seq)).collect::<Digest>()
                     );
-                    prop_assert_eq!(db.origins(), want.iter().map(|(l, _)| l.origin).collect::<Vec<_>>());
+                    prop_assert_eq!(db.origins(), want.iter().map(|(l, _, _)| l.origin).collect::<Vec<_>>());
                     prop_assert_eq!(
                         db.link_count(),
-                        want.iter().map(|(l, _)| l.links.len()).sum::<usize>()
+                        want.iter().map(|(l, _, _)| l.links.len()).sum::<usize>()
                     );
                     for code in 0..16 {
                         let o = origin(code);
-                        prop_assert_eq!(db.get(o), model.records.get(&o).map(|(l, _)| l));
+                        prop_assert_eq!(db.get(o), model.records.get(&o).map(|(l, _, _)| l));
                         prop_assert_eq!(db.seq_of(o), db.get(o).map_or(0, |l| l.seq));
                     }
                 }
@@ -607,8 +845,35 @@ mod tests {
             }
         }
 
-        /// One digest round initiated by `a`: digest → push + pull →
-        /// pull answer, every leg individually lossy.
+        /// `from` answers a pull for `origins` and `to` applies what
+        /// arrives, both legs lossy.
+        fn pull(
+            from: &Lsdb,
+            to: &mut Lsdb,
+            origins: Vec<NodeId>,
+            inj: &mut FaultInjector,
+            now: f64,
+        ) {
+            let request = Message::LsdbPull {
+                from: NodeId(1),
+                origins,
+            };
+            if let Some(Message::LsdbPull { origins, .. }) = send(inj, now, request) {
+                let answer = Message::LsdbSync {
+                    lsas: from.select(&origins).into_iter().cloned().collect(),
+                    refreshes: vec![],
+                };
+                if let Some(Message::LsdbSync { lsas, .. }) = send(inj, now, answer) {
+                    for lsa in lsas {
+                        to.apply(lsa, now);
+                    }
+                }
+            }
+        }
+
+        /// One digest round initiated by `a`: digest → push (full LSAs
+        /// and refresh entries; `a` pulls the entries whose links it
+        /// lacks) + pull → pull answers, every leg individually lossy.
         fn round(a: &mut Lsdb, b: &mut Lsdb, inj: &mut FaultInjector, now: f64) {
             let digest = Message::LsdbDigest {
                 from: NodeId(0),
@@ -617,28 +882,31 @@ mod tests {
             let Some(Message::LsdbDigest { entries, .. }) = send(inj, now, digest) else {
                 return;
             };
+            let fresher = b.fresher_than(&entries);
             let push = Message::LsdbSync {
-                lsas: b.fresher_than(&entries).into_iter().cloned().collect(),
+                lsas: fresher.full.into_iter().cloned().collect(),
+                refreshes: fresher.refreshes,
             };
-            if let Some(Message::LsdbSync { lsas }) = send(inj, now, push) {
+            if let Some(Message::LsdbSync { lsas, refreshes }) = send(inj, now, push) {
                 for lsa in lsas {
                     a.apply(lsa, now);
                 }
-            }
-            let pull = Message::LsdbPull {
-                from: NodeId(1),
-                origins: b.stale_origins(&entries),
-            };
-            if let Some(Message::LsdbPull { origins, .. }) = send(inj, now, pull) {
-                let answer = Message::LsdbSync {
-                    lsas: a.select(&origins).into_iter().cloned().collect(),
-                };
-                if let Some(Message::LsdbSync { lsas }) = send(inj, now, answer) {
-                    for lsa in lsas {
-                        b.apply(lsa, now);
+                let mut lacking = Vec::new();
+                for r in refreshes {
+                    match a.resolve(&r) {
+                        Resolve::Lsa(lsa) => {
+                            a.apply(lsa, now);
+                        }
+                        Resolve::Stale => {}
+                        Resolve::Pull => lacking.push(r.origin),
                     }
                 }
+                if !lacking.is_empty() {
+                    pull(b, a, lacking, inj, now);
+                }
             }
+            let stale = b.stale_origins(&entries);
+            pull(a, b, stale, inj, now);
         }
 
         proptest! {
@@ -646,7 +914,10 @@ mod tests {
 
             /// Two LSDBs with arbitrary overlapping/disjoint contents
             /// reconcile to identical databases within a bounded number
-            /// of digest rounds, even with 30% seeded message loss.
+            /// of digest rounds, even with 30% seeded message loss —
+            /// with refresh entries both ways, including for links one
+            /// side held under a seq the other never saw (an A-B-A
+            /// history, which the hash turns into a pull).
             #[test]
             fn converges_under_loss(
                 seed in any::<u64>(),
@@ -654,8 +925,9 @@ mod tests {
                 ys in proptest::collection::vec((0u32..48, 1u64..1000), 0..40),
             ) {
                 // An origin's LSA at seq `s` is one global value, so the
-                // generated content must be a function of (origin, seq).
-                let gen = |o: u32, s: u64| lsa(o, s, &[(o + 1, (s % 7) as f32)]);
+                // generated content must be a function of (origin, seq);
+                // three link sets per origin make runs and returns common.
+                let gen = |o: u32, s: u64| lsa(o, s, &[(o + 1, (s % 3) as f32)]);
                 let mut a = Lsdb::new(1e9);
                 let mut b = Lsdb::new(1e9);
                 for (o, s) in xs {
@@ -668,7 +940,11 @@ mod tests {
                 let mut rounds = 0usize;
                 while a.digest() != b.digest() {
                     prop_assert!(rounds < 64, "no convergence after 64 digest rounds");
-                    round(&mut a, &mut b, &mut inj, rounds as f64);
+                    if rounds.is_multiple_of(2) {
+                        round(&mut a, &mut b, &mut inj, rounds as f64);
+                    } else {
+                        round(&mut b, &mut a, &mut inj, rounds as f64);
+                    }
                     rounds += 1;
                 }
                 // Same digests means same databases (seq identifies the LSA).

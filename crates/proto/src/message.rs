@@ -25,6 +25,16 @@ pub struct LinkStateAnnouncement {
     pub links: Vec<LinkEntry>,
 }
 
+/// An anti-entropy refresh: `origin`'s announcement `seq` carries links
+/// whose [`crate::codec::links_hash`] is `links_hash` — links the
+/// receiver's digest shows it already holds, so they are not resent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Refresh {
+    pub origin: NodeId,
+    pub seq: u64,
+    pub links_hash: u32,
+}
+
 /// All EGOIST protocol messages.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Message {
@@ -34,8 +44,14 @@ pub enum Message {
     BootstrapResponse { peers: Vec<NodeId> },
     /// First contact with a peer; the receiver replies with `LsdbSync`.
     Hello { from: NodeId },
-    /// Full LSDB transfer to a newcomer, or an anti-entropy delta.
-    LsdbSync { lsas: Vec<LinkStateAnnouncement> },
+    /// Full LSDB transfer to a newcomer, or an anti-entropy delta: full
+    /// `lsas`, plus — in a digest answer only — `refreshes` standing in
+    /// for announcements whose links the receiver already holds. A
+    /// receiver that does not hold them pulls the origin (`LsdbPull`).
+    LsdbSync {
+        lsas: Vec<LinkStateAnnouncement>,
+        refreshes: Vec<Refresh>,
+    },
     /// Anti-entropy digest: the sender's per-origin `(origin, seq)`
     /// summary, exchanged with one rotating partner per sync tick. The
     /// receiver pushes back fresher LSAs (`LsdbSync`) and pulls stale
@@ -45,7 +61,8 @@ pub enum Message {
         entries: Vec<(NodeId, u64)>,
     },
     /// Anti-entropy delta pull: origins where the digest sender was
-    /// fresher; answered with an `LsdbSync` carrying just those LSAs.
+    /// fresher, or whose refresh entries named links the puller does not
+    /// hold; answered with an `LsdbSync` carrying just those LSAs, full.
     LsdbPull { from: NodeId, origins: Vec<NodeId> },
     /// Gossiped link-state announcement. `ttl` bounds forwarding: each
     /// fresh receiver re-gossips with `ttl − 1` until it hits zero;
@@ -141,7 +158,10 @@ mod tests {
                 peers: vec![NodeId(2)],
             },
             Message::Hello { from: NodeId(1) },
-            Message::LsdbSync { lsas: vec![] },
+            Message::LsdbSync {
+                lsas: vec![],
+                refreshes: vec![],
+            },
             Message::LsdbDigest {
                 from: NodeId(1),
                 entries: vec![(NodeId(2), 7)],

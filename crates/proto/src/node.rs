@@ -30,8 +30,8 @@
 
 use crate::audit::{ClaimRanker, ClaimVerdict};
 use crate::codec::{decode, encode, encode_sync};
-use crate::lsdb::{self, Lsdb};
-use crate::message::{LinkEntry, LinkStateAnnouncement, Message, MessageClass};
+use crate::lsdb::{self, same_links, Lsdb, Resolve};
+use crate::message::{LinkEntry, LinkStateAnnouncement, Message, MessageClass, Refresh};
 use crate::overhead::OverheadCounters;
 use crate::transport::Transport;
 use egoist_core::cost::Preferences;
@@ -78,6 +78,12 @@ struct ProtoObs {
     /// while obs is enabled).
     ae_recv_not_fresher: egoist_obs::Counter,
     ae_recv_equal: egoist_obs::Counter,
+    /// Refresh entries sent in digest answers, received ones whose links
+    /// matched and were fresher (applied), and received ones pulled
+    /// because the links were not held.
+    ae_refresh_sent: egoist_obs::Counter,
+    ae_refresh_applied: egoist_obs::Counter,
+    ae_refresh_pulled: egoist_obs::Counter,
     claims_corroborated: egoist_obs::Counter,
     claims_contradicted: egoist_obs::Counter,
     links_quarantined: egoist_obs::Counter,
@@ -119,6 +125,9 @@ fn proto_obs() -> &'static ProtoObs {
             ae_pushed: r.counter("proto.ae.pushed_lsas"),
             ae_recv_not_fresher: r.counter("proto.ae.recv_not_fresher"),
             ae_recv_equal: r.counter("proto.ae.recv_equal"),
+            ae_refresh_sent: r.counter("proto.ae.refresh_sent"),
+            ae_refresh_applied: r.counter("proto.ae.refresh_applied"),
+            ae_refresh_pulled: r.counter("proto.ae.refresh_pulled"),
             claims_corroborated: r.counter("proto.claims.corroborated"),
             claims_contradicted: r.counter("proto.claims.contradicted"),
             links_quarantined: r.counter("proto.claims.quarantined_links"),
@@ -288,6 +297,11 @@ pub struct NodeView {
     pub ae_digests: u64,
     pub ae_pulls: u64,
     pub ae_pushed: u64,
+    /// Pushed LSAs that went out as refresh entries, and pulls sent for
+    /// received entries whose links this node did not hold (not counted
+    /// in `ae_pulls`, which are the digest-triggered ones).
+    pub ae_refreshed: u64,
+    pub ae_refresh_pulls: u64,
     /// Second-hand claim ranking tallies (third-party links checked).
     pub claims_corroborated: u64,
     pub claims_contradicted: u64,
@@ -457,20 +471,45 @@ fn gossip_hash(origin: NodeId, seq: u64, me: NodeId, target: NodeId) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Whether two link lists are byte-equal: same neighbors, same cost bits,
-/// same order.
-fn same_links(a: &[LinkEntry], b: &[LinkEntry]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.neighbor == y.neighbor && x.cost.to_bits() == y.cost.to_bits())
+/// An anti-entropy push encoded straight from borrowed LSDB records,
+/// with what it carries.
+struct SyncPush {
+    /// LSAs pushed, full or as refresh entries.
+    records: u64,
+    refreshes: u64,
+    frame: bytes::Bytes,
 }
 
-/// An anti-entropy push — LSA count and `LsdbSync` frame — encoded
-/// straight from borrowed LSDB records; `None` when there is nothing to
+/// The push of `lsas` and `refreshes`; `None` when there is nothing to
 /// push.
-fn sync_push(lsas: &[&LinkStateAnnouncement]) -> Option<(u64, bytes::Bytes)> {
-    (!lsas.is_empty()).then(|| (lsas.len() as u64, encode_sync(lsas)))
+fn sync_push(lsas: &[&LinkStateAnnouncement], refreshes: &[Refresh]) -> Option<SyncPush> {
+    let records = lsas.len() + refreshes.len();
+    (records > 0).then(|| SyncPush {
+        records: records as u64,
+        refreshes: refreshes.len() as u64,
+        frame: encode_sync(lsas, refreshes),
+    })
+}
+
+/// One item of a received push.
+enum Pushed<'a> {
+    Full(&'a LinkStateAnnouncement),
+    Refresh(&'a Refresh),
+}
+
+/// A push's full LSAs and refresh entries in one origin-ascending walk —
+/// the order the pusher's LSDB held them in — so each entry is admitted
+/// exactly where its full LSA would have been.
+fn in_origin_order<'a>(
+    lsas: &'a [LinkStateAnnouncement],
+    refreshes: &'a [Refresh],
+) -> impl Iterator<Item = Pushed<'a>> {
+    let (mut full, mut short) = (lsas.iter().peekable(), refreshes.iter().peekable());
+    std::iter::from_fn(move || match (full.peek(), short.peek()) {
+        (Some(l), Some(r)) if r.origin < l.origin => short.next().map(Pushed::Refresh),
+        (Some(_), _) => full.next().map(Pushed::Full),
+        _ => short.next().map(Pushed::Refresh),
+    })
 }
 
 /// The node agent.
@@ -523,6 +562,8 @@ pub struct EgoistNode<T: Transport> {
     ae_digests: u64,
     ae_pulls: u64,
     ae_pushed: u64,
+    ae_refreshed: u64,
+    ae_refresh_pulls: u64,
     claims_corroborated: u64,
     claims_contradicted: u64,
     links_quarantined: u64,
@@ -582,6 +623,8 @@ impl<T: Transport> EgoistNode<T> {
             ae_digests: 0,
             ae_pulls: 0,
             ae_pushed: 0,
+            ae_refreshed: 0,
+            ae_refresh_pulls: 0,
             claims_corroborated: 0,
             claims_contradicted: 0,
             links_quarantined: 0,
@@ -881,11 +924,13 @@ impl<T: Transport> EgoistNode<T> {
     }
 
     /// Send an anti-entropy push, tallying the LSAs it carries.
-    async fn push_sync(&mut self, peer: NodeId, push: Option<(u64, bytes::Bytes)>) {
-        let Some((lsas, frame)) = push else { return };
-        self.ae_pushed += lsas;
-        proto_obs().ae_pushed.add(lsas);
-        self.send_frame(peer, MessageClass::Sync, frame).await;
+    async fn push_sync(&mut self, peer: NodeId, push: Option<SyncPush>) {
+        let Some(push) = push else { return };
+        self.ae_pushed += push.records;
+        self.ae_refreshed += push.refreshes;
+        proto_obs().ae_pushed.add(push.records);
+        proto_obs().ae_refresh_sent.add(push.refreshes);
+        self.send_frame(peer, MessageClass::Sync, push.frame).await;
     }
 
     /// Flood a message to every overlay neighbor (Leave notifications —
@@ -1319,6 +1364,8 @@ impl<T: Transport> EgoistNode<T> {
         v.ae_digests = self.ae_digests;
         v.ae_pulls = self.ae_pulls;
         v.ae_pushed = self.ae_pushed;
+        v.ae_refreshed = self.ae_refreshed;
+        v.ae_refresh_pulls = self.ae_refresh_pulls;
         v.claims_corroborated = self.claims_corroborated;
         v.claims_contradicted = self.claims_contradicted;
         v.links_quarantined = self.links_quarantined;
@@ -1372,27 +1419,56 @@ impl<T: Transport> EgoistNode<T> {
             }
             Message::Hello { from: peer } => {
                 let all: Vec<_> = self.lsdb.all().collect();
-                let frame = encode_sync(&all);
+                let frame = encode_sync(&all, &[]);
                 self.send_frame(peer, MessageClass::Sync, frame).await;
             }
-            Message::LsdbSync { lsas } => {
+            Message::LsdbSync { lsas, refreshes } => {
                 let tally = egoist_obs::is_enabled();
-                let (mut not_fresher, mut equal) = (0, 0);
-                for lsa in &lsas {
-                    if tally {
-                        match self.lsdb.get(lsa.origin) {
-                            Some(ours) if ours.seq >= lsa.seq => not_fresher += 1,
-                            Some(ours) if same_links(&ours.links, &lsa.links) => equal += 1,
-                            _ => {}
-                        }
-                    }
+                let (mut not_fresher, mut equal, mut applied) = (0, 0, 0);
+                let mut lacking = Vec::new();
+                for item in in_origin_order(&lsas, &refreshes) {
                     // Admission-controlled but not re-forwarded: sync
                     // deltas propagate by anti-entropy, not push.
-                    self.admit_lsa(lsa, now);
+                    match item {
+                        Pushed::Full(lsa) => {
+                            if tally {
+                                match self.lsdb.get(lsa.origin) {
+                                    Some(ours) if ours.seq >= lsa.seq => not_fresher += 1,
+                                    Some(ours) if same_links(&ours.links, &lsa.links) => equal += 1,
+                                    _ => {}
+                                }
+                            }
+                            self.admit_lsa(lsa, now);
+                        }
+                        // A matched entry is the full LSA it stands for,
+                        // rebuilt from the links already stored.
+                        Pushed::Refresh(r) => match self.lsdb.resolve(r) {
+                            Resolve::Lsa(lsa) => {
+                                if tally && self.lsdb.seq_of(lsa.origin) < lsa.seq {
+                                    applied += 1;
+                                }
+                                self.admit_lsa(&lsa, now);
+                            }
+                            Resolve::Stale => {}
+                            Resolve::Pull => lacking.push(r.origin),
+                        },
+                    }
                 }
                 if tally {
-                    proto_obs().ae_recv_not_fresher.add(not_fresher);
-                    proto_obs().ae_recv_equal.add(equal);
+                    let obs = proto_obs();
+                    obs.ae_recv_not_fresher.add(not_fresher);
+                    obs.ae_recv_equal.add(equal);
+                    obs.ae_refresh_applied.add(applied);
+                    obs.ae_refresh_pulled.add(lacking.len() as u64);
+                }
+                // Links we do not hold come back full, from the pusher.
+                if !lacking.is_empty() {
+                    self.ae_refresh_pulls += 1;
+                    let pull = Message::LsdbPull {
+                        from: self.cfg.id,
+                        origins: lacking,
+                    };
+                    self.send_msg(from, &pull).await;
                 }
             }
             Message::LinkState { lsa, ttl } => {
@@ -1418,7 +1494,8 @@ impl<T: Transport> EgoistNode<T> {
                 // Off the wire: sorted once here if it is not already.
                 let entries = lsdb::ascending(&entries);
                 self.lsdb.touch_matching(&entries, now);
-                self.push_sync(peer, sync_push(&self.lsdb.fresher_than(&entries)))
+                let push = self.lsdb.fresher_than(&entries);
+                self.push_sync(peer, sync_push(&push.full, &push.refreshes))
                     .await;
                 let stale = self.lsdb.stale_origins(&entries);
                 if !stale.is_empty() {
@@ -1438,7 +1515,7 @@ impl<T: Transport> EgoistNode<T> {
                 from: peer,
                 origins,
             } => {
-                self.push_sync(peer, sync_push(&self.lsdb.select(&origins)))
+                self.push_sync(peer, sync_push(&self.lsdb.select(&origins), &[]))
                     .await;
             }
             Message::Ping {
@@ -2379,6 +2456,235 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What a received LSA can change: the LSDB (records, ages, `since`),
+    /// the peer ledgers, the claim tallies, bans, in-neighbors, estimates
+    /// and views.
+    fn lsa_state<T: Transport>(node: &EgoistNode<T>) -> String {
+        format!(
+            "{:?}",
+            (
+                &node.lsdb,
+                &node.scores,
+                (node.claims_corroborated, node.claims_contradicted),
+                (&node.banned, &node.in_nbrs, node.evictions),
+                (&node.est, &node.wiring, &node.passive),
+            )
+        )
+    }
+
+    /// Twin nodes, one pushed full LSAs and one the refresh entries for
+    /// them, end in the same state — fresh or stale, audited, ranked,
+    /// punished — whenever the entries' links match what is stored; full
+    /// LSAs riding along are admitted in the same origin order.
+    #[test]
+    fn a_matched_refresh_leaves_the_node_as_the_full_lsa_would() {
+        use rand::Rng;
+        for case in 0..80u64 {
+            tokio::runtime::block_on_paused(async {
+                let mut rng = StdRng::seed_from_u64(case);
+                let n = rng.random_range(3..24);
+                let seed = rng.random();
+                let [mut full, mut short] = [0; 2]
+                    .map(|_| route_props::arbitrary_node(n, &mut StdRng::seed_from_u64(seed)));
+                // Heard from everyone long ago: audits and claim ranking
+                // engage instead of granting the newcomer grace. A third
+                // of the origins are one audit away from a ban, which
+                // resets their estimates for the claims ranked after it.
+                let t0 = Instant::now();
+                for node in [&mut full, &mut short] {
+                    node.first_heard.fill(Some(t0));
+                    let brink = node.cfg.ban_threshold - 1;
+                    node.scores
+                        .iter_mut()
+                        .step_by(3)
+                        .for_each(|s| s.misbehavior = brink);
+                }
+                tokio::time::sleep(full.cfg.announce_interval * 4).await;
+
+                let from = NodeId::from_index((full.cfg.id.index() + 1) % n);
+                // One push of full LSAs, and its twin in which every LSA
+                // whose links the node holds is a refresh entry.
+                let (mut lsas, mut changed, mut refreshes) = (Vec::new(), Vec::new(), Vec::new());
+                for mut lsa in full.lsdb.all().cloned().collect::<Vec<_>>() {
+                    lsa.seq = rng.random_range(0..4); // stored at 1: stale, equal or fresh
+                    if rng.random_range(0..3) == 0 {
+                        lsa.links.truncate(1);
+                        lsa.links.push(LinkEntry {
+                            neighbor: full.cfg.id,
+                            cost: 0.01,
+                        });
+                        changed.push(lsa.clone());
+                    } else {
+                        refreshes.push(refresh_of(&lsa));
+                    }
+                    lsas.push(lsa);
+                }
+                let as_full = Message::LsdbSync {
+                    lsas,
+                    refreshes: vec![],
+                };
+                let as_refreshes = Message::LsdbSync {
+                    lsas: changed,
+                    refreshes,
+                };
+                assert_eq!(lsa_state(&full), lsa_state(&short), "case {case}: twins");
+                full.handle_frame(from, encode(&as_full)).await;
+                short.handle_frame(from, encode(&as_refreshes)).await;
+                assert_eq!(lsa_state(&full), lsa_state(&short), "case {case}");
+                // Nothing was pulled.
+                assert_eq!(short.ae_refresh_pulls, 0, "case {case}");
+            });
+        }
+    }
+
+    /// A node holding `lsas` at 1 ms from a raw endpoint `peer`.
+    fn refresh_rig(
+        lsas: &[LinkStateAnnouncement],
+    ) -> (EgoistNode<crate::SimTransport>, crate::SimTransport) {
+        let net = SimNet::clean(DistanceMatrix::off_diagonal(8, 1.0));
+        let mut node = EgoistNode::new(NodeConfig::new(NodeId(0), 8, 2), net.endpoint(NodeId(0)));
+        for lsa in lsas {
+            node.lsdb.apply_ref(lsa, 0.0);
+        }
+        (node, net.endpoint(NodeId(1)))
+    }
+
+    /// Send `msg` from the rig's peer through the node, and return what
+    /// the node sent back.
+    async fn exchange(
+        node: &mut EgoistNode<crate::SimTransport>,
+        peer: &mut crate::SimTransport,
+        msg: &Message,
+    ) -> Vec<Message> {
+        peer.send(node.id(), encode(msg)).await.unwrap();
+        tokio::time::sleep(Duration::from_millis(5)).await;
+        node.drain().await;
+        tokio::time::sleep(Duration::from_millis(5)).await;
+        std::iter::from_fn(|| peer.try_recv())
+            .map(|(_, frame)| decode(&frame).unwrap())
+            .collect()
+    }
+
+    fn rig_lsa(origin: u32, seq: u64, cost: f32) -> LinkStateAnnouncement {
+        LinkStateAnnouncement {
+            origin: NodeId(origin),
+            seq,
+            links: vec![LinkEntry {
+                neighbor: NodeId(5),
+                cost,
+            }],
+        }
+    }
+
+    fn refresh_of(lsa: &LinkStateAnnouncement) -> Refresh {
+        Refresh {
+            origin: lsa.origin,
+            seq: lsa.seq,
+            links_hash: crate::codec::links_hash(&lsa.links),
+        }
+    }
+
+    /// Entries whose links the node does not hold — another hash, an
+    /// origin it never stored, one that expired — change no links and
+    /// come back as one pull naming exactly those origins; entries that
+    /// are not fresher are ignored, matched or not.
+    #[test]
+    fn refreshes_the_node_cannot_match_are_pulled_or_ignored() {
+        tokio::runtime::block_on_paused(async {
+            let held = [rig_lsa(2, 5, 1.0), rig_lsa(3, 5, 1.0), rig_lsa(4, 5, 1.0)];
+            let (mut node, mut peer) = refresh_rig(&held);
+            node.lsdb.max_age = 10.0;
+            node.lsdb.apply_ref(&rig_lsa(6, 1, 1.0), -20.0); // aged out
+            node.expire_origins();
+            let before = lsa_state(&node);
+            let push = Message::LsdbSync {
+                lsas: vec![],
+                refreshes: vec![
+                    refresh_of(&rig_lsa(2, 9, 2.0)), // other links, fresher
+                    refresh_of(&rig_lsa(3, 5, 2.0)), // other links, same seq
+                    refresh_of(&rig_lsa(3, 4, 2.0)), // other links, older
+                    refresh_of(&rig_lsa(4, 4, 1.0)), // same links, older
+                    refresh_of(&rig_lsa(6, 2, 1.0)), // expired
+                    refresh_of(&rig_lsa(7, 1, 1.0)), // never stored
+                ],
+            };
+            let replies = exchange(&mut node, &mut peer, &push).await;
+            assert_eq!(lsa_state(&node), before, "no link changed");
+            assert_eq!(
+                replies,
+                [Message::LsdbPull {
+                    from: NodeId(0),
+                    origins: vec![NodeId(2), NodeId(6), NodeId(7)],
+                }]
+            );
+            assert_eq!((node.ae_refresh_pulls, node.ae_pulls), (1, 0));
+
+            // Only stale entries: nothing changes, nothing is sent.
+            let stale = Message::LsdbSync {
+                lsas: vec![],
+                refreshes: vec![
+                    refresh_of(&rig_lsa(3, 5, 9.0)),
+                    refresh_of(&rig_lsa(4, 5, 1.0)),
+                ],
+            };
+            assert_eq!(exchange(&mut node, &mut peer, &stale).await, []);
+            assert_eq!(lsa_state(&node), before);
+
+            // The pull's answer is full, once per origin however often
+            // the pull names it.
+            let pull = Message::LsdbPull {
+                from: NodeId(1),
+                origins: vec![NodeId(3); 1000],
+            };
+            let answer = exchange(&mut node, &mut peer, &pull).await;
+            assert_eq!(
+                answer,
+                [Message::LsdbSync {
+                    lsas: vec![rig_lsa(3, 5, 1.0)],
+                    refreshes: vec![],
+                }]
+            );
+        });
+    }
+
+    /// An A-B-A link history: the pusher held links L under seq 3 and
+    /// again under 7, so its `since` is 3, but the receiver holds links
+    /// L' under seq 5, which the pusher never saw. The digest answer's
+    /// refresh entry misses, the receiver pulls, and the full answer
+    /// brings both LSDBs to the same record.
+    #[test]
+    fn an_a_b_a_history_refresh_pulls_and_converges() {
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::clean(DistanceMatrix::off_diagonal(8, 1.0));
+            let node = |id: u32| {
+                EgoistNode::new(NodeConfig::new(NodeId(id), 8, 2), net.endpoint(NodeId(id)))
+            };
+            let (mut pusher, mut receiver) = (node(1), node(2));
+            pusher.lsdb.apply_ref(&rig_lsa(4, 3, 1.0), 0.0);
+            pusher.lsdb.apply_ref(&rig_lsa(4, 7, 1.0), 0.0);
+            receiver.lsdb.apply_ref(&rig_lsa(4, 5, 2.0), 0.0);
+            let settle = Duration::from_millis(5);
+
+            let digest = Message::LsdbDigest {
+                from: receiver.id(),
+                entries: receiver.lsdb.digest(),
+            };
+            pusher.handle_frame(receiver.id(), encode(&digest)).await;
+            assert_eq!((pusher.ae_pushed, pusher.ae_refreshed), (1, 1));
+            tokio::time::sleep(settle).await;
+            receiver.drain().await; // the refresh misses: pull
+            assert_eq!(receiver.ae_refresh_pulls, 1);
+            assert_eq!(receiver.lsdb.get(NodeId(4)), Some(&rig_lsa(4, 5, 2.0)));
+            tokio::time::sleep(settle).await;
+            pusher.drain().await; // full answer
+            assert_eq!((pusher.ae_pushed, pusher.ae_refreshed), (2, 1));
+            tokio::time::sleep(settle).await;
+            receiver.drain().await;
+            assert_eq!(receiver.lsdb.get(NodeId(4)), Some(&rig_lsa(4, 7, 1.0)));
+            assert_eq!(receiver.lsdb.digest(), pusher.lsdb.digest());
+        });
     }
 
     #[test]

@@ -143,29 +143,46 @@ fn fnv(json: &str) -> u64 {
 
 /// What a fleet put on the wire, as counts every runner reproduces:
 /// `(class, frames, bytes)` per message class, then the `[ae_pushed,
-/// ae_pulls, gossip_forwards]` sums. The report fingerprints cover these
-/// too; pinned by name, a codec or LSDB change that alters what is sent
-/// says *which* class moved instead of "the hash changed".
-type WireTotals = (Vec<(String, u64, u64)>, [u64; 3]);
+/// ae_pulls, gossip_forwards, ae_refreshed, ae_refresh_pulls]` sums. The
+/// report fingerprints cover these too; pinned by name, a codec or LSDB
+/// change that alters what is sent says *which* class moved instead of
+/// "the hash changed".
+type WireTotals = (Vec<(String, u64, u64)>, [u64; 5]);
 
 fn wire_totals(r: &egoist_proto::fleet::RobustnessReport) -> WireTotals {
     (
         r.overhead.clone(),
-        [r.ae_pushed, r.ae_pulls, r.gossip_forwards],
+        [
+            r.ae_pushed,
+            r.ae_pulls,
+            r.gossip_forwards,
+            r.ae_refreshed,
+            r.ae_refresh_pulls,
+        ],
     )
 }
 
-fn wire_golden(classes: [(&str, u64, u64); 6], sums: [u64; 3]) -> WireTotals {
+fn wire_golden(classes: [(&str, u64, u64); 6], sums: [u64; 5]) -> WireTotals {
     let classes = classes.map(|(class, frames, bytes)| (class.to_string(), frames, bytes));
     (classes.to_vec(), sums)
 }
 
 /// The node's route computation moved from dense `apsp` + `dijkstra` on
 /// a `DiGraph` to on-demand residual rows and one CSR sweep; the pins
-/// below are the report bytes the dense path produced (commit 5146b53).
+/// below were the report bytes the dense path produced (commit 5146b53).
 /// One best-response fleet in the bounded-measurement regime, where most
 /// residual rows are never read, and one oblivious-wiring fleet under a
 /// fault plan, where only `publish()` computes routes.
+///
+/// Since anti-entropy sends refreshes as refreshes (codec v3), the only
+/// change to either fleet is the `sync` bytes, and the report's two new
+/// anti-entropy fields. Frames, every other class and every other sum
+/// are the dense path's:
+///
+/// | fleet | `sync` bytes | refreshed | refresh pulls | fingerprint |
+/// |---|---|---|---|---|
+/// | best response | 60 884 → 60 622 | 13 | 0 | `0x7eb4d846fa38b2bf` → `0x4d8f6c1ec9f1113d` |
+/// | Random, faults | 63 314 → 63 074 | 12 | 0 | `0x7582898f4d4b7021` → `0x0c8bdf4792c581b7` |
 #[test]
 fn fleet_reports_match_the_dense_route_computation() {
     use egoist_core::policies::PolicyKind;
@@ -185,7 +202,7 @@ fn fleet_reports_match_the_dense_route_computation() {
     egoist::obs::disable();
     assert_eq!(
         fnv(&report.to_json()),
-        0x7eb4_d846_fa38_b2bf,
+        0x4d8f_6c1e_c9f1_113d,
         "best-response fleet"
     );
     assert_eq!(
@@ -193,13 +210,13 @@ fn fleet_reports_match_the_dense_route_computation() {
         wire_golden(
             [
                 ("bootstrap", 35, 560),
-                ("sync", 354, 60_884),
+                ("sync", 354, 60_622),
                 ("link_state", 91_813, 4_672_383),
                 ("measurement", 3_977, 206_804),
                 ("heartbeat", 2_234, 116_168),
                 ("control", 0, 0),
             ],
-            [19, 0, 19_098],
+            [19, 0, 19_098, 13, 0],
         ),
         "best-response fleet: frames and bytes on the wire"
     );
@@ -231,7 +248,7 @@ fn fleet_reports_match_the_dense_route_computation() {
     let report = run_fleet(&random);
     assert_eq!(
         fnv(&report.to_json()),
-        0x7582_898f_4d4b_7021,
+        0x0c8b_df47_92c5_81b7,
         "Random-wiring fleet under a fault plan"
     );
     assert_eq!(
@@ -239,14 +256,76 @@ fn fleet_reports_match_the_dense_route_computation() {
         wire_golden(
             [
                 ("bootstrap", 48, 768),
-                ("sync", 446, 63_314),
+                ("sync", 446, 63_074),
                 ("link_state", 76_602, 3_883_166),
                 ("measurement", 12_975, 674_700),
                 ("heartbeat", 1_971, 102_492),
                 ("control", 0, 0),
             ],
-            [165, 45, 16_300],
+            [165, 45, 16_300, 12, 0],
         ),
         "Random-wiring fleet: frames and bytes on the wire"
     );
+}
+
+/// Refreshes as refreshes, in the benchmark's best-response regime
+/// (`fleet_br_n300`'s knobs — `chaos_n1000_profile`'s fan-out, ttl,
+/// timers and 10 ms wheel — with BR wiring on a pristine network, at
+/// n = 40). A best-response fleet keeps re-announcing a stable wiring, so
+/// most of what anti-entropy pushes is a refresh; the rule must catch
+/// those and almost never guess wrong:
+///
+/// * pulls for entries whose links the receiver did not hold stay
+///   under 1% of the entries sent;
+/// * LSAs that still arrived in full with links byte-equal to the stored
+///   copy (`proto.ae.recv_equal`) stay under 10% of the entries applied.
+///   Pull answers are always full, and at n = 40 they are where those
+///   arrive: seed 11 has 99 against 1 232 applied, none of them in a
+///   digest answer (at n = 300 it is 3 907 against 472 540, 803 of them
+///   in digest answers after an A-B-A link history).
+#[test]
+fn best_response_fleet_sends_refreshes_as_refreshes() {
+    use egoist_core::policies::PolicyKind;
+    use egoist_netsim::{FaultConfig, FaultPlan};
+    use egoist_proto::fleet::chaos_n1000_profile;
+    use std::time::Duration;
+
+    let _obs = OBS.write().unwrap_or_else(|e| e.into_inner());
+    let mut cfg = chaos_n1000_profile(true);
+    cfg.scenario = "refresh_br".to_string();
+    cfg.n = 40;
+    cfg.seed = 11;
+    cfg.horizon = Duration::from_secs(200);
+    cfg.policy = PolicyKind::BestResponse;
+    cfg.fault = FaultConfig::default();
+    cfg.plan = FaultPlan::new();
+    let reg = egoist::obs::registry();
+    reg.reset();
+    egoist::obs::enable();
+    let r = run_fleet(&cfg);
+    egoist::obs::disable();
+
+    let count = |name: &str| reg.counter_value(&format!("proto.ae.{name}"));
+    let (sent, applied, pulled) = (
+        count("refresh_sent"),
+        count("refresh_applied"),
+        count("refresh_pulled"),
+    );
+    let equal = count("recv_equal");
+    assert!(
+        applied > 0 && applied <= sent,
+        "{applied} applied of {sent} sent"
+    );
+    assert!(100 * pulled <= sent, "{pulled} pulled of {sent} sent");
+    assert!(
+        10 * equal <= applied,
+        "{equal} equal full LSAs, {applied} applied entries"
+    );
+    // The report carries the same tallies as of each node's last
+    // published view, as a subset of what was pushed; a pull frame goes
+    // out only when some entry was pulled.
+    assert!(0 < r.ae_refreshed && r.ae_refreshed <= sent);
+    assert!(r.ae_refreshed <= r.ae_pushed);
+    assert!(r.ae_refresh_pulls <= pulled);
+    assert!(r.final_reachability >= 0.95, "{}", r.final_reachability);
 }

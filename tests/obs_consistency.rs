@@ -231,9 +231,9 @@ fn obs_exports_are_deterministic_across_runs() {
 }
 
 /// The fleet instruments (`x-fleet-instruments` in the metrics schema:
-/// route computation plus the anti-entropy overlap counters): present
-/// after a best-response fleet, consistent with each other, and
-/// invisible to the report.
+/// route computation plus the anti-entropy overlap and refresh
+/// counters): present after a best-response fleet, consistent with each
+/// other, and invisible to the report.
 #[test]
 fn fleet_route_instruments_are_exported_and_invisible() {
     let _g = serial();
@@ -260,7 +260,7 @@ fn fleet_route_instruments_are_exported_and_invisible() {
         .split('"')
         .filter(|name| name.starts_with("proto.") || name.starts_with("graph."))
         .collect();
-    assert_eq!(names.len(), 8, "{names:?}");
+    assert_eq!(names.len(), 11, "{names:?}");
     for name in names {
         assert!(export.contains(&format!("\"{name}\":")), "{name} missing");
     }
