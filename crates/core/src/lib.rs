@@ -45,7 +45,7 @@ pub mod wiring;
 pub use cost::{Preferences, RoutingCosts};
 pub use game::Game;
 pub use policies::{Policy, PolicyKind, WiringContext};
-pub use residual::{OnDemandResidual, ResidualView};
+pub use residual::{OnDemandResidual, ResidualArena, ResidualView};
 pub use wiring::Wiring;
 
 #[cfg(test)]

@@ -99,6 +99,106 @@ impl Policy for KWidest {
     }
 }
 
+/// The eager solver `BwInstance` shipped before it moved onto the
+/// shared pruned core, kept verbatim as the bandwidth oracle: every
+/// candidate and every swap pair is summed in full, in index order.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::BwInstance;
+
+    pub fn greedy(inst: &BwInstance, k: usize) -> Vec<usize> {
+        let nd = inst.dests.len();
+        let mut chosen: Vec<usize> = Vec::new();
+        let mut in_chosen = vec![false; inst.cand.len()];
+        let mut best_per_dest = vec![0.0f64; nd];
+        while chosen.len() < k.min(inst.cand.len()) {
+            let mut pick = None;
+            let mut pick_util = -1.0;
+            for (c, _) in in_chosen.iter().enumerate().filter(|(_, &taken)| !taken) {
+                let mut utility = 0.0;
+                for (t, (&w, &best)) in inst.weight.iter().zip(best_per_dest.iter()).enumerate() {
+                    utility += w * best.max(inst.assignment(c, t));
+                }
+                if utility > pick_util {
+                    pick_util = utility;
+                    pick = Some(c);
+                }
+            }
+            let Some(c) = pick else { break };
+            chosen.push(c);
+            in_chosen[c] = true;
+            for (t, b) in best_per_dest.iter_mut().enumerate() {
+                *b = b.max(inst.assignment(c, t));
+            }
+        }
+        chosen
+    }
+
+    /// (A short `init` is replaced by an unseeded greedy here; the
+    /// shared core seeds greedy with it. No caller passes one.)
+    pub fn local_search(
+        inst: &BwInstance,
+        k: usize,
+        init: Vec<usize>,
+        max_rounds: usize,
+    ) -> (Vec<usize>, f64) {
+        let nd = inst.dests.len();
+        let mut subset = init;
+        subset.sort_unstable();
+        subset.dedup();
+        if subset.len() < k.min(inst.cand.len()) {
+            subset = greedy(inst, k);
+        }
+        let mut in_subset = vec![false; inst.cand.len()];
+        for &c in &subset {
+            in_subset[c] = true;
+        }
+        let mut utility = inst.eval(&subset);
+        for _ in 0..max_rounds {
+            // best1/best2 per destination (max version).
+            let mut b1 = vec![(0.0f64, usize::MAX); nd];
+            let mut b2 = vec![0.0f64; nd];
+            for &c in &subset {
+                for t in 0..nd {
+                    let v = inst.assignment(c, t);
+                    if v > b1[t].0 {
+                        b2[t] = b1[t].0;
+                        b1[t] = (v, c);
+                    } else if v > b2[t] {
+                        b2[t] = v;
+                    }
+                }
+            }
+            let mut best_swap: Option<(usize, usize, f64)> = None;
+            for &out in &subset {
+                for (inn, _) in in_subset.iter().enumerate().filter(|(_, &taken)| !taken) {
+                    let mut new_u = 0.0;
+                    for t in 0..nd {
+                        let surviving = if b1[t].1 == out { b2[t] } else { b1[t].0 };
+                        new_u += inst.weight[t] * surviving.max(inst.assignment(inn, t));
+                    }
+                    if new_u > utility + 1e-12
+                        && best_swap.map(|(_, _, u)| new_u > u).unwrap_or(true)
+                    {
+                        best_swap = Some((out, inn, new_u));
+                    }
+                }
+            }
+            match best_swap {
+                Some((out, inn, new_u)) => {
+                    subset.retain(|&c| c != out);
+                    subset.push(inn);
+                    in_subset[out] = false;
+                    in_subset[inn] = true;
+                    utility = new_u;
+                }
+                None => break,
+            }
+        }
+        (subset, utility)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,106 +206,6 @@ mod tests {
     use crate::residual::ResidualView;
     use egoist_netsim::BandwidthModel;
     use rand::SeedableRng;
-
-    /// The eager solver `BwInstance` shipped before it moved onto the
-    /// shared pruned core, kept verbatim as the bandwidth oracle: every
-    /// candidate and every swap pair is summed in full, in index order.
-    mod oracle {
-        use super::BwInstance;
-
-        pub fn greedy(inst: &BwInstance, k: usize) -> Vec<usize> {
-            let nd = inst.dests.len();
-            let mut chosen: Vec<usize> = Vec::new();
-            let mut in_chosen = vec![false; inst.cand.len()];
-            let mut best_per_dest = vec![0.0f64; nd];
-            while chosen.len() < k.min(inst.cand.len()) {
-                let mut pick = None;
-                let mut pick_util = -1.0;
-                for (c, _) in in_chosen.iter().enumerate().filter(|(_, &taken)| !taken) {
-                    let mut utility = 0.0;
-                    for (t, (&w, &best)) in inst.weight.iter().zip(best_per_dest.iter()).enumerate()
-                    {
-                        utility += w * best.max(inst.assignment(c, t));
-                    }
-                    if utility > pick_util {
-                        pick_util = utility;
-                        pick = Some(c);
-                    }
-                }
-                let Some(c) = pick else { break };
-                chosen.push(c);
-                in_chosen[c] = true;
-                for (t, b) in best_per_dest.iter_mut().enumerate() {
-                    *b = b.max(inst.assignment(c, t));
-                }
-            }
-            chosen
-        }
-
-        /// (A short `init` is replaced by an unseeded greedy here; the
-        /// shared core seeds greedy with it. No caller passes one.)
-        pub fn local_search(
-            inst: &BwInstance,
-            k: usize,
-            init: Vec<usize>,
-            max_rounds: usize,
-        ) -> (Vec<usize>, f64) {
-            let nd = inst.dests.len();
-            let mut subset = init;
-            subset.sort_unstable();
-            subset.dedup();
-            if subset.len() < k.min(inst.cand.len()) {
-                subset = greedy(inst, k);
-            }
-            let mut in_subset = vec![false; inst.cand.len()];
-            for &c in &subset {
-                in_subset[c] = true;
-            }
-            let mut utility = inst.eval(&subset);
-            for _ in 0..max_rounds {
-                // best1/best2 per destination (max version).
-                let mut b1 = vec![(0.0f64, usize::MAX); nd];
-                let mut b2 = vec![0.0f64; nd];
-                for &c in &subset {
-                    for t in 0..nd {
-                        let v = inst.assignment(c, t);
-                        if v > b1[t].0 {
-                            b2[t] = b1[t].0;
-                            b1[t] = (v, c);
-                        } else if v > b2[t] {
-                            b2[t] = v;
-                        }
-                    }
-                }
-                let mut best_swap: Option<(usize, usize, f64)> = None;
-                for &out in &subset {
-                    for (inn, _) in in_subset.iter().enumerate().filter(|(_, &taken)| !taken) {
-                        let mut new_u = 0.0;
-                        for t in 0..nd {
-                            let surviving = if b1[t].1 == out { b2[t] } else { b1[t].0 };
-                            new_u += inst.weight[t] * surviving.max(inst.assignment(inn, t));
-                        }
-                        if new_u > utility + 1e-12
-                            && best_swap.map(|(_, _, u)| new_u > u).unwrap_or(true)
-                        {
-                            best_swap = Some((out, inn, new_u));
-                        }
-                    }
-                }
-                match best_swap {
-                    Some((out, inn, new_u)) => {
-                        subset.retain(|&c| c != out);
-                        subset.push(inn);
-                        in_subset[out] = false;
-                        in_subset[inn] = true;
-                        utility = new_u;
-                    }
-                    None => break,
-                }
-            }
-            (subset, utility)
-        }
-    }
 
     struct Parts {
         candidates: Vec<NodeId>,

@@ -22,6 +22,7 @@ use super::{Policy, WiringContext};
 use egoist_graph::csr::MinPlus;
 use egoist_graph::NodeId;
 use rand::rngs::StdRng;
+use std::sync::OnceLock;
 
 /// Assignment-cost instance for one node's best response:
 /// `assignment(c, t)` is the cost node `i` pays for destination `t` when
@@ -207,12 +208,37 @@ impl BestResponse {
         }
     }
 
-    /// Solve and return (neighbors, cost).
+    /// Whether the dead band keeps the full current wiring `init`, of
+    /// cost `current`, whatever a search would find: no subset of
+    /// `init.len()` candidates costs less than `current −
+    /// inst.gain_bound(..)`, so a bound inside `hysteresis · current`
+    /// (behind the solver's 1e-9 margins) settles the turn.
+    pub(crate) fn band_holds(&self, inst: &mut BrInstance, init: &[usize], current: f64) -> bool {
+        let bound = inst.gain_bound(init, init.len());
+        bound * (1.0 + 1e-9) + 1e-9 * (current.abs() + 1.0) <= self.hysteresis * current
+    }
+
+    /// Solve and return (neighbors, cost). Outside reference mode, a full
+    /// current wiring the dead band provably keeps (`Self::band_holds`)
+    /// is returned without a search.
     pub fn solve(&mut self, ctx: &WiringContext<'_>) -> (Vec<NodeId>, f64) {
         let mut inst = BrInstance::build_in(ctx, &mut self.arena);
         let k = ctx.effective_k();
         // Current wiring (alive members only) as candidate indices.
         let init = indices_of(&inst.cand, ctx.current);
+        let hold = self.hysteresis > 0.0 && init.len() == k;
+        static PROOFS: OnceLock<egoist_obs::Counter> = OnceLock::new();
+        let proofs =
+            PROOFS.get_or_init(|| egoist_obs::registry().counter("core.solver.hysteresis_proofs"));
+        if hold && !self.reference {
+            let current_cost = inst.eval(&init);
+            if self.band_holds(&mut inst, &init, current_cost) {
+                proofs.inc();
+                let kept = (inst.to_nodes(&init), current_cost);
+                inst.recycle(&mut self.arena);
+                return kept;
+            }
+        }
 
         let (best_set, best_cost) = if self.exact {
             match inst.exhaustive(k, &[], self.exact_budget) {
@@ -237,7 +263,7 @@ impl BestResponse {
         };
 
         // Hysteresis: a full current wiring is kept unless beaten clearly.
-        let result = if self.hysteresis > 0.0 && init.len() == k {
+        let result = if hold {
             let current_cost = inst.eval(&init);
             if best_cost >= current_cost * (1.0 - self.hysteresis) {
                 (inst.to_nodes(&init), current_cost)

@@ -31,6 +31,22 @@
 //!   copies out of the residual row and sums the row's singleton
 //!   objective in the same pass, so the first greedy round starts with
 //!   every candidate's bound in hand and the matrix is written once.
+//! * **One null row.** A candidate whose direct cost is no better than
+//!   [`PathAlgebra::UNREACHED`] (a peer the node never measured) serves
+//!   nobody: its row is `unserved` everywhere, its own slot included.
+//!   All such candidates share one null row through a per-candidate row
+//!   index, written once with its singleton sum. Candidate indices,
+//!   values, sums and ties are those of a row per candidate, and a null
+//!   candidate's swap bound is exactly `G = 0` (nothing is worse than
+//!   `unserved`), so it is set without reading the row.
+//! * **Top-k gain bound.** `Instance::gain_bound` bounds what any
+//!   subset of at most `k` candidates can gain over a start `init`:
+//!   with `b1` the start's assignment and `G(c) = Σ_t w_t · gain(b1_t →
+//!   a(c, t))`, every `S` with `|S| ≤ k` has `f(S) ≥ f(init) − Σ top-k G`
+//!   (per destination, `S ∪ init` improves `b1_t` by at most the best
+//!   single candidate's gain, the sum of all of them bounds that, and
+//!   dropping `init` never helps). Best response uses it to settle a turn
+//!   its dead band keeps before searching.
 //!
 //! None of this changes a decision. Every bound discards a candidate only
 //! when it provably cannot *strictly* beat the incumbent (nor, in greedy,
@@ -148,14 +164,19 @@ impl Tally {
 /// `ver` of a candidate whose swap bound was never evaluated.
 const UNKNOWN: u32 = u32::MAX;
 
+/// `Instance::null_row` when no candidate needs it.
+const NO_ROW: u32 = u32::MAX;
+
 /// Reusable backing storage for an [`Instance`]: the assignment matrix
-/// (≈ n² on full candidate pools) plus the O(n) solver vectors. Solver
+/// (one row per candidate that serves anyone, plus one shared null row;
+/// ≈ n² on full candidate pools) plus the O(n) solver vectors. Solver
 /// owners keep one arena and recycle it across turns, so a warmed-up
 /// turn allocates nothing; contents never survive a build, so reuse
 /// cannot change a decision.
 #[derive(Default)]
 pub struct SolverArena {
-    /// `|cand| × |dests|`, row-major.
+    /// One `|dests|`-wide row per candidate that serves anyone, plus
+    /// the null row when some candidate serves nobody; row-major.
     m: Vec<f64>,
     /// Maximal runs of consecutive node ids in `dests`, as
     /// `(first slot, first id, length)`: a run is copied out of a
@@ -172,6 +193,9 @@ pub struct SolverArena {
     // Per candidate.
     /// The candidate's own destination slot (`usize::MAX` when dead).
     slot: Vec<usize>,
+    /// The candidate's row of `m`: every candidate that serves nobody
+    /// shares the one null row.
+    row_of: Vec<u32>,
     /// Objective of the singleton `{c}`, up to summation order.
     solo: Vec<f64>,
     /// Greedy's stale upper bound on the marginal gain.
@@ -311,8 +335,8 @@ fn write_row<D: Direction>(
 
 /// Best and second-best assignment per destination over `subset`'s rows
 /// (in subset order: the first of equal values keeps `b1`).
-fn two_best<D: Direction>(
-    m: &[f64],
+fn two_best<'m, D: Direction>(
+    row: impl Fn(usize) -> &'m [f64],
     subset: &[usize],
     unserved: f64,
     b1: &mut [f64],
@@ -324,7 +348,7 @@ fn two_best<D: Direction>(
     b1_by.fill(u32::MAX);
     b2.fill(unserved);
     for &c in subset {
-        let row = &m[c * nd..(c + 1) * nd];
+        let row = row(c);
         for t in 0..nd {
             let v = row[t];
             if D::better(v, b1[t]) {
@@ -361,6 +385,9 @@ pub struct Instance<D> {
     /// assignment) or zero bandwidth (max-min).
     pub unserved: f64,
     s: SolverArena,
+    /// The shared row of every candidate that serves nobody, all
+    /// `unserved` ([`NO_ROW`] when every candidate serves someone).
+    null_row: u32,
     /// The last subset a local search proved swap-optimal, sorted, with
     /// the `forced` set it was proved under.
     settled: Option<(Vec<usize>, Vec<usize>)>,
@@ -403,17 +430,44 @@ impl<D: Direction> Instance<D> {
         }
         let weight: Vec<f64> = dests.iter().map(|&j| ctx.prefs.get(ctx.node, j)).collect();
         let (nc, nd) = (cand.len(), dests.len());
+        // A candidate no better than no link at all gets the null row.
+        let serves = |w: NodeId| D::better(ctx.direct[w.index()], D::UNREACHED);
+        let mut rows = 0u32;
+        let mut null_row = NO_ROW;
+        s.row_of.clear();
+        for &w in &cand {
+            if serves(w) {
+                s.row_of.push(rows);
+                rows += 1;
+            } else {
+                if null_row == NO_ROW {
+                    null_row = rows;
+                    rows += 1;
+                }
+                s.row_of.push(null_row);
+            }
+        }
         // No clear: every row is overwritten below, and a re-used
         // matrix of the same size is then not written twice.
-        s.m.resize(nc * nd, unserved);
+        s.m.resize(rows as usize * nd, unserved);
         s.solo.clear();
+        let mut null_solo = None;
         for (c, &w) in cand.iter().enumerate() {
-            let row = &mut s.m[c * nd..(c + 1) * nd];
-            let first = ctx.direct[w.index()];
-            let hop = D::better(first, D::UNREACHED).then(|| (first, ctx.residual.row(w.index())));
-            let solo = write_row::<D>(hop, s.slot[c], &s.runs, unserved, &weight, row);
+            let r = s.row_of[c] as usize;
+            let row = &mut s.m[r * nd..(r + 1) * nd];
+            let solo = if serves(w) {
+                let hop = (ctx.direct[w.index()], ctx.residual.row(w.index()));
+                write_row::<D>(Some(hop), s.slot[c], &s.runs, unserved, &weight, row)
+            } else {
+                *null_solo
+                    .get_or_insert_with(|| write_row::<D>(None, 0, &[], unserved, &weight, row))
+            };
             s.solo.push(solo);
         }
+        static NULL_ROWS: OnceLock<egoist_obs::Counter> = OnceLock::new();
+        NULL_ROWS
+            .get_or_init(|| egoist_obs::registry().counter("core.solver.null_rows"))
+            .add(nc as u64 + u64::from(null_row != NO_ROW) - u64::from(rows));
         // No swap bound is known yet; the first search's first `b2` is
         // version 0.
         reset(&mut s.b1, nd, unserved);
@@ -430,6 +484,7 @@ impl<D: Direction> Instance<D> {
             weight,
             unserved,
             s,
+            null_row,
             settled: None,
             _direction: PhantomData,
         }
@@ -445,7 +500,44 @@ impl<D: Direction> Instance<D> {
     /// the reference loops, benches and tests.
     #[inline]
     pub fn assignment(&self, c: usize, t: usize) -> f64 {
-        self.s.m[c * self.dests.len() + t]
+        self.s.m[self.s.row_of[c] as usize * self.dests.len() + t]
+    }
+
+    /// How much better than `init` a subset of at most `k` candidates
+    /// can possibly be: the sum of the `k` largest `G(c) = Σ_t w_t ·
+    /// gain(b1_t → a(c, t))`, `b1` being `init`'s assignment. Marginal
+    /// gains are submodular, so adding `S` to `init` gains at most
+    /// `Σ_{c ∈ S} G(c)`, and dropping `init` never helps: every `S` with
+    /// `|S| ≤ k` stays within this bound of `eval(init)`. Sums are
+    /// reordered, so the bound is only good behind a margin. A null
+    /// candidate gains nothing and its row is not read.
+    pub(crate) fn gain_bound(&mut self, init: &[usize], k: usize) -> f64 {
+        let nd = self.dests.len();
+        let w = &self.weight;
+        let SolverArena {
+            m,
+            row_of,
+            b1,
+            ub: gains,
+            ..
+        } = &mut self.s;
+        let row = |c: usize| &m[row_of[c] as usize * nd..][..nd];
+        reset(b1, nd, self.unserved);
+        for &c in init {
+            for (b, &a) in b1.iter_mut().zip(row(c)) {
+                *b = D::pick(*b, a);
+            }
+        }
+        gains.clear();
+        gains.extend((0..self.cand.len()).map(|c| match row_of[c] {
+            r if r == self.null_row => 0.0,
+            _ => sum4(w, b1, row(c), D::gain),
+        }));
+        let k = k.min(gains.len());
+        if k < gains.len() {
+            gains.select_nth_unstable_by(k, |a, b| b.total_cmp(a));
+        }
+        gains[..k].iter().sum()
     }
 
     /// Objective of a candidate subset (indices into `cand`).
@@ -474,13 +566,14 @@ impl<D: Direction> Instance<D> {
         let w = &self.weight;
         let SolverArena {
             m,
+            row_of,
             cap: best,
             solo,
             stale,
             member,
             ..
         } = &mut self.s;
-        let row = |c: usize| &m[c * nd..(c + 1) * nd];
+        let row = |c: usize| &m[row_of[c] as usize * nd..][..nd];
         let mut chosen: Vec<usize> = forced.to_vec();
         reset(member, nc, false);
         reset(best, nd, self.unserved);
@@ -589,6 +682,7 @@ impl<D: Direction> Instance<D> {
         let w = &self.weight;
         let SolverArena {
             m,
+            row_of,
             b1,
             b1_by,
             b2,
@@ -602,8 +696,8 @@ impl<D: Direction> Instance<D> {
             drift_at,
             ..
         } = &mut self.s;
-        let m: &[f64] = m;
-        let row = |c: usize| &m[c * nd..(c + 1) * nd];
+        let (m, row_of): (&[f64], &[u32]) = (m, row_of);
+        let row = |c: usize| &m[row_of[c] as usize * nd..][..nd];
         reset(member, nc, false);
         for &c in &subset {
             member[c] = true;
@@ -615,7 +709,7 @@ impl<D: Direction> Instance<D> {
         let mut tally = Tally::default();
         for _ in 0..max_rounds {
             tally.rounds += 1;
-            two_best::<D>(m, &subset, self.unserved, b1, b1_by, b2);
+            two_best::<D>(row, &subset, self.unserved, b1, b1_by, b2);
             // Every stored swap bound stays valid if it is widened by
             // how much better the old `b2` was than the new one.
             let (mut moved, mut drift) = (false, 0.0);
@@ -661,7 +755,11 @@ impl<D: Direction> Instance<D> {
                         continue;
                     }
                     if ver[inn] != now as u32 {
-                        g[inn] = sum4(w, b2, row(inn), D::gain);
+                        // Nothing is worse than a null row's `unserved`.
+                        g[inn] = match row_of[inn] {
+                            r if r == self.null_row => 0.0,
+                            _ => sum4(w, b2, row(inn), D::gain),
+                        };
                         ver[inn] = now as u32;
                         ub[inn] = g[inn] * (1.0 + 1e-9);
                         if ub[inn] <= room {
@@ -751,6 +849,34 @@ impl<D: Direction> Instance<D> {
     /// Map candidate indices back to node ids.
     pub fn to_nodes(&self, subset: &[usize]) -> Vec<NodeId> {
         subset.iter().map(|&c| self.cand[c]).collect()
+    }
+}
+
+#[cfg(test)]
+impl<D: Direction> Instance<D> {
+    /// Candidate `c`'s row and singleton sum as [`write_row`] writes them
+    /// for `ctx` on a row of its own — what `build_in` stored for every
+    /// candidate before unserved ones shared the null row.
+    pub(crate) fn written_row(&self, ctx: &WiringContext<'_>, c: usize) -> (Vec<f64>, f64) {
+        let w = self.cand[c];
+        let first = ctx.direct[w.index()];
+        let hop = D::better(first, D::UNREACHED).then(|| (first, ctx.residual.row(w.index())));
+        let mut row = vec![f64::NAN; self.dests.len()];
+        let own = self.s.slot[c];
+        let solo = write_row::<D>(
+            hop,
+            own,
+            &self.s.runs,
+            self.unserved,
+            &self.weight,
+            &mut row,
+        );
+        (row, solo)
+    }
+
+    /// The singleton sum `build_in` stored for candidate `c`.
+    pub(crate) fn singleton_sum(&self, c: usize) -> f64 {
+        self.s.solo[c]
     }
 }
 

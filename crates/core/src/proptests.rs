@@ -693,3 +693,243 @@ proptest! {
         }
     }
 }
+
+/// A wiring context over `n` nodes where roughly `null_share` of the
+/// candidates `1..n` were never measured (`UNREACHED` direct cost on
+/// semiring `D`, so `build_in` gives them the null row), with a few dead
+/// candidates, coarse costs (ties everywhere), zero-weight destinations,
+/// and a current wiring that may hold unmeasured candidates — `k` long
+/// half of the time, so the dead band applies.
+struct NullCase {
+    n: usize,
+    k: usize,
+    candidates: Vec<NodeId>,
+    direct: Vec<f64>,
+    residual: DistanceMatrix,
+    prefs: Preferences,
+    alive: Vec<bool>,
+    penalty: f64,
+    current: Vec<NodeId>,
+}
+
+impl NullCase {
+    fn draw<D: egoist_graph::csr::PathAlgebra>(rng: &mut StdRng, n: usize, k: usize) -> Self {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let null_share = [0.0, 0.3, 0.6, 0.9][rng.random_range(0..4usize)];
+        let alive: Vec<bool> = (0..n)
+            .map(|j| j == 0 || rng.random_range(0..10u32) > 0)
+            .collect();
+        let direct: Vec<f64> = (0..n)
+            .map(|_| match rng.random::<f64>() < null_share {
+                true => D::UNREACHED,
+                false => rng.random_range(1..10u32) as f64,
+            })
+            .collect();
+        let residual = DistanceMatrix::from_fn(n, |i, j| match rng.random_range(0..12u32) {
+            _ if i == j => D::SOURCE,
+            0 => D::UNREACHED,
+            1 => 1e9, // a min-plus cost clamps at the penalty
+            x => (x / 2) as f64,
+        });
+        let weights: Vec<f64> = (0..n * n)
+            .map(|_| rng.random_range(0..3u32) as f64)
+            .collect();
+        let candidates: Vec<NodeId> = (1..n).map(NodeId::from_index).collect();
+        let mut current = candidates.clone();
+        current.shuffle(rng);
+        let len = match rng.random::<bool>() {
+            true => k.min(candidates.len()),
+            false => rng.random_range(0..=k.min(candidates.len())),
+        };
+        current.truncate(len);
+        NullCase {
+            n,
+            k,
+            candidates,
+            direct,
+            residual,
+            prefs: Preferences::from_weights(n, weights),
+            alive,
+            penalty: if D::UNREACHED == 0.0 { 0.0 } else { 500.0 },
+            current,
+        }
+    }
+
+    fn ctx(&self) -> WiringContext<'_> {
+        WiringContext {
+            node: NodeId(0),
+            k: self.k,
+            candidates: &self.candidates,
+            direct: &self.direct,
+            residual: crate::residual::ResidualView::dense(&self.residual),
+            prefs: &self.prefs,
+            alive: &self.alive,
+            penalty: self.penalty,
+            current: &self.current,
+        }
+    }
+}
+
+/// Every stored row and singleton sum of `ctx`'s instance is the one
+/// `write_row` gives the candidate on a row of its own.
+fn rows_are_written_rows<D: crate::policies::solver::Direction>(
+    ctx: &WiringContext<'_>,
+) -> Result<(), TestCaseError> {
+    let inst = crate::policies::solver::Instance::<D>::build(ctx);
+    for c in 0..inst.cand.len() {
+        let (row, solo) = inst.written_row(ctx, c);
+        for (t, x) in row.iter().enumerate() {
+            prop_assert_eq!(
+                inst.assignment(c, t).to_bits(),
+                x.to_bits(),
+                "a({}, {})",
+                c,
+                t
+            );
+        }
+        prop_assert_eq!(
+            inst.singleton_sum(c).to_bits(),
+            solo.to_bits(),
+            "solo({})",
+            c
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Candidates nobody measured share one null row, and that changes
+    /// no value any solver reads: on both semirings every `a(c, t)` and
+    /// singleton sum is what `write_row` writes for the candidate alone,
+    /// and every best-response policy picks what the reference loops
+    /// pick, cost bits included — with 0–90% of the candidates
+    /// unmeasured, `k` past the served count (greedy fills up with
+    /// zero-gain candidates and breaks ties across null rows), and
+    /// current wirings holding unmeasured candidates.
+    #[test]
+    fn null_rows_are_exact(seed in any::<u64>(), n in 5usize..40, k in 1usize..12) {
+        use crate::policies::bandwidth::{bandwidth_best_response, oracle, BwInstance};
+        use crate::policies::epsilon::EpsilonBr;
+        use crate::policies::hybrid::HybridBr;
+        use crate::policies::solver::{indices_of, SolverArena};
+        use crate::policies::Policy;
+        use egoist_graph::csr::{MaxMin, MinPlus};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let case = NullCase::draw::<MinPlus>(&mut rng, n, k);
+        let c = case.ctx();
+        rows_are_written_rows::<MinPlus>(&c)?;
+        let (s, v) = BestResponse::local_search().solve(&c);
+        let (s_ref, v_ref) = BestResponse::local_search().with_reference(true).solve(&c);
+        prop_assert_eq!(&s, &s_ref, "BR");
+        prop_assert_eq!(v.to_bits(), v_ref.to_bits(), "BR cost");
+        prop_assert_eq!(
+            EpsilonBr::new(0.05).wire(&c, &mut rng),
+            EpsilonBr::reference(0.05).wire(&c, &mut rng),
+            "BR(0.05)"
+        );
+        let hybrid = HybridBr::new(2);
+        let members: Vec<NodeId> = (0..case.n).filter(|&j| case.alive[j]).map(NodeId::from_index).collect();
+        let donated = hybrid.donated_links(NodeId(0), &members);
+        let kk = c.effective_k();
+        let expected = if donated.len() >= kk {
+            donated.into_iter().take(kk).collect()
+        } else {
+            let inst = BrInstance::build(&c);
+            let forced = indices_of(&inst.cand, &donated);
+            let init = inst.greedy_reference(kk, &forced);
+            inst.to_nodes(&inst.local_search_reference(kk, init, &forced, 64).0)
+        };
+        prop_assert_eq!(HybridBr::new(2).wire(&c, &mut rng), expected, "HybridBR");
+
+        let case = NullCase::draw::<MaxMin>(&mut rng, n, k);
+        let c = case.ctx();
+        rows_are_written_rows::<MaxMin>(&c)?;
+        let (s, u) = bandwidth_best_response(&c, &mut SolverArena::default());
+        let inst = BwInstance::build(&c);
+        let (s_ref, u_ref) = oracle::local_search(&inst, kk, oracle::greedy(&inst, kk), 64);
+        prop_assert_eq!(s, inst.to_nodes(&s_ref), "bandwidth BR");
+        prop_assert_eq!(u.to_bits(), u_ref.to_bits(), "bandwidth BR utility");
+    }
+}
+
+/// The dead band's top-k proof settles only turns the search would have
+/// settled the same way: over random and tie-heavy instances, with the
+/// current wiring a converged one, a perturbed one or a random one, and
+/// the shipped band or a random one, the shipped solver returns the
+/// reference loops' neighbors and cost bits (the reference loops never
+/// take the proof). The proof must fire on some cases and not on others,
+/// or the comparison proves nothing.
+#[test]
+fn hysteresis_proof_is_sound() {
+    use egoist_graph::csr::MinPlus;
+    use rand::Rng;
+
+    let (mut fired, mut searched) = (0, 0);
+    for case in 0..160 {
+        let mut rng = proptest::test_rng("hysteresis_proof_is_sound", case);
+        let (n, k) = (rng.random_range(5..40usize), rng.random_range(1..9usize));
+        let mut null = NullCase::draw::<MinPlus>(&mut rng, n, k);
+        if case % 2 == 0 {
+            // Random costs: few exact ties, a wide spread of gains.
+            for j in 0..n {
+                if null.direct[j].is_finite() {
+                    null.direct[j] = rng.random_range(1.0..50.0);
+                }
+                for t in 0..n {
+                    if j != t && null.residual.at(j, t).is_finite() {
+                        null.residual.set_at(j, t, rng.random_range(1.0..80.0));
+                    }
+                }
+            }
+        }
+        // Converge from the case's start, then keep, nudge or redraw.
+        let mut br = BestResponse::local_search().with_reference(true);
+        for _ in 0..3 {
+            null.current = br.solve(&null.ctx()).0;
+        }
+        match rng.random_range(0..4u32) {
+            0 if !null.current.is_empty() => {
+                let slot = rng.random_range(0..null.current.len());
+                let spare: Vec<NodeId> = (null.candidates.iter().copied())
+                    .filter(|c| !null.current.contains(c))
+                    .collect();
+                if !spare.is_empty() {
+                    null.current[slot] = spare[rng.random_range(0..spare.len())];
+                }
+            }
+            1 => null.current = NullCase::draw::<MinPlus>(&mut rng, n, k).current,
+            _ => {}
+        }
+        // The shipped 1% band, or one drawn log-uniformly from 0.1% to
+        // 50%, so some band lands between what a search finds and what
+        // the bound allows.
+        if case % 4 >= 2 {
+            br.hysteresis = 10f64.powf(rng.random_range(-3.0..-0.3));
+        }
+        let c = null.ctx();
+        let mut shipped = BestResponse::local_search();
+        shipped.hysteresis = br.hysteresis;
+        let mut inst = BrInstance::build(&c);
+        let init = crate::policies::solver::indices_of(&inst.cand, c.current);
+        let current = inst.eval(&init);
+        if init.len() == c.effective_k() && shipped.band_holds(&mut inst, &init, current) {
+            fired += 1;
+        } else {
+            searched += 1;
+        }
+        let (s, v) = shipped.solve(&c);
+        let (s_ref, v_ref) = br.solve(&c);
+        assert_eq!(s, s_ref, "case {case}: neighbors");
+        assert_eq!(
+            v.to_bits(),
+            v_ref.to_bits(),
+            "case {case}: cost bits {v} vs {v_ref}"
+        );
+    }
+    assert!(fired > 0, "the proof never fired");
+    assert!(searched > 0, "every case was settled by the proof");
+}

@@ -83,12 +83,35 @@ pub struct OnDemandResidual<'g> {
     node: u32,
     /// Per source: its row in `batch`, or [`NO_SLOT`].
     slot: Vec<u32>,
+    /// The announced sources, in slot order.
+    sources: Vec<u32>,
     /// The announced rows, packed by slot (`slots × n`, row-major).
     batch: Vec<f64>,
-    /// Rows nobody announced, swept on first read.
-    lazy: Vec<OnceCell<Box<[f64]>>>,
-    scratch: RefCell<Option<(DijkstraWorkspace, Vec<u32>)>>,
+    /// Rows nobody announced, swept on first read; the table itself is
+    /// allocated by the first such read.
+    lazy: OnceCell<Box<[LazyRow]>>,
+    /// The batched pass's workspace, then the lazy sweeps' (with their
+    /// parent row).
+    scratch: RefCell<(DijkstraWorkspace, Vec<u32>)>,
     computed: Cell<usize>,
+}
+
+/// A row nobody announced: swept on its first read.
+type LazyRow = OnceCell<Box<[f64]>>;
+
+/// The storage behind an [`OnDemandResidual`]: its slot table, packed
+/// rows and sweep workspace. A caller that builds one residual after
+/// another keeps one arena and recycles it
+/// ([`OnDemandResidual::with_rows_in`], [`OnDemandResidual::recycle`]),
+/// so a warm job allocates no rows; contents never survive a fill, so
+/// reuse cannot change a row.
+#[derive(Default)]
+pub struct ResidualArena {
+    slot: Vec<u32>,
+    sources: Vec<u32>,
+    batch: Vec<f64>,
+    ws: DijkstraWorkspace,
+    parent: Vec<u32>,
 }
 
 impl<'g> OnDemandResidual<'g> {
@@ -107,40 +130,77 @@ impl<'g> OnDemandResidual<'g> {
         node: NodeId,
         sources: impl IntoIterator<Item = NodeId>,
     ) -> Self {
+        Self::with_rows_in(g, node, sources, &mut ResidualArena::default())
+    }
+
+    /// [`Self::with_rows`] into `arena`'s recycled storage; call
+    /// [`Self::recycle`] when done to hand it back.
+    pub fn with_rows_in(
+        g: &'g CsrGraph,
+        node: NodeId,
+        sources: impl IntoIterator<Item = NodeId>,
+        arena: &mut ResidualArena,
+    ) -> Self {
         let n = g.len();
-        let mut slot = vec![NO_SLOT; n];
-        let mut distinct = Vec::new();
+        let ResidualArena {
+            mut slot,
+            sources: mut distinct,
+            mut batch,
+            mut ws,
+            parent,
+        } = std::mem::take(arena);
+        slot.clear();
+        slot.resize(n, NO_SLOT);
+        distinct.clear();
         for s in sources {
             if slot[s.index()] == NO_SLOT {
                 slot[s.index()] = distinct.len() as u32;
                 distinct.push(s.0);
             }
         }
-        let mut batch = vec![0.0; distinct.len() * n];
-        sweep_many::<MinPlus>(g, &distinct, Some(node.0), &mut batch);
+        // No clear: the pass writes every cell.
+        batch.resize(distinct.len() * n, 0.0);
+        sweep_many::<MinPlus>(&mut ws, g, &distinct, Some(node.0), &mut batch);
         OnDemandResidual {
             g,
             node: node.0,
             slot,
-            batch,
-            lazy: (0..n).map(|_| OnceCell::new()).collect(),
-            scratch: RefCell::new(None),
             computed: Cell::new(distinct.len()),
+            sources: distinct,
+            batch,
+            lazy: OnceCell::new(),
+            scratch: RefCell::new((ws, parent)),
         }
+    }
+
+    /// Return the storage to `arena` for the next residual.
+    pub fn recycle(self, arena: &mut ResidualArena) {
+        let (ws, parent) = self.scratch.into_inner();
+        *arena = ResidualArena {
+            slot: self.slot,
+            sources: self.sources,
+            batch: self.batch,
+            ws,
+            parent,
+        };
     }
 
     fn row(&self, s: usize) -> &[f64] {
         let n = self.g.len();
         match self.slot[s] {
-            NO_SLOT => self.lazy[s].get_or_init(|| {
-                let mut dist = vec![0.0; n].into_boxed_slice();
-                let mut scratch = self.scratch.borrow_mut();
-                let (ws, parent) =
-                    scratch.get_or_insert_with(|| (DijkstraWorkspace::new(n), vec![0; n]));
-                ws.sssp_into(self.g, s as u32, Some(self.node), &mut dist, parent);
-                self.computed.set(self.computed.get() + 1);
-                dist
-            }),
+            NO_SLOT => {
+                let lazy = self
+                    .lazy
+                    .get_or_init(|| (0..n).map(|_| OnceCell::new()).collect());
+                lazy[s].get_or_init(|| {
+                    let mut dist = vec![0.0; n].into_boxed_slice();
+                    let (ws, parent) = &mut *self.scratch.borrow_mut();
+                    parent.resize(n, 0);
+                    ws.sssp_into(self.g, s as u32, Some(self.node), &mut dist, parent);
+                    self.computed.set(self.computed.get() + 1);
+                    dist
+                })
+            }
             slot => &self.batch[slot as usize * n..][..n],
         }
     }

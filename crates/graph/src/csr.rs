@@ -403,15 +403,20 @@ pub struct Sweep<'a> {
 
 /// Reusable arenas for repeated sweeps: value and parent arrays live in
 /// external row slices, the heaps and settled bitmap are reused between
-/// calls, so a warmed-up workspace allocates nothing.
+/// calls, so a warmed-up workspace allocates nothing. [`sweep_many`]
+/// keeps its node-major lanes and work-list here too.
 #[derive(Default)]
 pub struct DijkstraWorkspace {
     settled: Vec<bool>,
-    /// Marker for the affected set during removal repairs; cleared
-    /// before returning.
+    /// Marker for the affected set during removal repairs, and for the
+    /// nodes on [`sweep_many`]'s work-list; cleared before returning.
     flag: Vec<bool>,
     min_heap: BinaryHeap<HeapEntry<MinPlus>>,
     max_heap: BinaryHeap<HeapEntry<MaxMin>>,
+    /// [`sweep_many`]'s values, `lanes[v][l]` for source `l` of a block.
+    lanes: Vec<f64>,
+    /// [`sweep_many`]'s FIFO work-list.
+    work: VecDeque<u32>,
 }
 
 impl DijkstraWorkspace {
@@ -422,6 +427,8 @@ impl DijkstraWorkspace {
             flag: vec![false; n],
             min_heap: BinaryHeap::with_capacity(n),
             max_heap: BinaryHeap::with_capacity(n),
+            lanes: Vec::new(),
+            work: VecDeque::new(),
         }
     }
 
@@ -810,7 +817,9 @@ fn relax_lanes<A: PathAlgebra>(du: &[f64], dv: &mut [f64], c: f64) -> bool {
 /// `out[r * n..][..n]` becomes the value row of `sources[r]`, bit for
 /// bit the `dist` of [`DijkstraWorkspace::sweep`] from it with the same
 /// `mask` (that node's out-edges skipped: rows of `G−mask`). Values
-/// only — no parents. Returns the number of work-list pops.
+/// only — no parents. Returns the number of work-list pops. The lanes,
+/// work-list and queued flags live in `ws`, so a caller that keeps one
+/// workspace allocates nothing once it is warm.
 ///
 /// Up to [`LANE_BLOCK`] sources share one label-correcting pass: values
 /// are held node-major, `lane[v][l]` for source `l`, a FIFO work-list of
@@ -836,6 +845,7 @@ fn relax_lanes<A: PathAlgebra>(du: &[f64], dv: &mut [f64], c: f64) -> bool {
 /// builds the graph. The overlays nodes announce measure ≈ 5 pops per
 /// node and block (DESIGN.md §6).
 pub fn sweep_many<A: PathAlgebra>(
+    ws: &mut DijkstraWorkspace,
     g: &CsrGraph,
     sources: &[u32],
     mask: Option<u32>,
@@ -846,9 +856,15 @@ pub fn sweep_many<A: PathAlgebra>(
     if sources.is_empty() {
         return 0;
     }
-    let mut lane = Vec::new();
-    let mut queued = vec![false; n];
-    let mut work = VecDeque::with_capacity(n);
+    let DijkstraWorkspace {
+        flag: queued,
+        lanes: lane,
+        work,
+        ..
+    } = ws;
+    // Every queued node is popped before a block ends, so the flags are
+    // all clear between blocks and calls.
+    queued.resize(n, false);
     let mut pops = 0u64;
     for (block, rows) in sources
         .chunks(LANE_BLOCK)
@@ -1193,16 +1209,18 @@ pub(crate) mod tests {
         masked_sweep_equals_clearing_out_edges::<MaxMin>();
     }
 
-    /// `sweep_many` rows against one heap sweep per source (shared with
-    /// the crate's proptests); returns the pops.
+    /// `sweep_many` rows, through the caller's workspace `batch`, against
+    /// one heap sweep per source (shared with the crate's proptests);
+    /// returns the pops.
     pub(crate) fn assert_batch_is_per_source_sweeps<A: PathAlgebra>(
+        batch: &mut DijkstraWorkspace,
         g: &CsrGraph,
         sources: &[u32],
         mask: Option<u32>,
     ) -> u64 {
         let n = g.len();
         let mut rows = vec![f64::NAN; sources.len() * n];
-        let pops = sweep_many::<A>(g, sources, mask, &mut rows);
+        let pops = sweep_many::<A>(batch, g, sources, mask, &mut rows);
         let mut ws = DijkstraWorkspace::new(n);
         let (mut dist, mut parent) = (vec![0.0; n], vec![0u32; n]);
         let sweep = Sweep {
@@ -1216,19 +1234,22 @@ pub(crate) mod tests {
         pops
     }
 
+    /// One workspace carries over every call: graphs that grow and
+    /// shrink, block shapes and masks.
     fn sweep_many_matches_per_source_sweeps<A: PathAlgebra>() {
-        for (n, degree) in [(24usize, 4usize), (90, 3)] {
+        let mut ws = DijkstraWorkspace::default();
+        for (n, degree) in [(24usize, 4usize), (90, 3), (31, 2)] {
             let g = CsrGraph::from_digraph(&scrambled(n, degree));
             // One lane, a padded block, exactly one block, two blocks.
             for count in [1, 5, LANE_BLOCK, LANE_BLOCK + 7] {
                 let sources: Vec<u32> = (0..count).map(|r| (r * 11 % n) as u32).collect();
                 for mask in [None, Some(0), Some(sources[count / 2])] {
-                    assert_batch_is_per_source_sweeps::<A>(&g, &sources, mask);
+                    assert_batch_is_per_source_sweeps::<A>(&mut ws, &g, &sources, mask);
                 }
             }
         }
         let g = CsrGraph::from_digraph(&scrambled(8, 2));
-        assert_eq!(sweep_many::<A>(&g, &[], Some(3), &mut []), 0);
+        assert_eq!(sweep_many::<A>(&mut ws, &g, &[], Some(3), &mut []), 0);
     }
 
     #[test]
@@ -1259,7 +1280,8 @@ pub(crate) mod tests {
             .collect();
         edges[n - 2].2 = 1.0; // 0 → 1 starts the chain
         let g = CsrGraph::from_raw_edges(n, &edges);
-        let pops = assert_batch_is_per_source_sweeps::<MinPlus>(&g, &[0], None);
+        let ws = &mut DijkstraWorkspace::default();
+        let pops = assert_batch_is_per_source_sweeps::<MinPlus>(ws, &g, &[0], None);
         let bound = (n * (n - 1)) as u64;
         assert!(pops <= bound, "{pops} pops > n·(n−1) = {bound}");
         assert!(
@@ -1268,9 +1290,9 @@ pub(crate) mod tests {
         );
         // The same costs as bandwidths are benign (every shortcut is the
         // widest path), and the bound holds with every node a source.
-        assert_batch_is_per_source_sweeps::<MaxMin>(&g, &[0], None);
+        assert_batch_is_per_source_sweeps::<MaxMin>(ws, &g, &[0], None);
         let all: Vec<u32> = (0..n as u32).collect();
-        let pops = assert_batch_is_per_source_sweeps::<MinPlus>(&g, &all, Some(7));
+        let pops = assert_batch_is_per_source_sweeps::<MinPlus>(ws, &g, &all, Some(7));
         assert!(pops <= n as u64 + bound);
     }
 

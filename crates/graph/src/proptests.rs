@@ -147,9 +147,10 @@ proptest! {
             _ => Some(masked),
         };
         use crate::csr::tests::assert_batch_is_per_source_sweeps as check;
-        let pops = check::<crate::csr::MinPlus>(&csr, &sources, mask);
+        let ws = &mut crate::DijkstraWorkspace::default();
+        let pops = check::<crate::csr::MinPlus>(ws, &csr, &sources, mask);
         prop_assert!(pops >= sources.len().min(1) as u64);
-        check::<crate::csr::MaxMin>(&csr, &sources, mask);
+        check::<crate::csr::MaxMin>(ws, &csr, &sources, mask);
     }
 
     /// `want = max_paths` finds exactly what `want = min(max_paths,

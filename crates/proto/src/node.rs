@@ -35,13 +35,14 @@ use crate::message::{LinkEntry, LinkStateAnnouncement, Message, MessageClass, Re
 use crate::overhead::OverheadCounters;
 use crate::transport::Transport;
 use egoist_core::cost::Preferences;
-use egoist_core::policies::{PolicyKind, WiringContext};
-use egoist_core::{OnDemandResidual, ResidualView};
+use egoist_core::policies::{Policy, PolicyKind, WiringContext};
+use egoist_core::{OnDemandResidual, ResidualArena, ResidualView};
 use egoist_graph::csr::{MinPlus, PathAlgebra};
 use egoist_graph::NodeId;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -137,6 +138,35 @@ fn proto_obs() -> &'static ProtoObs {
             rows_possible: r.counter("proto.rewire.rows_possible"),
         }
     })
+}
+
+/// What a re-wiring job keeps for the next job on its thread: the policy
+/// object with its solver arena, and the residual rows' storage. Per
+/// thread, not per node: jobs on one thread run one at a time, while an
+/// arena per node would keep every node's last matrix and rows alive at
+/// once (≈ 0.3 MB each, ≈ 100 MB at n = 300). Neither carries a
+/// decision from one job into the next
+/// (`Policy::wire`, [`ResidualArena`]), so a job computes what a fresh
+/// policy and fresh rows would.
+#[derive(Default)]
+struct JobScratch {
+    kept: Option<(PolicyKind, Box<dyn Policy + Send + Sync>)>,
+    residual: ResidualArena,
+}
+
+impl JobScratch {
+    /// The kept policy object for `kind`, instantiated on a change.
+    fn policy(&mut self, kind: PolicyKind) -> &mut (dyn Policy + Send + Sync) {
+        if self.kept.as_ref().is_some_and(|(kept, _)| *kept != kind) {
+            self.kept = None;
+        }
+        let (_, policy) = self.kept.get_or_insert_with(|| (kind, kind.instantiate()));
+        policy.as_mut()
+    }
+}
+
+thread_local! {
+    static JOB_SCRATCH: RefCell<JobScratch> = RefCell::default();
 }
 
 /// When to repair a dropped link (§3.3).
@@ -1258,39 +1288,45 @@ impl<T: Transport> EgoistNode<T> {
                 .filter(|d| d.is_finite())
                 .fold(1.0f64, f64::max);
             let penalty = finite_max * n as f64 * 4.0;
-            // The policy reads one residual row of G−i per candidate it
-            // can reach directly (`Instance::build_in`'s predicate), not
-            // n: those are swept together, anything else on first read.
-            let rows = announced.as_ref().map(|g| {
-                let served = |c: &NodeId| MinPlus::better(direct[c.index()], MinPlus::UNREACHED);
-                OnDemandResidual::with_rows(g, me, candidates.iter().copied().filter(served))
-            });
-            let zero_row;
-            let residual = match &rows {
-                Some(rows) => ResidualView::on_demand(rows),
-                None => {
-                    zero_row = vec![0.0; n];
-                    ResidualView::broadcast(&zero_row)
+            JOB_SCRATCH.with_borrow_mut(|scratch| {
+                // The policy reads one residual row of G−i per candidate
+                // it can reach directly (`Instance::build_in`'s
+                // predicate), not n: those are swept together, anything
+                // else on first read.
+                let rows = announced.as_ref().map(|g| {
+                    let served =
+                        |c: &NodeId| MinPlus::better(direct[c.index()], MinPlus::UNREACHED);
+                    let sources = candidates.iter().copied().filter(served);
+                    OnDemandResidual::with_rows_in(g, me, sources, &mut scratch.residual)
+                });
+                let zero_row;
+                let residual = match &rows {
+                    Some(rows) => ResidualView::on_demand(rows),
+                    None => {
+                        zero_row = vec![0.0; n];
+                        ResidualView::broadcast(&zero_row)
+                    }
+                };
+                let ctx = WiringContext {
+                    node: me,
+                    k,
+                    candidates: &candidates,
+                    direct: &direct,
+                    residual,
+                    prefs: &prefs,
+                    alive: &alive,
+                    penalty,
+                    current: &current,
+                };
+                let mut rng = StdRng::seed_from_u64(seed);
+                let wiring = scratch.policy(policy).wire(&ctx, &mut rng);
+                if let Some(rows) = rows {
+                    obs.rows_materialised.add(rows.rows_materialised() as u64);
+                    obs.rows_possible.add(n as u64);
+                    rows.recycle(&mut scratch.residual);
                 }
-            };
-            let ctx = WiringContext {
-                node: me,
-                k,
-                candidates: &candidates,
-                direct: &direct,
-                residual,
-                prefs: &prefs,
-                alive: &alive,
-                penalty,
-                current: &current,
-            };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let wiring = policy.instantiate().wire(&ctx, &mut rng);
-            if let Some(rows) = &rows {
-                obs.rows_materialised.add(rows.rows_materialised() as u64);
-                obs.rows_possible.add(n as u64);
-            }
-            wiring
+                wiring
+            })
         };
         // The k-median local search is the expensive bit; run it off the
         // async thread — unless the run must be bit-reproducible, in

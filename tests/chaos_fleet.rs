@@ -167,12 +167,67 @@ fn wire_golden(classes: [(&str, u64, u64); 6], sums: [u64; 5]) -> WireTotals {
     (classes.to_vec(), sums)
 }
 
+/// The best-response golden below: `golden_br`'s report bytes, what it
+/// put on the wire, and the work behind those bytes — the rows per-row
+/// sweeps computed before they were batched (commit fa8f973), all of them
+/// now announced to one batch per job, and a label-correcting pass that
+/// stays near-linear on announced graphs. Reads the process-global obs
+/// registry: the caller holds `OBS` for writing.
+fn assert_golden_br(after: &str) {
+    use egoist_proto::fleet::FleetConfig;
+    use std::time::Duration;
+
+    let mut br = FleetConfig::new("golden_br", 24, 3, 2024);
+    br.horizon = Duration::from_secs(90);
+    br.ping_sample = 4;
+    let reg = egoist::obs::registry();
+    reg.reset();
+    egoist::obs::enable();
+    let report = run_fleet(&br);
+    egoist::obs::disable();
+    assert_eq!(
+        fnv(&report.to_json()),
+        0x4d8f_6c1e_c9f1_113d,
+        "best-response fleet{after}"
+    );
+    assert_eq!(
+        wire_totals(&report),
+        wire_golden(
+            [
+                ("bootstrap", 35, 560),
+                ("sync", 354, 60_622),
+                ("link_state", 91_813, 4_672_383),
+                ("measurement", 3_977, 206_804),
+                ("heartbeat", 2_234, 116_168),
+                ("control", 0, 0),
+            ],
+            [19, 0, 19_098, 13, 0],
+        ),
+        "best-response fleet{after}: frames and bytes on the wire"
+    );
+    let (batches, _) = reg.span_value("proto.rewire.job");
+    let rows = reg.counter_value("proto.rewire.rows_materialised");
+    let pops = reg.counter_value("graph.sweep_many.pops");
+    assert_eq!(
+        (batches, rows),
+        (231, 4140),
+        "jobs, residual rows computed{after}"
+    );
+    assert_eq!(reg.counter_value("graph.sweep_many.sources"), rows);
+    assert!(
+        0 < pops && pops <= 8 * br.n as u64 * batches,
+        "{pops} pops over {batches} batches of n={}{after}",
+        br.n
+    );
+}
+
 /// The node's route computation moved from dense `apsp` + `dijkstra` on
 /// a `DiGraph` to on-demand residual rows and one CSR sweep; the pins
-/// below were the report bytes the dense path produced (commit 5146b53).
+/// were the report bytes the dense path produced (commit 5146b53).
 /// One best-response fleet in the bounded-measurement regime, where most
-/// residual rows are never read, and one oblivious-wiring fleet under a
-/// fault plan, where only `publish()` computes routes.
+/// residual rows are never read ([`assert_golden_br`]), and one
+/// oblivious-wiring fleet under a fault plan, where only `publish()`
+/// computes routes.
 ///
 /// Since anti-entropy sends refreshes as refreshes (codec v3), the only
 /// change to either fleet is the `sync` bytes, and the report's two new
@@ -192,48 +247,7 @@ fn fleet_reports_match_the_dense_route_computation() {
     use std::time::Duration;
 
     let _obs = OBS.write().unwrap_or_else(|e| e.into_inner());
-    let mut br = FleetConfig::new("golden_br", 24, 3, 2024);
-    br.horizon = Duration::from_secs(90);
-    br.ping_sample = 4;
-    let reg = egoist::obs::registry();
-    reg.reset();
-    egoist::obs::enable();
-    let report = run_fleet(&br);
-    egoist::obs::disable();
-    assert_eq!(
-        fnv(&report.to_json()),
-        0x4d8f_6c1e_c9f1_113d,
-        "best-response fleet"
-    );
-    assert_eq!(
-        wire_totals(&report),
-        wire_golden(
-            [
-                ("bootstrap", 35, 560),
-                ("sync", 354, 60_622),
-                ("link_state", 91_813, 4_672_383),
-                ("measurement", 3_977, 206_804),
-                ("heartbeat", 2_234, 116_168),
-                ("control", 0, 0),
-            ],
-            [19, 0, 19_098, 13, 0],
-        ),
-        "best-response fleet: frames and bytes on the wire"
-    );
-    // The work behind those bytes, as counts every runner reproduces:
-    // the rows per-row sweeps computed before they were batched (commit
-    // fa8f973), all of them now announced to one batch per job, and a
-    // label-correcting pass that stays near-linear on announced graphs.
-    let (batches, _) = reg.span_value("proto.rewire.job");
-    let rows = reg.counter_value("proto.rewire.rows_materialised");
-    let pops = reg.counter_value("graph.sweep_many.pops");
-    assert_eq!((batches, rows), (231, 4140), "jobs, residual rows computed");
-    assert_eq!(reg.counter_value("graph.sweep_many.sources"), rows);
-    assert!(
-        0 < pops && pops <= 8 * br.n as u64 * batches,
-        "{pops} pops over {batches} batches of n={}",
-        br.n
-    );
+    assert_golden_br("");
 
     let mut random = FleetConfig::new("golden_random_faults", 24, 3, 2025);
     random.horizon = Duration::from_secs(90);
@@ -266,6 +280,32 @@ fn fleet_reports_match_the_dense_route_computation() {
         ),
         "Random-wiring fleet: frames and bytes on the wire"
     );
+}
+
+/// A re-wiring job keeps its policy object (with its solver arena) and
+/// its residual rows' storage per thread, and a fleet runs every job on
+/// the thread that runs it. Fleets run one after another on one thread —
+/// a larger best-response fleet, then one whose policy is Random — must
+/// leak nothing through that scratch: `golden_br` keeps its bytes, wire
+/// totals and job / row counts after each. Holds `OBS` for writing, as
+/// the golden reads the registry.
+#[test]
+fn per_thread_scratch_cannot_leak_between_fleets() {
+    use egoist_core::policies::PolicyKind;
+    use egoist_proto::fleet::FleetConfig;
+    use std::time::Duration;
+
+    let _obs = OBS.write().unwrap_or_else(|e| e.into_inner());
+    let mut br = FleetConfig::new("br_n60", 60, 4, 60);
+    br.horizon = Duration::from_secs(60);
+    br.ping_sample = 8;
+    assert!(run_fleet(&br).final_reachability > 0.0);
+    assert_golden_br(" after an n = 60 BR fleet");
+    let mut random = FleetConfig::new("random_n60", 60, 3, 61);
+    random.horizon = Duration::from_secs(60);
+    random.policy = PolicyKind::Random;
+    assert!(run_fleet(&random).final_reachability > 0.0);
+    assert_golden_br(" after a Random fleet");
 }
 
 /// Refreshes as refreshes, in the benchmark's best-response regime

@@ -181,3 +181,38 @@ fn node_estimates_agree_with_vivaldi_predictions() {
         }
     });
 }
+
+/// The live deployment's path: every re-wiring job goes to the blocking
+/// pool (`inline_rewire: false`, the `NodeConfig` default these overlays
+/// keep), which runs each job on a thread of its own, so each job starts
+/// from a fresh per-thread policy object and residual storage. Every node
+/// still re-wires to `k` distinct neighbors other than itself and can
+/// route to every other node.
+#[test]
+fn blocking_pool_rewire_jobs_wire_every_node() {
+    assert!(!NodeConfig::new(NodeId(0), 2, 1).inline_rewire);
+    tokio::runtime::block_on_paused(async {
+        let (n, k) = (10, 3);
+        let delays = DistanceMatrix::from_fn(n, |i, j| 3.0 + ((i * 7 + j * 5) % 13) as f64);
+        let (_net, handles) = spawn_overlay(n, k, &delays, FaultConfig::default()).await;
+        tokio::time::sleep(Duration::from_secs(60)).await;
+
+        for (i, h) in handles.iter().enumerate() {
+            let v = h.snapshot();
+            assert!(v.rewirings > 0, "v{i} never re-wired");
+            let mut wiring = v.wiring.clone();
+            wiring.sort_unstable();
+            wiring.dedup();
+            assert_eq!(wiring.len(), k, "v{i} wired to {:?}", v.wiring);
+            assert!(
+                !wiring.contains(&NodeId::from_index(i)),
+                "v{i} links to itself"
+            );
+            let routed = (0..n).filter(|&j| j != i && v.next_hops[j].is_some());
+            assert_eq!(routed.count(), n - 1, "v{i} misses routes");
+        }
+        for h in handles {
+            h.stop().await;
+        }
+    });
+}
