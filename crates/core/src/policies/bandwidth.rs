@@ -17,7 +17,7 @@
 //! probed available bandwidth `i → j`, `residual` the widest-path widths
 //! over `G−i`, `penalty` is 0 (an unserved destination carries nothing)
 //! and `current` is not read. [`PolicyKind::instantiate_bandwidth`] picks
-//! the policy objects defined here.
+//! the policy object defined here, or k-Widest (`KClosest<MaxMin>`).
 //!
 //! [`PolicyKind::instantiate_bandwidth`]: super::PolicyKind::instantiate_bandwidth
 
@@ -75,27 +75,6 @@ impl Policy for BandwidthBr {
 
     fn name(&self) -> &'static str {
         "BR-bandwidth"
-    }
-}
-
-/// k-Widest: the bandwidth analogue of k-Closest (maximum direct
-/// available bandwidth first).
-pub struct KWidest;
-
-impl Policy for KWidest {
-    fn wire(&mut self, ctx: &WiringContext<'_>, _rng: &mut StdRng) -> Vec<NodeId> {
-        let mut pool: Vec<NodeId> = ctx.candidates.to_vec();
-        pool.sort_by(|a, b| {
-            ctx.direct[b.index()]
-                .total_cmp(&ctx.direct[a.index()])
-                .then(a.cmp(b))
-        });
-        pool.truncate(ctx.effective_k());
-        pool
-    }
-
-    fn name(&self) -> &'static str {
-        "k-Widest"
     }
 }
 
@@ -268,7 +247,8 @@ mod tests {
     }
 
     fn k_widest(c: &WiringContext<'_>) -> Vec<NodeId> {
-        KWidest.wire(c, &mut StdRng::seed_from_u64(0))
+        let mut k_widest = crate::policies::closest::KClosest::<MaxMin>::default();
+        k_widest.wire(c, &mut StdRng::seed_from_u64(0))
     }
 
     #[test]

@@ -7,26 +7,36 @@
 //! hops) but "fails to predict anything beyond the immediate neighbor" for
 //! the load metric (§4.2) — and the shape our reproduction must preserve.
 //!
-//! For bandwidth metrics the caller supplies `direct` as a cost to
-//! *minimize* (e.g. negated bandwidth), per the convention documented on
-//! [`WiringContext`].
+//! "Minimum link cost" is the metric's: the ranking is
+//! [`PathAlgebra::better`] of the metric's algebra, so [`MinPlus`] (delay,
+//! load) takes the smallest direct costs and [`MaxMin`] the largest
+//! available bandwidths — §4.1's k-Widest is `KClosest<MaxMin>`.
+//!
+//! [`MaxMin`]: egoist_graph::csr::MaxMin
 
 use super::{Policy, WiringContext};
+use egoist_graph::csr::{MinPlus, PathAlgebra};
 use egoist_graph::NodeId;
 use rand::rngs::StdRng;
+use std::marker::PhantomData;
 
-/// The k-Closest policy.
-pub struct KClosest;
+/// The k-Closest policy on algebra `A`'s notion of a better direct cost.
+pub struct KClosest<A = MinPlus>(PhantomData<A>);
 
-impl Policy for KClosest {
+impl<A> Default for KClosest<A> {
+    fn default() -> Self {
+        KClosest(PhantomData)
+    }
+}
+
+impl<A: PathAlgebra> Policy for KClosest<A> {
     fn wire(&mut self, ctx: &WiringContext<'_>, _rng: &mut StdRng) -> Vec<NodeId> {
         let k = ctx.effective_k();
         let mut pool: Vec<NodeId> = ctx.candidates.to_vec();
-        // Sort by direct cost, tie-break on id for determinism.
+        // Better direct cost first — `heap_order` is `better` made total —
+        // tie-break on id for determinism.
         pool.sort_by(|a, b| {
-            ctx.direct[a.index()]
-                .total_cmp(&ctx.direct[b.index()])
-                .then(a.cmp(b))
+            A::heap_order(ctx.direct[b.index()], ctx.direct[a.index()]).then(a.cmp(b))
         });
         pool.truncate(k);
         pool
@@ -45,12 +55,16 @@ mod tests {
     use egoist_graph::DistanceMatrix;
     use rand::SeedableRng;
 
+    fn k_closest() -> KClosest {
+        KClosest::default()
+    }
+
     #[test]
     fn picks_minimum_direct_costs() {
         let d = DistanceMatrix::from_fn(6, |i, j| if i == 0 { (j * 10) as f64 } else { 1.0 });
         let w = Wiring::empty(6);
         let p = CtxParts::build(&d, &w, NodeId(0), 3);
-        let n = KClosest.wire(&p.ctx(), &mut StdRng::seed_from_u64(0));
+        let n = k_closest().wire(&p.ctx(), &mut StdRng::seed_from_u64(0));
         assert_eq!(n, vec![NodeId(1), NodeId(2), NodeId(3)]);
     }
 
@@ -61,7 +75,7 @@ mod tests {
         d.set(NodeId(0), NodeId(1), 1.0);
         let w = Wiring::empty(4);
         let p = CtxParts::build(&d, &w, NodeId(0), 1);
-        let n = KClosest.wire(&p.ctx(), &mut StdRng::seed_from_u64(0));
+        let n = k_closest().wire(&p.ctx(), &mut StdRng::seed_from_u64(0));
         assert_eq!(n, vec![NodeId(1)]);
     }
 
@@ -70,8 +84,8 @@ mod tests {
         let d = DistanceMatrix::from_fn(8, |i, j| ((i * 5 + j * 7) % 11 + 1) as f64);
         let w = Wiring::empty(8);
         let p = CtxParts::build(&d, &w, NodeId(2), 4);
-        let a = KClosest.wire(&p.ctx(), &mut StdRng::seed_from_u64(1));
-        let b = KClosest.wire(&p.ctx(), &mut StdRng::seed_from_u64(99));
+        let a = k_closest().wire(&p.ctx(), &mut StdRng::seed_from_u64(1));
+        let b = k_closest().wire(&p.ctx(), &mut StdRng::seed_from_u64(99));
         assert_eq!(a, b);
     }
 
@@ -80,7 +94,7 @@ mod tests {
         let d = DistanceMatrix::off_diagonal(5, 3.0);
         let w = Wiring::empty(5);
         let p = CtxParts::build(&d, &w, NodeId(4), 2);
-        let n = KClosest.wire(&p.ctx(), &mut StdRng::seed_from_u64(0));
+        let n = k_closest().wire(&p.ctx(), &mut StdRng::seed_from_u64(0));
         assert_eq!(n, vec![NodeId(0), NodeId(1)]);
     }
 }

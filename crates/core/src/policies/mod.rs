@@ -9,10 +9,10 @@
 //! | Best-Response (local search) | §3.2, §5 | [`best_response`] |
 //! | BR(ε) threshold re-wiring | §4.3 | [`epsilon`] |
 //! | k-Random | §3.2 | [`random`] |
-//! | k-Closest | §3.2 | [`closest`] |
+//! | k-Closest (k-Widest on bandwidth) | §3.2, §4.1 | [`closest`] |
 //! | k-Regular | §3.2 | [`regular`] |
 //! | HybridBR (donated links) | §3.3 | [`hybrid`] |
-//! | Bandwidth BR (max bottleneck sum), k-Widest | §4.1, App. A | [`bandwidth`] |
+//! | Bandwidth BR (max bottleneck sum) | §4.1, App. A | [`bandwidth`] |
 //! | Traffic-aware BR (demand-blended prefs) | §5 (traffic) | [`traffic_aware`] |
 //!
 //! Both best-response objectives are solved by the one pruned
@@ -30,6 +30,7 @@ pub mod traffic_aware;
 
 use crate::cost::Preferences;
 use crate::residual::ResidualView;
+use egoist_graph::csr::{MaxMin, MinPlus};
 use egoist_graph::NodeId;
 use rand::rngs::StdRng;
 
@@ -118,7 +119,7 @@ impl PolicyKind {
     pub fn instantiate(self) -> Box<dyn Policy + Send + Sync> {
         match self {
             PolicyKind::Random => Box::new(random::KRandom),
-            PolicyKind::Closest => Box::new(closest::KClosest),
+            PolicyKind::Closest => Box::new(closest::KClosest::<MinPlus>::default()),
             PolicyKind::Regular => Box::new(regular::KRegular),
             PolicyKind::BestResponse => Box::new(best_response::BestResponse::local_search()),
             PolicyKind::ExactBestResponse => Box::new(best_response::BestResponse::exact()),
@@ -161,7 +162,7 @@ impl PolicyKind {
     /// what they are.
     pub fn instantiate_bandwidth(self) -> Box<dyn Policy + Send + Sync> {
         match self {
-            PolicyKind::Closest => Box::new(bandwidth::KWidest),
+            PolicyKind::Closest => Box::new(closest::KClosest::<MaxMin>::default()),
             PolicyKind::Random | PolicyKind::Regular => self.instantiate(),
             _ => Box::new(bandwidth::BandwidthBr::default()),
         }

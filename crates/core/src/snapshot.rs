@@ -20,9 +20,13 @@
 //!   the caller names the sources whose `G−i` rows its policy will read
 //!   (the simulator names the §5 shortlist). A named source whose tree
 //!   uses none of `i`'s out-links is *borrowed* from the snapshot in
-//!   place; one that does is copied into a small side pool and repaired
-//!   on the subtrees under those links only. Nothing else is touched,
-//!   nothing is written back, and reading a row nobody named panics.
+//!   place, and so is one whose torn subtree the removal repair would
+//!   keep whole — every head has a tight in-edge from outside it (a
+//!   read-only check, [`removal_keeps_all`], that may read the snapshot's
+//!   real parent row). Any other is copied into a small side pool and
+//!   repaired on the subtrees under those links only. Nothing else is
+//!   touched, nothing is written back, and reading a row nobody named
+//!   panics.
 //!   "Does `s` route through `i`" is `parent_s[w] == i` for the ≤ `k`
 //!   heads `w` of `i`'s out-links, and the subtree under them is walked
 //!   over CSR out-edges ([`subtree_under`]): a tree child of `v` is an
@@ -53,9 +57,12 @@
 //! the row's optima are unchanged — bit for bit, since equal path optima
 //! are equal `f64`s. *Removal:* the vertices whose tree path uses a
 //! removed edge are exactly the subtrees under the removed tree edges'
-//! heads; everything else keeps its value by the borrow argument, and
-//! the repair re-derives the subtrees from their frontier in-edges on
-//! the reduced graph, which is what a sweep of that graph computes.
+//! heads; everything else keeps its value by the borrow argument. Inside
+//! them, a vertex with an uncut in-edge whose offer equals its value, from
+//! a vertex that kept its own, keeps it too — that path survives and
+//! removal only worsens — and the repair re-derives only the rest from
+//! their frontier in-edges on the reduced graph, which is what a sweep of
+//! that graph computes ([`DijkstraWorkspace::repair_removal`]).
 //! *Insertion:* a simple path to `i` uses none of `i`'s out-edges, so
 //! `d(s, i)` is invariant under every delta to them and seeds the added
 //! links exactly on top of the kept-only state. Distances therefore
@@ -77,7 +84,9 @@
 
 use crate::residual::{CowResidual, ResidualView, NO_SLOT, UNNAMED};
 use crate::wiring::Wiring;
-use egoist_graph::csr::{all_pairs, subtree_under, MaxMin, MinPlus, PathAlgebra, NO_PARENT};
+use egoist_graph::csr::{
+    all_pairs, removal_keeps_all, subtree_under, MaxMin, MinPlus, PathAlgebra, NO_PARENT,
+};
 use egoist_graph::{CsrApsp, CsrGraph, DiGraph, DijkstraWorkspace, DistanceMatrix, NodeId};
 
 /// Which path semiring the snapshot's all-pairs state uses.
@@ -126,7 +135,8 @@ pub struct RouteStats {
     /// membership churn are absorbed as deltas and do not count.
     pub rebuilds: usize,
     /// Named residual rows repaired into the pool because the source's
-    /// tree used one of the turn node's out-links.
+    /// tree used one of the turn node's out-links and not every vertex
+    /// under them had a tie to keep its value.
     pub residual_swept: usize,
     /// Named residual rows served zero-copy from the snapshot: named
     /// minus swept. Rows nobody named are neither.
@@ -198,7 +208,8 @@ pub struct RouteState {
     /// plus the packed repaired rows. Read by the turn's view only.
     row_slot: Vec<u32>,
     pool_dist: Vec<f64>,
-    /// Where a pool row's repair writes its parents; nobody reads them.
+    /// Where a pool row's repair writes its parents: write-only scratch,
+    /// which `repair_removal` never reads.
     pool_tree: Vec<u32>,
     /// The turn node's own residual row (no out-links survive `G−i`).
     self_row: Vec<f64>,
@@ -314,9 +325,10 @@ impl RouteState {
     ///
     /// A named source whose tree uses one of `i`'s out-links is copied
     /// into the side pool and repaired on the subtrees under those
-    /// links; every other named row is borrowed from the snapshot
-    /// zero-copy. The snapshot itself is not touched, and nothing here
-    /// outlives the view: a commit repairs the snapshot's own rows.
+    /// links, unless the repair would keep every vertex of them; every
+    /// other named row is borrowed from the snapshot zero-copy. The
+    /// snapshot itself is not touched, and nothing here outlives the
+    /// view: a commit repairs the snapshot's own rows.
     /// Reading a row that was not named panics.
     ///
     /// # Panics
@@ -368,9 +380,11 @@ impl RouteState {
             }
             named += 1;
             self.row_slot[s] = NO_SLOT;
-            let affected = &mut self.affected;
-            subtree_under(&snap.csr, snap.apsp.parent_row(s), iu, links, affected);
-            if affected.is_empty() {
+            let (affected, tree) = (&mut self.affected, snap.apsp.parent_row(s));
+            subtree_under(&snap.csr, tree, iu, links, affected);
+            let cut = |u, _| u == iu;
+            let dist = snap.apsp.dist_row(s);
+            if affected.is_empty() || removal_keeps_all::<A>(&snap.rev, cut, affected, dist, tree) {
                 continue;
             }
             let lo = swept * n;
@@ -378,10 +392,10 @@ impl RouteState {
                 self.pool_dist.resize(lo + n, f64::INFINITY);
             }
             let row = &mut self.pool_dist[lo..lo + n];
-            row.copy_from_slice(snap.apsp.dist_row(s));
+            row.copy_from_slice(dist);
             let (csr, rev, tree) = (&snap.csr, &snap.rev, &mut self.pool_tree);
             self.ws
-                .repair_removal::<A>(csr, rev, |u, _| u == iu, affected, row, tree);
+                .repair_removal::<A>(csr, rev, cut, affected, row, tree);
             self.row_slot[s] = swept as u32;
             swept += 1;
         }

@@ -571,20 +571,36 @@ impl DijkstraWorkspace {
 
     /// Exact row repair after edge removals, given the affected set.
     ///
-    /// `dist`/`parent` must hold exact best paths of `g`, which still
-    /// holds the removed edges (`rev` is `g` reversed); `cut(u, v)` says
-    /// whether `u → v` is one of them, and `affected` must contain every
-    /// vertex whose tree path uses one ([`subtree_under`]). Every other
-    /// vertex keeps its value — removal only worsens paths and its tree
-    /// path survives — so the repair resets only the affected region and
-    /// re-seeds it from the frontier in-edges that are not cut. No tail
-    /// of a cut edge may be affected (its out-edges would be relaxed
-    /// again, cut ones included) — which holds whenever the cut edges
-    /// all leave one node, since a simple path to it uses none of them.
-    /// Any path into the affected set enters it through a frontier edge,
-    /// and path values fold left-to-right exactly as a full sweep of the
-    /// reduced graph would, so repaired rows are bit-identical to
-    /// [`Self::sweep`] on it. `parent` is only written, never read.
+    /// `dist` must hold exact best paths of `g`, which still holds the
+    /// removed edges (`rev` is `g` reversed); `cut(u, v)` says whether
+    /// `u → v` is one of them, and `affected` must contain every vertex
+    /// whose tree path uses one, each after its tree parent
+    /// ([`subtree_under`]'s breadth-first order). Every other vertex keeps
+    /// its value — removal only worsens paths and its tree path survives.
+    /// No tail of a cut edge may be affected (its out-edges would be
+    /// relaxed again, cut ones included) — which holds whenever the cut
+    /// edges all leave one node, since a simple path to it uses none of
+    /// them.
+    ///
+    /// Call a vertex *unflagged* when it is outside `affected` or was kept
+    /// earlier in one pass over `affected` in order. The pass *keeps* a
+    /// vertex `v` with an uncut in-edge from an unflagged `u` whose offer
+    /// `extend(d(u), c)` is `d(v)` bit for bit: that path survives in the
+    /// reduced graph and removal only worsens, so `d(v)` stands, and `v`
+    /// is re-parented to `u`, which comes before it — the new parents stay
+    /// acyclic. Bottleneck ties make this the common case on [`MaxMin`];
+    /// float delays almost never tie. Every other vertex remembers its
+    /// best unflagged offer. Only those are reset and seeded, after the
+    /// whole pass — a kept vertex is never pushed, so an earlier seed
+    /// would miss its out-edges — from the stored offer, or from a rescan
+    /// when a vertex later in the order was kept; with nothing kept this
+    /// is one in-edge scan per vertex. Any path into them enters through
+    /// an edge from an unflagged vertex, and path values fold
+    /// left-to-right exactly as a full sweep of the reduced graph would,
+    /// so repaired rows are bit-identical to [`Self::sweep`] on it.
+    ///
+    /// `parent` is only written, never read: a caller may pass scratch.
+    /// Returns how many vertices were kept.
     pub fn repair_removal<A: PathAlgebra>(
         &mut self,
         g: &CsrGraph,
@@ -593,42 +609,127 @@ impl DijkstraWorkspace {
         affected: &[u32],
         dist: &mut [f64],
         parent: &mut [u32],
-    ) {
-        csr_obs().removal_repairs.inc();
+    ) -> usize {
+        let obs = csr_obs();
+        obs.removal_repairs.inc();
         self.flag.resize(g.len(), false);
-        A::heap(self).clear();
         for &v in affected {
             self.flag[v as usize] = true;
-            dist[v as usize] = A::UNREACHED;
-            parent[v as usize] = NO_PARENT;
         }
-        // Seed each affected vertex with its best frontier in-edge.
-        for &v in affected {
-            let (us, cs) = rev.out(v as usize);
-            let mut best = A::UNREACHED;
-            let mut best_par = NO_PARENT;
-            for (&u, &c) in us.iter().zip(cs) {
-                if self.flag[u as usize] || cut(u, v) {
-                    continue;
+        // The keep pass. A vertex that is not kept stays flagged, so nobody
+        // reads the offer it parks in its own entries.
+        let (mut kept, mut last_kept) = (0, 0);
+        for (at, &v) in affected.iter().enumerate() {
+            let v = v as usize;
+            match self.offer::<A>(rev, &cut, v, dist, Some(dist[v])) {
+                Offer::Tight(u) => {
+                    parent[v] = u;
+                    self.flag[v] = false;
+                    (kept, last_kept) = (kept + 1, at);
                 }
-                let cand = A::extend(dist[u as usize], c);
-                if A::better(cand, best) {
-                    best = cand;
-                    best_par = u;
-                }
-            }
-            if best_par != NO_PARENT {
-                dist[v as usize] = best;
-                parent[v as usize] = best_par;
-                A::heap(self).push(HeapEntry::new(best, v));
+                Offer::Best(best, best_par) => (dist[v], parent[v]) = (best, best_par),
             }
         }
-        // Propagate inside the affected region (only it can improve).
+        // Seed what was not kept: a vertex before the last kept one may
+        // have a tail its stored offer did not see.
+        A::heap(self).clear();
+        for (at, &v) in affected.iter().enumerate() {
+            let v = v as usize;
+            if !self.flag[v] {
+                continue;
+            }
+            if at < last_kept {
+                if let Offer::Best(best, best_par) = self.offer::<A>(rev, &cut, v, dist, None) {
+                    (dist[v], parent[v]) = (best, best_par);
+                }
+            }
+            if A::better(dist[v], A::UNREACHED) {
+                A::heap(self).push(HeapEntry::new(dist[v], v as u32));
+            }
+        }
+        // Propagate inside the regrown region (only it can improve).
         self.propagate::<A>(g, dist, parent);
         for &v in affected {
             self.flag[v as usize] = false;
         }
+        obs.kept.add(kept as u64);
+        kept
     }
+
+    /// What `v`'s uncut in-edges from unflagged tails offer: with `keep`,
+    /// the first tail whose offer is `keep` bit for bit; otherwise (or
+    /// when there is none) the best offer and its tail — `A::UNREACHED`
+    /// and [`NO_PARENT`] when nothing reaches `v`.
+    #[inline]
+    fn offer<A: PathAlgebra>(
+        &self,
+        rev: &CsrGraph,
+        cut: &impl Fn(u32, u32) -> bool,
+        v: usize,
+        dist: &[f64],
+        keep: Option<f64>,
+    ) -> Offer {
+        let (us, cs) = rev.out(v);
+        let (mut best, mut best_par) = (A::UNREACHED, NO_PARENT);
+        for (&u, &c) in us.iter().zip(cs) {
+            if self.flag[u as usize] || cut(u, v as u32) {
+                continue;
+            }
+            let cand = A::extend(dist[u as usize], c);
+            if keep.is_some_and(|d| cand.to_bits() == d.to_bits()) {
+                return Offer::Tight(u);
+            }
+            if A::better(cand, best) {
+                best = cand;
+                best_par = u;
+            }
+        }
+        Offer::Best(best, best_par)
+    }
+}
+
+/// [`DijkstraWorkspace::offer`]'s answer.
+enum Offer {
+    /// An in-edge from this tail keeps the vertex's value.
+    Tight(u32),
+    /// The best offer and its tail.
+    Best(f64, u32),
+}
+
+/// Would [`DijkstraWorkspace::repair_removal`] keep every vertex of
+/// `affected`, leaving the row's values as they are? Read-only, and unlike
+/// the repair it reads `parent`, which must be the tree `affected` was
+/// walked from. The vertices whose tree edge is cut — `affected`'s heads,
+/// which [`subtree_under`] lists first — need an uncut tight in-edge from
+/// outside the torn subtree or from an earlier head; every other vertex
+/// is then kept over its own tree edge, whose tail comes before it and
+/// was kept. A tail is outside the subtree when its own tree path uses no
+/// cut edge, which the walk up `parent` settles only for the tight
+/// in-edges, so a row with no ties costs one in-edge scan of its first
+/// head.
+pub fn removal_keeps_all<A: PathAlgebra>(
+    rev: &CsrGraph,
+    cut: impl Fn(u32, u32) -> bool,
+    affected: &[u32],
+    dist: &[f64],
+    parent: &[u32],
+) -> bool {
+    let torn = |mut v: u32| loop {
+        match parent[v as usize] {
+            NO_PARENT => return false,
+            p if cut(p, v) => return true,
+            p => v = p,
+        }
+    };
+    let heads = affected.iter().take_while(|&&v| cut(parent[v as usize], v));
+    heads.enumerate().all(|(at, &h)| {
+        let (us, cs) = rev.out(h as usize);
+        us.iter().zip(cs).any(|(&u, &c)| {
+            !cut(u, h)
+                && A::extend(dist[u as usize], c).to_bits() == dist[h as usize].to_bits()
+                && (affected[..at].contains(&u) || !torn(u))
+        })
+    })
 }
 
 /// Collect into `out` the vertices whose path in the best-path tree
@@ -743,6 +844,7 @@ fn all_pairs_fanout<A: PathAlgebra>(g: &CsrGraph, dist: &mut [f64], parent: &mut
 struct CsrObs {
     sources: egoist_obs::Counter,
     removal_repairs: egoist_obs::Counter,
+    kept: egoist_obs::Counter,
     insertion_repairs: egoist_obs::Counter,
     many_sources: egoist_obs::Counter,
     many_pops: egoist_obs::Counter,
@@ -755,6 +857,7 @@ fn csr_obs() -> &'static CsrObs {
         CsrObs {
             sources: r.counter("graph.apsp.sources"),
             removal_repairs: r.counter("graph.repair.removal"),
+            kept: r.counter("graph.repair.kept"),
             insertion_repairs: r.counter("graph.repair.insertion"),
             many_sources: r.counter("graph.sweep_many.sources"),
             many_pops: r.counter("graph.sweep_many.pops"),
@@ -1103,13 +1206,31 @@ pub(crate) mod tests {
 
     /// Deterministic pseudo-random sparse graph.
     fn scrambled(n: usize, out_degree: usize) -> DiGraph {
+        scrambled_with(n, out_degree, |i, j, o| {
+            ((i * 31 + j * 17 + o) % 97 + 1) as f64 * 0.5
+        })
+    }
+
+    /// [`scrambled`]'s shape with integer costs 1..=3: equal-valued
+    /// paths everywhere, on both semirings.
+    fn tie_heavy(n: usize, out_degree: usize) -> DiGraph {
+        scrambled_with(n, out_degree, |i, j, o| {
+            ((i * 31 + j * 17 + o) % 3 + 1) as f64
+        })
+    }
+
+    /// Node `i`'s `o`-th edge goes to `(7i + 13o + 3) mod n` at `cost(i, j, o)`.
+    fn scrambled_with(
+        n: usize,
+        out_degree: usize,
+        cost: impl Fn(usize, usize, usize) -> f64,
+    ) -> DiGraph {
         let mut g = DiGraph::new(n);
         for i in 0..n {
             for o in 0..out_degree {
                 let j = (i * 7 + o * 13 + 3) % n;
                 if j != i {
-                    let cost = ((i * 31 + j * 17 + o) % 97 + 1) as f64 * 0.5;
-                    g.add_edge(NodeId::from_index(i), NodeId::from_index(j), cost);
+                    g.add_edge(NodeId::from_index(i), NodeId::from_index(j), cost(i, j, o));
                 }
             }
         }
@@ -1361,21 +1482,9 @@ pub(crate) mod tests {
     fn repaired_parents_form_a_valid_tree<A: PathAlgebra>() {
         let n = 26;
         let (repaired, full) = reinsert_out_edges::<A>(&scrambled(n, 3), 5);
-        // Every parent edge must exist and be tight: some copy of the
-        // edge p → v extends p's value to exactly v's.
         for s in 0..n {
             let (dist, parent) = (repaired.dist_row(s), repaired.parent_row(s));
-            for v in 0..n {
-                let p = parent[v];
-                if p == NO_PARENT {
-                    continue;
-                }
-                let (ts, cs) = full.out(p as usize);
-                let tight = ts.iter().zip(cs).any(|(&t, &c)| {
-                    t as usize == v && A::extend(dist[p as usize], c).to_bits() == dist[v].to_bits()
-                });
-                assert!(tight, "no tight parent edge {p}→{v} for source {s}");
-            }
+            assert_tight_tree::<A>(&full, |_, _| false, s, dist, parent, &format!("source {s}"));
         }
     }
 
@@ -1389,13 +1498,52 @@ pub(crate) mod tests {
         repaired_parents_form_a_valid_tree::<MaxMin>();
     }
 
-    fn repair_removal_matches_masked_sweep<A: PathAlgebra>() {
-        let g = scrambled(32, 4);
-        let csr = CsrGraph::from_digraph(&g);
+    /// Every reached vertex but `s` has a parent over a tight edge of `g`
+    /// that `cut` spares — some copy of the edge `p → v` extends `p`'s
+    /// value to exactly `v`'s — and its parent chain ends at `s`.
+    fn assert_tight_tree<A: PathAlgebra>(
+        g: &CsrGraph,
+        cut: impl Fn(u32, u32) -> bool,
+        s: usize,
+        dist: &[f64],
+        parent: &[u32],
+        what: &str,
+    ) {
+        for v in (0..g.len()).filter(|&v| v != s) {
+            let p = parent[v];
+            if p == NO_PARENT {
+                assert_eq!(
+                    dist[v].to_bits(),
+                    A::UNREACHED.to_bits(),
+                    "{what}: {v} orphaned"
+                );
+                continue;
+            }
+            let (ts, cs) = g.out(p as usize);
+            let tight = ts.iter().zip(cs).any(|(&t, &c)| {
+                t as usize == v
+                    && !cut(p, t)
+                    && A::extend(dist[p as usize], c).to_bits() == dist[v].to_bits()
+            });
+            assert!(tight, "{what}: parent edge {p}→{v} is not tight");
+            let mut at = v;
+            for _ in 0..g.len() {
+                if parent[at] == NO_PARENT {
+                    break;
+                }
+                at = parent[at] as usize;
+            }
+            assert_eq!(at, s, "{what}: the chain from {v} ends at {at}");
+        }
+    }
+
+    /// Returns how many vertices the repairs kept.
+    fn repair_removal_matches_masked_sweep<A: PathAlgebra>(g: &DiGraph) -> usize {
+        let csr = CsrGraph::from_digraph(g);
         let rev = csr.reversed();
         let full = all_pairs::<A>(&csr);
         let mut ws = DijkstraWorkspace::new(32);
-        let mut affected = Vec::new();
+        let (mut affected, mut total_kept) = (Vec::new(), 0);
         for masked in [0u32, 9, 31] {
             let (links, costs) = csr.out(masked as usize);
             // Every out-edge of `masked` cut, then all but the first.
@@ -1416,26 +1564,41 @@ pub(crate) mod tests {
                         &mut oracle_p,
                     );
                     subtree_under(&csr, full.parent_row(s), masked, cut_heads, &mut affected);
+                    let what = format!("node {masked} keeps {kept}, source {s}");
+                    let cut = |u, v| u == masked && cut_heads.contains(&v);
                     // The parent row is scratch: written, never read.
                     let mut dist = full.dist_row(s).to_vec();
                     let mut parent = vec![7u32; 32];
-                    let cut = |u, v| u == masked && cut_heads.contains(&v);
-                    ws.repair_removal::<A>(&csr, &rev, cut, &affected, &mut dist, &mut parent);
-                    let what = format!("node {masked} keeps {kept}, source {s}");
+                    let kept_here =
+                        ws.repair_removal::<A>(&csr, &rev, cut, &affected, &mut dist, &mut parent);
                     assert_rows_bit_equal(&oracle_d, &dist, &what);
+                    let (dist_row, tree) = (full.dist_row(s), full.parent_row(s));
+                    let keeps_all = removal_keeps_all::<A>(&rev, cut, &affected, dist_row, tree);
+                    assert_eq!(keeps_all, kept_here == affected.len(), "{what}");
+                    // On the real tree the repaired parents are a tree too.
+                    let mut dist = dist_row.to_vec();
+                    let mut parent = tree.to_vec();
+                    ws.repair_removal::<A>(&csr, &rev, cut, &affected, &mut dist, &mut parent);
+                    assert_rows_bit_equal(&oracle_d, &dist, &what);
+                    assert_tight_tree::<A>(&csr, cut, s, &dist, &parent, &what);
+                    total_kept += kept_here;
                 }
             }
         }
+        total_kept
     }
 
     #[test]
     fn repair_removal_matches_masked_sweep_min_plus() {
-        repair_removal_matches_masked_sweep::<MinPlus>();
+        repair_removal_matches_masked_sweep::<MinPlus>(&scrambled(32, 4));
+        repair_removal_matches_masked_sweep::<MinPlus>(&tie_heavy(32, 4));
     }
 
     #[test]
     fn repair_removal_matches_masked_sweep_max_min() {
-        repair_removal_matches_masked_sweep::<MaxMin>();
+        repair_removal_matches_masked_sweep::<MaxMin>(&scrambled(32, 4));
+        let kept = repair_removal_matches_masked_sweep::<MaxMin>(&tie_heavy(32, 4));
+        assert!(kept > 0, "bottleneck ties must keep vertices");
     }
 
     #[test]

@@ -152,13 +152,25 @@ impl DemandGenerator {
         self.offered_mbps
     }
 
-    /// Weighted pick over alive nodes; `exclude` removes one candidate.
-    fn pick_weighted(&self, alive: &[NodeId], exclude: Option<NodeId>, rng: &mut StdRng) -> NodeId {
-        let total: f64 = alive
+    /// The weight of the alive nodes but `exclude`, summed in `alive`
+    /// order.
+    fn weight_of(&self, alive: &[NodeId], exclude: Option<NodeId>) -> f64 {
+        alive
             .iter()
             .filter(|&&v| Some(v) != exclude)
             .map(|v| self.weights[v.index()])
-            .sum();
+            .sum()
+    }
+
+    /// Weighted pick over alive nodes; `exclude` removes one candidate
+    /// and `total` is [`Self::weight_of`] the rest.
+    fn pick_weighted(
+        &self,
+        alive: &[NodeId],
+        exclude: Option<NodeId>,
+        total: f64,
+        rng: &mut StdRng,
+    ) -> NodeId {
         let mut target = rng.random_range(0.0..1.0) * total;
         for &v in alive {
             if Some(v) == exclude {
@@ -201,13 +213,21 @@ impl DemandGenerator {
                     (s, t)
                 })
                 .collect(),
-            WorkloadKind::Gravity { .. } => (0..self.flows_per_epoch)
-                .map(|_| {
-                    let s = self.pick_weighted(&alive_ids, None, &mut rng);
-                    let t = self.pick_weighted(&alive_ids, Some(s), &mut rng);
-                    (s, t)
-                })
-                .collect(),
+            WorkloadKind::Gravity { .. } => {
+                // Each total is summed once per epoch — a source's own on
+                // its first draw — in the order a per-pick sum would use.
+                let total = self.weight_of(&alive_ids, None);
+                let mut without = vec![None; self.n];
+                (0..self.flows_per_epoch)
+                    .map(|_| {
+                        let s = self.pick_weighted(&alive_ids, None, total, &mut rng);
+                        let rest = *without[s.index()]
+                            .get_or_insert_with(|| self.weight_of(&alive_ids, Some(s)));
+                        let t = self.pick_weighted(&alive_ids, Some(s), rest, &mut rng);
+                        (s, t)
+                    })
+                    .collect()
+            }
             WorkloadKind::Broadcast { sources } => {
                 let m = sources.clamp(1, alive_ids.len() - 1);
                 // This epoch's broadcasters rotate deterministically.
