@@ -1,32 +1,186 @@
-//! The SNS game engine: iterated best-response dynamics.
+//! The SNS game: one wiring turn, and iterated best-response dynamics on
+//! a fixed cost matrix.
 //!
-//! Nodes take turns re-wiring under a chosen policy. The engine tracks
-//! whether each turn actually changed the wiring (re-wiring counts, Fig. 3),
-//! detects convergence (a full sweep with no changes — a pure Nash
-//! equilibrium when every node plays exact BR), and reports individual and
-//! social costs.
+//! `play_turn` is the one turn implementation — the §5 shortlist, the
+//! residual rows it names, the policy, the commit — and both dynamics
+//! engines play it: the epoch [`Simulator`] on a drifting underlay, and
+//! [`Game`] on static costs. A game's route-state snapshot is built once,
+//! at construction, and never invalidated: every move is a link delta
+//! ([`RouteState::note_rewire`]), a node written dead or alive through
+//! [`Game::alive`] is a leave or a join absorbed before the next turn or
+//! cost query, and individual and social costs are read off the
+//! snapshot's rows.
+//!
+//! The game tracks whether each turn actually changed the wiring
+//! (re-wiring counts, Fig. 3), detects convergence (a full sweep with no
+//! changes — a pure Nash equilibrium when every node plays exact BR), and
+//! reports individual and social costs.
+//!
+//! [`Simulator`]: crate::sim::Simulator
 
 use crate::cost::{disconnection_penalty, node_cost_from_dists, Preferences};
+use crate::policies::hybrid::HybridBr;
 use crate::policies::{Policy, PolicyKind, WiringContext};
 use crate::residual::ResidualView;
+use crate::sampling::shortlist;
+use crate::snapshot::{EpochSnapshot, RouteState, SnapshotKind};
 use crate::wiring::Wiring;
-use egoist_graph::apsp::apsp;
-use egoist_graph::dijkstra::dijkstra;
-use egoist_graph::{DistanceMatrix, NodeId};
+use egoist_graph::csr::{all_pairs, MaxMin, MinPlus};
+use egoist_graph::{CsrGraph, DiGraph, DistanceMatrix, NodeId};
+use egoist_obs::{Counter, Timer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
+
+/// What one wiring turn of `node` reads besides the route state.
+pub(crate) struct Turn<'a> {
+    pub node: NodeId,
+    pub k: usize,
+    pub policy: PolicyKind,
+    /// §5's `m` (`usize::MAX`: every candidate).
+    pub sample_size: usize,
+    /// The alive nodes other than `node` ([`alive_others`]), not empty.
+    pub candidates: Vec<NodeId>,
+    /// Direct link costs (probed bandwidths) from `node`, length n.
+    pub direct: &'a [f64],
+    pub prefs: &'a Preferences,
+    pub alive: &'a [bool],
+}
+
+/// Where a turn's policy reads its residual rows.
+pub(crate) enum Residual<'a> {
+    /// Nowhere: the policy never reads them
+    /// ([`PolicyKind::needs_residual`]).
+    Unread,
+    /// A dense `G−i` matrix computed from scratch on a semiring, with
+    /// what an unserved destination is worth — the simulator's
+    /// `Recompute` oracle.
+    Dense(&'a DistanceMatrix, SnapshotKind, f64),
+    /// The route state's live snapshot.
+    Snapshot,
+}
+
+/// The alive nodes other than `i`: a turn's candidates before the
+/// shortlist.
+pub(crate) fn alive_others(i: NodeId, alive: &[bool]) -> Vec<NodeId> {
+    (0..alive.len())
+        .filter(|&j| j != i.index() && alive[j])
+        .map(NodeId::from_index)
+        .collect()
+}
+
+/// Play `turn.node`'s wiring turn and commit it; returns whether the
+/// wiring changed.
+///
+/// A policy that reads residual state solves over the §5 [`shortlist`]:
+/// the node's current links (and HybridBR's donated ones), the best half
+/// of the rest by direct cost, uniform draws from `rng`. It is cut before
+/// the residual rows are taken, so every backing is handed the same
+/// candidates. A change is committed to the route state as a link delta
+/// (a no-op when it holds no snapshot).
+pub(crate) fn play_turn(
+    turn: Turn<'_>,
+    residual: Residual<'_>,
+    route: &mut RouteState,
+    policy: &mut dyn Policy,
+    wiring: &mut Wiring,
+    rng: &mut StdRng,
+) -> bool {
+    // The solver span and the candidates a best-response turn was
+    // offered / solved over.
+    static OBS: OnceLock<(Timer, Counter, Counter)> = OnceLock::new();
+    let (solver, offered, kept) = OBS.get_or_init(|| {
+        let r = egoist_obs::registry();
+        let counter = |what| r.counter(&format!("core.shortlist.{what}"));
+        (
+            r.timer("core.epoch.turn.solver"),
+            counter("offered"),
+            counter("kept"),
+        )
+    });
+    // The rows' semiring and what an unserved destination is worth.
+    let (semiring, penalty) = match residual {
+        Residual::Unread => (SnapshotKind::Additive, 0.0),
+        Residual::Dense(_, kind, penalty) => (kind, penalty),
+        Residual::Snapshot => {
+            let live = route.snapshot().expect("route snapshot must be live");
+            (live.kind, live.penalty)
+        }
+    };
+    let i = turn.node;
+    let current = wiring.of(i).to_vec();
+    let mut candidates = turn.candidates;
+    if turn.policy.needs_residual() {
+        let mut keep = current.clone();
+        if let PolicyKind::HybridBestResponse { k2 } = turn.policy {
+            let members: Vec<NodeId> = (0..turn.alive.len())
+                .filter(|&j| turn.alive[j])
+                .map(NodeId::from_index)
+                .collect();
+            keep.extend(HybridBr::new(k2).donated_links(i, &members));
+        }
+        let m = turn.sample_size;
+        let score = |j: NodeId| turn.direct[j.index()];
+        let score: Option<&dyn Fn(NodeId) -> f64> = Some(&score);
+        offered.add(candidates.len() as u64);
+        candidates = match semiring {
+            SnapshotKind::Widest => shortlist::<MaxMin>(&candidates, &keep, m, score, rng),
+            SnapshotKind::Additive => shortlist::<MinPlus>(&candidates, &keep, m, score, rng),
+        };
+        kept.add(candidates.len() as u64);
+    }
+    let placeholder;
+    let residual = match residual {
+        Residual::Unread => {
+            // Oblivious wirings rank by direct cost or id alone.
+            placeholder = vec![0.0; wiring.len()];
+            ResidualView::broadcast(&placeholder)
+        }
+        Residual::Dense(matrix, ..) => ResidualView::dense(matrix),
+        Residual::Snapshot => route.residual(i.index(), &candidates),
+    };
+    let ctx = WiringContext {
+        node: i,
+        k: turn.k,
+        candidates: &candidates,
+        direct: turn.direct,
+        residual,
+        prefs: turn.prefs,
+        alive: turn.alive,
+        penalty,
+        current: &current,
+    };
+    let span = solver.start();
+    let new = policy.wire(&ctx, rng);
+    drop(span);
+    let changed = wiring.rewire(i, new);
+    if changed {
+        route.note_rewire(i, wiring, turn.alive);
+    }
+    changed
+}
 
 /// An overlay population playing the SNS game on a fixed cost matrix.
 pub struct Game {
-    /// Announced direct-link costs `d_ij`.
-    pub costs: DistanceMatrix,
     pub prefs: Preferences,
     pub k: usize,
+    /// The global wiring; it changes through turns only.
     pub wiring: Wiring,
+    /// Membership. A change is absorbed, as leaves and joins, at the next
+    /// turn or cost query; a node that comes back keeps the links it had.
     pub alive: Vec<bool>,
-    pub penalty: f64,
+    /// §5's `m`, as in [`SimConfig::sample_size`]; `usize::MAX` (the
+    /// default) shows every turn every alive node — the paper's
+    /// full-information game.
+    ///
+    /// [`SimConfig::sample_size`]: crate::sim::SimConfig::sample_size
+    pub sample_size: usize,
+    kind: PolicyKind,
     policy: Box<dyn Policy + Send + Sync>,
     rng: StdRng,
+    /// The costs, their semiring and penalty, and the current wiring's
+    /// all-pairs state.
+    route: RouteState,
 }
 
 /// Result of running dynamics to convergence.
@@ -41,30 +195,58 @@ pub struct ConvergenceReport {
 }
 
 impl Game {
-    /// New game; every node starts unwired.
+    /// New game on additive costs `d_ij` (delay); every node starts
+    /// unwired.
     pub fn new(costs: DistanceMatrix, k: usize, kind: PolicyKind, seed: u64) -> Self {
-        let n = costs.len();
         let penalty = disconnection_penalty(&costs);
+        Self::on(SnapshotKind::Additive, costs, penalty, k, kind, seed)
+    }
+
+    /// New game on available bandwidths (§4.1): paths are widest paths,
+    /// the best-response family maximizes aggregate bottleneck bandwidth,
+    /// k-Closest is k-Widest and an unserved destination is worth 0. The
+    /// cost reports ([`Self::social_cost`] and the like) are defined on
+    /// additive games only.
+    pub fn bandwidth(widths: DistanceMatrix, k: usize, kind: PolicyKind, seed: u64) -> Self {
+        Self::on(SnapshotKind::Widest, widths, 0.0, k, kind, seed)
+    }
+
+    fn on(
+        semiring: SnapshotKind,
+        costs: DistanceMatrix,
+        penalty: f64,
+        k: usize,
+        kind: PolicyKind,
+        seed: u64,
+    ) -> Self {
+        let n = costs.len();
+        let policy = match semiring {
+            SnapshotKind::Additive => kind.instantiate(),
+            SnapshotKind::Widest => kind.instantiate_bandwidth(),
+        };
+        let mut route = RouteState::new();
+        route.rebuild(semiring, costs, penalty, vec![true; n], &DiGraph::new(n));
         Game {
             prefs: Preferences::uniform(n),
             k,
             wiring: Wiring::empty(n),
             alive: vec![true; n],
-            penalty,
-            policy: kind.instantiate(),
+            sample_size: usize::MAX,
+            kind,
+            policy,
             rng: StdRng::seed_from_u64(seed ^ 0x6A3E),
-            costs,
+            route,
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.costs.len()
+        self.wiring.len()
     }
 
     /// True when there are no nodes.
     pub fn is_empty(&self) -> bool {
-        self.costs.is_empty()
+        self.wiring.is_empty()
     }
 
     /// Alive node ids.
@@ -75,32 +257,66 @@ impl Game {
             .collect()
     }
 
+    /// The route state's snapshot: built with the game, never invalidated.
+    fn snapshot(&self) -> &EpochSnapshot {
+        self.route
+            .snapshot()
+            .expect("a game's snapshot lives as long as the game")
+    }
+
+    /// Absorb what was written into `alive` since the snapshot last saw
+    /// it: a death is a leave; a return is a join followed by the commit
+    /// of the returner's own links, which `wiring` kept.
+    fn absorb_membership(&mut self) {
+        if self.snapshot().alive == self.alive {
+            return;
+        }
+        let mut seen = self.snapshot().alive.clone();
+        for x in 0..seen.len() {
+            if seen[x] == self.alive[x] {
+                continue;
+            }
+            seen[x] = self.alive[x];
+            let node = NodeId::from_index(x);
+            if seen[x] {
+                self.route.note_join(node, &self.wiring, &seen);
+                self.route.note_rewire(node, &self.wiring, &seen);
+            } else {
+                self.route.note_leave(node);
+            }
+        }
+    }
+
     /// Give node `i` a turn: compute its wiring under the policy and
     /// install it. Returns `true` when the wiring changed.
     pub fn rewire_node(&mut self, i: NodeId) -> bool {
         if !self.alive[i.index()] {
             return false;
         }
-        let residual_graph = self.wiring.residual_graph(i, &self.costs, &self.alive);
-        let residual = apsp(&residual_graph);
-        let candidates: Vec<NodeId> = (0..self.len())
-            .filter(|&j| j != i.index() && self.alive[j])
-            .map(NodeId::from_index)
-            .collect();
-        let current = self.wiring.of(i).to_vec();
-        let ctx = WiringContext {
+        self.absorb_membership();
+        let candidates = alive_others(i, &self.alive);
+        if candidates.is_empty() {
+            return false;
+        }
+        let direct = self.snapshot().announced.row(i.index()).to_vec();
+        let residual = if self.kind.needs_residual() {
+            Residual::Snapshot
+        } else {
+            Residual::Unread
+        };
+        let turn = Turn {
             node: i,
             k: self.k,
-            candidates: &candidates,
-            direct: self.costs.row(i.index()),
-            residual: ResidualView::dense(&residual),
+            policy: self.kind,
+            sample_size: self.sample_size,
+            candidates,
+            direct: &direct,
             prefs: &self.prefs,
             alive: &self.alive,
-            penalty: self.penalty,
-            current: &current,
         };
-        let new = self.policy.wire(&ctx, &mut self.rng);
-        self.wiring.rewire(i, new)
+        let policy = self.policy.as_mut();
+        let (route, wiring, rng) = (&mut self.route, &mut self.wiring, &mut self.rng);
+        play_turn(turn, residual, route, policy, wiring, rng)
     }
 
     /// One round-robin sweep over all alive nodes; returns the number of
@@ -171,39 +387,35 @@ impl Game {
     }
 
     /// The overlay graph as currently wired.
-    pub fn graph(&self) -> egoist_graph::DiGraph {
-        self.wiring.to_graph(&self.costs, &self.alive)
+    pub fn graph(&self) -> DiGraph {
+        self.wiring
+            .to_graph(&self.snapshot().announced, &self.alive)
     }
 
-    /// Individual cost `C_i(S)` of every alive node (dead nodes get NaN).
-    pub fn individual_costs(&self) -> Vec<f64> {
-        let g = self.graph();
+    /// Individual cost `C_i(S)` of every alive node (dead nodes get NaN),
+    /// read off the snapshot's rows.
+    pub fn individual_costs(&mut self) -> Vec<f64> {
+        self.absorb_membership();
+        let snap = self.snapshot();
         (0..self.len())
             .map(|i| {
                 if !self.alive[i] {
                     return f64::NAN;
                 }
-                let sp = dijkstra(&g, NodeId::from_index(i));
+                let dist = snap.apsp.dist_row(i);
                 node_cost_from_dists(
                     NodeId::from_index(i),
-                    &sp.dist,
+                    dist,
                     &self.prefs,
                     &self.alive,
-                    self.penalty,
+                    snap.penalty,
                 )
             })
             .collect()
     }
 
-    /// Cost of one node only.
-    pub fn individual_cost(&self, i: NodeId) -> f64 {
-        let g = self.graph();
-        let sp = dijkstra(&g, i);
-        node_cost_from_dists(i, &sp.dist, &self.prefs, &self.alive, self.penalty)
-    }
-
     /// Social cost: sum of individual costs over alive nodes.
-    pub fn social_cost(&self) -> f64 {
+    pub fn social_cost(&mut self) -> f64 {
         self.individual_costs()
             .into_iter()
             .filter(|c| c.is_finite())
@@ -213,19 +425,18 @@ impl Game {
     /// Mean individual cost of the full-mesh overlay on the same costs —
     /// the RON-style lower bound of Fig. 1.
     pub fn full_mesh_mean_cost(&self) -> f64 {
-        let g = egoist_graph::DiGraph::full_mesh(&self.costs);
-        let d = apsp(&g);
-        let alive: Vec<usize> = (0..self.len()).filter(|&i| self.alive[i]).collect();
+        let snap = self.snapshot();
+        let (n, costs) = (self.len(), &snap.announced);
+        let mesh = CsrGraph::from_fn(n, |i| {
+            let others = (0..n).filter(move |&j| j != i);
+            others.map(move |j| (j as u32, costs.at(i, j)))
+        });
+        let d = all_pairs::<MinPlus>(&mesh);
+        let alive = self.alive_nodes();
         let mut total = 0.0;
         for &i in &alive {
-            let row: Vec<f64> = (0..self.len()).map(|j| d.at(i, j)).collect();
-            total += node_cost_from_dists(
-                NodeId::from_index(i),
-                &row,
-                &self.prefs,
-                &self.alive,
-                self.penalty,
-            );
+            let row = d.dist_row(i.index());
+            total += node_cost_from_dists(i, row, &self.prefs, &self.alive, snap.penalty);
         }
         total / alive.len().max(1) as f64
     }
@@ -373,6 +584,35 @@ mod tests {
         assert_eq!(*report.rewirings.last().unwrap(), 0);
         // One more sweep stays at equilibrium.
         assert_eq!(g.sweep(), 0);
+    }
+
+    /// A static best-response game in the `wiring_br_delay_n500` shape
+    /// (n = 500, k = 8, delay, §5 sample m = 64), played to a no-change
+    /// sweep or the cap. A timing, not a check: `cargo test --release -p
+    /// egoist-core static_br_game_at_n500 -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn static_br_game_at_n500() {
+        use egoist_netsim::delay::DelayConfig;
+        use egoist_netsim::{PlanetLabSpec, Region};
+        const CAP: usize = 12;
+        let spec = PlanetLabSpec::uniform(Region::NorthAmerica, 500);
+        let d = DelayModel::from_spec(&spec, &DelayConfig::default(), 11);
+        for m in [64, usize::MAX] {
+            let mut g = Game::new(d.base().clone(), 8, PolicyKind::BestResponse, 11);
+            g.sample_size = m;
+            let start = std::time::Instant::now();
+            let report = g.run_to_convergence(CAP);
+            let wall = start.elapsed().as_secs_f64();
+            let (social, mesh) = (g.social_cost(), g.full_mesh_mean_cost());
+            let ratio = social / g.len() as f64 / mesh;
+            let m = if m == usize::MAX {
+                "all".into()
+            } else {
+                m.to_string()
+            };
+            println!("m={m} {report:?} wall_s={wall:.2} cost_ratio={ratio:.4}");
+        }
     }
 
     #[test]

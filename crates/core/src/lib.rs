@@ -19,8 +19,10 @@
 //!   k-Regular, HybridBR, and the bandwidth-objective BR of §4.1.
 //! * [`sampling`] — §5's scalability mechanisms: unbiased random sampling
 //!   and topology-based biased sampling with the `b_ij` ranking function.
-//! * [`game`] — iterated best-response dynamics over an overlay: staggered
-//!   re-wiring, convergence detection, re-wiring counts, social cost.
+//! * [`game`] — the one wiring turn both dynamics engines play, and
+//!   iterated best-response dynamics on static costs over the route-state
+//!   engine: round-robin re-wiring, convergence detection, re-wiring
+//!   counts, social cost.
 //! * [`sim`] — the epoch simulator that stands in for the PlanetLab
 //!   deployment; regenerates every figure of §4 (see `crates/bench`).
 //! * [`cheat`] — free riders (cost inflation) and the audit countermeasure

@@ -14,6 +14,8 @@
 //! quantity is how many edge-disjoint overlay paths connect source to
 //! target when the source fans out through its `k` neighbors.
 
+use crate::game::Game;
+use crate::policies::PolicyKind;
 use egoist_graph::disjoint::edge_disjoint_paths;
 use egoist_graph::maxflow::max_flow;
 use egoist_graph::widest::widest_paths;
@@ -126,49 +128,18 @@ pub fn average_gains(
     (parallel, bound)
 }
 
-/// Build a bandwidth-objective overlay: every node wires with the
-/// bandwidth best response (§4.1), iterated for `sweeps` rounds so later
-/// choices see earlier ones. Edge costs are the model's true available
-/// bandwidths.
+/// Build a bandwidth-objective overlay: the static bandwidth game
+/// ([`Game::bandwidth`]) on the model's true available bandwidths, every
+/// node playing the bandwidth best response (§4.1) for `sweeps`
+/// round-robin sweeps so later choices see earlier ones. Edge costs are
+/// those bandwidths.
 pub fn bandwidth_overlay(bw: &BandwidthModel, k: usize, sweeps: usize) -> DiGraph {
-    use crate::cost::Preferences;
-    use crate::policies::bandwidth::{all_pairs_widest, bandwidth_best_response};
-    use crate::policies::WiringContext;
-    use crate::residual::ResidualView;
-
-    let n = bw.len();
-    let prefs = Preferences::uniform(n);
-    let alive = vec![true; n];
-    let truth = bw.available_matrix();
-    let mut g = DiGraph::new(n);
+    // Bandwidth best response draws nothing, so the seed is inert.
+    let mut game = Game::bandwidth(bw.available_matrix(), k, PolicyKind::BestResponse, 0);
     for _ in 0..sweeps.max(1) {
-        for i in 0..n {
-            let me = NodeId::from_index(i);
-            let mut residual = g.clone();
-            residual.clear_out_edges(me);
-            let residual_bw = all_pairs_widest(&residual);
-            let candidates: Vec<NodeId> =
-                (0..n).filter(|&j| j != i).map(NodeId::from_index).collect();
-            let direct: Vec<f64> = (0..n).map(|j| bw.available(i, j)).collect();
-            let ctx = WiringContext {
-                node: me,
-                k,
-                candidates: &candidates,
-                direct: &direct,
-                residual: ResidualView::dense(&residual_bw),
-                prefs: &prefs,
-                alive: &alive,
-                penalty: 0.0,
-                current: &[],
-            };
-            let (wiring, _) = bandwidth_best_response(&ctx, &mut Default::default());
-            g.clear_out_edges(me);
-            for w in wiring {
-                g.add_edge(me, w, truth.get(me, w));
-            }
-        }
+        game.sweep();
     }
-    g
+    game.graph()
 }
 
 /// Edge-disjoint overlay paths per ordered pair (Fig. 11); the count is

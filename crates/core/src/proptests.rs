@@ -694,6 +694,148 @@ proptest! {
     }
 }
 
+/// The static game as it was before it moved onto the route-state
+/// engine: every move rebuilds `G−i` and runs a from-scratch all-pairs
+/// pass over it, every cost query runs a Dijkstra per node.
+struct DenseGame {
+    costs: DistanceMatrix,
+    widest: bool,
+    penalty: f64,
+    k: usize,
+    wiring: Wiring,
+    alive: Vec<bool>,
+    prefs: Preferences,
+    policy: Box<dyn crate::policies::Policy + Send + Sync>,
+    rng: StdRng,
+}
+
+impl DenseGame {
+    fn new(costs: DistanceMatrix, widest: bool, k: usize, kind: PolicyKind, seed: u64) -> Self {
+        let n = costs.len();
+        let (penalty, policy) = if widest {
+            (0.0, kind.instantiate_bandwidth())
+        } else {
+            (
+                crate::cost::disconnection_penalty(&costs),
+                kind.instantiate(),
+            )
+        };
+        DenseGame {
+            penalty,
+            policy,
+            costs,
+            widest,
+            k,
+            wiring: Wiring::empty(n),
+            alive: vec![true; n],
+            prefs: Preferences::uniform(n),
+            rng: StdRng::seed_from_u64(seed ^ 0x6A3E),
+        }
+    }
+
+    fn turn(&mut self, i: NodeId) -> bool {
+        let candidates: Vec<NodeId> = (0..self.costs.len())
+            .filter(|&j| j != i.index() && self.alive[j])
+            .map(NodeId::from_index)
+            .collect();
+        if !self.alive[i.index()] || candidates.is_empty() {
+            return false;
+        }
+        let g = self.wiring.residual_graph(i, &self.costs, &self.alive);
+        let residual = if self.widest {
+            crate::policies::bandwidth::all_pairs_widest(&g)
+        } else {
+            apsp(&g)
+        };
+        let current = self.wiring.of(i).to_vec();
+        let ctx = WiringContext {
+            node: i,
+            k: self.k,
+            candidates: &candidates,
+            direct: self.costs.row(i.index()),
+            residual: crate::residual::ResidualView::dense(&residual),
+            prefs: &self.prefs,
+            alive: &self.alive,
+            penalty: self.penalty,
+            current: &current,
+        };
+        let new = self.policy.wire(&ctx, &mut self.rng);
+        self.wiring.rewire(i, new)
+    }
+
+    fn social_cost(&self) -> f64 {
+        let g = self.wiring.to_graph(&self.costs, &self.alive);
+        let alive = (0..self.costs.len()).filter(|&i| self.alive[i]);
+        alive
+            .map(|i| {
+                let sp = egoist_graph::dijkstra::dijkstra(&g, NodeId::from_index(i));
+                let i = NodeId::from_index(i);
+                crate::cost::node_cost_from_dists(
+                    i,
+                    &sp.dist,
+                    &self.prefs,
+                    &self.alive,
+                    self.penalty,
+                )
+            })
+            .filter(|c| c.is_finite())
+            .sum()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The static game on the route-state engine is the dense per-move
+    /// game it replaced, on tie-heavy costs (integers 1..=4), for every
+    /// policy on both semirings: the same move and the same wiring after
+    /// every turn and, on additive costs, the same social-cost bits after
+    /// every sweep — with a node toggled dead or alive through the public
+    /// `alive` before each sweep (a returner keeps its links, so its join
+    /// is followed by a re-wiring delta).
+    #[test]
+    fn game_plays_the_dense_per_move_game(
+        n in 5usize..13,
+        costs in proptest::collection::vec(1u32..5, 12 * 12),
+        policy in 0usize..7,
+        toggles in proptest::collection::vec(0usize..12, 4),
+        seed in 0u64..1000,
+    ) {
+        let d = DistanceMatrix::from_fn(n, |i, j| costs[i * 12 + j] as f64);
+        let kind = [
+            PolicyKind::BestResponse,
+            PolicyKind::ExactBestResponse,
+            PolicyKind::EpsilonBestResponse { epsilon: 0.05 },
+            PolicyKind::HybridBestResponse { k2: 2 },
+            PolicyKind::Random,
+            PolicyKind::Closest,
+            PolicyKind::Regular,
+        ][policy];
+        for widest in [false, true] {
+            let mut game = if widest {
+                crate::game::Game::bandwidth(d.clone(), 3, kind, seed)
+            } else {
+                crate::game::Game::new(d.clone(), 3, kind, seed)
+            };
+            let mut dense = DenseGame::new(d.clone(), widest, 3, kind, seed);
+            for (sweep, &x) in toggles.iter().enumerate() {
+                let x = x % n;
+                game.alive[x] = !game.alive[x];
+                dense.alive[x] = game.alive[x];
+                for i in (0..n).map(NodeId::from_index) {
+                    let moved = game.rewire_node(i);
+                    prop_assert_eq!(moved, dense.turn(i), "sweep {} node {:?}", sweep, i);
+                    prop_assert_eq!(&game.wiring, &dense.wiring, "sweep {} node {:?}", sweep, i);
+                }
+                if !widest {
+                    let (got, want) = (game.social_cost(), dense.social_cost());
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "sweep {}", sweep);
+                }
+            }
+        }
+    }
+}
+
 /// A wiring context over `n` nodes where roughly `null_share` of the
 /// candidates `1..n` were never measured (`UNREACHED` direct cost on
 /// semiring `D`, so `build_in` gives them the null row), with a few dead

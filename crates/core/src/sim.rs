@@ -23,16 +23,14 @@ use crate::cheat::CheatConfig;
 use crate::cost::{
     disconnection_penalty, node_cost_from_dists, realized_rows, widest_rows, Preferences,
 };
+use crate::game::{alive_others, play_turn, Residual, Turn};
 use crate::policies::bandwidth::all_pairs_widest;
 use crate::policies::hybrid::HybridBr;
-use crate::policies::{Policy, PolicyKind, WiringContext};
-use crate::residual::ResidualView;
-use crate::sampling::shortlist;
+use crate::policies::{Policy, PolicyKind};
 use crate::snapshot::{RebuildCause, RouteState, RouteStats, SnapshotKind};
 use crate::wiring::Wiring;
 use egoist_graph::apsp::apsp;
 use egoist_graph::connectivity::strongly_connected;
-use egoist_graph::csr::{MaxMin, MinPlus};
 use egoist_graph::cycles::ring_edges;
 use egoist_graph::{DistanceMatrix, NodeId};
 use egoist_netsim::churn::ChurnTrace;
@@ -93,9 +91,9 @@ pub struct SimConfig {
     pub cheat: CheatConfig,
     /// Route-state engine (see [`EngineMode`]).
     pub engine: EngineMode,
-    /// §5's `m`: a best-response turn solves over a [`shortlist`] of its
-    /// links plus `m` candidates instead of all `n − 1` (`usize::MAX`:
-    /// always all).
+    /// §5's `m`: a best-response turn solves over a
+    /// [`shortlist`](crate::sampling::shortlist) of its links plus `m`
+    /// candidates instead of all `n − 1` (`usize::MAX`: always all).
     /// Absolute, not a fraction of `n`: the sample that finds a good
     /// wiring does not grow with the overlay (§5, figs 5–8).
     pub sample_size: usize,
@@ -236,21 +234,17 @@ pub struct Simulator {
 }
 
 /// Simulator-level obs handles. Span hierarchy (by dotted name):
-/// `core.epoch` → `core.epoch.turn` → `core.epoch.turn.solver` (plus
-/// the `residual`/`absorb` siblings recorded by [`RouteState`]) and
-/// `core.epoch.churn` (membership events and the deltas that absorb
-/// them), with `core.measure` beside the epoch loop.
+/// `core.epoch` → `core.epoch.turn` → `core.epoch.turn.solver` (recorded
+/// by the shared turn, plus the `residual`/`absorb` siblings recorded by
+/// [`RouteState`]) and `core.epoch.churn` (membership events and the
+/// deltas that absorb them), with `core.measure` beside the epoch loop.
 struct SimObs {
     epoch: egoist_obs::Timer,
     turn: egoist_obs::Timer,
     churn: egoist_obs::Timer,
-    solver: egoist_obs::Timer,
     measure: egoist_obs::Timer,
     rewirings: egoist_obs::Counter,
     turns: egoist_obs::Counter,
-    /// Candidates a best-response turn was offered / solved over.
-    shortlist_offered: egoist_obs::Counter,
-    shortlist_kept: egoist_obs::Counter,
 }
 
 impl SimObs {
@@ -260,12 +254,9 @@ impl SimObs {
             epoch: r.timer("core.epoch"),
             turn: r.timer("core.epoch.turn"),
             churn: r.timer("core.epoch.churn"),
-            solver: r.timer("core.epoch.turn.solver"),
             measure: r.timer("core.measure"),
             rewirings: r.counter("core.rewirings"),
             turns: r.counter("core.turns"),
-            shortlist_offered: r.counter("core.shortlist.offered"),
-            shortlist_kept: r.counter("core.shortlist.kept"),
         }
     }
 }
@@ -484,49 +475,27 @@ impl Simulator {
         }
     }
 
-    /// Give node `i` its wiring turn. Returns whether the wiring changed.
+    /// Give node `i` its wiring turn — the one the static game plays too
+    /// (`game::play_turn`). Returns whether the wiring changed.
     ///
-    /// One turn for every metric and policy: the metric chose the policy
-    /// object (at construction) and chooses the path semiring of the
-    /// residual state here; whether residual state is built at all is
-    /// the policy's [`PolicyKind::needs_residual`].
+    /// The metric chose the policy object (at construction) and chooses
+    /// the path semiring here; whether residual state is built at all is
+    /// the policy's [`PolicyKind::needs_residual`], and the engine says
+    /// where it comes from: the epoch snapshot, or a from-scratch `G−i`
+    /// under [`EngineMode::Recompute`].
     fn rewire(&mut self, i: NodeId) -> bool {
         if !self.alive[i.index()] {
             return false;
         }
         self.pending_join[i.index()] = false;
-        let mut candidates: Vec<NodeId> = (0..self.cfg.n)
-            .filter(|&j| j != i.index() && self.alive[j])
-            .map(NodeId::from_index)
-            .collect();
+        let candidates = alive_others(i, &self.alive);
         if candidates.is_empty() {
             return false;
         }
         let direct = self.candidate_costs(i);
-        let current = self.wiring.of(i).to_vec();
-        if self.cfg.policy.needs_residual() {
-            // §5: solve over a sample. It is cut before the engines
-            // part ways, so both see the same candidates.
-            let mut keep = current.clone();
-            if let PolicyKind::HybridBestResponse { k2 } = self.cfg.policy {
-                keep.extend(HybridBr::new(k2).donated_links(i, &self.alive_ids()));
-            }
-            let (m, score) = (self.cfg.sample_size, |j: NodeId| direct[j.index()]);
-            let rng = &mut self.policy_rng;
-            let offered = candidates.len() as u64;
-            candidates = match self.cfg.metric {
-                Metric::Bandwidth => shortlist::<MaxMin>(&candidates, &keep, m, Some(&score), rng),
-                _ => shortlist::<MinPlus>(&candidates, &keep, m, Some(&score), rng),
-            };
-            self.obs.shortlist_offered.add(offered);
-            self.obs.shortlist_kept.add(candidates.len() as u64);
-        }
-
-        let (placeholder, recomputed);
-        let (residual, penalty) = if !self.cfg.policy.needs_residual() {
-            // Oblivious wirings rank by direct cost or id alone.
-            placeholder = vec![0.0; self.cfg.n];
-            (ResidualView::broadcast(&placeholder), 0.0)
+        let recomputed;
+        let residual = if !self.cfg.policy.needs_residual() {
+            Residual::Unread
         } else if self.cfg.engine == EngineMode::Recompute {
             // Reference oracle: rebuild everything from scratch.
             let announced = self.announced_cost_matrix();
@@ -536,47 +505,35 @@ impl Simulator {
                 SnapshotKind::Additive => apsp(&residual_graph),
                 SnapshotKind::Widest => all_pairs_widest(&residual_graph),
             };
-            (ResidualView::dense(&recomputed), penalty)
+            Residual::Dense(&recomputed, kind, penalty)
         } else {
-            // Epoch engine: shared snapshot + a view of the candidates'
-            // residual rows, the only ones a policy reads.
-            let penalty = match self.route_state.snapshot() {
-                Some(snap) => snap.penalty,
-                None => {
-                    let announced = self.announced_cost_matrix();
-                    let (kind, penalty) = self.snapshot_kind(&announced);
-                    let overlay = self.wiring.to_graph(&announced, &self.alive);
-                    self.route_state.rebuild(
-                        kind,
-                        announced,
-                        penalty,
-                        self.alive.clone(),
-                        &overlay,
-                    );
-                    penalty
-                }
-            };
-            (self.route_state.residual(i.index(), &candidates), penalty)
+            if self.route_state.snapshot().is_none() {
+                let announced = self.announced_cost_matrix();
+                let (kind, penalty) = self.snapshot_kind(&announced);
+                let overlay = self.wiring.to_graph(&announced, &self.alive);
+                let alive = self.alive.clone();
+                self.route_state
+                    .rebuild(kind, announced, penalty, alive, &overlay);
+            }
+            Residual::Snapshot
         };
-        let ctx = WiringContext {
+        let turn = Turn {
             node: i,
             k: self.cfg.k,
-            candidates: &candidates,
+            policy: self.cfg.policy,
+            sample_size: self.cfg.sample_size,
+            candidates,
             direct: &direct,
-            residual,
             prefs: self.demand_prefs.as_ref().unwrap_or(&self.prefs),
             alive: &self.alive,
-            penalty,
-            current: &current,
         };
-        let span = self.obs.solver.start();
-        let new = self.policy.wire(&ctx, &mut self.policy_rng);
-        drop(span);
-        let changed = self.wiring.rewire(i, new);
-        if changed {
-            self.route_state.note_rewire(i, &self.wiring, &self.alive);
-        }
-        changed
+        let policy = self.policy.as_mut();
+        let (route, wiring, rng) = (
+            &mut self.route_state,
+            &mut self.wiring,
+            &mut self.policy_rng,
+        );
+        play_turn(turn, residual, route, policy, wiring, rng)
     }
 
     /// Enforce the §3.2 connectivity cycle for k-Random / k-Closest: when

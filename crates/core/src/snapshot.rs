@@ -517,15 +517,12 @@ impl RouteState {
     /// kept through its down period. Put them back into the live
     /// snapshot, if any: the in-neighbours' CSR slices are rewritten in
     /// [`Wiring::to_graph`] order, and every row takes one insertion
-    /// repair seeded at `x` with the best of those links. The joiner
-    /// itself comes back unwired (a leave clears its wiring); its own
-    /// out-links arrive through [`Self::note_rewire`] at its first turn.
+    /// repair seeded at `x` with the best of those links. The joiner's
+    /// own out-links are not read here: they arrive through
+    /// [`Self::note_rewire`] — the simulator's at the joiner's first turn
+    /// (a leave cleared them), a static game's right after the join.
     pub fn note_join(&mut self, x: NodeId, wiring: &Wiring, alive: &[bool]) {
         debug_assert!(alive[x.index()], "note_join of a node that is not alive");
-        debug_assert!(
-            wiring.of(x).iter().all(|w| !alive[w.index()]),
-            "a joiner's out-links go through note_rewire"
-        );
         match self.snap.as_ref().map(|snap| snap.kind) {
             None => return,
             Some(SnapshotKind::Additive) => self.absorb_join::<MinPlus>(x, wiring, alive),
