@@ -145,20 +145,6 @@ pub fn node_cost_from_dists(
     c
 }
 
-/// Routing-cost evaluation over an overlay, separating announced from true
-/// edge costs.
-///
-/// Wiring and routing decisions both consume *announced* costs (that is
-/// all the link-state protocol gives you); the *realized* cost of a route
-/// is the sum of true costs along the announced-shortest path. With honest
-/// nodes the two matrices coincide and `realized == announced` distances.
-pub struct RoutingCosts {
-    /// Shortest-path distances over announced costs.
-    pub announced_dist: DistanceMatrix,
-    /// Realized (true-cost) distance along each announced-shortest path.
-    pub realized_dist: DistanceMatrix,
-}
-
 /// Route from each of `sources` over the announced-cost overlay and hand
 /// `visit` the source with its announced shortest-path distances and the
 /// realized cost of each of those routes — the true costs summed along
@@ -201,42 +187,6 @@ pub fn widest_rows(
     for i in sources {
         ws.sweep::<MaxMin>(&g, i.0, Sweep::default(), &mut width, &mut parent);
         visit(i, &width);
-    }
-}
-
-impl RoutingCosts {
-    /// Evaluate an overlay graph whose edges carry announced costs;
-    /// `true_cost(u, v)` supplies the true cost of each used edge.
-    /// Callers that consume one source at a time and need no matrices
-    /// use [`realized_rows`] directly.
-    pub fn evaluate(
-        announced: &DiGraph,
-        true_cost: impl FnMut(NodeId, NodeId) -> f64,
-    ) -> RoutingCosts {
-        let n = announced.len();
-        let mut rc = RoutingCosts {
-            announced_dist: DistanceMatrix::filled(n, f64::INFINITY),
-            realized_dist: DistanceMatrix::filled(n, f64::INFINITY),
-        };
-        let all = (0..n).map(NodeId::from_index);
-        realized_rows(announced, all, true_cost, |i, dist, realized| {
-            for j in 0..n {
-                rc.announced_dist.set_at(i.index(), j, dist[j]);
-                rc.realized_dist.set_at(i.index(), j, realized[j]);
-            }
-        });
-        rc
-    }
-
-    /// Mean realized individual cost per node over alive destinations.
-    pub fn individual_costs(&self, prefs: &Preferences, alive: &[bool], penalty: f64) -> Vec<f64> {
-        let n = self.realized_dist.len();
-        (0..n)
-            .map(|i| {
-                let row: Vec<f64> = (0..n).map(|j| self.realized_dist.at(i, j)).collect();
-                node_cost_from_dists(NodeId::from_index(i), &row, prefs, alive, penalty)
-            })
-            .collect()
     }
 }
 
@@ -334,9 +284,11 @@ mod tests {
         let mut g = DiGraph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 2.0);
         g.add_edge(NodeId(1), NodeId(2), 3.0);
-        let rc = RoutingCosts::evaluate(&g, |u, v| g.edge_cost(u, v).unwrap());
-        assert_eq!(rc.announced_dist.at(0, 2), 5.0);
-        assert_eq!(rc.realized_dist.at(0, 2), 5.0);
+        let honest = |u, v| g.edge_cost(u, v).unwrap();
+        realized_rows(&g, [NodeId(0)], honest, |_, dist, realized| {
+            assert_eq!(dist[2], 5.0);
+            assert_eq!(realized[2], 5.0);
+        });
     }
 
     #[test]
@@ -348,15 +300,17 @@ mod tests {
         announced.add_edge(NodeId(0), NodeId(1), 1.0);
         announced.add_edge(NodeId(1), NodeId(2), 9.0); // true 1.0
         announced.add_edge(NodeId(0), NodeId(2), 3.0);
-        let rc = RoutingCosts::evaluate(&announced, |u, v| {
+        let truth = |u, v| {
             if (u, v) == (NodeId(1), NodeId(2)) {
                 1.0
             } else {
                 announced.edge_cost(u, v).unwrap()
             }
+        };
+        realized_rows(&announced, [NodeId(0)], truth, |_, dist, realized| {
+            assert_eq!(dist[2], 3.0);
+            assert_eq!(realized[2], 3.0);
         });
-        assert_eq!(rc.announced_dist.at(0, 2), 3.0);
-        assert_eq!(rc.realized_dist.at(0, 2), 3.0);
         // The honest network would have realized 2.0; the lie costs 0→ 1.0.
     }
 
@@ -382,38 +336,29 @@ mod tests {
                 }
             }
             let truth = DistanceMatrix::from_fn(n, |i, j| ((i * 31 + j * 17) % 97) as f64 * 0.1);
-            let rc = RoutingCosts::evaluate(&g, |u, v| truth.get(u, v));
             let announced = apsp(&g);
-            for i in 0..n {
-                let sp = dijkstra(&g, NodeId::from_index(i));
-                for j in 0..n {
-                    let walked = match sp.path_to(NodeId::from_index(j)) {
-                        Some(path) => path.windows(2).fold(0.0, |c, w| c + truth.get(w[0], w[1])),
-                        None => f64::INFINITY,
-                    };
-                    assert_eq!(rc.realized_dist.at(i, j).to_bits(), walked.to_bits());
-                    assert_eq!(
-                        rc.announced_dist.at(i, j).to_bits(),
-                        announced.at(i, j).to_bits()
-                    );
-                }
-            }
+            let mut seen = 0;
+            let all = (0..n).map(NodeId::from_index);
+            realized_rows(
+                &g,
+                all,
+                |u, v| truth.get(u, v),
+                |i, dist, realized| {
+                    let sp = dijkstra(&g, i);
+                    for j in 0..n {
+                        let walked = match sp.path_to(NodeId::from_index(j)) {
+                            Some(path) => {
+                                path.windows(2).fold(0.0, |c, w| c + truth.get(w[0], w[1]))
+                            }
+                            None => f64::INFINITY,
+                        };
+                        assert_eq!(realized[j].to_bits(), walked.to_bits());
+                        assert_eq!(dist[j].to_bits(), announced.at(i.index(), j).to_bits());
+                    }
+                    seen += 1;
+                },
+            );
+            assert_eq!(seen, n);
         }
-    }
-
-    #[test]
-    fn individual_costs_vector_shape() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(0), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        g.add_edge(NodeId(2), NodeId(1), 1.0);
-        let rc = RoutingCosts::evaluate(&g, |u, v| g.edge_cost(u, v).unwrap());
-        let prefs = Preferences::uniform(3);
-        let costs = rc.individual_costs(&prefs, &[true, true, true], 1e6);
-        assert_eq!(costs.len(), 3);
-        // Node 1 is the hub: cheapest.
-        assert!(costs[1] < costs[0]);
-        assert!(costs[1] < costs[2]);
     }
 }

@@ -44,7 +44,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod wiring;
 
-pub use cost::{Preferences, RoutingCosts};
+pub use cost::Preferences;
 pub use game::Game;
 pub use policies::{Policy, PolicyKind, WiringContext};
 pub use residual::{OnDemandResidual, ResidualArena, ResidualView};

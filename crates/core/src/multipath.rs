@@ -16,10 +16,10 @@
 
 use crate::game::Game;
 use crate::policies::PolicyKind;
+use egoist_graph::csr::{MaxMin, Sweep};
 use egoist_graph::disjoint::edge_disjoint_paths;
 use egoist_graph::maxflow::max_flow;
-use egoist_graph::widest::widest_paths;
-use egoist_graph::{DiGraph, NodeId};
+use egoist_graph::{CsrGraph, DiGraph, DijkstraWorkspace, NodeId};
 use egoist_netsim::BandwidthModel;
 
 /// Per-pair multipath analysis result.
@@ -63,29 +63,84 @@ pub fn analyze_pair(
     source: NodeId,
     target: NodeId,
 ) -> MultipathGain {
+    let hops = continuations(&CsrGraph::from_digraph(overlay), source);
+    pair_gain(overlay, bw, source, target, &hops)
+}
+
+/// Average multipath gains over all ordered pairs of `members`.
+pub fn average_gains(
+    overlay: &DiGraph,
+    bw: &BandwidthModel,
+    members: &[NodeId],
+) -> (Vec<f64>, Vec<f64>) {
+    let csr = CsrGraph::from_digraph(overlay);
+    let mut parallel = Vec::new();
+    let mut bound = Vec::new();
+    for &s in members {
+        let hops = continuations(&csr, s);
+        for &t in members {
+            if s == t {
+                continue;
+            }
+            let g = pair_gain(overlay, bw, s, t, &hops);
+            if g.parallel_gain().is_finite() {
+                parallel.push(g.parallel_gain());
+            }
+            if g.max_flow_gain().is_finite() {
+                bound.push(g.max_flow_gain());
+            }
+        }
+    }
+    (parallel, bound)
+}
+
+/// Each first hop `v_l` of `source`, in the overlay's edge order, with the
+/// width of the widest continuation `v_l ⇝ v_j` to every `v_j` over the
+/// overlay *without `source`'s out-edges* (sessions must diverge at the
+/// source's access links): one masked max-min sweep per first hop,
+/// shared by every target. A first hop's own entry is the sweep's source
+/// value, `INFINITY`, so a target that is itself a first hop is limited
+/// only by that first hop and the session cap.
+fn continuations(g: &CsrGraph, source: NodeId) -> Vec<(usize, Vec<f64>)> {
+    let n = g.len();
+    let mut ws = DijkstraWorkspace::new(n);
+    let mut parent = vec![0u32; n];
+    let residual = Sweep {
+        mask: Some(source.0),
+        ..Sweep::default()
+    };
+    let (first_hops, _) = g.out(source.index());
+    first_hops
+        .iter()
+        .map(|&l| {
+            let mut width = vec![0.0; n];
+            ws.sweep::<MaxMin>(g, l, residual, &mut width, &mut parent);
+            (l as usize, width)
+        })
+        .collect()
+}
+
+/// One pair's gains from its source's [`continuations`].
+fn pair_gain(
+    overlay: &DiGraph,
+    bw: &BandwidthModel,
+    source: NodeId,
+    target: NodeId,
+    hops: &[(usize, Vec<f64>)],
+) -> MultipathGain {
     let direct = bw
         .direct_session_bandwidth(source.index(), target.index())
         .max(1e-9);
 
-    // Parallel sessions: one per first-hop neighbor. The continuation
-    // v_l ⇝ v_j uses the widest overlay path *without going back through
-    // the source* (sessions must diverge at the source's access links).
-    let mut residual = overlay.clone();
-    residual.clear_out_edges(source);
+    // Parallel sessions: one per first-hop neighbor. Session throughput:
+    // first hop availability, session cap at the source's peering point,
+    // and the overlay continuation.
     let mut parallel = 0.0;
-    for e in overlay.out_edges(source) {
-        let l = e.to;
-        let continuation = if l == target {
-            f64::INFINITY
-        } else {
-            widest_paths(&residual, l).width[target.index()]
-        };
-        // Session throughput: first hop availability, session cap at the
-        // source's peering point, and the overlay continuation.
+    for (l, width) in hops {
         let session = bw
-            .available(source.index(), l.index())
+            .available(source.index(), *l)
             .min(bw.session_cap(source.index()))
-            .min(continuation);
+            .min(width[target.index()]);
         if session.is_finite() {
             parallel += session;
         }
@@ -101,31 +156,6 @@ pub fn analyze_pair(
         parallel,
         max_flow_bound,
     }
-}
-
-/// Average multipath gains over all ordered pairs of `members`.
-pub fn average_gains(
-    overlay: &DiGraph,
-    bw: &BandwidthModel,
-    members: &[NodeId],
-) -> (Vec<f64>, Vec<f64>) {
-    let mut parallel = Vec::new();
-    let mut bound = Vec::new();
-    for &s in members {
-        for &t in members {
-            if s == t {
-                continue;
-            }
-            let g = analyze_pair(overlay, bw, s, t);
-            if g.parallel_gain().is_finite() {
-                parallel.push(g.parallel_gain());
-            }
-            if g.max_flow_gain().is_finite() {
-                bound.push(g.max_flow_gain());
-            }
-        }
-    }
-    (parallel, bound)
 }
 
 /// Build a bandwidth-objective overlay: the static bandwidth game
@@ -159,6 +189,94 @@ pub fn disjoint_path_counts(overlay: &DiGraph, members: &[NodeId]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egoist_graph::widest::widest_paths;
+    use rand::Rng;
+
+    /// [`analyze_pair`] as it was before the CSR port: a residual clone
+    /// per pair and one dense widest-path sweep per first hop — the
+    /// oracle the port is pinned to.
+    fn analyze_pair_dense(
+        overlay: &DiGraph,
+        bw: &BandwidthModel,
+        source: NodeId,
+        target: NodeId,
+    ) -> MultipathGain {
+        let direct = bw
+            .direct_session_bandwidth(source.index(), target.index())
+            .max(1e-9);
+        let mut residual = overlay.clone();
+        residual.clear_out_edges(source);
+        let mut parallel = 0.0;
+        for e in overlay.out_edges(source) {
+            let l = e.to;
+            let continuation = if l == target {
+                f64::INFINITY
+            } else {
+                widest_paths(&residual, l).width[target.index()]
+            };
+            let session = bw
+                .available(source.index(), l.index())
+                .min(bw.session_cap(source.index()))
+                .min(continuation);
+            if session.is_finite() {
+                parallel += session;
+            }
+        }
+        parallel = parallel.max(direct);
+        let max_flow_bound = max_flow(overlay, source, target).max(parallel);
+        MultipathGain {
+            direct,
+            parallel,
+            max_flow_bound,
+        }
+    }
+
+    fn bits(g: MultipathGain) -> [u64; 3] {
+        [g.direct, g.parallel, g.max_flow_bound].map(f64::to_bits)
+    }
+
+    #[test]
+    fn csr_port_equals_the_dense_per_pair_loop() {
+        for seed in 0..24u64 {
+            let mut rng = egoist_netsim::rng::derive(seed, "multipath-port");
+            let n = rng.random_range(4..20usize);
+            let bw = BandwidthModel::with_defaults(n, seed);
+            // Node 0 has no out-edges (it may have in-edges); node n − 1
+            // has no edges at all; about one edge in five carries 0 Mbps.
+            let mut g = DiGraph::new(n);
+            for i in 1..n - 1 {
+                for _ in 0..rng.random_range(0..5u32) {
+                    let j = rng.random_range(0..n - 1);
+                    if j != i {
+                        let mbps = if rng.random_range(0..5u32) == 0 {
+                            0.0
+                        } else {
+                            bw.available(i, j)
+                        };
+                        g.add_edge(NodeId::from_index(i), NodeId::from_index(j), mbps);
+                    }
+                }
+            }
+            let members: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+            let (mut parallel, mut bound) = (Vec::new(), Vec::new());
+            for &s in &members {
+                for &t in members.iter().filter(|&&t| t != s) {
+                    let want = analyze_pair_dense(&g, &bw, s, t);
+                    let got = analyze_pair(&g, &bw, s, t);
+                    assert_eq!(bits(got), bits(want), "seed {seed}: {s} → {t}");
+                    if want.parallel_gain().is_finite() {
+                        parallel.push(want.parallel_gain().to_bits());
+                    }
+                    if want.max_flow_gain().is_finite() {
+                        bound.push(want.max_flow_gain().to_bits());
+                    }
+                }
+            }
+            let (p, b) = average_gains(&g, &bw, &members);
+            assert_eq!(p.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), parallel);
+            assert_eq!(b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), bound);
+        }
+    }
 
     fn star_overlay(bw: &BandwidthModel, k: usize) -> DiGraph {
         // Each node links to the next k ids (a k-regular circulant) with
@@ -241,7 +359,7 @@ mod tests {
         let util = |g: &DiGraph| -> f64 {
             let mut total = 0.0;
             for &s in &members {
-                let wp = egoist_graph::widest::widest_paths(g, s);
+                let wp = widest_paths(g, s);
                 for &t in &members {
                     if s != t {
                         total += wp.width[t.index()];

@@ -32,11 +32,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     mean_of(&finite(xs))
 }
 
-/// Sample standard deviation of finite values.
-pub fn stddev(xs: &[f64]) -> f64 {
-    stddev_of(&finite(xs))
-}
-
 /// Half-width of the 95% confidence interval of the mean
 /// (normal approximation, `1.96 · s/√n`).
 pub fn ci95_half_width(xs: &[f64]) -> f64 {
@@ -117,15 +112,16 @@ mod tests {
     }
 
     #[test]
-    fn stddev_of_constant_is_zero() {
-        assert_eq!(stddev(&[5.0, 5.0, 5.0]), 0.0);
+    fn ci_of_constant_is_zero() {
+        assert_eq!(ci95_half_width(&[5.0, 5.0, 5.0]), 0.0);
     }
 
     #[test]
-    fn stddev_known_value() {
-        // Sample std of [2, 4, 4, 4, 5, 5, 7, 9] = ~2.138.
+    fn ci_known_value() {
+        // Sample std of [2, 4, 4, 4, 5, 5, 7, 9] = ~2.138, over √8.
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((stddev(&xs) - 2.138089935).abs() < 1e-6);
+        let want = 1.96 * 2.138089935 / 8f64.sqrt();
+        assert!((ci95_half_width(&xs) - want).abs() < 1e-6);
     }
 
     #[test]

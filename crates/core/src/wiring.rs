@@ -91,23 +91,6 @@ impl Wiring {
         g.clear_out_edges(i);
         g
     }
-
-    /// Total number of established links.
-    pub fn total_links(&self) -> usize {
-        self.neighbors.iter().map(Vec::len).sum()
-    }
-
-    /// Set-difference size between two wirings of the same node — used for
-    /// re-wiring accounting (how many links changed).
-    pub fn links_changed(old: &[NodeId], new: &[NodeId]) -> usize {
-        let mut o: Vec<NodeId> = old.to_vec();
-        let mut n: Vec<NodeId> = new.to_vec();
-        o.sort_unstable();
-        n.sort_unstable();
-        let in_old_not_new = o.iter().filter(|x| n.binary_search(x).is_err()).count();
-        let in_new_not_old = n.iter().filter(|x| o.binary_search(x).is_err()).count();
-        in_old_not_new.max(in_new_not_old)
-    }
 }
 
 #[cfg(test)]
@@ -148,29 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn links_changed_counts_swaps() {
-        let old = [NodeId(1), NodeId(2), NodeId(3)];
-        assert_eq!(
-            Wiring::links_changed(&old, &[NodeId(1), NodeId(2), NodeId(3)]),
-            0
-        );
-        assert_eq!(
-            Wiring::links_changed(&old, &[NodeId(1), NodeId(2), NodeId(4)]),
-            1
-        );
-        assert_eq!(
-            Wiring::links_changed(&old, &[NodeId(4), NodeId(5), NodeId(6)]),
-            3
-        );
-        assert_eq!(Wiring::links_changed(&old, &[]), 3);
-    }
-
-    #[test]
     fn clear_empties_wiring() {
         let mut w = Wiring::empty(2);
         w.rewire(NodeId(0), vec![NodeId(1)]);
         w.clear(NodeId(0));
         assert!(w.of(NodeId(0)).is_empty());
-        assert_eq!(w.total_links(), 0);
     }
 }

@@ -56,14 +56,6 @@ pub fn floyd_warshall(g: &DiGraph) -> DistanceMatrix {
     d
 }
 
-/// Shortest-path distances from every node *to* a fixed target, computed as
-/// one workspace sweep on the reversed CSR graph. Used by the
-/// topology-biased sampling ranking, which needs distances toward candidate
-/// neighborhoods.
-pub fn distances_to(g: &DiGraph, target: NodeId) -> Vec<f64> {
-    crate::csr::distances_to_csr(&crate::csr::CsrGraph::from_digraph(g), target.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,16 +105,5 @@ mod tests {
         assert!(d.at(0, 2).is_infinite());
         assert!(d.at(1, 3).is_infinite());
         assert_eq!(d.at(2, 3), 1.0);
-    }
-
-    #[test]
-    fn distances_to_matches_apsp_column() {
-        let mut g = ring(5);
-        g.add_edge(NodeId(1), NodeId(4), 0.25);
-        let d = apsp(&g);
-        let col = distances_to(&g, NodeId(4));
-        for (i, &c) in col.iter().enumerate() {
-            assert!((c - d.at(i, 4)).abs() < 1e-12);
-        }
     }
 }

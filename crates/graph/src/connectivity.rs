@@ -38,23 +38,6 @@ pub fn strongly_connected(g: &DiGraph, members: &[NodeId]) -> bool {
     members.iter().all(|m| bwd[m.index()])
 }
 
-/// True when the *undirected* version of the graph connects all `members`.
-/// (The paper's k-Random/k-Closest "connected" check before enforcing a
-/// cycle treats wires as usable in either direction for connectivity
-/// purposes; routing still respects direction.)
-pub fn weakly_connected(g: &DiGraph, members: &[NodeId]) -> bool {
-    if members.len() <= 1 {
-        return true;
-    }
-    let mut und = DiGraph::new(g.len());
-    for (a, b, c) in g.edges() {
-        und.add_edge(a, b, c);
-        und.add_edge(b, a, c);
-    }
-    let seen = reachable_from(&und, members[0]);
-    members.iter().all(|m| seen[m.index()])
-}
-
 /// Fraction of ordered alive pairs `(i, j)`, `i ≠ j`, with a directed path
 /// `i → j`. 1.0 for a strongly connected overlay.
 pub fn pairwise_reachability(g: &DiGraph, members: &[NodeId]) -> f64 {
@@ -83,13 +66,11 @@ mod tests {
     }
 
     #[test]
-    fn directed_line_is_weak_not_strong() {
+    fn directed_line_is_not_strong() {
         let mut g = DiGraph::new(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         g.add_edge(NodeId(1), NodeId(2), 1.0);
-        let all = ids(&[0, 1, 2]);
-        assert!(weakly_connected(&g, &all));
-        assert!(!strongly_connected(&g, &all));
+        assert!(!strongly_connected(&g, &ids(&[0, 1, 2])));
     }
 
     #[test]
@@ -125,7 +106,6 @@ mod tests {
     fn singleton_trivially_connected() {
         let g = DiGraph::new(1);
         assert!(strongly_connected(&g, &ids(&[0])));
-        assert!(weakly_connected(&g, &ids(&[0])));
         assert_eq!(pairwise_reachability(&g, &ids(&[0])), 1.0);
     }
 }

@@ -1016,18 +1016,6 @@ pub fn sweep_many<A: PathAlgebra>(
     pops
 }
 
-/// Shortest-path distances from every node *to* `target`: one workspace
-/// sweep on the reversed CSR graph (the CSR port of
-/// [`crate::apsp::distances_to`]).
-pub fn distances_to_csr(g: &CsrGraph, target: u32) -> Vec<f64> {
-    let n = g.len();
-    let rev = g.reversed();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![NO_PARENT; n];
-    DijkstraWorkspace::new(n).sssp_into(&rev, target, None, &mut dist, &mut parent);
-    dist
-}
-
 /// First hop from `source` toward every node, from a packed parent row
 /// (`None` for the source and unreachable nodes) — one O(n) sweep, the
 /// CSR counterpart of [`crate::dijkstra::ShortestPaths::first_hops`].
@@ -1200,7 +1188,6 @@ pub fn successive_disjoint_paths(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::apsp::distances_to;
     use crate::dijkstra::dijkstra;
     use crate::widest::widest_paths;
 
@@ -1415,19 +1402,6 @@ pub(crate) mod tests {
         let all: Vec<u32> = (0..n as u32).collect();
         let pops = assert_batch_is_per_source_sweeps::<MinPlus>(ws, &g, &all, Some(7));
         assert!(pops <= n as u64 + bound);
-    }
-
-    #[test]
-    fn reversed_distances_match_distances_to() {
-        let g = scrambled(25, 3);
-        let csr = CsrGraph::from_digraph(&g);
-        for t in [0u32, 7, 24] {
-            let oracle = distances_to(&g, NodeId(t));
-            let ported = distances_to_csr(&csr, t);
-            for j in 0..25 {
-                assert_eq!(oracle[j].to_bits(), ported[j].to_bits());
-            }
-        }
     }
 
     /// All-pairs state of `g` without `node`'s out-edges, re-inserted

@@ -205,11 +205,6 @@ pub fn dijkstra(g: &DiGraph, source: NodeId) -> ShortestPaths {
     }
 }
 
-/// Shortest-path distance for a single pair (convenience wrapper).
-pub fn distance(g: &DiGraph, from: NodeId, to: NodeId) -> Cost {
-    dijkstra(g, from).dist[to.index()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,8 +242,8 @@ mod tests {
     fn direction_matters() {
         let mut g = DiGraph::new(2);
         g.add_edge(NodeId(0), NodeId(1), 1.0);
-        assert_eq!(distance(&g, NodeId(0), NodeId(1)), 1.0);
-        assert!(distance(&g, NodeId(1), NodeId(0)).is_infinite());
+        assert_eq!(dijkstra(&g, NodeId(0)).dist[1], 1.0);
+        assert!(dijkstra(&g, NodeId(1)).dist[0].is_infinite());
     }
 
     #[test]

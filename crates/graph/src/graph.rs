@@ -72,15 +72,6 @@ impl DiGraph {
         self.adj[v.index()].clear();
     }
 
-    /// Drop all out-edges *and* in-edges of `v` — what happens to the
-    /// overlay when `v` churns OFF.
-    pub fn isolate(&mut self, v: NodeId) {
-        self.clear_out_edges(v);
-        for list in &mut self.adj {
-            list.retain(|e| e.to != v);
-        }
-    }
-
     /// Out-edges of `v` (the wiring `s_v`).
     #[inline]
     pub fn out_edges(&self, v: NodeId) -> &[Edge] {
@@ -134,31 +125,6 @@ impl DiGraph {
         g
     }
 
-    /// The complete overlay (`k = n − 1`): every ordered pair connected with
-    /// its direct cost — the full-mesh / RON reference of Fig. 1.
-    pub fn full_mesh(d: &DistanceMatrix) -> Self {
-        let n = d.len();
-        let mut g = DiGraph::new(n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    g.add_edge(NodeId::from_index(i), NodeId::from_index(j), d.at(i, j));
-                }
-            }
-        }
-        g
-    }
-
-    /// Re-read every edge cost from `d` (metric drift between epochs changes
-    /// costs without changing topology).
-    pub fn refresh_costs(&mut self, d: &DistanceMatrix) {
-        for (i, list) in self.adj.iter_mut().enumerate() {
-            for e in list {
-                e.cost = d.at(i, e.to.index());
-            }
-        }
-    }
-
     /// The graph with every edge reversed (used for in-reachability tests).
     pub fn reversed(&self) -> DiGraph {
         let mut g = DiGraph::new(self.len());
@@ -207,15 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn isolate_removes_both_directions() {
-        let mut g = tiny();
-        g.isolate(NodeId(0));
-        assert_eq!(g.out_degree(NodeId(0)), 0);
-        assert!(!g.has_edge(NodeId(2), NodeId(0)));
-        assert!(g.has_edge(NodeId(1), NodeId(2)));
-    }
-
-    #[test]
     fn from_wiring_uses_matrix_costs() {
         let d = DistanceMatrix::from_fn(3, |i, j| (10 * i + j) as f64);
         let wiring = vec![vec![NodeId(1)], vec![NodeId(2)], vec![NodeId(0)]];
@@ -223,22 +180,6 @@ mod tests {
         assert_eq!(g.edge_cost(NodeId(0), NodeId(1)), Some(1.0));
         assert_eq!(g.edge_cost(NodeId(1), NodeId(2)), Some(12.0));
         assert_eq!(g.edge_cost(NodeId(2), NodeId(0)), Some(20.0));
-    }
-
-    #[test]
-    fn full_mesh_has_n_squared_minus_n_edges() {
-        let d = DistanceMatrix::off_diagonal(5, 1.0);
-        let g = DiGraph::full_mesh(&d);
-        assert_eq!(g.edge_count(), 20);
-    }
-
-    #[test]
-    fn refresh_costs_rereads_matrix() {
-        let d0 = DistanceMatrix::off_diagonal(3, 1.0);
-        let mut g = DiGraph::full_mesh(&d0);
-        let d1 = DistanceMatrix::off_diagonal(3, 4.0);
-        g.refresh_costs(&d1);
-        assert_eq!(g.edge_cost(NodeId(0), NodeId(2)), Some(4.0));
     }
 
     #[test]

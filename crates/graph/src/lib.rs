@@ -7,27 +7,30 @@
 //!   [`NodeId`], the representation of an overlay wiring `S`.
 //! * [`DistanceMatrix`] — dense `n × n` cost matrices (link delays,
 //!   announced costs, available bandwidth).
-//! * [`dijkstra`] / [`apsp`] — single-source and all-pairs shortest paths,
-//!   the routing layer of Definition 1 (`d_S(v_i, v_j)`).
-//! * [`widest`] — maximum-bottleneck-bandwidth paths (the modified Dijkstra
-//!   of §4.1 used for the available-bandwidth cost metric).
-//! * [`csr`] — the hot-path stack: [`CsrGraph`], and one sweep, one
-//!   insertion repair, one removal repair and one all-pairs pass, each
-//!   generic over a [`csr::PathAlgebra`] ([`csr::MinPlus`] shortest
-//!   paths, [`csr::MaxMin`] widest paths). The dense `dijkstra` / `apsp`
-//!   / `widest` modules above are the references it is pinned against.
-//! * [`maxflow`] — Dinic's max-flow, the "all peers allow multipath
-//!   redirection" upper bound of Fig. 10.
-//! * [`disjoint`] — edge-disjoint path counting (Fig. 11) via unit-capacity
-//!   max-flow.
+//! * [`csr`] — the shortest-path stack every shipped caller uses:
+//!   [`CsrGraph`], and one sweep, one insertion repair, one removal repair
+//!   and one all-pairs pass, each generic over a [`csr::PathAlgebra`]
+//!   ([`csr::MinPlus`] shortest paths, [`csr::MaxMin`] the widest paths of
+//!   §4.1's available-bandwidth metric).
 //! * [`cycles`] — the id-offset bidirectional cycles used by HybridBR's
 //!   donated-link backbone (§3.3) and the "enforce a cycle" connectivity
 //!   fix-up of k-Random / k-Closest (§3.2).
-//! * [`connectivity`] — reachability and strong/weak connectivity tests.
-//! * [`efficiency`] — the Efficiency metric of §4.4 (reciprocal shortest
-//!   distance, zero when disconnected).
+//! * [`connectivity`] — reachability and strong connectivity tests.
 //! * [`mst`] — Prim's minimum spanning tree, implemented as the k-MST
 //!   backbone baseline the paper contrasts HybridBR against.
+//!
+//! The dense modules that remain beside `csr`, and why:
+//!
+//! * [`apsp`] — all-pairs shortest paths by `n` Dijkstra runs, for the
+//!   simulator's from-scratch `Recompute` oracle and `egoist-netsim`'s
+//!   underlay routing. The whole-stack benchmark imports it by this path.
+//! * [`dijkstra`] / [`widest`] — the single-source references `csr` is
+//!   pinned bit for bit against (`widest` also backs the bandwidth
+//!   policy's all-pairs widest-path reference).
+//! * [`maxflow`] / [`disjoint`] — Dinic's max-flow and the edge-disjoint
+//!   path count built on it: the only max-flow code, used for Fig. 10's
+//!   "all peers allow multipath redirection" bound and Fig. 11's disjoint
+//!   paths (§6).
 //!
 //! All algorithms are deterministic and panic-free on well-formed inputs;
 //! costs are `f64` with `f64::INFINITY` meaning "no edge / unreachable"
@@ -40,7 +43,6 @@ pub mod csr;
 pub mod cycles;
 pub mod dijkstra;
 pub mod disjoint;
-pub mod efficiency;
 pub mod graph;
 pub mod matrix;
 pub mod maxflow;

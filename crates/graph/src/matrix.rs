@@ -86,32 +86,6 @@ impl DistanceMatrix {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Swap the backing row-major storage with `other` (lengths must
-    /// match) — zero-copy buffer rotation for hot loops.
-    pub fn swap_raw(&mut self, other: &mut Vec<Cost>) {
-        assert_eq!(other.len(), self.data.len(), "swap_raw length mismatch");
-        std::mem::swap(&mut self.data, other);
-    }
-
-    /// Mean of all finite off-diagonal entries; `None` if there are none.
-    pub fn mean_off_diagonal(&self) -> Option<Cost> {
-        let mut sum = 0.0;
-        let mut cnt = 0usize;
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j && self.data[i * self.n + j].is_finite() {
-                    sum += self.data[i * self.n + j];
-                    cnt += 1;
-                }
-            }
-        }
-        if cnt == 0 {
-            None
-        } else {
-            Some(sum / cnt as f64)
-        }
-    }
-
     /// Restrict the matrix to the sub-population `keep` (in the given
     /// order), renumbering nodes densely. Used by the sampling machinery
     /// of §5 to scale down the BR input.
@@ -164,20 +138,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.at(0, 1), 31.0);
         assert_eq!(s.at(1, 0), 13.0);
-    }
-
-    #[test]
-    fn mean_skips_infinite() {
-        let mut m = DistanceMatrix::off_diagonal(3, 2.0);
-        m.set(NodeId(0), NodeId(1), f64::INFINITY);
-        let mean = m.mean_off_diagonal().unwrap();
-        assert!((mean - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_none_when_all_infinite() {
-        let m = DistanceMatrix::off_diagonal(2, f64::INFINITY);
-        assert!(m.mean_off_diagonal().is_none());
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl From<u32> for NodeId {
 /// Edge/path cost. `f64::INFINITY` encodes "no edge" or "unreachable".
 pub type Cost = f64;
 
-/// Returns an iterator over all node ids `0..n`.
-pub fn all_nodes(n: usize) -> impl Iterator<Item = NodeId> {
-    (0..n as u32).map(NodeId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,12 +62,6 @@ mod tests {
     fn node_id_ordering_is_dense_index_ordering() {
         assert!(NodeId(3) < NodeId(10));
         assert_eq!(NodeId(5), NodeId::from_index(5));
-    }
-
-    #[test]
-    fn all_nodes_yields_each_id_once() {
-        let v: Vec<NodeId> = all_nodes(4).collect();
-        assert_eq!(v, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]

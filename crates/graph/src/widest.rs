@@ -109,11 +109,6 @@ pub fn widest_paths(g: &DiGraph, source: NodeId) -> WidestPaths {
     }
 }
 
-/// Bottleneck bandwidth for a single pair.
-pub fn bottleneck(g: &DiGraph, from: NodeId, to: NodeId) -> Cost {
-    widest_paths(g, from).width[to.index()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +169,6 @@ mod tests {
         }
         // Paths 0→3: [0,1,3] = min(7,2)=2; [0,2,3] = min(5,6)=5;
         // [0,1,2,3] = min(7,9,6)=6.
-        assert_eq!(bottleneck(&g, NodeId(0), NodeId(3)), 6.0);
+        assert_eq!(widest_paths(&g, NodeId(0)).width[3], 6.0);
     }
 }

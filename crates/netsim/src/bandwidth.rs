@@ -190,12 +190,6 @@ impl BandwidthModel {
         (truth * (1.0 + noise.sample(&mut rng))).max(0.0)
     }
 
-    /// Probe traffic injected for one estimate (Mbit): ≈2% of the measured
-    /// bandwidth over a 1-second chirp train (§4.3's "less than 2%").
-    pub fn probe_cost_mbit(&self, i: usize, j: usize) -> f64 {
-        0.02 * self.available(i, j)
-    }
-
     /// Per-session rate cap of source `i` (peering-point shaping, §6.1).
     pub fn session_cap(&self, i: usize) -> f64 {
         self.up[i] * self.cfg.session_cap_fraction
@@ -207,7 +201,7 @@ impl BandwidthModel {
         self.available(i, j).min(self.session_cap(i))
     }
 
-    /// Uplink capacity accessor (used by multipath analysis).
+    /// Uplink capacity accessor.
     pub fn up_capacity(&self, i: usize) -> f64 {
         self.up[i]
     }
@@ -279,13 +273,6 @@ mod tests {
             m.advance(60.0, &mut rng);
         }
         assert_ne!(before, m.available(0, 1));
-    }
-
-    #[test]
-    fn probe_cost_is_two_percent() {
-        let m = BandwidthModel::with_defaults(5, 6);
-        let c = m.probe_cost_mbit(0, 1);
-        assert!((c - 0.02 * m.available(0, 1)).abs() < 1e-12);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   candidate peers.
 //! * [`overhead`] — byte accounting per message class, checked against
 //!   §4.3's analytic overhead formulas.
-//! * [`audit`] — the §3.4 countermeasure: compare declared link-state
-//!   costs against independent (Vivaldi) estimates and flag liars.
+//! * [`audit`] — the §3.4 triangle-inequality ranking of second-hand
+//!   (third-party) link claims.
 //! * [`adversary`] — scripted Sybil swarms and eclipse lures on a
 //!   shared endpoint budget, for exercising the peer-scoring defenses.
 //! * [`fleet`] — the deterministic adversarial fleet harness: a whole

@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`obs`] | `egoist-obs` | deterministic spans, counters, histograms, flight recorder, JSON/Prometheus export |
-//! | [`graph`] | `egoist-graph` | shortest/widest paths, max-flow, disjoint paths, cycles, efficiency |
+//! | [`graph`] | `egoist-graph` | shortest/widest paths, max-flow, disjoint paths, cycles |
 //! | [`netsim`] | `egoist-netsim` | delay/bandwidth/load models, churn, event queue, fault injection |
 //! | [`coord`] | `egoist-coord` | Vivaldi network coordinates (the paper's pyxida mode) |
 //! | [`core`] | `egoist-core` | SNS policies (BR, BR(ε), HybridBR, heuristics), sampling, game dynamics, the epoch simulator |
