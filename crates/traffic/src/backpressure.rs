@@ -29,10 +29,10 @@
 //! destination id), so two same-seed runs are bit-identical.
 
 use crate::demand::Flow;
-use crate::queue::QueueBank;
+use crate::queue::{InjectionRuns, QueueBank};
 use crate::router::{FlowTally, RouteInputs, RouteOutcome};
 use egoist_graph::NodeId;
-use std::collections::HashMap;
+use std::collections::BinaryHeap;
 
 const EPS: f64 = 1e-9;
 
@@ -66,8 +66,54 @@ pub struct BackpressureEngine {
     /// the path routers so latencies are comparable).
     proc_ms_per_load: f64,
     queues: QueueBank,
-    /// Volume each link committed in its previous service slot.
-    link_vq: HashMap<(u32, u32), f64>,
+    /// Row-major `n × n`: volume each link committed in its previous
+    /// service slot (0 for a link that never served).
+    link_vq: Vec<f64>,
+}
+
+/// One overlay link's constants for an epoch.
+struct Link {
+    src: NodeId,
+    dst: NodeId,
+    cap_slot: f64,
+    hop_lat: f64,
+    hop_prop: f64,
+}
+
+/// Per-destination deliveries of one epoch.
+struct Delivered {
+    amount: Vec<f64>,
+    lat_mass: Vec<f64>,
+    prop_mass: Vec<f64>,
+    /// Row-major `n × n` carried volume and per-node transmitted volume.
+    consumed: Vec<f64>,
+    forwarded: Vec<f64>,
+}
+
+impl Delivered {
+    fn new(n: usize) -> Self {
+        Delivered {
+            amount: vec![0.0; n],
+            lat_mass: vec![0.0; n],
+            prop_mass: vec![0.0; n],
+            consumed: vec![0.0; n * n],
+            forwarded: vec![0.0; n],
+        }
+    }
+}
+
+/// A link-slot's scratch: every commodity's key (one per destination,
+/// eligible ones first) and the heap the eligible ones are served from.
+struct ServeScratch {
+    scan: Vec<u128>,
+    order: BinaryHeap<u128>,
+}
+
+/// The serve order key of commodity `d` at differential `w > EPS`: a
+/// positive float's bits order like its value, and the low word makes
+/// ties pop the smaller id first from a max-heap.
+fn serve_key(w: f64, d: usize) -> u128 {
+    (u128::from(w.to_bits()) << 32) | u128::from(u32::MAX - d as u32)
 }
 
 impl BackpressureEngine {
@@ -77,7 +123,7 @@ impl BackpressureEngine {
             cfg,
             proc_ms_per_load,
             queues: QueueBank::new(n),
-            link_vq: HashMap::new(),
+            link_vq: vec![0.0; n * n],
         }
     }
 
@@ -91,20 +137,37 @@ impl BackpressureEngine {
         let n = self.n;
         debug_assert_eq!(inp.overlay.len(), n);
         let slots = self.cfg.slots.max(1);
+        let links = self.links(inp, slots);
 
-        // Deterministic edge list: DiGraph iteration order (by source
-        // node, then adjacency order). Per-slot capacity and hop costs
-        // are fixed for the epoch.
-        struct Link {
-            src: NodeId,
-            dst: NodeId,
-            cap_slot: f64,
-            hop_lat: f64,
-            hop_prop: f64,
+        // Per-destination accounting for this epoch.
+        let mut injected = vec![0.0f64; n];
+        for f in flows {
+            injected[f.dst.index()] += f.rate_mbps;
         }
-        let links: Vec<Link> = inp
-            .overlay
-            .edges()
+        let mut acc = Delivered::new(n);
+        let injection = InjectionRuns::new(n, flows, slots);
+        let mut scratch = ServeScratch {
+            scan: vec![0; n],
+            order: BinaryHeap::with_capacity(n),
+        };
+        for _slot in 0..slots {
+            // Source injection: each flow feeds its destination queue.
+            self.queues.inject_runs(&injection);
+            // Link service, in fixed edge order.
+            for link in &links {
+                self.serve(link, &mut scratch, &mut acc);
+            }
+            self.queues.age(self.cfg.slot_ms);
+        }
+        self.settle(flows, inp, &injected, &acc)
+    }
+
+    /// Deterministic edge list: DiGraph iteration order (by source node,
+    /// then adjacency order). Per-slot capacity and hop costs are fixed
+    /// for the epoch.
+    fn links(&self, inp: &RouteInputs<'_>, slots: usize) -> Vec<Link> {
+        let edges = inp.overlay.edges();
+        edges
             .filter_map(|(u, v, _)| {
                 let cap = inp.capacity.get(u, v);
                 if cap <= 0.0 {
@@ -119,43 +182,167 @@ impl BackpressureEngine {
                     hop_prop: prop,
                 })
             })
-            .collect();
+            .collect()
+    }
 
-        // Per-destination accounting for this epoch.
+    /// One slot of `link`: serve commodities by descending differential
+    /// `w = Q_src(d) − Q_dst(d) − VQ` (ties to the smaller id, `w > EPS`
+    /// only) until the slot's capacity is spent.
+    ///
+    /// One scan fixes the order. Serving `d` moves only `Q_src(d)` and
+    /// `Q_dst(d)`, and `VQ` is read once, so no other differential
+    /// changes; and each serve either drains `Q_src(d)` to exactly 0
+    /// (dropping `d` out) or spends the remaining capacity to exactly 0
+    /// (ending the slot). Re-running the argmax after each serve, as the
+    /// textbook loop does, therefore picks the next key of this scan.
+    fn serve(&mut self, link: &Link, scratch: &mut ServeScratch, acc: &mut Delivered) {
+        let n = self.n;
+        let at = link.src.index() * n + link.dst.index();
+        let vq = self.link_vq[at];
+        let mut cap_rem = link.cap_slot;
+        let mut sent = 0.0;
+        let mut keys = std::mem::take(&mut scratch.order).into_vec();
+        keys.clear();
+        if cap_rem > EPS {
+            let here = self.queues.backlog_row(link.src);
+            let there = self.queues.backlog_row(link.dst);
+            // Branch-free compaction: every key is written, only the
+            // eligible ones advance `kept`.
+            let mut kept = 0;
+            for d in 0..n {
+                let q_i = here[d];
+                let q_j = if d == link.dst.index() { 0.0 } else { there[d] };
+                let w = q_i - q_j - vq;
+                scratch.scan[kept] = serve_key(w, d);
+                kept += usize::from(q_i > EPS && w > EPS);
+            }
+            keys.extend_from_slice(&scratch.scan[..kept]);
+        }
+        let order = &mut scratch.order;
+        *order = BinaryHeap::from(keys);
+        while cap_rem > EPS {
+            let Some(key) = order.pop() else { break };
+            let d = (u32::MAX - key as u32) as usize;
+            let dest = NodeId(d as u32);
+            let avail = self.queues.backlog(link.src, dest);
+            let x = avail.min(cap_rem);
+            let mut parcel = self.queues.withdraw(link.src, dest, x);
+            if parcel.amount <= 0.0 {
+                break;
+            }
+            parcel.charge_hop(link.hop_lat, link.hop_prop);
+            if link.dst == dest {
+                acc.amount[d] += parcel.amount;
+                acc.lat_mass[d] += parcel.lat_mass;
+                acc.prop_mass[d] += parcel.prop_mass;
+            } else {
+                self.queues.deposit(link.dst, dest, parcel);
+            }
+            acc.consumed[at] += parcel.amount;
+            acc.forwarded[link.src.index()] += parcel.amount;
+            sent += parcel.amount;
+            cap_rem -= x;
+        }
+        self.link_vq[at] = sent;
+    }
+
+    /// Close the epoch: attribute per-destination deliveries back to
+    /// flows, proportionally to each flow's share of the commodity
+    /// injected this epoch (backlog drain beyond that stays unattributed
+    /// but still counts toward delivered throughput).
+    fn settle(
+        &self,
+        flows: &[Flow],
+        inp: &RouteInputs<'_>,
+        injected: &[f64],
+        acc: &Delivered,
+    ) -> RouteOutcome {
+        // Per destination, once: the delivered fraction and the means
+        // (`got > 0` implies `delivered > 0`, so a mean a flow reads
+        // exists).
+        let per_dest: Vec<(f64, (f64, f64))> = (0..self.n)
+            .map(|d| {
+                let delivered = acc.amount[d];
+                let frac = if injected[d] > 0.0 {
+                    (delivered / injected[d]).min(1.0)
+                } else {
+                    0.0
+                };
+                (
+                    frac,
+                    (acc.lat_mass[d] / delivered, acc.prop_mass[d] / delivered),
+                )
+            })
+            .collect();
+        let mut tally = FlowTally::new(flows.len(), inp);
+        for &flow in flows {
+            let (frac, means) = per_dest[flow.dst.index()];
+            tally.settle(flow, flow.rate_mbps * frac, means, 0);
+        }
+        self.observe_queues();
+        RouteOutcome {
+            delivered_mbps: acc.amount.iter().sum(),
+            ..tally.finish(&acc.consumed, &acc.forwarded)
+        }
+    }
+
+    fn observe_queues(&self) {
+        if !egoist_obs::is_enabled() {
+            return;
+        }
+        let obs = crate::router::traffic_obs();
+        for i in 0..self.n {
+            let node = NodeId(i as u32);
+            obs.queue_depth.observe(self.queues.node_depth(node));
+            for &b in self.queues.backlog_row(node) {
+                if b > 0.0 {
+                    obs.backlog.observe(b);
+                }
+            }
+        }
+    }
+}
+
+/// The pre-optimisation epoch, kept as the test oracle: per-flow
+/// injection every slot and a fresh argmax over all commodities before
+/// every serve.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub(crate) fn route_epoch(
+        bp: &mut BackpressureEngine,
+        flows: &[Flow],
+        inp: &RouteInputs<'_>,
+    ) -> RouteOutcome {
+        let n = bp.n;
+        let slots = bp.cfg.slots.max(1);
+        let links = bp.links(inp, slots);
         let mut injected = vec![0.0f64; n];
-        let mut delivered = vec![0.0f64; n];
-        let mut del_lat = vec![0.0f64; n];
-        let mut del_prop = vec![0.0f64; n];
-        let mut consumed = vec![0.0f64; n * n];
-        let mut forwarded = vec![0.0f64; n];
         for f in flows {
             injected[f.dst.index()] += f.rate_mbps;
         }
-
+        let mut acc = Delivered::new(n);
         for _slot in 0..slots {
-            // Source injection: each flow feeds its destination queue.
             for f in flows {
-                self.queues.inject(f.src, f.dst, f.rate_mbps / slots as f64);
+                bp.queues.inject(f.src, f.dst, f.rate_mbps / slots as f64);
             }
-
-            // Link service, in fixed edge order.
             for link in &links {
-                let vq = *self.link_vq.get(&(link.src.0, link.dst.0)).unwrap_or(&0.0);
+                let at = link.src.index() * n + link.dst.index();
+                let vq = bp.link_vq[at];
                 let mut cap_rem = link.cap_slot;
                 let mut sent = 0.0;
                 while cap_rem > EPS {
-                    // Commodity with the largest positive differential;
-                    // strict `>` keeps ties on the smallest id.
                     let mut best: Option<(usize, f64)> = None;
                     for d in 0..n {
-                        let q_i = self.queues.backlog(link.src, NodeId(d as u32));
+                        let q_i = bp.queues.backlog(link.src, NodeId(d as u32));
                         if q_i <= EPS {
                             continue;
                         }
                         let q_j = if d == link.dst.index() {
                             0.0
                         } else {
-                            self.queues.backlog(link.dst, NodeId(d as u32))
+                            bp.queues.backlog(link.dst, NodeId(d as u32))
                         };
                         let w = q_i - q_j - vq;
                         if w > EPS && best.map(|(_, bw)| w > bw).unwrap_or(true) {
@@ -164,66 +351,53 @@ impl BackpressureEngine {
                     }
                     let Some((d, _)) = best else { break };
                     let dest = NodeId(d as u32);
-                    let avail = self.queues.backlog(link.src, dest);
+                    let avail = bp.queues.backlog(link.src, dest);
                     let x = avail.min(cap_rem);
-                    let mut parcel = self.queues.withdraw(link.src, dest, x);
+                    let mut parcel = bp.queues.withdraw(link.src, dest, x);
                     if parcel.amount <= 0.0 {
                         break;
                     }
                     parcel.charge_hop(link.hop_lat, link.hop_prop);
                     if link.dst == dest {
-                        delivered[d] += parcel.amount;
-                        del_lat[d] += parcel.lat_mass;
-                        del_prop[d] += parcel.prop_mass;
+                        acc.amount[d] += parcel.amount;
+                        acc.lat_mass[d] += parcel.lat_mass;
+                        acc.prop_mass[d] += parcel.prop_mass;
                     } else {
-                        self.queues.deposit(link.dst, dest, parcel);
+                        bp.queues.deposit(link.dst, dest, parcel);
                     }
-                    consumed[link.src.index() * n + link.dst.index()] += parcel.amount;
-                    forwarded[link.src.index()] += parcel.amount;
+                    acc.consumed[at] += parcel.amount;
+                    acc.forwarded[link.src.index()] += parcel.amount;
                     sent += parcel.amount;
                     cap_rem -= x;
                 }
-                self.link_vq.insert((link.src.0, link.dst.0), sent);
+                bp.link_vq[at] = sent;
             }
-
-            self.queues.age(self.cfg.slot_ms);
+            bp.queues.age(bp.cfg.slot_ms);
         }
-
-        // Attribute per-destination deliveries back to flows,
-        // proportionally to each flow's share of the commodity injected
-        // this epoch (backlog drain beyond that stays unattributed but
-        // still counts toward delivered throughput).
         let mut tally = FlowTally::new(flows.len(), inp);
         for &flow in flows {
             let d = flow.dst.index();
             let frac = if injected[d] > 0.0 {
-                (delivered[d] / injected[d]).min(1.0)
+                (acc.amount[d] / injected[d]).min(1.0)
             } else {
                 0.0
             };
-            // `got > 0` implies `delivered[d] > 0`, so the means exist.
-            let means = (del_lat[d] / delivered[d], del_prop[d] / delivered[d]);
+            let means = (
+                acc.lat_mass[d] / acc.amount[d],
+                acc.prop_mass[d] / acc.amount[d],
+            );
             tally.settle(flow, flow.rate_mbps * frac, means, 0);
         }
-
-        let obs = crate::router::traffic_obs();
-        if egoist_obs::is_enabled() {
-            for i in 0..n {
-                let node = NodeId(i as u32);
-                obs.queue_depth.observe(self.queues.node_depth(node));
-                for d in 0..n {
-                    let b = self.queues.backlog(node, NodeId(d as u32));
-                    if b > 0.0 {
-                        obs.backlog.observe(b);
-                    }
-                }
-            }
-        }
-
         RouteOutcome {
-            delivered_mbps: delivered.iter().sum(),
-            ..tally.finish(&consumed, &forwarded)
+            delivered_mbps: acc.amount.iter().sum(),
+            ..tally.finish(&acc.consumed, &acc.forwarded)
         }
+    }
+
+    /// Every queue accumulator's bits and every virtual queue's bits.
+    pub(crate) fn state_bits(bp: &BackpressureEngine) -> (Vec<u64>, Vec<u64>) {
+        let vq = bp.link_vq.iter().map(|v| v.to_bits()).collect();
+        (bp.queues.bits(), vq)
     }
 }
 

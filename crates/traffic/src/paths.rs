@@ -9,11 +9,16 @@
 //!   propagation delay. Both are hop sums over state that is fixed for
 //!   the epoch, so they are pair constants, added up left to right
 //!   exactly as a per-flow walk would;
-//! * per **flow** — admission against the ledger, nothing else.
+//! * per **flow** — admission against the ledger, nothing else. A path
+//!   that admits nothing to a positive rate has a hop with zero residual;
+//!   residuals only shrink within an epoch, so it is marked dead and
+//!   later flows skip it without walking it.
 
+use crate::capacity::CapacityLedger;
 use crate::router::RouteInputs;
 use egoist_graph::csr::NO_PARENT;
 use egoist_graph::{CsrGraph, DijkstraWorkspace, NodeId};
+use std::ops::Range;
 
 /// What one hop costs a delivered flow.
 pub(crate) struct HopCosts<'a> {
@@ -98,15 +103,21 @@ pub(crate) fn append_tree_path(
 }
 
 /// One path of a pair and its epoch constants.
+#[derive(Clone, Copy)]
 pub(crate) struct PlanePath {
     start: u32,
     end: u32,
     pub(crate) latency_ms: f64,
     pub(crate) propagation_ms: f64,
+    /// A hop is saturated: the path admits nothing for the rest of the
+    /// epoch.
+    dead: bool,
 }
 
 /// Dense `n × n` pair table over a flat node arena, filled pair by pair
-/// in first-seen flow order.
+/// in first-seen flow order. A pair reopened for more paths moves its
+/// range to the end of the table, so every pair's paths stay one
+/// contiguous run.
 pub(crate) struct PathPlane {
     n: usize,
     /// Per pair, its range of `paths`; `UNSEEN` until the pair is opened.
@@ -137,6 +148,35 @@ impl PathPlane {
         (range != UNSEEN).then(|| &self.paths[range.0 as usize..range.1 as usize])
     }
 
+    /// Indices of the pair's paths, cheapest first; empty while the pair
+    /// has not been opened or has no route.
+    pub(crate) fn range(&self, src: NodeId, dst: NodeId) -> Range<usize> {
+        match self.pairs[src.index() * self.n + dst.index()] {
+            UNSEEN => 0..0,
+            (lo, hi) => lo as usize..hi as usize,
+        }
+    }
+
+    /// Admit up to `rate` Mbps on path `at` (an index from [`range`]);
+    /// a dead path returns 0 without touching the ledger, as the ledger
+    /// would.
+    ///
+    /// [`range`]: PathPlane::range
+    pub(crate) fn admit(&mut self, at: usize, ledger: &mut CapacityLedger, rate: f64) -> f64 {
+        let path = &mut self.paths[at];
+        if path.dead {
+            return 0.0;
+        }
+        let got = ledger.admit(&self.arena[path.start as usize..path.end as usize], rate);
+        path.dead = got <= 0.0 && rate > 0.0;
+        got
+    }
+
+    /// Path `at`, an index from [`range`](PathPlane::range).
+    pub(crate) fn path(&self, at: usize) -> &PlanePath {
+        &self.paths[at]
+    }
+
     /// The nodes of `path`, source first.
     pub(crate) fn nodes(&self, path: &PlanePath) -> &[NodeId] {
         &self.arena[path.start as usize..path.end as usize]
@@ -148,6 +188,19 @@ impl PathPlane {
         let at = self.paths.len() as u32;
         self.open = src.index() * self.n + dst.index();
         self.pairs[self.open] = (at, at);
+    }
+
+    /// Reopen `(src, dst)` so that the pushes that follow add to its
+    /// paths; they are moved to the end of the table first unless they
+    /// already are there (their nodes stay where they are in the arena).
+    pub(crate) fn reopen(&mut self, src: NodeId, dst: NodeId) {
+        self.open = src.index() * self.n + dst.index();
+        let (lo, hi) = self.pairs[self.open];
+        if hi as usize != self.paths.len() {
+            let at = self.paths.len() as u32;
+            self.paths.extend_from_within(lo as usize..hi as usize);
+            self.pairs[self.open] = (at, self.paths.len() as u32);
+        }
     }
 
     /// Append a path to the open pair and compute its constants.
@@ -163,6 +216,7 @@ impl PathPlane {
             end: self.arena.len() as u32,
             latency_ms,
             propagation_ms,
+            dead: false,
         });
         self.pairs[self.open].1 = self.paths.len() as u32;
     }

@@ -24,13 +24,14 @@ use crate::backpressure::{BackpressureConfig, BackpressureEngine};
 use crate::capacity::CapacityLedger;
 use crate::demand::Flow;
 use crate::paths::{append_tree_path, HopCosts, PathPlane, SourceTrees};
-use crate::router::{FlowRouter, FlowTally, RouteInputs, RouteOutcome, RouterConfig};
+use crate::router::{traffic_obs, FlowRouter, FlowTally, RouteInputs, RouteOutcome, RouterConfig};
 use egoist_graph::{CsrGraph, NodeId};
 
 /// One epoch of routing under some policy. Implementations may keep
 /// cross-epoch state (queues, smoothed delay estimates, remembered
 /// paths) but must stay deterministic: same construction + same call
-/// sequence → bit-identical outcomes.
+/// sequence → bit-identical outcomes. Every implementation times its
+/// epoch under the `traffic.route` timer, once per call.
 pub trait RoutingPolicy {
     fn label(&self) -> &'static str;
     fn route_epoch(&mut self, epoch: u64, flows: &[Flow], inp: &RouteInputs<'_>) -> RouteOutcome;
@@ -97,6 +98,7 @@ impl RoutingPolicy for ShortestPathPolicy {
     }
 
     fn route_epoch(&mut self, _epoch: u64, flows: &[Flow], inp: &RouteInputs<'_>) -> RouteOutcome {
+        let _span = traffic_obs().route.start();
         self.router.route(flows, inp)
     }
 }
@@ -112,6 +114,7 @@ impl RoutingPolicy for BackpressurePolicy {
     }
 
     fn route_epoch(&mut self, _epoch: u64, flows: &[Flow], inp: &RouteInputs<'_>) -> RouteOutcome {
+        let _span = traffic_obs().route.start();
         self.engine.route_epoch(flows, inp)
     }
 }
@@ -213,6 +216,7 @@ impl RoutingPolicy for DelayAwarePolicy {
     }
 
     fn route_epoch(&mut self, _epoch: u64, flows: &[Flow], inp: &RouteInputs<'_>) -> RouteOutcome {
+        let _span = traffic_obs().route.start();
         let n = self.n;
         debug_assert_eq!(inp.overlay.len(), n);
 
@@ -274,9 +278,10 @@ impl RoutingPolicy for DelayAwarePolicy {
                     plane.push(decision, &costs);
                 }
             }
-            match plane.get(src, dst).expect("decided above").first() {
-                Some(path) => {
-                    let got = ledger.admit(plane.nodes(path), flow.rate_mbps);
+            match plane.range(src, dst).next() {
+                Some(at) => {
+                    let got = plane.admit(at, &mut ledger, flow.rate_mbps);
+                    let path = plane.path(at);
                     let constants = (path.latency_ms, path.propagation_ms);
                     tally.settle(flow, got, constants, usize::from(got > 0.0));
                 }

@@ -1,11 +1,12 @@
 //! Property tests for the data plane.
 
-use crate::backpressure::{BackpressureConfig, BackpressureEngine};
+use crate::backpressure::{self, BackpressureConfig, BackpressureEngine};
 use crate::capacity::CapacityLedger;
 use crate::demand::{DemandGenerator, Flow, WorkloadKind};
 use crate::engine::{TrafficConfig, TrafficEngine};
+use crate::paths::{HopCosts, PathPlane};
 use crate::policy::DataPolicyKind;
-use crate::router::RouteInputs;
+use crate::router::{self, FlowRouter, RouteInputs, RouteOutcome, RouterConfig};
 use egoist_core::policies::PolicyKind;
 use egoist_core::sim::Metric;
 use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
@@ -17,6 +18,77 @@ fn delays(n: usize) -> DistanceMatrix {
 
 fn kind_from(idx: usize) -> WorkloadKind {
     WorkloadKind::all()[idx % 4]
+}
+
+/// Every field of an outcome, as bits: per flow (endpoints, rate,
+/// delivered, latency, stretch, paths used), then the totals, the
+/// consumed matrix and the forwarded vector.
+fn outcome_bits(out: &RouteOutcome) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for f in &out.flows {
+        bits.extend([u64::from(f.flow.src.0), u64::from(f.flow.dst.0)]);
+        let values = [f.flow.rate_mbps, f.delivered_mbps, f.latency_ms, f.stretch];
+        bits.extend(values.map(f64::to_bits));
+        bits.push(f.paths_used as u64);
+    }
+    bits.extend([out.offered_mbps, out.delivered_mbps].map(f64::to_bits));
+    bits.push(out.route_changes as u64);
+    bits.extend(
+        out.consumed
+            .iter()
+            .chain(&out.forwarded)
+            .map(|v| v.to_bits()),
+    );
+    bits
+}
+
+/// A small random overlay: `edges` are `(from, to, cost, capacity
+/// class)` folded onto `n` nodes; self loops are dropped and a repeated
+/// pair keeps its last cost. Costs are small integers, so equal-cost
+/// paths (ties) are common; the capacity classes include 0 (a link that
+/// carries nothing), links a slot's service or one flow can saturate,
+/// and ample ones.
+fn random_overlay(n: usize, edges: &[(usize, usize, u8, usize)]) -> (DiGraph, DistanceMatrix) {
+    const CAPS: [f64; 6] = [0.0, 0.05, 0.4, 1.5, 6.0, 80.0];
+    let mut g = DiGraph::new(n);
+    let mut cap = DistanceMatrix::off_diagonal(n, 0.0);
+    for &(u, v, cost, class) in edges {
+        let (u, v) = (u % n, v % n);
+        if u != v {
+            g.add_edge(
+                NodeId::from_index(u),
+                NodeId::from_index(v),
+                f64::from(cost),
+            );
+            cap.set_at(u, v, CAPS[class % CAPS.len()]);
+        }
+    }
+    (g, cap)
+}
+
+/// Flows with unequal rates, shaped the way the AIMD controller shapes
+/// them: each flow asks for one of a few base rates, capped by its
+/// cell's limit, which halves from epoch to epoch for some cells — so a
+/// cell holds several distinct amounts, in runs and interleaved.
+fn shaped_flows(
+    n: usize,
+    spec: &[(usize, usize, usize)],
+    limits: &[f64],
+    epoch: usize,
+) -> Vec<Flow> {
+    const BASE: [f64; 5] = [0.25, 0.7, 1.0, 2.5, 0.0];
+    spec.iter()
+        .filter(|&&(u, v, _)| u % n != v % n)
+        .map(|&(u, v, r)| {
+            let cell = (u % n) * n + v % n;
+            let limit = limits[cell % limits.len()] * 0.5f64.powi((cell % (epoch + 1)) as i32);
+            Flow {
+                src: NodeId::from_index(u % n),
+                dst: NodeId::from_index(v % n),
+                rate_mbps: BASE[r % BASE.len()].min(limit),
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -160,6 +232,121 @@ proptest! {
             b2 < b1 + 0.2 * rate,
             "backlog still growing after settling: {b1} → {b2}"
         );
+    }
+
+    /// The one-scan link service and the per-cell injection runs are
+    /// exactly the per-iteration argmax service and the per-flow, per-slot
+    /// injection: over several epochs of random small overlays, unequal
+    /// AIMD-shaped rates and nonzero virtual queues, every outcome field
+    /// and every queue accumulator and virtual queue agree bit for bit.
+    #[test]
+    fn backpressure_service_matches_the_argmax_oracle(
+        n in 2usize..9,
+        edges in proptest::collection::vec((0usize..9, 0usize..9, 1u8..4, 0usize..6), 0..40),
+        spec in proptest::collection::vec((0usize..9, 0usize..9, 0usize..5), 0..60),
+        limits in proptest::collection::vec(0.05f64..3.0, 1..8),
+        slots in 1usize..20,
+        loads in proptest::collection::vec(0.0f64..4.0, 9),
+        epochs in 1usize..6,
+    ) {
+        let (g, cap) = random_overlay(n, &edges);
+        let d = delays(n);
+        let inp = RouteInputs {
+            overlay: &g,
+            true_delays: &d,
+            node_load: &loads[..n],
+            capacity: &cap,
+        };
+        let cfg = BackpressureConfig { slots, slot_ms: 3.0 };
+        let mut fast = BackpressureEngine::new(n, cfg, 2.0);
+        let mut slow = BackpressureEngine::new(n, cfg, 2.0);
+        for epoch in 0..epochs {
+            let flows = shaped_flows(n, &spec, &limits, epoch);
+            let a = fast.route_epoch(&flows, &inp);
+            let b = backpressure::oracle::route_epoch(&mut slow, &flows, &inp);
+            prop_assert_eq!(outcome_bits(&a), outcome_bits(&b), "epoch {}", epoch);
+            prop_assert_eq!(
+                backpressure::oracle::state_bits(&fast),
+                backpressure::oracle::state_bits(&slow)
+            );
+        }
+    }
+
+    /// Spill paths searched on demand and dead-path skipping route
+    /// exactly as the eager fill that searched every opened pair's paths
+    /// up front and walked every path for every flow: 1–4 paths, random
+    /// overlays with tied costs and saturating links, repeated pairs with
+    /// unequal rates, several epochs of flows on one overlay.
+    #[test]
+    fn spill_paths_on_demand_match_the_eager_fill(
+        n in 2usize..9,
+        edges in proptest::collection::vec((0usize..9, 0usize..9, 1u8..4, 0usize..6), 0..40),
+        spec in proptest::collection::vec((0usize..9, 0usize..9, 0usize..5), 0..60),
+        limits in proptest::collection::vec(0.05f64..3.0, 1..8),
+        max_paths in 1usize..5,
+        loads in proptest::collection::vec(0.0f64..4.0, 9),
+        epochs in 1usize..4,
+    ) {
+        let (g, cap) = random_overlay(n, &edges);
+        let d = delays(n);
+        let inp = RouteInputs {
+            overlay: &g,
+            true_delays: &d,
+            node_load: &loads[..n],
+            capacity: &cap,
+        };
+        let r = FlowRouter::new(RouterConfig { max_paths, ..RouterConfig::default() });
+        for epoch in 0..epochs {
+            let flows = shaped_flows(n, &spec, &limits, epoch);
+            let a = r.route(&flows, &inp);
+            let b = router::oracle::route_eager(&r, &flows, &inp);
+            prop_assert_eq!(outcome_bits(&a), outcome_bits(&b), "epoch {}", epoch);
+        }
+    }
+
+    /// Skipping dead paths is invisible: admitting through the path
+    /// plane returns what the ledger returns, bit for bit, and leaves the
+    /// ledger in the same state, for any sequence of paths and rates —
+    /// zero rates included, which the delay-aware router admits as they
+    /// come and which must not mark a path dead.
+    #[test]
+    fn dead_path_skip_matches_the_ledger(
+        walks in proptest::collection::vec(proptest::collection::vec(0usize..6, 2..5), 1..6),
+        caps in proptest::collection::vec(0usize..6, 36),
+        admits in proptest::collection::vec((0usize..6, 0usize..5), 1..40),
+    ) {
+        const CAPS: [f64; 6] = [0.0, 0.05, 0.4, 1.5, 6.0, 80.0];
+        const RATES: [f64; 5] = [0.0, 0.02, 0.3, 1.0, 4.0];
+        let n = 6;
+        let cap = DistanceMatrix::from_fn(n, |i, j| CAPS[caps[i * n + j]]);
+        let (g, d, loads) = (DiGraph::new(n), delays(n), vec![0.0; n]);
+        let inp = RouteInputs { overlay: &g, true_delays: &d, node_load: &loads, capacity: &cap };
+        let costs = HopCosts { inp: &inp, proc_ms_per_load: 2.0, queue_ms: None };
+        // One pair per walk (a walk may revisit nodes; a path is any
+        // node sequence to the ledger).
+        let mut plane = PathPlane::new(n);
+        let mut paths = Vec::new();
+        for (k, walk) in walks.iter().enumerate() {
+            let nodes: Vec<NodeId> = walk.iter().map(|&v| NodeId::from_index(v)).collect();
+            plane.open(NodeId::from_index(k), NodeId::from_index(k));
+            plane.push(&nodes, &costs);
+            paths.push(nodes);
+        }
+        let mut via_plane = CapacityLedger::new(&cap);
+        let mut direct = CapacityLedger::new(&cap);
+        for (k, r) in admits {
+            let k = k % paths.len();
+            let at = plane.range(NodeId::from_index(k), NodeId::from_index(k)).start;
+            let a = plane.admit(at, &mut via_plane, RATES[r]);
+            let b = direct.admit(&paths[k], RATES[r]);
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let bits = |l: &CapacityLedger| -> Vec<u64> {
+            let residual = (0..n * n).map(|c| l.residual(NodeId::from_index(c / n), NodeId::from_index(c % n)));
+            let all = l.consumed_matrix().iter().chain(l.forwarded_per_node()).copied().chain(residual);
+            all.map(f64::to_bits).collect()
+        };
+        prop_assert_eq!(bits(&via_plane), bits(&direct));
     }
 
     /// Policy determinism end to end: every data policy run through the

@@ -12,6 +12,7 @@
 //! All operations are plain f64 arithmetic over dense `n × n` arrays in
 //! fixed index order — two same-seed runs produce bit-identical queues.
 
+use crate::demand::Flow;
 use egoist_graph::NodeId;
 
 /// Fluid in motion: a withdrawn parcel and the mass it carries.
@@ -62,6 +63,12 @@ impl QueueBank {
         self.backlog[self.idx(node, dest)]
     }
 
+    /// Every commodity's backlog at `node`, indexed by destination.
+    pub fn backlog_row(&self, node: NodeId) -> &[f64] {
+        let base = node.index() * self.n;
+        &self.backlog[base..base + self.n]
+    }
+
     /// Total queued volume at `node` across all commodities.
     pub fn node_depth(&self, node: NodeId) -> f64 {
         let base = node.index() * self.n;
@@ -77,6 +84,23 @@ impl QueueBank {
     pub fn inject(&mut self, node: NodeId, dest: NodeId, amount: f64) {
         let i = self.idx(node, dest);
         self.backlog[i] += amount;
+    }
+
+    /// One slot of source injection: every cell gets its terms added in
+    /// flow order, as [`QueueBank::inject`] per flow would, but one cell
+    /// at a time with the backlog held in a register.
+    pub fn inject_runs(&mut self, runs: &InjectionRuns) {
+        let mut lo = 0;
+        for &(cell, hi) in &runs.cells {
+            let mut backlog = self.backlog[cell as usize];
+            for &(term, count) in &runs.runs[lo..hi as usize] {
+                for _ in 0..count {
+                    backlog += term;
+                }
+            }
+            self.backlog[cell as usize] = backlog;
+            lo = hi as usize;
+        }
     }
 
     /// Withdraw up to `amount` of commodity `dest` from `node`,
@@ -127,6 +151,79 @@ impl QueueBank {
                 self.lat_mass[i] += self.backlog[i] * slot_ms;
             }
         }
+    }
+}
+
+/// One epoch's source injection grouped by queue cell: per
+/// `(src, dst)` cell, the per-slot terms `rate / slots` of its flows in
+/// flow order, run-length encoded. Cells do not interact while fluid is
+/// injected, and a cell receives the same terms in the same order every
+/// slot, so replaying the runs cell by cell adds exactly what the
+/// per-flow loop added.
+#[derive(Debug, Default)]
+pub struct InjectionRuns {
+    /// Per cell with flows, ascending: its index and the end of its runs.
+    cells: Vec<(u32, u32)>,
+    /// `(term, repeats)`: consecutive bit-equal terms of one cell.
+    runs: Vec<(f64, u32)>,
+}
+
+impl InjectionRuns {
+    /// Group `flows` of an `n`-node epoch split into `slots` slots.
+    pub fn new(n: usize, flows: &[Flow], slots: usize) -> Self {
+        const NONE: u32 = u32::MAX;
+        // One pass in flow order: a flow extends its cell's last run or
+        // starts a new one, linked after it (`(term, repeats, next)`).
+        let (mut head, mut tail) = (vec![NONE; n * n], vec![NONE; n * n]);
+        let mut linked: Vec<(f64, u32, u32)> = Vec::new();
+        for f in flows {
+            let (cell, term) = (
+                f.src.index() * n + f.dst.index(),
+                f.rate_mbps / slots as f64,
+            );
+            let last = tail[cell];
+            match linked.get_mut(last as usize) {
+                Some((t, k, _)) if t.to_bits() == term.to_bits() => *k += 1,
+                _ => {
+                    let at = linked.len() as u32;
+                    linked.push((term, 1, NONE));
+                    match linked.get_mut(last as usize) {
+                        Some((_, _, next)) => *next = at,
+                        None => head[cell] = at,
+                    }
+                    tail[cell] = at;
+                }
+            }
+        }
+        // Flatten, cells ascending.
+        let mut out = InjectionRuns {
+            cells: Vec::new(),
+            runs: Vec::with_capacity(linked.len()),
+        };
+        for (cell, &first) in head.iter().enumerate() {
+            let mut at = first;
+            while let Some(&(term, repeats, next)) = linked.get(at as usize) {
+                out.runs.push((term, repeats));
+                at = next;
+            }
+            if first != NONE {
+                out.cells.push((cell as u32, out.runs.len() as u32));
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+impl QueueBank {
+    /// Every accumulator's bits, for bit-equality checks.
+    pub(crate) fn bits(&self) -> Vec<u64> {
+        let all = self
+            .backlog
+            .iter()
+            .chain(&self.lat_mass)
+            .chain(&self.prop_mass);
+        all.map(|v| v.to_bits()).collect()
     }
 }
 

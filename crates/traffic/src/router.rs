@@ -225,22 +225,117 @@ impl FlowRouter {
     /// (`paths.rs`): per distinct `(src, dst)` pair, up to
     /// `max_paths` edge-disjoint paths, cheapest first (they depend only
     /// on the overlay, not on ledger state, so sharing them cannot change
-    /// admission results). Path 0 is read off the source's SSSP tree;
-    /// paths 1.. come from [`DisjointSearch`], asked for `max_paths`
-    /// outright. An earlier version first counted the pair's disjoint
-    /// paths with a unit-capacity max-flow and asked for the smaller of
-    /// the two, which cannot change the result: the search stops at the
-    /// first path it fails to find, and greedily chosen edge-disjoint
-    /// paths never outnumber the max-flow, so the count only ever capped
-    /// a loop that had already ended.
+    /// admission results). Path 0 is read off the source's SSSP tree when
+    /// the pair's first flow shows up. Paths 1.. come from
+    /// [`DisjointSearch`], asked for `max_paths` outright, the first time
+    /// one of the pair's flows does not fit on path 0: the search returns
+    /// the same paths whenever it runs, and a flow reaches path 1 only
+    /// when it has rate left after path 0, so a pair none of whose flows
+    /// spills never pays for it. An earlier version first counted the
+    /// pair's disjoint paths with a unit-capacity max-flow and asked for
+    /// the smaller of the two, which cannot change the result: the search
+    /// stops at the first path it fails to find, and greedily chosen
+    /// edge-disjoint paths never outnumber the max-flow, so the count only
+    /// ever capped a loop that had already ended.
     pub fn route(&self, flows: &[Flow], inp: &RouteInputs<'_>) -> RouteOutcome {
-        let obs = traffic_obs();
-        let _span = obs.route.start();
         let n = inp.overlay.len();
         let csr = CsrGraph::from_digraph(inp.overlay);
         let costs = HopCosts {
             inp,
             proc_ms_per_load: self.cfg.proc_ms_per_load,
+            queue_ms: None,
+        };
+        let want = self.cfg.max_paths.max(1);
+        let (mut trees, mut search) = (SourceTrees::new(&csr), DisjointSearch::new(&csr));
+        let (mut plane, mut nodes) = (PathPlane::new(n), Vec::new());
+        // Per pair, multipath only: paths 1.. have been searched.
+        let mut searched = vec![false; if want > 1 { n * n } else { 0 }];
+        let mut ledger = CapacityLedger::new(inp.capacity);
+        let mut tally = FlowTally::new(flows.len(), inp);
+        for &flow in flows {
+            let (src, dst) = (flow.src, flow.dst);
+            let pair = src.index() * n + dst.index();
+            if plane.get(src, dst).is_none() {
+                plane.open(src, dst);
+                nodes.clear();
+                if append_tree_path(&mut nodes, trees.parent_row(src), src, dst) {
+                    plane.push(&nodes, &costs);
+                }
+            }
+            // Fill paths cheapest-first; each takes what its bottleneck
+            // allows until the flow's rate is placed.
+            let mut remaining = flow.rate_mbps;
+            let mut delivered = 0.0;
+            let (mut weighted_latency, mut weighted_prop) = (0.0, 0.0);
+            let (mut used, mut tried) = (0, 0);
+            loop {
+                let paths = plane.range(src, dst);
+                for at in paths.start + tried..paths.end {
+                    if remaining <= 0.0 {
+                        break;
+                    }
+                    let got = plane.admit(at, &mut ledger, remaining);
+                    if got > 0.0 {
+                        let path = plane.path(at);
+                        delivered += got;
+                        remaining -= got;
+                        weighted_latency += got * path.latency_ms;
+                        weighted_prop += got * path.propagation_ms;
+                        used += 1;
+                    }
+                }
+                tried = paths.len();
+                if remaining <= 0.0 || want == 1 || paths.is_empty() || searched[pair] {
+                    break;
+                }
+                // The flow spills past path 0: search the pair's others.
+                searched[pair] = true;
+                plane.reopen(src, dst);
+                let mut first = true;
+                let tree = Some(trees.parent_row(src));
+                search.for_each_path(&csr, src.0, dst.0, want, tree, |row| {
+                    if !std::mem::take(&mut first) {
+                        nodes.clear();
+                        append_tree_path(&mut nodes, row, src, dst);
+                        plane.push(&nodes, &costs);
+                    }
+                });
+            }
+            let means = (weighted_latency / delivered, weighted_prop / delivered);
+            tally.settle(flow, delivered, means, used);
+        }
+
+        if egoist_obs::is_enabled() {
+            // Utilization of every link that carried traffic this epoch.
+            let obs = traffic_obs();
+            for (at, &used) in ledger.consumed_matrix().iter().enumerate() {
+                let cap = inp.capacity.at(at / n, at % n);
+                if used > 0.0 && cap > 0.0 {
+                    obs.link_utilization.observe(used / cap);
+                }
+            }
+        }
+        tally.finish(ledger.consumed_matrix(), ledger.forwarded_per_node())
+    }
+}
+
+/// The pre-optimisation router, kept as the test oracle: every opened
+/// pair searches all its paths at once, and every path is walked for
+/// every flow that reaches it.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub(crate) fn route_eager(
+        router: &FlowRouter,
+        flows: &[Flow],
+        inp: &RouteInputs<'_>,
+    ) -> RouteOutcome {
+        let n = inp.overlay.len();
+        let csr = CsrGraph::from_digraph(inp.overlay);
+        let costs = HopCosts {
+            inp,
+            proc_ms_per_load: router.cfg.proc_ms_per_load,
             queue_ms: None,
         };
         let (mut trees, mut search) = (SourceTrees::new(&csr), DisjointSearch::new(&csr));
@@ -251,15 +346,13 @@ impl FlowRouter {
             let (src, dst) = (flow.src, flow.dst);
             if plane.get(src, dst).is_none() {
                 plane.open(src, dst);
-                let (want, tree) = (self.cfg.max_paths, Some(trees.parent_row(src)));
+                let (want, tree) = (router.cfg.max_paths, Some(trees.parent_row(src)));
                 search.for_each_path(&csr, src.0, dst.0, want, tree, |row| {
                     nodes.clear();
                     append_tree_path(&mut nodes, row, src, dst);
                     plane.push(&nodes, &costs);
                 });
             }
-            // Fill paths cheapest-first; each takes what its bottleneck
-            // allows until the flow's rate is placed.
             let mut remaining = flow.rate_mbps;
             let mut delivered = 0.0;
             let (mut weighted_latency, mut weighted_prop) = (0.0, 0.0);
@@ -279,16 +372,6 @@ impl FlowRouter {
             }
             let means = (weighted_latency / delivered, weighted_prop / delivered);
             tally.settle(flow, delivered, means, used);
-        }
-
-        if egoist_obs::is_enabled() {
-            // Utilization of every link that carried traffic this epoch.
-            for (at, &used) in ledger.consumed_matrix().iter().enumerate() {
-                let cap = inp.capacity.at(at / n, at % n);
-                if used > 0.0 && cap > 0.0 {
-                    obs.link_utilization.observe(used / cap);
-                }
-            }
         }
         tally.finish(ledger.consumed_matrix(), ledger.forwarded_per_node())
     }

@@ -230,6 +230,63 @@ fn obs_exports_are_deterministic_across_runs() {
     );
 }
 
+/// Every data-plane policy times its epoch under `traffic.route`, once
+/// per `route_epoch` — backpressure and delay-aware included, which do
+/// not go through `FlowRouter::route`.
+#[test]
+fn every_policy_epoch_is_one_route_span() {
+    let _g = serial();
+    use egoist::graph::DiGraph;
+    use egoist::traffic::demand::Flow;
+    use egoist::traffic::policy::DataPolicyKind;
+    use egoist::traffic::router::{RouteInputs, RouterConfig};
+    let mut overlay = DiGraph::new(4);
+    for (u, v) in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)] {
+        overlay.add_edge(NodeId(u), NodeId(v), 1.0);
+    }
+    let delays = DistanceMatrix::off_diagonal(4, 5.0);
+    let capacity = DistanceMatrix::off_diagonal(4, 10.0);
+    let loads = [0.0; 4];
+    let inputs = RouteInputs {
+        overlay: &overlay,
+        true_delays: &delays,
+        node_load: &loads,
+        capacity: &capacity,
+    };
+    let flows = [(0, 3, 12.0), (0, 3, 4.0), (1, 2, 3.0)].map(|(s, d, rate_mbps)| Flow {
+        src: NodeId(s),
+        dst: NodeId(d),
+        rate_mbps,
+    });
+    let reg = egoist::obs::registry();
+    reg.reset();
+    egoist::obs::enable();
+    let mut calls = Vec::new();
+    for max_paths in [1, 2] {
+        for kind in DataPolicyKind::all() {
+            let router = RouterConfig {
+                max_paths,
+                ..RouterConfig::default()
+            };
+            let mut policy = kind.instantiate(4, router, Default::default(), Default::default());
+            let before = reg.span_value("traffic.route").0;
+            policy.route_epoch(0, &flows, &inputs);
+            calls.push((
+                kind.label(),
+                max_paths,
+                reg.span_value("traffic.route").0 - before,
+            ));
+        }
+    }
+    egoist::obs::disable();
+    for (label, max_paths, added) in calls {
+        assert_eq!(
+            added, 1,
+            "{label} (max_paths {max_paths}): one epoch, one span"
+        );
+    }
+}
+
 /// The fleet instruments (`x-fleet-instruments` in the metrics schema:
 /// route computation plus the anti-entropy overlap and refresh
 /// counters): present after a best-response fleet, consistent with each
