@@ -102,13 +102,6 @@ impl Delivered {
     }
 }
 
-/// A link-slot's scratch: every commodity's key (one per destination,
-/// eligible ones first) and the heap the eligible ones are served from.
-struct ServeScratch {
-    scan: Vec<u128>,
-    order: BinaryHeap<u128>,
-}
-
 /// The serve order key of commodity `d` at differential `w > EPS`: a
 /// positive float's bits order like its value, and the low word makes
 /// ties pop the smaller id first from a max-heap.
@@ -146,16 +139,13 @@ impl BackpressureEngine {
         }
         let mut acc = Delivered::new(n);
         let injection = InjectionRuns::new(n, flows, slots);
-        let mut scratch = ServeScratch {
-            scan: vec![0; n],
-            order: BinaryHeap::with_capacity(n),
-        };
+        let mut order = BinaryHeap::with_capacity(n);
         for _slot in 0..slots {
             // Source injection: each flow feeds its destination queue.
             self.queues.inject_runs(&injection);
             // Link service, in fixed edge order.
             for link in &links {
-                self.serve(link, &mut scratch, &mut acc);
+                self.serve(link, &mut order, &mut acc);
             }
             self.queues.age(self.cfg.slot_ms);
         }
@@ -195,30 +185,31 @@ impl BackpressureEngine {
     /// (dropping `d` out) or spends the remaining capacity to exactly 0
     /// (ending the slot). Re-running the argmax after each serve, as the
     /// textbook loop does, therefore picks the next key of this scan.
-    fn serve(&mut self, link: &Link, scratch: &mut ServeScratch, acc: &mut Delivered) {
+    fn serve(&mut self, link: &Link, order: &mut BinaryHeap<u128>, acc: &mut Delivered) {
         let n = self.n;
         let at = link.src.index() * n + link.dst.index();
         let vq = self.link_vq[at];
         let mut cap_rem = link.cap_slot;
         let mut sent = 0.0;
-        let mut keys = std::mem::take(&mut scratch.order).into_vec();
+        // The heap's own buffer holds the scan, then is heapified in place.
+        let mut keys = std::mem::take(order).into_vec();
         keys.clear();
         if cap_rem > EPS {
             let here = self.queues.backlog_row(link.src);
             let there = self.queues.backlog_row(link.dst);
             // Branch-free compaction: every key is written, only the
             // eligible ones advance `kept`.
+            keys.resize(n, 0);
             let mut kept = 0;
             for d in 0..n {
                 let q_i = here[d];
                 let q_j = if d == link.dst.index() { 0.0 } else { there[d] };
                 let w = q_i - q_j - vq;
-                scratch.scan[kept] = serve_key(w, d);
+                keys[kept] = serve_key(w, d);
                 kept += usize::from(q_i > EPS && w > EPS);
             }
-            keys.extend_from_slice(&scratch.scan[..kept]);
+            keys.truncate(kept);
         }
-        let order = &mut scratch.order;
         *order = BinaryHeap::from(keys);
         while cap_rem > EPS {
             let Some(key) = order.pop() else { break };

@@ -9,12 +9,8 @@
 //!   propagation delay. Both are hop sums over state that is fixed for
 //!   the epoch, so they are pair constants, added up left to right
 //!   exactly as a per-flow walk would;
-//! * per **flow** — admission against the ledger, nothing else. A path
-//!   that admits nothing to a positive rate has a hop with zero residual;
-//!   residuals only shrink within an epoch, so it is marked dead and
-//!   later flows skip it without walking it.
+//! * per **flow** — admission against the ledger, nothing else.
 
-use crate::capacity::CapacityLedger;
 use crate::router::RouteInputs;
 use egoist_graph::csr::NO_PARENT;
 use egoist_graph::{CsrGraph, DijkstraWorkspace, NodeId};
@@ -109,9 +105,6 @@ pub(crate) struct PlanePath {
     end: u32,
     pub(crate) latency_ms: f64,
     pub(crate) propagation_ms: f64,
-    /// A hop is saturated: the path admits nothing for the rest of the
-    /// epoch.
-    dead: bool,
 }
 
 /// Dense `n × n` pair table over a flat node arena, filled pair by pair
@@ -155,21 +148,6 @@ impl PathPlane {
             UNSEEN => 0..0,
             (lo, hi) => lo as usize..hi as usize,
         }
-    }
-
-    /// Admit up to `rate` Mbps on path `at` (an index from [`range`]);
-    /// a dead path returns 0 without touching the ledger, as the ledger
-    /// would.
-    ///
-    /// [`range`]: PathPlane::range
-    pub(crate) fn admit(&mut self, at: usize, ledger: &mut CapacityLedger, rate: f64) -> f64 {
-        let path = &mut self.paths[at];
-        if path.dead {
-            return 0.0;
-        }
-        let got = ledger.admit(&self.arena[path.start as usize..path.end as usize], rate);
-        path.dead = got <= 0.0 && rate > 0.0;
-        got
     }
 
     /// Path `at`, an index from [`range`](PathPlane::range).
@@ -216,7 +194,6 @@ impl PathPlane {
             end: self.arena.len() as u32,
             latency_ms,
             propagation_ms,
-            dead: false,
         });
         self.pairs[self.open].1 = self.paths.len() as u32;
     }

@@ -278,10 +278,9 @@ impl RoutingPolicy for DelayAwarePolicy {
                     plane.push(decision, &costs);
                 }
             }
-            match plane.range(src, dst).next() {
-                Some(at) => {
-                    let got = plane.admit(at, &mut ledger, flow.rate_mbps);
-                    let path = plane.path(at);
+            match plane.get(src, dst).expect("decided above").first() {
+                Some(path) => {
+                    let got = ledger.admit(plane.nodes(path), flow.rate_mbps);
                     let constants = (path.latency_ms, path.propagation_ms);
                     tally.settle(flow, got, constants, usize::from(got > 0.0));
                 }

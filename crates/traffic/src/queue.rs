@@ -64,7 +64,7 @@ impl QueueBank {
     }
 
     /// Every commodity's backlog at `node`, indexed by destination.
-    pub fn backlog_row(&self, node: NodeId) -> &[f64] {
+    pub(crate) fn backlog_row(&self, node: NodeId) -> &[f64] {
         let base = node.index() * self.n;
         &self.backlog[base..base + self.n]
     }
@@ -89,7 +89,7 @@ impl QueueBank {
     /// One slot of source injection: every cell gets its terms added in
     /// flow order, as [`QueueBank::inject`] per flow would, but one cell
     /// at a time with the backlog held in a register.
-    pub fn inject_runs(&mut self, runs: &InjectionRuns) {
+    pub(crate) fn inject_runs(&mut self, runs: &InjectionRuns) {
         let mut lo = 0;
         for &(cell, hi) in &runs.cells {
             let mut backlog = self.backlog[cell as usize];
@@ -161,7 +161,7 @@ impl QueueBank {
 /// slot, so replaying the runs cell by cell adds exactly what the
 /// per-flow loop added.
 #[derive(Debug, Default)]
-pub struct InjectionRuns {
+pub(crate) struct InjectionRuns {
     /// Per cell with flows, ascending: its index and the end of its runs.
     cells: Vec<(u32, u32)>,
     /// `(term, repeats)`: consecutive bit-equal terms of one cell.
@@ -170,7 +170,7 @@ pub struct InjectionRuns {
 
 impl InjectionRuns {
     /// Group `flows` of an `n`-node epoch split into `slots` slots.
-    pub fn new(n: usize, flows: &[Flow], slots: usize) -> Self {
+    pub(crate) fn new(n: usize, flows: &[Flow], slots: usize) -> Self {
         const NONE: u32 = u32::MAX;
         // One pass in flow order: a flow extends its cell's last run or
         // starts a new one, linked after it (`(term, repeats, next)`).

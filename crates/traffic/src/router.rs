@@ -274,9 +274,9 @@ impl FlowRouter {
                     if remaining <= 0.0 {
                         break;
                     }
-                    let got = plane.admit(at, &mut ledger, remaining);
+                    let path = plane.path(at);
+                    let got = ledger.admit(plane.nodes(path), remaining);
                     if got > 0.0 {
-                        let path = plane.path(at);
                         delivered += got;
                         remaining -= got;
                         weighted_latency += got * path.latency_ms;
@@ -320,8 +320,7 @@ impl FlowRouter {
 }
 
 /// The pre-optimisation router, kept as the test oracle: every opened
-/// pair searches all its paths at once, and every path is walked for
-/// every flow that reaches it.
+/// pair searches all its paths at once.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
