@@ -4,7 +4,7 @@
 //! computation on the `fleet_br_n300` shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use egoist_core::{OnDemandResidual, ResidualView};
+use egoist_core::{OnDemandResidual, ResidualArena, ResidualView};
 use egoist_graph::apsp::{apsp, floyd_warshall};
 use egoist_graph::dijkstra::dijkstra;
 use egoist_graph::disjoint::edge_disjoint_paths;
@@ -125,14 +125,16 @@ fn bench_node_rewire(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("on_demand", percent), &percent, |b, &p| {
             b.iter(|| {
-                let rows = OnDemandResidual::new(black_box(&csr), me);
+                let arena = &mut ResidualArena::default();
+                let rows = OnDemandResidual::with_rows_in(black_box(&csr), me, [], arena);
                 black_box(read(ResidualView::on_demand(&rows), p))
             })
         });
         group.bench_with_input(BenchmarkId::new("batched", percent), &percent, |b, &p| {
             b.iter(|| {
                 let announced = sources(p).map(NodeId::from_index);
-                let rows = OnDemandResidual::with_rows(black_box(&csr), me, announced);
+                let arena = &mut ResidualArena::default();
+                let rows = OnDemandResidual::with_rows_in(black_box(&csr), me, announced, arena);
                 black_box(read(ResidualView::on_demand(&rows), p))
             })
         });

@@ -1,15 +1,14 @@
 //! The SNS game: one wiring turn, and iterated best-response dynamics on
 //! a fixed cost matrix.
 //!
-//! `play_turn` is the one turn implementation — the §5 shortlist, the
-//! residual rows it names, the policy, the commit — and both dynamics
-//! engines play it: the epoch [`Simulator`] on a drifting underlay, and
-//! [`Game`] on static costs. A game's route-state snapshot is built once,
-//! at construction, and never invalidated: every move is a link delta
-//! ([`RouteState::note_rewire`]), a node written dead or alive through
-//! [`Game::alive`] is a leave or a join absorbed before the next turn or
-//! cost query, and individual and social costs are read off the
-//! snapshot's rows.
+//! [`choose`] is the one turn — the §5 shortlist, the residual rows it
+//! names, the policy. The epoch [`Simulator`] and [`Game`] play it and
+//! commit it (`play_turn`); the protocol node plays it alone. A game's
+//! route-state snapshot is built once, at construction, and never
+//! invalidated: every move is a link delta ([`RouteState::note_rewire`]),
+//! a node written dead or alive through [`Game::alive`] is a leave or a
+//! join absorbed before the next turn or cost query, and individual and
+//! social costs are read off the snapshot's rows.
 //!
 //! The game tracks whether each turn actually changed the wiring
 //! (re-wiring counts, Fig. 3), detects convergence (a full sweep with no
@@ -21,25 +20,26 @@
 use crate::cost::{disconnection_penalty, node_cost_from_dists, Preferences};
 use crate::policies::hybrid::HybridBr;
 use crate::policies::{Policy, PolicyKind, WiringContext};
-use crate::residual::ResidualView;
+use crate::residual::{OnDemandResidual, ResidualArena, ResidualView};
 use crate::sampling::shortlist;
 use crate::snapshot::{EpochSnapshot, RouteState, SnapshotKind};
 use crate::wiring::Wiring;
-use egoist_graph::csr::{all_pairs, MaxMin, MinPlus};
+use egoist_graph::csr::{all_pairs, MaxMin, MinPlus, PathAlgebra};
 use egoist_graph::{CsrGraph, DiGraph, DistanceMatrix, NodeId};
 use egoist_obs::{Counter, Timer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
 
-/// What one wiring turn of `node` reads besides the route state.
-pub(crate) struct Turn<'a> {
+/// What one wiring turn of `node` reads besides its residual rows.
+pub struct Turn<'a> {
     pub node: NodeId,
     pub k: usize,
     pub policy: PolicyKind,
     /// §5's `m` (`usize::MAX`: every candidate).
     pub sample_size: usize,
-    /// The alive nodes other than `node` ([`alive_others`]), not empty.
+    /// Who `node` may link to, not empty: the other alive nodes, or a
+    /// protocol node's known peers.
     pub candidates: Vec<NodeId>,
     /// Direct link costs (probed bandwidths) from `node`, length n.
     pub direct: &'a [f64],
@@ -48,7 +48,7 @@ pub(crate) struct Turn<'a> {
 }
 
 /// Where a turn's policy reads its residual rows.
-pub(crate) enum Residual<'a> {
+pub enum Residual<'a> {
     /// Nowhere: the policy never reads them
     /// ([`PolicyKind::needs_residual`]).
     Unread,
@@ -57,7 +57,11 @@ pub(crate) enum Residual<'a> {
     /// `Recompute` oracle.
     Dense(&'a DistanceMatrix, SnapshotKind, f64),
     /// The route state's live snapshot.
-    Snapshot,
+    Snapshot(&'a mut RouteState),
+    /// Additive rows of `G−i` swept on demand into the arena (which then
+    /// counts them), with what an unserved destination is worth — the
+    /// protocol node's form.
+    OnDemand(&'a CsrGraph, &'a mut ResidualArena, f64),
 }
 
 /// The alive nodes other than `i`: a turn's candidates before the
@@ -69,23 +73,20 @@ pub(crate) fn alive_others(i: NodeId, alive: &[bool]) -> Vec<NodeId> {
         .collect()
 }
 
-/// Play `turn.node`'s wiring turn and commit it; returns whether the
-/// wiring changed.
+/// Choose `turn.node`'s new links, given its `current` ones.
 ///
 /// A policy that reads residual state solves over the §5 [`shortlist`]:
 /// the node's current links (and HybridBR's donated ones), the best half
 /// of the rest by direct cost, uniform draws from `rng`. It is cut before
-/// the residual rows are taken, so every backing is handed the same
-/// candidates. A change is committed to the route state as a link delta
-/// (a no-op when it holds no snapshot).
-pub(crate) fn play_turn(
+/// the residual rows are named, so every backing is handed the same
+/// candidates; the on-demand form names those with a direct cost.
+pub fn choose(
     turn: Turn<'_>,
+    current: &[NodeId],
     residual: Residual<'_>,
-    route: &mut RouteState,
     policy: &mut dyn Policy,
-    wiring: &mut Wiring,
     rng: &mut StdRng,
-) -> bool {
+) -> Vec<NodeId> {
     // The solver span and the candidates a best-response turn was
     // offered / solved over.
     static OBS: OnceLock<(Timer, Counter, Counter)> = OnceLock::new();
@@ -99,19 +100,19 @@ pub(crate) fn play_turn(
         )
     });
     // The rows' semiring and what an unserved destination is worth.
-    let (semiring, penalty) = match residual {
+    let (semiring, penalty) = match &residual {
         Residual::Unread => (SnapshotKind::Additive, 0.0),
-        Residual::Dense(_, kind, penalty) => (kind, penalty),
-        Residual::Snapshot => {
+        Residual::Dense(_, kind, penalty) => (*kind, *penalty),
+        Residual::Snapshot(route) => {
             let live = route.snapshot().expect("route snapshot must be live");
             (live.kind, live.penalty)
         }
+        Residual::OnDemand(.., penalty) => (SnapshotKind::Additive, *penalty),
     };
     let i = turn.node;
-    let current = wiring.of(i).to_vec();
     let mut candidates = turn.candidates;
     if turn.policy.needs_residual() {
-        let mut keep = current.clone();
+        let mut keep = current.to_vec();
         if let PolicyKind::HybridBestResponse { k2 } = turn.policy {
             let members: Vec<NodeId> = (0..turn.alive.len())
                 .filter(|&j| turn.alive[j])
@@ -129,15 +130,24 @@ pub(crate) fn play_turn(
         };
         kept.add(candidates.len() as u64);
     }
-    let placeholder;
-    let residual = match residual {
+    let no_rows;
+    let mut on_demand = None;
+    let (residual, arena) = match residual {
         Residual::Unread => {
             // Oblivious wirings rank by direct cost or id alone.
-            placeholder = vec![0.0; wiring.len()];
-            ResidualView::broadcast(&placeholder)
+            no_rows = DistanceMatrix::filled(0, 0.0);
+            (ResidualView::dense(&no_rows), None)
         }
-        Residual::Dense(matrix, ..) => ResidualView::dense(matrix),
-        Residual::Snapshot => route.residual(i.index(), &candidates),
+        Residual::Dense(matrix, ..) => (ResidualView::dense(matrix), None),
+        Residual::Snapshot(route) => (route.residual(i.index(), &candidates), None),
+        Residual::OnDemand(g, arena, _) => {
+            // The policy reads one row per candidate it can reach
+            // directly (`Instance::build_in`'s predicate).
+            let served = |c: &NodeId| MinPlus::better(turn.direct[c.index()], MinPlus::UNREACHED);
+            let sources = candidates.iter().copied().filter(served);
+            let rows = on_demand.insert(OnDemandResidual::with_rows_in(g, i, sources, arena));
+            (ResidualView::on_demand(rows), Some(arena))
+        }
     };
     let ctx = WiringContext {
         node: i,
@@ -148,14 +158,39 @@ pub(crate) fn play_turn(
         prefs: turn.prefs,
         alive: turn.alive,
         penalty,
-        current: &current,
+        current,
     };
     let span = solver.start();
     let new = policy.wire(&ctx, rng);
     drop(span);
+    if let (Some(rows), Some(arena)) = (on_demand, arena) {
+        rows.recycle(arena);
+    }
+    new
+}
+
+/// [`choose`] `turn.node`'s links and commit them; returns whether the
+/// wiring changed. The rows are `recomputed` (dense `G−i`, semiring,
+/// penalty) when given, else the live snapshot's. A change reaches the
+/// route state as a link delta (a no-op when it holds no snapshot).
+pub(crate) fn play_turn(
+    turn: Turn<'_>,
+    recomputed: Option<(&DistanceMatrix, SnapshotKind, f64)>,
+    route: &mut RouteState,
+    policy: &mut dyn Policy,
+    wiring: &mut Wiring,
+    rng: &mut StdRng,
+) -> bool {
+    let (i, alive) = (turn.node, turn.alive);
+    let residual = match recomputed {
+        _ if !turn.policy.needs_residual() => Residual::Unread,
+        Some((matrix, kind, penalty)) => Residual::Dense(matrix, kind, penalty),
+        None => Residual::Snapshot(&mut *route),
+    };
+    let new = choose(turn, wiring.of(i), residual, policy, rng);
     let changed = wiring.rewire(i, new);
     if changed {
-        route.note_rewire(i, wiring, turn.alive);
+        route.note_rewire(i, wiring, alive);
     }
     changed
 }
@@ -299,11 +334,6 @@ impl Game {
             return false;
         }
         let direct = self.snapshot().announced.row(i.index()).to_vec();
-        let residual = if self.kind.needs_residual() {
-            Residual::Snapshot
-        } else {
-            Residual::Unread
-        };
         let turn = Turn {
             node: i,
             k: self.k,
@@ -316,7 +346,7 @@ impl Game {
         };
         let policy = self.policy.as_mut();
         let (route, wiring, rng) = (&mut self.route, &mut self.wiring, &mut self.rng);
-        play_turn(turn, residual, route, policy, wiring, rng)
+        play_turn(turn, None, route, policy, wiring, rng)
     }
 
     /// One round-robin sweep over all alive nodes; returns the number of

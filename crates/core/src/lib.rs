@@ -13,13 +13,14 @@
 //!   `G_{−i}`.
 //! * [`residual`] — zero-copy [`ResidualView`]s over `G_{−i}` pairwise
 //!   state: dense for the from-scratch oracle, copy-on-write for the
-//!   epoch route-state engine.
+//!   epoch route-state engine, on demand for the protocol node.
 //! * [`policies`] — every neighbor-selection policy of §3.2/§3.3: exact
 //!   Best-Response, local-search BR, BR(ε), k-Random, k-Closest,
 //!   k-Regular, HybridBR, and the bandwidth-objective BR of §4.1.
 //! * [`sampling`] — §5's scalability mechanisms: unbiased random sampling
 //!   and topology-based biased sampling with the `b_ij` ranking function.
-//! * [`game`] — the one wiring turn both dynamics engines play, and
+//! * [`game`] — the one wiring turn ([`game::choose`]) the dynamics
+//!   engines and the protocol node play, and
 //!   iterated best-response dynamics on static costs over the route-state
 //!   engine: round-robin re-wiring, convergence detection, re-wiring
 //!   counts, social cost.

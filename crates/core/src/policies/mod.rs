@@ -50,9 +50,9 @@ pub struct WiringContext<'a> {
     /// entries for dead nodes are ignored.
     pub direct: &'a [f64],
     /// Pairwise distances over the residual graph `G_{−i}` (announced
-    /// costs) — a zero-copy [`ResidualView`], dense or copy-on-write.
-    /// Policies whose [`PolicyKind::needs_residual`] is false get a
-    /// [`ResidualView::broadcast`] placeholder and must not read it.
+    /// costs) — a zero-copy [`ResidualView`], dense, copy-on-write or on
+    /// demand. Policies whose [`PolicyKind::needs_residual`] is false get
+    /// a view with no rows and must not read it.
     pub residual: ResidualView<'a>,
     /// Preference weights.
     pub prefs: &'a Preferences,
@@ -171,7 +171,7 @@ impl PolicyKind {
     /// Whether the policy's `wire()` ever reads `ctx.residual`. The
     /// oblivious wirings (§3.2's k-Random / k-Closest / k-Regular) rank
     /// candidates by direct cost or id alone, so callers can hand them a
-    /// `ResidualView::broadcast` placeholder and skip the APSP — the
+    /// view with no rows and skip the APSP — the
     /// difference between O(k·n) and O(n²·log n) per re-wire at fleet
     /// scale.
     pub fn needs_residual(self) -> bool {

@@ -87,7 +87,7 @@ proptest! {
         n in 2usize..100,
         k in 1usize..6,
     ) {
-        use crate::residual::{OnDemandResidual, ResidualView};
+        use crate::residual::{OnDemandResidual, ResidualArena, ResidualView};
         use egoist_graph::CsrGraph;
         use rand::Rng;
 
@@ -139,7 +139,8 @@ proptest! {
             .map(|&s| NodeId::from_index(s))
             .filter(|_| rng.random::<f64>() < share)
             .collect();
-        let rows = OnDemandResidual::with_rows(&csr, turn, announced.iter().copied());
+        let mut arena = ResidualArena::default();
+        let rows = OnDemandResidual::with_rows_in(&csr, turn, announced.iter().copied(), &mut arena);
         let view = ResidualView::on_demand(&rows);
         prop_assert_eq!(view.len(), n);
         let mut seen = vec![false; n];
@@ -1074,4 +1075,90 @@ fn hysteresis_proof_is_sound() {
     }
     assert!(fired > 0, "the proof never fired");
     assert!(searched > 0, "every case was settled by the proof");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every residual backing makes the same choice. One turn of BR,
+    /// exact BR and HybridBR, unsampled and at `m = 4` under one seed,
+    /// returns the same links whether its rows come from the route
+    /// state's snapshot, from a dense `apsp(G−i)`, or are swept on demand
+    /// over the overlay's CSR graph with the snapshot's penalty — the
+    /// protocol node's form. Some direct costs are unmeasured, so the
+    /// on-demand form batches some rows and sweeps the rest on a read.
+    #[test]
+    fn every_backing_makes_the_same_choice(
+        seed in any::<u64>(),
+        n in 5usize..25,
+        k in 1usize..5,
+    ) {
+        use crate::cost::disconnection_penalty;
+        use crate::game::{alive_others, choose, Residual, Turn};
+        use crate::residual::ResidualArena;
+        use crate::snapshot::{RouteState, SnapshotKind};
+        use egoist_graph::CsrGraph;
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = DistanceMatrix::from_fn(n, |i, j| {
+            if i == j { 0.0 } else { rng.random_range(1..60) as f64 }
+        });
+        let me = rng.random_range(0..n);
+        // The turn node and its successor are alive: a turn has a candidate.
+        let alive: Vec<bool> = (0..n)
+            .map(|j| j == me || j == (me + 1) % n || rng.random::<f64>() < 0.9)
+            .collect();
+        let mut w = Wiring::empty(n);
+        for i in 0..n {
+            let mut links: Vec<NodeId> = (0..rng.random_range(0..=k))
+                .map(|_| NodeId::from_index(rng.random_range(0..n)))
+                .filter(|x| x.index() != i)
+                .collect();
+            links.sort_unstable();
+            links.dedup();
+            w.rewire(NodeId::from_index(i), links);
+        }
+        let direct: Vec<f64> = (0..n)
+            .map(|j| if rng.random::<f64>() < 0.15 { f64::INFINITY } else { d.at(me, j) })
+            .collect();
+        let me = NodeId::from_index(me);
+        let candidates = alive_others(me, &alive);
+
+        let penalty = disconnection_penalty(&d);
+        let overlay = w.to_graph(&d, &alive);
+        let mut route = RouteState::new();
+        route.rebuild(SnapshotKind::Additive, d.clone(), penalty, alive.clone(), &overlay);
+        let csr = CsrGraph::from_digraph(&overlay);
+        let dense = apsp(&w.residual_graph(me, &d, &alive));
+        let mut arena = ResidualArena::default();
+        let (prefs, current) = (Preferences::uniform(n), w.of(me).to_vec());
+        for kind in [
+            PolicyKind::BestResponse,
+            PolicyKind::ExactBestResponse,
+            PolicyKind::HybridBestResponse { k2: 2 },
+        ] {
+            for m in [usize::MAX, 4] {
+                let play = |residual: Residual<'_>| {
+                    let turn = Turn {
+                        node: me,
+                        k,
+                        policy: kind,
+                        sample_size: m,
+                        candidates: candidates.clone(),
+                        direct: &direct,
+                        prefs: &prefs,
+                        alive: &alive,
+                    };
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    choose(turn, &current, residual, kind.instantiate().as_mut(), &mut rng)
+                };
+                let snapshot = play(Residual::Snapshot(&mut route));
+                let from_dense = play(Residual::Dense(&dense, SnapshotKind::Additive, penalty));
+                let on_demand = play(Residual::OnDemand(&csr, &mut arena, penalty));
+                prop_assert_eq!(&from_dense, &snapshot, "{:?} m={}: dense", kind, m);
+                prop_assert_eq!(&on_demand, &snapshot, "{:?} m={}: on demand", kind, m);
+            }
+        }
+    }
 }

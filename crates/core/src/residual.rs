@@ -73,7 +73,7 @@ pub struct CowResidual<'a> {
 /// The on-demand backing: rows of `apsp(G−node)` over a CSR graph.
 ///
 /// One instance serves one re-wiring job. The rows the job is known to
-/// read ([`Self::with_rows`]) are filled up front by one batched
+/// read ([`Self::with_rows_in`]) are filled up front by one batched
 /// [`sweep_many`] pass into one packed block; any other row is one
 /// masked single-source sweep on its first read, kept until the instance
 /// is dropped. There is no `n × n` matrix behind it — memory is the rows
@@ -112,29 +112,23 @@ pub struct ResidualArena {
     batch: Vec<f64>,
     ws: DijkstraWorkspace,
     parent: Vec<u32>,
+    materialised: usize,
+}
+
+impl ResidualArena {
+    /// Rows the residual last recycled into this arena computed.
+    pub fn rows_materialised(&self) -> usize {
+        self.materialised
+    }
 }
 
 impl<'g> OnDemandResidual<'g> {
-    /// Residual rows of `g` minus `node`'s out-edges; nothing is
-    /// computed until a row is read.
-    pub fn new(g: &'g CsrGraph, node: NodeId) -> Self {
-        Self::with_rows(g, node, [])
-    }
-
-    /// [`Self::new`] with the rows of `sources` computed now, all in one
-    /// batched pass — for a caller that knows which rows its reader will
-    /// ask for. Bit for bit the rows a first read would have swept;
-    /// reading a row not named here still works, one sweep each.
-    pub fn with_rows(
-        g: &'g CsrGraph,
-        node: NodeId,
-        sources: impl IntoIterator<Item = NodeId>,
-    ) -> Self {
-        Self::with_rows_in(g, node, sources, &mut ResidualArena::default())
-    }
-
-    /// [`Self::with_rows`] into `arena`'s recycled storage; call
-    /// [`Self::recycle`] when done to hand it back.
+    /// Residual rows of `g` minus `node`'s out-edges, with the rows of
+    /// `sources` computed now, all in one batched pass, into `arena`'s
+    /// recycled storage — for a caller that knows which rows its reader
+    /// will ask for. Bit for bit the rows a first read would have swept;
+    /// reading a row not named here still works, one sweep each. Call
+    /// [`Self::recycle`] when done to hand the storage back.
     pub fn with_rows_in(
         g: &'g CsrGraph,
         node: NodeId,
@@ -148,6 +142,7 @@ impl<'g> OnDemandResidual<'g> {
             mut batch,
             mut ws,
             parent,
+            materialised: _,
         } = std::mem::take(arena);
         slot.clear();
         slot.resize(n, NO_SLOT);
@@ -182,6 +177,7 @@ impl<'g> OnDemandResidual<'g> {
             batch: self.batch,
             ws,
             parent,
+            materialised: self.computed.get(),
         };
     }
 
@@ -216,10 +212,6 @@ enum Inner<'a> {
     Dense(&'a DistanceMatrix),
     Cow(CowResidual<'a>),
     OnDemand(&'a OnDemandResidual<'a>),
-    /// Every row is the same borrowed slice — a placeholder for policies
-    /// that never consult residual state (`PolicyKind::needs_residual()`
-    /// is false), letting callers skip the O(n²·log n) APSP entirely.
-    Broadcast(&'a [f64]),
 }
 
 /// A read-only view of pairwise residual state, dense, copy-on-write or
@@ -239,14 +231,6 @@ impl<'a> ResidualView<'a> {
     pub fn dense(m: &'a DistanceMatrix) -> Self {
         ResidualView {
             inner: Inner::Dense(m),
-        }
-    }
-
-    /// View where every source reads the same borrowed row. Only valid
-    /// as a placeholder for policies that ignore residual state.
-    pub fn broadcast(row: &'a [f64]) -> Self {
-        ResidualView {
-            inner: Inner::Broadcast(row),
         }
     }
 
@@ -274,7 +258,6 @@ impl<'a> ResidualView<'a> {
             Inner::Dense(m) => m.len(),
             Inner::Cow(p) => p.n,
             Inner::OnDemand(p) => p.g.len(),
-            Inner::Broadcast(row) => row.len(),
         }
     }
 
@@ -289,7 +272,6 @@ impl<'a> ResidualView<'a> {
     pub fn row(&self, s: usize) -> &'a [f64] {
         match self.inner {
             Inner::Dense(m) => m.row(s),
-            Inner::Broadcast(row) => row,
             Inner::OnDemand(p) => p.row(s),
             Inner::Cow(p) => {
                 if s == p.node {
@@ -363,7 +345,8 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(0), 4.0);
         g.add_edge(NodeId(0), NodeId(2), 0.5);
         let csr = CsrGraph::from_digraph(&g);
-        let rows = OnDemandResidual::new(&csr, NodeId(0));
+        let mut arena = ResidualArena::default();
+        let rows = OnDemandResidual::with_rows_in(&csr, NodeId(0), [], &mut arena);
         let v = ResidualView::on_demand(&rows);
         assert_eq!(v.len(), 3);
         assert_eq!(rows.rows_materialised(), 0);
@@ -376,7 +359,8 @@ mod tests {
 
         // Announced rows are computed up front, once however often they
         // are named; reading them computes nothing more.
-        let rows = OnDemandResidual::with_rows(&csr, NodeId(0), [NodeId(1), NodeId(0), NodeId(1)]);
+        let named = [NodeId(1), NodeId(0), NodeId(1)];
+        let rows = OnDemandResidual::with_rows_in(&csr, NodeId(0), named, &mut arena);
         let v = ResidualView::on_demand(&rows);
         assert_eq!(rows.rows_materialised(), 2);
         assert_eq!(v.row(1), &[6.0, 0.0, 2.0]);
@@ -384,14 +368,5 @@ mod tests {
         assert_eq!(rows.rows_materialised(), 2);
         assert_eq!(v.row(2), &[4.0, f64::INFINITY, 0.0], "not announced");
         assert_eq!(rows.rows_materialised(), 3);
-    }
-
-    #[test]
-    fn broadcast_view_repeats_one_row() {
-        let row = vec![0.0, 1.0, 2.0];
-        let v = ResidualView::broadcast(&row);
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.row(0), v.row(2));
-        assert_eq!(v.at(1, 2), 2.0);
     }
 }

@@ -23,7 +23,7 @@ use crate::cheat::CheatConfig;
 use crate::cost::{
     disconnection_penalty, node_cost_from_dists, realized_rows, widest_rows, Preferences,
 };
-use crate::game::{alive_others, play_turn, Residual, Turn};
+use crate::game::{alive_others, play_turn, Turn};
 use crate::policies::bandwidth::all_pairs_widest;
 use crate::policies::hybrid::HybridBr;
 use crate::policies::{Policy, PolicyKind};
@@ -493,19 +493,19 @@ impl Simulator {
             return false;
         }
         let direct = self.candidate_costs(i);
-        let recomputed;
-        let residual = if !self.cfg.policy.needs_residual() {
-            Residual::Unread
+        let dense;
+        let recomputed = if !self.cfg.policy.needs_residual() {
+            None
         } else if self.cfg.engine == EngineMode::Recompute {
             // Reference oracle: rebuild everything from scratch.
             let announced = self.announced_cost_matrix();
             let (kind, penalty) = self.snapshot_kind(&announced);
             let residual_graph = self.wiring.residual_graph(i, &announced, &self.alive);
-            recomputed = match kind {
+            dense = match kind {
                 SnapshotKind::Additive => apsp(&residual_graph),
                 SnapshotKind::Widest => all_pairs_widest(&residual_graph),
             };
-            Residual::Dense(&recomputed, kind, penalty)
+            Some((&dense, kind, penalty))
         } else {
             if self.route_state.snapshot().is_none() {
                 let announced = self.announced_cost_matrix();
@@ -515,7 +515,7 @@ impl Simulator {
                 self.route_state
                     .rebuild(kind, announced, penalty, alive, &overlay);
             }
-            Residual::Snapshot
+            None
         };
         let turn = Turn {
             node: i,
@@ -533,7 +533,7 @@ impl Simulator {
             &mut self.wiring,
             &mut self.policy_rng,
         );
-        play_turn(turn, residual, route, policy, wiring, rng)
+        play_turn(turn, recomputed, route, policy, wiring, rng)
     }
 
     /// Enforce the §3.2 connectivity cycle for k-Random / k-Closest: when

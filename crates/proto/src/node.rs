@@ -8,9 +8,11 @@
 //! 2. **Measure**: ping every known node once per epoch (the `O(n)`
 //!    candidate measurement); EWMA of RTT/2 is the direct-cost estimate.
 //!    Established links are effectively monitored continuously by use.
-//! 3. **Re-wire**: once per (staggered) epoch `T`, compute the policy's
-//!    wiring over the announced residual graph — the CPU-bound best
-//!    response runs under `spawn_blocking`, per async best practice.
+//! 3. **Re-wire**: once per (staggered) epoch `T`, play the simulator's
+//!    wiring turn ([`egoist_core::game::choose`]) over the announced
+//!    residual graph. The live deployment runs the CPU-bound best
+//!    response under `spawn_blocking`; the fleet harness runs it inline
+//!    ([`NodeConfig::inline_rewire`]) so its runs are bit-reproducible.
 //! 4. **Announce**: gossip a sequence-numbered LSA of established links
 //!    every `T_announce`; forward fresh LSAs from others to a
 //!    fanout-bounded, deterministically chosen subset of overlay
@@ -35,9 +37,9 @@ use crate::message::{LinkEntry, LinkStateAnnouncement, Message, MessageClass, Re
 use crate::overhead::OverheadCounters;
 use crate::transport::Transport;
 use egoist_core::cost::Preferences;
-use egoist_core::policies::{Policy, PolicyKind, WiringContext};
-use egoist_core::{OnDemandResidual, ResidualArena, ResidualView};
-use egoist_graph::csr::{MinPlus, PathAlgebra};
+use egoist_core::game::{choose, Residual, Turn};
+use egoist_core::policies::{Policy, PolicyKind};
+use egoist_core::ResidualArena;
 use egoist_graph::NodeId;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
@@ -155,13 +157,14 @@ struct JobScratch {
 }
 
 impl JobScratch {
-    /// The kept policy object for `kind`, instantiated on a change.
-    fn policy(&mut self, kind: PolicyKind) -> &mut (dyn Policy + Send + Sync) {
+    /// The kept policy object for `kind`, instantiated on a change, and
+    /// the residual arena.
+    fn parts(&mut self, kind: PolicyKind) -> (&mut (dyn Policy + Send + Sync), &mut ResidualArena) {
         if self.kept.as_ref().is_some_and(|(kept, _)| *kept != kind) {
             self.kept = None;
         }
         let (_, policy) = self.kept.get_or_insert_with(|| (kind, kind.instantiate()));
-        policy.as_mut()
+        (policy.as_mut(), &mut self.residual)
     }
 }
 
@@ -1244,8 +1247,10 @@ impl<T: Transport> EgoistNode<T> {
         }
     }
 
-    /// Compute a new wiring with the configured policy (CPU-bound part on
-    /// the blocking pool) and install it. Returns whether it changed.
+    /// Play the wiring turn over the known peers with the configured
+    /// policy (inline or on the blocking pool, per
+    /// [`NodeConfig::inline_rewire`]) and install it. Returns whether it
+    /// changed.
     async fn rewire(&mut self) -> bool {
         self.expire_origins();
         let candidates = self.known_peers();
@@ -1257,14 +1262,8 @@ impl<T: Transport> EgoistNode<T> {
         let k = self.cfg.k;
         let policy = self.cfg.policy;
         let direct: Vec<f64> = (0..n)
-            .map(|j| {
-                let v = self.est[j].value;
-                if v.is_nan() {
-                    f64::INFINITY
-                } else {
-                    v
-                }
-            })
+            .map(|j| self.est[j].value)
+            .map(|v| if v.is_nan() { f64::INFINITY } else { v })
             .collect();
         // Oblivious policies never read residual state: skip the
         // quarantine-ranked graph build and every residual row — this is
@@ -1282,48 +1281,32 @@ impl<T: Transport> EgoistNode<T> {
             let obs = proto_obs();
             let _span = obs.rewire_job.start();
             let prefs = Preferences::uniform(n);
-            let finite_max = direct
-                .iter()
-                .copied()
-                .filter(|d| d.is_finite())
-                .fold(1.0f64, f64::max);
-            let penalty = finite_max * n as f64 * 4.0;
+            let turn = Turn {
+                node: me,
+                k,
+                policy,
+                // Unsampled: the shortlist is every known peer.
+                sample_size: usize::MAX,
+                candidates,
+                direct: &direct,
+                prefs: &prefs,
+                alive: &alive,
+            };
+            // The node's own penalty rule: its largest finite direct
+            // cost (at least 1) × n × 4.
+            let finite = direct.iter().copied().filter(|d| d.is_finite());
+            let penalty = finite.fold(1.0f64, f64::max) * n as f64 * 4.0;
             JOB_SCRATCH.with_borrow_mut(|scratch| {
-                // The policy reads one residual row of G−i per candidate
-                // it can reach directly (`Instance::build_in`'s
-                // predicate), not n: those are swept together, anything
-                // else on first read.
-                let rows = announced.as_ref().map(|g| {
-                    let served =
-                        |c: &NodeId| MinPlus::better(direct[c.index()], MinPlus::UNREACHED);
-                    let sources = candidates.iter().copied().filter(served);
-                    OnDemandResidual::with_rows_in(g, me, sources, &mut scratch.residual)
-                });
-                let zero_row;
-                let residual = match &rows {
-                    Some(rows) => ResidualView::on_demand(rows),
-                    None => {
-                        zero_row = vec![0.0; n];
-                        ResidualView::broadcast(&zero_row)
-                    }
-                };
-                let ctx = WiringContext {
-                    node: me,
-                    k,
-                    candidates: &candidates,
-                    direct: &direct,
-                    residual,
-                    prefs: &prefs,
-                    alive: &alive,
-                    penalty,
-                    current: &current,
+                let (policy, arena) = scratch.parts(policy);
+                let residual = match &announced {
+                    Some(g) => Residual::OnDemand(g, arena, penalty),
+                    None => Residual::Unread,
                 };
                 let mut rng = StdRng::seed_from_u64(seed);
-                let wiring = scratch.policy(policy).wire(&ctx, &mut rng);
-                if let Some(rows) = rows {
-                    obs.rows_materialised.add(rows.rows_materialised() as u64);
+                let wiring = choose(turn, &current, residual, policy, &mut rng);
+                if announced.is_some() {
+                    obs.rows_materialised.add(arena.rows_materialised() as u64);
                     obs.rows_possible.add(n as u64);
-                    rows.recycle(&mut scratch.residual);
                 }
                 wiring
             })

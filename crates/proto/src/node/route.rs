@@ -1,7 +1,8 @@
 //! The node's route computation, on the CSR engine: the LSDB graph that
 //! survives the quarantine audit, and the routing table one sweep over
-//! it yields. Residual rows for a re-wiring job are read through
-//! [`egoist_core::OnDemandResidual`] over the same graph.
+//! it yields. A re-wiring job hands the same graph to the shared turn
+//! ([`egoist_core::game::choose`]), which sweeps its residual rows on
+//! demand.
 
 use super::{proto_obs, EgoistNode};
 use crate::audit::ClaimVerdict;

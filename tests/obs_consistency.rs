@@ -290,7 +290,8 @@ fn every_policy_epoch_is_one_route_span() {
 /// The fleet instruments (`x-fleet-instruments` in the metrics schema:
 /// route computation plus the anti-entropy overlap and refresh
 /// counters): present after a best-response fleet, consistent with each
-/// other, and invisible to the report.
+/// other, and invisible to the report. Every re-wiring job is also one
+/// shared wiring turn, counted by the core's turn instruments.
 #[test]
 fn fleet_route_instruments_are_exported_and_invisible() {
     let _g = serial();
@@ -340,4 +341,12 @@ fn fleet_route_instruments_are_exported_and_invisible() {
     let pops = reg.counter_value("graph.sweep_many.pops");
     assert_eq!(batched, read, "every row read was announced to the batch");
     assert!(pops >= batched, "every source is popped: {pops}/{batched}");
+
+    // Every job is the shared turn: one solve, over the identity
+    // shortlist of the node's known peers (the node does not sample).
+    let offered = reg.counter_value("core.shortlist.offered");
+    assert!(offered > 0, "a BR job offers its known peers");
+    assert_eq!(reg.counter_value("core.shortlist.kept"), offered);
+    let (solves, _) = reg.span_value("core.epoch.turn.solver");
+    assert_eq!(solves, jobs, "one solve per re-wiring job");
 }
