@@ -4,7 +4,7 @@
 //! computation on the `fleet_br_n300` shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use egoist_core::{OnDemandResidual, ResidualArena, ResidualView};
+use egoist_core::{ResidualArena, ResidualView};
 use egoist_graph::apsp::{apsp, floyd_warshall};
 use egoist_graph::dijkstra::dijkstra;
 use egoist_graph::disjoint::edge_disjoint_paths;
@@ -80,10 +80,9 @@ fn bench_bandwidth_algos(c: &mut Criterion) {
 }
 
 /// One re-wiring job's residual state at n=300, k=4: the dense
-/// `apsp(G−i)` every job used to run, against on-demand rows — swept
-/// one by one on first read (`on_demand`) or announced and swept in one
-/// batch (`batched`, what the node does) — when the policy reads 20% of
-/// them (`ping_sample = 8`, what `fleet_br_n300` measures), 50%, and
+/// `apsp(G−i)` every job used to run, against the named rows swept in
+/// one batch (`batched`, what the node does) — when the policy reads 20%
+/// of them (`ping_sample = 8`, what `fleet_br_n300` measures), 50%, and
 /// all of them (unbounded `ping_sample`, the `live_overlay` default —
 /// the case that must not lose to dense).
 fn bench_node_rewire(c: &mut Criterion) {
@@ -123,19 +122,11 @@ fn bench_node_rewire(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("on_demand", percent), &percent, |b, &p| {
-            b.iter(|| {
-                let arena = &mut ResidualArena::default();
-                let rows = OnDemandResidual::with_rows_in(black_box(&csr), me, [], arena);
-                black_box(read(ResidualView::on_demand(&rows), p))
-            })
-        });
         group.bench_with_input(BenchmarkId::new("batched", percent), &percent, |b, &p| {
             b.iter(|| {
-                let announced = sources(p).map(NodeId::from_index);
+                let named = sources(p).map(NodeId::from_index);
                 let arena = &mut ResidualArena::default();
-                let rows = OnDemandResidual::with_rows_in(black_box(&csr), me, announced, arena);
-                black_box(read(ResidualView::on_demand(&rows), p))
+                black_box(read(arena.sweep(black_box(&csr), me, named), p))
             })
         });
     }

@@ -18,7 +18,6 @@ pub struct CoordinateSystem {
     rng: StdRng,
     /// Gossip fan-out per round (peers sampled by each node).
     pub fanout: usize,
-    rounds_run: u64,
 }
 
 impl CoordinateSystem {
@@ -28,7 +27,6 @@ impl CoordinateSystem {
             nodes: vec![VivaldiNode::default(); n],
             rng: StdRng::seed_from_u64(seed ^ 0xC00D),
             fanout: 4,
-            rounds_run: 0,
         }
     }
 
@@ -64,7 +62,6 @@ impl CoordinateSystem {
                 self.nodes[i].observe(&peer_coord, peer_error, owd);
             }
         }
-        self.rounds_run += 1;
     }
 
     /// Run `rounds` gossip rounds against a static delay matrix.
@@ -119,11 +116,6 @@ impl CoordinateSystem {
         }
         errs.sort_by(f64::total_cmp);
         errs[errs.len() / 2]
-    }
-
-    /// Gossip rounds completed.
-    pub fn rounds(&self) -> u64 {
-        self.rounds_run
     }
 }
 

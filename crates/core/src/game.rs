@@ -20,7 +20,7 @@
 use crate::cost::{disconnection_penalty, node_cost_from_dists, Preferences};
 use crate::policies::hybrid::HybridBr;
 use crate::policies::{Policy, PolicyKind, WiringContext};
-use crate::residual::{OnDemandResidual, ResidualArena, ResidualView};
+use crate::residual::{ResidualArena, ResidualView};
 use crate::sampling::shortlist;
 use crate::snapshot::{EpochSnapshot, RouteState, SnapshotKind};
 use crate::wiring::Wiring;
@@ -58,9 +58,9 @@ pub enum Residual<'a> {
     Dense(&'a DistanceMatrix, SnapshotKind, f64),
     /// The route state's live snapshot.
     Snapshot(&'a mut RouteState),
-    /// Additive rows of `G−i` swept on demand into the arena (which then
-    /// counts them), with what an unserved destination is worth — the
-    /// protocol node's form.
+    /// Additive rows of `G−i` the turn names, swept in one batched pass
+    /// into the arena (which then counts them), with what an unserved
+    /// destination is worth — the protocol node's form.
     OnDemand(&'a CsrGraph, &'a mut ResidualArena, f64),
 }
 
@@ -130,23 +130,16 @@ pub fn choose(
         };
         kept.add(candidates.len() as u64);
     }
-    let no_rows;
-    let mut on_demand = None;
-    let (residual, arena) = match residual {
-        Residual::Unread => {
-            // Oblivious wirings rank by direct cost or id alone.
-            no_rows = DistanceMatrix::filled(0, 0.0);
-            (ResidualView::dense(&no_rows), None)
-        }
-        Residual::Dense(matrix, ..) => (ResidualView::dense(matrix), None),
-        Residual::Snapshot(route) => (route.residual(i.index(), &candidates), None),
+    let residual = match residual {
+        // Oblivious wirings rank by direct cost or id alone.
+        Residual::Unread => ResidualView::empty(i.index()),
+        Residual::Dense(matrix, ..) => ResidualView::dense(matrix),
+        Residual::Snapshot(route) => route.residual(i.index(), &candidates),
         Residual::OnDemand(g, arena, _) => {
             // The policy reads one row per candidate it can reach
             // directly (`Instance::build_in`'s predicate).
             let served = |c: &NodeId| MinPlus::better(turn.direct[c.index()], MinPlus::UNREACHED);
-            let sources = candidates.iter().copied().filter(served);
-            let rows = on_demand.insert(OnDemandResidual::with_rows_in(g, i, sources, arena));
-            (ResidualView::on_demand(rows), Some(arena))
+            arena.sweep(g, i, candidates.iter().copied().filter(served))
         }
     };
     let ctx = WiringContext {
@@ -163,9 +156,6 @@ pub fn choose(
     let span = solver.start();
     let new = policy.wire(&ctx, rng);
     drop(span);
-    if let (Some(rows), Some(arena)) = (on_demand, arena) {
-        rows.recycle(arena);
-    }
     new
 }
 

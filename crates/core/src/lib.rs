@@ -11,9 +11,11 @@
 //!   study (§4.5) expressible.
 //! * [`wiring`] — wirings `s_i`, global wirings `S`, residual graphs
 //!   `G_{−i}`.
-//! * [`residual`] — zero-copy [`ResidualView`]s over `G_{−i}` pairwise
-//!   state: dense for the from-scratch oracle, copy-on-write for the
-//!   epoch route-state engine, on demand for the protocol node.
+//! * [`residual`] — the one [`ResidualView`] over `G_{−i}` pairwise
+//!   state: a slot table that borrows base rows (the epoch snapshot's,
+//!   or a dense matrix's), reads the pool rows a [`ResidualArena`] fill
+//!   computed (removal repairs, or the protocol node's batched sweep),
+//!   and panics on a row nobody named.
 //! * [`policies`] — every neighbor-selection policy of §3.2/§3.3: exact
 //!   Best-Response, local-search BR, BR(ε), k-Random, k-Closest,
 //!   k-Regular, HybridBR, and the bandwidth-objective BR of §4.1.
@@ -48,7 +50,7 @@ pub mod wiring;
 pub use cost::Preferences;
 pub use game::Game;
 pub use policies::{Policy, PolicyKind, WiringContext};
-pub use residual::{OnDemandResidual, ResidualArena, ResidualView};
+pub use residual::{ResidualArena, ResidualView};
 pub use wiring::Wiring;
 
 #[cfg(test)]

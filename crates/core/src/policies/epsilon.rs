@@ -44,12 +44,8 @@ impl EpsilonBr {
         }
     }
 
-    /// Cost of keeping the current wiring, under announced information.
-    pub fn current_cost(ctx: &WiringContext<'_>) -> f64 {
-        Self::current_cost_in(ctx, &mut SolverArena::default())
-    }
-
-    /// [`Self::current_cost`] into recycled storage.
+    /// Cost of keeping the current wiring, under announced information,
+    /// computed in recycled storage.
     fn current_cost_in(ctx: &WiringContext<'_>, arena: &mut SolverArena) -> f64 {
         let inst = BrInstance::build_in(ctx, arena);
         let cost = inst.eval(&indices_of(&inst.cand, ctx.current));

@@ -50,9 +50,10 @@ pub struct WiringContext<'a> {
     /// entries for dead nodes are ignored.
     pub direct: &'a [f64],
     /// Pairwise distances over the residual graph `G_{−i}` (announced
-    /// costs) — a zero-copy [`ResidualView`], dense, copy-on-write or on
-    /// demand. Policies whose [`PolicyKind::needs_residual`] is false get
-    /// a view with no rows and must not read it.
+    /// costs) — a zero-copy [`ResidualView`] of the rows the turn named,
+    /// or of a whole dense matrix. Policies whose
+    /// [`PolicyKind::needs_residual`] is false get a view with no rows,
+    /// any read of which panics.
     pub residual: ResidualView<'a>,
     /// Preference weights.
     pub prefs: &'a Preferences,

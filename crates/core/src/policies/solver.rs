@@ -10,8 +10,13 @@
 //! single swaps (\[5\] in the paper); the direction is a monomorphised
 //! type parameter, so each semiring compiles to its own loops.
 //!
-//! The matrix is ≈ n² floats (2 MB at n = 500) and every full pass over
-//! it runs at memory speed, so the solver is built to *not look at rows*:
+//! The destinations are the alive candidates, so the matrix is at most
+//! `|cand|²` floats. Once `n − 1 > m` the §5 shortlist caps that at
+//! `(m + k)²` (72² floats ≈ 41 KB at the default `m` = 64, `k` = 8); at the
+//! paper's scale it is `(n − 1)²`; on a protocol node it is the known
+//! peers squared, less the rows of unmeasured peers, which share one null
+//! row. Every full pass over it runs at memory speed, so the solver is
+//! built to *not look at rows*:
 //!
 //! * **Lazy greedy.** Marginal gains are submodular — a candidate's gain
 //!   over the chosen set only shrinks as the set grows,
@@ -169,7 +174,7 @@ const NO_ROW: u32 = u32::MAX;
 
 /// Reusable backing storage for an [`Instance`]: the assignment matrix
 /// (one row per candidate that serves anyone, plus one shared null row;
-/// ≈ n² on full candidate pools) plus the O(n) solver vectors. Solver
+/// sizes in the module docs) plus the O(n) solver vectors. Solver
 /// owners keep one arena and recycle it across turns, so a warmed-up
 /// turn allocates nothing; contents never survive a build, so reuse
 /// cannot change a decision.
@@ -852,6 +857,21 @@ impl<D: Direction> Instance<D> {
     }
 }
 
+fn combinations(n: u64, k: u64) -> u64 {
+    if k > n {
+        return 0;
+    }
+    let k = k.min(n - k);
+    let mut acc: u64 = 1;
+    for i in 0..k {
+        acc = acc.saturating_mul(n - i) / (i + 1);
+        if acc > 1 << 60 {
+            return u64::MAX;
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 impl<D: Direction> Instance<D> {
     /// Candidate `c`'s row and singleton sum as [`write_row`] writes them
@@ -878,21 +898,6 @@ impl<D: Direction> Instance<D> {
     pub(crate) fn singleton_sum(&self, c: usize) -> f64 {
         self.s.solo[c]
     }
-}
-
-fn combinations(n: u64, k: u64) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u64 = 1;
-    for i in 0..k {
-        acc = acc.saturating_mul(n - i) / (i + 1);
-        if acc > 1 << 60 {
-            return u64::MAX;
-        }
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -73,11 +73,11 @@ fn ctx<'a>(b: &'a Built, node: NodeId, k: usize) -> WiringContext<'a> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The on-demand residual backing is `apsp(residual_graph(i))` bit
-    /// for bit, whatever rows are announced up front (none, some twice,
-    /// the turn node's own, more than a lane block) or read and in
-    /// whatever order, and it computes exactly the rows that were
-    /// announced or read. The graphs are random
+    /// The on-demand fill's named rows are `apsp(residual_graph(i))` bit
+    /// for bit, whatever rows are named (none, some twice, the turn
+    /// node's own, more than a lane block), read back in whatever order,
+    /// in an arena a fill naming every row used before; and it computes
+    /// exactly one row per distinct named source. The graphs are random
     /// k-out digraphs with dead nodes (isolated origins: no out-links,
     /// nobody links to them), unusable (infinite-cost) links and links
     /// struck out afterwards, as a quarantine pass would.
@@ -87,7 +87,7 @@ proptest! {
         n in 2usize..100,
         k in 1usize..6,
     ) {
-        use crate::residual::{OnDemandResidual, ResidualArena, ResidualView};
+        use crate::residual::ResidualArena;
         use egoist_graph::CsrGraph;
         use rand::Rng;
 
@@ -132,24 +132,25 @@ proptest! {
         for x in (1..reads.len()).rev() {
             reads.swap(x, rng.random_range(0..=x));
         }
+        // Name a random subset (repeats included), then read back every
+        // named row, each at least twice.
         let csr = CsrGraph::from_digraph(&g);
         let share = [0.0, 0.3, 1.0][rng.random_range(0..3usize)];
-        let announced: Vec<NodeId> = reads
+        let named: Vec<NodeId> = reads
             .iter()
             .map(|&s| NodeId::from_index(s))
             .filter(|_| rng.random::<f64>() < share)
             .collect();
-        let mut arena = ResidualArena::default();
-        let rows = OnDemandResidual::with_rows_in(&csr, turn, announced.iter().copied(), &mut arena);
-        let view = ResidualView::on_demand(&rows);
-        prop_assert_eq!(view.len(), n);
         let mut seen = vec![false; n];
-        for s in &announced {
+        for s in &named {
             seen[s.index()] = true;
         }
-        prop_assert_eq!(rows.rows_materialised(), seen.iter().filter(|&&x| x).count());
-        for &s in &reads {
+        let mut arena = ResidualArena::default();
+        arena.sweep(&csr, turn, (0..n).map(NodeId::from_index));
+        let view = arena.sweep(&csr, turn, named.iter().copied());
+        for s in reads.into_iter().filter(|&s| seen[s]) {
             let row = view.row(s);
+            prop_assert_eq!(row.len(), n);
             for (t, x) in row.iter().enumerate() {
                 prop_assert_eq!(
                     x.to_bits(),
@@ -157,15 +158,12 @@ proptest! {
                     "row read ({},{}) for turn {}", s, t, turn
                 );
             }
-            let t = rng.random_range(0..n);
-            prop_assert_eq!(view.at(s, t).to_bits(), truth.at(s, t).to_bits());
-            seen[s] = true;
-            prop_assert_eq!(
-                rows.rows_materialised(),
-                seen.iter().filter(|&&x| x).count(),
-                "an unannounced row is computed when first read, and only then"
-            );
         }
+        prop_assert_eq!(
+            arena.rows_materialised(),
+            seen.iter().filter(|&&x| x).count(),
+            "one row per distinct named source"
+        );
     }
 }
 
@@ -413,7 +411,7 @@ proptest! {
         prop_assert!(game.social_cost() <= rnd.social_cost() + 1e-9);
     }
 
-    /// The copy-on-write [`crate::residual::ResidualView`] is
+    /// The snapshot's [`crate::residual::ResidualView`] is
     /// bit-identical to a from-scratch all-pairs run on the residual
     /// graph — random point probes, full candidate-row reads, and reads
     /// after a committed re-wiring, for both snapshot kinds. Then a
@@ -484,7 +482,7 @@ proptest! {
                 for &(ps, pt) in &probes {
                     let (s, t) = (ps % n, pt % n);
                     prop_assert_eq!(
-                        view.at(s, t).to_bits(),
+                        view.row(s)[t].to_bits(),
                         truth.at(s, t).to_bits(),
                         "{kind:?} probe ({s},{t}) for turn {i}"
                     );
@@ -649,17 +647,18 @@ proptest! {
                         .filter(|t| *t != node && !old.contains(t))
                         .collect();
                     if op >= 3 {
-                        // A turn: the node's links and a random subset of
-                        // the others are named, read and checked.
+                        // A turn: the node itself, its links and a random
+                        // subset of the others are named, read and checked.
                         let mut named = old.clone();
                         named.extend(draw(&spare, n, &mut rng));
+                        named.push(node);
                         let g = w.residual_graph(node, &d, &alive);
                         let truth = match kind {
                             SnapshotKind::Additive => apsp(&g),
                             SnapshotKind::Widest => all_pairs_widest(&g),
                         };
                         let view = rs.residual(x, &named);
-                        for s in named.iter().map(|s| s.index()).chain([x]) {
+                        for s in named.iter().map(|s| s.index()) {
                             for (t, got) in view.row(s).iter().enumerate() {
                                 prop_assert_eq!(
                                     got.to_bits(),
@@ -1086,7 +1085,7 @@ proptest! {
     /// state's snapshot, from a dense `apsp(G−i)`, or are swept on demand
     /// over the overlay's CSR graph with the snapshot's penalty — the
     /// protocol node's form. Some direct costs are unmeasured, so the
-    /// on-demand form batches some rows and sweeps the rest on a read.
+    /// on-demand form names only some of the shortlist's rows.
     #[test]
     fn every_backing_makes_the_same_choice(
         seed in any::<u64>(),

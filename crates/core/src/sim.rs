@@ -746,11 +746,6 @@ impl Simulator {
 
     // --- state accessors for the data-plane / closed-loop coupling ---
 
-    /// The simulation configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// The current global wiring `S`.
     pub fn wiring(&self) -> &Wiring {
         &self.wiring
@@ -790,17 +785,6 @@ impl Simulator {
     pub fn bandwidths_mut(&mut self) -> &mut BandwidthModel {
         self.route_state.invalidate(RebuildCause::Feedback);
         &mut self.bandwidths
-    }
-
-    /// Preference weights.
-    pub fn prefs(&self) -> &Preferences {
-        &self.prefs
-    }
-
-    /// Snapshot of the announced edge-cost matrix (what routing and
-    /// wiring decisions consume).
-    pub fn announced_matrix(&self) -> DistanceMatrix {
-        self.announced_cost_matrix()
     }
 
     /// The announced edge-cost matrix without the dense rebuild when a

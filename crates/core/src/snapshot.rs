@@ -82,7 +82,7 @@
 //! results are byte-deterministic under any scheduling (and run inline
 //! when one core is all there is).
 
-use crate::residual::{CowResidual, ResidualView, NO_SLOT, UNNAMED};
+use crate::residual::{ResidualArena, ResidualView};
 use crate::wiring::Wiring;
 use egoist_graph::csr::{
     all_pairs, removal_keeps_all, subtree_under, MaxMin, MinPlus, PathAlgebra, NO_PARENT,
@@ -203,16 +203,12 @@ pub struct RouteState {
     /// Why the snapshot was last dropped (see [`Self::invalidate`]).
     cause: RebuildCause,
     ws: DijkstraWorkspace,
-    /// The turn's side pool: per-source dispatch table ([`UNNAMED`] =
-    /// not a row of this turn, [`NO_SLOT`] = borrow the snapshot row)
-    /// plus the packed repaired rows. Read by the turn's view only.
-    row_slot: Vec<u32>,
-    pool_dist: Vec<f64>,
+    /// The turn's named rows: borrowed snapshot rows and the repaired
+    /// side pool. Read by the turn's view only.
+    rows: ResidualArena,
     /// Where a pool row's repair writes its parents: write-only scratch,
     /// which `repair_removal` never reads.
     pool_tree: Vec<u32>,
-    /// The turn node's own residual row (no out-links survive `G−i`).
-    self_row: Vec<f64>,
     /// Scratch of the removal repairs: the subtrees under one row's
     /// removed tree edges.
     affected: Vec<u32>,
@@ -251,10 +247,8 @@ impl RouteState {
             snap: None,
             cause: RebuildCause::Underlay,
             ws: DijkstraWorkspace::new(0),
-            row_slot: Vec::new(),
-            pool_dist: Vec::new(),
+            rows: ResidualArena::default(),
             pool_tree: Vec::new(),
-            self_row: Vec::new(),
             affected: Vec::new(),
             edges: Vec::new(),
             added: Vec::new(),
@@ -318,10 +312,10 @@ impl RouteState {
         });
     }
 
-    /// The residual view for the turn node `i` — the rows of `rows` (and
-    /// `i`'s own) of the pairwise distances (or widths) over `G−i`,
-    /// bit-identical to a from-scratch all-pairs run on the residual
-    /// graph, without materializing it.
+    /// The residual view for the turn node `i` — the rows of `rows` of
+    /// the pairwise distances (or widths) over `G−i`, bit-identical to a
+    /// from-scratch all-pairs run on the residual graph, without
+    /// materializing it.
     ///
     /// A named source whose tree uses one of `i`'s out-links is copied
     /// into the side pool and repaired on the subtrees under those
@@ -337,69 +331,51 @@ impl RouteState {
         let timer = self.obs.residual.clone();
         let span = timer.start();
         let live = self.snap.as_ref().expect("route snapshot must be live");
-        let (named, swept) = match live.kind {
+        let named = match live.kind {
             SnapshotKind::Additive => self.repair_residual::<MinPlus>(i, rows),
             SnapshotKind::Widest => self.repair_residual::<MaxMin>(i, rows),
         };
         drop(span);
+        let swept = self.rows.rows_materialised();
         self.stats.residual_swept += swept;
         self.stats.residual_borrowed += named - swept;
         self.obs.residual_named.add(named as u64);
         self.obs.residual_swept.add(swept as u64);
         self.obs.residual_borrowed.add((named - swept) as u64);
         let snap = self.snap.as_ref().expect("still live");
-        ResidualView::cow(CowResidual {
-            n: snap.apsp.n,
-            node: i,
-            snap: &snap.apsp.dist,
-            slot: &self.row_slot,
-            pool: &self.pool_dist,
-            self_row: &self.self_row,
-        })
+        self.rows.view(i, &snap.apsp.dist)
     }
 
-    /// Fill the side pool, slot table and self row of `G−i` on the
-    /// snapshot's algebra; returns how many distinct rows other than
-    /// `i`'s were named and how many of them had to be repaired (every
-    /// other one is exact as it stands).
-    fn repair_residual<A: PathAlgebra>(&mut self, i: usize, rows: &[NodeId]) -> (usize, usize) {
+    /// Name the rows of `G−i` on the snapshot's algebra: borrow each one
+    /// that is exact as it stands, repair every other into the pool.
+    /// Returns how many distinct rows were named.
+    fn repair_residual<A: PathAlgebra>(&mut self, i: usize, rows: &[NodeId]) -> usize {
         let snap = self.snap.as_ref().expect("route snapshot must be live");
         let n = snap.apsp.n;
-        self.row_slot.clear();
-        self.row_slot.resize(n, UNNAMED);
+        self.rows.clear(n);
         self.pool_tree.resize(n, NO_PARENT);
-        // Source `i` keeps no out-links in `G−i`.
-        self.self_row.clear();
-        self.self_row.resize(n, A::UNREACHED);
-        self.self_row[i] = A::SOURCE;
         let (iu, links) = (i as u32, snap.csr.out(i).0);
-        let (mut named, mut swept) = (0, 0);
+        let mut named = 0;
         for s in rows.iter().map(|s| s.index()) {
-            if s == i || self.row_slot[s] != UNNAMED {
+            if self.rows.named(s) {
                 continue;
             }
             named += 1;
-            self.row_slot[s] = NO_SLOT;
             let (affected, tree) = (&mut self.affected, snap.apsp.parent_row(s));
             subtree_under(&snap.csr, tree, iu, links, affected);
             let cut = |u, _| u == iu;
             let dist = snap.apsp.dist_row(s);
             if affected.is_empty() || removal_keeps_all::<A>(&snap.rev, cut, affected, dist, tree) {
+                self.rows.borrow(s);
                 continue;
             }
-            let lo = swept * n;
-            if self.pool_dist.len() < lo + n {
-                self.pool_dist.resize(lo + n, f64::INFINITY);
-            }
-            let row = &mut self.pool_dist[lo..lo + n];
+            let row = self.rows.pool_row(s, n);
             row.copy_from_slice(dist);
             let (csr, rev, tree) = (&snap.csr, &snap.rev, &mut self.pool_tree);
             self.ws
                 .repair_removal::<A>(csr, rev, cut, affected, row, tree);
-            self.row_slot[s] = swept as u32;
-            swept += 1;
         }
-        (named, swept)
+        named
     }
 
     /// Absorb node `i`'s committed re-wiring into the live snapshot, if
@@ -768,7 +744,7 @@ mod tests {
                 for t in 0..24 {
                     assert_eq!(
                         oracle.at(s, t).to_bits(),
-                        got.at(s, t).to_bits(),
+                        got.row(s)[t].to_bits(),
                         "residual({i}) mismatch at ({s},{t})"
                     );
                 }
@@ -792,7 +768,7 @@ mod tests {
                 for t in 0..20 {
                     assert_eq!(
                         oracle.at(s, t).to_bits(),
-                        got.at(s, t).to_bits(),
+                        got.row(s)[t].to_bits(),
                         "widest residual({i}) mismatch at ({s},{t})"
                     );
                 }
@@ -860,7 +836,7 @@ mod tests {
             let got = rs.residual(probe, &everyone(18));
             for s in 0..18 {
                 for t in 0..18 {
-                    assert_eq!(oracle.at(s, t).to_bits(), got.at(s, t).to_bits());
+                    assert_eq!(oracle.at(s, t).to_bits(), got.row(s)[t].to_bits());
                 }
             }
         }
@@ -927,7 +903,7 @@ mod tests {
         let got = rs.residual(9, &everyone(28));
         for s in 0..28 {
             for t in 0..28 {
-                assert_eq!(oracle.at(s, t).to_bits(), got.at(s, t).to_bits());
+                assert_eq!(oracle.at(s, t).to_bits(), got.row(s)[t].to_bits());
             }
         }
     }
@@ -1080,17 +1056,18 @@ mod tests {
     fn only_named_rows_are_counted_and_served() {
         let (d, w, alive) = setup(24, 3, 1);
         let mut rs = fresh_state(SnapshotKind::Additive, &d, &w, &alive);
-        // Duplicates and the turn node itself name nothing new.
+        // Duplicates name nothing new; the turn node's own row is named
+        // like any other.
         let named = [NodeId(3), NodeId(9), NodeId(3), NodeId(7), NodeId(20)];
         let oracle = apsp(&w.residual_graph(NodeId(7), &d, &alive));
         let got = rs.residual(7, &named);
         for s in [3usize, 9, 20, 7] {
             for t in 0..24 {
-                assert_eq!(oracle.at(s, t).to_bits(), got.at(s, t).to_bits());
+                assert_eq!(oracle.at(s, t).to_bits(), got.row(s)[t].to_bits());
             }
         }
         let stats = rs.stats;
-        assert_eq!(stats.residual_borrowed + stats.residual_swept, 3);
+        assert_eq!(stats.residual_borrowed + stats.residual_swept, 4);
     }
 
     #[test]
@@ -1099,6 +1076,14 @@ mod tests {
         let (d, w, alive) = setup(24, 3, 1);
         let mut rs = fresh_state(SnapshotKind::Additive, &d, &w, &alive);
         rs.residual(7, &[NodeId(3), NodeId(9)]).row(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 7 was not named for node 7")]
+    fn the_turn_nodes_own_row_is_read_only_when_named() {
+        let (d, w, alive) = setup(24, 3, 1);
+        let mut rs = fresh_state(SnapshotKind::Additive, &d, &w, &alive);
+        rs.residual(7, &[NodeId(3), NodeId(9)]).row(7);
     }
 
     #[test]

@@ -86,6 +86,12 @@ impl DistanceMatrix {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
+    /// Every row, packed row-major (`n × n`).
+    #[inline]
+    pub fn as_slice(&self) -> &[Cost] {
+        &self.data
+    }
+
     /// Restrict the matrix to the sub-population `keep` (in the given
     /// order), renumbering nodes densely. Used by the sampling machinery
     /// of §5 to scale down the BR input.

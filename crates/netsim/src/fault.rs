@@ -448,11 +448,6 @@ impl FaultInjector {
         }
     }
 
-    /// The scheduled plan, if any.
-    pub fn plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
-    }
-
     /// Flight-recorder edges for windows opening/healing at `now`.
     fn note_window_edges(&mut self, now: f64) {
         let Some(plan) = &self.plan else { return };

@@ -54,11 +54,6 @@ impl Backoff {
         exp.mul_f64(jitter)
     }
 
-    /// Number of attempts consumed so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Success: restart from the base delay (jitter stream continues).
     pub fn reset(&mut self) {
         self.attempt = 0;

@@ -182,6 +182,18 @@ pub enum RewireMode {
     Delayed,
 }
 
+/// An LSA claiming a link to us priced more than this factor away from
+/// our own measurement is a flood inconsistency.
+const AUDIT_RATIO: f64 = 4.0;
+
+/// Misbehavior points (decode garbage ×2, flood inconsistency ×1,
+/// decaying 1/epoch) at which a peer is banned for good.
+const BAN_THRESHOLD: u32 = 4;
+
+/// Consecutive unanswered pings after which an established neighbor is
+/// demoted to the passive view (recoverable, unlike a ban).
+const DEMOTE_AFTER: u32 = 3;
+
 /// Static configuration of one node.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
@@ -205,24 +217,12 @@ pub struct NodeConfig {
     /// Bootstrap service id, if joining an existing overlay.
     pub bootstrap: Option<NodeId>,
     pub seed: u64,
-    /// HyParView-style cap on maintained links. The paper's protocol is
-    /// `O(n)`, so the default is unbounded; chaos profiles tighten it.
-    pub active_view_size: usize,
     /// Cap on remembered-but-unwired peers (partition-healing reserve).
     pub passive_view_size: usize,
     /// First join-retry delay; doubles per attempt (deterministic jitter).
     pub join_backoff_base: Duration,
     /// Ceiling on the join-retry delay.
     pub join_backoff_cap: Duration,
-    /// An LSA claiming a link to us priced more than this factor away
-    /// from our own measurement is a flood inconsistency.
-    pub audit_ratio: f64,
-    /// Misbehavior points (decode garbage ×2, flood inconsistency ×1,
-    /// decaying 1/epoch) at which a peer is banned for good.
-    pub ban_threshold: u32,
-    /// Consecutive unanswered pings after which an established neighbor
-    /// is demoted to the passive view (recoverable, unlike a ban).
-    pub demote_after: u32,
     /// Run the wiring computation on the executor thread instead of
     /// `spawn_blocking`. Blocking-pool completions are delivered by real
     /// threads at racy points in the scheduler queue, so bit-reproducible
@@ -277,13 +277,9 @@ impl NodeConfig {
             cost_inflation: 1.0,
             bootstrap: None,
             seed: id.0 as u64,
-            active_view_size: usize::MAX,
             passive_view_size: 96,
             join_backoff_base: Duration::from_secs(1),
             join_backoff_cap: Duration::from_secs(30),
-            audit_ratio: 4.0,
-            ban_threshold: 4,
-            demote_after: 3,
             inline_rewire: false,
             gossip_fanout: usize::MAX,
             gossip_ttl: 8,
@@ -379,7 +375,7 @@ impl NodeHandle {
 /// raw consecutive-miss counter (Jonglez et al., arXiv:1403.3488):
 /// instantaneous loss/delay signals flap under jitter windows, so the
 /// demotion decision uses a loss-rate EWMA that must stay above
-/// [`PeerHealth::DEMOTE_ABOVE`] for a dwell of consecutive lost probes,
+/// [`PeerHealth::DEMOTE_ABOVE`] for [`DEMOTE_AFTER`] consecutive lost probes,
 /// and the demoted latch only releases below the (much lower)
 /// [`PeerHealth::RESTORE_BELOW`] — a peer oscillating between the two
 /// thresholds cannot be flapped across the boundary.
@@ -398,8 +394,9 @@ impl Default for PeerHealth {
     fn default() -> Self {
         PeerHealth {
             // NaN: the first probe outcome seeds the EWMA outright, so a
-            // peer that is dead on arrival demotes after exactly `dwell`
-            // probes rather than waiting out the smoothing ramp.
+            // peer that is dead on arrival demotes after exactly
+            // `DEMOTE_AFTER` probes rather than waiting out the smoothing
+            // ramp.
             loss: f64::NAN,
             above: 0,
             demoted: false,
@@ -420,7 +417,7 @@ impl PeerHealth {
 
     /// Record one probe outcome. Returns `true` when this sample trips
     /// the demotion latch (caller drops the link once per trip).
-    fn record(&mut self, lost: bool, dwell: u32) -> bool {
+    fn record(&mut self, lost: bool) -> bool {
         let x = if lost { 1.0 } else { 0.0 };
         self.loss = if self.loss.is_nan() {
             x
@@ -435,7 +432,7 @@ impl PeerHealth {
         if self.loss < Self::RESTORE_BELOW {
             self.demoted = false;
         }
-        if self.above >= dwell && !self.demoted {
+        if self.above >= DEMOTE_AFTER && !self.demoted {
             self.demoted = true;
             return true;
         }
@@ -794,7 +791,7 @@ impl<T: Transport> EgoistNode<T> {
             s.total_points += points as u64;
             s.misbehavior
         };
-        if score < self.cfg.ban_threshold {
+        if score < BAN_THRESHOLD {
             return false;
         }
         self.banned[peer.index()] = true;
@@ -862,9 +859,9 @@ impl<T: Transport> EgoistNode<T> {
     }
 
     /// §3.4-style flood audit: an LSA whose origin claims a link *to us*
-    /// priced more than `audit_ratio` away from our own measurement of
+    /// priced more than [`AUDIT_RATIO`] away from our own measurement of
     /// that origin is lying (the eclipse lure announces near-zero costs;
-    /// the Fig. 4 free rider's 2× inflation stays under the default 4×).
+    /// the Fig. 4 free rider's 2× inflation stays under the 4×).
     /// Newly-heard origins get a grace period — their first
     /// announcements carry a placeholder cost until their own pings
     /// resolve. Returns whether the LSA may be applied and forwarded.
@@ -887,8 +884,8 @@ impl<T: Transport> EgoistNode<T> {
         }
         let offending = lsa.links.iter().any(|l| {
             l.neighbor == self.cfg.id
-                && ((l.cost as f64) < my_est / self.cfg.audit_ratio
-                    || (l.cost as f64) > my_est * self.cfg.audit_ratio)
+                && ((l.cost as f64) < my_est / AUDIT_RATIO
+                    || (l.cost as f64) > my_est * AUDIT_RATIO)
         });
         if offending {
             self.punish(o, 1);
@@ -1125,7 +1122,7 @@ impl<T: Transport> EgoistNode<T> {
     /// it is *not* purged like a banned one, so its record stays
     /// measurable and future forgeries stay rankable.
     fn condemned(&self, j: usize) -> bool {
-        self.scores[j].total_points >= self.cfg.ban_threshold as u64
+        self.scores[j].total_points >= BAN_THRESHOLD as u64
     }
 
     /// Send one ping to `peer` and arm the pending-pong timer.
@@ -1161,12 +1158,11 @@ impl<T: Transport> EgoistNode<T> {
         expired.sort_unstable();
         self.pending_pings
             .retain(|_, (_, at)| at.elapsed() < deadline);
-        let dwell = self.cfg.demote_after;
         for peer in expired {
             if peer.index() >= self.cfg.n || self.banned[peer.index()] {
                 continue;
             }
-            if self.scores[peer.index()].health.record(true, dwell) {
+            if self.scores[peer.index()].health.record(true) {
                 self.demote(peer);
             }
         }
@@ -1314,12 +1310,11 @@ impl<T: Transport> EgoistNode<T> {
         // The k-median local search is the expensive bit; run it off the
         // async thread — unless the run must be bit-reproducible, in
         // which case blocking-pool wakeup order is a race we avoid.
-        let mut new_wiring = if self.cfg.inline_rewire {
+        let new_wiring = if self.cfg.inline_rewire {
             job()
         } else {
             tokio::task::spawn_blocking(job).await.unwrap_or_default()
         };
-        new_wiring.truncate(self.cfg.active_view_size);
         let mut old = self.wiring.clone();
         let mut new = new_wiring.clone();
         old.sort_unstable();
@@ -1559,9 +1554,7 @@ impl<T: Transport> EgoistNode<T> {
             } => {
                 if let Some((expected, sent_at)) = self.pending_pings.remove(&nonce) {
                     if expected == peer && peer.index() < self.cfg.n {
-                        self.scores[peer.index()]
-                            .health
-                            .record(false, self.cfg.demote_after);
+                        self.scores[peer.index()].health.record(false);
                         let one_way_ms = sent_at.elapsed().as_secs_f64() * 1000.0 / 2.0;
                         self.est[peer.index()].update(one_way_ms);
                         // §3.1 join: the newcomer connects as soon as it
@@ -2373,7 +2366,7 @@ mod tests {
                     }
                     node.banned[j] = rng.random::<f64>() < 0.08;
                     if rng.random::<f64>() < 0.08 {
-                        node.scores[j].total_points = node.cfg.ban_threshold as u64;
+                        node.scores[j].total_points = BAN_THRESHOLD as u64;
                     }
                 }
                 let any_id = |rng: &mut StdRng| NodeId::from_index(rng.random_range(0..n + 2));
@@ -2400,8 +2393,7 @@ mod tests {
                         }
                         5 => node.expire_origins(),
                         6 => {
-                            let threshold = node.cfg.ban_threshold;
-                            node.punish(any_id(&mut rng), threshold);
+                            node.punish(any_id(&mut rng), BAN_THRESHOLD);
                         }
                         7 => node.forget(any_id(&mut rng)),
                         8 => {
@@ -2460,7 +2452,7 @@ mod tests {
                     let mut rng = StdRng::seed_from_u64(seed);
                     for i in 0..3000u32 {
                         let lost = rng.random::<f64>() < p;
-                        h.record(lost, 3);
+                        h.record(lost);
                         if i >= 1000 {
                             prop_assert_eq!(
                                 h.is_demoted(),
@@ -2514,7 +2506,7 @@ mod tests {
                 let t0 = Instant::now();
                 for node in [&mut full, &mut short] {
                     node.first_heard.fill(Some(t0));
-                    let brink = node.cfg.ban_threshold - 1;
+                    let brink = BAN_THRESHOLD - 1;
                     node.scores
                         .iter_mut()
                         .step_by(3)

@@ -4,7 +4,7 @@
 //! ([`egoist_core::game::choose`]), which sweeps its residual rows on
 //! demand.
 
-use super::{proto_obs, EgoistNode};
+use super::{proto_obs, EgoistNode, AUDIT_RATIO};
 use crate::audit::ClaimVerdict;
 use crate::transport::Transport;
 use egoist_graph::csr::first_hops;
@@ -42,7 +42,7 @@ impl<T: Transport> EgoistNode<T> {
                     // routing graph.
                     if est_o.is_finite() && est_o > 0.0 {
                         let c = l.cost as f64;
-                        if c < est_o / self.cfg.audit_ratio || c > est_o * self.cfg.audit_ratio {
+                        if c < est_o / AUDIT_RATIO || c > est_o * AUDIT_RATIO {
                             quarantined += 1;
                             continue;
                         }

@@ -30,7 +30,7 @@ impl<T: Transport> EgoistNode<T> {
                 if l.neighbor == self.cfg.id && from != self.cfg.id {
                     if est_o.is_finite() && est_o > 0.0 {
                         let c = l.cost as f64;
-                        if c < est_o / self.cfg.audit_ratio || c > est_o * self.cfg.audit_ratio {
+                        if c < est_o / AUDIT_RATIO || c > est_o * AUDIT_RATIO {
                             quarantined += 1;
                             continue;
                         }
@@ -84,7 +84,7 @@ pub(super) fn arbitrary_node(
         match rng.random_range(0..10) {
             0 => s.misbehavior = 1,
             1 => s.contradicted_epoch = 2,
-            2 => s.total_points = node.cfg.ban_threshold as u64,
+            2 => s.total_points = BAN_THRESHOLD as u64,
             _ => {}
         }
     }

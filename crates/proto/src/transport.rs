@@ -444,13 +444,6 @@ impl UdpTransport {
         self.by_id.lock().insert(id, addr);
         self.by_addr.lock().insert(addr, id);
     }
-
-    /// Known peers.
-    pub fn peers(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.by_id.lock().keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 impl Transport for UdpTransport {

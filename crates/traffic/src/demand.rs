@@ -147,11 +147,6 @@ impl DemandGenerator {
         self.kind
     }
 
-    /// Offered load per epoch (Mbps); every epoch's flows sum to this.
-    pub fn offered_mbps(&self) -> f64 {
-        self.offered_mbps
-    }
-
     /// The weight of the alive nodes but `exclude`, summed in `alive`
     /// order.
     fn weight_of(&self, alive: &[NodeId], exclude: Option<NodeId>) -> f64 {

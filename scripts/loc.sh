@@ -9,18 +9,32 @@
 # `proptests.rs` and `route_props.rs` are test-only modules and count
 # nothing. Only `src/` is read: `benches/` are criterion groups, not
 # shipped code. Run from anywhere inside the repository.
+#
+# Exits 1, naming the line, when a column-0 item after a file's first
+# column-0 `#[cfg(test)]` carries no `#[cfg(test)]` of its own: that item
+# ships but would not be counted. Shipped items go above the tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 total=0
 for crate in crates/*/; do
     crate=${crate%/}
-    lines=$(find "$crate/src" -name '*.rs' ! -name proptests.rs ! -name route_props.rs -print0 |
+    if ! lines=$(find "$crate/src" -name '*.rs' ! -name proptests.rs ! -name route_props.rs -print0 |
         xargs -0 awk '
-            FNR == 1 { counting = 1 }
-            /^#\[cfg\(test\)\]/ { counting = 0 }
-            counting { n++ }
-            END { print n + 0 }')
+            FNR == 1 { counting = 1; gated = 0 }
+            /^#\[cfg\(test\)\]/ { counting = 0; gated = 1 }
+            counting { n++; next }
+            /^[A-Za-z]/ {
+                if (!gated) {
+                    printf "%s:%d: shipped item below the tests: %s\n", FILENAME, FNR, $0 > "/dev/stderr"
+                    bad = 1
+                }
+                gated = 0
+            }
+            END { print n + 0; exit bad }'); then
+        echo "$0: move those items above the file's first #[cfg(test)]" >&2
+        exit 1
+    fi
     printf '%-16s %6d\n' "${crate#crates/}" "$lines"
     total=$((total + lines))
 done
