@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use egoist_graph::NodeId;
 use egoist_proto::codec::{decode, encode, encode_sync, fnv1a};
 use egoist_proto::lsdb::Lsdb;
-use egoist_proto::message::{LinkEntry, LinkStateAnnouncement, Message};
+use egoist_proto::message::{LinkEntry, LinkStateAnnouncement, LsaRef, Message};
 use std::hint::black_box;
 
 fn lsa(origin: u32, seq: u64, k: usize) -> LinkStateAnnouncement {
@@ -51,10 +51,10 @@ fn bench_codec(c: &mut Criterion) {
     });
 
     // A digest push as anti-entropy sends it: 400 LSAs of k = 4 links,
-    // encoded straight from the records, or (as before) from clones
-    // wrapped in a `Message`.
+    // encoded straight from the records and link arena, or (as before)
+    // from owned copies wrapped in a `Message`.
     let db = lsdb(400, 4);
-    let refs: Vec<&LinkStateAnnouncement> = db.all().collect();
+    let refs: Vec<LsaRef> = db.all().collect();
     let sync_frame = encode_sync(&refs, &[]);
     group.throughput(Throughput::Bytes(sync_frame.len() as u64));
     group.bench_function("lsdb_sync_400/encode_from_records", |b| {
@@ -62,7 +62,7 @@ fn bench_codec(c: &mut Criterion) {
     });
     group.bench_function("lsdb_sync_400/encode_from_clones", |b| {
         b.iter(|| {
-            let lsas = refs.iter().map(|&l| l.clone()).collect();
+            let lsas = refs.iter().map(|l| l.to_lsa()).collect();
             let refreshes = Vec::new();
             black_box(encode(&Message::LsdbSync { lsas, refreshes }))
         })

@@ -52,7 +52,7 @@
 //! field is read, and a frame is validated whole before a [`Message`]
 //! is returned.
 
-use crate::message::{LinkEntry, LinkStateAnnouncement, Message, Refresh};
+use crate::message::{LinkEntry, LinkStateAnnouncement, LsaRef, Message, Refresh};
 use bytes::Bytes;
 use egoist_graph::NodeId;
 
@@ -157,7 +157,7 @@ mod tag {
 }
 
 /// Encoded size of one LSA: origin, seq, link count, 8 bytes per link.
-fn lsa_len(lsa: &LinkStateAnnouncement) -> usize {
+fn lsa_len(lsa: LsaRef) -> usize {
     14 + 8 * lsa.links.len()
 }
 
@@ -200,11 +200,11 @@ impl Writer<'_> {
         self.u16(len as u16);
     }
 
-    fn lsa(&mut self, lsa: &LinkStateAnnouncement) {
+    fn lsa(&mut self, lsa: LsaRef) {
         self.u32(lsa.origin.0);
         self.u64(lsa.seq);
         self.count(lsa.links.len());
-        for l in &lsa.links {
+        for l in lsa.links {
             self.u32(l.neighbor.0);
             self.u32(l.cost.to_bits());
         }
@@ -261,7 +261,7 @@ fn list_frame<T>(
 /// An `LsdbSync` frame; with refresh entries, the version 3 frame type
 /// that appends them.
 fn sync_frame<'a>(
-    lsas: impl ExactSizeIterator<Item = &'a LinkStateAnnouncement> + Clone,
+    lsas: impl ExactSizeIterator<Item = LsaRef<'a>> + Clone,
     refreshes: &[Refresh],
 ) -> Bytes {
     let (ty, entries) = match refreshes.len() {
@@ -285,9 +285,9 @@ fn sync_frame<'a>(
 
 /// The `LsdbSync` frame of borrowed announcements and refresh entries:
 /// byte for byte what [`encode`] makes of a `Message::LsdbSync` holding
-/// their clones, so anti-entropy pushes are encoded straight out of the
-/// LSDB records.
-pub fn encode_sync(lsas: &[&LinkStateAnnouncement], refreshes: &[Refresh]) -> Bytes {
+/// their owned copies, so anti-entropy pushes are encoded straight out
+/// of the LSDB's records and link arena.
+pub fn encode_sync(lsas: &[LsaRef], refreshes: &[Refresh]) -> Bytes {
     sync_frame(lsas.iter().copied(), refreshes)
 }
 
@@ -307,7 +307,9 @@ pub fn encode(msg: &Message) -> Bytes {
             list_frame(tag::BOOTSTRAP_RESPONSE, None, peers, 4, |w, p| w.u32(p.0))
         }
         Message::Hello { from } => id_frame(tag::HELLO, *from),
-        Message::LsdbSync { lsas, refreshes } => sync_frame(lsas.iter(), refreshes),
+        Message::LsdbSync { lsas, refreshes } => {
+            sync_frame(lsas.iter().map(LsaRef::from), refreshes)
+        }
         Message::LsdbDigest { from, entries } => list_frame(
             tag::LSDB_DIGEST,
             Some(*from),
@@ -321,9 +323,9 @@ pub fn encode(msg: &Message) -> Bytes {
         Message::LsdbPull { from, origins } => {
             list_frame(tag::LSDB_PULL, Some(*from), origins, 4, |w, o| w.u32(o.0))
         }
-        Message::LinkState { lsa, ttl } => frame(tag::LINK_STATE, 1 + lsa_len(lsa), |w| {
+        Message::LinkState { lsa, ttl } => frame(tag::LINK_STATE, 1 + lsa_len(lsa.into()), |w| {
             w.u8(*ttl);
-            w.lsa(lsa);
+            w.lsa(lsa.into());
         }),
         Message::Ping { from, nonce, hb } => echo(tag::PING, *from, *nonce, *hb),
         Message::Pong { from, nonce, hb } => echo(tag::PONG, *from, *nonce, *hb),
@@ -669,7 +671,7 @@ mod tests {
         for (count, entries) in [(0usize, 0), (1, 0), (400, 0), (0, 1), (3, 2), (400, 300)] {
             let lsas: Vec<LinkStateAnnouncement> =
                 (0..count).map(|i| lsa(i as u32, i % 9)).collect();
-            let refs: Vec<&LinkStateAnnouncement> = lsas.iter().collect();
+            let refs: Vec<LsaRef> = lsas.iter().map(LsaRef::from).collect();
             let refreshes = refreshes(entries);
             let from_records = encode_sync(&refs, &refreshes);
             let msg = Message::LsdbSync { lsas, refreshes };
@@ -685,7 +687,7 @@ mod tests {
     #[test]
     fn a_push_without_refreshes_is_a_plain_sync_frame() {
         let lsas = [lsa(4, 2), lsa(9, 0)];
-        let refs: Vec<&LinkStateAnnouncement> = lsas.iter().collect();
+        let refs: Vec<LsaRef> = lsas.iter().map(LsaRef::from).collect();
         let plain = encode_sync(&refs, &[]);
         assert_eq!(plain[3], tag::LSDB_SYNC);
         // Appending entries changes only the type and the tail: the LSAs
@@ -814,7 +816,10 @@ mod tests {
     fn count_offsets(m: &Message) -> Vec<usize> {
         match m {
             Message::LsdbSync { lsas, refreshes } if !refreshes.is_empty() => {
-                vec![8, 8 + 2 + lsas.iter().map(lsa_len).sum::<usize>()]
+                vec![
+                    8,
+                    8 + 2 + lsas.iter().map(|l| lsa_len(l.into())).sum::<usize>(),
+                ]
             }
             Message::BootstrapResponse { .. } | Message::LsdbSync { .. } => vec![8],
             Message::LsdbDigest { .. } | Message::LsdbPull { .. } => vec![12],

@@ -11,9 +11,18 @@
 //! every whole-table read is an ordered walk and every comparison with a
 //! peer's digest is one merge join; no hash table. Ids are dense in
 //! practice, so a lookup first asks "is position `origin` this origin?"
-//! and only binary-searches when it is not. Memory is O(records)
+//! and only binary-searches when it is not. Memory is O(records + links)
 //! whatever the ids are: an origin never seen before costs one
 //! `Vec::insert`.
+//!
+//! A fleet holds one LSDB per node, so the per-record constant is most
+//! of a fleet's memory. A record is a 40-byte header; the links of every
+//! record live in one arena `Vec` per LSDB, one contiguous run each, and
+//! reads hand out [`LsaRef`]s that borrow those runs in place. New links
+//! overwrite their record's run when they fit and are appended when they
+//! do not; the runs left behind are garbage until it outgrows the live
+//! links, when one ordered pass re-packs the arena. Both vectors grow by
+//! about an eighth, not by doubling.
 //!
 //! Each record also knows `since`: the lowest seq under which this node
 //! has held the origin's current link bytes, unchanged through every
@@ -25,18 +34,29 @@
 //! ([`Lsdb::resolve`]) before it believes one.
 
 use crate::codec::links_hash;
-use crate::message::{LinkEntry, LinkStateAnnouncement, Refresh};
+use crate::message::{LinkEntry, LinkStateAnnouncement, LsaRef, Refresh};
 use egoist_graph::NodeId;
 use std::borrow::Cow;
 
-/// Stored record for one origin.
-#[derive(Clone, Debug)]
+/// Stored record for one origin: the announcement's header, and where
+/// its links sit in the LSDB's link arena.
+#[derive(Clone, Copy, Debug)]
 struct Record {
-    lsa: LinkStateAnnouncement,
+    origin: NodeId,
+    /// The links are `arena[start..start + len]`.
+    start: u32,
+    len: u32,
+    seq: u64,
+    /// Lowest seq since which the links have been held unchanged.
+    since: u64,
     /// Local (monotonic, seconds) time of last refresh.
     refreshed_at: f64,
-    /// Lowest seq since which `lsa.links` have been held unchanged.
-    since: u64,
+}
+
+impl Record {
+    fn span(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// Whether two link lists are byte-equal: same neighbors, same cost bits,
@@ -54,7 +74,7 @@ pub(crate) fn same_links(a: &[LinkEntry], b: &[LinkEntry]) -> bool {
 /// digest seq is at or past the record's `since`.
 #[derive(Debug, Default, PartialEq)]
 pub struct Push<'a> {
-    pub full: Vec<&'a LinkStateAnnouncement>,
+    pub full: Vec<LsaRef<'a>>,
     pub refreshes: Vec<Refresh>,
 }
 
@@ -85,10 +105,24 @@ pub enum Resolve {
 /// The link-state database.
 #[derive(Clone, Debug, Default)]
 pub struct Lsdb {
-    /// Strictly ascending by `lsa.origin`.
+    /// Strictly ascending by `origin`.
     records: Vec<Record>,
+    /// Every record's links, one contiguous run per record. A run no
+    /// record names any more is garbage until the next compaction.
+    arena: Vec<LinkEntry>,
+    /// Arena entries no record names.
+    garbage: usize,
     /// Announcements older than this many seconds are considered dead.
     pub max_age: f64,
+}
+
+/// Make room for `extra` more items, growing by about an eighth rather
+/// than doubling: the LSDB is most of a node's memory, and a fleet holds
+/// one per node.
+fn reserve<T>(v: &mut Vec<T>, extra: usize) {
+    if v.capacity() - v.len() < extra {
+        v.reserve_exact(extra.max(v.len() / 8).max(4));
+    }
 }
 
 /// `digest` as a strictly origin-ascending slice: itself when it already
@@ -134,8 +168,8 @@ impl Lsdb {
     /// 20 s announcements and 60 s epochs suggest ~3 missed announcements).
     pub fn new(max_age: f64) -> Self {
         Lsdb {
-            records: Vec::new(),
             max_age,
+            ..Lsdb::default()
         }
     }
 
@@ -145,10 +179,49 @@ impl Lsdb {
         // origin ≥ p, so `origin` sits at or before position `origin`.
         let end = self.records.len().min(origin.index().saturating_add(1));
         match self.records[..end].last() {
-            Some(r) if r.lsa.origin == origin => Ok(end - 1),
-            Some(r) if r.lsa.origin < origin => Err(end), // past the last record
-            _ => self.records[..end].binary_search_by_key(&origin, |r| r.lsa.origin),
+            Some(r) if r.origin == origin => Ok(end - 1),
+            Some(r) if r.origin < origin => Err(end), // past the last record
+            _ => self.records[..end].binary_search_by_key(&origin, |r| r.origin),
         }
+    }
+
+    /// `r` borrowed as an announcement, its links in place.
+    fn lsa(&self, r: &Record) -> LsaRef<'_> {
+        LsaRef {
+            origin: r.origin,
+            seq: r.seq,
+            links: &self.arena[r.span()],
+        }
+    }
+
+    /// Append `links` to the arena; returns where they start.
+    fn push_links(&mut self, links: &[LinkEntry]) -> u32 {
+        reserve(&mut self.arena, links.len());
+        let start = self.arena.len() as u32;
+        self.arena.extend_from_slice(links);
+        // Every run's end, hence every start, then fits a u32.
+        assert!(
+            self.arena.len() <= u32::MAX as usize,
+            "link arena overflows u32"
+        );
+        start
+    }
+
+    /// Re-pack every live run, in origin order, into a fresh arena with
+    /// an eighth of headroom, when garbage exceeds the live links.
+    fn compact_if_sparse(&mut self) {
+        let live = self.arena.len() - self.garbage;
+        if self.garbage <= live {
+            return;
+        }
+        let mut packed = Vec::with_capacity(live + live / 8);
+        for r in &mut self.records {
+            let from = r.span();
+            r.start = packed.len() as u32;
+            packed.extend_from_slice(&self.arena[from]);
+        }
+        self.arena = packed;
+        self.garbage = 0;
     }
 
     /// Apply an announcement received at local time `now`.
@@ -159,31 +232,52 @@ impl Lsdb {
 
     /// [`Self::apply`] by reference: a fresh announcement of a known
     /// origin overwrites `seq` and, unless they are byte-equal (which
-    /// keeps `since`), re-fills the record's own `links` allocation and
-    /// moves `since` to the new seq; only a never-seen origin allocates.
+    /// keeps `since`), replaces the record's links and moves `since` to
+    /// the new seq. New links overwrite the record's arena run when they
+    /// fit (the rest of the run turns garbage) and are appended
+    /// otherwise (the whole old run turns garbage).
     pub fn apply_ref(&mut self, lsa: &LinkStateAnnouncement, now: f64) -> bool {
+        let len = u32::try_from(lsa.links.len()).expect("link list overflows u32");
         match self.find(lsa.origin) {
             Ok(i) => {
-                let rec = &mut self.records[i];
-                if rec.lsa.seq >= lsa.seq {
+                let rec = self.records[i];
+                if rec.seq >= lsa.seq {
                     return false;
                 }
-                if !same_links(&rec.lsa.links, &lsa.links) {
-                    rec.lsa.links.clear();
-                    rec.lsa.links.extend_from_slice(&lsa.links);
-                    rec.since = lsa.seq;
-                }
-                rec.lsa.seq = lsa.seq;
-                rec.refreshed_at = now;
-            }
-            Err(i) => self.records.insert(
-                i,
-                Record {
-                    lsa: lsa.clone(),
+                let mut next = Record {
+                    seq: lsa.seq,
                     refreshed_at: now,
-                    since: lsa.seq,
-                },
-            ),
+                    ..rec
+                };
+                if !same_links(&self.arena[rec.span()], &lsa.links) {
+                    next.since = lsa.seq;
+                    next.len = len;
+                    if len <= rec.len {
+                        self.arena[next.span()].copy_from_slice(&lsa.links);
+                        self.garbage += (rec.len - len) as usize;
+                    } else {
+                        next.start = self.push_links(&lsa.links);
+                        self.garbage += rec.len as usize;
+                    }
+                }
+                self.records[i] = next;
+                self.compact_if_sparse();
+            }
+            Err(i) => {
+                let start = self.push_links(&lsa.links);
+                reserve(&mut self.records, 1);
+                self.records.insert(
+                    i,
+                    Record {
+                        origin: lsa.origin,
+                        start,
+                        len,
+                        seq: lsa.seq,
+                        since: lsa.seq,
+                        refreshed_at: now,
+                    },
+                );
+            }
         }
         true
     }
@@ -195,8 +289,8 @@ impl Lsdb {
     pub fn touch_matching(&mut self, digest: &[(NodeId, u64)], now: f64) {
         let (digest, mut at) = (ascending(digest), 0);
         for rec in &mut self.records {
-            let theirs = seek(&digest, &mut at, rec.lsa.origin, |d| d.0);
-            if theirs.is_some_and(|d| d.1 == rec.lsa.seq) {
+            let theirs = seek(&digest, &mut at, rec.origin, |d| d.0);
+            if theirs.is_some_and(|d| d.1 == rec.seq) {
                 rec.refreshed_at = now;
             }
         }
@@ -206,38 +300,42 @@ impl Lsdb {
     /// ascending.
     pub fn expire(&mut self, now: f64) -> Vec<NodeId> {
         let max_age = self.max_age;
-        let mut dead = Vec::new();
+        let (mut dead, mut freed) = (Vec::new(), 0);
         self.records.retain(|r| {
             let expired = now - r.refreshed_at > max_age;
             if expired {
-                dead.push(r.lsa.origin);
+                dead.push(r.origin);
+                freed += r.len as usize;
             }
             !expired
         });
+        self.garbage += freed;
+        self.compact_if_sparse();
         dead
     }
 
     /// Remove one origin immediately (Leave message).
     pub fn remove(&mut self, origin: NodeId) {
         if let Ok(i) = self.find(origin) {
-            self.records.remove(i);
+            self.garbage += self.records.remove(i).len as usize;
+            self.compact_if_sparse();
         }
     }
 
     /// The stored announcement of `origin`, borrowed.
-    pub fn get(&self, origin: NodeId) -> Option<&LinkStateAnnouncement> {
-        self.find(origin).ok().map(|i| &self.records[i].lsa)
+    pub fn get(&self, origin: NodeId) -> Option<LsaRef<'_>> {
+        self.find(origin).ok().map(|i| self.lsa(&self.records[i]))
     }
 
     /// All stored announcements, borrowed, ascending by origin (what a
     /// newcomer's full `LsdbSync` carries).
-    pub fn all(&self) -> impl ExactSizeIterator<Item = &LinkStateAnnouncement> + Clone {
-        self.records.iter().map(|r| &r.lsa)
+    pub fn all(&self) -> impl ExactSizeIterator<Item = LsaRef<'_>> + Clone {
+        self.records.iter().map(|r| self.lsa(r))
     }
 
     /// Known origins, ascending, without allocating.
     pub fn origin_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.all().map(|l| l.origin)
+        self.records.iter().map(|r| r.origin)
     }
 
     /// Known origins (the announced membership), ascending.
@@ -252,7 +350,7 @@ impl Lsdb {
 
     /// Total links over all stored announcements.
     pub fn link_count(&self) -> usize {
-        self.all().map(|l| l.links.len()).sum()
+        self.arena.len() - self.garbage
     }
 
     /// True when the LSDB is empty.
@@ -262,12 +360,12 @@ impl Lsdb {
 
     /// Current sequence number of `origin` (0 when unknown).
     pub fn seq_of(&self, origin: NodeId) -> u64 {
-        self.get(origin).map_or(0, |l| l.seq)
+        self.find(origin).map_or(0, |i| self.records[i].seq)
     }
 
     /// Compact anti-entropy summary: `(origin, seq)` pairs, ascending.
     pub fn digest(&self) -> Vec<(NodeId, u64)> {
-        self.all().map(|l| (l.origin, l.seq)).collect()
+        self.records.iter().map(|r| (r.origin, r.seq)).collect()
     }
 
     /// The records we hold that are fresher than (or absent from) a
@@ -277,14 +375,14 @@ impl Lsdb {
         let (digest, mut at) = (ascending(digest), 0);
         let mut push = Push::default();
         for r in &self.records {
-            match seek(&digest, &mut at, r.lsa.origin, |d| d.0) {
-                Some(&(_, theirs)) if r.lsa.seq <= theirs => {}
+            match seek(&digest, &mut at, r.origin, |d| d.0) {
+                Some(&(_, theirs)) if r.seq <= theirs => {}
                 Some(&(_, theirs)) if r.since <= theirs => push.refreshes.push(Refresh {
-                    origin: r.lsa.origin,
-                    seq: r.lsa.seq,
-                    links_hash: links_hash(&r.lsa.links),
+                    origin: r.origin,
+                    seq: r.seq,
+                    links_hash: links_hash(&self.arena[r.span()]),
                 }),
-                _ => push.full.push(&r.lsa),
+                _ => push.full.push(self.lsa(r)),
             }
         }
         push
@@ -296,12 +394,8 @@ impl Lsdb {
     /// would have done, fresh or not.
     pub fn resolve(&self, r: &Refresh) -> Resolve {
         match self.get(r.origin) {
-            Some(ours) if links_hash(&ours.links) == r.links_hash => {
-                Resolve::Lsa(LinkStateAnnouncement {
-                    origin: r.origin,
-                    seq: r.seq,
-                    links: ours.links.clone(),
-                })
+            Some(ours) if links_hash(ours.links) == r.links_hash => {
+                Resolve::Lsa(LsaRef { seq: r.seq, ..ours }.to_lsa())
             }
             Some(ours) if ours.seq >= r.seq => Resolve::Stale,
             _ => Resolve::Pull,
@@ -315,8 +409,8 @@ impl Lsdb {
         ascending(digest)
             .iter()
             .filter(|&&(origin, seq)| {
-                let ours = seek(&self.records, &mut at, origin, |r| r.lsa.origin);
-                ours.map_or(0, |r| r.lsa.seq) < seq
+                let ours = seek(&self.records, &mut at, origin, |r| r.origin);
+                ours.map_or(0, |r| r.seq) < seq
             })
             .map(|&(origin, _)| origin)
             .collect()
@@ -324,7 +418,7 @@ impl Lsdb {
 
     /// The stored LSAs for `origins` we actually hold (pull answer), once
     /// each however often a request names them, ascending by origin.
-    pub fn select(&self, origins: &[NodeId]) -> Vec<&LinkStateAnnouncement> {
+    pub fn select(&self, origins: &[NodeId]) -> Vec<LsaRef<'_>> {
         let mut v: Vec<_> = origins.iter().filter_map(|&o| self.get(o)).collect();
         v.sort_by_key(|l| l.origin);
         v.dedup_by_key(|l| l.origin);
@@ -351,6 +445,66 @@ mod tests {
         }
     }
 
+    /// `l` borrowed, as the LSDB hands records out.
+    fn r(l: &LinkStateAnnouncement) -> LsaRef<'_> {
+        l.into()
+    }
+
+    /// Every arena run in bounds and disjoint, and the garbage count
+    /// exactly what no record names.
+    fn arena_is_consistent(db: &Lsdb) -> bool {
+        let mut spans: Vec<_> = db.records.iter().map(Record::span).collect();
+        spans.sort_by_key(|s| (s.start, s.end));
+        let named: usize = spans.iter().map(|s| s.len()).sum();
+        spans.iter().all(|s| s.end <= db.arena.len())
+            && spans.windows(2).all(|w| w[0].end <= w[1].start)
+            && db.garbage == db.arena.len() - named
+    }
+
+    #[test]
+    fn a_record_is_a_forty_byte_header() {
+        // One per (node, origin) pair across a fleet: origin, run, seq,
+        // since and age, with the links in the arena.
+        assert_eq!(std::mem::size_of::<Record>(), 40);
+    }
+
+    #[test]
+    fn fitting_links_overwrite_their_run_and_garbage_is_compacted() {
+        let mut db = Lsdb::new(60.0);
+        db.apply(lsa(0, 1, &[(1, 1.0), (2, 2.0), (3, 3.0)]), 0.0);
+        db.apply(lsa(1, 1, &[(0, 1.0)]), 0.0);
+        assert_eq!((db.arena.len(), db.garbage), (4, 0));
+        // Same length, new costs: in place.
+        db.apply(lsa(0, 2, &[(1, 1.5), (2, 2.5), (3, 3.5)]), 1.0);
+        assert_eq!((db.arena.len(), db.garbage, db.records[0].start), (4, 0, 0));
+        // Shorter: in place, the run's tail turns garbage.
+        db.apply(lsa(0, 3, &[(2, 2.0)]), 2.0);
+        assert_eq!((db.arena.len(), db.garbage, db.records[0].start), (4, 2, 0));
+        assert!(arena_is_consistent(&db));
+        // Longer than its run: appended, the old run all garbage — three
+        // garbage entries against three live ones, so no compaction yet.
+        db.apply(lsa(1, 2, &[(0, 1.0), (2, 1.0)]), 3.0);
+        assert_eq!((db.arena.len(), db.garbage, db.records[1].start), (6, 3, 4));
+        assert!(arena_is_consistent(&db));
+        // One more garbage entry than live: re-packed in origin order.
+        db.apply(lsa(1, 3, &[(0, 1.0)]), 4.0);
+        assert_eq!(db.garbage, 0);
+        assert_eq!(
+            &db.arena[..],
+            [(2, 2.0), (0, 1.0)].map(|(n, c)| LinkEntry {
+                neighbor: NodeId(n),
+                cost: c,
+            })
+        );
+        assert_eq!(db.get(NodeId(0)), Some(r(&lsa(0, 3, &[(2, 2.0)]))));
+        assert_eq!(db.get(NodeId(1)), Some(r(&lsa(1, 3, &[(0, 1.0)]))));
+        assert!(arena_is_consistent(&db));
+        // Removing the last records leaves an empty arena.
+        db.remove(NodeId(0));
+        db.remove(NodeId(1));
+        assert_eq!((db.arena.len(), db.garbage, db.link_count()), (0, 0, 0));
+    }
+
     #[test]
     fn fresh_announcements_accepted_stale_rejected() {
         let mut db = Lsdb::new(60.0);
@@ -366,14 +520,17 @@ mod tests {
         let mut db = Lsdb::new(60.0);
         db.apply(lsa(0, 1, &[(1, 2.0), (2, 3.0)]), 0.0);
         db.apply(lsa(1, 1, &[(2, 1.5)]), 0.0);
-        assert_eq!(db.get(NodeId(0)), Some(&lsa(0, 1, &[(1, 2.0), (2, 3.0)])));
-        assert_eq!(db.get(NodeId(1)), Some(&lsa(1, 1, &[(2, 1.5)])));
+        assert_eq!(
+            db.get(NodeId(0)),
+            Some(r(&lsa(0, 1, &[(1, 2.0), (2, 3.0)])))
+        );
+        assert_eq!(db.get(NodeId(1)), Some(r(&lsa(1, 1, &[(2, 1.5)]))));
         assert_eq!(db.get(NodeId(2)), None);
         // Replacement drops old links, by value and by reference.
         db.apply(lsa(0, 2, &[(2, 9.0)]), 1.0);
-        assert_eq!(db.get(NodeId(0)), Some(&lsa(0, 2, &[(2, 9.0)])));
+        assert_eq!(db.get(NodeId(0)), Some(r(&lsa(0, 2, &[(2, 9.0)]))));
         assert!(db.apply_ref(&lsa(0, 3, &[]), 2.0));
-        assert_eq!(db.get(NodeId(0)), Some(&lsa(0, 3, &[])));
+        assert_eq!(db.get(NodeId(0)), Some(r(&lsa(0, 3, &[]))));
         assert_eq!(db.link_count(), 1);
     }
 
@@ -404,7 +561,7 @@ mod tests {
         // A newcomer applying the sync sees identical state.
         let mut db2 = Lsdb::new(60.0);
         for l in db.all() {
-            db2.apply_ref(l, 0.0);
+            db2.apply(l.to_lsa(), 0.0);
         }
         assert_eq!(db2.seq_of(NodeId(1)), 9);
         db2.remove(NodeId(0));
@@ -437,7 +594,7 @@ mod tests {
         db.apply(lsa(3, 4, &[(1, 2.0)]), 0.0);
         db.apply(lsa(5, 1, &[]), 0.0);
         let answer = db.select(&[NodeId(3); 1000]);
-        assert_eq!(answer, [&lsa(3, 4, &[(1, 2.0)])]);
+        assert_eq!(answer, [r(&lsa(3, 4, &[(1, 2.0)]))]);
         let mixed: Vec<NodeId> = (0..1000).map(|i| NodeId([5, 3, 9][i % 3])).collect();
         let origins: Vec<NodeId> = db.select(&mixed).iter().map(|l| l.origin).collect();
         assert_eq!(origins, [NodeId(3), NodeId(5)]);
@@ -617,7 +774,7 @@ mod tests {
                             seq: l.seq,
                             links_hash: hash(&l.links),
                         }),
-                        _ => push.full.push(l),
+                        _ => push.full.push(r(l)),
                     }
                 }
                 push
@@ -647,24 +804,32 @@ mod tests {
                 v
             }
 
-            fn select(&self, origins: &[NodeId]) -> Vec<&LinkStateAnnouncement> {
+            fn select(&self, origins: &[NodeId]) -> Vec<LsaRef<'_>> {
                 let wanted: std::collections::BTreeSet<NodeId> = origins.iter().copied().collect();
                 wanted
                     .iter()
-                    .filter_map(|o| self.records.get(o).map(|(l, _, _)| l))
+                    .filter_map(|o| self.records.get(o).map(|(l, _, _)| r(l)))
                     .collect()
             }
         }
 
-        /// One of four link sets per origin, so histories repeat links
-        /// under new seqs, change them, and return to an earlier set.
+        /// Link variants per origin.
+        const VARIANTS: u32 = 9;
+
+        /// One of [`VARIANTS`] link sets per origin, 0 to 6 links long,
+        /// so histories repeat links under new seqs, change them (to as
+        /// many links, fewer — which overwrite the record's arena run —
+        /// or more, which append), and return to an earlier set.
         fn links(o: u32, variant: u32) -> Vec<(u32, f32)> {
-            match variant {
-                0 => vec![],
-                1 => vec![(o + 1, 2.0)],
-                2 => vec![(o + 1, 2.0), (o + 2, 3.5)],
-                _ => vec![(o + 1, 2.5)],
-            }
+            let len = [0, 1, 2, 1, 4, 6, 2, 3, 5][variant as usize];
+            (0..len)
+                .map(|i| {
+                    (
+                        o.wrapping_add(1 + i),
+                        2.0 + 0.5 * (variant % 3) as f32 + i as f32,
+                    )
+                })
+                .collect()
         }
 
         /// Small dense ids, ids past any fleet's `n`, and the top of the
@@ -695,13 +860,13 @@ mod tests {
         fn arb_op() -> impl Strategy<Value = Op> {
             (
                 0u32..12,
-                (0u32..16, 0u64..6, 0u32..5),
+                (0u32..16, 0u64..6, 0u32..VARIANTS + 1),
                 proptest::collection::vec((0u32..16, 0u64..6), 0..14),
                 any::<bool>(),
             )
                 .prop_map(|(kind, (o, seq, variant), raw, tidy)| {
                     let id = origin(o);
-                    let announcement = lsa(id.0, seq, &links(o, variant));
+                    let announcement = lsa(id.0, seq, &links(o, variant % VARIANTS));
                     // Half the digests are what an honest peer sends
                     // (ascending, one entry per origin); the rest arrive
                     // unsorted, with repeats, as generated.
@@ -719,11 +884,11 @@ mod tests {
                         8 => Op::FresherThan(digest),
                         9 => Op::StaleOrigins(digest),
                         10 => Op::Select(digest.into_iter().map(|d| d.0).collect()),
-                        // Variant 4 is a hash no link set has.
+                        // The extra variant is a hash no link set has.
                         _ => Op::Resolve(Refresh {
                             origin: id,
                             seq,
-                            links_hash: if variant == 4 {
+                            links_hash: if variant == VARIANTS {
                                 0x5EED
                             } else {
                                 hash(&announcement.links)
@@ -784,14 +949,18 @@ mod tests {
                             prop_assert_eq!(got, model.select(&origins));
                         }
                     }
-                    // Whole state after every step: records, ages, `since`,
-                    // order.
-                    let want = model.sorted();
+                    // Whole state after every step: records, links, ages,
+                    // `since`, order, and an arena whose garbage never
+                    // outgrows its live links.
+                    let want: Vec<_> =
+                        model.sorted().into_iter().map(|(l, at, s)| (r(l), at, s)).collect();
                     let got: Vec<_> =
-                        db.records.iter().map(|r| (&r.lsa, r.refreshed_at, r.since)).collect();
+                        db.records.iter().map(|rec| (db.lsa(rec), rec.refreshed_at, rec.since)).collect();
                     prop_assert_eq!(&got, &want);
-                    prop_assert!(db.records.windows(2).all(|w| w[0].lsa.origin < w[1].lsa.origin));
-                    prop_assert!(db.records.iter().all(|r| r.since <= r.lsa.seq));
+                    prop_assert!(db.records.windows(2).all(|w| w[0].origin < w[1].origin));
+                    prop_assert!(db.records.iter().all(|rec| rec.since <= rec.seq));
+                    prop_assert!(arena_is_consistent(&db));
+                    prop_assert!(db.garbage <= db.link_count());
                     prop_assert_eq!(db.len(), want.len());
                     prop_assert_eq!(db.is_empty(), want.is_empty());
                     prop_assert_eq!(
@@ -805,7 +974,7 @@ mod tests {
                     );
                     for code in 0..16 {
                         let o = origin(code);
-                        prop_assert_eq!(db.get(o), model.records.get(&o).map(|(l, _, _)| l));
+                        prop_assert_eq!(db.get(o), model.records.get(&o).map(|(l, _, _)| r(l)));
                         prop_assert_eq!(db.seq_of(o), db.get(o).map_or(0, |l| l.seq));
                     }
                 }
@@ -860,7 +1029,11 @@ mod tests {
             };
             if let Some(Message::LsdbPull { origins, .. }) = send(inj, now, request) {
                 let answer = Message::LsdbSync {
-                    lsas: from.select(&origins).into_iter().cloned().collect(),
+                    lsas: from
+                        .select(&origins)
+                        .into_iter()
+                        .map(LsaRef::to_lsa)
+                        .collect(),
                     refreshes: vec![],
                 };
                 if let Some(Message::LsdbSync { lsas, .. }) = send(inj, now, answer) {
@@ -884,7 +1057,7 @@ mod tests {
             };
             let fresher = b.fresher_than(&entries);
             let push = Message::LsdbSync {
-                lsas: fresher.full.into_iter().cloned().collect(),
+                lsas: fresher.full.into_iter().map(LsaRef::to_lsa).collect(),
                 refreshes: fresher.refreshes,
             };
             if let Some(Message::LsdbSync { lsas, refreshes }) = send(inj, now, push) {

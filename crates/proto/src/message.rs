@@ -25,6 +25,37 @@ pub struct LinkStateAnnouncement {
     pub links: Vec<LinkEntry>,
 }
 
+/// A link-state announcement borrowed in place: what the LSDB hands out
+/// for a stored record (whose links live in the LSDB's one link arena),
+/// and what the codec encodes an announcement from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LsaRef<'a> {
+    pub origin: NodeId,
+    pub seq: u64,
+    pub links: &'a [LinkEntry],
+}
+
+impl LsaRef<'_> {
+    /// The owned announcement, links copied.
+    pub fn to_lsa(self) -> LinkStateAnnouncement {
+        LinkStateAnnouncement {
+            origin: self.origin,
+            seq: self.seq,
+            links: self.links.to_vec(),
+        }
+    }
+}
+
+impl<'a> From<&'a LinkStateAnnouncement> for LsaRef<'a> {
+    fn from(lsa: &'a LinkStateAnnouncement) -> Self {
+        LsaRef {
+            origin: lsa.origin,
+            seq: lsa.seq,
+            links: &lsa.links,
+        }
+    }
+}
+
 /// An anti-entropy refresh: `origin`'s announcement `seq` carries links
 /// whose [`crate::codec::links_hash`] is `links_hash` — links the
 /// receiver's digest shows it already holds, so they are not resent.

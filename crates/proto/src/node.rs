@@ -33,7 +33,7 @@
 use crate::audit::{ClaimRanker, ClaimVerdict};
 use crate::codec::{decode, encode, encode_sync};
 use crate::lsdb::{self, same_links, Lsdb, Resolve};
-use crate::message::{LinkEntry, LinkStateAnnouncement, Message, MessageClass, Refresh};
+use crate::message::{LinkEntry, LinkStateAnnouncement, LsaRef, Message, MessageClass, Refresh};
 use crate::overhead::OverheadCounters;
 use crate::transport::Transport;
 use egoist_core::cost::Preferences;
@@ -312,8 +312,6 @@ pub struct NodeView {
     pub passive_view: Vec<NodeId>,
     /// Peers evicted for misbehavior (permanent).
     pub banned: Vec<NodeId>,
-    /// Current misbehavior points per node id (decays each epoch).
-    pub misbehavior: Vec<u32>,
     pub join_retries: u64,
     pub demotions: u64,
     pub evictions: u64,
@@ -463,26 +461,26 @@ struct PeerScore {
     contradicted_epoch: u32,
 }
 
-/// EWMA estimator for one-way delay.
+/// EWMA estimator for one-way delay. One per peer in every node, so it
+/// holds only its value: the smoothing factor is the same everywhere.
 #[derive(Clone, Copy, Debug)]
 struct Ewma {
     value: f64,
-    alpha: f64,
 }
 
 impl Ewma {
+    /// Weight of a new sample.
+    const ALPHA: f64 = 0.3;
+
     fn new() -> Self {
-        Ewma {
-            value: f64::NAN,
-            alpha: 0.3,
-        }
+        Ewma { value: f64::NAN }
     }
 
     fn update(&mut self, sample: f64) {
         if self.value.is_nan() {
             self.value = sample;
         } else {
-            self.value = self.alpha * sample + (1.0 - self.alpha) * self.value;
+            self.value = Self::ALPHA * sample + (1.0 - Self::ALPHA) * self.value;
         }
     }
 }
@@ -512,7 +510,7 @@ struct SyncPush {
 
 /// The push of `lsas` and `refreshes`; `None` when there is nothing to
 /// push.
-fn sync_push(lsas: &[&LinkStateAnnouncement], refreshes: &[Refresh]) -> Option<SyncPush> {
+fn sync_push(lsas: &[LsaRef], refreshes: &[Refresh]) -> Option<SyncPush> {
     let records = lsas.len() + refreshes.len();
     (records > 0).then(|| SyncPush {
         records: records as u64,
@@ -1368,7 +1366,6 @@ impl<T: Transport> EgoistNode<T> {
             .filter(|&j| self.banned[j])
             .map(NodeId::from_index)
             .collect();
-        v.misbehavior = self.scores.iter().map(|s| s.misbehavior).collect();
         v.join_retries = self.join_retries;
         v.demotions = self.demotions;
         v.evictions = self.evictions;
@@ -1448,7 +1445,7 @@ impl<T: Transport> EgoistNode<T> {
                             if tally {
                                 match self.lsdb.get(lsa.origin) {
                                     Some(ours) if ours.seq >= lsa.seq => not_fresher += 1,
-                                    Some(ours) if same_links(&ours.links, &lsa.links) => equal += 1,
+                                    Some(ours) if same_links(ours.links, &lsa.links) => equal += 1,
                                     _ => {}
                                 }
                             }
@@ -1870,6 +1867,13 @@ mod tests {
         }
         tokio::time::sleep(Duration::from_secs(10 * warm_epochs as u64)).await;
         handles
+    }
+
+    #[test]
+    fn a_delay_estimate_is_one_word() {
+        // One per (node, peer) pair across a fleet, as are the two
+        // `Option<Instant>`s the vendored runtime pins to a word.
+        assert_eq!(std::mem::size_of::<Ewma>(), 8);
     }
 
     #[test]
@@ -2518,7 +2522,7 @@ mod tests {
                 // One push of full LSAs, and its twin in which every LSA
                 // whose links the node holds is a refresh entry.
                 let (mut lsas, mut changed, mut refreshes) = (Vec::new(), Vec::new(), Vec::new());
-                for mut lsa in full.lsdb.all().cloned().collect::<Vec<_>>() {
+                for mut lsa in full.lsdb.all().map(LsaRef::to_lsa).collect::<Vec<_>>() {
                     lsa.seq = rng.random_range(0..4); // stored at 1: stale, equal or fresh
                     if rng.random_range(0..3) == 0 {
                         lsa.links.truncate(1);
@@ -2687,13 +2691,19 @@ mod tests {
             tokio::time::sleep(settle).await;
             receiver.drain().await; // the refresh misses: pull
             assert_eq!(receiver.ae_refresh_pulls, 1);
-            assert_eq!(receiver.lsdb.get(NodeId(4)), Some(&rig_lsa(4, 5, 2.0)));
+            assert_eq!(
+                receiver.lsdb.get(NodeId(4)),
+                Some((&rig_lsa(4, 5, 2.0)).into())
+            );
             tokio::time::sleep(settle).await;
             pusher.drain().await; // full answer
             assert_eq!((pusher.ae_pushed, pusher.ae_refreshed), (2, 1));
             tokio::time::sleep(settle).await;
             receiver.drain().await;
-            assert_eq!(receiver.lsdb.get(NodeId(4)), Some(&rig_lsa(4, 7, 1.0)));
+            assert_eq!(
+                receiver.lsdb.get(NodeId(4)),
+                Some((&rig_lsa(4, 7, 1.0)).into())
+            );
             assert_eq!(receiver.lsdb.digest(), pusher.lsdb.digest());
         });
     }

@@ -29,7 +29,7 @@ impl<T: Transport> EgoistNode<T> {
         for from in (0..n).map(NodeId::from_index) {
             let est_o = self.est[from.index()].value;
             let sus = self.suspect(from);
-            let links = self.lsdb.get(from).map_or(&[][..], |lsa| &lsa.links);
+            let links = self.lsdb.get(from).map_or(&[][..], |lsa| lsa.links);
             for l in links {
                 if l.neighbor.index() >= n || l.neighbor == from {
                     continue;

@@ -23,7 +23,7 @@ impl<T: Transport> EgoistNode<T> {
             }
             let est_o = self.est[from.index()].value;
             let sus = self.suspect(from);
-            for l in &lsa.links {
+            for l in lsa.links {
                 if l.neighbor.index() >= n || l.neighbor == from {
                     continue;
                 }

@@ -60,7 +60,7 @@ proptest! {
         }
         let mut b = Lsdb::new(1e9);
         for lsa in a.all() {
-            b.apply_ref(lsa, 0.0);
+            b.apply(lsa.to_lsa(), 0.0);
         }
         prop_assert_eq!(a.origins(), b.origins());
         for o in a.origins() {
