@@ -47,48 +47,49 @@ pub fn mean_ci(xs: &[f64]) -> (f64, f64) {
     (mean(xs), ci95_half_width(xs))
 }
 
-/// The `qs` percentiles (each 0..=100) of the finite values of `xs`,
-/// linear interpolation between order statistics; NaN when there are
-/// none. Selection, not a sort: O(len) per percentile, less when `qs`
-/// ascend. Reorders `xs`.
-pub fn percentiles(xs: &mut [f64], qs: &[f64]) -> Vec<f64> {
-    // Finite values to the front; order statistics ignore the order.
-    let mut len = 0;
-    for i in 0..xs.len() {
-        if xs[i].is_finite() {
-            xs.swap(len, i);
-            len += 1;
+/// The `qs` percentiles (each 0..=100) of a multiset of finite values
+/// held as runs: `(value, count)` pairs in ascending [`f64::total_cmp`]
+/// order, one per distinct bit pattern, counts > 0. Linear interpolation
+/// between order statistics, `at_lo·(1−frac) + at_hi·frac` — bit for bit
+/// what sorting the expanded values gives; NaN when the runs are empty.
+/// O(runs) per percentile.
+pub fn percentiles<const N: usize>(runs: &[(f64, u64)], qs: [f64; N]) -> [f64; N] {
+    let len: u64 = runs.iter().map(|&(_, count)| count).sum();
+    qs.map(|q| {
+        if len == 0 {
+            return f64::NAN;
         }
-    }
-    let v = &mut xs[..len];
-    // Everything before `split` is already ≤ everything from it on, so a
-    // later, higher percentile only has to look at the upper part.
-    let mut split = 0;
-    qs.iter()
-        .map(|q| {
-            if v.is_empty() {
-                return f64::NAN;
-            }
-            let pos = (q / 100.0) * (v.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let from = if lo >= split { split } else { 0 };
-            let (_, &mut at_lo, above) =
-                v[from..].select_nth_unstable_by(lo - from, f64::total_cmp);
-            split = lo;
-            if pos.ceil() as usize == lo {
-                return at_lo;
-            }
-            // The next order statistic is the least of what lies above.
-            let at_hi = above.iter().copied().min_by(f64::total_cmp).unwrap();
-            let frac = pos - lo as f64;
-            at_lo * (1.0 - frac) + at_hi * frac
-        })
-        .collect()
+        let pos = (q / 100.0) * (len - 1) as f64;
+        let lo = pos.floor() as u64;
+        // The run holding order statistic `lo`, and where the next begins.
+        let (mut at, mut end) = (0, runs[0].1);
+        while end <= lo {
+            at += 1;
+            end += runs[at].1;
+        }
+        let at_lo = runs[at].0;
+        if pos.ceil() as u64 == lo {
+            return at_lo;
+        }
+        let at_hi = if lo + 1 < end { at_lo } else { runs[at + 1].0 };
+        let frac = pos - lo as f64;
+        at_lo * (1.0 - frac) + at_hi * frac
+    })
 }
 
-/// `q`-th percentile (0..=100) of finite values, linear interpolation.
+/// `q`-th percentile (0..=100) of finite values, linear interpolation:
+/// sort, run-length, then [`percentiles`].
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
-    percentiles(&mut xs.to_vec(), &[q])[0]
+    let mut v = finite(xs);
+    v.sort_unstable_by(f64::total_cmp);
+    let mut runs: Vec<(f64, u64)> = Vec::new();
+    for x in v {
+        match runs.last_mut() {
+            Some((value, count)) if value.to_bits() == x.to_bits() => *count += 1,
+            _ => runs.push((x, 1)),
+        }
+    }
+    percentiles(&runs, [q])[0]
 }
 
 /// Ratio of two means (`a/b`), NaN-safe — the "normalized cost" the
@@ -141,22 +142,35 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_select_what_a_sort_would() {
-        // Pseudo-random values with repeats, NaNs and infinities mixed in.
+    fn percentiles_read_what_a_sort_would() {
+        // Pseudo-random values with repeats, signed zeros, NaNs and
+        // infinities mixed in.
         let xs: Vec<f64> = (0..257u32)
-            .map(|i| match i % 11 {
+            .map(|i| match i % 13 {
                 0 => f64::NAN,
                 5 => f64::INFINITY,
-                _ => (i.wrapping_mul(2654435761) % 1000) as f64 * 0.25,
+                7 => f64::NEG_INFINITY,
+                9 => -0.0,
+                11 => 0.0,
+                _ => (i.wrapping_mul(2654435761) % 40) as f64 * 0.25 - 6.0,
             })
             .collect();
         let mut sorted: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
         sorted.sort_by(f64::total_cmp);
+        let mut runs: Vec<(f64, u64)> = Vec::new();
+        for &x in &sorted {
+            match runs.last_mut() {
+                Some((v, c)) if v.to_bits() == x.to_bits() => *c += 1,
+                _ => runs.push((x, 1)),
+            }
+        }
+        assert!(runs.len() < sorted.len() / 2, "the values repeat");
+        assert!(runs.iter().any(|r| r.0.to_bits() == (-0.0f64).to_bits()));
         let qs = [0.0, 12.5, 50.0, 99.0, 100.0];
-        let got = percentiles(&mut xs.clone(), &qs);
+        let got = percentiles(&runs, qs);
         // Any order of `qs` gives the same values.
         let shuffled = [99.0, 0.0, 100.0, 12.5, 50.0];
-        let again = percentiles(&mut xs.clone(), &shuffled);
+        let again = percentiles(&runs, shuffled);
         for (q, got) in qs.iter().zip(got).chain(shuffled.iter().zip(again)) {
             let pos = (q / 100.0) * (sorted.len() - 1) as f64;
             let (lo, frac) = (pos.floor() as usize, pos - pos.floor());
@@ -168,7 +182,23 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits(), "q={q}");
             assert_eq!(percentile(&xs, *q).to_bits(), want.to_bits());
         }
-        assert!(percentiles(&mut [f64::NAN], &[50.0])[0].is_nan());
+        // Every order statistic, each one on either side of a run's end.
+        for lo in 0..sorted.len() - 1 {
+            let q = (lo as f64 + 0.5) * 100.0 / (sorted.len() - 1) as f64;
+            let pos = (q / 100.0) * (sorted.len() - 1) as f64;
+            let (at, frac) = (pos.floor() as usize, pos - pos.floor());
+            let want = sorted[at] * (1.0 - frac) + sorted[at + 1] * frac;
+            assert_eq!(
+                percentiles(&runs, [q])[0].to_bits(),
+                want.to_bits(),
+                "q={q}"
+            );
+        }
+        // -0.0 sorts before +0.0, and a run of one reads as itself.
+        assert_eq!(percentile(&[0.0, -0.0], 0.0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(percentile(&[0.0, -0.0], 100.0).to_bits(), 0.0f64.to_bits());
+        assert!(percentile(&[f64::NAN, f64::INFINITY], 50.0).is_nan());
+        assert!(percentiles(&[], [50.0, 99.0]).iter().all(|p| p.is_nan()));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::json::{array, JsonObject, Layout::Compact};
 use crate::router::RouteOutcome;
 use egoist_core::sim::EpochSample;
 use egoist_core::stats;
+use std::cmp::Ordering;
 
 /// One epoch's traffic measurements.
 #[derive(Clone, Debug)]
@@ -59,10 +60,17 @@ pub struct TrafficReport {
     pub data_policy: Option<String>,
     pub epochs: Vec<EpochTraffic>,
     pub summary: TrafficSummary,
-    /// Latencies of every flow delivered in a steady epoch, pooled (the
-    /// summary takes percentiles over flows, not over epoch aggregates;
-    /// selection reorders the pool, which order statistics don't mind).
-    steady_latencies_ms: Vec<f64>,
+    /// The finite latencies of every flow delivered in a steady epoch,
+    /// pooled as runs (the summary takes percentiles over flows, not over
+    /// epoch aggregates): `(value, count)` in [`f64::total_cmp`] order,
+    /// one per distinct bit pattern.
+    steady_latency_runs: Vec<(f64, u64)>,
+    /// Flows delivered in steady epochs, non-finite latencies included.
+    steady_flows: usize,
+    /// Scratch: this epoch's latency counts, then its sorted runs. Kept
+    /// so no call regrows them.
+    counts: LatencyCounts,
+    epoch_runs: Vec<(f64, u64)>,
     /// Sum and count of the steady epochs' finite stretches, folded flow
     /// by flow in record order.
     steady_stretch: (f64, usize),
@@ -75,6 +83,116 @@ fn mean_of((sum, count): (f64, usize)) -> f64 {
         sum / count as f64
     } else {
         f64::NAN
+    }
+}
+
+/// Merge `runs` into `pool`, both in [`f64::total_cmp`] order with one
+/// run per bit pattern; equal patterns' counts add. In place, from the
+/// back: the pool grows by exactly `runs.len()` slots and shrinks again
+/// by one per pattern the two shared.
+fn merge_runs(pool: &mut Vec<(f64, u64)>, runs: &[(f64, u64)]) {
+    let (mut i, mut j) = (pool.len(), runs.len());
+    pool.reserve_exact(j);
+    pool.resize(i + j, (0.0, 0));
+    // Slots from `w` on are merged; `w ≥ i + j`, so no write lands on a
+    // pool run not yet read.
+    let mut w = pool.len();
+    while j > 0 {
+        w -= 1;
+        let next = runs[j - 1];
+        pool[w] = match (i > 0).then(|| pool[i - 1].0.total_cmp(&next.0)) {
+            Some(Ordering::Greater) => {
+                i -= 1;
+                pool[i]
+            }
+            Some(Ordering::Equal) => {
+                i -= 1;
+                j -= 1;
+                (next.0, pool[i].1 + next.1)
+            }
+            _ => {
+                j -= 1;
+                next
+            }
+        };
+    }
+    // The pool's unmerged head stays put; close the gap after it.
+    let len = pool.len();
+    pool.copy_within(w..len, i);
+    pool.truncate(i + len - w);
+}
+
+/// A counting table over finite `f64` bit patterns: power-of-two open
+/// addressing, a multiplicative hash and linear probing. A vacant slot
+/// holds [`LatencyCounts::VACANT`], a NaN pattern, which no finite value
+/// has. Draining leaves the slots vacant but allocated, so a report's
+/// table grows to its largest epoch once.
+#[derive(Clone, Debug, Default)]
+struct LatencyCounts {
+    /// `(bits, count)` per slot.
+    slots: Vec<(u64, u64)>,
+    /// Occupied slots.
+    len: usize,
+    /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl LatencyCounts {
+    const VACANT: u64 = u64::MAX;
+    const MIN_SLOTS: usize = 16;
+
+    fn slot(&self, bits: u64) -> usize {
+        (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Count one more `bits` (a finite value's pattern).
+    fn add(&mut self, bits: u64) {
+        // At most half full: probes stay short (three quarters cost a
+        // fifth more time per flow on `traffic_mix_n150`).
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.slot(bits);
+        loop {
+            let (key, count) = &mut self.slots[i];
+            if *key == bits {
+                *count += 1;
+                return;
+            }
+            if *key == Self::VACANT {
+                (*key, *count) = (bits, 1);
+                self.len += 1;
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![(Self::VACANT, 0); size]);
+        self.shift = 64 - size.trailing_zeros();
+        let mask = size - 1;
+        for (bits, count) in old.into_iter().filter(|&(bits, _)| bits != Self::VACANT) {
+            let mut i = self.slot(bits);
+            while self.slots[i].0 != Self::VACANT {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (bits, count);
+        }
+    }
+
+    /// Move the counts into `runs`, sorted by [`f64::total_cmp`], and
+    /// leave the table empty.
+    fn drain_sorted(&mut self, runs: &mut Vec<(f64, u64)>) {
+        runs.clear();
+        for slot in self.slots.iter_mut().filter(|s| s.0 != Self::VACANT) {
+            runs.push((f64::from_bits(slot.0), slot.1));
+            *slot = (Self::VACANT, 0);
+        }
+        self.len = 0;
+        runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
     }
 }
 
@@ -95,21 +213,26 @@ impl TrafficReport {
             data_policy: None,
             epochs: Vec::new(),
             summary: TrafficSummary::default(),
-            steady_latencies_ms: Vec::new(),
+            steady_latency_runs: Vec::new(),
+            steady_flows: 0,
+            counts: LatencyCounts::default(),
+            epoch_runs: Vec::new(),
             steady_stretch: (0.0, 0),
         }
     }
 
-    /// Record one epoch's routing outcome and control-plane sample:
-    /// one pass over the flows, percentiles by selection.
+    /// Record one epoch's routing outcome and control-plane sample: one
+    /// pass over the flows into a counting table, percentiles read off
+    /// the sorted runs (O(distinct latencies), not O(flows)).
     pub fn record(&mut self, outcome: &RouteOutcome, sample: &EpochSample) {
         let steady = sample.epoch >= self.warmup_epochs;
-        // The epoch's latencies go on the end of the pool, and come off
-        // again once measured if the epoch is warmup.
-        let pooled = self.steady_latencies_ms.len();
         let mut stretch = (0.0, 0);
+        let mut delivered_flows = 0;
         for f in outcome.flows.iter().filter(|f| f.delivered_mbps > 0.0) {
-            self.steady_latencies_ms.push(f.latency_ms);
+            delivered_flows += 1;
+            if f.latency_ms.is_finite() {
+                self.counts.add(f.latency_ms.to_bits());
+            }
             if f.stretch.is_finite() {
                 stretch = (stretch.0 + f.stretch, stretch.1 + 1);
                 if steady {
@@ -118,9 +241,11 @@ impl TrafficReport {
                 }
             }
         }
-        let latency = stats::percentiles(&mut self.steady_latencies_ms[pooled..], &[50.0, 99.0]);
-        if !steady {
-            self.steady_latencies_ms.truncate(pooled);
+        self.counts.drain_sorted(&mut self.epoch_runs);
+        let latency = stats::percentiles(&self.epoch_runs, [50.0, 99.0]);
+        if steady {
+            self.steady_flows += delivered_flows;
+            merge_runs(&mut self.steady_latency_runs, &self.epoch_runs);
         }
         self.epochs.push(EpochTraffic {
             epoch: sample.epoch,
@@ -145,7 +270,7 @@ impl TrafficReport {
             mean(|e| e.rewirings as f64),
             steady().map(|e| e.route_changes).sum(),
         );
-        let latency = stats::percentiles(&mut self.steady_latencies_ms, &[50.0, 99.0]);
+        let latency = stats::percentiles(&self.steady_latency_runs, [50.0, 99.0]);
         self.summary = TrafficSummary {
             offered_mbps: offered,
             delivered_mbps: delivered,
@@ -158,7 +283,7 @@ impl TrafficReport {
             p99_latency_ms: latency[1],
             mean_stretch: mean_of(self.steady_stretch),
             mean_rewirings,
-            flows_measured: self.steady_latencies_ms.len(),
+            flows_measured: self.steady_flows,
             route_changes,
         };
     }
@@ -363,19 +488,23 @@ mod tests {
         ]
     }
 
+    /// Latencies that repeat: both zeros, the least subnormal, the
+    /// greatest finite value and a few plain ones.
+    const FEW: [f64; 7] = [-0.0, 0.0, 5e-324, f64::MAX, 2.5, 7.0, 120.25];
+
     proptest::proptest! {
-        /// Selection, the pooled buffer and the running stretch sum give,
+        /// Counted runs, the pooled runs and the running stretch sum give,
         /// after every call, bit for bit what re-pooling and sorting gave:
-        /// undelivered flows, non-finite latencies, NaN stretches, empty
-        /// epochs, epochs on either side of the warmup boundary, recorded
-        /// in any order and more than once.
+        /// undelivered flows, non-finite latencies, repeated and signed-zero
+        /// latencies, NaN stretches, empty epochs, epochs on either side of
+        /// the warmup boundary, recorded in any order and more than once.
         #[test]
         fn record_matches_the_sort_based_report(
             warmup in 0usize..4,
             epochs in proptest::collection::vec(
                 (
                     0usize..6,
-                    proptest::collection::vec((0u32..4, 0.0f64..500.0, 0u32..12, 1.0f64..5.0), 0..24),
+                    proptest::collection::vec((0u32..4, 0.0f64..500.0, 0u32..14, 1.0f64..5.0), 0..24),
                     0usize..3,
                 ),
                 1..9,
@@ -395,7 +524,12 @@ mod tests {
                     routed.delivered_mbps = delivered.min(1) as f64 * 0.5;
                     routed.latency_ms = match odd {
                         0 => f64::INFINITY,
-                        1 => (latency / 25.0).floor(), // ties
+                        1 => f64::NEG_INFINITY,
+                        2 => f64::NAN,
+                        // A small value set: runs repeat within and across
+                        // epochs, signed zeros and extremes among them.
+                        3..=7 => FEW[latency as usize % FEW.len()],
+                        8 | 9 => (latency / 25.0).floor(), // ties
                         _ => latency,
                     };
                     routed.stretch = if odd % 3 == 2 { f64::NAN } else { stretch };
@@ -409,6 +543,68 @@ mod tests {
                 proptest::prop_assert_eq!(summary_bits(&report.summary), summary_bits(&oracle.summary));
             }
         }
+    }
+
+    #[test]
+    fn repeated_latencies_pool_as_one_run_each() {
+        let mut r = TrafficReport::new("BR".into(), "uniform".into(), 1, true, 0);
+        let latencies: Vec<f64> = (0..100_000).map(|i| 10.0 + (i % 10) as f64).collect();
+        r.record(&outcome(&latencies), &sample(0));
+        assert_eq!(r.epoch_runs.len(), 10);
+        assert_eq!(r.steady_latency_runs.len(), 10);
+        assert!(r
+            .steady_latency_runs
+            .iter()
+            .all(|&(_, count)| count == 10_000));
+        assert_eq!(r.summary.flows_measured, 100_000);
+        // A second epoch over the same values adds to the same runs.
+        r.record(&outcome(&latencies), &sample(1));
+        assert_eq!(r.steady_latency_runs.len(), 10);
+        assert_eq!(r.summary.flows_measured, 200_000);
+        assert_eq!(r.summary.p50_latency_ms, 14.5);
+    }
+
+    #[test]
+    fn colliding_keys_and_growth_count_exactly() {
+        let mut table = LatencyCounts::default();
+        table.grow();
+        let first = table.slots.len();
+        // Finite patterns that all hash to the first table's slot 0 …
+        let colliding: Vec<u64> = (0..1u64 << 20)
+            .map(|i| (i as f64 * 0.125).to_bits())
+            .filter(|&bits| table.slot(bits) == 0)
+            .take(6)
+            .collect();
+        assert_eq!(colliding.len(), 6);
+        // … counted 1..=6 times each, interleaved with enough distinct
+        // values to grow the table several times.
+        let mut want = std::collections::BTreeMap::new();
+        for round in 0..6 {
+            for &bits in colliding.iter().skip(round) {
+                table.add(bits);
+                *want.entry(bits).or_insert(0u64) += 1;
+            }
+            for v in 0..40 {
+                let bits = (1000.0 + (round * 40 + v) as f64).to_bits();
+                table.add(bits);
+                *want.entry(bits).or_insert(0u64) += 1;
+            }
+        }
+        assert!(table.slots.len() >= 16 * first);
+        let mut runs = Vec::new();
+        table.drain_sorted(&mut runs);
+        let got: Vec<(u64, u64)> = runs.iter().map(|&(v, c)| (v.to_bits(), c)).collect();
+        let mut want: Vec<(u64, u64)> = want.into_iter().collect();
+        want.sort_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
+        assert_eq!(got, want);
+        assert!(table
+            .slots
+            .iter()
+            .all(|&(bits, _)| bits == LatencyCounts::VACANT));
+        // Drained, the table keeps its size and counts afresh.
+        table.add(colliding[0]);
+        table.drain_sorted(&mut runs);
+        assert_eq!(runs, vec![(f64::from_bits(colliding[0]), 1)]);
     }
 
     #[test]

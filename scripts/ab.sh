@@ -8,9 +8,12 @@
 # default). Odd pairs run the parent first, even pairs the change, so slow
 # stretches of a noisy host hit both sides. Prints every run's wall_s,
 # peak_rss_mb and fingerprint, then for each metric each side's median and
-# quartiles and how many pairs the change won (lower value). A timing or
-# memory claim wants the change to win at least 9 of 10 pairs with medians
-# further apart than the parent's IQR.
+# quartiles, how many pairs the change won (lower value), and a verdict. A
+# timing or memory claim wants the change to win at least 9 of 10 pairs with
+# medians further apart than the parent's IQR. The verdict line prints the
+# change in the median as a percentage of the parent's and reads `resolved`
+# when one side won at least 90% of the pairs and the medians are further
+# apart than the parent's IQR, `unresolved` otherwise.
 #
 # Exit status: 0 when every run printed the same fingerprint, 1 when a
 # fingerprint differs or a run printed none, 2 on bad usage.
@@ -36,19 +39,34 @@ run() {
              END { if (w == "" || m == "" || f == "") exit 1; print w, m, f }'
 }
 
-# Median and quartiles (linear interpolation) of the arguments after
-# the first, which is the unit.
+# Median, first and third quartile (linear interpolation) of the arguments.
 quartiles() {
-    local unit=$1
-    shift
-    printf '%s\n' "$@" | sort -g | awk -v unit="$unit" '
+    printf '%s\n' "$@" | sort -g | awk '
         function q(p,   pos, lo) {
             pos = p * (NR - 1); lo = int(pos)
             return x[lo] + (pos - lo) * (x[lo + 1] - x[lo])
         }
         { x[NR - 1] = $1 }
-        END { printf "median %.4f %s  q1 %.4f  q3 %.4f  iqr %.4f\n",
-                     q(0.5), unit, q(0.25), q(0.75), q(0.75) - q(0.25) }'
+        END { print q(0.5), q(0.25), q(0.75) }'
+}
+
+# The summary of one metric: NAME UNIT WINS LOSSES, then the parent's and
+# the change's "median q1 q3" as one argument each.
+summary() {
+    awk -v name="$1" -v unit="$2" -v wins="$3" -v losses="$4" -v pairs="$pairs" \
+        -v parent="$5" -v change="$6" 'BEGIN {
+            split(parent, p, " "); split(change, c, " ")
+            printf "%-12s parent  median %.4f %s  q1 %.4f  q3 %.4f  iqr %.4f\n",
+                   name, p[1], unit, p[2], p[3], p[3] - p[2]
+            printf "%-12s change  median %.4f %s  q1 %.4f  q3 %.4f  iqr %.4f\n",
+                   name, c[1], unit, c[2], c[3], c[3] - c[2]
+            printf "%-12s change won %d/%d pairs\n", name, wins, pairs
+            apart = (c[1] > p[1] ? c[1] - p[1] : p[1] - c[1]) > p[3] - p[2]
+            won = c[1] < p[1] ? wins : losses
+            verdict = apart && 10 * won >= 9 * pairs ? "resolved" : "unresolved"
+            printf "%-12s verdict %+.1f%% median, parent iqr %.4f %s: %s\n", name,
+                   (p[1] == 0 ? 0 : 100 * (c[1] - p[1]) / p[1]), p[3] - p[2], unit, verdict
+        }'
 }
 
 # Whether $1 < $2, as numbers.
@@ -57,7 +75,7 @@ less() {
 }
 
 parent_walls=() change_walls=() parent_rss=() change_rss=()
-wall_wins=0 rss_wins=0 first_fp="" drift=0
+wall_wins=0 rss_wins=0 wall_losses=0 rss_losses=0 first_fp="" drift=0
 for ((p = 1; p <= pairs; p++)); do
     if ((p % 2)); then order=(parent change); else order=(change parent); fi
     for side in "${order[@]}"; do
@@ -79,16 +97,16 @@ for ((p = 1; p <= pairs; p++)); do
         fi
     done
     if less "$change_wall" "$parent_wall"; then wall_wins=$((wall_wins + 1)); fi
+    if less "$parent_wall" "$change_wall"; then wall_losses=$((wall_losses + 1)); fi
     if less "$change_mb" "$parent_mb"; then rss_wins=$((rss_wins + 1)); fi
+    if less "$parent_mb" "$change_mb"; then rss_losses=$((rss_losses + 1)); fi
 done
 
 echo "$workload seed $seed, $pairs pairs"
-echo "wall_s       parent  $(quartiles s "${parent_walls[@]}")"
-echo "wall_s       change  $(quartiles s "${change_walls[@]}")"
-echo "wall_s       change won $wall_wins/$pairs pairs"
-echo "peak_rss_mb  parent  $(quartiles MB "${parent_rss[@]}")"
-echo "peak_rss_mb  change  $(quartiles MB "${change_rss[@]}")"
-echo "peak_rss_mb  change won $rss_wins/$pairs pairs"
+summary wall_s s "$wall_wins" "$wall_losses" \
+    "$(quartiles "${parent_walls[@]}")" "$(quartiles "${change_walls[@]}")"
+summary peak_rss_mb MB "$rss_wins" "$rss_losses" \
+    "$(quartiles "${parent_rss[@]}")" "$(quartiles "${change_rss[@]}")"
 if ((drift)); then
     echo "$0: fingerprints differ — the change moved the outputs" >&2
     exit 1
