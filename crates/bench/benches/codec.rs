@@ -1,5 +1,6 @@
 //! Criterion bench: wire-codec throughput (LSA encode/decode, ping
-//! frames, a 400-LSA anti-entropy push, the frame checksum per byte) and
+//! frames, a 400-LSA anti-entropy push, a 600-origin digest, the frame
+//! checksum per byte) and
 //! LSDB apply / digest / merge-join costs — the per-message, per-LSA and
 //! per-byte work every EGOIST node does on its hot path.
 
@@ -69,6 +70,20 @@ fn bench_codec(c: &mut Criterion) {
     });
     group.bench_function("lsdb_sync_400/decode", |b| {
         b.iter(|| black_box(decode(&sync_frame).unwrap()))
+    });
+
+    // The digest that opens every anti-entropy exchange, 600 origins.
+    let digest = Message::LsdbDigest {
+        from: NodeId(7),
+        entries: lsdb(600, 4).digest(),
+    };
+    let digest_frame = encode(&digest);
+    group.throughput(Throughput::Bytes(digest_frame.len() as u64));
+    group.bench_function("lsdb_digest_600/encode", |b| {
+        b.iter(|| black_box(encode(black_box(&digest))))
+    });
+    group.bench_function("lsdb_digest_600/decode", |b| {
+        b.iter(|| black_box(decode(&digest_frame).unwrap()))
     });
 
     for (label, len) in [("64B", 64usize), ("17KB", 17 * 1024)] {

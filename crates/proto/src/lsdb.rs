@@ -29,8 +29,8 @@
 //! fresher apply after it. A peer whose digest names a seq at or past
 //! `since` has, unless the origin's links went away and came back
 //! between two announcements this node never saw, the same links —
-//! so the digest answer ([`Lsdb::fresher_than`]) sends it a 16-byte
-//! [`Refresh`] instead of the LSA, and the peer checks the links hash
+//! so the digest answer ([`Lsdb::fresher_than`]) sends it a
+//! [`Refresh`] entry instead of the LSA, and the peer checks the links hash
 //! ([`Lsdb::resolve`]) before it believes one.
 
 use crate::codec::links_hash;

@@ -1,19 +1,27 @@
 #!/usr/bin/env bash
-# A/B timing and memory of two builds of the whole-stack benchmark binary
-# (`egoist-benchmark`, built from benchmark/) on one workload.
+# A/B comparison of two builds of the whole-stack benchmark binary
+# (`egoist-benchmark`, built from benchmark/) on one workload: every
+# end-to-end metric it prints.
 #
 #   scripts/ab.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS [SEED]
 #
 # Runs PAIRS pairs of untraced runs (`--seconds 10 --trace 0`, seed 11 by
 # default). Odd pairs run the parent first, even pairs the change, so slow
 # stretches of a noisy host hit both sides. Prints every run's wall_s,
-# peak_rss_mb and fingerprint, then for each metric each side's median and
-# quartiles, how many pairs the change won (lower value), and a verdict. A
-# timing or memory claim wants the change to win at least 9 of 10 pairs with
-# medians further apart than the parent's IQR. The verdict line prints the
-# change in the median as a percentage of the parent's and reads `resolved`
-# when one side won at least 90% of the pairs and the medians are further
-# apart than the parent's IQR, `unresolved` otherwise.
+# setup_s, peak_rss_mb and fingerprint, then:
+#
+# * for each measured metric (wall_s, setup_s, peak_rss_mb) each side's
+#   median and quartiles, how many pairs the change won (lower value),
+#   and a verdict. A timing or memory claim wants the change to win at
+#   least 9 of 10 pairs with medians further apart than the parent's IQR.
+#   The verdict line prints the change in the median as a percentage of
+#   the parent's and reads `resolved` when one side won at least 90% of
+#   the pairs and the medians are further apart than the parent's IQR,
+#   `unresolved` otherwise;
+# * for each simulated metric the workload defines (lines the binary
+#   marks "not defined" are skipped), then ops, lost and failed: each
+#   side's value once, `equal` when both print the same digits or else
+#   the change in %, and a warning when one side's own runs disagree.
 #
 # Exit status: 0 when every run printed the same fingerprint, 1 when a
 # fingerprint differs or a run printed none, 2 on bad usage.
@@ -30,13 +38,21 @@ for bin in "$parent" "$change"; do
     [[ -x $bin ]] || { echo "$0: $bin is not an executable" >&2; exit 2; }
 done
 
-# One run of BIN: prints "wall_s peak_rss_mb fingerprint".
+# One run of BIN: prints "wall_s setup_s peak_rss_mb fingerprint", then
+# "name value" for each defined simulated metric and for ops, lost and
+# failed, all on one line.
 run() {
     "$1" run --workload "$workload" --seed "$seed" --seconds 10 --trace 0 |
-        awk '$1 == "e2e" && $2 == "wall_s" { w = $3 }
-             $1 == "e2e" && $2 == "peak_rss_mb" { m = $3 }
+        awk '$1 == "e2e" && $2 == "wall_s" { w = $3; next }
+             $1 == "e2e" && $2 == "setup_s" { s = $3; next }
+             $1 == "e2e" && $2 == "peak_rss_mb" { m = $3; next }
+             $1 == "e2e" && !/not defined/ { sim = sim " " $2 " " $3 }
+             $1 == "ops" { ops = " ops " $2 " lost " $4 " failed " $6 }
              $1 == "fingerprint" { f = $2 }
-             END { if (w == "" || m == "" || f == "") exit 1; print w, m, f }'
+             END {
+                 if (w == "" || s == "" || m == "" || f == "" || ops == "") exit 1
+                 print w, s, m, f sim ops
+             }'
 }
 
 # Median, first and third quartile (linear interpolation) of the arguments.
@@ -50,8 +66,8 @@ quartiles() {
         END { print q(0.5), q(0.25), q(0.75) }'
 }
 
-# The summary of one metric: NAME UNIT WINS LOSSES, then the parent's and
-# the change's "median q1 q3" as one argument each.
+# The summary of one measured metric: NAME UNIT WINS LOSSES, then the
+# parent's and the change's "median q1 q3" as one argument each.
 summary() {
     awk -v name="$1" -v unit="$2" -v wins="$3" -v losses="$4" -v pairs="$pairs" \
         -v parent="$5" -v change="$6" 'BEGIN {
@@ -69,45 +85,91 @@ summary() {
         }'
 }
 
+# The simulated metrics and the op counts: the parent's and the change's
+# runs as one argument each, one run a line of "name value" pairs. Each
+# side's first value per name, compared, and any run of a side that
+# printed another value for it.
+simulated() {
+    awk -v parent="$1" -v change="$2" '
+        function take(runs, side,   lines, words, i, j) {
+            split(runs, lines, "\n")
+            for (i = 1; i in lines; i++) {
+                split(lines[i], words, " ")
+                for (j = 1; j in words; j += 2) {
+                    key = side SUBSEP words[j]
+                    if (!(key in first)) {
+                        first[key] = words[j + 1]
+                        if (!(words[j] in seen)) { seen[words[j]] = 1; names[++n] = words[j] }
+                    } else if (words[j + 1] != first[key]) {
+                        odd[key] = odd[key] " " words[j + 1]
+                    }
+                }
+            }
+        }
+        BEGIN {
+            take(parent, "parent"); take(change, "change")
+            for (i = 1; i <= n; i++) {
+                name = names[i]; p = first["parent", name]; c = first["change", name]
+                if (p == c) delta = "equal"
+                else if (p == "" || c == "") delta = "missing on one side"
+                else if (p + 0 == 0) delta = "parent 0"
+                else delta = sprintf("%+.2f%%", 100 * (c - p) / p)
+                printf "%-22s parent %-22s change %-22s %s\n", name, p, c, delta
+                for (s = 1; s <= 2; s++) {
+                    side = s == 1 ? "parent" : "change"
+                    if ((side, name) in odd)
+                        printf "%-22s %s runs disagree: also%s\n", name, side, odd[side, name]
+                }
+            }
+        }'
+}
+
 # Whether $1 < $2, as numbers.
 less() {
     awk -v a="$1" -v b="$2" 'BEGIN { exit !(a < b) }'
 }
 
-parent_walls=() change_walls=() parent_rss=() change_rss=()
-wall_wins=0 rss_wins=0 wall_losses=0 rss_losses=0 first_fp="" drift=0
+metrics=(wall_s setup_s peak_rss_mb)
+units=(s s MB)
+declare -A values wins losses sims fingerprints
+for m in "${metrics[@]}"; do wins[$m]=0 losses[$m]=0; done
+first_fp="" drift=0
 for ((p = 1; p <= pairs; p++)); do
     if ((p % 2)); then order=(parent change); else order=(change parent); fi
+    declare -A now=()
     for side in "${order[@]}"; do
         bin=$parent
         [[ $side == change ]] && bin=$change
         if ! out=$(run "$bin"); then
-            echo "$0: $side run of pair $p printed no wall_s or fingerprint" >&2
+            echo "$0: $side run of pair $p printed no end-to-end metrics, ops or fingerprint" >&2
             exit 1
         fi
-        read -r wall rss fp <<<"$out"
-        printf 'pair %3d  %-6s  wall_s %-12s peak_rss_mb %-14s fingerprint %s\n' \
-            "$p" "$side" "$wall" "$rss" "$fp"
+        read -r wall setup rss fp sim <<<"$out"
+        printf 'pair %3d  %-6s  wall_s %-12s setup_s %-12s peak_rss_mb %-14s fingerprint %s\n' \
+            "$p" "$side" "$wall" "$setup" "$rss" "$fp"
         first_fp=${first_fp:-$fp}
         [[ $fp == "$first_fp" ]] || drift=1
-        if [[ $side == parent ]]; then
-            parent_walls+=("$wall") parent_rss+=("$rss") parent_wall=$wall parent_mb=$rss
-        else
-            change_walls+=("$wall") change_rss+=("$rss") change_wall=$wall change_mb=$rss
-        fi
+        [[ ${fingerprints[$side]:-} == *"$fp"* ]] || fingerprints[$side]+=" $fp"
+        now[$side:wall_s]=$wall now[$side:setup_s]=$setup now[$side:peak_rss_mb]=$rss
+        for m in "${metrics[@]}"; do values[$side:$m]+=" ${now[$side:$m]}"; done
+        sims[$side]+="$sim"$'\n'
     done
-    if less "$change_wall" "$parent_wall"; then wall_wins=$((wall_wins + 1)); fi
-    if less "$parent_wall" "$change_wall"; then wall_losses=$((wall_losses + 1)); fi
-    if less "$change_mb" "$parent_mb"; then rss_wins=$((rss_wins + 1)); fi
-    if less "$parent_mb" "$change_mb"; then rss_losses=$((rss_losses + 1)); fi
+    for m in "${metrics[@]}"; do
+        if less "${now[change:$m]}" "${now[parent:$m]}"; then wins[$m]=$((wins[$m] + 1)); fi
+        if less "${now[parent:$m]}" "${now[change:$m]}"; then losses[$m]=$((losses[$m] + 1)); fi
+    done
 done
 
 echo "$workload seed $seed, $pairs pairs"
-summary wall_s s "$wall_wins" "$wall_losses" \
-    "$(quartiles "${parent_walls[@]}")" "$(quartiles "${change_walls[@]}")"
-summary peak_rss_mb MB "$rss_wins" "$rss_losses" \
-    "$(quartiles "${parent_rss[@]}")" "$(quartiles "${change_rss[@]}")"
+for i in "${!metrics[@]}"; do
+    m=${metrics[$i]}
+    # shellcheck disable=SC2086 # one value per word
+    summary "$m" "${units[$i]}" "${wins[$m]}" "${losses[$m]}" \
+        "$(quartiles ${values[parent:$m]})" "$(quartiles ${values[change:$m]})"
+done
+simulated "${sims[parent]}" "${sims[change]}"
 if ((drift)); then
+    echo "fingerprint parent${fingerprints[parent]}, change${fingerprints[change]}"
     echo "$0: fingerprints differ — the change moved the outputs" >&2
     exit 1
 fi

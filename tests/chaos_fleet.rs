@@ -187,7 +187,7 @@ fn assert_golden_br(after: &str) {
     egoist::obs::disable();
     assert_eq!(
         fnv(&report.to_json()),
-        0x4d8f_6c1e_c9f1_113d,
+        0x067d_e6e6_3a40_802e,
         "best-response fleet{after}"
     );
     assert_eq!(
@@ -195,7 +195,7 @@ fn assert_golden_br(after: &str) {
         wire_golden(
             [
                 ("bootstrap", 35, 560),
-                ("sync", 354, 60_622),
+                ("sync", 354, 18_822),
                 ("link_state", 91_813, 4_672_383),
                 ("measurement", 3_977, 206_804),
                 ("heartbeat", 2_234, 116_168),
@@ -238,6 +238,15 @@ fn assert_golden_br(after: &str) {
 /// |---|---|---|---|---|
 /// | best response | 60 884 → 60 622 | 13 | 0 | `0x7eb4d846fa38b2bf` → `0x4d8f6c1ec9f1113d` |
 /// | Random, faults | 63 314 → 63 074 | 12 | 0 | `0x7582898f4d4b7021` → `0x0c8bdf4792c581b7` |
+///
+/// Codec v4 packs the anti-entropy frames into varints: again only the
+/// `sync` bytes and the fingerprints move, every frame count and sum
+/// stays:
+///
+/// | fleet | `sync` bytes | fingerprint |
+/// |---|---|---|
+/// | best response | 60 622 → 18 822 | `0x4d8f6c1ec9f1113d` → `0x067de6e63a40802e` |
+/// | Random, faults | 63 074 → 21 072 | `0x0c8bdf4792c581b7` → `0xaf957ebf12f0ad4f` |
 #[test]
 fn fleet_reports_match_the_dense_route_computation() {
     use egoist_core::policies::PolicyKind;
@@ -262,7 +271,7 @@ fn fleet_reports_match_the_dense_route_computation() {
     let report = run_fleet(&random);
     assert_eq!(
         fnv(&report.to_json()),
-        0x0c8b_df47_92c5_81b7,
+        0xaf95_7ebf_12f0_ad4f,
         "Random-wiring fleet under a fault plan"
     );
     assert_eq!(
@@ -270,7 +279,7 @@ fn fleet_reports_match_the_dense_route_computation() {
         wire_golden(
             [
                 ("bootstrap", 48, 768),
-                ("sync", 446, 63_074),
+                ("sync", 446, 21_072),
                 ("link_state", 76_602, 3_883_166),
                 ("measurement", 12_975, 674_700),
                 ("heartbeat", 1_971, 102_492),
