@@ -72,6 +72,10 @@ struct ProtoObs {
     passive_probes: egoist_obs::Counter,
     peer_score: egoist_obs::Histogram,
     gossip_forwards: egoist_obs::Counter,
+    /// Announcements held to probe unmeasured wired links first, and
+    /// links that went out at the placeholder cost all the same.
+    announce_held: egoist_obs::Counter,
+    announce_unmeasured: egoist_obs::Counter,
     ae_digests: egoist_obs::Counter,
     ae_pulls: egoist_obs::Counter,
     ae_pushed: egoist_obs::Counter,
@@ -123,6 +127,8 @@ fn proto_obs() -> &'static ProtoObs {
             passive_probes: r.counter("proto.peer.passive_probes"),
             peer_score: r.histogram("proto.peer.score"),
             gossip_forwards: r.counter("proto.gossip.forwards"),
+            announce_held: r.counter("proto.announce.held"),
+            announce_unmeasured: r.counter("proto.announce.unmeasured_links"),
             ae_digests: r.counter("proto.ae.digests"),
             ae_pulls: r.counter("proto.ae.pulls"),
             ae_pushed: r.counter("proto.ae.pushed_lsas"),
@@ -318,6 +324,9 @@ pub struct NodeView {
     pub promotions: u64,
     /// LSAs this node originated (seq bumps actually sent).
     pub announces: u64,
+    /// Links those LSAs carried at the placeholder cost because this
+    /// node had not measured them (a probe before the announce was lost).
+    pub unmeasured_links: u64,
     /// Gossip forwards of other origins' fresh LSAs.
     pub gossip_forwards: u64,
     /// Anti-entropy digests sent / pulls sent / LSAs pushed to partners.
@@ -579,6 +588,9 @@ pub struct EgoistNode<T: Transport> {
     last_announced: Vec<LinkEntry>,
     /// Announce ticks since the last seq bump.
     announce_ticks: u32,
+    /// A held announcement's `force` flag: `Some` while this node waits
+    /// for the pongs that price its unmeasured wired links.
+    held: Option<bool>,
     /// Rotating anti-entropy partner cursor.
     sync_cursor: usize,
     /// Rotating measurement-sample cursor.
@@ -586,6 +598,7 @@ pub struct EgoistNode<T: Transport> {
     /// Capped-exponential join retry schedule.
     backoff: crate::bootstrap::Backoff,
     announces: u64,
+    unmeasured_links: u64,
     gossip_forwards: u64,
     ae_digests: u64,
     ae_pulls: u64,
@@ -639,6 +652,7 @@ impl<T: Transport> EgoistNode<T> {
             in_nbrs: Vec::new(),
             last_announced: Vec::new(),
             announce_ticks: 0,
+            held: None,
             sync_cursor: 0,
             ping_cursor: 0,
             backoff: crate::bootstrap::Backoff::new(
@@ -647,6 +661,7 @@ impl<T: Transport> EgoistNode<T> {
                 cfg.seed,
             ),
             announces: 0,
+            unmeasured_links: 0,
             gossip_forwards: 0,
             ae_digests: 0,
             ae_pulls: 0,
@@ -860,9 +875,12 @@ impl<T: Transport> EgoistNode<T> {
     /// priced more than [`AUDIT_RATIO`] away from our own measurement of
     /// that origin is lying (the eclipse lure announces near-zero costs;
     /// the Fig. 4 free rider's 2× inflation stays under the 4×).
-    /// Newly-heard origins get a grace period — their first
-    /// announcements carry a placeholder cost until their own pings
-    /// resolve. Returns whether the LSA may be applied and forwarded.
+    /// An origin announces a link's placeholder cost only when the probe
+    /// it sent before announcing was lost ([`Self::announce`]), which can
+    /// happen to any origin, not only a newcomer. Newly-heard origins get
+    /// a grace period, covering the join, where such probes are in
+    /// flight; past it a placeholder is audited like any cost. Returns
+    /// whether the LSA may be applied and forwarded.
     fn audit_lsa(&mut self, lsa: &LinkStateAnnouncement, now: Instant) -> bool {
         let o = lsa.origin;
         if o.index() >= self.cfg.n {
@@ -992,12 +1010,26 @@ impl<T: Transport> EgoistNode<T> {
     /// every `announce_refresh` ticks — the periodic refresh that keeps
     /// LSDB records alive — while material changes go out immediately.
     /// `force` bypasses suppression (join, failure reaction).
+    ///
+    /// Probe before announcing: an announcement that is not suppressed
+    /// but would price a wired link this node has never measured is
+    /// held instead. The seq stays, each such neighbor with no ping in
+    /// flight gets one heartbeat ping, and the pong that prices the last
+    /// of them releases the LSA, never suppressed. A hold lasts one
+    /// attempt: the next one sends, still forced if the held one was, at
+    /// the placeholder cost on any link whose probe was lost.
     async fn announce(&mut self, force: bool) {
+        let held = self.held.take();
+        let force = force || held == Some(true);
+        let mut unmeasured = Vec::new();
         let links: Vec<LinkEntry> = self
             .wiring
             .iter()
             .map(|&w| {
                 let honest = self.est[w.index()].value;
+                if honest.is_nan() {
+                    unmeasured.push(w);
+                }
                 let cost = if honest.is_nan() { 1.0 } else { honest };
                 LinkEntry {
                     neighbor: w,
@@ -1012,9 +1044,20 @@ impl<T: Transport> EgoistNode<T> {
         {
             return;
         }
+        if held.is_none() && !unmeasured.is_empty() {
+            unmeasured.retain(|&w| !self.pending_pings.values().any(|&(p, _)| p == w));
+            for peer in unmeasured {
+                self.ping_one(peer, true).await;
+            }
+            self.held = Some(force);
+            proto_obs().announce_held.inc();
+            return;
+        }
         self.announce_ticks = 0;
         self.seq += 1;
         self.announces += 1;
+        self.unmeasured_links += unmeasured.len() as u64;
+        proto_obs().announce_unmeasured.add(unmeasured.len() as u64);
         let lsa = LinkStateAnnouncement {
             origin: self.cfg.id,
             seq: self.seq,
@@ -1035,9 +1078,11 @@ impl<T: Transport> EgoistNode<T> {
         if o.index() >= self.cfg.n {
             return true;
         }
-        // Same grace window as the first-hand audit: a freshly-joined
-        // origin announces placeholder costs for links its own pings
-        // have not measured yet, and those carry no rankable signal.
+        // Same grace window as the first-hand audit. Past it, an
+        // origin's costs are its own measurements: it probes a newly
+        // wired link before announcing it, and sends the placeholder,
+        // which carries no rankable signal, only when that probe was
+        // lost.
         let grace = self.cfg.announce_interval.mul_f64(3.0);
         match self.first_heard[o.index()] {
             Some(at) if now.duration_since(at) > grace => {}
@@ -1371,6 +1416,7 @@ impl<T: Transport> EgoistNode<T> {
         v.evictions = self.evictions;
         v.promotions = self.promotions;
         v.announces = self.announces;
+        v.unmeasured_links = self.unmeasured_links;
         v.gossip_forwards = self.gossip_forwards;
         v.ae_digests = self.ae_digests;
         v.ae_pulls = self.ae_pulls;
@@ -1572,6 +1618,17 @@ impl<T: Transport> EgoistNode<T> {
                                 ],
                             );
                             self.rewirings += 1;
+                            self.announce(true).await;
+                            self.publish();
+                        }
+                        // The pong that prices the last wired link
+                        // releases a held announcement.
+                        if self.held.is_some()
+                            && self
+                                .wiring
+                                .iter()
+                                .all(|w| !self.est[w.index()].value.is_nan())
+                        {
                             self.announce(true).await;
                             self.publish();
                         }
@@ -2471,6 +2528,162 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A node wired to peer 1 (measured at 3 ms) and peer 2 (never
+    /// pinged), with raw endpoints for both, 1 ms apart, and announce
+    /// suppression on (`announce_refresh = 3`).
+    fn probe_rig() -> (EgoistNode<crate::SimTransport>, [crate::SimTransport; 2]) {
+        let net = SimNet::clean(DistanceMatrix::off_diagonal(8, 1.0));
+        let mut cfg = NodeConfig::new(NodeId(0), 8, 2);
+        cfg.announce_refresh = 3;
+        let mut node = EgoistNode::new(cfg, net.endpoint(NodeId(0)));
+        node.wiring = vec![NodeId(1), NodeId(2)];
+        node.est[1].update(3.0);
+        (node, [net.endpoint(NodeId(1)), net.endpoint(NodeId(2))])
+    }
+
+    /// What `peer` received once the frames in flight have landed.
+    async fn inbox(peer: &mut crate::SimTransport) -> Vec<Message> {
+        tokio::time::sleep(Duration::from_millis(5)).await;
+        std::iter::from_fn(|| peer.try_recv())
+            .map(|(_, frame)| decode(&frame).unwrap())
+            .collect()
+    }
+
+    /// The LSAs among `msgs`.
+    fn lsas(msgs: &[Message]) -> Vec<&LinkStateAnnouncement> {
+        msgs.iter()
+            .filter_map(|m| match m {
+                Message::LinkState { lsa, .. } => Some(lsa),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Answer every ping among `msgs` from `peer`'s endpoint and let the
+    /// node drain the pongs.
+    async fn answer_pings(
+        node: &mut EgoistNode<crate::SimTransport>,
+        peer: &mut crate::SimTransport,
+        msgs: &[Message],
+    ) {
+        for m in msgs {
+            if let &Message::Ping { nonce, hb, .. } = m {
+                let pong = Message::Pong {
+                    from: peer.local_id(),
+                    nonce,
+                    hb,
+                };
+                peer.send(node.id(), encode(&pong)).await.unwrap();
+            }
+        }
+        tokio::time::sleep(Duration::from_millis(5)).await;
+        node.drain().await;
+    }
+
+    /// The cost `lsa` gives the link to `to`.
+    fn cost_to(lsa: &LinkStateAnnouncement, to: NodeId) -> f32 {
+        lsa.links.iter().find(|l| l.neighbor == to).unwrap().cost
+    }
+
+    /// A re-wiring onto a never-pinged neighbor sends no LSA and bumps no
+    /// seq: it pings that neighbor (only that one, as a heartbeat) and
+    /// holds the announcement. The pong releases it, priced as measured.
+    #[test]
+    fn an_unprobed_neighbor_holds_the_announcement_until_its_pong() {
+        tokio::runtime::block_on_paused(async {
+            let (mut node, [mut one, mut two]) = probe_rig();
+            node.announce(false).await;
+            assert_eq!((node.seq, node.announces, node.held), (0, 0, Some(false)));
+            assert!(
+                inbox(&mut one).await.is_empty(),
+                "the measured peer hears nothing"
+            );
+            let got = inbox(&mut two).await;
+            assert!(
+                matches!(got[..], [Message::Ping { hb: true, .. }]),
+                "one heartbeat probe, no LSA: {got:?}"
+            );
+            answer_pings(&mut node, &mut two, &got).await;
+            assert_eq!((node.seq, node.announces, node.held), (1, 1, None));
+            let measured = node.est[2].value;
+            assert!(measured > 1.0, "{measured}");
+            for peer in [&mut one, &mut two] {
+                let got = inbox(peer).await;
+                let sent = lsas(&got);
+                assert_eq!(sent.len(), 1, "{got:?}");
+                assert_eq!(sent[0].seq, 1);
+                assert_eq!(cost_to(sent[0], NodeId(1)), 3.0);
+                assert_eq!(cost_to(sent[0], NodeId(2)), measured as f32);
+            }
+            assert_eq!(node.unmeasured_links, 0);
+        });
+    }
+
+    /// A lost probe holds the announcement for one attempt only: the next
+    /// attempt sends exactly one LSA, at the placeholder, and pings
+    /// nothing more while the first probe is in flight. A suppressed tick
+    /// after it (same links, refresh not due) neither pings nor holds.
+    #[test]
+    fn a_lost_probe_sends_the_placeholder_at_the_next_attempt() {
+        tokio::runtime::block_on_paused(async {
+            let (mut node, [mut one, mut two]) = probe_rig();
+            node.announce(false).await;
+            assert_eq!(node.held, Some(false));
+            assert_eq!(inbox(&mut two).await.len(), 1, "the probe, then lost");
+            node.announce(false).await;
+            assert_eq!((node.seq, node.announces, node.held), (1, 1, None));
+            assert_eq!(node.unmeasured_links, 1);
+            for peer in [&mut one, &mut two] {
+                let got = inbox(peer).await;
+                let sent = lsas(&got);
+                assert_eq!((got.len(), sent.len()), (1, 1), "{got:?}");
+                assert_eq!(cost_to(sent[0], NodeId(2)), 1.0);
+            }
+            let pending = node.pending_pings.len();
+            node.announce(false).await;
+            assert_eq!((node.seq, node.held), (1, None), "suppressed");
+            assert_eq!(node.pending_pings.len(), pending, "no probe");
+            assert!(inbox(&mut one).await.is_empty());
+            assert!(inbox(&mut two).await.is_empty());
+        });
+    }
+
+    /// A forced announcement that would not be material is held like any
+    /// other, and stays forced: its release goes out although the links
+    /// and the refresh schedule would suppress an unforced one — through
+    /// the pong, and at the next attempt when the probe is lost.
+    #[test]
+    fn a_held_forced_announcement_stays_forced_past_its_probe() {
+        tokio::runtime::block_on_paused(async {
+            for pong in [true, false] {
+                let (mut node, [mut one, mut two]) = probe_rig();
+                node.last_announced = vec![
+                    LinkEntry {
+                        neighbor: NodeId(1),
+                        cost: 3.0,
+                    },
+                    LinkEntry {
+                        neighbor: NodeId(2),
+                        cost: 1.0,
+                    },
+                ];
+                node.announce(false).await;
+                assert_eq!(node.held, None, "suppressed: no hold");
+                assert!(node.pending_pings.is_empty(), "suppressed: no probe");
+                node.announce(true).await;
+                assert_eq!((node.seq, node.held), (0, Some(true)));
+                let got = inbox(&mut two).await;
+                if pong {
+                    answer_pings(&mut node, &mut two, &got).await;
+                } else {
+                    node.announce(false).await;
+                }
+                assert_eq!((node.seq, node.held), (1, None), "pong {pong}");
+                assert_eq!(lsas(&inbox(&mut one).await).len(), 1, "pong {pong}");
+            }
+        });
     }
 
     /// What a received LSA can change: the LSDB (records, ages, `since`),

@@ -80,7 +80,9 @@ for setting in "${settings[@]}"; do
             echo "equal    $setting  $name"
         else
             echo "DIFFERS  $setting  $name"
-            diff "$out/parent.$name" "$out/change.$name" | head -20
+            # diff exits 1 on a difference; under pipefail that would end
+            # the script at the first differing program.
+            diff "$out/parent.$name" "$out/change.$name" | head -20 || true
             differ=1
         fi
     done

@@ -318,7 +318,7 @@ fn fleet_route_instruments_are_exported_and_invisible() {
         .split('"')
         .filter(|name| name.starts_with("proto.") || name.starts_with("graph."))
         .collect();
-    assert_eq!(names.len(), 11, "{names:?}");
+    assert_eq!(names.len(), 13, "{names:?}");
     for name in names {
         assert!(export.contains(&format!("\"{name}\":")), "{name} missing");
     }
