@@ -1,7 +1,7 @@
 //! §4.3 overhead validation: run a real protocol overlay (SimNet
-//! transport, paused virtual clock) with the paper's timers, measure the
-//! injected traffic per message class, and compare with the analytic
-//! formulas.
+//! transport, one timer wheel on the paused virtual clock) with the
+//! paper's timers, measure the injected traffic per message class, and
+//! compare with the analytic formulas.
 
 use egoist_core::stats;
 use egoist_graph::{DistanceMatrix, NodeId};
@@ -10,19 +10,17 @@ use egoist_netsim::DelayModel;
 use egoist_proto::bootstrap::{BootstrapServer, Registry};
 use egoist_proto::message::MessageClass;
 use egoist_proto::overhead::analytic;
-use egoist_proto::{EgoistNode, NodeConfig, SimNet};
+use egoist_proto::{EgoistNode, NodeConfig, SimNet, Wheel};
 use std::time::Duration;
 
 const BOOT: NodeId = NodeId(1000);
 
 fn main() {
-    tokio::runtime::block_on(run())
+    // Virtual time: the whole 20-minute run takes a moment.
+    tokio::runtime::block_on_paused(run())
 }
 
 async fn run() {
-    // Virtual time: the whole 20-minute run takes milliseconds.
-    tokio::time::pause();
-
     let n = 20usize;
     let k = 5usize;
     let t_epoch = 60.0;
@@ -47,29 +45,28 @@ async fn run() {
     let net = SimNet::new(big, FaultConfig::default(), 11);
     tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), Registry::default()).run());
 
-    let mut handles = Vec::new();
-    for i in 0..n {
+    let spacing = Duration::from_millis(500);
+    let mut wheel = Wheel::new(Duration::from_millis(1), n, spacing, |i| {
         let mut cfg = NodeConfig::new(NodeId::from_index(i), n, k);
         cfg.epoch = Duration::from_secs_f64(t_epoch);
         cfg.announce_interval = Duration::from_secs_f64(t_announce);
         cfg.ping_interval = Duration::from_secs_f64(t_epoch);
         cfg.liveness_timeout = Duration::from_secs_f64(3.0 * t_epoch);
         cfg.bootstrap = Some(BOOT);
-        handles.push(EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i))).spawn());
-        tokio::time::sleep(Duration::from_millis(500)).await;
-    }
-    tokio::time::sleep(Duration::from_secs_f64(horizon_secs)).await;
+        EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i)))
+    });
+    wheel
+        .run_for(spacing * n as u32 + Duration::from_secs_f64(horizon_secs))
+        .await;
 
     let mut ping_bps = Vec::new();
     let mut lsa_bps = Vec::new();
-    for h in &handles {
-        let v = h.snapshot();
+    for i in 0..n {
+        let v = wheel.view(i);
         ping_bps.push(v.overhead.bps(MessageClass::Measurement, horizon_secs));
         lsa_bps.push(v.overhead.bps(MessageClass::LinkState, horizon_secs));
     }
-    for h in handles {
-        h.stop().await;
-    }
+    wheel.shutdown().await;
 
     // Our ping frames are 52 bytes (paper assumed 40-byte ICMP echo).
     let our_ping_bits = 52.0 * 8.0;

@@ -225,7 +225,7 @@ async fn identity_task<T: Transport>(
                 if let Ok(Message::Ping { from: peer, nonce, hb }) = decode(&frame) {
                     if budget.try_take() {
                         let pong = encode(&Message::Pong { from: me, nonce, hb });
-                        let _ = transport.send(peer, pong).await;
+                        let _ = transport.send(peer, pong);
                         let mut s = stats.lock();
                         s.sent += 1;
                         s.pongs += 1;
@@ -256,7 +256,7 @@ async fn identity_task<T: Transport>(
                     } else {
                         encode(&lure_lsa(me, seq + 1, &cfg, None))
                     };
-                    let _ = transport.send(v, frame).await;
+                    let _ = transport.send(v, frame);
                     stats.lock().sent += 1;
                 }
                 seq += 1;

@@ -127,7 +127,7 @@ impl<T: Transport> BootstrapServer<T> {
                     peers.sort_unstable();
                     self.registry.register(requester);
                     let reply = encode(&Message::BootstrapResponse { peers });
-                    let _ = self.transport.send(from, reply).await;
+                    let _ = self.transport.send(from, reply);
                 }
                 Message::Leave { from: leaver } => {
                     self.registry.remove(leaver);
@@ -160,7 +160,6 @@ mod tests {
                 BOOT_ID,
                 encode(&Message::BootstrapRequest { from: NodeId(0) }),
             )
-            .await
             .unwrap();
             let (_, frame) = a.recv().await.unwrap();
             assert_eq!(
@@ -173,7 +172,6 @@ mod tests {
                 BOOT_ID,
                 encode(&Message::BootstrapRequest { from: NodeId(1) }),
             )
-            .await
             .unwrap();
             let (_, frame) = b.recv().await.unwrap();
             assert_eq!(
@@ -198,7 +196,6 @@ mod tests {
 
             let c = net.endpoint(NodeId(3));
             c.send(BOOT_ID, encode(&Message::Leave { from: NodeId(3) }))
-                .await
                 .unwrap();
             tokio::time::sleep(std::time::Duration::from_millis(10)).await;
             assert_eq!(registry.members(), vec![NodeId(4)]);
@@ -212,14 +209,11 @@ mod tests {
             let server = BootstrapServer::new(net.endpoint(BOOT_ID), Registry::default());
             tokio::spawn(server.run());
             let mut a = net.endpoint(NodeId(0));
-            a.send(BOOT_ID, Bytes::from_static(b"not a frame"))
-                .await
-                .unwrap();
+            a.send(BOOT_ID, Bytes::from_static(b"not a frame")).unwrap();
             a.send(
                 BOOT_ID,
                 encode(&Message::BootstrapRequest { from: NodeId(0) }),
             )
-            .await
             .unwrap();
             let (_, frame) = a.recv().await.unwrap();
             assert!(matches!(

@@ -9,16 +9,13 @@
 //! state (node views, `SimNet` counters), never from the global obs
 //! registry, and every iteration that could leak map order is sorted.
 //!
-//! **Scheduling.** Nodes are not spawned as one task each. The harness
-//! owns every [`EgoistNode`] and drives the node tick methods from a
-//! single timer wheel over virtual time: a heap of `(due, node, kind)`
-//! events advanced in fixed [`FleetConfig::wheel_step`] quanta. At each
-//! step every node's inbound queue is drained in id order, then due
-//! events fire in `(due, node, kind)` order. One task per *fleet*
-//! instead of six per node is what makes n ≥ 1000 live protocol nodes
-//! affordable — and the wheel's total order over ticks is itself the
-//! determinism argument: two same-seed runs execute the identical
-//! sequence of (drain, tick) steps at the identical virtual instants.
+//! **Scheduling.** The honest nodes run on one [`Wheel`] stepped in
+//! [`FleetConfig::wheel_step`] quanta over virtual time (see
+//! [`crate::wheel`] for its order and the nodes' phases); the harness
+//! samples reachability between steps. The wheel's total order over
+//! ticks is the determinism argument: two same-seed runs execute the
+//! identical sequence of (drain, tick) steps at the identical virtual
+//! instants.
 //!
 //! This is the §4.4 churn/resilience experiment generalized: instead of
 //! replaying a PlanetLab churn trace, the plan scripts partitions,
@@ -31,13 +28,12 @@ use crate::bootstrap::{BootstrapServer, Registry};
 use crate::message::MessageClass;
 use crate::node::{EgoistNode, NodeConfig, NodeView};
 use crate::transport::{FaultStats, SimNet, SimTransport};
+use crate::wheel::Wheel;
 use egoist_core::policies::PolicyKind;
 use egoist_graph::{DistanceMatrix, NodeId};
 use egoist_netsim::{FaultConfig, FaultPlan};
 use egoist_obs::json::{array, num, JsonObject, Layout::Spaced};
 use parking_lot::RwLock;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -143,9 +139,6 @@ impl FleetConfig {
         nc.liveness_timeout = self.liveness_timeout;
         nc.bootstrap = Some(boot);
         nc.seed = self.seed.wrapping_mul(1031).wrapping_add(i as u64);
-        // Bit-reproducible runs: keep the wiring computation on the
-        // executor thread (blocking-pool wakeups are a real-time race).
-        nc.inline_rewire = true;
         nc.gossip_fanout = self.gossip_fanout;
         nc.gossip_ttl = self.gossip_ttl;
         nc.sync_interval = self.sync_interval;
@@ -589,17 +582,6 @@ fn reachability(views: &[Option<Arc<RwLock<NodeView>>>], plan: &FaultPlan, now: 
     }
 }
 
-// Timer-wheel event kinds, in firing order for same-instant ties (the
-// same biased order the per-node `run()` select uses).
-const K_SPAWN: u8 = 0;
-const K_PING: u8 = 1;
-const K_ANNOUNCE: u8 = 2;
-const K_SYNC: u8 = 3;
-const K_JOIN: u8 = 4;
-const K_EPOCH: u8 = 5;
-
-type WheelEvent = Reverse<(u64, u32, u8)>;
-
 /// Run one scenario to completion inside the paused-clock runtime and
 /// return its report.
 pub fn run_fleet(cfg: &FleetConfig) -> RobustnessReport {
@@ -621,105 +603,31 @@ async fn run_fleet_inner(
         .as_ref()
         .map(|a| spawn_swarm(a, |id| net.endpoint(id)));
 
-    let step_us = cfg.wheel_step.as_micros().max(1) as u64;
     let horizon_us = cfg.horizon.as_micros() as u64;
     let sample_us = cfg.sample_every.as_micros() as u64;
     let samples = (cfg.horizon.as_secs_f64() / cfg.sample_every.as_secs_f64()).floor() as usize;
 
-    let mut nodes: Vec<Option<EgoistNode<SimTransport>>> = (0..cfg.n).map(|_| None).collect();
-    let mut view_handles: Vec<Option<Arc<RwLock<NodeView>>>> = vec![None; cfg.n];
-    let mut wheel: BinaryHeap<WheelEvent> = BinaryHeap::new();
-    for i in 0..cfg.n {
-        wheel.push(Reverse((
-            i as u64 * cfg.spawn_spacing.as_micros() as u64,
-            i as u32,
-            K_SPAWN,
-        )));
-    }
+    let mut wheel = Wheel::new(cfg.wheel_step, cfg.n, cfg.spawn_spacing, |i| {
+        let nc = cfg.node_config(i, boot);
+        let endpoint = net.endpoint(nc.id);
+        EgoistNode::new(nc, endpoint)
+    });
+    let views = |wheel: &Wheel<SimTransport>| -> Vec<Option<Arc<RwLock<NodeView>>>> {
+        let nodes = wheel.nodes().iter();
+        nodes
+            .map(|n| n.as_ref().map(EgoistNode::view_handle))
+            .collect()
+    };
 
     let mut timeline = Vec::with_capacity(samples);
     let mut next_sample_us = sample_us;
     let mut now_us = 0u64;
     while now_us < horizon_us {
-        tokio::time::sleep(cfg.wheel_step).await;
-        now_us += step_us;
-        // Inbound first, in id order: frames delivered during the step
-        // are processed before any timer that fires on its boundary.
-        for node in nodes.iter_mut().flatten() {
-            node.drain().await;
-        }
-        while let Some(&Reverse((due, ni, kind))) = wheel.peek() {
-            if due > now_us {
-                break;
-            }
-            wheel.pop();
-            let i = ni as usize;
-            if kind == K_SPAWN {
-                let nc = cfg.node_config(i, boot);
-                let join0 = (nc.join_backoff_base.as_micros() as u64).max(1);
-                let endpoint = net.endpoint(nc.id);
-                let mut node = EgoistNode::new(nc, endpoint);
-                node.start().await;
-                view_handles[i] = Some(node.view_handle());
-                nodes[i] = Some(node);
-                // Per-node phases mirror the live `run()` loop: pings
-                // almost immediately, announces early, sync and epoch
-                // staggered by id so the fleet never ticks in lockstep.
-                let frac = i as f64 / cfg.n.max(1) as f64;
-                let ann0 = ((cfg.announce_interval.as_micros() as u64) / 10).max(1);
-                let sync0 =
-                    (cfg.sync_interval.mul_f64(0.25 + 0.75 * frac).as_micros() as u64).max(1);
-                let epoch0 = (cfg.epoch.mul_f64(frac).as_micros() as u64).max(step_us);
-                wheel.push(Reverse((due + 10_000, ni, K_PING)));
-                wheel.push(Reverse((due + ann0, ni, K_ANNOUNCE)));
-                wheel.push(Reverse((due + sync0, ni, K_SYNC)));
-                wheel.push(Reverse((due + join0, ni, K_JOIN)));
-                wheel.push(Reverse((due + epoch0, ni, K_EPOCH)));
-                continue;
-            }
-            let node = nodes[i].as_mut().expect("tick before spawn");
-            match kind {
-                K_PING => {
-                    node.tick_ping().await;
-                    wheel.push(Reverse((
-                        due + cfg.ping_interval.as_micros() as u64,
-                        ni,
-                        K_PING,
-                    )));
-                }
-                K_ANNOUNCE => {
-                    node.tick_announce().await;
-                    wheel.push(Reverse((
-                        due + cfg.announce_interval.as_micros() as u64,
-                        ni,
-                        K_ANNOUNCE,
-                    )));
-                }
-                K_SYNC => {
-                    node.tick_sync().await;
-                    wheel.push(Reverse((
-                        due + cfg.sync_interval.as_micros() as u64,
-                        ni,
-                        K_SYNC,
-                    )));
-                }
-                K_JOIN => {
-                    let delay = node.tick_join().await;
-                    wheel.push(Reverse((
-                        due + (delay.as_micros() as u64).max(step_us),
-                        ni,
-                        K_JOIN,
-                    )));
-                }
-                _ => {
-                    node.tick_epoch().await;
-                    wheel.push(Reverse((due + cfg.epoch.as_micros() as u64, ni, K_EPOCH)));
-                }
-            }
-        }
+        wheel.step().await;
+        now_us = wheel.now().as_micros() as u64;
         if timeline.len() < samples && now_us >= next_sample_us {
             let nominal = (timeline.len() + 1) as f64 * cfg.sample_every.as_secs_f64();
-            let r = reachability(&view_handles, &cfg.plan, nominal);
+            let r = reachability(&views(&wheel), &cfg.plan, nominal);
             fleet_obs().reachability.observe(r);
             timeline.push((nominal, r));
             next_sample_us += sample_us;
@@ -741,6 +649,7 @@ async fn run_fleet_inner(
     let mut forged_links_in_routes = 0u64;
     let mut sybil_bans = vec![0u64; sybil_ids.len()];
     let mut class_totals = [(0u64, 0u64); MessageClass::ALL.len()];
+    let view_handles = views(&wheel);
     let (score_hist, score_hist_edges) = {
         let views: Vec<_> = view_handles.iter().flatten().map(|h| h.read()).collect();
         for v in &views {
@@ -782,9 +691,7 @@ async fn run_fleet_inner(
         )
     };
     let fault = net.fault_stats();
-    for node in nodes.iter_mut().flatten() {
-        node.shutdown_now().await;
-    }
+    wheel.shutdown().await;
     // Swarm tasks die with the runtime; their stats cell outlives them.
 
     // Per-window reconvergence from the sampled timeline.

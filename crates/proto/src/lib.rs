@@ -1,7 +1,8 @@
 //! # egoist-proto — the EGOIST overlay routing protocol
 //!
 //! The deployable half of the reproduction: the link-state overlay
-//! protocol of §3.1 as an async (tokio) implementation.
+//! protocol of §3.1 as a synchronous node state machine, driven by one
+//! timer wheel on the vendored tokio runtime's virtual or real clock.
 //!
 //! * [`message`] — the wire messages: bootstrap handshake, link-state
 //!   announcements (id + neighbor ids + link costs, §4.3), LSDB sync for
@@ -21,6 +22,9 @@
 //!   measurement (ping RTT/2 with EWMA), selfish re-wiring through
 //!   `egoist-core` policies, immediate/delayed re-wiring modes, optional
 //!   cost inflation (free riding).
+//! * [`wheel`] — [`wheel::Wheel`], the one driver of every node: a heap
+//!   of `(due, node, kind)` timer events stepped in fixed quanta, over
+//!   simulated or real UDP endpoints.
 //! * [`bootstrap`] — the bootstrap service answering join requests with
 //!   candidate peers.
 //! * [`overhead`] — byte accounting per message class, checked against
@@ -43,11 +47,13 @@ pub mod message;
 pub mod node;
 pub mod overhead;
 pub mod transport;
+pub mod wheel;
 
 pub use fleet::{run_fleet, FleetConfig, RobustnessReport};
 pub use message::Message;
-pub use node::{EgoistNode, NodeConfig, NodeHandle, RewireMode};
+pub use node::{EgoistNode, NodeConfig, RewireMode};
 pub use transport::{SimNet, SimTransport, Transport, UdpTransport};
+pub use wheel::Wheel;
 
 #[cfg(test)]
 mod proptests;

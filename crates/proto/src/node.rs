@@ -10,9 +10,9 @@
 //!    Established links are effectively monitored continuously by use.
 //! 3. **Re-wire**: once per (staggered) epoch `T`, play the simulator's
 //!    wiring turn ([`egoist_core::game::choose`]) over the announced
-//!    residual graph. The live deployment runs the CPU-bound best
-//!    response under `spawn_blocking`; the fleet harness runs it inline
-//!    ([`NodeConfig::inline_rewire`]) so its runs are bit-reproducible.
+//!    residual graph, inline: the node is a synchronous state machine,
+//!    and one [`crate::wheel::Wheel`] drives every node, simulated or
+//!    live, so the same events in the same order give the same wiring.
 //! 4. **Announce**: gossip a sequence-numbered LSA of established links
 //!    every `T_announce`; forward fresh LSAs from others to a
 //!    fanout-bounded, deterministically chosen subset of overlay
@@ -48,7 +48,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use tokio::sync::oneshot;
 use tokio::time::Instant;
 
 /// Obs handles for the protocol layer, per-class send/receive tables
@@ -229,11 +228,9 @@ pub struct NodeConfig {
     pub join_backoff_base: Duration,
     /// Ceiling on the join-retry delay.
     pub join_backoff_cap: Duration,
-    /// Run the wiring computation on the executor thread instead of
-    /// `spawn_blocking`. Blocking-pool completions are delivered by real
-    /// threads at racy points in the scheduler queue, so bit-reproducible
-    /// runs (the chaos fleet harness) need the inline path; the live
-    /// deployment keeps the pool to stay responsive.
+    /// Ignored: every wiring computation runs inline, on the thread
+    /// driving the node. Kept only because the benchmark's fleet stepper
+    /// (`benchmark/src/workloads/stepper.rs`) still assigns it.
     pub inline_rewire: bool,
     /// Gossip fan-out: fresh LSAs are pushed to at most this many
     /// targets, chosen by a deterministic per-(origin, seq) hash.
@@ -348,28 +345,6 @@ pub struct NodeView {
     pub misbehavior_total: Vec<u64>,
     /// Edges of the last routing graph (only when `expose_route_edges`).
     pub route_edges: Vec<(NodeId, NodeId)>,
-}
-
-/// Handle to a spawned node.
-pub struct NodeHandle {
-    pub view: Arc<RwLock<NodeView>>,
-    shutdown: Option<oneshot::Sender<()>>,
-    join: tokio::task::JoinHandle<()>,
-}
-
-impl NodeHandle {
-    /// Request shutdown (the node sends `Leave` first) and wait for exit.
-    pub async fn stop(mut self) {
-        if let Some(tx) = self.shutdown.take() {
-            let _ = tx.send(());
-        }
-        let _ = self.join.await;
-    }
-
-    /// Snapshot the node's current view.
-    pub fn snapshot(&self) -> NodeView {
-        self.view.read().clone()
-    }
 }
 
 /// Per-peer health ledger. Two independent strike families: ping loss
@@ -677,33 +652,22 @@ impl<T: Transport> EgoistNode<T> {
         }
     }
 
-    /// Spawn the agent onto the current runtime.
-    pub fn spawn(self) -> NodeHandle {
-        let view = Arc::clone(&self.view);
-        let (tx, rx) = oneshot::channel();
-        let join = tokio::spawn(self.run(rx));
-        NodeHandle {
-            view,
-            shutdown: Some(tx),
-            join,
-        }
-    }
-
     fn now_secs(&self) -> f64 {
         self.t0.elapsed().as_secs_f64()
     }
 
-    async fn send_msg(&mut self, to: NodeId, msg: &Message) {
-        self.send_frame(to, msg.class(), encode(msg)).await;
+    fn send_msg(&mut self, to: NodeId, msg: &Message) {
+        self.send_frame(to, msg.class(), encode(msg));
     }
 
     /// Account for and send one already-encoded frame of `class`.
-    async fn send_frame(&mut self, to: NodeId, class: MessageClass, frame: bytes::Bytes) {
+    fn send_frame(&mut self, to: NodeId, class: MessageClass, frame: bytes::Bytes) {
         self.overhead.record(class, frame.len());
         let obs = proto_obs();
         obs.send_frames[class.slot()].inc();
         obs.send_bytes[class.slot()].add(frame.len() as u64);
-        let _ = self.transport.send(to, frame).await;
+        // A failed send is a lost datagram; the transport counts it.
+        let _ = self.transport.send(to, frame);
     }
 
     /// Known overlay members other than self: LSDB origins plus anyone we
@@ -952,38 +916,37 @@ impl<T: Transport> EgoistNode<T> {
     }
 
     /// Push a fresh LSA to the gossip subset.
-    async fn gossip_lsa(&mut self, lsa: LinkStateAnnouncement, ttl: u8, except: Option<NodeId>) {
+    fn gossip_lsa(&mut self, lsa: LinkStateAnnouncement, ttl: u8, except: Option<NodeId>) {
         let targets = self.gossip_targets(lsa.origin, lsa.seq, except, self.cfg.gossip_fanout);
-        self.send_to_all(&targets, &Message::LinkState { lsa, ttl })
-            .await;
+        self.send_to_all(&targets, &Message::LinkState { lsa, ttl });
     }
 
     /// One message to several peers: encoded once, the frame shared.
-    async fn send_to_all(&mut self, targets: &[NodeId], msg: &Message) {
+    fn send_to_all(&mut self, targets: &[NodeId], msg: &Message) {
         if targets.is_empty() {
             return;
         }
         let (class, frame) = (msg.class(), encode(msg));
         for &t in targets {
-            self.send_frame(t, class, frame.clone()).await;
+            self.send_frame(t, class, frame.clone());
         }
     }
 
     /// Send an anti-entropy push, tallying the LSAs it carries.
-    async fn push_sync(&mut self, peer: NodeId, push: Option<SyncPush>) {
+    fn push_sync(&mut self, peer: NodeId, push: Option<SyncPush>) {
         let Some(push) = push else { return };
         self.ae_pushed += push.records;
         self.ae_refreshed += push.refreshes;
         proto_obs().ae_pushed.add(push.records);
         proto_obs().ae_refresh_sent.add(push.refreshes);
-        self.send_frame(peer, MessageClass::Sync, push.frame).await;
+        self.send_frame(peer, MessageClass::Sync, push.frame);
     }
 
     /// Flood a message to every overlay neighbor (Leave notifications —
     /// never fanout-limited; a missed Leave costs a liveness timeout).
-    async fn flood(&mut self, msg: &Message, except: Option<NodeId>) {
+    fn flood(&mut self, msg: &Message, except: Option<NodeId>) {
         let targets = self.gossip_targets(self.cfg.id, self.seq, except, usize::MAX);
-        self.send_to_all(&targets, msg).await;
+        self.send_to_all(&targets, msg);
     }
 
     /// Whether `links` differ materially from the last announced set:
@@ -1018,7 +981,7 @@ impl<T: Transport> EgoistNode<T> {
     /// of them releases the LSA, never suppressed. A hold lasts one
     /// attempt: the next one sends, still forced if the held one was, at
     /// the placeholder cost on any link whose probe was lost.
-    async fn announce(&mut self, force: bool) {
+    fn announce(&mut self, force: bool) {
         let held = self.held.take();
         let force = force || held == Some(true);
         let mut unmeasured = Vec::new();
@@ -1047,7 +1010,7 @@ impl<T: Transport> EgoistNode<T> {
         if held.is_none() && !unmeasured.is_empty() {
             unmeasured.retain(|&w| !self.pending_pings.values().any(|&(p, _)| p == w));
             for peer in unmeasured {
-                self.ping_one(peer, true).await;
+                self.ping_one(peer, true);
             }
             self.held = Some(force);
             proto_obs().announce_held.inc();
@@ -1066,7 +1029,7 @@ impl<T: Transport> EgoistNode<T> {
         self.last_announced = links;
         let now = self.now_secs();
         self.lsdb.apply_ref(&lsa, now);
-        self.gossip_lsa(lsa, self.cfg.gossip_ttl, None).await;
+        self.gossip_lsa(lsa, self.cfg.gossip_ttl, None);
     }
 
     /// Rank every third-party link claim in `lsa` against the triangle
@@ -1169,7 +1132,7 @@ impl<T: Transport> EgoistNode<T> {
     }
 
     /// Send one ping to `peer` and arm the pending-pong timer.
-    async fn ping_one(&mut self, peer: NodeId, hb: bool) {
+    fn ping_one(&mut self, peer: NodeId, hb: bool) {
         let nonce = self.next_nonce;
         self.next_nonce += 1;
         self.pending_pings.insert(nonce, (peer, Instant::now()));
@@ -1180,15 +1143,14 @@ impl<T: Transport> EgoistNode<T> {
                 nonce,
                 hb,
             },
-        )
-        .await;
+        );
     }
 
     /// Liveness heartbeats to every wired neighbor, measurement pings to
     /// a rotating sample of unwired candidates (the paper's `O(n)`
     /// per-epoch measurement when `ping_sample` is unbounded), plus a
     /// couple of passive-view probes.
-    async fn send_pings(&mut self) {
+    fn send_pings(&mut self) {
         // Expire stale pending pings, charging each to its peer's
         // responsiveness ledger (sorted so same-seed runs agree).
         let deadline = self.cfg.liveness_timeout;
@@ -1254,10 +1216,10 @@ impl<T: Transport> EgoistNode<T> {
             unwired.push(p);
         }
         for peer in wired {
-            self.ping_one(peer, true).await;
+            self.ping_one(peer, true);
         }
         for peer in unwired {
-            self.ping_one(peer, false).await;
+            self.ping_one(peer, false);
         }
     }
 
@@ -1287,36 +1249,30 @@ impl<T: Transport> EgoistNode<T> {
     }
 
     /// Play the wiring turn over the known peers with the configured
-    /// policy (inline or on the blocking pool, per
-    /// [`NodeConfig::inline_rewire`]) and install it. Returns whether it
-    /// changed.
-    async fn rewire(&mut self) -> bool {
+    /// policy and install it. Returns whether it changed.
+    fn rewire(&mut self) -> bool {
         self.expire_origins();
         let candidates = self.known_peers();
         if candidates.is_empty() {
             return false;
         }
-        let me = self.cfg.id;
-        let n = self.cfg.n;
-        let k = self.cfg.k;
-        let policy = self.cfg.policy;
-        let direct: Vec<f64> = (0..n)
-            .map(|j| self.est[j].value)
-            .map(|v| if v.is_nan() { f64::INFINITY } else { v })
-            .collect();
-        // Oblivious policies never read residual state: skip the
-        // quarantine-ranked graph build and every residual row — this is
-        // what makes a 1000-node fleet of k-Closest nodes tractable.
-        let announced = policy.needs_residual().then(|| self.routing_graph());
-        let current = self.wiring.clone();
-        let mut alive = vec![false; n];
-        alive[me.index()] = true;
-        for c in &candidates {
-            alive[c.index()] = true;
-        }
+        let (me, n, k, policy) = (self.cfg.id, self.cfg.n, self.cfg.k, self.cfg.policy);
         let seed = self.rng_next();
-
-        let job = move || {
+        // The turn's inputs live for the turn only.
+        let new_wiring = {
+            let direct: Vec<f64> = (0..n)
+                .map(|j| self.est[j].value)
+                .map(|v| if v.is_nan() { f64::INFINITY } else { v })
+                .collect();
+            // Oblivious policies never read residual state: skip the
+            // quarantine-ranked graph build and every residual row — this
+            // is what makes a 1000-node fleet of k-Closest nodes tractable.
+            let announced = policy.needs_residual().then(|| self.routing_graph());
+            let mut alive = vec![false; n];
+            alive[me.index()] = true;
+            for c in &candidates {
+                alive[c.index()] = true;
+            }
             let obs = proto_obs();
             let _span = obs.rewire_job.start();
             let prefs = Preferences::uniform(n);
@@ -1342,21 +1298,13 @@ impl<T: Transport> EgoistNode<T> {
                     None => Residual::Unread,
                 };
                 let mut rng = StdRng::seed_from_u64(seed);
-                let wiring = choose(turn, &current, residual, policy, &mut rng);
+                let wiring = choose(turn, &self.wiring, residual, policy, &mut rng);
                 if announced.is_some() {
                     obs.rows_materialised.add(arena.rows_materialised() as u64);
                     obs.rows_possible.add(n as u64);
                 }
                 wiring
             })
-        };
-        // The k-median local search is the expensive bit; run it off the
-        // async thread — unless the run must be bit-reproducible, in
-        // which case blocking-pool wakeup order is a race we avoid.
-        let new_wiring = if self.cfg.inline_rewire {
-            job()
-        } else {
-            tokio::task::spawn_blocking(job).await.unwrap_or_default()
         };
         let mut old = self.wiring.clone();
         let mut new = new_wiring.clone();
@@ -1432,7 +1380,7 @@ impl<T: Transport> EgoistNode<T> {
         }
     }
 
-    async fn handle_frame(&mut self, from: NodeId, frame: bytes::Bytes) {
+    fn handle_frame(&mut self, from: NodeId, frame: bytes::Bytes) {
         if from.index() < self.cfg.n && self.banned[from.index()] {
             proto_obs().banned_frames.inc();
             return;
@@ -1469,15 +1417,14 @@ impl<T: Transport> EgoistNode<T> {
                 // Hello up to three peers for LSDB sync redundancy.
                 for p in peers.into_iter().take(3) {
                     if p != self.cfg.id && !(p.index() < self.cfg.n && self.banned[p.index()]) {
-                        self.send_msg(p, &Message::Hello { from: self.cfg.id })
-                            .await;
+                        self.send_msg(p, &Message::Hello { from: self.cfg.id });
                     }
                 }
             }
             Message::Hello { from: peer } => {
                 let all: Vec<_> = self.lsdb.all().collect();
                 let frame = encode_sync(&all, &[]);
-                self.send_frame(peer, MessageClass::Sync, frame).await;
+                self.send_frame(peer, MessageClass::Sync, frame);
             }
             Message::LsdbSync { lsas, refreshes } => {
                 let tally = egoist_obs::is_enabled();
@@ -1525,7 +1472,7 @@ impl<T: Transport> EgoistNode<T> {
                         from: self.cfg.id,
                         origins: lacking,
                     };
-                    self.send_msg(from, &pull).await;
+                    self.send_msg(from, &pull);
                 }
             }
             Message::LinkState { lsa, ttl } => {
@@ -1535,7 +1482,7 @@ impl<T: Transport> EgoistNode<T> {
                 if self.admit_lsa(&lsa, now) && ttl > 0 {
                     self.gossip_forwards += 1;
                     proto_obs().gossip_forwards.inc();
-                    self.gossip_lsa(lsa, ttl - 1, Some(from)).await;
+                    self.gossip_lsa(lsa, ttl - 1, Some(from));
                 }
             }
             Message::LsdbDigest {
@@ -1552,8 +1499,7 @@ impl<T: Transport> EgoistNode<T> {
                 let entries = lsdb::ascending(&entries);
                 self.lsdb.touch_matching(&entries, now);
                 let push = self.lsdb.fresher_than(&entries);
-                self.push_sync(peer, sync_push(&push.full, &push.refreshes))
-                    .await;
+                self.push_sync(peer, sync_push(&push.full, &push.refreshes));
                 let stale = self.lsdb.stale_origins(&entries);
                 if !stale.is_empty() {
                     self.ae_pulls += 1;
@@ -1564,16 +1510,14 @@ impl<T: Transport> EgoistNode<T> {
                             from: self.cfg.id,
                             origins: stale,
                         },
-                    )
-                    .await;
+                    );
                 }
             }
             Message::LsdbPull {
                 from: peer,
                 origins,
             } => {
-                self.push_sync(peer, sync_push(&self.lsdb.select(&origins), &[]))
-                    .await;
+                self.push_sync(peer, sync_push(&self.lsdb.select(&origins), &[]));
             }
             Message::Ping {
                 from: peer,
@@ -1587,8 +1531,7 @@ impl<T: Transport> EgoistNode<T> {
                         nonce,
                         hb,
                     },
-                )
-                .await;
+                );
             }
             Message::Pong {
                 from: peer,
@@ -1603,7 +1546,7 @@ impl<T: Transport> EgoistNode<T> {
                         // §3.1 join: the newcomer connects as soon as it
                         // can price at least one candidate, rather than
                         // waiting out its first wiring epoch.
-                        if !self.join_wired && self.wiring.is_empty() && self.rewire().await {
+                        if !self.join_wired && self.wiring.is_empty() && self.rewire() {
                             self.join_wired = true;
                             // Gossip convergence: virtual seconds from
                             // node start to the first established link.
@@ -1618,7 +1561,7 @@ impl<T: Transport> EgoistNode<T> {
                                 ],
                             );
                             self.rewirings += 1;
-                            self.announce(true).await;
+                            self.announce(true);
                             self.publish();
                         }
                         // The pong that prices the last wired link
@@ -1629,7 +1572,7 @@ impl<T: Transport> EgoistNode<T> {
                                 .iter()
                                 .all(|w| !self.est[w.index()].value.is_nan())
                         {
-                            self.announce(true).await;
+                            self.announce(true);
                             self.publish();
                         }
                     }
@@ -1641,10 +1584,10 @@ impl<T: Transport> EgoistNode<T> {
                 let had = self.wiring.contains(&leaver);
                 self.wiring.retain(|&w| w != leaver);
                 if had && self.cfg.mode == RewireMode::Immediate {
-                    if self.rewire().await {
+                    if self.rewire() {
                         self.rewirings += 1;
                     }
-                    self.announce(true).await;
+                    self.announce(true);
                 }
             }
             Message::BootstrapRequest { .. } => {} // not a bootstrap server
@@ -1652,17 +1595,22 @@ impl<T: Transport> EgoistNode<T> {
     }
 
     // ------------------------------------------------------------------
-    // Tick methods. The agent is a plain state machine driven by five
-    // periodic events; `run()` drives them off per-node tokio timers
-    // (the live deployment), while the fleet harness owns the nodes and
-    // drives the same methods from one shared timer wheel — one task per
-    // *fleet* instead of six per node, which is what makes n ≥ 1000
-    // deterministic runs affordable.
+    // Entry points. The agent is a synchronous state machine driven by
+    // frame arrival and five periodic events; one `Wheel` (wheel.rs)
+    // calls these for every node. `start`, `drain`, the five ticks and
+    // `shutdown_now` stay `async fn` with synchronous bodies that never
+    // yield, because a caller outside this crate (the benchmark's fleet
+    // stepper) `.await`s them.
     // ------------------------------------------------------------------
 
     /// The node's id.
     pub fn id(&self) -> NodeId {
         self.cfg.id
+    }
+
+    /// The node's configuration.
+    pub fn config(&self) -> &NodeConfig {
+        &self.cfg
     }
 
     /// Shared view handle, for drivers that own the node.
@@ -1673,22 +1621,21 @@ impl<T: Transport> EgoistNode<T> {
     /// First action on the wire: ask the bootstrap for peers.
     pub async fn start(&mut self) {
         if let Some(b) = self.cfg.bootstrap {
-            self.send_msg(b, &Message::BootstrapRequest { from: self.cfg.id })
-                .await;
+            self.send_msg(b, &Message::BootstrapRequest { from: self.cfg.id });
         }
     }
 
     /// Drain every queued inbound frame without blocking.
     pub async fn drain(&mut self) {
         while let Some((from, frame)) = self.transport.try_recv() {
-            self.handle_frame(from, frame).await;
+            self.handle_frame(from, frame);
         }
     }
 
     /// Ping tick: probes out, plus Immediate-mode link repair (§3.3's
     /// aggressive monitoring of critical links).
     pub async fn tick_ping(&mut self) {
-        self.send_pings().await;
+        self.send_pings();
         if self.cfg.mode == RewireMode::Immediate {
             let dead = self.dead_neighbors();
             if !dead.is_empty() {
@@ -1696,10 +1643,10 @@ impl<T: Transport> EgoistNode<T> {
                     self.forget(*d);
                 }
                 self.wiring.retain(|w| !dead.contains(w));
-                if self.rewire().await {
+                if self.rewire() {
                     self.rewirings += 1;
                 }
-                self.announce(true).await;
+                self.announce(true);
                 self.publish();
             }
         }
@@ -1709,7 +1656,7 @@ impl<T: Transport> EgoistNode<T> {
     /// node's LSDB record would age out everywhere and the join cascade
     /// would stall one epoch per node.
     pub async fn tick_announce(&mut self) {
-        self.announce(false).await;
+        self.announce(false);
     }
 
     /// Anti-entropy tick: LSDB digest to one rotating known peer. This
@@ -1731,8 +1678,7 @@ impl<T: Transport> EgoistNode<T> {
                 from: self.cfg.id,
                 entries,
             },
-        )
-        .await;
+        );
     }
 
     /// Degradation watchdog: while this node's candidate set cannot even
@@ -1746,10 +1692,9 @@ impl<T: Transport> EgoistNode<T> {
             self.join_retries += 1;
             proto_obs().join_retries.inc();
             if let Some(b) = self.cfg.bootstrap {
-                self.send_msg(b, &Message::BootstrapRequest { from: self.cfg.id })
-                    .await;
+                self.send_msg(b, &Message::BootstrapRequest { from: self.cfg.id });
             }
-            self.send_pings().await;
+            self.send_pings();
             self.backoff.next_delay()
         } else {
             self.backoff.reset();
@@ -1767,11 +1712,11 @@ impl<T: Transport> EgoistNode<T> {
             }
             self.wiring.retain(|w| !dead.contains(w));
         }
-        if self.rewire().await {
+        if self.rewire() {
             self.rewirings += 1;
         }
         self.epochs += 1;
-        self.announce(false).await;
+        self.announce(false);
         // Second-hand claim tallies convert to capped misbehavior points
         // once per epoch: a lure whose per-victim forgeries draw fresh
         // contradictions every round nets +1 past the decay and walks
@@ -1801,75 +1746,11 @@ impl<T: Transport> EgoistNode<T> {
 
     /// Send `Leave` everywhere and publish the final view.
     pub async fn shutdown_now(&mut self) {
-        self.flood(&Message::Leave { from: self.cfg.id }, None)
-            .await;
+        self.flood(&Message::Leave { from: self.cfg.id }, None);
         if let Some(b) = self.cfg.bootstrap {
-            self.send_msg(b, &Message::Leave { from: self.cfg.id })
-                .await;
+            self.send_msg(b, &Message::Leave { from: self.cfg.id });
         }
         self.publish();
-    }
-
-    /// The agent main loop (per-node timers; the live deployment path).
-    pub async fn run(mut self, mut shutdown: oneshot::Receiver<()>) {
-        // Join attempt 0; retries ride the backoff branch below, so an
-        // unreachable seed costs a capped retry stream, never a panic.
-        self.start().await;
-        let mut next_join_at = Instant::now() + self.backoff.next_delay();
-
-        // Staggered epoch start: node i first re-wires at i·T/n (§4.2).
-        let frac = self.cfg.id.index() as f64 / self.cfg.n.max(1) as f64;
-        let stagger = self.cfg.epoch.mul_f64(frac);
-        let mut epoch_timer = tokio::time::interval_at(Instant::now() + stagger, self.cfg.epoch);
-        let mut announce_timer = tokio::time::interval_at(
-            Instant::now() + self.cfg.announce_interval.mul_f64(0.1),
-            self.cfg.announce_interval,
-        );
-        let mut ping_timer = tokio::time::interval_at(
-            Instant::now() + Duration::from_millis(10),
-            self.cfg.ping_interval,
-        );
-        // Sync partners rotate, so stagger the phase too or every node
-        // digests in the same instant.
-        let mut sync_timer = tokio::time::interval_at(
-            Instant::now() + self.cfg.sync_interval.mul_f64(0.25 + 0.75 * frac),
-            self.cfg.sync_interval,
-        );
-        epoch_timer.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
-        announce_timer.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
-        ping_timer.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
-        sync_timer.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
-
-        loop {
-            tokio::select! {
-                biased;
-                _ = &mut shutdown => {
-                    self.shutdown_now().await;
-                    return;
-                }
-                maybe = self.transport.recv() => {
-                    match maybe {
-                        Some((from, frame)) => self.handle_frame(from, frame).await,
-                        None => { self.publish(); return; }
-                    }
-                }
-                _ = ping_timer.tick() => {
-                    self.tick_ping().await;
-                }
-                _ = announce_timer.tick() => {
-                    self.tick_announce().await;
-                }
-                _ = sync_timer.tick() => {
-                    self.tick_sync().await;
-                }
-                _ = tokio::time::sleep_until(next_join_at) => {
-                    next_join_at = Instant::now() + self.tick_join().await;
-                }
-                _ = epoch_timer.tick() => {
-                    self.tick_epoch().await;
-                }
-            }
-        }
     }
 }
 
@@ -1882,21 +1763,28 @@ mod tests {
     use super::*;
     use crate::bootstrap::{BootstrapServer, Registry};
     use crate::transport::SimNet;
+    use crate::wheel::Wheel;
     use egoist_graph::DistanceMatrix;
     use egoist_netsim::fault::FaultConfig;
 
     const BOOT: NodeId = NodeId(1000);
+    const STEP: Duration = Duration::from_millis(1);
 
-    /// Spin up an n-node overlay on a SimNet with short timers; returns
-    /// handles after `warm_epochs` virtual epochs.
-    async fn overlay(
-        n: usize,
-        k: usize,
-        delays: DistanceMatrix,
-        fault: FaultConfig,
-        warm_epochs: u32,
-    ) -> Vec<NodeHandle> {
-        // Ids up to 1000 exist on the net (bootstrap gets 1000).
+    /// Node `i` of `n` with `k` links, the tests' short timers and the
+    /// bootstrap at [`BOOT`].
+    fn short_timers(i: usize, n: usize, k: usize) -> NodeConfig {
+        let mut cfg = NodeConfig::new(NodeId::from_index(i), n, k);
+        cfg.epoch = Duration::from_secs(10);
+        cfg.announce_interval = Duration::from_secs(3);
+        cfg.ping_interval = Duration::from_secs(5);
+        cfg.liveness_timeout = Duration::from_secs(12);
+        cfg.bootstrap = Some(BOOT);
+        cfg
+    }
+
+    /// `delays` between nodes `0..n`, on a net with ids up to 1000 (the
+    /// bootstrap gets 1000) at 1 ms elsewhere.
+    fn with_bootstrap_ids(n: usize, delays: &DistanceMatrix) -> DistanceMatrix {
         let mut big = DistanceMatrix::off_diagonal(1001, 1.0);
         for i in 0..n {
             for j in 0..n {
@@ -1905,25 +1793,40 @@ mod tests {
                 }
             }
         }
-        let net = SimNet::new(big, fault, 42);
-        let registry = Registry::default();
-        tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), registry).run());
+        big
+    }
 
-        let mut handles = Vec::new();
-        for i in 0..n {
-            let mut cfg = NodeConfig::new(NodeId::from_index(i), n, k);
-            cfg.epoch = Duration::from_secs(10);
-            cfg.announce_interval = Duration::from_secs(3);
-            cfg.ping_interval = Duration::from_secs(5);
-            cfg.liveness_timeout = Duration::from_secs(12);
-            cfg.bootstrap = Some(BOOT);
-            let node = EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i)));
-            handles.push(node.spawn());
-            // Small join spacing.
-            tokio::time::sleep(Duration::from_millis(200)).await;
-        }
-        tokio::time::sleep(Duration::from_secs(10 * warm_epochs as u64)).await;
-        handles
+    /// A wheel of `n` nodes on `net`, configured by `cfg(i)`, spawned
+    /// `spacing` apart, with a bootstrap server at [`BOOT`].
+    fn wheel_on(
+        net: &SimNet,
+        n: usize,
+        spacing: Duration,
+        cfg: impl Fn(usize) -> NodeConfig + 'static,
+    ) -> Wheel<'static, crate::SimTransport> {
+        tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), Registry::default()).run());
+        let net = net.clone();
+        Wheel::new(STEP, n, spacing, move |i| {
+            EgoistNode::new(cfg(i), net.endpoint(NodeId::from_index(i)))
+        })
+    }
+
+    /// An n-node overlay on a SimNet with short timers, spawned 200 ms
+    /// apart and run for `warm_epochs` virtual epochs past the last
+    /// spawn.
+    async fn overlay(
+        n: usize,
+        k: usize,
+        delays: DistanceMatrix,
+        fault: FaultConfig,
+        warm_epochs: u32,
+    ) -> Wheel<'static, crate::SimTransport> {
+        let net = SimNet::new(with_bootstrap_ids(n, &delays), fault, 42);
+        let spacing = Duration::from_millis(200);
+        let mut wheel = wheel_on(&net, n, spacing, move |i| short_timers(i, n, k));
+        let warm = Duration::from_secs(10 * warm_epochs as u64);
+        wheel.run_for(spacing * n as u32 + warm).await;
+        wheel
     }
 
     #[test]
@@ -1937,9 +1840,9 @@ mod tests {
     fn overlay_converges_to_full_routing() {
         tokio::runtime::block_on_paused(async {
             let delays = DistanceMatrix::from_fn(8, |i, j| 5.0 + ((i * 3 + j) % 7) as f64);
-            let handles = overlay(8, 3, delays, FaultConfig::default(), 6).await;
-            for (i, h) in handles.iter().enumerate() {
-                let v = h.snapshot();
+            let wheel = overlay(8, 3, delays, FaultConfig::default(), 6).await;
+            for i in 0..8 {
+                let v = wheel.view(i);
                 assert_eq!(v.wiring.len(), 3, "node {i} wiring {:?}", v.wiring);
                 assert!(
                     v.epochs_completed >= 4,
@@ -1952,10 +1855,35 @@ mod tests {
                     .count();
                 assert_eq!(reachable, 7, "node {i} reaches {reachable}/7");
             }
-            for h in handles {
-                h.stop().await;
-            }
         });
+    }
+
+    /// Same seed, same lossy overlay: the wheel's total order leaves
+    /// nothing to chance, so two runs end with identical wiring, routes
+    /// and frame counts per class.
+    #[test]
+    fn same_seed_lossy_overlays_end_identical() {
+        let run = || {
+            tokio::runtime::block_on_paused(async {
+                let delays = DistanceMatrix::from_fn(7, |i, j| 4.0 + ((i * 5 + j * 3) % 9) as f64);
+                let wheel = overlay(7, 2, delays, FaultConfig::lossy(0.2), 5).await;
+                (0..7)
+                    .map(|i| {
+                        let v = wheel.view(i);
+                        let frames: Vec<u64> = MessageClass::ALL
+                            .iter()
+                            .map(|&c| v.overhead.frames(c))
+                            .collect();
+                        (v.wiring, v.next_hops, frames)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
+        let first = run();
+        assert!(first
+            .iter()
+            .any(|(_, _, frames)| frames.iter().sum::<u64>() > 0));
+        assert_eq!(first, run());
     }
 
     #[test]
@@ -1971,8 +1899,8 @@ mod tests {
                     16.0
                 }
             });
-            let handles = overlay(4, 2, delays, FaultConfig::default(), 4).await;
-            let v0 = handles[0].snapshot();
+            let wheel = overlay(4, 2, delays, FaultConfig::default(), 4).await;
+            let v0 = wheel.view(0);
             // One-way estimate for node 1 ≈ (30+30)/2 / ... RTT/2 = 30 ms.
             let est = v0.direct_est[1];
             assert!(
@@ -1981,9 +1909,6 @@ mod tests {
             );
             let est2 = v0.direct_est[2];
             assert!((est2 - 16.0).abs() < 3.0, "≈16 ms, got {est2}");
-            for h in handles {
-                h.stop().await;
-            }
         });
     }
 
@@ -1991,10 +1916,10 @@ mod tests {
     fn overlay_survives_lossy_links() {
         tokio::runtime::block_on_paused(async {
             let delays = DistanceMatrix::off_diagonal(6, 8.0);
-            let handles = overlay(6, 2, delays, FaultConfig::lossy(0.15), 8).await;
+            let wheel = overlay(6, 2, delays, FaultConfig::lossy(0.15), 8).await;
             let mut total_reachable = 0;
-            for (i, h) in handles.iter().enumerate() {
-                let v = h.snapshot();
+            for i in 0..6 {
+                let v = wheel.view(i);
                 total_reachable += (0..6)
                     .filter(|&j| j != i && v.next_hops[j].is_some())
                     .count();
@@ -2005,9 +1930,6 @@ mod tests {
                 total_reachable >= 24,
                 "only {total_reachable}/30 routes with 15% loss"
             );
-            for h in handles {
-                h.stop().await;
-            }
         });
     }
 
@@ -2015,21 +1937,18 @@ mod tests {
     fn leave_triggers_reroute() {
         tokio::runtime::block_on_paused(async {
             let delays = DistanceMatrix::off_diagonal(5, 6.0);
-            let mut handles = overlay(5, 2, delays, FaultConfig::default(), 5).await;
-            let victim = handles.remove(4);
-            victim.stop().await;
+            let mut wheel = overlay(5, 2, delays, FaultConfig::default(), 5).await;
+            let mut victim = wheel.remove(4).expect("running");
+            victim.shutdown_now().await;
             // Give survivors a couple of epochs to re-wire.
-            tokio::time::sleep(Duration::from_secs(25)).await;
-            for (i, h) in handles.iter().enumerate() {
-                let v = h.snapshot();
+            wheel.run_for(Duration::from_secs(25)).await;
+            for i in 0..4 {
+                let v = wheel.view(i);
                 assert!(
                     !v.wiring.contains(&NodeId(4)),
                     "node {i} still wired to the departed node: {:?}",
                     v.wiring
                 );
-            }
-            for h in handles {
-                h.stop().await;
             }
         });
     }
@@ -2038,42 +1957,23 @@ mod tests {
     fn crash_is_detected_by_liveness() {
         tokio::runtime::block_on_paused(async {
             let delays = DistanceMatrix::off_diagonal(5, 6.0);
-            // Build a dedicated net so we can blackhole a node abruptly.
-            let mut big = DistanceMatrix::off_diagonal(1001, 1.0);
-            for i in 0..5 {
-                for j in 0..5 {
-                    if i != j {
-                        big.set_at(i, j, delays.at(i, j));
-                    }
-                }
-            }
-            let net = SimNet::clean(big);
-            tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), Registry::default()).run());
-            let mut handles = Vec::new();
-            for i in 0..5 {
-                let mut cfg = NodeConfig::new(NodeId::from_index(i), 5, 2);
-                cfg.epoch = Duration::from_secs(10);
-                cfg.announce_interval = Duration::from_secs(3);
-                cfg.ping_interval = Duration::from_secs(5);
-                cfg.liveness_timeout = Duration::from_secs(12);
-                cfg.bootstrap = Some(BOOT);
-                handles.push(EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i))).spawn());
-                tokio::time::sleep(Duration::from_millis(100)).await;
-            }
-            tokio::time::sleep(Duration::from_secs(50)).await;
+            // A dedicated net so we can blackhole a node abruptly.
+            let net = SimNet::clean(with_bootstrap_ids(5, &delays));
+            let mut wheel = wheel_on(&net, 5, Duration::from_millis(100), |i| {
+                short_timers(i, 5, 2)
+            });
+            wheel.run_for(Duration::from_secs(50)).await;
             // Crash node 4 without a Leave.
             net.disconnect(NodeId(4));
-            tokio::time::sleep(Duration::from_secs(60)).await;
-            for (i, h) in handles.iter().enumerate().take(4) {
-                let v = h.snapshot();
+            wheel.remove(4);
+            wheel.run_for(Duration::from_secs(60)).await;
+            for i in 0..4 {
+                let v = wheel.view(i);
                 assert!(
                     !v.wiring.contains(&NodeId(4)),
                     "node {i} kept a dead neighbor: {:?}",
                     v.wiring
                 );
-            }
-            for h in handles {
-                h.stop().await;
             }
         });
     }
@@ -2083,52 +1983,32 @@ mod tests {
         tokio::runtime::block_on_paused(async {
             // Crash one node and measure how long survivors keep it wired.
             async fn time_to_repair(mode: RewireMode) -> f64 {
-                let mut big = DistanceMatrix::off_diagonal(1001, 1.0);
-                for i in 0..5 {
-                    for j in 0..5 {
-                        if i != j {
-                            // v4 is a cheap hub, so every survivor wires it.
-                            let c = if i == 4 || j == 4 { 2.0 } else { 6.0 };
-                            big.set_at(i, j, c);
-                        }
-                    }
-                }
-                let net = SimNet::clean(big);
-                tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), Registry::default()).run());
-                let mut handles = Vec::new();
-                for i in 0..5 {
-                    let mut cfg = NodeConfig::new(NodeId::from_index(i), 5, 2);
+                // v4 is a cheap hub, so every survivor wires it.
+                let delays =
+                    DistanceMatrix::from_fn(5, |i, j| if i == 4 || j == 4 { 2.0 } else { 6.0 });
+                let net = SimNet::clean(with_bootstrap_ids(5, &delays));
+                let mut wheel = wheel_on(&net, 5, Duration::from_millis(100), move |i| {
+                    let mut cfg = short_timers(i, 5, 2);
                     cfg.epoch = Duration::from_secs(60); // long epochs
                     cfg.announce_interval = Duration::from_secs(5);
                     cfg.ping_interval = Duration::from_secs(4);
                     cfg.liveness_timeout = Duration::from_secs(10);
                     cfg.mode = mode;
-                    cfg.bootstrap = Some(BOOT);
-                    handles.push(EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i))).spawn());
-                    tokio::time::sleep(Duration::from_millis(100)).await;
-                }
-                tokio::time::sleep(Duration::from_secs(65)).await;
+                    cfg
+                });
+                wheel.run_for(Duration::from_secs(65)).await;
                 net.disconnect(NodeId(4));
-                let t0 = Instant::now();
+                wheel.remove(4);
+                let t0 = wheel.now();
                 // Poll until no survivor lists v4.
                 loop {
-                    tokio::time::sleep(Duration::from_secs(1)).await;
-                    let wired = handles
-                        .iter()
-                        .take(4)
-                        .any(|h| h.snapshot().wiring.contains(&NodeId(4)));
-                    if !wired {
-                        break;
-                    }
-                    if t0.elapsed() > Duration::from_secs(180) {
+                    wheel.run_for(Duration::from_secs(1)).await;
+                    let wired = (0..4).any(|i| wheel.view(i).wiring.contains(&NodeId(4)));
+                    if !wired || wheel.now() - t0 > Duration::from_secs(180) {
                         break;
                     }
                 }
-                let secs = t0.elapsed().as_secs_f64();
-                for h in handles {
-                    h.stop().await;
-                }
-                secs
+                (wheel.now() - t0).as_secs_f64()
             }
 
             let immediate = time_to_repair(RewireMode::Immediate).await;
@@ -2148,42 +2028,23 @@ mod tests {
     fn free_rider_announces_inflated_costs() {
         tokio::runtime::block_on_paused(async {
             let delays = DistanceMatrix::off_diagonal(4, 10.0);
-            let mut big = DistanceMatrix::off_diagonal(1001, 1.0);
-            for i in 0..4 {
-                for j in 0..4 {
-                    if i != j {
-                        big.set_at(i, j, delays.at(i, j));
-                    }
-                }
-            }
-            let net = SimNet::clean(big);
-            tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), Registry::default()).run());
-            let mut handles = Vec::new();
-            for i in 0..4 {
-                let mut cfg = NodeConfig::new(NodeId::from_index(i), 4, 2);
-                cfg.epoch = Duration::from_secs(10);
-                cfg.announce_interval = Duration::from_secs(3);
-                cfg.ping_interval = Duration::from_secs(5);
-                cfg.liveness_timeout = Duration::from_secs(12);
-                cfg.bootstrap = Some(BOOT);
+            let net = SimNet::clean(with_bootstrap_ids(4, &delays));
+            let mut wheel = wheel_on(&net, 4, Duration::from_millis(100), |i| {
+                let mut cfg = short_timers(i, 4, 2);
                 if i == 0 {
                     cfg.cost_inflation = 2.0;
                 }
-                handles.push(EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i))).spawn());
-                tokio::time::sleep(Duration::from_millis(100)).await;
-            }
-            tokio::time::sleep(Duration::from_secs(60)).await;
+                cfg
+            });
+            wheel.run_for(Duration::from_secs(60)).await;
             // An honest node's own estimate of v0's links is ~10 ms one-way;
             // but v0 is announcing ~20. Node 1's LSDB-derived route through
             // v0 should therefore be priced at ~20 per hop. We verify via
             // decode of the next announcement indirectly: node 1 avoids
             // routing through 0 when a direct 10ms edge exists.
-            let v1 = handles[1].snapshot();
+            let v1 = wheel.view(1);
             // Direct estimates are honest everywhere.
             assert!((v1.direct_est[0] - 10.0).abs() < 3.0);
-            for h in handles {
-                h.stop().await;
-            }
         });
     }
 
@@ -2192,21 +2053,16 @@ mod tests {
         tokio::runtime::block_on_paused(async {
             let net = SimNet::clean(DistanceMatrix::off_diagonal(1001, 2.0));
             // No bootstrap endpoint exists yet: every request is dropped.
-            let mut handles = Vec::new();
-            for i in 0..2 {
-                let mut cfg = NodeConfig::new(NodeId::from_index(i), 2, 1);
-                cfg.epoch = Duration::from_secs(10);
-                cfg.announce_interval = Duration::from_secs(3);
-                cfg.ping_interval = Duration::from_secs(5);
-                cfg.liveness_timeout = Duration::from_secs(12);
-                cfg.bootstrap = Some(BOOT);
+            let endpoints = net.clone();
+            let mut wheel = Wheel::new(STEP, 2, Duration::ZERO, move |i| {
+                let mut cfg = short_timers(i, 2, 1);
                 cfg.join_backoff_base = Duration::from_millis(500);
                 cfg.join_backoff_cap = Duration::from_secs(5);
-                handles.push(EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i))).spawn());
-            }
-            tokio::time::sleep(Duration::from_secs(40)).await;
-            for (i, h) in handles.iter().enumerate() {
-                let v = h.snapshot();
+                EgoistNode::new(cfg, endpoints.endpoint(NodeId::from_index(i)))
+            });
+            wheel.run_for(Duration::from_secs(40)).await;
+            for i in 0..2 {
+                let v = wheel.view(i);
                 assert!(v.wiring.is_empty(), "node {i} wired with no seed?");
                 assert!(
                     v.join_retries >= 4,
@@ -2219,13 +2075,10 @@ mod tests {
             // The seed comes up late; the next capped retry finds it and
             // the join completes.
             tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), Registry::default()).run());
-            tokio::time::sleep(Duration::from_secs(40)).await;
-            for (i, h) in handles.iter().enumerate() {
-                let v = h.snapshot();
+            wheel.run_for(Duration::from_secs(40)).await;
+            for i in 0..2 {
+                let v = wheel.view(i);
                 assert_eq!(v.wiring.len(), 1, "node {i} still unwired: {v:?}");
-            }
-            for h in handles {
-                h.stop().await;
             }
         });
     }
@@ -2234,19 +2087,10 @@ mod tests {
     fn garbage_flooder_gets_banned() {
         tokio::runtime::block_on_paused(async {
             let net = SimNet::clean(DistanceMatrix::off_diagonal(1001, 2.0));
-            tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), Registry::default()).run());
-            let mut handles = Vec::new();
-            for i in 0..2 {
-                let mut cfg = NodeConfig::new(NodeId::from_index(i), 3, 1);
-                cfg.epoch = Duration::from_secs(10);
-                cfg.announce_interval = Duration::from_secs(3);
-                cfg.ping_interval = Duration::from_secs(5);
-                cfg.liveness_timeout = Duration::from_secs(12);
-                cfg.bootstrap = Some(BOOT);
-                handles.push(EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i))).spawn());
-                tokio::time::sleep(Duration::from_millis(100)).await;
-            }
-            tokio::time::sleep(Duration::from_secs(15)).await;
+            let mut wheel = wheel_on(&net, 2, Duration::from_millis(100), |i| {
+                short_timers(i, 3, 1)
+            });
+            wheel.run_for(Duration::from_secs(15)).await;
             // Node 2 never speaks the protocol: it floods garbage at the
             // others faster than the 1/epoch decay forgives.
             let flooder = net.endpoint(NodeId(2));
@@ -2254,15 +2098,14 @@ mod tests {
                 for target in [NodeId(0), NodeId(1)] {
                     flooder
                         .send(target, bytes::Bytes::from_static(b"\xFFnoise\x00"))
-                        .await
                         .unwrap();
                 }
-                tokio::time::sleep(Duration::from_millis(300)).await;
+                wheel.run_for(Duration::from_millis(300)).await;
             }
             // Views refresh at epoch ticks; wait out a full epoch.
-            tokio::time::sleep(Duration::from_secs(12)).await;
-            for (i, h) in handles.iter().enumerate() {
-                let v = h.snapshot();
+            wheel.run_for(Duration::from_secs(12)).await;
+            for i in 0..2 {
+                let v = wheel.view(i);
                 assert!(
                     v.banned.contains(&NodeId(2)),
                     "node {i} did not ban the flooder: {:?}",
@@ -2270,9 +2113,6 @@ mod tests {
                 );
                 assert!(!v.wiring.contains(&NodeId(2)));
                 assert!(!v.passive_view.contains(&NodeId(2)));
-            }
-            for h in handles {
-                h.stop().await;
             }
         });
     }
@@ -2575,7 +2415,7 @@ mod tests {
                     nonce,
                     hb,
                 };
-                peer.send(node.id(), encode(&pong)).await.unwrap();
+                peer.send(node.id(), encode(&pong)).unwrap();
             }
         }
         tokio::time::sleep(Duration::from_millis(5)).await;
@@ -2594,7 +2434,7 @@ mod tests {
     fn an_unprobed_neighbor_holds_the_announcement_until_its_pong() {
         tokio::runtime::block_on_paused(async {
             let (mut node, [mut one, mut two]) = probe_rig();
-            node.announce(false).await;
+            node.announce(false);
             assert_eq!((node.seq, node.announces, node.held), (0, 0, Some(false)));
             assert!(
                 inbox(&mut one).await.is_empty(),
@@ -2629,10 +2469,10 @@ mod tests {
     fn a_lost_probe_sends_the_placeholder_at_the_next_attempt() {
         tokio::runtime::block_on_paused(async {
             let (mut node, [mut one, mut two]) = probe_rig();
-            node.announce(false).await;
+            node.announce(false);
             assert_eq!(node.held, Some(false));
             assert_eq!(inbox(&mut two).await.len(), 1, "the probe, then lost");
-            node.announce(false).await;
+            node.announce(false);
             assert_eq!((node.seq, node.announces, node.held), (1, 1, None));
             assert_eq!(node.unmeasured_links, 1);
             for peer in [&mut one, &mut two] {
@@ -2642,7 +2482,7 @@ mod tests {
                 assert_eq!(cost_to(sent[0], NodeId(2)), 1.0);
             }
             let pending = node.pending_pings.len();
-            node.announce(false).await;
+            node.announce(false);
             assert_eq!((node.seq, node.held), (1, None), "suppressed");
             assert_eq!(node.pending_pings.len(), pending, "no probe");
             assert!(inbox(&mut one).await.is_empty());
@@ -2669,16 +2509,16 @@ mod tests {
                         cost: 1.0,
                     },
                 ];
-                node.announce(false).await;
+                node.announce(false);
                 assert_eq!(node.held, None, "suppressed: no hold");
                 assert!(node.pending_pings.is_empty(), "suppressed: no probe");
-                node.announce(true).await;
+                node.announce(true);
                 assert_eq!((node.seq, node.held), (0, Some(true)));
                 let got = inbox(&mut two).await;
                 if pong {
                     answer_pings(&mut node, &mut two, &got).await;
                 } else {
-                    node.announce(false).await;
+                    node.announce(false);
                 }
                 assert_eq!((node.seq, node.held), (1, None), "pong {pong}");
                 assert_eq!(lsas(&inbox(&mut one).await).len(), 1, "pong {pong}");
@@ -2758,8 +2598,8 @@ mod tests {
                     refreshes,
                 };
                 assert_eq!(lsa_state(&full), lsa_state(&short), "case {case}: twins");
-                full.handle_frame(from, encode(&as_full)).await;
-                short.handle_frame(from, encode(&as_refreshes)).await;
+                full.handle_frame(from, encode(&as_full));
+                short.handle_frame(from, encode(&as_refreshes));
                 assert_eq!(lsa_state(&full), lsa_state(&short), "case {case}");
                 // Nothing was pulled.
                 assert_eq!(short.ae_refresh_pulls, 0, "case {case}");
@@ -2786,7 +2626,7 @@ mod tests {
         peer: &mut crate::SimTransport,
         msg: &Message,
     ) -> Vec<Message> {
-        peer.send(node.id(), encode(msg)).await.unwrap();
+        peer.send(node.id(), encode(msg)).unwrap();
         tokio::time::sleep(Duration::from_millis(5)).await;
         node.drain().await;
         tokio::time::sleep(Duration::from_millis(5)).await;
@@ -2899,7 +2739,7 @@ mod tests {
                 from: receiver.id(),
                 entries: receiver.lsdb.digest(),
             };
-            pusher.handle_frame(receiver.id(), encode(&digest)).await;
+            pusher.handle_frame(receiver.id(), encode(&digest));
             assert_eq!((pusher.ae_pushed, pusher.ae_refreshed), (1, 1));
             tokio::time::sleep(settle).await;
             receiver.drain().await; // the refresh misses: pull
@@ -2925,15 +2765,11 @@ mod tests {
     fn overhead_counters_track_messages() {
         tokio::runtime::block_on_paused(async {
             let delays = DistanceMatrix::off_diagonal(4, 5.0);
-            let handles = overlay(4, 2, delays, FaultConfig::default(), 4).await;
-            let v = handles[0].snapshot();
-            use crate::message::MessageClass;
+            let wheel = overlay(4, 2, delays, FaultConfig::default(), 4).await;
+            let v = wheel.view(0);
             assert!(v.overhead.frames(MessageClass::Measurement) > 0);
             assert!(v.overhead.frames(MessageClass::LinkState) > 0);
             assert!(v.overhead.bytes(MessageClass::LinkState) > 0);
-            for h in handles {
-                h.stop().await;
-            }
         });
     }
 }

@@ -4,7 +4,9 @@
 //! protocol logic runs over loopback/LAN UDP (the live deployment path)
 //! and over [`SimTransport`] (frames delivered through `egoist-netsim`
 //! link delays and fault injection, with tokio's paused clock making
-//! tests instant and deterministic).
+//! tests instant and deterministic). Either way the node sends
+//! synchronously and its driver, the [`crate::wheel::Wheel`], drains
+//! what arrived with [`Transport::try_recv`].
 //!
 //! # How [`SimNet`] delivers
 //!
@@ -47,13 +49,13 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::future::Future;
-use std::net::SocketAddr;
+use std::io;
+use std::net::{SocketAddr, UdpSocket};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
-use tokio::net::UdpSocket;
 use tokio::sync::mpsc;
 use tokio::time::{Instant, Sleep};
 
@@ -61,6 +63,8 @@ use tokio::time::{Instant, Sleep};
 struct TransportObs {
     unknown_sender: egoist_obs::Counter,
     no_endpoint: egoist_obs::Counter,
+    /// UDP sends the socket refused (`WouldBlock`, oversize datagrams).
+    send_failed: egoist_obs::Counter,
 }
 
 fn transport_obs() -> &'static TransportObs {
@@ -70,6 +74,7 @@ fn transport_obs() -> &'static TransportObs {
         TransportObs {
             unknown_sender: r.counter("proto.drop.unknown_sender"),
             no_endpoint: r.counter("proto.drop.no_endpoint"),
+            send_failed: r.counter("proto.drop.send_failed"),
         }
     })
 }
@@ -79,27 +84,19 @@ pub trait Transport: Send + 'static {
     /// This endpoint's node id.
     fn local_id(&self) -> NodeId;
 
-    /// Send one frame to a peer. Unreachable peers are a silent drop
-    /// (datagram semantics) — protocol liveness comes from retries and
-    /// timeouts, not the transport.
-    fn send(
-        &self,
-        to: NodeId,
-        frame: Bytes,
-    ) -> impl std::future::Future<Output = std::io::Result<()>> + Send;
+    /// Send one frame to a peer, without waiting. Unreachable peers are
+    /// a silent drop (datagram semantics) — protocol liveness comes from
+    /// retries and timeouts, not the transport. An `Err` is a frame the
+    /// transport could not send, and it counts it.
+    fn send(&self, to: NodeId, frame: Bytes) -> io::Result<()>;
 
     /// Receive the next frame as `(sender, bytes)`. `None` = transport
     /// closed.
     fn recv(&mut self) -> impl std::future::Future<Output = Option<(NodeId, Bytes)>> + Send;
 
     /// Non-blocking receive: the next already-delivered frame, or `None`
-    /// when the queue is currently empty. Drivers that multiplex many
-    /// nodes on one task (the fleet timer wheel) drain with this instead
-    /// of `recv`. Transports without buffering semantics keep the
-    /// default (always empty).
-    fn try_recv(&mut self) -> Option<(NodeId, Bytes)> {
-        None
-    }
+    /// when none is waiting. The wheel drains every node with this.
+    fn try_recv(&mut self) -> Option<(NodeId, Bytes)>;
 }
 
 // ---------------------------------------------------------------------
@@ -351,7 +348,7 @@ impl Transport for SimTransport {
         self.id
     }
 
-    async fn send(&self, to: NodeId, frame: Bytes) -> std::io::Result<()> {
+    fn send(&self, to: NodeId, frame: Bytes) -> io::Result<()> {
         let net = &self.net;
         net.frames_sent.fetch_add(1, Ordering::Relaxed);
         net.bytes_sent
@@ -412,10 +409,11 @@ impl Transport for SimTransport {
 /// The roster is shared and mutable, so late joiners can be added; a full
 /// deployment would learn addresses from the bootstrap exchange, which the
 /// prototype keeps out of band as PlanetLab's EGOIST did with its central
-/// bootstrap list.
+/// bootstrap list. The socket is nonblocking: sends go out at once or
+/// fail, and [`Transport::try_recv`] reads whatever datagrams wait.
 pub struct UdpTransport {
     id: NodeId,
-    socket: Arc<UdpSocket>,
+    socket: UdpSocket,
     by_id: Arc<Mutex<HashMap<NodeId, SocketAddr>>>,
     by_addr: Arc<Mutex<HashMap<SocketAddr, NodeId>>>,
     buf: Vec<u8>,
@@ -423,11 +421,12 @@ pub struct UdpTransport {
 
 impl UdpTransport {
     /// Bind `id` to `addr` (use port 0 for an OS-assigned port).
-    pub async fn bind(id: NodeId, addr: &str) -> std::io::Result<Self> {
-        let socket = UdpSocket::bind(addr).await?;
+    pub fn bind(id: NodeId, addr: &str) -> io::Result<Self> {
+        let socket = UdpSocket::bind(addr)?;
+        socket.set_nonblocking(true)?;
         Ok(UdpTransport {
             id,
-            socket: Arc::new(socket),
+            socket,
             by_id: Arc::new(Mutex::new(HashMap::new())),
             by_addr: Arc::new(Mutex::new(HashMap::new())),
             buf: vec![0u8; 64 * 1024],
@@ -435,7 +434,7 @@ impl UdpTransport {
     }
 
     /// The bound local address.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.socket.local_addr()
     }
 
@@ -451,27 +450,42 @@ impl Transport for UdpTransport {
         self.id
     }
 
-    async fn send(&self, to: NodeId, frame: Bytes) -> std::io::Result<()> {
+    fn send(&self, to: NodeId, frame: Bytes) -> io::Result<()> {
         let addr = { self.by_id.lock().get(&to).copied() };
         let Some(addr) = addr else {
             return Ok(()); // unknown peer: datagram lost
         };
-        self.socket.send_to(&frame, addr).await.map(|_| ())
+        // A full send buffer (`WouldBlock`) or a frame over the 65 507 B
+        // datagram limit loses the frame, counted.
+        let sent = self.socket.send_to(&frame, addr);
+        if sent.is_err() {
+            transport_obs().send_failed.inc();
+        }
+        sent.map(drop)
     }
 
+    /// Polls [`Self::try_recv`] every millisecond; a UDP socket never
+    /// closes.
     async fn recv(&mut self) -> Option<(NodeId, Bytes)> {
         loop {
-            match self.socket.recv_from(&mut self.buf).await {
-                Ok((len, addr)) => {
-                    let from = { self.by_addr.lock().get(&addr).copied() };
-                    if let Some(from) = from {
-                        return Some((from, Bytes::copy_from_slice(&self.buf[..len])));
-                    }
-                    // Unknown sender: drop (counted) and keep listening.
-                    transport_obs().unknown_sender.inc();
-                }
-                Err(_) => return None,
+            if let Some(got) = self.try_recv() {
+                return Some(got);
             }
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
+    }
+
+    fn try_recv(&mut self) -> Option<(NodeId, Bytes)> {
+        loop {
+            // `WouldBlock` is an empty queue; any other error ends this
+            // read, and the next one starts afresh.
+            let (len, addr) = self.socket.recv_from(&mut self.buf).ok()?;
+            let from = { self.by_addr.lock().get(&addr).copied() };
+            if let Some(from) = from {
+                return Some((from, Bytes::copy_from_slice(&self.buf[..len])));
+            }
+            // Unknown sender: drop (counted) and keep reading.
+            transport_obs().unknown_sender.inc();
         }
     }
 }
@@ -491,7 +505,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             let t0 = tokio::time::Instant::now();
-            a.send(NodeId(1), Bytes::from_static(b"hi")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"hi")).unwrap();
             let (from, data) = b.recv().await.unwrap();
             let elapsed = t0.elapsed().as_secs_f64() * 1000.0;
             assert_eq!(from, NodeId(0));
@@ -506,7 +520,7 @@ mod tests {
             let net = SimNet::clean(two_node_delays(1.0));
             let a = net.endpoint(NodeId(0));
             // No endpoint for node 1: send succeeds, nothing delivered.
-            a.send(NodeId(1), Bytes::from_static(b"x")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"x")).unwrap();
             assert_eq!(net.frames_sent(), 1);
         });
     }
@@ -518,7 +532,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             for _ in 0..10 {
-                a.send(NodeId(1), Bytes::from_static(b"y")).await.unwrap();
+                a.send(NodeId(1), Bytes::from_static(b"y")).unwrap();
             }
             // All dropped: recv should time out.
             let got = tokio::time::timeout(std::time::Duration::from_secs(5), b.recv()).await;
@@ -533,7 +547,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             net.disconnect(NodeId(1));
-            a.send(NodeId(1), Bytes::from_static(b"z")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"z")).unwrap();
             // The hub dropped b's sender, so b's stream ends without ever
             // delivering the frame.
             let got = tokio::time::timeout(std::time::Duration::from_secs(5), b.recv()).await;
@@ -554,19 +568,17 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             // Before the window: delivered.
-            a.send(NodeId(1), Bytes::from_static(b"pre")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"pre")).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"pre");
             // Inside the window: cut.
             tokio::time::sleep(std::time::Duration::from_secs(8)).await;
-            a.send(NodeId(1), Bytes::from_static(b"mid")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"mid")).unwrap();
             let got = tokio::time::timeout(std::time::Duration::from_secs(2), b.recv()).await;
             assert!(got.is_err(), "partitioned frame must be cut");
             assert_eq!(net.fault_stats().cut, 1);
             // After the heal: delivered again.
             tokio::time::sleep(std::time::Duration::from_secs(8)).await;
-            a.send(NodeId(1), Bytes::from_static(b"post"))
-                .await
-                .unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"post")).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"post");
         });
     }
@@ -581,7 +593,7 @@ mod tests {
             let net = SimNet::new(two_node_delays(1.0), cfg, 4);
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
-            a.send(NodeId(1), Bytes::from_static(b"dup")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"dup")).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
             assert_eq!(net.fault_stats().duplicated, 1);
@@ -595,7 +607,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             for i in 0..16u8 {
-                a.send(NodeId(1), Bytes::from(vec![i])).await.unwrap();
+                a.send(NodeId(1), Bytes::from(vec![i])).unwrap();
             }
             let t0 = Instant::now();
             for i in 0..16u8 {
@@ -623,7 +635,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             let t0 = Instant::now();
-            a.send(NodeId(1), Bytes::from_static(b"dup")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"dup")).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
             assert_eq!(t0.elapsed(), Duration::from_secs_f64(5.0 / 1000.0));
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
@@ -656,7 +668,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut inboxes: Vec<SimTransport> = targets.iter().map(|&t| net.endpoint(t)).collect();
             for &t in &targets {
-                a.send(t, sent.clone()).await.unwrap();
+                a.send(t, sent.clone()).unwrap();
             }
             for (rx, verdict) in inboxes.iter_mut().zip(verdicts(seed)) {
                 let got = rx.recv().await.unwrap().1;
@@ -685,13 +697,9 @@ mod tests {
             let net = SimNet::clean(two_node_delays(10.0));
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
-            a.send(NodeId(1), Bytes::from_static(b"last"))
-                .await
-                .unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"last")).unwrap();
             net.disconnect(NodeId(1));
-            a.send(NodeId(1), Bytes::from_static(b"lost"))
-                .await
-                .unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"lost")).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"last");
             assert_eq!(b.recv().await, None);
             assert_eq!(b.try_recv(), None);
@@ -705,7 +713,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             for i in 0..40u8 {
-                a.send(NodeId(1), Bytes::from(vec![i])).await.unwrap();
+                a.send(NodeId(1), Bytes::from(vec![i])).unwrap();
                 if i % 5 == 4 {
                     tokio::time::sleep(Duration::from_micros(700)).await;
                 }
@@ -734,20 +742,16 @@ mod tests {
         let mut b = net.endpoint(NodeId(1));
         tokio::runtime::block_on_paused(async {
             // This runtime ends before its pump is ever polled.
-            a.send(NodeId(1), Bytes::from_static(b"never"))
-                .await
-                .unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"never")).unwrap();
         });
         tokio::runtime::block_on_paused(async {
-            a.send(NodeId(1), Bytes::from_static(b"one")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"one")).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"one");
             // In flight when this runtime ends: lost with it.
-            a.send(NodeId(1), Bytes::from_static(b"gone"))
-                .await
-                .unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"gone")).unwrap();
         });
         tokio::runtime::block_on_paused(async {
-            a.send(NodeId(1), Bytes::from_static(b"two")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"two")).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"two");
         });
     }
@@ -764,7 +768,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             let t0 = tokio::time::Instant::now();
-            a.send(NodeId(1), Bytes::from_static(b"j")).await.unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"j")).unwrap();
             let _ = b.recv().await.unwrap();
             let ms = t0.elapsed().as_secs_f64() * 1000.0;
             assert!(ms >= 10.0, "jitter only adds latency: {ms} ms");
@@ -776,23 +780,19 @@ mod tests {
     #[test]
     fn udp_roundtrip_on_loopback() {
         tokio::runtime::block_on(async {
-            let mut a = UdpTransport::bind(NodeId(0), "127.0.0.1:0").await.unwrap();
-            let mut b = UdpTransport::bind(NodeId(1), "127.0.0.1:0").await.unwrap();
+            let mut a = UdpTransport::bind(NodeId(0), "127.0.0.1:0").unwrap();
+            let mut b = UdpTransport::bind(NodeId(1), "127.0.0.1:0").unwrap();
             let (aa, ba) = (a.local_addr().unwrap(), b.local_addr().unwrap());
             a.add_peer(NodeId(1), ba);
             b.add_peer(NodeId(0), aa);
-            a.send(NodeId(1), Bytes::from_static(b"ping"))
-                .await
-                .unwrap();
+            a.send(NodeId(1), Bytes::from_static(b"ping")).unwrap();
             let (from, data) = tokio::time::timeout(std::time::Duration::from_secs(5), b.recv())
                 .await
                 .expect("timely")
                 .expect("open");
             assert_eq!(from, NodeId(0));
             assert_eq!(&data[..], b"ping");
-            b.send(NodeId(0), Bytes::from_static(b"pong"))
-                .await
-                .unwrap();
+            b.send(NodeId(0), Bytes::from_static(b"pong")).unwrap();
             let (from, data) = tokio::time::timeout(std::time::Duration::from_secs(5), a.recv())
                 .await
                 .expect("timely")
@@ -802,16 +802,30 @@ mod tests {
         });
     }
 
+    /// A frame over UDP's 65 507-byte datagram limit (a `Hello` answer
+    /// carries the whole LSDB, and frames may reach the codec's 1 MiB)
+    /// is an `Err` and exactly one `proto.drop.send_failed`.
+    #[test]
+    fn udp_oversize_send_fails_and_is_counted() {
+        egoist_obs::enable();
+        let a = UdpTransport::bind(NodeId(0), "127.0.0.1:0").unwrap();
+        let b = UdpTransport::bind(NodeId(1), "127.0.0.1:0").unwrap();
+        a.add_peer(NodeId(1), b.local_addr().unwrap());
+        let failed = egoist_obs::counter("proto.drop.send_failed");
+        let before = failed.get();
+        assert!(a.send(NodeId(1), Bytes::from(vec![7u8; 65_508])).is_err());
+        assert_eq!(failed.get() - before, 1);
+        assert!(a.send(NodeId(1), Bytes::from(vec![7u8; 65_507])).is_ok());
+        assert_eq!(failed.get() - before, 1);
+    }
+
     #[test]
     fn udp_unknown_sender_filtered() {
         tokio::runtime::block_on(async {
-            let mut a = UdpTransport::bind(NodeId(0), "127.0.0.1:0").await.unwrap();
-            let stranger = UdpTransport::bind(NodeId(9), "127.0.0.1:0").await.unwrap();
+            let mut a = UdpTransport::bind(NodeId(0), "127.0.0.1:0").unwrap();
+            let stranger = UdpTransport::bind(NodeId(9), "127.0.0.1:0").unwrap();
             stranger.add_peer(NodeId(0), a.local_addr().unwrap());
-            stranger
-                .send(NodeId(0), Bytes::from_static(b"??"))
-                .await
-                .unwrap();
+            stranger.send(NodeId(0), Bytes::from_static(b"??")).unwrap();
             let got = tokio::time::timeout(std::time::Duration::from_millis(300), a.recv()).await;
             assert!(got.is_err(), "frames from unknown addresses are dropped");
         });

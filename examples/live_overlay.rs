@@ -1,18 +1,19 @@
 //! A live EGOIST overlay on real UDP sockets (loopback).
 //!
 //! Spawns a bootstrap service and ten protocol nodes, each on its own
-//! 127.0.0.1 UDP port, with sped-up timers. The nodes join through the
-//! bootstrap, measure each other with ping/pong, flood link-state
-//! announcements and selfishly re-wire. After a few epochs the example
-//! prints every node's chosen neighbors, delay estimates, routing table
-//! and protocol overhead.
+//! 127.0.0.1 UDP port, with sped-up timers, all driven by one timer
+//! wheel on the real clock. The nodes join through the bootstrap,
+//! measure each other with ping/pong, flood link-state announcements and
+//! selfishly re-wire. After a few epochs the example prints every node's
+//! chosen neighbors, delay estimates, routing table and protocol
+//! overhead.
 //!
 //! Run with: `cargo run --release --example live_overlay`
 
 use egoist_graph::NodeId;
 use egoist_proto::bootstrap::{BootstrapServer, Registry};
 use egoist_proto::message::MessageClass;
-use egoist_proto::{EgoistNode, NodeConfig, UdpTransport};
+use egoist_proto::{EgoistNode, NodeConfig, UdpTransport, Wheel};
 use std::time::Duration;
 
 const N: usize = 10;
@@ -31,9 +32,9 @@ async fn run() -> std::io::Result<()> {
     // address book a deployment would ship out of band).
     let mut transports = Vec::new();
     for i in 0..N {
-        transports.push(UdpTransport::bind(NodeId::from_index(i), "127.0.0.1:0").await?);
+        transports.push(UdpTransport::bind(NodeId::from_index(i), "127.0.0.1:0")?);
     }
-    let boot_transport = UdpTransport::bind(BOOT, "127.0.0.1:0").await?;
+    let boot_transport = UdpTransport::bind(BOOT, "127.0.0.1:0")?;
     let boot_addr = boot_transport.local_addr()?;
     let addrs: Vec<_> = transports
         .iter()
@@ -50,29 +51,33 @@ async fn run() -> std::io::Result<()> {
     }
     tokio::spawn(BootstrapServer::new(boot_transport, Registry::default()).run());
 
-    // Spawn the nodes with second-scale timers (a real deployment uses
-    // T=60 s; loopback RTTs make convergence fast).
-    let mut handles = Vec::new();
-    for (i, t) in transports.into_iter().enumerate() {
+    // Spawn the nodes 50 ms apart with second-scale timers (a real
+    // deployment uses T=60 s; loopback RTTs make convergence fast). The
+    // wheel steps 1 ms at a time: it drains every socket, then fires the
+    // nodes' due timers.
+    let mut unspawned: Vec<Option<UdpTransport>> = transports.into_iter().map(Some).collect();
+    let spacing = Duration::from_millis(50);
+    let mut wheel = Wheel::new(Duration::from_millis(1), N, spacing, |i| {
         let mut cfg = NodeConfig::new(NodeId::from_index(i), N, K);
         cfg.epoch = Duration::from_secs(2);
         cfg.announce_interval = Duration::from_millis(700);
         cfg.ping_interval = Duration::from_secs(1);
         cfg.liveness_timeout = Duration::from_secs(5);
         cfg.bootstrap = Some(BOOT);
-        handles.push(EgoistNode::new(cfg, t).spawn());
-        tokio::time::sleep(Duration::from_millis(50)).await;
-    }
+        EgoistNode::new(cfg, unspawned[i].take().expect("spawned once"))
+    });
 
     println!("running 5 wiring epochs...\n");
-    tokio::time::sleep(Duration::from_secs(10)).await;
+    wheel
+        .run_for(spacing * N as u32 + Duration::from_secs(10))
+        .await;
 
     println!(
         "{:<6} {:<18} {:<12} {:<10} {:<10}",
         "node", "neighbors", "routes", "rewired", "lsa bytes"
     );
-    for (i, h) in handles.iter().enumerate() {
-        let v = h.snapshot();
+    for i in 0..N {
+        let v = wheel.view(i);
         let routes = (0..N)
             .filter(|&j| j != i && v.next_hops[j].is_some())
             .count();
@@ -87,14 +92,12 @@ async fn run() -> std::io::Result<()> {
     }
 
     // One routing-table walk end to end.
-    let v0 = handles[0].snapshot();
+    let v0 = wheel.view(0);
     if let Some(hop) = v0.next_hops[N - 1] {
         println!("\nv0 routes to v{} via first hop {hop}", N - 1);
     }
 
-    for h in handles {
-        h.stop().await;
-    }
+    wheel.shutdown().await;
     println!("\nall nodes left the overlay cleanly");
     Ok(())
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Non-test lines of Rust per crate under crates/, and their total.
+# Non-test lines of Rust per crate under crates/, and their total; then
+# the same count over every vendored crate under vendor/, as one row.
 #
 #   scripts/loc.sh
 #
@@ -8,7 +9,8 @@
 # `#[cfg(test)]` on one item inside an impl does not end the count.
 # `proptests.rs` and `route_props.rs` are test-only modules and count
 # nothing. Only `src/` is read: `benches/` are criterion groups, not
-# shipped code. Run from anywhere inside the repository.
+# shipped code. The `vendor` row is not in the total. Run from anywhere
+# inside the repository.
 #
 # Exits 1, naming the line, when a column-0 item after a file's first
 # column-0 `#[cfg(test)]` carries no `#[cfg(test)]` of its own: that item
@@ -16,10 +18,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-total=0
-for crate in crates/*/; do
-    crate=${crate%/}
-    if ! lines=$(find "$crate/src" -name '*.rs' ! -name proptests.rs ! -name route_props.rs -print0 |
+# Non-test lines of the `.rs` files under the given `src/` directories.
+count() {
+    if ! find "$@" -name '*.rs' ! -name proptests.rs ! -name route_props.rs -print0 |
         xargs -0 awk '
             FNR == 1 { counting = 1; gated = 0 }
             /^#\[cfg\(test\)\]/ { counting = 0; gated = 1 }
@@ -31,11 +32,19 @@ for crate in crates/*/; do
                 }
                 gated = 0
             }
-            END { print n + 0; exit bad }'); then
+            END { print n + 0; exit bad }'; then
         echo "$0: move those items above the file's first #[cfg(test)]" >&2
         exit 1
     fi
+}
+
+total=0
+for crate in crates/*/; do
+    crate=${crate%/}
+    lines=$(count "$crate/src")
     printf '%-16s %6d\n' "${crate#crates/}" "$lines"
     total=$((total + lines))
 done
 printf '%-16s %6d\n' total "$total"
+vendor=$(count vendor/*/src)
+printf '%-16s %6d\n' vendor "$vendor"

@@ -18,7 +18,7 @@
 use egoist::graph::{DistanceMatrix, NodeId};
 use egoist::proto::bootstrap::{BootstrapServer, Registry};
 use egoist::proto::message::MessageClass;
-use egoist::proto::{EgoistNode, NodeConfig, SimNet};
+use egoist::proto::{EgoistNode, NodeConfig, SimNet, Wheel};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -54,28 +54,28 @@ fn proto_registry_counters_match_overhead_ledgers() {
         // every sent frame is accounted on both ledgers.
         let net = SimNet::clean(big);
         tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), Registry::default()).run());
-        let mut handles = Vec::new();
-        for i in 0..n {
+        let spacing = Duration::from_millis(150);
+        let mut wheel = Wheel::new(Duration::from_millis(1), n, spacing, |i| {
             let mut cfg = NodeConfig::new(NodeId::from_index(i), n, k);
             cfg.epoch = Duration::from_secs(10);
             cfg.announce_interval = Duration::from_secs(3);
             cfg.ping_interval = Duration::from_secs(5);
             cfg.liveness_timeout = Duration::from_secs(12);
             cfg.bootstrap = Some(BOOT);
-            handles.push(EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i))).spawn());
-            tokio::time::sleep(Duration::from_millis(150)).await;
-        }
-        tokio::time::sleep(Duration::from_secs(60)).await;
-        // Keep the shared views alive past stop(): the node publishes a
+            EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i)))
+        });
+        wheel
+            .run_for(spacing * n as u32 + Duration::from_secs(60))
+            .await;
+        // Keep the shared views alive past shutdown: the node publishes a
         // final snapshot (including its overhead ledger) on shutdown, and
         // the Leave frames it sends then are counted on both sides.
-        let views: Vec<_> = handles
+        let views: Vec<_> = wheel
+            .nodes()
             .iter()
-            .map(|h| std::sync::Arc::clone(&h.view))
+            .map(|node| node.as_ref().expect("spawned").view_handle())
             .collect();
-        for h in handles {
-            h.stop().await;
-        }
+        wheel.shutdown().await;
         views
     });
 

@@ -1,6 +1,7 @@
-//! Cross-crate integration: the tokio protocol stack (egoist-proto) on a
+//! Cross-crate integration: the protocol stack (egoist-proto) on a
 //! netsim-backed SimTransport builds overlays whose quality matches the
-//! pure simulator's — the protocol path and the simulation path agree.
+//! pure simulator's — the protocol path and the simulation path agree —
+//! and the same nodes on loopback UDP route end to end.
 
 use egoist::coord::CoordinateSystem;
 use egoist::graph::apsp::apsp;
@@ -8,17 +9,19 @@ use egoist::graph::{DiGraph, DistanceMatrix, NodeId};
 use egoist::netsim::fault::FaultConfig;
 use egoist::netsim::DelayModel;
 use egoist::proto::bootstrap::{BootstrapServer, Registry};
-use egoist::proto::{EgoistNode, NodeConfig, NodeHandle, SimNet};
+use egoist::proto::{EgoistNode, NodeConfig, SimNet, SimTransport, UdpTransport, Wheel};
 use std::time::Duration;
 
 const BOOT: NodeId = NodeId(1000);
 
+/// `n` nodes with short timers and a bootstrap server on a SimNet,
+/// driven by one wheel, returned once the last of them has spawned.
 async fn spawn_overlay(
     n: usize,
     k: usize,
     delays: &DistanceMatrix,
     fault: FaultConfig,
-) -> (SimNet, Vec<NodeHandle>) {
+) -> Wheel<'static, SimTransport> {
     let mut big = DistanceMatrix::off_diagonal(1001, 1.0);
     for i in 0..n {
         for j in 0..n {
@@ -29,26 +32,25 @@ async fn spawn_overlay(
     }
     let net = SimNet::new(big, fault, 77);
     tokio::spawn(BootstrapServer::new(net.endpoint(BOOT), Registry::default()).run());
-    let mut handles = Vec::new();
-    for i in 0..n {
+    let spacing = Duration::from_millis(150);
+    let mut wheel = Wheel::new(Duration::from_millis(1), n, spacing, move |i| {
         let mut cfg = NodeConfig::new(NodeId::from_index(i), n, k);
         cfg.epoch = Duration::from_secs(10);
         cfg.announce_interval = Duration::from_secs(3);
         cfg.ping_interval = Duration::from_secs(5);
         cfg.liveness_timeout = Duration::from_secs(12);
         cfg.bootstrap = Some(BOOT);
-        handles.push(EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i))).spawn());
-        tokio::time::sleep(Duration::from_millis(150)).await;
-    }
-    (net, handles)
+        EgoistNode::new(cfg, net.endpoint(NodeId::from_index(i)))
+    });
+    wheel.run_for(spacing * n as u32).await;
+    wheel
 }
 
 /// Reconstruct the overlay graph from the nodes' own views.
-fn overlay_graph(handles: &[NodeHandle], delays: &DistanceMatrix) -> DiGraph {
-    let n = handles.len();
+fn overlay_graph(wheel: &Wheel<SimTransport>, n: usize, delays: &DistanceMatrix) -> DiGraph {
     let mut g = DiGraph::new(n);
-    for (i, h) in handles.iter().enumerate() {
-        for w in h.snapshot().wiring {
+    for i in 0..n {
+        for w in wheel.view(i).wiring {
             if w.index() < n {
                 g.add_edge(NodeId::from_index(i), w, delays.at(i, w.index()));
             }
@@ -70,10 +72,10 @@ fn protocol_overlay_beats_ring_topology() {
             .base()
             .submatrix(&(0..n as u32).map(NodeId).collect::<Vec<_>>());
 
-        let (_net, handles) = spawn_overlay(n, 3, &delays, FaultConfig::default()).await;
-        tokio::time::sleep(Duration::from_secs(70)).await;
+        let mut wheel = spawn_overlay(n, 3, &delays, FaultConfig::default()).await;
+        wheel.run_for(Duration::from_secs(70)).await;
 
-        let g = overlay_graph(&handles, &delays);
+        let g = overlay_graph(&wheel, n, &delays);
         let dist = apsp(&g);
         // Compare with a unit ring of the same degree budget.
         let mut ring = DiGraph::new(n);
@@ -105,9 +107,6 @@ fn protocol_overlay_beats_ring_topology() {
             br_cost < ring_cost,
             "protocol BR overlay {br_cost:.1} must beat the circulant {ring_cost:.1}"
         );
-        for h in handles {
-            h.stop().await;
-        }
     });
 }
 
@@ -116,12 +115,12 @@ fn protocol_overlay_is_fully_routable_under_loss() {
     tokio::runtime::block_on_paused(async {
         let n = 8;
         let delays = DistanceMatrix::from_fn(n, |i, j| 4.0 + ((i * 5 + j * 3) % 11) as f64);
-        let (_net, handles) = spawn_overlay(n, 3, &delays, FaultConfig::lossy(0.10)).await;
-        tokio::time::sleep(Duration::from_secs(90)).await;
+        let mut wheel = spawn_overlay(n, 3, &delays, FaultConfig::lossy(0.10)).await;
+        wheel.run_for(Duration::from_secs(90)).await;
 
         let mut routable = 0;
-        for (i, h) in handles.iter().enumerate() {
-            let v = h.snapshot();
+        for i in 0..n {
+            let v = wheel.view(i);
             routable += (0..n)
                 .filter(|&j| j != i && v.next_hops[j].is_some())
                 .count();
@@ -131,9 +130,6 @@ fn protocol_overlay_is_fully_routable_under_loss() {
             routable as f64 >= 0.9 * total as f64,
             "only {routable}/{total} routes under 10% loss"
         );
-        for h in handles {
-            h.stop().await;
-        }
     });
 }
 
@@ -150,13 +146,13 @@ fn node_estimates_agree_with_vivaldi_predictions() {
             9,
         );
         let delays = model.base().clone();
-        let (_net, handles) = spawn_overlay(n, 3, &delays, FaultConfig::default()).await;
-        tokio::time::sleep(Duration::from_secs(60)).await;
+        let mut wheel = spawn_overlay(n, 3, &delays, FaultConfig::default()).await;
+        wheel.run_for(Duration::from_secs(60)).await;
 
         let mut cs = CoordinateSystem::new(n, 9);
         cs.converge(&delays, 40);
 
-        let v0 = handles[0].snapshot();
+        let v0 = wheel.view(0);
         let predicted = cs.query_all(0);
         let mut compared = 0;
         for (j, &measured) in v0.direct_est.iter().enumerate().skip(1) {
@@ -176,29 +172,21 @@ fn node_estimates_agree_with_vivaldi_predictions() {
             }
         }
         assert!(compared >= n / 2, "too few measured peers: {compared}");
-        for h in handles {
-            h.stop().await;
-        }
     });
 }
 
-/// The live deployment's path: every re-wiring job goes to the blocking
-/// pool (`inline_rewire: false`, the `NodeConfig` default these overlays
-/// keep), which runs each job on a thread of its own, so each job starts
-/// from a fresh per-thread policy object and residual storage. Every node
-/// still re-wires to `k` distinct neighbors other than itself and can
-/// route to every other node.
+/// Every node re-wires to `k` distinct neighbors other than itself and
+/// can route to every other node.
 #[test]
-fn blocking_pool_rewire_jobs_wire_every_node() {
-    assert!(!NodeConfig::new(NodeId(0), 2, 1).inline_rewire);
+fn rewire_jobs_wire_every_node_to_k_distinct_peers() {
     tokio::runtime::block_on_paused(async {
         let (n, k) = (10, 3);
         let delays = DistanceMatrix::from_fn(n, |i, j| 3.0 + ((i * 7 + j * 5) % 13) as f64);
-        let (_net, handles) = spawn_overlay(n, k, &delays, FaultConfig::default()).await;
-        tokio::time::sleep(Duration::from_secs(60)).await;
+        let mut wheel = spawn_overlay(n, k, &delays, FaultConfig::default()).await;
+        wheel.run_for(Duration::from_secs(60)).await;
 
-        for (i, h) in handles.iter().enumerate() {
-            let v = h.snapshot();
+        for i in 0..n {
+            let v = wheel.view(i);
             assert!(v.rewirings > 0, "v{i} never re-wired");
             let mut wiring = v.wiring.clone();
             wiring.sort_unstable();
@@ -211,8 +199,59 @@ fn blocking_pool_rewire_jobs_wire_every_node() {
             let routed = (0..n).filter(|&j| j != i && v.next_hops[j].is_some());
             assert_eq!(routed.count(), n - 1, "v{i} misses routes");
         }
-        for h in handles {
-            h.stop().await;
+    });
+}
+
+/// The live path: four nodes and a bootstrap server on loopback UDP,
+/// driven by the wheel on the real clock. Every node routes to every
+/// other one within seconds of wall time; the bound is a generous 60 s
+/// for a busy 2-core host.
+#[test]
+fn loopback_udp_overlay_routes_everywhere() {
+    const N: usize = 4;
+    let boot = NodeId(100);
+    let bind = |id| UdpTransport::bind(id, "127.0.0.1:0").expect("loopback bind");
+    let boot_transport = bind(boot);
+    let transports: Vec<UdpTransport> = (0..N).map(|i| bind(NodeId::from_index(i))).collect();
+    let addr = |t: &UdpTransport| t.local_addr().expect("bound");
+    for (i, t) in transports.iter().enumerate() {
+        t.add_peer(boot, addr(&boot_transport));
+        boot_transport.add_peer(NodeId::from_index(i), addr(t));
+        for (j, u) in transports.iter().enumerate() {
+            if i != j {
+                t.add_peer(NodeId::from_index(j), addr(u));
+            }
         }
+    }
+    let mut unspawned: Vec<Option<UdpTransport>> = transports.into_iter().map(Some).collect();
+    let wall = std::time::Instant::now();
+    tokio::runtime::block_on(async {
+        tokio::spawn(BootstrapServer::new(boot_transport, Registry::default()).run());
+        let step = Duration::from_millis(1);
+        let mut wheel = Wheel::new(step, N, Duration::from_millis(20), move |i| {
+            let mut cfg = NodeConfig::new(NodeId::from_index(i), N, 2);
+            cfg.epoch = Duration::from_secs(1);
+            cfg.announce_interval = Duration::from_millis(300);
+            cfg.ping_interval = Duration::from_millis(500);
+            cfg.liveness_timeout = Duration::from_secs(5);
+            cfg.bootstrap = Some(boot);
+            EgoistNode::new(cfg, unspawned[i].take().expect("spawned once"))
+        });
+        let routes_everywhere = |wheel: &Wheel<UdpTransport>| {
+            wheel.nodes().iter().all(Option::is_some)
+                && (0..N).all(|i| {
+                    let v = wheel.view(i);
+                    (0..N).all(|j| j == i || v.next_hops[j].is_some())
+                })
+        };
+        while !routes_everywhere(&wheel) {
+            assert!(
+                wall.elapsed() < Duration::from_secs(60),
+                "no full routing after {:?} of wheel time",
+                wheel.now()
+            );
+            wheel.run_for(Duration::from_millis(50)).await;
+        }
+        wheel.shutdown().await;
     });
 }
