@@ -182,6 +182,19 @@ impl PolicyKind {
         )
     }
 
+    /// Panics on a policy no run can play as configured: a
+    /// `HybridBestResponse` whose `k2` is odd. Its backbone is `k2 / 2`
+    /// bidirectional cycles, so the odd link would silently not be
+    /// donated.
+    pub fn assert_valid(self) {
+        if let PolicyKind::HybridBestResponse { k2 } = self {
+            assert!(
+                k2 % 2 == 0,
+                "HybridBestResponse {{ k2: {k2} }}: k2 must be even (k2 / 2 backbone cycles)"
+            );
+        }
+    }
+
     /// Short label used in figure output.
     pub fn label(self) -> String {
         match self {

@@ -264,6 +264,7 @@ impl SimObs {
 impl Simulator {
     /// Build the simulator; all nodes start alive and unwired.
     pub fn new(cfg: SimConfig) -> Self {
+        cfg.policy.assert_valid();
         let n = cfg.n;
         let delays = if n == 50 {
             DelayModel::planetlab_50(cfg.seed)
@@ -1003,6 +1004,16 @@ mod tests {
         // Efficiency should stay meaningfully positive under heavy churn.
         let eff = res.mean_efficiency(3);
         assert!(eff > 0.0, "HybridBR efficiency collapsed: {eff}");
+    }
+
+    #[test]
+    #[should_panic(expected = "HybridBestResponse { k2: 1 }: k2 must be even")]
+    fn simulator_rejects_an_odd_hybrid_k2() {
+        Simulator::new(quick(
+            5,
+            PolicyKind::HybridBestResponse { k2: 1 },
+            Metric::DelayPing,
+        ));
     }
 
     #[test]

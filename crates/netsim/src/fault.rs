@@ -6,9 +6,9 @@
 //! time-windowed [`FaultPlan`] schedule (named-group partitions that cut
 //! and later heal, bursty correlated churn storms, per-window loss/jitter
 //! boosts). The protocol crate's `SimTransport` runs every frame through
-//! a [`FaultInjector`], which is how the test suite exercises loss of
-//! link-state announcements, heartbeat timeouts, corrupt-frame rejection
-//! and full partition/heal cycles deterministically.
+//! a [`FaultInjector`], and reports its [`FaultStats`], which is how the
+//! test suite exercises loss of link-state announcements, heartbeat
+//! timeouts, corrupt-frame rejection and partition/heal cycles.
 //!
 //! # Determinism
 //!
@@ -399,6 +399,20 @@ fn fault_obs() -> &'static FaultObs {
     })
 }
 
+/// A [`FaultInjector`]'s verdicts, drops split by cause (chance, token
+/// bucket, plan cut).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultStats {
+    pub passed: u64,
+    pub dropped: u64,
+    pub corrupted: u64,
+    pub rate_limited: u64,
+    pub cut: u64,
+    pub duplicated: u64,
+    pub reordered: u64,
+    pub jittered: u64,
+}
+
 /// Deterministic fault injector.
 #[derive(Debug)]
 pub struct FaultInjector {
@@ -409,15 +423,7 @@ pub struct FaultInjector {
     rng: StdRng,
     tokens: f64,
     last_refill: f64,
-    /// Counters for observability in tests and the overhead report.
-    pub passed: u64,
-    pub dropped: u64,
-    pub corrupted: u64,
-    pub rate_limited: u64,
-    pub cut: u64,
-    pub duplicated: u64,
-    pub reordered: u64,
-    pub jittered: u64,
+    pub stats: FaultStats,
 }
 
 impl FaultInjector {
@@ -437,14 +443,7 @@ impl FaultInjector {
             rng: derive(seed, "fault"),
             tokens,
             last_refill: 0.0,
-            passed: 0,
-            dropped: 0,
-            corrupted: 0,
-            rate_limited: 0,
-            cut: 0,
-            duplicated: 0,
-            reordered: 0,
-            jittered: 0,
+            stats: FaultStats::default(),
         }
     }
 
@@ -506,7 +505,7 @@ impl FaultInjector {
         self.note_window_edges(now);
         if let Some(plan) = &self.plan {
             if plan.cuts(now, from, to) {
-                self.cut += 1;
+                self.stats.cut += 1;
                 fault_obs().cut.inc();
                 return Verdict::Cut;
             }
@@ -517,7 +516,7 @@ impl FaultInjector {
             self.tokens = (self.tokens + dt * self.cfg.refill_per_sec).min(cap as f64);
             self.last_refill = now;
             if self.tokens < 1.0 {
-                self.rate_limited += 1;
+                self.stats.rate_limited += 1;
                 return Verdict::Drop;
             }
             self.tokens -= 1.0;
@@ -527,7 +526,7 @@ impl FaultInjector {
             None => self.cfg,
         };
         if eff.drop_chance > 0.0 && self.rng.random_range(0.0..1.0) < eff.drop_chance {
-            self.dropped += 1;
+            self.stats.dropped += 1;
             fault_obs().dropped.inc();
             return Verdict::Drop;
         }
@@ -537,29 +536,29 @@ impl FaultInjector {
         {
             let byte = self.rng.random_range(0..len);
             let bit = self.rng.random_range(0..8u32) as u8;
-            self.corrupted += 1;
+            self.stats.corrupted += 1;
             return Verdict::Corrupted { byte, bit };
         }
         if eff.duplicate_chance > 0.0 && self.rng.random_range(0.0..1.0) < eff.duplicate_chance {
             let extra_us = (self.rng.random_range(0.0..eff.jitter_ms.max(1.0)) * 1000.0) as u32;
-            self.duplicated += 1;
+            self.stats.duplicated += 1;
             fault_obs().duplicated.inc();
             return Verdict::Duplicate { extra_us };
         }
         if eff.reorder_chance > 0.0 && self.rng.random_range(0.0..1.0) < eff.reorder_chance {
             let hold = eff.reorder_hold_ms.max(1.0);
             let extra_us = (self.rng.random_range(hold * 0.5..hold) * 1000.0) as u32;
-            self.reordered += 1;
+            self.stats.reordered += 1;
             fault_obs().reordered.inc();
             return Verdict::Reordered { extra_us };
         }
         if eff.jitter_chance > 0.0 && self.rng.random_range(0.0..1.0) < eff.jitter_chance {
             let extra_us = (self.rng.random_range(0.0..eff.jitter_ms.max(0.001)) * 1000.0) as u32;
-            self.jittered += 1;
+            self.stats.jittered += 1;
             fault_obs().jittered.inc();
             return Verdict::Delayed { extra_us };
         }
-        self.passed += 1;
+        self.stats.passed += 1;
         Verdict::Pass
     }
 }
@@ -575,7 +574,7 @@ mod tests {
         for t in 0..100 {
             assert_eq!(f.process(t as f64, &mut frame), Verdict::Pass);
         }
-        assert_eq!(f.passed, 100);
+        assert_eq!(f.stats.passed, 100);
     }
 
     #[test]
@@ -632,7 +631,7 @@ mod tests {
             .filter(|_| f.process(3.0, &mut frame) == Verdict::Pass)
             .count();
         assert_eq!(passed2, 3);
-        assert_eq!(f.rate_limited, 13);
+        assert_eq!(f.stats.rate_limited, 13);
     }
 
     #[test]
@@ -685,7 +684,7 @@ mod tests {
             f.process_addressed(25.0, NodeId(0), NodeId(2), &mut frame),
             Verdict::Pass
         );
-        assert_eq!(f.cut, 2);
+        assert_eq!(f.stats.cut, 2);
     }
 
     #[test]
@@ -781,6 +780,6 @@ mod tests {
             Verdict::Delayed { extra_us } => assert!(extra_us < 10_000),
             v => panic!("expected jitter, got {v:?}"),
         }
-        assert_eq!(f.jittered, 1);
+        assert_eq!(f.stats.jittered, 1);
     }
 }

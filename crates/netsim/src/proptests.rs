@@ -87,7 +87,7 @@ proptest! {
             let _ = inj.process(t as f64, &mut buf);
         }
         prop_assert_eq!(
-            inj.passed + inj.dropped + inj.corrupted + inj.rate_limited,
+            inj.stats.passed + inj.stats.dropped + inj.stats.corrupted + inj.stats.rate_limited,
             frames as u64
         );
     }
@@ -157,7 +157,13 @@ proptest! {
                 let mut buf = vec![0x5Au8; 16];
                 verdicts.push(inj.process_addressed(now, from, to, &mut buf));
             }
-            (verdicts, inj.cut, inj.duplicated, inj.reordered, inj.jittered)
+            (
+                verdicts,
+                inj.stats.cut,
+                inj.stats.duplicated,
+                inj.stats.reordered,
+                inj.stats.jittered,
+            )
         };
         prop_assert_eq!(run(), run());
     }

@@ -26,7 +26,8 @@ use crate::adversary::{spawn_swarm, AdversaryConfig, AdversaryStats};
 use crate::audit::ClaimRanker;
 use crate::bootstrap::{BootstrapServer, Registry};
 use crate::message::MessageClass;
-use crate::node::{EgoistNode, NodeConfig, NodeView};
+use crate::node::{EgoistNode, NodeConfig, NodeView, Tallies};
+use crate::overhead::OverheadCounters;
 use crate::transport::{FaultStats, SimNet, SimTransport};
 use crate::wheel::Wheel;
 use egoist_core::policies::PolicyKind;
@@ -335,10 +336,8 @@ pub struct RobustnessReport {
     pub timeline: Vec<(f64, f64)>,
     pub windows: Vec<WindowRecovery>,
     pub fault: FaultStats,
-    pub join_retries: u64,
-    pub demotions: u64,
-    pub evictions: u64,
-    pub promotions: u64,
+    /// Every honest node's tallies, summed.
+    pub tallies: Tallies,
     /// Lifetime misbehavior-point histogram over every honest ledger
     /// entry at the end (buckets per [`score_histogram`]).
     pub score_hist: [u64; 5],
@@ -352,36 +351,10 @@ pub struct RobustnessReport {
     pub adversary: Option<AdversaryStats>,
     /// Per message class: total honest frames/bytes sent.
     pub overhead: Vec<(String, u64, u64)>,
-    pub decode_errors: u64,
-    /// Gossip accounting: seq-bumped LSAs originated plus fresh-LSA
-    /// forwards, with the scenario's fan-out/TTL settings echoed.
-    pub announces: u64,
-    /// Links those LSAs carried at the placeholder cost, unmeasured.
-    pub unmeasured_links: u64,
-    pub gossip_forwards: u64,
-    /// `None` = unbounded (classic full flooding).
+    /// The scenario's gossip fan-out (`None` = unbounded, classic full
+    /// flooding) and TTL, echoed.
     pub gossip_fanout: Option<u64>,
     pub gossip_ttl: u8,
-    /// Total `link_state`-class frames sent by honest nodes.
-    pub link_state_frames: u64,
-    /// Full-flood extrapolation: every announce reaching every other
-    /// node directly, `announces × (n − 1)`.
-    pub full_flood_frames: u64,
-    /// `link_state_frames / full_flood_frames` (`None` if no announces).
-    pub flood_ratio: Option<f64>,
-    /// Anti-entropy accounting: digests sent, pulls sent, LSAs pushed.
-    pub ae_digests: u64,
-    pub ae_pulls: u64,
-    pub ae_pushed: u64,
-    /// Pushed LSAs that went out as refresh entries (a subset of
-    /// `ae_pushed`), and the pulls their receivers sent back for links
-    /// they did not hold (not in `ae_pulls`).
-    pub ae_refreshed: u64,
-    pub ae_refresh_pulls: u64,
-    /// Second-hand claim ranking: tallies plus route-quarantine counts.
-    pub claims_corroborated: u64,
-    pub claims_contradicted: u64,
-    pub links_quarantined: u64,
     /// Min over sybil identities of the fraction of honest nodes that
     /// banned it (`None` when the scenario has no sybils).
     pub lure_ban_frac: Option<f64>,
@@ -422,33 +395,45 @@ impl RobustnessReport {
             .u64("duplicated", self.fault.duplicated)
             .u64("reordered", self.fault.reordered)
             .u64("jittered", self.fault.jittered);
+        let t = &self.tallies;
         let peers = obj()
-            .u64("join_retries", self.join_retries)
-            .u64("demotions", self.demotions)
-            .u64("evictions", self.evictions)
-            .u64("promotions", self.promotions)
+            .u64("join_retries", t.join_retries)
+            .u64("demotions", t.demotions)
+            .u64("evictions", t.evictions)
+            .u64("promotions", t.promotions)
             .raw("score_hist", ints(&self.score_hist))
             .raw("score_hist_edges", ints(&self.score_hist_edges));
         let fanout = self.gossip_fanout.map(|f| f.to_string());
+        // Full-flood extrapolation: every announce reaching every other
+        // node directly.
+        let link_state = MessageClass::LinkState.label();
+        let link_state_frames = self
+            .overhead
+            .iter()
+            .find(|(class, ..)| class == link_state)
+            .map_or(0, |&(_, frames, _)| frames);
+        let full_flood_frames = t.announces * self.n.saturating_sub(1) as u64;
+        let flood_ratio =
+            (full_flood_frames > 0).then(|| link_state_frames as f64 / full_flood_frames as f64);
         let gossip = obj()
             .raw("fanout", fanout.as_deref().unwrap_or("null"))
             .u64("ttl", self.gossip_ttl as u64)
-            .u64("announces", self.announces)
-            .u64("unmeasured_links", self.unmeasured_links)
-            .u64("forwards", self.gossip_forwards)
-            .u64("link_state_frames", self.link_state_frames)
-            .u64("full_flood_frames", self.full_flood_frames)
-            .f64("flood_ratio", opt(self.flood_ratio));
+            .u64("announces", t.announces)
+            .u64("unmeasured_links", t.unmeasured_links)
+            .u64("forwards", t.gossip_forwards)
+            .u64("link_state_frames", link_state_frames)
+            .u64("full_flood_frames", full_flood_frames)
+            .f64("flood_ratio", opt(flood_ratio));
         let anti_entropy = obj()
-            .u64("digests", self.ae_digests)
-            .u64("pulls", self.ae_pulls)
-            .u64("pushed", self.ae_pushed)
-            .u64("refreshed", self.ae_refreshed)
-            .u64("refresh_pulls", self.ae_refresh_pulls);
+            .u64("digests", t.ae_digests)
+            .u64("pulls", t.ae_pulls)
+            .u64("pushed", t.ae_pushed)
+            .u64("refreshed", t.ae_refreshed)
+            .u64("refresh_pulls", t.ae_refresh_pulls);
         let quarantine = obj()
-            .u64("claims_corroborated", self.claims_corroborated)
-            .u64("claims_contradicted", self.claims_contradicted)
-            .u64("links_quarantined", self.links_quarantined)
+            .u64("claims_corroborated", t.claims_corroborated)
+            .u64("claims_contradicted", t.claims_contradicted)
+            .u64("links_quarantined", t.links_quarantined)
             .f64("lure_ban_frac", opt(self.lure_ban_frac))
             .u64("forged_links_in_routes", self.forged_links_in_routes);
         let adversary = self.adversary.as_ref().map(|a| {
@@ -488,7 +473,7 @@ impl RobustnessReport {
             .raw("quarantine", quarantine.finish())
             .raw("adversary", adversary.as_deref().unwrap_or("null"))
             .raw("overhead", overhead.finish())
-            .u64("decode_errors", self.decode_errors)
+            .u64("decode_errors", t.decode_errors)
             .document()
     }
 }
@@ -639,36 +624,16 @@ async fn run_fleet_inner(
     // released before the nodes shut down (shutdown re-publishes them).
     let sybil_ids: Vec<NodeId> = (cfg.n..total).map(NodeId::from_index).collect();
     let mut attacker_in_active = 0u64;
-    let (mut join_retries, mut demotions, mut evictions, mut promotions) = (0u64, 0, 0, 0);
-    let mut decode_errors = 0u64;
-    let (mut announces, mut unmeasured_links, mut gossip_forwards) = (0u64, 0u64, 0u64);
-    let (mut ae_digests, mut ae_pulls, mut ae_pushed) = (0u64, 0u64, 0u64);
-    let (mut ae_refreshed, mut ae_refresh_pulls) = (0u64, 0u64);
-    let (mut claims_corroborated, mut claims_contradicted) = (0u64, 0u64);
-    let mut links_quarantined = 0u64;
+    let mut tallies = Tallies::default();
+    let mut sent = OverheadCounters::default();
     let mut forged_links_in_routes = 0u64;
     let mut sybil_bans = vec![0u64; sybil_ids.len()];
-    let mut class_totals = [(0u64, 0u64); MessageClass::ALL.len()];
     let view_handles = views(&wheel);
     let (score_hist, score_hist_edges) = {
         let views: Vec<_> = view_handles.iter().flatten().map(|h| h.read()).collect();
         for v in &views {
-            join_retries += v.join_retries;
-            demotions += v.demotions;
-            evictions += v.evictions;
-            promotions += v.promotions;
-            decode_errors += v.decode_errors;
-            announces += v.announces;
-            unmeasured_links += v.unmeasured_links;
-            gossip_forwards += v.gossip_forwards;
-            ae_digests += v.ae_digests;
-            ae_pulls += v.ae_pulls;
-            ae_pushed += v.ae_pushed;
-            ae_refreshed += v.ae_refreshed;
-            ae_refresh_pulls += v.ae_refresh_pulls;
-            claims_corroborated += v.claims_corroborated;
-            claims_contradicted += v.claims_contradicted;
-            links_quarantined += v.links_quarantined;
+            tallies += v.tallies;
+            sent += v.overhead;
             attacker_in_active += v.wiring.iter().filter(|w| sybil_ids.contains(w)).count() as u64;
             // `banned` lists each id once, so these sum to the ban pairs.
             for (bans, s) in sybil_bans.iter_mut().zip(&sybil_ids) {
@@ -679,10 +644,6 @@ async fn run_fleet_inner(
                 .iter()
                 .filter(|(from, _)| sybil_ids.contains(from))
                 .count() as u64;
-            for (&c, (frames, bytes)) in MessageClass::ALL.iter().zip(&mut class_totals) {
-                *frames += v.overhead.frames(c);
-                *bytes += v.overhead.bytes(c);
-            }
         }
         score_histogram(
             views
@@ -727,16 +688,8 @@ async fn run_fleet_inner(
     });
     let overhead: Vec<(String, u64, u64)> = MessageClass::ALL
         .iter()
-        .zip(class_totals)
-        .map(|(c, (frames, bytes))| (c.label().to_string(), frames, bytes))
+        .map(|&c| (c.label().to_string(), sent.frames(c), sent.bytes(c)))
         .collect();
-    let link_state_frames = class_totals[MessageClass::LinkState.slot()].0;
-    let full_flood_frames = announces * (cfg.n.saturating_sub(1)) as u64;
-    let flood_ratio = if full_flood_frames == 0 {
-        None
-    } else {
-        Some(link_state_frames as f64 / full_flood_frames as f64)
-    };
 
     let final_reachability = timeline.last().map(|&(_, r)| r).unwrap_or(1.0);
     let min_reachability = timeline
@@ -757,37 +710,19 @@ async fn run_fleet_inner(
         timeline,
         windows,
         fault,
-        join_retries,
-        demotions,
-        evictions,
-        promotions,
+        tallies,
         score_hist,
         score_hist_edges,
         attacker_in_active_views: attacker_in_active,
         attacker_ban_pairs: ban_pairs,
         adversary: adversary_stats.map(|s| *s.lock()),
         overhead,
-        decode_errors,
-        announces,
-        unmeasured_links,
-        gossip_forwards,
         gossip_fanout: if cfg.gossip_fanout == usize::MAX {
             None
         } else {
             Some(cfg.gossip_fanout as u64)
         },
         gossip_ttl: cfg.gossip_ttl,
-        link_state_frames,
-        full_flood_frames,
-        flood_ratio,
-        ae_digests,
-        ae_pulls,
-        ae_pushed,
-        ae_refreshed,
-        ae_refresh_pulls,
-        claims_corroborated,
-        claims_contradicted,
-        links_quarantined,
         lure_ban_frac,
         forged_links_in_routes,
     };

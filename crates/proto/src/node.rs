@@ -46,53 +46,144 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::{AddAssign, Deref, Index, IndexMut};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use tokio::time::Instant;
 
-/// Obs handles for the protocol layer, per-class send/receive tables
-/// indexed by [`MessageClass::slot`]. These mirror the per-node
-/// [`OverheadCounters`] in aggregate: every frame accounted there is
-/// also counted here (`tests/obs_consistency.rs` pins the equality).
-/// Timestamps fed to the convergence histogram come from the node's
-/// virtual clock (`now_secs`), so paused-runtime tests see exact values.
+/// Declares [`Tally`] and [`Tallies`] from one row per tally: its
+/// variant, its field, and the obs counter it also adds to.
+macro_rules! tallies {
+    ($($(#[$doc:meta])* $variant:ident $field:ident $obs:expr,)*) => {
+        /// One quantity a node counts over its life. [`EgoistNode`] adds
+        /// to it with one call, which also adds to the paired obs
+        /// counter ([`Tally::obs_name`]) when there is one.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Tally {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Tally {
+            /// Every tally, in declaration order.
+            pub const ALL: [Tally; [$(Tally::$variant),*].len()] = [$(Tally::$variant),*];
+
+            /// The obs counter this tally also adds to, if any.
+            pub fn obs_name(self) -> Option<&'static str> {
+                match self {
+                    $(Tally::$variant => $obs,)*
+                }
+            }
+        }
+
+        /// One value per [`Tally`]: a node's lifetime counts, or their
+        /// sum over a fleet. Indexed by tally (`t[Tally::Announces]`);
+        /// the fields name the same values (`t.announces`).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct Tallies {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl Index<Tally> for Tallies {
+            type Output = u64;
+            fn index(&self, t: Tally) -> &u64 {
+                match t {
+                    $(Tally::$variant => &self.$field,)*
+                }
+            }
+        }
+
+        impl IndexMut<Tally> for Tallies {
+            fn index_mut(&mut self, t: Tally) -> &mut u64 {
+                match t {
+                    $(Tally::$variant => &mut self.$field,)*
+                }
+            }
+        }
+    };
+}
+
+tallies! {
+    /// Re-wirings that changed the wiring: epoch jobs, repairs after a
+    /// dead or departed neighbor, and the first wiring at join.
+    Rewirings rewirings None,
+    /// Wiring epochs completed.
+    Epochs epochs None,
+    /// Frames that failed to decode (corruption, garbage).
+    DecodeErrors decode_errors Some("proto.decode_errors"),
+    /// Bootstrap queries re-sent on the join backoff.
+    JoinRetries join_retries Some("proto.join.retries"),
+    /// Unresponsive neighbors dropped to the passive view.
+    Demotions demotions Some("proto.peer.demotions"),
+    /// Peers banned for misbehavior (permanent).
+    Evictions evictions Some("proto.peer.evictions"),
+    /// Passive peers that won a link back.
+    Promotions promotions Some("proto.peer.promotions"),
+    /// LSAs this node originated (seq bumps actually sent).
+    Announces announces None,
+    /// Links those LSAs carried at the placeholder cost because this
+    /// node had not measured them (a probe before the announce was lost).
+    UnmeasuredLinks unmeasured_links Some("proto.announce.unmeasured_links"),
+    /// Gossip forwards of other origins' fresh LSAs.
+    GossipForwards gossip_forwards Some("proto.gossip.forwards"),
+    /// Anti-entropy digests sent.
+    AeDigests ae_digests Some("proto.ae.digests"),
+    /// Pulls sent for what a partner's digest advertised.
+    AePulls ae_pulls Some("proto.ae.pulls"),
+    /// LSAs pushed to anti-entropy partners.
+    AePushed ae_pushed Some("proto.ae.pushed_lsas"),
+    /// Pushed LSAs that went out as refresh entries.
+    AeRefreshed ae_refreshed Some("proto.ae.refresh_sent"),
+    /// Pulls sent for received refresh entries whose links this node did
+    /// not hold (not counted in `ae_pulls`).
+    AeRefreshPulls ae_refresh_pulls None,
+    /// Third-party link claims the triangle bound corroborated.
+    ClaimsCorroborated claims_corroborated Some("proto.claims.corroborated"),
+    /// Third-party link claims the triangle bound contradicted.
+    ClaimsContradicted claims_contradicted Some("proto.claims.contradicted"),
+    /// Links left out of route computations by quarantine, summed over
+    /// every computation.
+    LinksQuarantined links_quarantined Some("proto.claims.quarantined_links"),
+}
+
+impl AddAssign for Tallies {
+    fn add_assign(&mut self, rhs: Self) {
+        for t in Tally::ALL {
+            self[t] += rhs[t];
+        }
+    }
+}
+
+/// Obs handles for the protocol layer: per-class send/receive tables
+/// indexed by [`MessageClass::slot`], and one counter per [`Tally`] that
+/// names one, indexed by the tally. These mirror the per-node
+/// [`OverheadCounters`] and [`Tallies`] in aggregate: every frame and
+/// every tally step counted there is also counted here
+/// (`tests/obs_consistency.rs` pins the equality). Timestamps fed to the
+/// convergence histogram come from the node's virtual clock
+/// (`now_secs`), so paused-runtime tests see exact values.
 struct ProtoObs {
+    tallies: [Option<egoist_obs::Counter>; Tally::ALL.len()],
     send_frames: Vec<egoist_obs::Counter>,
     send_bytes: Vec<egoist_obs::Counter>,
     recv_frames: Vec<egoist_obs::Counter>,
     recv_bytes: Vec<egoist_obs::Counter>,
-    decode_errors: egoist_obs::Counter,
     join_secs: egoist_obs::Histogram,
-    join_retries: egoist_obs::Counter,
     banned_frames: egoist_obs::Counter,
-    demotions: egoist_obs::Counter,
-    evictions: egoist_obs::Counter,
-    promotions: egoist_obs::Counter,
     passive_probes: egoist_obs::Counter,
     peer_score: egoist_obs::Histogram,
-    gossip_forwards: egoist_obs::Counter,
-    /// Announcements held to probe unmeasured wired links first, and
-    /// links that went out at the placeholder cost all the same.
+    /// Announcements held to probe unmeasured wired links first.
     announce_held: egoist_obs::Counter,
-    announce_unmeasured: egoist_obs::Counter,
-    ae_digests: egoist_obs::Counter,
-    ae_pulls: egoist_obs::Counter,
-    ae_pushed: egoist_obs::Counter,
     /// LSAs arriving in `LsdbSync` frames that were not fresher than the
     /// stored copy, and fresher ones whose links were byte-equal to it
     /// (ROADMAP item 4's refresh-vs-change measurement; tallied only
     /// while obs is enabled).
     ae_recv_not_fresher: egoist_obs::Counter,
     ae_recv_equal: egoist_obs::Counter,
-    /// Refresh entries sent in digest answers, received ones whose links
-    /// matched and were fresher (applied), and received ones pulled
-    /// because the links were not held.
-    ae_refresh_sent: egoist_obs::Counter,
+    /// Received refresh entries whose links matched and were fresher
+    /// (applied), and received ones pulled because the links were not
+    /// held.
     ae_refresh_applied: egoist_obs::Counter,
     ae_refresh_pulled: egoist_obs::Counter,
-    claims_corroborated: egoist_obs::Counter,
-    claims_contradicted: egoist_obs::Counter,
-    links_quarantined: egoist_obs::Counter,
     rewire_job: egoist_obs::Timer,
     route_publish: egoist_obs::Timer,
     /// Residual rows the re-wiring jobs computed, against the rows a
@@ -112,33 +203,20 @@ fn proto_obs() -> &'static ProtoObs {
                 .collect()
         };
         ProtoObs {
+            tallies: Tally::ALL.map(|t| t.obs_name().map(|name| r.counter(name))),
             send_frames: table("send", "frames"),
             send_bytes: table("send", "bytes"),
             recv_frames: table("recv", "frames"),
             recv_bytes: table("recv", "bytes"),
-            decode_errors: r.counter("proto.decode_errors"),
             join_secs: r.histogram("proto.convergence.join_secs"),
-            join_retries: r.counter("proto.join.retries"),
             banned_frames: r.counter("proto.drop.banned_sender"),
-            demotions: r.counter("proto.peer.demotions"),
-            evictions: r.counter("proto.peer.evictions"),
-            promotions: r.counter("proto.peer.promotions"),
             passive_probes: r.counter("proto.peer.passive_probes"),
             peer_score: r.histogram("proto.peer.score"),
-            gossip_forwards: r.counter("proto.gossip.forwards"),
             announce_held: r.counter("proto.announce.held"),
-            announce_unmeasured: r.counter("proto.announce.unmeasured_links"),
-            ae_digests: r.counter("proto.ae.digests"),
-            ae_pulls: r.counter("proto.ae.pulls"),
-            ae_pushed: r.counter("proto.ae.pushed_lsas"),
             ae_recv_not_fresher: r.counter("proto.ae.recv_not_fresher"),
             ae_recv_equal: r.counter("proto.ae.recv_equal"),
-            ae_refresh_sent: r.counter("proto.ae.refresh_sent"),
             ae_refresh_applied: r.counter("proto.ae.refresh_applied"),
             ae_refresh_pulled: r.counter("proto.ae.refresh_pulled"),
-            claims_corroborated: r.counter("proto.claims.corroborated"),
-            claims_contradicted: r.counter("proto.claims.contradicted"),
-            links_quarantined: r.counter("proto.claims.quarantined_links"),
             rewire_job: r.timer("proto.rewire.job"),
             route_publish: r.timer("proto.route.publish"),
             rows_materialised: r.counter("proto.rewire.rows_materialised"),
@@ -303,48 +381,30 @@ pub struct NodeView {
     /// EWMA one-way delay estimate per node id (NaN = never measured).
     pub direct_est: Vec<f64>,
     pub lsdb_size: usize,
-    pub epochs_completed: u64,
-    pub rewirings: u64,
     /// Next overlay hop per destination id (`None` = unknown/unreachable).
     pub next_hops: Vec<Option<NodeId>>,
     pub overhead: OverheadCounters,
-    /// Frames that failed to decode (corruption, garbage).
-    pub decode_errors: u64,
+    /// The node's tallies as of this publish.
+    pub tallies: Tallies,
     /// Remembered-but-unwired peers (bounded; survives LSDB expiry, so a
     /// healed partition can be re-probed without the bootstrap seed).
     pub passive_view: Vec<NodeId>,
     /// Peers evicted for misbehavior (permanent).
     pub banned: Vec<NodeId>,
-    pub join_retries: u64,
-    pub demotions: u64,
-    pub evictions: u64,
-    pub promotions: u64,
-    /// LSAs this node originated (seq bumps actually sent).
-    pub announces: u64,
-    /// Links those LSAs carried at the placeholder cost because this
-    /// node had not measured them (a probe before the announce was lost).
-    pub unmeasured_links: u64,
-    /// Gossip forwards of other origins' fresh LSAs.
-    pub gossip_forwards: u64,
-    /// Anti-entropy digests sent / pulls sent / LSAs pushed to partners.
-    pub ae_digests: u64,
-    pub ae_pulls: u64,
-    pub ae_pushed: u64,
-    /// Pushed LSAs that went out as refresh entries, and pulls sent for
-    /// received entries whose links this node did not hold (not counted
-    /// in `ae_pulls`, which are the digest-triggered ones).
-    pub ae_refreshed: u64,
-    pub ae_refresh_pulls: u64,
-    /// Second-hand claim ranking tallies (third-party links checked).
-    pub claims_corroborated: u64,
-    pub claims_contradicted: u64,
-    /// Links excluded from the last route computation by quarantine.
-    pub links_quarantined: u64,
     /// Undecayed lifetime misbehavior points per node id (score
     /// histogram input — decayed points collapse into bucket 0).
     pub misbehavior_total: Vec<u64>,
     /// Edges of the last routing graph (only when `expose_route_edges`).
     pub route_edges: Vec<(NodeId, NodeId)>,
+}
+
+/// A view's tallies read as its own fields: `view.announces` is
+/// `view.tallies.announces`.
+impl Deref for NodeView {
+    type Target = Tallies;
+    fn deref(&self) -> &Tallies {
+        &self.tallies
+    }
 }
 
 /// Per-peer health ledger. Two independent strike families: ping loss
@@ -538,9 +598,7 @@ pub struct EgoistNode<T: Transport> {
     rng: StdRng,
     view: Arc<RwLock<NodeView>>,
     t0: Instant,
-    rewirings: u64,
-    epochs: u64,
-    decode_errors: u64,
+    tallies: Tallies,
     overhead: OverheadCounters,
     /// Set once the node has wired at least one link (the §3.1 join).
     join_wired: bool,
@@ -550,10 +608,6 @@ pub struct EgoistNode<T: Transport> {
     /// `passive_view_size`; retains ids past LSDB expiry.
     passive: Vec<NodeId>,
     first_heard: Vec<Option<Instant>>,
-    join_retries: u64,
-    demotions: u64,
-    evictions: u64,
-    promotions: u64,
     /// In-neighbor cache, ascending: the origins `j < n` whose latest
     /// applied LSA claims a link to us. Kept in sync on apply / expire /
     /// ban / forget ([`Self::set_in_nbr`]) so gossip target selection
@@ -572,17 +626,6 @@ pub struct EgoistNode<T: Transport> {
     ping_cursor: usize,
     /// Capped-exponential join retry schedule.
     backoff: crate::bootstrap::Backoff,
-    announces: u64,
-    unmeasured_links: u64,
-    gossip_forwards: u64,
-    ae_digests: u64,
-    ae_pulls: u64,
-    ae_pushed: u64,
-    ae_refreshed: u64,
-    ae_refresh_pulls: u64,
-    claims_corroborated: u64,
-    claims_contradicted: u64,
-    links_quarantined: u64,
     /// Scratch membership marks for [`Self::remember_passive_all`].
     peer_mark: Vec<bool>,
 }
@@ -591,6 +634,7 @@ impl<T: Transport> EgoistNode<T> {
     /// Build a node over a transport endpoint.
     pub fn new(cfg: NodeConfig, transport: T) -> Self {
         assert_eq!(cfg.id, transport.local_id(), "config/transport id mismatch");
+        cfg.policy.assert_valid();
         let n = cfg.n;
         let max_age = cfg
             .lsdb_max_age
@@ -611,19 +655,13 @@ impl<T: Transport> EgoistNode<T> {
                 ..NodeView::default()
             })),
             t0: Instant::now(),
-            rewirings: 0,
-            epochs: 0,
-            decode_errors: 0,
+            tallies: Tallies::default(),
             overhead: OverheadCounters::default(),
             join_wired: false,
             scores: vec![PeerScore::default(); n],
             banned: vec![false; n],
             passive: Vec::new(),
             first_heard: vec![None; n],
-            join_retries: 0,
-            demotions: 0,
-            evictions: 0,
-            promotions: 0,
             in_nbrs: Vec::new(),
             last_announced: Vec::new(),
             announce_ticks: 0,
@@ -635,17 +673,6 @@ impl<T: Transport> EgoistNode<T> {
                 cfg.join_backoff_cap,
                 cfg.seed,
             ),
-            announces: 0,
-            unmeasured_links: 0,
-            gossip_forwards: 0,
-            ae_digests: 0,
-            ae_pulls: 0,
-            ae_pushed: 0,
-            ae_refreshed: 0,
-            ae_refresh_pulls: 0,
-            claims_corroborated: 0,
-            claims_contradicted: 0,
-            links_quarantined: 0,
             peer_mark: Vec::new(),
             cfg,
             transport,
@@ -668,6 +695,14 @@ impl<T: Transport> EgoistNode<T> {
         obs.send_bytes[class.slot()].add(frame.len() as u64);
         // A failed send is a lost datagram; the transport counts it.
         let _ = self.transport.send(to, frame);
+    }
+
+    /// Add `n` to a tally, and to its obs counter when it has one.
+    fn bump(&mut self, t: Tally, n: u64) {
+        self.tallies[t] += n;
+        if let Some(counter) = &proto_obs().tallies[t as usize] {
+            counter.add(n);
+        }
     }
 
     /// Known overlay members other than self: LSDB origins plus anyone we
@@ -772,8 +807,7 @@ impl<T: Transport> EgoistNode<T> {
             return false;
         }
         self.banned[peer.index()] = true;
-        self.evictions += 1;
-        proto_obs().evictions.inc();
+        self.bump(Tally::Evictions, 1);
         proto_obs().peer_score.observe(score as f64);
         egoist_obs::event_at(
             (self.now_secs() * 1e9) as u64,
@@ -801,8 +835,7 @@ impl<T: Transport> EgoistNode<T> {
             return;
         }
         self.wiring.retain(|&w| w != peer);
-        self.demotions += 1;
-        proto_obs().demotions.inc();
+        self.bump(Tally::Demotions, 1);
         egoist_obs::event_at(
             (self.now_secs() * 1e9) as u64,
             "proto.peer.demote",
@@ -935,10 +968,8 @@ impl<T: Transport> EgoistNode<T> {
     /// Send an anti-entropy push, tallying the LSAs it carries.
     fn push_sync(&mut self, peer: NodeId, push: Option<SyncPush>) {
         let Some(push) = push else { return };
-        self.ae_pushed += push.records;
-        self.ae_refreshed += push.refreshes;
-        proto_obs().ae_pushed.add(push.records);
-        proto_obs().ae_refresh_sent.add(push.refreshes);
+        self.bump(Tally::AePushed, push.records);
+        self.bump(Tally::AeRefreshed, push.refreshes);
         self.send_frame(peer, MessageClass::Sync, push.frame);
     }
 
@@ -1018,9 +1049,8 @@ impl<T: Transport> EgoistNode<T> {
         }
         self.announce_ticks = 0;
         self.seq += 1;
-        self.announces += 1;
-        self.unmeasured_links += unmeasured.len() as u64;
-        proto_obs().announce_unmeasured.add(unmeasured.len() as u64);
+        self.bump(Tally::Announces, 1);
+        self.bump(Tally::UnmeasuredLinks, unmeasured.len() as u64);
         let lsa = LinkStateAnnouncement {
             origin: self.cfg.id,
             seq: self.seq,
@@ -1061,15 +1091,13 @@ impl<T: Transport> EgoistNode<T> {
             match self.cfg.claims.rank(est_o, est_x, l.cost as f64) {
                 ClaimVerdict::Contradicted => contradicted += 1,
                 ClaimVerdict::Corroborated => {
-                    self.claims_corroborated += 1;
-                    proto_obs().claims_corroborated.inc();
+                    self.bump(Tally::ClaimsCorroborated, 1);
                 }
                 ClaimVerdict::Unknown => {}
             }
         }
         if contradicted > 0 {
-            self.claims_contradicted += contradicted as u64;
-            proto_obs().claims_contradicted.add(contradicted as u64);
+            self.bump(Tally::ClaimsContradicted, contradicted as u64);
             self.scores[o.index()].contradicted_epoch = self.scores[o.index()]
                 .contradicted_epoch
                 .saturating_add(contradicted);
@@ -1315,8 +1343,7 @@ impl<T: Transport> EgoistNode<T> {
         // peers that lost theirs stay remembered for later re-probing.
         for &w in &new_wiring {
             if old.binary_search(&w).is_err() && self.passive.contains(&w) {
-                self.promotions += 1;
-                proto_obs().promotions.inc();
+                self.bump(Tally::Promotions, 1);
                 // Re-promotion wipes the responsiveness ledger: the link
                 // is being retried on fresh evidence, not old grudges.
                 self.scores[w.index()].health.reset();
@@ -1349,31 +1376,14 @@ impl<T: Transport> EgoistNode<T> {
         v.wiring = self.wiring.clone();
         v.direct_est = self.est.iter().map(|e| e.value).collect();
         v.lsdb_size = self.lsdb.len();
-        v.epochs_completed = self.epochs;
-        v.rewirings = self.rewirings;
         v.next_hops = next_hops;
-        v.overhead = self.overhead.clone();
-        v.decode_errors = self.decode_errors;
+        v.overhead = self.overhead;
+        v.tallies = self.tallies;
         v.passive_view = self.passive.clone();
         v.banned = (0..self.cfg.n)
             .filter(|&j| self.banned[j])
             .map(NodeId::from_index)
             .collect();
-        v.join_retries = self.join_retries;
-        v.demotions = self.demotions;
-        v.evictions = self.evictions;
-        v.promotions = self.promotions;
-        v.announces = self.announces;
-        v.unmeasured_links = self.unmeasured_links;
-        v.gossip_forwards = self.gossip_forwards;
-        v.ae_digests = self.ae_digests;
-        v.ae_pulls = self.ae_pulls;
-        v.ae_pushed = self.ae_pushed;
-        v.ae_refreshed = self.ae_refreshed;
-        v.ae_refresh_pulls = self.ae_refresh_pulls;
-        v.claims_corroborated = self.claims_corroborated;
-        v.claims_contradicted = self.claims_contradicted;
-        v.links_quarantined = self.links_quarantined;
         v.misbehavior_total = self.scores.iter().map(|s| s.total_points).collect();
         if self.cfg.expose_route_edges {
             v.route_edges = g.edges().map(|(f, t, _)| (NodeId(f), NodeId(t))).collect();
@@ -1388,8 +1398,7 @@ impl<T: Transport> EgoistNode<T> {
         let msg = match decode(&frame) {
             Ok(m) => m,
             Err(_) => {
-                self.decode_errors += 1;
-                proto_obs().decode_errors.inc();
+                self.bump(Tally::DecodeErrors, 1);
                 // Garbage from a known sender scores one misbehavior
                 // point. Link corruption hits honest peers too, so the
                 // rate matters, not the event: background corruption
@@ -1467,7 +1476,7 @@ impl<T: Transport> EgoistNode<T> {
                 }
                 // Links we do not hold come back full, from the pusher.
                 if !lacking.is_empty() {
-                    self.ae_refresh_pulls += 1;
+                    self.bump(Tally::AeRefreshPulls, 1);
                     let pull = Message::LsdbPull {
                         from: self.cfg.id,
                         origins: lacking,
@@ -1480,8 +1489,7 @@ impl<T: Transport> EgoistNode<T> {
                 // LSA is neither believed nor propagated. Fresh with TTL
                 // budget left → push on to a fanout-bounded subset.
                 if self.admit_lsa(&lsa, now) && ttl > 0 {
-                    self.gossip_forwards += 1;
-                    proto_obs().gossip_forwards.inc();
+                    self.bump(Tally::GossipForwards, 1);
                     self.gossip_lsa(lsa, ttl - 1, Some(from));
                 }
             }
@@ -1502,8 +1510,7 @@ impl<T: Transport> EgoistNode<T> {
                 self.push_sync(peer, sync_push(&push.full, &push.refreshes));
                 let stale = self.lsdb.stale_origins(&entries);
                 if !stale.is_empty() {
-                    self.ae_pulls += 1;
-                    proto_obs().ae_pulls.inc();
+                    self.bump(Tally::AePulls, 1);
                     self.send_msg(
                         peer,
                         &Message::LsdbPull {
@@ -1560,7 +1567,7 @@ impl<T: Transport> EgoistNode<T> {
                                     ("secs", joined.into()),
                                 ],
                             );
-                            self.rewirings += 1;
+                            self.bump(Tally::Rewirings, 1);
                             self.announce(true);
                             self.publish();
                         }
@@ -1585,7 +1592,7 @@ impl<T: Transport> EgoistNode<T> {
                 self.wiring.retain(|&w| w != leaver);
                 if had && self.cfg.mode == RewireMode::Immediate {
                     if self.rewire() {
-                        self.rewirings += 1;
+                        self.bump(Tally::Rewirings, 1);
                     }
                     self.announce(true);
                 }
@@ -1644,7 +1651,7 @@ impl<T: Transport> EgoistNode<T> {
                 }
                 self.wiring.retain(|w| !dead.contains(w));
                 if self.rewire() {
-                    self.rewirings += 1;
+                    self.bump(Tally::Rewirings, 1);
                 }
                 self.announce(true);
                 self.publish();
@@ -1669,8 +1676,7 @@ impl<T: Transport> EgoistNode<T> {
         }
         let partner = peers[self.sync_cursor % peers.len()];
         self.sync_cursor = self.sync_cursor.wrapping_add(1);
-        self.ae_digests += 1;
-        proto_obs().ae_digests.inc();
+        self.bump(Tally::AeDigests, 1);
         let entries = self.lsdb.digest();
         self.send_msg(
             partner,
@@ -1689,8 +1695,7 @@ impl<T: Transport> EgoistNode<T> {
     /// re-arm. Returns the delay until the next watchdog check.
     pub async fn tick_join(&mut self) -> Duration {
         if !self.knows_more_peers_than(self.cfg.k) {
-            self.join_retries += 1;
-            proto_obs().join_retries.inc();
+            self.bump(Tally::JoinRetries, 1);
             if let Some(b) = self.cfg.bootstrap {
                 self.send_msg(b, &Message::BootstrapRequest { from: self.cfg.id });
             }
@@ -1713,9 +1718,9 @@ impl<T: Transport> EgoistNode<T> {
             self.wiring.retain(|w| !dead.contains(w));
         }
         if self.rewire() {
-            self.rewirings += 1;
+            self.bump(Tally::Rewirings, 1);
         }
-        self.epochs += 1;
+        self.bump(Tally::Epochs, 1);
         self.announce(false);
         // Second-hand claim tallies convert to capped misbehavior points
         // once per epoch: a lure whose per-victim forgeries draw fresh
@@ -1782,6 +1787,15 @@ mod tests {
         cfg
     }
 
+    #[test]
+    #[should_panic(expected = "HybridBestResponse { k2: 3 }: k2 must be even")]
+    fn node_rejects_an_odd_hybrid_k2() {
+        let net = SimNet::clean(DistanceMatrix::off_diagonal(4, 1.0));
+        let mut cfg = short_timers(0, 4, 3);
+        cfg.policy = PolicyKind::HybridBestResponse { k2: 3 };
+        EgoistNode::new(cfg, net.endpoint(NodeId(0)));
+    }
+
     /// `delays` between nodes `0..n`, on a net with ids up to 1000 (the
     /// bootstrap gets 1000) at 1 ms elsewhere.
     fn with_bootstrap_ids(n: usize, delays: &DistanceMatrix) -> DistanceMatrix {
@@ -1845,9 +1859,9 @@ mod tests {
                 let v = wheel.view(i);
                 assert_eq!(v.wiring.len(), 3, "node {i} wiring {:?}", v.wiring);
                 assert!(
-                    v.epochs_completed >= 4,
+                    v.tallies[Tally::Epochs] >= 4,
                     "node {i} ran {} epochs",
-                    v.epochs_completed
+                    v.tallies[Tally::Epochs]
                 );
                 // Routes to every other node.
                 let reachable = (0..8)
@@ -2065,12 +2079,16 @@ mod tests {
                 let v = wheel.view(i);
                 assert!(v.wiring.is_empty(), "node {i} wired with no seed?");
                 assert!(
-                    v.join_retries >= 4,
+                    v.tallies[Tally::JoinRetries] >= 4,
                     "node {i} retried only {} times in 40 s",
-                    v.join_retries
+                    v.tallies[Tally::JoinRetries]
                 );
                 // Capped backoff: retries are bounded too (not a hot loop).
-                assert!(v.join_retries <= 40, "node {i}: {} retries", v.join_retries);
+                assert!(
+                    v.tallies[Tally::JoinRetries] <= 40,
+                    "node {i}: {} retries",
+                    v.tallies[Tally::JoinRetries]
+                );
             }
             // The seed comes up late; the next capped retry finds it and
             // the join completes.
@@ -2435,7 +2453,10 @@ mod tests {
         tokio::runtime::block_on_paused(async {
             let (mut node, [mut one, mut two]) = probe_rig();
             node.announce(false);
-            assert_eq!((node.seq, node.announces, node.held), (0, 0, Some(false)));
+            assert_eq!(
+                (node.seq, node.tallies[Tally::Announces], node.held),
+                (0, 0, Some(false))
+            );
             assert!(
                 inbox(&mut one).await.is_empty(),
                 "the measured peer hears nothing"
@@ -2446,7 +2467,10 @@ mod tests {
                 "one heartbeat probe, no LSA: {got:?}"
             );
             answer_pings(&mut node, &mut two, &got).await;
-            assert_eq!((node.seq, node.announces, node.held), (1, 1, None));
+            assert_eq!(
+                (node.seq, node.tallies[Tally::Announces], node.held),
+                (1, 1, None)
+            );
             let measured = node.est[2].value;
             assert!(measured > 1.0, "{measured}");
             for peer in [&mut one, &mut two] {
@@ -2457,7 +2481,7 @@ mod tests {
                 assert_eq!(cost_to(sent[0], NodeId(1)), 3.0);
                 assert_eq!(cost_to(sent[0], NodeId(2)), measured as f32);
             }
-            assert_eq!(node.unmeasured_links, 0);
+            assert_eq!(node.tallies[Tally::UnmeasuredLinks], 0);
         });
     }
 
@@ -2473,8 +2497,11 @@ mod tests {
             assert_eq!(node.held, Some(false));
             assert_eq!(inbox(&mut two).await.len(), 1, "the probe, then lost");
             node.announce(false);
-            assert_eq!((node.seq, node.announces, node.held), (1, 1, None));
-            assert_eq!(node.unmeasured_links, 1);
+            assert_eq!(
+                (node.seq, node.tallies[Tally::Announces], node.held),
+                (1, 1, None)
+            );
+            assert_eq!(node.tallies[Tally::UnmeasuredLinks], 1);
             for peer in [&mut one, &mut two] {
                 let got = inbox(peer).await;
                 let sent = lsas(&got);
@@ -2535,8 +2562,11 @@ mod tests {
             (
                 &node.lsdb,
                 &node.scores,
-                (node.claims_corroborated, node.claims_contradicted),
-                (&node.banned, &node.in_nbrs, node.evictions),
+                (
+                    node.tallies[Tally::ClaimsCorroborated],
+                    node.tallies[Tally::ClaimsContradicted]
+                ),
+                (&node.banned, &node.in_nbrs, node.tallies[Tally::Evictions]),
                 (&node.est, &node.wiring, &node.passive),
             )
         )
@@ -2602,7 +2632,7 @@ mod tests {
                 short.handle_frame(from, encode(&as_refreshes));
                 assert_eq!(lsa_state(&full), lsa_state(&short), "case {case}");
                 // Nothing was pulled.
-                assert_eq!(short.ae_refresh_pulls, 0, "case {case}");
+                assert_eq!(short.tallies[Tally::AeRefreshPulls], 0, "case {case}");
             });
         }
     }
@@ -2687,7 +2717,13 @@ mod tests {
                     origins: vec![NodeId(2), NodeId(6), NodeId(7)],
                 }]
             );
-            assert_eq!((node.ae_refresh_pulls, node.ae_pulls), (1, 0));
+            assert_eq!(
+                (
+                    node.tallies[Tally::AeRefreshPulls],
+                    node.tallies[Tally::AePulls]
+                ),
+                (1, 0)
+            );
 
             // Only stale entries: nothing changes, nothing is sent.
             let stale = Message::LsdbSync {
@@ -2740,17 +2776,29 @@ mod tests {
                 entries: receiver.lsdb.digest(),
             };
             pusher.handle_frame(receiver.id(), encode(&digest));
-            assert_eq!((pusher.ae_pushed, pusher.ae_refreshed), (1, 1));
+            assert_eq!(
+                (
+                    pusher.tallies[Tally::AePushed],
+                    pusher.tallies[Tally::AeRefreshed]
+                ),
+                (1, 1)
+            );
             tokio::time::sleep(settle).await;
             receiver.drain().await; // the refresh misses: pull
-            assert_eq!(receiver.ae_refresh_pulls, 1);
+            assert_eq!(receiver.tallies[Tally::AeRefreshPulls], 1);
             assert_eq!(
                 receiver.lsdb.get(NodeId(4)),
                 Some((&rig_lsa(4, 5, 2.0)).into())
             );
             tokio::time::sleep(settle).await;
             pusher.drain().await; // full answer
-            assert_eq!((pusher.ae_pushed, pusher.ae_refreshed), (2, 1));
+            assert_eq!(
+                (
+                    pusher.tallies[Tally::AePushed],
+                    pusher.tallies[Tally::AeRefreshed]
+                ),
+                (2, 1)
+            );
             tokio::time::sleep(settle).await;
             receiver.drain().await;
             assert_eq!(

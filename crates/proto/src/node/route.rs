@@ -4,7 +4,7 @@
 //! ([`egoist_core::game::choose`]), which sweeps its residual rows on
 //! demand.
 
-use super::{proto_obs, EgoistNode, AUDIT_RATIO};
+use super::{EgoistNode, Tally, AUDIT_RATIO};
 use crate::audit::ClaimVerdict;
 use crate::transport::Transport;
 use egoist_graph::csr::first_hops;
@@ -78,10 +78,9 @@ impl<T: Transport> EgoistNode<T> {
             }
             g.end_row();
         }
-        proto_obs().links_quarantined.add(quarantined);
         // Cumulative over the node's lifetime (the report sums ledgers,
         // not instantaneous snapshots).
-        self.links_quarantined = self.links_quarantined.saturating_add(quarantined);
+        self.bump(Tally::LinksQuarantined, quarantined);
         g
     }
 

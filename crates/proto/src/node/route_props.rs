@@ -52,7 +52,7 @@ impl<T: Transport> EgoistNode<T> {
                 g.add_edge(from, l.neighbor, l.cost as f64);
             }
         }
-        self.links_quarantined = self.links_quarantined.saturating_add(quarantined);
+        self.bump(Tally::LinksQuarantined, quarantined);
         for &w in &self.wiring {
             let c = self.est[w.index()].value;
             if !c.is_nan() {
@@ -128,9 +128,9 @@ proptest! {
         let me = node.cfg.id;
 
         let csr = node.routing_graph();
-        let struck_csr = node.links_quarantined;
+        let struck_csr = node.tallies[Tally::LinksQuarantined];
         let oracle = node.routing_digraph();
-        let struck_oracle = node.links_quarantined - struck_csr;
+        let struck_oracle = node.tallies[Tally::LinksQuarantined] - struck_csr;
         prop_assert_eq!(struck_csr, struck_oracle, "quarantine ledger");
 
         let bits = |mut e: Vec<(u32, u32, u64)>| {

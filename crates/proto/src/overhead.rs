@@ -9,39 +9,37 @@
 //! * link-state protocol: `≈ (192 + 32k) / T_announce` bps per node.
 //!
 //! [`OverheadCounters`] measures what a node actually sent per message
-//! class; [`analytic`] evaluates the formulas with either the paper's
+//! class: a `Copy` table of `(frames, bytes)` per class, which the node
+//! publishes into its view by assignment and the fleet report sums with
+//! `+=`. [`analytic`] evaluates the formulas with either the paper's
 //! frame sizes or ours, so the bench can print both side by side.
 
 use crate::message::MessageClass;
-use std::collections::HashMap;
+use std::ops::AddAssign;
 
-/// Byte/frame counters per message class.
-#[derive(Clone, Debug, Default)]
+/// `(frames, bytes)` sent per message class, indexed by
+/// [`MessageClass::slot`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverheadCounters {
-    frames: HashMap<MessageClass, u64>,
-    bytes: HashMap<MessageClass, u64>,
+    per_class: [(u64, u64); MessageClass::ALL.len()],
 }
 
 impl OverheadCounters {
     /// Record one sent frame.
     pub fn record(&mut self, class: MessageClass, len: usize) {
-        *self.frames.entry(class).or_insert(0) += 1;
-        *self.bytes.entry(class).or_insert(0) += len as u64;
+        let (frames, bytes) = &mut self.per_class[class.slot()];
+        *frames += 1;
+        *bytes += len as u64;
     }
 
     /// Frames sent in a class.
     pub fn frames(&self, class: MessageClass) -> u64 {
-        self.frames.get(&class).copied().unwrap_or(0)
+        self.per_class[class.slot()].0
     }
 
     /// Bytes sent in a class.
     pub fn bytes(&self, class: MessageClass) -> u64 {
-        self.bytes.get(&class).copied().unwrap_or(0)
-    }
-
-    /// Total bytes across all classes.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.values().sum()
+        self.per_class[class.slot()].1
     }
 
     /// Average sending rate of a class in bits per second over a window.
@@ -50,6 +48,15 @@ impl OverheadCounters {
             return 0.0;
         }
         self.bytes(class) as f64 * 8.0 / window_secs
+    }
+}
+
+impl AddAssign for OverheadCounters {
+    fn add_assign(&mut self, rhs: Self) {
+        for (mine, theirs) in self.per_class.iter_mut().zip(rhs.per_class) {
+            mine.0 += theirs.0;
+            mine.1 += theirs.1;
+        }
     }
 }
 
@@ -93,7 +100,11 @@ mod tests {
         c.record(MessageClass::LinkState, 40);
         assert_eq!(c.frames(MessageClass::Measurement), 2);
         assert_eq!(c.bytes(MessageClass::Measurement), 104);
-        assert_eq!(c.total_bytes(), 144);
+        assert_eq!(c.bytes(MessageClass::LinkState), 40);
+        let mut sum = c;
+        sum += c;
+        assert_eq!(sum.frames(MessageClass::Measurement), 4);
+        assert_eq!(sum.bytes(MessageClass::LinkState), 80);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! link delays and fault injection, with tokio's paused clock making
 //! tests instant and deterministic). Either way the node sends
 //! synchronously and its driver, the [`crate::wheel::Wheel`], drains
-//! what arrived with [`Transport::try_recv`].
+//! what arrived with [`Transport::try_recv`]. A [`SimNet`]'s verdict
+//! counts are its injector's own [`FaultStats`], re-exported here.
 //!
 //! # How [`SimNet`] delivers
 //!
@@ -43,6 +44,8 @@
 
 use bytes::Bytes;
 use egoist_graph::{DistanceMatrix, NodeId};
+/// The verdict counts a [`SimNet`] reports ([`SimNet::fault_stats`]).
+pub use egoist_netsim::fault::FaultStats;
 use egoist_netsim::fault::{FaultConfig, FaultInjector, FaultPlan, Verdict};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -309,31 +312,8 @@ impl SimNet {
 
     /// Snapshot of the shared fault injector's verdict counters.
     pub fn fault_stats(&self) -> FaultStats {
-        let f = self.inner.fault.lock();
-        FaultStats {
-            passed: f.passed,
-            dropped: f.dropped,
-            corrupted: f.corrupted,
-            rate_limited: f.rate_limited,
-            cut: f.cut,
-            duplicated: f.duplicated,
-            reordered: f.reordered,
-            jittered: f.jittered,
-        }
+        self.inner.fault.lock().stats
     }
-}
-
-/// Verdict counters of a [`SimNet`]'s injector, for robustness reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    pub passed: u64,
-    pub dropped: u64,
-    pub corrupted: u64,
-    pub rate_limited: u64,
-    pub cut: u64,
-    pub duplicated: u64,
-    pub reordered: u64,
-    pub jittered: u64,
 }
 
 /// One node's endpoint on a [`SimNet`].

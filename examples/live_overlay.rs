@@ -13,6 +13,7 @@
 use egoist_graph::NodeId;
 use egoist_proto::bootstrap::{BootstrapServer, Registry};
 use egoist_proto::message::MessageClass;
+use egoist_proto::node::Tally;
 use egoist_proto::{EgoistNode, NodeConfig, UdpTransport, Wheel};
 use std::time::Duration;
 
@@ -86,7 +87,7 @@ async fn run() -> std::io::Result<()> {
             format!("v{i}"),
             format!("{:?}", v.wiring),
             format!("{routes}/{}", N - 1),
-            v.rewirings,
+            v.tallies[Tally::Rewirings],
             v.overhead.bytes(MessageClass::LinkState),
         );
     }

@@ -16,6 +16,7 @@
 use egoist_proto::fleet::{
     run_fleet, storm_partition_profile, sybil_eclipse_profile, third_party_lure_profile,
 };
+use egoist_proto::node::Tally;
 use std::sync::RwLock;
 
 /// The obs registry is process-global: the one test that reads counters
@@ -94,11 +95,11 @@ fn third_party_forgery_is_quarantined_and_banned() {
     let r = run_fleet(&cfg);
     // The ranking engine actually fired on the forged claims…
     assert!(
-        r.claims_contradicted > 0,
+        r.tallies[Tally::ClaimsContradicted] > 0,
         "no third-party claim was ever contradicted"
     );
     assert!(
-        r.links_quarantined > 0,
+        r.tallies[Tally::LinksQuarantined] > 0,
         "no forged link was ever quarantined from route computation"
     );
     // …and no forged link survives in any honest routing graph.
@@ -153,11 +154,11 @@ fn wire_totals(r: &egoist_proto::fleet::RobustnessReport) -> WireTotals {
     (
         r.overhead.clone(),
         [
-            r.ae_pushed,
-            r.ae_pulls,
-            r.gossip_forwards,
-            r.ae_refreshed,
-            r.ae_refresh_pulls,
+            r.tallies[Tally::AePushed],
+            r.tallies[Tally::AePulls],
+            r.tallies[Tally::GossipForwards],
+            r.tallies[Tally::AeRefreshed],
+            r.tallies[Tally::AeRefreshPulls],
         ],
     )
 }
@@ -387,9 +388,9 @@ fn best_response_fleet_sends_refreshes_as_refreshes() {
     // The report carries the same tallies as of each node's last
     // published view, as a subset of what was pushed; a pull frame goes
     // out only when some entry was pulled.
-    assert!(0 < r.ae_refreshed && r.ae_refreshed <= sent);
-    assert!(r.ae_refreshed <= r.ae_pushed);
-    assert!(r.ae_refresh_pulls <= pulled);
+    assert!(0 < r.tallies[Tally::AeRefreshed] && r.tallies[Tally::AeRefreshed] <= sent);
+    assert!(r.tallies[Tally::AeRefreshed] <= r.tallies[Tally::AePushed]);
+    assert!(r.tallies[Tally::AeRefreshPulls] <= pulled);
     assert!(r.final_reachability >= 0.95, "{}", r.final_reachability);
 }
 
@@ -424,7 +425,18 @@ fn a_loss_free_random_fleet_announces_only_measured_links() {
     let held = reg.counter_value("proto.announce.held");
     assert!(held > 0, "no announcement was held for a probe");
     assert_eq!(reg.counter_value("proto.announce.unmeasured_links"), 0);
-    assert_eq!(r.unmeasured_links, 0, "{} announces", r.announces);
-    assert_eq!((r.evictions, r.links_quarantined), (0, 0));
+    assert_eq!(
+        r.tallies[Tally::UnmeasuredLinks],
+        0,
+        "{} announces",
+        r.tallies[Tally::Announces]
+    );
+    assert_eq!(
+        (
+            r.tallies[Tally::Evictions],
+            r.tallies[Tally::LinksQuarantined]
+        ),
+        (0, 0)
+    );
     assert!(r.final_reachability >= 0.95, "{}", r.final_reachability);
 }

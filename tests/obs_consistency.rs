@@ -2,10 +2,13 @@
 //!
 //! Three claims pinned here:
 //!
-//! 1. the protocol layer's per-message-class registry counters agree
-//!    *exactly* with the per-node [`OverheadCounters`] ledgers summed
-//!    over a full overlay run — the two accounting paths (obs registry
-//!    vs. the §4.3 overhead accountant) see every frame the same way;
+//! 1. the protocol layer's registry counters agree *exactly* with the
+//!    per-node ledgers summed over a full overlay run: each per-class
+//!    send counter with the [`OverheadCounters`] of the views, and each
+//!    [`Tally`] that names an obs counter with the views' [`Tallies`] —
+//!    the two accounting paths (obs registry vs. the §4.3 overhead
+//!    accountant and the node's tallies) see every frame and every
+//!    counted event the same way;
 //! 2. instrumentation is invisible to the simulation: a closed-loop
 //!    traffic run produces a byte-identical report whether obs (and the
 //!    flight recorder) is on or off;
@@ -18,6 +21,7 @@
 use egoist::graph::{DistanceMatrix, NodeId};
 use egoist::proto::bootstrap::{BootstrapServer, Registry};
 use egoist::proto::message::MessageClass;
+use egoist::proto::node::Tally;
 use egoist::proto::{EgoistNode, NodeConfig, SimNet, Wheel};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -95,6 +99,26 @@ fn proto_registry_counters_match_overhead_ledgers() {
             reg_bytes, ledger_bytes,
             "{label}: registry bytes vs summed per-node ledgers"
         );
+    }
+    for t in Tally::ALL {
+        let Some(name) = t.obs_name() else { continue };
+        let ledger: u64 = views.iter().map(|v| v.read().tallies[t]).sum();
+        assert_eq!(
+            reg.counter_value(name),
+            ledger,
+            "{t:?}: registry {name} vs summed per-node tallies"
+        );
+    }
+    // A clean net leaves the error, ban and quarantine tallies at 0;
+    // these ones are compared above on counts that are not.
+    for t in [
+        Tally::Promotions,
+        Tally::GossipForwards,
+        Tally::AeDigests,
+        Tally::ClaimsCorroborated,
+    ] {
+        let name = t.obs_name().expect("paired with an obs counter");
+        assert!(reg.counter_value(name) > 0, "{name} never counted");
     }
     // The overlay actually did something measurable, and the
     // heartbeat/measurement split is real: liveness pings to wired

@@ -9,6 +9,7 @@ use egoist::graph::{DiGraph, DistanceMatrix, NodeId};
 use egoist::netsim::fault::FaultConfig;
 use egoist::netsim::DelayModel;
 use egoist::proto::bootstrap::{BootstrapServer, Registry};
+use egoist::proto::node::Tally;
 use egoist::proto::{EgoistNode, NodeConfig, SimNet, SimTransport, UdpTransport, Wheel};
 use std::time::Duration;
 
@@ -187,7 +188,7 @@ fn rewire_jobs_wire_every_node_to_k_distinct_peers() {
 
         for i in 0..n {
             let v = wheel.view(i);
-            assert!(v.rewirings > 0, "v{i} never re-wired");
+            assert!(v.tallies[Tally::Rewirings] > 0, "v{i} never re-wired");
             let mut wiring = v.wiring.clone();
             wiring.sort_unstable();
             wiring.dedup();
