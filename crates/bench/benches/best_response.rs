@@ -17,7 +17,7 @@ use egoist_core::wiring::Wiring;
 use egoist_graph::apsp::apsp;
 use egoist_graph::csr::MinPlus;
 use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
-use egoist_netsim::delay::{DelayConfig, DelayModel};
+use egoist_netsim::delay::DelayModel;
 use egoist_netsim::rng::derive;
 use egoist_netsim::{BandwidthModel, PlanetLabSpec, Region};
 use std::hint::black_box;
@@ -32,13 +32,9 @@ struct Fixture {
 }
 
 fn fixture(n: usize, k: usize) -> Fixture {
-    let d = DelayModel::from_spec(
-        &PlanetLabSpec::uniform(Region::NorthAmerica, n),
-        &DelayConfig::default(),
-        1,
-    )
-    .base()
-    .clone();
+    let d = DelayModel::from_spec(&PlanetLabSpec::uniform(Region::NorthAmerica, n), 1)
+        .base()
+        .clone();
     // A circulant wiring as the residual overlay.
     let mut w = Wiring::empty(n);
     for i in 0..n {
@@ -232,7 +228,7 @@ fn bench_bw_local_search(c: &mut Criterion) {
     // The widest-path semiring on the same core, n = 300, k = 8, from a
     // poor start (the k last candidates) so several swap rounds run.
     let (n, k) = (300usize, 8usize);
-    let bw = BandwidthModel::with_defaults(n, 1);
+    let bw = BandwidthModel::new(n, 1);
     let mut g = DiGraph::new(n);
     for i in 1..n {
         for o in 1..=k {

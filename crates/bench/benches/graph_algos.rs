@@ -11,20 +11,16 @@ use egoist_graph::disjoint::edge_disjoint_paths;
 use egoist_graph::maxflow::max_flow;
 use egoist_graph::widest::widest_paths;
 use egoist_graph::{CsrGraph, DiGraph, NodeId};
-use egoist_netsim::delay::{DelayConfig, DelayModel};
+use egoist_netsim::delay::DelayModel;
 use egoist_netsim::{PlanetLabSpec, Region};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn overlay(n: usize, k: usize) -> DiGraph {
-    let d = DelayModel::from_spec(
-        &PlanetLabSpec::uniform(Region::NorthAmerica, n),
-        &DelayConfig::default(),
-        1,
-    )
-    .base()
-    .clone();
+    let d = DelayModel::from_spec(&PlanetLabSpec::uniform(Region::NorthAmerica, n), 1)
+        .base()
+        .clone();
     let mut g = DiGraph::new(n);
     for i in 0..n {
         for o in 1..=k {

@@ -28,7 +28,7 @@ fn main() {
         ],
         &[2usize, 3, 4, 5, 6, 7, 8],
         |k, seed| {
-            let bw = BandwidthModel::with_defaults(n, seed);
+            let bw = BandwidthModel::new(n, seed);
             let overlay = bandwidth_overlay(&bw, k, 2);
             let (parallel, bound) = average_gains(&overlay, &bw, &members);
             (k as f64, vec![stats::mean(&bound), stats::mean(&parallel)])

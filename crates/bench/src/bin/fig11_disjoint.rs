@@ -26,7 +26,6 @@ fn main() {
             } else {
                 DelayModel::from_spec(
                     &egoist_netsim::PlanetLabSpec::uniform(egoist_netsim::Region::NorthAmerica, n),
-                    &egoist_netsim::delay::DelayConfig::default(),
                     seed,
                 )
                 .base()

@@ -18,7 +18,7 @@ use egoist_core::sampling::{rank, shortlist};
 use egoist_graph::apsp::apsp;
 use egoist_graph::csr::MaxMin;
 use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
-use egoist_netsim::delay::{DelayConfig, DelayModel};
+use egoist_netsim::delay::DelayModel;
 use egoist_netsim::rng::derive;
 use egoist_netsim::PlanetLabSpec;
 use rand::rngs::StdRng;
@@ -88,7 +88,7 @@ fn main() {
         };
     }
     spec.counts.push((egoist_netsim::Region::NorthAmerica, 1));
-    let model = DelayModel::from_spec(&spec, &DelayConfig::default(), seed);
+    let model = DelayModel::from_spec(&spec, seed);
     let d = model.base().clone();
     let n = d.len();
     let newcomer = NodeId::from_index(n - 1);

@@ -200,7 +200,7 @@ mod tests {
         // against the dense reference it used to call: dead nodes (no
         // edges), a reused workspace and unreachable targets included.
         let n = 23;
-        let bw = egoist_netsim::BandwidthModel::with_defaults(n, 5).available_matrix();
+        let bw = egoist_netsim::BandwidthModel::new(n, 5).available_matrix();
         let mut g = DiGraph::new(n);
         for i in (0..n).filter(|i| i % 7 != 3) {
             for o in [1, 4, 9] {

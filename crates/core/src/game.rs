@@ -613,11 +613,10 @@ mod tests {
     #[test]
     #[ignore]
     fn static_br_game_at_n500() {
-        use egoist_netsim::delay::DelayConfig;
         use egoist_netsim::{PlanetLabSpec, Region};
         const CAP: usize = 12;
         let spec = PlanetLabSpec::uniform(Region::NorthAmerica, 500);
-        let d = DelayModel::from_spec(&spec, &DelayConfig::default(), 11);
+        let d = DelayModel::from_spec(&spec, 11);
         for m in [64, usize::MAX] {
             let mut g = Game::new(d.base().clone(), 8, PolicyKind::BestResponse, 11);
             g.sample_size = m;

@@ -240,7 +240,7 @@ mod tests {
         for seed in 0..24u64 {
             let mut rng = egoist_netsim::rng::derive(seed, "multipath-port");
             let n = rng.random_range(4..20usize);
-            let bw = BandwidthModel::with_defaults(n, seed);
+            let bw = BandwidthModel::new(n, seed);
             // Node 0 has no out-edges (it may have in-edges); node n − 1
             // has no edges at all; about one edge in five carries 0 Mbps.
             let mut g = DiGraph::new(n);
@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn parallel_at_least_direct() {
-        let bw = BandwidthModel::with_defaults(12, 1);
+        let bw = BandwidthModel::new(12, 1);
         let g = star_overlay(&bw, 3);
         for s in 0..4 {
             for t in 5..9 {
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn more_neighbors_more_parallel_bandwidth() {
-        let bw = BandwidthModel::with_defaults(16, 2);
+        let bw = BandwidthModel::new(16, 2);
         let g2 = star_overlay(&bw, 2);
         let g6 = star_overlay(&bw, 6);
         let (p2, _) = average_gains(&g2, &bw, &(0..16).map(NodeId).collect::<Vec<_>>());
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn disjoint_paths_bounded_by_k() {
-        let bw = BandwidthModel::with_defaults(10, 3);
+        let bw = BandwidthModel::new(10, 3);
         for k in [2usize, 4] {
             let g = star_overlay(&bw, k);
             let members: Vec<NodeId> = (0..10).map(NodeId).collect();
@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn disjoint_paths_grow_with_k() {
-        let bw = BandwidthModel::with_defaults(12, 4);
+        let bw = BandwidthModel::new(12, 4);
         let members: Vec<NodeId> = (0..12).map(NodeId).collect();
         let mean_k = |k: usize| {
             let g = star_overlay(&bw, k);
@@ -349,7 +349,7 @@ mod tests {
 
     #[test]
     fn bandwidth_overlay_has_degree_k_and_beats_random_wiring() {
-        let bw = BandwidthModel::with_defaults(12, 9);
+        let bw = BandwidthModel::new(12, 9);
         let g = bandwidth_overlay(&bw, 3, 2);
         let members: Vec<NodeId> = (0..12).map(NodeId).collect();
         for &m in &members {
@@ -376,7 +376,7 @@ mod tests {
     fn direct_target_neighbor_counts_fully() {
         // When the target is itself a first-hop neighbor, that session is
         // limited only by first hop and session cap.
-        let bw = BandwidthModel::with_defaults(6, 5);
+        let bw = BandwidthModel::new(6, 5);
         let g = star_overlay(&bw, 2);
         let r = analyze_pair(&g, &bw, NodeId(0), NodeId(1));
         let expect_session = bw.available(0, 1).min(bw.session_cap(0));

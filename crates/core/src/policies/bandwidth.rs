@@ -21,7 +21,7 @@
 //!
 //! [`PolicyKind::instantiate_bandwidth`]: super::PolicyKind::instantiate_bandwidth
 
-use super::solver::{Instance, SolverArena};
+use super::solver::{Instance, SolverArena, MAX_ROUNDS};
 use super::{Policy, WiringContext};
 use egoist_graph::csr::MaxMin;
 use egoist_graph::widest::widest_paths;
@@ -56,7 +56,7 @@ pub fn bandwidth_best_response(
     let mut inst = BwInstance::build_in(ctx, arena);
     let k = ctx.effective_k();
     let init = inst.greedy(k, &[]);
-    let (subset, utility) = inst.local_search(k, init, &[], 64);
+    let (subset, utility) = inst.local_search(k, init, &[], MAX_ROUNDS);
     let nodes = inst.to_nodes(&subset);
     inst.recycle(arena);
     (nodes, utility)
@@ -196,7 +196,7 @@ mod tests {
 
     /// Residual overlay = ring wiring over a bandwidth model.
     fn make_parts(n: usize, seed: u64) -> Parts {
-        let bw = BandwidthModel::with_defaults(n, seed);
+        let bw = BandwidthModel::new(n, seed);
         let mut g = DiGraph::new(n);
         for i in 0..n {
             let j = (i + 1) % n;

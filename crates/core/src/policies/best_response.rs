@@ -17,7 +17,7 @@
 //! bandwidth objective shares; this module adds the pre-optimization
 //! reference loops the core is pinned against and the policy object.
 
-use super::solver::{indices_of, Instance, SolverArena};
+use super::solver::{indices_of, Instance, SolverArena, MAX_ROUNDS};
 use super::{Policy, WiringContext};
 use egoist_graph::csr::MinPlus;
 use egoist_graph::NodeId;
@@ -138,6 +138,9 @@ impl Instance<MinPlus> {
     }
 }
 
+/// Enumeration budget for the exact solver.
+const EXACT_BUDGET: u64 = 2_000_000;
+
 /// The Best-Response policy object.
 pub struct BestResponse {
     exact: bool,
@@ -145,10 +148,6 @@ pub struct BestResponse {
     /// oracle's timing-faithful mode). Results are bit-identical either
     /// way.
     pub reference: bool,
-    /// Maximum local-search rounds.
-    pub max_rounds: usize,
-    /// Enumeration budget for the exact solver.
-    pub exact_budget: u64,
     /// Relative hysteresis: keep the current wiring unless the best found
     /// wiring improves on it by more than this fraction. Best-response
     /// dynamics with an *approximate* solver can limit-cycle on near-ties
@@ -170,8 +169,6 @@ impl BestResponse {
         BestResponse {
             exact: false,
             reference: false,
-            max_rounds: 64,
-            exact_budget: 0,
             hysteresis: 0.01,
             arena: SolverArena::default(),
         }
@@ -182,8 +179,6 @@ impl BestResponse {
         BestResponse {
             exact: true,
             reference: false,
-            max_rounds: 64,
-            exact_budget: 2_000_000,
             hysteresis: 0.0,
             arena: SolverArena::default(),
         }
@@ -202,9 +197,9 @@ impl BestResponse {
         init: Vec<usize>,
     ) -> (Vec<usize>, f64) {
         if self.reference {
-            inst.local_search_reference(k, init, &[], self.max_rounds)
+            inst.local_search_reference(k, init, &[], MAX_ROUNDS)
         } else {
-            inst.local_search(k, init, &[], self.max_rounds)
+            inst.local_search(k, init, &[], MAX_ROUNDS)
         }
     }
 
@@ -241,7 +236,7 @@ impl BestResponse {
         }
 
         let (best_set, best_cost) = if self.exact {
-            match inst.exhaustive(k, &[], self.exact_budget) {
+            match inst.exhaustive(k, &[], EXACT_BUDGET) {
                 Some(r) => r,
                 None => self.run_local_search(&mut inst, k, init.clone()),
             }

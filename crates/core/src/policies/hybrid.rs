@@ -10,7 +10,7 @@
 //! the donated candidates are simply *forced* members of the subset.
 
 use super::best_response::BrInstance;
-use super::solver::{indices_of, SolverArena};
+use super::solver::{indices_of, SolverArena, MAX_ROUNDS};
 use super::{Policy, WiringContext};
 use egoist_graph::cycles::backbone_edges;
 use egoist_graph::NodeId;
@@ -20,8 +20,6 @@ use rand::rngs::StdRng;
 pub struct HybridBr {
     /// Number of donated links (must be even; `k2/2` cycles).
     pub k2: usize,
-    /// Local-search rounds for the selfish part.
-    pub max_rounds: usize,
     /// Recycled solver storage.
     arena: SolverArena,
 }
@@ -31,7 +29,6 @@ impl HybridBr {
     pub fn new(k2: usize) -> Self {
         HybridBr {
             k2,
-            max_rounds: 64,
             arena: SolverArena::default(),
         }
     }
@@ -70,7 +67,7 @@ impl Policy for HybridBr {
             "a donated link is no candidate"
         );
         let init = inst.greedy(k, &forced);
-        let (subset, _) = inst.local_search(k, init, &forced, self.max_rounds);
+        let (subset, _) = inst.local_search(k, init, &forced, MAX_ROUNDS);
         let nodes = inst.to_nodes(&subset);
         inst.recycle(&mut self.arena);
         nodes

@@ -166,6 +166,9 @@ impl Tally {
     }
 }
 
+/// Maximum local-search rounds of every best-response policy.
+pub const MAX_ROUNDS: usize = 64;
+
 /// `ver` of a candidate whose swap bound was never evaluated.
 const UNKNOWN: u32 = u32::MAX;
 

@@ -271,7 +271,6 @@ impl Simulator {
         } else {
             DelayModel::from_spec(
                 &egoist_netsim::PlanetLabSpec::uniform(egoist_netsim::Region::NorthAmerica, n),
-                &egoist_netsim::delay::DelayConfig::default(),
                 cfg.seed,
             )
         };
@@ -285,8 +284,8 @@ impl Simulator {
             None
         };
         Simulator {
-            loads: LoadModel::with_defaults(n, cfg.seed),
-            bandwidths: BandwidthModel::with_defaults(n, cfg.seed),
+            loads: LoadModel::new(n, cfg.seed),
+            bandwidths: BandwidthModel::new(n, cfg.seed),
             vivaldi,
             wiring: Wiring::empty(n),
             alive: vec![true; n],

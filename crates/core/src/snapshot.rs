@@ -688,17 +688,13 @@ mod tests {
     use crate::cost::disconnection_penalty;
     use egoist_graph::apsp::apsp;
     use egoist_graph::csr::apsp_csr;
-    use egoist_netsim::delay::{DelayConfig, DelayModel};
+    use egoist_netsim::delay::DelayModel;
     use egoist_netsim::{PlanetLabSpec, Region};
 
     fn setup(n: usize, k: usize, seed: u64) -> (DistanceMatrix, Wiring, Vec<bool>) {
-        let d = DelayModel::from_spec(
-            &PlanetLabSpec::uniform(Region::NorthAmerica, n),
-            &DelayConfig::default(),
-            seed,
-        )
-        .base()
-        .clone();
+        let d = DelayModel::from_spec(&PlanetLabSpec::uniform(Region::NorthAmerica, n), seed)
+            .base()
+            .clone();
         let mut w = Wiring::empty(n);
         for i in 0..n {
             let mut neigh = Vec::new();

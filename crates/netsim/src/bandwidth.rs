@@ -24,42 +24,24 @@ use egoist_graph::DistanceMatrix;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal, Normal};
 
-/// Tuning knobs for the bandwidth model.
-#[derive(Clone, Debug)]
-pub struct BandwidthConfig {
-    /// Lognormal μ of access capacity in ln(Mbps). exp(4.0) ≈ 55 Mbps.
-    pub capacity_mu: f64,
-    /// Lognormal σ of access capacity.
-    pub capacity_sigma: f64,
-    /// Cap on access capacity (Mbps).
-    pub capacity_cap: f64,
-    /// OU mean-reversion rate (1/s) of the cross-traffic utilization.
-    pub theta: f64,
-    /// OU stationary σ of utilization (in logit-ish space, see below).
-    pub sigma: f64,
-    /// Mean fraction of capacity available (1 − average utilization).
-    pub mean_avail_fraction: f64,
-    /// Relative std-dev of a single pathChirp estimate.
-    pub probe_noise: f64,
-    /// Fraction of session caps relative to access capacity: models the
-    /// per-session rate limit at peering points (§6.1).
-    pub session_cap_fraction: f64,
-}
-
-impl Default for BandwidthConfig {
-    fn default() -> Self {
-        BandwidthConfig {
-            capacity_mu: 4.0,
-            capacity_sigma: 1.0,
-            capacity_cap: 1000.0,
-            theta: 1.0 / 150.0,
-            sigma: 0.35,
-            mean_avail_fraction: 0.6,
-            probe_noise: 0.10,
-            session_cap_fraction: 0.35,
-        }
-    }
-}
+/// Lognormal μ of access capacity in ln(Mbps). exp(4.0) ≈ 55 Mbps.
+const CAPACITY_MU: f64 = 4.0;
+/// Lognormal σ of access capacity.
+const CAPACITY_SIGMA: f64 = 1.0;
+/// Cap on access capacity (Mbps).
+const CAPACITY_CAP: f64 = 1000.0;
+/// OU mean-reversion rate (1/s) of the cross-traffic utilization.
+const THETA: f64 = 1.0 / 150.0;
+/// OU stationary σ of utilization (in logit-ish space: `avail_fraction`
+/// squashes it through a logistic).
+const SIGMA: f64 = 0.35;
+/// Mean fraction of capacity available (1 − average utilization).
+const MEAN_AVAIL_FRACTION: f64 = 0.6;
+/// Relative std-dev of a single pathChirp estimate.
+const PROBE_NOISE: f64 = 0.10;
+/// Fraction of session caps relative to access capacity: models the
+/// per-session rate limit at peering points (§6.1).
+const SESSION_CAP_FRACTION: f64 = 0.35;
 
 /// The bandwidth substrate.
 #[derive(Clone, Debug)]
@@ -74,36 +56,29 @@ pub struct BandwidthModel {
     /// charged by `egoist-traffic`; reduces what probes and routing see —
     /// the closed loop's bandwidth side.
     consumed: Vec<f64>,
-    cfg: BandwidthConfig,
     n: usize,
     pub now: f64,
 }
 
 impl BandwidthModel {
     /// Build with lognormal access capacities.
-    pub fn new(n: usize, cfg: &BandwidthConfig, seed: u64) -> Self {
-        let dist = LogNormal::new(cfg.capacity_mu, cfg.capacity_sigma).expect("valid lognormal");
+    pub fn new(n: usize, seed: u64) -> Self {
+        let dist = LogNormal::new(CAPACITY_MU, CAPACITY_SIGMA).expect("valid lognormal");
         let mut rng = derive(seed, "bw-caps");
         let up: Vec<f64> = (0..n)
-            .map(|_| dist.sample(&mut rng).min(cfg.capacity_cap))
+            .map(|_| dist.sample(&mut rng).min(CAPACITY_CAP))
             .collect();
         let down: Vec<f64> = (0..n)
-            .map(|_| dist.sample(&mut rng).min(cfg.capacity_cap))
+            .map(|_| dist.sample(&mut rng).min(CAPACITY_CAP))
             .collect();
         BandwidthModel {
             up,
             down,
             util_x: vec![0.0; n * n],
             consumed: vec![0.0; n * n],
-            cfg: cfg.clone(),
             n,
             now: 0.0,
         }
-    }
-
-    /// Default-config model.
-    pub fn with_defaults(n: usize, seed: u64) -> Self {
-        Self::new(n, &BandwidthConfig::default(), seed)
     }
 
     /// Number of nodes.
@@ -121,8 +96,8 @@ impl BandwidthModel {
         if dt <= 0.0 {
             return;
         }
-        let decay = (-self.cfg.theta * dt).exp();
-        let std_scale = self.cfg.sigma * (1.0 - decay * decay).sqrt();
+        let decay = (-THETA * dt).exp();
+        let std_scale = SIGMA * (1.0 - decay * decay).sqrt();
         let normal = Normal::new(0.0, 1.0).expect("unit normal");
         for x in &mut self.util_x {
             *x = *x * decay + std_scale * normal.sample(rng);
@@ -133,7 +108,7 @@ impl BandwidthModel {
     /// Fraction of the pair's capacity currently available, in (0, 1).
     fn avail_fraction(&self, i: usize, j: usize) -> f64 {
         // Squash mean + OU deviation through a logistic to stay in (0,1).
-        let m = self.cfg.mean_avail_fraction;
+        let m = MEAN_AVAIL_FRACTION;
         let bias = (m / (1.0 - m)).ln();
         let z = bias + self.util_x[i * self.n + j];
         1.0 / (1.0 + (-z).exp())
@@ -186,13 +161,13 @@ impl BandwidthModel {
     pub fn probe(&self, i: usize, j: usize, seed: u64, seq: u64) -> f64 {
         let truth = self.available(i, j);
         let mut rng = derive_indexed(seed, "bw-probe", seq ^ ((i * self.n + j) as u64) << 20);
-        let noise = Normal::new(0.0, self.cfg.probe_noise).expect("noise sigma");
+        let noise = Normal::new(0.0, PROBE_NOISE).expect("noise sigma");
         (truth * (1.0 + noise.sample(&mut rng))).max(0.0)
     }
 
     /// Per-session rate cap of source `i` (peering-point shaping, §6.1).
     pub fn session_cap(&self, i: usize) -> f64 {
-        self.up[i] * self.cfg.session_cap_fraction
+        self.up[i] * SESSION_CAP_FRACTION
     }
 
     /// Bandwidth a *single session* from `i` to `j` over the direct IP path
@@ -218,7 +193,7 @@ mod tests {
 
     #[test]
     fn capacities_are_heterogeneous_and_bounded() {
-        let m = BandwidthModel::with_defaults(50, 1);
+        let m = BandwidthModel::new(50, 1);
         let max = (0..50).map(|i| m.up_capacity(i)).fold(f64::MIN, f64::max);
         let min = (0..50).map(|i| m.up_capacity(i)).fold(f64::MAX, f64::min);
         assert!(max <= 1000.0);
@@ -227,7 +202,7 @@ mod tests {
 
     #[test]
     fn available_below_capacity() {
-        let m = BandwidthModel::with_defaults(20, 2);
+        let m = BandwidthModel::new(20, 2);
         for i in 0..20 {
             for j in 0..20 {
                 if i != j {
@@ -240,7 +215,7 @@ mod tests {
 
     #[test]
     fn probe_is_noisy_but_unbiased_ish() {
-        let m = BandwidthModel::with_defaults(5, 3);
+        let m = BandwidthModel::new(5, 3);
         let truth = m.available(0, 1);
         let est: Vec<f64> = (0..200).map(|s| m.probe(0, 1, 3, s)).collect();
         let mean = est.iter().sum::<f64>() / est.len() as f64;
@@ -253,7 +228,7 @@ mod tests {
 
     #[test]
     fn session_cap_below_uplink() {
-        let m = BandwidthModel::with_defaults(10, 4);
+        let m = BandwidthModel::new(10, 4);
         for i in 0..10 {
             assert!(m.session_cap(i) < m.up_capacity(i));
             for j in 0..10 {
@@ -266,7 +241,7 @@ mod tests {
 
     #[test]
     fn dynamics_move_availability() {
-        let mut m = BandwidthModel::with_defaults(10, 5);
+        let mut m = BandwidthModel::new(10, 5);
         let before = m.available(0, 1);
         let mut rng = derive(5, "adv");
         for _ in 0..20 {
@@ -277,14 +252,14 @@ mod tests {
 
     #[test]
     fn determinism() {
-        let a = BandwidthModel::with_defaults(10, 7).available_matrix();
-        let b = BandwidthModel::with_defaults(10, 7).available_matrix();
+        let a = BandwidthModel::new(10, 7).available_matrix();
+        let b = BandwidthModel::new(10, 7).available_matrix();
         assert_eq!(a, b);
     }
 
     #[test]
     fn consumed_traffic_reduces_availability_and_probes() {
-        let mut m = BandwidthModel::with_defaults(6, 8);
+        let mut m = BandwidthModel::new(6, 8);
         let before = m.available(0, 1);
         let mut consumed = vec![0.0; 36];
         consumed[1] = before * 0.5;

@@ -6,7 +6,7 @@
 //!    "milliseconds" ([`crate::planetlab`]); the propagation component of
 //!    `d_ij` is the Euclidean distance.
 //! 2. **Access penalty**: each node draws a lognormal access-link penalty
-//!    added to *all* its adjacent links; a configurable fraction of nodes
+//!    added to *all* its adjacent links; a fixed fraction of nodes
 //!    is "congested" with a large penalty. This produces the
 //!    triangle-inequality violations that make overlay routing (and BR
 //!    neighbor selection) profitable — without them a full mesh of direct
@@ -24,45 +24,24 @@ use egoist_graph::DistanceMatrix;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal, Normal};
 
-/// Tuning knobs for the delay generator.
-#[derive(Clone, Debug)]
-pub struct DelayConfig {
-    /// Fraction of nodes with a congested access link.
-    pub congested_fraction: f64,
-    /// Penalty (ms, one-way) added per congested endpoint.
-    pub congested_penalty: f64,
-    /// Lognormal μ/σ of the regular access penalty (ms).
-    pub access_mu: f64,
-    pub access_sigma: f64,
-    /// Max relative asymmetry between `d_ij` and `d_ji` (e.g. 0.15 → ±15%).
-    pub asymmetry: f64,
-    /// OU mean-reversion rate (1/s) of per-pair jitter.
-    pub jitter_theta: f64,
-    /// OU stationary standard deviation as a fraction of the base delay.
-    pub jitter_rel_sigma: f64,
-    /// Hard floor for any one-way delay (ms).
-    pub min_delay: f64,
-    /// Multiplier on inter-region distances (region centers move apart,
-    /// intra-region spreads stay put). Raises the intercontinental /
-    /// intracontinental contrast that makes random long links expensive.
-    pub geo_scale: f64,
-}
-
-impl Default for DelayConfig {
-    fn default() -> Self {
-        DelayConfig {
-            congested_fraction: 0.15,
-            congested_penalty: 100.0,
-            access_mu: 1.2, // exp(1.2) ≈ 3.3 ms median access penalty
-            access_sigma: 1.0,
-            asymmetry: 0.15,
-            jitter_theta: 1.0 / 120.0, // ~2 min correlation time
-            jitter_rel_sigma: 0.10,
-            min_delay: 0.2,
-            geo_scale: 1.0,
-        }
-    }
-}
+/// Fraction of nodes with a congested access link.
+const CONGESTED_FRACTION: f64 = 0.15;
+/// Penalty (ms, one-way) added per congested endpoint.
+const CONGESTED_PENALTY: f64 = 100.0;
+/// Lognormal μ of the regular access penalty (ms): exp(1.2) ≈ 3.3 ms
+/// median.
+const ACCESS_MU: f64 = 1.2;
+/// Lognormal σ of the regular access penalty.
+const ACCESS_SIGMA: f64 = 1.0;
+/// Max relative asymmetry between `d_ij` and `d_ji` (0.15 → ±15%).
+const ASYMMETRY: f64 = 0.15;
+/// OU mean-reversion rate (1/s) of per-pair jitter: ~2 min correlation
+/// time.
+const JITTER_THETA: f64 = 1.0 / 120.0;
+/// OU stationary standard deviation as a fraction of the base delay.
+const JITTER_REL_SIGMA: f64 = 0.10;
+/// Hard floor for any one-way delay (ms).
+const MIN_DELAY: f64 = 0.2;
 
 /// One Ornstein–Uhlenbeck state per directed pair.
 #[derive(Clone, Debug)]
@@ -78,7 +57,6 @@ struct OuJitter {
 pub struct DelayModel {
     base: DistanceMatrix,
     jitter: Vec<OuJitter>,
-    cfg: DelayConfig,
     n: usize,
     /// Simulation time (s) the jitter has been advanced to.
     pub now: f64,
@@ -87,27 +65,20 @@ pub struct DelayModel {
 impl DelayModel {
     /// Build the paper's 50-node PlanetLab-like delay space.
     pub fn planetlab_50(seed: u64) -> Self {
-        Self::from_spec(&PlanetLabSpec::paper_50(), &DelayConfig::default(), seed)
+        Self::from_spec(&PlanetLabSpec::paper_50(), seed)
     }
 
-    /// Build from an arbitrary roster and config.
-    pub fn from_spec(spec: &PlanetLabSpec, cfg: &DelayConfig, seed: u64) -> Self {
+    /// Build from an arbitrary roster.
+    pub fn from_spec(spec: &PlanetLabSpec, seed: u64) -> Self {
         let n = spec.n();
         let mut rng = derive(seed, "delay-base");
-        let mut pts = spec.place(&mut rng);
-        // Pull region centers apart without widening the regions
-        // themselves: p = center·scale + (p − center).
-        for (p, region) in pts.iter_mut().zip(spec.regions()) {
-            let (cx, cy) = region.center();
-            p.0 += cx * (cfg.geo_scale - 1.0);
-            p.1 += cy * (cfg.geo_scale - 1.0);
-        }
+        let pts = spec.place(&mut rng);
 
         // Per-node access penalties.
         let access_dist =
-            LogNormal::new(cfg.access_mu, cfg.access_sigma).expect("valid lognormal parameters");
+            LogNormal::new(ACCESS_MU, ACCESS_SIGMA).expect("valid lognormal parameters");
         let mut access: Vec<f64> = (0..n).map(|_| access_dist.sample(&mut rng)).collect();
-        let n_congested = ((n as f64) * cfg.congested_fraction).round() as usize;
+        let n_congested = ((n as f64) * CONGESTED_FRACTION).round() as usize;
         // Deterministically congest the nodes with the highest draw order:
         // pick indices via the rng to avoid biasing particular regions.
         let mut idx: Vec<usize> = (0..n).collect();
@@ -116,7 +87,7 @@ impl DelayModel {
             idx.swap(i, j);
         }
         for &i in idx.iter().take(n_congested) {
-            access[i] += cfg.congested_penalty;
+            access[i] += CONGESTED_PENALTY;
         }
 
         let base = DistanceMatrix::from_fn(n, |i, j| {
@@ -124,8 +95,8 @@ impl DelayModel {
             let (xj, yj) = pts[j];
             let prop = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
             let mut pair_rng = derive_indexed(seed, "delay-pair", (i * n + j) as u64);
-            let asym = 1.0 + pair_rng.random_range(-cfg.asymmetry..cfg.asymmetry);
-            ((prop + access[i] + access[j]) * asym).max(cfg.min_delay)
+            let asym = 1.0 + pair_rng.random_range(-ASYMMETRY..ASYMMETRY);
+            ((prop + access[i] + access[j]) * asym).max(MIN_DELAY)
         });
 
         let jitter = (0..n * n)
@@ -133,7 +104,7 @@ impl DelayModel {
                 let b = base.at(p / n, p % n);
                 OuJitter {
                     x: 0.0,
-                    sigma: b * cfg.jitter_rel_sigma,
+                    sigma: b * JITTER_REL_SIGMA,
                 }
             })
             .collect();
@@ -141,7 +112,6 @@ impl DelayModel {
         DelayModel {
             base,
             jitter,
-            cfg: cfg.clone(),
             n,
             now: 0.0,
         }
@@ -167,8 +137,7 @@ impl DelayModel {
         if dt <= 0.0 {
             return;
         }
-        let theta = self.cfg.jitter_theta;
-        let decay = (-theta * dt).exp();
+        let decay = (-JITTER_THETA * dt).exp();
         let std_scale = (1.0 - decay * decay).sqrt();
         let normal = Normal::new(0.0, 1.0).expect("unit normal");
         for j in &mut self.jitter {
@@ -182,7 +151,7 @@ impl DelayModel {
         if i == j {
             return 0.0;
         }
-        (self.base.at(i, j) + self.jitter[i * self.n + j].x).max(self.cfg.min_delay)
+        (self.base.at(i, j) + self.jitter[i * self.n + j].x).max(MIN_DELAY)
     }
 
     /// Snapshot of the full current delay matrix.

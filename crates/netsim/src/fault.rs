@@ -399,6 +399,17 @@ fn fault_obs() -> &'static FaultObs {
     })
 }
 
+/// The verdicts counted both in [`FaultStats`] and in a `netsim.fault.*`
+/// counter; [`FaultInjector::bump`] adds to the two together.
+#[derive(Clone, Copy)]
+enum Counted {
+    Cut,
+    Dropped,
+    Duplicated,
+    Reordered,
+    Jittered,
+}
+
 /// A [`FaultInjector`]'s verdicts, drops split by cause (chance, token
 /// bucket, plan cut).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -445,6 +456,21 @@ impl FaultInjector {
             last_refill: 0.0,
             stats: FaultStats::default(),
         }
+    }
+
+    /// Count one verdict in `stats` and in its `netsim.fault.*` counter,
+    /// the one place either is added to.
+    fn bump(&mut self, verdict: Counted) {
+        let obs = fault_obs();
+        let (stat, counter) = match verdict {
+            Counted::Cut => (&mut self.stats.cut, &obs.cut),
+            Counted::Dropped => (&mut self.stats.dropped, &obs.dropped),
+            Counted::Duplicated => (&mut self.stats.duplicated, &obs.duplicated),
+            Counted::Reordered => (&mut self.stats.reordered, &obs.reordered),
+            Counted::Jittered => (&mut self.stats.jittered, &obs.jittered),
+        };
+        *stat += 1;
+        counter.inc();
     }
 
     /// Flight-recorder edges for windows opening/healing at `now`.
@@ -505,8 +531,7 @@ impl FaultInjector {
         self.note_window_edges(now);
         if let Some(plan) = &self.plan {
             if plan.cuts(now, from, to) {
-                self.stats.cut += 1;
-                fault_obs().cut.inc();
+                self.bump(Counted::Cut);
                 return Verdict::Cut;
             }
         }
@@ -526,8 +551,7 @@ impl FaultInjector {
             None => self.cfg,
         };
         if eff.drop_chance > 0.0 && self.rng.random_range(0.0..1.0) < eff.drop_chance {
-            self.stats.dropped += 1;
-            fault_obs().dropped.inc();
+            self.bump(Counted::Dropped);
             return Verdict::Drop;
         }
         if eff.corrupt_chance > 0.0
@@ -541,21 +565,18 @@ impl FaultInjector {
         }
         if eff.duplicate_chance > 0.0 && self.rng.random_range(0.0..1.0) < eff.duplicate_chance {
             let extra_us = (self.rng.random_range(0.0..eff.jitter_ms.max(1.0)) * 1000.0) as u32;
-            self.stats.duplicated += 1;
-            fault_obs().duplicated.inc();
+            self.bump(Counted::Duplicated);
             return Verdict::Duplicate { extra_us };
         }
         if eff.reorder_chance > 0.0 && self.rng.random_range(0.0..1.0) < eff.reorder_chance {
             let hold = eff.reorder_hold_ms.max(1.0);
             let extra_us = (self.rng.random_range(hold * 0.5..hold) * 1000.0) as u32;
-            self.stats.reordered += 1;
-            fault_obs().reordered.inc();
+            self.bump(Counted::Reordered);
             return Verdict::Reordered { extra_us };
         }
         if eff.jitter_chance > 0.0 && self.rng.random_range(0.0..1.0) < eff.jitter_chance {
             let extra_us = (self.rng.random_range(0.0..eff.jitter_ms.max(0.001)) * 1000.0) as u32;
-            self.stats.jittered += 1;
-            fault_obs().jittered.inc();
+            self.bump(Counted::Jittered);
             return Verdict::Delayed { extra_us };
         }
         self.stats.passed += 1;

@@ -17,46 +17,27 @@ use crate::rng::{derive, derive_indexed};
 use rand::Rng;
 use rand_distr::{Distribution, Normal, Pareto};
 
-/// Tuning knobs for the load model.
-#[derive(Clone, Debug)]
-pub struct LoadConfig {
-    /// Pareto scale (minimum baseline load).
-    pub pareto_scale: f64,
-    /// Pareto shape (smaller = heavier tail).
-    pub pareto_shape: f64,
-    /// Cap on baseline load (PlanetLab loadavg rarely exceeded ~30).
-    pub baseline_cap: f64,
-    /// OU mean reversion rate (1/s) in log-load space.
-    pub theta: f64,
-    /// OU stationary σ in log-load space.
-    pub sigma: f64,
-    /// EWMA smoothing constant per sampling interval (the 1-minute
-    /// sensor).
-    pub ewma_alpha: f64,
-    /// The sensor's sampling interval in seconds. [`LoadModel::advance`]
-    /// scales the smoothing constant to the elapsed time, so the sensor
-    /// responds at the same rate whether the simulator advances it in
-    /// one epoch-sized step or many small ones.
-    pub ewma_interval_secs: f64,
-}
-
-impl Default for LoadConfig {
-    fn default() -> Self {
-        LoadConfig {
-            pareto_scale: 0.4,
-            pareto_shape: 1.2,
-            baseline_cap: 25.0,
-            theta: 1.0 / 180.0, // ~3 min correlation time
-            sigma: 0.7,
-            ewma_alpha: 0.3,
-            // The deployed sensor samples continuously (every staggered
-            // turn ≈ 2 s at n = 32, T = 60 s); over one epoch that
-            // compounds to near-complete convergence, which this
-            // interval preserves for epoch-sized advances.
-            ewma_interval_secs: 2.0,
-        }
-    }
-}
+/// Pareto scale (minimum baseline load).
+const PARETO_SCALE: f64 = 0.4;
+/// Pareto shape (smaller = heavier tail).
+const PARETO_SHAPE: f64 = 1.2;
+/// Cap on baseline load (PlanetLab loadavg rarely exceeded ~30).
+const BASELINE_CAP: f64 = 25.0;
+/// OU mean reversion rate (1/s) in log-load space: ~3 min correlation
+/// time.
+const THETA: f64 = 1.0 / 180.0;
+/// OU stationary σ in log-load space.
+const SIGMA: f64 = 0.7;
+/// EWMA smoothing constant per sampling interval (the 1-minute sensor).
+const EWMA_ALPHA: f64 = 0.3;
+/// The sensor's sampling interval in seconds. [`LoadModel::advance`]
+/// scales the smoothing constant to the elapsed time, so the sensor
+/// responds at the same rate whether the simulator advances it in one
+/// epoch-sized step or many small ones. The deployed sensor samples
+/// continuously (every staggered turn ≈ 2 s at n = 32, T = 60 s); over
+/// one epoch that compounds to near-complete convergence, which this
+/// interval preserves for epoch-sized advances.
+const EWMA_INTERVAL_SECS: f64 = 2.0;
 
 /// Per-node load state.
 #[derive(Clone, Debug)]
@@ -73,7 +54,6 @@ struct NodeLoad {
 #[derive(Clone, Debug)]
 pub struct LoadModel {
     nodes: Vec<NodeLoad>,
-    cfg: LoadConfig,
     /// Externally-induced load per node (e.g. overlay traffic forwarding
     /// work charged by `egoist-traffic`). Added on top of the background
     /// OU process; the EWMA sensor sees it, so announced load costs react
@@ -84,13 +64,12 @@ pub struct LoadModel {
 
 impl LoadModel {
     /// Build with per-node heavy-tailed baselines.
-    pub fn new(n: usize, cfg: &LoadConfig, seed: u64) -> Self {
-        let pareto =
-            Pareto::new(cfg.pareto_scale, cfg.pareto_shape).expect("valid pareto parameters");
+    pub fn new(n: usize, seed: u64) -> Self {
+        let pareto = Pareto::new(PARETO_SCALE, PARETO_SHAPE).expect("valid pareto parameters");
         let nodes: Vec<NodeLoad> = (0..n)
             .map(|i| {
                 let mut rng = derive_indexed(seed, "load-node", i as u64);
-                let base = pareto.sample(&mut rng).min(cfg.baseline_cap);
+                let base = pareto.sample(&mut rng).min(BASELINE_CAP);
                 NodeLoad {
                     log_base: base.ln(),
                     x: 0.0,
@@ -101,14 +80,8 @@ impl LoadModel {
         LoadModel {
             induced: vec![0.0; nodes.len()],
             nodes,
-            cfg: cfg.clone(),
             now: 0.0,
         }
-    }
-
-    /// Default-config model.
-    pub fn with_defaults(n: usize, seed: u64) -> Self {
-        Self::new(n, &LoadConfig::default(), seed)
     }
 
     /// Number of nodes.
@@ -129,11 +102,10 @@ impl LoadModel {
         if dt <= 0.0 {
             return;
         }
-        let decay = (-self.cfg.theta * dt).exp();
-        let std_scale = self.cfg.sigma * (1.0 - decay * decay).sqrt();
+        let decay = (-THETA * dt).exp();
+        let std_scale = SIGMA * (1.0 - decay * decay).sqrt();
         let normal = Normal::new(0.0, 1.0).expect("unit normal");
-        let alpha =
-            1.0 - (1.0 - self.cfg.ewma_alpha).powf(dt / self.cfg.ewma_interval_secs.max(1e-9));
+        let alpha = 1.0 - (1.0 - EWMA_ALPHA).powf(dt / EWMA_INTERVAL_SECS);
         for (i, nl) in self.nodes.iter_mut().enumerate() {
             nl.x = nl.x * decay + std_scale * normal.sample(rng);
             let instant = (nl.log_base + nl.x).exp() + self.induced[i];
@@ -180,7 +152,7 @@ impl LoadModel {
     /// Deterministic helper used by tests/benches: a fresh model advanced
     /// `steps × dt` with its own derived RNG.
     pub fn warmed(n: usize, seed: u64, steps: usize, dt: f64) -> Self {
-        let mut m = Self::with_defaults(n, seed);
+        let mut m = Self::new(n, seed);
         let mut rng = derive(seed, "load-warm");
         for _ in 0..steps {
             m.advance(dt, &mut rng);
@@ -195,7 +167,7 @@ mod tests {
 
     #[test]
     fn baselines_are_heterogeneous() {
-        let m = LoadModel::with_defaults(50, 1);
+        let m = LoadModel::new(50, 1);
         let loads: Vec<f64> = (0..50).map(|i| m.sensed(i)).collect();
         let max = loads.iter().cloned().fold(f64::MIN, f64::max);
         let min = loads.iter().cloned().fold(f64::MAX, f64::min);
@@ -216,7 +188,7 @@ mod tests {
 
     #[test]
     fn temporal_variance_is_substantial() {
-        let mut m = LoadModel::with_defaults(10, 3);
+        let mut m = LoadModel::new(10, 3);
         let mut rng = crate::rng::derive(3, "t");
         let before = m.sensed_all();
         for _ in 0..30 {
@@ -234,7 +206,7 @@ mod tests {
     #[test]
     fn ewma_lags_instantaneous() {
         // After one step the sensor is a blend, not the raw value.
-        let mut m = LoadModel::with_defaults(5, 4);
+        let mut m = LoadModel::new(5, 4);
         let mut rng = crate::rng::derive(4, "t");
         let sensed0 = m.sensed(0);
         m.advance(60.0, &mut rng);
@@ -257,7 +229,7 @@ mod tests {
 
     #[test]
     fn induced_load_raises_truth_immediately_and_sensor_with_lag() {
-        let mut m = LoadModel::with_defaults(4, 5);
+        let mut m = LoadModel::new(4, 5);
         let mut rng = crate::rng::derive(5, "ind");
         let base = m.instantaneous(2);
         let sensed0 = m.sensed(2);

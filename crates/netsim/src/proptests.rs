@@ -1,7 +1,7 @@
 //! Property tests for the underlay models.
 
 use crate::churn::{ChurnModel, ChurnTrace, Durations, NodeProfile};
-use crate::delay::{DelayConfig, DelayModel};
+use crate::delay::DelayModel;
 use crate::fault::{FaultConfig, FaultInjector, FaultPlan, Verdict};
 use crate::planetlab::{PlanetLabSpec, Region};
 use crate::rng::derive;
@@ -17,7 +17,7 @@ proptest! {
     #[test]
     fn delays_stay_positive(seed in 0u64..500, steps in 0usize..20) {
         let spec = PlanetLabSpec::uniform(Region::Europe, 12);
-        let mut m = DelayModel::from_spec(&spec, &DelayConfig::default(), seed);
+        let mut m = DelayModel::from_spec(&spec, seed);
         let mut rng = derive(seed, "prop-adv");
         for _ in 0..steps {
             m.advance(60.0, &mut rng);

@@ -75,14 +75,15 @@ pub fn waxman_delays(n: usize, cfg: &WaxmanConfig, seed: u64) -> DistanceMatrix 
     apsp(&g)
 }
 
+/// Base per-hop delay (ms) assigned to every Barabási–Albert router link.
+const HOP_DELAY: f64 = 12.0;
+
 /// Barabási–Albert model parameters.
 #[derive(Clone, Debug)]
 pub struct BaConfig {
     /// Edges added per new node (`m` in the BA model).
     pub edges_per_node: usize,
-    /// Base per-hop delay (ms) assigned to every router link.
-    pub hop_delay: f64,
-    /// Extra per-link jitter as a fraction of `hop_delay`.
+    /// Extra per-link jitter as a fraction of the 12 ms base hop delay.
     pub jitter: f64,
 }
 
@@ -90,7 +91,6 @@ impl Default for BaConfig {
     fn default() -> Self {
         BaConfig {
             edges_per_node: 2,
-            hop_delay: 12.0,
             jitter: 0.5,
         }
     }
@@ -141,9 +141,9 @@ pub fn barabasi_albert_delays(n: usize, cfg: &BaConfig, seed: u64) -> DistanceMa
 
 fn link_delay(cfg: &BaConfig, rng: &mut impl Rng) -> f64 {
     if cfg.jitter <= 0.0 {
-        return cfg.hop_delay;
+        return HOP_DELAY;
     }
-    cfg.hop_delay * (1.0 + rng.random_range(0.0..cfg.jitter))
+    HOP_DELAY * (1.0 + rng.random_range(0.0..cfg.jitter))
 }
 
 /// Make an undirected-ish graph connected: attach every unreachable node
@@ -234,7 +234,7 @@ mod tests {
         }
         // Small-world: diameter a handful of hops.
         assert!(
-            max < 10.0 * cfg.hop_delay * (1.0 + cfg.jitter),
+            max < 10.0 * HOP_DELAY * (1.0 + cfg.jitter),
             "BA diameter too large: {max}"
         );
     }
@@ -256,10 +256,10 @@ mod tests {
             for j in 0..100 {
                 if i != j {
                     total += 1;
-                    if d.at(i, j) <= 2.0 * cfg.hop_delay + 1e-9 {
+                    if d.at(i, j) <= 2.0 * HOP_DELAY + 1e-9 {
                         two_hops += 1;
                     }
-                    if d.at(i, j) <= 3.0 * cfg.hop_delay + 1e-9 {
+                    if d.at(i, j) <= 3.0 * HOP_DELAY + 1e-9 {
                         three_hops += 1;
                     }
                 }

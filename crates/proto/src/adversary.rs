@@ -81,6 +81,15 @@ impl EndpointBudget {
     }
 }
 
+/// Shared uplink: total frames/sec across every identity of a swarm.
+const FRAMES_PER_SEC: f64 = 40.0;
+/// Token-bucket burst headroom of the shared uplink.
+const BURST: f64 = 20.0;
+/// Claimed cost of forged links (the lure; honest delays are ≥ ms).
+const LURE_COST: f32 = 0.05;
+/// How often each identity floods its forged LSA.
+const LURE_INTERVAL: Duration = Duration::from_secs(3);
+
 /// Swarm script parameters.
 #[derive(Clone, Debug)]
 pub struct AdversaryConfig {
@@ -88,14 +97,6 @@ pub struct AdversaryConfig {
     pub ids: Vec<NodeId>,
     /// Honest nodes under attack.
     pub victims: Vec<NodeId>,
-    /// Shared uplink: total frames/sec across every identity.
-    pub frames_per_sec: f64,
-    /// Token-bucket burst headroom.
-    pub burst: f64,
-    /// Claimed cost of forged links (the lure; honest delays are ≥ ms).
-    pub lure_cost: f32,
-    /// How often each identity floods its forged LSA.
-    pub lure_interval: Duration,
     /// The first `garbage_ids` identities send undecodable noise
     /// instead of LSAs (pure Sybil spam).
     pub garbage_ids: usize,
@@ -113,10 +114,6 @@ impl AdversaryConfig {
         AdversaryConfig {
             ids: (first..first + sybils).map(NodeId::from_index).collect(),
             victims,
-            frames_per_sec: 40.0,
-            burst: 20.0,
-            lure_cost: 0.05,
-            lure_interval: Duration::from_secs(3),
             garbage_ids: sybils / 4,
             third_party: false,
         }
@@ -154,7 +151,7 @@ where
     T: Transport,
     F: FnMut(NodeId) -> T,
 {
-    let budget = EndpointBudget::new(cfg.frames_per_sec, cfg.burst);
+    let budget = EndpointBudget::new(FRAMES_PER_SEC, BURST);
     let stats = Arc::new(Mutex::new(AdversaryStats::default()));
     for (slot, &id) in cfg.ids.iter().enumerate() {
         let t = endpoint_for(id);
@@ -184,7 +181,7 @@ fn lure_lsa(me: NodeId, seq: u64, cfg: &AdversaryConfig, exclude: Option<NodeId>
         .filter(|&x| Some(x) != exclude)
         .map(|neighbor| LinkEntry {
             neighbor,
-            cost: cfg.lure_cost,
+            cost: LURE_COST,
         })
         .collect();
     Message::LinkState {
@@ -208,10 +205,8 @@ async fn identity_task<T: Transport>(
 ) {
     // Stagger identities across the lure interval so the swarm's load
     // is spread (and the schedule stays deterministic per slot).
-    let stagger = cfg
-        .lure_interval
-        .mul_f64(slot as f64 / cfg.ids.len().max(1) as f64);
-    let mut lure = tokio::time::interval_at(Instant::now() + stagger, cfg.lure_interval);
+    let stagger = LURE_INTERVAL.mul_f64(slot as f64 / cfg.ids.len().max(1) as f64);
+    let mut lure = tokio::time::interval_at(Instant::now() + stagger, LURE_INTERVAL);
     lure.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Skip);
     let mut seq = 0u64;
     loop {

@@ -85,12 +85,13 @@ impl Registry {
     }
 }
 
+/// Maximum peers returned per bootstrap response.
+const MAX_PEERS: usize = 16;
+
 /// The bootstrap server task.
 pub struct BootstrapServer<T: Transport> {
     transport: T,
     registry: Registry,
-    /// Maximum peers returned per response.
-    pub max_peers: usize,
 }
 
 impl<T: Transport> BootstrapServer<T> {
@@ -99,7 +100,6 @@ impl<T: Transport> BootstrapServer<T> {
         BootstrapServer {
             transport,
             registry,
-            max_peers: 16,
         }
     }
 
@@ -122,7 +122,7 @@ impl<T: Transport> BootstrapServer<T> {
                         .into_iter()
                         .rev()
                         .filter(|&p| p != requester)
-                        .take(self.max_peers)
+                        .take(MAX_PEERS)
                         .collect();
                     peers.sort_unstable();
                     self.registry.register(requester);
@@ -199,6 +199,31 @@ mod tests {
                 .unwrap();
             tokio::time::sleep(std::time::Duration::from_millis(10)).await;
             assert_eq!(registry.members(), vec![NodeId(4)]);
+        });
+    }
+
+    #[test]
+    fn a_join_gets_the_sixteen_most_recent_members() {
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::clean(DistanceMatrix::off_diagonal(100, 1.0));
+            let registry = Registry::default();
+            for i in 0..20 {
+                registry.register(NodeId(i));
+            }
+            let server = BootstrapServer::new(net.endpoint(BOOT_ID), registry.clone());
+            tokio::spawn(server.run());
+
+            let mut a = net.endpoint(NodeId(20));
+            a.send(
+                BOOT_ID,
+                encode(&Message::BootstrapRequest { from: NodeId(20) }),
+            )
+            .unwrap();
+            let (_, frame) = a.recv().await.unwrap();
+            let Message::BootstrapResponse { peers } = decode(&frame).unwrap() else {
+                panic!("not a bootstrap response");
+            };
+            assert_eq!(peers, (4..20).map(NodeId).collect::<Vec<_>>());
         });
     }
 

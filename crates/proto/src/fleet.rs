@@ -38,6 +38,10 @@ use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Reachability fraction that counts as "reconverged" after a fault
+/// window heals.
+const RECOVERED_THRESHOLD: f64 = 0.95;
+
 /// One fleet scenario.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -89,9 +93,6 @@ pub struct FleetConfig {
     /// Publish routing-graph edge lists in node views (forged-link
     /// acceptance metric; O(edges) per publish, off unless needed).
     pub expose_route_edges: bool,
-    /// Reachability fraction that counts as "reconverged" after a
-    /// fault window heals.
-    pub recovered_threshold: f64,
 }
 
 impl FleetConfig {
@@ -123,7 +124,6 @@ impl FleetConfig {
             lsdb_max_age: None,
             claims: ClaimRanker::default(),
             expose_route_edges: false,
-            recovered_threshold: 0.95,
         }
     }
 
@@ -663,7 +663,7 @@ async fn run_fleet_inner(
         .map(|w| {
             let reconverged_at = timeline
                 .iter()
-                .find(|&&(t, r)| t >= w.to && r >= cfg.recovered_threshold)
+                .find(|&&(t, r)| t >= w.to && r >= RECOVERED_THRESHOLD)
                 .map(|&(t, _)| t);
             let recovery_secs = reconverged_at.map(|t| t - w.to);
             if let Some(secs) = recovery_secs {

@@ -50,6 +50,14 @@ pub fn apply(sim: &mut Simulator, outcome: &RouteOutcome, cfg: &FeedbackConfig) 
     sim.bandwidths_mut().set_consumed(&outcome.consumed);
 }
 
+/// Additive increase per fully-delivered epoch (Mbps).
+const INCREASE_MBPS: f64 = 2.0;
+/// Multiplicative decrease factor on shortfall (0 < β < 1).
+const DECREASE_FACTOR: f64 = 0.5;
+/// Relative shortfall tolerated before cutting (delivered ≥ requested ·
+/// (1 − tolerance) counts as success).
+const LOSS_TOLERANCE: f64 = 0.02;
+
 /// AIMD congestion-control tuning.
 ///
 /// With AIMD on, each `(src, dst)` pair keeps a sending-rate limit that
@@ -61,25 +69,15 @@ pub fn apply(sim: &mut Simulator, outcome: &RouteOutcome, cfg: &FeedbackConfig) 
 #[derive(Clone, Copy, Debug)]
 pub struct AimdConfig {
     pub enabled: bool,
-    /// Additive increase per fully-delivered epoch (Mbps).
-    pub increase_mbps: f64,
-    /// Multiplicative decrease factor on shortfall (0 < β < 1).
-    pub decrease_factor: f64,
     /// Rate floor — a pair never drops below this (Mbps).
     pub floor_mbps: f64,
-    /// Relative shortfall tolerated before cutting (delivered ≥
-    /// requested · (1 − tolerance) counts as success).
-    pub loss_tolerance: f64,
 }
 
 impl Default for AimdConfig {
     fn default() -> Self {
         AimdConfig {
             enabled: false,
-            increase_mbps: 2.0,
-            decrease_factor: 0.5,
             floor_mbps: 1.0,
-            loss_tolerance: 0.02,
         }
     }
 }
@@ -137,12 +135,12 @@ impl AimdController {
                 continue;
             };
             let requested = rf.flow.rate_mbps;
-            if rf.delivered_mbps + 1e-9 < requested * (1.0 - self.cfg.loss_tolerance) {
-                *limit = (*limit * self.cfg.decrease_factor).max(self.cfg.floor_mbps);
+            if rf.delivered_mbps + 1e-9 < requested * (1.0 - LOSS_TOLERANCE) {
+                *limit = (*limit * DECREASE_FACTOR).max(self.cfg.floor_mbps);
                 self.decreases += 1;
                 obs.rate_decrease.add(1);
             } else {
-                *limit += self.cfg.increase_mbps;
+                *limit += INCREASE_MBPS;
                 self.increases += 1;
                 obs.rate_increase.add(1);
             }
@@ -293,7 +291,6 @@ mod tests {
         let cfg = AimdConfig {
             enabled: true,
             floor_mbps: 4.0,
-            ..Default::default()
         };
         let mut c = AimdController::new(cfg);
         let flows = vec![Flow {

@@ -119,31 +119,27 @@ impl RoutingPolicy for BackpressurePolicy {
     }
 }
 
+/// Weight of the smoothed queuing-delay estimate in the routing cost
+/// (`w' = announced + DELAY_WEIGHT · q̂`).
+const DELAY_WEIGHT: f64 = 1.0;
+/// EWMA smoothing factor for the per-link queuing estimate.
+const EWMA_ALPHA: f64 = 0.3;
+/// Cap on the per-link queuing estimate (ms) — keeps the M/M/1 blow-up
+/// `ρ/(1−ρ)` finite at saturation.
+const MAX_QUEUE_MS: f64 = 50.0;
+
 /// Delay-aware tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct DelayAwareConfig {
-    /// Weight of the smoothed queuing-delay estimate in the routing
-    /// cost (`w' = announced + delay_weight · q̂`).
-    pub delay_weight: f64,
     /// Relative-improvement threshold for switching paths: keep the
     /// current path unless the best alternative costs less than
     /// `(1 − hysteresis) ×` the current one. 0 disables hysteresis.
     pub hysteresis: f64,
-    /// EWMA smoothing factor for the per-link queuing estimate.
-    pub ewma_alpha: f64,
-    /// Cap on the per-link queuing estimate (ms) — keeps the M/M/1
-    /// blow-up `ρ/(1−ρ)` finite at saturation.
-    pub max_queue_ms: f64,
 }
 
 impl Default for DelayAwareConfig {
     fn default() -> Self {
-        DelayAwareConfig {
-            delay_weight: 1.0,
-            hysteresis: 0.15,
-            ewma_alpha: 0.3,
-            max_queue_ms: 50.0,
-        }
+        DelayAwareConfig { hysteresis: 0.15 }
     }
 }
 
@@ -184,14 +180,14 @@ impl DelayAwarePolicy {
     /// capacity `cap` (same capped M/M/1 shape as the measured estimate).
     fn q_self(&self, rate: f64, cap: f64) -> f64 {
         if cap <= 0.0 {
-            return self.cfg.max_queue_ms;
+            return MAX_QUEUE_MS;
         }
         let rho = (rate / cap).min(0.95);
-        (rho / (1.0 - rho)).min(self.cfg.max_queue_ms)
+        (rho / (1.0 - rho)).min(MAX_QUEUE_MS)
     }
 
     /// Switch-decision cost of `path` for a flow of `rate` Mbps: per hop,
-    /// announced weight plus `delay_weight · max(q̂, q_self)`. Flooring
+    /// announced weight plus `DELAY_WEIGHT · max(q̂, q_self)`. Flooring
     /// the measured estimate with the flow's *own* induced queue is what
     /// kills ping-ponging — an idle alternative's estimate decays toward
     /// zero, but it would saturate the moment the flow moved there, and
@@ -204,7 +200,7 @@ impl DelayAwarePolicy {
             let q = self
                 .q_est(w[0], w[1])
                 .max(self.q_self(rate, inp.capacity.get(w[0], w[1])));
-            cost += base + self.cfg.delay_weight * q;
+            cost += base + DELAY_WEIGHT * q;
         }
         Some(cost)
     }
@@ -226,7 +222,7 @@ impl RoutingPolicy for DelayAwarePolicy {
         let csr = CsrGraph::from_fn(n, |u| {
             let u = NodeId::from_index(u);
             let edges = inp.overlay.out_edges(u).iter();
-            edges.map(move |e| (e.to.0, e.cost + this.cfg.delay_weight * this.q_est(u, e.to)))
+            edges.map(move |e| (e.to.0, e.cost + DELAY_WEIGHT * this.q_est(u, e.to)))
         });
         // Realized latency charges the smoothed queuing estimate on every
         // hop on top — the delay the metric itself predicts.
@@ -292,7 +288,7 @@ impl RoutingPolicy for DelayAwarePolicy {
         // Update the per-link queuing estimate from this epoch's
         // realized utilization: M/M/1-style ρ/(1−ρ), capped, smoothed.
         let consumed = ledger.consumed_matrix();
-        let alpha = self.cfg.ewma_alpha;
+        let alpha = EWMA_ALPHA;
         for (u, v, _) in inp.overlay.edges() {
             let cap = inp.capacity.get(u, v);
             let idx = u.index() * n + v.index();
@@ -354,14 +350,8 @@ mod tests {
         }];
         let inp = inputs(&overlay, &delays, &loads, &cap);
         let run = |hysteresis: f64| {
-            let mut p = DelayAwarePolicy::new(
-                4,
-                DelayAwareConfig {
-                    hysteresis,
-                    ..Default::default()
-                },
-                RouterConfig::default(),
-            );
+            let mut p =
+                DelayAwarePolicy::new(4, DelayAwareConfig { hysteresis }, RouterConfig::default());
             for e in 0..24 {
                 p.route_epoch(e, &flows, &inp);
             }

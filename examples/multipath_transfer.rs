@@ -18,7 +18,7 @@ fn main() {
     let seed = 7;
     println!("Multipath transfer over a bandwidth-wired EGOIST overlay (n={n}, k={k})\n");
 
-    let bw = BandwidthModel::with_defaults(n, seed);
+    let bw = BandwidthModel::new(n, seed);
     let overlay = bandwidth_overlay(&bw, k, 2);
 
     // One concrete pair, narrated.

@@ -1,6 +1,6 @@
 //! Cross-layer consistency of the `egoist-obs` registry.
 //!
-//! Three claims pinned here:
+//! Four claims pinned here:
 //!
 //! 1. the protocol layer's registry counters agree *exactly* with the
 //!    per-node ledgers summed over a full overlay run: each per-class
@@ -13,16 +13,20 @@
 //!    traffic run produces a byte-identical report whether obs (and the
 //!    flight recorder) is on or off;
 //! 3. obs counters are themselves deterministic: two identical runs
-//!    export identical counter and histogram values.
+//!    export identical counter and histogram values;
+//! 4. the fault injector's `netsim.fault.*` counters equal the verdict
+//!    counts `SimNet::fault_stats` reports.
 //!
 //! The enable/trace flags are process-global, so every test here takes
 //! one shared lock and restores the disabled state before releasing it.
 
 use egoist::graph::{DistanceMatrix, NodeId};
+use egoist::netsim::{FaultConfig, FaultPlan};
 use egoist::proto::bootstrap::{BootstrapServer, Registry};
+use egoist::proto::codec::encode;
 use egoist::proto::message::MessageClass;
 use egoist::proto::node::Tally;
-use egoist::proto::{EgoistNode, NodeConfig, SimNet, Wheel};
+use egoist::proto::{EgoistNode, Message, NodeConfig, SimNet, Transport, Wheel};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -144,6 +148,51 @@ fn proto_registry_counters_match_overhead_ledgers() {
             reg.counter_value(&format!("proto.recv.{label}.frames"))
                 <= reg.counter_value(&format!("proto.send.{label}.frames")),
             "{label}: more receives than sends"
+        );
+    }
+}
+
+#[test]
+fn fault_stats_match_netsim_fault_counters() {
+    let _g = serial();
+    let reg = egoist::obs::registry();
+    reg.reset();
+    egoist::obs::enable();
+
+    let stats = tokio::runtime::block_on_paused(async {
+        let fault = FaultConfig {
+            drop_chance: 0.1,
+            duplicate_chance: 0.1,
+            reorder_chance: 0.1,
+            jitter_chance: 0.1,
+            ..Default::default()
+        };
+        let plan = FaultPlan::new().partition(2.0, 4.0, vec![vec![], vec![NodeId(1)]]);
+        let net = SimNet::with_plan(DistanceMatrix::off_diagonal(2, 1.0), fault, Some(plan), 5);
+        let a = net.endpoint(NodeId(0));
+        let _b = net.endpoint(NodeId(1));
+        let frame = encode(&Message::Leave { from: NodeId(0) });
+        for _ in 0..600 {
+            a.send(NodeId(1), frame.clone()).unwrap();
+            tokio::time::sleep(Duration::from_millis(10)).await;
+        }
+        net.fault_stats()
+    });
+
+    egoist::obs::disable();
+
+    for (name, counted) in [
+        ("cut", stats.cut),
+        ("dropped", stats.dropped),
+        ("duplicated", stats.duplicated),
+        ("reordered", stats.reordered),
+        ("jittered", stats.jittered),
+    ] {
+        assert!(counted > 0, "{name}: the run never produced this verdict");
+        assert_eq!(
+            reg.counter_value(&format!("netsim.fault.{name}")),
+            counted,
+            "{name}: registry counter vs SimNet::fault_stats"
         );
     }
 }

@@ -64,11 +64,7 @@ fn overlay_graph(wheel: &Wheel<SimTransport>, n: usize, delays: &DistanceMatrix)
 fn protocol_overlay_beats_ring_topology() {
     tokio::runtime::block_on_paused(async {
         let n = 12;
-        let model = DelayModel::from_spec(
-            &egoist::netsim::PlanetLabSpec::paper_50(),
-            &egoist::netsim::delay::DelayConfig::default(),
-            3,
-        );
+        let model = DelayModel::from_spec(&egoist::netsim::PlanetLabSpec::paper_50(), 3);
         let delays = model
             .base()
             .submatrix(&(0..n as u32).map(NodeId).collect::<Vec<_>>());
@@ -143,7 +139,6 @@ fn node_estimates_agree_with_vivaldi_predictions() {
         let n = 8;
         let model = DelayModel::from_spec(
             &egoist::netsim::PlanetLabSpec::uniform(egoist::netsim::Region::Europe, n),
-            &egoist::netsim::delay::DelayConfig::default(),
             9,
         );
         let delays = model.base().clone();

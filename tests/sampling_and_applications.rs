@@ -26,7 +26,6 @@ fn sampled_br_stays_close_to_full_br() {
     let k = 3usize;
     let d = DelayModel::from_spec(
         &egoist::netsim::PlanetLabSpec::uniform(egoist::netsim::Region::NorthAmerica, n),
-        &egoist::netsim::delay::DelayConfig::default(),
         1,
     )
     .base()
@@ -106,7 +105,7 @@ fn sampled_br_stays_close_to_full_br() {
 #[test]
 fn multipath_gains_grow_with_k() {
     let n = 20;
-    let bw = BandwidthModel::with_defaults(n, 3);
+    let bw = BandwidthModel::new(n, 3);
     let members: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
     let mut prev = 0.0;
     for k in [2usize, 4, 6] {
@@ -146,7 +145,7 @@ fn disjoint_paths_track_k() {
 /// BR-wired overlay.
 #[test]
 fn multipath_pair_analysis_consistency() {
-    let bw = BandwidthModel::with_defaults(16, 9);
+    let bw = BandwidthModel::new(16, 9);
     let overlay = bandwidth_overlay(&bw, 4, 2);
     for s in 0..4u32 {
         for t in 8..12u32 {
