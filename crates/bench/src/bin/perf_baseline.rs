@@ -3,42 +3,26 @@
 //!
 //! Times best-response epoch stepping (delay metric, n ∈ {50, 200, 800,
 //! 2000}; bandwidth metric under PlanetLab-like churn, n ∈ {60, 300}) and
-//! the closed-loop traffic engine under both route-state engines
-//! (`br_delay_n2000` under the epoch engine only: the oracle's per-turn
-//! APSP is unaffordable there, so its entry carries no
-//! `baseline_wall_ms` / `speedup` / `outputs_identical`):
+//! the closed-loop traffic engine (`br_traffic_n200`), and fingerprints
+//! each scenario's simulation output, so a timing can be held to the
+//! output it produced. Results land in `BENCH_perf.json` (schema
+//! `egoist-perf-baseline/v3`, insertion-ordered keys, so the document
+//! layout is byte-deterministic; timings naturally vary).
 //!
-//! * `baseline_wall_ms` — [`EngineMode::Recompute`]: announced matrix +
-//!   from-scratch residual APSP every turn, pre-optimization BR
-//!   greedy/local-search loops. A *conservative* stand-in for the
-//!   pre-change implementation: it shares the (cheaper) epoch-granular
-//!   underlay sampling and the current data-plane code, so it
-//!   understates what the previous commit actually cost — the true
-//!   pre-change binary measured ~28% slower than the oracle on the
-//!   n=200 scenario on the same host (see EXPERIMENTS.md);
-//! * `wall_ms` — [`EngineMode::Epoch`], one shared snapshot, named
-//!   residual rows, link deltas repaired in place.
-//!
-//! Both engines are run on identical seeds in the same process and their
-//! simulation outputs are fingerprinted; `outputs_identical` asserts the
-//! speedup is a pure optimization. Results land in `BENCH_perf.json`
-//! (schema `egoist-perf-baseline/v2`, insertion-ordered keys, so the
-//! document layout is byte-deterministic; timings naturally vary).
-//!
-//! Schema v2 keeps every v1 field (the trajectory stays comparable) and
-//! adds, per epoch-stepping scenario: `prev_wall_ms` (the prior PR's
-//! committed `wall_ms`), per-phase wall time (`residual_ms` /
-//! `solver_ms` / `absorb_ms`), the engine's copy-vs-sweep ratios and
-//! its `rebuilds` / `leaves` / `joins` counts from `RouteStats`, the
-//! §5 shortlist's `shortlist_offered` / `shortlist_kept` candidate
-//! counts, and `residual_named`, the residual rows the turns asked the
-//! engine for. `--check` holds every such entry to `rebuilds ≤ epochs +
-//! 1` — one snapshot build per underlay advance, whatever churns — to a
-//! shortlist that cuts exactly when n − 1 exceeds the default `m`
-//! (`br_delay_n200`) and is the identity otherwise (`br_delay_n50`), and
-//! to `residual_named == shortlist_kept` — a turn repairs the rows its
-//! solver reads, not every row: counts that are the same on every
-//! runner, unlike the milliseconds.
+//! Every scenario carries `n`, `k`, `epochs`, `wall_ms`, `rewirings`,
+//! `fingerprint` and `prev_wall_ms` (the previous committed run's
+//! `wall_ms`). Each epoch-stepping scenario adds per-phase wall time
+//! (`residual_ms` / `solver_ms` / `absorb_ms`), the engine's
+//! copy-vs-sweep ratios and its `rebuilds` / `leaves` / `joins` counts
+//! from `RouteStats`, the §5 shortlist's `shortlist_offered` /
+//! `shortlist_kept` candidate counts, and `residual_named`, the residual
+//! rows the turns asked the engine for. `--check` holds every such entry
+//! to `rebuilds ≤ epochs + 1` — one snapshot build per underlay advance,
+//! whatever churns — to a shortlist that cuts exactly when n − 1 exceeds
+//! the default `m` (`br_delay_n200`) and is the identity otherwise
+//! (`br_delay_n50`), and to `residual_named == shortlist_kept` — a turn
+//! repairs the rows its solver reads, not every row: counts that are the
+//! same on every runner, unlike the milliseconds.
 //!
 //! Per-phase timings are no longer private plumbing: the engine reports
 //! into the `egoist-obs` registry (spans `core.epoch.turn.{residual,
@@ -61,10 +45,10 @@
 
 use egoist_bench::report::{dump_obs, read, scenarios, Flags, PERF};
 use egoist_core::policies::PolicyKind;
-use egoist_core::sim::{EngineMode, Metric, SimConfig, SimResult, Simulator};
+use egoist_core::sim::{Metric, SimConfig, SimResult, Simulator};
 use egoist_core::snapshot::RouteStats;
 use egoist_netsim::churn::ChurnModel;
-use egoist_obs::json::{array, num, parse, JsonObject, Layout::Compact, Value};
+use egoist_obs::json::{parse, JsonObject, Layout::Compact, Value};
 use egoist_traffic::engine::{TrafficConfig, TrafficEngine};
 use std::time::Instant;
 
@@ -79,26 +63,26 @@ fn span_ms(name: &str) -> f64 {
     ns as f64 / 1e6
 }
 
-/// `wall_ms` per scenario as committed by the previous PR (schema v1) —
+/// `wall_ms` per scenario in the previously committed BENCH_perf.json —
 /// the anchor the new numbers are compared against. Host-specific by
-/// nature (like every timing in BENCH_perf.json): a PR that lands a new
-/// baseline bumps these to the values it replaces, keeping the anchors
+/// nature (like every timing in BENCH_perf.json): a change that commits
+/// a new run bumps these to the values it replaces, keeping the anchors
 /// reviewable in-diff rather than mutated by every regeneration.
 fn prev_wall_ms(name: &str) -> f64 {
     match name {
-        "br_delay_n50" => 35.125467,
-        "br_delay_n200" => 238.382753,
-        "br_delay_n800" => 2612.633425,
-        "br_delay_n2000" => 29739.01338,
-        "bw_churn_n60" => 45.802532,
-        "bw_churn_n300" => 1291.359882,
-        "br_traffic_n200" => 295.871005,
+        "br_delay_n50" => 17.354225,
+        "br_delay_n200" => 181.427761,
+        "br_delay_n800" => 1575.923413,
+        "br_delay_n2000" => 12921.231653,
+        "bw_churn_n60" => 29.106721,
+        "bw_churn_n300" => 594.862386,
+        "br_traffic_n200" => 150.993425,
         _ => 0.0,
     }
 }
 
 /// FNV-1a over the bit patterns of a sample series — a cheap output
-/// fingerprint that any divergence between engines will flip.
+/// fingerprint that any change in the simulated run will flip.
 fn fingerprint_sim(r: &SimResult) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut eat = |v: u64| {
@@ -143,19 +127,11 @@ struct PhaseBreakdown {
     residual_named: u64,
 }
 
-/// The `Recompute` oracle's side of a scenario.
-struct Oracle {
-    wall_ms: f64,
-    outputs_identical: bool,
-}
-
 struct ScenarioResult {
     name: String,
     n: usize,
     k: usize,
     epochs: usize,
-    /// `None`: the scenario ran under the epoch engine only.
-    oracle: Option<Oracle>,
     wall_ms: f64,
     rewirings: usize,
     fingerprint: u64,
@@ -175,14 +151,7 @@ impl ScenarioResult {
         let mut obj = JsonObject::new(Compact)
             .u64("n", self.n as u64)
             .u64("k", self.k as u64)
-            .u64("epochs", self.epochs as u64);
-        if let Some(oracle) = &self.oracle {
-            obj = obj
-                .f64("baseline_wall_ms", oracle.wall_ms)
-                .f64("speedup", oracle.wall_ms / self.wall_ms)
-                .bool("outputs_identical", oracle.outputs_identical);
-        }
-        obj = obj
+            .u64("epochs", self.epochs as u64)
             .f64("wall_ms", self.wall_ms)
             .u64("rewirings", self.rewirings as u64)
             .str("fingerprint", &format!("{:016x}", self.fingerprint))
@@ -251,12 +220,11 @@ impl Stepping {
         format!("{}_n{}", self.label, self.n)
     }
 
-    fn sim_cfg(&self, engine: EngineMode) -> SimConfig {
+    fn sim_cfg(&self) -> SimConfig {
         let mut c = SimConfig::baseline(self.k, PolicyKind::BestResponse, self.metric, 42);
         c.n = self.n;
         c.epochs = self.epochs;
         c.warmup_epochs = self.epochs / 3;
-        c.engine = engine;
         if let Some(divisor) = self.churn_divisor {
             let mut model = ChurnModel::planetlab_like(self.n, 42);
             model.timescale_divisor = divisor;
@@ -266,13 +234,12 @@ impl Stepping {
     }
 }
 
-/// Time one full BR epoch-stepping run under `engine`, collecting the
-/// per-phase breakdown from the obs registry (the residual/absorb spans
-/// only fire under `Epoch`, so they read zero for `Recompute`). The
-/// outer wall clock stays an `Instant`: it must keep ticking when the
-/// `--overhead-gate` runs with instrumentation disabled.
-fn time_sim(shape: Stepping, engine: EngineMode) -> (f64, SimResult, PhaseBreakdown) {
-    let cfg = shape.sim_cfg(engine);
+/// Time one full BR epoch-stepping run, collecting the per-phase
+/// breakdown from the obs registry. The outer wall clock stays an
+/// `Instant`: it must keep ticking when the `--overhead-gate` runs with
+/// instrumentation disabled.
+fn time_sim(shape: Stepping) -> (f64, SimResult, PhaseBreakdown) {
+    let cfg = shape.sim_cfg();
     egoist_obs::registry().reset();
     let t = Instant::now();
     let mut sim = Simulator::new(cfg.clone());
@@ -299,69 +266,43 @@ fn time_sim(shape: Stepping, engine: EngineMode) -> (f64, SimResult, PhaseBreakd
     (wall_ms, result, phases)
 }
 
-/// One epoch-stepping scenario: the epoch engine, and with `oracle` the
-/// `Recompute` engine on the same seed first.
-fn epoch_stepping_scenario(shape: Stepping, oracle: bool) -> ScenarioResult {
+/// One epoch-stepping scenario.
+fn epoch_stepping_scenario(shape: Stepping) -> ScenarioResult {
     let name = shape.name();
-    let oracle = oracle.then(|| {
-        eprintln!("# {name}: oracle (Recompute) ...");
-        let (wall_ms, result, _) = time_sim(shape, EngineMode::Recompute);
-        eprintln!("#   {wall_ms:.0} ms");
-        (wall_ms, fingerprint_sim(&result))
-    });
-    eprintln!("# {name}: epoch engine ...");
-    let (wall_ms, fast, phases) = time_sim(shape, EngineMode::Epoch);
+    eprintln!("# {name} ...");
+    let (wall_ms, result, phases) = time_sim(shape);
     eprintln!("#   {wall_ms:.0} ms");
-    let fingerprint = fingerprint_sim(&fast);
     ScenarioResult {
         name,
         n: shape.n,
         k: shape.k,
         epochs: shape.epochs,
-        oracle: oracle.map(|(wall_ms, fo)| Oracle {
-            wall_ms,
-            outputs_identical: fo == fingerprint,
-        }),
         wall_ms,
-        rewirings: fast.samples.iter().map(|s| s.rewirings).sum(),
-        fingerprint,
+        rewirings: result.samples.iter().map(|s| s.rewirings).sum(),
+        fingerprint: fingerprint_sim(&result),
         phases: Some(phases),
     }
 }
 
 fn traffic_scenario(n: usize, k: usize, epochs: usize) -> ScenarioResult {
-    let base = |engine: EngineMode| {
-        let mut cfg = TrafficConfig::new(n, k, PolicyKind::BestResponse, Metric::DelayPing, 42);
-        cfg.sim.epochs = epochs;
-        cfg.sim.warmup_epochs = epochs / 3;
-        cfg.sim.engine = engine;
-        cfg.flows_per_epoch = 2 * n;
-        cfg
-    };
-    eprintln!("# br_traffic_n{n}: oracle (Recompute) ...");
+    let mut cfg = TrafficConfig::new(n, k, PolicyKind::BestResponse, Metric::DelayPing, 42);
+    cfg.sim.epochs = epochs;
+    cfg.sim.warmup_epochs = epochs / 3;
+    cfg.flows_per_epoch = 2 * n;
+    eprintln!("# br_traffic_n{n} ...");
     egoist_obs::registry().reset();
     let t = Instant::now();
-    let oracle = TrafficEngine::run(&base(EngineMode::Recompute)).to_json();
-    let baseline_ms = t.elapsed().as_secs_f64() * 1e3;
-    eprintln!("#   {baseline_ms:.0} ms; epoch engine ...");
-    egoist_obs::registry().reset();
-    let t = Instant::now();
-    let fast_report = TrafficEngine::run(&base(EngineMode::Epoch));
+    let report = TrafficEngine::run(&cfg);
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    eprintln!("#   {wall_ms:.0} ms ({:.1}x)", baseline_ms / wall_ms);
-    let fast = fast_report.to_json();
+    eprintln!("#   {wall_ms:.0} ms");
     ScenarioResult {
         name: format!("br_traffic_n{n}"),
         n,
         k,
         epochs,
-        oracle: Some(Oracle {
-            wall_ms: baseline_ms,
-            outputs_identical: fast == oracle,
-        }),
         wall_ms,
         rewirings: 0,
-        fingerprint: fingerprint_str(&fast),
+        fingerprint: fingerprint_str(&report.to_json()),
         phases: None,
     }
 }
@@ -373,40 +314,36 @@ fn measure(quick: bool) -> String {
         // committed BENCH_perf.json (the CI regression gate); they are
         // cheap enough.
         vec![
-            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8), true),
-            epoch_stepping_scenario(Stepping::br_delay(200, 8, 2), true),
-            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8), true),
+            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8)),
+            epoch_stepping_scenario(Stepping::br_delay(200, 8, 2)),
+            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8)),
             traffic_scenario(50, 5, 4),
         ]
     } else {
         vec![
-            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8), true),
-            epoch_stepping_scenario(Stepping::br_delay(200, 8, 4), true),
-            epoch_stepping_scenario(Stepping::br_delay(800, 10, 2), true),
-            epoch_stepping_scenario(Stepping::br_delay(2000, 10, 2), false),
-            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8), true),
-            epoch_stepping_scenario(Stepping::bw_churn(300, 8, 6), true),
+            epoch_stepping_scenario(Stepping::br_delay(50, 5, 8)),
+            epoch_stepping_scenario(Stepping::br_delay(200, 8, 4)),
+            epoch_stepping_scenario(Stepping::br_delay(800, 10, 2)),
+            epoch_stepping_scenario(Stepping::br_delay(2000, 10, 2)),
+            epoch_stepping_scenario(Stepping::bw_churn(60, 5, 8)),
+            epoch_stepping_scenario(Stepping::bw_churn(300, 8, 6)),
             traffic_scenario(200, 8, 4),
         ]
     };
     let entries = scenarios
         .iter()
         .fold(JsonObject::new(Compact), |o, s| o.raw(&s.name, s.to_json()));
-    let speedups = scenarios
-        .iter()
-        .filter_map(|s| Some(num(s.oracle.as_ref()?.wall_ms / s.wall_ms)));
     JsonObject::new(Compact)
         .str("schema", PERF.tag)
         .str("mode", if quick { "quick" } else { "full" })
         .raw("scenarios", entries.finish())
-        .raw("speedups", array(Compact, speedups))
         .document()
 }
 
 /// The regression gate: every scenario of `path` whose
 /// `(name, n, k, epochs)` also appears in `golden` must carry an
-/// identical fingerprint — a drift means the engines' *outputs* changed,
-/// not just their timing.
+/// identical fingerprint — a drift means the simulated *outputs*
+/// changed, not just their timing.
 fn check_against(path: &str, golden: &str) -> Result<usize, String> {
     let load = |p: &str| parse(&read(p)?).map_err(|e| format!("{p}: not JSON: {e}"));
     let (new, gold) = (load(path)?, load(golden)?);
@@ -442,7 +379,7 @@ fn check_against(path: &str, golden: &str) -> Result<usize, String> {
 fn overhead_gate() -> Result<String, String> {
     let reps = 3;
     let run = || {
-        let cfg = Stepping::br_delay(200, 8, 2).sim_cfg(EngineMode::Epoch);
+        let cfg = Stepping::br_delay(200, 8, 2).sim_cfg();
         let t = Instant::now();
         let mut sim = Simulator::new(cfg.clone());
         for epoch in 0..cfg.epochs {

@@ -331,20 +331,13 @@ const PERF_FIELDS: [&str; 7] = [
     "prev_wall_ms",
 ];
 
-/// What a comparison against the `Recompute` oracle adds to an entry.
-const PERF_ORACLE_FIELDS: [&str; 3] = ["baseline_wall_ms", "speedup", "outputs_identical"];
-
-/// The one scenario that runs without the oracle (unaffordable at its
-/// size) and may therefore omit [`PERF_ORACLE_FIELDS`].
-const PERF_EPOCH_ONLY: &str = "br_delay_n2000";
-
 /// `perf_baseline`: counts that are the same on every runner, unlike
-/// the milliseconds — engines agree, one snapshot build per underlay
-/// advance, a §5 shortlist that cuts exactly when it is offered more
-/// than the default `m` candidates, and turns that name to the route
-/// state exactly the rows the shortlist kept.
+/// the milliseconds — one snapshot build per underlay advance, a §5
+/// shortlist that cuts exactly when it is offered more than the default
+/// `m` candidates, and turns that name to the route state exactly the
+/// rows the shortlist kept.
 pub const PERF: Report = Report {
-    tag: "egoist-perf-baseline/v2",
+    tag: "egoist-perf-baseline/v3",
     schema: None,
     rule: perf_rule,
 };
@@ -353,22 +346,13 @@ fn perf_rule(doc: &Value) -> Result<(), String> {
     let default_m =
         SimConfig::baseline(1, PolicyKind::BestResponse, Metric::DelayPing, 0).sample_size as u64;
     for (name, s) in scenarios(doc)? {
-        let oracle = PERF_ORACLE_FIELDS
-            .iter()
-            .filter(|_| name != PERF_EPOCH_ONLY);
         let missing: Vec<&str> = PERF_FIELDS
             .iter()
-            .chain(oracle)
             .copied()
             .filter(|field| s.get(field).is_none())
             .collect();
         if !missing.is_empty() {
             return Err(format!("{name}: no {}", missing.join(", ")));
-        }
-        if s.get("outputs_identical") == Some(&Value::Bool(false)) {
-            return Err(format!(
-                "{name}: the engine comparison diverged (outputs_identical=false)"
-            ));
         }
         let count = |key: &str| s.get(key).and_then(Value::as_u64);
         let (Some(n), Some(epochs)) = (count("n"), count("epochs")) else {
@@ -534,27 +518,13 @@ mod tests {
             ),
             (
                 3,
-                all("egoist-perf-baseline/v2", "egoist-perf-baseline/v1"),
+                all("egoist-perf-baseline/v3", "egoist-perf-baseline/v2"),
                 "tag",
             ),
             (
                 3,
                 swap(0, "\"fingerprint\":", "\"renamed\":"),
                 "no fingerprint",
-            ),
-            (
-                3,
-                swap(1, "\"speedup\":", "\"renamed\":"),
-                "br_delay_n200: no speedup",
-            ),
-            (
-                3,
-                swap(
-                    0,
-                    "\"outputs_identical\":true",
-                    "\"outputs_identical\":false",
-                ),
-                "diverged",
             ),
             (
                 3,

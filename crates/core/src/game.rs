@@ -52,10 +52,6 @@ pub enum Residual<'a> {
     /// Nowhere: the policy never reads them
     /// ([`PolicyKind::needs_residual`]).
     Unread,
-    /// A dense `G−i` matrix computed from scratch on a semiring, with
-    /// what an unserved destination is worth — the simulator's
-    /// `Recompute` oracle.
-    Dense(&'a DistanceMatrix, SnapshotKind, f64),
     /// The route state's live snapshot.
     Snapshot(&'a mut RouteState),
     /// Additive rows of `G−i` the turn names, swept in one batched pass
@@ -102,7 +98,6 @@ pub fn choose(
     // The rows' semiring and what an unserved destination is worth.
     let (semiring, penalty) = match &residual {
         Residual::Unread => (SnapshotKind::Additive, 0.0),
-        Residual::Dense(_, kind, penalty) => (*kind, *penalty),
         Residual::Snapshot(route) => {
             let live = route.snapshot().expect("route snapshot must be live");
             (live.kind, live.penalty)
@@ -133,7 +128,6 @@ pub fn choose(
     let residual = match residual {
         // Oblivious wirings rank by direct cost or id alone.
         Residual::Unread => ResidualView::empty(i.index()),
-        Residual::Dense(matrix, ..) => ResidualView::dense(matrix),
         Residual::Snapshot(route) => route.residual(i.index(), &candidates),
         Residual::OnDemand(g, arena, _) => {
             // The policy reads one row per candidate it can reach
@@ -160,22 +154,20 @@ pub fn choose(
 }
 
 /// [`choose`] `turn.node`'s links and commit them; returns whether the
-/// wiring changed. The rows are `recomputed` (dense `G−i`, semiring,
-/// penalty) when given, else the live snapshot's. A change reaches the
+/// wiring changed. The rows are the live snapshot's. A change reaches the
 /// route state as a link delta (a no-op when it holds no snapshot).
 pub(crate) fn play_turn(
     turn: Turn<'_>,
-    recomputed: Option<(&DistanceMatrix, SnapshotKind, f64)>,
     route: &mut RouteState,
     policy: &mut dyn Policy,
     wiring: &mut Wiring,
     rng: &mut StdRng,
 ) -> bool {
     let (i, alive) = (turn.node, turn.alive);
-    let residual = match recomputed {
-        _ if !turn.policy.needs_residual() => Residual::Unread,
-        Some((matrix, kind, penalty)) => Residual::Dense(matrix, kind, penalty),
-        None => Residual::Snapshot(&mut *route),
+    let residual = if turn.policy.needs_residual() {
+        Residual::Snapshot(&mut *route)
+    } else {
+        Residual::Unread
     };
     let new = choose(turn, wiring.of(i), residual, policy, rng);
     let changed = wiring.rewire(i, new);
@@ -336,7 +328,7 @@ impl Game {
         };
         let policy = self.policy.as_mut();
         let (route, wiring, rng) = (&mut self.route, &mut self.wiring, &mut self.rng);
-        play_turn(turn, None, route, policy, wiring, rng)
+        play_turn(turn, route, policy, wiring, rng)
     }
 
     /// One round-robin sweep over all alive nodes; returns the number of

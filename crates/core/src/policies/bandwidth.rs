@@ -24,22 +24,8 @@
 use super::solver::{Instance, SolverArena, MAX_ROUNDS};
 use super::{Policy, WiringContext};
 use egoist_graph::csr::MaxMin;
-use egoist_graph::widest::widest_paths;
-use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
+use egoist_graph::NodeId;
 use rand::rngs::StdRng;
-
-/// Dense all-pairs widest-path matrix for a bandwidth-weighted overlay.
-pub fn all_pairs_widest(g: &DiGraph) -> DistanceMatrix {
-    let n = g.len();
-    let mut m = DistanceMatrix::filled(n, 0.0);
-    for i in 0..n {
-        let wp = widest_paths(g, NodeId::from_index(i));
-        for j in 0..n {
-            m.set_at(i, j, if i == j { f64::INFINITY } else { wp.width[j] });
-        }
-    }
-    m
-}
 
 /// Assignment-utility instance: `assignment(c, t) = min(direct_bw(i, c),
 /// residual_bw(c, j_t))`, the bottleneck bandwidth to destination `t`
@@ -80,10 +66,27 @@ impl Policy for BandwidthBr {
 
 /// The eager solver `BwInstance` shipped before it moved onto the
 /// shared pruned core, kept verbatim as the bandwidth oracle: every
-/// candidate and every swap pair is summed in full, in index order.
+/// candidate and every swap pair is summed in full, in index order. And
+/// the residual rows' oracle: widest paths from every source, one heap
+/// sweep each.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::BwInstance;
+    use egoist_graph::widest::widest_paths;
+    use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
+
+    /// Dense all-pairs widest-path matrix for a bandwidth-weighted overlay.
+    pub fn all_pairs_widest(g: &DiGraph) -> DistanceMatrix {
+        let n = g.len();
+        let mut m = DistanceMatrix::filled(n, 0.0);
+        for i in 0..n {
+            let wp = widest_paths(g, NodeId::from_index(i));
+            for j in 0..n {
+                m.set_at(i, j, if i == j { f64::INFINITY } else { wp.width[j] });
+            }
+        }
+        m
+    }
 
     pub fn greedy(inst: &BwInstance, k: usize) -> Vec<usize> {
         let nd = inst.dests.len();
@@ -180,9 +183,11 @@ pub(crate) mod oracle {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::all_pairs_widest;
     use super::*;
     use crate::cost::Preferences;
     use crate::residual::ResidualView;
+    use egoist_graph::{DiGraph, DistanceMatrix};
     use egoist_netsim::BandwidthModel;
     use rand::SeedableRng;
 

@@ -14,8 +14,9 @@
 //!   the same bound against the exact solver.
 //!
 //! Both run on the facility-location core in [`super::solver`], which the
-//! bandwidth objective shares; this module adds the pre-optimization
-//! reference loops the core is pinned against and the policy object.
+//! bandwidth objective shares; this module adds the policy object. The
+//! pre-optimization greedy / local-search loops the core is pinned
+//! against live with the tests below.
 
 use super::solver::{indices_of, Instance, SolverArena, MAX_ROUNDS};
 use super::{Policy, WiringContext};
@@ -30,124 +31,12 @@ use std::sync::OnceLock;
 /// disconnection penalty. Solved by the shared [`Instance`] core.
 pub type BrInstance = Instance<MinPlus>;
 
-impl Instance<MinPlus> {
-    /// The pre-optimization greedy, kept verbatim as the timing
-    /// reference for the `Recompute` oracle and the criterion benches.
-    pub fn greedy_reference(&self, k: usize, forced: &[usize]) -> Vec<usize> {
-        let nd = self.dests.len();
-        let mut chosen: Vec<usize> = forced.to_vec();
-        let mut best_per_dest = vec![self.unserved; nd];
-        for &c in forced {
-            for (t, b) in best_per_dest.iter_mut().enumerate() {
-                *b = b.min(self.assignment(c, t));
-            }
-        }
-        while chosen.len() < k.min(self.cand.len()) {
-            let mut pick = None;
-            let mut pick_cost = f64::INFINITY;
-            for c in 0..self.cand.len() {
-                if chosen.contains(&c) {
-                    continue;
-                }
-                let mut cost = 0.0;
-                for (t, (&w, &best)) in self.weight.iter().zip(best_per_dest.iter()).enumerate() {
-                    cost += w * best.min(self.assignment(c, t));
-                }
-                if cost < pick_cost {
-                    pick_cost = cost;
-                    pick = Some(c);
-                }
-            }
-            let Some(c) = pick else { break };
-            chosen.push(c);
-            for (t, b) in best_per_dest.iter_mut().enumerate() {
-                *b = b.min(self.assignment(c, t));
-            }
-        }
-        chosen
-    }
-
-    /// The pre-optimization local search, kept verbatim: the timing
-    /// reference the `Recompute` oracle runs so `perf_baseline`'s
-    /// `baseline_wall_ms` measures what this repo shipped before the
-    /// epoch route-state engine. Bit-identical results to
-    /// [`Self::local_search`] (tests assert it).
-    pub fn local_search_reference(
-        &self,
-        k: usize,
-        init: Vec<usize>,
-        forced: &[usize],
-        max_rounds: usize,
-    ) -> (Vec<usize>, f64) {
-        let nd = self.dests.len();
-        let mut subset = init;
-        subset.sort_unstable();
-        subset.dedup();
-        let mut cost = self.eval(&subset);
-        if subset.len() < k.min(self.cand.len()) {
-            subset = self.greedy_reference(k, &subset);
-            cost = self.eval(&subset);
-        }
-
-        for _ in 0..max_rounds {
-            let mut b1 = vec![(self.unserved, usize::MAX); nd];
-            let mut b2 = vec![self.unserved; nd];
-            for &c in &subset {
-                for t in 0..nd {
-                    let v = self.assignment(c, t);
-                    if v < b1[t].0 {
-                        b2[t] = b1[t].0;
-                        b1[t] = (v, c);
-                    } else if v < b2[t] {
-                        b2[t] = v;
-                    }
-                }
-            }
-
-            let mut best_swap: Option<(usize, usize, f64)> = None;
-            for &out in &subset {
-                if forced.contains(&out) {
-                    continue;
-                }
-                for inn in 0..self.cand.len() {
-                    if subset.contains(&inn) {
-                        continue;
-                    }
-                    let mut new_cost = 0.0;
-                    for t in 0..nd {
-                        let surviving = if b1[t].1 == out { b2[t] } else { b1[t].0 };
-                        new_cost += self.weight[t] * surviving.min(self.assignment(inn, t));
-                    }
-                    if new_cost < cost - 1e-12
-                        && best_swap.map(|(_, _, c)| new_cost < c).unwrap_or(true)
-                    {
-                        best_swap = Some((out, inn, new_cost));
-                    }
-                }
-            }
-            match best_swap {
-                Some((out, inn, new_cost)) => {
-                    subset.retain(|&c| c != out);
-                    subset.push(inn);
-                    cost = new_cost;
-                }
-                None => break,
-            }
-        }
-        (subset, cost)
-    }
-}
-
 /// Enumeration budget for the exact solver.
 const EXACT_BUDGET: u64 = 2_000_000;
 
 /// The Best-Response policy object.
 pub struct BestResponse {
     exact: bool,
-    /// Run the pre-optimization reference solver loops (the `Recompute`
-    /// oracle's timing-faithful mode). Results are bit-identical either
-    /// way.
-    pub reference: bool,
     /// Relative hysteresis: keep the current wiring unless the best found
     /// wiring improves on it by more than this fraction. Best-response
     /// dynamics with an *approximate* solver can limit-cycle on near-ties
@@ -168,7 +57,6 @@ impl BestResponse {
     pub fn local_search() -> Self {
         BestResponse {
             exact: false,
-            reference: false,
             hysteresis: 0.01,
             arena: SolverArena::default(),
         }
@@ -178,28 +66,8 @@ impl BestResponse {
     pub fn exact() -> Self {
         BestResponse {
             exact: true,
-            reference: false,
             hysteresis: 0.0,
             arena: SolverArena::default(),
-        }
-    }
-
-    /// Flip this solver into reference (pre-optimization) mode.
-    pub fn with_reference(mut self, reference: bool) -> Self {
-        self.reference = reference;
-        self
-    }
-
-    fn run_local_search(
-        &self,
-        inst: &mut BrInstance,
-        k: usize,
-        init: Vec<usize>,
-    ) -> (Vec<usize>, f64) {
-        if self.reference {
-            inst.local_search_reference(k, init, &[], MAX_ROUNDS)
-        } else {
-            inst.local_search(k, init, &[], MAX_ROUNDS)
         }
     }
 
@@ -213,9 +81,9 @@ impl BestResponse {
         bound * (1.0 + 1e-9) + 1e-9 * (current.abs() + 1.0) <= self.hysteresis * current
     }
 
-    /// Solve and return (neighbors, cost). Outside reference mode, a full
-    /// current wiring the dead band provably keeps (`Self::band_holds`)
-    /// is returned without a search.
+    /// Solve and return (neighbors, cost). A full current wiring the dead
+    /// band provably keeps (`Self::band_holds`) is returned without a
+    /// search.
     pub fn solve(&mut self, ctx: &WiringContext<'_>) -> (Vec<NodeId>, f64) {
         let mut inst = BrInstance::build_in(ctx, &mut self.arena);
         let k = ctx.effective_k();
@@ -225,7 +93,7 @@ impl BestResponse {
         static PROOFS: OnceLock<egoist_obs::Counter> = OnceLock::new();
         let proofs =
             PROOFS.get_or_init(|| egoist_obs::registry().counter("core.solver.hysteresis_proofs"));
-        if hold && !self.reference {
+        if hold {
             let current_cost = inst.eval(&init);
             if self.band_holds(&mut inst, &init, current_cost) {
                 proofs.inc();
@@ -238,18 +106,14 @@ impl BestResponse {
         let (best_set, best_cost) = if self.exact {
             match inst.exhaustive(k, &[], EXACT_BUDGET) {
                 Some(r) => r,
-                None => self.run_local_search(&mut inst, k, init.clone()),
+                None => inst.local_search(k, init.clone(), &[], MAX_ROUNDS),
             }
         } else {
             // Seed local search from both the current wiring and greedy;
             // take the cheaper result.
-            let greedy = if self.reference {
-                inst.greedy_reference(k, &[])
-            } else {
-                inst.greedy(k, &[])
-            };
-            let (s1, c1) = self.run_local_search(&mut inst, k, init.clone());
-            let (s2, c2) = self.run_local_search(&mut inst, k, greedy);
+            let greedy = inst.greedy(k, &[]);
+            let (s1, c1) = inst.local_search(k, init.clone(), &[], MAX_ROUNDS);
+            let (s2, c2) = inst.local_search(k, greedy, &[], MAX_ROUNDS);
             if c1 <= c2 {
                 (s1, c1)
             } else {
@@ -293,6 +157,148 @@ mod tests {
     use crate::policies::testutil::CtxParts;
     use crate::wiring::Wiring;
     use egoist_graph::{DistanceMatrix, NodeId};
+
+    impl Instance<MinPlus> {
+        /// The pre-optimization greedy, kept verbatim as the oracle
+        /// [`Instance::greedy`] is pinned against.
+        pub(crate) fn greedy_reference(&self, k: usize, forced: &[usize]) -> Vec<usize> {
+            let nd = self.dests.len();
+            let mut chosen: Vec<usize> = forced.to_vec();
+            let mut best_per_dest = vec![self.unserved; nd];
+            for &c in forced {
+                for (t, b) in best_per_dest.iter_mut().enumerate() {
+                    *b = b.min(self.assignment(c, t));
+                }
+            }
+            while chosen.len() < k.min(self.cand.len()) {
+                let mut pick = None;
+                let mut pick_cost = f64::INFINITY;
+                for c in 0..self.cand.len() {
+                    if chosen.contains(&c) {
+                        continue;
+                    }
+                    let mut cost = 0.0;
+                    for (t, (&w, &best)) in self.weight.iter().zip(best_per_dest.iter()).enumerate()
+                    {
+                        cost += w * best.min(self.assignment(c, t));
+                    }
+                    if cost < pick_cost {
+                        pick_cost = cost;
+                        pick = Some(c);
+                    }
+                }
+                let Some(c) = pick else { break };
+                chosen.push(c);
+                for (t, b) in best_per_dest.iter_mut().enumerate() {
+                    *b = b.min(self.assignment(c, t));
+                }
+            }
+            chosen
+        }
+
+        /// The pre-optimization local search, kept verbatim. Bit-identical
+        /// results to [`Instance::local_search`] (the tests assert it).
+        pub(crate) fn local_search_reference(
+            &self,
+            k: usize,
+            init: Vec<usize>,
+            forced: &[usize],
+            max_rounds: usize,
+        ) -> (Vec<usize>, f64) {
+            let nd = self.dests.len();
+            let mut subset = init;
+            subset.sort_unstable();
+            subset.dedup();
+            let mut cost = self.eval(&subset);
+            if subset.len() < k.min(self.cand.len()) {
+                subset = self.greedy_reference(k, &subset);
+                cost = self.eval(&subset);
+            }
+
+            for _ in 0..max_rounds {
+                let mut b1 = vec![(self.unserved, usize::MAX); nd];
+                let mut b2 = vec![self.unserved; nd];
+                for &c in &subset {
+                    for t in 0..nd {
+                        let v = self.assignment(c, t);
+                        if v < b1[t].0 {
+                            b2[t] = b1[t].0;
+                            b1[t] = (v, c);
+                        } else if v < b2[t] {
+                            b2[t] = v;
+                        }
+                    }
+                }
+
+                let mut best_swap: Option<(usize, usize, f64)> = None;
+                for &out in &subset {
+                    if forced.contains(&out) {
+                        continue;
+                    }
+                    for inn in 0..self.cand.len() {
+                        if subset.contains(&inn) {
+                            continue;
+                        }
+                        let mut new_cost = 0.0;
+                        for t in 0..nd {
+                            let surviving = if b1[t].1 == out { b2[t] } else { b1[t].0 };
+                            new_cost += self.weight[t] * surviving.min(self.assignment(inn, t));
+                        }
+                        if new_cost < cost - 1e-12
+                            && best_swap.map(|(_, _, c)| new_cost < c).unwrap_or(true)
+                        {
+                            best_swap = Some((out, inn, new_cost));
+                        }
+                    }
+                }
+                match best_swap {
+                    Some((out, inn, new_cost)) => {
+                        subset.retain(|&c| c != out);
+                        subset.push(inn);
+                        cost = new_cost;
+                    }
+                    None => break,
+                }
+            }
+            (subset, cost)
+        }
+    }
+
+    impl BestResponse {
+        /// [`BestResponse::solve`] on the reference loops and without the
+        /// dead-band proof: what the solver computed before its core was
+        /// optimised, the oracle the shipped solve is pinned against.
+        pub(crate) fn solve_reference(&mut self, ctx: &WiringContext<'_>) -> (Vec<NodeId>, f64) {
+            let inst = BrInstance::build_in(ctx, &mut self.arena);
+            let k = ctx.effective_k();
+            let init = indices_of(&inst.cand, ctx.current);
+            let search = |init| inst.local_search_reference(k, init, &[], MAX_ROUNDS);
+            let (best_set, best_cost) = if self.exact {
+                match inst.exhaustive(k, &[], EXACT_BUDGET) {
+                    Some(r) => r,
+                    None => search(init.clone()),
+                }
+            } else {
+                let (s1, c1) = search(init.clone());
+                let (s2, c2) = search(inst.greedy_reference(k, &[]));
+                if c1 <= c2 {
+                    (s1, c1)
+                } else {
+                    (s2, c2)
+                }
+            };
+            // Hysteresis: a full current wiring is kept unless beaten clearly.
+            let held = (self.hysteresis > 0.0 && init.len() == k).then(|| inst.eval(&init));
+            let result = match held {
+                Some(current) if best_cost >= current * (1.0 - self.hysteresis) => {
+                    (inst.to_nodes(&init), current)
+                }
+                _ => (inst.to_nodes(&best_set), best_cost),
+            };
+            inst.recycle(&mut self.arena);
+            result
+        }
+    }
 
     /// A 5-node metric where node 0's best single neighbor is the hub.
     fn hub_matrix() -> DistanceMatrix {

@@ -34,16 +34,6 @@ impl EpsilonBr {
         }
     }
 
-    /// BR(ε) whose inner solver runs the pre-optimization reference
-    /// loops (the `Recompute` oracle's timing-faithful mode).
-    pub fn reference(epsilon: f64) -> Self {
-        EpsilonBr {
-            epsilon,
-            inner: BestResponse::local_search().with_reference(true),
-            arena: SolverArena::default(),
-        }
-    }
-
     /// Cost of keeping the current wiring, under announced information,
     /// computed in recycled storage.
     fn current_cost_in(ctx: &WiringContext<'_>, arena: &mut SolverArena) -> f64 {

@@ -134,29 +134,6 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiate with the pre-optimization reference solvers where
-    /// they exist (the BR family's original greedy / local-search
-    /// loops). Used by the `Recompute` oracle so `perf_baseline`'s
-    /// `baseline_wall_ms` measures what the repo shipped before the
-    /// epoch route-state engine; results are bit-identical either way.
-    pub fn instantiate_reference(self) -> Box<dyn Policy + Send + Sync> {
-        match self {
-            PolicyKind::BestResponse => {
-                Box::new(best_response::BestResponse::local_search().with_reference(true))
-            }
-            PolicyKind::ExactBestResponse => {
-                Box::new(best_response::BestResponse::exact().with_reference(true))
-            }
-            PolicyKind::EpsilonBestResponse { epsilon } => {
-                Box::new(epsilon::EpsilonBr::reference(epsilon))
-            }
-            PolicyKind::TrafficAware { .. } => {
-                Box::new(best_response::BestResponse::local_search().with_reference(true))
-            }
-            other => other.instantiate(),
-        }
-    }
-
     /// The policy object under the bandwidth metric (§4.1): every
     /// best-response flavour solves the max-bottleneck objective,
     /// k-Closest becomes k-Widest, and the metric-oblivious wirings stay

@@ -430,7 +430,7 @@ proptest! {
         twist in 0u64..1000,
     ) {
         use crate::cost::disconnection_penalty;
-        use crate::policies::bandwidth::all_pairs_widest;
+        use crate::policies::bandwidth::oracle::all_pairs_widest;
         use crate::snapshot::{RouteState, SnapshotKind};
 
         let n = d.len();
@@ -594,7 +594,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         use crate::cost::disconnection_penalty;
-        use crate::policies::bandwidth::all_pairs_widest;
+        use crate::policies::bandwidth::oracle::all_pairs_widest;
         use crate::snapshot::{RouteState, SnapshotKind};
         use rand::seq::SliceRandom;
         use rand::Rng;
@@ -743,7 +743,7 @@ impl DenseGame {
         }
         let g = self.wiring.residual_graph(i, &self.costs, &self.alive);
         let residual = if self.widest {
-            crate::policies::bandwidth::all_pairs_widest(&g)
+            crate::policies::bandwidth::oracle::all_pairs_widest(&g)
         } else {
             apsp(&g)
         };
@@ -954,7 +954,6 @@ proptest! {
     #[test]
     fn null_rows_are_exact(seed in any::<u64>(), n in 5usize..40, k in 1usize..12) {
         use crate::policies::bandwidth::{bandwidth_best_response, oracle, BwInstance};
-        use crate::policies::epsilon::EpsilonBr;
         use crate::policies::hybrid::HybridBr;
         use crate::policies::solver::{indices_of, SolverArena};
         use crate::policies::Policy;
@@ -965,14 +964,10 @@ proptest! {
         let c = case.ctx();
         rows_are_written_rows::<MinPlus>(&c)?;
         let (s, v) = BestResponse::local_search().solve(&c);
-        let (s_ref, v_ref) = BestResponse::local_search().with_reference(true).solve(&c);
+        // BR(ε) takes its proposal from this same solve.
+        let (s_ref, v_ref) = BestResponse::local_search().solve_reference(&c);
         prop_assert_eq!(&s, &s_ref, "BR");
         prop_assert_eq!(v.to_bits(), v_ref.to_bits(), "BR cost");
-        prop_assert_eq!(
-            EpsilonBr::new(0.05).wire(&c, &mut rng),
-            EpsilonBr::reference(0.05).wire(&c, &mut rng),
-            "BR(0.05)"
-        );
         let hybrid = HybridBr::new(2);
         let members: Vec<NodeId> = (0..case.n).filter(|&j| case.alive[j]).map(NodeId::from_index).collect();
         let donated = hybrid.donated_links(NodeId(0), &members);
@@ -1029,9 +1024,9 @@ fn hysteresis_proof_is_sound() {
             }
         }
         // Converge from the case's start, then keep, nudge or redraw.
-        let mut br = BestResponse::local_search().with_reference(true);
+        let mut br = BestResponse::local_search();
         for _ in 0..3 {
-            null.current = br.solve(&null.ctx()).0;
+            null.current = br.solve_reference(&null.ctx()).0;
         }
         match rng.random_range(0..4u32) {
             0 if !null.current.is_empty() => {
@@ -1064,7 +1059,7 @@ fn hysteresis_proof_is_sound() {
             searched += 1;
         }
         let (s, v) = shipped.solve(&c);
-        let (s_ref, v_ref) = br.solve(&c);
+        let (s_ref, v_ref) = br.solve_reference(&c);
         assert_eq!(s, s_ref, "case {case}: neighbors");
         assert_eq!(
             v.to_bits(),
@@ -1082,9 +1077,11 @@ proptest! {
     /// Every residual backing makes the same choice. One turn of BR,
     /// exact BR and HybridBR, unsampled and at `m = 4` under one seed,
     /// returns the same links whether its rows come from the route
-    /// state's snapshot, from a dense `apsp(G−i)`, or are swept on demand
-    /// over the overlay's CSR graph with the snapshot's penalty — the
-    /// protocol node's form. Some direct costs are unmeasured, so the
+    /// state's snapshot or are swept on demand over the overlay's CSR
+    /// graph with the snapshot's penalty — the protocol node's form. (The
+    /// rows themselves are pinned against `apsp(G−i)` by
+    /// `residual_view_matches_from_scratch_oracle` and
+    /// `on_demand_rows_equal_dense_residual_apsp`.) Some direct costs are unmeasured, so the
     /// on-demand form names only some of the shortlist's rows.
     #[test]
     fn every_backing_makes_the_same_choice(
@@ -1129,7 +1126,6 @@ proptest! {
         let mut route = RouteState::new();
         route.rebuild(SnapshotKind::Additive, d.clone(), penalty, alive.clone(), &overlay);
         let csr = CsrGraph::from_digraph(&overlay);
-        let dense = apsp(&w.residual_graph(me, &d, &alive));
         let mut arena = ResidualArena::default();
         let (prefs, current) = (Preferences::uniform(n), w.of(me).to_vec());
         for kind in [
@@ -1153,9 +1149,7 @@ proptest! {
                     choose(turn, &current, residual, kind.instantiate().as_mut(), &mut rng)
                 };
                 let snapshot = play(Residual::Snapshot(&mut route));
-                let from_dense = play(Residual::Dense(&dense, SnapshotKind::Additive, penalty));
                 let on_demand = play(Residual::OnDemand(&csr, &mut arena, penalty));
-                prop_assert_eq!(&from_dense, &snapshot, "{:?} m={}: dense", kind, m);
                 prop_assert_eq!(&on_demand, &snapshot, "{:?} m={}: on demand", kind, m);
             }
         }

@@ -25,8 +25,8 @@
 //! Either way the named rows are bit for bit the same rows of
 //! `apsp(residual_graph(i))` — pinned by the proptests in this crate and
 //! the golden equivalence suite. A dense view ([`ResidualView::dense`])
-//! has no table: every row of its matrix is a base row. The `Recompute`
-//! oracle, the sampling experiments and the tests build those.
+//! has no table: every row of its matrix is a base row. The sampling
+//! experiments and the tests build those.
 //!
 //! [`RouteState::residual`]: crate::snapshot::RouteState::residual
 

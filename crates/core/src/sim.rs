@@ -24,12 +24,10 @@ use crate::cost::{
     disconnection_penalty, node_cost_from_dists, realized_rows, widest_rows, Preferences,
 };
 use crate::game::{alive_others, play_turn, Turn};
-use crate::policies::bandwidth::all_pairs_widest;
 use crate::policies::hybrid::HybridBr;
 use crate::policies::{Policy, PolicyKind};
 use crate::snapshot::{RebuildCause, RouteState, RouteStats, SnapshotKind};
 use crate::wiring::Wiring;
-use egoist_graph::apsp::apsp;
 use egoist_graph::connectivity::strongly_connected;
 use egoist_graph::cycles::ring_edges;
 use egoist_graph::{DistanceMatrix, NodeId};
@@ -55,23 +53,6 @@ pub enum Metric {
     Bandwidth,
 }
 
-/// Which route-state engine drives the wiring turns.
-///
-/// Both engines simulate the *same* process and produce byte-identical
-/// outputs for identical seeds (pinned by the golden equivalence suite);
-/// they differ only in how much work they repeat.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineMode {
-    /// The epoch route-state engine: one shared snapshot (announced
-    /// matrix + full-wiring CSR APSP) per epoch state, residual distances
-    /// derived by incremental repair. The production default.
-    #[default]
-    Epoch,
-    /// Straightforward per-turn recomputation — the reference oracle the
-    /// equivalence tests and the perf baseline compare against.
-    Recompute,
-}
-
 /// Simulation configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -89,8 +70,6 @@ pub struct SimConfig {
     /// Churn trace; `None` = no churn.
     pub churn: Option<ChurnTrace>,
     pub cheat: CheatConfig,
-    /// Route-state engine (see [`EngineMode`]).
-    pub engine: EngineMode,
     /// §5's `m`: a best-response turn solves over a
     /// [`shortlist`](crate::sampling::shortlist) of its links plus `m`
     /// candidates instead of all `n − 1` (`usize::MAX`: always all).
@@ -114,7 +93,6 @@ impl SimConfig {
             seed,
             churn: None,
             cheat: CheatConfig::honest(),
-            engine: EngineMode::default(),
             sample_size: 64,
         }
     }
@@ -291,10 +269,9 @@ impl Simulator {
             alive: vec![true; n],
             prefs: Preferences::uniform(n),
             demand_prefs: None,
-            policy: match (cfg.metric, cfg.engine) {
-                (Metric::Bandwidth, _) => cfg.policy.instantiate_bandwidth(),
-                (_, EngineMode::Epoch) => cfg.policy.instantiate(),
-                (_, EngineMode::Recompute) => cfg.policy.instantiate_reference(),
+            policy: match cfg.metric {
+                Metric::Bandwidth => cfg.policy.instantiate_bandwidth(),
+                _ => cfg.policy.instantiate(),
             },
             policy_rng: derive(cfg.seed, "sim-policy"),
             underlay_rng: derive(cfg.seed, "sim-underlay"),
@@ -480,9 +457,8 @@ impl Simulator {
     ///
     /// The metric chose the policy object (at construction) and chooses
     /// the path semiring here; whether residual state is built at all is
-    /// the policy's [`PolicyKind::needs_residual`], and the engine says
-    /// where it comes from: the epoch snapshot, or a from-scratch `G−i`
-    /// under [`EngineMode::Recompute`].
+    /// the policy's [`PolicyKind::needs_residual`], and its rows come from
+    /// the epoch snapshot, built here when none is live.
     fn rewire(&mut self, i: NodeId) -> bool {
         if !self.alive[i.index()] {
             return false;
@@ -493,30 +469,14 @@ impl Simulator {
             return false;
         }
         let direct = self.candidate_costs(i);
-        let dense;
-        let recomputed = if !self.cfg.policy.needs_residual() {
-            None
-        } else if self.cfg.engine == EngineMode::Recompute {
-            // Reference oracle: rebuild everything from scratch.
+        if self.cfg.policy.needs_residual() && self.route_state.snapshot().is_none() {
             let announced = self.announced_cost_matrix();
             let (kind, penalty) = self.snapshot_kind(&announced);
-            let residual_graph = self.wiring.residual_graph(i, &announced, &self.alive);
-            dense = match kind {
-                SnapshotKind::Additive => apsp(&residual_graph),
-                SnapshotKind::Widest => all_pairs_widest(&residual_graph),
-            };
-            Some((&dense, kind, penalty))
-        } else {
-            if self.route_state.snapshot().is_none() {
-                let announced = self.announced_cost_matrix();
-                let (kind, penalty) = self.snapshot_kind(&announced);
-                let overlay = self.wiring.to_graph(&announced, &self.alive);
-                let alive = self.alive.clone();
-                self.route_state
-                    .rebuild(kind, announced, penalty, alive, &overlay);
-            }
-            None
-        };
+            let overlay = self.wiring.to_graph(&announced, &self.alive);
+            let alive = self.alive.clone();
+            self.route_state
+                .rebuild(kind, announced, penalty, alive, &overlay);
+        }
         let turn = Turn {
             node: i,
             k: self.cfg.k,
@@ -533,7 +493,7 @@ impl Simulator {
             &mut self.wiring,
             &mut self.policy_rng,
         );
-        play_turn(turn, recomputed, route, policy, wiring, rng)
+        play_turn(turn, route, policy, wiring, rng)
     }
 
     /// Enforce the §3.2 connectivity cycle for k-Random / k-Closest: when
@@ -796,8 +756,7 @@ impl Simulator {
         self.announced_cow()
     }
 
-    /// Work counters of the epoch route-state engine (all zero in
-    /// [`EngineMode::Recompute`]).
+    /// Work counters of the epoch route-state engine.
     pub fn route_stats(&self) -> RouteStats {
         self.route_state.stats
     }
@@ -850,7 +809,6 @@ mod tests {
             seed: 11,
             churn: None,
             cheat: CheatConfig::honest(),
-            engine: EngineMode::default(),
             sample_size: 64,
         }
     }

@@ -754,7 +754,7 @@ mod tests {
         let (d, w, alive) = setup(20, 3, 2);
         let mut rs = fresh_state(SnapshotKind::Widest, &d, &w, &alive);
         for i in [0usize, 9, 19] {
-            let oracle = crate::policies::bandwidth::all_pairs_widest(&w.residual_graph(
+            let oracle = crate::policies::bandwidth::oracle::all_pairs_widest(&w.residual_graph(
                 NodeId::from_index(i),
                 &d,
                 &alive,
@@ -894,7 +894,7 @@ mod tests {
         let oracle = w.residual_graph(NodeId(9), &d, &alive);
         let oracle = match kind {
             SnapshotKind::Additive => apsp(&oracle),
-            SnapshotKind::Widest => crate::policies::bandwidth::all_pairs_widest(&oracle),
+            SnapshotKind::Widest => crate::policies::bandwidth::oracle::all_pairs_widest(&oracle),
         };
         let got = rs.residual(9, &everyone(28));
         for s in 0..28 {

@@ -38,25 +38,6 @@ pub fn strongly_connected(g: &DiGraph, members: &[NodeId]) -> bool {
     members.iter().all(|m| bwd[m.index()])
 }
 
-/// Fraction of ordered alive pairs `(i, j)`, `i ≠ j`, with a directed path
-/// `i → j`. 1.0 for a strongly connected overlay.
-pub fn pairwise_reachability(g: &DiGraph, members: &[NodeId]) -> f64 {
-    let m = members.len();
-    if m <= 1 {
-        return 1.0;
-    }
-    let mut ok = 0usize;
-    for &i in members {
-        let seen = reachable_from(g, i);
-        for &j in members {
-            if i != j && seen[j.index()] {
-                ok += 1;
-            }
-        }
-    }
-    ok as f64 / (m * (m - 1)) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,19 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_reachability_fraction() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        // Reachable ordered pairs: 0→1, 0→2, 1→2 of 6.
-        let frac = pairwise_reachability(&g, &ids(&[0, 1, 2]));
-        assert!((frac - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn singleton_trivially_connected() {
         let g = DiGraph::new(1);
         assert!(strongly_connected(&g, &ids(&[0])));
-        assert_eq!(pairwise_reachability(&g, &ids(&[0])), 1.0);
     }
 }

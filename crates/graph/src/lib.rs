@@ -21,12 +21,13 @@
 //!
 //! The dense modules that remain beside `csr`, and why:
 //!
-//! * [`apsp`] — all-pairs shortest paths by `n` Dijkstra runs, for the
-//!   simulator's from-scratch `Recompute` oracle and `egoist-netsim`'s
-//!   underlay routing. The whole-stack benchmark imports it by this path.
+//! * [`apsp`] — all-pairs shortest paths by `n` Dijkstra runs, for
+//!   `egoist-netsim`'s underlay routing, the static-game figures' dense
+//!   costs (`egoist-bench`) and the tests' from-scratch residual oracle.
+//!   The whole-stack benchmark imports it by this path.
 //! * [`dijkstra`] / [`widest`] — the single-source references `csr` is
-//!   pinned bit for bit against (`widest` also backs the bandwidth
-//!   policy's all-pairs widest-path reference).
+//!   pinned bit for bit against; `widest` also backs the dense
+//!   widest-path oracles of `egoist-core`'s tests.
 //! * [`maxflow`] / [`disjoint`] — Dinic's max-flow and the edge-disjoint
 //!   path count built on it: the only max-flow code, used for Fig. 10's
 //!   "all peers allow multipath redirection" bound and Fig. 11's disjoint

@@ -503,30 +503,10 @@ impl FaultInjector {
         }
     }
 
-    /// Process one frame at simulation time `now`; may mutate it in place.
-    /// Address-blind variant (no partition/storm cuts apply).
-    pub fn process(&mut self, now: f64, frame: &mut [u8]) -> Verdict {
-        self.process_addressed(now, NodeId(u32::MAX), NodeId(u32::MAX), frame)
-    }
-
-    /// Process one addressed frame at simulation time `now`.
-    pub fn process_addressed(
-        &mut self,
-        now: f64,
-        from: NodeId,
-        to: NodeId,
-        frame: &mut [u8],
-    ) -> Verdict {
-        let verdict = self.verdict(now, from, to, frame.len());
-        verdict.damage(frame);
-        verdict
-    }
-
     /// The verdict on one addressed frame of `len` octets at simulation
     /// time `now`, without touching its bytes: a caller that shares one
     /// frame among several sends copies it only when the verdict is
-    /// `Corrupted`, and applies the flip with [`Verdict::damage`]. Draws
-    /// exactly the RNG sequence [`Self::process_addressed`] does.
+    /// `Corrupted`, and applies the flip with [`Verdict::damage`].
     pub fn verdict(&mut self, now: f64, from: NodeId, to: NodeId, len: usize) -> Verdict {
         self.note_window_edges(now);
         if let Some(plan) = &self.plan {
@@ -588,12 +568,14 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    /// An endpoint no plan names: only window-free faults apply.
+    const NOBODY: NodeId = NodeId(u32::MAX);
+
     #[test]
     fn clean_injector_passes_everything() {
         let mut f = FaultInjector::new(FaultConfig::default(), 1);
-        let mut frame = vec![0u8; 32];
         for t in 0..100 {
-            assert_eq!(f.process(t as f64, &mut frame), Verdict::Pass);
+            assert_eq!(f.verdict(t as f64, NOBODY, NOBODY, 32), Verdict::Pass);
         }
         assert_eq!(f.stats.passed, 100);
     }
@@ -601,10 +583,9 @@ mod tests {
     #[test]
     fn drop_rate_is_roughly_honored() {
         let mut f = FaultInjector::new(FaultConfig::lossy(0.3), 2);
-        let mut frame = vec![0u8; 8];
         let mut drops = 0;
         for t in 0..2000 {
-            if f.process(t as f64, &mut frame) == Verdict::Drop {
+            if f.verdict(t as f64, NOBODY, NOBODY, 8) == Verdict::Drop {
                 drops += 1;
             }
         }
@@ -621,10 +602,9 @@ mod tests {
         let mut f = FaultInjector::new(cfg, 3);
         let orig = vec![0xAAu8; 16];
         let mut frame = orig.clone();
-        assert!(matches!(
-            f.process(0.0, &mut frame),
-            Verdict::Corrupted { .. }
-        ));
+        let verdict = f.verdict(0.0, NOBODY, NOBODY, frame.len());
+        assert!(matches!(verdict, Verdict::Corrupted { .. }));
+        verdict.damage(&mut frame);
         let flipped: u32 = orig
             .iter()
             .zip(&frame)
@@ -641,15 +621,14 @@ mod tests {
             ..Default::default()
         };
         let mut f = FaultInjector::new(cfg, 4);
-        let mut frame = vec![0u8; 4];
         // Burst of 10 at t=0: only 4 pass.
         let passed = (0..10)
-            .filter(|_| f.process(0.0, &mut frame) == Verdict::Pass)
+            .filter(|_| f.verdict(0.0, NOBODY, NOBODY, 4) == Verdict::Pass)
             .count();
         assert_eq!(passed, 4);
         // After 3 seconds, 3 tokens refilled.
         let passed2 = (0..10)
-            .filter(|_| f.process(3.0, &mut frame) == Verdict::Pass)
+            .filter(|_| f.verdict(3.0, NOBODY, NOBODY, 4) == Verdict::Pass)
             .count();
         assert_eq!(passed2, 3);
         assert_eq!(f.stats.rate_limited, 13);
@@ -659,9 +638,8 @@ mod tests {
     fn determinism() {
         let run = |seed| {
             let mut f = FaultInjector::new(FaultConfig::lossy(0.5), seed);
-            let mut frame = vec![0u8; 4];
             (0..64)
-                .map(|t| f.process(t as f64, &mut frame) == Verdict::Drop)
+                .map(|t| f.verdict(t as f64, NOBODY, NOBODY, 4) == Verdict::Drop)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));
@@ -676,35 +654,16 @@ mod tests {
             vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2), NodeId(3)]],
         );
         let mut f = FaultInjector::with_plan(FaultConfig::default(), Some(plan), 5);
-        let mut frame = vec![0u8; 4];
         // Before the window: everything passes.
-        assert_eq!(
-            f.process_addressed(5.0, NodeId(0), NodeId(2), &mut frame),
-            Verdict::Pass
-        );
+        assert_eq!(f.verdict(5.0, NodeId(0), NodeId(2), 4), Verdict::Pass);
         // During: cross-group cut, intra-group pass. Unlisted ids side
         // with group 0.
-        assert_eq!(
-            f.process_addressed(15.0, NodeId(0), NodeId(2), &mut frame),
-            Verdict::Cut
-        );
-        assert_eq!(
-            f.process_addressed(15.0, NodeId(2), NodeId(3), &mut frame),
-            Verdict::Pass
-        );
-        assert_eq!(
-            f.process_addressed(15.0, NodeId(0), NodeId(1000), &mut frame),
-            Verdict::Pass
-        );
-        assert_eq!(
-            f.process_addressed(15.0, NodeId(2), NodeId(1000), &mut frame),
-            Verdict::Cut
-        );
+        assert_eq!(f.verdict(15.0, NodeId(0), NodeId(2), 4), Verdict::Cut);
+        assert_eq!(f.verdict(15.0, NodeId(2), NodeId(3), 4), Verdict::Pass);
+        assert_eq!(f.verdict(15.0, NodeId(0), NodeId(1000), 4), Verdict::Pass);
+        assert_eq!(f.verdict(15.0, NodeId(2), NodeId(1000), 4), Verdict::Cut);
         // After the heal: everything passes again.
-        assert_eq!(
-            f.process_addressed(25.0, NodeId(0), NodeId(2), &mut frame),
-            Verdict::Pass
-        );
+        assert_eq!(f.verdict(25.0, NodeId(0), NodeId(2), 4), Verdict::Pass);
         assert_eq!(f.stats.cut, 2);
     }
 
@@ -761,10 +720,9 @@ mod tests {
     fn window_loss_applies_only_inside_window() {
         let plan = FaultPlan::new().loss(10.0, 20.0, 1.0);
         let mut f = FaultInjector::with_plan(FaultConfig::default(), Some(plan), 6);
-        let mut frame = vec![0u8; 4];
-        assert_eq!(f.process(5.0, &mut frame), Verdict::Pass);
-        assert_eq!(f.process(15.0, &mut frame), Verdict::Drop);
-        assert_eq!(f.process(25.0, &mut frame), Verdict::Pass);
+        assert_eq!(f.verdict(5.0, NOBODY, NOBODY, 4), Verdict::Pass);
+        assert_eq!(f.verdict(15.0, NOBODY, NOBODY, 4), Verdict::Drop);
+        assert_eq!(f.verdict(25.0, NOBODY, NOBODY, 4), Verdict::Pass);
     }
 
     #[test]
@@ -774,9 +732,8 @@ mod tests {
             ..Default::default()
         };
         let mut f = FaultInjector::new(cfg, 7);
-        let mut frame = vec![0u8; 4];
         assert!(matches!(
-            f.process(0.0, &mut frame),
+            f.verdict(0.0, NOBODY, NOBODY, 4),
             Verdict::Duplicate { .. }
         ));
         let cfg = FaultConfig {
@@ -785,7 +742,7 @@ mod tests {
             ..Default::default()
         };
         let mut f = FaultInjector::new(cfg, 8);
-        match f.process(0.0, &mut frame) {
+        match f.verdict(0.0, NOBODY, NOBODY, 4) {
             Verdict::Reordered { extra_us } => {
                 assert!((20_000..=40_000).contains(&extra_us), "hold {extra_us}us")
             }
@@ -797,7 +754,7 @@ mod tests {
             ..Default::default()
         };
         let mut f = FaultInjector::new(cfg, 9);
-        match f.process(0.0, &mut frame) {
+        match f.verdict(0.0, NOBODY, NOBODY, 4) {
             Verdict::Delayed { extra_us } => assert!(extra_us < 10_000),
             v => panic!("expected jitter, got {v:?}"),
         }

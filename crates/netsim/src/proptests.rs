@@ -82,9 +82,8 @@ proptest! {
     ) {
         let cfg = FaultConfig { drop_chance: drop, corrupt_chance: corrupt, ..Default::default() };
         let mut inj = FaultInjector::new(cfg, seed);
-        let mut buf = vec![0xA5u8; 16];
         for t in 0..frames {
-            let _ = inj.process(t as f64, &mut buf);
+            inj.verdict(t as f64, NodeId(0), NodeId(1), 16);
         }
         prop_assert_eq!(
             inj.stats.passed + inj.stats.dropped + inj.stats.corrupted + inj.stats.rate_limited,
@@ -97,7 +96,8 @@ proptest! {
     fn clean_injector_never_mutates(seed in 0u64..100, data in proptest::collection::vec(any::<u8>(), 1..64)) {
         let mut inj = FaultInjector::new(FaultConfig::default(), seed);
         let mut buf = data.clone();
-        let v = inj.process(0.0, &mut buf);
+        let v = inj.verdict(0.0, NodeId(0), NodeId(1), buf.len());
+        v.damage(&mut buf);
         prop_assert_eq!(v, Verdict::Pass);
         prop_assert_eq!(buf, data);
     }
@@ -154,8 +154,7 @@ proptest! {
                 let now = t as f64 * 0.7;
                 let from = NodeId((t % 4) as u32);
                 let to = NodeId(((t + 1) % 4) as u32);
-                let mut buf = vec![0x5Au8; 16];
-                verdicts.push(inj.process_addressed(now, from, to, &mut buf));
+                verdicts.push(inj.verdict(now, from, to, 16));
             }
             (
                 verdicts,
@@ -166,28 +165,6 @@ proptest! {
             )
         };
         prop_assert_eq!(run(), run());
-    }
-
-    /// A plan-free injector behaves identically through the addressed
-    /// and address-blind entry points: wiring the plan machinery in must
-    /// not perturb legacy verdict streams.
-    #[test]
-    fn addressed_and_blind_paths_agree_without_plan(
-        seed in 0u64..200,
-        drop in 0.0f64..0.9,
-        frames in 1usize..200,
-    ) {
-        let cfg = FaultConfig { drop_chance: drop, corrupt_chance: 0.2, ..Default::default() };
-        let mut blind = FaultInjector::new(cfg, seed);
-        let mut addressed = FaultInjector::new(cfg, seed);
-        for t in 0..frames {
-            let mut a = vec![0xC3u8; 8];
-            let mut b = a.clone();
-            let va = blind.process(t as f64, &mut a);
-            let vb = addressed.process_addressed(t as f64, NodeId(5), NodeId(6), &mut b);
-            prop_assert_eq!(va, vb);
-            prop_assert_eq!(&a, &b);
-        }
     }
 
     /// Trace slicing covers every event exactly once.

@@ -1007,7 +1007,9 @@ mod tests {
         /// Pass one message over the lossy link; `None` when dropped.
         fn send(inj: &mut FaultInjector, now: f64, msg: Message) -> Option<Message> {
             let mut frame = encode(&msg).to_vec();
-            match inj.process(now, &mut frame) {
+            let verdict = inj.verdict(now, NodeId(0), NodeId(1), frame.len());
+            verdict.damage(&mut frame);
+            match verdict {
                 Verdict::Drop | Verdict::Cut => None,
                 // Corruption surfaces as a decode failure, i.e. a drop.
                 _ => decode(&frame).ok(),

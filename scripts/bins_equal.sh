@@ -11,10 +11,16 @@
 #
 #   cargo build --release --workspace --bins --examples
 #
-# Every binary and example runs under two settings: `EGOIST_FAST=1`, and
-# `EGOIST_SEEDS=2,5 EGOIST_EPOCHS=9` (paper sizes, two seeds). The
-# examples read neither knob and run the same under both. `live_overlay`
-# is left out: it binds UDP sockets. Timings are masked before the diff:
+# The programs are globbed from this checkout's sources, as CI's smoke
+# loops glob them, so a new figure bin or example cannot be left out:
+# every `crates/bench/src/bin/*.rs` except the four report bins
+# (`perf_baseline`, `metrics_check`, `policy_race`, `chaos_fleet`, which
+# have their own `--check` / `cmp` gates), and every `examples/*.rs`
+# except `live_overlay`, which binds UDP sockets. A program the parent
+# does not have yet is a usage error. Each runs under two settings:
+# `EGOIST_FAST=1`, and `EGOIST_SEEDS=2,5 EGOIST_EPOCHS=9` (paper sizes,
+# two seeds); the examples read neither knob and run the same under
+# both. Timings are masked before the diff:
 # `ablation_sample_size`'s `wall_s` column, and the span durations
 # (`*_ns`) that `observability_demo` prints. Run from the repository
 # root; outputs land in a temporary directory that is removed on exit.
@@ -30,14 +36,22 @@ usage() {
 [[ $# -eq 2 ]] || usage
 parent=$1 change=$2
 
-bins=(fig1_delay fig1_load fig1_bandwidth fig1_pyxida fig2_churn_k
-      fig2_churn_rate fig3_rewirings fig4_freeriders fig5to8_sampling
-      fig10_multipath fig11_disjoint ablation_hybrid ablation_sample_size
-      ablation_skew ablation_underlay overheads traffic_workloads)
-examples=(quickstart churn_resilience multipath_transfer traffic_replay
-          observability_demo)
-
-programs=("${bins[@]}" "${examples[@]/#/examples/}")
+[[ -d crates/bench/src/bin && -d examples ]] || {
+    echo "$0: run from the repository root" >&2
+    exit 2
+}
+programs=()
+for src in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    case $bin in
+    perf_baseline | metrics_check | policy_race | chaos_fleet) ;;
+    *) programs+=("$bin") ;;
+    esac
+done
+for src in examples/*.rs; do
+    example=$(basename "$src" .rs)
+    [[ $example == live_overlay ]] || programs+=("examples/$example")
+done
 for dir in "$parent" "$change"; do
     for p in "${programs[@]}"; do
         [[ -x $dir/$p ]] || { echo "$0: $dir/$p is not an executable" >&2; exit 2; }

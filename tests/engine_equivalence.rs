@@ -1,19 +1,23 @@
-//! Golden equivalence: the epoch route-state engine must be a pure
-//! optimization.
+//! Golden whole-run verdicts of the epoch route-state engine.
 //!
-//! [`EngineMode::Epoch`] (shared snapshots + incremental residual
-//! repair) and [`EngineMode::Recompute`] (the straightforward per-turn
-//! oracle) simulate the same process; these tests pin that the two
-//! produce *bit-identical* outputs — every `EpochSample` series down to
-//! the float bits, and the serialized `TrafficReport` byte for byte —
-//! across metrics, scales, policies and churn. Any divergence means the
-//! incremental repair returned a wrong distance, not merely a different
-//! tie-break: policies only consume distances, and equal path minima are
-//! equal `f64`s.
+//! The simulator once carried a second engine, `Recompute`: the paper's
+//! literal turn (§3.1), an all-pairs shortest path on `G−i` from scratch
+//! for every re-wiring node, driving the pre-optimization best-response
+//! loops. These tests asserted that the epoch engine (shared snapshots +
+//! incremental residual repair) produced *bit-identical* outputs to it —
+//! every `EpochSample` series down to the float bits, and the serialized
+//! `TrafficReport` byte for byte — across metrics, scales, policies and
+//! churn. Every FNV golden below that names no other commit was made at
+//! commit 0e9eba7, in the run that still asserted Epoch ≡ Recompute on
+//! that very case, so each one pins the oracle's verdict: a changed
+//! golden means the wiring changed, not merely a tie-break. The
+//! per-layer oracles stay with the crates' unit tests (residual rows
+//! against `apsp` / widest paths, the solvers against their reference
+//! loops).
 
 use egoist::core::cheat::CheatConfig;
 use egoist::core::policies::PolicyKind;
-use egoist::core::sim::{run, EngineMode, Metric, SimConfig, SimResult, Simulator};
+use egoist::core::sim::{run, Metric, SimConfig, SimResult, Simulator};
 use egoist::netsim::ChurnModel;
 use egoist::traffic::demand::WorkloadKind;
 use egoist::traffic::engine::{TrafficConfig, TrafficEngine};
@@ -33,129 +37,119 @@ fn with_churn(mut c: SimConfig) -> SimConfig {
     c
 }
 
-/// Run both engines and demand bitwise-equal sample series; returns
-/// the epoch engine's result.
-fn assert_equivalent(base: SimConfig) -> SimResult {
-    let mut epoch_cfg = base.clone();
-    epoch_cfg.engine = EngineMode::Epoch;
-    let mut oracle_cfg = base;
-    oracle_cfg.engine = EngineMode::Recompute;
-    let fast = run(epoch_cfg.clone());
-    let oracle = run(oracle_cfg);
-    assert_series_identical(&fast, &oracle, &epoch_cfg);
-    fast
+fn label(c: &SimConfig) -> String {
+    format!(
+        "{:?}/{:?} n={} seed={}{}",
+        c.policy,
+        c.metric,
+        c.n,
+        c.seed,
+        if c.churn.is_some() { " churned" } else { "" }
+    )
+}
+
+/// Run `c` and demand the fingerprint of its whole `SimResult`.
+fn assert_golden(c: SimConfig, golden: u64) {
+    let got = fingerprint(&run(c.clone()));
+    assert_eq!(got, golden, "{}: {got:#018x}", label(&c));
+}
+
+/// Run the closed loop and demand the fingerprint of its report JSON.
+fn assert_report_golden(c: TrafficConfig, golden: u64) {
+    let mut got = FNV_OFFSET;
+    fnv(&mut got, TrafficEngine::run(&c).to_json().as_bytes());
+    assert_eq!(
+        got,
+        golden,
+        "report {} {:?}: {got:#018x}",
+        label(&c.sim),
+        c.data_policy
+    );
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
 }
 
 /// FNV-1a over everything a `SimResult` carries, floats by bit pattern.
 fn fingerprint(r: &SimResult) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(r.config_label.as_bytes());
+    let mut h = FNV_OFFSET;
+    fnv(&mut h, r.config_label.as_bytes());
     for s in &r.samples {
         for count in [s.epoch, s.rewirings, s.alive] {
-            eat(&(count as u64).to_le_bytes());
+            fnv(&mut h, &(count as u64).to_le_bytes());
         }
         for series in [&s.individual_cost, &s.efficiency, &s.bandwidth_utility] {
             for x in series {
-                eat(&x.to_bits().to_le_bytes());
+                fnv(&mut h, &x.to_bits().to_le_bytes());
             }
         }
     }
     h
 }
 
-fn assert_series_identical(fast: &SimResult, oracle: &SimResult, cfg: &SimConfig) {
-    assert_eq!(fast.samples.len(), oracle.samples.len());
-    for (f, o) in fast.samples.iter().zip(&oracle.samples) {
-        let label = format!(
-            "{:?}/{:?} n={} seed={} epoch {}",
-            cfg.policy, cfg.metric, cfg.n, cfg.seed, f.epoch
-        );
-        assert_eq!(f.epoch, o.epoch, "{label}");
-        assert_eq!(f.rewirings, o.rewirings, "{label}: rewirings");
-        assert_eq!(f.alive, o.alive, "{label}: alive");
-        for (name, a, b) in [
-            ("individual_cost", &f.individual_cost, &o.individual_cost),
-            ("efficiency", &f.efficiency, &o.efficiency),
-            (
-                "bandwidth_utility",
-                &f.bandwidth_utility,
-                &o.bandwidth_utility,
-            ),
-        ] {
-            assert_eq!(a.len(), b.len(), "{label}: {name} length");
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "{label}: {name}[{i}] {x} vs {y}");
-            }
-        }
-    }
-}
-
 #[test]
 fn delay_metric_32_nodes_identical() {
-    assert_equivalent(cfg(32, 4, PolicyKind::BestResponse, Metric::DelayPing, 3));
+    let c = cfg(32, 4, PolicyKind::BestResponse, Metric::DelayPing, 3);
+    assert_golden(c, 0xc503_5ac6_a6dc_a85f);
 }
 
 #[test]
 fn delay_metric_64_nodes_identical() {
-    assert_equivalent(cfg(64, 6, PolicyKind::BestResponse, Metric::DelayPing, 9));
+    let c = cfg(64, 6, PolicyKind::BestResponse, Metric::DelayPing, 9);
+    assert_golden(c, 0x7fdb_a8c6_60dc_cf46);
 }
 
 #[test]
 fn load_metric_identical() {
-    assert_equivalent(cfg(32, 4, PolicyKind::BestResponse, Metric::Load, 5));
-    assert_equivalent(cfg(64, 5, PolicyKind::BestResponse, Metric::Load, 6));
+    let c = cfg(32, 4, PolicyKind::BestResponse, Metric::Load, 5);
+    assert_golden(c, 0x627f_805d_521f_fd30);
+    let c = cfg(64, 5, PolicyKind::BestResponse, Metric::Load, 6);
+    assert_golden(c, 0x0fff_e430_68a2_0e7a);
 }
 
 #[test]
 fn bandwidth_metric_identical() {
-    assert_equivalent(cfg(32, 4, PolicyKind::BestResponse, Metric::Bandwidth, 7));
-    assert_equivalent(cfg(64, 5, PolicyKind::BestResponse, Metric::Bandwidth, 8));
+    let c = cfg(32, 4, PolicyKind::BestResponse, Metric::Bandwidth, 7);
+    assert_golden(c, 0x1e57_d397_63d0_ec86);
+    let c = cfg(64, 5, PolicyKind::BestResponse, Metric::Bandwidth, 8);
+    assert_golden(c, 0xb2a4_37ee_8ce0_4cb3);
 }
 
 #[test]
 fn sampled_turn_identical_and_full_sample_is_the_unsampled_turn() {
     // n − 1 = 119 candidates > m = 64: the §5 shortlist is live. It is
-    // cut before the engines part ways, so they still agree bit for bit.
-    for metric in [Metric::DelayPing, Metric::Bandwidth] {
+    // cut before the residual rows are named, so the engines agreed on
+    // these bit for bit.
+    for (metric, golden) in [
+        (Metric::DelayPing, 0xa028_052e_c66e_692fu64),
+        (Metric::Bandwidth, 0xfd97_2ac7_86e0_15d3),
+    ] {
         let mut sampled = cfg(120, 6, PolicyKind::BestResponse, metric, 53);
         sampled.epochs = 3;
         assert!(sampled.n - 1 > sampled.sample_size);
-        assert_equivalent(sampled);
+        assert_golden(sampled, golden);
     }
     // m = n reproduces the bits of the turn before the stage existed
     // (fingerprint produced at e112be1, which had no shortlist).
     let mut full = cfg(120, 6, PolicyKind::BestResponse, Metric::DelayPing, 53);
     full.sample_size = usize::MAX;
-    let got = fingerprint(&run(full));
-    assert_eq!(
-        got, 0x1430_94fa_6f83_0d4c,
-        "unsampled at n=120: {got:#018x}"
-    );
+    assert_golden(full, 0x1430_94fa_6f83_0d4c);
 }
 
 #[test]
 fn churned_runs_identical() {
-    // The delay run is pinned too (fingerprint produced at 78d3412, when
-    // every leave and join still rebuilt the snapshot): absorbing churn
-    // as deltas must wire exactly as rebuilding did.
+    // The delay golden was produced at 78d3412, when every leave and join
+    // still rebuilt the snapshot: absorbing churn as deltas must wire
+    // exactly as rebuilding did.
     let delay = with_churn(cfg(32, 4, PolicyKind::BestResponse, Metric::DelayPing, 11));
-    let got = fingerprint(&assert_equivalent(delay));
-    assert_eq!(
-        got, 0x99f1_5ddb_4e68_7050,
-        "churned BR/DelayPing: {got:#018x}"
-    );
-    assert_equivalent(with_churn(cfg(
-        64,
-        5,
-        PolicyKind::BestResponse,
-        Metric::Load,
-        13,
-    )));
+    assert_golden(delay, 0x99f1_5ddb_4e68_7050);
+    let load = with_churn(cfg(64, 5, PolicyKind::BestResponse, Metric::Load, 13));
+    assert_golden(load, 0xe412_8af5_8934_011e);
 }
 
 #[test]
@@ -163,14 +157,19 @@ fn fault_plan_churn_runs_identical() {
     // The adversarial fleet harness schedules faults as a `FaultPlan`;
     // `churn_trace` projects its membership effects (partition minority
     // OFF for the window, storm flaps as ON/OFF events) into the pure
-    // simulator's `ChurnTrace`. The engines must stay bit-identical
-    // under that projection too, so the fleet's chaos scenarios and the
+    // simulator's `ChurnTrace`, so the fleet's chaos scenarios and the
     // figure pipeline share one notion of churn.
     use egoist::graph::NodeId;
     use egoist::netsim::FaultPlan;
-    for (n, k, metric, seed) in [
-        (32usize, 4, Metric::DelayPing, 37u64),
-        (64, 5, Metric::Load, 41),
+    for (n, k, metric, seed, golden) in [
+        (
+            32usize,
+            4,
+            Metric::DelayPing,
+            37u64,
+            0xa687_e9ac_d795_5190u64,
+        ),
+        (64, 5, Metric::Load, 41, 0xeb15_8c33_128b_3fe3),
     ] {
         let mut c = cfg(n, k, PolicyKind::BestResponse, metric, seed);
         let horizon = c.epochs as f64 * c.epoch_secs;
@@ -185,15 +184,15 @@ fn fault_plan_churn_runs_identical() {
             "fault plan projected an empty churn trace"
         );
         c.churn = Some(trace);
-        assert_equivalent(c);
+        assert_golden(c, golden);
     }
 }
 
 #[test]
 fn other_policies_identical() {
-    // Epoch ≡ Recompute says the engines agree with each other; the
-    // fingerprints (produced at 4896637, before the bandwidth turn was
-    // folded into the one `rewire`) say they still wire as they did.
+    // These goldens are older (produced at 4896637, before the bandwidth
+    // turn was folded into the one `rewire`); 0e9eba7 confirmed them
+    // against the oracle.
     let eps = PolicyKind::EpsilonBestResponse { epsilon: 0.1 };
     let hybrid = PolicyKind::HybridBestResponse { k2: 2 };
     for (policy, metric, golden) in [
@@ -229,8 +228,7 @@ fn other_policies_identical() {
             0xafc3_c925_6049_0f20,
         ),
     ] {
-        let got = fingerprint(&assert_equivalent(cfg(32, 4, policy, metric, 17)));
-        assert_eq!(got, golden, "{policy:?}/{metric:?}: {got:#018x}");
+        assert_golden(cfg(32, 4, policy, metric, 17), golden);
     }
     // The churned HybridBR delay run was produced at e112be1, when the
     // policy still read its ring off the candidate list.
@@ -243,31 +241,24 @@ fn other_policies_identical() {
         (hybrid, Metric::Bandwidth, 0x0060_94d6_f7a6_ade7),
         (hybrid, Metric::DelayPing, 0x85a1_b34e_c6fa_55c5),
     ] {
-        let churned = with_churn(cfg(32, 4, policy, metric, 21));
-        let got = fingerprint(&assert_equivalent(churned));
-        assert_eq!(got, golden, "churned {policy:?}/{metric:?}: {got:#018x}");
+        assert_golden(with_churn(cfg(32, 4, policy, metric, 21)), golden);
     }
 }
 
 #[test]
 fn traffic_aware_wiring_identical() {
     // Without a demand feed the policy degenerates to plain BR, but the
-    // dispatch still goes through the TrafficAware arms of both engines.
-    assert_equivalent(cfg(
-        32,
-        4,
-        PolicyKind::TrafficAware { bias: 0.8 },
-        Metric::DelayPing,
-        43,
-    ));
+    // dispatch still goes through the TrafficAware arm.
+    let policy = PolicyKind::TrafficAware { bias: 0.8 };
+    let c = cfg(32, 4, policy, Metric::DelayPing, 43);
+    assert_golden(c, 0x74d4_3946_0e60_9102);
 }
 
 #[test]
 fn traffic_aware_closed_loop_report_identical() {
     // The real test: the traffic engine feeds an observed-demand EWMA
     // into the simulator every epoch, so the demand-blended preferences
-    // actually differ from uniform — and both engine modes must consume
-    // them identically, under every data-plane policy.
+    // actually differ from uniform, under every data-plane policy.
     use egoist::traffic::DataPolicyKind;
     let mut base = TrafficConfig::new(
         24,
@@ -280,18 +271,15 @@ fn traffic_aware_closed_loop_report_identical() {
     base.sim.warmup_epochs = 3;
     base.workload = WorkloadKind::Gravity { exponent: 1.2 };
     base.flows_per_epoch = 30;
-    for data_policy in DataPolicyKind::all() {
+    let goldens = [
+        0x6811_ab34_0249_1466u64,
+        0xd110_fb7a_5296_3c03,
+        0x1ec3_2579_c177_a549,
+    ];
+    for (data_policy, golden) in DataPolicyKind::all().into_iter().zip(goldens) {
         let mut b = base.clone();
         b.data_policy = data_policy;
-        let mut fast = b.clone();
-        fast.sim.engine = EngineMode::Epoch;
-        let mut oracle = b;
-        oracle.sim.engine = EngineMode::Recompute;
-        assert_eq!(
-            TrafficEngine::run(&fast).to_json(),
-            TrafficEngine::run(&oracle).to_json(),
-            "traffic-aware closed loop diverged under {data_policy:?}"
-        );
+        assert_report_golden(b, golden);
     }
 }
 
@@ -299,26 +287,22 @@ fn traffic_aware_closed_loop_report_identical() {
 fn free_rider_runs_identical() {
     let mut c = cfg(32, 4, PolicyKind::BestResponse, Metric::DelayPing, 19);
     c.cheat = CheatConfig::first_n(4, 2.0);
-    assert_equivalent(c);
+    assert_golden(c, 0xca97_affe_c551_e57b);
 }
 
 #[test]
 fn traffic_report_json_identical() {
-    for metric in [Metric::DelayPing, Metric::Load, Metric::Bandwidth] {
+    for (metric, golden) in [
+        (Metric::DelayPing, 0x214b_58c5_141b_5349u64),
+        (Metric::Load, 0xff85_0f17_472a_1aa5),
+        (Metric::Bandwidth, 0xa887_9ffc_ebd0_9f3a),
+    ] {
         let mut base = TrafficConfig::new(32, 4, PolicyKind::BestResponse, metric, 23);
         base.sim.epochs = 8;
         base.sim.warmup_epochs = 3;
         base.workload = WorkloadKind::Gravity { exponent: 1.2 };
         base.flows_per_epoch = 40;
-        let mut fast = base.clone();
-        fast.sim.engine = EngineMode::Epoch;
-        let mut oracle = base;
-        oracle.sim.engine = EngineMode::Recompute;
-        assert_eq!(
-            TrafficEngine::run(&fast).to_json(),
-            TrafficEngine::run(&oracle).to_json(),
-            "traffic report diverged on {metric:?}"
-        );
+        assert_report_golden(base, golden);
     }
 }
 
@@ -330,19 +314,12 @@ fn traffic_report_json_identical_with_churn() {
     let mut model = ChurnModel::planetlab_like(32, 4);
     model.timescale_divisor = 120.0;
     base.sim.churn = Some(model.generate(base.sim.epochs as f64 * base.sim.epoch_secs));
-    let mut fast = base.clone();
-    fast.sim.engine = EngineMode::Epoch;
-    let mut oracle = base;
-    oracle.sim.engine = EngineMode::Recompute;
-    assert_eq!(
-        TrafficEngine::run(&fast).to_json(),
-        TrafficEngine::run(&oracle).to_json()
-    );
+    assert_report_golden(base, 0xee9c_4115_7146_95fe);
 }
 
 #[test]
 fn epoch_engine_actually_takes_the_incremental_paths() {
-    // Not just equivalent — the engine must be doing the cheap thing:
+    // Not just the right wiring — the engine must be doing the cheap thing:
     // copied residual rows and repaired rewirings dominate, and full
     // rebuilds stay at one per epoch state (underlay advance / churn).
     let c = cfg(32, 4, PolicyKind::BestResponse, Metric::DelayPing, 31);
