@@ -8,7 +8,8 @@ use egoist_graph::{DistanceMatrix, NodeId};
 use egoist_netsim::fault::FaultConfig;
 use egoist_netsim::DelayModel;
 use egoist_proto::bootstrap::{BootstrapServer, Registry};
-use egoist_proto::message::MessageClass;
+use egoist_proto::codec;
+use egoist_proto::message::{LinkEntry, LinkStateAnnouncement, Message, MessageClass};
 use egoist_proto::overhead::analytic;
 use egoist_proto::{EgoistNode, NodeConfig, SimNet, Wheel};
 use std::time::Duration;
@@ -70,9 +71,24 @@ async fn run() {
 
     // Our ping frames are 52 bytes (paper assumed 40-byte ICMP echo).
     let our_ping_bits = 52.0 * 8.0;
-    // Our LSA frame: 12-byte envelope + 14-byte LSA header + 8 bytes/link.
-    let our_lsa_header_bits = (12.0 + 14.0) * 8.0;
-    let our_lsa_entry_bits = 8.0 * 8.0;
+    // Our LSA frame, as the codec writes it: the envelope and LSA header
+    // (a zero-link frame), then each link (what one more adds).
+    let lsa_frame_bits = |links: usize| {
+        let lsa = LinkStateAnnouncement {
+            origin: NodeId(0),
+            seq: 0,
+            links: vec![
+                LinkEntry {
+                    neighbor: NodeId(0),
+                    cost: 0.0,
+                };
+                links
+            ],
+        };
+        codec::encode(&Message::LinkState { lsa, ttl: 0 }).len() as f64 * 8.0
+    };
+    let our_lsa_header_bits = lsa_frame_bits(0);
+    let our_lsa_entry_bits = lsa_frame_bits(1) - our_lsa_header_bits;
 
     println!();
     println!(

@@ -28,7 +28,9 @@
 //! into the `egoist-obs` registry (spans `core.epoch.turn.{residual,
 //! solver,absorb}`) and this bench reads them back, so BENCH_perf.json
 //! is a *view over the registry*. The registry is reset before each
-//! timed run, making span totals absolute per scenario.
+//! timed run, making span totals absolute per scenario. One untimed
+//! epoch of `br_delay_n50` runs before the first, so no timing is the
+//! process's cold start.
 //!
 //! Usage:
 //!   perf_baseline [--quick] [--out PATH]      # measure and write
@@ -307,7 +309,16 @@ fn traffic_scenario(n: usize, k: usize, epochs: usize) -> ScenarioResult {
     }
 }
 
+/// One untimed epoch of `shape`, so the first timed scenario does not
+/// pay the process's cold start. Every scenario resets the obs registry
+/// as it starts, so the warm-up leaves no count behind.
+fn warm_up(shape: Stepping) {
+    let mut sim = Simulator::new(shape.sim_cfg());
+    std::hint::black_box(sim.run_epoch(0));
+}
+
 fn measure(quick: bool) -> String {
+    warm_up(Stepping::br_delay(50, 5, 8));
     let scenarios: Vec<ScenarioResult> = if quick {
         // The n=50 and the churned n=60 scenarios run their *full-mode*
         // parameters so their fingerprints are comparable against the

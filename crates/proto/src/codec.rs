@@ -1,6 +1,6 @@
 //! Binary framing for EGOIST messages.
 //!
-//! Frame layout, version 4 (fixed-width integers big-endian):
+//! Frame layout, version 5 (fixed-width integers big-endian):
 //!
 //! ```text
 //! +--------+---------+------+----------+------------------+----------+
@@ -9,7 +9,7 @@
 //! +--------+---------+------+----------+------------------+----------+
 //! ```
 //!
-//! `magic` is `0x4547` ("EG"), `version` is 4, `type` is one of the
+//! `magic` is `0x4547` ("EG"), `version` is 5, `type` is one of the
 //! `tag` constants, `len` counts the payload bytes only, and the
 //! checksum covers everything before it (header + payload). [`encode`]
 //! measures the payload in one pass and then fills one exactly-sized
@@ -43,44 +43,66 @@
 //! as a `LinkState` frame encodes them. A push with no entries is sent as
 //! a plain `LsdbSync`.
 //!
-//! **Version 4** packs the three anti-entropy frames — `LsdbDigest`,
+//! **Version 4** packed the three anti-entropy frames — `LsdbDigest`,
 //! `LsdbSync` (both tags) and `LsdbPull` — into varints. An *LEB128
 //! varint* is 1–10 bytes, seven value bits each, least significant group
 //! first, the high bit set on every byte but the last; it must be
 //! minimal (no final `0x00` group after the first byte) and fit `u64`.
 //! In these frames:
 //!
-//! * every id in a counted list (digest and pull origins, pushed LSA
-//!   origins, refresh origins) is the *zigzag* varint of its difference
-//!   from the list's previous id, the first from 0 (`d ↦ 2d` for `d ≥ 0`,
+//! * every id in a counted list (pull origins, pushed LSA origins,
+//!   refresh origins) is the *zigzag* varint of its difference from the
+//!   list's previous id, the first from 0 (`d ↦ 2d` for `d ≥ 0`,
 //!   `d ↦ −2d − 1` below), so an origin-ascending list costs one byte a
 //!   step, and any order or repeat still round-trips;
 //! * every seq, a pushed LSA's link count and its neighbor ids are plain
 //!   varints;
-//! * only a link's `f32` cost bits and a refresh entry's `links_hash`
-//!   stay fixed-width (`u32`), as do the `from` fields and the `u16` list
-//!   counts.
+//! * a refresh entry's `links_hash` stays fixed-width (`u32`), as do the
+//!   `from` fields and the `u16` list counts.
 //!
-//! By example (payloads, hex): the digest `from 2: (4, 42), (9, 7)` is
-//! `00000002 0002 08 2a 0a 07`; the pull `from 5: 4, 8` is `00000005
-//! 0002 08 08`; the push of LSA `(1, 8, [])` with refreshes `(3, 17,
-//! 0xC0FFEE00)` and `(u32::MAX, u64::MAX, 1)` is `0001 02 08 00`, then
-//! `0002 06 11 c0ffee00`, then `f8ffffff1f ffffffffffffffffff01
-//! 00000001` (`golden_frames` pins the whole frames). Every other frame
-//! keeps its version 3 layout, all fields fixed-width: `LinkState` is
-//! `ttl u8, origin u32, seq u64, count u16`, then per link `neighbor
-//! u32, cost u32` — the §4.3 announcement the `overheads` bin prices,
-//! over which `links_hash` is still defined — and `Ping` / `Pong` stay
-//! the paper's 40-byte echo. Version 3 frames are `BadVersion`.
+//! **Version 5** re-encodes two fields of those frames:
+//!
+//! * a pushed LSA's link cost is one varint *cost word*. A cost that is
+//!   a non-negative finite `f32` equal to `q × 0.5` for a whole
+//!   `q < 2^24` is the short word `q << 1`: one byte up to 31.5, which
+//!   covers every cost the fleets announce today (an estimate is half of
+//!   a round trip measured in whole wheel steps). Any other cost — NaN
+//!   payloads, −0.0, ±∞, a forged 0.3 — is the escape `bits << 1 | 1` of
+//!   its raw `f32` bits, at most 5 bytes, so every cost round-trips bit
+//!   for bit;
+//! * a digest's origins are written as its maximal runs of consecutive
+//!   ids: the `u16` count of runs, then per run the zigzag delta of its
+//!   first origin from the previous run's last (the first from 0), the
+//!   run's length as a varint, and its entries' seqs. A converged LSDB's
+//!   digest is a few long runs; any order or repeat still round-trips,
+//!   as runs of one.
+//!
+//! By example (payloads, hex): the digest `from 2: (4, 42), (5, 43), (9,
+//! 7)` is `00000002 0002 08 02 2a 2b 08 01 07` — two runs, the second's
+//! first origin 4 past the first's last; the push of LSA `(4, 42, [(5,
+//! 12.5), (6, 0.25)])` is `0001 08 2a 02 05 32 06 818080e807` — 12.5 is
+//! 25 half-steps, the short word `0x32`, and 0.25 is no half-step, so it
+//! is the escape of its bits `0x3E80_0000`; the pull `from 5: 4, 8` is
+//! `00000005 0002 08 08`; the push of LSA `(1, 8, [])` with refreshes
+//! `(3, 17, 0xC0FFEE00)` and `(u32::MAX, u64::MAX, 1)` is `0001 02 08
+//! 00`, then `0002 06 11 c0ffee00`, then `f8ffffff1f
+//! ffffffffffffffffff01 00000001` (`golden_frames` pins the whole
+//! frames). Every other frame keeps its version 3 layout, all fields
+//! fixed-width: `LinkState` is `ttl u8, origin u32, seq u64, count u16`,
+//! then per link `neighbor u32, cost u32` — the §4.3 announcement the
+//! `overheads` bin prices, over which `links_hash` is still defined — and
+//! `Ping` / `Pong` stay the paper's 40-byte echo. Version 4 frames are
+//! `BadVersion`.
 //!
 //! Decoding is *total*: any malformed, truncated, or corrupted input
 //! yields a [`DecodeError`], never a panic — the property the
 //! fault-injection tests rely on. The checksum is verified before any
 //! field is read, and a frame is validated whole before a [`Message`]
 //! is returned. It is also *canonical* for the varint frames: a
-//! non-minimal or overlong varint, an id outside `u32` and a refresh
-//! push with no entries are refused, so each message has exactly one
-//! encoding.
+//! non-minimal or overlong varint, an id outside `u32`, a cost word
+//! other than the one its cost encodes to, a zero-length run, a run that
+//! continues the one before it and a refresh push with no entries are
+//! refused, so each message has exactly one encoding.
 
 use crate::message::{LinkEntry, LinkStateAnnouncement, LsaRef, Message, Refresh};
 use bytes::Bytes;
@@ -89,9 +111,9 @@ use egoist_graph::NodeId;
 /// Frame magic ("EG").
 pub const MAGIC: u16 = 0x4547;
 /// Protocol version. 2 = the four-lane checksum, 3 = refresh entries in
-/// anti-entropy pushes, 4 = varint anti-entropy frames (see the module
-/// docs).
-pub const VERSION: u8 = 4;
+/// anti-entropy pushes, 4 = varint anti-entropy frames, 5 = cost words
+/// and run-coded digests (see the module docs).
+pub const VERSION: u8 = 5;
 /// Upper bound on accepted payload length (defends against corrupt
 /// length fields).
 pub const MAX_PAYLOAD: usize = 1 << 20;
@@ -119,6 +141,11 @@ pub enum DecodeError {
     BadId,
     /// A refresh push with no entries, which is sent as a plain push.
     EmptyRefreshes,
+    /// A cost word other than the one its cost encodes to.
+    BadCost,
+    /// A digest run of length zero, or one that continues the run
+    /// before it.
+    BadRun,
 }
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -205,26 +232,78 @@ fn varint_len(v: u64) -> usize {
     (70 - (v | 1).leading_zeros() as usize) / 7
 }
 
-/// The zigzag deltas of a list of ids: each id's difference from the
-/// one before (the first from 0), folded into `u64` as `2d` for `d ≥ 0`
+/// `id`'s difference from `prev`, folded into `u64` as `2d` for `d ≥ 0`
 /// and `−2d − 1` below.
+fn zigzag(prev: NodeId, id: NodeId) -> u64 {
+    let d = id.0 as i64 - prev.0 as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// The zigzag deltas of a list of ids: each id's difference from the
+/// one before, the first from 0.
 fn deltas(ids: impl Iterator<Item = NodeId>) -> impl Iterator<Item = u64> {
-    ids.scan(0u32, |prev, id| {
-        let d = id.0 as i64 - *prev as i64;
-        *prev = id.0;
-        Some(((d << 1) ^ (d >> 63)) as u64)
+    ids.scan(NodeId(0), |prev, id| {
+        Some(zigzag(std::mem::replace(prev, id), id))
     })
 }
 
+/// Short cost words hold `q < 2^24` half-steps: every such `q × 0.5` is
+/// an exact `f32`.
+const SHORT_COSTS: u32 = 1 << 24;
+
+/// A link cost's cost word: `q << 1` when the cost is a non-negative
+/// finite `q × 0.5` with `q < 2^24`, else `bits << 1 | 1` of its raw
+/// bits. `cost * 2.0` is exact, and its cast saturates (NaN to 0), so the
+/// bit comparison alone decides.
+#[inline]
+pub(crate) fn cost_word(cost: f32) -> u64 {
+    let q = (cost * 2.0) as u32;
+    if q < SHORT_COSTS && (q as f32 * 0.5).to_bits() == cost.to_bits() {
+        u64::from(q) << 1
+    } else {
+        u64::from(cost.to_bits()) << 1 | 1
+    }
+}
+
+/// Bytes of a link cost's cost word: 1 for a half step up to 31.5 ms,
+/// 2–4 for a larger one, up to 5 for an escaped cost.
+pub(crate) fn cost_len(cost: f32) -> usize {
+    varint_len(cost_word(cost))
+}
+
 /// Encoded size of one pushed LSA after its origin delta: seq, link
-/// count, then per link the neighbor id and 4 cost bytes.
+/// count, then per link the neighbor id and the cost word.
 fn pushed_lsa_len(lsa: LsaRef) -> usize {
-    let neighbors: usize = lsa
+    let links: usize = lsa
         .links
         .iter()
-        .map(|l| varint_len(l.neighbor.0.into()))
+        .map(|l| varint_len(l.neighbor.0.into()) + cost_len(l.cost))
         .sum();
-    varint_len(lsa.seq) + varint_len(lsa.links.len() as u64) + neighbors + 4 * lsa.links.len()
+    varint_len(lsa.seq) + varint_len(lsa.links.len() as u64) + links
+}
+
+/// A digest's maximal runs of consecutive origins, each with the zigzag
+/// delta of its first origin from the last origin of the run before (the
+/// first from 0).
+fn runs(entries: &[(NodeId, u64)]) -> impl Iterator<Item = (u64, &[(NodeId, u64)])> {
+    let mut last = NodeId(0);
+    entries
+        .chunk_by(|a, b| a.0 .0.checked_add(1) == Some(b.0 .0))
+        .map(move |run| {
+            let delta = zigzag(last, run[0].0);
+            last = run[run.len() - 1].0;
+            (delta, run)
+        })
+}
+
+/// Encoded size of a digest's runs after the `u16` count: per run its
+/// delta, its length and its seqs. Also the number of runs.
+fn runs_len(entries: &[(NodeId, u64)]) -> (usize, usize) {
+    runs(entries).fold((0, 0), |(count, len), (delta, run)| {
+        let seqs: usize = run.iter().map(|&(_, seq)| varint_len(seq)).sum();
+        let head = varint_len(delta) + varint_len(run.len() as u64);
+        (count + 1, len + head + seqs)
+    })
 }
 
 /// Encoded size of a counted list of `items`: the `u16` count, then per
@@ -323,7 +402,7 @@ impl Writer<'_> {
         self.varint(lsa.links.len() as u64);
         for l in lsa.links {
             self.varint(l.neighbor.0.into());
-            self.u32(l.cost.to_bits());
+            self.varint(cost_word(l.cost));
         }
     }
 }
@@ -347,23 +426,6 @@ fn frame(ty: u8, payload_len: usize, fill: impl FnOnce(&mut Writer)) -> Bytes {
 /// An `id` payload: the four single-field messages.
 fn id_frame(ty: u8, id: NodeId) -> Bytes {
     frame(ty, 4, |w| w.u32(id.0))
-}
-
-/// A `from` + counted id list payload: per item its id's delta, then
-/// `rest_len(item)` bytes written by `rest`.
-fn id_list_frame<T: Copy>(
-    ty: u8,
-    from: NodeId,
-    items: &[T],
-    id: impl Fn(T) -> NodeId + Copy,
-    rest_len: impl Fn(T) -> usize,
-    rest: impl Fn(&mut Writer, T),
-) -> Bytes {
-    let items = items.iter().copied();
-    frame(ty, 4 + id_list_len(items.clone(), id, rest_len), |w| {
-        w.u32(from.0);
-        w.id_list(items, id, rest);
-    })
 }
 
 /// An `LsdbSync` frame; with refresh entries, the frame type that
@@ -426,16 +488,27 @@ pub fn encode(msg: &Message) -> Bytes {
         Message::LsdbSync { lsas, refreshes } => {
             sync_frame(lsas.iter().map(LsaRef::from), refreshes)
         }
-        Message::LsdbDigest { from, entries } => id_list_frame(
-            tag::LSDB_DIGEST,
-            *from,
-            entries,
-            |(origin, _)| origin,
-            |(_, seq)| varint_len(seq),
-            |w, (_, seq)| w.varint(seq),
-        ),
+        Message::LsdbDigest { from, entries } => {
+            let (count, len) = runs_len(entries);
+            frame(tag::LSDB_DIGEST, 6 + len, |w| {
+                w.u32(from.0);
+                w.count(count);
+                for (delta, run) in runs(entries) {
+                    w.varint(delta);
+                    w.varint(run.len() as u64);
+                    for &(_, seq) in run {
+                        w.varint(seq);
+                    }
+                }
+            })
+        }
         Message::LsdbPull { from, origins } => {
-            id_list_frame(tag::LSDB_PULL, *from, origins, |o| o, |_| 0, |_, _| {})
+            let origins = origins.iter().copied();
+            let len = 4 + id_list_len(origins.clone(), |o| o, |_| 0);
+            frame(tag::LSDB_PULL, len, |w| {
+                w.u32(from.0);
+                w.id_list(origins, |o| o, |_, _| {});
+            })
         }
         Message::LinkState { lsa, ttl } => frame(tag::LINK_STATE, 1 + lsa_len(lsa.into()), |w| {
             w.u8(*ttl);
@@ -588,17 +661,63 @@ impl Cursor<'_> {
         Ok(LinkStateAnnouncement { origin, seq, links })
     }
 
+    /// A cost word: the cost it names, if the word is the one that cost
+    /// encodes to — not a short word past `2^24` half-steps, an escape
+    /// wider than 32 bits or an escape that holds a short cost.
+    #[inline]
+    fn cost(&mut self) -> Result<f32, DecodeError> {
+        let word = self.varint()?;
+        let cost = match (word & 1, word >> 1) {
+            (0, q) if q < u64::from(SHORT_COSTS) => return Ok(q as f32 * 0.5),
+            (1, bits) if bits <= u64::from(u32::MAX) => f32::from_bits(bits as u32),
+            _ => return Err(DecodeError::BadCost),
+        };
+        if cost_word(cost) & 1 == 0 {
+            return Err(DecodeError::BadCost);
+        }
+        Ok(cost)
+    }
+
     /// A pushed LSA after its origin delta.
     fn pushed_lsa(&mut self, origin: NodeId) -> Result<LinkStateAnnouncement, DecodeError> {
         let seq = self.varint()?;
         let n = self.varint()?;
-        let links = self.items(n, 5, |c| {
+        let links = self.items(n, 2, |c| {
             Ok(LinkEntry {
                 neighbor: c.varint_id()?,
-                cost: f32::from_bits(c.u32()?),
+                cost: c.cost()?,
             })
         })?;
         Ok(LinkStateAnnouncement { origin, seq, links })
+    }
+
+    /// A digest's entries from its `u16`-counted runs, at least 3 bytes
+    /// each: a zero-length run, or one whose first origin follows the
+    /// last of the run before, is not how [`runs`] writes them.
+    fn digest_runs(&mut self) -> Result<Vec<(NodeId, u64)>, DecodeError> {
+        let count = self.u16()?;
+        if usize::from(count) > self.0.len() / 3 {
+            return Err(DecodeError::Truncated);
+        }
+        let mut entries: Vec<(NodeId, u64)> = Vec::new();
+        for _ in 0..count {
+            let last = entries.last().map_or(NodeId(0), |&(id, _)| id);
+            let first = self.delta(last)?;
+            if !entries.is_empty() && last.0.checked_add(1) == Some(first.0) {
+                return Err(DecodeError::BadRun);
+            }
+            let len = match self.varint()? {
+                0 => return Err(DecodeError::BadRun),
+                len if len > self.0.len() as u64 => return Err(DecodeError::Truncated),
+                len => len as u32,
+            };
+            let end = first.0.checked_add(len - 1).ok_or(DecodeError::BadId)?;
+            entries.reserve(len as usize);
+            for id in first.0..=end {
+                entries.push((NodeId(id), self.varint()?));
+            }
+        }
+        Ok(entries)
     }
 }
 
@@ -671,7 +790,7 @@ pub fn decode(frame: &[u8]) -> Result<Message, DecodeError> {
         tag::LEAVE => Message::Leave { from: buf.id()? },
         tag::LSDB_DIGEST => {
             let from = buf.id()?;
-            let entries = buf.id_list(2, |c, origin| Ok((origin, c.varint()?)))?;
+            let entries = buf.digest_runs()?;
             Message::LsdbDigest { from, entries }
         }
         tag::LSDB_PULL => {
@@ -737,7 +856,7 @@ mod tests {
             },
             Message::LsdbDigest {
                 from: NodeId(2),
-                entries: vec![(NodeId(4), 42), (NodeId(9), 7)],
+                entries: vec![(NodeId(4), 42), (NodeId(5), 43), (NodeId(9), 7)],
             },
             Message::LsdbPull {
                 from: NodeId(5),
@@ -903,32 +1022,167 @@ mod tests {
         assert_eq!(with[8..plain.len() - 4], plain[8..plain.len() - 4]);
     }
 
-    /// Three varint frames, byte for byte: a change to the wire format
-    /// fails here. The module docs walk through their payloads.
+    /// Four varint frames, byte for byte: a change to the wire format
+    /// fails here. The module docs walk through their payloads. The hex
+    /// was written by a second encoder, kept apart from this one, that
+    /// gave the version 4 frames these tests pinned before.
     #[test]
     fn golden_frames() {
         let sample = sample_messages();
         let hex =
             |m: &Message| -> String { encode(m).iter().map(|b| format!("{b:02x}")).collect() };
-        let digest = &sample[5];
+        let costs = &sample[3];
         let push = &sample[4];
+        let digest = &sample[5];
         let pull = &sample[6];
-        assert!(matches!(digest, Message::LsdbDigest { .. }));
+        assert!(matches!(costs, Message::LsdbSync { lsas, .. } if lsas[0].links.len() == 2));
         assert!(matches!(push, Message::LsdbSync { refreshes, .. } if refreshes.len() == 2));
+        assert!(matches!(digest, Message::LsdbDigest { .. }));
         assert!(matches!(pull, Message::LsdbPull { .. }));
-        assert_eq!(hex(digest), "4547040a0000000a000000020002082a0a070ee81129");
+        assert_eq!(
+            hex(costs),
+            "454705040000000d0001082a02053206818080e80703eb6b5a"
+        );
         assert_eq!(
             hex(push),
-            "4547040c00000020000102080000020611c0ffee00\
-             f8ffffff1fffffffffffffffffff01000000018283e148"
+            "4547050c00000020000102080000020611c0ffee00\
+             f8ffffff1fffffffffffffffffff01000000015320ba2d"
         );
-        assert_eq!(hex(pull), "4547040b000000080000000500020808a24524c0");
+        assert_eq!(
+            hex(digest),
+            "4547050a0000000d00000002000208022a2b080107ef852427"
+        );
+        assert_eq!(hex(pull), "4547050b000000080000000500020808ca0f6c59");
     }
 
-    /// A digest frame from node 0 whose one entry is `entry`, sealed.
-    fn digest_frame(entry: &[u8]) -> Vec<u8> {
+    /// A push of one LSA from origin 0 whose one link, to neighbor 1,
+    /// has the cost word `word`, sealed and decoded.
+    fn decode_cost_word(word: &[u8]) -> Result<Message, DecodeError> {
+        let mut payload = vec![0, 1, 0x00, 0x01, 0x01, 0x01];
+        payload.extend_from_slice(word);
+        decode(&sealed(tag::LSDB_SYNC, &payload))
+    }
+
+    /// The one cost a decoded [`decode_cost_word`] push carries.
+    fn the_cost(m: Result<Message, DecodeError>) -> Result<u32, DecodeError> {
+        match m? {
+            Message::LsdbSync { lsas, .. } => Ok(lsas[0].links[0].cost.to_bits()),
+            other => panic!("not a push: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cost_words_are_canonical() {
+        let word = |w: u64| the_cost(decode_cost_word(&leb128(w)));
+        // Short words: 0.0, 12.5 and the largest, 2^23 − 0.5.
+        assert_eq!(word(0), Ok(0f32.to_bits()));
+        assert_eq!(word(25 << 1), Ok(12.5f32.to_bits()));
+        let top = u64::from(SHORT_COSTS - 1);
+        assert_eq!(word(top << 1), Ok(8_388_607.5f32.to_bits()));
+        // A short word past 2^24 half-steps, even one whose cost is
+        // exact: 2^23 is written escaped.
+        for q in [1u64 << 24, (1 << 24) + 1, (1 << 24) + 2, u64::MAX >> 1] {
+            assert_eq!(word(q << 1), Err(DecodeError::BadCost), "q = {q}");
+        }
+        assert_eq!(
+            word(u64::from(8_388_608f32.to_bits()) << 1 | 1),
+            Ok(8_388_608f32.to_bits())
+        );
+        // An escape that holds a short cost: 0.0, 12.5 and 2^23 − 0.5.
+        for c in [0.0f32, 12.5, 8_388_607.5] {
+            let escaped = u64::from(c.to_bits()) << 1 | 1;
+            assert_eq!(word(escaped), Err(DecodeError::BadCost), "{c}");
+        }
+        // An escape wider than 32 bits.
+        assert_eq!(word(1 << 33 | 1), Err(DecodeError::BadCost));
+        assert_eq!(word(u64::MAX), Err(DecodeError::BadCost));
+        // Escapes that stay: −0.0, 0.25, +∞ and a NaN payload.
+        for bits in [0x8000_0000u32, 0x3E80_0000, 0x7F80_0000, 0x7FC0_1234] {
+            assert_eq!(word(u64::from(bits) << 1 | 1), Ok(bits), "{bits:#x}");
+        }
+        // The word is a varint, minimal like every other.
+        assert_eq!(
+            the_cost(decode_cost_word(&[0x86, 0x00])),
+            Err(DecodeError::BadVarint)
+        );
+    }
+
+    #[test]
+    fn digest_runs_are_canonical() {
+        let digest = |runs: &[u8], count: u16| {
+            let mut payload = vec![0, 0, 0, 0];
+            payload.extend_from_slice(&count.to_be_bytes());
+            payload.extend_from_slice(runs);
+            decode(&sealed(tag::LSDB_DIGEST, &payload))
+        };
+        let entries = |e: &[(u32, u64)]| {
+            Ok(Message::LsdbDigest {
+                from: NodeId(0),
+                entries: e.iter().map(|&(o, s)| (NodeId(o), s)).collect(),
+            })
+        };
+        // Runs 4..=6 and 9, and a first run at 1 (from 0, which no run
+        // ended at).
+        assert_eq!(
+            digest(&[0x08, 0x03, 1, 2, 3, 0x06, 0x01, 7], 2),
+            entries(&[(4, 1), (5, 2), (6, 3), (9, 7)])
+        );
+        assert_eq!(digest(&[0x02, 0x01, 5], 1), entries(&[(1, 5)]));
+        // Repeats and descents are runs of one.
+        assert_eq!(
+            digest(&[0x08, 0x01, 1, 0x00, 0x01, 2, 0x01, 0x01, 3], 3),
+            entries(&[(4, 1), (4, 2), (3, 3)])
+        );
+        // A zero-length run, first or later.
+        assert_eq!(
+            digest(&[0x08, 0x00, 0x02, 0x01, 7, 7], 2),
+            Err(DecodeError::BadRun)
+        );
+        assert_eq!(
+            digest(&[0x08, 0x01, 1, 0x06, 0x00, 7], 2),
+            Err(DecodeError::BadRun)
+        );
+        // 4..=5 split into two runs: the second continues the first.
+        assert_eq!(
+            digest(&[0x08, 0x01, 1, 0x02, 0x01, 2], 2),
+            Err(DecodeError::BadRun)
+        );
+        // A run past u32::MAX, and a length past the bytes left.
+        let top = leb128(2 * u64::from(u32::MAX - 1));
+        let run = |len: u8| [&top[..], &[len, 1, 2, 3]].concat();
+        assert_eq!(
+            digest(&run(2)[..top.len() + 3], 1),
+            entries(&[(u32::MAX - 1, 1), (u32::MAX, 2)])
+        );
+        assert_eq!(digest(&run(3), 1), Err(DecodeError::BadId));
+        assert_eq!(
+            digest(&[0x08, 0x04, 1, 2, 3], 1),
+            Err(DecodeError::Truncated)
+        );
+        // A run count the bytes cannot hold is refused before reading.
+        assert_eq!(digest(&[0x08, 0x01, 1], 2), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn digests_cost_a_seq_per_entry_and_three_bytes_a_run() {
+        // 600 origins in runs of 150 with one-byte seqs: 4 runs of a
+        // one-byte delta, a two-byte length and 150 seq bytes.
+        let entries: Vec<(NodeId, u64)> = (0..600u32)
+            .map(|i| (NodeId(i + 2 * (i / 150)), u64::from(i % 100)))
+            .collect();
+        let m = Message::LsdbDigest {
+            from: NodeId(0),
+            entries,
+        };
+        let f = encode(&m);
+        assert_eq!(f.len(), ENVELOPE + 6 + 4 * (1 + 2 + 150));
+        assert_eq!(decode(&f), Ok(m));
+    }
+
+    /// A digest frame from node 0 whose one run is `run`, sealed.
+    fn digest_frame(run: &[u8]) -> Vec<u8> {
         let mut payload = vec![0, 0, 0, 0, 0, 1];
-        payload.extend_from_slice(entry);
+        payload.extend_from_slice(run);
         sealed(tag::LSDB_DIGEST, &payload)
     }
 
@@ -945,27 +1199,32 @@ mod tests {
     #[test]
     fn bad_varints_and_ids_are_errors() {
         assert_eq!(
-            decode(&digest_frame(&[0x08, 0x2a])),
+            decode(&digest_frame(&[0x08, 0x01, 0x2a])),
             Ok(Message::LsdbDigest {
                 from: NodeId(0),
                 entries: vec![(NodeId(4), 42)],
             })
         );
-        // Non-minimal: a zero last group, in an id delta and in a seq.
+        // Non-minimal: a zero last group, in an id delta, a run length
+        // and a seq.
         assert_eq!(
-            decode(&digest_frame(&[0x88, 0x00, 0x2a])),
+            decode(&digest_frame(&[0x88, 0x00, 0x01, 0x2a])),
             Err(DecodeError::BadVarint)
         );
         assert_eq!(
-            decode(&digest_frame(&[0x08, 0x80, 0x00])),
+            decode(&digest_frame(&[0x08, 0x81, 0x00, 0x2a])),
             Err(DecodeError::BadVarint)
         );
         assert_eq!(
-            decode(&digest_frame(&[0x08, 0xaa, 0x80, 0x00])),
+            decode(&digest_frame(&[0x08, 0x01, 0x80, 0x00])),
+            Err(DecodeError::BadVarint)
+        );
+        assert_eq!(
+            decode(&digest_frame(&[0x08, 0x01, 0xaa, 0x80, 0x00])),
             Err(DecodeError::BadVarint)
         );
         // Ten bytes is the most, and the tenth holds only bit 63.
-        let mut max = vec![0x08];
+        let mut max = vec![0x08, 0x01];
         max.extend_from_slice(&[0xff; 9]);
         max.push(0x01);
         assert_eq!(
@@ -982,7 +1241,7 @@ mod tests {
         *eleven.last_mut().unwrap() = 0x81;
         eleven.push(0x00);
         assert_eq!(decode(&digest_frame(&eleven)), Err(DecodeError::BadVarint));
-        let mut endless = vec![0x08];
+        let mut endless = vec![0x08, 0x01];
         endless.extend_from_slice(&[0xff; 11]);
         assert_eq!(decode(&digest_frame(&endless)), Err(DecodeError::BadVarint));
 
@@ -1018,7 +1277,7 @@ mod tests {
         let push = |neighbor: u64| {
             let mut payload = vec![0, 1, 0x02, 0x08, 0x01];
             payload.extend(leb128(neighbor));
-            payload.extend_from_slice(&1.5f32.to_bits().to_be_bytes());
+            payload.push(0x06); // 1.5, three half-steps
             decode(&sealed(tag::LSDB_SYNC, &payload))
         };
         assert!(push(u32::MAX.into()).is_ok());
@@ -1050,7 +1309,7 @@ mod tests {
                 from: NodeId(0),
                 entries: vec![(NodeId(1), v)],
             };
-            let mut payload = vec![0, 0, 0, 0, 0, 1, 0x02];
+            let mut payload = vec![0, 0, 0, 0, 0, 1, 0x02, 0x01];
             payload.extend(leb128(v));
             let frame = encode(&m);
             assert_eq!(frame[..], sealed(tag::LSDB_DIGEST, &payload)[..], "{v:#x}");
@@ -1118,7 +1377,7 @@ mod tests {
     #[test]
     fn older_versions_are_refused() {
         for m in sample_messages() {
-            for old in [1, 2, 3] {
+            for old in [1, 2, 3, 4] {
                 let mut v = encode(&m).to_vec();
                 v[2] = old;
                 // As sent by an old peer the checksum cannot match…
@@ -1225,12 +1484,40 @@ mod tests {
         })
     }
 
-    /// Link costs, infinity and negative zero included.
+    /// Link costs, infinity and negative zero included, and half steps
+    /// (short cost words) as often as not.
     fn cost() -> impl Strategy<Value = f32> {
-        (0u8..4, 0.0f32..1e6).prop_map(|(kind, c)| match kind {
+        (0u8..6, 0.0f32..1e6).prop_map(|(kind, c)| match kind {
             0 => f32::INFINITY,
             1 => -0.0,
+            2 | 3 => (c * 2.0).floor() % 64.0 * 0.5,
             _ => c,
+        })
+    }
+
+    /// `f32` bit patterns for the cost word roundtrip: any, NaNs and
+    /// infinities of both signs with any payload, both zeros and the
+    /// subnormals, half steps of both signs up to `2^25` (past the short
+    /// form's `2^24`), and the short form's edges.
+    fn cost_bits() -> impl Strategy<Value = u32> {
+        (0u8..6, any::<u32>()).prop_map(|(kind, v)| match kind {
+            0 => v,
+            1 => v | 0x7F80_0000,
+            2 => v & 0x807F_FFFF,
+            3 => ((v >> 7) as f32 * 0.5).to_bits() | (v << 31),
+            4 => (((v % 64) * 2 + 1) as f32 * 0.5).to_bits(),
+            _ => [
+                0.0f32,
+                -0.0,
+                0.5,
+                31.5,
+                32.0,
+                8_388_607.5,
+                8_388_608.0,
+                f32::MIN_POSITIVE,
+                f32::MAX,
+            ][v as usize % 9]
+                .to_bits(),
         })
     }
 
@@ -1275,6 +1562,26 @@ mod tests {
             from: NodeId(1),
             entries: (0..200).map(|i| (NodeId(i), 1 + i as u64 % 5)).collect(),
         });
+        // Runs of six, as a digest of a converged LSDB with gaps.
+        corpus.push(Message::LsdbDigest {
+            from: NodeId(2),
+            entries: (0..120)
+                .filter(|i| i % 7 != 3)
+                .map(|i| (NodeId(i), 1 + i as u64 % 9))
+                .collect(),
+        });
+        // Escaped costs beside short ones.
+        let odd = [0.3, -0.0, f32::INFINITY, f32::NAN, 8_388_608.0, 1e-40, -2.5];
+        corpus.push(Message::LsdbSync {
+            lsas: (0..6)
+                .map(|i| {
+                    let mut l = lsa(i, 3);
+                    l.links[1].cost = odd[i as usize % odd.len()];
+                    l
+                })
+                .collect(),
+            refreshes: vec![],
+        });
         corpus.push(Message::LsdbPull {
             from: NodeId(3),
             origins: wide.iter().rev().chain(&wide).map(|&o| NodeId(o)).collect(),
@@ -1290,7 +1597,8 @@ mod tests {
     /// valid frames of every kind with splices, truncations, count
     /// bumps, flipped varint continuation bits, `0x80`-padded
     /// (non-minimal) varints, an empty refresh list appended under the
-    /// refresh push's tag and byte substitutions, one to three each,
+    /// refresh push's tag, escaped short cost words, digest runs split
+    /// in two and byte substitutions, one to three each,
     /// the length field fixed up in most so the damage reaches the
     /// parser. Decoding must never panic, and every frame that decodes
     /// must re-encode to the same bytes (Ping / Pong excepted: their
@@ -1315,7 +1623,7 @@ mod tests {
             for _ in 0..1 + noise.below(3) {
                 let payload = body.len().saturating_sub(8).max(1);
                 let at = 8 + noise.below(payload);
-                match noise.below(7) {
+                match noise.below(9) {
                     0 => {
                         let end = (at + noise.below(8)).min(body.len());
                         let junk: Vec<u8> =
@@ -1342,6 +1650,27 @@ mod tests {
                         body[3] = tag::LSDB_SYNC_REFRESH;
                         body.extend([0, 0]);
                     }
+                    // A one-byte short cost word, escaped: the same cost
+                    // in its other, refused, spelling.
+                    6 if at < body.len() && body[at] < 0x80 && body[at] % 2 == 0 => {
+                        let cost = f32::from(body[at] >> 1) * 0.5;
+                        let escaped = u64::from(cost.to_bits()) << 1 | 1;
+                        body.splice(at..=at, leb128(escaped));
+                    }
+                    // A digest run of one-byte length and first seq split
+                    // after its first entry: two runs, the second
+                    // continuing the first, and the run count bumped.
+                    7 if body[3] == tag::LSDB_DIGEST
+                        && at + 1 < body.len()
+                        && (2..0x80).contains(&body[at])
+                        && body[at + 1] < 0x80 =>
+                    {
+                        let len = body[at];
+                        body[at] = 1;
+                        body.splice(at + 2..at + 2, [0x02, len - 1]);
+                        let runs = u16::from_be_bytes([body[12], body[13]]);
+                        body[12..14].copy_from_slice(&runs.wrapping_add(1).to_be_bytes());
+                    }
                     _ if at < body.len() => body[at] = noise.next() as u8,
                     _ => {}
                 }
@@ -1365,7 +1694,14 @@ mod tests {
         println!("{INPUTS} inputs: {decoded} decoded, errors {errors:?}");
         // The damage reached the varint parser, both ways.
         assert!(decoded > INPUTS / 100, "{decoded} decoded");
-        for kind in ["BadVarint", "BadId", "EmptyRefreshes", "Truncated"] {
+        for kind in [
+            "BadVarint",
+            "BadId",
+            "EmptyRefreshes",
+            "Truncated",
+            "BadCost",
+            "BadRun",
+        ] {
             assert!(
                 errors.get(kind).is_some_and(|&n| n > 0),
                 "no {kind}: {errors:?}"
@@ -1452,15 +1788,51 @@ mod tests {
             prop_assert_eq!(decode(&encode(&m)).unwrap(), m);
         }
 
+        /// Every `f32` bit pattern a pushed link can carry comes back
+        /// bit for bit, and takes the short word exactly when it is a
+        /// non-negative finite half step below `2^23`.
+        #[test]
+        fn every_cost_roundtrips_bit_exactly(bits in proptest::collection::vec(cost_bits(), 1..16)) {
+            let links = bits
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| LinkEntry { neighbor: NodeId(i as u32), cost: f32::from_bits(b) })
+                .collect();
+            let m = Message::LsdbSync {
+                lsas: vec![LinkStateAnnouncement { origin: NodeId(3), seq: 9, links }],
+                refreshes: vec![],
+            };
+            let Message::LsdbSync { lsas, .. } = decode(&encode(&m)).unwrap() else {
+                panic!("a push decodes as a push");
+            };
+            let back: Vec<u32> = lsas[0].links.iter().map(|l| l.cost.to_bits()).collect();
+            prop_assert_eq!(&back, &bits);
+            for &b in &bits {
+                let c = f32::from_bits(b);
+                let half = c * 2.0;
+                let short = b >> 31 == 0 && half.fract() == 0.0 && half < 16_777_216.0;
+                prop_assert_eq!(cost_word(c) & 1 == 0, short, "{:#x}", b);
+                prop_assert!(cost_len(c) <= if short { 4 } else { 5 });
+            }
+        }
+
         /// Roundtrip for arbitrary anti-entropy digests and pulls: any
         /// order, repeated origins, ids at both ends of `u32` (the
-        /// widest zigzag deltas) and seqs up to `u64::MAX` (10 bytes).
+        /// widest zigzag deltas) and seqs up to `u64::MAX` (10 bytes);
+        /// sorted, the digest runs as a converged LSDB's does.
         #[test]
         fn digest_roundtrip(from in any::<u32>(),
                             entries in proptest::collection::vec((id(), seq()), 0..128)) {
             let m = Message::LsdbDigest {
                 from: NodeId(from),
                 entries: entries.iter().map(|&(o, s)| (NodeId(o), s)).collect(),
+            };
+            prop_assert_eq!(decode(&encode(&m)).unwrap(), m);
+            let mut sorted = entries.clone();
+            sorted.sort_unstable();
+            let m = Message::LsdbDigest {
+                from: NodeId(from),
+                entries: sorted.iter().map(|&(o, s)| (NodeId(o), s)).collect(),
             };
             prop_assert_eq!(decode(&encode(&m)).unwrap(), m);
             let p = Message::LsdbPull {

@@ -817,6 +817,62 @@ mod tests {
         }
     }
 
+    /// The one-byte cost word the anti-entropy bytes rest on, in the
+    /// judge fleets' regime: `chaos_n1000_profile`'s k-Random wiring,
+    /// fan-out, timers and 10 ms wheel at n = 24, loss-free, as
+    /// `a_loss_free_random_fleet_announces_only_measured_links` runs it.
+    /// An estimate is half of a round trip in whole wheel steps, so every
+    /// cost any node holds at the horizon is a half step below 32 ms.
+    /// The fleet is set up as [`run_fleet_inner`] sets it up, and read
+    /// before it shuts down.
+    #[test]
+    fn every_held_link_cost_takes_a_one_byte_cost_word() {
+        let mut cfg = chaos_n1000_profile(true);
+        cfg.n = 24;
+        cfg.seed = 11;
+        cfg.horizon = Duration::from_secs(120);
+        cfg.fault = FaultConfig::default();
+        cfg.plan = FaultPlan::new();
+        let boot = NodeId::from_index(cfg.total_ids());
+        let delays = delay_matrix(cfg.total_ids() + 1, cfg.seed);
+        let net = SimNet::with_plan(delays, cfg.fault, Some(cfg.plan.clone()), cfg.seed);
+        let held = tokio::runtime::block_on_paused(async {
+            tokio::spawn(BootstrapServer::new(net.endpoint(boot), Registry::default()).run());
+            let mut wheel = Wheel::new(cfg.wheel_step, cfg.n, cfg.spawn_spacing, |i| {
+                let nc = cfg.node_config(i, boot);
+                let endpoint = net.endpoint(nc.id);
+                EgoistNode::new(nc, endpoint)
+            });
+            while wheel.now() < cfg.horizon {
+                wheel.step().await;
+            }
+            let nodes = wheel.nodes().iter().flatten();
+            let held: Vec<(usize, Vec<f32>)> = nodes
+                .map(|n| {
+                    let lsas = n.lsdb().all();
+                    let costs = lsas.flat_map(|l| l.links.iter().map(|l| l.cost));
+                    (n.lsdb().len(), costs.collect())
+                })
+                .collect();
+            wheel.shutdown().await;
+            held
+        });
+        assert_eq!(held.len(), cfg.n);
+        for (records, costs) in held {
+            assert_eq!(records, cfg.n, "an LSDB short of the fleet");
+            for c in costs {
+                assert_eq!(
+                    crate::codec::cost_len(c),
+                    1,
+                    "a held cost of {c} ms takes more than the one-byte cost word. \
+                     Exact RTT estimates (ROADMAP item 15) are arbitrary floats: they \
+                     take the 5-byte escape and give the anti-entropy bytes back, \
+                     unless costs are announced at a stated resolution"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fleet_delay_matrix_is_a_metric() {
         let d = delay_matrix(40, 1234);

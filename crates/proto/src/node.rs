@@ -2174,6 +2174,11 @@ mod tests {
     }
 
     impl<T: Transport> EgoistNode<T> {
+        /// The node's LSDB, for the crate's fleet tests.
+        pub(crate) fn lsdb(&self) -> &Lsdb {
+            &self.lsdb
+        }
+
         /// `known_peers` as it was: mark the LSDB origins, then a second
         /// O(n) pass reading the clock per id.
         fn known_peers_reference(&mut self) -> Vec<NodeId> {

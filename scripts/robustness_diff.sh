@@ -11,7 +11,12 @@
 # links_quarantined and evictions. Equal values print once, followed by
 # `=`; a value one side lacks prints `-`. Needs only jq.
 #
-# Exit status: 0, or 2 on bad usage or an unreadable / non-JSON input.
+# Exit status: 0 when no row other than `bytes …` differs (only bytes
+# moved, or nothing did), 3 when any other row differs (a scenario only
+# one side has counts), 2 on bad usage or an unreadable / non-JSON
+# input. So "only bytes moved" is one command:
+#
+#   scripts/robustness_diff.sh BENCH_robustness.json NEW && echo bytes only
 set -euo pipefail
 
 [[ $# -eq 2 ]] || { echo "usage: $0 OLD NEW" >&2; exit 2; }
@@ -20,7 +25,7 @@ for f in "$1" "$2"; do
         { echo "$0: $f is not a robustness report" >&2; exit 2; }
 done
 
-jq -r -n --slurpfile old "$1" --slurpfile new "$2" '
+table=$(jq -r -n --slurpfile old "$1" --slurpfile new "$2" '
   def rows:
     [["final_reachability", .final_reachability],
      ["min_reachability", .min_reachability]]
@@ -46,4 +51,7 @@ jq -r -n --slurpfile old "$1" --slurpfile new "$2" '
      | ($n[$s][$k] | show) as $b
      | "  \($k | pad(28)) "
        + (if $a == $b then "\($a)  =" else "\($a) → \($b)" end))
-'
+')
+printf '%s\n' "$table"
+awk '/ → / && !/^  bytes / { moved = 1 } END { exit !moved }' <<<"$table" && exit 3
+exit 0

@@ -188,7 +188,7 @@ fn assert_golden_br(after: &str) {
     egoist::obs::disable();
     assert_eq!(
         fnv(&report.to_json()),
-        0x7191_2b02_e506_2c74,
+        0xf04a_0b4e_c70d_05d3,
         "best-response fleet{after}"
     );
     assert_eq!(
@@ -196,7 +196,7 @@ fn assert_golden_br(after: &str) {
         wire_golden(
             [
                 ("bootstrap", 35, 560),
-                ("sync", 358, 18_499),
+                ("sync", 358, 12_809),
                 ("link_state", 94_575, 4_813_229),
                 ("measurement", 3_945, 205_140),
                 ("heartbeat", 2_239, 116_428),
@@ -261,6 +261,15 @@ fn assert_golden_br(after: &str) {
 /// |---|---|---|---|---|
 /// | best response | 907 → 907 | 4 672 383 → 4 813 229 | 18 822 → 18 499 | `0x067de6e63a40802e` → `0x71912b02e5062c74` |
 /// | Random, faults | 905 → 871 | 3 883 166 → 3 815 796 | 21 072 → 19 062 | `0xaf957ebf12f0ad4f` → `0x340ed87ea0e302b4` |
+///
+/// Codec v5 writes a pushed link's cost as a one-byte cost word and a
+/// digest's origins as runs: only the `sync` bytes and the fingerprints
+/// move, every frame count and sum stays:
+///
+/// | fleet | `sync` bytes | fingerprint |
+/// |---|---|---|
+/// | best response | 18 499 → 12 809 | `0x71912b02e5062c74` → `0xf04a0b4ec70d05d3` |
+/// | Random, faults | 19 062 → 13 500 | `0x340ed87ea0e302b4` → `0x974746c1d754b917` |
 #[test]
 fn fleet_reports_match_the_dense_route_computation() {
     use egoist_core::policies::PolicyKind;
@@ -285,7 +294,7 @@ fn fleet_reports_match_the_dense_route_computation() {
     let report = run_fleet(&random);
     assert_eq!(
         fnv(&report.to_json()),
-        0x340e_d87e_a0e3_02b4,
+        0x9747_46c1_d754_b917,
         "Random-wiring fleet under a fault plan"
     );
     assert_eq!(
@@ -293,7 +302,7 @@ fn fleet_reports_match_the_dense_route_computation() {
         wire_golden(
             [
                 ("bootstrap", 47, 752),
-                ("sync", 401, 19_062),
+                ("sync", 401, 13_500),
                 ("link_state", 75_284, 3_815_796),
                 ("measurement", 13_150, 683_800),
                 ("heartbeat", 2_053, 106_756),
