@@ -195,10 +195,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn widest_rows_bitwise_match_widest_paths() {
+    fn widest_rows_bitwise_match_all_pairs_widest() {
         // What `Simulator::measure` reads under the bandwidth metric,
-        // against the dense reference it used to call: dead nodes (no
-        // edges), a reused workspace and unreachable targets included.
+        // against max-min Floyd–Warshall: dead nodes (no edges), a
+        // reused workspace and unreachable targets included.
         let n = 23;
         let bw = egoist_netsim::BandwidthModel::new(n, 5).available_matrix();
         let mut g = DiGraph::new(n);
@@ -210,11 +210,11 @@ mod tests {
                 }
             }
         }
+        let oracle = crate::policies::bandwidth::oracle::all_pairs_widest(&g);
         let mut seen = 0;
         widest_rows(&g, (0..n).rev().map(NodeId::from_index), |i, width| {
-            let oracle = egoist_graph::widest::widest_paths(&g, i).width;
             let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&oracle), bits(width), "source {i:?}");
+            assert_eq!(bits(oracle.row(i.index())), bits(width), "source {i:?}");
             seen += 1;
         });
         assert_eq!(seen, n);
@@ -316,8 +316,7 @@ mod tests {
 
     #[test]
     fn one_tree_per_source_equals_walking_every_path() {
-        use egoist_graph::apsp::apsp;
-        use egoist_graph::dijkstra::dijkstra;
+        use egoist_graph::csr::{apsp_csr, NO_PARENT};
         use rand::Rng;
         // Small-integer announced costs: equal-cost routes everywhere,
         // so the tree's parent choice matters; irrational-ish true costs,
@@ -336,7 +335,7 @@ mod tests {
                 }
             }
             let truth = DistanceMatrix::from_fn(n, |i, j| ((i * 31 + j * 17) % 97) as f64 * 0.1);
-            let announced = apsp(&g);
+            let announced = apsp_csr(&CsrGraph::from_digraph(&g));
             let mut seen = 0;
             let all = (0..n).map(NodeId::from_index);
             realized_rows(
@@ -344,16 +343,25 @@ mod tests {
                 all,
                 |u, v| truth.get(u, v),
                 |i, dist, realized| {
-                    let sp = dijkstra(&g, i);
+                    let parent = announced.parent_row(i.index());
                     for j in 0..n {
-                        let walked = match sp.path_to(NodeId::from_index(j)) {
-                            Some(path) => {
-                                path.windows(2).fold(0.0, |c, w| c + truth.get(w[0], w[1]))
-                            }
-                            None => f64::INFINITY,
+                        // Up the parent row to the source, then summed
+                        // from the source down, hop by hop.
+                        let mut path = vec![j as u32];
+                        while parent[path[path.len() - 1] as usize] != NO_PARENT {
+                            path.push(parent[path[path.len() - 1] as usize]);
+                        }
+                        let walked = if path[path.len() - 1] == i.0 {
+                            let hop = |w: &[u32]| truth.get(NodeId(w[1]), NodeId(w[0]));
+                            path.windows(2).rev().fold(0.0, |c, w| c + hop(w))
+                        } else {
+                            f64::INFINITY
                         };
                         assert_eq!(realized[j].to_bits(), walked.to_bits());
-                        assert_eq!(dist[j].to_bits(), announced.at(i.index(), j).to_bits());
+                        assert_eq!(
+                            dist[j].to_bits(),
+                            announced.dist_row(i.index())[j].to_bits()
+                        );
                     }
                     seen += 1;
                 },

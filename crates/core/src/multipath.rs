@@ -189,11 +189,11 @@ pub fn disjoint_path_counts(overlay: &DiGraph, members: &[NodeId]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egoist_graph::widest::widest_paths;
+    use crate::policies::bandwidth::oracle::all_pairs_widest;
     use rand::Rng;
 
-    /// [`analyze_pair`] as it was before the CSR port: a residual clone
-    /// per pair and one dense widest-path sweep per first hop — the
+    /// [`analyze_pair`] as it was before the CSR port, on a residual
+    /// clone per pair whose widths are all-pairs Floyd–Warshall — the
     /// oracle the port is pinned to.
     fn analyze_pair_dense(
         overlay: &DiGraph,
@@ -206,13 +206,14 @@ mod tests {
             .max(1e-9);
         let mut residual = overlay.clone();
         residual.clear_out_edges(source);
+        let widths = all_pairs_widest(&residual);
         let mut parallel = 0.0;
         for e in overlay.out_edges(source) {
             let l = e.to;
             let continuation = if l == target {
                 f64::INFINITY
             } else {
-                widest_paths(&residual, l).width[target.index()]
+                widths.get(l, target)
             };
             let session = bw
                 .available(source.index(), l.index())
@@ -358,11 +359,11 @@ mod tests {
         // Aggregate widest-path utility beats the circulant star overlay.
         let util = |g: &DiGraph| -> f64 {
             let mut total = 0.0;
+            let widths = all_pairs_widest(g);
             for &s in &members {
-                let wp = widest_paths(g, s);
                 for &t in &members {
                     if s != t {
-                        total += wp.width[t.index()];
+                        total += widths.get(s, t);
                     }
                 }
             }

@@ -67,25 +67,33 @@ impl Policy for BandwidthBr {
 /// The eager solver `BwInstance` shipped before it moved onto the
 /// shared pruned core, kept verbatim as the bandwidth oracle: every
 /// candidate and every swap pair is summed in full, in index order. And
-/// the residual rows' oracle: widest paths from every source, one heap
-/// sweep each.
+/// the residual rows' oracle: widest paths between every pair by
+/// max-min Floyd–Warshall.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::BwInstance;
-    use egoist_graph::widest::widest_paths;
-    use egoist_graph::{DiGraph, DistanceMatrix, NodeId};
+    use egoist_graph::{DiGraph, DistanceMatrix};
 
-    /// Dense all-pairs widest-path matrix for a bandwidth-weighted overlay.
+    /// Dense all-pairs widest-path matrix for a bandwidth-weighted
+    /// overlay: `INFINITY` on the diagonal, `0` when unreachable. `min`
+    /// and `max` never round, so every width is bit-exact.
     pub fn all_pairs_widest(g: &DiGraph) -> DistanceMatrix {
         let n = g.len();
-        let mut m = DistanceMatrix::filled(n, 0.0);
+        let mut w = DistanceMatrix::filled(n, 0.0);
         for i in 0..n {
-            let wp = widest_paths(g, NodeId::from_index(i));
-            for j in 0..n {
-                m.set_at(i, j, if i == j { f64::INFINITY } else { wp.width[j] });
+            w.set_at(i, i, f64::INFINITY);
+        }
+        for (from, to, bw) in g.edges() {
+            w.set(from, to, w.get(from, to).max(bw));
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    w.set_at(i, j, w.at(i, j).max(w.at(i, k).min(w.at(k, j))));
+                }
             }
         }
-        m
+        w
     }
 
     pub fn greedy(inst: &BwInstance, k: usize) -> Vec<usize> {

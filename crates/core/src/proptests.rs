@@ -764,15 +764,13 @@ impl DenseGame {
     }
 
     fn social_cost(&self) -> f64 {
-        let g = self.wiring.to_graph(&self.costs, &self.alive);
+        let dist = apsp(&self.wiring.to_graph(&self.costs, &self.alive));
         let alive = (0..self.costs.len()).filter(|&i| self.alive[i]);
         alive
             .map(|i| {
-                let sp = egoist_graph::dijkstra::dijkstra(&g, NodeId::from_index(i));
-                let i = NodeId::from_index(i);
                 crate::cost::node_cost_from_dists(
-                    i,
-                    &sp.dist,
+                    NodeId::from_index(i),
+                    dist.row(i),
                     &self.prefs,
                     &self.alive,
                     self.penalty,

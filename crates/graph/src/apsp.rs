@@ -1,64 +1,29 @@
-//! All-pairs shortest paths.
+//! All-pairs shortest paths as a dense matrix.
 //!
 //! A newcomer in EGOIST "obtains the pair-wise distance function `d_{G−i}`
 //! by running an all-pairs shortest path algorithm on `G−i`" (§3.1). For the
-//! sparse wirings EGOIST produces (`m ≈ n·k`, `k ≪ n`) repeated Dijkstra is
-//! asymptotically better than Floyd–Warshall; both are provided and
-//! cross-checked in tests.
+//! sparse wirings EGOIST produces (`m ≈ n·k`, `k ≪ n`) that is one sweep
+//! per source: [`crate::csr::all_pairs`] on [`MinPlus`], the pass every
+//! route-state snapshot builds, read here into a [`DistanceMatrix`].
 
-use crate::dijkstra::dijkstra;
+use crate::csr::{all_pairs, CsrGraph, MinPlus};
 use crate::graph::DiGraph;
 use crate::matrix::DistanceMatrix;
-use crate::types::NodeId;
 
-/// All-pairs shortest path distances via `n` Dijkstra runs.
-/// `result.get(i, j)` = `d_S(v_i, v_j)`; infinite when unreachable.
+/// All-pairs shortest path distances: `result.get(i, j)` = `d_S(v_i, v_j)`;
+/// infinite when unreachable. Counted and timed as every CSR all-pairs
+/// build is (`graph.apsp.build`, `graph.apsp.sources`).
 pub fn apsp(g: &DiGraph) -> DistanceMatrix {
     let n = g.len();
-    let mut out = DistanceMatrix::filled(n, f64::INFINITY);
-    for i in 0..n {
-        let sp = dijkstra(g, NodeId::from_index(i));
-        for (j, &d) in sp.dist.iter().enumerate() {
-            out.set_at(i, j, d);
-        }
-    }
-    out
-}
-
-/// All-pairs shortest paths via Floyd–Warshall (dense `O(n^3)`).
-/// Primarily a test oracle for [`apsp`]; also faster for near-complete
-/// graphs such as the full mesh.
-pub fn floyd_warshall(g: &DiGraph) -> DistanceMatrix {
-    let n = g.len();
-    let mut d = DistanceMatrix::filled(n, f64::INFINITY);
-    for i in 0..n {
-        d.set_at(i, i, 0.0);
-    }
-    for (from, to, cost) in g.edges() {
-        if cost < d.get(from, to) {
-            d.set(from, to, cost);
-        }
-    }
-    for k in 0..n {
-        for i in 0..n {
-            let dik = d.at(i, k);
-            if !dik.is_finite() {
-                continue;
-            }
-            for j in 0..n {
-                let via = dik + d.at(k, j);
-                if via < d.at(i, j) {
-                    d.set_at(i, j, via);
-                }
-            }
-        }
-    }
-    d
+    let all = all_pairs::<MinPlus>(&CsrGraph::from_digraph(g));
+    DistanceMatrix::from_fn(n, |i, j| all.dist[i * n + j])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::floyd_warshall;
+    use crate::types::NodeId;
 
     fn ring(n: usize) -> DiGraph {
         let mut g = DiGraph::new(n);

@@ -3,9 +3,9 @@
 //! The epoch simulator runs tens of thousands of single-source sweeps per
 //! simulation: one all-pairs pass per route-state snapshot plus targeted
 //! repairs every re-wiring turn. [`DiGraph`]'s nested `Vec<Vec<Edge>>`
-//! costs a pointer chase per adjacency list and the textbook
-//! [`crate::dijkstra::dijkstra`] allocates four fresh vectors per call.
-//! This module provides the hot-path counterparts:
+//! costs a pointer chase per adjacency list, and a textbook Dijkstra
+//! allocates four fresh vectors per call. This module is the crate's one
+//! best-path stack:
 //!
 //! * [`CsrGraph`] — the same directed weighted graph flattened into
 //!   `offsets / targets / costs` arrays, built once per snapshot;
@@ -23,13 +23,13 @@
 //!   sources out over `std::thread::scope` threads, each writing into
 //!   pre-partitioned row slices (byte-deterministic regardless of
 //!   scheduling);
-//! * [`path_from_parents`] / [`DisjointSearch`] — the path-extraction
-//!   helpers the data plane uses.
+//! * [`first_hops`] / [`tree_path_costs`] / [`DisjointSearch`] — what
+//!   routing tables and the data plane read off a parent row.
 //!
-//! Every algorithm here produces bit-identical values to its `DiGraph`
-//! counterpart ([`crate::dijkstra`], [`crate::widest`]): a value is the
-//! best of per-path folds that do not depend on visit order, and ties are
-//! settled by node id.
+//! Every sweep here produces the values and parents of the dense textbook
+//! loops its tests pin it against, bit for bit (the test-only `reference`
+//! module): a value is the best of per-path folds that do not depend on
+//! visit order, and ties are settled by node id.
 
 use crate::graph::DiGraph;
 use crate::types::{Cost, NodeId};
@@ -339,8 +339,8 @@ impl PathAlgebra for MaxMin {
 }
 
 /// A tentative `(value, node)` in a sweep's heap: best key first, ties
-/// by smaller node id — the settle order of [`crate::dijkstra`] and
-/// [`crate::widest`]. Equality is `cmp`'s, so `Eq` and `Ord` agree.
+/// by smaller node id — the settle order of the textbook heap loops.
+/// Equality is `cmp`'s, so `Eq` and `Ord` agree.
 #[doc(hidden)]
 pub struct HeapEntry<A> {
     key: Cost,
@@ -881,8 +881,8 @@ pub fn all_pairs<A: PathAlgebra>(g: &CsrGraph) -> CsrApsp {
     CsrApsp { n, dist, parent }
 }
 
-/// All-pairs shortest paths ([`all_pairs`] on [`MinPlus`]). Distances
-/// equal [`crate::apsp::apsp`] bit-for-bit.
+/// All-pairs shortest paths ([`all_pairs`] on [`MinPlus`]);
+/// [`crate::apsp::apsp`] reads its distances into a dense matrix.
 pub fn apsp_csr(g: &CsrGraph) -> CsrApsp {
     all_pairs::<MinPlus>(g)
 }
@@ -1017,12 +1017,74 @@ pub fn sweep_many<A: PathAlgebra>(
 }
 
 /// First hop from `source` toward every node, from a packed parent row
-/// (`None` for the source and unreachable nodes) — one O(n) sweep, the
-/// CSR counterpart of [`crate::dijkstra::ShortestPaths::first_hops`].
+/// (`None` for the source and unreachable nodes) — one O(n) sweep
+/// instead of a path walk per node.
 pub fn first_hops(parent: &[u32], source: u32) -> Vec<Option<NodeId>> {
-    crate::dijkstra::first_hops_by(parent.len(), source as usize, |v| {
+    first_hops_by(parent.len(), source as usize, |v| {
         (parent[v] != NO_PARENT).then_some(parent[v] as usize)
     })
+}
+
+/// First hop from `source` toward every node of the shortest-path tree
+/// `parent` encodes (`None` for the source and for unreachable nodes):
+/// every node inherits its parent's first hop, the source's children
+/// are their own.
+fn first_hops_by(
+    n: usize,
+    source: usize,
+    parent: impl Fn(usize) -> Option<usize>,
+) -> Vec<Option<NodeId>> {
+    let mut hop = vec![None; n];
+    for_each_tree_edge(
+        source,
+        parent,
+        &mut vec![false; n],
+        &mut Vec::new(),
+        |p, v| {
+            hop[v] = if p == source {
+                Some(NodeId(v as u32))
+            } else {
+                hop[p]
+            }
+        },
+    );
+    hop
+}
+
+/// One O(n) sweep down the tree `parent` encodes: `visit(p, v)` is
+/// called once for every node `v` with a parent `p`, after `p`'s own
+/// visit (the source has none) — so a value that is a function of the
+/// parent's value can be filled in place, root to leaves. `done` and
+/// `stack` are scratch the caller may reuse across sweeps.
+///
+/// Each unvisited node climbs to its nearest visited ancestor, then the
+/// climbed chain is visited top down, so every node is touched once.
+fn for_each_tree_edge(
+    source: usize,
+    parent: impl Fn(usize) -> Option<usize>,
+    done: &mut [bool],
+    stack: &mut Vec<usize>,
+    mut visit: impl FnMut(usize, usize),
+) {
+    done.fill(false);
+    done[source] = true;
+    for v in 0..done.len() {
+        stack.clear();
+        let mut cur = v;
+        while !done[cur] {
+            done[cur] = true;
+            match parent(cur) {
+                Some(p) => {
+                    stack.push(cur);
+                    cur = p;
+                }
+                None => break, // unreachable: nothing above to inherit from
+            }
+        }
+        while let Some(x) = stack.pop() {
+            visit(parent(x).expect("stacked nodes have parents"), x);
+        }
+    }
 }
 
 /// Reusable scratch for [`tree_path_costs`].
@@ -1049,38 +1111,13 @@ pub fn tree_path_costs(
     out.fill(f64::INFINITY);
     out[source as usize] = 0.0;
     scratch.done.resize(parent.len(), false);
-    crate::dijkstra::for_each_tree_edge(
+    for_each_tree_edge(
         source as usize,
         |v| (parent[v] != NO_PARENT).then_some(parent[v] as usize),
         &mut scratch.done,
         &mut scratch.stack,
         |p, v| out[v] = out[p] + cost(NodeId(p as u32), NodeId(v as u32)),
     );
-}
-
-/// Reconstruct the node path `source → target` from a packed parent row.
-/// Returns `None` when unreachable.
-pub fn path_from_parents(
-    parent: &[u32],
-    source: u32,
-    target: u32,
-    reachable: bool,
-) -> Option<Vec<NodeId>> {
-    if !reachable {
-        return None;
-    }
-    let mut path = vec![NodeId(target)];
-    let mut cur = target;
-    while cur != source {
-        let p = parent[cur as usize];
-        if p == NO_PARENT {
-            return None;
-        }
-        path.push(NodeId(p));
-        cur = p;
-    }
-    path.reverse();
-    Some(path)
 }
 
 /// Scratch of the successive edge-disjoint shortest-path search: the
@@ -1170,26 +1207,67 @@ impl DisjointSearch {
     }
 }
 
-/// [`DisjointSearch::for_each_path`] collected into node paths.
-pub fn successive_disjoint_paths(
-    g: &CsrGraph,
-    source: u32,
-    target: u32,
-    want: usize,
-    search: &mut DisjointSearch,
-) -> Vec<Vec<NodeId>> {
-    let mut paths = Vec::new();
-    search.for_each_path(g, source, target, want, None, |row| {
-        paths.extend(path_from_parents(row, source, target, true));
-    });
-    paths
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::dijkstra::dijkstra;
-    use crate::widest::widest_paths;
+    use crate::reference::{self, dijkstra, widest_paths};
+
+    /// Reconstruct the node path `source → target` from a packed parent row.
+    /// Returns `None` when unreachable.
+    pub(crate) fn path_from_parents(
+        parent: &[u32],
+        source: u32,
+        target: u32,
+        reachable: bool,
+    ) -> Option<Vec<NodeId>> {
+        if !reachable {
+            return None;
+        }
+        let mut path = vec![NodeId(target)];
+        let mut cur = target;
+        while cur != source {
+            let p = parent[cur as usize];
+            if p == NO_PARENT {
+                return None;
+            }
+            path.push(NodeId(p));
+            cur = p;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// [`DisjointSearch::for_each_path`] collected into node paths.
+    pub(crate) fn successive_disjoint_paths(
+        g: &CsrGraph,
+        source: u32,
+        target: u32,
+        want: usize,
+        search: &mut DisjointSearch,
+    ) -> Vec<Vec<NodeId>> {
+        let mut paths = Vec::new();
+        search.for_each_path(g, source, target, want, None, |row| {
+            paths.extend(path_from_parents(row, source, target, true));
+        });
+        paths
+    }
+
+    /// One sweep of `g` from `s` on algebra `A`: `(values, parents)`.
+    pub(crate) fn tree<A: PathAlgebra>(g: &DiGraph, s: u32) -> (Vec<f64>, Vec<u32>) {
+        let n = g.len();
+        let (mut dist, mut parent) = (vec![0.0; n], vec![0; n]);
+        let csr = CsrGraph::from_digraph(g);
+        DijkstraWorkspace::new(n).sweep::<A>(&csr, s, Sweep::default(), &mut dist, &mut parent);
+        (dist, parent)
+    }
+
+    fn digraph(n: usize, edges: &[(u32, u32, f64)]) -> DiGraph {
+        let mut g = DiGraph::new(n);
+        for &(a, b, c) in edges {
+            g.add_edge(NodeId(a), NodeId(b), c);
+        }
+        g
+    }
 
     /// Deterministic pseudo-random sparse graph.
     fn scrambled(n: usize, out_degree: usize) -> DiGraph {
@@ -1243,18 +1321,18 @@ pub(crate) mod tests {
 
     /// The `DiGraph` reference sweep of each algebra.
     trait Reference: PathAlgebra {
-        fn sweep(g: &DiGraph, source: NodeId) -> Vec<f64>;
+        fn sweep(g: &DiGraph, source: NodeId) -> reference::Tree;
     }
 
     impl Reference for MinPlus {
-        fn sweep(g: &DiGraph, source: NodeId) -> Vec<f64> {
-            dijkstra(g, source).dist
+        fn sweep(g: &DiGraph, source: NodeId) -> reference::Tree {
+            dijkstra(g, source)
         }
     }
 
     impl Reference for MaxMin {
-        fn sweep(g: &DiGraph, source: NodeId) -> Vec<f64> {
-            widest_paths(g, source).width
+        fn sweep(g: &DiGraph, source: NodeId) -> reference::Tree {
+            widest_paths(g, source)
         }
     }
 
@@ -1270,7 +1348,7 @@ pub(crate) mod tests {
             let g = scrambled(n, 3);
             let packed = all_pairs::<A>(&CsrGraph::from_digraph(&g));
             for s in 0..n {
-                let oracle = A::sweep(&g, NodeId::from_index(s));
+                let oracle = A::sweep(&g, NodeId::from_index(s)).dist;
                 assert_rows_bit_equal(&oracle, packed.dist_row(s), &format!("n={n} source {s}"));
             }
         }
@@ -1286,6 +1364,89 @@ pub(crate) mod tests {
         all_pairs_matches_reference::<MaxMin>();
     }
 
+    /// Where equal-valued paths abound, the settle order alone picks a
+    /// parent: every all-pairs parent row is the reference's, the
+    /// source's own entry aside.
+    fn all_pairs_parents_match_reference<A: Reference>() {
+        for n in [5usize, 17, 40, 80] {
+            for degree in [2, 3, 5] {
+                let g = tie_heavy(n, degree);
+                let packed = all_pairs::<A>(&CsrGraph::from_digraph(&g));
+                for s in 0..n {
+                    let oracle = A::sweep(&g, NodeId::from_index(s)).parent;
+                    let got = packed.parent_row(s);
+                    for v in (0..n).filter(|&v| v != s) {
+                        let want = oracle[v].map_or(NO_PARENT, |p| p.0);
+                        assert_eq!(want, got[v], "n={n} degree {degree} source {s}: {v}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_pairs_parents_match_reference_min_plus() {
+        all_pairs_parents_match_reference::<MinPlus>();
+    }
+
+    #[test]
+    fn all_pairs_parents_match_reference_max_min() {
+        all_pairs_parents_match_reference::<MaxMin>();
+    }
+
+    #[test]
+    fn shortest_paths_on_small_graphs() {
+        // 0 →1→ 1 →1→ 2, plus a direct 0→2 edge of cost 5: the detour wins.
+        let g = digraph(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)]);
+        let (dist, parent) = tree::<MinPlus>(&g, 0);
+        assert_eq!(dist, [0.0, 1.0, 2.0]);
+        let path = path_from_parents(&parent, 0, 2, true);
+        assert_eq!(path, Some(vec![NodeId(0), NodeId(1), NodeId(2)]));
+        assert_eq!(
+            first_hops(&parent, 0),
+            [None, Some(NodeId(1)), Some(NodeId(1))]
+        );
+        // Edges are directed; a source's path to itself is itself.
+        let (dist, parent) = tree::<MinPlus>(&g, 1);
+        assert_eq!(dist, [f64::INFINITY, 0.0, 1.0]);
+        assert_eq!(
+            path_from_parents(&parent, 1, 1, true),
+            Some(vec![NodeId(1)])
+        );
+        // Zero-cost edges are paths, an infinite one is none: 3 is
+        // unreached, with no path and no first hop.
+        let g = digraph(4, &[(0, 1, 0.0), (1, 2, 0.0), (2, 3, f64::INFINITY)]);
+        let (dist, parent) = tree::<MinPlus>(&g, 0);
+        assert_eq!(dist, [0.0, 0.0, 0.0, f64::INFINITY]);
+        assert_eq!(parent[3], NO_PARENT);
+        assert_eq!(path_from_parents(&parent, 0, 3, dist[3].is_finite()), None);
+        assert_eq!(first_hops(&parent, 0)[3], None);
+    }
+
+    #[test]
+    fn widest_paths_on_small_graphs() {
+        // 0→1 (10), 1→2 (4), 0→2 (3): the two-hop bottleneck 4 beats the
+        // direct 3; the source's own width is infinite, an unreached one 0.
+        let g = digraph(3, &[(0, 1, 10.0), (1, 2, 4.0), (0, 2, 3.0)]);
+        let (width, parent) = tree::<MaxMin>(&g, 0);
+        assert_eq!(width, [f64::INFINITY, 10.0, 4.0]);
+        let path = path_from_parents(&parent, 0, 2, true);
+        assert_eq!(path, Some(vec![NodeId(0), NodeId(1), NodeId(2)]));
+        let (width, parent) = tree::<MaxMin>(&g, 1);
+        assert_eq!(width, [0.0, f64::INFINITY, 4.0]);
+        assert_eq!(parent[0], NO_PARENT);
+        // Paths 0→3: [0,1,3] = min(7,2) = 2; [0,2,3] = min(5,6) = 5;
+        // [0,1,2,3] = min(7,9,6) = 6.
+        let edges = [
+            (0, 1, 7.0),
+            (0, 2, 5.0),
+            (1, 2, 9.0),
+            (1, 3, 2.0),
+            (2, 3, 6.0),
+        ];
+        assert_eq!(tree::<MaxMin>(&digraph(4, &edges), 0).0[3], 6.0);
+    }
+
     fn masked_sweep_equals_clearing_out_edges<A: Reference>() {
         let g = scrambled(24, 4);
         let csr = CsrGraph::from_digraph(&g);
@@ -1294,7 +1455,7 @@ pub(crate) mod tests {
             let mut cleared = g.clone();
             cleared.clear_out_edges(NodeId(masked));
             for s in 0..24u32 {
-                let oracle = A::sweep(&cleared, NodeId(s));
+                let oracle = A::sweep(&cleared, NodeId(s)).dist;
                 let mut dist = vec![0.0; 24];
                 let mut parent = vec![0u32; 24];
                 let sweep = Sweep {

@@ -21,17 +21,19 @@
 //!
 //! The dense modules that remain beside `csr`, and why:
 //!
-//! * [`apsp`] — all-pairs shortest paths by `n` Dijkstra runs, for
-//!   `egoist-netsim`'s underlay routing, the static-game figures' dense
-//!   costs (`egoist-bench`) and the tests' from-scratch residual oracle.
-//!   The whole-stack benchmark imports it by this path.
-//! * [`dijkstra`] / [`widest`] — the single-source references `csr` is
-//!   pinned bit for bit against; `widest` also backs the dense
-//!   widest-path oracles of `egoist-core`'s tests.
+//! * [`apsp`] — one [`csr::all_pairs`] pass read into a
+//!   [`DistanceMatrix`], for `egoist-netsim`'s underlay routing, the
+//!   static-game figures' dense costs (`egoist-bench`) and the tests'
+//!   from-scratch residual oracle. The whole-stack benchmark imports it
+//!   by this path.
 //! * [`maxflow`] / [`disjoint`] — Dinic's max-flow and the edge-disjoint
 //!   path count built on it: the only max-flow code, used for Fig. 10's
 //!   "all peers allow multipath redirection" bound and Fig. 11's disjoint
 //!   paths (§6).
+//!
+//! The dense single-source loops `csr` is pinned against bit for bit
+//! (heap Dijkstra, its max-min form, Floyd–Warshall) live in the test-only
+//! `reference` module.
 //!
 //! All algorithms are deterministic and panic-free on well-formed inputs;
 //! costs are `f64` with `f64::INFINITY` meaning "no edge / unreachable"
@@ -42,14 +44,12 @@ pub mod apsp;
 pub mod connectivity;
 pub mod csr;
 pub mod cycles;
-pub mod dijkstra;
 pub mod disjoint;
 pub mod graph;
 pub mod matrix;
 pub mod maxflow;
 pub mod mst;
 pub mod types;
-pub mod widest;
 
 pub use csr::{CsrApsp, CsrGraph, DijkstraWorkspace};
 pub use graph::DiGraph;
@@ -58,3 +58,5 @@ pub use types::NodeId;
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;

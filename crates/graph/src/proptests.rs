@@ -1,15 +1,16 @@
 //! Property-based tests tying the graph algorithms to each other.
 
-use crate::apsp::{apsp, floyd_warshall};
+use crate::apsp::apsp;
 use crate::connectivity::strongly_connected;
+use crate::csr::tests::{path_from_parents, tree};
+use crate::csr::{MaxMin, MinPlus};
 use crate::cycles::{backbone_edges, enforce_cycle};
-use crate::dijkstra::dijkstra;
 use crate::disjoint::edge_disjoint_paths;
 use crate::graph::DiGraph;
 use crate::matrix::DistanceMatrix;
 use crate::maxflow::max_flow;
+use crate::reference::floyd_warshall;
 use crate::types::NodeId;
-use crate::widest::widest_paths;
 use proptest::prelude::*;
 
 /// Random sparse directed graph with positive costs.
@@ -47,7 +48,7 @@ fn disjoint_paths_with_precount(
     (s, t): (u32, u32),
     max_paths: usize,
 ) -> Vec<Vec<NodeId>> {
-    use crate::csr::{path_from_parents, DijkstraWorkspace, MinPlus, Sweep, NO_PARENT};
+    use crate::csr::{DijkstraWorkspace, Sweep, NO_PARENT};
     let n = csr.len();
     let want = max_paths.min(edge_disjoint_paths(g, NodeId(s), NodeId(t)));
     let mut ws = DijkstraWorkspace::new(n);
@@ -79,7 +80,7 @@ fn early_exit_case<A: crate::csr::PathAlgebra>(
     csr: &crate::csr::CsrGraph,
     mask_seed: u64,
 ) -> Result<(), TestCaseError> {
-    use crate::csr::{path_from_parents, DijkstraWorkspace, Sweep, NO_PARENT};
+    use crate::csr::{DijkstraWorkspace, Sweep, NO_PARENT};
     let n = csr.len();
     let mut ws = DijkstraWorkspace::new(n);
     let row = || (vec![0.0; n], vec![NO_PARENT; n]);
@@ -163,10 +164,8 @@ proptest! {
         picks in (0usize..12, 0usize..12),
         max_paths in 1usize..4,
     ) {
-        use crate::csr::{
-            path_from_parents, successive_disjoint_paths, CsrGraph, DijkstraWorkspace,
-            DisjointSearch, NO_PARENT,
-        };
+        use crate::csr::tests::successive_disjoint_paths;
+        use crate::csr::{CsrGraph, DijkstraWorkspace, DisjointSearch, NO_PARENT};
         let mut g = DiGraph::new(n);
         for (a, b, c) in edges {
             if a != b {
@@ -212,10 +211,10 @@ proptest! {
     /// edges: d(s,v) ≤ d(s,u) + w(u,v) for every edge (u,v).
     #[test]
     fn dijkstra_is_stable_under_relaxation(g in arb_graph(12)) {
-        let sp = dijkstra(&g, NodeId(0));
+        let (dist, _) = tree::<MinPlus>(&g, 0);
         for (u, v, w) in g.edges() {
-            let du = sp.dist[u.index()];
-            let dv = sp.dist[v.index()];
+            let du = dist[u.index()];
+            let dv = dist[v.index()];
             if du.is_finite() {
                 prop_assert!(dv <= du + w + 1e-9,
                     "edge {u}→{v} (w={w}) violates relaxation: d(u)={du}, d(v)={dv}");
@@ -223,9 +222,9 @@ proptest! {
         }
     }
 
-    /// The one-sweep routing table is the per-target path walk, from
-    /// every source, over both parent encodings; and a CSR graph built
-    /// row by row is the `DiGraph` the same `add_edge` calls built.
+    /// The one-sweep routing table is the per-target walk up the parent
+    /// row, from every source; and a CSR graph built row by row is the
+    /// `DiGraph` the same `add_edge` calls built.
     #[test]
     fn first_hops_equal_path_walks(g in arb_graph(14)) {
         use crate::csr::{first_hops, CsrGraph, DijkstraWorkspace};
@@ -244,17 +243,15 @@ proptest! {
 
         let mut ws = DijkstraWorkspace::new(n);
         let (mut dist, mut parent) = (vec![0.0; n], vec![0; n]);
-        for s in 0..n {
-            let sp = dijkstra(&g, NodeId::from_index(s));
-            let walked: Vec<Option<NodeId>> = (0..n)
-                .map(|t| sp.path_to(NodeId::from_index(t)).and_then(|p| p.get(1).copied()))
+        for s in 0..n as u32 {
+            ws.sssp_into(&rows, s, None, &mut dist, &mut parent);
+            let walked: Vec<Option<NodeId>> = (0..n as u32)
+                .map(|t| {
+                    let path = path_from_parents(&parent, s, t, dist[t as usize].is_finite());
+                    path.and_then(|p| p.get(1).copied())
+                })
                 .collect();
-            let hops: Vec<Option<NodeId>> =
-                (0..n).map(|t| sp.next_hop(NodeId::from_index(t))).collect();
-            prop_assert_eq!(&hops, &walked, "next_hop from {}", s);
-            prop_assert_eq!(&sp.first_hops(), &walked, "first_hops from {}", s);
-            ws.sssp_into(&rows, s as u32, None, &mut dist, &mut parent);
-            prop_assert_eq!(&first_hops(&parent, s as u32), &walked, "CSR first_hops from {}", s);
+            prop_assert_eq!(&first_hops(&parent, s), &walked, "first_hops from {}", s);
         }
     }
 
@@ -277,14 +274,14 @@ proptest! {
     /// Paths reported by Dijkstra have exactly the reported cost.
     #[test]
     fn dijkstra_path_cost_matches_dist(g in arb_graph(12)) {
-        let sp = dijkstra(&g, NodeId(0));
-        for j in 0..g.len() {
-            if let Some(path) = sp.path_to(NodeId::from_index(j)) {
+        let (dist, parent) = tree::<MinPlus>(&g, 0);
+        for (j, &d) in dist.iter().enumerate() {
+            if let Some(path) = path_from_parents(&parent, 0, j as u32, d.is_finite()) {
                 let mut c = 0.0;
                 for w in path.windows(2) {
                     c += g.edge_cost(w[0], w[1]).unwrap();
                 }
-                prop_assert!((c - sp.dist[j]).abs() < 1e-9);
+                prop_assert!((c - d).abs() < 1e-9);
             }
         }
     }
@@ -294,18 +291,18 @@ proptest! {
     /// the best width to its endpoint.
     #[test]
     fn widest_path_is_consistent(g in arb_graph(12)) {
-        let wp = widest_paths(&g, NodeId(0));
-        for j in 1..g.len() {
-            if let Some(path) = wp.path_to(NodeId::from_index(j)) {
+        let (width, parent) = tree::<MaxMin>(&g, 0);
+        for (j, &bw) in width.iter().enumerate().skip(1) {
+            if let Some(path) = path_from_parents(&parent, 0, j as u32, bw > 0.0) {
                 let mut w = f64::INFINITY;
                 for win in path.windows(2) {
                     w = w.min(g.edge_cost(win[0], win[1]).unwrap());
                 }
-                prop_assert!((w - wp.width[j]).abs() < 1e-9);
+                prop_assert!((w - bw).abs() < 1e-9);
             }
         }
         for e in g.out_edges(NodeId(0)) {
-            prop_assert!(wp.width[e.to.index()] >= e.cost - 1e-9);
+            prop_assert!(width[e.to.index()] >= e.cost - 1e-9);
         }
     }
 
@@ -321,7 +318,7 @@ proptest! {
         let f = max_flow(&g, s, t);
         let out_cap: f64 = g.out_edges(s).iter().map(|e| e.cost).sum();
         prop_assert!(f <= out_cap + 1e-6);
-        let w = widest_paths(&g, s).width[t.index()];
+        let w = tree::<MaxMin>(&g, s.0).0[t.index()];
         if w > 0.0 && w.is_finite() {
             prop_assert!(f >= w - 1e-6, "flow {f} < single widest path {w}");
         }

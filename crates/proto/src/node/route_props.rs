@@ -3,8 +3,8 @@
 
 use super::*;
 use crate::transport::SimNet;
-use egoist_graph::dijkstra::dijkstra;
-use egoist_graph::{DiGraph, DistanceMatrix};
+use egoist_graph::csr::{self, NO_PARENT};
+use egoist_graph::{CsrGraph, DiGraph, DijkstraWorkspace, DistanceMatrix};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -142,10 +142,20 @@ proptest! {
         prop_assert_eq!(got, want, "edge multiset");
 
         node.publish();
-        let sp = dijkstra(&oracle, me);
-        let want: Vec<Option<NodeId>> =
-            (0..n).map(|j| sp.next_hop(NodeId::from_index(j))).collect();
+        let (mut dist, mut parent) = (vec![0.0; n], vec![0; n]);
+        let flat = CsrGraph::from_digraph(&oracle);
+        DijkstraWorkspace::new(n).sssp_into(&flat, me.0, None, &mut dist, &mut parent);
+        // Each target's next hop by walking its parent chain up to `me`.
+        let want: Vec<Option<NodeId>> = (0..n as u32)
+            .map(|j| {
+                let mut cur = j;
+                while parent[cur as usize] != NO_PARENT && parent[cur as usize] != me.0 {
+                    cur = parent[cur as usize];
+                }
+                (parent[cur as usize] == me.0).then_some(NodeId(cur))
+            })
+            .collect();
         prop_assert_eq!(&node.view.read().next_hops, &want, "published next hops");
-        prop_assert_eq!(sp.first_hops(), want, "ShortestPaths::first_hops");
+        prop_assert_eq!(csr::first_hops(&parent, me.0), want, "csr::first_hops");
     }
 }

@@ -7,10 +7,9 @@
 # A file's non-test lines are the lines before its first `#[cfg(test)]`
 # in column 0 (the test module at the foot of the file); an indented
 # `#[cfg(test)]` on one item inside an impl does not end the count.
-# `proptests.rs` and `route_props.rs` are test-only modules and count
-# nothing. Only `src/` is read: `benches/` are criterion groups, not
-# shipped code. The `vendor` row is not in the total. Run from anywhere
-# inside the repository.
+# `proptests.rs`, `route_props.rs` and `reference.rs` are test-only
+# modules and count nothing. Only `src/` is read. The `vendor` row is not
+# in the total. Run from anywhere inside the repository.
 #
 # Exits 1, naming the line, when a column-0 item after a file's first
 # column-0 `#[cfg(test)]` carries no `#[cfg(test)]` of its own: that item
@@ -20,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 # Non-test lines of the `.rs` files under the given `src/` directories.
 count() {
-    if ! find "$@" -name '*.rs' ! -name proptests.rs ! -name route_props.rs -print0 |
+    if ! find "$@" -name '*.rs' ! -name proptests.rs ! -name route_props.rs ! -name reference.rs -print0 |
         xargs -0 awk '
             FNR == 1 { counting = 1; gated = 0 }
             /^#\[cfg\(test\)\]/ { counting = 0; gated = 1 }
