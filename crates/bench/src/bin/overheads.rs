@@ -67,28 +67,43 @@ async fn run() {
         ping_bps.push(v.overhead.bps(MessageClass::Measurement, horizon_secs));
         lsa_bps.push(v.overhead.bps(MessageClass::LinkState, horizon_secs));
     }
+    // Node 0's LSA as its published view describes it: its wiring, each
+    // link priced by its estimate as `announce` prices it (1 ms while
+    // unmeasured), its announce count as the seq.
+    let v = wheel.view(0);
+    let lsa = LinkStateAnnouncement {
+        origin: NodeId(0),
+        seq: v.announces,
+        links: v
+            .wiring
+            .iter()
+            .map(|&w| {
+                let est = v.direct_est[w.index()];
+                let cost = if est.is_nan() { 1.0 } else { est };
+                LinkEntry {
+                    neighbor: w,
+                    cost: cost as f32,
+                }
+            })
+            .collect(),
+    };
     wheel.shutdown().await;
 
     // Our ping frames are 52 bytes (paper assumed 40-byte ICMP echo).
     let our_ping_bits = 52.0 * 8.0;
-    // Our LSA frame, as the codec writes it: the envelope and LSA header
-    // (a zero-link frame), then each link (what one more adds).
-    let lsa_frame_bits = |links: usize| {
-        let lsa = LinkStateAnnouncement {
-            origin: NodeId(0),
-            seq: 0,
-            links: vec![
-                LinkEntry {
-                    neighbor: NodeId(0),
-                    cost: 0.0,
-                };
-                links
-            ],
-        };
+    // Our LSA frame, as the codec writes this run's values: the envelope
+    // and LSA header (node 0's LSA with its links dropped), then the mean
+    // link (the links' bytes over their count). Varints make both depend
+    // on the ids, seq and costs, so made-up zeros would under-price them.
+    let lsa_frame_bits = |lsa: LinkStateAnnouncement| {
         codec::encode(&Message::LinkState { lsa, ttl: 0 }).len() as f64 * 8.0
     };
-    let our_lsa_header_bits = lsa_frame_bits(0);
-    let our_lsa_entry_bits = lsa_frame_bits(1) - our_lsa_header_bits;
+    let k_links = lsa.links.len().max(1) as f64;
+    let our_lsa_header_bits = lsa_frame_bits(LinkStateAnnouncement {
+        links: Vec::new(),
+        ..lsa.clone()
+    });
+    let our_lsa_entry_bits = (lsa_frame_bits(lsa) - our_lsa_header_bits) / k_links;
 
     println!();
     println!(

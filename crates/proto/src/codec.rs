@@ -1,6 +1,6 @@
 //! Binary framing for EGOIST messages.
 //!
-//! Frame layout, version 5 (fixed-width integers big-endian):
+//! Frame layout, version 6 (fixed-width integers big-endian):
 //!
 //! ```text
 //! +--------+---------+------+----------+------------------+----------+
@@ -9,7 +9,7 @@
 //! +--------+---------+------+----------+------------------+----------+
 //! ```
 //!
-//! `magic` is `0x4547` ("EG"), `version` is 5, `type` is one of the
+//! `magic` is `0x4547` ("EG"), `version` is 6, `type` is one of the
 //! `tag` constants, `len` counts the payload bytes only, and the
 //! checksum covers everything before it (header + payload). [`encode`]
 //! measures the payload in one pass and then fills one exactly-sized
@@ -39,9 +39,10 @@
 //! **Version 3** added one frame type, the anti-entropy push with refresh
 //! entries (`tag::LSDB_SYNC_REFRESH`): the `LsdbSync` payload followed by
 //! a counted list of entries `(origin, seq, links_hash)`, where
-//! `links_hash` is [`links_hash`], the checksum function over the links
-//! as a `LinkState` frame encodes them. A push with no entries is sent as
-//! a plain `LsdbSync`.
+//! `links_hash` is [`links_hash`]: the checksum function over the links
+//! written as big-endian `u32` words, per link the neighbor id, then the
+//! cost bits (no frame carries that layout since version 6). A push with
+//! no entries is sent as a plain `LsdbSync`.
 //!
 //! **Version 4** packed the three anti-entropy frames — `LsdbDigest`,
 //! `LsdbSync` (both tags) and `LsdbPull` — into varints. An *LEB128
@@ -87,12 +88,17 @@
 //! `(3, 17, 0xC0FFEE00)` and `(u32::MAX, u64::MAX, 1)` is `0001 02 08
 //! 00`, then `0002 06 11 c0ffee00`, then `f8ffffff1f
 //! ffffffffffffffffff01 00000001` (`golden_frames` pins the whole
-//! frames). Every other frame keeps its version 3 layout, all fields
-//! fixed-width: `LinkState` is `ttl u8, origin u32, seq u64, count u16`,
-//! then per link `neighbor u32, cost u32` — the §4.3 announcement the
-//! `overheads` bin prices, over which `links_hash` is still defined — and
-//! `Ping` / `Pong` stay the paper's 40-byte echo. Version 4 frames are
-//! `BadVersion`.
+//! frames).
+//!
+//! **Version 6** gives the gossiped `LinkState` frame the pushed-LSA
+//! layout, so one LSA layout remains on the wire: `ttl u8`, the origin
+//! as a plain varint, then the LSA as a push writes it after its origin
+//! delta (seq, link count, per link the neighbor varint and the cost
+//! word). The announcement `(300, 42, [(200, 12.5), (7, 0.25)])` at ttl
+//! 3 is `03 ac02 2a 02 c801 32 07 818080e807`: 14 bytes where version 5
+//! took 31. Every other frame keeps its version 3 layout, all fields
+//! fixed-width, and `Ping` / `Pong` stay the paper's 40-byte echo.
+//! Version 5 frames are `BadVersion`.
 //!
 //! Decoding is *total*: any malformed, truncated, or corrupted input
 //! yields a [`DecodeError`], never a panic — the property the
@@ -112,8 +118,9 @@ use egoist_graph::NodeId;
 pub const MAGIC: u16 = 0x4547;
 /// Protocol version. 2 = the four-lane checksum, 3 = refresh entries in
 /// anti-entropy pushes, 4 = varint anti-entropy frames, 5 = cost words
-/// and run-coded digests (see the module docs).
-pub const VERSION: u8 = 5;
+/// and run-coded digests, 6 = `LinkState` in the pushed-LSA layout (see
+/// the module docs).
+pub const VERSION: u8 = 6;
 /// Upper bound on accepted payload length (defends against corrupt
 /// length fields).
 pub const MAX_PAYLOAD: usize = 1 << 20;
@@ -190,10 +197,10 @@ pub fn fnv1a(data: &[u8]) -> u32 {
     fold(lanes)
 }
 
-/// [`fnv1a`] of `links` as an LSA encodes them — per link the `u32`
-/// neighbor id, then the `u32` cost bits — without encoding them: each
-/// field is one whole 4-byte block, one byte per lane. The hash a
-/// [`Refresh`] entry carries.
+/// [`fnv1a`] of `links` as big-endian `u32` words — per link the
+/// neighbor id, then the cost bits — without writing them out: each word
+/// is one whole 4-byte block, one byte per lane. The hash a [`Refresh`]
+/// entry carries.
 pub fn links_hash(links: &[LinkEntry]) -> u32 {
     let mut lanes = SEEDS;
     for word in links.iter().flat_map(|l| [l.neighbor.0, l.cost.to_bits()]) {
@@ -217,12 +224,6 @@ mod tag {
     pub const LSDB_DIGEST: u8 = 10;
     pub const LSDB_PULL: u8 = 11;
     pub const LSDB_SYNC_REFRESH: u8 = 12;
-}
-
-/// Encoded size of one LSA in a `LinkState` frame: origin, seq, link
-/// count, 8 bytes per link.
-fn lsa_len(lsa: LsaRef) -> usize {
-    14 + 8 * lsa.links.len()
 }
 
 /// Bytes of `v` as an LEB128 varint: its significant bits (at least
@@ -271,8 +272,9 @@ pub(crate) fn cost_len(cost: f32) -> usize {
     varint_len(cost_word(cost))
 }
 
-/// Encoded size of one pushed LSA after its origin delta: seq, link
-/// count, then per link the neighbor id and the cost word.
+/// Encoded size of one LSA after its origin (a push's delta, a
+/// `LinkState`'s varint): seq, link count, then per link the neighbor id
+/// and the cost word.
 fn pushed_lsa_len(lsa: LsaRef) -> usize {
     let links: usize = lsa
         .links
@@ -385,18 +387,7 @@ impl Writer<'_> {
         }
     }
 
-    /// An LSA as a `LinkState` frame carries it.
-    fn lsa(&mut self, lsa: LsaRef) {
-        self.u32(lsa.origin.0);
-        self.u64(lsa.seq);
-        self.count(lsa.links.len());
-        for l in lsa.links {
-            self.u32(l.neighbor.0);
-            self.u32(l.cost.to_bits());
-        }
-    }
-
-    /// A pushed LSA after its origin delta.
+    /// An LSA after its origin, as pushes and `LinkState` frames carry it.
     fn pushed_lsa(&mut self, lsa: LsaRef) {
         self.varint(lsa.seq);
         self.varint(lsa.links.len() as u64);
@@ -510,10 +501,15 @@ pub fn encode(msg: &Message) -> Bytes {
                 w.id_list(origins, |o| o, |_, _| {});
             })
         }
-        Message::LinkState { lsa, ttl } => frame(tag::LINK_STATE, 1 + lsa_len(lsa.into()), |w| {
-            w.u8(*ttl);
-            w.lsa(lsa.into());
-        }),
+        Message::LinkState { lsa, ttl } => {
+            let origin = u64::from(lsa.origin.0);
+            let len = 1 + varint_len(origin) + pushed_lsa_len(lsa.into());
+            frame(tag::LINK_STATE, len, |w| {
+                w.u8(*ttl);
+                w.varint(origin);
+                w.pushed_lsa(lsa.into());
+            })
+        }
         Message::Ping { from, nonce, hb } => echo(tag::PING, *from, *nonce, *hb),
         Message::Pong { from, nonce, hb } => echo(tag::PONG, *from, *nonce, *hb),
         Message::Heartbeat { from } => id_frame(tag::HEARTBEAT, *from),
@@ -648,19 +644,6 @@ impl Cursor<'_> {
         })
     }
 
-    /// An LSA as a `LinkState` frame carries it.
-    fn lsa(&mut self) -> Result<LinkStateAnnouncement, DecodeError> {
-        let origin = self.id()?;
-        let seq = self.u64()?;
-        let links = self.list(8, |c| {
-            Ok(LinkEntry {
-                neighbor: c.id()?,
-                cost: f32::from_bits(c.u32()?),
-            })
-        })?;
-        Ok(LinkStateAnnouncement { origin, seq, links })
-    }
-
     /// A cost word: the cost it names, if the word is the one that cost
     /// encodes to — not a short word past `2^24` half-steps, an escape
     /// wider than 32 bits or an escape that holds a short cost.
@@ -678,7 +661,7 @@ impl Cursor<'_> {
         Ok(cost)
     }
 
-    /// A pushed LSA after its origin delta.
+    /// An LSA after its origin, as pushes and `LinkState` frames carry it.
     fn pushed_lsa(&mut self, origin: NodeId) -> Result<LinkStateAnnouncement, DecodeError> {
         let seq = self.varint()?;
         let n = self.varint()?;
@@ -770,8 +753,9 @@ pub fn decode(frame: &[u8]) -> Result<Message, DecodeError> {
         }
         tag::LINK_STATE => {
             let ttl = buf.u8()?;
+            let origin = buf.varint_id()?;
             Message::LinkState {
-                lsa: buf.lsa()?,
+                lsa: buf.pushed_lsa(origin)?,
                 ttl,
             }
         }
@@ -882,6 +866,23 @@ mod tests {
             },
             Message::Heartbeat { from: NodeId(2) },
             Message::Leave { from: NodeId(1) },
+            Message::LinkState {
+                lsa: LinkStateAnnouncement {
+                    origin: NodeId(300),
+                    seq: 42,
+                    links: vec![
+                        LinkEntry {
+                            neighbor: NodeId(200),
+                            cost: 12.5,
+                        },
+                        LinkEntry {
+                            neighbor: NodeId(7),
+                            cost: 0.25,
+                        },
+                    ],
+                },
+                ttl: 3,
+            },
         ]
     }
 
@@ -1022,10 +1023,11 @@ mod tests {
         assert_eq!(with[8..plain.len() - 4], plain[8..plain.len() - 4]);
     }
 
-    /// Four varint frames, byte for byte: a change to the wire format
+    /// Five varint frames, byte for byte: a change to the wire format
     /// fails here. The module docs walk through their payloads. The hex
     /// was written by a second encoder, kept apart from this one, that
-    /// gave the version 4 frames these tests pinned before.
+    /// gave the version 5 frames these tests pinned before (their
+    /// payloads are unchanged) and the version 6 `LinkState`.
     #[test]
     fn golden_frames() {
         let sample = sample_messages();
@@ -1035,24 +1037,30 @@ mod tests {
         let push = &sample[4];
         let digest = &sample[5];
         let pull = &sample[6];
+        let gossip = &sample[12];
         assert!(matches!(costs, Message::LsdbSync { lsas, .. } if lsas[0].links.len() == 2));
         assert!(matches!(push, Message::LsdbSync { refreshes, .. } if refreshes.len() == 2));
         assert!(matches!(digest, Message::LsdbDigest { .. }));
         assert!(matches!(pull, Message::LsdbPull { .. }));
+        assert!(matches!(gossip, Message::LinkState { lsa, .. } if lsa.links.len() == 2));
         assert_eq!(
             hex(costs),
-            "454705040000000d0001082a02053206818080e80703eb6b5a"
+            "454706040000000d0001082a02053206818080e8073885bc8f"
         );
         assert_eq!(
             hex(push),
-            "4547050c00000020000102080000020611c0ffee00\
-             f8ffffff1fffffffffffffffffff01000000015320ba2d"
+            "4547060c00000020000102080000020611c0ffee00\
+             f8ffffff1fffffffffffffffffff01000000010411c006"
         );
         assert_eq!(
             hex(digest),
-            "4547050a0000000d00000002000208022a2b080107ef852427"
+            "4547060a0000000d00000002000208022a2b080107cdacd266"
         );
-        assert_eq!(hex(pull), "4547050b000000080000000500020808ca0f6c59");
+        assert_eq!(hex(pull), "4547060b00000008000000050002080800cd5f82");
+        assert_eq!(
+            hex(gossip),
+            "454706050000000e03ac022a02c8013207818080e807d2b9fc1a"
+        );
     }
 
     /// A push of one LSA from origin 0 whose one link, to neighbor 1,
@@ -1297,6 +1305,55 @@ mod tests {
         );
     }
 
+    #[test]
+    fn link_state_frames_are_canonical() {
+        let gossip = |origin: &[u8], tail: &[u8]| {
+            let payload = [&[3][..], origin, tail].concat();
+            decode(&sealed(tag::LINK_STATE, &payload))
+        };
+        // Origin 300, seq 42, one link to 7 at 12.5 (25 half-steps).
+        let link = [0x2a, 0x01, 0x07, 0x32];
+        assert_eq!(
+            gossip(&[0xac, 0x02], &link),
+            Ok(Message::LinkState {
+                lsa: LinkStateAnnouncement {
+                    origin: NodeId(300),
+                    seq: 42,
+                    links: vec![LinkEntry {
+                        neighbor: NodeId(7),
+                        cost: 12.5,
+                    }],
+                },
+                ttl: 3,
+            })
+        );
+        // A non-minimal origin: a zero last group after 300 and after 9.
+        for padded in [&[0xac, 0x82, 0x00][..], &[0x89, 0x00]] {
+            assert_eq!(gossip(padded, &link), Err(DecodeError::BadVarint));
+        }
+        // An origin past u32, and the largest one that fits.
+        assert_eq!(gossip(&leb128(1 << 32), &link), Err(DecodeError::BadId));
+        assert!(gossip(&leb128(u32::MAX.into()), &link).is_ok());
+        // 12.5 escaped: the short cost in its refused spelling.
+        let escaped = leb128(u64::from(12.5f32.to_bits()) << 1 | 1);
+        let tail = [&link[..3], &escaped].concat();
+        assert_eq!(gossip(&[0xac, 0x02], &tail), Err(DecodeError::BadCost));
+        // More links than two bytes each can fill, up to a count that
+        // would overflow an allocation: refused before one is made.
+        for count in [2, 0x7f, u64::MAX] {
+            let tail = [&[0x2a][..], &leb128(count), &link[2..]].concat();
+            assert_eq!(
+                gossip(&[0xac, 0x02], &tail),
+                Err(DecodeError::Truncated),
+                "{count} links"
+            );
+        }
+        assert_eq!(
+            gossip(&[0xac, 0x02], &[&link[..], &[0]].concat()),
+            Err(DecodeError::TrailingBytes)
+        );
+    }
+
     /// Seqs of every varint length, 1 to 10 bytes: the bytes are the
     /// plain LEB128 ones, and they decode back.
     #[test]
@@ -1331,17 +1388,24 @@ mod tests {
         }
     }
 
+    /// `links_hash` is defined over words, not over a frame: per link
+    /// the big-endian neighbor id, then the big-endian cost bits, built
+    /// here by hand. Refresh matching compares exactly what it compared
+    /// when a `LinkState` frame still carried those words.
     #[test]
-    fn links_hash_is_the_checksum_of_the_encoded_links() {
-        for l in [lsa(0, 0), lsa(7, 1), lsa(3, 4), lsa(u32::MAX - 9, 9)] {
-            let frame = encode(&Message::LinkState {
-                lsa: l.clone(),
-                ttl: 0,
-            });
-            // Header, ttl, origin, seq and link count precede the links.
-            let links = &frame[8 + 1 + 14..frame.len() - 4];
-            assert_eq!(links.len(), 8 * l.links.len());
-            assert_eq!(links_hash(&l.links), fnv1a(links), "{l:?}");
+    fn links_hash_is_the_checksum_of_the_link_words() {
+        let mut costs = lsa(5, 3);
+        costs.links[0].cost = f32::NAN;
+        costs.links[1].cost = -0.0;
+        costs.links[2].cost = f32::INFINITY;
+        for l in [lsa(0, 0), lsa(7, 1), lsa(3, 4), lsa(u32::MAX - 9, 9), costs] {
+            let mut words = Vec::new();
+            for link in &l.links {
+                words.extend_from_slice(&link.neighbor.0.to_be_bytes());
+                words.extend_from_slice(&link.cost.to_bits().to_be_bytes());
+            }
+            assert_eq!(words.len(), 8 * l.links.len());
+            assert_eq!(links_hash(&l.links), fnv1a(&words), "{l:?}");
         }
         // Order and cost bits count.
         let mut l = lsa(1, 3);
@@ -1377,7 +1441,7 @@ mod tests {
     #[test]
     fn older_versions_are_refused() {
         for m in sample_messages() {
-            for old in [1, 2, 3, 4] {
+            for old in [1, 2, 3, 4, 5] {
                 let mut v = encode(&m).to_vec();
                 v[2] = old;
                 // As sent by an old peer the checksum cannot match…
@@ -1459,7 +1523,6 @@ mod tests {
             }
             Message::BootstrapResponse { .. } | Message::LsdbSync { .. } => vec![8],
             Message::LsdbDigest { .. } | Message::LsdbPull { .. } => vec![12],
-            Message::LinkState { .. } => vec![8 + 1 + 12],
             _ => vec![],
         }
     }
@@ -1498,7 +1561,7 @@ mod tests {
     /// `f32` bit patterns for the cost word roundtrip: any, NaNs and
     /// infinities of both signs with any payload, both zeros and the
     /// subnormals, half steps of both signs up to `2^25` (past the short
-    /// form's `2^24`), and the short form's edges.
+    /// form's `2^24`), and the short form's edges and both infinities.
     fn cost_bits() -> impl Strategy<Value = u32> {
         (0u8..6, any::<u32>()).prop_map(|(kind, v)| match kind {
             0 => v,
@@ -1516,7 +1579,9 @@ mod tests {
                 8_388_608.0,
                 f32::MIN_POSITIVE,
                 f32::MAX,
-            ][v as usize % 9]
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ][v as usize % 11]
                 .to_bits(),
         })
     }
@@ -1590,7 +1655,34 @@ mod tests {
             lsa: lsa(77, 6),
             ttl: 2,
         });
+        // Gossip frames with wide origins and neighbors, seqs at their
+        // ends, and escaped costs beside short ones.
+        for (i, &origin) in wide.iter().enumerate() {
+            let links = (0..i % 7).map(|j| LinkEntry {
+                neighbor: NodeId(wide[(i + j) % wide.len()]),
+                cost: match j % 3 {
+                    2 => odd[(i + j) % odd.len()],
+                    _ => (i + j) as f32 * 0.5,
+                },
+            });
+            corpus.push(Message::LinkState {
+                lsa: LinkStateAnnouncement {
+                    origin: NodeId(origin),
+                    seq: seqs[i % seqs.len()],
+                    links: links.collect(),
+                },
+                ttl: i as u8,
+            });
+        }
         corpus
+    }
+
+    /// Where the varint that starts at `at` ends: past its first byte
+    /// without the continuation bit, or at the end of `body`.
+    fn varint_end(body: &[u8], at: usize) -> usize {
+        (at..body.len())
+            .find(|&i| body[i] < 0x80)
+            .map_or(body.len(), |i| i + 1)
     }
 
     /// About a million damaged frames through the decoder: resealed
@@ -1598,7 +1690,8 @@ mod tests {
     /// bumps, flipped varint continuation bits, `0x80`-padded
     /// (non-minimal) varints, an empty refresh list appended under the
     /// refresh push's tag, escaped short cost words, digest runs split
-    /// in two and byte substitutions, one to three each,
+    /// in two, `LinkState` origins rewritten past `u32`, `LinkState`
+    /// link counts bumped and byte substitutions, one to three each,
     /// the length field fixed up in most so the damage reaches the
     /// parser. Decoding must never panic, and every frame that decodes
     /// must re-encode to the same bytes (Ping / Pong excepted: their
@@ -1623,7 +1716,7 @@ mod tests {
             for _ in 0..1 + noise.below(3) {
                 let payload = body.len().saturating_sub(8).max(1);
                 let at = 8 + noise.below(payload);
-                match noise.below(9) {
+                match noise.below(11) {
                     0 => {
                         let end = (at + noise.below(8)).min(body.len());
                         let junk: Vec<u8> =
@@ -1661,6 +1754,7 @@ mod tests {
                     // after its first entry: two runs, the second
                     // continuing the first, and the run count bumped.
                     7 if body[3] == tag::LSDB_DIGEST
+                        && body.len() >= 14
                         && at + 1 < body.len()
                         && (2..0x80).contains(&body[at])
                         && body[at + 1] < 0x80 =>
@@ -1670,6 +1764,21 @@ mod tests {
                         body.splice(at + 2..at + 2, [0x02, len - 1]);
                         let runs = u16::from_be_bytes([body[12], body[13]]);
                         body[12..14].copy_from_slice(&runs.wrapping_add(1).to_be_bytes());
+                    }
+                    // A gossip frame's origin (after the ttl) rewritten as
+                    // a varint that leaves u32.
+                    8 if body[3] == tag::LINK_STATE && body.len() > 9 => {
+                        let end = varint_end(&body, 9);
+                        let wide = 1 << 32 | noise.next() >> 32;
+                        body.splice(9..end, leb128(wide));
+                    }
+                    // A gossip frame's link count (after the origin and
+                    // seq) bumped past the links that follow.
+                    9 if body[3] == tag::LINK_STATE && body.len() > 9 => {
+                        let count = varint_end(&body, varint_end(&body, 9));
+                        if count < body.len() && body[count] < 0x7c {
+                            body[count] += 1 + noise.below(3) as u8;
+                        }
                     }
                     _ if at < body.len() => body[at] = noise.next() as u8,
                     _ => {}
@@ -1772,20 +1881,62 @@ mod tests {
             }
         }
 
-        /// Roundtrip for arbitrary LSAs.
+        /// Roundtrip for arbitrary `LinkState` frames: ids, seqs and cost
+        /// bits drawn as the push and cost roundtrips draw them, NaN
+        /// payloads, both zeros and both infinities among the costs. A NaN
+        /// is not equal to itself, so the costs are compared as bits, and
+        /// the decoded message re-encodes to the same frame.
         #[test]
-        fn lsa_roundtrip(origin in 0u32..1000, seq in 0u64..u64::MAX, ttl in 0u8..8,
-                         links in proptest::collection::vec((0u32..1000, 0.0f32..1e6), 0..64)) {
+        fn link_state_roundtrip(origin in id(), seq in seq(), ttl in any::<u8>(),
+                                links in proptest::collection::vec((id(), cost_bits()), 0..24)) {
             let lsa = LinkStateAnnouncement {
                 origin: NodeId(origin),
                 seq,
                 links: links
-                    .into_iter()
-                    .map(|(n, c)| LinkEntry { neighbor: NodeId(n), cost: c })
+                    .iter()
+                    .map(|&(n, b)| LinkEntry { neighbor: NodeId(n), cost: f32::from_bits(b) })
                     .collect(),
             };
-            let m = Message::LinkState { lsa, ttl };
-            prop_assert_eq!(decode(&encode(&m)).unwrap(), m);
+            let frame = encode(&Message::LinkState { lsa, ttl });
+            let back = decode(&frame).unwrap();
+            let Message::LinkState { lsa: got, ttl: got_ttl } = &back else {
+                panic!("a gossip frame decodes as one: {back:?}");
+            };
+            let got_links: Vec<(u32, u32)> =
+                got.links.iter().map(|l| (l.neighbor.0, l.cost.to_bits())).collect();
+            prop_assert_eq!((got.origin.0, got.seq, *got_ttl), (origin, seq, ttl));
+            prop_assert_eq!(got_links, links);
+            prop_assert_eq!(encode(&back), frame);
+        }
+
+        /// §4.3 prices a link-state packet at `192 + 32k` bits. In the
+        /// fleets' range — ids past one varint byte but below two, seqs
+        /// below 128, costs on the half-millisecond grid below 32 ms —
+        /// a `LinkState` frame, envelope included, never costs more.
+        #[test]
+        fn fleet_range_lsas_cost_no_more_than_the_paper_prices(
+            origin in 128u32..1 << 14,
+            seq in 0u64..128,
+            ttl in any::<u8>(),
+            links in proptest::collection::vec((128u32..1 << 14, 0u32..64), 0..17),
+        ) {
+            let k = links.len();
+            let lsa = LinkStateAnnouncement {
+                origin: NodeId(origin),
+                seq,
+                links: links
+                    .iter()
+                    .map(|&(n, q)| LinkEntry { neighbor: NodeId(n), cost: q as f32 * 0.5 })
+                    .collect(),
+            };
+            let len = encode(&Message::LinkState { lsa, ttl }).len();
+            prop_assert!(
+                len <= (192 + 32 * k) / 8,
+                "a {k}-link LSA takes {len} bytes, over §4.3's (192 + 32k) / 8 = {}. \
+                 Its costs are half-millisecond steps below 32 ms; exact RTT estimates \
+                 (ROADMAP item 15) would take 5-byte escapes",
+                (192 + 32 * k) / 8
+            );
         }
 
         /// Every `f32` bit pattern a pushed link can carry comes back

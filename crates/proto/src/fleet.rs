@@ -817,9 +817,11 @@ mod tests {
         }
     }
 
-    /// The one-byte cost word the anti-entropy bytes rest on, in the
-    /// judge fleets' regime: `chaos_n1000_profile`'s k-Random wiring,
-    /// fan-out, timers and 10 ms wheel at n = 24, loss-free, as
+    /// The one-byte cost word the anti-entropy and gossip bytes rest on
+    /// (pushes and, since codec v6, `LinkState` frames write a link's
+    /// cost as the same cost word), in the judge fleets' regime:
+    /// `chaos_n1000_profile`'s k-Random wiring, fan-out, timers and
+    /// 10 ms wheel at n = 24, loss-free, as
     /// `a_loss_free_random_fleet_announces_only_measured_links` runs it.
     /// An estimate is half of a round trip in whole wheel steps, so every
     /// cost any node holds at the horizon is a half step below 32 ms.
@@ -866,8 +868,9 @@ mod tests {
                     1,
                     "a held cost of {c} ms takes more than the one-byte cost word. \
                      Exact RTT estimates (ROADMAP item 15) are arbitrary floats: they \
-                     take the 5-byte escape and give the anti-entropy bytes back, \
-                     unless costs are announced at a stated resolution"
+                     take the 5-byte escape and give the anti-entropy and gossip \
+                     (LinkState) bytes back, unless costs are announced at a stated \
+                     resolution"
                 );
             }
         }

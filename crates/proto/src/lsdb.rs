@@ -701,7 +701,8 @@ mod tests {
             max_age: f64,
         }
 
-        /// The links as an LSA frame carries them.
+        /// The links as `links_hash` words: per link the big-endian
+        /// neighbor id, then the big-endian cost bits.
         fn wire(links: &[LinkEntry]) -> Vec<u8> {
             let words = links.iter().flat_map(|l| [l.neighbor.0, l.cost.to_bits()]);
             words.flat_map(u32::to_be_bytes).collect()

@@ -3,8 +3,11 @@
 //! Sizes follow §4.3: a link-state packet carries "its ID, its neighbors'
 //! IDs and the cost of the established links to its k neighbors"; header
 //! and padding are 192 bits and each neighbor entry 32 bits. Our concrete
-//! encoding differs (we carry f32 costs alongside u32 ids), but the same
-//! `O(k)` scaling holds and [`crate::overhead`] accounts for both.
+//! encoding differs: costs are `f32`s, and the codec writes ids, seqs and
+//! costs as varints (a fleet's neighbor entry takes 2–3 bytes, an
+//! escaped cost up to 4 more; see [`crate::codec`]), so the same `O(k)`
+//! scaling holds below the paper's price, and [`crate::overhead`]
+//! accounts for both.
 
 use egoist_graph::NodeId;
 

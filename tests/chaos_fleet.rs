@@ -188,7 +188,7 @@ fn assert_golden_br(after: &str) {
     egoist::obs::disable();
     assert_eq!(
         fnv(&report.to_json()),
-        0xf04a_0b4e_c70d_05d3,
+        0x9dcf_8b69_b54f_0a52,
         "best-response fleet{after}"
     );
     assert_eq!(
@@ -197,7 +197,7 @@ fn assert_golden_br(after: &str) {
             [
                 ("bootstrap", 35, 560),
                 ("sync", 358, 12_809),
-                ("link_state", 94_575, 4_813_229),
+                ("link_state", 94_575, 2_078_126),
                 ("measurement", 3_945, 205_140),
                 ("heartbeat", 2_239, 116_428),
                 ("control", 0, 0),
@@ -270,6 +270,16 @@ fn assert_golden_br(after: &str) {
 /// |---|---|---|
 /// | best response | 18 499 → 12 809 | `0x71912b02e5062c74` → `0xf04a0b4ec70d05d3` |
 /// | Random, faults | 19 062 → 13 500 | `0x340ed87ea0e302b4` → `0x974746c1d754b917` |
+///
+/// Codec v6 writes the gossiped `LinkState` frame in the pushed-LSA
+/// layout: only the `link_state` bytes and the fingerprints move, every
+/// frame count (94 575 and 75 284 `link_state` frames), every other class
+/// and every sum stays:
+///
+/// | fleet | `link_state` bytes | fingerprint |
+/// |---|---|---|
+/// | best response | 4 813 229 → 2 078 126 | `0xf04a0b4ec70d05d3` → `0x9dcf8b69b54f0a52` |
+/// | Random, faults | 3 815 796 → 1 650 326 | `0x974746c1d754b917` → `0x0852909a0696fdf5` |
 #[test]
 fn fleet_reports_match_the_dense_route_computation() {
     use egoist_core::policies::PolicyKind;
@@ -294,7 +304,7 @@ fn fleet_reports_match_the_dense_route_computation() {
     let report = run_fleet(&random);
     assert_eq!(
         fnv(&report.to_json()),
-        0x9747_46c1_d754_b917,
+        0x0852_909a_0696_fdf5,
         "Random-wiring fleet under a fault plan"
     );
     assert_eq!(
@@ -303,7 +313,7 @@ fn fleet_reports_match_the_dense_route_computation() {
             [
                 ("bootstrap", 47, 752),
                 ("sync", 401, 13_500),
-                ("link_state", 75_284, 3_815_796),
+                ("link_state", 75_284, 1_650_326),
                 ("measurement", 13_150, 683_800),
                 ("heartbeat", 2_053, 106_756),
                 ("control", 0, 0),
