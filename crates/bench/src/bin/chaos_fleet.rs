@@ -28,6 +28,10 @@
 //!   --out PATH     write the combined report (default: stdout)
 //!   --schema PATH  schema to validate against (default: schemas/robustness.schema.json)
 //!   --check PATH   validate an existing report file and exit (no run)
+//!
+//! At exit it prints the process's peak resident set (`VmHWM`) to
+//! stderr when `/proc/self/status` is readable; the report never holds
+//! it, so the report stays byte-identical across hosts.
 
 use egoist_bench::report::{same_twice, ROBUSTNESS};
 use egoist_obs::json::{array, JsonObject, Layout::Spaced};
@@ -54,6 +58,13 @@ fn build_report(profiles: &[FleetConfig]) -> String {
         .document()
 }
 
+/// The peak resident set in MB from a `/proc/<pid>/status` text.
+fn vm_hwm_mb(status: &str) -> Option<f64> {
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn main() {
     ROBUSTNESS.main("chaos_fleet", |quick| {
         build_report(&[
@@ -63,6 +74,10 @@ fn main() {
             chaos_n1000_profile(quick),
         ])
     });
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    if let Some(mb) = vm_hwm_mb(&status) {
+        eprintln!("chaos_fleet: peak_rss_mb {mb:.1}");
+    }
 }
 
 #[cfg(test)]
@@ -76,5 +91,12 @@ mod tests {
         cfg.horizon = std::time::Duration::from_secs(120);
         let verdict = ROBUSTNESS.check(&build_report(&[cfg]), Some(schema));
         assert!(verdict.is_ok(), "{verdict:?}");
+    }
+
+    #[test]
+    fn peak_rss_is_read_from_vm_hwm() {
+        let status = "Name:\tx\nVmPeak:\t  999 kB\nVmHWM:\t  204800 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(vm_hwm_mb(status), Some(200.0));
+        assert_eq!(vm_hwm_mb("Name:\tx\n"), None);
     }
 }

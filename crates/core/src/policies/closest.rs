@@ -38,8 +38,9 @@ impl<A: PathAlgebra> Policy for KClosest<A> {
         pool.sort_by(|a, b| {
             A::heap_order(ctx.direct[b.index()], ctx.direct[a.index()]).then(a.cmp(b))
         });
-        pool.truncate(k);
-        pool
+        // A copy of the k kept, so the stored wiring holds no room for
+        // the whole pool.
+        pool[..k].to_vec()
     }
 
     fn name(&self) -> &'static str {

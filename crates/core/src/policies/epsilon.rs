@@ -56,11 +56,14 @@ impl Policy for EpsilonBr {
             proposed
         } else {
             // Keep the old wiring, dropping dead neighbors.
-            ctx.current
+            let mut kept: Vec<NodeId> = ctx
+                .current
                 .iter()
                 .copied()
                 .filter(|w| ctx.alive[w.index()])
-                .collect()
+                .collect();
+            kept.shrink_to_fit();
+            kept
         }
     }
 

@@ -56,7 +56,7 @@ impl Policy for HybridBr {
         let k = ctx.effective_k();
         if donated.len() >= k {
             // Degenerate: the whole budget is donated.
-            return donated.into_iter().take(k).collect();
+            return donated[..k].to_vec();
         }
 
         let mut inst = BrInstance::build_in(ctx, &mut self.arena);

@@ -245,3 +245,50 @@ pub(crate) mod testutil {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::CtxParts;
+    use super::*;
+    use crate::wiring::Wiring;
+    use egoist_graph::DistanceMatrix;
+    use rand::SeedableRng;
+
+    /// The simulator's `Wiring` and the protocol node store a policy's
+    /// links as returned, so a wiring keeps no room for the candidates
+    /// it was drawn from: on a first join and on a turn from the links
+    /// just chosen, one of them dead, for every k from 1 to past
+    /// HybridBR's donated k2.
+    #[test]
+    fn every_policy_returns_a_wiring_without_spare_capacity() {
+        let kinds = [
+            PolicyKind::Random,
+            PolicyKind::Closest,
+            PolicyKind::Regular,
+            PolicyKind::BestResponse,
+            PolicyKind::ExactBestResponse,
+            PolicyKind::EpsilonBestResponse { epsilon: 0.5 },
+            PolicyKind::HybridBestResponse { k2: 2 },
+            PolicyKind::TrafficAware { bias: 0.5 },
+        ];
+        let n = 12;
+        let d = DistanceMatrix::from_fn(n, |i, j| 1.0 + ((i * 7 + j * 3) % 11) as f64);
+        for kind in kinds {
+            for k in 1..=4 {
+                let mut wiring = Wiring::empty(n);
+                for turn in 0..2 {
+                    let mut parts = CtxParts::build(&d, &wiring, NodeId(0), k);
+                    if let Some(&dead) = parts.current.first() {
+                        parts.alive[dead.index()] = false;
+                        parts.candidates.retain(|&c| c != dead);
+                    }
+                    let mut rng = StdRng::seed_from_u64(turn);
+                    let links = kind.instantiate().wire(&parts.ctx(), &mut rng);
+                    let at = format!("{} k={k} turn {turn}", kind.label());
+                    assert_eq!(links.capacity(), links.len(), "{at}");
+                    wiring.rewire(NodeId(0), links);
+                }
+            }
+        }
+    }
+}

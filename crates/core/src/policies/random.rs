@@ -17,9 +17,12 @@ impl Policy for KRandom {
     fn wire(&mut self, ctx: &WiringContext<'_>, rng: &mut StdRng) -> Vec<NodeId> {
         let k = ctx.effective_k();
         let mut pool: Vec<NodeId> = ctx.candidates.to_vec();
+        // The full shuffle: a partial one draws differently and would
+        // move every k-Random wiring.
         pool.shuffle(rng);
-        pool.truncate(k);
-        pool
+        // A copy of the k kept, so the stored wiring holds no room for
+        // the whole pool.
+        pool[..k].to_vec()
     }
 
     fn name(&self) -> &'static str {

@@ -40,6 +40,8 @@ impl Policy for KRegular {
                 out.push(target);
             }
         }
+        // A dead or repeated target leaves a slot unused.
+        out.shrink_to_fit();
         out
     }
 

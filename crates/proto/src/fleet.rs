@@ -35,6 +35,7 @@ use egoist_graph::{DistanceMatrix, NodeId};
 use egoist_netsim::{FaultConfig, FaultPlan};
 use egoist_obs::json::{array, num, JsonObject, Layout::Spaced};
 use parking_lot::RwLock;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -314,6 +315,18 @@ pub fn score_histogram(scores: impl Iterator<Item = u64> + Clone) -> ([u64; 5], 
         };
         hist[bucket] += 1;
     }
+    (hist, edges)
+}
+
+/// [`score_histogram`] over the misbehavior ledgers of `views`: the
+/// points each lists, plus a zero for every other id it spans.
+pub(crate) fn ledger_histogram(views: &[impl Deref<Target = NodeView>]) -> ([u64; 5], [u64; 4]) {
+    let listed = views.iter().flat_map(|v| v.misbehavior_total.iter());
+    let (mut hist, edges) = score_histogram(listed.map(|&(_, points)| points));
+    let zeros = views
+        .iter()
+        .map(|v| v.ledger_ids - v.misbehavior_total.len());
+    hist[0] += zeros.sum::<usize>() as u64;
     (hist, edges)
 }
 
@@ -645,11 +658,7 @@ async fn run_fleet_inner(
                 .filter(|(from, _)| sybil_ids.contains(from))
                 .count() as u64;
         }
-        score_histogram(
-            views
-                .iter()
-                .flat_map(|v| v.misbehavior_total.iter().copied()),
-        )
+        ledger_histogram(&views)
     };
     let fault = net.fault_stats();
     wheel.shutdown().await;

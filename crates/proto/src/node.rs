@@ -41,6 +41,7 @@ use egoist_core::game::{choose, Residual, Turn};
 use egoist_core::policies::{Policy, PolicyKind};
 use egoist_core::ResidualArena;
 use egoist_graph::NodeId;
+use ledger::Ledger;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -391,9 +392,13 @@ pub struct NodeView {
     pub passive_view: Vec<NodeId>,
     /// Peers evicted for misbehavior (permanent).
     pub banned: Vec<NodeId>,
-    /// Undecayed lifetime misbehavior points per node id (score
-    /// histogram input — decayed points collapse into bucket 0).
-    pub misbehavior_total: Vec<u64>,
+    /// How many node ids the misbehavior ledger spans: the id-space size
+    /// once published, 0 before.
+    pub ledger_ids: usize,
+    /// Undecayed lifetime misbehavior points of the ids that drew any,
+    /// ascending (score histogram input — decayed points collapse into
+    /// bucket 0). The other `ledger_ids − len` ids hold zero.
+    pub misbehavior_total: Vec<(NodeId, u64)>,
     /// Edges of the last routing graph (only when `expose_route_edges`).
     pub route_edges: Vec<(NodeId, NodeId)>,
 }
@@ -407,11 +412,14 @@ impl Deref for NodeView {
     }
 }
 
-/// Per-peer health ledger. Two independent strike families: ping loss
-/// is *responsiveness* (recoverable — loss and partitions hit honest
-/// peers too, so it only ever demotes), while decode garbage and flood
-/// inconsistencies are *misbehavior* (a peer emitting them is broken or
-/// hostile; enough points and it is banned outright).
+/// Per-peer health ledger, one 16-byte entry per id. Two independent
+/// strike families: ping loss is *responsiveness* (recoverable — loss
+/// and partitions hit honest peers too, so it only ever demotes), kept
+/// here, while decode garbage and flood inconsistencies are
+/// *misbehavior* (a peer emitting them is broken or hostile; enough
+/// points and it is banned outright), kept in the sparse
+/// [`ledger::Ledger`] — only the ban itself lives here, in what would
+/// otherwise be padding.
 ///
 /// Responsiveness rides a smoothed metric with hysteresis rather than a
 /// raw consecutive-miss counter (Jonglez et al., arXiv:1403.3488):
@@ -430,6 +438,8 @@ pub(crate) struct PeerHealth {
     above: u32,
     /// Demotion latch; releases only below `RESTORE_BELOW`.
     demoted: bool,
+    /// Banned for misbehavior: permanent, so [`Self::reset`] keeps it.
+    banned: bool,
 }
 
 impl Default for PeerHealth {
@@ -442,6 +452,7 @@ impl Default for PeerHealth {
             loss: f64::NAN,
             above: 0,
             demoted: false,
+            banned: false,
         }
     }
 }
@@ -487,22 +498,13 @@ impl PeerHealth {
         self.demoted
     }
 
+    /// Forget the responsiveness history; a ban stays.
     fn reset(&mut self) {
-        *self = PeerHealth::default();
+        *self = PeerHealth {
+            banned: self.banned,
+            ..PeerHealth::default()
+        };
     }
-}
-
-/// Full per-peer ledger: responsiveness health plus misbehavior points.
-#[derive(Clone, Copy, Debug, Default)]
-struct PeerScore {
-    health: PeerHealth,
-    /// Accumulated misbehavior points; decays by 1 each epoch.
-    misbehavior: u32,
-    /// Lifetime points, never decayed (score histogram input).
-    total_points: u64,
-    /// Third-party claim contradictions observed this epoch; converted
-    /// to misbehavior points (capped) at the epoch tick.
-    contradicted_epoch: u32,
 }
 
 /// EWMA estimator for one-way delay. One per peer in every node, so it
@@ -602,8 +604,10 @@ pub struct EgoistNode<T: Transport> {
     overhead: OverheadCounters,
     /// Set once the node has wired at least one link (the §3.1 join).
     join_wired: bool,
-    scores: Vec<PeerScore>,
-    banned: Vec<bool>,
+    /// Responsiveness and ban per peer id.
+    health: Vec<PeerHealth>,
+    /// Misbehavior records of the peers that ever drew any.
+    misbehavior: Ledger,
     /// Passive view, LRU order (oldest first). Bounded by
     /// `passive_view_size`; retains ids past LSDB expiry.
     passive: Vec<NodeId>,
@@ -626,8 +630,6 @@ pub struct EgoistNode<T: Transport> {
     ping_cursor: usize,
     /// Capped-exponential join retry schedule.
     backoff: crate::bootstrap::Backoff,
-    /// Scratch membership marks for [`Self::remember_passive_all`].
-    peer_mark: Vec<bool>,
 }
 
 impl<T: Transport> EgoistNode<T> {
@@ -658,8 +660,8 @@ impl<T: Transport> EgoistNode<T> {
             tallies: Tallies::default(),
             overhead: OverheadCounters::default(),
             join_wired: false,
-            scores: vec![PeerScore::default(); n],
-            banned: vec![false; n],
+            health: vec![PeerHealth::default(); n],
+            misbehavior: Ledger::default(),
             passive: Vec::new(),
             first_heard: vec![None; n],
             in_nbrs: Vec::new(),
@@ -673,7 +675,6 @@ impl<T: Transport> EgoistNode<T> {
                 cfg.join_backoff_cap,
                 cfg.seed,
             ),
-            peer_mark: Vec::new(),
             cfg,
             transport,
         }
@@ -728,7 +729,10 @@ impl<T: Transport> EgoistNode<T> {
                 self.last_heard[j].is_some_and(|at| now.duration_since(at) < timeout)
                     && !self.est[j].value.is_nan()
             };
-            (announced || heard()) && id != self.cfg.id && !self.banned[j] && !self.condemned(j)
+            (announced || heard())
+                && id != self.cfg.id
+                && !self.health[j].banned
+                && !self.condemned(id)
         })
     }
 
@@ -743,8 +747,8 @@ impl<T: Transport> EgoistNode<T> {
     fn passive_eligible(&self, peer: NodeId) -> bool {
         peer != self.cfg.id
             && peer.index() < self.cfg.n
-            && !self.banned[peer.index()]
-            && !self.condemned(peer.index())
+            && !self.health[peer.index()].banned
+            && !self.condemned(peer)
             && !self.wiring.contains(&peer)
     }
 
@@ -754,6 +758,9 @@ impl<T: Transport> EgoistNode<T> {
             return;
         }
         self.passive.retain(|&p| p != peer);
+        // Grown one slot at a time: the view never holds more than
+        // `passive_view_size + 1` ids, nor keeps room for more.
+        self.passive.reserve_exact(1);
         self.passive.push(peer);
         self.trim_passive();
     }
@@ -770,7 +777,8 @@ impl<T: Transport> EgoistNode<T> {
     /// [`Self::remember_passive`] for each of the distinct `peers` in
     /// turn, as one pass: entries not re-remembered keep their order,
     /// the eligible `peers` follow in the order given, and the last
-    /// `passive_view_size` survive.
+    /// `passive_view_size` survive. Only the survivors are appended, so
+    /// the view keeps no room for the peers trimmed away.
     fn remember_passive_all(&mut self, peers: &[NodeId]) {
         let fresh: Vec<NodeId> = peers
             .iter()
@@ -780,33 +788,33 @@ impl<T: Transport> EgoistNode<T> {
         if fresh.is_empty() {
             return;
         }
-        let mark = &mut self.peer_mark;
-        mark.clear();
-        mark.resize(self.cfg.n, false);
-        for p in &fresh {
-            mark[p.index()] = true;
-        }
-        self.passive.retain(|p| !mark[p.index()]);
-        self.passive.extend(fresh);
-        self.trim_passive();
+        let mut ascending = fresh.clone();
+        ascending.sort_unstable();
+        self.passive.retain(|p| ascending.binary_search(p).is_err());
+        let bound = self.cfg.passive_view_size;
+        let kept = &fresh[fresh.len().saturating_sub(bound)..];
+        let older = self.passive.len().saturating_sub(bound - kept.len());
+        self.passive.drain(..older);
+        self.passive.reserve_exact(kept.len());
+        self.passive.extend_from_slice(kept);
     }
 
     /// Add misbehavior points; at the threshold the peer is banned and
     /// purged from every table. Returns whether a ban happened.
     fn punish(&mut self, peer: NodeId, points: u32) -> bool {
-        if peer.index() >= self.cfg.n || self.banned[peer.index()] {
+        if peer.index() >= self.cfg.n || self.health[peer.index()].banned {
             return false;
         }
         let score = {
-            let s = &mut self.scores[peer.index()];
-            s.misbehavior = s.misbehavior.saturating_add(points);
-            s.total_points += points as u64;
-            s.misbehavior
+            let m = self.misbehavior.entry(peer);
+            m.points = m.points.saturating_add(points);
+            m.total_points += points as u64;
+            m.points
         };
         if score < BAN_THRESHOLD {
             return false;
         }
-        self.banned[peer.index()] = true;
+        self.health[peer.index()].banned = true;
         self.bump(Tally::Evictions, 1);
         proto_obs().peer_score.observe(score as f64);
         egoist_obs::event_at(
@@ -883,7 +891,7 @@ impl<T: Transport> EgoistNode<T> {
         if o.index() >= self.cfg.n {
             return true;
         }
-        if self.banned[o.index()] {
+        if self.health[o.index()].banned {
             return false;
         }
         let my_est = self.est[o.index()].value;
@@ -921,7 +929,7 @@ impl<T: Transport> EgoistNode<T> {
         fanout: usize,
     ) -> Vec<NodeId> {
         let (n, me) = (self.cfg.n, self.cfg.id);
-        let wanted = |t: NodeId| t != me && Some(t) != except && !self.banned[t.index()];
+        let wanted = |t: NodeId| t != me && Some(t) != except && !self.health[t.index()].banned;
         // In-neighbors in id order, then the wired peers not among them.
         let in_nbr = |w: &NodeId| self.in_nbrs.binary_search(w).is_ok();
         let mut targets: Vec<NodeId> = self
@@ -1098,9 +1106,8 @@ impl<T: Transport> EgoistNode<T> {
         }
         if contradicted > 0 {
             self.bump(Tally::ClaimsContradicted, contradicted as u64);
-            self.scores[o.index()].contradicted_epoch = self.scores[o.index()]
-                .contradicted_epoch
-                .saturating_add(contradicted);
+            let m = self.misbehavior.entry(o);
+            m.contradicted_epoch = m.contradicted_epoch.saturating_add(contradicted);
             return false;
         }
         true
@@ -1144,10 +1151,7 @@ impl<T: Transport> EgoistNode<T> {
     /// center may be geometrically unable to re-derive what the audits
     /// already proved about a forger before its relays went quiet.
     fn suspect(&self, origin: NodeId) -> bool {
-        origin.index() < self.cfg.n && {
-            let s = &self.scores[origin.index()];
-            s.misbehavior > 0 || s.contradicted_epoch > 0 || self.condemned(origin.index())
-        }
+        self.misbehavior.suspect(origin)
     }
 
     /// Permanent suspicion: lifetime points reached the ban threshold,
@@ -1155,8 +1159,8 @@ impl<T: Transport> EgoistNode<T> {
     /// peer is never wired again and its claims stay quarantined — but
     /// it is *not* purged like a banned one, so its record stays
     /// measurable and future forgeries stay rankable.
-    fn condemned(&self, j: usize) -> bool {
-        self.scores[j].total_points >= BAN_THRESHOLD as u64
+    fn condemned(&self, peer: NodeId) -> bool {
+        self.misbehavior.condemned(peer)
     }
 
     /// Send one ping to `peer` and arm the pending-pong timer.
@@ -1192,10 +1196,10 @@ impl<T: Transport> EgoistNode<T> {
         self.pending_pings
             .retain(|_, (_, at)| at.elapsed() < deadline);
         for peer in expired {
-            if peer.index() >= self.cfg.n || self.banned[peer.index()] {
+            if peer.index() >= self.cfg.n || self.health[peer.index()].banned {
                 continue;
             }
-            if self.scores[peer.index()].health.record(true) {
+            if self.health[peer.index()].record(true) {
                 self.demote(peer);
             }
         }
@@ -1206,7 +1210,7 @@ impl<T: Transport> EgoistNode<T> {
             .wiring
             .iter()
             .copied()
-            .filter(|w| w.index() < self.cfg.n && !self.banned[w.index()])
+            .filter(|w| w.index() < self.cfg.n && !self.health[w.index()].banned)
             .collect();
         let mut unwired = self.known_peers();
         unwired.retain(|t| Some(*t) != self.cfg.bootstrap && !wired.contains(t));
@@ -1346,7 +1350,7 @@ impl<T: Transport> EgoistNode<T> {
                 self.bump(Tally::Promotions, 1);
                 // Re-promotion wipes the responsiveness ledger: the link
                 // is being retried on fresh evidence, not old grudges.
-                self.scores[w.index()].health.reset();
+                self.health[w.index()].reset();
             }
         }
         self.wiring = new_wiring;
@@ -1381,17 +1385,18 @@ impl<T: Transport> EgoistNode<T> {
         v.tallies = self.tallies;
         v.passive_view = self.passive.clone();
         v.banned = (0..self.cfg.n)
-            .filter(|&j| self.banned[j])
+            .filter(|&j| self.health[j].banned)
             .map(NodeId::from_index)
             .collect();
-        v.misbehavior_total = self.scores.iter().map(|s| s.total_points).collect();
+        v.ledger_ids = self.cfg.n;
+        v.misbehavior_total = self.misbehavior.totals().collect();
         if self.cfg.expose_route_edges {
             v.route_edges = g.edges().map(|(f, t, _)| (NodeId(f), NodeId(t))).collect();
         }
     }
 
     fn handle_frame(&mut self, from: NodeId, frame: bytes::Bytes) {
-        if from.index() < self.cfg.n && self.banned[from.index()] {
+        if from.index() < self.cfg.n && self.health[from.index()].banned {
             proto_obs().banned_frames.inc();
             return;
         }
@@ -1425,7 +1430,9 @@ impl<T: Transport> EgoistNode<T> {
                 }
                 // Hello up to three peers for LSDB sync redundancy.
                 for p in peers.into_iter().take(3) {
-                    if p != self.cfg.id && !(p.index() < self.cfg.n && self.banned[p.index()]) {
+                    if p != self.cfg.id
+                        && !(p.index() < self.cfg.n && self.health[p.index()].banned)
+                    {
                         self.send_msg(p, &Message::Hello { from: self.cfg.id });
                     }
                 }
@@ -1547,7 +1554,7 @@ impl<T: Transport> EgoistNode<T> {
             } => {
                 if let Some((expected, sent_at)) = self.pending_pings.remove(&nonce) {
                     if expected == peer && peer.index() < self.cfg.n {
-                        self.scores[peer.index()].health.record(false);
+                        self.health[peer.index()].record(false);
                         let one_way_ms = sent_at.elapsed().as_secs_f64() * 1000.0 / 2.0;
                         self.est[peer.index()].update(one_way_ms);
                         // §3.1 join: the newcomer connects as soon as it
@@ -1722,31 +1729,25 @@ impl<T: Transport> EgoistNode<T> {
         }
         self.bump(Tally::Epochs, 1);
         self.announce(false);
-        // Second-hand claim tallies convert to capped misbehavior points
-        // once per epoch: a lure whose per-victim forgeries draw fresh
-        // contradictions every round nets +1 past the decay and walks
-        // into the ban threshold; an honest origin whose claim tripped a
-        // jitter artifact nets zero.
-        for j in 0..self.cfg.n {
-            let tally = self.scores[j].contradicted_epoch;
-            if tally > 0 {
-                self.scores[j].contradicted_epoch = 0;
-                let points = if tally >= 3 { 2 } else { 1 };
-                self.punish(NodeId::from_index(j), points);
-            }
-        }
-        // Misbehavior decay (forgives background corruption) plus score
-        // export and passive-view upkeep.
-        for j in 0..self.cfg.n {
-            let m = self.scores[j].misbehavior;
-            if m > 0 {
-                proto_obs().peer_score.observe(m as f64);
-                self.scores[j].misbehavior = m - 1;
-            }
-        }
+        let score = &proto_obs().peer_score;
+        self.settle_misbehavior(|m| score.observe(m as f64));
         let known = self.known_peers();
         self.remember_passive_all(&known);
         self.publish();
+    }
+
+    /// The epoch's ledger step, walking the ledger in id order. Second-hand
+    /// claim tallies convert to capped misbehavior points: a lure whose
+    /// per-victim forgeries draw fresh contradictions every round nets +1
+    /// past the decay and walks into the ban threshold; an honest origin
+    /// whose claim tripped a jitter artifact nets zero. Then every open
+    /// score goes to `observe` and decays by one, which forgives
+    /// background corruption.
+    fn settle_misbehavior(&mut self, observe: impl FnMut(u32)) {
+        for (peer, points) in self.misbehavior.take_contradictions() {
+            self.punish(peer, points);
+        }
+        self.misbehavior.decay(observe);
     }
 
     /// Send `Leave` everywhere and publish the final view.
@@ -1759,6 +1760,7 @@ impl<T: Transport> EgoistNode<T> {
     }
 }
 
+mod ledger;
 mod route;
 #[cfg(test)]
 mod route_props;
@@ -1848,6 +1850,38 @@ mod tests {
         // One per (node, peer) pair across a fleet, as are the two
         // `Option<Instant>`s the vendored runtime pins to a word.
         assert_eq!(std::mem::size_of::<Ewma>(), 8);
+    }
+
+    /// The dense per-peer entry is two words with the ban inside it, and
+    /// after a few epochs of a small fleet — k-Random and best-response
+    /// nodes, more known peers than the passive view holds — no node
+    /// keeps room in its passive view or wiring for the peers it trimmed
+    /// or did not pick.
+    #[test]
+    fn per_peer_state_keeps_no_slack() {
+        assert_eq!(std::mem::size_of::<PeerHealth>(), 16);
+        tokio::runtime::block_on_paused(async {
+            let n = 16;
+            let delays = DistanceMatrix::from_fn(n, |i, j| 5.0 + ((i * 3 + j) % 7) as f64);
+            let net = SimNet::clean(with_bootstrap_ids(n, &delays));
+            let mut wheel = wheel_on(&net, n, Duration::from_millis(200), move |i| {
+                let mut cfg = short_timers(i, n, 3);
+                if i % 2 == 0 {
+                    cfg.policy = PolicyKind::Random;
+                }
+                cfg.passive_view_size = 5;
+                cfg
+            });
+            wheel.run_for(Duration::from_secs(45)).await;
+            for node in wheel.nodes().iter().flatten() {
+                let at = format!("node {}", node.cfg.id.0);
+                assert!(node.tallies[Tally::Epochs] >= 3, "{at}");
+                assert_eq!(node.passive.len(), 5, "{at}");
+                assert!(node.passive.capacity() <= 6, "{at}");
+                assert_eq!(node.wiring.len(), 3, "{at}");
+                assert_eq!(node.wiring.capacity(), node.wiring.len(), "{at}");
+            }
+        });
     }
 
     #[test]
@@ -2135,6 +2169,33 @@ mod tests {
         });
     }
 
+    impl<T: Transport> EgoistNode<T> {
+        /// `remember_passive_all` as it was: mark the eligible `peers`,
+        /// drop them from the view, append them all, then trim.
+        fn remember_passive_all_reference(&mut self, peers: &[NodeId]) {
+            let fresh: Vec<NodeId> = peers
+                .iter()
+                .copied()
+                .filter(|&p| self.passive_eligible(p))
+                .collect();
+            if fresh.is_empty() {
+                return;
+            }
+            let mut mark = vec![false; self.cfg.n];
+            for p in &fresh {
+                mark[p.index()] = true;
+            }
+            self.passive.retain(|p| !mark[p.index()]);
+            self.passive.extend(fresh);
+            self.trim_passive();
+        }
+    }
+
+    /// The one-pass upkeep against remembering each peer in turn and
+    /// against the extend-then-trim pass it replaced, with as many
+    /// eligible peers as the bound, one fewer, one more and any number.
+    /// It appends only what survives the trim, so the view never grows
+    /// past the larger of its old length and the bound.
     #[test]
     fn one_pass_passive_upkeep_equals_remembering_each_peer() {
         use rand::seq::SliceRandom;
@@ -2146,9 +2207,9 @@ mod tests {
             let mut node = route_props::arbitrary_node(n, &mut rng);
             // …bans, view sizes from 0 to past n, and a view holding
             // stale entries (since wired, banned or condemned).
-            node.cfg.passive_view_size = rng.random_range(0..n + 3);
-            for b in node.banned.iter_mut() {
-                *b = rng.random::<f64>() < 0.1;
+            let any_size = rng.random_range(0..n + 3);
+            for h in node.health.iter_mut() {
+                h.banned = rng.random::<f64>() < 0.1;
             }
             let mut ids: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
             ids.shuffle(&mut rng);
@@ -2159,16 +2220,22 @@ mod tests {
             ids.shuffle(&mut rng);
             ids.truncate(rng.random_range(0..=ids.len()));
             for peers in [node.known_peers(), ids] {
-                node.passive = view.clone();
-                for &p in &peers {
-                    node.remember_passive(p);
+                let fresh = peers.iter().filter(|&&p| node.passive_eligible(p)).count();
+                for size in [any_size, fresh.saturating_sub(1), fresh, fresh + 1] {
+                    node.cfg.passive_view_size = size;
+                    node.passive = view.clone();
+                    for &p in &peers {
+                        node.remember_passive(p);
+                    }
+                    let one_by_one = std::mem::replace(&mut node.passive, view.clone());
+                    node.remember_passive_all_reference(&peers);
+                    let extended = std::mem::replace(&mut node.passive, view.clone());
+                    node.remember_passive_all(&peers);
+                    let at = format!("case {case} size {size}: {peers:?} into {view:?}");
+                    assert_eq!(node.passive, one_by_one, "{at}");
+                    assert_eq!(node.passive, extended, "{at}");
+                    assert!(node.passive.capacity() <= view.len().max(size), "{at}");
                 }
-                let one_by_one = std::mem::replace(&mut node.passive, view.clone());
-                node.remember_passive_all(&peers);
-                assert_eq!(
-                    node.passive, one_by_one,
-                    "case {case}: {peers:?} into {view:?}"
-                );
             }
         }
     }
@@ -2183,9 +2250,7 @@ mod tests {
         /// O(n) pass reading the clock per id.
         fn known_peers_reference(&mut self) -> Vec<NodeId> {
             let n = self.cfg.n;
-            let mark = &mut self.peer_mark;
-            mark.clear();
-            mark.resize(n, false);
+            let mut mark = vec![false; n];
             for o in self.lsdb.origin_ids() {
                 if o.index() < n {
                     mark[o.index()] = true;
@@ -2204,7 +2269,8 @@ mod tests {
                 mark[self.cfg.id.index()] = false;
             }
             (0..n)
-                .filter(|&j| self.peer_mark[j] && !self.banned[j] && !self.condemned(j))
+                .filter(|&j| mark[j] && !self.health[j].banned)
+                .filter(|&j| !self.condemned(NodeId::from_index(j)))
                 .map(NodeId::from_index)
                 .collect()
         }
@@ -2226,7 +2292,7 @@ mod tests {
                     lsa.is_some_and(|l| l.links.iter().any(|l| l.neighbor == me))
                 })
                 .collect();
-            let wanted = |t: NodeId| t != me && Some(t) != except && !self.banned[t.index()];
+            let wanted = |t: NodeId| t != me && Some(t) != except && !self.health[t.index()].banned;
             let mut targets: Vec<NodeId> = (0..n)
                 .filter(|&j| in_nbrs[j])
                 .map(NodeId::from_index)
@@ -2288,9 +2354,10 @@ mod tests {
                         node.last_heard[j] = heard(&mut rng);
                         node.first_heard[j] = node.last_heard[j];
                     }
-                    node.banned[j] = rng.random::<f64>() < 0.08;
+                    node.health[j].banned = rng.random::<f64>() < 0.08;
                     if rng.random::<f64>() < 0.08 {
-                        node.scores[j].total_points = BAN_THRESHOLD as u64;
+                        node.misbehavior.entry(NodeId::from_index(j)).total_points =
+                            BAN_THRESHOLD as u64;
                     }
                 }
                 let any_id = |rng: &mut StdRng| NodeId::from_index(rng.random_range(0..n + 2));
@@ -2566,12 +2633,12 @@ mod tests {
             "{:?}",
             (
                 &node.lsdb,
-                &node.scores,
+                (&node.health, &node.misbehavior),
                 (
                     node.tallies[Tally::ClaimsCorroborated],
                     node.tallies[Tally::ClaimsContradicted]
                 ),
-                (&node.banned, &node.in_nbrs, node.tallies[Tally::Evictions]),
+                (&node.in_nbrs, node.tallies[Tally::Evictions]),
                 (&node.est, &node.wiring, &node.passive),
             )
         )
@@ -2598,11 +2665,9 @@ mod tests {
                 let t0 = Instant::now();
                 for node in [&mut full, &mut short] {
                     node.first_heard.fill(Some(t0));
-                    let brink = BAN_THRESHOLD - 1;
-                    node.scores
-                        .iter_mut()
-                        .step_by(3)
-                        .for_each(|s| s.misbehavior = brink);
+                    for j in (0..n).step_by(3) {
+                        node.misbehavior.entry(NodeId::from_index(j)).points = BAN_THRESHOLD - 1;
+                    }
                 }
                 tokio::time::sleep(full.cfg.announce_interval * 4).await;
 

@@ -80,11 +80,11 @@ pub(super) fn arbitrary_node(
             e.update(rng.random_range(1..60) as f64);
         }
     }
-    for s in node.scores.iter_mut() {
+    for peer in (0..n).map(NodeId::from_index) {
         match rng.random_range(0..10) {
-            0 => s.misbehavior = 1,
-            1 => s.contradicted_epoch = 2,
-            2 => s.total_points = BAN_THRESHOLD as u64,
+            0 => node.misbehavior.entry(peer).points = 1,
+            1 => node.misbehavior.entry(peer).contradicted_epoch = 2,
+            2 => node.misbehavior.entry(peer).total_points = BAN_THRESHOLD as u64,
             _ => {}
         }
     }
