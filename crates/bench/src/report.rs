@@ -261,20 +261,37 @@ pub const TRAFFIC: Report = Report {
     },
 };
 
-/// `chaos_fleet`: reachability fractions are actual fractions, and the
-/// anti-entropy refresh entries are a part of what was pushed.
+/// The delivered share a k-Random scenario's routes must reach.
+const DELIVERED_FLOOR: f64 = 0.95;
+
+/// `chaos_fleet`: reachability fractions are actual fractions, a
+/// scenario that reports its route walk (a k-Random one) delivers at
+/// least 95% of its pairs at the end, and the anti-entropy refresh
+/// entries are a part of what was pushed.
 pub const ROBUSTNESS: Report = Report {
     tag: "egoist-robustness/v1",
     schema: Some("schemas/robustness.schema.json"),
     rule: |doc| {
         for (name, scenario) in scenarios(doc)? {
-            for key in ["final_reachability", "min_reachability"] {
+            let walked = scenario.get("final_delivered").is_some();
+            let walk_keys = ["final_delivered", "min_delivered", "final_looped"];
+            let keys = ["final_reachability", "min_reachability"]
+                .into_iter()
+                .chain(walk_keys.into_iter().filter(|_| walked));
+            for key in keys {
                 match scenario.get(key).and_then(Value::as_f64) {
                     Some(v) if (0.0..=1.0).contains(&v) => {}
                     other => {
                         return Err(format!("scenario {name}: {key} {other:?} outside [0, 1]"))
                     }
                 }
+            }
+            let delivered = scenario.get("final_delivered").and_then(Value::as_f64);
+            if let Some(delivered) = delivered.filter(|&d| d < DELIVERED_FLOOR) {
+                return Err(format!(
+                    "scenario {name}: final_delivered {delivered} is below \
+                     {DELIVERED_FLOOR}: routes loop or black-hole"
+                ));
             }
             let ae = |key| {
                 let v = scenario.get("anti_entropy").and_then(|a| a.get(key));
@@ -503,6 +520,22 @@ mod tests {
                 "storm_partition: anti_entropy refreshed",
             ),
             (1, swap(3, "\"refreshed\":", "\"renamed\":"), "chaos_n1000"),
+            // The k-Random scenario's routes stop delivering, or one of
+            // its walk shares leaves [0, 1].
+            (
+                1,
+                swap(
+                    0,
+                    "\"final_delivered\": ",
+                    "\"final_delivered\": 0.5, \"was\": ",
+                ),
+                "chaos_n1000: final_delivered 0.5 is below 0.95",
+            ),
+            (
+                1,
+                swap(0, "\"final_looped\": ", "\"final_looped\": 2"),
+                "chaos_n1000: final_looped",
+            ),
             (
                 2,
                 all("\"traffic.flow_latency_ms\":", "\"traffic.renamed\":"),

@@ -330,6 +330,18 @@ pub(crate) fn ledger_histogram(views: &[impl Deref<Target = NodeView>]) -> ([u64
     (hist, edges)
 }
 
+/// Delivered reachability: the route walk's shares of the ordered live
+/// honest pairs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Delivery {
+    /// Delivered share at the last sample.
+    pub final_delivered: f64,
+    /// Worst delivered share over the samples.
+    pub min_delivered: f64,
+    /// Looped share at the last sample.
+    pub final_looped: f64,
+}
+
 /// Everything a chaos run measures. Same seed + config ⇒ identical
 /// report, byte-for-byte through [`RobustnessReport::to_json`].
 #[derive(Clone, Debug, PartialEq)]
@@ -345,6 +357,10 @@ pub struct RobustnessReport {
     pub final_reachability: f64,
     /// Worst sample (shows the fault actually bit).
     pub min_reachability: f64,
+    /// What following the next hops delivers ([`walk_routes`]), for a
+    /// k-Random fleet; `None` otherwise, so best-response reports keep
+    /// the bytes their goldens pin.
+    pub delivery: Option<Delivery>,
     /// `(virtual_secs, reachability)` samples.
     pub timeline: Vec<(f64, f64)>,
     pub windows: Vec<WindowRecovery>,
@@ -467,7 +483,7 @@ impl RobustnessReport {
                     obj().u64("frames", *frames).u64("bytes", *bytes).finish(),
                 )
             });
-        obj()
+        let head = obj()
             .str("schema", "egoist-robustness/v1")
             .str("scenario", &self.scenario)
             .u64("seed", self.seed)
@@ -476,8 +492,15 @@ impl RobustnessReport {
             .u64("k", self.k as u64)
             .f64("horizon_secs", self.horizon_secs)
             .f64("final_reachability", self.final_reachability)
-            .f64("min_reachability", self.min_reachability)
-            .raw("timeline", array(Spaced, timeline))
+            .f64("min_reachability", self.min_reachability);
+        let head = match &self.delivery {
+            Some(d) => head
+                .f64("final_delivered", d.final_delivered)
+                .f64("min_delivered", d.min_delivered)
+                .f64("final_looped", d.final_looped),
+            None => head,
+        };
+        head.raw("timeline", array(Spaced, timeline))
             .raw("windows", array(Spaced, windows))
             .raw("fault", fault.finish())
             .raw("peers", peers.finish())
@@ -494,9 +517,13 @@ impl RobustnessReport {
 /// Obs handles for fleet-level reconvergence tracking.
 struct FleetObs {
     reachability: egoist_obs::Histogram,
+    delivered: egoist_obs::Histogram,
     reconvergence_secs: egoist_obs::Histogram,
     routes_reachable: egoist_obs::Counter,
     routes_missing: egoist_obs::Counter,
+    routes_delivered: egoist_obs::Counter,
+    routes_looped: egoist_obs::Counter,
+    routes_black_holed: egoist_obs::Counter,
 }
 
 fn fleet_obs() -> &'static FleetObs {
@@ -505,9 +532,13 @@ fn fleet_obs() -> &'static FleetObs {
         let r = egoist_obs::registry();
         FleetObs {
             reachability: r.histogram("fleet.reachability"),
+            delivered: r.histogram("fleet.delivered"),
             reconvergence_secs: r.histogram("fleet.reconvergence_secs"),
             routes_reachable: r.counter("fleet.routes.reachable"),
             routes_missing: r.counter("fleet.routes.missing"),
+            routes_delivered: r.counter("fleet.routes.delivered"),
+            routes_looped: r.counter("fleet.routes.looped"),
+            routes_black_holed: r.counter("fleet.routes.black_holed"),
         }
     })
 }
@@ -546,44 +577,152 @@ fn delay_matrix(total: usize, seed: u64) -> DistanceMatrix {
     })
 }
 
-/// Reachable fraction of ordered honest pairs whose both ends are not
+/// One sample of the ordered honest pairs whose both ends are not
 /// churned off by the plan at `now`, read from each spawned node's
-/// published next hops under its view's read lock.
-fn reachability(views: &[Option<Arc<RwLock<NodeView>>>], plan: &FaultPlan, now: f64) -> f64 {
+/// published next hops under its view's read lock: the fraction whose
+/// source holds a next hop (reachability), and where following the next
+/// hops ends ([`walk_routes`]).
+fn sample_routes(
+    views: &[Option<Arc<RwLock<NodeView>>>],
+    plan: &FaultPlan,
+    now: f64,
+) -> (f64, RouteWalk) {
     let on: Vec<bool> = (0..views.len())
         .map(|i| !plan.node_off(now, NodeId::from_index(i)))
         .collect();
+    let guards: Vec<_> = views.iter().map(|v| v.as_ref().map(|v| v.read())).collect();
+    let next_hops: Vec<Option<&[Option<NodeId>]>> = guards
+        .iter()
+        .map(|g| g.as_ref().map(|v| &v.next_hops[..]))
+        .collect();
     let mut reachable = 0u64;
     let mut pairs = 0u64;
-    for (i, view) in views.iter().enumerate() {
+    for (i, hops) in next_hops.iter().enumerate() {
         if !on[i] {
             continue;
         }
-        let view = view.as_ref().map(|v| v.read());
-        let next_hops = view.as_ref().map_or(&[][..], |v| &v.next_hops[..]);
+        let hops = hops.unwrap_or(&[]);
         for (j, &on_j) in on.iter().enumerate() {
             if j == i || !on_j {
                 continue;
             }
             pairs += 1;
-            if next_hops.get(j).is_some_and(Option::is_some) {
+            if hops.get(j).is_some_and(Option::is_some) {
                 reachable += 1;
             }
         }
     }
-    fleet_obs().routes_reachable.add(reachable);
-    fleet_obs().routes_missing.add(pairs - reachable);
-    if pairs == 0 {
-        1.0
-    } else {
-        reachable as f64 / pairs as f64
+    let walk = walk_routes(&next_hops, &on);
+    let obs = fleet_obs();
+    obs.routes_reachable.add(reachable);
+    obs.routes_missing.add(pairs - reachable);
+    obs.routes_delivered.add(walk.delivered);
+    obs.routes_looped.add(walk.looped);
+    obs.routes_black_holed.add(walk.black_holed);
+    (share(reachable, pairs, 1.0), walk)
+}
+
+/// Where following the published next hops from each source ends, over
+/// the ordered honest pairs whose both ends are on at one sample.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RouteWalk {
+    pub pairs: u64,
+    /// The walk reached the destination.
+    pub delivered: u64,
+    /// The walk came back to a node it had passed.
+    pub looped: u64,
+    /// The walk reached a node with no next hop for the destination, or
+    /// a hop to a node that is off or is not an honest node.
+    pub black_holed: u64,
+}
+
+impl RouteWalk {
+    /// Delivered share of the pairs (1 with no pairs).
+    pub fn delivered_share(&self) -> f64 {
+        share(self.delivered, self.pairs, 1.0)
     }
+
+    /// Looped share of the pairs (0 with no pairs).
+    pub fn looped_share(&self) -> f64 {
+        share(self.looped, self.pairs, 0.0)
+    }
+}
+
+fn share(part: u64, pairs: u64, empty: f64) -> f64 {
+    if pairs == 0 {
+        empty
+    } else {
+        part as f64 / pairs as f64
+    }
+}
+
+/// Walk every ordered pair of on nodes along the next hops of `next_hops`
+/// (`None` for a node that has not spawned), one destination at a time.
+/// Each node's fate for the destination is settled once and shared by
+/// every walk that reaches it, so a sample costs O(n²).
+pub fn walk_routes(next_hops: &[Option<&[Option<NodeId>]>], on: &[bool]) -> RouteWalk {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fate {
+        Unknown,
+        /// On the walk being followed.
+        Visiting,
+        Delivered,
+        Looped,
+        BlackHoled,
+    }
+    let n = next_hops.len();
+    let mut walk = RouteWalk::default();
+    let mut fate = vec![Fate::Unknown; n];
+    let mut path = Vec::new();
+    for dst in (0..n).filter(|&d| on[d]) {
+        fate.fill(Fate::Unknown);
+        fate[dst] = Fate::Delivered;
+        for src in (0..n).filter(|&s| on[s] && s != dst) {
+            let mut at = src;
+            let end = loop {
+                match fate[at] {
+                    Fate::Unknown => {}
+                    Fate::Visiting => break Fate::Looped,
+                    settled => break settled,
+                }
+                fate[at] = Fate::Visiting;
+                path.push(at);
+                let hop = next_hops[at].and_then(|hops| hops.get(dst).copied().flatten());
+                match hop.map(NodeId::index) {
+                    Some(next) if next < n && on[next] => at = next,
+                    _ => break Fate::BlackHoled,
+                }
+            };
+            for at in path.drain(..) {
+                fate[at] = end;
+            }
+            walk.pairs += 1;
+            match end {
+                Fate::Delivered => walk.delivered += 1,
+                Fate::Looped => walk.looped += 1,
+                _ => walk.black_holed += 1,
+            }
+        }
+    }
+    walk
 }
 
 /// Run one scenario to completion inside the paused-clock runtime and
 /// return its report.
 pub fn run_fleet(cfg: &FleetConfig) -> RobustnessReport {
     tokio::runtime::block_on_paused(run_fleet_inner(cfg.clone())).0
+}
+
+/// [`run_fleet`], also handing back each node's view as published at
+/// shutdown (`None` for a node that never spawned): the final wiring
+/// and next hops.
+pub fn run_fleet_with_views(cfg: &FleetConfig) -> (RobustnessReport, Vec<Option<NodeView>>) {
+    let (report, views) = tokio::runtime::block_on_paused(run_fleet_inner(cfg.clone()));
+    let views = views
+        .iter()
+        .map(|v| v.as_ref().map(|v| v.read().clone()))
+        .collect();
+    (report, views)
 }
 
 /// [`run_fleet`]'s body. It also hands back each spawned node's view,
@@ -618,6 +757,9 @@ async fn run_fleet_inner(
     };
 
     let mut timeline = Vec::with_capacity(samples);
+    // The last sample's route walk, and the worst delivered share.
+    let mut last_walk = RouteWalk::default();
+    let mut min_delivered = f64::INFINITY;
     let mut next_sample_us = sample_us;
     let mut now_us = 0u64;
     while now_us < horizon_us {
@@ -625,9 +767,12 @@ async fn run_fleet_inner(
         now_us = wheel.now().as_micros() as u64;
         if timeline.len() < samples && now_us >= next_sample_us {
             let nominal = (timeline.len() + 1) as f64 * cfg.sample_every.as_secs_f64();
-            let r = reachability(&views(&wheel), &cfg.plan, nominal);
+            let (r, walk) = sample_routes(&views(&wheel), &cfg.plan, nominal);
             fleet_obs().reachability.observe(r);
+            fleet_obs().delivered.observe(walk.delivered_share());
             timeline.push((nominal, r));
+            min_delivered = min_delivered.min(walk.delivered_share());
+            last_walk = walk;
             next_sample_us += sample_us;
         }
     }
@@ -716,6 +861,11 @@ async fn run_fleet_inner(
         horizon_secs: cfg.horizon.as_secs_f64(),
         final_reachability,
         min_reachability,
+        delivery: (cfg.policy == PolicyKind::Random).then(|| Delivery {
+            final_delivered: last_walk.delivered_share(),
+            min_delivered: min_delivered.min(last_walk.delivered_share()),
+            final_looped: last_walk.looped_share(),
+        }),
         timeline,
         windows,
         fault,
@@ -799,12 +949,12 @@ mod tests {
             cfg.fault = FaultConfig::default();
             cfg.plan = FaultPlan::new();
             cfg.wheel_step = Duration::from_millis(step_ms);
-            let (_, views) = tokio::runtime::block_on_paused(run_fleet_inner(cfg.clone()));
+            let (_, views) = run_fleet_with_views(&cfg);
             let delays = delay_matrix(cfg.total_ids() + 1, cfg.seed);
             // (max, sum, pairs), wired then sampled.
             let mut err = [(0.0f64, 0.0f64, 0u64); 2];
             for (i, view) in views.iter().enumerate() {
-                let v = view.as_ref().expect("every node spawned").read();
+                let v = view.as_ref().expect("every node spawned");
                 for (j, &est) in v.direct_est.iter().enumerate() {
                     if j == i || est.is_nan() {
                         continue;
@@ -883,6 +1033,67 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Each pair's walk against a hop-by-hop walk that gives up after n
+    /// hops, on a hand-built table: a chain, a two-node loop feeding a
+    /// third node, a missing hop, a hop to an off node, a hop to an id
+    /// past the fleet and a node that never spawned.
+    #[test]
+    fn route_walk_settles_every_pair_as_a_hop_by_hop_walk_does() {
+        let n = 7;
+        let id = |i: usize| Some(NodeId::from_index(i));
+        // hops[u][d]: node u's next hop toward d.
+        // hops[u][d]: node u's next hop toward d.
+        let row = |hop: &dyn Fn(usize) -> Option<NodeId>| (0..n).map(hop).collect::<Vec<_>>();
+        let hops = [
+            row(&|_| id(1)), // 0 → 1 for everything
+            row(&|d| if d == 1 { None } else { id(2) }),
+            row(&|d| match d {
+                0 | 1 => id(3),
+                4 => id(5), // 5 is off
+                _ => id(d),
+            }),
+            row(&|d| match d {
+                0 => id(0),
+                1 => id(2), // 2 ↔ 3 toward 1
+                _ => id(9), // past the fleet
+            }),
+            Vec::new(), // never spawned: no table at all
+            row(&id),
+            Vec::new(), // spawned before any route was published
+        ];
+        let tables: Vec<Option<&[Option<NodeId>]>> =
+            (0..n).map(|u| (u != 4).then_some(&hops[u][..])).collect();
+        let on = [true, true, true, true, true, false, true];
+        let mut expect = RouteWalk::default();
+        for dst in (0..n).filter(|&d| on[d]) {
+            for src in (0..n).filter(|&s| on[s] && s != dst) {
+                let (mut at, mut hops_taken) = (src, 0);
+                let fate = loop {
+                    if at == dst {
+                        break &mut expect.delivered;
+                    }
+                    if hops_taken > n {
+                        break &mut expect.looped;
+                    }
+                    let next = tables[at].and_then(|t| t.get(dst).copied().flatten());
+                    match next.map(NodeId::index) {
+                        Some(v) if v < n && on[v] => at = v,
+                        _ => break &mut expect.black_holed,
+                    }
+                    hops_taken += 1;
+                };
+                *fate += 1;
+                expect.pairs += 1;
+            }
+        }
+        let walk = walk_routes(&tables, &on);
+        assert_eq!(walk, expect);
+        assert!(walk.delivered > 0 && walk.looped > 0 && walk.black_holed > 0);
+        assert_eq!(walk.pairs, 6 * 5);
+        assert_eq!(RouteWalk::default().delivered_share(), 1.0);
+        assert_eq!(RouteWalk::default().looped_share(), 0.0);
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //! A fleet holds one LSDB per node, so the per-record constant is most
 //! of a fleet's memory. A record is a 40-byte header; the links of every
 //! record live in one arena `Vec` per LSDB, one contiguous run each, and
-//! reads hand out [`LsaRef`]s that borrow those runs in place. New links
-//! overwrite their record's run when they fit and are appended when they
-//! do not; the runs left behind are garbage until it outgrows the live
-//! links, when one ordered pass re-packs the arena. Both vectors grow by
-//! about an eighth, not by doubling.
+//! reads hand out [`LsaRef`]s that borrow those runs in place. A run
+//! keeps the capacity it was laid out with: new links overwrite it in
+//! place whenever they fit that capacity, so a record whose link count
+//! dips and returns (a link demoted, then refilled) leaves nothing
+//! behind, and only links that outgrow it are appended. The runs left
+//! behind are garbage until it outgrows the live links, when one ordered
+//! pass re-packs the arena. Both vectors grow by about an eighth, not by
+//! doubling.
 //!
 //! Each record also knows `since`: the lowest seq under which this node
 //! has held the origin's current link bytes, unchanged through every
@@ -46,6 +49,9 @@ struct Record {
     /// The links are `arena[start..start + len]`.
     start: u32,
     len: u32,
+    /// The run's capacity: `arena[start + len..start + cap]` is this
+    /// record's room to grow back into, garbage until it does.
+    cap: u32,
     seq: u64,
     /// Lowest seq since which the links have been held unchanged.
     since: u64,
@@ -208,7 +214,8 @@ impl Lsdb {
     }
 
     /// Re-pack every live run, in origin order, into a fresh arena with
-    /// an eighth of headroom, when garbage exceeds the live links.
+    /// an eighth of headroom, when garbage exceeds the live links. Each
+    /// run's capacity shrinks to its length.
     fn compact_if_sparse(&mut self) {
         let live = self.arena.len() - self.garbage;
         if self.garbage <= live {
@@ -218,6 +225,7 @@ impl Lsdb {
         for r in &mut self.records {
             let from = r.span();
             r.start = packed.len() as u32;
+            r.cap = r.len;
             packed.extend_from_slice(&self.arena[from]);
         }
         self.arena = packed;
@@ -234,8 +242,9 @@ impl Lsdb {
     /// origin overwrites `seq` and, unless they are byte-equal (which
     /// keeps `since`), replaces the record's links and moves `since` to
     /// the new seq. New links overwrite the record's arena run when they
-    /// fit (the rest of the run turns garbage) and are appended
-    /// otherwise (the whole old run turns garbage).
+    /// fit its capacity (slots past the new length are garbage, slots
+    /// back under it are not) and are appended otherwise (the whole old
+    /// run turns garbage).
     pub fn apply_ref(&mut self, lsa: &LinkStateAnnouncement, now: f64) -> bool {
         let len = u32::try_from(lsa.links.len()).expect("link list overflows u32");
         match self.find(lsa.origin) {
@@ -252,11 +261,12 @@ impl Lsdb {
                 if !same_links(&self.arena[rec.span()], &lsa.links) {
                     next.since = lsa.seq;
                     next.len = len;
-                    if len <= rec.len {
+                    if len <= rec.cap {
                         self.arena[next.span()].copy_from_slice(&lsa.links);
-                        self.garbage += (rec.len - len) as usize;
+                        self.garbage = self.garbage + rec.len as usize - len as usize;
                     } else {
                         next.start = self.push_links(&lsa.links);
+                        next.cap = len;
                         self.garbage += rec.len as usize;
                     }
                 }
@@ -272,6 +282,7 @@ impl Lsdb {
                         origin: lsa.origin,
                         start,
                         len,
+                        cap: len,
                         seq: lsa.seq,
                         since: lsa.seq,
                         refreshed_at: now,
@@ -450,13 +461,16 @@ mod tests {
         l.into()
     }
 
-    /// Every arena run in bounds and disjoint, and the garbage count
-    /// exactly what no record names.
+    /// Every arena run, at its full capacity, in bounds and disjoint
+    /// from the others, and the garbage count exactly what no record's
+    /// length names.
     fn arena_is_consistent(db: &Lsdb) -> bool {
-        let mut spans: Vec<_> = db.records.iter().map(Record::span).collect();
+        let runs = db.records.iter();
+        let mut spans: Vec<_> = runs.map(|r| r.start..r.start + r.cap).collect();
         spans.sort_by_key(|s| (s.start, s.end));
-        let named: usize = spans.iter().map(|s| s.len()).sum();
-        spans.iter().all(|s| s.end <= db.arena.len())
+        let named: usize = db.records.iter().map(|r| r.len as usize).sum();
+        db.records.iter().all(|r| r.len <= r.cap)
+            && spans.iter().all(|s| s.end as usize <= db.arena.len())
             && spans.windows(2).all(|w| w[0].end <= w[1].start)
             && db.garbage == db.arena.len() - named
     }
@@ -503,6 +517,43 @@ mod tests {
         db.remove(NodeId(0));
         db.remove(NodeId(1));
         assert_eq!((db.arena.len(), db.garbage, db.link_count()), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_run_that_shrinks_grows_back_in_place() {
+        let mut db = Lsdb::new(60.0);
+        let four = [(1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)];
+        db.apply(lsa(0, 1, &four), 0.0);
+        db.apply(lsa(1, 1, &four), 0.0);
+        // 4 → 3 → 4 links: the run keeps its room and takes the fourth
+        // link back, so nothing is appended and no garbage is left.
+        db.apply(lsa(0, 2, &four[..3]), 1.0);
+        assert_eq!((db.arena.len(), db.garbage), (8, 1));
+        assert!(arena_is_consistent(&db));
+        db.apply(lsa(0, 3, &[(5, 5.0), (2, 2.0), (3, 3.0), (4, 4.0)]), 2.0);
+        assert_eq!((db.arena.len(), db.garbage, db.records[0].start), (8, 0, 0));
+        assert!(arena_is_consistent(&db));
+        // Down to one link and up to two: still inside the run.
+        db.apply(lsa(0, 4, &[(6, 6.0)]), 3.0);
+        db.apply(lsa(0, 5, &[(6, 6.0), (7, 7.0)]), 4.0);
+        assert_eq!((db.arena.len(), db.garbage, db.records[0].start), (8, 2, 0));
+        assert!(arena_is_consistent(&db));
+        // Past the capacity: appended, and the whole old run is garbage.
+        db.apply(
+            lsa(0, 6, &[(1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0), (5, 5.0)]),
+            5.0,
+        );
+        assert_eq!(
+            (db.arena.len(), db.garbage, db.records[0].start),
+            (13, 4, 8)
+        );
+        assert!(arena_is_consistent(&db));
+        // Compaction shrinks every run's capacity to its length.
+        db.apply(lsa(1, 2, &[(0, 1.0)]), 6.0);
+        assert_eq!((db.arena.len(), db.garbage), (6, 0));
+        assert!(db.records.iter().all(|r| r.cap == r.len));
+        assert!(arena_is_consistent(&db));
+        assert_eq!(db.get(NodeId(1)), Some(r(&lsa(1, 2, &[(0, 1.0)]))));
     }
 
     #[test]

@@ -43,10 +43,10 @@ use egoist_core::ResidualArena;
 use egoist_graph::NodeId;
 use ledger::Ledger;
 use parking_lot::RwLock;
+use pings::PendingPings;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::ops::{AddAssign, Deref, Index, IndexMut};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -594,8 +594,7 @@ pub struct EgoistNode<T: Transport> {
     est: Vec<Ewma>,
     last_heard: Vec<Option<Instant>>,
     wiring: Vec<NodeId>,
-    pending_pings: HashMap<u64, (NodeId, Instant)>,
-    next_nonce: u64,
+    pending_pings: PendingPings,
     seq: u64,
     rng: StdRng,
     view: Arc<RwLock<NodeView>>,
@@ -647,8 +646,7 @@ impl<T: Transport> EgoistNode<T> {
             est: vec![Ewma::new(); n],
             last_heard: vec![None; n],
             wiring: Vec::new(),
-            pending_pings: HashMap::new(),
-            next_nonce: (cfg.id.0 as u64) << 32,
+            pending_pings: PendingPings::new((cfg.id.0 as u64) << 32),
             seq: 0,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xE601),
             view: Arc::new(RwLock::new(NodeView {
@@ -832,7 +830,7 @@ impl<T: Transport> EgoistNode<T> {
         self.set_in_nbr(peer, false);
         self.wiring.retain(|&w| w != peer);
         self.passive.retain(|&p| p != peer);
-        self.pending_pings.retain(|_, (to, _)| *to != peer);
+        self.pending_pings.forget(peer);
         true
     }
 
@@ -1047,7 +1045,7 @@ impl<T: Transport> EgoistNode<T> {
             return;
         }
         if held.is_none() && !unmeasured.is_empty() {
-            unmeasured.retain(|&w| !self.pending_pings.values().any(|&(p, _)| p == w));
+            unmeasured.retain(|&w| !self.pending_pings.awaits(w));
             for peer in unmeasured {
                 self.ping_one(peer, true);
             }
@@ -1165,9 +1163,7 @@ impl<T: Transport> EgoistNode<T> {
 
     /// Send one ping to `peer` and arm the pending-pong timer.
     fn ping_one(&mut self, peer: NodeId, hb: bool) {
-        let nonce = self.next_nonce;
-        self.next_nonce += 1;
-        self.pending_pings.insert(nonce, (peer, Instant::now()));
+        let nonce = self.pending_pings.issue(peer, Instant::now());
         self.send_msg(
             peer,
             &Message::Ping {
@@ -1185,16 +1181,10 @@ impl<T: Transport> EgoistNode<T> {
     fn send_pings(&mut self) {
         // Expire stale pending pings, charging each to its peer's
         // responsiveness ledger (sorted so same-seed runs agree).
-        let deadline = self.cfg.liveness_timeout;
-        let mut expired: Vec<NodeId> = self
+        let mut expired = self
             .pending_pings
-            .values()
-            .filter(|(_, at)| at.elapsed() >= deadline)
-            .map(|&(peer, _)| peer)
-            .collect();
+            .expire(Instant::now(), self.cfg.liveness_timeout);
         expired.sort_unstable();
-        self.pending_pings
-            .retain(|_, (_, at)| at.elapsed() < deadline);
         for peer in expired {
             if peer.index() >= self.cfg.n || self.health[peer.index()].banned {
                 continue;
@@ -1282,6 +1272,11 @@ impl<T: Transport> EgoistNode<T> {
 
     /// Play the wiring turn over the known peers with the configured
     /// policy and install it. Returns whether it changed.
+    ///
+    /// A k-Random node does not redraw its wiring: it keeps every link
+    /// to a peer it still knows and draws only the free slots, orphans
+    /// first ([`Self::still_random_wiring`]). Other policies play the
+    /// turn over every known peer.
     fn rewire(&mut self) -> bool {
         self.expire_origins();
         let candidates = self.known_peers();
@@ -1308,35 +1303,43 @@ impl<T: Transport> EgoistNode<T> {
             let obs = proto_obs();
             let _span = obs.rewire_job.start();
             let prefs = Preferences::uniform(n);
-            let turn = Turn {
-                node: me,
-                k,
-                policy,
-                // Unsampled: the shortlist is every known peer.
-                sample_size: usize::MAX,
-                candidates,
-                direct: &direct,
-                prefs: &prefs,
-                alive: &alive,
-            };
             // The node's own penalty rule: its largest finite direct
             // cost (at least 1) × n × 4.
             let finite = direct.iter().copied().filter(|d| d.is_finite());
             let penalty = finite.fold(1.0f64, f64::max) * n as f64 * 4.0;
-            JOB_SCRATCH.with_borrow_mut(|scratch| {
-                let (policy, arena) = scratch.parts(policy);
-                let residual = match &announced {
-                    Some(g) => Residual::OnDemand(g, arena, penalty),
-                    None => Residual::Unread,
+            let mut rng = StdRng::seed_from_u64(seed);
+            // One pick: `k` of `candidates` by the configured policy.
+            let mut pick = |candidates: Vec<NodeId>, k: usize, current: &[NodeId]| {
+                let turn = Turn {
+                    node: me,
+                    k,
+                    policy,
+                    // Unsampled: the shortlist is every candidate.
+                    sample_size: usize::MAX,
+                    candidates,
+                    direct: &direct,
+                    prefs: &prefs,
+                    alive: &alive,
                 };
-                let mut rng = StdRng::seed_from_u64(seed);
-                let wiring = choose(turn, &self.wiring, residual, policy, &mut rng);
-                if announced.is_some() {
-                    obs.rows_materialised.add(arena.rows_materialised() as u64);
-                    obs.rows_possible.add(n as u64);
-                }
-                wiring
-            })
+                JOB_SCRATCH.with_borrow_mut(|scratch| {
+                    let (policy, arena) = scratch.parts(policy);
+                    let residual = match &announced {
+                        Some(g) => Residual::OnDemand(g, arena, penalty),
+                        None => Residual::Unread,
+                    };
+                    let wiring = choose(turn, current, residual, policy, &mut rng);
+                    if announced.is_some() {
+                        obs.rows_materialised.add(arena.rows_materialised() as u64);
+                        obs.rows_possible.add(n as u64);
+                    }
+                    wiring
+                })
+            };
+            if policy == PolicyKind::Random {
+                self.still_random_wiring(&candidates, pick)
+            } else {
+                pick(candidates, k, &self.wiring)
+            }
         };
         let mut old = self.wiring.clone();
         let mut new = new_wiring.clone();
@@ -1364,6 +1367,80 @@ impl<T: Transport> EgoistNode<T> {
         }
         self.passive.retain(|p| new.binary_search(p).is_err());
         changed
+    }
+
+    /// The k-Random wiring that holds still. It keeps every wired peer
+    /// that is still a known peer (`candidates`, ascending) and fills only
+    /// the free slots, each first with an *orphan*: a known peer that no
+    /// other origin's LSA in this node's LSDB links to, and that this node
+    /// does not keep. A full wiring that sees an orphan swaps at most one
+    /// link per turn: it drops the kept link whose target has the highest
+    /// LSDB in-degree, first in wiring order among equals, but only when
+    /// that in-degree is at least 2, so the drop orphans no one. Every
+    /// draw is `pick(candidates, slots, current)`, the policy's turn:
+    /// over the orphans first, then over the other known peers.
+    fn still_random_wiring(
+        &self,
+        candidates: &[NodeId],
+        mut pick: impl FnMut(Vec<NodeId>, usize, &[NodeId]) -> Vec<NodeId>,
+    ) -> Vec<NodeId> {
+        let in_degree = self.lsdb_in_degrees();
+        let degree = |p: NodeId| in_degree[p.index()];
+        let mut keep: Vec<NodeId> = self
+            .wiring
+            .iter()
+            .copied()
+            .filter(|w| candidates.binary_search(w).is_ok())
+            .collect();
+        let orphans: Vec<NodeId> = candidates
+            .iter()
+            .copied()
+            .filter(|&c| degree(c) == 0 && !keep.contains(&c))
+            .collect();
+        if keep.len() >= self.cfg.k && !orphans.is_empty() {
+            let crowded = keep
+                .iter()
+                .enumerate()
+                .filter(|&(_, &w)| degree(w) >= 2)
+                .min_by_key(|&(at, &w)| (std::cmp::Reverse(degree(w)), at));
+            if let Some((at, _)) = crowded {
+                keep.remove(at);
+            }
+        }
+        let free = self.cfg.k.saturating_sub(keep.len());
+        let mut drawn = Vec::new();
+        if free > 0 && !orphans.is_empty() {
+            drawn = pick(orphans, free, &keep);
+        }
+        let slots = free - drawn.len();
+        if slots > 0 {
+            let others: Vec<NodeId> = candidates
+                .iter()
+                .copied()
+                .filter(|&c| degree(c) > 0 && !keep.contains(&c))
+                .collect();
+            if !others.is_empty() {
+                drawn.extend(pick(others, slots, &keep));
+            }
+        }
+        let mut wiring = Vec::with_capacity(keep.len() + drawn.len());
+        wiring.extend(keep);
+        wiring.extend(drawn);
+        wiring
+    }
+
+    /// Per id, how many origins' LSAs in the LSDB, this node's own aside,
+    /// link to it.
+    fn lsdb_in_degrees(&self) -> Vec<u32> {
+        let mut in_degree = vec![0u32; self.cfg.n];
+        for lsa in self.lsdb.all().filter(|l| l.origin != self.cfg.id) {
+            for l in lsa.links {
+                if l.neighbor.index() < self.cfg.n && l.neighbor != lsa.origin {
+                    in_degree[l.neighbor.index()] += 1;
+                }
+            }
+        }
+        in_degree
     }
 
     fn rng_next(&mut self) -> u64 {
@@ -1552,7 +1629,7 @@ impl<T: Transport> EgoistNode<T> {
                 nonce,
                 hb: _,
             } => {
-                if let Some((expected, sent_at)) = self.pending_pings.remove(&nonce) {
+                if let Some((expected, sent_at)) = self.pending_pings.take(nonce) {
                     if expected == peer && peer.index() < self.cfg.n {
                         self.health[peer.index()].record(false);
                         let one_way_ms = sent_at.elapsed().as_secs_f64() * 1000.0 / 2.0;
@@ -1761,6 +1838,7 @@ impl<T: Transport> EgoistNode<T> {
 }
 
 mod ledger;
+mod pings;
 mod route;
 #[cfg(test)]
 mod route_props;
@@ -2132,6 +2210,128 @@ mod tests {
                 let v = wheel.view(i);
                 assert_eq!(v.wiring.len(), 1, "node {i} still unwired: {v:?}");
             }
+        });
+    }
+
+    /// A k-Random node 0 of 12 with k = 3, wired to `wired`, whose LSDB
+    /// holds one LSA per `(origin, targets)`: its known peers are those
+    /// origins.
+    fn still_rig(wired: &[u32], lsas: &[(u32, &[u32])]) -> EgoistNode<crate::SimTransport> {
+        let net = SimNet::clean(DistanceMatrix::off_diagonal(12, 1.0));
+        let mut cfg = NodeConfig::new(NodeId(0), 12, 3);
+        cfg.policy = PolicyKind::Random;
+        let mut node = EgoistNode::new(cfg, net.endpoint(NodeId(0)));
+        node.wiring = wired.iter().copied().map(NodeId).collect();
+        for &(origin, targets) in lsas {
+            let links = targets.iter().map(|&t| LinkEntry {
+                neighbor: NodeId(t),
+                cost: 1.0,
+            });
+            let lsa = LinkStateAnnouncement {
+                origin: NodeId(origin),
+                seq: 1,
+                links: links.collect(),
+            };
+            node.lsdb.apply_ref(&lsa, 0.0);
+        }
+        node
+    }
+
+    /// Origins 1..=8, where 1 and 2 are linked by two other origins, 3
+    /// by three and 4..=8 by none (node 0's own LSA does not count).
+    const LINKED_123: [(u32, &[u32]); 9] = [
+        (0, &[4, 5, 6]),
+        (1, &[2, 3]),
+        (2, &[3, 1]),
+        (3, &[1, 2]),
+        (4, &[]),
+        (5, &[]),
+        (6, &[3]),
+        (7, &[]),
+        (8, &[]),
+    ];
+
+    fn ids(wiring: &[NodeId]) -> Vec<u32> {
+        wiring.iter().map(|w| w.0).collect()
+    }
+
+    /// The wiring that holds still: links to known peers stay where they
+    /// are, a link to a peer no longer known goes, and the free slots go
+    /// to orphans first, then to the other known peers; every wiring is
+    /// exactly as long as it holds.
+    #[test]
+    fn a_still_random_wiring_keeps_its_links_and_adopts_orphans_first() {
+        tokio::runtime::block_on_paused(async {
+            let orphans = [4, 5, 6, 7, 8];
+            // 9 is not a known peer: its slot is free, and so is the third.
+            let mut node = still_rig(&[2, 9], &LINKED_123);
+            assert!(node.rewire());
+            let w = ids(&node.wiring);
+            assert_eq!((w.len(), w[0]), (3, 2), "{w:?}");
+            assert!(w[1..].iter().all(|p| orphans.contains(p)), "{w:?}");
+            assert_ne!(w[1], w[2]);
+            assert_eq!(node.wiring.capacity(), 3);
+            // More free slots than orphans: every orphan, then the rest
+            // from the other known peers.
+            let mut node = still_rig(
+                &[],
+                &[(0, &[]), (1, &[2, 3]), (2, &[3]), (3, &[2]), (4, &[])],
+            );
+            node.cfg.k = 3;
+            assert!(node.rewire());
+            let w = ids(&node.wiring);
+            assert_eq!(w.len(), 3, "{w:?}");
+            assert!(
+                w[..2].contains(&1) && w[..2].contains(&4),
+                "orphans first: {w:?}"
+            );
+            assert!([2, 3].contains(&w[2]), "{w:?}");
+            assert_eq!(node.wiring.capacity(), 3);
+            // No orphan and a full wiring: nothing moves, turn after turn.
+            let mut node = still_rig(&[1, 2, 3], &LINKED_123[1..4]);
+            for _ in 0..3 {
+                assert!(!node.rewire());
+                assert_eq!(ids(&node.wiring), [1, 2, 3]);
+            }
+        });
+    }
+
+    /// A full wiring that sees orphans swaps one link per turn: the kept
+    /// target with the highest LSDB in-degree (first in wiring order among
+    /// equals) gives its slot to an orphan, and a target linked by fewer
+    /// than two other origins is never dropped.
+    #[test]
+    fn a_full_still_random_wiring_swaps_at_most_once_per_turn() {
+        tokio::runtime::block_on_paused(async {
+            // In-degrees 2 (node 1: from 2 and 3), 2 (node 2) and 3
+            // (node 3: from 1, 2 and 6): node 3 goes.
+            let mut node = still_rig(&[1, 2, 3], &LINKED_123);
+            assert!(node.rewire());
+            let w = ids(&node.wiring);
+            assert_eq!(&w[..2], [1, 2]);
+            assert!([4, 5, 6, 7, 8].contains(&w[2]), "{w:?}");
+            assert_eq!(node.wiring.capacity(), 3);
+            // The LSDB still shows orphans, so the next turn swaps again —
+            // the first of the in-degree-2 targets — and again only one.
+            let before = node.wiring.clone();
+            assert!(node.rewire());
+            let moved = node.wiring.iter().filter(|w| !before.contains(w)).count();
+            assert_eq!(moved, 1, "{:?} → {:?}", ids(&before), ids(&node.wiring));
+            assert!(!node.wiring.contains(&NodeId(1)));
+            // Targets linked by one other origin each: no swap, although
+            // orphans wait.
+            let lsas: [(u32, &[u32]); 7] = [
+                (1, &[2]),
+                (2, &[3]),
+                (3, &[1]),
+                (4, &[]),
+                (5, &[]),
+                (6, &[]),
+                (7, &[]),
+            ];
+            let mut node = still_rig(&[1, 2, 3], &lsas);
+            assert!(!node.rewire());
+            assert_eq!(ids(&node.wiring), [1, 2, 3]);
         });
     }
 
@@ -2580,10 +2780,14 @@ mod tests {
                 assert_eq!((got.len(), sent.len()), (1, 1), "{got:?}");
                 assert_eq!(cost_to(sent[0], NodeId(2)), 1.0);
             }
-            let pending = node.pending_pings.len();
+            let pending = node.pending_pings.outstanding().count();
             node.announce(false);
             assert_eq!((node.seq, node.held), (1, None), "suppressed");
-            assert_eq!(node.pending_pings.len(), pending, "no probe");
+            assert_eq!(
+                node.pending_pings.outstanding().count(),
+                pending,
+                "no probe"
+            );
             assert!(inbox(&mut one).await.is_empty());
             assert!(inbox(&mut two).await.is_empty());
         });
@@ -2610,7 +2814,10 @@ mod tests {
                 ];
                 node.announce(false);
                 assert_eq!(node.held, None, "suppressed: no hold");
-                assert!(node.pending_pings.is_empty(), "suppressed: no probe");
+                assert!(
+                    node.pending_pings.outstanding().next().is_none(),
+                    "suppressed: no probe"
+                );
                 node.announce(true);
                 assert_eq!((node.seq, node.held), (0, Some(true)));
                 let got = inbox(&mut two).await;

@@ -5,7 +5,8 @@
 #   scripts/robustness_diff.sh OLD NEW
 #
 # For each scenario, in NEW's order and then any only OLD has, prints
-# `old → new` for: final and min reachability, each fault window's
+# `old → new` for: final and min reachability, final and min delivered
+# share and final looped share (k-Random scenarios), each fault window's
 # recovery seconds, LSAs announced, links announced unmeasured, refresh
 # entries pushed, bytes per message class and in total,
 # links_quarantined and evictions. Equal values print once, followed by
@@ -28,7 +29,10 @@ done
 table=$(jq -r -n --slurpfile old "$1" --slurpfile new "$2" '
   def rows:
     [["final_reachability", .final_reachability],
-     ["min_reachability", .min_reachability]]
+     ["min_reachability", .min_reachability],
+     ["final_delivered", .final_delivered],
+     ["min_delivered", .min_delivered],
+     ["final_looped", .final_looped]]
     + [.windows | to_entries[]
        | ["recovery_secs \(.key) \(.value.kind)", .value.recovery_secs]]
     + [["announces", .gossip.announces],
