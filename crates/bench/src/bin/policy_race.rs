@@ -35,9 +35,9 @@
 use egoist_bench::report::{same_twice, TRAFFIC};
 use egoist_core::policies::PolicyKind;
 use egoist_core::sim::Metric;
+use egoist_obs::json::{array, JsonObject, Layout::Compact};
 use egoist_traffic::demand::WorkloadKind;
 use egoist_traffic::engine::{sweep_offered, SweepPoint, TrafficConfig};
-use egoist_traffic::json::{array, JsonObject, Layout::Compact};
 use egoist_traffic::policy::DataPolicyKind;
 
 /// One measured point of a sweep.

@@ -25,9 +25,9 @@ use egoist_bench::report::{dump_obs, Flags};
 use egoist_bench::{epochs, seeds, warmup};
 use egoist_core::policies::PolicyKind;
 use egoist_core::sim::Metric;
+use egoist_obs::json::{array, JsonObject, Layout::Compact};
 use egoist_traffic::demand::WorkloadKind;
 use egoist_traffic::engine::{sweep_offered, TrafficConfig, TrafficEngine};
-use egoist_traffic::json::{array, JsonObject, Layout::Compact};
 use egoist_traffic::policy::DataPolicyKind;
 
 /// The `--sweep` mode: one wiring policy (BR), all three data policies,

@@ -30,7 +30,6 @@
 use crate::codec::{decode, encode};
 use crate::message::{LinkEntry, LinkStateAnnouncement, Message};
 use crate::transport::Transport;
-use bytes::Bytes;
 use egoist_graph::NodeId;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -237,7 +236,7 @@ async fn identity_task<T: Transport>(
                     }
                     let frame = if garbage {
                         // Wrong magic: fails the codec checksum path.
-                        Bytes::from_static(b"\xBA\xD5\x1B\x17garbage-sybil-frame\x00")
+                        b"\xBA\xD5\x1B\x17garbage-sybil-frame\x00".to_vec()
                     } else if cfg.third_party {
                         // Per-victim variant on its own seq, so every
                         // recipient always sees a fresh forgery even if

@@ -112,8 +112,12 @@ impl<T: Transport> BootstrapServer<T> {
                 egoist_obs::counter("proto.bootstrap.decode_errors").inc();
                 continue;
             };
+            if msg.claimed_sender().is_some_and(|named| named != from) {
+                // Forged: would register or remove a third party.
+                continue;
+            }
             match msg {
-                Message::BootstrapRequest { from: requester } => {
+                Message::BootstrapRequest { .. } => {
                     // Candidates: most recently registered first, excluding
                     // the requester itself.
                     let mut peers: Vec<NodeId> = self
@@ -121,16 +125,16 @@ impl<T: Transport> BootstrapServer<T> {
                         .members()
                         .into_iter()
                         .rev()
-                        .filter(|&p| p != requester)
+                        .filter(|&p| p != from)
                         .take(MAX_PEERS)
                         .collect();
                     peers.sort_unstable();
-                    self.registry.register(requester);
+                    self.registry.register(from);
                     let reply = encode(&Message::BootstrapResponse { peers });
                     let _ = self.transport.send(from, reply);
                 }
-                Message::Leave { from: leaver } => {
-                    self.registry.remove(leaver);
+                Message::Leave { .. } => {
+                    self.registry.remove(from);
                 }
                 _ => {}
             }
@@ -142,7 +146,6 @@ impl<T: Transport> BootstrapServer<T> {
 mod tests {
     use super::*;
     use crate::transport::SimNet;
-    use bytes::Bytes;
     use egoist_graph::DistanceMatrix;
 
     const BOOT_ID: NodeId = NodeId(99);
@@ -228,13 +231,35 @@ mod tests {
     }
 
     #[test]
+    fn forged_requests_and_leaves_are_ignored() {
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::clean(DistanceMatrix::off_diagonal(100, 1.0));
+            let registry = Registry::default();
+            registry.register(NodeId(3));
+            let server = BootstrapServer::new(net.endpoint(BOOT_ID), registry.clone());
+            tokio::spawn(server.run());
+
+            let mut forger = net.endpoint(NodeId(5));
+            for forged in [
+                Message::Leave { from: NodeId(3) },
+                Message::BootstrapRequest { from: NodeId(7) },
+            ] {
+                forger.send(BOOT_ID, encode(&forged)).unwrap();
+            }
+            tokio::time::sleep(std::time::Duration::from_millis(10)).await;
+            assert_eq!(registry.members(), vec![NodeId(3)]);
+            assert_eq!(forger.try_recv(), None, "a forged request is not answered");
+        });
+    }
+
+    #[test]
     fn garbage_frames_ignored() {
         tokio::runtime::block_on_paused(async {
             let net = SimNet::clean(DistanceMatrix::off_diagonal(100, 1.0));
             let server = BootstrapServer::new(net.endpoint(BOOT_ID), Registry::default());
             tokio::spawn(server.run());
             let mut a = net.endpoint(NodeId(0));
-            a.send(BOOT_ID, Bytes::from_static(b"not a frame")).unwrap();
+            a.send(BOOT_ID, b"not a frame".to_vec()).unwrap();
             a.send(
                 BOOT_ID,
                 encode(&Message::BootstrapRequest { from: NodeId(0) }),

@@ -11,10 +11,11 @@
 //!
 //! `magic` is `0x4547` ("EG"), `version` is 6, `type` is one of the
 //! `tag` constants, `len` counts the payload bytes only, and the
-//! checksum covers everything before it (header + payload). [`encode`]
-//! measures the payload in one pass and then fills one exactly-sized
-//! buffer, and [`decode`] reads the borrowed frame through a
-//! bounds-checked cursor without copying it.
+//! checksum covers everything before it (header + payload). A frame is a
+//! plain `Vec<u8>`: [`encode`] writes each layout once, appending the
+//! header with a zero length, then the payload, then patching the length
+//! in and appending the checksum; [`decode`] reads the borrowed frame
+//! through a bounds-checked cursor without copying it.
 //!
 //! **Checksum.** Four interleaved FNV-1a lanes. With `P = 0x0100_0193`
 //! (the 32-bit FNV prime) and all arithmetic wrapping in `u32`:
@@ -111,7 +112,6 @@
 //! refused, so each message has exactly one encoding.
 
 use crate::message::{LinkEntry, LinkStateAnnouncement, LsaRef, Message, Refresh};
-use bytes::Bytes;
 use egoist_graph::NodeId;
 
 /// Frame magic ("EG").
@@ -124,8 +124,13 @@ pub const VERSION: u8 = 6;
 /// Upper bound on accepted payload length (defends against corrupt
 /// length fields).
 pub const MAX_PAYLOAD: usize = 1 << 20;
-/// Header (8 bytes) + checksum (4 bytes) around every payload.
-const ENVELOPE: usize = 12;
+/// Magic, version, type and length before every payload.
+const HEADER: usize = 8;
+/// Header + checksum (4 bytes) around every payload.
+const ENVELOPE: usize = HEADER + 4;
+/// The capacity a frame is built in: a ping or pong (52 bytes) and a
+/// fleet's `LinkState` fit without growing it.
+const FIRST_CAPACITY: usize = 64;
 /// Ping / pong payloads are the paper's 320-bit (40-byte) ICMP echo
 /// size: 13 bytes of fields, then zero padding.
 const ECHO_LEN: usize = 40;
@@ -226,13 +231,6 @@ mod tag {
     pub const LSDB_SYNC_REFRESH: u8 = 12;
 }
 
-/// Bytes of `v` as an LEB128 varint: its significant bits (at least
-/// one) in groups of seven, rounded up.
-#[inline]
-fn varint_len(v: u64) -> usize {
-    (70 - (v | 1).leading_zeros() as usize) / 7
-}
-
 /// `id`'s difference from `prev`, folded into `u64` as `2d` for `d ≥ 0`
 /// and `−2d − 1` below.
 fn zigzag(prev: NodeId, id: NodeId) -> u64 {
@@ -266,24 +264,6 @@ pub(crate) fn cost_word(cost: f32) -> u64 {
     }
 }
 
-/// Bytes of a link cost's cost word: 1 for a half step up to 31.5 ms,
-/// 2–4 for a larger one, up to 5 for an escaped cost.
-pub(crate) fn cost_len(cost: f32) -> usize {
-    varint_len(cost_word(cost))
-}
-
-/// Encoded size of one LSA after its origin (a push's delta, a
-/// `LinkState`'s varint): seq, link count, then per link the neighbor id
-/// and the cost word.
-fn pushed_lsa_len(lsa: LsaRef) -> usize {
-    let links: usize = lsa
-        .links
-        .iter()
-        .map(|l| varint_len(l.neighbor.0.into()) + cost_len(l.cost))
-        .sum();
-    varint_len(lsa.seq) + varint_len(lsa.links.len() as u64) + links
-}
-
 /// A digest's maximal runs of consecutive origins, each with the zigzag
 /// delta of its first origin from the last origin of the run before (the
 /// first from 0).
@@ -298,43 +278,17 @@ fn runs(entries: &[(NodeId, u64)]) -> impl Iterator<Item = (u64, &[(NodeId, u64)
         })
 }
 
-/// Encoded size of a digest's runs after the `u16` count: per run its
-/// delta, its length and its seqs. Also the number of runs.
-fn runs_len(entries: &[(NodeId, u64)]) -> (usize, usize) {
-    runs(entries).fold((0, 0), |(count, len), (delta, run)| {
-        let seqs: usize = run.iter().map(|&(_, seq)| varint_len(seq)).sum();
-        let head = varint_len(delta) + varint_len(run.len() as u64);
-        (count + 1, len + head + seqs)
-    })
-}
+/// Writer of big-endian fields and LEB128 varints at the end of a frame
+/// — the mirror of [`Cursor`].
+struct Writer(Vec<u8>);
 
-/// Encoded size of a counted list of `items`: the `u16` count, then per
-/// item its id's delta and `rest(item)` more bytes.
-fn id_list_len<T: Copy>(
-    items: impl Iterator<Item = T> + Clone,
-    id: impl Fn(T) -> NodeId,
-    rest: impl Fn(T) -> usize,
-) -> usize {
-    let ids: usize = deltas(items.clone().map(id)).map(varint_len).sum();
-    2 + ids + items.map(rest).sum::<usize>()
-}
-
-/// Writer of big-endian fields and LEB128 varints over the unfilled
-/// part of a frame buffer — the mirror of [`Cursor`]. The buffer is sized before it is filled, so
-/// running out of room is a bug in a length computation, not an input.
-struct Writer<'a>(&'a mut [u8]);
-
-impl Writer<'_> {
+impl Writer {
     fn put<const N: usize>(&mut self, bytes: [u8; N]) {
-        let (head, rest) = std::mem::take(&mut self.0)
-            .split_first_chunk_mut::<N>()
-            .expect("frame sized before it is filled");
-        *head = bytes;
-        self.0 = rest;
+        self.0.extend_from_slice(&bytes);
     }
 
     fn u8(&mut self, v: u8) {
-        self.put([v]);
+        self.0.push(v);
     }
 
     fn u16(&mut self, v: u16) {
@@ -398,25 +352,26 @@ impl Writer<'_> {
     }
 }
 
-/// Build one frame in one buffer: header, exactly `payload_len` bytes
-/// written by `fill`, checksum.
-fn frame(ty: u8, payload_len: usize, fill: impl FnOnce(&mut Writer)) -> Bytes {
-    let mut buf = vec![0; payload_len + ENVELOPE];
-    let (body, ck) = buf.split_at_mut(payload_len + ENVELOPE - 4);
-    let mut w = Writer(body);
+/// Build one frame: the header with a zero length, the payload `fill`
+/// writes, then the length patched in and the checksum appended.
+fn frame(ty: u8, fill: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer(Vec::with_capacity(FIRST_CAPACITY));
     w.u16(MAGIC);
     w.u8(VERSION);
     w.u8(ty);
-    w.u32(payload_len as u32);
+    w.u32(0);
     fill(&mut w);
-    debug_assert!(w.0.is_empty(), "payload shorter than its length field");
-    ck.copy_from_slice(&fnv1a(body).to_be_bytes());
-    Bytes::from(buf)
+    let Writer(mut buf) = w;
+    let len = (buf.len() - HEADER) as u32;
+    buf[4..HEADER].copy_from_slice(&len.to_be_bytes());
+    let ck = fnv1a(&buf);
+    buf.extend_from_slice(&ck.to_be_bytes());
+    buf
 }
 
 /// An `id` payload: the four single-field messages.
-fn id_frame(ty: u8, id: NodeId) -> Bytes {
-    frame(ty, 4, |w| w.u32(id.0))
+fn id_frame(ty: u8, id: NodeId) -> Vec<u8> {
+    frame(ty, |w| w.u32(id.0))
 }
 
 /// An `LsdbSync` frame; with refresh entries, the frame type that
@@ -424,25 +379,22 @@ fn id_frame(ty: u8, id: NodeId) -> Bytes {
 fn sync_frame<'a>(
     lsas: impl ExactSizeIterator<Item = LsaRef<'a>> + Clone,
     refreshes: &[Refresh],
-) -> Bytes {
-    let origin = |lsa: LsaRef| lsa.origin;
-    let refresh_origin = |r: &Refresh| r.origin;
-    let refresh_rest = |r: &Refresh| varint_len(r.seq) + 4;
-    let (ty, entries) = match refreshes.len() {
-        0 => (tag::LSDB_SYNC, 0),
-        _ => (
-            tag::LSDB_SYNC_REFRESH,
-            id_list_len(refreshes.iter(), refresh_origin, refresh_rest),
-        ),
+) -> Vec<u8> {
+    let ty = match refreshes.len() {
+        0 => tag::LSDB_SYNC,
+        _ => tag::LSDB_SYNC_REFRESH,
     };
-    let len = id_list_len(lsas.clone(), origin, pushed_lsa_len) + entries;
-    frame(ty, len, |w| {
-        w.id_list(lsas, origin, Writer::pushed_lsa);
+    frame(ty, |w| {
+        w.id_list(lsas, |lsa| lsa.origin, Writer::pushed_lsa);
         if !refreshes.is_empty() {
-            w.id_list(refreshes.iter(), refresh_origin, |w, r| {
-                w.varint(r.seq);
-                w.u32(r.links_hash);
-            });
+            w.id_list(
+                refreshes.iter(),
+                |r| r.origin,
+                |w, r| {
+                    w.varint(r.seq);
+                    w.u32(r.links_hash);
+                },
+            );
         }
     })
 }
@@ -451,14 +403,14 @@ fn sync_frame<'a>(
 /// byte for byte what [`encode`] makes of a `Message::LsdbSync` holding
 /// their owned copies, so anti-entropy pushes are encoded straight out
 /// of the LSDB's records and link arena.
-pub fn encode_sync(lsas: &[LsaRef], refreshes: &[Refresh]) -> Bytes {
+pub fn encode_sync(lsas: &[LsaRef], refreshes: &[Refresh]) -> Vec<u8> {
     sync_frame(lsas.iter().copied(), refreshes)
 }
 
 /// Encode a message into a complete frame.
-pub fn encode(msg: &Message) -> Bytes {
+pub fn encode(msg: &Message) -> Vec<u8> {
     let echo = |ty: u8, from: NodeId, nonce: u64, hb: bool| {
-        frame(ty, ECHO_LEN, |w| {
+        frame(ty, |w| {
             w.u32(from.0);
             w.u64(nonce);
             w.u8(hb as u8);
@@ -467,49 +419,36 @@ pub fn encode(msg: &Message) -> Bytes {
     };
     match msg {
         Message::BootstrapRequest { from } => id_frame(tag::BOOTSTRAP_REQUEST, *from),
-        Message::BootstrapResponse { peers } => {
-            frame(tag::BOOTSTRAP_RESPONSE, 2 + 4 * peers.len(), |w| {
-                w.count(peers.len());
-                for p in peers {
-                    w.u32(p.0);
-                }
-            })
-        }
+        Message::BootstrapResponse { peers } => frame(tag::BOOTSTRAP_RESPONSE, |w| {
+            w.count(peers.len());
+            for p in peers {
+                w.u32(p.0);
+            }
+        }),
         Message::Hello { from } => id_frame(tag::HELLO, *from),
         Message::LsdbSync { lsas, refreshes } => {
             sync_frame(lsas.iter().map(LsaRef::from), refreshes)
         }
-        Message::LsdbDigest { from, entries } => {
-            let (count, len) = runs_len(entries);
-            frame(tag::LSDB_DIGEST, 6 + len, |w| {
-                w.u32(from.0);
-                w.count(count);
-                for (delta, run) in runs(entries) {
-                    w.varint(delta);
-                    w.varint(run.len() as u64);
-                    for &(_, seq) in run {
-                        w.varint(seq);
-                    }
+        Message::LsdbDigest { from, entries } => frame(tag::LSDB_DIGEST, |w| {
+            w.u32(from.0);
+            w.count(runs(entries).count());
+            for (delta, run) in runs(entries) {
+                w.varint(delta);
+                w.varint(run.len() as u64);
+                for &(_, seq) in run {
+                    w.varint(seq);
                 }
-            })
-        }
-        Message::LsdbPull { from, origins } => {
-            let origins = origins.iter().copied();
-            let len = 4 + id_list_len(origins.clone(), |o| o, |_| 0);
-            frame(tag::LSDB_PULL, len, |w| {
-                w.u32(from.0);
-                w.id_list(origins, |o| o, |_, _| {});
-            })
-        }
-        Message::LinkState { lsa, ttl } => {
-            let origin = u64::from(lsa.origin.0);
-            let len = 1 + varint_len(origin) + pushed_lsa_len(lsa.into());
-            frame(tag::LINK_STATE, len, |w| {
-                w.u8(*ttl);
-                w.varint(origin);
-                w.pushed_lsa(lsa.into());
-            })
-        }
+            }
+        }),
+        Message::LsdbPull { from, origins } => frame(tag::LSDB_PULL, |w| {
+            w.u32(from.0);
+            w.id_list(origins.iter().copied(), |o| o, |_, _| {});
+        }),
+        Message::LinkState { lsa, ttl } => frame(tag::LINK_STATE, |w| {
+            w.u8(*ttl);
+            w.varint(lsa.origin.0.into());
+            w.pushed_lsa(lsa.into());
+        }),
         Message::Ping { from, nonce, hb } => echo(tag::PING, *from, *nonce, *hb),
         Message::Pong { from, nonce, hb } => echo(tag::PONG, *from, *nonce, *hb),
         Message::Heartbeat { from } => id_frame(tag::HEARTBEAT, *from),
@@ -915,7 +854,7 @@ mod tests {
 
     #[test]
     fn corrupt_checksum_rejected() {
-        let mut f = encode(&Message::Hello { from: NodeId(1) }).to_vec();
+        let mut f = encode(&Message::Hello { from: NodeId(1) });
         let last = f.len() - 1;
         f[last] ^= 0xFF;
         assert_eq!(decode(&f), Err(DecodeError::BadChecksum));
@@ -929,8 +868,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let f = encode(&Message::Hello { from: NodeId(1) });
-        let mut v = f.to_vec();
+        let mut v = encode(&Message::Hello { from: NodeId(1) });
         v[0] = 0x00;
         // Checksum covers the magic, so flipping it without fixing the
         // checksum fails there first; fix the checksum to reach BadMagic.
@@ -957,7 +895,7 @@ mod tests {
         });
         for byte in 0..f.len() {
             for bit in 0..8 {
-                let mut v = f.to_vec();
+                let mut v = f.clone();
                 v[byte] ^= 1 << bit;
                 let _ = decode(&v); // must not panic
             }
@@ -1429,8 +1367,8 @@ mod tests {
 
     #[test]
     fn frames_are_exactly_sized() {
-        // One buffer, sized before the first byte: the length field and
-        // the allocation both equal what was written.
+        // The length field patched in after the payload counts exactly
+        // the bytes between the header and the checksum.
         for m in sample_messages() {
             let f = encode(&m);
             let len = u32::from_be_bytes(f[4..8].try_into().unwrap()) as usize;
@@ -1442,7 +1380,7 @@ mod tests {
     fn older_versions_are_refused() {
         for m in sample_messages() {
             for old in [1, 2, 3, 4, 5] {
-                let mut v = encode(&m).to_vec();
+                let mut v = encode(&m);
                 v[2] = old;
                 // As sent by an old peer the checksum cannot match…
                 assert_eq!(decode(&v), Err(DecodeError::BadChecksum));
@@ -1492,7 +1430,7 @@ mod tests {
         }
         // And every real frame kind, the refresh push included.
         for m in sample_messages() {
-            let mut frame = encode(&m).to_vec();
+            let mut frame = encode(&m);
             for pos in 0..frame.len() {
                 let original = frame[pos];
                 for substitute in (0..=255u8).filter(|&b| b != original) {
@@ -1854,7 +1792,7 @@ mod tests {
                 refreshes: refreshes(big % 5),
             });
             let m = &messages[which % messages.len()];
-            let frame = encode(m).to_vec();
+            let frame = encode(m);
             let at = at as usize % frame.len();
 
             let mut spliced = frame.clone();
@@ -1963,7 +1901,7 @@ mod tests {
                 let half = c * 2.0;
                 let short = b >> 31 == 0 && half.fract() == 0.0 && half < 16_777_216.0;
                 prop_assert_eq!(cost_word(c) & 1 == 0, short, "{:#x}", b);
-                prop_assert!(cost_len(c) <= if short { 4 } else { 5 });
+                prop_assert!(leb128(cost_word(c)).len() <= if short { 4 } else { 5 });
             }
         }
 

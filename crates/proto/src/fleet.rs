@@ -579,14 +579,10 @@ fn delay_matrix(total: usize, seed: u64) -> DistanceMatrix {
 
 /// One sample of the ordered honest pairs whose both ends are not
 /// churned off by the plan at `now`, read from each spawned node's
-/// published next hops under its view's read lock: the fraction whose
-/// source holds a next hop (reachability), and where following the next
-/// hops ends ([`walk_routes`]).
-fn sample_routes(
-    views: &[Option<Arc<RwLock<NodeView>>>],
-    plan: &FaultPlan,
-    now: f64,
-) -> (f64, RouteWalk) {
+/// published next hops under its view's read lock: how many have a
+/// source that holds a next hop, and where following the next hops ends
+/// ([`walk_routes`]).
+fn sample_routes(views: &[Option<Arc<RwLock<NodeView>>>], plan: &FaultPlan, now: f64) -> RouteWalk {
     let on: Vec<bool> = (0..views.len())
         .map(|i| !plan.node_off(now, NodeId::from_index(i)))
         .collect();
@@ -595,31 +591,14 @@ fn sample_routes(
         .iter()
         .map(|g| g.as_ref().map(|v| &v.next_hops[..]))
         .collect();
-    let mut reachable = 0u64;
-    let mut pairs = 0u64;
-    for (i, hops) in next_hops.iter().enumerate() {
-        if !on[i] {
-            continue;
-        }
-        let hops = hops.unwrap_or(&[]);
-        for (j, &on_j) in on.iter().enumerate() {
-            if j == i || !on_j {
-                continue;
-            }
-            pairs += 1;
-            if hops.get(j).is_some_and(Option::is_some) {
-                reachable += 1;
-            }
-        }
-    }
     let walk = walk_routes(&next_hops, &on);
     let obs = fleet_obs();
-    obs.routes_reachable.add(reachable);
-    obs.routes_missing.add(pairs - reachable);
+    obs.routes_reachable.add(walk.reachable);
+    obs.routes_missing.add(walk.pairs - walk.reachable);
     obs.routes_delivered.add(walk.delivered);
     obs.routes_looped.add(walk.looped);
     obs.routes_black_holed.add(walk.black_holed);
-    (share(reachable, pairs, 1.0), walk)
+    walk
 }
 
 /// Where following the published next hops from each source ends, over
@@ -627,6 +606,8 @@ fn sample_routes(
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouteWalk {
     pub pairs: u64,
+    /// The source holds a next hop for the destination.
+    pub reachable: u64,
     /// The walk reached the destination.
     pub delivered: u64,
     /// The walk came back to a node it had passed.
@@ -637,6 +618,11 @@ pub struct RouteWalk {
 }
 
 impl RouteWalk {
+    /// Reachable share of the pairs (1 with no pairs).
+    pub fn reachable_share(&self) -> f64 {
+        share(self.reachable, self.pairs, 1.0)
+    }
+
     /// Delivered share of the pairs (1 with no pairs).
     pub fn delivered_share(&self) -> f64 {
         share(self.delivered, self.pairs, 1.0)
@@ -671,6 +657,8 @@ pub fn walk_routes(next_hops: &[Option<&[Option<NodeId>]>], on: &[bool]) -> Rout
         BlackHoled,
     }
     let n = next_hops.len();
+    let hop =
+        |at: usize, dst: usize| next_hops[at].and_then(|hops| hops.get(dst).copied().flatten());
     let mut walk = RouteWalk::default();
     let mut fate = vec![Fate::Unknown; n];
     let mut path = Vec::new();
@@ -678,6 +666,8 @@ pub fn walk_routes(next_hops: &[Option<&[Option<NodeId>]>], on: &[bool]) -> Rout
         fate.fill(Fate::Unknown);
         fate[dst] = Fate::Delivered;
         for src in (0..n).filter(|&s| on[s] && s != dst) {
+            walk.pairs += 1;
+            walk.reachable += u64::from(hop(src, dst).is_some());
             let mut at = src;
             let end = loop {
                 match fate[at] {
@@ -687,8 +677,7 @@ pub fn walk_routes(next_hops: &[Option<&[Option<NodeId>]>], on: &[bool]) -> Rout
                 }
                 fate[at] = Fate::Visiting;
                 path.push(at);
-                let hop = next_hops[at].and_then(|hops| hops.get(dst).copied().flatten());
-                match hop.map(NodeId::index) {
+                match hop(at, dst).map(NodeId::index) {
                     Some(next) if next < n && on[next] => at = next,
                     _ => break Fate::BlackHoled,
                 }
@@ -696,7 +685,6 @@ pub fn walk_routes(next_hops: &[Option<&[Option<NodeId>]>], on: &[bool]) -> Rout
             for at in path.drain(..) {
                 fate[at] = end;
             }
-            walk.pairs += 1;
             match end {
                 Fate::Delivered => walk.delivered += 1,
                 Fate::Looped => walk.looped += 1,
@@ -767,7 +755,8 @@ async fn run_fleet_inner(
         now_us = wheel.now().as_micros() as u64;
         if timeline.len() < samples && now_us >= next_sample_us {
             let nominal = (timeline.len() + 1) as f64 * cfg.sample_every.as_secs_f64();
-            let (r, walk) = sample_routes(&views(&wheel), &cfg.plan, nominal);
+            let walk = sample_routes(&views(&wheel), &cfg.plan, nominal);
+            let r = walk.reachable_share();
             fleet_obs().reachability.observe(r);
             fleet_obs().delivered.observe(walk.delivered_share());
             timeline.push((nominal, r));
@@ -1022,9 +1011,8 @@ mod tests {
         for (records, costs) in held {
             assert_eq!(records, cfg.n, "an LSDB short of the fleet");
             for c in costs {
-                assert_eq!(
-                    crate::codec::cost_len(c),
-                    1,
+                assert!(
+                    crate::codec::cost_word(c) < 0x80,
                     "a held cost of {c} ms takes more than the one-byte cost word. \
                      Exact RTT estimates (ROADMAP item 15) are arbitrary floats: they \
                      take the 5-byte escape and give the anti-entropy and gossip \
@@ -1069,6 +1057,9 @@ mod tests {
         let mut expect = RouteWalk::default();
         for dst in (0..n).filter(|&d| on[d]) {
             for src in (0..n).filter(|&s| on[s] && s != dst) {
+                if tables[src].is_some_and(|t| t.get(dst).is_some_and(Option::is_some)) {
+                    expect.reachable += 1;
+                }
                 let (mut at, mut hops_taken) = (src, 0);
                 let fate = loop {
                     if at == dst {
@@ -1091,6 +1082,7 @@ mod tests {
         let walk = walk_routes(&tables, &on);
         assert_eq!(walk, expect);
         assert!(walk.delivered > 0 && walk.looped > 0 && walk.black_holed > 0);
+        assert!(walk.reachable > walk.delivered && walk.reachable < walk.pairs);
         assert_eq!(walk.pairs, 6 * 5);
         assert_eq!(RouteWalk::default().delivered_share(), 1.0);
         assert_eq!(RouteWalk::default().looped_share(), 0.0);

@@ -8,8 +8,8 @@
 //!   announcements (id + neighbor ids + link costs, §4.3), LSDB sync for
 //!   newcomers, ping/pong measurement probes, heartbeats for donated
 //!   links, leave notices.
-//! * [`codec`] — length-prefixed binary framing over [`bytes`], with
-//!   magic/version/checksum; decoding is total (corrupt frames are
+//! * [`codec`] — length-prefixed binary framing into plain `Vec<u8>`
+//!   frames, with magic/version/checksum; decoding is total (corrupt frames are
 //!   rejected, never panic) — exercised by proptest and fault injection.
 //! * [`lsdb`] — the link-state database: sequence-numbered announcements,
 //!   flood deduplication, aging, and graph snapshots.

@@ -115,6 +115,26 @@ pub enum Message {
 }
 
 impl Message {
+    /// The sender a message names in its `from` field, for the kinds
+    /// that carry one. Receivers drop a frame whose named sender is not
+    /// the endpoint it came from: a forged `Leave`, `Pong` or `Hello`
+    /// would otherwise act on, or answer, a third party.
+    pub fn claimed_sender(&self) -> Option<NodeId> {
+        match *self {
+            Message::BootstrapRequest { from }
+            | Message::Hello { from }
+            | Message::LsdbDigest { from, .. }
+            | Message::LsdbPull { from, .. }
+            | Message::Ping { from, .. }
+            | Message::Pong { from, .. }
+            | Message::Heartbeat { from }
+            | Message::Leave { from } => Some(from),
+            Message::BootstrapResponse { .. }
+            | Message::LsdbSync { .. }
+            | Message::LinkState { .. } => None,
+        }
+    }
+
     /// Message-class label for overhead accounting.
     pub fn class(&self) -> MessageClass {
         match self {

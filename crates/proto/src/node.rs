@@ -551,7 +551,7 @@ struct SyncPush {
     /// LSAs pushed, full or as refresh entries.
     records: u64,
     refreshes: u64,
-    frame: bytes::Bytes,
+    frame: Vec<u8>,
 }
 
 /// The push of `lsas` and `refreshes`; `None` when there is nothing to
@@ -687,7 +687,7 @@ impl<T: Transport> EgoistNode<T> {
     }
 
     /// Account for and send one already-encoded frame of `class`.
-    fn send_frame(&mut self, to: NodeId, class: MessageClass, frame: bytes::Bytes) {
+    fn send_frame(&mut self, to: NodeId, class: MessageClass, frame: Vec<u8>) {
         self.overhead.record(class, frame.len());
         let obs = proto_obs();
         obs.send_frames[class.slot()].inc();
@@ -960,7 +960,7 @@ impl<T: Transport> EgoistNode<T> {
         self.send_to_all(&targets, &Message::LinkState { lsa, ttl });
     }
 
-    /// One message to several peers: encoded once, the frame shared.
+    /// One message to several peers: encoded once, a copy per target.
     fn send_to_all(&mut self, targets: &[NodeId], msg: &Message) {
         if targets.is_empty() {
             return;
@@ -1472,7 +1472,7 @@ impl<T: Transport> EgoistNode<T> {
         }
     }
 
-    fn handle_frame(&mut self, from: NodeId, frame: bytes::Bytes) {
+    fn handle_frame(&mut self, from: NodeId, frame: Vec<u8>) {
         if from.index() < self.cfg.n && self.health[from.index()].banned {
             proto_obs().banned_frames.inc();
             return;
@@ -1489,6 +1489,13 @@ impl<T: Transport> EgoistNode<T> {
                 return;
             }
         };
+        if msg.claimed_sender().is_some_and(|named| named != from) {
+            // A frame naming another sender is forged: acting on it would
+            // let any node drop a victim (`Leave`), price its pending
+            // ping (`Pong`) or aim an LSDB transfer at it (`Hello`).
+            self.punish(from, 1);
+            return;
+        }
         {
             let obs = proto_obs();
             let class = msg.class();
@@ -1514,10 +1521,10 @@ impl<T: Transport> EgoistNode<T> {
                     }
                 }
             }
-            Message::Hello { from: peer } => {
+            Message::Hello { .. } => {
                 let all: Vec<_> = self.lsdb.all().collect();
                 let frame = encode_sync(&all, &[]);
-                self.send_frame(peer, MessageClass::Sync, frame);
+                self.send_frame(from, MessageClass::Sync, frame);
             }
             Message::LsdbSync { lsas, refreshes } => {
                 let tally = egoist_obs::is_enabled();
@@ -1577,10 +1584,7 @@ impl<T: Transport> EgoistNode<T> {
                     self.gossip_lsa(lsa, ttl - 1, Some(from));
                 }
             }
-            Message::LsdbDigest {
-                from: peer,
-                entries,
-            } => {
+            Message::LsdbDigest { entries, .. } => {
                 // Anti-entropy: push what we know fresher, pull what the
                 // partner knows fresher. Records the digest agrees with
                 // are refreshed — the partner's knowledge of (origin,
@@ -1591,12 +1595,12 @@ impl<T: Transport> EgoistNode<T> {
                 let entries = lsdb::ascending(&entries);
                 self.lsdb.touch_matching(&entries, now);
                 let push = self.lsdb.fresher_than(&entries);
-                self.push_sync(peer, sync_push(&push.full, &push.refreshes));
+                self.push_sync(from, sync_push(&push.full, &push.refreshes));
                 let stale = self.lsdb.stale_origins(&entries);
                 if !stale.is_empty() {
                     self.bump(Tally::AePulls, 1);
                     self.send_msg(
-                        peer,
+                        from,
                         &Message::LsdbPull {
                             from: self.cfg.id,
                             origins: stale,
@@ -1604,19 +1608,12 @@ impl<T: Transport> EgoistNode<T> {
                     );
                 }
             }
-            Message::LsdbPull {
-                from: peer,
-                origins,
-            } => {
-                self.push_sync(peer, sync_push(&self.lsdb.select(&origins), &[]));
+            Message::LsdbPull { origins, .. } => {
+                self.push_sync(from, sync_push(&self.lsdb.select(&origins), &[]));
             }
-            Message::Ping {
-                from: peer,
-                nonce,
-                hb,
-            } => {
+            Message::Ping { nonce, hb, .. } => {
                 self.send_msg(
-                    peer,
+                    from,
                     &Message::Pong {
                         from: self.cfg.id,
                         nonce,
@@ -1625,12 +1622,10 @@ impl<T: Transport> EgoistNode<T> {
                 );
             }
             Message::Pong {
-                from: peer,
-                nonce,
-                hb: _,
+                from: peer, nonce, ..
             } => {
-                if let Some((expected, sent_at)) = self.pending_pings.take(nonce) {
-                    if expected == peer && peer.index() < self.cfg.n {
+                if let Some(sent_at) = self.pending_pings.take(nonce, peer) {
+                    if peer.index() < self.cfg.n {
                         self.health[peer.index()].record(false);
                         let one_way_ms = sent_at.elapsed().as_secs_f64() * 1000.0 / 2.0;
                         self.est[peer.index()].update(one_way_ms);
@@ -2348,9 +2343,7 @@ mod tests {
             let flooder = net.endpoint(NodeId(2));
             for _ in 0..8 {
                 for target in [NodeId(0), NodeId(1)] {
-                    flooder
-                        .send(target, bytes::Bytes::from_static(b"\xFFnoise\x00"))
-                        .unwrap();
+                    flooder.send(target, b"\xFFnoise\x00".to_vec()).unwrap();
                 }
                 wheel.run_for(Duration::from_millis(300)).await;
             }
@@ -2665,12 +2658,18 @@ mod tests {
     /// suppression on (`announce_refresh = 3`).
     fn probe_rig() -> (EgoistNode<crate::SimTransport>, [crate::SimTransport; 2]) {
         let net = SimNet::clean(DistanceMatrix::off_diagonal(8, 1.0));
+        let node = probe_node(&net);
+        (node, [net.endpoint(NodeId(1)), net.endpoint(NodeId(2))])
+    }
+
+    /// [`probe_rig`]'s node on `net`.
+    fn probe_node(net: &SimNet) -> EgoistNode<crate::SimTransport> {
         let mut cfg = NodeConfig::new(NodeId(0), 8, 2);
         cfg.announce_refresh = 3;
         let mut node = EgoistNode::new(cfg, net.endpoint(NodeId(0)));
         node.wiring = vec![NodeId(1), NodeId(2)];
         node.est[1].update(3.0);
-        (node, [net.endpoint(NodeId(1)), net.endpoint(NodeId(2))])
+        node
     }
 
     /// What `peer` received once the frames in flight have landed.
@@ -2754,6 +2753,89 @@ mod tests {
                 assert_eq!(cost_to(sent[0], NodeId(2)), measured as f32);
             }
             assert_eq!(node.tallies[Tally::UnmeasuredLinks], 0);
+        });
+    }
+
+    /// [`probe_rig`] with peer 1's LSA in the LSDB and an endpoint for
+    /// peer 3, a forger the node is not wired to.
+    fn forgery_rig() -> (EgoistNode<crate::SimTransport>, [crate::SimTransport; 3]) {
+        let net = SimNet::clean(DistanceMatrix::off_diagonal(8, 1.0));
+        let mut node = probe_node(&net);
+        let lsa = LinkStateAnnouncement {
+            origin: NodeId(1),
+            seq: 4,
+            links: vec![LinkEntry {
+                neighbor: NodeId(0),
+                cost: 3.0,
+            }],
+        };
+        node.lsdb.apply_ref(&lsa, 0.0);
+        (node, [1, 2, 3].map(|i| net.endpoint(NodeId(i))))
+    }
+
+    /// `forger` sends `msg` to the node, which drains it.
+    async fn forge(
+        node: &mut EgoistNode<crate::SimTransport>,
+        forger: &crate::SimTransport,
+        msg: Message,
+    ) {
+        forger.send(node.id(), encode(&msg)).unwrap();
+        tokio::time::sleep(Duration::from_millis(5)).await;
+        node.drain().await;
+    }
+
+    /// A `Leave` naming a peer it did not come from is dropped, and its
+    /// sender draws a misbehaviour point: the named peer stays known,
+    /// measured and wired.
+    #[test]
+    fn a_forged_leave_leaves_the_victim_known_and_wired() {
+        tokio::runtime::block_on_paused(async {
+            let (mut node, [_one, _two, forger]) = forgery_rig();
+            forge(&mut node, &forger, Message::Leave { from: NodeId(1) }).await;
+            assert!(node.wiring.contains(&NodeId(1)));
+            assert_eq!(node.lsdb.get(NodeId(1)).map(|l| l.seq), Some(4));
+            assert_eq!(node.est[1].value, 3.0);
+            let points: Vec<_> = node.misbehavior.totals().collect();
+            assert_eq!(points, [(NodeId(3), 1)]);
+        });
+    }
+
+    /// A `Pong` carrying another peer's pending nonce prices nothing and
+    /// releases nothing, whether it names that peer or its own sender.
+    #[test]
+    fn a_forged_pong_leaves_the_ping_pending_and_the_estimate_nan() {
+        tokio::runtime::block_on_paused(async {
+            let (mut node, [_one, mut two, forger]) = forgery_rig();
+            node.announce(false);
+            let got = inbox(&mut two).await;
+            let [Message::Ping { nonce, hb, .. }] = got[..] else {
+                panic!("one probe to the unmeasured peer: {got:?}");
+            };
+            for from in [NodeId(2), NodeId(3)] {
+                forge(&mut node, &forger, Message::Pong { from, nonce, hb }).await;
+                assert!(node.pending_pings.awaits(NodeId(2)), "from {from}");
+                assert!(node.est[2].value.is_nan(), "from {from}");
+            }
+            // The real pong still prices the link.
+            answer_pings(&mut node, &mut two, &got).await;
+            assert!(!node.pending_pings.awaits(NodeId(2)));
+            assert!(node.est[2].value > 1.0);
+        });
+    }
+
+    /// A `Hello` naming another peer is not answered: no LSDB transfer
+    /// is aimed at the peer it names, nor sent back to the forger.
+    #[test]
+    fn a_forged_hello_sends_nothing() {
+        tokio::runtime::block_on_paused(async {
+            let (mut node, [mut one, _two, mut forger]) = forgery_rig();
+            forge(&mut node, &forger, Message::Hello { from: NodeId(1) }).await;
+            assert_eq!(inbox(&mut one).await, []);
+            assert_eq!(inbox(&mut forger).await, []);
+            // Its own name is answered, with the LSDB.
+            forge(&mut node, &forger, Message::Hello { from: NodeId(3) }).await;
+            let got = inbox(&mut forger).await;
+            assert!(matches!(&got[..], [Message::LsdbSync { lsas, .. }] if lsas.len() == 1));
         });
     }
 

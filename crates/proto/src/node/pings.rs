@@ -37,13 +37,17 @@ impl PendingPings {
         nonce
     }
 
-    /// The ping `nonce` answers, released; `None` for a nonce this node
-    /// does not hold (never issued, answered, expired or cleared).
-    pub(super) fn take(&mut self, nonce: u64) -> Option<(NodeId, Instant)> {
+    /// When the ping `nonce` was sent, released if it went to `peer`;
+    /// `None` for a nonce this node does not hold (never issued,
+    /// answered, expired or cleared) or holds for another peer, whose
+    /// ping stays pending.
+    pub(super) fn take(&mut self, nonce: u64, peer: NodeId) -> Option<Instant> {
         let at = usize::try_from(nonce.checked_sub(self.base)?).ok()?;
-        let taken = self.slots.get_mut(at)?.take();
+        let slot = self.slots.get_mut(at)?;
+        let (_, sent) = slot.filter(|&(p, _)| p == peer)?;
+        *slot = None;
         self.pop_answered();
-        taken
+        Some(sent)
     }
 
     /// Release every ping sent at least `deadline` before `now`, and
@@ -129,7 +133,8 @@ mod tests {
     /// One step of a random run, from a drawn `(kind, a, b)`: ping peer
     /// `a % 6` `b % 400` ms after the previous step, pong the nonce `a`
     /// back from the next one (the first nonce and ones never issued are
-    /// among them), ban peer `a % 6`, or expire `b` ms on.
+    /// among them; a pong from a peer the ping did not go to releases
+    /// nothing), ban peer `a % 6`, or expire `b` ms on.
     fn step(
         window: &mut PendingPings,
         reference: &mut Reference,
@@ -144,8 +149,18 @@ mod tests {
                 prop_assert_eq!(window.issue(peer, *now), reference.issue(peer, *now));
             }
             4..=6 => {
+                // Mostly from the pinged peer, now and then from another.
                 let nonce = reference.next.wrapping_sub(a as u64);
-                prop_assert_eq!(window.take(nonce), reference.pending.remove(&nonce));
+                let held = reference.pending.get(&nonce).copied();
+                let from = match held {
+                    Some((p, _)) if b % 4 != 0 => p,
+                    _ => NodeId((b % 6) as u32),
+                };
+                let released = held.filter(|&(p, _)| p == from);
+                if released.is_some() {
+                    reference.pending.remove(&nonce);
+                }
+                prop_assert_eq!(window.take(nonce, from), released.map(|(_, at)| at));
             }
             7 => {
                 window.forget(peer);

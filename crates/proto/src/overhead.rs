@@ -37,7 +37,7 @@ impl OverheadCounters {
         self.per_class[class.slot()].0
     }
 
-    /// Bytes sent in a class.
+    /// Frame bytes sent in a class.
     pub fn bytes(&self, class: MessageClass) -> u64 {
         self.per_class[class.slot()].1
     }

@@ -15,13 +15,14 @@
 //! keyed by (delivery instant, send sequence). A send asks the fault
 //! injector for a verdict on the frame's *length*, takes the
 //! destination's sender, and pushes one entry — two for a `Duplicate`
-//! verdict, a later one for `Delayed` / `Reordered`. The frame stays the
-//! caller's shared `Bytes`; only a `Corrupted` verdict copies it. One
-//! *pump* task per net, spawned by the first send, sleeps until the
-//! calendar's earliest instant and then lands every due entry in its
-//! inbox in calendar order; a send due before the pump's timer wakes it
-//! to re-arm. Nothing is spawned or copied per frame, and the runtime
-//! sees one timer per distinct delivery instant, not one per frame.
+//! verdict, a later one for `Delayed` / `Reordered`. A frame is a plain
+//! `Vec<u8>` the sender hands over: a `Corrupted` verdict flips its bit
+//! in place, and only a `Duplicate` verdict copies it. One *pump* task
+//! per net, spawned by the first send, sleeps until the calendar's
+//! earliest instant and then lands every due entry in its inbox in
+//! calendar order; a send due before the pump's timer wakes it to
+//! re-arm. Nothing is spawned per frame, and the runtime sees one timer
+//! per distinct delivery instant, not one per frame.
 //!
 //! Each inbox is a `tokio::sync::mpsc` unbounded channel, which keeps a
 //! *pending count* beside its locked queue, so `try_recv` on an empty
@@ -42,7 +43,6 @@
 //! `chaos_fleet`'s full report stays byte-equal to
 //! `BENCH_robustness.json`, which CI checks.
 
-use bytes::Bytes;
 use egoist_graph::{DistanceMatrix, NodeId};
 /// The verdict counts a [`SimNet`] reports ([`SimNet::fault_stats`]).
 pub use egoist_netsim::fault::FaultStats;
@@ -91,15 +91,15 @@ pub trait Transport: Send + 'static {
     /// a silent drop (datagram semantics) — protocol liveness comes from
     /// retries and timeouts, not the transport. An `Err` is a frame the
     /// transport could not send, and it counts it.
-    fn send(&self, to: NodeId, frame: Bytes) -> io::Result<()>;
+    fn send(&self, to: NodeId, frame: Vec<u8>) -> io::Result<()>;
 
     /// Receive the next frame as `(sender, bytes)`. `None` = transport
     /// closed.
-    fn recv(&mut self) -> impl std::future::Future<Output = Option<(NodeId, Bytes)>> + Send;
+    fn recv(&mut self) -> impl std::future::Future<Output = Option<(NodeId, Vec<u8>)>> + Send;
 
     /// Non-blocking receive: the next already-delivered frame, or `None`
     /// when none is waiting. The wheel drains every node with this.
-    fn try_recv(&mut self) -> Option<(NodeId, Bytes)>;
+    fn try_recv(&mut self) -> Option<(NodeId, Vec<u8>)>;
 }
 
 // ---------------------------------------------------------------------
@@ -107,7 +107,7 @@ pub trait Transport: Send + 'static {
 // ---------------------------------------------------------------------
 
 /// A handle that can still deliver into one endpoint's inbox.
-type Sender = mpsc::UnboundedSender<(NodeId, Bytes)>;
+type Sender = mpsc::UnboundedSender<(NodeId, Vec<u8>)>;
 
 /// A frame in flight: lands in `to` at `at`; `seq` (send order on the
 /// net) orders frames due at the same instant.
@@ -115,7 +115,7 @@ struct InFlight {
     at: Instant,
     seq: u64,
     from: NodeId,
-    frame: Bytes,
+    frame: Vec<u8>,
     to: Sender,
 }
 
@@ -171,7 +171,7 @@ struct SimNetInner {
 
 impl SimNetInner {
     /// Put one frame in flight, landing `ms` from now.
-    fn schedule(self: &Arc<Self>, ms: f64, from: NodeId, to: Sender, frame: Bytes) {
+    fn schedule(self: &Arc<Self>, ms: f64, from: NodeId, to: Sender, frame: Vec<u8>) {
         let at = Instant::now() + Duration::from_secs_f64(ms / 1000.0);
         let mut cal = self.calendar.lock();
         let seq = cal.sent;
@@ -320,7 +320,7 @@ impl SimNet {
 pub struct SimTransport {
     id: NodeId,
     net: Arc<SimNetInner>,
-    rx: mpsc::UnboundedReceiver<(NodeId, Bytes)>,
+    rx: mpsc::UnboundedReceiver<(NodeId, Vec<u8>)>,
 }
 
 impl Transport for SimTransport {
@@ -328,7 +328,7 @@ impl Transport for SimTransport {
         self.id
     }
 
-    fn send(&self, to: NodeId, frame: Bytes) -> io::Result<()> {
+    fn send(&self, to: NodeId, mut frame: Vec<u8>) -> io::Result<()> {
         let net = &self.net;
         net.frames_sent.fetch_add(1, Ordering::Relaxed);
         net.bytes_sent
@@ -349,15 +349,7 @@ impl Transport for SimTransport {
         } else {
             1.0
         };
-        // The frame stays the caller's shared buffer unless it is damaged.
-        let frame = match verdict {
-            Verdict::Corrupted { .. } => {
-                let mut data = frame.to_vec();
-                verdict.damage(&mut data);
-                Bytes::from(data)
-            }
-            _ => frame,
-        };
+        verdict.damage(&mut frame);
         match verdict {
             Verdict::Duplicate { extra_us } => {
                 net.schedule(delay_ms, from, tx.clone(), frame.clone());
@@ -371,11 +363,11 @@ impl Transport for SimTransport {
         Ok(())
     }
 
-    async fn recv(&mut self) -> Option<(NodeId, Bytes)> {
+    async fn recv(&mut self) -> Option<(NodeId, Vec<u8>)> {
         self.rx.recv().await
     }
 
-    fn try_recv(&mut self) -> Option<(NodeId, Bytes)> {
+    fn try_recv(&mut self) -> Option<(NodeId, Vec<u8>)> {
         self.rx.try_recv()
     }
 }
@@ -430,7 +422,7 @@ impl Transport for UdpTransport {
         self.id
     }
 
-    fn send(&self, to: NodeId, frame: Bytes) -> io::Result<()> {
+    fn send(&self, to: NodeId, frame: Vec<u8>) -> io::Result<()> {
         let addr = { self.by_id.lock().get(&to).copied() };
         let Some(addr) = addr else {
             return Ok(()); // unknown peer: datagram lost
@@ -446,7 +438,7 @@ impl Transport for UdpTransport {
 
     /// Polls [`Self::try_recv`] every millisecond; a UDP socket never
     /// closes.
-    async fn recv(&mut self) -> Option<(NodeId, Bytes)> {
+    async fn recv(&mut self) -> Option<(NodeId, Vec<u8>)> {
         loop {
             if let Some(got) = self.try_recv() {
                 return Some(got);
@@ -455,14 +447,14 @@ impl Transport for UdpTransport {
         }
     }
 
-    fn try_recv(&mut self) -> Option<(NodeId, Bytes)> {
+    fn try_recv(&mut self) -> Option<(NodeId, Vec<u8>)> {
         loop {
             // `WouldBlock` is an empty queue; any other error ends this
             // read, and the next one starts afresh.
             let (len, addr) = self.socket.recv_from(&mut self.buf).ok()?;
             let from = { self.by_addr.lock().get(&addr).copied() };
             if let Some(from) = from {
-                return Some((from, Bytes::copy_from_slice(&self.buf[..len])));
+                return Some((from, self.buf[..len].to_vec()));
             }
             // Unknown sender: drop (counted) and keep reading.
             transport_obs().unknown_sender.inc();
@@ -485,7 +477,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             let t0 = tokio::time::Instant::now();
-            a.send(NodeId(1), Bytes::from_static(b"hi")).unwrap();
+            a.send(NodeId(1), b"hi".to_vec()).unwrap();
             let (from, data) = b.recv().await.unwrap();
             let elapsed = t0.elapsed().as_secs_f64() * 1000.0;
             assert_eq!(from, NodeId(0));
@@ -500,7 +492,7 @@ mod tests {
             let net = SimNet::clean(two_node_delays(1.0));
             let a = net.endpoint(NodeId(0));
             // No endpoint for node 1: send succeeds, nothing delivered.
-            a.send(NodeId(1), Bytes::from_static(b"x")).unwrap();
+            a.send(NodeId(1), b"x".to_vec()).unwrap();
             assert_eq!(net.frames_sent(), 1);
         });
     }
@@ -512,7 +504,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             for _ in 0..10 {
-                a.send(NodeId(1), Bytes::from_static(b"y")).unwrap();
+                a.send(NodeId(1), b"y".to_vec()).unwrap();
             }
             // All dropped: recv should time out.
             let got = tokio::time::timeout(std::time::Duration::from_secs(5), b.recv()).await;
@@ -527,7 +519,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             net.disconnect(NodeId(1));
-            a.send(NodeId(1), Bytes::from_static(b"z")).unwrap();
+            a.send(NodeId(1), b"z".to_vec()).unwrap();
             // The hub dropped b's sender, so b's stream ends without ever
             // delivering the frame.
             let got = tokio::time::timeout(std::time::Duration::from_secs(5), b.recv()).await;
@@ -548,17 +540,17 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             // Before the window: delivered.
-            a.send(NodeId(1), Bytes::from_static(b"pre")).unwrap();
+            a.send(NodeId(1), b"pre".to_vec()).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"pre");
             // Inside the window: cut.
             tokio::time::sleep(std::time::Duration::from_secs(8)).await;
-            a.send(NodeId(1), Bytes::from_static(b"mid")).unwrap();
+            a.send(NodeId(1), b"mid".to_vec()).unwrap();
             let got = tokio::time::timeout(std::time::Duration::from_secs(2), b.recv()).await;
             assert!(got.is_err(), "partitioned frame must be cut");
             assert_eq!(net.fault_stats().cut, 1);
             // After the heal: delivered again.
             tokio::time::sleep(std::time::Duration::from_secs(8)).await;
-            a.send(NodeId(1), Bytes::from_static(b"post")).unwrap();
+            a.send(NodeId(1), b"post".to_vec()).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"post");
         });
     }
@@ -573,7 +565,7 @@ mod tests {
             let net = SimNet::new(two_node_delays(1.0), cfg, 4);
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
-            a.send(NodeId(1), Bytes::from_static(b"dup")).unwrap();
+            a.send(NodeId(1), b"dup".to_vec()).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
             assert_eq!(net.fault_stats().duplicated, 1);
@@ -587,7 +579,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             for i in 0..16u8 {
-                a.send(NodeId(1), Bytes::from(vec![i])).unwrap();
+                a.send(NodeId(1), vec![i]).unwrap();
             }
             let t0 = Instant::now();
             for i in 0..16u8 {
@@ -615,7 +607,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             let t0 = Instant::now();
-            a.send(NodeId(1), Bytes::from_static(b"dup")).unwrap();
+            a.send(NodeId(1), b"dup".to_vec()).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
             assert_eq!(t0.elapsed(), Duration::from_secs_f64(5.0 / 1000.0));
             assert_eq!(&b.recv().await.unwrap().1[..], b"dup");
@@ -625,12 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn corruption_damages_one_copy_of_a_shared_frame() {
+    fn corruption_damages_only_the_frame_it_hits() {
         let cfg = FaultConfig {
             corrupt_chance: 0.5,
             ..Default::default()
         };
-        let sent = Bytes::from(vec![0x5Au8; 24]);
+        let sent = vec![0x5Au8; 24];
         let targets = [NodeId(1), NodeId(2), NodeId(3)];
         // A seed whose verdicts on the three sends corrupt some, not all.
         let verdicts = |seed| {
@@ -652,7 +644,7 @@ mod tests {
             }
             for (rx, verdict) in inboxes.iter_mut().zip(verdicts(seed)) {
                 let got = rx.recv().await.unwrap().1;
-                let mut want = sent.to_vec();
+                let mut want = sent.clone();
                 verdict.damage(&mut want);
                 assert_eq!(got[..], want[..]);
                 let flipped: u32 = got
@@ -663,11 +655,6 @@ mod tests {
                 let corrupted = matches!(verdict, Verdict::Corrupted { .. });
                 assert_eq!(flipped, u32::from(corrupted), "{verdict:?}");
             }
-            assert_eq!(
-                sent[..],
-                [0x5Au8; 24],
-                "the sender's buffer is never written"
-            );
         });
     }
 
@@ -677,9 +664,9 @@ mod tests {
             let net = SimNet::clean(two_node_delays(10.0));
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
-            a.send(NodeId(1), Bytes::from_static(b"last")).unwrap();
+            a.send(NodeId(1), b"last".to_vec()).unwrap();
             net.disconnect(NodeId(1));
-            a.send(NodeId(1), Bytes::from_static(b"lost")).unwrap();
+            a.send(NodeId(1), b"lost".to_vec()).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"last");
             assert_eq!(b.recv().await, None);
             assert_eq!(b.try_recv(), None);
@@ -693,7 +680,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             for i in 0..40u8 {
-                a.send(NodeId(1), Bytes::from(vec![i])).unwrap();
+                a.send(NodeId(1), vec![i]).unwrap();
                 if i % 5 == 4 {
                     tokio::time::sleep(Duration::from_micros(700)).await;
                 }
@@ -722,16 +709,16 @@ mod tests {
         let mut b = net.endpoint(NodeId(1));
         tokio::runtime::block_on_paused(async {
             // This runtime ends before its pump is ever polled.
-            a.send(NodeId(1), Bytes::from_static(b"never")).unwrap();
+            a.send(NodeId(1), b"never".to_vec()).unwrap();
         });
         tokio::runtime::block_on_paused(async {
-            a.send(NodeId(1), Bytes::from_static(b"one")).unwrap();
+            a.send(NodeId(1), b"one".to_vec()).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"one");
             // In flight when this runtime ends: lost with it.
-            a.send(NodeId(1), Bytes::from_static(b"gone")).unwrap();
+            a.send(NodeId(1), b"gone".to_vec()).unwrap();
         });
         tokio::runtime::block_on_paused(async {
-            a.send(NodeId(1), Bytes::from_static(b"two")).unwrap();
+            a.send(NodeId(1), b"two".to_vec()).unwrap();
             assert_eq!(&b.recv().await.unwrap().1[..], b"two");
         });
     }
@@ -748,7 +735,7 @@ mod tests {
             let a = net.endpoint(NodeId(0));
             let mut b = net.endpoint(NodeId(1));
             let t0 = tokio::time::Instant::now();
-            a.send(NodeId(1), Bytes::from_static(b"j")).unwrap();
+            a.send(NodeId(1), b"j".to_vec()).unwrap();
             let _ = b.recv().await.unwrap();
             let ms = t0.elapsed().as_secs_f64() * 1000.0;
             assert!(ms >= 10.0, "jitter only adds latency: {ms} ms");
@@ -765,14 +752,14 @@ mod tests {
             let (aa, ba) = (a.local_addr().unwrap(), b.local_addr().unwrap());
             a.add_peer(NodeId(1), ba);
             b.add_peer(NodeId(0), aa);
-            a.send(NodeId(1), Bytes::from_static(b"ping")).unwrap();
+            a.send(NodeId(1), b"ping".to_vec()).unwrap();
             let (from, data) = tokio::time::timeout(std::time::Duration::from_secs(5), b.recv())
                 .await
                 .expect("timely")
                 .expect("open");
             assert_eq!(from, NodeId(0));
             assert_eq!(&data[..], b"ping");
-            b.send(NodeId(0), Bytes::from_static(b"pong")).unwrap();
+            b.send(NodeId(0), b"pong".to_vec()).unwrap();
             let (from, data) = tokio::time::timeout(std::time::Duration::from_secs(5), a.recv())
                 .await
                 .expect("timely")
@@ -793,9 +780,9 @@ mod tests {
         a.add_peer(NodeId(1), b.local_addr().unwrap());
         let failed = egoist_obs::counter("proto.drop.send_failed");
         let before = failed.get();
-        assert!(a.send(NodeId(1), Bytes::from(vec![7u8; 65_508])).is_err());
+        assert!(a.send(NodeId(1), vec![7u8; 65_508]).is_err());
         assert_eq!(failed.get() - before, 1);
-        assert!(a.send(NodeId(1), Bytes::from(vec![7u8; 65_507])).is_ok());
+        assert!(a.send(NodeId(1), vec![7u8; 65_507]).is_ok());
         assert_eq!(failed.get() - before, 1);
     }
 
@@ -805,7 +792,7 @@ mod tests {
             let mut a = UdpTransport::bind(NodeId(0), "127.0.0.1:0").unwrap();
             let stranger = UdpTransport::bind(NodeId(9), "127.0.0.1:0").unwrap();
             stranger.add_peer(NodeId(0), a.local_addr().unwrap());
-            stranger.send(NodeId(0), Bytes::from_static(b"??")).unwrap();
+            stranger.send(NodeId(0), b"??".to_vec()).unwrap();
             let got = tokio::time::timeout(std::time::Duration::from_millis(300), a.recv()).await;
             assert!(got.is_err(), "frames from unknown addresses are dropped");
         });

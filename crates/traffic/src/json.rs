@@ -1,5 +1,5 @@
-//! The workspace's JSON writer, re-exported from `egoist_obs::json`
-//! (the whole-stack benchmark and older callers name it through this
-//! crate).
+//! `egoist_obs::json`, re-exported only because the whole-stack
+//! benchmark calls `egoist_traffic::json::string`; everything else in
+//! the workspace names `egoist_obs::json` itself.
 
 pub use egoist_obs::json::*;

@@ -39,8 +39,8 @@
 //!   `traffic_workloads --sweep` binaries.
 //! * [`report`] — the [`report::TrafficReport`] metrics sink:
 //!   throughput, delivery ratio, p50/p99 flow latency, path stretch vs.
-//!   the direct underlay path — exported as JSON (via [`json`], a small
-//!   vendored writer, since the build environment has no serde).
+//!   the direct underlay path — exported as JSON through
+//!   `egoist_obs::json`, the workspace's one writer (no serde offline).
 //!
 //! ```
 //! use egoist_traffic::demand::WorkloadKind;

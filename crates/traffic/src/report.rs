@@ -5,10 +5,10 @@
 //! ratio, p50/p99 flow latency, mean path stretch. Exported as JSON so
 //! experiment binaries can emit machine-readable comparisons.
 
-use crate::json::{array, JsonObject, Layout::Compact};
 use crate::router::RouteOutcome;
 use egoist_core::sim::EpochSample;
 use egoist_core::stats;
+use egoist_obs::json::{array, JsonObject, Layout::Compact};
 use std::cmp::Ordering;
 
 /// One epoch's traffic measurements.
