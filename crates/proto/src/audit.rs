@@ -30,13 +30,14 @@ pub enum ClaimVerdict {
     Unknown,
 }
 
+/// Multiplicative slack on the claimed cost absorbing genuine delay
+/// variation (claims may honestly sit below a noisy bound by this
+/// relative margin).
+const SLACK: f64 = 0.5;
+
 /// Ranks second-hand link claims against the triangle lower bound.
 #[derive(Clone, Copy, Debug)]
 pub struct ClaimRanker {
-    /// Multiplicative slack on the claimed cost absorbing genuine delay
-    /// variation (claims may honestly sit below a noisy bound by this
-    /// relative margin).
-    pub slack: f64,
     /// Additive margin (metric units) shielding near-zero claims from
     /// measurement noise.
     pub margin: f64,
@@ -53,7 +54,6 @@ pub struct ClaimRanker {
 impl Default for ClaimRanker {
     fn default() -> Self {
         ClaimRanker {
-            slack: 0.5,
             margin: 2.0,
             tiv: 0.4,
         }
@@ -73,7 +73,7 @@ impl ClaimRanker {
         // substrate's asymmetry allowance on the long legs.
         let lower_bound =
             (est_to_origin - est_to_neighbor).abs() - self.tiv * est_to_origin.max(est_to_neighbor);
-        if claimed * (1.0 + self.slack) + self.margin < lower_bound {
+        if claimed * (1.0 + SLACK) + self.margin < lower_bound {
             ClaimVerdict::Contradicted
         } else {
             ClaimVerdict::Corroborated

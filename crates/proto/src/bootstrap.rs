@@ -8,6 +8,7 @@
 
 use crate::codec::{decode, encode};
 use crate::message::Message;
+use crate::node::Tally;
 use crate::transport::Transport;
 use egoist_graph::NodeId;
 use parking_lot::RwLock;
@@ -114,6 +115,8 @@ impl<T: Transport> BootstrapServer<T> {
             };
             if msg.claimed_sender().is_some_and(|named| named != from) {
                 // Forged: would register or remove a third party.
+                let forged = Tally::ForgedSenders.obs_name().expect("paired");
+                egoist_obs::counter(forged).inc();
                 continue;
             }
             match msg {
@@ -232,6 +235,10 @@ mod tests {
 
     #[test]
     fn forged_requests_and_leaves_are_ignored() {
+        let _forging = crate::node::tests::forging();
+        egoist_obs::enable();
+        let forged = egoist_obs::counter("proto.drop.forged_sender");
+        let before = forged.get();
         tokio::runtime::block_on_paused(async {
             let net = SimNet::clean(DistanceMatrix::off_diagonal(100, 1.0));
             let registry = Registry::default();
@@ -250,6 +257,7 @@ mod tests {
             assert_eq!(registry.members(), vec![NodeId(3)]);
             assert_eq!(forger.try_recv(), None, "a forged request is not answered");
         });
+        assert_eq!(forged.get() - before, 2);
     }
 
     #[test]

@@ -272,7 +272,6 @@ pub fn third_party_lure_profile(quick: bool) -> FleetConfig {
     // third-party cost between two measured nodes is a clean triangle
     // violation. The margin only absorbs wheel quantization (~2 ms).
     cfg.claims = ClaimRanker {
-        slack: 0.5,
         margin: 2.5,
         tiv: 0.0,
     };

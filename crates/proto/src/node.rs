@@ -111,6 +111,9 @@ tallies! {
     Epochs epochs None,
     /// Frames that failed to decode (corruption, garbage).
     DecodeErrors decode_errors Some("proto.decode_errors"),
+    /// Frames dropped because the sender they name is not the one they
+    /// came from (the bootstrap server adds its own to the counter).
+    ForgedSenders forged_senders Some("proto.drop.forged_sender"),
     /// Bootstrap queries re-sent on the join backoff.
     JoinRetries join_retries Some("proto.join.retries"),
     /// Unresponsive neighbors dropped to the passive view.
@@ -1493,6 +1496,7 @@ impl<T: Transport> EgoistNode<T> {
             // A frame naming another sender is forged: acting on it would
             // let any node drop a victim (`Leave`), price its pending
             // ping (`Pong`) or aim an LSDB transfer at it (`Hello`).
+            self.bump(Tally::ForgedSenders, 1);
             self.punish(from, 1);
             return;
         }
@@ -1839,7 +1843,7 @@ mod route;
 mod route_props;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bootstrap::{BootstrapServer, Registry};
     use crate::transport::SimNet;
@@ -2756,6 +2760,13 @@ mod tests {
         });
     }
 
+    /// Held by every test that forges a sender, so that one reading the
+    /// process-wide `proto.drop.forged_sender` counter sees only its own.
+    pub(crate) fn forging() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// [`probe_rig`] with peer 1's LSA in the LSDB and an endpoint for
     /// peer 3, a forger the node is not wired to.
     fn forgery_rig() -> (EgoistNode<crate::SimTransport>, [crate::SimTransport; 3]) {
@@ -2789,6 +2800,7 @@ mod tests {
     /// measured and wired.
     #[test]
     fn a_forged_leave_leaves_the_victim_known_and_wired() {
+        let _forging = forging();
         tokio::runtime::block_on_paused(async {
             let (mut node, [_one, _two, forger]) = forgery_rig();
             forge(&mut node, &forger, Message::Leave { from: NodeId(1) }).await;
@@ -2797,6 +2809,7 @@ mod tests {
             assert_eq!(node.est[1].value, 3.0);
             let points: Vec<_> = node.misbehavior.totals().collect();
             assert_eq!(points, [(NodeId(3), 1)]);
+            assert_eq!(node.tallies[Tally::ForgedSenders], 1);
         });
     }
 
@@ -2804,6 +2817,7 @@ mod tests {
     /// releases nothing, whether it names that peer or its own sender.
     #[test]
     fn a_forged_pong_leaves_the_ping_pending_and_the_estimate_nan() {
+        let _forging = forging();
         tokio::runtime::block_on_paused(async {
             let (mut node, [_one, mut two, forger]) = forgery_rig();
             node.announce(false);
@@ -2816,6 +2830,8 @@ mod tests {
                 assert!(node.pending_pings.awaits(NodeId(2)), "from {from}");
                 assert!(node.est[2].value.is_nan(), "from {from}");
             }
+            // Only the pong naming peer 2 is forged.
+            assert_eq!(node.tallies[Tally::ForgedSenders], 1);
             // The real pong still prices the link.
             answer_pings(&mut node, &mut two, &got).await;
             assert!(!node.pending_pings.awaits(NodeId(2)));
@@ -2827,6 +2843,7 @@ mod tests {
     /// is aimed at the peer it names, nor sent back to the forger.
     #[test]
     fn a_forged_hello_sends_nothing() {
+        let _forging = forging();
         tokio::runtime::block_on_paused(async {
             let (mut node, [mut one, _two, mut forger]) = forgery_rig();
             forge(&mut node, &forger, Message::Hello { from: NodeId(1) }).await;
@@ -2836,6 +2853,7 @@ mod tests {
             forge(&mut node, &forger, Message::Hello { from: NodeId(3) }).await;
             let got = inbox(&mut forger).await;
             assert!(matches!(&got[..], [Message::LsdbSync { lsas, .. }] if lsas.len() == 1));
+            assert_eq!(node.tallies[Tally::ForgedSenders], 1);
         });
     }
 

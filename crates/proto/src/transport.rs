@@ -11,37 +11,33 @@
 //!
 //! # How [`SimNet`] delivers
 //!
-//! Every frame in flight on a net sits in one *calendar*, a min-heap
-//! keyed by (delivery instant, send sequence). A send asks the fault
-//! injector for a verdict on the frame's *length*, takes the
-//! destination's sender, and pushes one entry — two for a `Duplicate`
+//! Each [`SimTransport`] owns the *calendar* of the frames in flight to
+//! it, a min-heap keyed by (delivery instant, send sequence), and
+//! nothing but the receiver takes frames out of it. A send asks the
+//! fault injector for a verdict on the frame's *length*, and pushes one
+//! entry into the destination's calendar — two for a `Duplicate`
 //! verdict, a later one for `Delayed` / `Reordered`. A frame is a plain
 //! `Vec<u8>` the sender hands over: a `Corrupted` verdict flips its bit
-//! in place, and only a `Duplicate` verdict copies it. One *pump* task
-//! per net, spawned by the first send, sleeps until the calendar's
-//! earliest instant and then lands every due entry in its inbox in
-//! calendar order; a send due before the pump's timer wakes it to
-//! re-arm. Nothing is spawned per frame, and the runtime sees one timer
-//! per distinct delivery instant, not one per frame.
+//! in place, and only a `Duplicate` verdict copies it. No task delivers
+//! anything, and the runtime sees no timer per frame.
 //!
-//! Each inbox is a `tokio::sync::mpsc` unbounded channel, which keeps a
-//! *pending count* beside its locked queue, so `try_recv` on an empty
-//! inbox — what the fleet's drain sweep finds at most nodes on most
-//! steps — is one atomic load.
+//! [`Transport::try_recv`] pops the head once it is due: its instant
+//! is at or before `Instant::now()`. A frame count kept in an atomic
+//! beside the heap makes `try_recv` on an empty calendar — what the
+//! fleet's drain sweep finds at most nodes on most steps — one load.
+//! [`Transport::recv`] returns a due head, or `None` once
+//! [`SimNet::disconnect`] has closed an empty calendar; otherwise it
+//! sleeps until the head is due, and a send that puts an earlier frame
+//! at the head wakes it to re-arm.
 //!
-//! This is exact against the one-task-per-frame delivery it replaced.
-//! The instant is the same expression, `Instant::now() +
-//! Duration::from_secs_f64(ms / 1000.0)`, so each frame lands at the
-//! same virtual nanosecond. Frames due at the same instant land in send
-//! order, which is the order their tasks registered their timers. A
-//! frame in flight holds its destination's sender, so it still lands
-//! after a `disconnect`, and the stream ends after the last such frame.
-//! One order is not kept: a frame due at the *same nanosecond* as some
-//! other task's timer was ordered against it by timer registration, and
-//! is now ordered by when the pump armed. Delays are real-valued
-//! milliseconds, so such ties are rare, and none moved a report —
-//! `chaos_fleet`'s full report stays byte-equal to
-//! `BENCH_robustness.json`, which CI checks.
+//! The instant is `Instant::now() + Duration::from_secs_f64(ms /
+//! 1000.0)`, read at send time, so a frame lands at the same virtual
+//! nanosecond as the one-task-per-frame delivery this replaced. Frames
+//! due at the same instant come out in send order, and a step at
+//! instant `t` takes every frame due by `t`. A frame in flight stays in
+//! its calendar: it still lands after a `disconnect`, and after the
+//! runtime it was sent on ends it lands at its instant on the next
+//! runtime's clock.
 
 use egoist_graph::{DistanceMatrix, NodeId};
 /// The verdict counts a [`SimNet`] reports ([`SimNet::fault_stats`]).
@@ -49,18 +45,16 @@ pub use egoist_netsim::fault::FaultStats;
 use egoist_netsim::fault::{FaultConfig, FaultInjector, FaultPlan, Verdict};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::future::Future;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
-use tokio::sync::mpsc;
-use tokio::time::{Instant, Sleep};
+use tokio::time::Instant;
 
 /// Obs handles for transport-level drops that used to vanish silently.
 struct TransportObs {
@@ -106,140 +100,103 @@ pub trait Transport: Send + 'static {
 // Simulated network
 // ---------------------------------------------------------------------
 
-/// A handle that can still deliver into one endpoint's inbox.
-type Sender = mpsc::UnboundedSender<(NodeId, Vec<u8>)>;
+/// A frame in flight to one endpoint: `(at, seq, from, frame)`. It lands
+/// at `at`; `seq` counts the endpoint's pushes, so frames due at the same
+/// instant come out in send order and no two entries compare equal.
+type InFlight = (Instant, u64, NodeId, Vec<u8>);
 
-/// A frame in flight: lands in `to` at `at`; `seq` (send order on the
-/// net) orders frames due at the same instant.
-struct InFlight {
-    at: Instant,
-    seq: u64,
-    from: NodeId,
-    frame: Vec<u8>,
-    to: Sender,
-}
-
-impl InFlight {
-    fn key(&self) -> (Instant, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl PartialEq for InFlight {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for InFlight {}
-
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// Every frame in flight on one net, and the pump that delivers them.
+/// The frames in flight to one endpoint.
 #[derive(Default)]
 struct Calendar {
     frames: BinaryHeap<Reverse<InFlight>>,
-    sent: u64,
-    /// The instant the pump's timer is set for; `None` while it idles.
-    armed: Option<Instant>,
-    /// The pump's waker while it is parked.
-    pump: Option<Waker>,
-    /// Whether a pump task is alive on the current runtime.
-    running: bool,
+    pushed: u64,
+    /// `disconnect` ran: nothing more is pushed.
+    closed: bool,
+    /// A parked `recv`'s waker.
+    parked: Option<Waker>,
 }
 
-struct SimNetInner {
-    /// One-way frame latency in milliseconds per directed pair.
-    delays: DistanceMatrix,
-    txs: Mutex<HashMap<NodeId, Sender>>,
-    fault: Mutex<FaultInjector>,
+impl Calendar {
+    /// When the earliest frame is due.
+    fn head(&self) -> Option<Instant> {
+        self.frames.peek().map(|Reverse((at, ..))| *at)
+    }
+}
+
+/// One endpoint's calendar, shared by its senders and its receiver.
+#[derive(Default)]
+struct Inbox {
+    /// `calendar.frames.len()`, readable without the lock, so `try_recv`
+    /// on an empty calendar is one load. Frames are only read under the
+    /// lock, so the count publishes nothing itself and is `Relaxed`.
+    len: AtomicUsize,
     calendar: Mutex<Calendar>,
-    epoch: Instant,
-    pub frames_sent: AtomicU64,
-    pub bytes_sent: AtomicU64,
 }
 
-impl SimNetInner {
+impl Inbox {
     /// Put one frame in flight, landing `ms` from now.
-    fn schedule(self: &Arc<Self>, ms: f64, from: NodeId, to: Sender, frame: Vec<u8>) {
+    fn push(&self, ms: f64, from: NodeId, frame: Vec<u8>) {
         let at = Instant::now() + Duration::from_secs_f64(ms / 1000.0);
         let mut cal = self.calendar.lock();
-        let seq = cal.sent;
-        cal.sent += 1;
-        cal.frames.push(Reverse(InFlight {
-            at,
-            seq,
-            from,
-            frame,
-            to,
-        }));
-        if !cal.running {
-            cal.running = true;
-            drop(cal);
-            tokio::spawn(pump(PumpStop(Arc::clone(self))));
-        } else if cal.armed.is_none_or(|armed| at < armed) {
-            // Due before the pump's timer: wake it to re-arm.
-            if let Some(w) = cal.pump.take() {
+        // Due before the head a parked `recv` sleeps until: wake it.
+        let earlier = cal.head().is_none_or(|head| at < head);
+        let seq = cal.pushed;
+        cal.pushed += 1;
+        cal.frames.push(Reverse((at, seq, from, frame)));
+        self.len.store(cal.frames.len(), Ordering::Relaxed);
+        if earlier {
+            if let Some(w) = cal.parked.take() {
                 w.wake();
             }
         }
     }
 
-    /// One poll of the pump: land every frame due by now, in calendar
-    /// order, then sleep until the next one is due.
-    fn pump_poll(&self, cx: &mut Context<'_>, timer: &mut Option<Pin<Box<Sleep>>>) -> Poll<()> {
+    /// Take the earliest frame if it is due by `now`.
+    fn pop_due(&self, cal: &mut Calendar, now: Instant) -> Option<(NodeId, Vec<u8>)> {
+        if cal.head()? > now {
+            return None;
+        }
+        let Reverse((_, _, from, frame)) = cal.frames.pop()?;
+        self.len.store(cal.frames.len(), Ordering::Relaxed);
+        Some((from, frame))
+    }
+
+    /// A due frame; `None` once a closed calendar is empty; otherwise
+    /// park until the head is due or an earlier frame arrives.
+    fn poll_recv(&self, cx: &mut Context<'_>) -> Poll<Option<(NodeId, Vec<u8>)>> {
         loop {
-            let now = Instant::now();
             let mut cal = self.calendar.lock();
-            while let Some(due) = cal.frames.peek_mut().filter(|f| f.0.at <= now) {
-                let Reverse(f) = PeekMut::pop(due);
-                let _ = f.to.send((f.from, f.frame)); // endpoint dropped: lost
+            if let Some(got) = self.pop_due(&mut cal, Instant::now()) {
+                return Poll::Ready(Some(got));
             }
-            cal.pump = Some(cx.waker().clone());
-            let Some(next) = cal.frames.peek().map(|f| f.0.at) else {
-                cal.armed = None;
+            let head = cal.head();
+            if head.is_none() && cal.closed {
+                return Poll::Ready(None);
+            }
+            cal.parked = Some(cx.waker().clone());
+            drop(cal);
+            let Some(at) = head else {
                 return Poll::Pending;
             };
-            if cal.armed != Some(next) {
-                cal.armed = Some(next);
-                *timer = Some(Box::pin(tokio::time::sleep_until(next)));
-            }
-            drop(cal);
-            let sleep = timer.as_mut().expect("armed above");
-            if sleep.as_mut().poll(cx).is_pending() {
+            let mut due = tokio::time::sleep_until(at);
+            if Pin::new(&mut due).poll(cx).is_pending() {
                 return Poll::Pending;
             }
+            // The real clock reached the head meanwhile: take it.
         }
     }
 }
 
-/// The net's one delivery task. The guard is an argument, not a local,
-/// so it drops with the task even when the runtime ends before the task
-/// is first polled.
-async fn pump(stop: PumpStop) {
-    let net = &stop.0;
-    let mut timer = None;
-    std::future::poll_fn(|cx| net.pump_poll(cx, &mut timer)).await
-}
-
-/// Frames in flight die with the runtime, as per-frame tasks would; a
-/// later runtime's first send starts a new pump.
-struct PumpStop(Arc<SimNetInner>);
-
-impl Drop for PumpStop {
-    fn drop(&mut self) {
-        *self.0.calendar.lock() = Calendar::default();
-    }
+struct SimNetInner {
+    /// One-way frame latency in milliseconds per directed pair.
+    delays: DistanceMatrix,
+    /// Every endpoint not disconnected; a dropped one leaves a dead
+    /// entry, and frames sent to it are lost.
+    inboxes: Mutex<HashMap<NodeId, Weak<Inbox>>>,
+    fault: Mutex<FaultInjector>,
+    epoch: Instant,
+    pub frames_sent: AtomicU64,
+    pub bytes_sent: AtomicU64,
 }
 
 /// An in-process network shared by many [`SimTransport`] endpoints.
@@ -266,9 +223,8 @@ impl SimNet {
         SimNet {
             inner: Arc::new(SimNetInner {
                 delays,
-                txs: Mutex::new(HashMap::new()),
+                inboxes: Mutex::new(HashMap::new()),
                 fault: Mutex::new(FaultInjector::with_plan(fault, plan, seed)),
-                calendar: Mutex::new(Calendar::default()),
                 epoch: Instant::now(),
                 frames_sent: AtomicU64::new(0),
                 bytes_sent: AtomicU64::new(0),
@@ -283,13 +239,13 @@ impl SimNet {
 
     /// Create the endpoint for node `id`. Panics if `id` already exists.
     pub fn endpoint(&self, id: NodeId) -> SimTransport {
-        let (tx, rx) = mpsc::unbounded_channel();
-        let prev = self.inner.txs.lock().insert(id, tx);
+        let inbox = Arc::new(Inbox::default());
+        let prev = self.inner.inboxes.lock().insert(id, Arc::downgrade(&inbox));
         assert!(prev.is_none(), "duplicate endpoint for {id}");
         SimTransport {
             id,
             net: Arc::clone(&self.inner),
-            rx,
+            inbox,
         }
     }
 
@@ -297,7 +253,16 @@ impl SimNet {
     /// lost; frames already in flight still land, and its stream ends
     /// after the last of them.
     pub fn disconnect(&self, id: NodeId) {
-        self.inner.txs.lock().remove(&id);
+        let Some(inbox) = self.inner.inboxes.lock().remove(&id) else {
+            return;
+        };
+        if let Some(inbox) = inbox.upgrade() {
+            let mut cal = inbox.calendar.lock();
+            cal.closed = true;
+            if let Some(w) = cal.parked.take() {
+                w.wake();
+            }
+        }
     }
 
     /// Total frames accepted for transmission.
@@ -316,11 +281,12 @@ impl SimNet {
     }
 }
 
-/// One node's endpoint on a [`SimNet`].
+/// One node's endpoint on a [`SimNet`]: it owns the calendar of the
+/// frames in flight to it.
 pub struct SimTransport {
     id: NodeId,
     net: Arc<SimNetInner>,
-    rx: mpsc::UnboundedReceiver<(NodeId, Vec<u8>)>,
+    inbox: Arc<Inbox>,
 }
 
 impl Transport for SimTransport {
@@ -340,9 +306,12 @@ impl Transport for SimTransport {
         if matches!(verdict, Verdict::Drop | Verdict::Cut) {
             return Ok(()); // datagram lost (loss or partition/storm cut)
         }
-        let Some(tx) = net.txs.lock().get(&to).cloned() else {
+        let Some(inbox) = net.inboxes.lock().get(&to).map(Weak::upgrade) else {
             transport_obs().no_endpoint.inc();
             return Ok(()); // peer gone: datagram lost
+        };
+        let Some(inbox) = inbox else {
+            return Ok(()); // endpoint dropped: datagram lost
         };
         let delay_ms = if to.index() < net.delays.len() && from.index() < net.delays.len() {
             net.delays.get(from, to).max(0.0)
@@ -352,23 +321,27 @@ impl Transport for SimTransport {
         verdict.damage(&mut frame);
         match verdict {
             Verdict::Duplicate { extra_us } => {
-                net.schedule(delay_ms, from, tx.clone(), frame.clone());
-                net.schedule(delay_ms + extra_us as f64 / 1000.0, from, tx, frame);
+                inbox.push(delay_ms, from, frame.clone());
+                inbox.push(delay_ms + extra_us as f64 / 1000.0, from, frame);
             }
             Verdict::Delayed { extra_us } | Verdict::Reordered { extra_us } => {
-                net.schedule(delay_ms + extra_us as f64 / 1000.0, from, tx, frame);
+                inbox.push(delay_ms + extra_us as f64 / 1000.0, from, frame);
             }
-            _ => net.schedule(delay_ms, from, tx, frame),
+            _ => inbox.push(delay_ms, from, frame),
         }
         Ok(())
     }
 
     async fn recv(&mut self) -> Option<(NodeId, Vec<u8>)> {
-        self.rx.recv().await
+        std::future::poll_fn(|cx| self.inbox.poll_recv(cx)).await
     }
 
     fn try_recv(&mut self) -> Option<(NodeId, Vec<u8>)> {
-        self.rx.try_recv()
+        if self.inbox.len.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        self.inbox
+            .pop_due(&mut self.inbox.calendar.lock(), Instant::now())
     }
 }
 
@@ -520,7 +493,7 @@ mod tests {
             let mut b = net.endpoint(NodeId(1));
             net.disconnect(NodeId(1));
             a.send(NodeId(1), b"z".to_vec()).unwrap();
-            // The hub dropped b's sender, so b's stream ends without ever
+            // The net no longer reaches b, so b's stream ends without ever
             // delivering the frame.
             let got = tokio::time::timeout(std::time::Duration::from_secs(5), b.recv()).await;
             assert_eq!(got, Ok(None));
@@ -702,24 +675,99 @@ mod tests {
         });
     }
 
+    /// A `recv` parked on a frame due at 50 ms re-arms when a frame sent
+    /// later is due earlier: that one lands at its own instant first.
+    #[test]
+    fn recv_rearms_for_an_earlier_frame() {
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::clean(DistanceMatrix::from_fn(3, |i, _| [50.0, 1.0, 4.0][i]));
+            let a = net.endpoint(NodeId(0));
+            let mut b = net.endpoint(NodeId(1));
+            let c = net.endpoint(NodeId(2));
+            let t0 = Instant::now();
+            a.send(NodeId(1), b"slow".to_vec()).unwrap();
+            // `c` sends 1 ms in, while `recv` is parked on the slow frame.
+            let got = {
+                let mut recv = std::pin::pin!(b.recv());
+                let mut send = std::pin::pin!(async {
+                    tokio::time::sleep(Duration::from_millis(1)).await;
+                    c.send(NodeId(1), b"fast".to_vec()).unwrap();
+                });
+                let mut sent = false;
+                std::future::poll_fn(|cx| {
+                    let got = recv.as_mut().poll(cx);
+                    sent = sent || send.as_mut().poll(cx).is_ready();
+                    got
+                })
+                .await
+            };
+            assert_eq!(got, Some((NodeId(2), b"fast".to_vec())));
+            let fast = Duration::from_millis(1) + Duration::from_secs_f64(4.0 / 1000.0);
+            assert_eq!(t0.elapsed(), fast);
+            assert_eq!(b.recv().await, Some((NodeId(0), b"slow".to_vec())));
+            assert_eq!(t0.elapsed(), Duration::from_secs_f64(50.0 / 1000.0));
+        });
+    }
+
+    /// A drain at instant `t` takes every frame due by `t` — the ones due
+    /// exactly at `t` included — in (instant, send order), and nothing
+    /// due later.
+    #[test]
+    fn a_drain_sees_every_frame_due_by_its_instant() {
+        tokio::runtime::block_on_paused(async {
+            let net = SimNet::clean(DistanceMatrix::from_fn(4, |i, _| [3.0, 1.0, 5.0, 7.0][i]));
+            let [early, mut b, on_time, late] = [0, 1, 2, 3].map(|i| net.endpoint(NodeId(i)));
+            on_time.send(NodeId(1), vec![1]).unwrap();
+            early.send(NodeId(1), vec![0]).unwrap();
+            late.send(NodeId(1), vec![3]).unwrap();
+            on_time.send(NodeId(1), vec![2]).unwrap();
+            tokio::time::sleep(Duration::from_secs_f64(5.0 / 1000.0)).await;
+            let drain = |b: &mut SimTransport| -> Vec<(NodeId, u8)> {
+                std::iter::from_fn(|| b.try_recv())
+                    .map(|(from, f)| (from, f[0]))
+                    .collect()
+            };
+            assert_eq!(
+                drain(&mut b),
+                [(NodeId(0), 0), (NodeId(2), 1), (NodeId(2), 2)]
+            );
+            tokio::time::sleep(Duration::from_millis(2)).await;
+            assert_eq!(drain(&mut b), [(NodeId(3), 3)]);
+        });
+    }
+
+    /// A net built outside any runtime delivers in each later one, in
+    /// send order. Nothing is bound to a runtime: a frame still in flight
+    /// when its runtime ends stays in its calendar, and lands at its
+    /// instant on the next runtime's clock.
     #[test]
     fn a_net_outlives_its_runtime() {
         let net = SimNet::clean(two_node_delays(3.0));
         let a = net.endpoint(NodeId(0));
         let mut b = net.endpoint(NodeId(1));
+        let delay = Duration::from_secs_f64(3.0 / 1000.0);
         tokio::runtime::block_on_paused(async {
-            // This runtime ends before its pump is ever polled.
-            a.send(NodeId(1), b"never".to_vec()).unwrap();
+            // This runtime ends at its first instant.
+            a.send(NodeId(1), b"early".to_vec()).unwrap();
         });
         tokio::runtime::block_on_paused(async {
+            let t0 = Instant::now();
             a.send(NodeId(1), b"one".to_vec()).unwrap();
+            assert_eq!(&b.recv().await.unwrap().1[..], b"early");
             assert_eq!(&b.recv().await.unwrap().1[..], b"one");
-            // In flight when this runtime ends: lost with it.
-            a.send(NodeId(1), b"gone".to_vec()).unwrap();
+            assert_eq!(t0.elapsed(), delay);
+            tokio::time::sleep(Duration::from_millis(7)).await;
+            // In flight, due 13 ms in, when this runtime ends.
+            a.send(NodeId(1), b"late".to_vec()).unwrap();
         });
         tokio::runtime::block_on_paused(async {
+            let t0 = Instant::now();
             a.send(NodeId(1), b"two".to_vec()).unwrap();
+            assert_eq!(b.try_recv(), None);
             assert_eq!(&b.recv().await.unwrap().1[..], b"two");
+            assert_eq!(t0.elapsed(), delay);
+            assert_eq!(&b.recv().await.unwrap().1[..], b"late");
+            assert_eq!(t0.elapsed(), Duration::from_millis(10) + delay);
         });
     }
 

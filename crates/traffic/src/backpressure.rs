@@ -29,6 +29,7 @@
 //! destination id), so two same-seed runs are bit-identical.
 
 use crate::demand::Flow;
+use crate::paths::PROC_MS_PER_LOAD;
 use crate::queue::{InjectionRuns, QueueBank};
 use crate::router::{FlowTally, RouteInputs, RouteOutcome};
 use egoist_graph::NodeId;
@@ -62,9 +63,6 @@ impl Default for BackpressureConfig {
 pub struct BackpressureEngine {
     n: usize,
     cfg: BackpressureConfig,
-    /// Per-hop processing delay per unit of true node load (shared with
-    /// the path routers so latencies are comparable).
-    proc_ms_per_load: f64,
     queues: QueueBank,
     /// Row-major `n × n`: volume each link committed in its previous
     /// service slot (0 for a link that never served).
@@ -110,11 +108,10 @@ fn serve_key(w: f64, d: usize) -> u128 {
 }
 
 impl BackpressureEngine {
-    pub fn new(n: usize, cfg: BackpressureConfig, proc_ms_per_load: f64) -> Self {
+    pub fn new(n: usize, cfg: BackpressureConfig) -> Self {
         BackpressureEngine {
             n,
             cfg,
-            proc_ms_per_load,
             queues: QueueBank::new(n),
             link_vq: vec![0.0; n * n],
         }
@@ -168,7 +165,7 @@ impl BackpressureEngine {
                     src: u,
                     dst: v,
                     cap_slot: cap / slots as f64,
-                    hop_lat: prop + self.proc_ms_per_load * inp.node_load[v.index()],
+                    hop_lat: prop + PROC_MS_PER_LOAD * inp.node_load[v.index()],
                     hop_prop: prop,
                 })
             })
@@ -419,7 +416,7 @@ mod tests {
         let delays = DistanceMatrix::off_diagonal(3, 5.0);
         let loads = [0.0; 3];
         let cap = DistanceMatrix::off_diagonal(3, 100.0);
-        let mut bp = BackpressureEngine::new(3, BackpressureConfig::default(), 2.0);
+        let mut bp = BackpressureEngine::new(3, BackpressureConfig::default());
         let flows = [Flow {
             src: NodeId(0),
             dst: NodeId(2),
@@ -446,7 +443,7 @@ mod tests {
         let delays = DistanceMatrix::off_diagonal(2, 5.0);
         let loads = [0.0; 2];
         let cap = DistanceMatrix::off_diagonal(2, 10.0);
-        let mut bp = BackpressureEngine::new(2, BackpressureConfig::default(), 2.0);
+        let mut bp = BackpressureEngine::new(2, BackpressureConfig::default());
         let flows = [Flow {
             src: NodeId(0),
             dst: NodeId(1),
@@ -474,7 +471,7 @@ mod tests {
         let delays = DistanceMatrix::off_diagonal(4, 5.0);
         let loads = [0.0; 4];
         let cap = DistanceMatrix::off_diagonal(4, 10.0);
-        let mut bp = BackpressureEngine::new(4, BackpressureConfig::default(), 2.0);
+        let mut bp = BackpressureEngine::new(4, BackpressureConfig::default());
         let flows = [Flow {
             src: NodeId(0),
             dst: NodeId(3),
@@ -511,7 +508,7 @@ mod tests {
             },
         ];
         let run = || {
-            let mut bp = BackpressureEngine::new(4, BackpressureConfig::default(), 2.0);
+            let mut bp = BackpressureEngine::new(4, BackpressureConfig::default());
             let mut sig = Vec::new();
             for _ in 0..5 {
                 let out = bp.route_epoch(&flows, &inputs(&g, &delays, &loads, &cap));

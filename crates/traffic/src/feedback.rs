@@ -18,19 +18,17 @@ use std::collections::HashMap;
 pub struct FeedbackConfig {
     /// Whether carried traffic is charged into the underlay at all.
     pub enabled: bool,
-    /// CPU load units per forwarded Mbps (loadavg-like: 0.02 means a
-    /// node forwarding 500 Mbps adds 10 to its load).
-    pub load_per_mbps: f64,
 }
 
 impl Default for FeedbackConfig {
     fn default() -> Self {
-        FeedbackConfig {
-            enabled: true,
-            load_per_mbps: 0.02,
-        }
+        FeedbackConfig { enabled: true }
     }
 }
+
+/// CPU load units per forwarded Mbps (loadavg-like: 0.02 means a node
+/// forwarding 500 Mbps adds 10 to its load).
+const LOAD_PER_MBPS: f64 = 0.02;
 
 /// Apply one epoch's traffic into the simulator's underlay models.
 /// With feedback disabled this *clears* any previous charge, so an
@@ -44,7 +42,7 @@ pub fn apply(sim: &mut Simulator, outcome: &RouteOutcome, cfg: &FeedbackConfig) 
     let induced: Vec<f64> = outcome
         .forwarded
         .iter()
-        .map(|mbps| mbps * cfg.load_per_mbps)
+        .map(|mbps| mbps * LOAD_PER_MBPS)
         .collect();
     sim.loads_mut().set_induced(&induced);
     sim.bandwidths_mut().set_consumed(&outcome.consumed);
@@ -229,14 +227,7 @@ mod tests {
     fn disabled_feedback_clears_previous_charge() {
         let mut s = sim(6);
         apply(&mut s, &outcome(6), &FeedbackConfig::default());
-        apply(
-            &mut s,
-            &outcome(6),
-            &FeedbackConfig {
-                enabled: false,
-                load_per_mbps: 0.02,
-            },
-        );
+        apply(&mut s, &outcome(6), &FeedbackConfig { enabled: false });
         assert_eq!(s.loads().induced(0), 0.0);
         assert_eq!(s.bandwidths().consumed(0, 1), 0.0);
     }

@@ -16,10 +16,13 @@ use egoist_graph::csr::NO_PARENT;
 use egoist_graph::{CsrGraph, DijkstraWorkspace, NodeId};
 use std::ops::Range;
 
+/// Per-hop processing delay in ms per unit of true node load — the
+/// term that couples flow latency to the Load metric.
+pub(crate) const PROC_MS_PER_LOAD: f64 = 2.0;
+
 /// What one hop costs a delivered flow.
 pub(crate) struct HopCosts<'a> {
     pub(crate) inp: &'a RouteInputs<'a>,
-    pub(crate) proc_ms_per_load: f64,
     /// Row-major `n × n` per-link queuing estimate (ms) charged on top —
     /// the delay-aware policy's metric; `None` for the plain router.
     pub(crate) queue_ms: Option<&'a [f64]>,
@@ -38,7 +41,7 @@ impl HopCosts<'_> {
             let hop = self.inp.true_delays.get(w[0], w[1]);
             propagation += hop;
             latency += hop;
-            latency += self.proc_ms_per_load * self.inp.node_load[w[1].index()];
+            latency += PROC_MS_PER_LOAD * self.inp.node_load[w[1].index()];
             if let Some(q) = self.queue_ms {
                 latency += q[w[0].index() * n + w[1].index()];
             }

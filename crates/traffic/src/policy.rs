@@ -80,9 +80,9 @@ impl DataPolicyKind {
                 router: FlowRouter::new(router),
             }),
             DataPolicyKind::Backpressure => Box::new(BackpressurePolicy {
-                engine: BackpressureEngine::new(n, bp, router.proc_ms_per_load),
+                engine: BackpressureEngine::new(n, bp),
             }),
-            DataPolicyKind::DelayAware => Box::new(DelayAwarePolicy::new(n, da, router)),
+            DataPolicyKind::DelayAware => Box::new(DelayAwarePolicy::new(n, da)),
         }
     }
 }
@@ -149,7 +149,6 @@ impl Default for DelayAwareConfig {
 pub struct DelayAwarePolicy {
     n: usize,
     cfg: DelayAwareConfig,
-    router_cfg: RouterConfig,
     /// Smoothed queuing-delay estimate per directed pair (ms), dense.
     ewma_ms: Vec<f64>,
     /// The path each (src, dst) pair is currently committed to: the
@@ -160,11 +159,10 @@ pub struct DelayAwarePolicy {
 }
 
 impl DelayAwarePolicy {
-    pub fn new(n: usize, cfg: DelayAwareConfig, router_cfg: RouterConfig) -> Self {
+    pub fn new(n: usize, cfg: DelayAwareConfig) -> Self {
         DelayAwarePolicy {
             n,
             cfg,
-            router_cfg,
             ewma_ms: vec![0.0; n * n],
             current_paths: PathPlane::new(n),
             route_changes_total: 0,
@@ -228,7 +226,6 @@ impl RoutingPolicy for DelayAwarePolicy {
         // hop on top — the delay the metric itself predicts.
         let costs = HopCosts {
             inp,
-            proc_ms_per_load: self.router_cfg.proc_ms_per_load,
             queue_ms: Some(&self.ewma_ms),
         };
 
@@ -350,8 +347,7 @@ mod tests {
         }];
         let inp = inputs(&overlay, &delays, &loads, &cap);
         let run = |hysteresis: f64| {
-            let mut p =
-                DelayAwarePolicy::new(4, DelayAwareConfig { hysteresis }, RouterConfig::default());
+            let mut p = DelayAwarePolicy::new(4, DelayAwareConfig { hysteresis });
             for e in 0..24 {
                 p.route_epoch(e, &flows, &inp);
             }
@@ -377,7 +373,7 @@ mod tests {
             dst: NodeId(3),
             rate_mbps: 1.0,
         }];
-        let mut p = DelayAwarePolicy::new(4, DelayAwareConfig::default(), RouterConfig::default());
+        let mut p = DelayAwarePolicy::new(4, DelayAwareConfig::default());
         let out = p.route_epoch(0, &flows, &inputs(&overlay, &delays, &loads, &cap));
         assert!(out.delivered_mbps > 0.0);
         // Rewire: the committed 0→1→3 route disappears.
@@ -406,8 +402,7 @@ mod tests {
             },
         ];
         let run = || {
-            let mut p =
-                DelayAwarePolicy::new(4, DelayAwareConfig::default(), RouterConfig::default());
+            let mut p = DelayAwarePolicy::new(4, DelayAwareConfig::default());
             let mut sig = Vec::new();
             for e in 0..10 {
                 let out = p.route_epoch(e, &flows, &inputs(&overlay, &delays, &loads, &cap));

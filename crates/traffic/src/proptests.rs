@@ -212,7 +212,7 @@ proptest! {
             dst: NodeId(hops.min(n - 1) as u32),
             rate_mbps: rate,
         }];
-        let mut bp = BackpressureEngine::new(n, BackpressureConfig::default(), 2.0);
+        let mut bp = BackpressureEngine::new(n, BackpressureConfig::default());
         let mut last = 0.0;
         for _ in 0..10 {
             last = bp.route_epoch(&flows, &inp).delivered_mbps;
@@ -257,8 +257,8 @@ proptest! {
             capacity: &cap,
         };
         let cfg = BackpressureConfig { slots, slot_ms: 3.0 };
-        let mut fast = BackpressureEngine::new(n, cfg, 2.0);
-        let mut slow = BackpressureEngine::new(n, cfg, 2.0);
+        let mut fast = BackpressureEngine::new(n, cfg);
+        let mut slow = BackpressureEngine::new(n, cfg);
         for epoch in 0..epochs {
             let flows = shaped_flows(n, &spec, &limits, epoch);
             let a = fast.route_epoch(&flows, &inp);
@@ -293,7 +293,7 @@ proptest! {
             node_load: &loads[..n],
             capacity: &cap,
         };
-        let r = FlowRouter::new(RouterConfig { max_paths, ..RouterConfig::default() });
+        let r = FlowRouter::new(RouterConfig { max_paths });
         for epoch in 0..epochs {
             let flows = shaped_flows(n, &spec, &limits, epoch);
             let a = r.route(&flows, &inp);

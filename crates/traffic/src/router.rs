@@ -64,17 +64,11 @@ pub struct RouterConfig {
     /// > 1 splits over up to that many edge-disjoint paths, the §6
     /// > multipath application applied to bulk flows).
     pub max_paths: usize,
-    /// Per-hop processing delay in ms per unit of true node load —
-    /// the term that couples flow latency to the Load metric.
-    pub proc_ms_per_load: f64,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig {
-            max_paths: 1,
-            proc_ms_per_load: 2.0,
-        }
+        RouterConfig { max_paths: 1 }
     }
 }
 
@@ -242,7 +236,6 @@ impl FlowRouter {
         let csr = CsrGraph::from_digraph(inp.overlay);
         let costs = HopCosts {
             inp,
-            proc_ms_per_load: self.cfg.proc_ms_per_load,
             queue_ms: None,
         };
         let want = self.cfg.max_paths.max(1);
@@ -334,7 +327,6 @@ pub(crate) mod oracle {
         let csr = CsrGraph::from_digraph(inp.overlay);
         let costs = HopCosts {
             inp,
-            proc_ms_per_load: router.cfg.proc_ms_per_load,
             queue_ms: None,
         };
         let (mut trees, mut search) = (SourceTrees::new(&csr), DisjointSearch::new(&csr));
@@ -511,14 +503,8 @@ mod tests {
             dst: NodeId(3),
             rate_mbps: 18.0,
         }];
-        let single = FlowRouter::new(RouterConfig {
-            max_paths: 1,
-            ..Default::default()
-        });
-        let multi = FlowRouter::new(RouterConfig {
-            max_paths: 2,
-            ..Default::default()
-        });
+        let single = FlowRouter::new(RouterConfig { max_paths: 1 });
+        let multi = FlowRouter::new(RouterConfig { max_paths: 2 });
         let inp = inputs(&overlay, &delays, &loads, &cap);
         assert_eq!(single.route(&f, &inp).delivered_mbps, 10.0);
         assert_eq!(multi.route(&f, &inp).delivered_mbps, 18.0);

@@ -337,10 +337,7 @@ fn every_policy_epoch_is_one_route_span() {
     let mut calls = Vec::new();
     for max_paths in [1, 2] {
         for kind in DataPolicyKind::all() {
-            let router = RouterConfig {
-                max_paths,
-                ..RouterConfig::default()
-            };
+            let router = RouterConfig { max_paths };
             let mut policy = kind.instantiate(4, router, Default::default(), Default::default());
             let before = reg.span_value("traffic.route").0;
             policy.route_epoch(0, &flows, &inputs);
